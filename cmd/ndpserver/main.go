@@ -22,6 +22,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"vizndp/internal/core"
@@ -49,7 +50,7 @@ func main() {
 		scrubMan = flag.String("scrub-manifest", "", "comma-separated brick manifest paths for the background scrubber; status at /scrub")
 		maxInFl  = flag.Int("max-inflight", 0, "max concurrently executing requests (0 = unbounded)")
 		queue    = flag.Int("queue", 0, "admission queue length beyond -max-inflight; full queue sheds with a retryable busy error")
-		drainFor = flag.Duration("drain-timeout", 30*time.Second, "how long to let in-flight requests finish on SIGINT")
+		drainFor = flag.Duration("drain-timeout", 30*time.Second, "how long to let in-flight requests finish on SIGINT or SIGTERM")
 		gbps     = flag.Float64("gbps", 0, "shape client traffic to this many Gb/s (0 = unshaped)")
 		latency  = flag.Duration("latency", 0, "one-way link latency to charge")
 		telAddr  = flag.String("telemetry-addr", "", "serve /metrics, /debug/trace, /debug/requests, /slo, and pprof on this address")
@@ -170,7 +171,7 @@ func main() {
 
 	go func() {
 		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt)
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
 		// Graceful drain: stop accepting, shed new requests with the
 		// retryable busy error, and give in-flight fetches -drain-timeout

@@ -7,12 +7,12 @@
 // keeping the decoded array near the pre-filter turns the steady-state
 // cost into a pure scan.
 //
-// The cache is a byte-bounded LRU keyed by (path, array, file version),
-// where the version is the backing file's mtime and size (plus a content
-// fingerprint when the store reports no mtime) — a changed file simply
-// misses under a new key and the stale entry ages out. Loads
-// are single-flight: N concurrent fetches of the same array trigger
-// exactly one storage read, with the rest coalescing onto its result.
+// The cache is an instance of internal/lru keyed by (path, array, file
+// version), where the version is the backing file's mtime and size (plus
+// a content fingerprint when the store reports no mtime) — a changed file
+// simply misses under a new key and the stale entry ages out. Loads are
+// single-flight: N concurrent fetches of the same array trigger exactly
+// one storage read, with the rest coalescing onto its result.
 //
 // Cached fields are shared across concurrent readers and MUST be treated
 // as immutable by callers.
@@ -29,26 +29,20 @@
 package arraycache
 
 import (
-	"container/list"
-	"context"
-	"sync"
-	"time"
-
 	"vizndp/internal/grid"
+	"vizndp/internal/lru"
 	"vizndp/internal/telemetry"
 )
 
-var (
-	mHits      = telemetry.Default().Counter("arraycache.hits")
-	mMisses    = telemetry.Default().Counter("arraycache.misses")
-	mCoalesced = telemetry.Default().Counter("arraycache.coalesced")
-	mEvictions = telemetry.Default().Counter("arraycache.evictions")
-	mResident  = telemetry.Default().Gauge("arraycache.resident.bytes")
-	mEntries   = telemetry.Default().Gauge("arraycache.entries")
-	mLoadSecs  = telemetry.Default().Histogram("arraycache.load.seconds", telemetry.DurationBuckets)
-)
-
-var log = telemetry.Logger("arraycache")
+var metrics = lru.Metrics{
+	Hits:        telemetry.Default().Counter("arraycache.hits"),
+	Misses:      telemetry.Default().Counter("arraycache.misses"),
+	Coalesced:   telemetry.Default().Counter("arraycache.coalesced"),
+	Evictions:   telemetry.Default().Counter("arraycache.evictions"),
+	Bytes:       telemetry.Default().Gauge("arraycache.resident.bytes"),
+	Entries:     telemetry.Default().Gauge("arraycache.entries"),
+	LoadSeconds: telemetry.Default().Histogram("arraycache.load.seconds", telemetry.DurationBuckets),
+}
 
 // Version identifies the state of a backing file. Two requests see the
 // same cache entry only while the file's stat is unchanged; rewriting a
@@ -90,238 +84,24 @@ func (e *Entry) Bytes() int64 {
 }
 
 // Outcome classifies one GetOrLoad call.
-type Outcome int
+type Outcome = lru.Outcome
 
 const (
 	// Hit means the entry was already resident.
-	Hit Outcome = iota
+	Hit = lru.Hit
 	// Miss means this call performed the storage load.
-	Miss
+	Miss = lru.Miss
 	// Coalesced means the call waited on a load started by another.
-	Coalesced
+	Coalesced = lru.Coalesced
 )
-
-// String names the outcome for span attributes and logs.
-func (o Outcome) String() string {
-	switch o {
-	case Hit:
-		return "hit"
-	case Miss:
-		return "miss"
-	case Coalesced:
-		return "coalesced"
-	}
-	return "unknown"
-}
-
-// flight is one in-progress single-flight load.
-type flight struct {
-	done  chan struct{}
-	entry *Entry
-	err   error
-}
 
 // Cache is a byte-bounded LRU of decoded arrays with single-flight
 // loading. All methods are safe for concurrent use.
-type Cache struct {
-	mu       sync.Mutex
-	max      int64
-	resident int64
-	entries  map[Key]*list.Element
-	lru      *list.List // front = most recent; values are *lruItem
-	flights  map[Key]*flight
-}
-
-type lruItem struct {
-	key   Key
-	entry *Entry
-}
+type Cache = lru.Cache[Key, *Entry]
 
 // New returns a cache bounded to maxBytes of decoded array data.
 // maxBytes <= 0 returns nil, which every method treats as "cache off",
 // so call sites need no conditionals.
 func New(maxBytes int64) *Cache {
-	if maxBytes <= 0 {
-		return nil
-	}
-	return &Cache{
-		max:     maxBytes,
-		entries: make(map[Key]*list.Element),
-		lru:     list.New(),
-		flights: make(map[Key]*flight),
-	}
-}
-
-// GetOrLoad returns the cached entry for key, loading it with load on a
-// miss. Concurrent calls for the same key while a load is in progress
-// wait for that one load instead of issuing their own; a failed load is
-// not cached and its error is returned to every waiter.
-func (c *Cache) GetOrLoad(key Key, load func() (*Entry, error)) (*Entry, Outcome, error) {
-	if c == nil {
-		e, err := load()
-		return e, Miss, err
-	}
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		c.mu.Unlock()
-		mHits.Inc()
-		return el.Value.(*lruItem).entry, Hit, nil
-	}
-	if f, ok := c.flights[key]; ok {
-		c.mu.Unlock()
-		<-f.done
-		mCoalesced.Inc()
-		return f.entry, Coalesced, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[key] = f
-	c.mu.Unlock()
-
-	mMisses.Inc()
-	start := time.Now()
-	f.entry, f.err = load()
-	mLoadSecs.Observe(time.Since(start).Seconds())
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	if f.err == nil {
-		c.insertLocked(key, f.entry)
-	}
-	c.mu.Unlock()
-	close(f.done)
-	return f.entry, Miss, f.err
-}
-
-// GetOrLoadContext is GetOrLoad plus wide-event enrichment: the lookup
-// outcome is stamped onto the in-flight request event carried by ctx
-// (a no-op when the request is not being recorded), so /debug/requests
-// shows hit/miss/coalesced per request, not just in aggregate.
-func (c *Cache) GetOrLoadContext(ctx context.Context, key Key, load func() (*Entry, error)) (*Entry, Outcome, error) {
-	e, outcome, err := c.GetOrLoad(key, load)
-	telemetry.EventFromContext(ctx).SetCache(outcome.String())
-	return e, outcome, err
-}
-
-// Get returns the resident entry for key, if any, without loading.
-func (c *Cache) Get(key Key) (*Entry, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*lruItem).entry, true
-}
-
-// insertLocked adds an entry, evicting from the LRU tail until it fits.
-// Entries larger than the whole budget are served but never retained.
-func (c *Cache) insertLocked(key Key, e *Entry) {
-	size := e.Bytes()
-	if size > c.max {
-		log.Debug("entry exceeds cache budget, not retained",
-			"path", key.Path, "array", key.Array, "bytes", size, "budget", c.max)
-		return
-	}
-	if el, ok := c.entries[key]; ok {
-		// A racing load of the same key already landed; keep the newer
-		// entry and refresh recency.
-		c.resident -= el.Value.(*lruItem).entry.Bytes()
-		el.Value.(*lruItem).entry = e
-		c.resident += size
-		c.lru.MoveToFront(el)
-		mResident.Set(c.resident)
-		return
-	}
-	for c.resident+size > c.max {
-		tail := c.lru.Back()
-		if tail == nil {
-			break
-		}
-		c.removeLocked(tail)
-		mEvictions.Inc()
-	}
-	c.entries[key] = c.lru.PushFront(&lruItem{key: key, entry: e})
-	c.resident += size
-	mResident.Set(c.resident)
-	mEntries.Set(int64(len(c.entries)))
-}
-
-// removeLocked drops one element from the LRU and the index.
-func (c *Cache) removeLocked(el *list.Element) {
-	it := el.Value.(*lruItem)
-	c.lru.Remove(el)
-	delete(c.entries, it.key)
-	c.resident -= it.entry.Bytes()
-	mResident.Set(c.resident)
-	mEntries.Set(int64(len(c.entries)))
-}
-
-// Reset drops every resident entry (in-flight loads are unaffected and
-// will repopulate). Used by benchmarks to re-measure cold paths.
-func (c *Cache) Reset() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		c.removeLocked(el)
-		el = next
-	}
-}
-
-// InvalidatePath drops every resident entry whose key names path,
-// regardless of array or timestep, and reports how many were removed.
-// Used when a read of path is found corrupt: whatever was decoded from
-// those bytes earlier is no longer trustworthy.
-func (c *Cache) InvalidatePath(path string) int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		if el.Value.(*lruItem).key.Path == path {
-			c.removeLocked(el)
-			n++
-		}
-		el = next
-	}
-	return n
-}
-
-// Len returns the number of resident entries.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Resident returns the accounted resident byte total.
-func (c *Cache) Resident() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.resident
-}
-
-// MaxBytes returns the configured budget (0 for a nil cache).
-func (c *Cache) MaxBytes() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.max
+	return lru.New[Key](maxBytes, (*Entry).Bytes, metrics)
 }

@@ -209,7 +209,7 @@ func TestCacheNilIsOff(t *testing.T) {
 	if loads != 2 {
 		t.Errorf("nil cache coalesced loads: %d", loads)
 	}
-	if c.Len() != 0 || c.Resident() != 0 || c.MaxBytes() != 0 {
+	if c.Len() != 0 || c.Resident() != 0 {
 		t.Error("nil cache reports state")
 	}
 	c.Reset() // must not panic

@@ -2,28 +2,25 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"math"
-	"sync"
 	"time"
 
 	"vizndp/internal/arraycache"
-	"vizndp/internal/bitset"
-	"vizndp/internal/contour"
 	"vizndp/internal/telemetry"
 )
 
 // Scan-sharing metrics (default registry):
 //
-//	core.scan.requests        counter — pre-filter fetches admitted to the handler
-//	core.scan.passes          counter — single-isovalue scan passes actually run
-//	core.scan.batches         counter — coalesced batches executed
-//	core.scan.coalesced       counter — requests that rode another request's scan
-//	core.scan.batches_aborted counter — batches dropped because every member cancelled
+//	core.scan.requests        counter — fetches (of any of the four methods) admitted to the pipeline
+//	core.scan.passes          counter — single-value selection scans actually run
+//	core.scan.batches         counter — batches that reached their scan
+//	core.scan.coalesced       counter — requests that rode another request's batch
+//	core.scan.batches_aborted counter — batches dropped after the load because every member cancelled
 //
-// Uncoalesced, passes == sum(len(isovalues)) over requests; coalescing
-// pays off exactly when passes/requests drops below one — the crowd
-// experiment's gate.
+// Every request runs in a batch, so on a server without WithCoalesce
+// batches == requests that missed the payload cache, and passes ==
+// sum(len(isovalues)) over contour requests (one per range request, none
+// for slice and raw); coalescing pays off exactly when passes/requests
+// drops below one — the crowd experiment's gate.
 var (
 	mScanRequests = telemetry.Default().Counter("core.scan.requests")
 	mScanPasses   = telemetry.Default().Counter("core.scan.passes")
@@ -38,168 +35,104 @@ var (
 // adds little latency while catching bursts of concurrent arrivals.
 const DefaultCoalesceWindow = 500 * time.Microsecond
 
-// batchKey names the work a batch shares: one array at one file version.
-// Requests with different isovalues or encodings share a key — splitting
-// per-caller payloads out of the one scan is the whole point.
-type batchKey struct {
-	path    string
-	array   string
-	version arraycache.Version
-}
-
-// scanMember is one request riding a batch. The leader fills payload,
-// stats, and err before closing the batch's done channel; the member's
-// own goroutine reads them only after that close.
+// scanMember is one request riding a batch. The leader fills res,
+// filterTime, and err before closing the batch's done channel; the
+// member's own goroutine reads them only after that close.
 type scanMember struct {
-	// ctx is the member's own request context. The batch runs under the
-	// leader's cancellation-stripped context, so this is the only place
+	// ctx is the member's own request context. A joinable batch runs under
+	// the leader's cancellation-stripped context, so this is the only place
 	// the member's liveness survives to: the leader consults it after the
 	// member set freezes and aborts the scan if every member is gone.
-	ctx       context.Context
-	isovalues []float64
-	enc       Encoding
-	payload   *Payload
-	stats     *PreFilterStats
-	err       error
+	ctx   context.Context
+	query query
+	res   *fetchResult
+	// filterTime charges the member the batch's shared scan plus its own
+	// encode — what its request actually waited on, not what a dedicated
+	// scan would have cost.
+	filterTime time.Duration
+	err        error
 }
 
-// scanBatch collects the members sharing one scan.
+// scanBatch collects the members sharing one load and scan.
 type scanBatch struct {
 	done    chan struct{}
 	members []*scanMember
 }
 
-// scanShare coalesces concurrent pre-filter requests for the same array
-// into shared multi-isovalue scans and fronts them with the payload
-// cache. window < 0 disables batching (cache-only mode).
-type scanShare struct {
-	window   time.Duration
-	payloads *payloadCache
-
-	mu      sync.Mutex
-	batches map[batchKey]*scanBatch
-}
-
-// fetchShared is handleFetch's hot path when coalescing or the payload
-// cache is enabled: payload-cache lookup, then join-or-lead a shared
-// scan. Every payload it returns is bit-identical to what the
-// uncoalesced path would produce for the same request, because the
-// per-isovalue selection masks union exactly (see contour.SelectCellCornersEach)
-// and EncodeSelection is deterministic given mask and values.
-func (s *Server) fetchShared(ctx context.Context, path, array string, isovalues []float64, enc Encoding) (*Payload, *PreFilterStats, time.Duration, error) {
-	if len(isovalues) == 0 {
-		return nil, nil, 0, fmt.Errorf("core: pre-filter has no isovalues")
-	}
-	sh := s.scans
-	ver, err := s.fileVersion(path)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	ev := telemetry.EventFromContext(ctx)
-	pk := payloadKey{path: path, array: array, version: ver, isos: isoKey(isovalues), enc: enc}
-	if e, ok := sh.payloads.get(pk); ok {
-		ev.SetAttr("payloadcache", "hit")
-		// An honest breakdown for a cached payload: no storage read, no
-		// scan. The stats' structural fields (points, bytes) still apply.
-		st := e.stats
-		st.FilterTime = 0
-		return e.payload, &st, 0, nil
-	}
-	if sh.payloads != nil {
-		ev.SetAttr("payloadcache", "miss")
-	}
-
-	if sh.window < 0 {
-		// Cache-only mode: run the standalone pipeline and retain the
-		// result for repeats.
-		g, field, readTime, err := s.readArrayTimed(ctx, path, array)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, nil, 0, err
-		}
-		payload, stats, err := s.runPreFilter(ctx, g, field, array, isovalues, enc)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		sh.payloads.put(pk, payload, stats)
-		return payload, stats, readTime, nil
-	}
-
-	m := &scanMember{ctx: ctx, isovalues: isovalues, enc: enc}
-	bk := batchKey{path: path, array: array, version: ver}
-	sh.mu.Lock()
-	if b, ok := sh.batches[bk]; ok {
-		b.members = append(b.members, m)
-		sh.mu.Unlock()
-		mScanShared.Inc()
-		ev.SetAttr("coalesced-scan", "follower")
-		select {
-		case <-b.done:
-		case <-ctx.Done():
-			// Abandon the batch; the leader still computes this member's
-			// payload but nobody reads it.
-			return nil, nil, 0, ctx.Err()
-		}
-		if m.err != nil {
-			return nil, nil, 0, m.err
-		}
-		// A follower performed no storage read of its own.
-		return m.payload, m.stats, 0, nil
-	}
+// fetchBatched is the pipeline's join-or-lead stage. Every request runs
+// in a batch. With WithCoalesce the batch is joinable: the first request
+// for a batchKey leads and registers it, later arrivals append themselves
+// and wait. Without it the batch is never registered, so it has exactly
+// one member and runs under that member's own context. Returns the
+// member's result, its storage read time and its filter time.
+func (s *Server) fetchBatched(ctx context.Context, bk batchKey, sel *selector, q query) (*fetchResult, time.Duration, time.Duration, error) {
+	m := &scanMember{ctx: ctx, query: q}
 	b := &scanBatch{done: make(chan struct{}), members: []*scanMember{m}}
-	sh.batches[bk] = b
-	sh.mu.Unlock()
-	ev.SetAttr("coalesced-scan", "leader")
-	readTime := s.runBatch(ctx, bk, b)
-	if m.err != nil {
-		return nil, nil, 0, m.err
+	if s.coalesceWin > 0 {
+		ev := telemetry.EventFromContext(ctx)
+		s.batchMu.Lock()
+		if open, ok := s.batches[bk]; ok {
+			open.members = append(open.members, m)
+			s.batchMu.Unlock()
+			mScanShared.Inc()
+			ev.SetAttr("coalesced-scan", "follower")
+			select {
+			case <-open.done:
+				// A follower performed no storage read of its own.
+				return m.res, 0, m.filterTime, m.err
+			case <-ctx.Done():
+				// Abandon the batch; the leader still computes this member's
+				// result but nobody reads it.
+				return nil, 0, 0, ctx.Err()
+			}
+		}
+		s.batches[bk] = b
+		s.batchMu.Unlock()
+		ev.SetAttr("coalesced-scan", "leader")
+		// Followers may join this batch, so its fate must not hang on the
+		// leader's caller: detach from the leader's own cancellation and
+		// run the batch to completion.
+		// vizlint:ignore ctxflow followers joined this batch; it must complete for them even if the leader's caller cancels
+		ctx = context.WithoutCancel(ctx)
 	}
-	return m.payload, m.stats, readTime, nil
+	readTime := s.runBatch(ctx, bk, b, sel)
+	return m.res, readTime, m.filterTime, m.err
 }
 
-// runBatch executes one shared scan as the batch leader: load the array,
-// linger for the batch window so concurrent arrivals can pile on, close
-// the batch, scan once per unique isovalue, and split per-member
-// payloads out of the shared masks. Returns the leader's storage read
-// time.
-func (s *Server) runBatch(ctx context.Context, bk batchKey, b *scanBatch) time.Duration {
-	sh := s.scans
-	// Followers joined this batch, so its fate must not hang on the
-	// leader's caller: detach from the leader's own cancellation and run
-	// the batch to completion.
-	// vizlint:ignore ctxflow followers joined this batch; it must complete for them even if the leader's caller cancels
-	lctx := context.WithoutCancel(ctx)
+// runBatch executes one batch as its leader: load the array, linger for
+// the batch window so concurrent arrivals can pile on, close the batch,
+// run the selector once over the frozen member set, and retain each
+// member's result in the payload cache. Returns the leader's storage
+// read time.
+func (s *Server) runBatch(ctx context.Context, bk batchKey, b *scanBatch, sel *selector) time.Duration {
 	defer close(b.done)
-
-	g, field, readTime, err := s.readArrayTimed(lctx, bk.path, bk.array)
-	if sh.window > 0 {
-		time.Sleep(sh.window)
+	entry, readTime, err := s.loadArray(ctx, arraycache.Key{Path: bk.path, Array: bk.array, Version: bk.version})
+	if s.coalesceWin > 0 {
+		time.Sleep(s.coalesceWin)
+		s.batchMu.Lock()
+		delete(s.batches, bk)
+		s.batchMu.Unlock()
 	}
-	sh.mu.Lock()
-	delete(sh.batches, bk)
-	members := b.members
-	sh.mu.Unlock()
 	// From here the member set is frozen; new arrivals lead a new batch.
-
-	if err != nil {
+	members := b.members
+	failAll := func(err error) {
 		for _, m := range members {
 			m.err = err
 		}
+	}
+	if err != nil {
+		failAll(err)
 		return 0
 	}
 
-	// The batch deliberately outlives the leader's own cancellation (see
-	// lctx above) so followers aren't stranded — but when EVERY member has
-	// cancelled, nobody is left to read the result and the full scan would
-	// run for an empty room. Detect that here, after the member set froze.
+	// A joinable batch deliberately outlives the leader's own cancellation
+	// so followers aren't stranded — but when EVERY member has cancelled
+	// (on an unjoinable batch: when its one caller has), nobody is left to
+	// read the result and the scan would run for an empty room. Detect that
+	// here, after the member set froze.
 	alive := false
 	for _, m := range members {
-		if m.ctx.Err() == nil {
-			alive = true
-			break
-		}
+		alive = alive || m.ctx.Err() == nil
 	}
 	if !alive {
 		mScanAborted.Inc()
@@ -210,64 +143,22 @@ func (s *Server) runBatch(ctx context.Context, bk batchKey, b *scanBatch) time.D
 	}
 	mScanBatches.Inc()
 
-	_, span := telemetry.StartSpan(lctx, "prefilter.shared")
+	_, span := telemetry.StartSpan(ctx, sel.span)
 	defer span.End()
-	scanStart := time.Now()
-	// One scan pass per unique isovalue across the batch, deduplicated by
-	// exact bit pattern and kept in first-seen order.
-	uniq := make([]float64, 0, 8)
-	slot := make(map[uint64]int, 8)
-	for _, m := range members {
-		for _, v := range m.isovalues {
-			bits := math.Float64bits(v)
-			if _, ok := slot[bits]; !ok {
-				slot[bits] = len(uniq)
-				uniq = append(uniq, v)
-			}
-		}
-	}
-	masks, err := contour.SelectCellCornersEach(g, field.Values, uniq)
+	passes, err := sel.run(entry.Grid, entry.Field, members)
 	if err != nil {
-		err = fmt.Errorf("core: pre-filter %q: %w", field.Name, err)
 		span.SetAttr("error", err.Error())
-		for _, m := range members {
-			m.err = err
-		}
+		failAll(err)
 		return readTime
 	}
-	scanTime := time.Since(scanStart)
-	mScanPasses.Add(int64(len(uniq)))
+	mScanPasses.Add(int64(passes))
 	span.SetAttr("array", bk.array)
 	span.SetAttr("members", len(members))
-	span.SetAttr("passes", len(uniq))
-
+	span.SetAttr("passes", passes)
 	for _, m := range members {
-		encStart := time.Now()
-		sub := make([]*bitset.Bitset, len(m.isovalues))
-		for i, v := range m.isovalues {
-			sub[i] = masks[slot[math.Float64bits(v)]]
+		if m.err == nil && s.payloads != nil {
+			s.payloads.Put(payloadKey{bk, m.query.id()}, m.res)
 		}
-		mask := contour.UnionMasks(g.NumPoints(), sub...)
-		payload, err := EncodeSelection(mask, field.Values, m.enc)
-		if err != nil {
-			m.err = err
-			continue
-		}
-		m.payload = payload
-		// FilterTime charges each member the shared scan plus its own
-		// union + encode — what its request actually waited on, not what
-		// a dedicated scan would have cost.
-		m.stats = &PreFilterStats{
-			NumPoints:      field.Len(),
-			SelectedPoints: payload.Count,
-			RawBytes:       int64(4 * field.Len()),
-			PayloadBytes:   int64(payload.WireSize()),
-			FilterTime:     scanTime + time.Since(encStart),
-		}
-		sh.payloads.put(payloadKey{
-			path: bk.path, array: bk.array, version: bk.version,
-			isos: isoKey(m.isovalues), enc: m.enc,
-		}, payload, m.stats)
 	}
 	return readTime
 }

@@ -15,8 +15,7 @@ import (
 	"vizndp/internal/vtkio"
 )
 
-// startNDPOpts is startNDP with server options, for the coalescing and
-// payload-cache paths.
+// startNDPOpts is startNDP with server options.
 func startNDPOpts(t *testing.T, opts ...ServerOption) (*Client, *grid.Dataset) {
 	t.Helper()
 	g, f := sphereField(24)
@@ -114,7 +113,7 @@ func TestCoalesceBatchSharesScan(t *testing.T) {
 
 	// Identical repeats are now payload-cache hits: no further scan passes,
 	// same bytes.
-	hits0 := mPayloadHits.Value()
+	hits0 := payloadMetrics.Hits.Value()
 	passes1 := mScanPasses.Value()
 	rep, _, err := client.FetchFiltered("run/ts0.vnd", "d", isosA, EncAuto)
 	if err != nil {
@@ -123,7 +122,7 @@ func TestCoalesceBatchSharesScan(t *testing.T) {
 	if !bytes.Equal(rep.Data, payloadA.Data) {
 		t.Error("cached payload differs from original")
 	}
-	if d := mPayloadHits.Value() - hits0; d != 1 {
+	if d := payloadMetrics.Hits.Value() - hits0; d != 1 {
 		t.Errorf("payload cache hits delta = %d, want 1", d)
 	}
 	if d := mScanPasses.Value() - passes1; d != 0 {
@@ -184,80 +183,6 @@ func TestCoalesceMissingPathRejected(t *testing.T) {
 	}
 }
 
-func TestPayloadCacheOnlyMode(t *testing.T) {
-	// Payload cache without coalescing: the first fetch scans, the repeat
-	// is served from cache, byte-identical.
-	client, ds := startNDPOpts(t, WithPayloadCacheBytes(16<<20))
-	isos := []float64{7}
-	p1, _, err := client.FetchFiltered("run/ts0.vnd", "d", isos, EncAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	passes0 := mScanPasses.Value()
-	p2, _, err := client.FetchFiltered("run/ts0.vnd", "d", isos, EncAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := mScanPasses.Value() - passes0; d != 0 {
-		t.Errorf("repeat fetch ran %d scan passes", d)
-	}
-	if !bytes.Equal(p1.Data, p2.Data) {
-		t.Error("cached payload differs")
-	}
-	if !bytes.Equal(p1.Data, localPayload(t, ds, isos, EncAuto)) {
-		t.Error("payload differs from dedicated run")
-	}
-}
-
-func TestPayloadCacheLRUEviction(t *testing.T) {
-	mk := func(n int) *Payload { return &Payload{Data: make([]byte, n)} }
-	key := func(iso string) payloadKey { return payloadKey{path: "p", array: "d", isos: iso} }
-	st := &PreFilterStats{}
-
-	c := newPayloadCache(1000)
-	c.put(key("a"), mk(400), st)
-	c.put(key("b"), mk(400), st)
-	if c.len() != 2 || c.residentBytes() != 800 {
-		t.Fatalf("len=%d resident=%d, want 2/800", c.len(), c.residentBytes())
-	}
-	// Touch "a" so "b" is the LRU victim when "c" displaces 400 bytes.
-	if _, ok := c.get(key("a")); !ok {
-		t.Fatal("entry a missing")
-	}
-	c.put(key("c"), mk(400), st)
-	if _, ok := c.get(key("b")); ok {
-		t.Error("LRU victim b still resident")
-	}
-	if _, ok := c.get(key("a")); !ok {
-		t.Error("recently used a evicted")
-	}
-	if c.len() != 2 || c.residentBytes() != 800 {
-		t.Errorf("len=%d resident=%d after eviction, want 2/800", c.len(), c.residentBytes())
-	}
-
-	// An entry over the whole budget is never retained.
-	c.put(key("huge"), mk(2000), st)
-	if _, ok := c.get(key("huge")); ok {
-		t.Error("oversized entry retained")
-	}
-
-	// Re-putting an existing key replaces in place.
-	c.put(key("a"), mk(100), st)
-	if c.residentBytes() != 500 {
-		t.Errorf("resident=%d after replace, want 500", c.residentBytes())
-	}
-
-	// A nil cache is inert.
-	var nilCache *payloadCache
-	nilCache.put(key("x"), mk(10), st)
-	if _, ok := nilCache.get(key("x")); ok {
-		t.Error("nil cache returned a hit")
-	}
-	if nilCache.len() != 0 || nilCache.residentBytes() != 0 {
-		t.Error("nil cache reports contents")
-	}
-}
-
 // TestCoalesceAbortAllCancelled is the regression test for the empty-room
 // scan: runBatch deliberately detaches from the leader's cancellation so
 // followers aren't stranded, but when every member has cancelled before
@@ -294,23 +219,23 @@ func TestCoalesceAbortAllCancelled(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, _, errA = srv.fetchShared(ctxA, "run/ts0.vnd", "d", []float64{7}, EncIndexValue)
+		_, errA = srv.serveFetch(ctxA, []any{"run/ts0.vnd", "d", []any{7.0}, "indexvalue"}, contourSelector)
 	}()
 	// Wait for the leader's batch to register, then join as a follower.
 	waitFor(t, func() bool {
-		srv.scans.mu.Lock()
-		defer srv.scans.mu.Unlock()
-		return len(srv.scans.batches) == 1
+		srv.batchMu.Lock()
+		defer srv.batchMu.Unlock()
+		return len(srv.batches) == 1
 	})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, _, errB = srv.fetchShared(ctxB, "run/ts0.vnd", "d", []float64{9}, EncIndexValue)
+		_, errB = srv.serveFetch(ctxB, []any{"run/ts0.vnd", "d", []any{9.0}, "indexvalue"}, contourSelector)
 	}()
 	waitFor(t, func() bool {
-		srv.scans.mu.Lock()
-		defer srv.scans.mu.Unlock()
-		for _, b := range srv.scans.batches {
+		srv.batchMu.Lock()
+		defer srv.batchMu.Unlock()
+		for _, b := range srv.batches {
 			if len(b.members) == 2 {
 				return true
 			}

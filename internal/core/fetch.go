@@ -1,0 +1,378 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"time"
+
+	"vizndp/internal/bitset"
+	"vizndp/internal/contour"
+	"vizndp/internal/grid"
+	"vizndp/internal/telemetry"
+	"vizndp/internal/vtkio"
+)
+
+// The storage-side fetch pipeline. The paper's storage node does one
+// thing per request — read an array, pre-filter it, ship the sparse
+// result — and serveFetch is that one thing, written once for all four
+// fetch methods. A selector supplies only what differs between them.
+
+// query is one request's parsed selection arguments.
+type query interface {
+	// id is the query's cache identity within (method, path, array, file
+	// version). Floats are folded in as lossless hex, not formatted
+	// decimals: two queries map to one id exactly when every argument is
+	// the same float in the same order — the condition under which the
+	// selector would produce identical bytes.
+	id() string
+}
+
+// fetchResult is what a selector produced for one query. Results are
+// shared between concurrent readers (payload cache) and must be treated
+// as immutable.
+type fetchResult struct {
+	data     []byte        // the bytes served
+	points   int           // full array length
+	selected int           // points shipped
+	grid     *grid.Uniform // slice only: the extracted plane's 2D grid
+}
+
+func (r *fetchResult) size() int64 { return int64(len(r.data)) }
+
+// selector is everything that distinguishes one fetch method from
+// another: its argument parsing, its scan or extraction over a loaded
+// (grid, field), and its own response keys. Every other stage is
+// serveFetch's.
+type selector struct {
+	method  string // RPC method; also keys the selector's batches and cached results
+	span    string // span covering select + encode
+	dataKey string // response key carrying fetchResult.data
+	// parse decodes the method's arguments (args[0:2] are path and array).
+	parse func(args []any) (query, error)
+	// run selects and encodes for every member of one batch, filling each
+	// member's res, filterTime and err, and reports how many scan passes
+	// over the array it made. A returned error fails the whole batch.
+	run func(g *grid.Uniform, field *grid.Field, members []*scanMember) (passes int, err error)
+	// respond adds the method's own keys to the shared response map.
+	respond func(resp map[string]any, r *fetchResult)
+}
+
+// serveFetch is the one storage-side partial pipeline. Stages, in order,
+// each run once per request: parse; stamp shard/path/array on the wide
+// event; cancellation check; quarantine; file-version probe (skipped when
+// nothing is cached or shared); payload-cache lookup; join or lead a
+// batch, whose leader does the timed load and one select + encode pass
+// under one span; record; respond.
+func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (_ any, err error) {
+	path, err := argString(args, 0, "path")
+	if err != nil {
+		return nil, err
+	}
+	array, err := argString(args, 1, "array")
+	if err != nil {
+		return nil, err
+	}
+	q, err := sel.parse(args)
+	if err != nil {
+		return nil, err
+	}
+	ev := telemetry.EventFromContext(ctx)
+	if s.shardName != "" {
+		ev.SetAttr("shard", s.shardName)
+	}
+	ev.SetAttr("path", path)
+	ev.SetAttr("array", array)
+	mScanRequests.Inc()
+	defer func() {
+		if err != nil {
+			mFetchErrors.Inc()
+		}
+	}()
+
+	// An abandoned request — caller deadline expired, connection gone —
+	// stops here instead of paying for the storage read.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	// Quarantine sits ahead of every cache: a resident copy of a path the
+	// scrubber has since condemned must not be served either.
+	if err := s.quarantined(path); err != nil {
+		return nil, err
+	}
+	bk := batchKey{method: sel.method, path: path, array: array}
+	if s.cache != nil || s.payloads != nil || s.coalesceWin > 0 {
+		if bk.version, err = s.fileVersion(path); err != nil {
+			return nil, err
+		}
+	}
+
+	// A payload-cache hit reports an honest breakdown: no storage read, no
+	// scan. Formatting the query's id is skipped when nothing is cached.
+	var readTime, filterTime time.Duration
+	var res *fetchResult
+	hit := false
+	if s.payloads != nil {
+		res, hit = s.payloads.Get(payloadKey{bk, q.id()})
+		outcome := "miss"
+		if hit {
+			outcome = "hit"
+		}
+		ev.SetAttr("payloadcache", outcome)
+	}
+	if !hit {
+		if res, readTime, filterTime, err = s.fetchBatched(ctx, bk, sel, q); err != nil {
+			return nil, err
+		}
+	}
+
+	ev.SetAttr("selected", res.selected)
+	ev.SetAttr("payloadBytes", len(res.data))
+	mFetchCount.Inc()
+	mFetchRawBytes.Add(int64(4 * res.points))
+	mFetchPayload.Add(res.size())
+	mFetchSelected.Add(int64(res.selected))
+	if !hit {
+		// Only scans that ran feed the filter-time histogram; cache hits
+		// would drag it toward zero.
+		mFetchFiltSecs.Observe(filterTime.Seconds())
+	}
+	if res.points > 0 {
+		mFetchSelectPPM.Set(int64(res.selected) * 1e6 / int64(res.points))
+	}
+	serverLog.Debug("fetch served",
+		"method", sel.method, "path", path, "array", array,
+		"selected", res.selected,
+		"payloadBytes", len(res.data),
+		"rawBytes", 4*res.points,
+		"filterTime", filterTime)
+
+	resp := map[string]any{
+		sel.dataKey: res.data,
+		"readns":    int64(readTime),
+		"filterns":  int64(filterTime),
+		"rawbytes":  int64(4 * res.points),
+		// CRC32C of the served bytes: new clients verify they survived the
+		// wire; old clients ignore the extra key.
+		"crc": int64(vtkio.Checksum(res.data)),
+	}
+	sel.respond(resp, res)
+	return resp, nil
+}
+
+// perMember adapts a one-query selection into a selector's run: members
+// are served independently, each costing passes scans of the array.
+func perMember(passes int, one func(g *grid.Uniform, field *grid.Field, q query) (*fetchResult, error)) func(*grid.Uniform, *grid.Field, []*scanMember) (int, error) {
+	return func(g *grid.Uniform, field *grid.Field, members []*scanMember) (int, error) {
+		for _, m := range members {
+			start := time.Now()
+			m.res, m.err = one(g, field, m.query)
+			m.filterTime = time.Since(start)
+		}
+		return passes * len(members), nil
+	}
+}
+
+// encodeResult packs a selection mask into a payload-bearing result.
+func encodeResult(mask *bitset.Bitset, field *grid.Field, enc Encoding) (*fetchResult, error) {
+	p, err := EncodeSelection(mask, field.Values, enc)
+	if err != nil {
+		return nil, err
+	}
+	return &fetchResult{data: p.Data, points: field.Len(), selected: p.Count}, nil
+}
+
+func respondSelected(resp map[string]any, r *fetchResult) {
+	resp["selected"] = int64(r.selected)
+}
+
+// argEncoding decodes the optional trailing encoding-name argument.
+func argEncoding(args []any, i int) (Encoding, error) {
+	if len(args) <= i {
+		return ParseEncoding("")
+	}
+	name, err := argString(args, i, "encoding")
+	if err != nil {
+		return 0, err
+	}
+	return ParseEncoding(name)
+}
+
+// contourQuery selects every corner of every cell straddling one of the
+// isovalues: the split contour filter's storage half.
+type contourQuery struct {
+	isovalues []float64
+	enc       Encoding
+}
+
+func (q contourQuery) id() string { return fmt.Sprintf("%x,%d", q.isovalues, q.enc) }
+
+var contourSelector = &selector{
+	method: MethodFetch, span: "prefilter", dataKey: "payload",
+	parse: func(args []any) (query, error) {
+		if len(args) < 3 {
+			return nil, fmt.Errorf("core: missing isovalues argument")
+		}
+		raw, ok := args[2].([]any)
+		if !ok {
+			return nil, fmt.Errorf("core: isovalues argument is %T, want array", args[2])
+		}
+		if len(raw) == 0 {
+			return nil, fmt.Errorf("core: pre-filter has no isovalues")
+		}
+		q := contourQuery{isovalues: make([]float64, len(raw))}
+		for i, v := range raw {
+			if q.isovalues[i], ok = asFloat(v); !ok {
+				return nil, fmt.Errorf("core: isovalue %d is %T, want number", i, v)
+			}
+		}
+		var err error
+		q.enc, err = argEncoding(args, 3)
+		return q, err
+	},
+	// One scan pass per unique isovalue across the batch, deduplicated by
+	// exact bit pattern and kept in first-seen order; each member's mask is
+	// the union of its isovalues' masks. Every payload is bit-identical to
+	// what a dedicated PreFilter.Run would produce for the same request,
+	// because the per-isovalue selection masks union exactly (see
+	// contour.SelectCellCornersEach) and EncodeSelection is deterministic
+	// given mask and values.
+	run: func(g *grid.Uniform, field *grid.Field, members []*scanMember) (int, error) {
+		start := time.Now()
+		var uniq []float64
+		slot := make(map[uint64]int)
+		for _, m := range members {
+			for _, v := range m.query.(contourQuery).isovalues {
+				if _, ok := slot[math.Float64bits(v)]; !ok {
+					slot[math.Float64bits(v)] = len(uniq)
+					uniq = append(uniq, v)
+				}
+			}
+		}
+		masks, err := contour.SelectCellCornersEach(g, field.Values, uniq)
+		if err != nil {
+			return 0, fmt.Errorf("core: pre-filter %q: %w", field.Name, err)
+		}
+		scanTime := time.Since(start)
+		for _, m := range members {
+			q := m.query.(contourQuery)
+			start := time.Now()
+			// A single-isovalue member reads its mask in place; encoding
+			// never writes to it.
+			mask := masks[slot[math.Float64bits(q.isovalues[0])]]
+			if len(q.isovalues) > 1 {
+				sub := make([]*bitset.Bitset, len(q.isovalues))
+				for i, v := range q.isovalues {
+					sub[i] = masks[slot[math.Float64bits(v)]]
+				}
+				mask = contour.UnionMasks(g.NumPoints(), sub...)
+			}
+			m.res, m.err = encodeResult(mask, field, q.enc)
+			m.filterTime = scanTime + time.Since(start)
+		}
+		return len(uniq), nil
+	},
+	respond: respondSelected,
+}
+
+// rangeQuery selects every corner of every cell with a value in
+// [lo, hi]: the split threshold filter's storage half.
+type rangeQuery struct {
+	lo, hi float64
+	enc    Encoding
+}
+
+func (q rangeQuery) id() string { return fmt.Sprintf("%x,%x,%d", q.lo, q.hi, q.enc) }
+
+var rangeSelector = &selector{
+	method: MethodFetchRange, span: "prefilter.range", dataKey: "payload",
+	parse: func(args []any) (query, error) {
+		var q rangeQuery
+		var err error
+		if q.lo, err = argFloat(args, 2, "lo"); err != nil {
+			return nil, err
+		}
+		if q.hi, err = argFloat(args, 3, "hi"); err != nil {
+			return nil, err
+		}
+		q.enc, err = argEncoding(args, 4)
+		return q, err
+	},
+	run: perMember(1, func(g *grid.Uniform, field *grid.Field, q query) (*fetchResult, error) {
+		rq := q.(rangeQuery)
+		mask, err := contour.SelectRangeCorners(g, field.Values, rq.lo, rq.hi)
+		if err != nil {
+			return nil, fmt.Errorf("core: range pre-filter %q: %w", field.Name, err)
+		}
+		return encodeResult(mask, field, rq.enc)
+	}),
+	respond: respondSelected,
+}
+
+// sliceQuery extracts exactly one axis-aligned plane — the
+// near-perfect-reduction case for NDP.
+type sliceQuery struct {
+	axis  contour.Axis
+	index int
+}
+
+func (q sliceQuery) id() string { return fmt.Sprintf("%d,%d", q.axis, q.index) }
+
+var sliceSelector = &selector{
+	method: MethodFetchSlice, span: "prefilter.slice", dataKey: "values",
+	parse: func(args []any) (query, error) {
+		name, err := argString(args, 2, "axis")
+		if err != nil {
+			return nil, err
+		}
+		axis, err := contour.ParseAxis(name)
+		if err != nil {
+			return nil, err
+		}
+		if len(args) < 4 {
+			return nil, fmt.Errorf("core: missing slice index argument")
+		}
+		index, ok := args[3].(int64)
+		if !ok {
+			return nil, fmt.Errorf("core: slice index is %T, want integer", args[3])
+		}
+		return sliceQuery{axis: axis, index: int(index)}, nil
+	},
+	run: perMember(0, func(g *grid.Uniform, field *grid.Field, q query) (*fetchResult, error) {
+		sq := q.(sliceQuery)
+		g2, vals, err := contour.ExtractSlice(g, field.Values, sq.axis, sq.index)
+		if err != nil {
+			return nil, err
+		}
+		return &fetchResult{data: vtkio.FloatsToBytes(vals), points: field.Len(), selected: len(vals), grid: g2}, nil
+	}),
+	respond: func(resp map[string]any, r *fetchResult) {
+		g := r.grid
+		resp["dims"] = []any{int64(g.Dims.X), int64(g.Dims.Y), int64(g.Dims.Z)}
+		resp["origin"] = []any{g.Origin.X, g.Origin.Y, g.Origin.Z}
+		resp["spacing"] = []any{g.Spacing.X, g.Spacing.Y, g.Spacing.Z}
+	},
+}
+
+// rawQuery ships a whole array uncut — used for debugging, for the
+// client's degraded fallback, and for measuring what the transfer would
+// have cost without the pre-filter.
+type rawQuery struct{}
+
+func (rawQuery) id() string { return "" }
+
+var rawSelector = &selector{
+	method: MethodFetchRaw, span: "prefilter.raw", dataKey: "data",
+	parse: func([]any) (query, error) { return rawQuery{}, nil },
+	// Re-serializing the decoded float32 values is a bit-exact inverse of
+	// decoding, so the bytes are identical to the stored array's.
+	run: perMember(0, func(_ *grid.Uniform, field *grid.Field, _ query) (*fetchResult, error) {
+		return &fetchResult{data: vtkio.FloatsToBytes(field.Values), points: field.Len(), selected: field.Len()}, nil
+	}),
+	// ndp.fetchraw's reply has always been {data, readns, crc}; there is no
+	// filter to report on, so keep its key set exact.
+	respond: func(resp map[string]any, _ *fetchResult) {
+		delete(resp, "filterns")
+		delete(resp, "rawbytes")
+	},
+}

@@ -1,0 +1,353 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"io/fs"
+	"net"
+	"os"
+	"path/filepath"
+	"sort"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"vizndp/internal/contour"
+	"vizndp/internal/grid"
+	"vizndp/internal/rpc"
+	"vizndp/internal/telemetry"
+	"vizndp/internal/vtkio"
+)
+
+// fetchKind is one row of the tables below: one of the four fetch
+// methods (contour twice, with one and with three isovalues), driven
+// through the public client, next to the independent reference its
+// served bytes must equal.
+type fetchKind struct {
+	name   string
+	method string
+	// fetch returns the served bytes, the server's readns and filterns
+	// (filterns is -1 for raw, whose reply carries none).
+	fetch func(c *Client, path, array string) (data []byte, read, filter time.Duration, err error)
+	// want computes the reference bytes from the source data.
+	want func(t *testing.T, g *grid.Uniform, f *grid.Field) []byte
+	// passes is how many scan passes one uncoalesced request costs.
+	passes int64
+}
+
+func contourKind(isos ...float64) fetchKind {
+	return fetchKind{
+		name: fmt.Sprintf("contour%d", len(isos)), method: MethodFetch, passes: int64(len(isos)),
+		fetch: func(c *Client, path, array string) ([]byte, time.Duration, time.Duration, error) {
+			p, st, err := c.FetchFiltered(path, array, isos, EncAuto)
+			if err != nil {
+				return nil, 0, 0, err
+			}
+			return p.Data, st.ReadTime, st.FilterTime, nil
+		},
+		want: func(t *testing.T, g *grid.Uniform, f *grid.Field) []byte {
+			p, _, err := (&PreFilter{Isovalues: isos, Encoding: EncAuto}).Run(g, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p.Data
+		},
+	}
+}
+
+var fetchKinds = []fetchKind{
+	contourKind(7),
+	contourKind(6, 7, 9),
+	{
+		name: "range", method: MethodFetchRange, passes: 1,
+		fetch: func(c *Client, path, array string) ([]byte, time.Duration, time.Duration, error) {
+			p, st, err := c.FetchRange(path, array, 4, 8, EncAuto)
+			if err != nil {
+				return nil, 0, 0, err
+			}
+			return p.Data, st.ReadTime, st.FilterTime, nil
+		},
+		want: func(t *testing.T, g *grid.Uniform, f *grid.Field) []byte {
+			p, _, err := (&RangePreFilter{Lo: 4, Hi: 8, Encoding: EncAuto}).Run(g, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p.Data
+		},
+	},
+	{
+		name: "slice", method: MethodFetchSlice,
+		fetch: func(c *Client, path, array string) ([]byte, time.Duration, time.Duration, error) {
+			_, vals, st, err := c.FetchSlice(path, array, contour.AxisZ, 5)
+			if err != nil {
+				return nil, 0, 0, err
+			}
+			return vtkio.FloatsToBytes(vals), st.ReadTime, st.FilterTime, nil
+		},
+		want: func(t *testing.T, g *grid.Uniform, f *grid.Field) []byte {
+			_, vals, err := contour.ExtractSlice(g, f.Values, contour.AxisZ, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return vtkio.FloatsToBytes(vals)
+		},
+	},
+	{
+		name: "raw", method: MethodFetchRaw,
+		fetch: func(c *Client, path, array string) ([]byte, time.Duration, time.Duration, error) {
+			data, read, err := c.FetchRaw(path, array)
+			return data, read, -1, err
+		},
+		want: func(_ *testing.T, _ *grid.Uniform, f *grid.Field) []byte {
+			return vtkio.FloatsToBytes(f.Values)
+		},
+	},
+}
+
+// TestFetchPipelineBitIdentity is the one bit-identity matrix: every
+// fetch kind, under every caching/coalescing configuration, first fetch
+// and repeat, serves exactly the bytes the independent reference
+// computes from the source data, and reports a read time and a filter
+// time that are zero exactly when no read and no scan ran.
+func TestFetchPipelineBitIdentity(t *testing.T) {
+	configs := []struct {
+		name string
+		opts []ServerOption
+		// On the repeat fetch: does the array come from memory, and is
+		// the whole result served from the payload cache?
+		warmArray, warmPayload bool
+	}{
+		{"plain", nil, false, false},
+		{"arraycache", []ServerOption{WithCacheBytes(16 << 20)}, true, false},
+		{"payloadcache", []ServerOption{WithPayloadCacheBytes(16 << 20)}, false, true},
+		{"coalesce", []ServerOption{WithCoalesce(time.Millisecond)}, false, false},
+		{"all", []ServerOption{WithCacheBytes(16 << 20), WithPayloadCacheBytes(16 << 20), WithCoalesce(time.Millisecond)}, true, true},
+	}
+	for _, cfg := range configs {
+		for _, k := range fetchKinds {
+			t.Run(cfg.name+"/"+k.name, func(t *testing.T) {
+				client, ds := startNDPOpts(t, cfg.opts...)
+				want := k.want(t, ds.Grid, ds.Field("d"))
+				for pass, name := range []string{"first", "repeat"} {
+					filtered0 := mFetchFiltSecs.Snapshot().Count
+					got, read, filter, err := k.fetch(client, "run/ts0.vnd", "d")
+					if err != nil {
+						t.Fatalf("%s fetch: %v", name, err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("%s fetch: served bytes differ from the reference", name)
+					}
+					scanned := !(pass == 1 && cfg.warmPayload)
+					readRan := scanned && !(pass == 1 && cfg.warmArray)
+					if (read > 0) != readRan {
+						t.Errorf("%s fetch: readns = %v, storage read ran = %v", name, read, readRan)
+					}
+					if filter >= 0 && (filter > 0) != scanned {
+						t.Errorf("%s fetch: filterns = %v, scan ran = %v", name, filter, scanned)
+					}
+					// A payload-cache hit must not drag the filter-time
+					// histogram toward zero.
+					if d := mFetchFiltSecs.Snapshot().Count - filtered0; (d == 1) != scanned {
+						t.Errorf("%s fetch: ndp.fetch.filter.seconds observed %d times, scan ran = %v", name, d, scanned)
+					}
+				}
+			})
+		}
+	}
+}
+
+// serverEvent waits for the server-side wide event of the one request of
+// method recorded after seq0 (the server finishes its event just after
+// writing the response).
+func serverEvent(t *testing.T, method string, seq0 uint64) telemetry.WideEvent {
+	t.Helper()
+	var found []telemetry.WideEvent
+	waitFor(t, func() bool {
+		found = found[:0]
+		for _, ev := range telemetry.DefaultFlightRecorder().Events(telemetry.EventFilter{Method: method, SinceSeq: seq0}) {
+			if ev.Kind == telemetry.KindServer {
+				found = append(found, ev)
+			}
+		}
+		return len(found) == 1
+	})
+	return found[0]
+}
+
+func attrNames(ev telemetry.WideEvent) []string {
+	names := make([]string, 0, len(ev.Attrs))
+	for k := range ev.Attrs {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TestFetchPipelineEventsAndCounters pins that the four methods share
+// every stage: each stamps the same wide-event attributes and moves the
+// same counters, on success and on failure. Before the single pipeline
+// the handlers had drifted: fetchslice never stamped the shard,
+// fetchrange counted no scan requests or passes and set no selected /
+// payloadBytes, fetchraw set no path / array and counted neither
+// errors nor fetches.
+func TestFetchPipelineEventsAndCounters(t *testing.T) {
+	client, _ := startNDPOpts(t, WithShardName("s0"))
+	counters := []*telemetry.Counter{mScanRequests, mScanPasses, mScanBatches, mFetchCount, mFetchErrors}
+	deltas := func(run func()) []int64 {
+		before := make([]int64, len(counters))
+		for i, c := range counters {
+			before[i] = c.Value()
+		}
+		run()
+		out := make([]int64, len(counters))
+		for i, c := range counters {
+			out[i] = c.Value() - before[i]
+		}
+		return out
+	}
+	for _, k := range fetchKinds {
+		t.Run(k.name, func(t *testing.T) {
+			seq0 := telemetry.DefaultFlightRecorder().Seq()
+			got := deltas(func() {
+				if _, _, _, err := k.fetch(client, "run/ts0.vnd", "d"); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if want := []int64{1, k.passes, 1, 1, 0}; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("ok fetch: requests/passes/batches/fetches/errors moved by %v, want %v", got, want)
+			}
+			ev := serverEvent(t, k.method, seq0)
+			if got, want := fmt.Sprint(attrNames(ev)), "[array path payloadBytes selected shard]"; got != want {
+				t.Errorf("ok fetch: event attrs %s, want %s", got, want)
+			}
+			if ev.Cache != "miss" || ev.Attrs["shard"] != "s0" || ev.Attrs["path"] != "run/ts0.vnd" || ev.Attrs["array"] != "d" {
+				t.Errorf("ok fetch: event cache=%q attrs=%v", ev.Cache, ev.Attrs)
+			}
+
+			seq0 = telemetry.DefaultFlightRecorder().Seq()
+			got = deltas(func() {
+				if _, _, _, err := k.fetch(client, "run/ts0.vnd", "missing"); err == nil {
+					t.Fatal("fetch of a missing array succeeded")
+				}
+			})
+			if want := []int64{1, 0, 0, 0, 1}; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("failed fetch: requests/passes/batches/fetches/errors moved by %v, want %v", got, want)
+			}
+			ev = serverEvent(t, k.method, seq0)
+			if got, want := fmt.Sprint(attrNames(ev)), "[array path shard]"; got != want {
+				t.Errorf("failed fetch: event attrs %s, want %s", got, want)
+			}
+		})
+	}
+}
+
+// statCountFS counts FS-level Stat calls: the file-version probe.
+type statCountFS struct {
+	fs.FS
+	stats atomic.Int64
+}
+
+func (c *statCountFS) Stat(name string) (fs.FileInfo, error) {
+	c.stats.Add(1)
+	return fs.Stat(c.FS, name)
+}
+
+// TestFetchPipelineOneVersionProbe: a server that neither caches nor
+// coalesces never stats the file; every other configuration stats it
+// exactly once per request, whichever method and however many caches
+// consult the version.
+func TestFetchPipelineOneVersionProbe(t *testing.T) {
+	dir := t.TempDir()
+	g, f := sphereField(16)
+	ds := grid.NewDataset(g)
+	ds.MustAddField(f)
+	_, rel := writeChecksummedFile(t, dir, ds)
+
+	options := []struct {
+		name string
+		opt  ServerOption
+	}{
+		{"arraycache", WithCacheBytes(16 << 20)},
+		{"payloadcache", WithPayloadCacheBytes(16 << 20)},
+		{"coalesce", WithCoalesce(time.Millisecond)},
+	}
+	for mask := 0; mask < 1<<len(options); mask++ {
+		name, want := "plain", int64(0)
+		var opts []ServerOption
+		for i, o := range options {
+			if mask&(1<<i) != 0 {
+				name, want = name+"+"+o.name, 1
+				opts = append(opts, o.opt)
+			}
+		}
+		t.Run(name, func(t *testing.T) {
+			fsys := &statCountFS{FS: os.DirFS(dir)}
+			srv := NewServer(fsys, opts...)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go srv.Serve(ln)
+			t.Cleanup(srv.Close)
+			client, err := Dial(ln.Addr().String(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			for _, k := range fetchKinds {
+				for _, pass := range []string{"first", "repeat"} {
+					before := fsys.stats.Load()
+					if _, _, _, err := k.fetch(client, rel, f.Name); err != nil {
+						t.Fatalf("%s %s: %v", k.name, pass, err)
+					}
+					if got := fsys.stats.Load() - before; got != want {
+						t.Errorf("%s %s fetch: %d Stat calls, want %d", k.name, pass, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestFetchPipelineQuarantineAheadOfCaches is the regression test for
+// the quarantine bypass: bitrot leaves a file's mtime and size alone, so
+// the version key of a brick the scrubber has since quarantined still
+// matches its resident cache entries. A payload-cache hit used to be
+// served without ever reaching the quarantine check, which only the load
+// path made. Quarantine now runs ahead of every cache, for every method.
+func TestFetchPipelineQuarantineAheadOfCaches(t *testing.T) {
+	dir := t.TempDir()
+	_, brickPaths := scrubDataset(t, dir)
+	sc := NewScrubber(os.DirFS(dir), "integrity/manifest.json")
+	_, addr := startServer(t, dir, WithScrubber(sc), WithPayloadCacheBytes(16<<20), WithCacheBytes(16<<20))
+	client, err := Dial(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	brick := "integrity/" + filepath.Base(brickPaths[0])
+	for _, k := range fetchKinds {
+		if _, _, _, err := k.fetch(client, brick, "d"); err != nil {
+			t.Fatalf("%s warm-up fetch: %v", k.name, err)
+		}
+	}
+	info, err := os.Stat(brickPaths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipByteInArray(t, brickPaths[0], "d")
+	if err := os.Chtimes(brickPaths[0], info.ModTime(), info.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := sc.RunOnce(context.Background()); err != nil || rep.Quarantined != 1 {
+		t.Fatalf("scrub pass = %+v, %v; want 1 quarantined", rep, err)
+	}
+	for _, k := range fetchKinds {
+		if _, _, _, err := k.fetch(client, brick, "d"); !errors.Is(err, rpc.ErrCorrupt) {
+			t.Errorf("%s fetch of a quarantined brick: err = %v, want ErrCorrupt", k.name, err)
+		}
+	}
+}

@@ -67,14 +67,19 @@ func (f *PreFilter) Run(g *grid.Uniform, field *grid.Field) (*Payload, *PreFilte
 	if err != nil {
 		return nil, nil, err
 	}
-	stats := &PreFilterStats{
+	return payload, statsOf(field, payload, start), nil
+}
+
+// statsOf reports what a pre-filter run over field, begun at start,
+// produced.
+func statsOf(field *grid.Field, p *Payload, start time.Time) *PreFilterStats {
+	return &PreFilterStats{
 		NumPoints:      field.Len(),
-		SelectedPoints: payload.Count,
+		SelectedPoints: p.Count,
 		RawBytes:       int64(4 * field.Len()),
-		PayloadBytes:   int64(payload.WireSize()),
+		PayloadBytes:   int64(p.WireSize()),
 		FilterTime:     time.Since(start),
 	}
-	return payload, stats, nil
 }
 
 // PostFilter is the client-side half: it reconstructs the sparse array
@@ -126,14 +131,7 @@ func (f *RangePreFilter) Run(g *grid.Uniform, field *grid.Field) (*Payload, *Pre
 	if err != nil {
 		return nil, nil, err
 	}
-	stats := &PreFilterStats{
-		NumPoints:      field.Len(),
-		SelectedPoints: payload.Count,
-		RawBytes:       int64(4 * field.Len()),
-		PayloadBytes:   int64(payload.WireSize()),
-		FilterTime:     time.Since(start),
-	}
-	return payload, stats, nil
+	return payload, statsOf(field, payload, start), nil
 }
 
 // ThresholdFromPayload reconstructs a payload and evaluates the threshold

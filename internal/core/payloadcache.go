@@ -1,198 +1,46 @@
 package core
 
 import (
-	"container/list"
-	"fmt"
-	"math"
-	"strings"
-	"sync"
-
 	"vizndp/internal/arraycache"
+	"vizndp/internal/lru"
 	"vizndp/internal/telemetry"
 )
 
 // Server-side payload cache metrics (default registry):
 //
-//	core.payloadcache.hits      counter — requests served an encoded payload from memory
+//	core.payloadcache.hits      counter — requests served an encoded result from memory
 //	core.payloadcache.misses    counter — lookups that fell through to a scan
 //	core.payloadcache.evictions counter — entries dropped to fit the byte bound
-//	core.payloadcache.bytes     gauge   — encoded payload bytes currently held
+//	core.payloadcache.bytes     gauge   — encoded result bytes currently held
 //	core.payloadcache.entries   gauge   — entries currently held
-var (
-	mPayloadHits      = telemetry.Default().Counter("core.payloadcache.hits")
-	mPayloadMisses    = telemetry.Default().Counter("core.payloadcache.misses")
-	mPayloadEvictions = telemetry.Default().Counter("core.payloadcache.evictions")
-	mPayloadBytes     = telemetry.Default().Gauge("core.payloadcache.bytes")
-	mPayloadEntries   = telemetry.Default().Gauge("core.payloadcache.entries")
-)
+//
+// The cache is an internal/lru instance holding fetchResults by served
+// bytes. It never single-flights: concurrent misses are already funneled
+// into one scan by the batch stage behind it.
+var payloadMetrics = lru.Metrics{
+	Hits:      telemetry.Default().Counter("core.payloadcache.hits"),
+	Misses:    telemetry.Default().Counter("core.payloadcache.misses"),
+	Evictions: telemetry.Default().Counter("core.payloadcache.evictions"),
+	Bytes:     telemetry.Default().Gauge("core.payloadcache.bytes"),
+	Entries:   telemetry.Default().Gauge("core.payloadcache.entries"),
+}
 
-// payloadKey names one cached encoded payload. The file version (mtime +
-// size, as in arraycache) keys rewritten datasets out; the isovalue list
-// is folded in by exact float bit pattern so 0.1 and the nearest float
-// to 0.1 are the same key only when they are the same float.
-type payloadKey struct {
+// batchKey names the work a batch shares: one method's selection over one
+// array at one file version. Requests with different selection arguments
+// or encodings share a key — splitting per-caller results out of the one
+// load and scan is the whole point. The file version keys rewritten
+// datasets out; it stays zero on a server that neither caches nor
+// coalesces, where nothing outlives the request.
+type batchKey struct {
+	method  string
 	path    string
 	array   string
 	version arraycache.Version
-	isos    string
-	enc     Encoding
 }
 
-// isoKey folds an isovalue list into a key string. Bit patterns, not
-// formatted decimals: two lists map to one key exactly when every
-// isovalue is bitwise identical and in the same order — the same
-// condition under which the pre-filter would produce identical payloads.
-func isoKey(isovalues []float64) string {
-	var b strings.Builder
-	for _, v := range isovalues {
-		fmt.Fprintf(&b, "%016x,", math.Float64bits(v))
-	}
-	return b.String()
-}
-
-// payloadEntry is one resident encoded payload plus the stats of the run
-// that produced it. Entries are shared between concurrent readers and
-// must be treated as immutable.
-type payloadEntry struct {
-	payload *Payload
-	stats   PreFilterStats
-}
-
-// bytes returns the entry's accounted in-memory size.
-func (e *payloadEntry) bytes() int64 { return int64(len(e.payload.Data)) }
-
-// payloadCache is a byte-bounded LRU of encoded pre-filter payloads,
-// mirroring internal/arraycache's eviction semantics. A nil cache is
-// valid and means "off", so call sites need no conditionals. No
-// single-flight here: concurrent misses are already funneled into one
-// scan by the coalescing layer above.
-type payloadCache struct {
-	mu       sync.Mutex
-	max      int64
-	resident int64
-	entries  map[payloadKey]*list.Element
-	lru      *list.List // front = most recent; values are *payloadItem
-}
-
-type payloadItem struct {
-	key   payloadKey
-	entry *payloadEntry
-}
-
-// newPayloadCache returns a cache bounded to maxBytes of encoded payload
-// data, or nil (off) when maxBytes <= 0.
-func newPayloadCache(maxBytes int64) *payloadCache {
-	if maxBytes <= 0 {
-		return nil
-	}
-	return &payloadCache{
-		max:     maxBytes,
-		entries: make(map[payloadKey]*list.Element),
-		lru:     list.New(),
-	}
-}
-
-// get returns the resident entry for key, if any, refreshing recency.
-func (c *payloadCache) get(key payloadKey) (*payloadEntry, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		mPayloadMisses.Inc()
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	mPayloadHits.Inc()
-	return el.Value.(*payloadItem).entry, true
-}
-
-// put retains one payload, evicting from the LRU tail until it fits.
-// Payloads larger than the whole budget are served but never retained.
-func (c *payloadCache) put(key payloadKey, p *Payload, stats *PreFilterStats) {
-	if c == nil {
-		return
-	}
-	e := &payloadEntry{payload: p, stats: *stats}
-	size := e.bytes()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if size > c.max {
-		return
-	}
-	if el, ok := c.entries[key]; ok {
-		// A racing scan of the same key already landed; keep the newer
-		// entry and refresh recency.
-		c.resident -= el.Value.(*payloadItem).entry.bytes()
-		el.Value.(*payloadItem).entry = e
-		c.resident += size
-		c.lru.MoveToFront(el)
-		mPayloadBytes.Set(c.resident)
-		return
-	}
-	for c.resident+size > c.max {
-		tail := c.lru.Back()
-		if tail == nil {
-			break
-		}
-		c.removeLocked(tail)
-		mPayloadEvictions.Inc()
-	}
-	c.entries[key] = c.lru.PushFront(&payloadItem{key: key, entry: e})
-	c.resident += size
-	mPayloadBytes.Set(c.resident)
-	mPayloadEntries.Set(int64(len(c.entries)))
-}
-
-// removeLocked drops one element from the LRU and the index.
-func (c *payloadCache) removeLocked(el *list.Element) {
-	it := el.Value.(*payloadItem)
-	c.lru.Remove(el)
-	delete(c.entries, it.key)
-	c.resident -= it.entry.bytes()
-	mPayloadBytes.Set(c.resident)
-	mPayloadEntries.Set(int64(len(c.entries)))
-}
-
-// invalidatePath drops every resident payload computed from path and
-// reports how many were removed. Called when a read of path is found
-// corrupt: any earlier pre-filter result over those bytes is suspect.
-func (c *payloadCache) invalidatePath(path string) int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		if el.Value.(*payloadItem).key.path == path {
-			c.removeLocked(el)
-			n++
-		}
-		el = next
-	}
-	return n
-}
-
-// len returns the number of resident entries.
-func (c *payloadCache) len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// residentBytes returns the accounted resident byte total.
-func (c *payloadCache) residentBytes() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.resident
+// payloadKey names one cached encoded result: the batch it came from plus
+// the query's own identity (see query.id).
+type payloadKey struct {
+	batchKey
+	id string
 }

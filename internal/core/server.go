@@ -8,11 +8,11 @@ import (
 	"io"
 	"io/fs"
 	"net"
+	"sync"
 	"time"
 
 	"vizndp/internal/arraycache"
-	"vizndp/internal/contour"
-	"vizndp/internal/grid"
+	"vizndp/internal/lru"
 	"vizndp/internal/rpc"
 	"vizndp/internal/telemetry"
 	"vizndp/internal/vtkio"
@@ -51,15 +51,17 @@ const (
 // on the storage node is an s3fs mount colocated with the object store)
 // and a pre-filter. Clients drive it over msgpack-rpc.
 type Server struct {
-	fsys         fs.FS
-	rpc          *rpc.Server
-	cache        *arraycache.Cache
-	scans        *scanShare
-	scrub        *Scrubber
-	coalesceWin  time.Duration
-	payloadBytes int64
-	rpcOpts      []rpc.ServerOption
-	shardName    string
+	fsys        fs.FS
+	rpc         *rpc.Server
+	cache       *arraycache.Cache
+	payloads    *lru.Cache[payloadKey, *fetchResult]
+	scrub       *Scrubber
+	coalesceWin time.Duration
+	rpcOpts     []rpc.ServerOption
+	shardName   string
+
+	batchMu sync.Mutex
+	batches map[batchKey]*scanBatch // open joinable batches; see fetchBatched
 }
 
 // ServerOption customizes a Server.
@@ -73,11 +75,12 @@ func WithCacheBytes(maxBytes int64) ServerOption {
 	return func(s *Server) { s.cache = arraycache.New(maxBytes) }
 }
 
-// WithCoalesce batches concurrent pre-filter fetches of the same array
-// into one shared multi-isovalue scan: the first request leads, loads
-// the array, lingers for window while concurrent arrivals pile on, then
-// scans once per unique isovalue and splits a bit-identical payload out
-// for each member. window <= 0 uses DefaultCoalesceWindow.
+// WithCoalesce batches concurrent fetches of the same array by the same
+// method into one shared scan: the first request leads, loads the array,
+// lingers for window while concurrent arrivals pile on, then (for
+// contours) scans once per unique isovalue and splits a bit-identical
+// payload out for each member. Without it every request is a batch of
+// one that nobody can join. window <= 0 uses DefaultCoalesceWindow.
 func WithCoalesce(window time.Duration) ServerOption {
 	return func(s *Server) {
 		if window <= 0 {
@@ -87,13 +90,15 @@ func WithCoalesce(window time.Duration) ServerOption {
 	}
 }
 
-// WithPayloadCacheBytes bounds a storage-side cache of encoded pre-filter
-// payloads to maxBytes: an identical repeat request — same array version,
-// isovalues, and encoding — skips the read AND the scan. Composes with
-// WithCoalesce; alone it enables the cache without batching.
-// maxBytes <= 0 disables the cache (the default).
+// WithPayloadCacheBytes bounds a storage-side cache of encoded fetch
+// results to maxBytes: an identical repeat request — same method, array
+// version, selection arguments, and encoding — skips the read AND the
+// scan. Composes with WithCoalesce; alone it enables the cache without
+// batching. maxBytes <= 0 disables the cache (the default).
 func WithPayloadCacheBytes(maxBytes int64) ServerOption {
-	return func(s *Server) { s.payloadBytes = maxBytes }
+	return func(s *Server) {
+		s.payloads = lru.New[payloadKey](maxBytes, (*fetchResult).size, payloadMetrics)
+	}
 }
 
 // WithShardName stamps every fetch's server-side wide event with a
@@ -126,38 +131,20 @@ func WithQueue(n int) ServerOption {
 
 // NewServer builds an NDP server over the given filesystem.
 func NewServer(fsys fs.FS, opts ...ServerOption) *Server {
-	s := &Server{fsys: fsys}
+	s := &Server{fsys: fsys, batches: make(map[batchKey]*scanBatch)}
 	for _, opt := range opts {
 		opt(s)
-	}
-	if s.coalesceWin > 0 || s.payloadBytes > 0 {
-		window := s.coalesceWin
-		if window <= 0 {
-			window = -1 // payload cache without batching
-		}
-		s.scans = &scanShare{
-			window:   window,
-			payloads: newPayloadCache(s.payloadBytes),
-			batches:  make(map[batchKey]*scanBatch),
-		}
 	}
 	s.rpc = rpc.NewServer(s.rpcOpts...)
 	s.rpc.Register(MethodList, s.handleList)
 	s.rpc.Register(MethodDescribe, s.handleDescribe)
-	s.rpc.Register(MethodFetch, s.handleFetch)
-	s.rpc.Register(MethodFetchRange, s.handleFetchRange)
-	s.rpc.Register(MethodFetchSlice, s.handleFetchSlice)
-	s.rpc.Register(MethodFetchRaw, s.handleFetchRaw)
+	for _, sel := range []*selector{contourSelector, rangeSelector, sliceSelector, rawSelector} {
+		s.rpc.Register(sel.method, func(ctx context.Context, args []any) (any, error) {
+			return s.serveFetch(ctx, args, sel)
+		})
+	}
 	s.rpc.Register(MethodManifest, s.handleManifest)
 	return s
-}
-
-// stampShard adds the server's shard identity to the request's wide
-// event, when one was configured.
-func (s *Server) stampShard(ctx context.Context) {
-	if s.shardName != "" {
-		telemetry.EventFromContext(ctx).SetAttr("shard", s.shardName)
-	}
 }
 
 // Cache exposes the array cache (nil when disabled) for tests and
@@ -243,8 +230,8 @@ func (s *Server) handleList(_ context.Context, args []any) (any, error) {
 	return out, nil
 }
 
-// openReader opens a dataset file for selective reads.
-func (s *Server) openReader(path string) (*vtkio.Reader, io.Closer, error) {
+// openAt opens a file for random access.
+func (s *Server) openAt(path string) (io.ReaderAt, io.Closer, error) {
 	f, err := s.fsys.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -254,12 +241,21 @@ func (s *Server) openReader(path string) (*vtkio.Reader, io.Closer, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("core: %s does not support random access", path)
 	}
-	r, err := vtkio.OpenReader(ra)
+	return ra, f, nil
+}
+
+// openReader opens a dataset file for selective reads.
+func (s *Server) openReader(path string) (*vtkio.Reader, io.Closer, error) {
+	ra, closer, err := s.openAt(path)
 	if err != nil {
-		f.Close()
 		return nil, nil, err
 	}
-	return r, f, nil
+	r, err := vtkio.OpenReader(ra)
+	if err != nil {
+		closer.Close()
+		return nil, nil, err
+	}
+	return r, closer, nil
 }
 
 func (s *Server) handleDescribe(ctx context.Context, args []any) (any, error) {
@@ -272,10 +268,7 @@ func (s *Server) handleDescribe(ctx context.Context, args []any) (any, error) {
 	}
 	r, closer, err := s.openReader(path)
 	if err != nil {
-		if corruptionError(err) {
-			return nil, s.failCorrupt(ctx, path, err)
-		}
-		return nil, err
+		return nil, s.failCorrupt(ctx, path, err)
 	}
 	defer closer.Close()
 	h := r.Header()
@@ -331,12 +324,8 @@ func (s *Server) fileVersion(path string) (arraycache.Version, error) {
 		v.MTime = mt.UnixNano()
 		return v, nil
 	}
-	fp, err := s.fileFingerprint(path, info.Size())
-	if err != nil {
-		return arraycache.Version{}, err
-	}
-	v.Fingerprint = fp
-	return v, nil
+	v.Fingerprint, err = s.fileFingerprint(path, info.Size())
+	return v, err
 }
 
 // fingerprintPage is how much of each end of a zero-mtime file feeds
@@ -347,23 +336,13 @@ const fingerprintPage = 4096
 // fileFingerprint hashes the first and last fingerprintPage bytes of
 // path (the whole file when smaller).
 func (s *Server) fileFingerprint(path string, size int64) (uint64, error) {
-	f, err := s.fsys.Open(path)
+	ra, closer, err := s.openAt(path)
 	if err != nil {
 		return 0, err
 	}
-	defer f.Close()
-	ra, ok := f.(io.ReaderAt)
-	if !ok {
-		// The fetch path would reject this file anyway (openReader needs
-		// random access); mirror its error.
-		return 0, fmt.Errorf("core: %s does not support random access", path)
-	}
+	defer closer.Close()
 	h := fnv.New64a()
-	head := size
-	if head > fingerprintPage {
-		head = fingerprintPage
-	}
-	buf := make([]byte, head)
+	buf := make([]byte, min(size, fingerprintPage))
 	if _, err := ra.ReadAt(buf, 0); err != nil {
 		return 0, fmt.Errorf("core: fingerprinting %s: %w", path, err)
 	}
@@ -388,17 +367,19 @@ func corruptionError(err error) bool {
 		errors.Is(err, io.EOF)
 }
 
-// failCorrupt converts a detected-corruption read failure into the
-// wire-preserved rpc.ErrCorrupt, counts it, stamps the request's wide
-// event, and evicts everything previously decoded from the same path —
-// resident entries may predate the damage, but a store that corrupted
-// one read has forfeited trust in cheaper copies of the same object.
+// failCorrupt classifies a failed read of path. A corruptionError is
+// converted into the wire-preserved rpc.ErrCorrupt, counted, stamped on
+// the request's wide event, and evicts everything previously decoded
+// from the same path — resident entries may predate the damage, but a
+// store that corrupted one read has forfeited trust in cheaper copies of
+// the same object. Any other error passes through unchanged.
 func (s *Server) failCorrupt(ctx context.Context, path string, err error) error {
-	mFetchCorrupt.Inc()
-	dropped := s.cache.InvalidatePath(path)
-	if s.scans != nil {
-		dropped += s.scans.payloads.invalidatePath(path)
+	if !corruptionError(err) {
+		return err
 	}
+	mFetchCorrupt.Inc()
+	dropped := s.cache.Invalidate(func(k arraycache.Key) bool { return k.Path == path }) +
+		s.payloads.Invalidate(func(k payloadKey) bool { return k.path == path })
 	ev := telemetry.EventFromContext(ctx)
 	ev.SetAttr("corrupt", path)
 	ev.SetAttr("corruptEvicted", dropped)
@@ -406,11 +387,9 @@ func (s *Server) failCorrupt(ctx context.Context, path string, err error) error 
 	return fmt.Errorf("%w: %s: %w", rpc.ErrCorrupt, path, err)
 }
 
-// quarantined rejects paths the scrubber has flagged, before any read.
+// quarantined rejects paths the scrubber has flagged, before any read
+// or cache lookup.
 func (s *Server) quarantined(path string) error {
-	if s.scrub == nil {
-		return nil
-	}
 	if reason := s.scrub.Quarantined(path); reason != "" {
 		mFetchCorrupt.Inc()
 		return fmt.Errorf("%w: %s quarantined: %s", rpc.ErrCorrupt, path, reason)
@@ -418,416 +397,50 @@ func (s *Server) quarantined(path string) error {
 	return nil
 }
 
-// readArrayOnce performs one actual storage read: open, parse the
-// header, read + decompress the array. The returned entry stays valid
-// after the backing file is closed.
-func (s *Server) readArrayOnce(path, array string) (*arraycache.Entry, error) {
-	r, closer, err := s.openReader(path)
-	if err != nil {
-		return nil, err
-	}
-	defer closer.Close()
-	field, err := r.ReadArray(array)
-	if err != nil {
-		return nil, err
-	}
-	return &arraycache.Entry{Grid: r.Grid(), Field: field}, nil
-}
-
-// loadArray resolves (path, array) through the cache when configured.
-// Without a cache every call reads storage; with one, concurrent
-// requests single-flight onto one read and repeats are served resident.
-// The lookup outcome is stamped onto the request's wide event via ctx.
-func (s *Server) loadArray(ctx context.Context, path, array string) (*arraycache.Entry, arraycache.Outcome, error) {
-	if err := s.quarantined(path); err != nil {
-		return nil, arraycache.Miss, err
-	}
-	entry, outcome, err := s.loadArrayInner(ctx, path, array)
-	if err != nil && corruptionError(err) {
-		// The failed load was never cached (GetOrLoad caches only on
-		// success, and every coalesced waiter receives this same error);
-		// invalidation covers entries decoded from earlier, clean reads.
-		err = s.failCorrupt(ctx, path, err)
-	}
-	return entry, outcome, err
-}
-
-func (s *Server) loadArrayInner(ctx context.Context, path, array string) (*arraycache.Entry, arraycache.Outcome, error) {
-	if s.cache == nil {
-		e, err := s.readArrayOnce(path, array)
-		telemetry.EventFromContext(ctx).SetCache(arraycache.Miss.String())
-		return e, arraycache.Miss, err
-	}
-	ver, err := s.fileVersion(path)
-	if err != nil {
-		return nil, arraycache.Miss, err
-	}
-	key := arraycache.Key{Path: path, Array: array, Version: ver}
-	return s.cache.GetOrLoadContext(ctx, key, func() (*arraycache.Entry, error) {
-		return s.readArrayOnce(path, array)
-	})
-}
-
-// readArrayTimed reads one array under a "read" span, reporting the
-// storage read (+ decompression) time. On a cache hit the elapsed time
-// is the in-memory lookup — effectively zero — so the readns a client
-// sees stays an honest account of storage work actually performed.
-func (s *Server) readArrayTimed(ctx context.Context, path, array string) (*grid.Uniform, *grid.Field, time.Duration, error) {
-	// An abandoned request — caller deadline expired, connection gone —
-	// stops here instead of paying for the storage read.
-	if err := ctx.Err(); err != nil {
-		return nil, nil, 0, err
-	}
+// loadArray is the pipeline's timed load stage: it resolves one array
+// through the cache when configured, under a "read" span. Without a
+// cache every call reads storage; with one, concurrent requests
+// single-flight onto one read and repeats are served resident. The
+// returned read time is nonzero only when this call performed the
+// storage read (+ decompression), so the readns a client sees stays an
+// honest account of storage work actually done for it, and hits and
+// coalesced waits stay out of the read-time histogram.
+func (s *Server) loadArray(ctx context.Context, key arraycache.Key) (*arraycache.Entry, time.Duration, error) {
 	_, span := telemetry.StartSpan(ctx, "read")
 	defer span.End()
-	span.SetAttr("path", path)
-	span.SetAttr("array", array)
-	ev := telemetry.EventFromContext(ctx)
-	ev.SetAttr("path", path)
-	ev.SetAttr("array", array)
+	span.SetAttr("path", key.Path)
+	span.SetAttr("array", key.Array)
 	start := time.Now()
-	entry, outcome, err := s.loadArray(ctx, path, array)
-	if err != nil {
-		span.SetAttr("error", err.Error())
-		return nil, nil, 0, err
-	}
-	readTime := time.Since(start)
-	span.SetAttr("cache", outcome.String())
-	if outcome == arraycache.Miss {
-		// Only actual storage reads feed the read-time histogram; hits
-		// and coalesced waits would skew it toward zero / double-count.
-		mFetchReadSecs.Observe(readTime.Seconds())
-	}
-	return entry.Grid, entry.Field, readTime, nil
-}
-
-// recordFetch reports one pre-filtered fetch to the metrics registry.
-func recordFetch(path, array string, st *PreFilterStats) {
-	mFetchCount.Inc()
-	mFetchRawBytes.Add(st.RawBytes)
-	mFetchPayload.Add(st.PayloadBytes)
-	mFetchSelected.Add(int64(st.SelectedPoints))
-	mFetchFiltSecs.Observe(st.FilterTime.Seconds())
-	mFetchSelectPPM.Set(int64(st.Selectivity() * 1e6))
-	serverLog.Debug("pre-filtered fetch",
-		"path", path, "array", array,
-		"selected", st.SelectedPoints,
-		"payloadBytes", st.PayloadBytes,
-		"rawBytes", st.RawBytes,
-		"filterTime", st.FilterTime)
-}
-
-// handleFetch runs the storage-side partial pipeline: read the array
-// (decompressing if stored compressed), run the pre-filter, and return
-// the encoded payload together with timing breakdowns.
-func (s *Server) handleFetch(ctx context.Context, args []any) (any, error) {
-	path, err := argString(args, 0, "path")
-	if err != nil {
-		return nil, err
-	}
-	array, err := argString(args, 1, "array")
-	if err != nil {
-		return nil, err
-	}
-	if len(args) < 3 {
-		return nil, fmt.Errorf("core: missing isovalues argument")
-	}
-	rawIsos, ok := args[2].([]any)
-	if !ok {
-		return nil, fmt.Errorf("core: isovalues argument is %T, want array", args[2])
-	}
-	isovalues := make([]float64, len(rawIsos))
-	for i, v := range rawIsos {
-		f, ok := asFloat(v)
-		if !ok {
-			return nil, fmt.Errorf("core: isovalue %d is %T, want number", i, v)
-		}
-		isovalues[i] = f
-	}
-	encName := ""
-	if len(args) > 3 {
-		if encName, err = argString(args, 3, "encoding"); err != nil {
-			return nil, err
-		}
-	}
-	enc, err := ParseEncoding(encName)
-	if err != nil {
-		return nil, err
-	}
-	s.stampShard(ctx)
-	mScanRequests.Inc()
-
-	var (
-		payload  *Payload
-		stats    *PreFilterStats
-		readTime time.Duration
-	)
-	if s.scans != nil {
-		payload, stats, readTime, err = s.fetchShared(ctx, path, array, isovalues, enc)
+	entry, outcome, err := s.cache.GetOrLoad(key, func() (*arraycache.Entry, error) {
+		// One actual storage read: open, parse the header, read +
+		// decompress the array. The entry outlives the closed file.
+		r, closer, err := s.openReader(key.Path)
 		if err != nil {
-			mFetchErrors.Inc()
-			return nil, err
-		}
-	} else {
-		var g *grid.Uniform
-		var field *grid.Field
-		g, field, readTime, err = s.readArrayTimed(ctx, path, array)
-		if err != nil {
-			mFetchErrors.Inc()
-			return nil, err
-		}
-		// Observe cancellation between the pipeline stages: the read may
-		// have taken the whole remaining deadline, and the pre-filter scan
-		// is the expensive half.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		payload, stats, err = s.runPreFilter(ctx, g, field, array, isovalues, enc)
-		if err != nil {
-			mFetchErrors.Inc()
-			return nil, err
-		}
-	}
-	ev := telemetry.EventFromContext(ctx)
-	ev.SetAttr("selected", stats.SelectedPoints)
-	ev.SetAttr("payloadBytes", stats.PayloadBytes)
-	recordFetch(path, array, stats)
-	return map[string]any{
-		"payload":  payload.Data,
-		"readns":   int64(readTime),
-		"filterns": int64(stats.FilterTime),
-		"rawbytes": stats.RawBytes,
-		"selected": int64(stats.SelectedPoints),
-		// Whole-payload CRC32C: new clients verify the bytes survived the
-		// wire; old clients ignore the extra key.
-		"crc": int64(vtkio.Checksum(payload.Data)),
-	}, nil
-}
-
-// runPreFilter runs one dedicated (uncoalesced) contour pre-filter under
-// a "prefilter" span and counts its scan passes.
-func (s *Server) runPreFilter(ctx context.Context, g *grid.Uniform, field *grid.Field, array string, isovalues []float64, enc Encoding) (*Payload, *PreFilterStats, error) {
-	_, fspan := telemetry.StartSpan(ctx, "prefilter")
-	defer fspan.End()
-	pre := &PreFilter{Isovalues: isovalues, Encoding: enc}
-	payload, stats, err := pre.Run(g, field)
-	if err != nil {
-		fspan.SetAttr("error", err.Error())
-		return nil, nil, err
-	}
-	mScanPasses.Add(int64(len(isovalues)))
-	fspan.SetAttr("array", array)
-	fspan.SetAttr("selected", stats.SelectedPoints)
-	fspan.SetAttr("payloadBytes", stats.PayloadBytes)
-	fspan.SetAttr("encoding", payload.Encoding.String())
-	return payload, stats, nil
-}
-
-// handleFetchRange runs the split threshold filter's storage half: read
-// the array and select every cell corner with a value in [lo, hi].
-func (s *Server) handleFetchRange(ctx context.Context, args []any) (any, error) {
-	path, err := argString(args, 0, "path")
-	if err != nil {
-		return nil, err
-	}
-	array, err := argString(args, 1, "array")
-	if err != nil {
-		return nil, err
-	}
-	if len(args) < 4 {
-		return nil, fmt.Errorf("core: fetchrange needs lo and hi arguments")
-	}
-	lo, err := argFloat(args, 2, "lo")
-	if err != nil {
-		return nil, err
-	}
-	hi, err := argFloat(args, 3, "hi")
-	if err != nil {
-		return nil, err
-	}
-	encName := ""
-	if len(args) > 4 {
-		if encName, err = argString(args, 4, "encoding"); err != nil {
-			return nil, err
-		}
-	}
-	enc, err := ParseEncoding(encName)
-	if err != nil {
-		return nil, err
-	}
-	s.stampShard(ctx)
-
-	g, field, readTime, err := s.readArrayTimed(ctx, path, array)
-	if err != nil {
-		mFetchErrors.Inc()
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	_, fspan := telemetry.StartSpan(ctx, "prefilter.range")
-	pre := &RangePreFilter{Lo: lo, Hi: hi, Encoding: enc}
-	payload, stats, err := pre.Run(g, field)
-	if err != nil {
-		fspan.SetAttr("error", err.Error())
-		fspan.End()
-		mFetchErrors.Inc()
-		return nil, err
-	}
-	fspan.SetAttr("array", array)
-	fspan.SetAttr("selected", stats.SelectedPoints)
-	fspan.SetAttr("payloadBytes", stats.PayloadBytes)
-	fspan.End()
-	recordFetch(path, array, stats)
-	return map[string]any{
-		"payload":  payload.Data,
-		"readns":   int64(readTime),
-		"filterns": int64(stats.FilterTime),
-		"rawbytes": stats.RawBytes,
-		"selected": int64(stats.SelectedPoints),
-		"crc":      int64(vtkio.Checksum(payload.Data)),
-	}, nil
-}
-
-// handleFetchSlice runs the split slice filter's storage half: read the
-// array and extract exactly the requested plane, shipping it as a slice
-// payload — the near-perfect-reduction case for NDP.
-func (s *Server) handleFetchSlice(ctx context.Context, args []any) (any, error) {
-	path, err := argString(args, 0, "path")
-	if err != nil {
-		return nil, err
-	}
-	array, err := argString(args, 1, "array")
-	if err != nil {
-		return nil, err
-	}
-	axisName, err := argString(args, 2, "axis")
-	if err != nil {
-		return nil, err
-	}
-	axis, err := contour.ParseAxis(axisName)
-	if err != nil {
-		return nil, err
-	}
-	if len(args) < 4 {
-		return nil, fmt.Errorf("core: missing slice index argument")
-	}
-	index64, ok := args[3].(int64)
-	if !ok {
-		return nil, fmt.Errorf("core: slice index is %T, want integer", args[3])
-	}
-
-	g, field, readTime, err := s.readArrayTimed(ctx, path, array)
-	if err != nil {
-		mFetchErrors.Inc()
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	_, fspan := telemetry.StartSpan(ctx, "prefilter.slice")
-	filterStart := time.Now()
-	g2, vals, err := contour.ExtractSlice(g, field.Values, axis, int(index64))
-	if err != nil {
-		fspan.SetAttr("error", err.Error())
-		fspan.End()
-		mFetchErrors.Inc()
-		return nil, err
-	}
-	filterTime := time.Since(filterStart)
-	fspan.SetAttr("array", array)
-	fspan.SetAttr("axis", axisName)
-	fspan.SetAttr("points", len(vals))
-	fspan.End()
-	// Report through the same path as the other fetch handlers so slice
-	// fetches update the selectivity gauge and emit the per-fetch log.
-	recordFetch(path, array, &PreFilterStats{
-		NumPoints:      field.Len(),
-		SelectedPoints: len(vals),
-		RawBytes:       int64(4 * field.Len()),
-		PayloadBytes:   int64(4 * len(vals)),
-		FilterTime:     filterTime,
-	})
-
-	values := vtkio.FloatsToBytes(vals)
-	return map[string]any{
-		"dims":     []any{int64(g2.Dims.X), int64(g2.Dims.Y), int64(g2.Dims.Z)},
-		"origin":   []any{g2.Origin.X, g2.Origin.Y, g2.Origin.Z},
-		"spacing":  []any{g2.Spacing.X, g2.Spacing.Y, g2.Spacing.Z},
-		"values":   values,
-		"readns":   int64(readTime),
-		"filterns": int64(filterTime),
-		"rawbytes": int64(4 * field.Len()),
-		"crc":      int64(vtkio.Checksum(values)),
-	}, nil
-}
-
-// handleFetchRaw returns a whole array uncut — used for debugging and for
-// measuring what the transfer would have cost without the pre-filter.
-func (s *Server) handleFetchRaw(ctx context.Context, args []any) (any, error) {
-	path, err := argString(args, 0, "path")
-	if err != nil {
-		return nil, err
-	}
-	array, err := argString(args, 1, "array")
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := s.quarantined(path); err != nil {
-		return nil, err
-	}
-	s.stampShard(ctx)
-	_, span := telemetry.StartSpan(ctx, "read.raw")
-	defer span.End()
-	span.SetAttr("path", path)
-	span.SetAttr("array", array)
-	readStart := time.Now()
-	var raw []byte
-	if s.cache != nil {
-		// Serve from the decoded-array cache: re-serializing float32
-		// values is a bit-exact inverse of decoding, so the payload is
-		// identical to a fresh storage read.
-		entry, outcome, err := s.loadArray(ctx, path, array)
-		if err != nil {
-			span.SetAttr("error", err.Error())
-			return nil, err
-		}
-		span.SetAttr("cache", outcome.String())
-		if outcome == arraycache.Miss {
-			mFetchReadSecs.Observe(time.Since(readStart).Seconds())
-		}
-		raw = vtkio.FloatsToBytes(entry.Field.Values)
-	} else {
-		r, closer, err := s.openReader(path)
-		if err != nil {
-			span.SetAttr("error", err.Error())
-			if corruptionError(err) {
-				return nil, s.failCorrupt(ctx, path, err)
-			}
 			return nil, err
 		}
 		defer closer.Close()
-		if raw, err = r.ReadArrayBytes(array); err != nil {
-			span.SetAttr("error", err.Error())
-			if corruptionError(err) {
-				return nil, s.failCorrupt(ctx, path, err)
-			}
+		field, err := r.ReadArray(key.Array)
+		if err != nil {
 			return nil, err
 		}
-		readTime := time.Since(readStart)
-		mFetchReadSecs.Observe(readTime.Seconds())
+		return &arraycache.Entry{Grid: r.Grid(), Field: field}, nil
+	})
+	telemetry.EventFromContext(ctx).SetCache(outcome.String())
+	if err != nil {
+		// A failed load was never cached (GetOrLoad caches only on success,
+		// and every coalesced waiter receives this same error); failCorrupt's
+		// invalidation covers entries decoded from earlier, clean reads.
+		err = s.failCorrupt(ctx, key.Path, err)
+		span.SetAttr("error", err.Error())
+		return nil, 0, err
 	}
-	span.SetAttr("bytes", len(raw))
-	return map[string]any{
-		"data":   raw,
-		"readns": int64(time.Since(readStart)),
-		"crc":    int64(vtkio.Checksum(raw)),
-	}, nil
+	span.SetAttr("cache", outcome.String())
+	if outcome != arraycache.Miss {
+		return entry, 0, nil
+	}
+	readTime := time.Since(start)
+	mFetchReadSecs.Observe(readTime.Seconds())
+	return entry, readTime, nil
 }
 
 // handleManifest serves a brick manifest document from the store. The

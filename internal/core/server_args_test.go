@@ -69,8 +69,8 @@ func TestFetchAcceptsIntegerEncodedIsovalues(t *testing.T) {
 
 	// Integer-encoded and float-encoded isovalues must select the same
 	// points and produce identical payloads.
-	intRes := asMap(s.handleFetch(ctx, []any{"ts0.vnd", "d", []any{int64(5)}, "indexvalue"}))
-	floatRes := asMap(s.handleFetch(ctx, []any{"ts0.vnd", "d", []any{float64(5)}, "indexvalue"}))
+	intRes := asMap(s.serveFetch(ctx, []any{"ts0.vnd", "d", []any{int64(5)}, "indexvalue"}, contourSelector))
+	floatRes := asMap(s.serveFetch(ctx, []any{"ts0.vnd", "d", []any{float64(5)}, "indexvalue"}, contourSelector))
 	if string(intRes["payload"].([]byte)) != string(floatRes["payload"].([]byte)) {
 		t.Error("int-encoded isovalue payload differs from float-encoded")
 	}
@@ -79,11 +79,11 @@ func TestFetchAcceptsIntegerEncodedIsovalues(t *testing.T) {
 	}
 
 	// Mixed numeric kinds in one request, including float32 and uint64.
-	asMap(s.handleFetch(ctx, []any{"ts0.vnd", "d",
-		[]any{int64(5), float32(6.5), uint64(7)}, "indexvalue"}))
+	asMap(s.serveFetch(ctx, []any{"ts0.vnd", "d",
+		[]any{int64(5), float32(6.5), uint64(7)}, "indexvalue"}, contourSelector))
 
 	// Non-numeric isovalues still fail with a typed error.
-	if _, err := s.handleFetch(ctx, []any{"ts0.vnd", "d", []any{"7"}, "indexvalue"}); err == nil ||
+	if _, err := s.serveFetch(ctx, []any{"ts0.vnd", "d", []any{"7"}, "indexvalue"}, contourSelector); err == nil ||
 		!strings.Contains(err.Error(), "want number") {
 		t.Errorf("string isovalue error = %v, want 'want number'", err)
 	}
@@ -105,7 +105,7 @@ func TestFetchRangeAcceptsIntegerEncodedBounds(t *testing.T) {
 	}
 	var want string
 	for i, tc := range cases {
-		v, err := s.handleFetchRange(ctx, []any{"ts0.vnd", "d", tc.lo, tc.hi, "indexvalue"})
+		v, err := s.serveFetch(ctx, []any{"ts0.vnd", "d", tc.lo, tc.hi, "indexvalue"}, rangeSelector)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -120,11 +120,11 @@ func TestFetchRangeAcceptsIntegerEncodedBounds(t *testing.T) {
 		}
 	}
 
-	if _, err := s.handleFetchRange(ctx, []any{"ts0.vnd", "d", "4", float64(8), "indexvalue"}); err == nil ||
+	if _, err := s.serveFetch(ctx, []any{"ts0.vnd", "d", "4", float64(8), "indexvalue"}, rangeSelector); err == nil ||
 		!strings.Contains(err.Error(), "want number") {
 		t.Errorf("string lo error = %v, want 'want number'", err)
 	}
-	if _, err := s.handleFetchRange(ctx, []any{"ts0.vnd", "d", float64(4)}); err == nil {
+	if _, err := s.serveFetch(ctx, []any{"ts0.vnd", "d", float64(4)}, rangeSelector); err == nil {
 		t.Error("missing hi argument accepted")
 	}
 }

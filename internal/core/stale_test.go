@@ -54,11 +54,15 @@ func TestCacheZeroMtimeOverwrite(t *testing.T) {
 
 	readValue := func() float32 {
 		t.Helper()
-		_, f, _, err := srv.readArrayTimed(ctx, "run/ts0.vnd", "d")
+		res, err := srv.serveFetch(ctx, []any{"run/ts0.vnd", "d"}, rawSelector)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return f.Values[42]
+		vals, err := vtkio.BytesToFloats(res.(map[string]any)["data"].([]byte))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vals[42]
 	}
 
 	if got := readValue(); got != fa.Values[42] {
