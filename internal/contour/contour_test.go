@@ -586,16 +586,6 @@ func TestMeshEqual(t *testing.T) {
 	}
 }
 
-func BenchmarkMarchingTetrahedra64(b *testing.B) {
-	g, vals := sphereField(64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := MarchingTetrahedra(g, vals, []float64{20}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSelectCellCorners64(b *testing.B) {
 	g, vals := sphereField(64)
 	b.SetBytes(int64(4 * len(vals)))
@@ -687,16 +677,6 @@ func TestParallelValidation(t *testing.T) {
 	}
 	if !a.Equal(b) {
 		t.Error("worker counts changed the result")
-	}
-}
-
-func BenchmarkMarchingTetrahedraParallel64(b *testing.B) {
-	g, vals := sphereField(64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := MarchingTetrahedraParallel(g, vals, []float64{20}, 0); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -12,9 +12,12 @@
 // translation-consistent, so faces shared by neighbouring cells carry the
 // same diagonal and the resulting surface is watertight.
 //
-// Fields may contain NaN sentinels (the NDP post-filter reconstructs
-// unselected points as NaN); any cell touching a NaN is skipped, which —
-// by the selection guarantee in internal/core — never removes geometry.
+// Fields may be partial: the NDP pre-filter withholds the points no
+// contour cell needs. A partial field arrives either as values plus one
+// presence bit per point (MarchingTetrahedraSparse, the post-filter's
+// path) or as a dense array with NaN at withheld points; any cell with a
+// corner absent or NaN is skipped, which — by the selection guarantee in
+// internal/core — never removes geometry.
 package contour
 
 import (

@@ -1,0 +1,254 @@
+package contour_test
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"net"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"vizndp/internal/compress"
+	"vizndp/internal/contour"
+	"vizndp/internal/core"
+	"vizndp/internal/grid"
+	"vizndp/internal/vtkio"
+)
+
+// wavyField is a smooth random field over g with values in about
+// [0, 10], so that isovalues in that range cut coherent surfaces.
+func wavyField(g *grid.Uniform, rng *rand.Rand) []float32 {
+	fx, fy, fz := 0.2+rng.Float64(), 0.2+rng.Float64(), 0.2+rng.Float64()
+	px, py := rng.Float64()*6, rng.Float64()*6
+	vals := make([]float32, g.NumPoints())
+	for idx := range vals {
+		i, j, k := idx%g.Dims.X, idx/g.Dims.X%g.Dims.Y, idx/(g.Dims.X*g.Dims.Y)
+		v := math.Sin(fx*float64(i)+px) + math.Sin(fy*float64(j)+py) + math.Sin(fz*float64(k)) + rng.Float64()*0.3
+		vals[idx] = float32(5 + 1.6*v)
+	}
+	return vals
+}
+
+// stretched returns g's topology with uneven, strictly increasing
+// coordinates.
+func stretched(g *grid.Uniform, rng *rand.Rand) *grid.Rectilinear {
+	axis := func(n int) []float64 {
+		out := make([]float64, n)
+		x := rng.Float64()
+		for i := range out {
+			x += 0.1 + rng.Float64()
+			out[i] = x
+		}
+		return out
+	}
+	return grid.NewRectilinear(axis(g.Dims.X), axis(g.Dims.Y), axis(g.Dims.Z))
+}
+
+// shardedMerge stores the field bricked under a temporary directory,
+// serves it from three NDP shards and returns the ShardedClient's merged,
+// NaN-padded array.
+func shardedMerge(t *testing.T, g *grid.Uniform, vals []float32, spec grid.BrickSpec, isos []float64, enc core.Encoding) []float32 {
+	t.Helper()
+	ds := grid.NewDataset(g)
+	ds.MustAddField(&grid.Field{Name: "d", Values: vals})
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "ts0"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	bricks, err := spec.Bricks(g.Dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bricks {
+		sub, err := grid.ExtractBrick(ds, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "ts0", vtkio.BrickKey(b.ID))
+		if err := vtkio.WriteFile(path, sub, vtkio.WriteOptions{Codec: compress.None}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	man, err := vtkio.BuildManifest(g, spec, ds.FieldNames(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := make([]string, 3)
+	for i := range addrs {
+		srv := core.NewServer(os.DirFS(dir), core.WithShardName(fmt.Sprintf("shard%d", i)))
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		t.Cleanup(func() { srv.Close() })
+		addrs[i] = ln.Addr().String()
+	}
+	sc, err := core.DialSharded(man, addrs, nil, core.PoolOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	merged, _, err := sc.FetchArray("ts0/", "d", isos, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return merged
+}
+
+// TestContourPathsAgree is the kernel's property test. Over random grids
+// — row lengths on both sides of the 64-cell word, non-cubic shapes, the
+// two-point-layer minimum — with smooth and NaN-laced data, uniform and
+// rectilinear geometry, one to five isovalues of which some cut nothing,
+// and every payload encoding, every way of contouring the field must give
+// the mesh the reference walk gives, vertex for vertex: the dense entry
+// points on the full array, the post-filter straight from the payload,
+// the dense entry points on the payload's NaN-padded reconstruction and
+// on a ShardedClient's merge, and the slab-parallel sweep.
+func TestContourPathsAgree(t *testing.T) {
+	shapes := [][3]int{
+		{2, 2, 2}, {2, 9, 5}, {63, 4, 3}, {64, 5, 2}, {65, 3, 4},
+		{130, 3, 2}, {130, 2, 3}, {9, 66, 2}, {12, 7, 11},
+	}
+	encodings := []core.Encoding{core.EncIndexValue, core.EncBlockBitmap, core.EncAuto}
+	rng := rand.New(rand.NewSource(16))
+	triangles, sharded := 0, 0
+	for round := 0; round < 3; round++ {
+		for si, shape := range shapes {
+			g := grid.NewUniform(shape[0], shape[1], shape[2])
+			g.Spacing = grid.Vec3{X: 0.5 + rng.Float64(), Y: 0.5 + rng.Float64(), Z: 0.5 + rng.Float64()}
+			vals := wavyField(g, rng)
+			if (round+si)%2 == 1 {
+				vals = contour.NaNLaced(g, rng.Int63())
+			}
+			isos := make([]float64, 1+rng.Intn(5))
+			for q := range isos {
+				isos[q] = 1 + 8*rng.Float64()
+				if rng.Intn(4) == 0 {
+					isos[q] = 100 + float64(q) // no cell straddles it
+				}
+			}
+			enc := encodings[(round+si)%len(encodings)]
+			var geom contour.Geometry = g
+			if (round+si)%3 == 2 {
+				geom = stretched(g, rng)
+			}
+			name := fmt.Sprintf("%v/%T/%v/isos%d/round%d", g.Dims, geom, enc, len(isos), round)
+
+			want := contour.MarchReference(geom, vals, isos)
+			triangles += want.NumTriangles()
+			check := func(what string, got *contour.Mesh, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %s: %v", name, what, err)
+				}
+				if !got.Equal(want) {
+					t.Errorf("%s: %s: %d vertices, %d triangles; reference has %d, %d", name, what,
+						got.NumVertices(), got.NumTriangles(), want.NumVertices(), want.NumTriangles())
+				}
+			}
+
+			got, err := contour.MarchingTetrahedraGeom(geom, vals, isos)
+			check("dense kernel on the full array", got, err)
+			workers := 2 + rng.Intn(4)
+			got, err = contour.MarchingTetrahedraParallel(geom, vals, isos, workers)
+			check(fmt.Sprintf("%d slabs on the full array", workers), got, err)
+
+			field := &grid.Field{Name: "d", Values: vals}
+			sent, _, err := (&core.PreFilter{Isovalues: isos, Encoding: enc}).Run(g, field)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload, err := core.DecodePayload(sent.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			padded, err := payload.Reconstruct()
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("reference on the reconstruction", contour.MarchReference(geom, padded, isos), nil)
+			got, err = contour.MarchingTetrahedraGeom(geom, padded, isos)
+			check("dense kernel on the reconstruction", got, err)
+			got, err = contour.MarchingTetrahedraParallel(geom, padded, isos, workers)
+			check(fmt.Sprintf("%d slabs on the reconstruction", workers), got, err)
+			if geom == contour.Geometry(g) {
+				got, err = (&core.PostFilter{Isovalues: isos}).Contour(g, "d", payload)
+				check("post-filter from the payload", got, err)
+			}
+
+			// One sharded merge per shape, on the axes that can be split.
+			if round == 0 && g.Dims.NumCells() > 1 {
+				spec := grid.BrickSpec{NX: min(2, g.Dims.X-1), NY: min(2, g.Dims.Y-1), NZ: min(2, g.Dims.Z-1), Ghost: si % 2}
+				merged := shardedMerge(t, g, vals, spec, isos, enc)
+				got, err = contour.MarchingTetrahedraGeom(geom, merged, isos)
+				check("dense kernel on the sharded merge", got, err)
+				sharded++
+			}
+		}
+	}
+	if triangles == 0 || sharded == 0 {
+		t.Fatalf("vacuous: %d reference triangles, %d sharded merges", triangles, sharded)
+	}
+}
+
+// TestContourPlantedNaNStaysAbsent pins the decode rule the sparse walk
+// depends on. No selection ships a NaN, but a corrupt payload can; the
+// dense kernel skipped such a point's cells because the reconstruction
+// held a NaN there, and the presence-bit walk must skip them too.
+func TestContourPlantedNaNStaysAbsent(t *testing.T) {
+	g := grid.NewUniform(21, 14, 9)
+	rng := rand.New(rand.NewSource(7))
+	vals := wavyField(g, rng)
+	isos := []float64{4, 6.5}
+	mask, err := contour.SelectCellCorners(g, vals, isos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := contour.MarchingTetrahedra(g, vals, isos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := 0
+	mask.ForEach(func(i int) {
+		if rng.Intn(9) == 0 {
+			vals[i] = float32(math.NaN())
+			planted++
+		}
+	})
+	for _, enc := range []core.Encoding{core.EncIndexValue, core.EncBlockBitmap} {
+		sent, err := core.EncodeSelection(mask, vals, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := core.DecodePayload(sent.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		padded, err := payload.Reconstruct()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := contour.MarchReference(g, padded, isos)
+		if planted == 0 || want.NumTriangles() == 0 || want.NumTriangles() >= clean.NumTriangles() {
+			t.Fatalf("%v: vacuous: %d NaNs planted, %d of %d triangles left", enc, planted,
+				want.NumTriangles(), clean.NumTriangles())
+		}
+		dense, err := contour.MarchingTetrahedra(g, padded, isos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !dense.Equal(want) {
+			t.Errorf("%v: dense kernel on the reconstruction differs from the reference", enc)
+		}
+		sparse, err := (&core.PostFilter{Isovalues: isos}).Contour(g, "d", payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sparse.Equal(want) {
+			t.Errorf("%v: post-filter marched a planted NaN: %d triangles, reference has %d", enc,
+				sparse.NumTriangles(), want.NumTriangles())
+		}
+	}
+}

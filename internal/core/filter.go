@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
+	"vizndp/internal/bitset"
 	"vizndp/internal/contour"
 	"vizndp/internal/grid"
 )
@@ -82,12 +84,17 @@ func statsOf(field *grid.Field, p *Payload, start time.Time) *PreFilterStats {
 	}
 }
 
-// PostFilter is the client-side half: it reconstructs the sparse array
-// and completes contour generation. Its isovalues must match the
-// pre-filter's (the RPC client keeps them in sync).
+// PostFilter is the client-side half: it completes contour generation
+// from the sparse payload. Its isovalues must match the pre-filter's (the
+// RPC client keeps them in sync).
 type PostFilter struct {
 	Isovalues []float64
 }
+
+// contourScratch recycles the arrays Contour decodes payload values
+// into. One is NumPoints long but only written and read at the payload's
+// own points, so it is neither cleared nor NaN-filled between uses.
+var contourScratch sync.Pool
 
 // Reconstruct expands a payload into a NaN-padded field.
 func (f *PostFilter) Reconstruct(name string, p *Payload) (*grid.Field, error) {
@@ -98,18 +105,29 @@ func (f *PostFilter) Reconstruct(name string, p *Payload) (*grid.Field, error) {
 	return &grid.Field{Name: name, Values: vals}, nil
 }
 
-// Contour reconstructs the payload and extracts the contour, producing
-// exactly the mesh a full-array contour would.
+// Contour extracts the contour from the payload's own points, producing
+// exactly the mesh a full-array contour would: the payload holds every
+// corner of every cell an isovalue crosses, only cells with all eight
+// corners shipped can emit triangles, and the kernel reaches those cells
+// in the order a sweep of the full array would (see contour's kernel
+// comment). The NaN-padded array of Reconstruct is never built.
 func (f *PostFilter) Contour(g *grid.Uniform, name string, p *Payload) (*contour.Mesh, error) {
 	if g.NumPoints() != p.NumPoints {
 		return nil, fmt.Errorf("core: payload has %d points, grid %q has %d",
 			p.NumPoints, g.Dims, g.NumPoints())
 	}
-	fld, err := f.Reconstruct(name, p)
-	if err != nil {
+	scratch, _ := contourScratch.Get().(*[]float32)
+	if scratch == nil || cap(*scratch) < p.NumPoints {
+		s := make([]float32, p.NumPoints)
+		scratch = &s
+	}
+	defer contourScratch.Put(scratch)
+	values := (*scratch)[:p.NumPoints]
+	present := bitset.New(p.NumPoints)
+	if err := p.decodeInto(values, present.Words()); err != nil {
 		return nil, err
 	}
-	return contour.MarchingTetrahedra(g, fld.Values, f.Isovalues)
+	return contour.MarchingTetrahedraSparse(g, values, present, f.Isovalues)
 }
 
 // RangePreFilter is the storage-side half of a split threshold filter —

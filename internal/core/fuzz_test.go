@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"vizndp/internal/bitset"
+	"vizndp/internal/contour"
+	"vizndp/internal/grid"
 )
 
 // fuzzSeeds returns representative payloads for the decode fuzz targets:
@@ -117,6 +119,90 @@ func FuzzReconstructInto(f *testing.F) {
 		}
 		if nonNaN > p.Count {
 			t.Fatalf("%d non-NaN values exceed declared count %d", nonNaN, p.Count)
+		}
+	})
+}
+
+// fuzzGrid is the grid FuzzPostFilterContour contours an n-point payload
+// on: two point layers of two rows, the smallest 3D shape, so any small
+// multiple of four fits. It returns nil for other point counts.
+func fuzzGrid(n int) *grid.Uniform {
+	if n < 8 || n%4 != 0 || n > 1<<16 {
+		return nil
+	}
+	return grid.NewUniform(n/4, 2, 2)
+}
+
+// FuzzPostFilterContour drives hostile bytes through the sparse
+// post-filter: whatever DecodePayload accepts, PostFilter.Contour must
+// fail exactly when Reconstruct fails and otherwise build the very mesh
+// the dense kernel builds from the reconstruction — never panic, never
+// march a point the NaN-padded array holds as NaN, and never size
+// anything from a header the body cannot back (DecodePayload bounds
+// Count by the body; the grid the caller passes bounds the rest).
+func FuzzPostFilterContour(f *testing.F) {
+	seeds := fuzzSeeds(f)
+	// Real contour payloads on the fuzz grid, clean and with a NaN planted
+	// among the shipped values.
+	g := fuzzGrid(blockBits + 300)
+	values := make([]float32, g.NumPoints())
+	for i := range values {
+		values[i] = float32(i%g.Dims.X) + 40*float32(i/g.Dims.X%2)
+	}
+	isos := []float64{3, 200.5}
+	mask, err := contour.SelectCellCorners(g, values, isos)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, enc := range []Encoding{EncIndexValue, EncBlockBitmap} {
+		for _, plant := range []bool{false, true} {
+			shipped := append([]float32(nil), values...)
+			if plant {
+				shipped[201] = float32(math.NaN())
+			}
+			p, err := EncodeSelection(mask, shipped, enc)
+			if err != nil {
+				f.Fatal(err)
+			}
+			seeds = append(seeds, p.Data)
+		}
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	post := &PostFilter{Isovalues: isos}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := DecodePayload(data)
+		if err != nil {
+			return
+		}
+		g := fuzzGrid(p.NumPoints)
+		if g == nil {
+			// No grid of that size: the point-count check must refuse
+			// it before anything is sized from the header.
+			if _, err := post.Contour(grid.NewUniform(2, 2, 2), "d", p); err == nil {
+				t.Fatalf("payload of %d points contoured on an 8-point grid", p.NumPoints)
+			}
+			return
+		}
+		sparse, serr := post.Contour(g, "d", p)
+		padded, rerr := p.Reconstruct()
+		if (serr == nil) != (rerr == nil) {
+			t.Fatalf("Contour error %v, Reconstruct error %v", serr, rerr)
+		}
+		if rerr != nil {
+			if !errors.Is(serr, ErrBadPayload) {
+				t.Fatalf("non-payload error: %v", serr)
+			}
+			return
+		}
+		dense, err := contour.MarchingTetrahedra(g, padded, isos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sparse.Equal(dense) {
+			t.Fatalf("sparse mesh has %d vertices, %d triangles; dense has %d, %d",
+				sparse.NumVertices(), sparse.NumTriangles(), dense.NumVertices(), dense.NumTriangles())
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"vizndp/internal/compress"
 	"vizndp/internal/contour"
@@ -399,7 +400,12 @@ func TestNDPOverShapedLinkMovesFewBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := int64(4 * g.NumPoints())
+	// The link counts a chunk after the write that delivers it returns, so
+	// the reply can be in hand before the server's goroutine has counted it.
 	moved := link.BytesSent()
+	for wait := time.Now().Add(2 * time.Second); moved < int64(payload.WireSize()) && time.Now().Before(wait); moved = link.BytesSent() {
+		time.Sleep(time.Millisecond)
+	}
 	if moved >= raw/4 {
 		t.Errorf("NDP moved %d bytes; raw array is %d", moved, raw)
 	}

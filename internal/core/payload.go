@@ -6,9 +6,21 @@
 // The pre-filter scans a data array, selects the mesh points the
 // downstream contour needs (every corner of every cell whose values
 // straddle an isovalue — see internal/contour), and encodes that sparse
-// subset as a compact payload. The post-filter reconstructs a full-size
-// array with NaN sentinels at unselected points and runs the ordinary
-// contour filter, producing bit-identical output to a full-array run.
+// subset as a compact payload. The post-filter contours that subset
+// directly: it decodes the payload into presence bits and values, and the
+// contour kernel (internal/contour) visits only the cells whose eight
+// corners were all shipped. Those are the only cells that can emit
+// triangles, and the kernel reaches them in the k/j/i order a sweep of
+// the full array would, so vertices are first created in the same order
+// and the mesh is bit-identical to a full-array run — same vertices, same
+// order, same triangles.
+//
+// Payload.Reconstruct, which expands a payload into a full-size array
+// with NaN at unselected points, is not on the contour path. It
+// serves the consumers that want an array: the range/threshold
+// post-filter, NDPSource (which hands pipeline stages a dataset), raw
+// and slice reads, and the sharded client's merge of brick payloads. The
+// same kernel contours such an array too, taking "not NaN" as presence.
 //
 // Two payload encodings are provided (an ablation in DESIGN.md):
 //
@@ -26,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"vizndp/internal/bitset"
 )
@@ -252,13 +265,13 @@ func DecodePayload(data []byte) (*Payload, error) {
 }
 
 // Reconstruct expands the payload into a full-length array with NaN at
-// every unselected point — the exact input the post-filter contour runs
-// on.
+// every unselected point. Contouring that array gives the mesh
+// PostFilter.Contour builds from the payload directly.
 //
 // NaN is safe as the "withheld" sentinel because no selection path ever
 // selects a NaN-valued point: a NaN corner disqualifies its cells from
-// straddling, never satisfies a threshold range, and the contour kernels
-// skip NaN-laced cells. So a NaN in the reconstruction always means
+// straddling, never satisfies a threshold range, and the contour kernel
+// skips NaN-laced cells. So a NaN in the reconstruction always means
 // "not shipped", never "shipped a NaN" — the invariant contour's NaN
 // table tests pin (see contour/nan_test.go), and what lets the sharded
 // merge treat NaN as absence when gathering brick payloads.
@@ -287,6 +300,16 @@ func fillNaN(out []float32) {
 // ReconstructInto writes selected values into dst, which must already be
 // NaN-filled (or otherwise pre-initialized) and of length NumPoints.
 func (p *Payload) ReconstructInto(dst []float32) error {
+	return p.decodeInto(dst, nil)
+}
+
+// decodeInto writes selected values into dst and, when present is not
+// nil, sets the bit of every selected point whose value is not NaN.
+// That is the sparse form the post-filter contours: dst is read only
+// where present is set, so it needs no NaN fill. No selection ever ships
+// a NaN (see Reconstruct), but a corrupt or hostile payload can, and its
+// points must stay as absent as they are in the NaN-padded array.
+func (p *Payload) decodeInto(dst []float32, present []uint64) error {
 	if len(dst) != p.NumPoints {
 		return fmt.Errorf("core: dst of %d values, payload has %d points",
 			len(dst), p.NumPoints)
@@ -300,15 +323,23 @@ func (p *Payload) ReconstructInto(dst []float32) error {
 
 	switch p.Encoding {
 	case EncIndexValue:
-		return decodeIndexValue(rest, dst, p.Count)
+		return decodeIndexValue(rest, dst, present, p.Count)
 	case EncBlockBitmap:
-		return decodeBlockBitmap(rest, dst, p.Count)
+		return decodeBlockBitmap(rest, dst, present, p.Count)
 	default:
 		return fmt.Errorf("%w: unknown encoding %d", ErrBadPayload, p.Encoding)
 	}
 }
 
-func decodeIndexValue(body []byte, dst []float32, count int) error {
+// store delivers one decoded value.
+func store(dst []float32, present []uint64, idx int, v float32) {
+	dst[idx] = v
+	if present != nil && !math.IsNaN(float64(v)) {
+		present[idx>>6] |= 1 << uint(idx&63)
+	}
+}
+
+func decodeIndexValue(body []byte, dst []float32, present []uint64, count int) error {
 	// Each selected point costs at least one delta byte plus four value
 	// bytes; reject an oversized count before allocating the index table.
 	if count < 0 || count > len(body)/5 {
@@ -338,13 +369,12 @@ func decodeIndexValue(body []byte, dst []float32, count int) error {
 		return fmt.Errorf("%w: %d value bytes, want %d", ErrBadPayload, len(body)-off, count*4)
 	}
 	for i, idx := range idxs {
-		bits := binary.LittleEndian.Uint32(body[off+i*4:])
-		dst[idx] = math.Float32frombits(bits)
+		store(dst, present, idx, math.Float32frombits(binary.LittleEndian.Uint32(body[off+i*4:])))
 	}
 	return nil
 }
 
-func decodeBlockBitmap(body []byte, dst []float32, count int) error {
+func decodeBlockBitmap(body []byte, dst []float32, present []uint64, count int) error {
 	// Each selected point packs four value bytes; a count the body cannot
 	// hold is corrupt regardless of the block structure.
 	if count < 0 || count > len(body)/4 {
@@ -381,16 +411,30 @@ func decodeBlockBitmap(body []byte, dst []float32, count int) error {
 		}
 		bm := body[off : off+nbytes]
 		off += nbytes
-		for rel := 0; rel < hi-lo; rel++ {
-			if bm[rel/8]&(1<<(rel%8)) == 0 {
-				continue
+		// The bitmap is the block's presence words in little-endian byte
+		// order; visit set bits a word at a time. Bits past the block's
+		// last point (a short final block) do not count.
+		for w := 0; w*64 < hi-lo; w++ {
+			var word uint64
+			if tail := bm[w*8:]; len(tail) >= 8 {
+				word = binary.LittleEndian.Uint64(tail)
+			} else {
+				for i, b := range tail {
+					word |= uint64(b) << (8 * uint(i))
+				}
 			}
-			if off+4 > len(body) {
-				return fmt.Errorf("%w: truncated values", ErrBadPayload)
+			if n := hi - lo - w*64; n < 64 {
+				word &= 1<<uint(n) - 1
 			}
-			dst[lo+rel] = math.Float32frombits(binary.LittleEndian.Uint32(body[off:]))
-			off += 4
-			seen++
+			for ; word != 0; word &= word - 1 {
+				if off+4 > len(body) {
+					return fmt.Errorf("%w: truncated values", ErrBadPayload)
+				}
+				idx := lo + w*64 + bits.TrailingZeros64(word)
+				store(dst, present, idx, math.Float32frombits(binary.LittleEndian.Uint32(body[off:])))
+				off += 4
+				seen++
+			}
 		}
 	}
 	if seen != count {

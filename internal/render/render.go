@@ -55,15 +55,11 @@ type Layer struct {
 // Meshes renders the layers into one image.
 func Meshes(layers []Layer, opts Options) (*image.RGBA, error) {
 	o := opts.withDefaults()
-	img := image.NewRGBA(image.Rect(0, 0, o.Width, o.Height))
-	for y := 0; y < o.Height; y++ {
-		for x := 0; x < o.Width; x++ {
-			img.SetRGBA(x, y, o.Background)
-		}
-	}
+	img := newFrame(o)
 	zbuf := make([]float64, o.Width*o.Height)
-	for i := range zbuf {
-		zbuf[i] = math.Inf(-1)
+	zbuf[0] = math.Inf(-1)
+	for filled := 1; filled < len(zbuf); filled *= 2 {
+		copy(zbuf[filled:], zbuf[:filled])
 	}
 
 	// Camera basis from azimuth/elevation.
@@ -130,6 +126,20 @@ func Meshes(layers []Layer, opts Options) (*image.RGBA, error) {
 		}
 	}
 	return img, nil
+}
+
+// newFrame returns an image of the requested size filled with the
+// background: one row is set pixel by pixel and the rest are copies.
+func newFrame(o Options) *image.RGBA {
+	img := image.NewRGBA(image.Rect(0, 0, o.Width, o.Height))
+	row := img.Pix[:4*o.Width]
+	for x := 0; x < o.Width; x++ {
+		img.SetRGBA(x, 0, o.Background)
+	}
+	for y := 1; y < o.Height; y++ {
+		copy(img.Pix[y*img.Stride:], row)
+	}
+	return img
 }
 
 // Mesh renders a single mesh in the given color.
@@ -204,7 +214,9 @@ func rasterTriangle(img *image.RGBA, zbuf []float64, w, h int,
 				continue
 			}
 			zbuf[idx] = depth
-			img.SetRGBA(x, y, col)
+			off := y*img.Stride + 4*x
+			pix := img.Pix[off : off+4 : off+4]
+			pix[0], pix[1], pix[2], pix[3] = col.R, col.G, col.B, col.A
 		}
 	}
 }
@@ -212,12 +224,7 @@ func rasterTriangle(img *image.RGBA, zbuf []float64, w, h int,
 // Lines renders a 2D line set (marching-squares output) as a flat image.
 func Lines(ls *contour.LineSet, col color.RGBA, opts Options) (*image.RGBA, error) {
 	o := opts.withDefaults()
-	img := image.NewRGBA(image.Rect(0, 0, o.Width, o.Height))
-	for y := 0; y < o.Height; y++ {
-		for x := 0; x < o.Width; x++ {
-			img.SetRGBA(x, y, o.Background)
-		}
-	}
+	img := newFrame(o)
 	if len(ls.Vertices) == 0 {
 		return img, nil
 	}
@@ -275,11 +282,4 @@ func SavePNG(img image.Image, path string) error {
 		return fmt.Errorf("render: encoding %s: %w", path, err)
 	}
 	return f.Close()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
