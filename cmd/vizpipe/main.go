@@ -19,6 +19,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"image/color"
@@ -54,38 +55,49 @@ var layerColors = []color.RGBA{
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vizpipe: ")
+	// -h has already printed the usage; it is not a failure.
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
+// run is main without the process exit, so tests can drive the whole
+// command line in-process.
+func run(args []string) error {
+	flags := flag.NewFlagSet("vizpipe", flag.ContinueOnError)
 	var (
-		mode      = flag.String("mode", "baseline", "pipeline mode: baseline or ndp")
-		dir       = flag.String("dir", "", "baseline: read files from this directory")
-		store     = flag.String("store", "", "baseline: object store address")
-		bucket    = flag.String("bucket", "sim", "object store bucket")
-		ndpAddr   = flag.String("ndp", "", "ndp: address of the ndpserver")
-		replicas  = flag.String("replicas", "", "ndp: comma-separated replica ndpserver addresses; calls route to the healthiest and fail over on busy/dead replicas")
-		shardsCSV = flag.String("shards", "", "ndp: comma-separated shard ndpserver addresses for brick-sharded scatter-gather (needs -manifest; -path names the per-timestep brick directory)")
-		manifest  = flag.String("manifest", "", "ndp: brick manifest key, fetched through the first -shards address")
-		path      = flag.String("path", "", "dataset file path/key")
-		arraysCSV = flag.String("arrays", "v02", "comma-separated data arrays to contour")
-		isoCSV    = flag.String("iso", "0.1", "comma-separated contour values")
-		filter    = flag.String("filter", "contour", "filter type: contour or threshold")
-		loFlag    = flag.Float64("lo", 0, "threshold: lower bound")
-		hiFlag    = flag.Float64("hi", 1, "threshold: upper bound")
-		encName   = flag.String("encoding", "auto", "ndp payload encoding: auto, indexvalue, blockbitmap")
-		renderOut = flag.String("render", "", "render the contours to this PNG file")
-		objOut    = flag.String("obj", "", "export the first contour mesh to this OBJ file")
-		sweep     = flag.Bool("sweep", false, "ndp: fetch every (array, isovalue) pair as its own concurrent request")
-		parallel  = flag.Int("parallel", 0, "sweep: max in-flight requests (0 = library default)")
-		retries   = flag.Int("retries", 1, "ndp: attempts per call; >1 uses the reconnecting fault-tolerant client")
-		repeats   = flag.Int("repeats", 1, "measurement repetitions")
-		sloSpec   = flag.String("slo", "", `client-side SLO objectives as "method=latency@latPct[/availPct]" entries, e.g. "ndp.fetch=50ms@99/99.9"; prints a burn-rate summary after the run`)
-		verbose   = flag.Bool("v", false, "print the run's trace tree and metric deltas")
+		mode      = flags.String("mode", "baseline", "pipeline mode: baseline or ndp")
+		dir       = flags.String("dir", "", "baseline: read files from this directory")
+		store     = flags.String("store", "", "baseline: object store address")
+		bucket    = flags.String("bucket", "sim", "object store bucket")
+		ndpAddr   = flags.String("ndp", "", "ndp: address of the ndpserver")
+		replicas  = flags.String("replicas", "", "ndp: comma-separated replica ndpserver addresses (contour, threshold and sweep); calls route to the healthiest and fail over on busy/dead replicas")
+		shardsCSV = flags.String("shards", "", "ndp: comma-separated shard ndpserver addresses for brick-sharded scatter-gather (needs -manifest; -path names the per-timestep brick directory)")
+		manifest  = flags.String("manifest", "", "ndp: brick manifest key, fetched through the first -shards address")
+		path      = flags.String("path", "", "dataset file path/key")
+		arraysCSV = flags.String("arrays", "v02", "comma-separated data arrays to contour")
+		isoCSV    = flags.String("iso", "0.1", "comma-separated contour values")
+		filter    = flags.String("filter", "contour", "filter type: contour or threshold")
+		loFlag    = flags.Float64("lo", 0, "threshold: lower bound")
+		hiFlag    = flags.Float64("hi", 1, "threshold: upper bound")
+		encName   = flags.String("encoding", "auto", "ndp payload encoding: auto, indexvalue, blockbitmap")
+		renderOut = flags.String("render", "", "render the contours to this PNG file")
+		objOut    = flags.String("obj", "", "export the first contour mesh to this OBJ file")
+		sweep     = flags.Bool("sweep", false, "ndp: fetch every (array, isovalue) pair as its own concurrent request")
+		parallel  = flags.Int("parallel", 0, "sweep: max in-flight requests (0 = library default)")
+		retries   = flags.Int("retries", 1, "ndp: attempts per call across all addresses; >1 (or any -replicas/-shards list) uses the fault-tolerant client, which re-dials, retries and degrades to a raw transfer")
+		repeats   = flags.Int("repeats", 1, "measurement repetitions")
+		sloSpec   = flags.String("slo", "", `client-side SLO objectives as "method=latency@latPct[/availPct]" entries, e.g. "ndp.fetch=50ms@99/99.9"; prints a burn-rate summary after the run`)
+		verbose   = flags.Bool("v", false, "print the run's trace tree and metric deltas")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
 
 	if *sloSpec != "" {
 		objs, err := telemetry.ParseSLOSpec(*sloSpec)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		// vizpipe observes from the client side, so the monitor scores the
 		// client's wide events (which include degraded fallbacks and
@@ -99,37 +111,31 @@ func main() {
 	}
 
 	if *path == "" {
-		log.Fatal("-path is required")
+		return fmt.Errorf("-path is required")
 	}
 	arrays := strings.Split(*arraysCSV, ",")
 	isovalues, err := parseFloats(*isoCSV)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	enc, err := core.ParseEncoding(*encName)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	if *sweep {
 		if *mode != "ndp" || (*ndpAddr == "" && *replicas == "") {
-			log.Fatal("-sweep needs -mode ndp and an -ndp or -replicas address")
+			return fmt.Errorf("-sweep needs -mode ndp and an -ndp or -replicas address")
 		}
-		if err := runSweep(*ndpAddr, *replicas, *path, arrays, isovalues, enc,
-			*parallel, *retries, *repeats); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return runSweep(*ndpAddr, *replicas, *path, arrays, isovalues, enc,
+			*parallel, *retries, *repeats)
 	}
 	if *filter == "threshold" {
-		if err := runThreshold(*mode, *dir, *store, *bucket, *ndpAddr, *path,
-			arrays, *loFlag, *hiFlag, enc, *repeats, *verbose); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return runThreshold(*mode, *dir, *store, *bucket, *ndpAddr, *replicas, *retries, *path,
+			arrays, *loFlag, *hiFlag, enc, *repeats, *verbose)
 	}
 	if *filter != "contour" {
-		log.Fatalf("unknown filter %q (want contour or threshold)", *filter)
+		return fmt.Errorf("unknown filter %q (want contour or threshold)", *filter)
 	}
 
 	var source pipeline.Stage
@@ -144,14 +150,14 @@ func main() {
 		case *store != "":
 			fsys = s3fs.New(objstore.NewClient(*store, nil), *bucket)
 		default:
-			log.Fatal("baseline mode needs -dir or -store")
+			return fmt.Errorf("baseline mode needs -dir or -store")
 		}
 		source = &pipeline.FileSource{FS: fsys, Path: *path, Arrays: arrays}
 	case "ndp":
 		if *shardsCSV != "" {
 			sc, err := dialSharded(*shardsCSV, *manifest, *retries)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			defer sc.Close()
 			// -path names the per-timestep brick directory the manifest's
@@ -171,11 +177,11 @@ func main() {
 			break
 		}
 		if *ndpAddr == "" && *replicas == "" {
-			log.Fatal("ndp mode needs an -ndp, -replicas, or -shards address")
+			return fmt.Errorf("ndp mode needs an -ndp, -replicas, or -shards address")
 		}
 		client, err := dialNDP(*ndpAddr, *replicas, *retries)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer client.Close()
 		ndpSrc = &core.NDPSource{
@@ -187,7 +193,7 @@ func main() {
 		}
 		source = ndpSrc
 	default:
-		log.Fatalf("unknown mode %q", *mode)
+		return fmt.Errorf("unknown mode %q", *mode)
 	}
 
 	filters := make([]*pipeline.ContourFilter, len(arrays))
@@ -206,7 +212,7 @@ func main() {
 		out, err = p.Run(ctx)
 		end()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Printf("run %d: data load time %s (total %s)\n",
 			r+1,
@@ -254,16 +260,16 @@ func main() {
 	if *objOut != "" && len(layers) > 0 {
 		f, err := os.Create(*objOut)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		mesh := layers[0].Mesh
 		mesh.ComputeNormals()
 		if err := mesh.WriteOBJ(f); err != nil {
 			f.Close()
-			log.Fatal(err)
+			return err
 		}
 		if err := f.Close(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Println("exported", *objOut)
 	}
@@ -273,13 +279,14 @@ func main() {
 			Width: 800, Height: 800, AzimuthDeg: 35, ElevationDeg: 25,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := render.SavePNG(img, *renderOut); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Println("rendered", *renderOut)
 	}
+	return nil
 }
 
 // observer captures the trace and metric state around measured runs for
@@ -394,7 +401,7 @@ func runSweep(ndpAddr, replicas, path string, arrays []string, isovalues []float
 }
 
 // runThreshold drives the split threshold filter in either mode.
-func runThreshold(mode, dir, store, bucket, ndpAddr, path string,
+func runThreshold(mode, dir, store, bucket, ndpAddr, replicas string, retries int, path string,
 	arrays []string, lo, hi float64, enc core.Encoding, repeats int, verbose bool) error {
 
 	var obs *observer
@@ -433,10 +440,10 @@ func runThreshold(mode, dir, store, bucket, ndpAddr, path string,
 		obs.report(os.Stdout)
 		return nil
 	case "ndp":
-		if ndpAddr == "" {
-			return fmt.Errorf("ndp mode needs -ndp address")
+		if ndpAddr == "" && replicas == "" {
+			return fmt.Errorf("ndp mode needs an -ndp or -replicas address")
 		}
-		client, err := core.Dial(ndpAddr, nil)
+		client, err := dialNDP(ndpAddr, replicas, retries)
 		if err != nil {
 			return err
 		}
@@ -470,42 +477,60 @@ func runThreshold(mode, dir, store, bucket, ndpAddr, path string,
 	}
 }
 
-// dialNDP picks the client flavor by the flags: a replica pool (healthiest
-// routing + transparent failover) when -replicas lists addresses, else the
-// plain fail-fast client at -retries 1 or the reconnecting fault-tolerant
-// client (with graceful degradation to raw transfers) above.
+// dialNDP picks the client by the flags: the plain fail-fast client for
+// one address at -retries 1, else the fault-tolerant client over -ndp or
+// the -replicas list (healthiest routing, retries, transparent failover,
+// graceful degradation to raw transfers).
 func dialNDP(addr, replicas string, retries int) (*core.Client, error) {
+	if replicas == "" && retries <= 1 {
+		return core.Dial(addr, nil)
+	}
+	addrs := []string{addr}
 	if replicas != "" {
-		addrs := strings.Split(replicas, ",")
-		for i := range addrs {
-			addrs[i] = strings.TrimSpace(addrs[i])
+		var err error
+		if addrs, err = splitAddrs(replicas); err != nil {
+			return nil, fmt.Errorf("-replicas: %w", err)
 		}
-		opts := core.PoolOptions{}
-		if retries > 1 {
-			opts.Reconnect.MaxAttempts = retries
-		}
-		client, _ := core.DialPool(addrs, nil, opts)
-		return client, nil
 	}
+	return core.DialFaultTolerant(addrs, nil, retryOptions(retries)), nil
+}
+
+// retryOptions maps -retries onto the client's attempt budget; 1 (the
+// flag's default) leaves the library default per address in place.
+func retryOptions(retries int) rpc.ReconnectOptions {
+	var opts rpc.ReconnectOptions
 	if retries > 1 {
-		return core.DialFaultTolerant(addr, nil, rpc.ReconnectOptions{
-			MaxAttempts: retries,
-		}), nil
+		opts.MaxAttempts = retries
 	}
-	return core.Dial(addr, nil)
+	return opts
+}
+
+// splitAddrs parses a comma-separated address list, dropping empty
+// entries; a list with nothing left is an error.
+func splitAddrs(csv string) ([]string, error) {
+	var addrs []string
+	for _, a := range strings.Split(csv, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			addrs = append(addrs, a)
+		}
+	}
+	if len(addrs) == 0 {
+		return nil, fmt.Errorf("no address in %q", csv)
+	}
+	return addrs, nil
 }
 
 // dialSharded fetches the brick manifest through the first shard address
-// and opens the scatter-gather client: per-shard pooled clients whose
-// replica lists are the sibling shards, so a dead shard's bricks fail
-// over (every shard mounts the same store).
+// and opens the scatter-gather client: per-shard fault-tolerant clients
+// whose replica lists are the sibling shards, so a dead shard's bricks
+// fail over (every shard mounts the same store).
 func dialSharded(shardsCSV, manifestKey string, retries int) (*core.ShardedClient, error) {
 	if manifestKey == "" {
 		return nil, fmt.Errorf("-shards needs -manifest <key>")
 	}
-	addrs := strings.Split(shardsCSV, ",")
-	for i := range addrs {
-		addrs[i] = strings.TrimSpace(addrs[i])
+	addrs, err := splitAddrs(shardsCSV)
+	if err != nil {
+		return nil, fmt.Errorf("-shards: %w", err)
 	}
 	first, err := core.Dial(addrs[0], nil)
 	if err != nil {
@@ -516,11 +541,7 @@ func dialSharded(shardsCSV, manifestKey string, retries int) (*core.ShardedClien
 	if err != nil {
 		return nil, fmt.Errorf("fetching manifest %s: %w", manifestKey, err)
 	}
-	opts := core.PoolOptions{}
-	if retries > 1 {
-		opts.Reconnect.MaxAttempts = retries
-	}
-	return core.DialSharded(man, addrs, nil, opts)
+	return core.DialSharded(man, addrs, nil, retryOptions(retries))
 }
 
 func parseFloats(csv string) ([]float64, error) {

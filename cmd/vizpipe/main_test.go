@@ -1,0 +1,134 @@
+package main
+
+import (
+	"net"
+	"os"
+	"path/filepath"
+	"sync/atomic"
+	"testing"
+
+	"vizndp/internal/compress"
+	"vizndp/internal/core"
+	"vizndp/internal/grid"
+	"vizndp/internal/telemetry"
+	"vizndp/internal/vtkio"
+)
+
+// deadAddr returns a loopback address nothing listens on.
+func deadAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	return addr
+}
+
+// TestClientSelection pins which client the flags select. The plain
+// client connects eagerly, so it fails at once against a dead address;
+// the fault-tolerant one dials lazily and is handed back regardless.
+func TestClientSelection(t *testing.T) {
+	a, b := deadAddr(t), deadAddr(t)
+	for _, tc := range []struct {
+		name             string
+		ndp, replicas    string
+		shards, manifest string
+		retries          int
+		wantErr          bool
+	}{
+		{name: "-retries 1 dials eagerly", ndp: a, retries: 1, wantErr: true},
+		{name: "-retries 3 dials lazily", ndp: a, retries: 3},
+		{name: "-replicas a,b dials lazily even at -retries 1", replicas: a + "," + b, retries: 1},
+		{name: "-replicas a,,b drops the empty entry", replicas: a + ",, " + b, retries: 1},
+		{name: "-replicas of nothing but commas", replicas: " , ", retries: 3, wantErr: true},
+		{name: "-shards without -manifest", shards: a + "," + b, retries: 1, wantErr: true},
+		{name: "-shards of nothing but commas", shards: ",", manifest: "m.json", retries: 1, wantErr: true},
+	} {
+		var err error
+		if tc.shards != "" {
+			var sc *core.ShardedClient
+			if sc, err = dialSharded(tc.shards, tc.manifest, tc.retries); err == nil {
+				sc.Close()
+			}
+		} else {
+			var c *core.Client
+			if c, err = dialNDP(tc.ndp, tc.replicas, tc.retries); err == nil {
+				c.Close()
+			}
+		}
+		if (err != nil) != tc.wantErr {
+			t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
+		}
+	}
+	if got, err := splitAddrs(a + ",, " + b); err != nil || len(got) != 2 || got[0] != a || got[1] != b {
+		t.Errorf("splitAddrs = %v, %v, want [%s %s]", got, err, a, b)
+	}
+}
+
+// refusingListener closes the next `refuse` accepted connections before
+// the server sees them, the way a restarting storage node drops a
+// client's first connection.
+type refusingListener struct {
+	net.Listener
+	refuse atomic.Int64
+}
+
+func (l *refusingListener) Accept() (net.Conn, error) {
+	for {
+		c, err := l.Listener.Accept()
+		if err != nil || l.refuse.Add(-1) < 0 {
+			return c, err
+		}
+		c.Close()
+	}
+}
+
+// TestNDPModeSurvivesRefusedConnection runs the whole command line
+// in-process against a core.Server whose first connection per run is
+// refused: with -retries 3 the contour and the threshold filter must
+// both complete (the threshold path used to dial the plain client
+// whatever the flags said), with -retries 1 both must fail.
+func TestNDPModeSurvivesRefusedConnection(t *testing.T) {
+	dir := t.TempDir()
+	g := grid.NewUniform(12, 12, 12)
+	f := grid.NewField("d", g.NumPoints())
+	for i := range f.Values {
+		f.Values[i] = float32(i % 23)
+	}
+	ds := grid.NewDataset(g)
+	ds.MustAddField(f)
+	if err := vtkio.WriteFile(filepath.Join(dir, "ts0.vnd"), ds, vtkio.WriteOptions{Codec: compress.LZ4, Checksum: true}); err != nil {
+		t.Fatal(err)
+	}
+	srv := core.NewServer(os.DirFS(dir))
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &refusingListener{Listener: inner}
+	go srv.Serve(ln)
+	t.Cleanup(srv.Close)
+
+	reconnects := telemetry.Default().Counter("rpc.client.reconnects")
+	common := []string{"-mode", "ndp", "-ndp", inner.Addr().String(), "-path", "ts0.vnd", "-arrays", "d"}
+	for name, filter := range map[string][]string{
+		"contour":   {"-iso", "5"},
+		"threshold": {"-filter", "threshold", "-lo", "4", "-hi", "9"},
+	} {
+		args := append(append([]string{}, common...), filter...)
+		ln.refuse.Store(1)
+		before := reconnects.Value()
+		if err := run(append(args, "-retries", "3")); err != nil {
+			t.Errorf("%s with -retries 3: %v", name, err)
+		}
+		if reconnects.Value() == before {
+			t.Errorf("%s with -retries 3 never reconnected: the refused connection was not exercised", name)
+		}
+		ln.refuse.Store(1)
+		if err := run(append(args, "-retries", "1")); err == nil {
+			t.Errorf("%s with -retries 1 survived a refused connection", name)
+		}
+	}
+}

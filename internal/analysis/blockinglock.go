@@ -8,9 +8,9 @@ import (
 
 // boundedSendPaths are the admission-control packages where rule 2 of
 // BlockingLock applies: the RPC layer's in-flight slot accounting and
-// the pool's failover both route requests through bounded channels, and
-// a naked send that outlives its receiver wedges a server goroutine
-// holding an admission slot.
+// the client's bounded fan-out both route requests through bounded
+// channels, and a naked send that outlives its receiver wedges a server
+// goroutine holding an admission slot.
 var boundedSendPaths = map[string]bool{
 	"vizndp/internal/rpc":  true,
 	"vizndp/internal/core": true,

@@ -13,7 +13,7 @@ import (
 // escapes release the local obligation: a value that is returned,
 // stored into a struct or map, or passed to another call is that
 // code's to close (the rpc reconnect path stores the dialed client in
-// rc.cur; the pool hands replica clients to the breaker loop). What
+// its replica's cur). What
 // remains are pure local-lifetime values, where a missed error-path
 // Close leaks a file descriptor or goroutine per request — the slow
 // fleet-throughput killer on a storage node.

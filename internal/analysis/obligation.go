@@ -130,19 +130,9 @@ func checkObligationBody(pass *Pass, spec *obligationSpec, body *ast.BlockStmt) 
 			return true
 		}
 		ids, kinds, errObj := acquiredResults(pass, spec, a)
-		// A blank tracked result only discards the resource when no other
-		// tracked result of the same call is kept: DialPool returns
-		// (client, pool) where the client owns the pool, so keeping either
-		// keeps the resource reachable.
-		keptTracked := false
-		for _, id := range ids {
-			if id.Name != "_" {
-				keptTracked = true
-			}
-		}
 		for i, id := range ids {
 			if id.Name == "_" {
-				if !keptTracked && spec.reportDiscard != nil {
+				if spec.reportDiscard != nil {
 					spec.reportDiscard(pass, id.Pos(), kinds[i])
 				}
 				continue

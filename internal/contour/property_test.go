@@ -13,6 +13,7 @@ import (
 	"vizndp/internal/contour"
 	"vizndp/internal/core"
 	"vizndp/internal/grid"
+	"vizndp/internal/rpc"
 	"vizndp/internal/vtkio"
 )
 
@@ -85,7 +86,7 @@ func shardedMerge(t *testing.T, g *grid.Uniform, vals []float32, spec grid.Brick
 		t.Cleanup(func() { srv.Close() })
 		addrs[i] = ln.Addr().String()
 	}
-	sc, err := core.DialSharded(man, addrs, nil, core.PoolOptions{})
+	sc, err := core.DialSharded(man, addrs, nil, rpc.ReconnectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,8 +50,8 @@ func verifyWireCRC(m map[string]any, what string, data []byte) error {
 var clientLog = telemetry.Logger("ndpclient")
 
 // Caller is the RPC surface Client needs. Both *rpc.Client (one
-// connection, fail-fast) and *rpc.ReconnectClient (retries, re-dials)
-// implement it.
+// connection, fail-fast) and *rpc.ReconnectClient (1..N addresses,
+// retries, re-dials, failover) implement it.
 type Caller interface {
 	CallContext(ctx context.Context, method string, args ...any) (any, error)
 	Close() error
@@ -94,19 +94,22 @@ func Dial(addr string, dialFn func(network, addr string) (net.Conn, error)) (*Cl
 	return &Client{rpc: c}, nil
 }
 
-// DialFaultTolerant returns a client that survives storage-node
-// restarts, dropped connections, and slow links: calls are retried with
-// backoff on transport failures (all NDP methods are idempotent reads
-// unless opts.Retryable narrows the set), dead connections are
-// re-dialed lazily, and a pre-filtered fetch that still fails degrades
-// to FetchRaw plus a local pre-filter pass. No connection is made until
-// the first call, so the server may come up later.
-func DialFaultTolerant(addr string, dialFn func(network, addr string) (net.Conn, error), opts rpc.ReconnectOptions) *Client {
+// DialFaultTolerant returns a client over one or more replica servers
+// of the same store that survives storage-node restarts, dropped
+// connections, slow links and overload: every call goes to the
+// healthiest address, is re-issued with backoff on busy sheds and
+// transport failures — on another replica when there is one (all NDP
+// methods are idempotent reads unless opts.Retryable narrows the set) —
+// dead connections are re-dialed lazily, and a pre-filtered fetch that
+// still fails degrades to FetchRaw plus a local pre-filter pass, so the
+// payload stays bit-identical either way. No connection is made until
+// the first call, so the servers may come up later.
+func DialFaultTolerant(addrs []string, dialFn func(network, addr string) (net.Conn, error), opts rpc.ReconnectOptions) *Client {
 	if opts.Retryable == nil {
 		opts.Retryable = RetryableMethods()
 	}
 	return &Client{
-		rpc:      rpc.NewReconnectClient("tcp", addr, dialFn, opts),
+		rpc:      rpc.NewReconnectClient("tcp", addrs, dialFn, opts),
 		fallback: true,
 	}
 }
@@ -189,39 +192,19 @@ func (c *Client) DescribeContext(ctx context.Context, path string) (*Description
 	if !ok {
 		return nil, fmt.Errorf("core: describe returned %T", res)
 	}
-	dims, err := int3(m["dims"])
+	g, err := gridFromMap(m)
 	if err != nil {
-		return nil, fmt.Errorf("core: describe dims: %w", err)
+		return nil, fmt.Errorf("core: describe %w", err)
 	}
-	origin, err := float3(m["origin"])
-	if err != nil {
-		return nil, fmt.Errorf("core: describe origin: %w", err)
-	}
-	spacing, err := float3(m["spacing"])
-	if err != nil {
-		return nil, fmt.Errorf("core: describe spacing: %w", err)
-	}
-	d := &Description{
-		Grid: &grid.Uniform{
-			Dims:    grid.Dims{X: dims[0], Y: dims[1], Z: dims[2]},
-			Origin:  grid.Vec3{X: origin[0], Y: origin[1], Z: origin[2]},
-			Spacing: grid.Vec3{X: spacing[0], Y: spacing[1], Z: spacing[2]},
-		},
-	}
+	d := &Description{Grid: g}
 	if _, hasRect := m["coordsX"]; hasRect {
-		cx, err := floatSlice(m["coordsX"])
-		if err != nil {
-			return nil, fmt.Errorf("core: describe coordsX: %w", err)
+		var c [3][]float64
+		for i, key := range [3]string{"coordsX", "coordsY", "coordsZ"} {
+			if c[i], err = floatSlice(m[key]); err != nil {
+				return nil, fmt.Errorf("core: describe %s: %w", key, err)
+			}
 		}
-		cy, err := floatSlice(m["coordsY"])
-		if err != nil {
-			return nil, fmt.Errorf("core: describe coordsY: %w", err)
-		}
-		cz, err := floatSlice(m["coordsZ"])
-		if err != nil {
-			return nil, fmt.Errorf("core: describe coordsZ: %w", err)
-		}
-		d.Rect = grid.NewRectilinear(cx, cy, cz)
+		d.Rect = grid.NewRectilinear(c[0], c[1], c[2])
 		if err := d.Rect.Validate(); err != nil {
 			return nil, err
 		}
@@ -281,18 +264,61 @@ func (c *Client) FetchFilteredContext(ctx context.Context, path, array string, i
 	for i, v := range isovalues {
 		isos[i] = v
 	}
+	pre := &PreFilter{Isovalues: isovalues, Encoding: enc}
+	return c.fetchPayload(ctx, MethodFetch, path, array, pre.Run, isos, enc.String())
+}
+
+// localFilter is the client-side twin of a storage-side selection: the
+// degraded path runs it over the raw array. PreFilter.Run and
+// RangePreFilter.Run are the two instances.
+type localFilter func(g *grid.Uniform, field *grid.Field) (*Payload, *PreFilterStats, error)
+
+// fetchPayload is the one client-side body of a payload fetch, as
+// serveFetch is the one storage-side body: method and extra (the
+// arguments after path and array) say what the server selects, local
+// says how to select the same points here when the server cannot.
+func (c *Client) fetchPayload(ctx context.Context, method, path, array string, local localFilter, extra ...any) (*Payload, *FetchStats, error) {
 	// The client-side wide event covers the whole fetch — retries,
 	// failovers, and the degraded fallback included — while the server
 	// records its own per-attempt events. The SLO monitor separates the
 	// two by kind.
-	ev := telemetry.DefaultFlightRecorder().Begin(telemetry.KindClient, MethodFetch)
+	ev := telemetry.DefaultFlightRecorder().Begin(telemetry.KindClient, method)
 	ev.SetAttr("path", path)
 	ev.SetAttr("array", array)
 	if span := telemetry.SpanFromContext(ctx); span != nil {
 		ev.SetSpanIDs(span.Trace(), span.ID())
 	}
 	ctx = telemetry.ContextWithEvent(ctx, ev)
-	payload, st, err := c.fetchFiltered(ctx, path, array, isovalues, isos, enc, ev)
+	args := make([]any, 0, 2+len(extra))
+	args = append(append(args, path, array), extra...)
+
+	start := time.Now()
+	var payload *Payload
+	var st *FetchStats
+	res, err := c.rpc.CallContext(ctx, method, args...)
+	// Any failure the Caller could not mask is worth degrading for.
+	degradable := err != nil
+	if err == nil {
+		payload, st, err = decodeFetchResult(res, time.Since(start))
+		// So is a payload that arrived damaged (wire CRC mismatch): the
+		// fault was in flight, not in the server, and the raw path
+		// re-reads everything end to end. Other decode errors are not.
+		degradable = errors.Is(err, rpc.ErrCorrupt)
+	}
+	if degradable && c.fallback && ctx.Err() == nil {
+		var ferr error
+		if payload, st, ferr = c.fetchDegraded(ctx, path, array, local, start); ferr != nil {
+			// The degraded path failed too; the original error names the
+			// root cause, the fallback error says why degradation could
+			// not mask it.
+			err = fmt.Errorf("core: pre-filtered fetch failed (%w); fallback also failed: %w", err, ferr)
+		} else {
+			ev.MarkDegraded()
+			clientLog.Warn("pre-filtered fetch degraded to raw transfer",
+				"method", method, "path", path, "array", array, "err", err)
+			err = nil
+		}
+	}
 	if st != nil {
 		ev.SetBytesIn(st.PayloadBytes)
 	}
@@ -300,43 +326,13 @@ func (c *Client) FetchFilteredContext(ctx context.Context, path, array string, i
 	return payload, st, err
 }
 
-// fetchFiltered is FetchFilteredContext's body, split out so the wide
-// event wraps every return path uniformly.
-func (c *Client) fetchFiltered(ctx context.Context, path, array string, isovalues []float64, isos []any, enc Encoding, ev *telemetry.ActiveEvent) (*Payload, *FetchStats, error) {
-	start := time.Now()
-	res, err := c.rpc.CallContext(ctx, MethodFetch, path, array, isos, enc.String())
-	if err == nil {
-		payload, st, derr := decodeFetchResult(res, time.Since(start))
-		// A payload that arrived damaged (wire CRC mismatch) is worth one
-		// degraded retry: the fault was in flight, not in the server, and
-		// the raw path re-reads everything end to end.
-		if derr == nil || !c.fallback || ctx.Err() != nil || !errors.Is(derr, rpc.ErrCorrupt) {
-			return payload, st, derr
-		}
-		err = derr
-	} else if !c.fallback || ctx.Err() != nil {
-		return nil, nil, err
-	}
-	payload, st, ferr := c.fetchFilteredFallback(ctx, path, array, isovalues, enc, start)
-	if ferr != nil {
-		// The degraded path failed too; the original error names the
-		// root cause, the fallback error says why degradation could
-		// not mask it.
-		return nil, nil, fmt.Errorf("core: pre-filtered fetch failed (%w); fallback also failed: %w", err, ferr)
-	}
-	ev.MarkDegraded()
-	clientLog.Warn("pre-filtered fetch degraded to raw transfer",
-		"path", path, "array", array, "err", err)
-	return payload, st, nil
-}
-
-// fetchFilteredFallback is the graceful-degradation path: pull the whole
-// raw array and run the pre-filter locally. The produced payload is
+// fetchDegraded is the graceful-degradation path: pull the whole raw
+// array and run the pre-filter locally. The produced payload is
 // bit-identical to what the storage-side pre-filter would have sent —
-// both sides run the same PreFilter over the same decoded float32
-// values — so downstream contours cannot tell the difference; only the
-// transfer cost (and FetchStats.Degraded) changes.
-func (c *Client) fetchFilteredFallback(ctx context.Context, path, array string, isovalues []float64, enc Encoding, start time.Time) (*Payload, *FetchStats, error) {
+// both sides run the same filter over the same decoded float32 values —
+// so downstream stages cannot tell the difference; only the transfer
+// cost (and FetchStats.Degraded) changes.
+func (c *Client) fetchDegraded(ctx context.Context, path, array string, local localFilter, start time.Time) (*Payload, *FetchStats, error) {
 	_, span := telemetry.StartSpan(ctx, "fallback.prefilter")
 	defer span.End()
 	span.SetAttr("path", path)
@@ -345,7 +341,7 @@ func (c *Client) fetchFilteredFallback(ctx context.Context, path, array string, 
 	if err != nil {
 		return nil, nil, fmt.Errorf("describe: %w", err)
 	}
-	raw, readTime, err := c.FetchRawContext(ctx, path, array)
+	raw, stats, err := c.fetchRaw(ctx, path, array)
 	if err != nil {
 		return nil, nil, fmt.Errorf("raw fetch: %w", err)
 	}
@@ -357,25 +353,19 @@ func (c *Client) fetchFilteredFallback(ctx context.Context, path, array string, 
 		return nil, nil, fmt.Errorf("raw array %q has %d values, grid has %d points",
 			array, len(vals), desc.Grid.NumPoints())
 	}
-	pre := &PreFilter{Isovalues: isovalues, Encoding: enc}
-	payload, pst, err := pre.Run(desc.Grid, &grid.Field{Name: array, Values: vals})
+	payload, pst, err := local(desc.Grid, &grid.Field{Name: array, Values: vals})
 	if err != nil {
 		return nil, nil, err
 	}
 	mClientFallbacks.Inc()
 	span.SetAttr("selected", pst.SelectedPoints)
-	stats := &FetchStats{
-		ReadTime:       readTime,
-		FilterTime:     pst.FilterTime,
-		TotalTime:      time.Since(start),
-		RawBytes:       pst.RawBytes,
-		PayloadBytes:   int64(len(raw)),
-		SelectedPoints: pst.SelectedPoints,
-		Degraded:       true,
-	}
-	if rest := stats.TotalTime - stats.ReadTime - stats.FilterTime; rest > 0 {
-		stats.TransferTime = rest
-	}
+	// The raw reply's stats already carry the read time and the bytes
+	// that crossed the network; the filter ran here.
+	stats.FilterTime = pst.FilterTime
+	stats.RawBytes = pst.RawBytes
+	stats.SelectedPoints = pst.SelectedPoints
+	stats.Degraded = true
+	stats.setTotal(time.Since(start))
 	return payload, stats, nil
 }
 
@@ -414,36 +404,50 @@ func (c *Client) FetchFilteredMulti(reqs []MultiRequest, parallelism int) []Mult
 // FetchFilteredMultiContext is FetchFilteredMulti under a caller
 // context; cancelling ctx fails the not-yet-issued requests.
 func (c *Client) FetchFilteredMultiContext(ctx context.Context, reqs []MultiRequest, parallelism int) []MultiResult {
+	results := make([]MultiResult, len(reqs))
+	fanOut(ctx, len(reqs), parallelism, func(i int, skipped error) {
+		if skipped != nil {
+			results[i].Err = skipped
+			return
+		}
+		r := &reqs[i]
+		results[i].Payload, results[i].Stats, results[i].Err =
+			c.FetchFilteredContext(ctx, r.Path, r.Array, r.Isovalues, r.Encoding)
+	})
+	return results
+}
+
+// fanOut runs do(i, nil) for every i in [0, n) on at most parallelism
+// goroutines at once (<= 0 means DefaultMultiParallelism) and returns
+// when all have finished. Once ctx is cancelled the not-yet-started
+// indices get do(i, ctx.Err()) on the calling goroutine instead.
+func fanOut(ctx context.Context, n, parallelism int, do func(i int, skipped error)) {
 	if parallelism <= 0 {
 		parallelism = DefaultMultiParallelism
 	}
-	if parallelism > len(reqs) {
-		parallelism = len(reqs)
+	if parallelism > n {
+		parallelism = n
 	}
-	results := make([]MultiResult, len(reqs))
 	sem := make(chan struct{}, parallelism)
 	var wg sync.WaitGroup
-	for i := range reqs {
+	for i := 0; i < n; i++ {
 		// Acquire the slot before spawning so at most parallelism
 		// goroutines ever exist; spawning first and acquiring inside
 		// would briefly stand up one goroutine per request.
 		select {
 		case sem <- struct{}{}:
 		case <-ctx.Done():
-			results[i].Err = ctx.Err()
+			do(i, ctx.Err())
 			continue
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			r := &reqs[i]
-			results[i].Payload, results[i].Stats, results[i].Err =
-				c.FetchFilteredContext(ctx, r.Path, r.Array, r.Isovalues, r.Encoding)
+			do(i, nil)
 		}(i)
 	}
 	wg.Wait()
-	return results
 }
 
 // FetchRange asks the server to pre-filter one array for a threshold
@@ -452,14 +456,12 @@ func (c *Client) FetchRange(path, array string, lo, hi float64, enc Encoding) (*
 	return c.FetchRangeContext(context.Background(), path, array, lo, hi, enc)
 }
 
-// FetchRangeContext is FetchRange under a caller context.
+// FetchRangeContext is FetchRange under a caller context. It is the
+// same fetch as FetchFilteredContext with a different selection, so it
+// records the same client wide event and degrades the same way.
 func (c *Client) FetchRangeContext(ctx context.Context, path, array string, lo, hi float64, enc Encoding) (*Payload, *FetchStats, error) {
-	start := time.Now()
-	res, err := c.rpc.CallContext(ctx, MethodFetchRange, path, array, lo, hi, enc.String())
-	if err != nil {
-		return nil, nil, err
-	}
-	return decodeFetchResult(res, time.Since(start))
+	pre := &RangePreFilter{Lo: lo, Hi: hi, Encoding: enc}
+	return c.fetchPayload(ctx, MethodFetchRange, path, array, pre.Run, lo, hi, enc.String())
 }
 
 // FetchSlice asks the server to extract the plane axis=index from one
@@ -476,94 +478,84 @@ func (c *Client) FetchSliceContext(ctx context.Context, path, array string, axis
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	total := time.Since(start)
-	m, ok := res.(map[string]any)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("core: fetchslice returned %T", res)
-	}
-	dims, err := int3(m["dims"])
+	raw, m, stats, err := decodeReply(res, "values", time.Since(start))
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: fetchslice dims: %w", err)
-	}
-	origin, err := float3(m["origin"])
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: fetchslice origin: %w", err)
-	}
-	spacing, err := float3(m["spacing"])
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: fetchslice spacing: %w", err)
-	}
-	raw, ok := m["values"].([]byte)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("core: fetchslice values is %T", m["values"])
-	}
-	if err := verifyWireCRC(m, "slice values", raw); err != nil {
 		return nil, nil, nil, err
+	}
+	g2, err := gridFromMap(m)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("core: fetchslice %w", err)
 	}
 	vals, err := vtkio.BytesToFloats(raw)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	g2 := &grid.Uniform{
-		Dims:    grid.Dims{X: dims[0], Y: dims[1], Z: dims[2]},
-		Origin:  grid.Vec3{X: origin[0], Y: origin[1], Z: origin[2]},
-		Spacing: grid.Vec3{X: spacing[0], Y: spacing[1], Z: spacing[2]},
-	}
 	if len(vals) != g2.NumPoints() {
 		return nil, nil, nil, fmt.Errorf("core: slice has %d values for %d points",
 			len(vals), g2.NumPoints())
 	}
-	readNS, _ := m["readns"].(int64)
-	filterNS, _ := m["filterns"].(int64)
-	rawBytes, _ := m["rawbytes"].(int64)
-	stats := &FetchStats{
-		ReadTime:       time.Duration(readNS),
-		FilterTime:     time.Duration(filterNS),
-		TotalTime:      total,
-		RawBytes:       rawBytes,
-		PayloadBytes:   int64(len(raw)),
-		SelectedPoints: len(vals),
-	}
-	if rest := total - stats.ReadTime - stats.FilterTime; rest > 0 {
-		stats.TransferTime = rest
-	}
+	stats.SelectedPoints = len(vals)
 	return g2, vals, stats, nil
 }
 
-// decodeFetchResult unpacks the shared fetch reply shape.
-func decodeFetchResult(res any, total time.Duration) (*Payload, *FetchStats, error) {
+// decodeReply is the one client-side decoder of a fetch reply, the
+// counterpart of serveFetch's one response map: the data bytes under
+// the method's data key, verified against the recorded wire CRC before
+// anyone decodes them (a flipped bit inside a payload's packed varints
+// would otherwise decode into silently wrong geometry rather than an
+// error), and the shared cost fields as FetchStats. Keys a reply does
+// not carry (an older server, or a method with nothing to report) read
+// as zero. The map is returned for the method's own keys.
+func decodeReply(res any, dataKey string, total time.Duration) ([]byte, map[string]any, *FetchStats, error) {
 	m, ok := res.(map[string]any)
 	if !ok {
-		return nil, nil, fmt.Errorf("core: fetch returned %T", res)
+		return nil, nil, nil, fmt.Errorf("core: fetch returned %T", res)
 	}
-	data, ok := m["payload"].([]byte)
+	data, ok := m[dataKey].([]byte)
 	if !ok {
-		return nil, nil, fmt.Errorf("core: fetch payload is %T", m["payload"])
+		return nil, nil, nil, fmt.Errorf("core: fetch %s is %T", dataKey, m[dataKey])
 	}
-	// Verify transport integrity before decoding: a flipped bit inside
-	// the payload's packed varints would otherwise decode into silently
-	// wrong geometry rather than an error.
-	if err := verifyWireCRC(m, "fetch payload", data); err != nil {
+	if err := verifyWireCRC(m, dataKey, data); err != nil {
+		return nil, nil, nil, err
+	}
+	// A count or duration below zero can only come from a damaged or
+	// hostile reply; it reads as absent rather than as a negative cost.
+	field := func(key string) int64 {
+		v, _ := m[key].(int64)
+		return max(v, 0)
+	}
+	stats := &FetchStats{
+		ReadTime:       time.Duration(field("readns")),
+		FilterTime:     time.Duration(field("filterns")),
+		RawBytes:       field("rawbytes"),
+		PayloadBytes:   int64(len(data)),
+		SelectedPoints: int(field("selected")),
+	}
+	stats.setTotal(total)
+	return data, m, stats, nil
+}
+
+// setTotal records the client-observed time and attributes what the
+// server-side work does not account for to the transfer. Server timings
+// can exceed the client's total (clock skew, coarse timers), so the
+// remainder clamps at zero, never negative.
+func (s *FetchStats) setTotal(total time.Duration) {
+	s.TotalTime = total
+	s.TransferTime = 0
+	if rest := total - s.ReadTime - s.FilterTime; rest > 0 {
+		s.TransferTime = rest
+	}
+}
+
+// decodeFetchResult unpacks a contour or range fetch's reply.
+func decodeFetchResult(res any, total time.Duration) (*Payload, *FetchStats, error) {
+	data, _, stats, err := decodeReply(res, "payload", total)
+	if err != nil {
 		return nil, nil, err
 	}
 	payload, err := DecodePayload(data)
 	if err != nil {
 		return nil, nil, err
-	}
-	readNS, _ := m["readns"].(int64)
-	filterNS, _ := m["filterns"].(int64)
-	rawBytes, _ := m["rawbytes"].(int64)
-	selected, _ := m["selected"].(int64)
-	stats := &FetchStats{
-		ReadTime:       time.Duration(readNS),
-		FilterTime:     time.Duration(filterNS),
-		TotalTime:      total,
-		RawBytes:       rawBytes,
-		PayloadBytes:   int64(payload.WireSize()),
-		SelectedPoints: int(selected),
-	}
-	if rest := total - stats.ReadTime - stats.FilterTime; rest > 0 {
-		stats.TransferTime = rest
 	}
 	return payload, stats, nil
 }
@@ -581,15 +573,8 @@ func (c *Client) FetchManifestContext(ctx context.Context, path string) (*vtkio.
 	if err != nil {
 		return nil, err
 	}
-	m, ok := res.(map[string]any)
-	if !ok {
-		return nil, fmt.Errorf("core: manifest returned %T", res)
-	}
-	data, ok := m["manifest"].([]byte)
-	if !ok {
-		return nil, fmt.Errorf("core: manifest data is %T", m["manifest"])
-	}
-	if err := verifyWireCRC(m, "manifest", data); err != nil {
+	data, _, _, err := decodeReply(res, "manifest", 0)
+	if err != nil {
 		return nil, err
 	}
 	return vtkio.DecodeManifest(data)
@@ -603,23 +588,43 @@ func (c *Client) FetchRaw(path, array string) ([]byte, time.Duration, error) {
 
 // FetchRawContext is FetchRaw under a caller context.
 func (c *Client) FetchRawContext(ctx context.Context, path, array string) ([]byte, time.Duration, error) {
-	res, err := c.rpc.CallContext(ctx, MethodFetchRaw, path, array)
+	data, stats, err := c.fetchRaw(ctx, path, array)
 	if err != nil {
 		return nil, 0, err
 	}
-	m, ok := res.(map[string]any)
-	if !ok {
-		return nil, 0, fmt.Errorf("core: fetchraw returned %T", res)
+	return data, stats.ReadTime, nil
+}
+
+func (c *Client) fetchRaw(ctx context.Context, path, array string) ([]byte, *FetchStats, error) {
+	start := time.Now()
+	res, err := c.rpc.CallContext(ctx, MethodFetchRaw, path, array)
+	if err != nil {
+		return nil, nil, err
 	}
-	data, ok := m["data"].([]byte)
-	if !ok {
-		return nil, 0, fmt.Errorf("core: fetchraw data is %T", m["data"])
+	data, _, stats, err := decodeReply(res, "data", time.Since(start))
+	return data, stats, err
+}
+
+// gridFromMap reads the dims/origin/spacing keys a describe and a slice
+// reply share.
+func gridFromMap(m map[string]any) (*grid.Uniform, error) {
+	dims, err := int3(m["dims"])
+	if err != nil {
+		return nil, fmt.Errorf("dims: %w", err)
 	}
-	if err := verifyWireCRC(m, "raw array", data); err != nil {
-		return nil, 0, err
+	origin, err := float3(m["origin"])
+	if err != nil {
+		return nil, fmt.Errorf("origin: %w", err)
 	}
-	readNS, _ := m["readns"].(int64)
-	return data, time.Duration(readNS), nil
+	spacing, err := float3(m["spacing"])
+	if err != nil {
+		return nil, fmt.Errorf("spacing: %w", err)
+	}
+	return &grid.Uniform{
+		Dims:    grid.Dims{X: dims[0], Y: dims[1], Z: dims[2]},
+		Origin:  grid.Vec3{X: origin[0], Y: origin[1], Z: origin[2]},
+		Spacing: grid.Vec3{X: spacing[0], Y: spacing[1], Z: spacing[2]},
+	}, nil
 }
 
 func floatSlice(v any) ([]float64, error) {
@@ -658,20 +663,11 @@ func int3(v any) ([3]int, error) {
 }
 
 func float3(v any) ([3]float64, error) {
-	arr, ok := v.([]any)
-	if !ok || len(arr) != 3 {
-		return [3]float64{}, fmt.Errorf("want 3-array, got %T", v)
-	}
 	var out [3]float64
-	for i, e := range arr {
-		switch n := e.(type) {
-		case float64:
-			out[i] = n
-		case int64:
-			out[i] = float64(n)
-		default:
-			return out, fmt.Errorf("element %d is %T", i, e)
-		}
+	s, err := floatSlice(v)
+	if err == nil && len(s) != 3 {
+		err = fmt.Errorf("want 3-array, got %d elements", len(s))
 	}
-	return out, nil
+	copy(out[:], s)
+	return out, err
 }

@@ -23,63 +23,101 @@ func validPayloadBytes(t *testing.T) []byte {
 	return payload.Data
 }
 
+// replyDataKeys are the data keys of the four fetch replies plus the
+// manifest's: every one goes through decodeReply.
+var replyDataKeys = []string{"payload", "values", "data", "manifest"}
+
 func TestDecodeFetchResultMissingOptionalKeys(t *testing.T) {
 	data := validPayloadBytes(t)
 	total := 100 * time.Millisecond
-
-	// Only the payload key: all server-side timings default to zero and
-	// the whole client-observed time is attributed to transfer.
+	for _, key := range replyDataKeys {
+		// Only the data key: all server-side timings default to zero and
+		// the whole client-observed time is attributed to transfer.
+		got, m, st, err := decodeReply(map[string]any{key: data}, key, total)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if string(got) != string(data) || m == nil {
+			t.Fatalf("%s: data or reply map not handed back", key)
+		}
+		if st.ReadTime != 0 || st.FilterTime != 0 {
+			t.Errorf("%s: missing timing keys decoded to %v/%v, want 0/0", key, st.ReadTime, st.FilterTime)
+		}
+		if st.TransferTime != total {
+			t.Errorf("%s: TransferTime = %v, want full total %v", key, st.TransferTime, total)
+		}
+		if st.TotalTime != total {
+			t.Errorf("%s: TotalTime = %v, want %v", key, st.TotalTime, total)
+		}
+		if st.RawBytes != 0 || st.SelectedPoints != 0 {
+			t.Errorf("%s: missing size keys decoded to %d/%d, want 0/0", key, st.RawBytes, st.SelectedPoints)
+		}
+		if st.PayloadBytes != int64(len(data)) {
+			t.Errorf("%s: PayloadBytes = %d, not derived from the %d data bytes", key, st.PayloadBytes, len(data))
+		}
+	}
 	payload, st, err := decodeFetchResult(map[string]any{"payload": data}, total)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if payload == nil || len(payload.Data) == 0 {
+	if payload == nil || len(payload.Data) == 0 || st.PayloadBytes != int64(payload.WireSize()) {
 		t.Fatal("payload not decoded")
-	}
-	if st.ReadTime != 0 || st.FilterTime != 0 {
-		t.Errorf("missing timing keys decoded to %v/%v, want 0/0", st.ReadTime, st.FilterTime)
-	}
-	if st.TransferTime != total {
-		t.Errorf("TransferTime = %v, want full total %v", st.TransferTime, total)
-	}
-	if st.TotalTime != total {
-		t.Errorf("TotalTime = %v, want %v", st.TotalTime, total)
-	}
-	if st.RawBytes != 0 || st.SelectedPoints != 0 {
-		t.Errorf("missing size keys decoded to %d/%d, want 0/0", st.RawBytes, st.SelectedPoints)
-	}
-	if st.PayloadBytes <= 0 {
-		t.Error("PayloadBytes not derived from the payload itself")
 	}
 }
 
 func TestDecodeFetchResultClampsTransferTime(t *testing.T) {
 	data := validPayloadBytes(t)
-	// Server-reported work exceeds the client-observed total (clock skew,
-	// coarse timers): TransferTime must clamp at zero, never negative.
-	res := map[string]any{
-		"payload":  data,
-		"readns":   int64(80 * time.Millisecond),
-		"filterns": int64(40 * time.Millisecond),
-	}
-	_, st, err := decodeFetchResult(res, 100*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.TransferTime != 0 {
-		t.Errorf("TransferTime = %v, want clamped 0", st.TransferTime)
-	}
-	if st.ReadTime != 80*time.Millisecond || st.FilterTime != 40*time.Millisecond {
-		t.Errorf("server timings mangled: %v/%v", st.ReadTime, st.FilterTime)
+	for _, key := range replyDataKeys {
+		// Server-reported work exceeds the client-observed total (clock
+		// skew, coarse timers): TransferTime must clamp at zero, never
+		// negative.
+		res := map[string]any{
+			key:        data,
+			"readns":   int64(80 * time.Millisecond),
+			"filterns": int64(40 * time.Millisecond),
+			"rawbytes": int64(4000),
+			"selected": int64(17),
+		}
+		_, _, st, err := decodeReply(res, key, 100*time.Millisecond)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if st.TransferTime != 0 {
+			t.Errorf("%s: TransferTime = %v, want clamped 0", key, st.TransferTime)
+		}
+		if st.ReadTime != 80*time.Millisecond || st.FilterTime != 40*time.Millisecond {
+			t.Errorf("%s: server timings mangled: %v/%v", key, st.ReadTime, st.FilterTime)
+		}
+		if st.RawBytes != 4000 || st.SelectedPoints != 17 {
+			t.Errorf("%s: sizes = %d/%d, want 4000/17", key, st.RawBytes, st.SelectedPoints)
+		}
 	}
 }
 
 func TestDecodeFetchResultBadShapes(t *testing.T) {
+	data := validPayloadBytes(t)
+	for _, key := range replyDataKeys {
+		bad := map[string]any{
+			"non-map result":      "nope",
+			"non-bytes data":      map[string]any{key: "nope"},
+			"data under no key":   map[string]any{},
+			"data under some key": map[string]any{"other": data},
+			"crc of a wrong type": map[string]any{key: data, "crc": "nope"},
+		}
+		for name, res := range bad {
+			if _, _, _, err := decodeReply(res, key, time.Second); err == nil {
+				t.Errorf("%s: %s accepted", key, name)
+			}
+		}
+	}
 	if _, _, err := decodeFetchResult("nope", time.Second); err == nil {
 		t.Error("non-map result accepted")
 	}
 	if _, _, err := decodeFetchResult(map[string]any{"payload": "nope"}, time.Second); err == nil {
 		t.Error("non-bytes payload accepted")
+	}
+	if _, _, err := decodeFetchResult(map[string]any{"payload": []byte("not a payload")}, time.Second); err == nil {
+		t.Error("undecodable payload bytes accepted")
 	}
 }
 

@@ -335,12 +335,16 @@ func TestPoolCountsCorruptionWithoutTrippingBreaker(t *testing.T) {
 	flipByteInArray(t, abs, f.Name)
 
 	_, addr := startServer(t, dir)
-	pc, _ := DialPool([]string{addr}, nil, PoolOptions{
-		Reconnect:        rpc.ReconnectOptions{MaxAttempts: 3},
+	pc := DialFaultTolerant([]string{addr}, nil, rpc.ReconnectOptions{
+		MaxAttempts:      3,
 		BreakerThreshold: 2,
 	})
 	defer pc.Close()
 
+	// The counters live with the retrying caller in internal/rpc; the
+	// registry hands back the same ones by name.
+	mPoolBreakerOpen := telemetry.Default().Counter("core.pool.breaker.open")
+	mPoolCorruptions := telemetry.Default().Counter("core.pool.corruptions")
 	open0 := mPoolBreakerOpen.Value()
 	corr0 := mPoolCorruptions.Value()
 	if _, _, err := pc.FetchFiltered(rel, f.Name, []float64{5}, EncIndexValue); !errors.Is(err, rpc.ErrCorrupt) {
@@ -470,7 +474,7 @@ func TestShardedGatherRejectsWrongPointCount(t *testing.T) {
 	}
 
 	addrs := startShards(t, dir, 2)
-	sc, err := DialSharded(man, addrs, nil, PoolOptions{})
+	sc, err := DialSharded(man, addrs, nil, rpc.ReconnectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

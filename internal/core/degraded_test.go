@@ -43,62 +43,85 @@ func (f *flakyCaller) count(method string) int {
 }
 
 func TestDegradedFallbackBitIdentical(t *testing.T) {
+	isos := []float64{7}
+	// Both payload fetches share one client body, so both degrade: the
+	// contour fetch to a local PreFilter, the range fetch to a local
+	// RangePreFilter.
+	fetches := []struct {
+		method string
+		fetch  func(c *Client) (*Payload, *FetchStats, error)
+	}{
+		{MethodFetch, func(c *Client) (*Payload, *FetchStats, error) {
+			return c.FetchFiltered("run/ts0.vnd", "d", isos, EncAuto)
+		}},
+		{MethodFetchRange, func(c *Client) (*Payload, *FetchStats, error) {
+			return c.FetchRange("run/ts0.vnd", "d", 5, 8, EncAuto)
+		}},
+	}
 	for _, codec := range []compress.Kind{compress.None, compress.LZ4} {
 		client, ds := startNDP(t, codec)
-		isos := []float64{7}
+		for _, fc := range fetches {
+			name := codec.String() + " " + fc.method
+			want, wantStats, err := fc.fetch(client)
+			if err != nil {
+				t.Fatalf("%s: healthy fetch: %v", name, err)
+			}
 
-		want, wantStats, err := client.FetchFiltered("run/ts0.vnd", "d", isos, EncAuto)
-		if err != nil {
-			t.Fatalf("%v: healthy fetch: %v", codec, err)
-		}
+			fallbacks := telemetry.Default().Counter("core.client.fallbacks")
+			before := fallbacks.Value()
+			broken := &Client{
+				rpc: &flakyCaller{
+					inner: client.rpc,
+					fail:  map[string]error{fc.method: errors.New("injected transport failure")},
+				},
+				fallback: true,
+			}
+			got, st, err := fc.fetch(broken)
+			if err != nil {
+				t.Fatalf("%s: degraded fetch: %v", name, err)
+			}
+			if string(got.Data) != string(want.Data) {
+				t.Fatalf("%s: degraded payload differs from the remote pre-filter's", name)
+			}
+			if got.Encoding != want.Encoding || got.Count != want.Count {
+				t.Errorf("%s: payload shape differs: %v/%d vs %v/%d",
+					name, got.Encoding, got.Count, want.Encoding, want.Count)
+			}
+			if !st.Degraded {
+				t.Errorf("%s: stats not marked Degraded", name)
+			}
+			if wantStats.Degraded {
+				t.Errorf("%s: healthy fetch marked Degraded", name)
+			}
+			// The degraded transfer moved the whole raw array.
+			if wantRaw := int64(4 * ds.Grid.NumPoints()); st.PayloadBytes != wantRaw {
+				t.Errorf("%s: degraded PayloadBytes = %d, want raw size %d",
+					name, st.PayloadBytes, wantRaw)
+			}
+			if st.RawBytes != wantStats.RawBytes || st.SelectedPoints != wantStats.SelectedPoints {
+				t.Errorf("%s: degraded stats report %d raw bytes / %d points, healthy %d / %d",
+					name, st.RawBytes, st.SelectedPoints, wantStats.RawBytes, wantStats.SelectedPoints)
+			}
+			if d := fallbacks.Value() - before; d != 1 {
+				t.Errorf("%s: fallbacks counter moved by %d, want 1", name, d)
+			}
+			if fc.method != MethodFetch {
+				continue
+			}
 
-		fallbacks := telemetry.Default().Counter("core.client.fallbacks")
-		before := fallbacks.Value()
-		broken := &Client{
-			rpc: &flakyCaller{
-				inner: client.rpc,
-				fail:  map[string]error{MethodFetch: errors.New("injected transport failure")},
-			},
-			fallback: true,
-		}
-		got, st, err := broken.FetchFiltered("run/ts0.vnd", "d", isos, EncAuto)
-		if err != nil {
-			t.Fatalf("%v: degraded fetch: %v", codec, err)
-		}
-		if string(got.Data) != string(want.Data) {
-			t.Fatalf("%v: degraded payload differs from the remote pre-filter's", codec)
-		}
-		if got.Encoding != want.Encoding || got.Count != want.Count {
-			t.Errorf("%v: payload shape differs: %v/%d vs %v/%d",
-				codec, got.Encoding, got.Count, want.Encoding, want.Count)
-		}
-		if !st.Degraded {
-			t.Errorf("%v: stats not marked Degraded", codec)
-		}
-		if wantStats.Degraded {
-			t.Errorf("%v: healthy fetch marked Degraded", codec)
-		}
-		// The degraded transfer moved the whole raw array.
-		if wantRaw := int64(4 * ds.Grid.NumPoints()); st.PayloadBytes != wantRaw {
-			t.Errorf("%v: degraded PayloadBytes = %d, want raw size %d",
-				codec, st.PayloadBytes, wantRaw)
-		}
-		if d := fallbacks.Value() - before; d != 1 {
-			t.Errorf("%v: fallbacks counter moved by %d, want 1", codec, d)
-		}
-
-		// And the meshes are therefore identical too.
-		post := &PostFilter{Isovalues: isos}
-		wantMesh, err := post.Contour(ds.Grid, "d", want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotMesh, err := post.Contour(ds.Grid, "d", got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !wantMesh.Equal(gotMesh) {
-			t.Errorf("%v: degraded mesh differs", codec)
+			// And the meshes are therefore identical too.
+			post := &PostFilter{Isovalues: isos}
+			wantMesh, err := post.Contour(ds.Grid, "d", want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotMesh, err := post.Contour(ds.Grid, "d", got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !wantMesh.Equal(gotMesh) {
+				t.Errorf("%s: degraded mesh differs", name)
+			}
 		}
 	}
 }

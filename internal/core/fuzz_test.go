@@ -1,13 +1,20 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"vizndp/internal/bitset"
+	"vizndp/internal/compress"
 	"vizndp/internal/contour"
 	"vizndp/internal/grid"
+	"vizndp/internal/msgpack"
+	"vizndp/internal/vtkio"
 )
 
 // fuzzSeeds returns representative payloads for the decode fuzz targets:
@@ -203,6 +210,62 @@ func FuzzPostFilterContour(f *testing.F) {
 		if !sparse.Equal(dense) {
 			t.Fatalf("sparse mesh has %d vertices, %d triangles; dense has %d, %d",
 				sparse.NumVertices(), sparse.NumTriangles(), dense.NumVertices(), dense.NumTriangles())
+		}
+	})
+}
+
+// FuzzDecodeReply drives arbitrary msgpack through the client's one
+// reply decoder under every data key: it must never panic, never report
+// a negative cost, and hand back exactly the bytes the reply carried.
+// Seeded with the real replies of all four fetch kinds.
+func FuzzDecodeReply(f *testing.F) {
+	g, field := sphereField(8)
+	ds := grid.NewDataset(g)
+	ds.MustAddField(field)
+	dir := f.TempDir()
+	if err := vtkio.WriteFile(filepath.Join(dir, "ts0.vnd"), ds, vtkio.WriteOptions{Codec: compress.None}); err != nil {
+		f.Fatal(err)
+	}
+	srv := NewServer(os.DirFS(dir))
+	defer srv.Close()
+	for _, fetch := range []struct {
+		sel   *selector
+		extra []any
+	}{
+		{contourSelector, []any{[]any{3.0}, "auto"}},
+		{rangeSelector, []any{2.0, 3.0, "auto"}},
+		{sliceSelector, []any{"z", int64(4)}},
+		{rawSelector, nil},
+	} {
+		reply, err := srv.serveFetch(context.Background(), append([]any{"ts0.vnd", field.Name}, fetch.extra...), fetch.sel)
+		if err != nil {
+			f.Fatalf("%s: %v", fetch.sel.method, err)
+		}
+		seed, err := msgpack.Marshal(reply)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, wire []byte) {
+		res, err := msgpack.Unmarshal(wire)
+		if err != nil {
+			return
+		}
+		for _, key := range replyDataKeys {
+			data, m, st, err := decodeReply(res, key, time.Millisecond)
+			if err != nil {
+				continue
+			}
+			if want, _ := m[key].([]byte); string(data) != string(want) {
+				t.Fatalf("%s: decoder handed back %d bytes, reply carried %d", key, len(data), len(want))
+			}
+			if st.ReadTime < 0 || st.FilterTime < 0 || st.TransferTime < 0 || st.TotalTime < 0 {
+				t.Fatalf("%s: negative duration in %+v", key, *st)
+			}
+			if st.RawBytes < 0 || st.SelectedPoints < 0 || st.PayloadBytes != int64(len(data)) {
+				t.Fatalf("%s: bad sizes in %+v for %d data bytes", key, *st, len(data))
+			}
 		}
 	})
 }

@@ -41,15 +41,13 @@ func TestPoolFailoverOnReplicaDeath(t *testing.T) {
 	trips := telemetry.Default().Counter("core.pool.breaker.open")
 	f0, t0 := failovers.Value(), trips.Value()
 
-	pool := NewPool([]string{addrA, addrB}, nil, PoolOptions{
-		Reconnect: rpc.ReconnectOptions{
-			Retryable:      map[string]bool{"echo": true},
-			MaxAttempts:    16,
-			InitialBackoff: time.Millisecond,
-			MaxBackoff:     5 * time.Millisecond,
-			CallTimeout:    2 * time.Second,
-			Seed:           3,
-		},
+	pool := rpc.NewReconnectClient("tcp", []string{addrA, addrB}, nil, rpc.ReconnectOptions{
+		Retryable:        map[string]bool{"echo": true},
+		MaxAttempts:      16,
+		InitialBackoff:   time.Millisecond,
+		MaxBackoff:       5 * time.Millisecond,
+		CallTimeout:      2 * time.Second,
+		Seed:             3,
 		BreakerThreshold: 2,
 		BreakerCooldown:  10 * time.Minute, // stays open for the test's duration
 	})
@@ -119,14 +117,12 @@ func TestPoolRetriesBusyShed(t *testing.T) {
 	go srv.Serve(ln)
 	t.Cleanup(srv.Close)
 
-	pool := NewPool([]string{ln.Addr().String()}, nil, PoolOptions{
-		Reconnect: rpc.ReconnectOptions{
-			// "block" deliberately absent from Retryable.
-			MaxAttempts:    200,
-			InitialBackoff: time.Millisecond,
-			MaxBackoff:     5 * time.Millisecond,
-			Seed:           5,
-		},
+	pool := rpc.NewReconnectClient("tcp", []string{ln.Addr().String()}, nil, rpc.ReconnectOptions{
+		// "block" deliberately absent from Retryable.
+		MaxAttempts:      200,
+		InitialBackoff:   time.Millisecond,
+		MaxBackoff:       5 * time.Millisecond,
+		Seed:             5,
 		BreakerThreshold: 2,
 		BreakerCooldown:  5 * time.Millisecond,
 	})
@@ -150,49 +146,6 @@ func TestPoolRetriesBusyShed(t *testing.T) {
 	}
 	if err := <-first; err != nil {
 		t.Fatalf("first call failed: %v", err)
-	}
-}
-
-func TestBreakerFailoverProbe(t *testing.T) {
-	b := &breaker{threshold: 2, cooldown: time.Minute}
-	now := time.Unix(1000, 0)
-	if !b.allow(now) {
-		t.Fatal("new breaker must allow traffic")
-	}
-	if b.failure(now) {
-		t.Fatal("first failure must not trip a threshold-2 breaker")
-	}
-	if !b.failure(now) {
-		t.Fatal("second consecutive failure must trip")
-	}
-	if b.allow(now) {
-		t.Error("open breaker allows traffic before its cooldown")
-	}
-	if !b.tripped(now) {
-		t.Error("tripped() false right after the trip")
-	}
-	probeAt := now.Add(time.Minute)
-	if !b.allow(probeAt) {
-		t.Error("cooldown elapsed: the half-open probe must be allowed")
-	}
-	// A failed probe re-arms the cooldown without a fresh trip.
-	if b.failure(probeAt) {
-		t.Error("failed half-open probe reported a fresh trip")
-	}
-	if b.allow(probeAt.Add(30 * time.Second)) {
-		t.Error("re-armed breaker allows traffic mid-cooldown")
-	}
-	// A successful probe closes the breaker entirely.
-	if !b.allow(probeAt.Add(2 * time.Minute)) {
-		t.Error("re-armed cooldown elapsed: probe must be allowed")
-	}
-	b.success()
-	if !b.allow(now) || b.tripped(now) {
-		t.Error("breaker not closed after a successful probe")
-	}
-	// And the failure streak restarts from zero.
-	if b.failure(now) {
-		t.Error("first failure after recovery tripped immediately")
 	}
 }
 
@@ -232,18 +185,17 @@ func TestDialPoolFailoverBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	client, pool := DialPool([]string{addrA, addrB}, nil, PoolOptions{
-		Reconnect: rpc.ReconnectOptions{
-			MaxAttempts:    16,
-			InitialBackoff: time.Millisecond,
-			MaxBackoff:     5 * time.Millisecond,
-			CallTimeout:    5 * time.Second,
-			Seed:           9,
-		},
+	client := DialFaultTolerant([]string{addrA, addrB}, nil, rpc.ReconnectOptions{
+		MaxAttempts:      16,
+		InitialBackoff:   time.Millisecond,
+		MaxBackoff:       5 * time.Millisecond,
+		CallTimeout:      5 * time.Second,
+		Seed:             9,
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Minute,
 	})
 	defer client.Close()
+	pool := client.rpc.(*rpc.ReconnectClient)
 
 	fetchAndCompare := func(i int) {
 		t.Helper()
@@ -309,15 +261,13 @@ func TestPoolPickFairnessUnderStorm(t *testing.T) {
 	srvC, addrC, _ := startCountingEcho(t, "127.0.0.1:0")
 
 	const cooldown = 100 * time.Millisecond
-	pool := NewPool([]string{addrA, addrB, addrC}, nil, PoolOptions{
-		Reconnect: rpc.ReconnectOptions{
-			Retryable:      map[string]bool{"echo": true},
-			MaxAttempts:    32,
-			InitialBackoff: time.Millisecond,
-			MaxBackoff:     5 * time.Millisecond,
-			CallTimeout:    2 * time.Second,
-			Seed:           7,
-		},
+	pool := rpc.NewReconnectClient("tcp", []string{addrA, addrB, addrC}, nil, rpc.ReconnectOptions{
+		Retryable:        map[string]bool{"echo": true},
+		MaxAttempts:      32,
+		InitialBackoff:   time.Millisecond,
+		MaxBackoff:       5 * time.Millisecond,
+		CallTimeout:      2 * time.Second,
+		Seed:             7,
 		BreakerThreshold: 2,
 		BreakerCooldown:  cooldown,
 	})
@@ -395,5 +345,22 @@ func TestPoolPickFairnessUnderStorm(t *testing.T) {
 		if st.Addr == addrC && st.BreakerOpen {
 			t.Error("breaker still open after a successful half-open probe")
 		}
+	}
+}
+
+// TestPoolZeroAddresses pins the fix for DialPool(nil, …) dividing by
+// zero in pick on its first call: an empty replica set is an error on
+// every call, degraded path included, never a panic.
+func TestPoolZeroAddresses(t *testing.T) {
+	client := DialFaultTolerant(nil, nil, rpc.ReconnectOptions{})
+	defer client.Close()
+	if _, err := client.List("."); err == nil {
+		t.Error("List over no addresses succeeded")
+	}
+	if _, _, err := client.FetchFiltered("run/ts0.vnd", "d", []float64{7}, EncAuto); err == nil {
+		t.Error("FetchFiltered over no addresses succeeded")
+	}
+	if _, err := DialSharded(nil, nil, nil, rpc.ReconnectOptions{}); err == nil {
+		t.Error("DialSharded over no addresses succeeded")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"math"
 	"net"
 	"sort"
-	"sync"
 	"time"
 
 	"vizndp/internal/bitset"
@@ -133,18 +132,15 @@ type ShardStats struct {
 // ShardedClient scatters per-brick pre-filtered fetches across shard
 // clients and gathers the sparse payloads into one seamless NaN-padded
 // field, bit-identical to what a single unsharded scan of the parent
-// grid would reconstruct. Build one with DialSharded (per-shard pooled
-// clients with sibling failover) or NewShardedClient (caller-supplied
-// clients, e.g. for tests that want one shard degraded).
+// grid would reconstruct. Build one with DialSharded (per-shard
+// fault-tolerant clients with sibling failover) or NewShardedClient
+// (caller-supplied clients, e.g. for tests that want one shard degraded).
 type ShardedClient struct {
 	man    *vtkio.Manifest
 	g      *grid.Uniform
 	bricks []grid.Brick
 	router *ShardRouter
 	shards []*Client
-	// parallelism bounds in-flight brick fetches; <= 0 uses
-	// DefaultMultiParallelism.
-	parallelism int
 }
 
 // NewShardedClient wraps caller-supplied shard clients. The manifest is
@@ -174,15 +170,15 @@ func NewShardedClient(man *vtkio.Manifest, shards []*Client) (*ShardedClient, er
 	}, nil
 }
 
-// DialSharded builds a sharded client over one pooled client per shard.
-// Shard i's pool lists addrs rotated to start at i — its own address
-// first, its siblings as failover replicas — because every shard mounts
-// the same object store: placement is about locality (cache warmth,
-// aggregate bandwidth), not reachability, so a dead shard's bricks fail
-// over to a sibling via the pool's circuit breakers and, when every
-// replica refuses, degrade to the raw-fetch fallback. opts.Reconnect's
-// Retryable set defaults to RetryableMethods.
-func DialSharded(man *vtkio.Manifest, addrs []string, dialFn func(network, addr string) (net.Conn, error), opts PoolOptions) (*ShardedClient, error) {
+// DialSharded builds a sharded client over one fault-tolerant client per
+// shard. Shard i's client lists addrs rotated to start at i — its own
+// address first, its siblings as failover replicas — because every shard
+// mounts the same object store: placement is about locality (cache
+// warmth, aggregate bandwidth), not reachability, so a dead shard's
+// bricks fail over to a sibling via the circuit breakers and, when every
+// replica refuses, degrade to the raw-fetch fallback. opts.Retryable
+// defaults to RetryableMethods.
+func DialSharded(man *vtkio.Manifest, addrs []string, dialFn func(network, addr string) (net.Conn, error), opts rpc.ReconnectOptions) (*ShardedClient, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("core: sharded dial needs at least one address")
 	}
@@ -191,8 +187,7 @@ func DialSharded(man *vtkio.Manifest, addrs []string, dialFn func(network, addr 
 		rotated := make([]string, 0, len(addrs))
 		rotated = append(rotated, addrs[i:]...)
 		rotated = append(rotated, addrs[:i]...)
-		c, _ := DialPool(rotated, dialFn, opts)
-		shards = append(shards, c)
+		shards = append(shards, DialFaultTolerant(rotated, dialFn, opts))
 	}
 	sc, err := NewShardedClient(man, shards)
 	if err != nil {
@@ -206,13 +201,6 @@ func DialSharded(man *vtkio.Manifest, addrs []string, dialFn func(network, addr 
 
 // Grid returns the parent grid the manifest describes.
 func (sc *ShardedClient) Grid() *grid.Uniform { return sc.g }
-
-// Router exposes the shard router (for probes and tests).
-func (sc *ShardedClient) Router() *ShardRouter { return sc.router }
-
-// SetParallelism bounds concurrent brick fetches (<= 0 restores the
-// default).
-func (sc *ShardedClient) SetParallelism(n int) { sc.parallelism = n }
 
 // Close closes every shard client.
 func (sc *ShardedClient) Close() error {
@@ -243,82 +231,58 @@ func (sc *ShardedClient) FetchArray(prefix, array string, isovalues []float64, e
 // rather than silently stitching mixed versions.
 func (sc *ShardedClient) FetchArrayContext(ctx context.Context, prefix, array string, isovalues []float64, enc Encoding) ([]float32, *ShardStats, error) {
 	start := time.Now()
-	type brickResult struct {
-		payload *Payload
-		stats   *FetchStats
-		err     error
-	}
-	results := make([]brickResult, len(sc.man.Entries))
-	parallelism := sc.parallelism
-	if parallelism <= 0 {
-		parallelism = DefaultMultiParallelism
-	}
-	if parallelism > len(sc.man.Entries) {
-		parallelism = len(sc.man.Entries)
-	}
-	sem := make(chan struct{}, parallelism)
-	var wg sync.WaitGroup
-	for i := range sc.man.Entries {
-		// Acquire the slot before spawning so at most parallelism
-		// goroutines ever exist, like FetchFilteredMultiContext.
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			results[i].err = ctx.Err()
-			continue
+	results := make([]MultiResult, len(sc.man.Entries))
+	fanOut(ctx, len(results), 0, func(i int, skipped error) {
+		if skipped != nil {
+			results[i].Err = skipped
+			return
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			e := &sc.man.Entries[i]
-			shard := sc.router.Pick(*e)
-			path := prefix + e.Key
-			mShardFetches.Inc()
-			// One wide event per scattered fetch, on top of the shard
-			// client's own ndp.fetch event: this one carries the routing
-			// decision (shard=, brick=) the inner event cannot know.
-			ev := telemetry.DefaultFlightRecorder().Begin(telemetry.KindClient, shardFetchEvent)
-			ev.SetAttr("shard", shard)
-			ev.SetAttr("brick", e.ID)
-			ev.SetAttr("path", path)
-			ev.SetAttr("array", array)
-			if span := telemetry.SpanFromContext(ctx); span != nil {
-				ev.SetSpanIDs(span.Trace(), span.ID())
-			}
-			p, st, err := sc.shards[shard].FetchFilteredContext(ctx, path, array, isovalues, enc)
-			// Read repair: corruption is a verdict about the OWNER's copy
-			// (or its path to us), not about the brick — every shard mounts
-			// the same store, so walk the siblings before giving up. Pool-
-			// backed shard clients already rotate replicas internally; this
-			// loop is what saves single-connection shard sets.
-			if err != nil && errors.Is(err, rpc.ErrCorrupt) {
-				for off := 1; off < len(sc.shards) && ctx.Err() == nil; off++ {
-					sibling := (shard + off) % len(sc.shards)
-					p2, st2, err2 := sc.shards[sibling].FetchFilteredContext(ctx, path, array, isovalues, enc)
-					if err2 == nil {
-						mShardRepairs.Inc()
-						ev.SetAttr("repairedFrom", sibling)
-						p, st, err = p2, st2, nil
-						break
-					}
-					if !errors.Is(err2, rpc.ErrCorrupt) {
-						break
-					}
+		e := &sc.man.Entries[i]
+		shard := sc.router.Pick(*e)
+		path := prefix + e.Key
+		mShardFetches.Inc()
+		// One wide event per scattered fetch, on top of the shard
+		// client's own ndp.fetch event: this one carries the routing
+		// decision (shard=, brick=) the inner event cannot know.
+		ev := telemetry.DefaultFlightRecorder().Begin(telemetry.KindClient, shardFetchEvent)
+		ev.SetAttr("shard", shard)
+		ev.SetAttr("brick", e.ID)
+		ev.SetAttr("path", path)
+		ev.SetAttr("array", array)
+		if span := telemetry.SpanFromContext(ctx); span != nil {
+			ev.SetSpanIDs(span.Trace(), span.ID())
+		}
+		p, st, err := sc.shards[shard].FetchFilteredContext(ctx, path, array, isovalues, enc)
+		// Read repair: corruption is a verdict about the OWNER's copy
+		// (or its path to us), not about the brick — every shard mounts
+		// the same store, so walk the siblings before giving up. Shard
+		// clients over several addresses already rotate replicas
+		// internally; this loop is what saves single-connection shard sets.
+		if err != nil && errors.Is(err, rpc.ErrCorrupt) {
+			for off := 1; off < len(sc.shards) && ctx.Err() == nil; off++ {
+				sibling := (shard + off) % len(sc.shards)
+				p2, st2, err2 := sc.shards[sibling].FetchFilteredContext(ctx, path, array, isovalues, enc)
+				if err2 == nil {
+					mShardRepairs.Inc()
+					ev.SetAttr("repairedFrom", sibling)
+					p, st, err = p2, st2, nil
+					break
+				}
+				if !errors.Is(err2, rpc.ErrCorrupt) {
+					break
 				}
 			}
-			if st != nil {
-				ev.SetBytesIn(st.PayloadBytes)
-				if st.Degraded {
-					mShardDegraded.Inc()
-					ev.MarkDegraded()
-				}
+		}
+		if st != nil {
+			ev.SetBytesIn(st.PayloadBytes)
+			if st.Degraded {
+				mShardDegraded.Inc()
+				ev.MarkDegraded()
 			}
-			ev.Finish(err)
-			results[i] = brickResult{payload: p, stats: st, err: err}
-		}(i)
-	}
-	wg.Wait()
+		}
+		ev.Finish(err)
+		results[i] = MultiResult{Payload: p, Stats: st, Err: err}
+	})
 
 	// Gather: merge the sparse brick payloads into one parent-grid field.
 	// Sequential and in brick order, so dedup accounting and any
@@ -330,17 +294,16 @@ func (sc *ShardedClient) FetchArrayContext(ctx context.Context, prefix, array st
 	for i := range sc.man.Entries {
 		e := &sc.man.Entries[i]
 		r := results[i]
-		if r.err != nil {
-			return nil, nil, fmt.Errorf("core: brick %d (%s%s): %w", e.ID, prefix, e.Key, r.err)
+		if r.Err != nil {
+			return nil, nil, fmt.Errorf("core: brick %d (%s%s): %w", e.ID, prefix, e.Key, r.Err)
 		}
 		b := sc.bricks[i]
-		if r.payload.NumPoints != b.NumPoints() {
+		if r.Payload.NumPoints != b.NumPoints() {
 			return nil, nil, fmt.Errorf("core: brick %d payload has %d points, extent has %d",
-				e.ID, r.payload.NumPoints, b.NumPoints())
+				e.ID, r.Payload.NumPoints, b.NumPoints())
 		}
-		local := make([]float32, r.payload.NumPoints)
-		fillNaN(local)
-		if err := r.payload.ReconstructInto(local); err != nil {
+		local, err := r.Payload.Reconstruct()
+		if err != nil {
 			return nil, nil, fmt.Errorf("core: brick %d: %w", e.ID, err)
 		}
 		dups, err := scatterBrick(out, seen, sc.g.Dims, b, local)
@@ -348,7 +311,7 @@ func (sc *ShardedClient) FetchArrayContext(ctx context.Context, prefix, array st
 			return nil, nil, err
 		}
 		agg.DupPoints += dups
-		if st := r.stats; st != nil {
+		if st := r.Stats; st != nil {
 			if st.Degraded {
 				agg.Degraded++
 			}

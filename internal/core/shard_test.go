@@ -11,6 +11,7 @@ import (
 
 	"vizndp/internal/compress"
 	"vizndp/internal/grid"
+	"vizndp/internal/rpc"
 	"vizndp/internal/vtkio"
 )
 
@@ -128,7 +129,7 @@ func TestShardedMergeBitIdentity(t *testing.T) {
 				man := writeBricks(t, dir, "run/ts0", ds, spec, 3)
 				addrs := startShards(t, dir, 3)
 
-				sc, err := DialSharded(man, addrs, nil, PoolOptions{})
+				sc, err := DialSharded(man, addrs, nil, rpc.ReconnectOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -312,7 +313,7 @@ func TestShardMergeGhostDisagreement(t *testing.T) {
 	}
 
 	addrs := startShards(t, dir, 2)
-	sc, err := DialSharded(man, addrs, nil, PoolOptions{})
+	sc, err := DialSharded(man, addrs, nil, rpc.ReconnectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +334,7 @@ func TestShardedSourcePipeline(t *testing.T) {
 	man := writeBricks(t, dir, "run/ts0", ds, grid.BrickSpec{NX: 2, NY: 2, NZ: 1, Ghost: 1}, 3)
 	addrs := startShards(t, dir, 3)
 
-	sc, err := DialSharded(man, addrs, nil, PoolOptions{})
+	sc, err := DialSharded(man, addrs, nil, rpc.ReconnectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,9 +72,8 @@ func (s *NDPSource) Execute(ctx context.Context, _ any) (any, error) {
 			return nil, fmt.Errorf("core: payload for %q has %d points, grid has %d",
 				array, r.Payload.NumPoints, desc.Grid.NumPoints())
 		}
-		vals := make([]float32, r.Payload.NumPoints)
-		fillNaN(vals)
-		if err := r.Payload.ReconstructInto(vals); err != nil {
+		vals, err := r.Payload.Reconstruct()
+		if err != nil {
 			return nil, err
 		}
 		if err := ds.AddField(&grid.Field{Name: array, Values: vals}); err != nil {

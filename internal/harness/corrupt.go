@@ -138,7 +138,7 @@ func (e *Env) CorruptExperiment(array string) (*stats.Table, error) {
 	wireCorrupt := telemetry.Default().Counter("core.client.corrupt.wire")
 	r0, f0, s0, w0 := retries.Value(), fallbacks.Value(), serverCorrupt.Value(), wireCorrupt.Value()
 
-	ct := core.DialFaultTolerant(corrLn.Addr().String(), corrLink.Dial, rpc.ReconnectOptions{
+	ct := core.DialFaultTolerant([]string{corrLn.Addr().String()}, corrLink.Dial, rpc.ReconnectOptions{
 		MaxAttempts:    8,
 		InitialBackoff: time.Millisecond,
 		MaxBackoff:     20 * time.Millisecond,
@@ -204,7 +204,7 @@ func (e *Env) CorruptExperiment(array string) (*stats.Table, error) {
 	}
 	go hygSrv.Serve(hygLink.Listener(hygLn))
 	defer hygSrv.Close()
-	hc := core.DialFaultTolerant(hygLn.Addr().String(), hygLink.Dial, rpc.ReconnectOptions{
+	hc := core.DialFaultTolerant([]string{hygLn.Addr().String()}, hygLink.Dial, rpc.ReconnectOptions{
 		MaxAttempts:    8,
 		InitialBackoff: time.Millisecond,
 		MaxBackoff:     20 * time.Millisecond,

@@ -111,7 +111,7 @@ func (e *Env) FaultsExperiment(array string) (*stats.Table, error) {
 	}
 	link.SetFaults(faults)
 	r0, c0, f0 := retries.Value(), reconnects.Value(), fallbacks.Value()
-	ft := core.DialFaultTolerant(addr, link.Dial, rpc.ReconnectOptions{
+	ft := core.DialFaultTolerant([]string{addr}, link.Dial, rpc.ReconnectOptions{
 		MaxAttempts:    8,
 		InitialBackoff: time.Millisecond,
 		MaxBackoff:     20 * time.Millisecond,
@@ -167,7 +167,7 @@ func (e *Env) FaultsExperiment(array string) (*stats.Table, error) {
 		KillAfterBytes: 128,
 	})
 	defer link.SetFaults(nil)
-	deg := core.DialFaultTolerant(addr, link.Dial, rpc.ReconnectOptions{
+	deg := core.DialFaultTolerant([]string{addr}, link.Dial, rpc.ReconnectOptions{
 		MaxAttempts:    4,
 		InitialBackoff: time.Millisecond,
 		MaxBackoff:     20 * time.Millisecond,

@@ -178,7 +178,7 @@ func (e *Env) OverloadExperiment(array string) (*stats.Table, error) {
 	}
 	defer srvB.Close()
 	s0, f0, t0 := shed.Value(), failovers.Value(), trips.Value()
-	poolClient, _ := core.DialPool([]string{addrA, addrB}, nil, poolOpts)
+	poolClient := core.DialFaultTolerant([]string{addrA, addrB}, nil, poolOpts)
 	shedLats, err := runBurst(poolClient, want, len(burst)/3, func() { srvB.Close() })
 	poolClient.Close()
 	if err != nil {
@@ -203,7 +203,7 @@ func (e *Env) OverloadExperiment(array string) (*stats.Table, error) {
 	}
 	defer srvC.Close()
 	drainErr := make(chan error, 1)
-	drainClient, _ := core.DialPool([]string{addrC, addrA}, nil, poolOpts)
+	drainClient := core.DialFaultTolerant([]string{addrC, addrA}, nil, poolOpts)
 	s0 = shed.Value()
 	drainLats, err := runBurst(drainClient, want, len(burst)/3, func() {
 		// vizlint:ignore goroleak drainErr is buffered (cap 1) and received exactly once after the burst
@@ -240,18 +240,16 @@ func (e *Env) OverloadExperiment(array string) (*stats.Table, error) {
 	return t, nil
 }
 
-// PoolOverloadOptions is the replica-pool tuning the overload experiment
+// PoolOverloadOptions is the replica-set tuning the overload experiment
 // uses: aggressive retries with tight backoff so shed requests recover
 // quickly, and a fast breaker so a dead replica is benched immediately.
-func PoolOverloadOptions() core.PoolOptions {
-	return core.PoolOptions{
-		Reconnect: rpc.ReconnectOptions{
-			MaxAttempts:    256,
-			InitialBackoff: time.Millisecond,
-			MaxBackoff:     50 * time.Millisecond,
-			CallTimeout:    10 * time.Second,
-			Seed:           11,
-		},
+func PoolOverloadOptions() rpc.ReconnectOptions {
+	return rpc.ReconnectOptions{
+		MaxAttempts:      256,
+		InitialBackoff:   time.Millisecond,
+		MaxBackoff:       50 * time.Millisecond,
+		CallTimeout:      10 * time.Second,
+		Seed:             11,
 		BreakerThreshold: 2,
 		BreakerCooldown:  75 * time.Millisecond,
 	}

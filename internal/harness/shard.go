@@ -191,14 +191,12 @@ func (e *Env) ShardExperiment(array string) (*stats.Table, error) {
 		}
 		return net.Dial(network, addr)
 	}
-	poolOpts := core.PoolOptions{
-		Reconnect: rpc.ReconnectOptions{
-			MaxAttempts:    64,
-			InitialBackoff: time.Millisecond,
-			MaxBackoff:     50 * time.Millisecond,
-			CallTimeout:    10 * time.Second,
-			Seed:           11,
-		},
+	poolOpts := rpc.ReconnectOptions{
+		MaxAttempts:      64,
+		InitialBackoff:   time.Millisecond,
+		MaxBackoff:       50 * time.Millisecond,
+		CallTimeout:      10 * time.Second,
+		Seed:             11,
 		BreakerThreshold: 2,
 		BreakerCooldown:  75 * time.Millisecond,
 	}
@@ -280,7 +278,7 @@ func (e *Env) ShardExperiment(array string) (*stats.Table, error) {
 	shards := make([]*core.Client, shardCount)
 	for i, n := range nodes {
 		if i == 1 {
-			shards[i] = core.DialFaultTolerant(n.addr, dialFn, rpc.ReconnectOptions{
+			shards[i] = core.DialFaultTolerant([]string{n.addr}, dialFn, rpc.ReconnectOptions{
 				MaxAttempts:    4,
 				InitialBackoff: time.Millisecond,
 				MaxBackoff:     20 * time.Millisecond,
@@ -322,7 +320,7 @@ func (e *Env) ShardExperiment(array string) (*stats.Table, error) {
 		return nil, fmt.Errorf("harness: degraded-shard merge differs from baseline")
 	}
 
-	// Phase 4: kill a shard mid-sweep. A fresh pooled sharded client (its
+	// Phase 4: kill a shard mid-sweep. A fresh DialSharded client (its
 	// breakers untouched by earlier phases) repeats the sweep; after the
 	// first fetch, shard 1 dies. Its bricks must fail over to the sibling
 	// shards — every shard mounts the same store — with zero errors.

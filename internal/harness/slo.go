@@ -162,14 +162,12 @@ func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
 		return nil, err
 	}
 	defer srvA.Close()
-	poolClient, _ := core.DialPool([]string{addrA}, nil, core.PoolOptions{
-		Reconnect: rpc.ReconnectOptions{
-			MaxAttempts:    256,
-			InitialBackoff: 2 * time.Millisecond,
-			MaxBackoff:     50 * time.Millisecond,
-			CallTimeout:    10 * time.Second,
-			Seed:           11,
-		},
+	poolClient := core.DialFaultTolerant([]string{addrA}, nil, rpc.ReconnectOptions{
+		MaxAttempts:      256,
+		InitialBackoff:   2 * time.Millisecond,
+		MaxBackoff:       50 * time.Millisecond,
+		CallTimeout:      10 * time.Second,
+		Seed:             11,
 		BreakerThreshold: 2,
 		BreakerCooldown:  75 * time.Millisecond,
 	})
@@ -239,7 +237,7 @@ func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
 		KillAfterBytes: 128,
 	})
 	defer link.SetFaults(nil)
-	deg := core.DialFaultTolerant(degAddr, link.Dial, rpc.ReconnectOptions{
+	deg := core.DialFaultTolerant([]string{degAddr}, link.Dial, rpc.ReconnectOptions{
 		MaxAttempts:    4,
 		InitialBackoff: time.Millisecond,
 		MaxBackoff:     20 * time.Millisecond,

@@ -204,7 +204,7 @@ func TestReconnectClientRecoversAcrossServerDeaths(t *testing.T) {
 	addr := rawServer(t, echoOnce)
 	reconnects := telemetry.Default().Counter("rpc.client.reconnects")
 	before := reconnects.Value()
-	rc := NewReconnectClient("tcp", addr, nil, ReconnectOptions{
+	rc := NewReconnectClient("tcp", []string{addr}, nil, ReconnectOptions{
 		Retryable:      map[string]bool{"echo": true},
 		InitialBackoff: time.Millisecond,
 		MaxBackoff:     10 * time.Millisecond,
@@ -247,7 +247,7 @@ func TestReconnectClientRetriesRefusedDials(t *testing.T) {
 	}
 	retries := telemetry.Default().Counter("rpc.client.retries")
 	before := retries.Value()
-	rc := NewReconnectClient("tcp", ln.Addr().String(), dialFn, ReconnectOptions{
+	rc := NewReconnectClient("tcp", []string{ln.Addr().String()}, dialFn, ReconnectOptions{
 		Retryable:      map[string]bool{"ping": true},
 		InitialBackoff: time.Millisecond,
 		MaxBackoff:     10 * time.Millisecond,
@@ -273,7 +273,7 @@ func TestReconnectClientDoesNotRetryNonIdempotent(t *testing.T) {
 		served.Add(1)
 		c.Close() // crash before replying: did the handler run? unknowable
 	})
-	rc := NewReconnectClient("tcp", addr, nil, ReconnectOptions{
+	rc := NewReconnectClient("tcp", []string{addr}, nil, ReconnectOptions{
 		InitialBackoff: time.Millisecond,
 		Seed:           3,
 		// Retryable deliberately empty: no method may be re-issued.
@@ -302,7 +302,7 @@ func TestReconnectClientDoesNotRetryServerErrors(t *testing.T) {
 	}
 	go s.Serve(ln)
 	defer s.Close()
-	rc := NewReconnectClient("tcp", ln.Addr().String(), nil, ReconnectOptions{
+	rc := NewReconnectClient("tcp", []string{ln.Addr().String()}, nil, ReconnectOptions{
 		Retryable:      map[string]bool{"fail": true},
 		InitialBackoff: time.Millisecond,
 		Seed:           4,
@@ -319,7 +319,7 @@ func TestReconnectClientDoesNotRetryServerErrors(t *testing.T) {
 }
 
 func TestReconnectClientClosed(t *testing.T) {
-	rc := NewReconnectClient("tcp", "127.0.0.1:1", nil, ReconnectOptions{})
+	rc := NewReconnectClient("tcp", []string{"127.0.0.1:1"}, nil, ReconnectOptions{})
 	if err := rc.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestReconnectClientHonorsCallerCancellation(t *testing.T) {
 		dials.Add(1)
 		return nil, errors.New("injected: connection refused")
 	}
-	rc := NewReconnectClient("tcp", "127.0.0.1:1", dialFn, ReconnectOptions{
+	rc := NewReconnectClient("tcp", []string{"127.0.0.1:1"}, dialFn, ReconnectOptions{
 		Retryable:      map[string]bool{"ping": true},
 		MaxAttempts:    100,
 		InitialBackoff: 50 * time.Millisecond,

@@ -137,7 +137,7 @@ func TestShedRetriedByReconnectClient(t *testing.T) {
 	// "fetch" is deliberately NOT in the retryable set: busy rejections
 	// must retry anyway, because the server shed them before any handler
 	// ran — there is nothing to double-execute.
-	rc := NewReconnectClient("tcp", addr, nil, ReconnectOptions{
+	rc := NewReconnectClient("tcp", []string{addr}, nil, ReconnectOptions{
 		MaxAttempts:    50,
 		InitialBackoff: time.Millisecond,
 		MaxBackoff:     5 * time.Millisecond,
@@ -761,5 +761,62 @@ func TestMixedVersionOldClient(t *testing.T) {
 			t.Fatalf("old client still shed after release: %q", errStr)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+func TestBreakerFailoverProbe(t *testing.T) {
+	b := &breaker{threshold: 2, cooldown: time.Minute}
+	now := time.Unix(1000, 0)
+	if !b.allow(now) {
+		t.Fatal("new breaker must allow traffic")
+	}
+	if b.failure(now) {
+		t.Fatal("first failure must not trip a threshold-2 breaker")
+	}
+	if !b.failure(now) {
+		t.Fatal("second consecutive failure must trip")
+	}
+	if b.allow(now) {
+		t.Error("open breaker allows traffic before its cooldown")
+	}
+	if !b.tripped(now) {
+		t.Error("tripped() false right after the trip")
+	}
+	probeAt := now.Add(time.Minute)
+	if !b.allow(probeAt) {
+		t.Error("cooldown elapsed: the half-open probe must be allowed")
+	}
+	// A failed probe re-arms the cooldown without a fresh trip.
+	if b.failure(probeAt) {
+		t.Error("failed half-open probe reported a fresh trip")
+	}
+	if b.allow(probeAt.Add(30 * time.Second)) {
+		t.Error("re-armed breaker allows traffic mid-cooldown")
+	}
+	// A successful probe closes the breaker entirely.
+	if !b.allow(probeAt.Add(2 * time.Minute)) {
+		t.Error("re-armed cooldown elapsed: probe must be allowed")
+	}
+	b.success()
+	if !b.allow(now) || b.tripped(now) {
+		t.Error("breaker not closed after a successful probe")
+	}
+	// And the failure streak restarts from zero.
+	if b.failure(now) {
+		t.Error("first failure after recovery tripped immediately")
+	}
+}
+
+func TestReconnectClientNoAddresses(t *testing.T) {
+	// A replica set of zero used to divide by zero picking a replica; it
+	// must fail each call with an ordinary error instead.
+	rc := NewReconnectClient("tcp", nil, nil, ReconnectOptions{})
+	defer rc.Close()
+	_, err := rc.Call("ping")
+	if err == nil || errors.Is(err, ErrShutdown) {
+		t.Fatalf("call with no addresses = %v, want a plain error", err)
+	}
+	if st := rc.Status(); len(st) != 0 {
+		t.Errorf("Status() = %v, want empty", st)
 	}
 }

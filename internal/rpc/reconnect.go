@@ -6,34 +6,44 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vizndp/internal/telemetry"
 )
 
-// Fault-tolerance metrics: how often calls were retried after a
-// transport failure and how often the underlying connection had to be
-// re-established.
+// Fault-tolerance metrics: how often a call was re-issued to the same
+// address after a failure (retries) or moved to another one (failovers),
+// how often a connection had to be re-established, how often an
+// address's breaker tripped open, and how many corrupt rejections were
+// seen. The core.pool.* names predate the merge of core's replica pool
+// into this client and are kept for dashboards and experiment gates.
 var (
 	mClientRetries    = telemetry.Default().Counter("rpc.client.retries")
 	mClientReconnects = telemetry.Default().Counter("rpc.client.reconnects")
+	mPoolFailovers    = telemetry.Default().Counter("core.pool.failovers")
+	mPoolBreakerOpen  = telemetry.Default().Counter("core.pool.breaker.open")
+	mPoolCorruptions  = telemetry.Default().Counter("core.pool.corruptions")
 )
 
 // Defaults for ReconnectOptions zero values.
 const (
-	DefaultMaxAttempts    = 4
-	DefaultInitialBackoff = 10 * time.Millisecond
-	DefaultMaxBackoff     = 1 * time.Second
+	DefaultMaxAttempts      = 4
+	DefaultInitialBackoff   = 10 * time.Millisecond
+	DefaultMaxBackoff       = 1 * time.Second
+	DefaultBreakerThreshold = 3
+	DefaultBreakerCooldown  = 200 * time.Millisecond
 )
 
 // ReconnectOptions configures a ReconnectClient.
 type ReconnectOptions struct {
-	// MaxAttempts is the total number of tries per call, first attempt
-	// included. <= 0 means DefaultMaxAttempts. Only methods in Retryable
-	// get more than one attempt.
+	// MaxAttempts is the total number of tries per call across all
+	// addresses, first attempt included. <= 0 means DefaultMaxAttempts
+	// per address. Only methods in Retryable get more than one attempt.
 	MaxAttempts int
-	// InitialBackoff is the sleep before the first retry; it doubles per
-	// retry up to MaxBackoff. Zero values take the defaults.
+	// InitialBackoff is the sleep after the first full cycle through the
+	// addresses — with one address, before the first retry; it doubles
+	// per cycle up to MaxBackoff. Zero values take the defaults.
 	InitialBackoff time.Duration
 	MaxBackoff     time.Duration
 	// CallTimeout bounds each individual attempt (not the whole call).
@@ -53,12 +63,21 @@ type ReconnectOptions struct {
 	// Seed makes the retry jitter deterministic for tests and harness
 	// runs; 0 seeds from the default source.
 	Seed int64
+	// BreakerThreshold is how many consecutive failures — transport
+	// errors or busy sheds — trip an address's circuit breaker open.
+	// <= 0 means DefaultBreakerThreshold.
+	BreakerThreshold int
+	// BreakerCooldown is how long an open breaker steers traffic away
+	// before letting the next call through as a half-open probe; the
+	// probe's success closes the breaker, its failure re-arms the
+	// cooldown. <= 0 means DefaultBreakerCooldown.
+	BreakerCooldown time.Duration
 }
 
-// withDefaults fills in the zero values.
-func (o ReconnectOptions) withDefaults() ReconnectOptions {
+// withDefaults fills in the zero values for a client over n addresses.
+func (o ReconnectOptions) withDefaults(n int) ReconnectOptions {
 	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = DefaultMaxAttempts
+		o.MaxAttempts = DefaultMaxAttempts * n
 	}
 	if o.InitialBackoff <= 0 {
 		o.InitialBackoff = DefaultInitialBackoff
@@ -66,74 +85,161 @@ func (o ReconnectOptions) withDefaults() ReconnectOptions {
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = DefaultMaxBackoff
 	}
+	if o.BreakerThreshold <= 0 {
+		o.BreakerThreshold = DefaultBreakerThreshold
+	}
+	if o.BreakerCooldown <= 0 {
+		o.BreakerCooldown = DefaultBreakerCooldown
+	}
 	return o
 }
 
-// ReconnectClient is a fault-tolerant wrapper around Client: it dials
-// lazily, re-dials when the connection dies, bounds each attempt with a
-// per-call deadline, and retries idempotent methods with exponential
-// backoff plus jitter. Application-level errors (ServerError) and
-// caller cancellations are never retried; transport failures — the
-// cause-carrying shutdown errors a poisoned Client reports — are, for
-// methods declared retryable, and busy rejections (ErrBusy) are
-// retried for every method because the server shed them before any
-// handler ran.
-//
-// It is safe for concurrent use; concurrent calls share one underlying
-// connection, and a reconnect replaces it for all of them.
-type ReconnectClient struct {
-	network string
-	addr    string
-	dialFn  func(network, addr string) (net.Conn, error)
-	opts    ReconnectOptions
-
+// breaker is a per-address circuit breaker. Consecutive failures trip
+// it open; while open the address is skipped whenever a healthier one
+// exists; once the cooldown elapses the next call through acts as the
+// half-open probe.
+type breaker struct {
 	mu        sync.Mutex
-	cur       *Client
-	connected bool // a dial has succeeded at least once
-	closed    bool
-	rng       *rand.Rand
+	threshold int
+	cooldown  time.Duration
+	fails     int
+	open      bool
+	openUntil time.Time
 }
 
-// NewReconnectClient returns a fault-tolerant client for addr. No
-// connection is made until the first call, so the target may come up
-// after the client is created. dialFn nil means net.Dial.
-func NewReconnectClient(network, addr string, dialFn func(network, addr string) (net.Conn, error), opts ReconnectOptions) *ReconnectClient {
-	opts = opts.withDefaults()
+// allow reports whether a call may use this address now: the breaker is
+// closed, or open with its cooldown elapsed (the half-open probe).
+func (b *breaker) allow(now time.Time) bool { return !b.tripped(now) }
+
+// tripped reports whether the breaker currently rejects traffic.
+func (b *breaker) tripped(now time.Time) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.open && now.Before(b.openUntil)
+}
+
+// retryAt is when an open breaker next admits a probe (zero if closed).
+func (b *breaker) retryAt() time.Time {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.open {
+		return time.Time{}
+	}
+	return b.openUntil
+}
+
+// success closes the breaker and clears the failure streak.
+func (b *breaker) success() {
+	b.mu.Lock()
+	b.fails = 0
+	b.open = false
+	b.mu.Unlock()
+}
+
+// failure records one failed call; it reports true when this failure
+// freshly tripped the breaker open. A failed half-open probe re-arms
+// the cooldown without reporting a new trip.
+func (b *breaker) failure(now time.Time) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.fails++
+	if b.open {
+		b.openUntil = now.Add(b.cooldown)
+		return false
+	}
+	if b.fails >= b.threshold {
+		b.open = true
+		b.openUntil = now.Add(b.cooldown)
+		return true
+	}
+	return false
+}
+
+// replica is one address's connection and health state.
+type replica struct {
+	addr string
+	brk  breaker
+	// cur and connected are guarded by ReconnectClient.mu.
+	cur       *Client
+	connected bool // a dial has succeeded at least once
+}
+
+// ReconnectClient is a fault-tolerant caller over one or more addresses
+// serving the same data: it dials lazily, re-dials when a connection
+// dies, bounds each attempt with a per-call deadline, sends each call to
+// the healthiest address (round-robin over those whose breakers admit
+// traffic), and re-issues a failed call — to another address when there
+// is one — backing off exponentially with jitter once per full cycle
+// through the addresses, so failover to a healthy sibling is immediate
+// but a saturated set is not hammered. Application-level errors
+// (ServerError) and caller cancellations are never retried; transport
+// failures — the cause-carrying shutdown errors a poisoned Client
+// reports — are, for methods declared retryable, and busy rejections
+// (ErrBusy) are retried for every method because the server shed them
+// before any handler ran.
+//
+// It is safe for concurrent use; concurrent calls to one address share
+// one underlying connection, and a reconnect replaces it for all of them.
+type ReconnectClient struct {
+	network  string
+	dialFn   func(network, addr string) (net.Conn, error)
+	opts     ReconnectOptions
+	replicas []*replica
+
+	next atomic.Uint64 // round-robin cursor
+
+	mu     sync.Mutex
+	closed bool
+	rng    *rand.Rand
+}
+
+// NewReconnectClient returns a fault-tolerant client for addrs. No
+// connection is made until the first call, so the targets may come up
+// after the client is created; with no address at all every call fails.
+// dialFn nil means net.Dial.
+func NewReconnectClient(network string, addrs []string, dialFn func(network, addr string) (net.Conn, error), opts ReconnectOptions) *ReconnectClient {
+	opts = opts.withDefaults(len(addrs))
 	seed := opts.Seed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	return &ReconnectClient{
+	rc := &ReconnectClient{
 		network: network,
-		addr:    addr,
 		dialFn:  dialFn,
 		opts:    opts,
 		rng:     rand.New(rand.NewSource(seed)),
 	}
+	for _, addr := range addrs {
+		rc.replicas = append(rc.replicas, &replica{
+			addr: addr,
+			brk:  breaker{threshold: opts.BreakerThreshold, cooldown: opts.BreakerCooldown},
+		})
+	}
+	return rc
 }
 
-// conn returns the current connection, dialing a new one when none is
+// conn returns r's current connection, dialing a new one when none is
 // live. Dialing happens outside the mutex; when two callers race, the
 // loser's connection is closed and the winner's shared.
-func (rc *ReconnectClient) conn(ctx context.Context) (*Client, error) {
+func (rc *ReconnectClient) conn(ctx context.Context, r *replica) (*Client, error) {
 	rc.mu.Lock()
 	if rc.closed {
 		rc.mu.Unlock()
 		return nil, ErrShutdown
 	}
-	if c := rc.cur; c != nil {
+	if c := r.cur; c != nil {
 		rc.mu.Unlock()
 		return c, nil
 	}
-	reconnecting := rc.connected
+	reconnecting := r.connected
 	rc.mu.Unlock()
 
 	var span *telemetry.Span
 	if reconnecting && telemetry.SpanFromContext(ctx) != nil {
 		_, span = telemetry.StartSpan(ctx, "reconnect")
-		span.SetAttr("addr", rc.addr)
+		span.SetAttr("addr", r.addr)
 	}
-	c, err := Dial(rc.network, rc.addr, rc.dialFn)
+	c, err := Dial(rc.network, r.addr, rc.dialFn)
 	if err != nil {
 		span.SetAttr("error", err.Error())
 		span.End()
@@ -147,34 +253,35 @@ func (rc *ReconnectClient) conn(ctx context.Context) (*Client, error) {
 		c.Close()
 		return nil, ErrShutdown
 	}
-	if rc.cur != nil {
-		winner := rc.cur
+	if r.cur != nil {
+		winner := r.cur
 		rc.mu.Unlock()
 		c.Close()
 		return winner, nil
 	}
-	rc.cur = c
-	if rc.connected {
+	r.cur = c
+	if r.connected {
 		mClientReconnects.Inc()
-		logger.Debug("reconnected", "addr", rc.addr)
+		logger.Debug("reconnected", "addr", r.addr)
 	}
-	rc.connected = true
+	r.connected = true
 	rc.mu.Unlock()
 	return c, nil
 }
 
-// drop discards dead if it is still the current connection; the next
-// call re-dials.
-func (rc *ReconnectClient) drop(dead *Client) {
+// drop discards dead if it is still r's current connection; the next
+// call to r re-dials.
+func (rc *ReconnectClient) drop(r *replica, dead *Client) {
 	rc.mu.Lock()
-	if rc.cur == dead {
-		rc.cur = nil
+	if r.cur == dead {
+		r.cur = nil
 	}
 	rc.mu.Unlock()
 	dead.Close()
 }
 
-// Close shuts the client down; subsequent calls fail with ErrShutdown.
+// Close shuts every connection down; subsequent calls fail with
+// ErrShutdown.
 func (rc *ReconnectClient) Close() error {
 	rc.mu.Lock()
 	if rc.closed {
@@ -182,13 +289,79 @@ func (rc *ReconnectClient) Close() error {
 		return nil
 	}
 	rc.closed = true
-	c := rc.cur
-	rc.cur = nil
-	rc.mu.Unlock()
-	if c != nil {
-		return c.Close()
+	var conns []*Client
+	for _, r := range rc.replicas {
+		if r.cur != nil {
+			conns = append(conns, r.cur)
+			r.cur = nil
+		}
 	}
-	return nil
+	rc.mu.Unlock()
+	var first error
+	for _, c := range conns {
+		if err := c.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+func (rc *ReconnectClient) isClosed() bool {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	return rc.closed
+}
+
+// ReplicaStatus is one address's health snapshot.
+type ReplicaStatus struct {
+	Addr string
+	// BreakerOpen reports whether the breaker currently steers calls
+	// away from this address.
+	BreakerOpen bool
+}
+
+// Status snapshots every address's breaker state, in address order.
+func (rc *ReconnectClient) Status() []ReplicaStatus {
+	now := time.Now()
+	out := make([]ReplicaStatus, len(rc.replicas))
+	for i, r := range rc.replicas {
+		out[i] = ReplicaStatus{Addr: r.addr, BreakerOpen: r.brk.tripped(now)}
+	}
+	return out
+}
+
+// pick chooses the address for the next attempt: round-robin over
+// addresses whose breakers admit traffic, preferring not to re-pick the
+// one that just failed (last) while an alternative exists. With every
+// breaker open it falls back to the one whose cooldown expires soonest,
+// so a fully-tripped set still probes its way back to health.
+func (rc *ReconnectClient) pick(last *replica) *replica {
+	now := time.Now()
+	n := len(rc.replicas)
+	start := int(rc.next.Add(1)-1) % n
+	var allowedLast *replica
+	for i := 0; i < n; i++ {
+		r := rc.replicas[(start+i)%n]
+		if !r.brk.allow(now) {
+			continue
+		}
+		if r == last && n > 1 {
+			allowedLast = r
+			continue
+		}
+		return r
+	}
+	if allowedLast != nil {
+		return allowedLast
+	}
+	best := rc.replicas[start]
+	for i := 1; i < n; i++ {
+		r := rc.replicas[(start+i)%n]
+		if r.brk.retryAt().Before(best.brk.retryAt()) {
+			best = r
+		}
+	}
+	return best
 }
 
 // Call invokes method with args, reconnecting and retrying as configured.
@@ -196,32 +369,67 @@ func (rc *ReconnectClient) Call(method string, args ...any) (any, error) {
 	return rc.CallContext(context.Background(), method, args...)
 }
 
-// CallContext invokes method with args under ctx. Transport failures
-// (dead connection, failed dial, per-attempt timeout) are retried with
-// exponential backoff for methods in the retryable set; server-side
-// handler errors and a cancelled ctx return immediately.
+// CallContext invokes method with args under ctx on the healthiest
+// address. Busy sheds and — for methods in the retryable set — transport
+// failures (dead connection, failed dial, per-attempt timeout) are
+// re-issued, on another address when one exists; server-side handler
+// errors and a cancelled ctx return immediately.
 func (rc *ReconnectClient) CallContext(ctx context.Context, method string, args ...any) (any, error) {
+	if len(rc.replicas) == 0 {
+		return nil, errors.New("rpc: reconnect client has no addresses")
+	}
+	if rc.isClosed() {
+		return nil, ErrShutdown
+	}
+	var last *replica
 	for attempt := 1; ; attempt++ {
-		result, err := rc.tryOnce(ctx, method, args)
+		r := rc.pick(last)
+		if r == last {
+			mClientRetries.Inc()
+			telemetry.EventFromContext(ctx).AddRetry()
+			logger.Debug("retrying call", "method", method, "attempt", attempt)
+		} else if last != nil {
+			mPoolFailovers.Inc()
+			telemetry.EventFromContext(ctx).AddFailover()
+			logger.Debug("failing over", "from", last.addr, "to", r.addr, "method", method)
+		}
+		result, err := rc.tryOnce(ctx, r, method, args)
 		if err == nil {
+			r.brk.success()
 			return result, nil
+		}
+		// A caller-cancelled attempt says nothing about the address's
+		// health; only count failures the address itself caused. A corrupt
+		// rejection is counted apart and does NOT feed the breaker: the
+		// node answered promptly — its DATA is bad, not its health — and
+		// tripping the breaker would pull a healthy replica out of
+		// rotation exactly when its siblings are needed for repair reads.
+		if ctx.Err() == nil {
+			if errors.Is(err, ErrCorrupt) {
+				mPoolCorruptions.Inc()
+				logger.Warn("corrupt response", "addr", r.addr, "method", method, "err", err)
+			} else if r.brk.failure(time.Now()) {
+				mPoolBreakerOpen.Inc()
+				logger.Warn("breaker opened", "addr", r.addr, "err", err)
+			}
 		}
 		if !rc.retryableFailure(ctx, method, err) || attempt >= rc.opts.MaxAttempts {
 			return nil, err
 		}
-		mClientRetries.Inc()
-		telemetry.EventFromContext(ctx).AddRetry()
-		logger.Debug("retrying call", "method", method, "attempt", attempt, "err", err)
-		if werr := rc.backoff(ctx, attempt); werr != nil {
-			return nil, werr
+		last = r
+		if n := len(rc.replicas); attempt%n == 0 {
+			if werr := rc.backoff(ctx, attempt/n); werr != nil {
+				return nil, werr
+			}
 		}
 	}
 }
 
-// tryOnce runs one attempt: obtain a connection, apply the per-attempt
-// deadline, issue the call, and drop the connection on transport death.
-func (rc *ReconnectClient) tryOnce(ctx context.Context, method string, args []any) (any, error) {
-	c, err := rc.conn(ctx)
+// tryOnce runs one attempt on r: obtain a connection, apply the
+// per-attempt deadline, issue the call, and drop the connection on
+// transport death.
+func (rc *ReconnectClient) tryOnce(ctx context.Context, r *replica, method string, args []any) (any, error) {
+	c, err := rc.conn(ctx, r)
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +441,7 @@ func (rc *ReconnectClient) tryOnce(ctx context.Context, method string, args []an
 	}
 	result, err := c.CallContext(cctx, method, args...)
 	if err != nil && rc.connectionDead(ctx, err) {
-		rc.drop(c)
+		rc.drop(r, c)
 	}
 	return result, err
 }
@@ -258,30 +466,23 @@ func (rc *ReconnectClient) retryableFailure(ctx context.Context, method string, 
 	if ctx.Err() != nil {
 		return false
 	}
-	busy := errors.Is(err, ErrBusy)
-	if !busy && !rc.opts.Retryable[method] {
-		return false
-	}
-	if !busy {
+	if !errors.Is(err, ErrBusy) {
 		var se ServerError
-		if errors.As(err, &se) {
+		if !rc.opts.Retryable[method] || errors.As(err, &se) {
 			return false
 		}
 	}
 	// A closed ReconnectClient must not spin on ErrShutdown.
-	rc.mu.Lock()
-	closed := rc.closed
-	rc.mu.Unlock()
-	return !closed
+	return !rc.isClosed()
 }
 
-// backoff sleeps before retry attempt+1: exponential from
-// InitialBackoff, capped at MaxBackoff, with a uniform jitter in
-// [50%, 100%] of the computed delay so synchronized clients do not
-// reconnect in lockstep. Returns early with the context's error when
+// backoff sleeps after the given full cycle through the addresses:
+// exponential from InitialBackoff, capped at MaxBackoff, with a uniform
+// jitter in [50%, 100%] of the computed delay so synchronized clients do
+// not reconnect in lockstep. Returns early with the context's error when
 // ctx is cancelled mid-sleep.
-func (rc *ReconnectClient) backoff(ctx context.Context, attempt int) error {
-	d := rc.opts.InitialBackoff << (attempt - 1)
+func (rc *ReconnectClient) backoff(ctx context.Context, cycle int) error {
+	d := rc.opts.InitialBackoff << (cycle - 1)
 	if d > rc.opts.MaxBackoff || d <= 0 {
 		d = rc.opts.MaxBackoff
 	}
