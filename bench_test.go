@@ -1,14 +1,13 @@
 package vizndp
 
-// One benchmark per table and figure in the paper's evaluation, plus the
-// ablations listed in DESIGN.md. Each benchmark drives the experiment
-// harness end to end (object store, shaped link, NDP server) at the
-// quick configuration; `cmd/benchviz` runs the same experiments at full
-// scale and prints the complete tables.
+// One benchmark per entry of the experiment registry, at the quick
+// configuration; `cmd/benchviz` runs the same entries at full scale.
+// Per-layer throughput and the paper's end-to-end load times are the
+// repo benchmark's job (`go run ./bench`, see BENCHMARK.json); what this
+// measures and the benchmark does not is the wall time of regenerating
+// each of the paper's tables, with its gates, end to end.
 //
-// Run them all with:
-//
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench 'Experiment/fig13' -benchtime 1x -v .
 
 import (
 	"fmt"
@@ -16,10 +15,7 @@ import (
 	"sync"
 	"testing"
 
-	"vizndp/internal/compress"
 	"vizndp/internal/harness"
-	"vizndp/internal/netsim"
-	"vizndp/internal/stats"
 )
 
 var (
@@ -56,218 +52,23 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// reportTable prints the experiment's table once, under -v or bench
-// output, so a bench run doubles as a results dump.
-func reportTable(b *testing.B, t *stats.Table) {
-	b.Helper()
-	if testing.Verbose() {
-		fmt.Println(t.String())
-	}
-}
-
-// BenchmarkFig1Reduction regenerates Fig. 1: data reduction ratio ranges
-// for GZip, LZ4, and contour-based selection.
-func BenchmarkFig1Reduction(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		t, err := e.Fig1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportTable(b, t)
-	}
-}
-
-// BenchmarkFig5Compression regenerates Fig. 5: stored sizes plus remote
-// and local load times for v02 and v03 under RAW/GZip/LZ4.
-func BenchmarkFig5Compression(b *testing.B) {
-	e := env(b)
-	for _, array := range []string{"v02", "v03"} {
-		array := array
-		b.Run(array, func(b *testing.B) {
+// BenchmarkExperiment runs every registry entry; under -v the tables are
+// printed, so a bench run doubles as a results dump.
+func BenchmarkExperiment(b *testing.B) {
+	for _, x := range harness.Experiments {
+		b.Run(x.Name, func(b *testing.B) {
+			e := env(b)
 			for i := 0; i < b.N; i++ {
-				t, err := e.Fig5(array)
+				tables, err := x.Run(e)
 				if err != nil {
 					b.Fatal(err)
 				}
-				reportTable(b, t)
-			}
-		})
-	}
-}
-
-// BenchmarkFig6Selectivity regenerates Fig. 6: contour selection rates
-// in permillage per timestep and contour value.
-func BenchmarkFig6Selectivity(b *testing.B) {
-	e := env(b)
-	for _, array := range []string{"v02", "v03"} {
-		array := array
-		b.Run(array, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				t, err := e.Fig6(array)
-				if err != nil {
-					b.Fatal(err)
-				}
-				reportTable(b, t)
-			}
-		})
-	}
-}
-
-// BenchmarkFig13NDP regenerates Fig. 13: baseline vs NDP load times for
-// each codec and array across timesteps.
-func BenchmarkFig13NDP(b *testing.B) {
-	e := env(b)
-	for _, array := range []string{"v02", "v03"} {
-		for _, codec := range harness.Codecs {
-			name := fmt.Sprintf("%s-%s", array, codec)
-			array, codec := array, codec
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					t, err := e.Fig13(array, codec)
-					if err != nil {
-						b.Fatal(err)
+				for _, t := range tables {
+					if testing.Verbose() {
+						fmt.Println(t.String())
 					}
-					reportTable(b, t)
 				}
-			})
-		}
-	}
-}
-
-// BenchmarkTable2Speedups regenerates Table II: speedups of every
-// combination of NDP and compression over the RAW baseline.
-func BenchmarkTable2Speedups(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		t, err := e.Table2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportTable(b, t)
-	}
-}
-
-// BenchmarkFig14Nyx regenerates Fig. 14: Nyx baryon-density load times,
-// baseline vs NDP, per codec.
-func BenchmarkFig14Nyx(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		t, err := e.Fig14()
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportTable(b, t)
-	}
-}
-
-// BenchmarkAblationLinkSpeed sweeps the inter-node link capacity and
-// projects NDP's speedup (extension experiment).
-func BenchmarkAblationLinkSpeed(b *testing.B) {
-	e := env(b)
-	links := []float64{
-		0.1 * netsim.Gbps, 0.5 * netsim.Gbps, 1 * netsim.Gbps,
-		2 * netsim.Gbps, 10 * netsim.Gbps,
-	}
-	for i := 0; i < b.N; i++ {
-		t, err := e.AblationLinkSpeed("v02", 0.1, links)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportTable(b, t)
-	}
-}
-
-// BenchmarkAblationEncoding compares the sparse payload encodings
-// (DESIGN.md design-choice ablation).
-func BenchmarkAblationEncoding(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		t, err := e.AblationEncoding("v02")
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportTable(b, t)
-	}
-}
-
-// BenchmarkAblationMultiValue compares one multi-isovalue pre-filter pass
-// against per-value passes (DESIGN.md design-choice ablation).
-func BenchmarkAblationMultiValue(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		t, err := e.AblationMultiIso("v03")
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportTable(b, t)
-	}
-}
-
-// BenchmarkExtensionEndToEnd measures full pipeline runtimes (load +
-// contour + render), baseline vs NDP — the paper's stated future work.
-func BenchmarkExtensionEndToEnd(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		t, err := e.EndToEnd("v02", 0.1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportTable(b, t)
-	}
-}
-
-// BenchmarkExtensionLossy measures error-bounded lossy storage on the
-// Nyx dataset — the paper's compression future-work item.
-func BenchmarkExtensionLossy(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		t, err := e.AblationLossy([]float64{0.1, 0.01})
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportTable(b, t)
-	}
-}
-
-// BenchmarkExtensionSlice measures the split slice filter against full
-// array loads — the third offloaded filter type.
-func BenchmarkExtensionSlice(b *testing.B) {
-	e := env(b)
-	for i := 0; i < b.N; i++ {
-		t, err := e.ExtensionSlice("v02")
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportTable(b, t)
-	}
-}
-
-// BenchmarkBaselineVsNDPLoad is a focused microbenchmark of the two data
-// paths on one timestep, reporting moved network bytes per op.
-func BenchmarkBaselineVsNDPLoad(b *testing.B) {
-	e := env(b)
-	step := e.Steps()[0]
-	b.Run("baseline-raw", func(b *testing.B) {
-		var bytesMoved int64
-		for i := 0; i < b.N; i++ {
-			m, err := e.BaselineLoad("asteroid", compress.None, step, "v02")
-			if err != nil {
-				b.Fatal(err)
 			}
-			bytesMoved = m.NetworkBytes
-		}
-		b.ReportMetric(float64(bytesMoved), "netbytes/op")
-	})
-	b.Run("ndp-raw", func(b *testing.B) {
-		var bytesMoved int64
-		for i := 0; i < b.N; i++ {
-			m, err := e.NDPLoad("asteroid", compress.None, step, "v02", []float64{0.1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			bytesMoved = m.NetworkBytes
-		}
-		b.ReportMetric(float64(bytesMoved), "netbytes/op")
-	})
+		})
+	}
 }

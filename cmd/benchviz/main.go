@@ -13,12 +13,12 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
-	"strings"
 	"time"
 
 	"vizndp/internal/compress"
@@ -30,48 +30,64 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchviz: ")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
+// run is the whole command: results go to stdout (or -o), progress and
+// flag errors to stderr.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("benchviz", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp     = flag.String("exp", "all", "comma-separated experiments: fig1,fig5,fig6,fig13,tab2,fig14,ablations,e2e,lossy,slice,repeat,faults,overload,crowd,slo,shard,corrupt or all")
-		n       = flag.Int("n", 0, "asteroid/nyx grid edge length (0 = config default)")
-		steps   = flag.Int("steps", 0, "asteroid timesteps (0 = config default)")
-		gbps    = flag.Float64("gbps", 0, "inter-node link capacity in Gb/s (0 = config default)")
-		repeats = flag.Int("repeats", 0, "measurement repetitions (0 = config default)")
-		cacheB  = flag.Int64("cache-bytes", 0, "repeat experiment: array cache budget in bytes (0 = config default)")
-		quick   = flag.Bool("quick", false, "use the small quick configuration")
-		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		jsonOut = flag.Bool("json", false, "emit one machine-readable JSON document instead of text tables")
-		outFile = flag.String("o", "", "write results to this file instead of stdout")
-		dataDir = flag.String("data", "", "scratch directory for the object store (temp dir if empty)")
+		exp     = fs.String("exp", "all", "comma-separated experiments: "+harness.ExperimentNames()+" or all")
+		n       = fs.Int("n", 0, "asteroid/nyx grid edge length (0 = config default)")
+		steps   = fs.Int("steps", 0, "asteroid timesteps (0 = config default)")
+		gbps    = fs.Float64("gbps", 0, "inter-node link capacity in Gb/s (0 = config default)")
+		repeats = fs.Int("repeats", 0, "measurement repetitions (0 = config default)")
+		cacheB  = fs.Int64("cache-bytes", 0, "repeat experiment: array cache budget in bytes (0 = config default)")
+		quick   = fs.Bool("quick", false, "use the small quick configuration")
+		csv     = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		jsonOut = fs.Bool("json", false, "emit one machine-readable JSON document instead of text tables")
+		outFile = fs.String("o", "", "write results to this file instead of stdout")
+		dataDir = fs.String("data", "", "scratch directory for the object store (temp dir if empty)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	// Resolve -exp before anything is built: a typo must fail in
+	// milliseconds, not after the testbed is up having run nothing.
+	selected, err := harness.SelectExperiments(*exp)
+	if err != nil {
+		return err
+	}
 
 	// Result destination. In -json mode every human-oriented line
 	// (progress, summary) moves to stderr so the document on the result
 	// stream stays parseable.
-	out := io.Writer(os.Stdout)
+	out, progress := stdout, stdout
 	if *outFile != "" {
-		f, err := os.Create(*outFile)
-		if err != nil {
-			log.Fatal(err)
+		f, ferr := os.Create(*outFile)
+		if ferr != nil {
+			return ferr
 		}
 		defer func() {
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
 		}()
 		out = f
 	}
-	progress := io.Writer(os.Stdout)
 	if *jsonOut || *outFile != "" {
-		progress = os.Stderr
+		progress = stderr
 	}
 
 	dir := *dataDir
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "benchviz-*")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer os.RemoveAll(tmp)
 		dir = tmp
@@ -98,102 +114,34 @@ func main() {
 		cfg.CacheBytes = *cacheB
 	}
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	all := want["all"]
-
 	fmt.Fprintf(progress, "building testbed: %d^3 grids, %d timesteps, %g Gb/s link, %d repeats\n",
 		cfg.AsteroidN, cfg.NumTimesteps, cfg.LinkBits/netsim.Gbps, cfg.Repeats)
 	start := time.Now()
 	env, err := harness.NewEnv(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer env.Close()
 	fmt.Fprintf(progress, "testbed ready in %s\n\n", time.Since(start).Round(time.Millisecond))
 
 	var collected []*stats.Table
-	show := func(t *stats.Table, err error) {
+	headline := false
+	for _, x := range selected {
+		tables, err := x.Run(env)
 		if err != nil {
-			log.Fatal(err)
+			return fmt.Errorf("%s: %w", x.Name, err)
 		}
-		if *jsonOut {
-			collected = append(collected, t)
-			fmt.Fprintf(progress, "done: %s\n", t.Title)
-			return
-		}
-		if *csv {
-			fmt.Fprintf(out, "# %s\n%s\n", t.Title, t.CSV())
-			return
-		}
-		fmt.Fprintln(out, t.String())
-	}
-
-	if all || want["fig1"] {
-		show(env.Fig1())
-	}
-	if all || want["fig5"] {
-		show(env.Fig5("v02"))
-		show(env.Fig5("v03"))
-	}
-	if all || want["fig6"] {
-		show(env.Fig6("v02"))
-		show(env.Fig6("v03"))
-	}
-	if all || want["fig13"] {
-		for _, array := range []string{"v02", "v03"} {
-			for _, codec := range harness.Codecs {
-				show(env.Fig13(array, codec))
+		headline = headline || x.Name == "tab2"
+		for _, t := range tables {
+			switch {
+			case *jsonOut:
+				collected = append(collected, t)
+				fmt.Fprintf(progress, "done: %s\n", t.Title)
+			case *csv:
+				fmt.Fprintf(out, "# %s\n%s\n", t.Title, t.CSV())
+			default:
+				fmt.Fprintln(out, t.String())
 			}
-		}
-	}
-	if all || want["tab2"] {
-		show(env.Table2())
-	}
-	if all || want["fig14"] {
-		show(env.Fig14())
-	}
-	if all || want["ablations"] {
-		show(env.AblationLinkSpeed("v02", 0.1, []float64{
-			0.1 * netsim.Gbps, 0.5 * netsim.Gbps, 1 * netsim.Gbps,
-			2 * netsim.Gbps, 10 * netsim.Gbps,
-		}))
-		show(env.AblationEncoding("v02"))
-		show(env.AblationMultiIso("v03"))
-	}
-	if all || want["e2e"] {
-		show(env.EndToEnd("v02", 0.1))
-	}
-	if all || want["slice"] {
-		show(env.ExtensionSlice("v02"))
-	}
-	if all || want["lossy"] {
-		show(env.AblationLossy([]float64{1.0, 0.1, 0.01}))
-	}
-	if all || want["faults"] {
-		show(env.FaultsExperiment("v03"))
-	}
-	if all || want["overload"] {
-		show(env.OverloadExperiment("v03"))
-	}
-	if all || want["crowd"] {
-		show(env.CrowdExperiment("v03"))
-	}
-	if all || want["slo"] {
-		show(env.SLOExperiment("v03"))
-	}
-	if all || want["shard"] {
-		show(env.ShardExperiment("v03"))
-	}
-	if all || want["corrupt"] {
-		show(env.CorruptExperiment("v03"))
-	}
-	if all || want["repeat"] {
-		step := env.Steps()[0]
-		for _, codec := range harness.Codecs {
-			show(env.RepeatFetch("asteroid", codec, step, "v03"))
 		}
 	}
 
@@ -205,35 +153,37 @@ func main() {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
 	// A final sanity line mirroring the headline claim.
-	if all || want["tab2"] {
-		summarize(env, progress)
+	if headline {
+		return summarize(env, progress)
 	}
+	return nil
 }
 
 // summarize prints the headline speedups like the paper's abstract: NDP
 // alone and NDP combined with compression, on the last contour value.
-func summarize(env *harness.Env, w io.Writer) {
+func summarize(env *harness.Env, w io.Writer) error {
 	step := env.Steps()[len(env.Steps())-1]
 	iso := env.Cfg.ContourValues[len(env.Cfg.ContourValues)-1]
 	base, err := env.BaselineLoad("asteroid", compress.None, step, "v03")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ndp, err := env.NDPLoad("asteroid", compress.None, step, "v03", []float64{iso})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	combo, err := env.NDPLoad("asteroid", compress.LZ4, step, "v03", []float64{iso})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Fprintf(w, "headline (v03, iso %.1f, step %d): NDP alone %.2fx, LZ4+NDP %.2fx\n",
 		iso, step,
 		stats.Speedup(base.LoadTime, ndp.LoadTime),
 		stats.Speedup(base.LoadTime, combo.LoadTime))
+	return nil
 }

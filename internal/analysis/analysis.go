@@ -293,17 +293,6 @@ func Analyze(pkg *Package, analyzers []*Analyzer) []Finding {
 	return analyze(pkg, analyzers, false)
 }
 
-// AnalyzeStrict is Analyze plus stale-suppression reporting: a
-// well-formed ignore directive that suppressed nothing — while its
-// analyzer actually ran — is itself a finding from the "vizlint"
-// pseudo-analyzer, so dead suppressions cannot linger and silently
-// cover a future regression. Run it with the full suite: under a
-// subset, directives for the analyzers that did not run are skipped,
-// not reported.
-func AnalyzeStrict(pkg *Package, analyzers []*Analyzer) []Finding {
-	return analyze(pkg, analyzers, true)
-}
-
 func analyze(pkg *Package, analyzers []*Analyzer, strict bool) []Finding {
 	findings := append([]Finding(nil), pkg.TypeErrors...)
 	dirs := make(map[string][]*directive)
@@ -356,8 +345,13 @@ func AnalyzePackages(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	return analyzePackages(pkgs, analyzers, false)
 }
 
-// AnalyzePackagesStrict is AnalyzePackages with AnalyzeStrict's
-// stale-suppression reporting.
+// AnalyzePackagesStrict is AnalyzePackages plus stale-suppression
+// reporting: a well-formed ignore directive that suppressed nothing —
+// while its analyzer actually ran — is itself a finding from the
+// "vizlint" pseudo-analyzer, so dead suppressions cannot linger and
+// silently cover a future regression. Run it with the full suite: under
+// a subset, directives for the analyzers that did not run are skipped,
+// not reported.
 func AnalyzePackagesStrict(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	return analyzePackages(pkgs, analyzers, true)
 }

@@ -120,6 +120,7 @@ func TestQuickCountMatchesReference(t *testing.T) {
 	}
 }
 
+// Kept: the benchmark trace has no bitset layer; popcount over a mask is folded into contour.select_* and core.encode_*.
 func BenchmarkCount(b *testing.B) {
 	bs := New(1 << 20)
 	rng := rand.New(rand.NewSource(1))

@@ -586,17 +586,7 @@ func TestMeshEqual(t *testing.T) {
 	}
 }
 
-func BenchmarkSelectCellCorners64(b *testing.B) {
-	g, vals := sphereField(64)
-	b.SetBytes(int64(4 * len(vals)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := SelectCellCorners(g, vals, []float64{20}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// Kept: the edge-point metric is the paper's Fig. 6 selectivity measure, off every fetch path, so no benchmark workload or traced layer runs it.
 func BenchmarkInterestingEdgePoints64(b *testing.B) {
 	g, vals := sphereField(64)
 	b.SetBytes(int64(4 * len(vals)))

@@ -188,6 +188,7 @@ func TestSelectRangeCornersSuperset(t *testing.T) {
 	}
 }
 
+// Kept: the benchmark trace's contour.select_* pools the contour and range selectors of `wide` into one number; this isolates the range scan.
 func BenchmarkSelectRangeCorners64(b *testing.B) {
 	g, vals := sphereField(64)
 	b.SetBytes(int64(4 * len(vals)))

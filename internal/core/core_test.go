@@ -348,18 +348,6 @@ func TestEncodingStringParse(t *testing.T) {
 	}
 }
 
-func BenchmarkPreFilter(b *testing.B) {
-	g, f := sphereField(64)
-	pre := &PreFilter{Isovalues: []float64{20}}
-	b.SetBytes(int64(4 * g.NumPoints()))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := pre.Run(g, f); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPostFilterContour128 measures the client's share of a frame
 // the way the frame runs it: PostFilter.Contour straight from a payload,
 // on the benchmark's 128^3 asteroid (water fraction v02, middle time

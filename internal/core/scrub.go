@@ -89,13 +89,6 @@ func NewScrubber(fsys fs.FS, manifests ...string) *Scrubber {
 	}
 }
 
-// AddManifest registers another manifest for subsequent passes.
-func (sc *Scrubber) AddManifest(manifestPath string) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	sc.manifests = append(sc.manifests, manifestPath)
-}
-
 // Quarantined returns the quarantine reason for an object path, or ""
 // when the path is clean.
 func (sc *Scrubber) Quarantined(objPath string) string {

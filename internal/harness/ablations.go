@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"image/color"
@@ -11,6 +10,7 @@ import (
 	"vizndp/internal/compress"
 	"vizndp/internal/contour"
 	"vizndp/internal/core"
+	"vizndp/internal/grid"
 	"vizndp/internal/netsim"
 	"vizndp/internal/pipeline"
 	"vizndp/internal/render"
@@ -55,12 +55,7 @@ func (e *Env) AblationLinkSpeed(array string, iso float64, linkBits []float64) (
 		link := netsim.NewLink(bits, 0)
 		baseline := local.LoadTime + link.TransferTime(size)
 		ndp := local.LoadTime + st.FilterTime + link.TransferTime(int64(payload.WireSize()))
-		t.AddRow(
-			fmt.Sprintf("%.1f Gb/s", bits/netsim.Gbps),
-			stats.FormatDuration(baseline),
-			stats.FormatDuration(ndp),
-			fmt.Sprintf("%.2fx", stats.Speedup(baseline, ndp)),
-		)
+		row(t, fmt.Sprintf("%.1f Gb/s", bits/netsim.Gbps), baseline, ndp, speedupX(baseline, ndp))
 	}
 	return t, nil
 }
@@ -115,62 +110,46 @@ func (e *Env) EndToEnd(array string, iso float64) (*stats.Table, error) {
 	isos := []float64{iso}
 	renderOpts := render.Options{Width: 256, Height: 256, AzimuthDeg: 35, ElevationDeg: 25}
 
+	// run executes source -> contour -> render, returning the mesh, the
+	// source stage's (load) time and the whole pipeline's.
+	run := func(src pipeline.Stage) (*contour.Mesh, time.Duration, time.Duration, error) {
+		pipe := pipeline.New(src, &pipeline.ContourFilter{Array: array, Isovalues: isos})
+		// vizlint:ignore ctxflow offline ablation root: no caller deadline exists for either pipeline
+		out, err := pipe.Run(context.Background())
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		mesh := out.(*contour.Mesh)
+		renderStart := time.Now()
+		if _, err := render.Mesh(mesh, color.RGBA{R: 200, A: 255}, renderOpts); err != nil {
+			return nil, 0, 0, err
+		}
+		return mesh, pipe.StageTime(pipeline.SourceStageName), pipe.Total() + time.Since(renderStart), nil
+	}
+
 	for _, codec := range Codecs {
 		key := ObjectKey("asteroid", codec, step)
-
 		// Baseline: full-array read over the link, contour, render.
-		basePipe := pipeline.New(
-			&pipeline.FileSource{
-				FS:     s3fs.New(e.remote, Bucket),
-				Path:   key,
-				Arrays: []string{array},
-			},
-			&pipeline.ContourFilter{Array: array, Isovalues: isos},
-		)
-		// vizlint:ignore ctxflow offline ablation root: no caller deadline exists for the baseline pipeline
-		baseOut, err := basePipe.Run(context.Background())
+		baseMesh, baseLoad, baseTotal, err := run(&pipeline.FileSource{
+			FS: s3fs.New(e.remote, Bucket), Path: key, Arrays: []string{array},
+		})
 		if err != nil {
 			return nil, err
 		}
-		baseRenderStart := time.Now()
-		if _, err := render.Mesh(baseOut.(*contour.Mesh), color.RGBA{R: 200, A: 255}, renderOpts); err != nil {
-			return nil, err
-		}
-		baseRender := time.Since(baseRenderStart)
-		baseLoad := basePipe.StageTime(pipeline.SourceStageName)
-		baseTotal := basePipe.Total() + baseRender
-
 		// NDP: pre-filtered fetch, contour, render.
-		src := &core.NDPSource{
-			Client:    e.ndpClient,
-			Path:      key,
-			Arrays:    []string{array},
-			Isovalues: isos,
-			Encoding:  e.Cfg.Encoding,
-		}
-		ndpPipe := pipeline.New(src, &pipeline.ContourFilter{Array: array, Isovalues: isos})
-		// vizlint:ignore ctxflow offline ablation root: no caller deadline exists for the NDP pipeline
-		ndpOut, err := ndpPipe.Run(context.Background())
+		ndpMesh, ndpLoad, ndpTotal, err := run(&core.NDPSource{
+			Client: e.ndpClient, Path: key, Arrays: []string{array}, Isovalues: isos, Encoding: e.Cfg.Encoding,
+		})
 		if err != nil {
 			return nil, err
 		}
-		ndpRenderStart := time.Now()
-		if _, err := render.Mesh(ndpOut.(*contour.Mesh), color.RGBA{R: 200, A: 255}, renderOpts); err != nil {
-			return nil, err
-		}
-		ndpRender := time.Since(ndpRenderStart)
-		ndpLoad := ndpPipe.StageTime(pipeline.SourceStageName)
-		ndpTotal := ndpPipe.Total() + ndpRender
 
 		// The two pipelines must agree exactly.
-		if !baseOut.(*contour.Mesh).Equal(ndpOut.(*contour.Mesh)) {
+		if !baseMesh.Equal(ndpMesh) {
 			return nil, fmt.Errorf("harness: end-to-end meshes differ for %s", codec)
 		}
 
-		t.AddRow(codec.String(),
-			stats.FormatDuration(baseLoad), stats.FormatDuration(baseTotal),
-			stats.FormatDuration(ndpLoad), stats.FormatDuration(ndpTotal),
-			fmt.Sprintf("%.2fx", stats.Speedup(baseTotal, ndpTotal)))
+		row(t, codec.String(), baseLoad, baseTotal, ndpLoad, ndpTotal, speedupX(baseTotal, ndpTotal))
 	}
 	return t, nil
 }
@@ -189,14 +168,8 @@ func (e *Env) AblationLossy(bounds []float64) (*stats.Table, error) {
 	isos := []float64{sim.NyxHaloThreshold}
 
 	addRow := func(label, key string) error {
-		fsys := s3fs.New(e.local, Bucket)
-		f, err := fsys.Open(key)
+		reader, f, err := openReader(e.local, key)
 		if err != nil {
-			return err
-		}
-		reader, err := vtkio.OpenReader(f.(*s3fs.File))
-		if err != nil {
-			f.Close()
 			return err
 		}
 		size := reader.Header().Array(array).CompressedSize()
@@ -219,9 +192,7 @@ func (e *Env) AblationLossy(bounds []float64) (*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		t.AddRow(label, stats.FormatBytes(size),
-			stats.FormatDuration(base.LoadTime), stats.FormatDuration(ndp.LoadTime),
-			fmt.Sprintf("%.2g", maxErr))
+		row(t, label, stats.FormatBytes(size), base.LoadTime, ndp.LoadTime, fmt.Sprintf("%.2g", maxErr))
 		return nil
 	}
 
@@ -231,12 +202,8 @@ func (e *Env) AblationLossy(bounds []float64) (*stats.Table, error) {
 		}
 	}
 	for _, bound := range bounds {
-		blob := &bytes.Buffer{}
-		if err := vtkio.Write(blob, e.nyxDS, vtkio.WriteOptions{LossyBound: bound}); err != nil {
-			return nil, err
-		}
 		key := fmt.Sprintf("nyx/qlz4-%g/ts00000.vnd", bound)
-		if err := e.local.Put(Bucket, key, blob.Bytes()); err != nil {
+		if _, err := e.putDataset(key, e.nyxDS, vtkio.WriteOptions{LossyBound: bound}); err != nil {
 			return nil, err
 		}
 		if err := addRow(fmt.Sprintf("qlz4 (err %g)", bound), key); err != nil {
@@ -264,43 +231,27 @@ func (e *Env) ExtensionSlice(array string) (*stats.Table, error) {
 			return nil, err
 		}
 
-		var sliceTime time.Duration
-		var sliceBytes int64
-		for r := 0; r < e.Cfg.Repeats; r++ {
-			e.Link.ResetCounters()
-			start := time.Now()
-			g2, vals, _, err := e.ndpClient.FetchSlice(key, array, contour.AxisZ, index)
+		var g2 *grid.Uniform
+		var vals []float32
+		slice, err := e.measure(func() (err error) {
+			g2, vals, _, err = e.ndpClient.FetchSlice(key, array, contour.AxisZ, index)
+			return err
+		}, func() error {
+			// Verify against the in-memory dataset once.
+			wantGrid, want, err := contour.ExtractSlice(ds.Grid, ds.Field(array).Values, contour.AxisZ, index)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			sliceTime += time.Since(start)
-			sliceBytes = e.Link.BytesSent()
-			if r == 0 {
-				// Verify against the in-memory dataset once.
-				wantGrid, want, err := contour.ExtractSlice(ds.Grid, ds.Field(array).Values,
-					contour.AxisZ, index)
-				if err != nil {
-					return nil, err
-				}
-				if !g2.Equal(wantGrid) || len(vals) != len(want) {
-					return nil, fmt.Errorf("harness: slice mismatch at step %d", step)
-				}
-				for i := range want {
-					// Bit-level comparison: the claim is payload identity,
-					// which value equality misstates for NaN and ±0.
-					if math.Float32bits(vals[i]) != math.Float32bits(want[i]) {
-						return nil, fmt.Errorf("harness: slice value mismatch at step %d", step)
-					}
-				}
+			if !g2.Equal(wantGrid) || !bitsEqual(vals, want) {
+				return fmt.Errorf("harness: slice mismatch at step %d", step)
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		sliceTime /= time.Duration(e.Cfg.Repeats)
-		t.AddRow(fmt.Sprintf("%d", step),
-			stats.FormatDuration(base.LoadTime),
-			stats.FormatDuration(sliceTime),
-			fmt.Sprintf("%.2fx", stats.Speedup(base.LoadTime, sliceTime)),
-			stats.FormatBytes(base.NetworkBytes),
-			stats.FormatBytes(sliceBytes))
+		row(t, step, base.LoadTime, slice.LoadTime, speedupX(base.LoadTime, slice.LoadTime),
+			stats.FormatBytes(base.NetworkBytes), stats.FormatBytes(slice.NetworkBytes))
 	}
 	return t, nil
 }
@@ -329,12 +280,7 @@ func (e *Env) AblationMultiIso(array string) (*stats.Table, error) {
 			perTotal += pm.LoadTime
 			perBytes += pm.NetworkBytes
 		}
-		t.AddRow(fmt.Sprintf("%d", step),
-			stats.FormatDuration(m.LoadTime),
-			stats.FormatDuration(perTotal),
-			stats.FormatBytes(singleBytes),
-			stats.FormatBytes(perBytes),
-		)
+		row(t, step, m.LoadTime, perTotal, stats.FormatBytes(singleBytes), stats.FormatBytes(perBytes))
 	}
 	return t, nil
 }

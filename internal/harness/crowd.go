@@ -1,17 +1,11 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
-	"math"
-	"net"
 	"sync"
 	"time"
 
-	"vizndp/internal/compress"
 	"vizndp/internal/core"
-	"vizndp/internal/rpc"
-	"vizndp/internal/s3fs"
 	"vizndp/internal/stats"
 	"vizndp/internal/telemetry"
 )
@@ -39,137 +33,73 @@ import (
 // wide-event flight ring. Shed requests (rpc.ErrBusy) are reported, not
 // retried — the crowd is open-loop.
 func (e *Env) CrowdExperiment(array string) (*stats.Table, error) {
-	const dataset = "asteroid"
 	const arrivals = 384
 	const numConns = 64
 	const ramp = 250 * time.Millisecond
-	codec := compress.None
-	step := e.steps[0]
-	key := ObjectKey(dataset, codec, step)
-	isos := e.Cfg.ContourValues
-
-	mRequests := telemetry.Default().Counter("core.scan.requests")
-	mPasses := telemetry.Default().Counter("core.scan.passes")
-	mCoalesced := telemetry.Default().Counter("core.scan.coalesced")
-	mPCHits := telemetry.Default().Counter("core.payloadcache.hits")
-
-	startServer := func(opts ...core.ServerOption) (*core.Server, string, error) {
-		srv := core.NewServer(s3fs.New(e.local, Bucket), opts...)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, "", err
-		}
-		go srv.Serve(e.Link.Listener(ln))
-		return srv, ln.Addr().String(), nil
-	}
+	k := e.newKit()
+	defer k.close()
+	ids := e.sweepIDs(e.steps[:1])
 	admission := []core.ServerOption{
 		core.WithCacheBytes(e.Cfg.CacheBytes),
 		core.WithMaxInFlight(32), core.WithQueue(64),
 	}
 
 	// Round 1: sequential ground truth from an unbounded server.
-	truthSrv, truthAddr, err := startServer()
+	truth, _, err := k.groundTruth(array, e.Link, ids)
 	if err != nil {
 		return nil, err
 	}
-	defer truthSrv.Close()
-	truth, err := core.Dial(truthAddr, e.Link.Dial)
-	if err != nil {
-		return nil, err
-	}
-	want := make(map[uint64]string, len(isos))
-	for _, iso := range isos {
-		p, _, err := truth.FetchFiltered(key, array, []float64{iso}, e.Cfg.Encoding)
-		if err != nil {
-			truth.Close()
-			return nil, fmt.Errorf("harness: ground truth iso %g: %w", iso, err)
-		}
-		want[math.Float64bits(iso)] = string(p.Data)
-	}
-	truth.Close()
 
-	type crowdResult struct {
-		served, shed, mismatched int
-		lats                     []float64
-	}
-	// runCrowd fires the open-loop arrival schedule at addr: arrival k
-	// sleeps until its slot (k/arrivals into the ramp), issues one fetch
-	// over a pooled connection, and classifies the outcome. Arrival times
-	// are fixed up front — a slow or shed request delays nobody.
-	runCrowd := func(addr string) (*crowdResult, error) {
+	// runCrowd fires the open-loop arrival schedule at n: arrival i
+	// sleeps until its slot (i/arrivals into the ramp), issues one fetch
+	// over a pooled connection, and the shared tally classifies the
+	// outcome. Arrival times are fixed up front — a slow or shed request
+	// delays nobody, which is why this is not a burst: a closed-loop
+	// worker pool issues its next request only when one completes.
+	runCrowd := func(n *node) (*tally, error) {
+		defer k.unwind(k.mark())
 		conns := make([]*core.Client, numConns)
 		for i := range conns {
-			c, err := core.Dial(addr, e.Link.Dial)
+			c, err := n.dial()
 			if err != nil {
 				return nil, err
 			}
 			conns[i] = c
 		}
-		defer func() {
-			for _, c := range conns {
-				c.Close()
-			}
-		}()
-		res := &crowdResult{}
-		var mu sync.Mutex
-		var firstErr error
+		t := newTally()
+		t.openLoop = true
 		start := time.Now().Add(20 * time.Millisecond)
 		var wg sync.WaitGroup
-		for k := 0; k < arrivals; k++ {
+		for i := 0; i < arrivals; i++ {
 			wg.Add(1)
-			go func(k int) {
+			go func(i int) {
 				defer wg.Done()
-				iso := isos[k%len(isos)]
-				time.Sleep(time.Until(start.Add(time.Duration(k) * ramp / arrivals)))
-				t0 := time.Now()
-				p, _, err := conns[k%numConns].FetchFiltered(key, array, []float64{iso}, e.Cfg.Encoding)
-				lat := float64(time.Since(t0)) / float64(time.Millisecond)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					if errors.Is(err, rpc.ErrBusy) {
-						res.shed++
-						return
-					}
-					if firstErr == nil {
-						firstErr = fmt.Errorf("harness: crowd arrival %d iso %g: %w", k, iso, err)
-					}
-					return
-				}
-				if string(p.Data) != want[math.Float64bits(iso)] {
-					res.mismatched++
-				}
-				res.served++
-				res.lats = append(res.lats, lat)
-			}(k)
+				time.Sleep(time.Until(start.Add(time.Duration(i) * ramp / arrivals)))
+				truth.attempt(conns[i%numConns], "crowd", ids[i%len(ids)], "", t)
+			}(i)
 		}
 		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
+		if t.err != nil {
+			return nil, t.err
 		}
-		if res.served+res.shed != arrivals {
+		if len(t.lats)+t.shed != arrivals {
 			return nil, fmt.Errorf("harness: crowd accounting: %d served + %d shed != %d arrivals",
-				res.served, res.shed, arrivals)
+				len(t.lats), t.shed, arrivals)
 		}
-		if res.mismatched > 0 {
-			return nil, fmt.Errorf("harness: %d of %d served payloads differ from ground truth",
-				res.mismatched, res.served)
-		}
-		return res, nil
+		return t, nil
 	}
 
 	// Round 2: the crowd against admission control, uncoalesced.
-	plainSrv, plainAddr, err := startServer(admission...)
+	plainNode, err := k.startNode(nil, e.Link, admission...)
 	if err != nil {
 		return nil, err
 	}
-	defer plainSrv.Close()
-	req0, pass0 := mRequests.Value(), mPasses.Value()
-	plain, err := runCrowd(plainAddr)
+	led := openLedger()
+	plain, err := runCrowd(plainNode)
 	if err != nil {
 		return nil, err
 	}
-	plainReqs, plainPasses := mRequests.Value()-req0, mPasses.Value()-pass0
+	plainReqs, plainPasses := led.delta("core.scan.requests"), led.delta("core.scan.passes")
 	if plainReqs == 0 || plainPasses != plainReqs {
 		return nil, fmt.Errorf("harness: uncoalesced round ran %d scan passes for %d requests, want one each",
 			plainPasses, plainReqs)
@@ -177,23 +107,19 @@ func (e *Env) CrowdExperiment(array string) (*stats.Table, error) {
 	plainSPR := float64(plainPasses) / float64(plainReqs)
 
 	// Round 3: the same crowd with scan coalescing and the payload cache.
-	coalSrv, coalAddr, err := startServer(append(admission,
+	coalNode, err := k.startNode(nil, e.Link, append(admission,
 		core.WithCoalesce(2*time.Millisecond),
 		core.WithPayloadCacheBytes(64<<20))...)
 	if err != nil {
 		return nil, err
 	}
-	defer coalSrv.Close()
-	rec := telemetry.DefaultFlightRecorder()
-	seq0 := rec.Seq()
-	req0, pass0 = mRequests.Value(), mPasses.Value()
-	coal0, hit0 := mCoalesced.Value(), mPCHits.Value()
-	shared, err := runCrowd(coalAddr)
+	led = openLedger()
+	shared, err := runCrowd(coalNode)
 	if err != nil {
 		return nil, err
 	}
-	coalReqs, coalPasses := mRequests.Value()-req0, mPasses.Value()-pass0
-	coalN, hitN := mCoalesced.Value()-coal0, mPCHits.Value()-hit0
+	coalReqs, coalPasses := led.delta("core.scan.requests"), led.delta("core.scan.passes")
+	coalN, hitN := led.delta("core.scan.coalesced"), led.delta("core.payloadcache.hits")
 	if coalReqs == 0 {
 		return nil, fmt.Errorf("harness: coalesced round served no requests")
 	}
@@ -211,48 +137,31 @@ func (e *Env) CrowdExperiment(array string) (*stats.Table, error) {
 
 	// Counter/wide-event reconciliation: every coalesced request and every
 	// payload-cache hit must appear as an attributed server-side fetch
-	// event in the flight ring, and vice versa. The server finishes its
-	// wide event just after writing the response, so give the last
-	// in-flight recordings a beat to land before reading the ring.
-	time.Sleep(50 * time.Millisecond)
-	var evFollowers, evHits int64
-	for _, ev := range rec.Events(telemetry.EventFilter{Method: core.MethodFetch, SinceSeq: seq0}) {
-		if ev.Kind != telemetry.KindServer {
-			continue
-		}
-		if v, ok := ev.Attrs["coalesced-scan"].(string); ok && v == "follower" {
-			evFollowers++
-		}
-		if v, ok := ev.Attrs["payloadcache"].(string); ok && v == "hit" {
-			evHits++
-		}
+	// event in the flight ring, and vice versa.
+	serverFetch := func(ev *telemetry.WideEvent) bool {
+		return ev.Kind == telemetry.KindServer && ev.Method == core.MethodFetch
 	}
-	if evFollowers != coalN {
-		return nil, fmt.Errorf("harness: core.scan.coalesced=%d but flight ring has %d follower events",
-			coalN, evFollowers)
-	}
-	if evHits != hitN {
-		return nil, fmt.Errorf("harness: payload cache hits=%d but flight ring has %d hit events",
-			hitN, evHits)
+	err = led.reconcile(
+		eventCount{"core.scan.coalesced", func(ev *telemetry.WideEvent) bool {
+			return serverFetch(ev) && ev.Attrs["coalesced-scan"] == "follower"
+		}},
+		eventCount{"core.payloadcache.hits", func(ev *telemetry.WideEvent) bool {
+			return serverFetch(ev) && ev.Attrs["payloadcache"] == "hit"
+		}})
+	if err != nil {
+		return nil, err
 	}
 
-	pcts := func(lats []float64) (string, string) {
-		return fmt.Sprintf("%.1fms", stats.Percentile(lats, 0.50)),
-			fmt.Sprintf("%.1fms", stats.Percentile(lats, 0.99))
-	}
-	plainP50, plainP99 := pcts(plain.lats)
-	coalP50, coalP99 := pcts(shared.lats)
+	plainP50, plainP99 := plain.p50p99()
+	coalP50, coalP99 := shared.p50p99()
 	t := stats.NewTable(
 		fmt.Sprintf("Crowd: %d open-loop arrivals over %v, %d isovalues, server bounded to 32 in flight + 64 queued (%s)",
-			arrivals, ramp, len(isos), array),
+			arrivals, ramp, len(ids), array),
 		"run", "arrivals", "served", "shed", "p50", "p99", "scans/req", "coalesced", "cache hits", "identical")
-	t.AddRow("ground truth", fmt.Sprintf("%d", len(isos)), fmt.Sprintf("%d", len(isos)),
-		"0", "", "", "1.000", "", "", "reference")
-	t.AddRow("uncoalesced", fmt.Sprintf("%d", arrivals), fmt.Sprintf("%d", plain.served),
-		fmt.Sprintf("%d", plain.shed), plainP50, plainP99,
-		fmt.Sprintf("%.3f", plainSPR), "0", "0", "yes")
-	t.AddRow("coalesced+cache", fmt.Sprintf("%d", arrivals), fmt.Sprintf("%d", shared.served),
-		fmt.Sprintf("%d", shared.shed), coalP50, coalP99,
-		fmt.Sprintf("%.3f", coalSPR), fmt.Sprintf("%d", coalN), fmt.Sprintf("%d", hitN), "yes")
+	row(t, "ground truth", len(ids), len(ids), 0, "", "", "1.000", "", "", "reference")
+	row(t, "uncoalesced", arrivals, len(plain.lats), plain.shed, plainP50, plainP99,
+		fmt.Sprintf("%.3f", plainSPR), 0, 0, "yes")
+	row(t, "coalesced+cache", arrivals, len(shared.lats), shared.shed, coalP50, coalP99,
+		fmt.Sprintf("%.3f", coalSPR), coalN, hitN, "yes")
 	return t, nil
 }

@@ -11,6 +11,29 @@ import (
 	"vizndp/internal/stats"
 )
 
+// row appends a table row, formatting integers as counts and durations
+// the way every table prints them; strings pass through. Short rows are
+// padded by the table.
+func row(t *stats.Table, cells ...any) {
+	out := make([]string, len(cells))
+	for i, c := range cells {
+		switch v := c.(type) {
+		case string:
+			out[i] = v
+		case time.Duration:
+			out[i] = stats.FormatDuration(v)
+		default:
+			out[i] = fmt.Sprint(v)
+		}
+	}
+	t.AddRow(out...)
+}
+
+// speedupX formats how many times faster fast is than base.
+func speedupX(base, fast time.Duration) string {
+	return fmt.Sprintf("%.2fx", stats.Speedup(base, fast))
+}
+
 // asteroidArrays are the two arrays the paper contours.
 var asteroidArrays = []string{"v02", "v03"}
 
@@ -188,9 +211,7 @@ func (e *Env) Table2() (*stats.Table, error) {
 				}
 			}
 		}
-		sp := func(d time.Duration) string {
-			return fmt.Sprintf("%.2fx", stats.Speedup(rawTotal, d))
-		}
+		sp := func(d time.Duration) string { return speedupX(rawTotal, d) }
 		for _, iso := range e.Cfg.ContourValues {
 			t.AddRow(array, fmt.Sprintf("%.1f", iso),
 				"1.00x",
@@ -220,13 +241,8 @@ func (e *Env) Fig14() (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(codec.String(),
-			stats.FormatDuration(base.LoadTime),
-			stats.FormatDuration(ndp.LoadTime),
-			fmt.Sprintf("%.2fx", stats.Speedup(base.LoadTime, ndp.LoadTime)),
-			stats.FormatBytes(base.NetworkBytes),
-			stats.FormatBytes(ndp.NetworkBytes),
-		)
+		row(t, codec.String(), base.LoadTime, ndp.LoadTime, speedupX(base.LoadTime, ndp.LoadTime),
+			stats.FormatBytes(base.NetworkBytes), stats.FormatBytes(ndp.NetworkBytes))
 	}
 	return t, nil
 }

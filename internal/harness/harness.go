@@ -21,7 +21,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
-	"net"
+	"io/fs"
 	"time"
 
 	"vizndp/internal/compress"
@@ -115,9 +115,8 @@ type Env struct {
 	storeAddr   string
 	local       *objstore.Client // storage-node-local (unshaped)
 	remote      *objstore.Client // client-node view (shaped)
-	ndpServer   *core.Server
+	base        *kit             // owns the shared NDP server and client
 	ndpClient   *core.Client
-	ndpAddr     string
 	steps       []int
 	nyxDS       *grid.Dataset // kept for in-memory analyses (Fig. 12)
 	asteroidSet map[int]*grid.Dataset
@@ -131,7 +130,7 @@ func ObjectKey(dataset string, codec compress.Kind, step int) string {
 // NewEnv builds the full environment: generates both datasets, populates
 // the object store in all three codecs, and starts the baseline and NDP
 // data paths.
-func NewEnv(cfg Config) (*Env, error) {
+func NewEnv(cfg Config) (_ *Env, err error) {
 	if cfg.Repeats < 1 {
 		cfg.Repeats = 1
 	}
@@ -140,65 +139,55 @@ func NewEnv(cfg Config) (*Env, error) {
 		Link:        netsim.NewLink(cfg.LinkBits, cfg.LinkLatency),
 		asteroidSet: make(map[int]*grid.Dataset),
 	}
+	e.base = e.newKit()
+	defer func() {
+		if err != nil {
+			e.Close()
+		}
+	}()
 	store, err := objstore.NewServer(cfg.DataDir)
 	if err != nil {
 		return nil, err
 	}
-	e.store = store
 	// The object store accepts both unshaped (node-local) and shaped
 	// (cross-node) connections on the same listener: shaping lives in the
 	// client dialer plus a server-side wrap keyed by connection. To keep
 	// each path honest, run two listeners over the same backing dir: a
 	// loopback one for the storage node and a shaped one for the client.
-	addrLocal, closeLocal, err := store.ListenAndServe("127.0.0.1:0", nil)
+	addrLocal, stopLocal, err := store.ListenAndServe("127.0.0.1:0", nil)
 	if err != nil {
 		return nil, err
 	}
-	addrRemote, closeRemote, err := store.ListenAndServe("127.0.0.1:0", e.Link.Listener)
+	e.base.onClose(func() { stopLocal() })
+	addrRemote, stopRemote, err := store.ListenAndServe("127.0.0.1:0", e.Link.Listener)
 	if err != nil {
-		closeLocal()
 		return nil, err
 	}
-	e.storeAddr = addrRemote
-	e.storeClose = func() error {
-		closeLocal()
-		return closeRemote()
-	}
+	e.base.onClose(func() { stopRemote() })
 	e.local = objstore.NewClient(addrLocal, nil)
 	e.remote = objstore.NewClient(addrRemote, e.Link.Dial)
 
 	if err := e.populate(); err != nil {
-		e.Close()
 		return nil, err
 	}
 
 	// NDP server on the storage node, reading through a node-local s3fs
-	// mount of the object store.
-	e.ndpServer = core.NewServer(s3fs.New(e.local, Bucket))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	// mount of the object store, and its client across the shaped link.
+	ndp, err := e.base.startNode(nil, e.Link)
 	if err != nil {
-		e.Close()
 		return nil, err
 	}
-	e.ndpAddr = ln.Addr().String()
-	go e.ndpServer.Serve(e.Link.Listener(ln))
-	client, err := core.Dial(e.ndpAddr, e.Link.Dial)
-	if err != nil {
-		e.Close()
+	if e.ndpClient, err = ndp.dial(); err != nil {
 		return nil, err
 	}
-	e.ndpClient = client
 
 	// Warm both data paths (TCP + HTTP connection setup, code paths) so
 	// the first measurement is not a cold-start outlier.
 	step := e.steps[0]
 	if _, err := e.BaselineLoad("asteroid", compress.None, step, "v03"); err != nil {
-		e.Close()
 		return nil, err
 	}
-	if _, err := e.NDPLoad("asteroid", compress.None, step, "v03",
-		cfg.ContourValues[:1]); err != nil {
-		e.Close()
+	if _, err := e.NDPLoad("asteroid", compress.None, step, "v03", cfg.ContourValues[:1]); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -229,33 +218,32 @@ func (e *Env) populate() error {
 
 func (e *Env) putAllCodecs(dataset string, step int, ds *grid.Dataset) error {
 	for _, codec := range Codecs {
-		var buf bytes.Buffer
 		// Checksums on every stored object: the integrity experiment needs
 		// them, and they give every other experiment end-to-end verified
 		// reads at the cost the paper's pipelines would really pay.
-		if err := vtkio.Write(&buf, ds, vtkio.WriteOptions{Codec: codec, Checksum: true}); err != nil {
+		opts := vtkio.WriteOptions{Codec: codec, Checksum: true}
+		if _, err := e.putDataset(ObjectKey(dataset, codec, step), ds, opts); err != nil {
 			return err
-		}
-		key := ObjectKey(dataset, codec, step)
-		if err := e.local.Put(Bucket, key, buf.Bytes()); err != nil {
-			return fmt.Errorf("harness: storing %s: %w", key, err)
 		}
 	}
 	return nil
 }
 
-// Close tears the environment down.
-func (e *Env) Close() {
-	if e.ndpClient != nil {
-		e.ndpClient.Close()
+// putDataset encodes ds and stores it under key through the storage
+// node's local client, returning the stored bytes.
+func (e *Env) putDataset(key string, ds *grid.Dataset, opts vtkio.WriteOptions) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := vtkio.Write(&buf, ds, opts); err != nil {
+		return nil, err
 	}
-	if e.ndpServer != nil {
-		e.ndpServer.Close()
+	if err := e.local.Put(Bucket, key, buf.Bytes()); err != nil {
+		return nil, fmt.Errorf("harness: storing %s: %w", key, err)
 	}
-	if e.storeClose != nil {
-		e.storeClose()
-	}
+	return buf.Bytes(), nil
 }
+
+// Close tears the environment down.
+func (e *Env) Close() { e.base.close() }
 
 // Steps returns the asteroid timesteps in the store.
 func (e *Env) Steps() []int {
@@ -263,18 +251,6 @@ func (e *Env) Steps() []int {
 	copy(out, e.steps)
 	return out
 }
-
-// AsteroidDataset returns the in-memory dataset for a generated step.
-func (e *Env) AsteroidDataset(step int) *grid.Dataset { return e.asteroidSet[step] }
-
-// NyxDataset returns the in-memory Nyx dataset.
-func (e *Env) NyxDataset() *grid.Dataset { return e.nyxDS }
-
-// NDPClient exposes the shaped NDP client (for examples and ablations).
-func (e *Env) NDPClient() *core.Client { return e.ndpClient }
-
-// LocalStore exposes the unshaped object-store client.
-func (e *Env) LocalStore() *objstore.Client { return e.local }
 
 // Measurement is one data-load observation.
 type Measurement struct {
@@ -291,64 +267,48 @@ func (e *Env) BaselineLoad(dataset string, codec compress.Kind, step int, array 
 	return e.baselineLoadKey(ObjectKey(dataset, codec, step), array)
 }
 
-func (e *Env) baselineLoadKey(key, array string) (Measurement, error) {
-	fsys := s3fs.New(e.remote, Bucket)
-	var total time.Duration
-	var bytesMoved int64
-	for r := 0; r < e.Cfg.Repeats; r++ {
-		e.Link.ResetCounters()
-		start := time.Now()
-		f, err := fsys.Open(key)
-		if err != nil {
-			return Measurement{}, err
-		}
-		reader, err := vtkio.OpenReader(f.(*s3fs.File))
-		if err != nil {
-			f.Close()
-			return Measurement{}, err
-		}
-		if _, err := reader.ReadArray(array); err != nil {
-			f.Close()
-			return Measurement{}, err
-		}
-		f.Close()
-		total += time.Since(start)
-		bytesMoved = e.Link.BytesSent()
+// openReader opens one stored object through store's s3fs mount. The
+// caller closes the file.
+func openReader(store *objstore.Client, key string) (*vtkio.Reader, fs.File, error) {
+	f, err := s3fs.New(store, Bucket).Open(key)
+	if err != nil {
+		return nil, nil, err
 	}
-	return Measurement{
-		LoadTime:     total / time.Duration(e.Cfg.Repeats),
-		NetworkBytes: bytesMoved,
-	}, nil
+	reader, err := vtkio.OpenReader(f.(*s3fs.File))
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return reader, f, nil
 }
 
-// NDPLoad measures the NDP pipeline's data load: the remote pre-filter
-// reads, decompresses, and filters the array, then ships the payload;
-// the client reconstructs the NaN-padded field. Averaged over repeats.
-func (e *Env) NDPLoad(dataset string, codec compress.Kind, step int, array string, isovalues []float64) (Measurement, error) {
-	return e.ndpLoadKey(ObjectKey(dataset, codec, step), array, isovalues)
+// loadArray is the baseline pipeline's whole data load: open the object,
+// read one array in full (decompressing as needed), close.
+func loadArray(store *objstore.Client, key, array string) (*grid.Field, error) {
+	reader, f, err := openReader(store, key)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return reader.ReadArray(array)
 }
 
-func (e *Env) ndpLoadKey(key, array string, isovalues []float64) (Measurement, error) {
+// measure times load Config.Repeats times and averages, reporting what
+// the last run moved across the shaped link. verify, if not nil, checks
+// the first run's result outside the timed region.
+func (e *Env) measure(load, verify func() error) (Measurement, error) {
 	var total time.Duration
 	var bytesMoved int64
 	for r := 0; r < e.Cfg.Repeats; r++ {
 		e.Link.ResetCounters()
 		start := time.Now()
-		// The paper's NDP load time "includes the time taken to read,
-		// decompress, and filter the data, as well as the time required
-		// to send the filtered data to the client" — it ends when the
-		// payload is in client memory. Expanding it back to a full array
-		// belongs to the post-filter, which, like contour generation, is
-		// excluded from load time.
-		payload, _, err := e.ndpClient.FetchFiltered(key, array, isovalues, e.Cfg.Encoding)
-		if err != nil {
+		if err := load(); err != nil {
 			return Measurement{}, err
 		}
 		total += time.Since(start)
 		bytesMoved = e.Link.BytesSent()
-		if r == 0 {
-			// Validate the payload once, outside the timed region.
-			if _, err := payload.Reconstruct(); err != nil {
+		if r == 0 && verify != nil {
+			if err := verify(); err != nil {
 				return Measurement{}, err
 			}
 		}
@@ -359,46 +319,54 @@ func (e *Env) ndpLoadKey(key, array string, isovalues []float64) (Measurement, e
 	}, nil
 }
 
+func (e *Env) baselineLoadKey(key, array string) (Measurement, error) {
+	return e.measure(func() error {
+		_, err := loadArray(e.remote, key, array)
+		return err
+	}, nil)
+}
+
+// NDPLoad measures the NDP pipeline's data load: the remote pre-filter
+// reads, decompresses, and filters the array, then ships the payload;
+// the client reconstructs the NaN-padded field. Averaged over repeats.
+func (e *Env) NDPLoad(dataset string, codec compress.Kind, step int, array string, isovalues []float64) (Measurement, error) {
+	return e.ndpLoadKey(ObjectKey(dataset, codec, step), array, isovalues)
+}
+
+func (e *Env) ndpLoadKey(key, array string, isovalues []float64) (Measurement, error) {
+	var payload *core.Payload
+	// The paper's NDP load time "includes the time taken to read,
+	// decompress, and filter the data, as well as the time required to
+	// send the filtered data to the client" — it ends when the payload is
+	// in client memory. Expanding it back to a full array belongs to the
+	// post-filter, which, like contour generation, is excluded from load
+	// time, so the payload is validated once, outside the timed region.
+	return e.measure(func() (err error) {
+		payload, _, err = e.ndpClient.FetchFiltered(key, array, isovalues, e.Cfg.Encoding)
+		return err
+	}, func() error {
+		_, err := payload.Reconstruct()
+		return err
+	})
+}
+
 // LocalLoad measures reading one array from the node-local store without
 // the shaped link — the paper's Fig. 5c/5f local-filesystem runs, which
 // isolate decompression overhead from transfer cost.
 func (e *Env) LocalLoad(dataset string, codec compress.Kind, step int, array string) (Measurement, error) {
-	fsys := s3fs.New(e.local, Bucket)
-	key := ObjectKey(dataset, codec, step)
-	var total time.Duration
-	for r := 0; r < e.Cfg.Repeats; r++ {
-		start := time.Now()
-		f, err := fsys.Open(key)
-		if err != nil {
-			return Measurement{}, err
-		}
-		reader, err := vtkio.OpenReader(f.(*s3fs.File))
-		if err != nil {
-			f.Close()
-			return Measurement{}, err
-		}
-		if _, err := reader.ReadArray(array); err != nil {
-			f.Close()
-			return Measurement{}, err
-		}
-		f.Close()
-		total += time.Since(start)
-	}
-	return Measurement{LoadTime: total / time.Duration(e.Cfg.Repeats)}, nil
+	return e.measure(func() error {
+		_, err := loadArray(e.local, ObjectKey(dataset, codec, step), array)
+		return err
+	}, nil)
 }
 
 // StoredSize returns the stored (compressed) size of one array.
 func (e *Env) StoredSize(dataset string, codec compress.Kind, step int, array string) (int64, error) {
-	fsys := s3fs.New(e.local, Bucket)
-	f, err := fsys.Open(ObjectKey(dataset, codec, step))
+	reader, f, err := openReader(e.local, ObjectKey(dataset, codec, step))
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	reader, err := vtkio.OpenReader(f.(*s3fs.File))
-	if err != nil {
-		return 0, err
-	}
 	info := reader.Header().Array(array)
 	if info == nil {
 		return 0, fmt.Errorf("harness: no array %q in %s", array, dataset)

@@ -39,7 +39,7 @@ func TestEnvPopulated(t *testing.T) {
 	if len(steps) != env.Cfg.NumTimesteps {
 		t.Fatalf("steps = %v", steps)
 	}
-	objs, err := env.LocalStore().List(Bucket, "")
+	objs, err := env.local.List(Bucket, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +58,11 @@ func TestEnvPopulated(t *testing.T) {
 		t.Errorf("dataset objects = %d, want %d", n, want)
 	}
 	for _, ds := range steps {
-		if env.AsteroidDataset(ds) == nil {
+		if env.asteroidSet[ds] == nil {
 			t.Errorf("missing in-memory dataset for step %d", ds)
 		}
 	}
-	if env.NyxDataset() == nil {
+	if env.nyxDS == nil {
 		t.Error("missing nyx dataset")
 	}
 }
@@ -80,7 +80,7 @@ func TestBaselineLoadMovesRawBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := int64(4 * env.AsteroidDataset(step).Grid.NumPoints())
+	raw := int64(4 * env.asteroidSet[step].Grid.NumPoints())
 	if m.NetworkBytes < raw {
 		t.Errorf("baseline moved %d bytes, array is %d", m.NetworkBytes, raw)
 	}
@@ -124,13 +124,13 @@ func TestNDPPayloadMatchesLocalContour(t *testing.T) {
 	// End-to-end correctness through the full harness stack: the contour
 	// from the NDP fetch equals the contour over the in-memory dataset.
 	step := env.Steps()[1]
-	ds := env.AsteroidDataset(step)
+	ds := env.asteroidSet[step]
 	isos := []float64{0.1}
 	want, err := contour.MarchingTetrahedra(ds.Grid, ds.Field("v02").Values, isos)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, _, err := env.NDPClient().FetchFiltered(
+	payload, _, err := env.ndpClient.FetchFiltered(
 		ObjectKey("asteroid", compress.LZ4, step), "v02", isos, core.EncAuto)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestStoredSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := int64(4 * env.AsteroidDataset(step).Grid.NumPoints())
+	want := int64(4 * env.asteroidSet[step].Grid.NumPoints())
 	if raw != want {
 		t.Errorf("raw stored size = %d, want %d", raw, want)
 	}
@@ -192,6 +192,71 @@ func tableHasRows(t *testing.T, tab fmt.Stringer, want int) {
 	}
 }
 
+// shapeOnly maps the registry entries whose only package-level check is
+// the shape of their tables to the row count of each table they return.
+// Every other entry must have a test of its own, named in ownTest.
+func shapeOnly(cfg Config) map[string][]int {
+	steps, isos := cfg.NumTimesteps, len(cfg.ContourValues)
+	return map[string][]int{
+		"fig5":      {steps, steps},
+		"fig13":     {steps, steps, steps, steps, steps, steps},
+		"fig14":     {len(Codecs)},
+		"ablations": {5, steps * isos, steps},
+		"e2e":       {len(Codecs)},
+	}
+}
+
+var ownTest = map[string]string{
+	"fig1": "TestFig1", "fig6": "TestFig6", "tab2": "TestTable2", "slice": "TestExtensionSlice",
+	"lossy": "TestAblationLossy", "repeat": "TestCacheRepeatFetch",
+	"faults": "TestFaultsExperimentSurvives", "overload": "TestOverloadExperimentDrains",
+	"crowd": "TestCrowdExperimentCoalesces", "slo": "TestSLOExperimentReconciles",
+	"shard": "TestShardExperimentBitIdentical", "corrupt": "TestCorruptExperimentSurvives",
+	"chaos": "TestChaosExperimentSurvives",
+}
+
+// TestRegistryTables walks the registry: names are unique and resolvable,
+// every entry is covered here or by its own test, and the shape-only
+// ones return the tables benchviz prints, each with the expected rows.
+func TestRegistryTables(t *testing.T) {
+	shapes := shapeOnly(env.Cfg)
+	seen := map[string]bool{}
+	for _, x := range Experiments {
+		if seen[x.Name] || x.Desc == "" || strings.Contains(x.Desc, "\n") {
+			t.Errorf("registry entry %q: duplicate name or missing one-line description", x.Name)
+		}
+		seen[x.Name] = true
+		want, ok := shapes[x.Name]
+		if !ok {
+			if ownTest[x.Name] == "" {
+				t.Errorf("registry entry %q has neither a shape check nor a test of its own", x.Name)
+			}
+			continue
+		}
+		t.Run(x.Name, func(t *testing.T) {
+			tabs, err := x.Run(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tabs) != len(want) {
+				t.Fatalf("%d tables, want %d", len(tabs), len(want))
+			}
+			for i, tab := range tabs {
+				tableHasRows(t, tab, want[i])
+			}
+		})
+	}
+	if got, err := SelectExperiments("all"); err != nil || len(got) != len(Experiments) {
+		t.Errorf("SelectExperiments(all) = %d entries, %v", len(got), err)
+	}
+	if got, err := SelectExperiments("repeat, fig1"); err != nil || len(got) != 2 || got[0].Name != "fig1" {
+		t.Errorf("SelectExperiments(repeat, fig1) = %v, %v; want registry order", got, err)
+	}
+	if _, err := SelectExperiments("fig1,fualts"); err == nil || !strings.Contains(err.Error(), ExperimentNames()) {
+		t.Errorf("SelectExperiments(fig1,fualts) = %v; want an error listing the valid names", err)
+	}
+}
+
 func TestFig1(t *testing.T) {
 	tab, err := env.Fig1()
 	if err != nil {
@@ -201,14 +266,6 @@ func TestFig1(t *testing.T) {
 	if !strings.Contains(tab.String(), "contour selection") {
 		t.Error("missing NDP row")
 	}
-}
-
-func TestFig5(t *testing.T) {
-	tab, err := env.Fig5("v02")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tableHasRows(t, tab, env.Cfg.NumTimesteps)
 }
 
 func TestFig6(t *testing.T) {
@@ -224,14 +281,6 @@ func TestFig6(t *testing.T) {
 	}
 }
 
-func TestFig13(t *testing.T) {
-	tab, err := env.Fig13("v03", compress.LZ4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tableHasRows(t, tab, env.Cfg.NumTimesteps)
-}
-
 func TestTable2(t *testing.T) {
 	tab, err := env.Table2()
 	if err != nil {
@@ -242,14 +291,6 @@ func TestTable2(t *testing.T) {
 	if !strings.Contains(s, "GZip+NDP") || !strings.Contains(s, "1.00x") {
 		t.Errorf("table II malformed:\n%s", s)
 	}
-}
-
-func TestFig14(t *testing.T) {
-	tab, err := env.Fig14()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tableHasRows(t, tab, len(Codecs))
 }
 
 func TestAblationLinkSpeed(t *testing.T) {
@@ -272,14 +313,6 @@ func TestAblationLinkSpeed(t *testing.T) {
 	if !(speedups[0] >= speedups[1] && speedups[1] >= speedups[2]) {
 		t.Errorf("speedups not decreasing with link speed: %v", speedups)
 	}
-}
-
-func TestAblationEncoding(t *testing.T) {
-	tab, err := env.AblationEncoding("v02")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tableHasRows(t, tab, env.Cfg.NumTimesteps*len(env.Cfg.ContourValues))
 }
 
 func TestAblationMultiIso(t *testing.T) {

@@ -2,14 +2,11 @@ package harness
 
 import (
 	"fmt"
-	"net"
 	"time"
 
 	"vizndp/internal/compress"
 	"vizndp/internal/core"
-	"vizndp/internal/s3fs"
 	"vizndp/internal/stats"
-	"vizndp/internal/telemetry"
 )
 
 // RepeatFetch measures the storage-side array cache on interactive
@@ -22,39 +19,40 @@ import (
 // Cold and warm payloads are checked bit-identical against the uncached
 // shared server before any row is reported.
 func (e *Env) RepeatFetch(dataset string, codec compress.Kind, step int, array string) (*stats.Table, error) {
-	srv := core.NewServer(s3fs.New(e.local, Bucket), core.WithCacheBytes(e.Cfg.CacheBytes))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	k := e.newKit()
+	defer k.close()
+	n, err := k.startNode(nil, e.Link, core.WithCacheBytes(e.Cfg.CacheBytes))
 	if err != nil {
 		return nil, err
 	}
-	go srv.Serve(e.Link.Listener(ln))
-	defer srv.Close()
-	client, err := core.Dial(ln.Addr().String(), e.Link.Dial)
+	client, err := n.dial()
 	if err != nil {
 		return nil, err
 	}
-	defer client.Close()
+	led := openLedger()
 
-	hits := telemetry.Default().Counter("arraycache.hits")
-	misses := telemetry.Default().Counter("arraycache.misses")
-	hits0, misses0 := hits.Value(), misses.Value()
+	// Ground truth: the shared, uncached server's payloads.
+	truth := e.newOracle(array)
+	truth.dataset, truth.codec = dataset, codec
+	ids := e.sweepIDs([]int{step})
+	if err := truth.learn(e.ndpClient, ids); err != nil {
+		return nil, err
+	}
 
-	key := ObjectKey(dataset, codec, step)
 	t := stats.NewTable(
 		fmt.Sprintf("Repeat fetch (%s %s, %s, cache %s): cold vs warm load times",
 			dataset, array, codec, stats.FormatBytes(e.Cfg.CacheBytes)),
 		"iso", "cold", "warm", "speedup", "cold read", "warm read", "payload")
 
-	for _, iso := range e.Cfg.ContourValues {
-		isos := []float64{iso}
+	for _, id := range ids {
 		var cold, warm time.Duration
 		var coldRead, warmRead time.Duration
 		var payloadBytes int64
 		for r := 0; r < e.Cfg.Repeats; r++ {
 			// Cold: an empty cache forces the full read+decompress path.
-			srv.Cache().Reset()
+			n.srv.Cache().Reset()
 			start := time.Now()
-			cp, cst, err := client.FetchFiltered(key, array, isos, e.Cfg.Encoding)
+			cp, cst, err := truth.fetch(client, id, "")
 			if err != nil {
 				return nil, err
 			}
@@ -63,7 +61,7 @@ func (e *Env) RepeatFetch(dataset string, codec compress.Kind, step int, array s
 			// Warm: the decoded array is resident; only filter + transfer
 			// remain.
 			start = time.Now()
-			wp, wst, err := client.FetchFiltered(key, array, isos, e.Cfg.Encoding)
+			wp, wst, err := truth.fetch(client, id, "")
 			if err != nil {
 				return nil, err
 			}
@@ -72,34 +70,19 @@ func (e *Env) RepeatFetch(dataset string, codec compress.Kind, step int, array s
 			coldRead += cst.ReadTime
 			warmRead += wst.ReadTime
 			payloadBytes = wst.PayloadBytes
-			if string(cp.Data) != string(wp.Data) {
-				return nil, fmt.Errorf("harness: warm payload differs from cold for iso %g", iso)
+			if err := truth.same("cold cache", id, cp); err != nil {
+				return nil, err
 			}
-			if r == 0 {
-				// Ground truth: the shared, uncached server must produce
-				// the same bytes.
-				up, _, err := e.ndpClient.FetchFiltered(key, array, isos, e.Cfg.Encoding)
-				if err != nil {
-					return nil, err
-				}
-				if string(cp.Data) != string(up.Data) {
-					return nil, fmt.Errorf("harness: cached payload differs from uncached for iso %g", iso)
-				}
+			if err := truth.same("warm cache", id, wp); err != nil {
+				return nil, err
 			}
 		}
 		reps := time.Duration(e.Cfg.Repeats)
 		cold, warm = cold/reps, warm/reps
-		t.AddRow(fmt.Sprintf("%.2f", iso),
-			stats.FormatDuration(cold),
-			stats.FormatDuration(warm),
-			fmt.Sprintf("%.2fx", stats.Speedup(cold, warm)),
-			stats.FormatDuration(coldRead/reps),
-			stats.FormatDuration(warmRead/reps),
-			stats.FormatBytes(payloadBytes))
+		row(t, fmt.Sprintf("%.2f", id.iso), cold, warm, speedupX(cold, warm),
+			coldRead/reps, warmRead/reps, stats.FormatBytes(payloadBytes))
 	}
-	t.AddRow("cache",
-		fmt.Sprintf("%d misses", misses.Value()-misses0),
-		fmt.Sprintf("%d hits", hits.Value()-hits0),
-		"", "", "", "")
+	row(t, "cache", fmt.Sprintf("%d misses", led.delta("arraycache.misses")),
+		fmt.Sprintf("%d hits", led.delta("arraycache.hits")))
 	return t, nil
 }

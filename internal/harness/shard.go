@@ -1,21 +1,14 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
-	"math"
-	"net"
 	"runtime"
 	"time"
 
 	"vizndp/internal/compress"
 	"vizndp/internal/core"
 	"vizndp/internal/grid"
-	"vizndp/internal/netsim"
-	"vizndp/internal/rpc"
-	"vizndp/internal/s3fs"
 	"vizndp/internal/stats"
-	"vizndp/internal/telemetry"
 	"vizndp/internal/vtkio"
 )
 
@@ -39,62 +32,53 @@ func shardPrefix(dataset string, codec compress.Kind, step int) string {
 // plus one manifest (the geometry is identical across steps), and
 // returns the manifest.
 func (e *Env) populateBricks(dataset string, codec compress.Kind) (*vtkio.Manifest, error) {
-	var man *vtkio.Manifest
+	grid0 := e.asteroidSet[e.steps[0]]
+	man, err := vtkio.BuildManifest(grid0.Grid, shardSpec, grid0.FieldNames(), shardCount)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.putManifest(shardManifestKey(dataset, codec), man); err != nil {
+		return nil, err
+	}
 	for _, step := range e.steps {
-		ds := e.AsteroidDataset(step)
-		if man == nil {
-			m, err := vtkio.BuildManifest(ds.Grid, shardSpec, ds.FieldNames(), shardCount)
-			if err != nil {
-				return nil, err
-			}
-			data, err := vtkio.EncodeManifest(m)
-			if err != nil {
-				return nil, err
-			}
-			if err := e.local.Put(Bucket, shardManifestKey(dataset, codec), data); err != nil {
-				return nil, err
-			}
-			man = m
-		}
-		bricks, err := man.GridBricks()
-		if err != nil {
+		if _, _, err := e.putBricks(shardPrefix(dataset, codec, step), e.asteroidSet[step], man, codec); err != nil {
 			return nil, err
-		}
-		for _, b := range bricks {
-			sub, err := grid.ExtractBrick(ds, b)
-			if err != nil {
-				return nil, err
-			}
-			var buf bytes.Buffer
-			if err := vtkio.Write(&buf, sub, vtkio.WriteOptions{Codec: codec, Checksum: true}); err != nil {
-				return nil, err
-			}
-			key := shardPrefix(dataset, codec, step) + vtkio.BrickKey(b.ID)
-			if err := e.local.Put(Bucket, key, buf.Bytes()); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return man, nil
 }
 
-// shardNode is one in-process storage shard: its own shaped link and NDP
-// server over the shared object store.
-type shardNode struct {
-	link *netsim.Link
-	srv  *core.Server
-	addr string
+// putManifest stores a brick manifest under key.
+func (e *Env) putManifest(key string, man *vtkio.Manifest) error {
+	data, err := vtkio.EncodeManifest(man)
+	if err != nil {
+		return err
+	}
+	return e.local.Put(Bucket, key, data)
 }
 
-func (e *Env) startShardNode(name string) (*shardNode, error) {
-	link := netsim.NewLink(e.Cfg.LinkBits, e.Cfg.LinkLatency)
-	srv := core.NewServer(s3fs.New(e.local, Bucket), core.WithShardName(name))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// putBricks cuts ds into man's bricks and stores each as a page-
+// checksummed object under prefix, returning the object keys and bytes
+// in manifest order.
+func (e *Env) putBricks(prefix string, ds *grid.Dataset, man *vtkio.Manifest, codec compress.Kind) ([]string, [][]byte, error) {
+	bricks, err := man.GridBricks()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	go srv.Serve(link.Listener(ln))
-	return &shardNode{link: link, srv: srv, addr: ln.Addr().String()}, nil
+	keys := make([]string, len(bricks))
+	objects := make([][]byte, len(bricks))
+	for i, b := range bricks {
+		sub, err := grid.ExtractBrick(ds, b)
+		if err != nil {
+			return nil, nil, err
+		}
+		keys[i] = prefix + vtkio.BrickKey(b.ID)
+		objects[i], err = e.putDataset(keys[i], sub, vtkio.WriteOptions{Codec: codec, Checksum: true})
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return keys, objects, nil
 }
 
 // ShardExperiment evaluates brick-sharded scatter-gather pre-filtering
@@ -125,102 +109,70 @@ func (e *Env) startShardNode(name string) (*shardNode, error) {
 func (e *Env) ShardExperiment(array string) (*stats.Table, error) {
 	const dataset = "asteroid"
 	codec := compress.None
+	k := e.newKit()
+	defer k.close()
+	ids := e.sweepIDs(e.steps)
 
 	man, err := e.populateBricks(dataset, codec)
 	if err != nil {
 		return nil, err
 	}
 
-	// Dedicated single-node path for the baseline, mirroring the sharded
-	// topology's per-node link so the comparison is 1 link vs 3 links.
-	base, err := e.startShardNode("")
+	// Phase 1: the 1-node baseline over a dedicated link, mirroring the
+	// sharded topology's per-node link so the comparison is 1 link vs 3.
+	truth, _, err := k.groundTruth(array, e.newLink(), ids)
 	if err != nil {
 		return nil, err
 	}
-	defer base.srv.Close()
-
-	type fetchID struct {
-		step int
-		iso  float64
-	}
-	nFetches := len(e.steps) * len(e.Cfg.ContourValues)
-
-	// Baseline sweep: reconstructed ground-truth arrays + 1-node time.
-	truth := make(map[fetchID][]float32, nFetches)
-	clean, err := core.Dial(base.addr, base.link.Dial)
+	denseTime, err := truth.densify()
 	if err != nil {
 		return nil, err
 	}
-	baseStart := time.Now()
-	for _, step := range e.steps {
-		key := ObjectKey(dataset, codec, step)
-		for _, iso := range e.Cfg.ContourValues {
-			p, _, err := clean.FetchFiltered(key, array, []float64{iso}, e.Cfg.Encoding)
-			if err != nil {
-				clean.Close()
-				return nil, fmt.Errorf("harness: baseline step %d iso %g: %w", step, iso, err)
-			}
-			arr, err := p.Reconstruct()
-			if err != nil {
-				clean.Close()
-				return nil, err
-			}
-			truth[fetchID{step, iso}] = arr
-		}
-	}
-	baseTime := time.Since(baseStart)
-	clean.Close()
+	baseTime := truth.cleanRun.elapsed + denseTime
 
 	// Three shard nodes over the shared store, each behind its own link.
-	nodes := make([]*shardNode, shardCount)
-	links := make(map[string]*netsim.Link, shardCount)
+	nodes := make([]*node, shardCount)
 	addrs := make([]string, shardCount)
 	for i := range nodes {
-		n, err := e.startShardNode(fmt.Sprintf("shard%d", i))
+		n, err := k.startNode(nil, e.newLink(), core.WithShardName(fmt.Sprintf("shard%d", i)))
 		if err != nil {
 			return nil, err
 		}
-		defer n.srv.Close()
-		nodes[i] = n
-		links[n.addr] = n.link
-		addrs[i] = n.addr
-	}
-	dialFn := func(network, addr string) (net.Conn, error) {
-		if l, ok := links[addr]; ok {
-			return l.Dial(network, addr)
-		}
-		return net.Dial(network, addr)
-	}
-	poolOpts := rpc.ReconnectOptions{
-		MaxAttempts:      64,
-		InitialBackoff:   time.Millisecond,
-		MaxBackoff:       50 * time.Millisecond,
-		CallTimeout:      10 * time.Second,
-		Seed:             11,
-		BreakerThreshold: 2,
-		BreakerCooldown:  75 * time.Millisecond,
+		nodes[i], addrs[i] = n, n.addr
 	}
 
-	identical := func(got []float32, want []float32) bool {
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-				return false
+	// gather scatter-gathers ids through sc, holding every merged array
+	// to the baseline's reconstruction; afterFirst (if set) runs once the
+	// first fetch has completed.
+	gather := func(sc *core.ShardedClient, phase string, ids []fetchID, afterFirst func()) (time.Duration, core.ShardStats, error) {
+		var sum core.ShardStats
+		start := time.Now()
+		for i, id := range ids {
+			arr, st, err := sc.FetchArray(shardPrefix(dataset, codec, id.step), array, []float64{id.iso}, e.Cfg.Encoding)
+			if err != nil {
+				return 0, sum, fmt.Errorf("harness: %s step %d iso %g: %w", phase, id.step, id.iso, err)
+			}
+			if err := truth.sameArray(phase, id, arr); err != nil {
+				return 0, sum, err
+			}
+			sum.DupPoints += st.DupPoints
+			sum.Degraded += st.Degraded
+			if i == 0 && afterFirst != nil {
+				afterFirst()
 			}
 		}
-		return true
+		return time.Since(start), sum, nil
 	}
 
 	// Phase 2: clean sharded sweep. The manifest travels the same wire as
 	// the data: fetched once from the first shard via the manifest RPC.
-	first, err := core.Dial(addrs[0], dialFn)
-	if err != nil {
-		return nil, err
+	plain := make([]*core.Client, shardCount)
+	for i, n := range nodes {
+		if plain[i], err = n.dial(); err != nil {
+			return nil, err
+		}
 	}
-	gotMan, err := first.FetchManifest(shardManifestKey(dataset, codec))
-	first.Close()
+	gotMan, err := plain[0].FetchManifest(shardManifestKey(dataset, codec))
 	if err != nil {
 		return nil, err
 	}
@@ -228,29 +180,15 @@ func (e *Env) ShardExperiment(array string) (*stats.Table, error) {
 		return nil, fmt.Errorf("harness: manifest RPC returned %d entries, wrote %d",
 			len(gotMan.Entries), len(man.Entries))
 	}
-	sc, err := core.DialSharded(gotMan, addrs, dialFn, poolOpts)
+	sc, err := core.DialSharded(gotMan, addrs, k.dialConn, breakerOptions())
 	if err != nil {
 		return nil, err
 	}
-	var dupPoints int
-	shardStart := time.Now()
-	for _, step := range e.steps {
-		prefix := shardPrefix(dataset, codec, step)
-		for _, iso := range e.Cfg.ContourValues {
-			arr, st, err := sc.FetchArray(prefix, array, []float64{iso}, e.Cfg.Encoding)
-			if err != nil {
-				sc.Close()
-				return nil, fmt.Errorf("harness: sharded step %d iso %g: %w", step, iso, err)
-			}
-			if !identical(arr, truth[fetchID{step, iso}]) {
-				sc.Close()
-				return nil, fmt.Errorf("harness: sharded merge differs at step %d iso %g", step, iso)
-			}
-			dupPoints += st.DupPoints
-		}
+	k.onClose(func() { sc.Close() })
+	shardTime, shardSum, err := gather(sc, "sharded", ids, nil)
+	if err != nil {
+		return nil, err
 	}
-	shardTime := time.Since(shardStart)
-	sc.Close()
 	// At full scale three nodes must beat one — but only when the host
 	// can actually run the shard scans in parallel: the in-process
 	// testbed multiplexes every emulated node onto the real machine, so
@@ -262,139 +200,70 @@ func (e *Env) ShardExperiment(array string) (*stats.Table, error) {
 			shardTime, baseTime, e.Cfg.AsteroidN)
 	}
 
-	// Phase 3: force one shard's fetches onto the degraded fallback. Its
-	// link kills the first connection after a few bytes and its client may
-	// not retry Fetch, so the brick is served via Describe + FetchRaw + a
-	// local pre-filter — while the other shards stay healthy.
-	fallbacks := telemetry.Default().Counter("core.client.fallbacks")
-	shardDegraded := telemetry.Default().Counter("core.shard.degraded")
-	retryable := core.RetryableMethods()
-	retryable[core.MethodFetch] = false
-	nodes[1].link.SetFaults(&netsim.Faults{
-		Seed:           11,
-		KillConnEvery:  1 << 30, // only the first connection is armed
-		KillAfterBytes: 128,
-	})
-	shards := make([]*core.Client, shardCount)
-	for i, n := range nodes {
-		if i == 1 {
-			shards[i] = core.DialFaultTolerant([]string{n.addr}, dialFn, rpc.ReconnectOptions{
-				MaxAttempts:    4,
-				InitialBackoff: time.Millisecond,
-				MaxBackoff:     20 * time.Millisecond,
-				Retryable:      retryable,
-				Seed:           11,
-			})
-			continue
-		}
-		c, err := core.Dial(n.addr, dialFn)
-		if err != nil {
-			return nil, err
-		}
-		shards[i] = c
-	}
-	dsc, err := core.NewShardedClient(gotMan, shards)
+	// Phase 3: force one shard's fetches onto the degraded fallback — the
+	// brick is served via Describe + FetchRaw + a local pre-filter — while
+	// the other shards stay healthy.
+	phase := k.mark()
+	dsc, err := core.NewShardedClient(gotMan, []*core.Client{plain[0], nodes[1].dialDegraded(), plain[2]})
 	if err != nil {
 		return nil, err
 	}
-	f0, d0 := fallbacks.Value(), shardDegraded.Value()
-	step := e.steps[len(e.steps)/2]
-	iso := e.Cfg.ContourValues[0]
-	degStart := time.Now()
-	arr, dst, err := dsc.FetchArray(
-		shardPrefix(dataset, codec, step), array, []float64{iso}, e.Cfg.Encoding)
-	degTime := time.Since(degStart)
-	dsc.Close()
-	nodes[1].link.SetFaults(nil)
+	k.onClose(func() { dsc.Close() })
+	led := openLedger()
+	degTime, degSum, err := gather(dsc, "degraded-shard", []fetchID{{e.steps[len(e.steps)/2], e.Cfg.ContourValues[0]}}, nil)
 	if err != nil {
-		return nil, fmt.Errorf("harness: degraded-shard fetch: %w", err)
+		return nil, err
 	}
-	if dst.Degraded < 1 {
+	k.unwind(phase)
+	if degSum.Degraded < 1 {
 		return nil, fmt.Errorf("harness: no brick was served degraded")
 	}
-	df, dd := fallbacks.Value()-f0, shardDegraded.Value()-d0
-	if df < 1 || dd < 1 {
+	if df, dd := led.delta("core.client.fallbacks"), led.delta("core.shard.degraded"); df < 1 || dd < 1 {
 		return nil, fmt.Errorf("harness: degraded counters did not fire (fallbacks +%d, shard.degraded +%d)", df, dd)
-	}
-	if !identical(arr, truth[fetchID{step, iso}]) {
-		return nil, fmt.Errorf("harness: degraded-shard merge differs from baseline")
 	}
 
 	// Phase 4: kill a shard mid-sweep. A fresh DialSharded client (its
 	// breakers untouched by earlier phases) repeats the sweep; after the
 	// first fetch, shard 1 dies. Its bricks must fail over to the sibling
 	// shards — every shard mounts the same store — with zero errors.
-	failovers := telemetry.Default().Counter("core.pool.failovers")
-	breakerOpens := telemetry.Default().Counter("core.pool.breaker.open")
-	ksc, err := core.DialSharded(gotMan, addrs, dialFn, poolOpts)
+	ksc, err := core.DialSharded(gotMan, addrs, k.dialConn, breakerOptions())
 	if err != nil {
 		return nil, err
 	}
-	p0, b0 := failovers.Value(), breakerOpens.Value()
-	killed := false
-	killStart := time.Now()
-	for _, step := range e.steps {
-		prefix := shardPrefix(dataset, codec, step)
-		for _, iso := range e.Cfg.ContourValues {
-			arr, _, err := ksc.FetchArray(prefix, array, []float64{iso}, e.Cfg.Encoding)
-			if err != nil {
-				ksc.Close()
-				return nil, fmt.Errorf("harness: post-kill step %d iso %g: %w", step, iso, err)
-			}
-			if !identical(arr, truth[fetchID{step, iso}]) {
-				ksc.Close()
-				return nil, fmt.Errorf("harness: post-kill merge differs at step %d iso %g", step, iso)
-			}
-			if !killed {
-				nodes[1].srv.Close()
-				killed = true
-			}
-		}
+	k.onClose(func() { ksc.Close() })
+	led = openLedger()
+	killTime, _, err := gather(ksc, "post-kill", ids, nodes[1].srv.Close)
+	if err != nil {
+		return nil, err
 	}
-	killTime := time.Since(killStart)
 	// A tiny sweep (e.g. -steps 1) leaves too few post-kill fetches for
 	// the threshold-2 breaker to see consecutive failures; pad with
 	// repeats of the first fetch so the dead replica is probed enough.
-	for extra := nFetches - 1; extra < 4; extra++ {
-		prefix := shardPrefix(dataset, codec, e.steps[0])
-		iso := e.Cfg.ContourValues[0]
-		arr, _, err := ksc.FetchArray(prefix, array, []float64{iso}, e.Cfg.Encoding)
-		if err != nil {
-			ksc.Close()
-			return nil, fmt.Errorf("harness: post-kill probe %d: %w", extra, err)
-		}
-		if !identical(arr, truth[fetchID{e.steps[0], iso}]) {
-			ksc.Close()
-			return nil, fmt.Errorf("harness: post-kill probe merge differs")
+	for extra := len(ids) - 1; extra < 4; extra++ {
+		if _, _, err := gather(ksc, "post-kill probe", ids[:1], nil); err != nil {
+			return nil, err
 		}
 	}
-	ksc.Close()
-	kf, kb := failovers.Value()-p0, breakerOpens.Value()-b0
+	kf := led.delta("core.pool.failovers")
 	if kf < 1 {
 		return nil, fmt.Errorf("harness: shard death caused no pool failovers")
 	}
-	if kb < 1 {
+	if led.delta("core.pool.breaker.open") < 1 {
 		return nil, fmt.Errorf("harness: dead shard's breaker never opened")
 	}
+	nFetches, dupPoints := len(ids), shardSum.DupPoints
 
 	t := stats.NewTable(
 		fmt.Sprintf("Sharded scatter-gather: %d bricks (ghost %d) over %d shards (%s, raw data)",
 			shardSpec.Count(), shardSpec.Ghost, shardCount, array),
 		"run", "time", "fetches", "vs 1 node", "failovers", "degraded", "identical")
-	t.AddRow("1 node", stats.FormatDuration(baseTime),
-		fmt.Sprintf("%d", nFetches), "1.00x", "0", "0", "ground truth")
-	t.AddRow("3 shards", stats.FormatDuration(shardTime),
-		fmt.Sprintf("%d x%d bricks", nFetches, shardSpec.Count()),
-		fmt.Sprintf("%.2fx", float64(baseTime)/float64(shardTime)),
-		"0", "0", "yes")
-	t.AddRow("1 shard degraded", stats.FormatDuration(degTime),
-		fmt.Sprintf("1 x%d bricks", shardSpec.Count()), "",
-		"0", fmt.Sprintf("%d", dst.Degraded), "yes")
-	t.AddRow("1 shard killed", stats.FormatDuration(killTime),
-		fmt.Sprintf("%d x%d bricks", nFetches, shardSpec.Count()),
-		fmt.Sprintf("%.2fx", float64(baseTime)/float64(killTime)),
-		fmt.Sprintf("%d", kf), "0", "yes")
-	t.AddRow("ghost dedup", fmt.Sprintf("%d dup points over the sweep", dupPoints),
-		"", "", "", "", "")
+	bricks := shardSpec.Count()
+	row(t, "1 node", baseTime, nFetches, "1.00x", 0, 0, "ground truth")
+	row(t, "3 shards", shardTime, fmt.Sprintf("%d x%d bricks", nFetches, bricks),
+		fmt.Sprintf("%.2fx", float64(baseTime)/float64(shardTime)), 0, 0, "yes")
+	row(t, "1 shard degraded", degTime, fmt.Sprintf("1 x%d bricks", bricks), "", 0, degSum.Degraded, "yes")
+	row(t, "1 shard killed", killTime, fmt.Sprintf("%d x%d bricks", nFetches, bricks),
+		fmt.Sprintf("%.2fx", float64(baseTime)/float64(killTime)), kf, 0, "yes")
+	row(t, "ghost dedup", fmt.Sprintf("%d dup points over the sweep", dupPoints))
 	return t, nil
 }

@@ -4,19 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"vizndp/internal/compress"
 	"vizndp/internal/core"
-	"vizndp/internal/netsim"
-	"vizndp/internal/rpc"
-	"vizndp/internal/s3fs"
 	"vizndp/internal/stats"
 	"vizndp/internal/telemetry"
 )
@@ -45,10 +39,10 @@ import (
 // recorder, SLO burn accounting, and anomaly bundles agree with what
 // actually happened on the wire.
 func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
-	const dataset = "asteroid"
 	const concurrency = 8
 	const minBurst = 32
-	codec := compress.None
+	k := e.newKit()
+	defer k.close()
 
 	// Each burst fetch sweeps many isovalues at once: the pre-filter
 	// scans the grid once per isovalue, so a wide sweep makes every
@@ -61,47 +55,18 @@ func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
 	for i := range burstIsos {
 		burstIsos[i] = 0.05 + 0.9*float64(i)/float64(isoSweep-1)
 	}
-	uniq := e.steps
-	var burst []int
-	for len(burst) < minBurst {
-		burst = append(burst, uniq...)
+	uniq := make([]fetchID, len(e.steps))
+	for i, step := range e.steps {
+		uniq[i] = fetchID{step: step}
 	}
-
-	startReplica := func(opts ...core.ServerOption) (*core.Server, string, error) {
-		srv := core.NewServer(s3fs.New(e.local, Bucket), opts...)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, "", err
-		}
-		go srv.Serve(ln)
-		return srv, ln.Addr().String(), nil
-	}
+	ids := repeatTo(uniq, minBurst)
 
 	// Phase 1: ground truth and the clean latency scale.
-	truthSrv, truthAddr, err := startReplica()
+	truth, _, err := k.groundTruth(array, nil, uniq, burstIsos...)
 	if err != nil {
 		return nil, err
 	}
-	defer truthSrv.Close()
-	clean, err := core.Dial(truthAddr, nil)
-	if err != nil {
-		return nil, err
-	}
-	want := make(map[int]string, len(uniq))
-	cleanLats := make([]float64, 0, len(uniq))
-	for _, step := range uniq {
-		start := time.Now()
-		p, _, ferr := clean.FetchFiltered(ObjectKey(dataset, codec, step), array,
-			burstIsos, e.Cfg.Encoding)
-		if ferr != nil {
-			clean.Close()
-			return nil, fmt.Errorf("harness: clean fetch step %d: %w", step, ferr)
-		}
-		cleanLats = append(cleanLats, float64(time.Since(start))/float64(time.Millisecond))
-		want[step] = string(p.Data)
-	}
-	clean.Close()
-	cleanP50 := stats.Percentile(cleanLats, 0.50)
+	cleanP50 := stats.Percentile(truth.cleanRun.lats, 0.50)
 	// The latency objective: twice the clean median (floored at 1ms), so
 	// queueing under overload produces real latency breaches while a
 	// healthy server stays inside it.
@@ -124,186 +89,61 @@ func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
 	// Fast window of 2 steps x 1min: the whole monitored phase fits well
 	// inside it, so fast burn == slow burn == lifetime burn and the
 	// reconciliation below is exact, not approximate.
-	monitor := telemetry.NewSLOMonitor(
-		telemetry.SLOOptions{Step: time.Minute, FastN: 2, SlowN: 30},
-		telemetry.Objective{
-			Method:        core.MethodFetch,
-			Latency:       threshold,
-			LatencyTarget: 0.9,
-			AvailTarget:   0.999,
-		})
-	bundleDir, err := os.MkdirTemp("", "vizndp-slo-bundles-")
+	monitor, bundles, _, err := attachSLO(k, rec, core.MethodFetch, threshold, 50*time.Millisecond, 8)
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(bundleDir)
-	bundles, err := telemetry.NewBundleWriter(bundleDir, telemetry.BundleOptions{
-		MinInterval: 50 * time.Millisecond,
-		MaxBundles:  8,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rec.SetSLO(monitor)
-	rec.SetBundles(bundles)
-
-	shedCtr := telemetry.Default().Counter("rpc.server.shed")
-	fallbackCtr := telemetry.Default().Counter("core.client.fallbacks")
-	breachCtr := telemetry.Default().Counter("telemetry.slo." + core.MethodFetch + ".breaches")
-	seq0 := rec.Seq()
-	shed0, fallback0, breach0 := shedCtr.Value(), fallbackCtr.Value(), breachCtr.Value()
+	led := openLedger()
+	breachCtr := "telemetry.slo." + core.MethodFetch + ".breaches"
 
 	// One replica, one slot, one queue entry: eight workers released by
 	// a barrier cannot all fit, so the burst's opening salvo alone must
 	// shed — and the queueing pushes served latencies past the
 	// 2x-clean-median objective, producing latency breaches too.
-	srvA, addrA, err := startReplica(core.WithMaxInFlight(1), core.WithQueue(1))
+	nodeA, err := k.startNode(nil, nil, core.WithMaxInFlight(1), core.WithQueue(1))
 	if err != nil {
 		return nil, err
 	}
-	defer srvA.Close()
-	poolClient := core.DialFaultTolerant([]string{addrA}, nil, rpc.ReconnectOptions{
-		MaxAttempts:      256,
-		InitialBackoff:   2 * time.Millisecond,
-		MaxBackoff:       50 * time.Millisecond,
-		CallTimeout:      10 * time.Second,
-		Seed:             11,
-		BreakerThreshold: 2,
-		BreakerCooldown:  75 * time.Millisecond,
-	})
-
-	burstLats := make([]float64, len(burst))
-	var next atomic.Int64
-	errs := make(chan error, concurrency)
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-release
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(burst) {
-					return
-				}
-				step := burst[i]
-				// Each fetch runs under a root span so the wire context
-				// propagates and server events carry real trace IDs.
-				// vizlint:ignore ctxflow synthetic request root: each SLO fetch is its own trace with no upstream caller
-				ctx, span := telemetry.StartSpan(context.Background(), "slo.fetch")
-				start := time.Now()
-				p, _, ferr := poolClient.FetchFilteredContext(ctx,
-					ObjectKey(dataset, codec, step), array, burstIsos, e.Cfg.Encoding)
-				span.End()
-				if ferr != nil {
-					errs <- fmt.Errorf("harness: burst fetch step %d: %w", step, ferr)
-					return
-				}
-				burstLats[i] = float64(time.Since(start)) / float64(time.Millisecond)
-				if string(p.Data) != want[step] {
-					errs <- fmt.Errorf("harness: burst payload differs at step %d", step)
-					return
-				}
-			}
-		}()
-	}
-	close(release)
-	wg.Wait()
-	poolClient.Close()
-	select {
-	case err := <-errs:
-		return nil, err
-	default:
-	}
-
-	// Phase 3: force one degraded fetch — the first connection dies
-	// mid-frame and Fetch may not retry, so the client must fall back to
-	// FetchRaw + a local pre-filter.
-	link := netsim.NewLink(e.Cfg.LinkBits, e.Cfg.LinkLatency)
-	degSrv, degAddr := core.NewServer(s3fs.New(e.local, Bucket)), ""
-	dln, err := net.Listen("tcp", "127.0.0.1:0")
+	opts := breakerOptions()
+	opts.InitialBackoff = 2 * time.Millisecond
+	burstRun, err := truth.run(k.dialFT(opts, nodeA), "burst",
+		burst{ids: ids, workers: concurrency, span: "slo.fetch"})
 	if err != nil {
 		return nil, err
 	}
-	go degSrv.Serve(link.Listener(dln))
-	defer degSrv.Close()
-	degAddr = dln.Addr().String()
-	retryable := core.RetryableMethods()
-	retryable[core.MethodFetch] = false
-	link.SetFaults(&netsim.Faults{
-		Seed:           11,
-		KillConnEvery:  1 << 30, // only the first connection is armed
-		KillAfterBytes: 128,
-	})
-	defer link.SetFaults(nil)
-	deg := core.DialFaultTolerant([]string{degAddr}, link.Dial, rpc.ReconnectOptions{
-		MaxAttempts:    4,
-		InitialBackoff: time.Millisecond,
-		MaxBackoff:     20 * time.Millisecond,
-		Retryable:      retryable,
-		Seed:           11,
-	})
-	defer deg.Close()
-	degStep := e.steps[len(e.steps)/2]
-	p, st, err := deg.FetchFiltered(ObjectKey(dataset, codec, degStep), array,
-		burstIsos, e.Cfg.Encoding)
+
+	// Phase 3: force one degraded fetch.
+	degNode, err := k.startNode(nil, e.newLink())
 	if err != nil {
 		return nil, err
 	}
-	if !st.Degraded {
-		return nil, fmt.Errorf("harness: no-retry fetch was not served degraded")
-	}
-	if string(p.Data) != want[degStep] {
-		return nil, fmt.Errorf("harness: degraded payload differs from clean run")
+	degID := uniq[len(uniq)/2]
+	if _, err := truth.degradedFetch(degNode, degID); err != nil {
+		return nil, err
 	}
 
-	// Reconcile events against counters. Server events finish just after
-	// the response frame is written, so the client can observe completion
-	// marginally before the recorder does — poll until the books balance.
-	shedN := shedCtr.Value() - shed0
-	fallbackN := fallbackCtr.Value() - fallback0
-	var shedEvents, degradedEvents, breachedEvents int
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		shedN = shedCtr.Value() - shed0
-		fallbackN = fallbackCtr.Value() - fallback0
-		shedEvents, degradedEvents, breachedEvents = 0, 0, 0
-		for _, ev := range rec.Events(telemetry.EventFilter{SinceSeq: seq0}) {
-			if ev.Kind == telemetry.KindServer && ev.Method == core.MethodFetch && ev.Shed {
-				shedEvents++
-			}
-			if ev.Kind == telemetry.KindClient && ev.Degraded {
-				degradedEvents++
-			}
-			if ev.Method == core.MethodFetch && ev.Breached {
-				breachedEvents++
-			}
-		}
-		if int64(shedEvents) == shedN && int64(degradedEvents) == fallbackN &&
-			int64(breachedEvents) == breachCtr.Value()-breach0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("harness: wide events do not reconcile with counters: "+
-				"shed events %d vs counter %d, degraded events %d vs fallbacks %d, breached events %d vs breaches %d",
-				shedEvents, shedN, degradedEvents, fallbackN,
-				breachedEvents, breachCtr.Value()-breach0)
-		}
-		time.Sleep(10 * time.Millisecond)
+	// Reconcile events against counters.
+	err = led.reconcile(
+		eventCount{"rpc.server.shed", func(ev *telemetry.WideEvent) bool {
+			return ev.Kind == telemetry.KindServer && ev.Method == core.MethodFetch && ev.Shed
+		}},
+		eventCount{"core.client.fallbacks", func(ev *telemetry.WideEvent) bool {
+			return ev.Kind == telemetry.KindClient && ev.Degraded
+		}},
+		eventCount{breachCtr, func(ev *telemetry.WideEvent) bool {
+			return ev.Method == core.MethodFetch && ev.Breached
+		}})
+	if err != nil {
+		return nil, err
 	}
-	if rec.Seq()-seq0 > uint64(rec.Capacity()) {
-		return nil, fmt.Errorf("harness: flight ring wrapped (%d events > capacity %d); reconciliation would be partial",
-			rec.Seq()-seq0, rec.Capacity())
-	}
+	shedN, fallbackN, breachN := led.delta("rpc.server.shed"), led.delta("core.client.fallbacks"), led.delta(breachCtr)
 	if shedN == 0 {
 		return nil, fmt.Errorf("harness: undersized replicas shed nothing (burst %d, concurrency %d)",
-			len(burst), concurrency)
+			len(ids), concurrency)
 	}
 	if fallbackN == 0 {
 		return nil, fmt.Errorf("harness: forced fallback did not register")
 	}
-	breachN := breachCtr.Value() - breach0
 	if breachN == 0 {
 		return nil, fmt.Errorf("harness: burst breached no objectives (sheds alone should have)")
 	}
@@ -311,14 +151,8 @@ func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
 	// Burn-rate gauges must equal the monitor's own status, and — since
 	// the whole phase fits inside the fast window — the burn derivable
 	// from first principles: (bad fraction) / (error budget).
-	var mstat telemetry.SLOStatus
-	found := false
-	for _, s := range monitor.Status() {
-		if s.Method == core.MethodFetch {
-			mstat, found = s, true
-		}
-	}
-	if !found || mstat.Total == 0 {
+	mstat := monitor.Status()[0] // the monitor holds the one objective attachSLO gave it
+	if mstat.Method != core.MethodFetch || mstat.Total == 0 {
 		return nil, fmt.Errorf("harness: SLO monitor saw no %s events", core.MethodFetch)
 	}
 	if mstat.Breaches != breachN {
@@ -360,55 +194,27 @@ func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
 	// traced FetchRaw guarantees a bundle whose trigger trace has a full
 	// span tree (the burst's shed-triggered bundles can legitimately lack
 	// one — a shed request dies before any server span starts).
-	monitor2 := telemetry.NewSLOMonitor(
-		telemetry.SLOOptions{Step: time.Minute, FastN: 2, SlowN: 30},
-		telemetry.Objective{
-			Method:        core.MethodFetchRaw,
-			Latency:       time.Nanosecond,
-			LatencyTarget: 0.9,
-			AvailTarget:   0.999,
-		})
-	breachDir, err := os.MkdirTemp("", "vizndp-slo-breach-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(breachDir)
-	bundles2, err := telemetry.NewBundleWriter(breachDir, telemetry.BundleOptions{
-		MinInterval: time.Millisecond,
-		MaxBundles:  4,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rec.SetSLO(monitor2)
-	rec.SetBundles(bundles2)
-	truthClient, err := core.Dial(truthAddr, nil)
+	_, bundles2, breachDir, err := attachSLO(k, rec, core.MethodFetchRaw, time.Nanosecond, time.Millisecond, 4)
 	if err != nil {
 		return nil, err
 	}
 	// vizlint:ignore ctxflow breach probe is its own synthetic request root with no upstream caller
 	bctx, bspan := telemetry.StartSpan(context.Background(), "slo.breach")
-	if _, _, err := truthClient.FetchRawContext(bctx, ObjectKey(dataset, codec, degStep), array); err != nil {
-		bspan.End()
-		truthClient.Close()
+	_, _, err = truth.clean.FetchRawContext(bctx, ObjectKey("asteroid", compress.None, degID.step), array)
+	bspan.End()
+	if err != nil {
 		return nil, fmt.Errorf("harness: directed-breach fetchraw: %w", err)
 	}
-	bspan.End()
-	truthClient.Close()
 	// Written() counts admitted bundles before their file lands, so poll
 	// for the file itself, not the counter.
-	breachDeadline := time.Now().Add(3 * time.Second)
 	var bundle *telemetry.DebugBundle
-	for {
+	err = poll(func() (err error) {
 		bundle, err = readOneBundle(breachDir)
-		if err == nil {
-			break
-		}
-		if time.Now().After(breachDeadline) {
-			return nil, fmt.Errorf("harness: directed breach wrote no bundle (admitted %d): %w",
-				bundles2.Written(), err)
-		}
-		time.Sleep(10 * time.Millisecond)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("harness: directed breach wrote no bundle (admitted %d): %w",
+			bundles2.Written(), err)
 	}
 	if bundle.Trigger.Method != core.MethodFetchRaw || !bundle.Trigger.Breached {
 		return nil, fmt.Errorf("harness: breach bundle trigger is %s (breached=%v), want breached %s",
@@ -431,7 +237,15 @@ func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
 	// the monitors first so the measurement is the recorder itself.
 	rec.SetSLO(nil)
 	rec.SetBundles(nil)
-	overhead, onP50, offP50, err := e.measureRecorderOverhead(array, dataset, codec, rec)
+	warmNode, err := k.startNode(nil, nil, core.WithCacheBytes(256<<20))
+	if err != nil {
+		return nil, err
+	}
+	warm, err := warmNode.dial()
+	if err != nil {
+		return nil, err
+	}
+	overhead, onP50, offP50, err := e.measureRecorderOverhead(warm, array, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -442,27 +256,47 @@ func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
 
 	t := stats.NewTable(
 		fmt.Sprintf("SLO: %d-deep burst on a 1-slot replica, objective %s@90%%/99.9%% on %s (%s)",
-			len(burst), threshold.Round(time.Microsecond), core.MethodFetch, array),
+			len(ids), threshold.Round(time.Microsecond), core.MethodFetch, array),
 		"phase", "fetches", "p50", "p99", "shed", "breached", "degraded", "bundles")
-	t.AddRow("clean sweep", fmt.Sprintf("%d", len(uniq)),
-		fmt.Sprintf("%.1fms", cleanP50), "", "0", "0", "0", "")
-	t.AddRow("slo burst", fmt.Sprintf("%d", len(burst)),
-		fmt.Sprintf("%.1fms", stats.Percentile(burstLats, 0.50)),
-		fmt.Sprintf("%.1fms", stats.Percentile(burstLats, 0.99)),
-		fmt.Sprintf("%d", shedN), fmt.Sprintf("%d", breachN), "0",
-		fmt.Sprintf("%d", burstBundles))
-	t.AddRow("forced fallback", "1", "", "", "0", "", fmt.Sprintf("%d", fallbackN), "")
-	t.AddRow("directed breach", "1", "", "", "", "1", "",
-		fmt.Sprintf("%d (span tree verified)", bundles2.Written()))
-	t.AddRow("burn gauges",
-		fmt.Sprintf("avail %.2f", mstat.AvailBurnFast),
-		fmt.Sprintf("lat %.2f", mstat.LatencyBurnFast),
-		"", "", "reconciled", "", "")
-	t.AddRow("recorder overhead",
-		fmt.Sprintf("%.2f%%", 100*overhead),
-		fmt.Sprintf("%.2fms on", onP50),
-		fmt.Sprintf("%.2fms off", offP50), "", "", "", "< 5% verified")
+	burstP50, burstP99 := burstRun.p50p99()
+	row(t, "clean sweep", len(uniq), fmt.Sprintf("%.1fms", cleanP50), "", 0, 0, 0)
+	row(t, "slo burst", len(ids), burstP50, burstP99, shedN, breachN, 0, burstBundles)
+	row(t, "forced fallback", 1, "", "", 0, "", fallbackN)
+	row(t, "directed breach", 1, "", "", "", 1, "", fmt.Sprintf("%d (span tree verified)", bundles2.Written()))
+	row(t, "burn gauges", fmt.Sprintf("avail %.2f", mstat.AvailBurnFast),
+		fmt.Sprintf("lat %.2f", mstat.LatencyBurnFast), "", "", "reconciled")
+	row(t, "recorder overhead", fmt.Sprintf("%.2f%%", 100*overhead),
+		fmt.Sprintf("%.2fms on", onP50), fmt.Sprintf("%.2fms off", offP50), "", "", "", "< 5% verified")
 	return t, nil
+}
+
+// attachSLO points the recorder at a fresh monitor holding method to a
+// latency objective (90% within latency, 99.9% available) and a fresh
+// bundle writer over a scratch directory the kit removes.
+func attachSLO(k *kit, rec *telemetry.FlightRecorder, method string, latency, minInterval time.Duration, maxBundles int) (*telemetry.SLOMonitor, *telemetry.BundleWriter, string, error) {
+	monitor := telemetry.NewSLOMonitor(
+		telemetry.SLOOptions{Step: time.Minute, FastN: 2, SlowN: 30},
+		telemetry.Objective{
+			Method:        method,
+			Latency:       latency,
+			LatencyTarget: 0.9,
+			AvailTarget:   0.999,
+		})
+	dir, err := os.MkdirTemp("", "vizndp-slo-bundles-")
+	if err != nil {
+		return nil, nil, "", err
+	}
+	k.onClose(func() { os.RemoveAll(dir) })
+	bundles, err := telemetry.NewBundleWriter(dir, telemetry.BundleOptions{
+		MinInterval: minInterval,
+		MaxBundles:  maxBundles,
+	})
+	if err != nil {
+		return nil, nil, "", err
+	}
+	rec.SetSLO(monitor)
+	rec.SetBundles(bundles)
+	return monitor, bundles, dir, nil
 }
 
 // measureRecorderOverhead times warm-cache fetches with the flight
@@ -470,22 +304,10 @@ func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
 // three trials run and the smallest overhead wins — the measurement is
 // vulnerable to scheduler noise, and the claim is about the recorder's
 // cost, not the machine's mood.
-func (e *Env) measureRecorderOverhead(array, dataset string, codec compress.Kind, rec *telemetry.FlightRecorder) (overhead, onP50, offP50 float64, err error) {
-	srv := core.NewServer(s3fs.New(e.local, Bucket), core.WithCacheBytes(256<<20))
-	ln, lerr := net.Listen("tcp", "127.0.0.1:0")
-	if lerr != nil {
-		return 0, 0, 0, lerr
-	}
-	go srv.Serve(ln)
-	defer srv.Close()
-	client, derr := core.Dial(ln.Addr().String(), nil)
-	if derr != nil {
-		return 0, 0, 0, derr
-	}
-	defer client.Close()
+func (e *Env) measureRecorderOverhead(client *core.Client, array string, rec *telemetry.FlightRecorder) (overhead, onP50, offP50 float64, err error) {
 	defer rec.SetEnabled(true)
 
-	key := ObjectKey(dataset, codec, e.steps[0])
+	key := ObjectKey("asteroid", compress.None, e.steps[0])
 	iso := []float64{e.Cfg.ContourValues[0]}
 	fetch := func() (float64, error) {
 		start := time.Now()

@@ -407,46 +407,3 @@ func TestEncoderReset(t *testing.T) {
 		t.Errorf("after reset: %v, %v", v, err)
 	}
 }
-
-func BenchmarkEncodeRPCFrame(b *testing.B) {
-	payload := make([]byte, 64*1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := NewEncoder(len(payload) + 64)
-		e.PutArrayLen(4)
-		e.PutInt(0)
-		e.PutInt(int64(i))
-		e.PutString("FetchFiltered")
-		e.PutBytes(payload)
-	}
-}
-
-func BenchmarkDecodeRPCFrame(b *testing.B) {
-	payload := make([]byte, 64*1024)
-	e := NewEncoder(len(payload) + 64)
-	e.PutArrayLen(4)
-	e.PutInt(0)
-	e.PutInt(7)
-	e.PutString("FetchFiltered")
-	e.PutBytes(payload)
-	buf := e.Bytes()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d := NewDecoder(buf)
-		if _, err := d.ReadArrayLen(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := d.ReadInt(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := d.ReadInt(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := d.ReadString(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := d.ReadBytes(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

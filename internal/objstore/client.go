@@ -192,46 +192,3 @@ func drain(resp *http.Response) {
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 	resp.Body.Close()
 }
-
-// ObjectReaderAt adapts one object to io.ReaderAt via ranged GETs. Size
-// must be the object's size (from Stat).
-type ObjectReaderAt struct {
-	Client *Client
-	Bucket string
-	Key    string
-	Size   int64
-}
-
-// NewObjectReaderAt stats the object and returns a ReaderAt over it.
-func NewObjectReaderAt(c *Client, bucket, key string) (*ObjectReaderAt, error) {
-	size, err := c.Stat(bucket, key)
-	if err != nil {
-		return nil, err
-	}
-	return &ObjectReaderAt{Client: c, Bucket: bucket, Key: key, Size: size}, nil
-}
-
-// ReadAt implements io.ReaderAt over the object.
-func (o *ObjectReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	if off >= o.Size {
-		return 0, io.EOF
-	}
-	n := int64(len(p))
-	short := false
-	if off+n > o.Size {
-		n = o.Size - off
-		short = true
-	}
-	data, err := o.Client.GetRange(o.Bucket, o.Key, off, n)
-	if err != nil {
-		return 0, err
-	}
-	copied := copy(p, data)
-	if int64(copied) < n {
-		return copied, io.ErrUnexpectedEOF
-	}
-	if short {
-		return copied, io.EOF
-	}
-	return copied, nil
-}

@@ -197,41 +197,6 @@ func TestPutFrom(t *testing.T) {
 	}
 }
 
-func TestObjectReaderAt(t *testing.T) {
-	c, _ := startStore(t)
-	data := make([]byte, 5000)
-	rand.New(rand.NewSource(2)).Read(data)
-	if err := c.Put("b", "k", data); err != nil {
-		t.Fatal(err)
-	}
-	ra, err := NewObjectReaderAt(c, "b", "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra.Size != 5000 {
-		t.Errorf("Size = %d", ra.Size)
-	}
-	buf := make([]byte, 100)
-	if _, err := ra.ReadAt(buf, 1234); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, data[1234:1334]) {
-		t.Error("ReadAt mismatch")
-	}
-	// Read crossing EOF returns io.EOF with partial data.
-	n, err := ra.ReadAt(buf, 4950)
-	if n != 50 || err != io.EOF {
-		t.Errorf("EOF read = %d, %v", n, err)
-	}
-	if !bytes.Equal(buf[:50], data[4950:]) {
-		t.Error("EOF read data mismatch")
-	}
-	// Read past EOF.
-	if _, err := ra.ReadAt(buf, 6000); err != io.EOF {
-		t.Errorf("past-EOF read = %v", err)
-	}
-}
-
 func TestShapedTransferCountsBytes(t *testing.T) {
 	// Route client traffic through a shaped link, as the harness does, and
 	// confirm both pacing and byte counting.
@@ -329,28 +294,6 @@ func TestInvalidBucketNames(t *testing.T) {
 	c, _ := startStore(t)
 	if err := c.Put("..", "k", []byte("x")); err == nil {
 		t.Error("bucket .. accepted")
-	}
-}
-
-func BenchmarkGet1MB(b *testing.B) {
-	s, err := NewServer(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	c := NewClient(ts.Listener.Addr().String(), nil)
-	payload := make([]byte, 1<<20)
-	if err := c.Put("b", "k", payload); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Get("b", "k"); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

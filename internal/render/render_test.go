@@ -199,13 +199,3 @@ func TestSavePNGBadPath(t *testing.T) {
 		t.Error("bad path accepted")
 	}
 }
-
-func BenchmarkRenderSphere(b *testing.B) {
-	m := sphereMesh(b, 32, 12)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Mesh(m, color.RGBA{R: 200, A: 255}, Options{Width: 256, Height: 256}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -374,23 +374,3 @@ func TestNoiseContinuity(t *testing.T) {
 		prev = v
 	}
 }
-
-func BenchmarkAsteroidGenerate(b *testing.B) {
-	cfg := testAsteroid()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Generate(24006); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkNyxGenerate(b *testing.B) {
-	cfg := testNyx()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Generate(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,9 +90,6 @@ type WideEvent struct {
 	// traceID is the numeric trace for span-tree lookups (bundles).
 	traceID uint64
 }
-
-// TraceID returns the event's numeric trace identity (0 if untraced).
-func (e *WideEvent) TraceID() uint64 { return e.traceID }
 
 // Anomalous reports whether the event should trigger a debug bundle:
 // anything that is not a plain success — errors, sheds, expired
@@ -451,12 +449,10 @@ func (r *FlightRecorder) Events(f EventFilter) []WideEvent {
 	return out
 }
 
-// sortEventsBySeq orders events oldest first (insertion sort: the slots
-// are already nearly ordered, wrapping at one point in the ring).
+// sortEventsBySeq orders events oldest first. The slots are in order but
+// for the one point where the ring wraps — a rotation, which costs an
+// insertion sort a quadratic number of moves — so this is a general
+// O(n log n) sort.
 func sortEventsBySeq(evs []WideEvent) {
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && evs[j].Seq < evs[j-1].Seq; j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
-		}
-	}
+	sort.Slice(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
 }

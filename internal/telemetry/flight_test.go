@@ -336,3 +336,36 @@ func TestWriteTextOmitsEmptyHistogramStats(t *testing.T) {
 		t.Errorf("snapshot tail exemplar = %q", snap.Histograms["busy.seconds"].TailExemplar)
 	}
 }
+
+// TestEventsCostDoesNotDependOnWrapPoint pins the ring read's cost: a
+// ring that has wrapped to its midpoint is a rotation of sorted slots,
+// which an insertion sort orders in a quadratic number of moves (~100ms
+// at the default capacity, inline in every debug-bundle write). Reading
+// it must cost about what reading a ring that ends on a slot boundary
+// does.
+func TestEventsCostDoesNotDependOnWrapPoint(t *testing.T) {
+	read := func(records int) time.Duration {
+		rec := NewFlightRecorder(DefaultFlightCapacity)
+		for i := 0; i < records; i++ {
+			rec.Begin(KindServer, "ndp.fetch").Finish(nil)
+		}
+		best := time.Hour
+		for trial := 0; trial < 3; trial++ {
+			start := time.Now()
+			evs := rec.Events(EventFilter{})
+			if d := time.Since(start); d < best {
+				best = d
+			}
+			for i := 1; i < len(evs); i++ {
+				if evs[i].Seq != evs[i-1].Seq+1 {
+					t.Fatalf("after %d records, event %d has seq %d after %d", records, i, evs[i].Seq, evs[i-1].Seq)
+				}
+			}
+		}
+		return best
+	}
+	aligned, rotated := read(2*DefaultFlightCapacity), read(2*DefaultFlightCapacity+DefaultFlightCapacity/2)
+	if rotated > 10*aligned+5*time.Millisecond {
+		t.Errorf("reading a half-wrapped ring took %v, an aligned one %v", rotated, aligned)
+	}
+}

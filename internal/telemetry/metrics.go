@@ -169,13 +169,6 @@ type HistogramSnapshot struct {
 	// observation (the /metrics tail ↔ /debug/trace link).
 	Exemplars    map[int]string `json:"exemplars,omitempty"`
 	TailExemplar string         `json:"tailExemplar,omitempty"`
-	windowed     []float64
-}
-
-// Quantile returns the p-quantile (p in [0, 1]) over the snapshot's
-// recent-observation window.
-func (s *HistogramSnapshot) Quantile(p float64) float64 {
-	return stats.Percentile(s.windowed, p)
 }
 
 // Snapshot copies the histogram's current state, with percentiles
@@ -202,11 +195,11 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 			s.Exemplars[i] = fmt.Sprintf("%016x", t)
 		}
 	}
-	s.windowed = append([]float64(nil), h.window...)
+	windowed := append([]float64(nil), h.window...)
 	h.mu.Unlock()
-	s.P50 = stats.Percentile(s.windowed, 0.50)
-	s.P95 = stats.Percentile(s.windowed, 0.95)
-	s.P99 = stats.Percentile(s.windowed, 0.99)
+	s.P50 = stats.Percentile(windowed, 0.50)
+	s.P95 = stats.Percentile(windowed, 0.95)
+	s.P99 = stats.Percentile(windowed, 0.99)
 	return s
 }
 

@@ -458,38 +458,6 @@ func TestHeaderOffsetsAreContiguous(t *testing.T) {
 	}
 }
 
-func BenchmarkWriteLZ4(b *testing.B) {
-	ds := makeDataset(64, 64, 32)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := Write(&buf, ds, WriteOptions{Codec: compress.LZ4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReadArrayLZ4(b *testing.B) {
-	ds := makeDataset(64, 64, 32)
-	var buf bytes.Buffer
-	if err := Write(&buf, ds, WriteOptions{Codec: compress.LZ4}); err != nil {
-		b.Fatal(err)
-	}
-	src := bytes.NewReader(buf.Bytes())
-	r, err := OpenReader(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(4 * ds.Grid.NumPoints()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.ReadArray("v02"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestTruncatedArrayData(t *testing.T) {
 	// A valid header whose array block is cut off must fail the read, not
 	// hang or return short data.
