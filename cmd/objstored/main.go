@@ -68,14 +68,15 @@ func main() {
 		defer tshutdown()
 		fmt.Printf("telemetry on http://%s/metrics\n", tbound)
 	}
+	// Before the banner: whoever reads it may interrupt us straight away.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt)
 	fmt.Printf("serving %s on %s", *root, bound)
 	if *gbps > 0 {
 		fmt.Printf(" (shaped to %g Gb/s)", *gbps)
 	}
 	fmt.Println()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
 	<-sig
 	fmt.Println("shutting down")
 	shutdown()

@@ -8,9 +8,10 @@
 // cost into a pure scan.
 //
 // The cache is an instance of internal/lru keyed by (path, array, file
-// version), where the version is the backing file's mtime and size (plus
-// a content fingerprint when the store reports no mtime) — a changed file
-// simply misses under a new key and the stale entry ages out. Loads are
+// version), where the version is the backing file's mtime and size as one
+// stat reports them — a changed file simply misses under a new key and
+// the stale entry ages out. On an object-store mount the mtime is the
+// store's own stamp, which every overwrite moves forward. Loads are
 // single-flight: N concurrent fetches of the same array trigger exactly
 // one storage read, with the rest coalescing onto its result.
 //
@@ -48,16 +49,12 @@ var metrics = lru.Metrics{
 // same cache entry only while the file's stat is unchanged; rewriting a
 // dataset (new mtime or size) invalidates by key mismatch.
 type Version struct {
-	// MTime is the file's modification time in Unix nanoseconds. Object
-	// stores that report no mtime (zero ModTime) leave it zero; Size
-	// alone cannot tell a same-length overwrite apart, so such stores
-	// must also set Fingerprint.
+	// MTime is the file's modification time in Unix nanoseconds. It is
+	// what tells a same-length overwrite apart, so core.Server refuses
+	// to key on a filesystem that reports none.
 	MTime int64
 	// Size is the file's byte size.
 	Size int64
-	// Fingerprint is a content hash (first + last page) used only when
-	// MTime is zero, so same-size overwrites still change the key.
-	Fingerprint uint64
 }
 
 // Key names one cached array.

@@ -243,10 +243,11 @@ func TestFetchPipelineEventsAndCounters(t *testing.T) {
 	}
 }
 
-// statCountFS counts FS-level Stat calls: the file-version probe.
+// statCountFS counts FS-level Stat calls — the file-version probe — and
+// Opens, which a fetch served from a cache must not make.
 type statCountFS struct {
 	fs.FS
-	stats atomic.Int64
+	stats, opens atomic.Int64
 }
 
 func (c *statCountFS) Stat(name string) (fs.FileInfo, error) {
@@ -254,60 +255,94 @@ func (c *statCountFS) Stat(name string) (fs.FileInfo, error) {
 	return fs.Stat(c.FS, name)
 }
 
+func (c *statCountFS) Open(name string) (fs.File, error) {
+	c.opens.Add(1)
+	return c.FS.Open(name)
+}
+
 // TestFetchPipelineOneVersionProbe: a server that neither caches nor
 // coalesces never stats the file; every other configuration stats it
 // exactly once per request, whichever method and however many caches
-// consult the version.
+// consult the version. On the storage node's own filesystem — the s3fs
+// rows, an s3fs mount of a real object store — that stat is one HEAD, and
+// it is all a fetch served from a cache costs the store: no GET, no Open.
 func TestFetchPipelineOneVersionProbe(t *testing.T) {
 	dir := t.TempDir()
 	g, f := sphereField(16)
 	ds := grid.NewDataset(g)
 	ds.MustAddField(f)
-	_, rel := writeChecksummedFile(t, dir, ds)
+	abs, rel := writeChecksummedFile(t, dir, ds)
+	mount, store := mountStore(t)
+	if data, err := os.ReadFile(abs); err != nil {
+		t.Fatal(err)
+	} else if err := store.Put("sim", rel, data); err != nil {
+		t.Fatal(err)
+	}
+	heads := telemetry.Default().Counter("objstore.requests.head")
+	gets := telemetry.Default().Counter("objstore.requests.get")
 
 	options := []struct {
-		name string
-		opt  ServerOption
+		name   string
+		opt    ServerOption
+		caches bool // serves a repeat fetch without reading
 	}{
-		{"arraycache", WithCacheBytes(16 << 20)},
-		{"payloadcache", WithPayloadCacheBytes(16 << 20)},
-		{"coalesce", WithCoalesce(time.Millisecond)},
+		{"arraycache", WithCacheBytes(16 << 20), true},
+		{"payloadcache", WithPayloadCacheBytes(16 << 20), true},
+		{"coalesce", WithCoalesce(time.Millisecond), false},
 	}
-	for mask := 0; mask < 1<<len(options); mask++ {
-		name, want := "plain", int64(0)
-		var opts []ServerOption
-		for i, o := range options {
-			if mask&(1<<i) != 0 {
-				name, want = name+"+"+o.name, 1
-				opts = append(opts, o.opt)
-			}
-		}
-		t.Run(name, func(t *testing.T) {
-			fsys := &statCountFS{FS: os.DirFS(dir)}
-			srv := NewServer(fsys, opts...)
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			go srv.Serve(ln)
-			t.Cleanup(srv.Close)
-			client, err := Dial(ln.Addr().String(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer client.Close()
-			for _, k := range fetchKinds {
-				for _, pass := range []string{"first", "repeat"} {
-					before := fsys.stats.Load()
-					if _, _, _, err := k.fetch(client, rel, f.Name); err != nil {
-						t.Fatalf("%s %s: %v", k.name, pass, err)
-					}
-					if got := fsys.stats.Load() - before; got != want {
-						t.Errorf("%s %s fetch: %d Stat calls, want %d", k.name, pass, got, want)
-					}
+	backends := []struct {
+		name string
+		fsys fs.FS
+	}{{"plain", os.DirFS(dir)}, {"s3fs", mount}}
+	for _, backend := range backends {
+		for mask := 0; mask < 1<<len(options); mask++ {
+			name, want, cached := backend.name, int64(0), false
+			var opts []ServerOption
+			for i, o := range options {
+				if mask&(1<<i) != 0 {
+					name, want = name+"+"+o.name, 1
+					opts = append(opts, o.opt)
+					cached = cached || o.caches
 				}
 			}
-		})
+			t.Run(name, func(t *testing.T) {
+				fsys := &statCountFS{FS: backend.fsys}
+				srv := NewServer(fsys, opts...)
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				go srv.Serve(ln)
+				t.Cleanup(srv.Close)
+				client, err := Dial(ln.Addr().String(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer client.Close()
+				for _, k := range fetchKinds {
+					for _, pass := range []string{"first", "repeat"} {
+						stats, opens := fsys.stats.Load(), fsys.opens.Load()
+						heads0, gets0 := heads.Value(), gets.Value()
+						if _, _, _, err := k.fetch(client, rel, f.Name); err != nil {
+							t.Fatalf("%s %s: %v", k.name, pass, err)
+						}
+						if got := fsys.stats.Load() - stats; got != want {
+							t.Errorf("%s %s fetch: %d Stat calls, want %d", k.name, pass, got, want)
+						}
+						if !cached || pass != "repeat" {
+							continue
+						}
+						if got := fsys.opens.Load() - opens; got != 0 {
+							t.Errorf("%s cached fetch: %d Opens, want 0", k.name, got)
+						}
+						h, g := heads.Value()-heads0, gets.Value()-gets0
+						if backend.name == "s3fs" && (h != 1 || g != 0) {
+							t.Errorf("%s cached fetch cost the store %d HEADs and %d GETs, want 1 and 0", k.name, h, g)
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

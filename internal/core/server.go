@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"io/fs"
 	"net"
@@ -230,8 +229,8 @@ func (s *Server) handleList(_ context.Context, args []any) (any, error) {
 	return out, nil
 }
 
-// openAt opens a file for random access.
-func (s *Server) openAt(path string) (io.ReaderAt, io.Closer, error) {
+// openReader opens a dataset file for selective (random-access) reads.
+func (s *Server) openReader(path string) (*vtkio.Reader, io.Closer, error) {
 	f, err := s.fsys.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -241,21 +240,12 @@ func (s *Server) openAt(path string) (io.ReaderAt, io.Closer, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("core: %s does not support random access", path)
 	}
-	return ra, f, nil
-}
-
-// openReader opens a dataset file for selective reads.
-func (s *Server) openReader(path string) (*vtkio.Reader, io.Closer, error) {
-	ra, closer, err := s.openAt(path)
-	if err != nil {
-		return nil, nil, err
-	}
 	r, err := vtkio.OpenReader(ra)
 	if err != nil {
-		closer.Close()
+		f.Close()
 		return nil, nil, err
 	}
-	return r, closer, nil
+	return r, f, nil
 }
 
 func (s *Server) handleDescribe(ctx context.Context, args []any) (any, error) {
@@ -306,54 +296,24 @@ func floatsToAny(v []float64) []any {
 	return out
 }
 
-// fileVersion stats path to derive the cache key's file version. A
-// rewritten file (new mtime or size) therefore misses under a fresh key
-// and the stale entry ages out of the LRU. Stores that report no mtime
-// (object-store mounts like s3fs) would make a same-size overwrite
-// invisible — mtime and size both unchanged — so for those the version
-// mixes in a content fingerprint of the file's first and last pages,
-// which any rewrite of a .vnd file perturbs (the header JSON and the
-// chunk tail both move with the data).
+// fileVersion is the version probe: one stat of path, whatever the
+// filesystem. A rewritten file (new mtime or size) misses under a fresh
+// cache key and the stale entry ages out of the LRU. On an s3fs mount the
+// mtime is the object store's own stamp, which a PUT always moves forward,
+// so a same-size overwrite is seen there as on a local disk. A filesystem
+// that reports no mtime cannot be cached over — size alone would serve a
+// same-size overwrite stale — and is refused by name.
 func (s *Server) fileVersion(path string) (arraycache.Version, error) {
 	info, err := fs.Stat(s.fsys, path)
 	if err != nil {
 		return arraycache.Version{}, err
 	}
-	v := arraycache.Version{Size: info.Size()}
-	if mt := info.ModTime(); !mt.IsZero() {
-		v.MTime = mt.UnixNano()
-		return v, nil
+	if info.ModTime().IsZero() {
+		return arraycache.Version{}, fmt.Errorf("core: %T reports no modification time for %s, "+
+			"so caching or coalescing over it could serve a stale array "+
+			"(an s3fs mount of an objstored that predates version stamps?)", s.fsys, path)
 	}
-	v.Fingerprint, err = s.fileFingerprint(path, info.Size())
-	return v, err
-}
-
-// fingerprintPage is how much of each end of a zero-mtime file feeds
-// its version fingerprint: two page-sized reads per version check, paid
-// only on stores that cannot report mtimes.
-const fingerprintPage = 4096
-
-// fileFingerprint hashes the first and last fingerprintPage bytes of
-// path (the whole file when smaller).
-func (s *Server) fileFingerprint(path string, size int64) (uint64, error) {
-	ra, closer, err := s.openAt(path)
-	if err != nil {
-		return 0, err
-	}
-	defer closer.Close()
-	h := fnv.New64a()
-	buf := make([]byte, min(size, fingerprintPage))
-	if _, err := ra.ReadAt(buf, 0); err != nil {
-		return 0, fmt.Errorf("core: fingerprinting %s: %w", path, err)
-	}
-	h.Write(buf)
-	if size > fingerprintPage {
-		if _, err := ra.ReadAt(buf[:fingerprintPage], size-fingerprintPage); err != nil {
-			return 0, fmt.Errorf("core: fingerprinting %s: %w", path, err)
-		}
-		h.Write(buf[:fingerprintPage])
-	}
-	return h.Sum64(), nil
+	return arraycache.Version{MTime: info.ModTime().UnixNano(), Size: info.Size()}, nil
 }
 
 // corruptionError reports whether err means the stored bytes lied:

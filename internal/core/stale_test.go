@@ -3,12 +3,16 @@ package core
 import (
 	"bytes"
 	"context"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"testing/fstest"
+	"time"
 
-	"vizndp/internal/arraycache"
 	"vizndp/internal/compress"
 	"vizndp/internal/grid"
+	"vizndp/internal/objstore"
+	"vizndp/internal/s3fs"
 	"vizndp/internal/vtkio"
 )
 
@@ -22,126 +26,140 @@ func encodeDataset(t *testing.T, ds *grid.Dataset) []byte {
 	return buf.Bytes()
 }
 
-// TestCacheZeroMtimeOverwrite is the regression test for the stale-float
-// bug on mtime-less stores (s3fs and fstest.MapFS both stat a zero
-// ModTime): the array cache keys entries by (mtime, size), so a
-// same-size overwrite used to produce an identical key and the cache
-// served the OLD array forever. The fix mixes a content fingerprint into
-// the version when mtime is zero.
-func TestCacheZeroMtimeOverwrite(t *testing.T) {
-	g := grid.NewUniform(10, 10, 10)
+// mountStore starts a real object store and returns an s3fs mount of its
+// bucket "sim" — the storage node's filesystem — and the client that
+// writes to it.
+func mountStore(t *testing.T) (*s3fs.FS, *objstore.Client) {
+	t.Helper()
+	store, err := objstore.NewServer(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(store)
+	t.Cleanup(ts.Close)
+	c := objstore.NewClient(ts.Listener.Addr().String(), nil)
+	return s3fs.New(c, "sim"), c
+}
+
+// overwritePair encodes two datasets whose files have one size and differ
+// only well inside the array: not in the first 4 KiB page, not in the last.
+// probe is the index of the one value that differs.
+func overwritePair(t *testing.T) (bytesA, bytesB []byte, probe int, a, b float32) {
+	t.Helper()
+	g := grid.NewUniform(16, 16, 16)
 	fa := grid.NewField("d", g.NumPoints())
-	fb := grid.NewField("d", g.NumPoints())
 	for i := range fa.Values {
 		fa.Values[i] = float32(i % 17)
-		fb.Values[i] = float32((i + 5) % 17)
 	}
-	dsA := grid.NewDataset(g)
+	probe = g.NumPoints() / 2
+	fb := grid.NewField("d", g.NumPoints())
+	copy(fb.Values, fa.Values)
+	fb.Values[probe] = -1
+	dsA, dsB := grid.NewDataset(g), grid.NewDataset(g)
 	dsA.MustAddField(fa)
-	dsB := grid.NewDataset(g)
 	dsB.MustAddField(fb)
-	bytesA := encodeDataset(t, dsA)
-	bytesB := encodeDataset(t, dsB)
-	if len(bytesA) != len(bytesB) {
-		t.Fatalf("encodings differ in size (%d vs %d); test needs a same-size overwrite", len(bytesA), len(bytesB))
+	bytesA, bytesB = encodeDataset(t, dsA), encodeDataset(t, dsB)
+	const page = 4096
+	if len(bytesA) != len(bytesB) || len(bytesA) < 3*page ||
+		!bytes.Equal(bytesA[:page], bytesB[:page]) ||
+		!bytes.Equal(bytesA[len(bytesA)-page:], bytesB[len(bytesB)-page:]) ||
+		bytes.Equal(bytesA, bytesB) {
+		t.Fatalf("fixture: want same-size files (%d, %d bytes) differing only in middle pages", len(bytesA), len(bytesB))
 	}
+	return bytesA, bytesB, probe, fa.Values[probe], fb.Values[probe]
+}
 
-	file := &fstest.MapFile{Data: bytesA} // zero ModTime, like s3fs
+// rawValue fetches the whole array through the server's fetch pipeline
+// and returns one value of it.
+func rawValue(srv *Server, path string, index int) (float32, error) {
+	res, err := srv.serveFetch(context.Background(), []any{path, "d"}, rawSelector)
+	if err != nil {
+		return 0, err
+	}
+	vals, err := vtkio.BytesToFloats(res.(map[string]any)["data"].([]byte))
+	if err != nil {
+		return 0, err
+	}
+	return vals[index], nil
+}
+
+// TestCacheVersionSameSizeOverwrite: on the storage node's real
+// filesystem — s3fs over an object store — an overwrite that keeps the
+// object's size and changes only a middle page is seen by the very next
+// cached fetch, because the store stamps every PUT strictly later than
+// the object it replaces and that stamp is the cache key's version. (A
+// content fingerprint of the first and last page, which this replaced,
+// could not see this overwrite.)
+func TestCacheVersionSameSizeOverwrite(t *testing.T) {
+	bytesA, bytesB, probe, a, b := overwritePair(t)
+	fsys, c := mountStore(t)
+	if err := c.Put("sim", "run/ts0.vnd", bytesA); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(fsys, WithCacheBytes(16<<20), WithPayloadCacheBytes(16<<20))
+	t.Cleanup(srv.Close)
+
+	for _, pass := range []string{"first", "repeat"} {
+		if got, err := rawValue(srv, "run/ts0.vnd", probe); err != nil || got != a {
+			t.Fatalf("%s read got %g, %v; want %g", pass, got, err, a)
+		}
+		// The repeat must be a genuine hit: the version is stable while
+		// nothing is written.
+		if srv.cache.Len() != 1 || srv.payloads.Len() != 1 {
+			t.Fatalf("after the %s read the caches hold %d arrays, %d payloads; want 1, 1",
+				pass, srv.cache.Len(), srv.payloads.Len())
+		}
+	}
+	// Back to back, so the two PUTs share a tick of the file clock.
+	for i, want := range []struct {
+		data []byte
+		val  float32
+	}{{bytesB, b}, {bytesA, a}, {bytesB, b}} {
+		if err := c.Put("sim", "run/ts0.vnd", want.data); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := rawValue(srv, "run/ts0.vnd", probe); err != nil || got != want.val {
+			t.Fatalf("read after overwrite %d got %g, %v; want %g (stale cache entry served)", i, got, err, want.val)
+		}
+	}
+}
+
+// TestCacheZeroMtimeOverwrite: a filesystem that reports no modification
+// time (fstest.MapFS here; an s3fs mount of a store too old to stamp its
+// objects) gives a cache nothing but the size to key on, under which a
+// same-size overwrite would be served stale forever. The server refuses,
+// naming the filesystem, instead of guessing a key; with nothing cached
+// or shared it needs no version and serves, overwrites included.
+func TestCacheZeroMtimeOverwrite(t *testing.T) {
+	bytesA, bytesB, probe, a, b := overwritePair(t)
+	file := &fstest.MapFile{Data: bytesA} // zero ModTime
 	mfs := fstest.MapFS{"run/ts0.vnd": file}
-	srv := NewServer(mfs, WithCacheBytes(16<<20))
-	t.Cleanup(func() { srv.Close() })
-	ctx := context.Background()
 
-	readValue := func() float32 {
-		t.Helper()
-		res, err := srv.serveFetch(ctx, []any{"run/ts0.vnd", "d"}, rawSelector)
-		if err != nil {
-			t.Fatal(err)
+	for name, opt := range map[string]ServerOption{
+		"array cache":   WithCacheBytes(16 << 20),
+		"payload cache": WithPayloadCacheBytes(16 << 20),
+		"coalescing":    WithCoalesce(time.Millisecond),
+	} {
+		srv := NewServer(mfs, opt)
+		_, err := rawValue(srv, "run/ts0.vnd", probe)
+		srv.Close()
+		if err == nil {
+			t.Fatalf("%s over a zero-mtime filesystem served a fetch", name)
 		}
-		vals, err := vtkio.BytesToFloats(res.(map[string]any)["data"].([]byte))
-		if err != nil {
-			t.Fatal(err)
+		for _, want := range []string{"fstest.MapFS", "no modification time", "run/ts0.vnd"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not mention %q", name, err, want)
+			}
 		}
-		return vals[42]
 	}
 
-	if got := readValue(); got != fa.Values[42] {
-		t.Fatalf("first read got %g, want %g", got, fa.Values[42])
+	srv := NewServer(mfs)
+	t.Cleanup(srv.Close)
+	if got, err := rawValue(srv, "run/ts0.vnd", probe); err != nil || got != a {
+		t.Fatalf("uncached read got %g, %v; want %g", got, err, a)
 	}
-	// Unchanged file: the repeat must be a genuine cache hit, proving the
-	// fingerprint is stable and the cache is actually engaged.
-	if srv.cache.Len() != 1 {
-		t.Fatalf("cache holds %d entries after first read", srv.cache.Len())
-	}
-	if got := readValue(); got != fa.Values[42] {
-		t.Fatalf("repeat read got %g, want %g", got, fa.Values[42])
-	}
-	if srv.cache.Len() != 1 {
-		t.Errorf("stable overwrite-free repeat grew the cache to %d entries", srv.cache.Len())
-	}
-
-	// Same-size overwrite with zero mtime: before the fix this read
-	// returned fa's value from the stale cache entry.
 	file.Data = bytesB
-	if got := readValue(); got != fb.Values[42] {
-		t.Fatalf("post-overwrite read got %g, want %g (stale cache entry served)", got, fb.Values[42])
-	}
-
-	// The versions really must differ via the fingerprint, not by luck.
-	vA, errA := srvVersionFor(srv, bytesA)
-	vB, errB := srvVersionFor(srv, bytesB)
-	if errA != nil || errB != nil {
-		t.Fatalf("version probe: %v / %v", errA, errB)
-	}
-	if vA == vB {
-		t.Error("versions identical across overwrite")
-	}
-	if vA.MTime != 0 || vB.MTime != 0 {
-		t.Errorf("zero-mtime store produced nonzero MTime: %d / %d", vA.MTime, vB.MTime)
-	}
-	if vA.Fingerprint == 0 || vB.Fingerprint == 0 {
-		t.Error("zero-mtime version carries no fingerprint")
-	}
-}
-
-// srvVersionFor stats a one-file MapFS holding data through a fresh
-// server, returning the version key it derives.
-func srvVersionFor(_ *Server, data []byte) (arraycache.Version, error) {
-	s := NewServer(fstest.MapFS{"f": &fstest.MapFile{Data: data}})
-	defer s.Close()
-	return s.fileVersion("f")
-}
-
-// TestFingerprintTailSensitivity pins that the fingerprint sees both
-// ends of the file: flipping a byte in the last page of a multi-page
-// file must change the version even though the first page is identical.
-func TestFingerprintTailSensitivity(t *testing.T) {
-	data := make([]byte, 3*fingerprintPage)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	v1, err := srvVersionFor(nil, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tail := append([]byte(nil), data...)
-	tail[len(tail)-3] ^= 0xff
-	v2, err := srvVersionFor(nil, tail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1 == v2 {
-		t.Error("tail-page change did not change the version")
-	}
-	// A middle-page change is invisible by design (the fingerprint reads
-	// first + last page only); mtime-bearing filesystems cover that case.
-	mid := append([]byte(nil), data...)
-	mid[fingerprintPage+10] ^= 0xff
-	v3, err := srvVersionFor(nil, mid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1 != v3 {
-		t.Log("middle-page change detected (stronger than required)")
+	if got, err := rawValue(srv, "run/ts0.vnd", probe); err != nil || got != b {
+		t.Fatalf("uncached read after the overwrite got %g, %v; want %g", got, err, b)
 	}
 }

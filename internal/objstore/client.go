@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"time"
 )
 
 // ErrNotFound is returned for missing objects.
@@ -69,20 +70,19 @@ func classify(resp *http.Response) error {
 	return nil
 }
 
+// fill reads exactly len(p) bytes of body. One that ends early is a
+// truncated object: io.ErrUnexpectedEOF, however little of it arrived.
+func fill(body io.Reader, p []byte) (int, error) {
+	n, err := io.ReadFull(body, p)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return n, err
+}
+
 // Put stores data under bucket/key.
 func (c *Client) Put(bucket, key string, data []byte) error {
-	req, err := http.NewRequest(http.MethodPut, c.objectURL(bucket, key),
-		bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.ContentLength = int64(len(data))
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer drain(resp)
-	return classify(resp)
+	return c.PutFrom(bucket, key, bytes.NewReader(data), int64(len(data)))
 }
 
 // PutFrom streams size bytes from r into bucket/key.
@@ -110,49 +110,78 @@ func (c *Client) Get(bucket, key string) ([]byte, error) {
 	if err := classify(resp); err != nil {
 		return nil, err
 	}
-	return io.ReadAll(resp.Body)
+	if resp.ContentLength < 0 {
+		return nil, fmt.Errorf("objstore: GET %s/%s: reply has no Content-Length", bucket, key)
+	}
+	data := make([]byte, resp.ContentLength)
+	if _, err := fill(resp.Body, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
-// GetRange fetches n bytes at offset off.
+// ReadRange is the one ranged read: it fills p with the len(p) bytes at
+// offset off straight from the response body and returns how many arrived;
+// an object that ends before p is full is io.ErrUnexpectedEOF.
+func (c *Client) ReadRange(bucket, key string, p []byte, off int64) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
+	req, err := http.NewRequest(http.MethodGet, c.objectURL(bucket, key), nil)
+	if err != nil {
+		return 0, err
+	}
+	req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", off, off+int64(len(p))-1))
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return 0, err
+	}
+	defer drain(resp)
+	if err := classify(resp); err != nil {
+		return 0, err
+	}
+	if resp.StatusCode != http.StatusPartialContent {
+		return 0, fmt.Errorf("objstore: server ignored range request (status %d)",
+			resp.StatusCode)
+	}
+	return fill(resp.Body, p)
+}
+
+// GetRange fetches n bytes at offset off into a buffer of exactly n.
 func (c *Client) GetRange(bucket, key string, off, n int64) ([]byte, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	req, err := http.NewRequest(http.MethodGet, c.objectURL(bucket, key), nil)
-	if err != nil {
+	data := make([]byte, n)
+	if _, err := c.ReadRange(bucket, key, data, off); err != nil {
 		return nil, err
 	}
-	req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", off, off+n-1))
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer drain(resp)
-	if err := classify(resp); err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusPartialContent {
-		return nil, fmt.Errorf("objstore: server ignored range request (status %d)",
-			resp.StatusCode)
-	}
-	return io.ReadAll(resp.Body)
+	return data, nil
 }
 
-// Stat returns the object's size.
-func (c *Client) Stat(bucket, key string) (int64, error) {
+// Stat returns the object's size and its version stamp: the store's
+// modification time for it, which a PUT that replaces the object always
+// moves forward. A store too old to send the stamp yields the zero time.
+func (c *Client) Stat(bucket, key string) (size int64, mtime time.Time, err error) {
 	resp, err := c.http.Head(c.objectURL(bucket, key))
 	if err != nil {
-		return 0, err
+		return 0, time.Time{}, err
 	}
 	defer drain(resp)
 	if err := classify(resp); err != nil {
-		return 0, err
+		return 0, time.Time{}, err
 	}
-	if resp.ContentLength >= 0 {
-		return resp.ContentLength, nil
+	if resp.ContentLength < 0 {
+		return 0, time.Time{}, fmt.Errorf("objstore: HEAD %s/%s: reply has no Content-Length", bucket, key)
 	}
-	v := resp.Header.Get("Content-Length")
-	return strconv.ParseInt(v, 10, 64)
+	if v := resp.Header.Get(mtimeHeader); v != "" {
+		ns, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			return 0, time.Time{}, fmt.Errorf("objstore: HEAD %s/%s: bad %s: %w", bucket, key, mtimeHeader, err)
+		}
+		mtime = time.Unix(0, ns)
+	}
+	return resp.ContentLength, mtime, nil
 }
 
 // List returns objects in the bucket with the given key prefix, sorted.

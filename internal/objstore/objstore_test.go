@@ -29,6 +29,15 @@ func startStore(t *testing.T) (*Client, *Server) {
 	return NewClient(addr, nil), s
 }
 
+// fakeStore returns a client of a server that answers every request with
+// reply: the replies the real server never sends.
+func fakeStore(t *testing.T, reply func(w http.ResponseWriter)) *Client {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { reply(w) }))
+	t.Cleanup(ts.Close)
+	return NewClient(ts.Listener.Addr().String(), nil)
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	c, _ := startStore(t)
 	data := []byte("timestep payload")
@@ -63,7 +72,7 @@ func TestGetMissing(t *testing.T) {
 	if _, err := c.Get("b", "missing"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("err = %v, want ErrNotFound", err)
 	}
-	if _, err := c.Stat("b", "missing"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := c.Stat("b", "missing"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Stat err = %v, want ErrNotFound", err)
 	}
 }
@@ -80,14 +89,113 @@ func TestNestedKeys(t *testing.T) {
 }
 
 func TestStat(t *testing.T) {
-	c, _ := startStore(t)
+	c, s := startStore(t)
 	data := make([]byte, 12345)
 	if err := c.Put("b", "k", data); err != nil {
 		t.Fatal(err)
 	}
-	size, err := c.Stat("b", "k")
+	size, mtime, err := c.Stat("b", "k")
 	if err != nil || size != 12345 {
 		t.Errorf("Stat = %d, %v", size, err)
+	}
+	fi, err := os.Stat(filepath.Join(s.Root(), "b", "k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mtime.Equal(fi.ModTime()) {
+		t.Errorf("Stat mtime = %v, stored file's is %v", mtime, fi.ModTime())
+	}
+}
+
+// TestStatReplies pins what Stat makes of replies the real server does
+// not send: a store too old to stamp versions yields the zero time (which
+// core.Server refuses to cache over), a mangled stamp or a reply without
+// a length is an error naming the object.
+func TestStatReplies(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		reply   func(w http.ResponseWriter)
+		wantErr string
+	}{
+		{"no stamp", func(w http.ResponseWriter) { w.Header().Set("Content-Length", "7") }, ""},
+		{"bad stamp", func(w http.ResponseWriter) {
+			w.Header().Set("Content-Length", "7")
+			w.Header().Set(mtimeHeader, "yesterday")
+		}, "b/k: bad " + mtimeHeader},
+		{"no length", func(w http.ResponseWriter) { w.(http.Flusher).Flush() }, "b/k: reply has no Content-Length"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			size, mtime, err := fakeStore(t, tc.reply).Stat("b", "k")
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil || size != 7 || !mtime.IsZero() {
+				t.Errorf("Stat = %d, %v, %v; want 7, the zero time, nil", size, mtime, err)
+			}
+		})
+	}
+}
+
+// TestPutOverwriteStampsStrictlyLater: file clocks tick in milliseconds,
+// so back-to-back PUTs land on one mtime unless the server pushes each
+// replacement past what it replaced — also when the replaced object's
+// stamp is ahead of the clock, and when PUTs of one key race.
+func TestPutOverwriteStampsStrictlyLater(t *testing.T) {
+	c, s := startStore(t)
+	stamp := func() time.Time {
+		t.Helper()
+		_, mtime, err := c.Stat("b", "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mtime
+	}
+	if err := c.Put("b", "k", []byte("v0")); err != nil {
+		t.Fatal(err)
+	}
+	last := stamp()
+	for i := 0; i < 50; i++ {
+		if err := c.Put("b", "k", []byte("vN")); err != nil {
+			t.Fatal(err)
+		}
+		got := stamp()
+		if !got.After(last) {
+			t.Fatalf("PUT %d stamped %v, not after the %v it replaced", i, got, last)
+		}
+		last = got
+	}
+
+	ahead := time.Now().Add(time.Hour)
+	if err := os.Chtimes(filepath.Join(s.Root(), "b", "k"), ahead, ahead); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("b", "k", []byte("vN")); err != nil {
+		t.Fatal(err)
+	}
+	if last = stamp(); !last.After(ahead) {
+		t.Errorf("PUT over an object stamped %v got %v", ahead, last)
+	}
+
+	errs := make(chan error, 4)
+	for w := 0; w < cap(errs); w++ {
+		go func() {
+			var err error
+			for i := 0; i < 20 && err == nil; i++ {
+				err = c.Put("b", "k", []byte("vN"))
+			}
+			errs <- err
+		}()
+	}
+	for w := 0; w < cap(errs); w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if got := stamp(); !got.After(last) {
+		t.Errorf("racing PUTs left stamp %v, not after %v", got, last)
 	}
 }
 
@@ -112,6 +220,71 @@ func TestGetRange(t *testing.T) {
 	}
 	if got, err := c.GetRange("b", "k", 0, 0); err != nil || len(got) != 0 {
 		t.Errorf("zero range = %v, %v", got, err)
+	}
+	// The one ranged read fills exactly the caller's slice and nothing
+	// around it.
+	buf := bytes.Repeat([]byte{0xEE}, 3000)
+	if n, err := c.ReadRange("b", "k", buf[500:2500], 5000); n != 2000 || err != nil {
+		t.Fatalf("ReadRange = %d, %v", n, err)
+	}
+	want := bytes.Repeat([]byte{0xEE}, 3000)
+	copy(want[500:2500], data[5000:7000])
+	if !bytes.Equal(buf, want) {
+		t.Error("ReadRange wrote outside its slice or filled it wrong")
+	}
+	// An object that ends inside the range is a short read, and so is
+	// GetRange's: its buffer is exactly n or nothing.
+	if n, err := c.ReadRange("b", "k", buf, 9000); n != 1000 || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("ReadRange past the end = %d, %v; want 1000, ErrUnexpectedEOF", n, err)
+	}
+	if got, err := c.GetRange("b", "k", 9000, 3000); got != nil || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("GetRange past the end = %d bytes, %v; want none, ErrUnexpectedEOF", len(got), err)
+	}
+	if got, err := c.Get("b", "k"); err != nil || !bytes.Equal(got, data) || cap(got) != len(data) {
+		t.Errorf("Get = %d bytes (cap %d), %v; want exactly %d", len(got), cap(got), err, len(data))
+	}
+}
+
+// TestReadRangeBadReplies: a body that ends early — however the store
+// framed it, even with nothing sent — is io.ErrUnexpectedEOF, which is
+// what core.corruptionError classifies as a truncated object; a store
+// that ignores the Range header is an error, not a silent whole-object
+// read.
+func TestReadRangeBadReplies(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reply func(w http.ResponseWriter)
+		want  error // nil: the ignored-range error
+	}{
+		{"short of its Content-Length", func(w http.ResponseWriter) {
+			w.Header().Set("Content-Length", "100")
+			w.WriteHeader(http.StatusPartialContent)
+			w.Write(make([]byte, 40))
+		}, io.ErrUnexpectedEOF},
+		{"short, no length", func(w http.ResponseWriter) {
+			w.WriteHeader(http.StatusPartialContent)
+			w.Write(make([]byte, 40))
+			w.(http.Flusher).Flush()
+		}, io.ErrUnexpectedEOF},
+		{"empty, no length", func(w http.ResponseWriter) {
+			w.WriteHeader(http.StatusPartialContent)
+			w.(http.Flusher).Flush()
+		}, io.ErrUnexpectedEOF},
+		{"200 to a range request", func(w http.ResponseWriter) { w.Write(make([]byte, 100)) }, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := fakeStore(t, tc.reply)
+			_, err := c.ReadRange("b", "k", make([]byte, 100), 0)
+			if tc.want != nil && !errors.Is(err, tc.want) {
+				t.Errorf("ReadRange: err = %v, want %v", err, tc.want)
+			}
+			if tc.want == nil && (err == nil || !strings.Contains(err.Error(), "ignored range")) {
+				t.Errorf("ReadRange: err = %v, want the ignored-range error", err)
+			}
+			if data, err2 := c.GetRange("b", "k", 0, 100); data != nil || err2 == nil {
+				t.Errorf("GetRange = %d bytes, %v; want the same failure", len(data), err2)
+			}
+		})
 	}
 }
 

@@ -6,8 +6,9 @@
 // that the s3fs layer builds on.
 //
 // Only the behaviours the experiments rely on are implemented: whole- and
-// range-reads served from disk, content lengths, and listing. Multipart
-// upload, auth, and versioning are out of scope.
+// range-reads served from disk, content lengths, a per-object version
+// stamp (see mtimeHeader), and listing. Multipart upload, auth, and
+// versioning are out of scope.
 package objstore
 
 import (
@@ -23,6 +24,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"vizndp/internal/telemetry"
@@ -74,17 +76,25 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 	return n, err
 }
 
+// mtimeHeader carries an object's version stamp on GET and HEAD replies:
+// the stored file's mtime in Unix nanoseconds (Last-Modified has seconds).
+// A PUT stamps strictly later than what it replaces (see install), so
+// (stamp, size) never repeats for a key and a reader's cache may key on it.
+const mtimeHeader = "X-Objstore-Mtime-Ns"
+
 // ObjectInfo describes one stored object.
 type ObjectInfo struct {
-	Key  string `json:"key"`
-	Size int64  `json:"size"`
+	Key     string `json:"key"`
+	Size    int64  `json:"size"`
+	MTimeNs int64  `json:"mtime_ns"`
 }
 
 // Server is an http.Handler serving an object store rooted at a
 // directory. Buckets are first-level directories; object keys may contain
 // slashes.
 type Server struct {
-	root string
+	root  string
+	putMu sync.Mutex // orders each PUT's version stamp against the object it replaces
 }
 
 // NewServer returns a server storing objects under root, creating it if
@@ -218,20 +228,33 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request, bucket, key s
 	defer os.Remove(tmp.Name())
 	n, err := io.Copy(tmp, r.Body)
 	mReqBytesIn.Add(n)
-	if err != nil {
-		tmp.Close()
+	written, statErr := tmp.Stat()
+	if err := errors.Join(err, statErr, tmp.Close()); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	if err := tmp.Close(); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
+	if err := s.install(tmp.Name(), written.ModTime(), p); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.WriteHeader(http.StatusOK)
+}
+
+// install renames the finished upload tmp, last written at stamp, over p.
+// File clocks tick in milliseconds, so PUTs of one key can share an mtime:
+// one not already later than the object it replaces is pushed just past it,
+// under a lock so no other PUT lands between the comparison and the rename.
+func (s *Server) install(tmp string, stamp time.Time, p string) error {
+	s.putMu.Lock()
+	defer s.putMu.Unlock()
+	// vizlint:ignore lockhold ordering PUTs' file operations is what this lock is for; only other PUTs wait on it
+	if old, err := os.Stat(p); err == nil && !stamp.After(old.ModTime()) {
+		stamp = old.ModTime().Add(time.Nanosecond)
+		if err := os.Chtimes(tmp, stamp, stamp); err != nil {
+			return err
+		}
+	}
+	return os.Rename(tmp, p)
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, bucket, key string) {
@@ -255,6 +278,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, bucket, key s
 		http.Error(w, "no such object", http.StatusNotFound)
 		return
 	}
+	w.Header().Set(mtimeHeader, strconv.FormatInt(fi.ModTime().UnixNano(), 10))
 	// http.ServeContent implements Range, HEAD, and Content-Length.
 	http.ServeContent(w, r, "", fi.ModTime(), f)
 }
@@ -314,7 +338,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request, bucket strin
 		if err != nil {
 			return err
 		}
-		objects = append(objects, ObjectInfo{Key: key, Size: fi.Size()})
+		objects = append(objects, ObjectInfo{Key: key, Size: fi.Size(), MTimeNs: fi.ModTime().UnixNano()})
 		return nil
 	})
 	if err != nil && !errors.Is(err, os.ErrNotExist) {

@@ -1044,6 +1044,18 @@ func (c *Client) callWire(ctx context.Context, method string, args []any, wireCt
 	}
 	select {
 	case resp := <-ch:
+		// The server runs the handler under the deadline we sent, so its
+		// "deadline exceeded" reply can be ready together with our own
+		// ctx.Done, or even beat our context's timer; either way the
+		// caller sees its own error, whichever case select picks.
+		if resp.err != nil {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+				return nil, context.DeadlineExceeded
+			}
+		}
 		return resp.result, resp.err
 	case <-ctx.Done():
 		c.abandon(msgid)

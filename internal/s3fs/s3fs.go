@@ -13,6 +13,7 @@ import (
 	"io"
 	"io/fs"
 	"path"
+	"strings"
 	"time"
 
 	"vizndp/internal/objstore"
@@ -37,39 +38,40 @@ func New(client *objstore.Client, bucket string) *FS {
 // Open opens the named object. The returned file is an fs.File that also
 // implements io.ReaderAt and io.Seeker.
 func (f *FS) Open(name string) (fs.File, error) {
-	if !fs.ValidPath(name) || name == "." {
-		return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrInvalid}
-	}
-	size, err := f.client.Stat(f.bucket, name)
+	info, err := f.stat("open", name)
 	if err != nil {
-		return nil, &fs.PathError{Op: "open", Path: name, Err: err}
+		return nil, err
 	}
 	chunk := f.ChunkSize
 	if chunk <= 0 {
 		chunk = DefaultChunkSize
 	}
-	return &File{
-		client: f.client,
-		bucket: f.bucket,
-		key:    name,
-		size:   size,
-		chunk:  chunk,
-	}, nil
+	return &File{client: f.client, bucket: f.bucket, key: name, info: info, chunk: chunk}, nil
 }
 
-// Stat implements fs.StatFS with a single object stat, so callers
-// probing file versions (e.g. the NDP server's array-cache keys) avoid
-// constructing a file handle. The object store reports no modification
-// time, so ModTime is the zero time and change detection rides on size.
+// Stat implements fs.StatFS with a single object stat (one HEAD), so
+// callers probing file versions (e.g. the NDP server's array-cache keys)
+// avoid constructing a file handle. ModTime is the store's version stamp
+// for the object, which every overwrite moves forward, so (ModTime,
+// Size) identifies the object's content as it does on a local disk.
 func (f *FS) Stat(name string) (fs.FileInfo, error) {
-	if !fs.ValidPath(name) || name == "." {
-		return nil, &fs.PathError{Op: "stat", Path: name, Err: fs.ErrInvalid}
-	}
-	size, err := f.client.Stat(f.bucket, name)
+	info, err := f.stat("stat", name)
 	if err != nil {
-		return nil, &fs.PathError{Op: "stat", Path: name, Err: err}
+		return nil, err
 	}
-	return fileInfo{name: path.Base(name), size: size}, nil
+	return info, nil
+}
+
+// stat is the one object stat behind Open and Stat.
+func (f *FS) stat(op, name string) (fileInfo, error) {
+	if !fs.ValidPath(name) || name == "." {
+		return fileInfo{}, &fs.PathError{Op: op, Path: name, Err: fs.ErrInvalid}
+	}
+	size, mtime, err := f.client.Stat(f.bucket, name)
+	if err != nil {
+		return fileInfo{}, &fs.PathError{Op: op, Path: name, Err: err}
+	}
+	return fileInfo{name: path.Base(name), size: size, mtime: mtime}, nil
 }
 
 var _ fs.StatFS = (*FS)(nil)
@@ -91,8 +93,7 @@ func (f *FS) ReadDir(name string) ([]fs.DirEntry, error) {
 	entries := make([]fs.DirEntry, 0, len(objs))
 	seen := make(map[string]bool)
 	for _, o := range objs {
-		rest := o.Key[len(prefix):]
-		first, _, isDir := cutSlash(rest)
+		first, _, isDir := strings.Cut(o.Key[len(prefix):], "/")
 		if seen[first] {
 			continue
 		}
@@ -100,19 +101,11 @@ func (f *FS) ReadDir(name string) ([]fs.DirEntry, error) {
 		entries = append(entries, dirEntry{
 			name:  first,
 			size:  o.Size,
+			mtime: time.Unix(0, o.MTimeNs),
 			isDir: isDir,
 		})
 	}
 	return entries, nil
-}
-
-func cutSlash(s string) (first, rest string, found bool) {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '/' {
-			return s[:i], s[i+1:], true
-		}
-	}
-	return s, "", false
 }
 
 // File is an open object handle.
@@ -120,7 +113,7 @@ type File struct {
 	client *objstore.Client
 	bucket string
 	key    string
-	size   int64
+	info   fileInfo // as of Open
 	chunk  int
 
 	offset int64  // current Read/Seek position
@@ -140,11 +133,11 @@ func (f *File) Stat() (fs.FileInfo, error) {
 	if f.closed {
 		return nil, fs.ErrClosed
 	}
-	return fileInfo{name: path.Base(f.key), size: f.size}, nil
+	return f.info, nil
 }
 
 // Size returns the object size in bytes.
-func (f *File) Size() int64 { return f.size }
+func (f *File) Size() int64 { return f.info.size }
 
 // Read implements sequential reads with read-ahead: a miss fetches the
 // next ChunkSize window in one ranged GET.
@@ -152,7 +145,7 @@ func (f *File) Read(p []byte) (int, error) {
 	if f.closed {
 		return 0, fs.ErrClosed
 	}
-	if f.offset >= f.size {
+	if f.offset >= f.info.size {
 		return 0, io.EOF
 	}
 	// Serve from the buffered window when possible.
@@ -163,15 +156,12 @@ func (f *File) Read(p []byte) (int, error) {
 	}
 	// Miss: fetch a fresh window at the current offset.
 	want := int64(f.chunk)
-	if f.offset+want > f.size {
-		want = f.size - f.offset
+	if f.offset+want > f.info.size {
+		want = f.info.size - f.offset
 	}
 	data, err := f.client.GetRange(f.bucket, f.key, f.offset, want)
 	if err != nil {
 		return 0, fmt.Errorf("s3fs: read %s at %d: %w", f.key, f.offset, err)
-	}
-	if len(data) == 0 {
-		return 0, io.ErrUnexpectedEOF
 	}
 	f.buf = data
 	f.bufOff = f.offset
@@ -180,33 +170,24 @@ func (f *File) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// ReadAt implements io.ReaderAt with a direct ranged GET, bypassing the
-// read-ahead buffer.
+// ReadAt implements io.ReaderAt with a direct ranged GET whose body
+// lands in p, bypassing the read-ahead buffer.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if f.closed {
 		return 0, fs.ErrClosed
 	}
-	if off >= f.size {
+	if off >= f.info.size {
 		return 0, io.EOF
 	}
-	n := int64(len(p))
-	short := false
-	if off+n > f.size {
-		n = f.size - off
-		short = true
-	}
-	data, err := f.client.GetRange(f.bucket, f.key, off, n)
-	if err != nil {
-		return 0, err
-	}
-	copied := copy(p, data)
-	if int64(copied) < n {
-		return copied, io.ErrUnexpectedEOF
-	}
+	short := off+int64(len(p)) > f.info.size
 	if short {
-		return copied, io.EOF
+		p = p[:f.info.size-off]
 	}
-	return copied, nil
+	n, err := f.client.ReadRange(f.bucket, f.key, p, off)
+	if err == nil && short {
+		err = io.EOF
+	}
+	return n, err
 }
 
 // Seek implements io.Seeker.
@@ -221,7 +202,7 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 	case io.SeekCurrent:
 		abs = f.offset + offset
 	case io.SeekEnd:
-		abs = f.size + offset
+		abs = f.info.size + offset
 	default:
 		return 0, fmt.Errorf("s3fs: invalid whence %d", whence)
 	}
@@ -240,20 +221,22 @@ func (f *File) Close() error {
 }
 
 type fileInfo struct {
-	name string
-	size int64
+	name  string
+	size  int64
+	mtime time.Time
 }
 
 func (fi fileInfo) Name() string       { return fi.name }
 func (fi fileInfo) Size() int64        { return fi.size }
 func (fi fileInfo) Mode() fs.FileMode  { return 0o444 }
-func (fi fileInfo) ModTime() time.Time { return time.Time{} }
+func (fi fileInfo) ModTime() time.Time { return fi.mtime }
 func (fi fileInfo) IsDir() bool        { return false }
 func (fi fileInfo) Sys() any           { return nil }
 
 type dirEntry struct {
 	name  string
 	size  int64
+	mtime time.Time
 	isDir bool
 }
 
@@ -266,5 +249,5 @@ func (d dirEntry) Type() fs.FileMode {
 	return 0
 }
 func (d dirEntry) Info() (fs.FileInfo, error) {
-	return fileInfo{name: d.name, size: d.size}, nil
+	return fileInfo{name: d.name, size: d.size, mtime: d.mtime}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"math/rand"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -279,7 +280,7 @@ func TestFileInfoAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Mode() != 0o444 || fi.IsDir() || fi.Sys() != nil || !fi.ModTime().IsZero() {
+	if fi.Mode() != 0o444 || fi.IsDir() || fi.Sys() != nil {
 		t.Error("fileInfo accessors wrong")
 	}
 	entries, err := fsys.ReadDir(".")
@@ -319,5 +320,89 @@ func TestStatFS(t *testing.T) {
 	}
 	if _, err := fsys.Stat("../bad"); err == nil {
 		t.Error("stat of invalid path succeeded")
+	}
+}
+
+// TestVersionModTime: the store's stamp for an object is its ModTime
+// whichever way s3fs is asked — FS.Stat, File.Stat, a directory entry —
+// and two back-to-back same-size PUTs move it strictly forward, which is
+// what lets the NDP server's caches key on (ModTime, Size) alone.
+func TestVersionModTime(t *testing.T) {
+	fsys, c := startFS(t)
+	modTimes := func() (viaStat, viaFile, viaDir int64) {
+		t.Helper()
+		info, err := fs.Stat(fsys, "run/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := fsys.Open("run/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		finfo, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, err := fsys.ReadDir("run")
+		if err != nil || len(entries) != 1 {
+			t.Fatalf("ReadDir = %v, %v", entries, err)
+		}
+		dinfo, err := entries[0].Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.ModTime().UnixNano(), finfo.ModTime().UnixNano(), dinfo.ModTime().UnixNano()
+	}
+	var last int64
+	for i := 0; i < 20; i++ {
+		if err := c.Put("sim", "run/f", []byte{byte(i), 1, 2, 3}); err != nil {
+			t.Fatal(err)
+		}
+		viaStat, viaFile, viaDir := modTimes()
+		if viaStat == 0 || viaFile != viaStat || viaDir != viaStat {
+			t.Fatalf("PUT %d: ModTime is %d by FS.Stat, %d by File.Stat, %d by ReadDir", i, viaStat, viaFile, viaDir)
+		}
+		if viaStat <= last {
+			t.Fatalf("PUT %d: ModTime %d is not after the %d it replaced", i, viaStat, last)
+		}
+		last = viaStat
+	}
+}
+
+// TestReadAtAllocatesNoCopy: an 8 MiB ReadAt lands in the caller's
+// buffer. What it may allocate besides — this process also runs the
+// store — is request bookkeeping and copy buffers, far below one more
+// copy of the data.
+func TestReadAtAllocatesNoCopy(t *testing.T) {
+	fsys, c := startFS(t)
+	data := make([]byte, 8<<20)
+	rand.New(rand.NewSource(21)).Read(data)
+	if err := c.Put("sim", "big", data); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fsys.Open("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	p := make([]byte, len(data))
+	least := uint64(1 << 62)
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ { // the first pass also dials
+		clear(p)
+		runtime.ReadMemStats(&before)
+		n, err := f.(*File).ReadAt(p, 0)
+		runtime.ReadMemStats(&after)
+		if n != len(p) || err != nil {
+			t.Fatalf("ReadAt = %d, %v", n, err)
+		}
+		if !bytes.Equal(p, data) {
+			t.Fatal("ReadAt filled the buffer wrong")
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 64<<10 {
+		t.Errorf("an 8 MiB ReadAt allocated %d bytes beyond the caller's buffer, want < 64 KiB", least)
 	}
 }
