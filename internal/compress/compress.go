@@ -58,9 +58,10 @@ type Codec interface {
 	Kind() Kind
 	// Compress returns the encoded form of src.
 	Compress(src []byte) ([]byte, error)
-	// Decompress decodes src, which must expand to exactly originalSize
-	// bytes.
-	Decompress(src []byte, originalSize int) ([]byte, error)
+	// DecompressInto decodes src into dst. src must expand to exactly
+	// len(dst) bytes; anything else is an error, and nothing past
+	// len(dst) is written. dst and src must not overlap.
+	DecompressInto(dst, src []byte) error
 }
 
 // ByKind returns the codec for k.
@@ -103,14 +104,13 @@ func (noneCodec) Compress(src []byte) ([]byte, error) {
 	return out, nil
 }
 
-func (noneCodec) Decompress(src []byte, originalSize int) ([]byte, error) {
-	if len(src) != originalSize {
-		return nil, fmt.Errorf("compress: raw block is %d bytes, want %d",
-			len(src), originalSize)
+func (noneCodec) DecompressInto(dst, src []byte) error {
+	if len(src) != len(dst) {
+		return fmt.Errorf("compress: raw block is %d bytes, want %d",
+			len(src), len(dst))
 	}
-	out := make([]byte, len(src))
-	copy(out, src)
-	return out, nil
+	copy(dst, src)
+	return nil
 }
 
 type gzipCodec struct{}
@@ -130,23 +130,22 @@ func (gzipCodec) Compress(src []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func (gzipCodec) Decompress(src []byte, originalSize int) ([]byte, error) {
+func (gzipCodec) DecompressInto(dst, src []byte) error {
 	r, err := gzip.NewReader(bytes.NewReader(src))
 	if err != nil {
-		return nil, fmt.Errorf("compress: gzip open: %w", err)
+		return fmt.Errorf("compress: gzip open: %w", err)
 	}
 	defer r.Close()
-	out := make([]byte, originalSize)
-	if _, err := io.ReadFull(r, out); err != nil {
-		return nil, fmt.Errorf("compress: gzip read: %w", err)
+	if _, err := io.ReadFull(r, dst); err != nil {
+		return fmt.Errorf("compress: gzip read: %w", err)
 	}
 	// Make sure the stream holds no extra data beyond the declared size.
 	var extra [1]byte
 	if n, _ := r.Read(extra[:]); n != 0 {
-		return nil, fmt.Errorf("compress: gzip block larger than declared %d bytes",
-			originalSize)
+		return fmt.Errorf("compress: gzip block larger than declared %d bytes",
+			len(dst))
 	}
-	return out, nil
+	return nil
 }
 
 type lz4Codec struct{}
@@ -157,6 +156,6 @@ func (lz4Codec) Compress(src []byte) ([]byte, error) {
 	return lz4.Compress(src), nil
 }
 
-func (lz4Codec) Decompress(src []byte, originalSize int) ([]byte, error) {
-	return lz4.Decompress(src, originalSize)
+func (lz4Codec) DecompressInto(dst, src []byte) error {
+	return lz4.DecompressInto(dst, src)
 }

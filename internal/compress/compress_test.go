@@ -74,13 +74,27 @@ func TestAllOrder(t *testing.T) {
 	}
 }
 
+// decompress runs c.DecompressInto on a destination of n bytes carved out
+// of a larger backing array, and fails the test if the codec wrote past
+// the destination's length.
+func decompress(t testing.TB, c Codec, src []byte, n int) ([]byte, error) {
+	t.Helper()
+	const guard = 32
+	buf := bytes.Repeat([]byte{0xA5}, n+guard)
+	err := c.DecompressInto(buf[:n], src)
+	if !bytes.Equal(buf[n:], bytes.Repeat([]byte{0xA5}, guard)) {
+		t.Fatalf("%v: DecompressInto wrote past len(dst)=%d", c.Kind(), n)
+	}
+	return buf[:n], err
+}
+
 func testRoundTrip(t *testing.T, c Codec, src []byte) {
 	t.Helper()
 	enc, err := c.Compress(src)
 	if err != nil {
 		t.Fatalf("%v compress: %v", c.Kind(), err)
 	}
-	dec, err := c.Decompress(enc, len(src))
+	dec, err := decompress(t, c, enc, len(src))
 	if err != nil {
 		t.Fatalf("%v decompress: %v", c.Kind(), err)
 	}
@@ -148,10 +162,10 @@ func TestDecompressWrongSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Decompress(enc, len(src)+1); err == nil {
+		if _, err := decompress(t, c, enc, len(src)+1); err == nil {
 			t.Errorf("%v: oversize decode accepted", c.Kind())
 		}
-		if _, err := c.Decompress(enc, len(src)-1); err == nil {
+		if _, err := decompress(t, c, enc, len(src)-1); err == nil {
 			t.Errorf("%v: undersize decode accepted", c.Kind())
 		}
 	}
@@ -160,7 +174,7 @@ func TestDecompressWrongSize(t *testing.T) {
 func TestDecompressGarbage(t *testing.T) {
 	garbage := []byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x02}
 	for _, k := range []Kind{Gzip, LZ4} {
-		if _, err := MustByKind(k).Decompress(garbage, 100); err == nil {
+		if _, err := decompress(t, MustByKind(k), garbage, 100); err == nil {
 			t.Errorf("%v: garbage accepted", k)
 		}
 	}
@@ -174,10 +188,10 @@ func TestNoneCodecCopies(t *testing.T) {
 	if src[0] != 1 {
 		t.Error("None.Compress aliased input")
 	}
-	dec, _ := c.Decompress(src, 3)
+	dec, _ := decompress(t, c, src, 3)
 	dec[0] = 9
 	if src[0] != 1 {
-		t.Error("None.Decompress aliased input")
+		t.Error("None.DecompressInto aliased input")
 	}
 }
 
@@ -189,7 +203,7 @@ func TestQuickRoundTripAllCodecs(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			dec, err := c.Decompress(enc, len(data))
+			dec, err := decompress(t, c, enc, len(data))
 			return err == nil && bytes.Equal(dec, data)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

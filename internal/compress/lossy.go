@@ -91,60 +91,59 @@ func (c qlz4Codec) Compress(src []byte) ([]byte, error) {
 	return append(hdr, lz4.Compress(body)...), nil
 }
 
-func (c qlz4Codec) Decompress(src []byte, originalSize int) ([]byte, error) {
+func (c qlz4Codec) DecompressInto(dst, src []byte) error {
 	if len(src) < 10 || src[0] != qlz4Magic {
-		return nil, fmt.Errorf("compress: bad qlz4 block")
+		return fmt.Errorf("compress: bad qlz4 block")
 	}
 	errBound := math.Float64frombits(binary.BigEndian.Uint64(src[1:9]))
 	if errBound <= 0 || math.IsNaN(errBound) {
-		return nil, fmt.Errorf("compress: bad qlz4 error bound %v", errBound)
+		return fmt.Errorf("compress: bad qlz4 error bound %v", errBound)
 	}
 	rest := src[9:]
 	n64, k := binary.Uvarint(rest)
 	if k <= 0 {
-		return nil, fmt.Errorf("compress: bad qlz4 count")
+		return fmt.Errorf("compress: bad qlz4 count")
 	}
 	rest = rest[k:]
 	qlen, k := binary.Uvarint(rest)
 	if k <= 0 {
-		return nil, fmt.Errorf("compress: bad qlz4 quantized length")
+		return fmt.Errorf("compress: bad qlz4 quantized length")
 	}
 	rest = rest[k:]
 	blen, k := binary.Uvarint(rest)
 	if k <= 0 {
-		return nil, fmt.Errorf("compress: bad qlz4 body length")
+		return fmt.Errorf("compress: bad qlz4 body length")
 	}
 	rest = rest[k:]
-	n := int(n64)
-	if originalSize != n*4 {
-		return nil, fmt.Errorf("compress: qlz4 block holds %d values, want %d bytes", n, originalSize)
+	n := len(dst) / 4
+	if n64 != uint64(n) || len(dst)%4 != 0 {
+		return fmt.Errorf("compress: qlz4 block holds %d values, want %d bytes", n64, len(dst))
 	}
 	if qlen > blen || blen > uint64(n)*14 {
-		return nil, fmt.Errorf("compress: implausible qlz4 body of %d bytes", blen)
+		return fmt.Errorf("compress: implausible qlz4 body of %d bytes", blen)
 	}
 	body, err := lz4.Decompress(rest, int(blen))
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	quantized := body[:qlen]
 	verbatim := body[qlen:]
-	out := make([]byte, 0, originalSize)
 	prev := 0.0
 	qoff, voff := 0, 0
 	for i := 0; i < n; i++ {
 		code, k := binary.Varint(quantized[qoff:])
 		if k <= 0 {
-			return nil, fmt.Errorf("compress: qlz4 truncated at value %d", i)
+			return fmt.Errorf("compress: qlz4 truncated at value %d", i)
 		}
 		qoff += k
 		if code == escapeCode {
 			if voff+4 > len(verbatim) {
-				return nil, fmt.Errorf("compress: qlz4 verbatim overrun")
+				return fmt.Errorf("compress: qlz4 verbatim overrun")
 			}
 			bits := binary.LittleEndian.Uint32(verbatim[voff:])
 			voff += 4
-			out = binary.LittleEndian.AppendUint32(out, bits)
+			binary.LittleEndian.PutUint32(dst[i*4:], bits)
 			v := float64(math.Float32frombits(bits))
 			if !math.IsNaN(v) && !math.IsInf(v, 0) {
 				prev = v
@@ -153,10 +152,10 @@ func (c qlz4Codec) Decompress(src []byte, originalSize int) ([]byte, error) {
 		}
 		recon := prev + float64(code)*2*errBound
 		prev = recon
-		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(float32(recon)))
+		binary.LittleEndian.PutUint32(dst[i*4:], math.Float32bits(float32(recon)))
 	}
 	if voff != len(verbatim) {
-		return nil, fmt.Errorf("compress: qlz4 trailing verbatim bytes")
+		return fmt.Errorf("compress: qlz4 trailing verbatim bytes")
 	}
-	return out, nil
+	return nil
 }

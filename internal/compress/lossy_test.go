@@ -32,7 +32,7 @@ func qlz4RoundTrip(t *testing.T, vals []float32, bound float64) []float32 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := c.Decompress(enc, len(src))
+	dec, err := decompress(t, c, enc, len(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,18 +162,18 @@ func TestQLZ4Validation(t *testing.T) {
 	if _, err := QuantizedLZ4(-1).Compress(make([]byte, 8)); err == nil {
 		t.Error("negative bound accepted")
 	}
-	if _, err := c.Decompress([]byte{1, 2, 3}, 8); err == nil {
+	if _, err := decompress(t, c, []byte{1, 2, 3}, 8); err == nil {
 		t.Error("garbage accepted")
 	}
 	enc, err := c.Compress(floatsToBytes([]float32{1, 2, 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Decompress(enc, 8); err == nil {
+	if _, err := decompress(t, c, enc, 8); err == nil {
 		t.Error("wrong size accepted")
 	}
 	for i := 0; i < len(enc); i++ {
-		_, _ = c.Decompress(enc[:i], 12) // must not panic
+		_, _ = decompress(t, c, enc[:i], 12) // must not panic
 	}
 }
 
@@ -192,7 +192,7 @@ func TestQLZ4QuickBound(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dec, err := c.Decompress(enc, len(src))
+		dec, err := decompress(t, c, enc, len(src))
 		if err != nil {
 			return false
 		}

@@ -272,14 +272,12 @@ func TestFetchPipelineOneVersionProbe(t *testing.T) {
 	ds := grid.NewDataset(g)
 	ds.MustAddField(f)
 	abs, rel := writeChecksummedFile(t, dir, ds)
-	mount, store := mountStore(t)
+	mount, store, heads, gets := countingStore(t)
 	if data, err := os.ReadFile(abs); err != nil {
 		t.Fatal(err)
 	} else if err := store.Put("sim", rel, data); err != nil {
 		t.Fatal(err)
 	}
-	heads := telemetry.Default().Counter("objstore.requests.head")
-	gets := telemetry.Default().Counter("objstore.requests.get")
 
 	options := []struct {
 		name   string
@@ -322,7 +320,7 @@ func TestFetchPipelineOneVersionProbe(t *testing.T) {
 				for _, k := range fetchKinds {
 					for _, pass := range []string{"first", "repeat"} {
 						stats, opens := fsys.stats.Load(), fsys.opens.Load()
-						heads0, gets0 := heads.Value(), gets.Value()
+						heads0, gets0 := heads.Load(), gets.Load()
 						if _, _, _, err := k.fetch(client, rel, f.Name); err != nil {
 							t.Fatalf("%s %s: %v", k.name, pass, err)
 						}
@@ -335,7 +333,7 @@ func TestFetchPipelineOneVersionProbe(t *testing.T) {
 						if got := fsys.opens.Load() - opens; got != 0 {
 							t.Errorf("%s cached fetch: %d Opens, want 0", k.name, got)
 						}
-						h, g := heads.Value()-heads0, gets.Value()-gets0
+						h, g := heads.Load()-heads0, gets.Load()-gets0
 						if backend.name == "s3fs" && (h != 1 || g != 0) {
 							t.Errorf("%s cached fetch cost the store %d HEADs and %d GETs, want 1 and 0", k.name, h, g)
 						}

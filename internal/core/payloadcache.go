@@ -44,3 +44,26 @@ type payloadKey struct {
 	batchKey
 	id string
 }
+
+// metaKey names one file version's parsed metadata (see openReader).
+type metaKey struct {
+	path    string
+	version arraycache.Version
+}
+
+// metaCacheBytes bounds the metadata cache. A 128-cubed, eleven-array
+// file's header and checksum table come to ~10 KB, so this holds a few
+// hundred file versions; it is not configurable because nothing about a
+// deployment changes what it should be.
+const metaCacheBytes = 4 << 20
+
+// Metadata cache metrics (default registry): core.metacache.{hits,
+// misses,evictions} counters and core.metacache.{bytes,entries} gauges,
+// with the payload cache's meanings.
+var metaMetrics = lru.Metrics{
+	Hits:      telemetry.Default().Counter("core.metacache.hits"),
+	Misses:    telemetry.Default().Counter("core.metacache.misses"),
+	Evictions: telemetry.Default().Counter("core.metacache.evictions"),
+	Bytes:     telemetry.Default().Gauge("core.metacache.bytes"),
+	Entries:   telemetry.Default().Gauge("core.metacache.entries"),
+}

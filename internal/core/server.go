@@ -54,6 +54,7 @@ type Server struct {
 	rpc         *rpc.Server
 	cache       *arraycache.Cache
 	payloads    *lru.Cache[payloadKey, *fetchResult]
+	meta        *lru.Cache[metaKey, *vtkio.Meta]
 	scrub       *Scrubber
 	coalesceWin time.Duration
 	rpcOpts     []rpc.ServerOption
@@ -130,7 +131,11 @@ func WithQueue(n int) ServerOption {
 
 // NewServer builds an NDP server over the given filesystem.
 func NewServer(fsys fs.FS, opts ...ServerOption) *Server {
-	s := &Server{fsys: fsys, batches: make(map[batchKey]*scanBatch)}
+	s := &Server{
+		fsys:    fsys,
+		batches: make(map[batchKey]*scanBatch),
+		meta:    lru.New[metaKey](metaCacheBytes, (*vtkio.Meta).Size, metaMetrics),
+	}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -230,6 +235,12 @@ func (s *Server) handleList(_ context.Context, args []any) (any, error) {
 }
 
 // openReader opens a dataset file for selective (random-access) reads.
+// The file's parsed metadata — header, chunk index, checksum table — is
+// kept per (path, version), the version being the stat of the file just
+// opened (on s3fs that is the HEAD the open already made, so it costs no
+// request): a repeat open of an unchanged file reads nothing but the
+// array it is after. A filesystem that reports no mtime is not cached
+// over, for fileVersion's reason.
 func (s *Server) openReader(path string) (*vtkio.Reader, io.Closer, error) {
 	f, err := s.fsys.Open(path)
 	if err != nil {
@@ -240,12 +251,27 @@ func (s *Server) openReader(path string) (*vtkio.Reader, io.Closer, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("core: %s does not support random access", path)
 	}
-	r, err := vtkio.OpenReader(ra)
+	info, err := f.Stat()
 	if err != nil {
 		f.Close()
 		return nil, nil, err
 	}
-	return r, f, nil
+	versioned := !info.ModTime().IsZero()
+	key := metaKey{path, versionOf(info)}
+	var m *vtkio.Meta
+	if versioned {
+		m, _ = s.meta.Get(key)
+	}
+	if m == nil {
+		if m, err = vtkio.ReadMeta(ra); err != nil {
+			f.Close()
+			return nil, nil, err
+		}
+		if versioned {
+			s.meta.Put(key, m)
+		}
+	}
+	return vtkio.NewReader(ra, m), f, nil
 }
 
 func (s *Server) handleDescribe(ctx context.Context, args []any) (any, error) {
@@ -313,7 +339,13 @@ func (s *Server) fileVersion(path string) (arraycache.Version, error) {
 			"so caching or coalescing over it could serve a stale array "+
 			"(an s3fs mount of an objstored that predates version stamps?)", s.fsys, path)
 	}
-	return arraycache.Version{MTime: info.ModTime().UnixNano(), Size: info.Size()}, nil
+	return versionOf(info), nil
+}
+
+// versionOf is what tells one version of a file from the next: its
+// modification time and size.
+func versionOf(info fs.FileInfo) arraycache.Version {
+	return arraycache.Version{MTime: info.ModTime().UnixNano(), Size: info.Size()}
 }
 
 // corruptionError reports whether err means the stored bytes lied:
@@ -327,13 +359,19 @@ func corruptionError(err error) bool {
 		errors.Is(err, io.EOF)
 }
 
-// failCorrupt classifies a failed read of path. A corruptionError is
-// converted into the wire-preserved rpc.ErrCorrupt, counted, stamped on
-// the request's wide event, and evicts everything previously decoded
-// from the same path — resident entries may predate the damage, but a
-// store that corrupted one read has forfeited trust in cheaper copies of
-// the same object. Any other error passes through unchanged.
+// failCorrupt classifies a failed read of path. Whatever the failure,
+// the path's cached metadata goes: it was read through the same store,
+// its small reads carry no checksum, and a header that parsed but lies
+// (a flipped digit in a chunk size) surfaces as a size, codec or CRC
+// error on the array — keeping it would fail every later fetch of a file
+// version that is in fact fine. A corruptionError is then converted into
+// the wire-preserved rpc.ErrCorrupt, counted, stamped on the request's
+// wide event, and evicts everything previously decoded from the same
+// path — resident entries may predate the damage, but a store that
+// corrupted one read has forfeited trust in cheaper copies of the same
+// object. Any other error passes through unchanged.
 func (s *Server) failCorrupt(ctx context.Context, path string, err error) error {
+	s.meta.Invalidate(func(k metaKey) bool { return k.path == path })
 	if !corruptionError(err) {
 		return err
 	}

@@ -1,8 +1,8 @@
 // Package lru is the storage node's one byte-bounded LRU. The decoded
-// array cache (internal/arraycache) and the encoded payload cache
-// (internal/core) are both instances of it: each supplies a key type, a
-// size function and its own metric handles, and shares the eviction,
-// single-flight and invalidation code.
+// array cache (internal/arraycache), the encoded payload cache and the
+// file-metadata cache (both internal/core) are instances of it: each
+// supplies a key type, a size function and its own metric handles, and
+// shares the eviction, single-flight and invalidation code.
 //
 // Values are shared between concurrent readers and MUST be treated as
 // immutable by callers. A nil *Cache is valid and means "off", so call

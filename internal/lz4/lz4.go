@@ -133,23 +133,34 @@ func appendLenExt(dst []byte, n int) []byte {
 }
 
 // Decompress decodes the LZ4 block src into a new slice of exactly
-// decompressedSize bytes. It returns ErrCorrupt (wrapped with detail) if
-// the block is malformed or does not decode to exactly that size.
+// decompressedSize bytes: it allocates and calls DecompressInto.
 func Decompress(src []byte, decompressedSize int) ([]byte, error) {
 	if decompressedSize < 0 {
 		return nil, fmt.Errorf("%w: negative size", ErrCorrupt)
 	}
-	dst := make([]byte, 0, decompressedSize)
-	if decompressedSize == 0 {
-		if len(src) != 0 {
-			return nil, fmt.Errorf("%w: trailing data in empty block", ErrCorrupt)
-		}
-		return dst, nil
+	dst := make([]byte, decompressedSize)
+	if err := DecompressInto(dst, src); err != nil {
+		return nil, err
 	}
-	i := 0
+	return dst, nil
+}
+
+// DecompressInto decodes the LZ4 block src into dst, which must be
+// exactly the block's decompressed size. It writes only dst[:len(dst)]
+// and returns ErrCorrupt (wrapped with detail) if the block is malformed
+// or decodes to fewer or more bytes than dst holds; dst's contents are
+// then unspecified.
+func DecompressInto(dst, src []byte) error {
+	if len(dst) == 0 {
+		if len(src) != 0 {
+			return fmt.Errorf("%w: trailing data in empty block", ErrCorrupt)
+		}
+		return nil
+	}
+	i, o := 0, 0 // read position in src, write position in dst
 	for {
 		if i >= len(src) {
-			return nil, fmt.Errorf("%w: truncated at token", ErrCorrupt)
+			return fmt.Errorf("%w: truncated at token", ErrCorrupt)
 		}
 		token := src[i]
 		i++
@@ -158,55 +169,57 @@ func Decompress(src []byte, decompressedSize int) ([]byte, error) {
 		if litLen == 15 {
 			n, ni, err := readLenExt(src, i)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			litLen += n
 			i = ni
 		}
-		if i+litLen > len(src) {
-			return nil, fmt.Errorf("%w: literal run overruns input", ErrCorrupt)
+		if litLen > len(src)-i {
+			return fmt.Errorf("%w: literal run overruns input", ErrCorrupt)
 		}
-		if len(dst)+litLen > decompressedSize {
-			return nil, fmt.Errorf("%w: output overflow in literals", ErrCorrupt)
+		if litLen > len(dst)-o {
+			return fmt.Errorf("%w: output overflow in literals", ErrCorrupt)
 		}
-		dst = append(dst, src[i:i+litLen]...)
+		copy(dst[o:], src[i:i+litLen])
+		o += litLen
 		i += litLen
 		if i == len(src) {
 			// End of block: final sequence carries literals only.
-			if len(dst) != decompressedSize {
-				return nil, fmt.Errorf("%w: decoded %d bytes, want %d",
-					ErrCorrupt, len(dst), decompressedSize)
+			if o != len(dst) {
+				return fmt.Errorf("%w: decoded %d bytes, want %d",
+					ErrCorrupt, o, len(dst))
 			}
-			return dst, nil
+			return nil
 		}
 		// Match.
 		if i+2 > len(src) {
-			return nil, fmt.Errorf("%w: truncated offset", ErrCorrupt)
+			return fmt.Errorf("%w: truncated offset", ErrCorrupt)
 		}
 		offset := int(src[i]) | int(src[i+1])<<8
 		i += 2
-		if offset == 0 || offset > len(dst) {
-			return nil, fmt.Errorf("%w: bad offset %d at output %d",
-				ErrCorrupt, offset, len(dst))
+		if offset == 0 || offset > o {
+			return fmt.Errorf("%w: bad offset %d at output %d",
+				ErrCorrupt, offset, o)
 		}
 		matchLen := int(token & 0x0F)
 		if matchLen == 15 {
 			n, ni, err := readLenExt(src, i)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			matchLen += n
 			i = ni
 		}
 		matchLen += minMatch
-		if len(dst)+matchLen > decompressedSize {
-			return nil, fmt.Errorf("%w: output overflow in match", ErrCorrupt)
+		if matchLen > len(dst)-o {
+			return fmt.Errorf("%w: output overflow in match", ErrCorrupt)
 		}
 		// Overlapping copy must proceed byte-wise.
-		start := len(dst) - offset
+		start := o - offset
 		for j := 0; j < matchLen; j++ {
-			dst = append(dst, dst[start+j])
+			dst[o+j] = dst[start+j]
 		}
+		o += matchLen
 	}
 }
 

@@ -218,9 +218,14 @@ func (s *shapedConn) Write(b []byte) (int, error) {
 					mDelayNanos.Add(int64(wait))
 				}
 			}
+			// Counted before it goes out: the peer can act on a chunk the
+			// moment Write delivers it, and whoever then reads BytesSent
+			// must not find fewer bytes than the peer already holds. A
+			// short write gives the difference back.
+			s.link.sent.Add(int64(len(chunk)))
 			n, err := s.Conn.Write(chunk)
+			s.link.sent.Add(int64(n - len(chunk)))
 			total += n
-			s.link.sent.Add(int64(n))
 			mBytesSent.Add(int64(n))
 			if err != nil {
 				return total, err

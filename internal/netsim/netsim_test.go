@@ -111,6 +111,50 @@ func TestByteCounters(t *testing.T) {
 	}
 }
 
+// countCheckConn is a peer that looks at the link's counter the instant
+// each chunk reaches it, and takes only half of the last one.
+type countCheckConn struct {
+	net.Conn
+	link     *Link
+	got      int64
+	shortAt  int64 // accept half a chunk once got reaches this
+	behindBy int64 // most the counter ever trailed the delivered bytes
+}
+
+func (c *countCheckConn) Write(p []byte) (int, error) {
+	n := len(p)
+	if c.got >= c.shortAt {
+		n /= 2
+	}
+	c.got += int64(n)
+	if d := c.got - c.link.BytesSent(); d > c.behindBy {
+		c.behindBy = d
+	}
+	if n < len(p) {
+		return n, io.ErrShortWrite
+	}
+	return n, nil
+}
+
+func TestBytesSentNeverTrailsDelivery(t *testing.T) {
+	// A client that has just received the last chunk of a reply reads
+	// BytesSent to see what the reply cost; the sender may not have got
+	// as far as its bookkeeping yet. The count must already include
+	// every byte the peer holds — and still be exact after a short write.
+	link := Unlimited()
+	peer := &countCheckConn{link: link, shortAt: 2 * maxBurst}
+	n, err := link.Conn(peer).Write(make([]byte, 2*maxBurst+1000))
+	if err != io.ErrShortWrite || int64(n) != peer.got {
+		t.Fatalf("Write = %d, %v; peer took %d", n, err, peer.got)
+	}
+	if peer.behindBy > 0 {
+		t.Errorf("BytesSent trailed the bytes already delivered by %d", peer.behindBy)
+	}
+	if link.BytesSent() != peer.got {
+		t.Errorf("BytesSent = %d after a short write, peer took %d", link.BytesSent(), peer.got)
+	}
+}
+
 func TestSharedLinkContention(t *testing.T) {
 	// Two concurrent flows on one link should take about twice as long as
 	// one flow, because they share capacity.

@@ -1,6 +1,7 @@
 package vtkio
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -15,10 +16,12 @@ import (
 // field and never touch the trailing bytes, so checksum-bearing files
 // stay readable by readers that predate the section.
 //
-// Verification is lazy: ReadArrayBytes checks only the pages covering
-// the array it fetches, against the table slice for that array. A
-// mismatch wraps ErrChecksum so callers (the NDP server's decode
-// boundary) can distinguish lying bytes from every other failure.
+// The table is read once, when the file is opened (it is 4 bytes per
+// 64 KiB stored). Verification is lazy: an array read checks only the
+// pages covering the extent it fetched, in the buffer the extent landed
+// in and before any codec runs. A mismatch wraps ErrChecksum so callers
+// (the NDP server's decode boundary) can distinguish lying bytes from
+// every other failure.
 
 // ChecksumAlgo names the only supported page-checksum algorithm.
 const ChecksumAlgo = "crc32c"
@@ -103,44 +106,50 @@ func checksumStarts(arrays []ArrayInfo, pageSize int) ([]int64, int64) {
 	return starts, total
 }
 
-// validateChecksums rejects a checksum section whose geometry cannot be
-// trusted: unknown algorithm, non-positive page size, a page count that
-// disagrees with what the array extents derive, or a table that falls
-// outside the file. ReadArrayBytes sizes buffers and read offsets from
-// these fields, so a corrupt header must fail here, not fault there.
-// Returns the per-array table start indices.
-func validateChecksums(src io.ReaderAt, h *Header) ([]int64, error) {
+// readChecksums validates the header's checksum section and reads its
+// table. It rejects geometry that cannot be trusted: unknown algorithm,
+// non-positive page size, a page count that disagrees with what the array
+// extents derive, or a table that falls outside the file. Returns the
+// per-array table start indices and the table.
+func readChecksums(src io.ReaderAt, h *Header) ([]int64, []uint32, error) {
 	ck := h.Checksums
 	if ck.Algo != ChecksumAlgo {
-		return nil, fmt.Errorf("vtkio: unsupported checksum algo %q", ck.Algo)
+		return nil, nil, fmt.Errorf("vtkio: unsupported checksum algo %q", ck.Algo)
 	}
 	if ck.PageSize <= 0 {
-		return nil, fmt.Errorf("vtkio: checksum page size %d", ck.PageSize)
+		return nil, nil, fmt.Errorf("vtkio: checksum page size %d", ck.PageSize)
 	}
 	if ck.Offset < 0 {
-		return nil, fmt.Errorf("vtkio: checksum section at negative offset %d", ck.Offset)
+		return nil, nil, fmt.Errorf("vtkio: checksum section at negative offset %d", ck.Offset)
 	}
 	starts, total := checksumStarts(h.Arrays, ck.PageSize)
 	if int64(ck.Pages) != total {
-		return nil, fmt.Errorf("vtkio: checksum section has %d pages, arrays derive %d", ck.Pages, total)
+		return nil, nil, fmt.Errorf("vtkio: checksum section has %d pages, arrays derive %d", ck.Pages, total)
 	}
 	// The table is 4 bytes per entry; guard the multiplication and the
-	// end offset against int64 wraparound before probing the file.
-	tableLen := int64(ck.Pages) * 4
+	// end offset against int64 wraparound before reading the file.
+	tableLen := total * 4
 	if tableLen < 0 || ck.Offset > (1<<62)-tableLen {
-		return nil, fmt.Errorf("vtkio: checksum section at %d overflows (%d pages)", ck.Offset, ck.Pages)
+		return nil, nil, fmt.Errorf("vtkio: checksum section at %d overflows (%d pages)", ck.Offset, ck.Pages)
 	}
-	if tableLen > 0 {
-		// Probe the table's last byte so an offset/length pointing past
-		// the end of the file is rejected now rather than surfacing as a
-		// read fault on the first verified array.
-		var b [1]byte
-		if _, err := readFullAt(src, b[:], ck.Offset+tableLen-1); err != nil {
-			return nil, fmt.Errorf("vtkio: checksum section [%d,%d) outside file: %w",
+	// Read in bounded pieces (one, for any real file: a piece covers
+	// 16 GiB of stored data at the default page size) so a header lying
+	// about its page count fails on a read past the end of the file
+	// before it can make us allocate what it claims.
+	const piece = 1 << 18
+	crcs := make([]uint32, 0, min(total, piece))
+	buf := make([]byte, 4*min(total, piece))
+	for done := int64(0); done < total; done = int64(len(crcs)) {
+		b := buf[:4*min(total-done, piece)]
+		if _, err := readFullAt(src, b, ck.Offset+4*done); err != nil {
+			return nil, nil, fmt.Errorf("vtkio: checksum section [%d,%d) outside file: %w",
 				ck.Offset, ck.Offset+tableLen, err)
 		}
+		for i := 0; i < len(b); i += 4 {
+			crcs = append(crcs, binary.LittleEndian.Uint32(b[i:]))
+		}
 	}
-	return starts, nil
+	return starts, crcs, nil
 }
 
 // VerifyChecksums reads every array's stored extent and checks it
@@ -148,47 +157,37 @@ func validateChecksums(src io.ReaderAt, h *Header) ([]int64, error) {
 // immediately for files with no checksum section (there is nothing to
 // verify against), an ErrChecksum-wrapping error naming the first bad
 // page otherwise. This is the scrubber's workhorse: it touches every
-// stored byte once, at I/O cost only.
+// stored byte once, at I/O cost only, through one pooled buffer.
 func (r *Reader) VerifyChecksums() error {
-	if r.ckStart == nil {
+	if r.meta.header.Checksums == nil {
 		return nil
 	}
-	for i := range r.header.Arrays {
-		info := &r.header.Arrays[i]
-		buf := make([]byte, info.CompressedSize())
-		if _, err := readFullAt(r.src, buf, info.Offset); err != nil {
-			return fmt.Errorf("vtkio: reading array %q for verification: %w", info.Name, err)
-		}
-		if err := r.verifyArrayPages(info.Name, r.ckStart[i], buf); err != nil {
+	for i := range r.meta.header.Arrays {
+		if err := r.verifyArray(i); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// verifyArrayPages checks data (one array's full stored extent) against
-// its slice of the CRC table. start is the array's first table entry.
-func (r *Reader) verifyArrayPages(name string, start int64, data []byte) error {
-	ck := r.header.Checksums
-	pages := pageCount(int64(len(data)), ck.PageSize)
-	if pages == 0 {
-		return nil
-	}
-	table := make([]byte, pages*4)
-	if _, err := readFullAt(r.src, table, ck.Offset+start*4); err != nil {
-		return fmt.Errorf("vtkio: reading checksums for array %q: %w", name, err)
-	}
-	for p := int64(0); p < pages; p++ {
-		lo := p * int64(ck.PageSize)
-		hi := lo + int64(ck.PageSize)
-		if hi > int64(len(data)) {
-			hi = int64(len(data))
-		}
-		want := uint32(table[p*4]) | uint32(table[p*4+1])<<8 |
-			uint32(table[p*4+2])<<16 | uint32(table[p*4+3])<<24
-		if got := Checksum(data[lo:hi]); got != want {
+// verifyArray is one array's share of VerifyChecksums; its own function
+// so the pooled extent goes back after each array.
+func (r *Reader) verifyArray(idx int) error {
+	ext := getExtent(r.meta.header.Arrays[idx].CompressedSize())
+	defer putExtent(ext)
+	return r.readExtent(idx, *ext)
+}
+
+// verifyPages checks data (array idx's full stored extent) against its
+// slice of the CRC table.
+func (m *Meta) verifyPages(idx int, data []byte) error {
+	pageSize := int64(m.header.Checksums.PageSize)
+	crcs := m.crcs[m.ckStart[idx]:]
+	for p, lo := 0, int64(0); lo < int64(len(data)); p, lo = p+1, lo+pageSize {
+		hi := min(lo+pageSize, int64(len(data)))
+		if got, want := Checksum(data[lo:hi]), crcs[p]; got != want {
 			return fmt.Errorf("%w: array %q page %d (stored bytes [%d,%d)): crc %08x, recorded %08x",
-				ErrChecksum, name, p, lo, hi, got, want)
+				ErrChecksum, m.header.Arrays[idx].Name, p, lo, hi, got, want)
 		}
 	}
 	return nil

@@ -139,8 +139,8 @@ func TestChecksumFileReadableByLegacyReader(t *testing.T) {
 		var raw []byte
 		off := info.Offset
 		for _, c := range info.Chunks {
-			dec, err := codec.Decompress(file[off:off+int64(c.Comp)], c.Raw)
-			if err != nil {
+			dec := make([]byte, c.Raw)
+			if err := codec.DecompressInto(dec, file[off:off+int64(c.Comp)]); err != nil {
 				t.Fatalf("legacy decompress %q: %v", info.Name, err)
 			}
 			raw = append(raw, dec...)

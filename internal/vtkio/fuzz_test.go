@@ -16,7 +16,8 @@ const maxFuzzRawSize = 1 << 20
 // FuzzOpenReader feeds arbitrary bytes to the file parser. OpenReader
 // sits on object-store responses, so corrupt or truncated input must
 // produce an error — never a panic — and any header it accepts must be
-// safe to drive ReadArrayBytes with (bounded sizes only).
+// safe to drive ReadArrayBytes and ReadArray with (bounded sizes only).
+// The two share one decode routine, so when both succeed they must agree.
 func FuzzOpenReader(f *testing.F) {
 	g := grid.NewUniform(4, 4, 4)
 	ds := grid.NewDataset(g)
@@ -53,7 +54,17 @@ func FuzzOpenReader(f *testing.F) {
 				continue
 			}
 			// Errors are expected on corrupt blocks; panics are not.
-			_, _ = r.ReadArrayBytes(a.Name)
+			raw, rawErr := r.ReadArrayBytes(a.Name)
+			field, err := r.ReadArray(a.Name)
+			if err != nil {
+				continue // ReadArray also holds the array to the grid
+			}
+			if rawErr != nil {
+				t.Fatalf("ReadArray(%q) succeeded where ReadArrayBytes failed: %v", a.Name, rawErr)
+			}
+			if !bytes.Equal(raw, FloatsToBytes(field.Values)) {
+				t.Fatalf("ReadArray(%q) and ReadArrayBytes disagree", a.Name)
+			}
 		}
 	})
 }

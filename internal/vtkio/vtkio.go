@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"sync"
@@ -153,24 +152,24 @@ func (h *Header) ArrayNames() []string {
 	return out
 }
 
-// FloatsToBytes serializes values as little-endian float32.
+// FloatsToBytes serializes values as little-endian float32: one bulk
+// copy of v's memory (see floatBytes).
 func FloatsToBytes(v []float32) []byte {
 	out := make([]byte, 4*len(v))
-	for i, f := range v {
-		binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(f))
-	}
+	copy(out, floatBytes(v))
+	swapWords(out, hostBigEndian)
 	return out
 }
 
-// BytesToFloats deserializes little-endian float32 values.
+// BytesToFloats deserializes little-endian float32 values, bit for bit.
 func BytesToFloats(b []byte) ([]float32, error) {
 	if len(b)%4 != 0 {
 		return nil, fmt.Errorf("vtkio: %d bytes is not a whole number of float32", len(b))
 	}
 	out := make([]float32, len(b)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
+	dst := floatBytes(out)
+	copy(dst, b)
+	swapWords(dst, hostBigEndian)
 	return out, nil
 }
 
@@ -388,18 +387,49 @@ func compressChunks(raw []byte, chunkSize int, codec compress.Codec) ([][]byte, 
 	return chunks, infos, nil
 }
 
+// Meta is everything OpenReader learns from a file before it reads an
+// array: the validated header (with its chunk index) and the page-CRC
+// table. It is immutable once built, so one Meta may back any number of
+// Readers over the same file version — which is how the NDP server
+// avoids re-reading it per request (see NewReader).
+type Meta struct {
+	header Header
+	// crcs is the checksum table and ckStart[i] array i's first entry in
+	// it; both are unset when the file carries no checksum section.
+	ckStart []int64
+	crcs    []uint32
+	size    int64
+}
+
+// Size is the metadata's approximate resident byte size: the header as
+// stored plus the checksum table.
+func (m *Meta) Size() int64 { return m.size }
+
 // Reader provides selective access to a stored dataset.
 type Reader struct {
-	src    io.ReaderAt
-	header Header
-	// ckStart[i] is array i's first entry in the checksum table; nil
-	// when the file carries no checksum section.
-	ckStart []int64
+	src  io.ReaderAt
+	meta *Meta
 }
 
 // OpenReader parses the header from src and returns a reader. src must
 // remain valid for the reader's lifetime.
 func OpenReader(src io.ReaderAt) (*Reader, error) {
+	m, err := ReadMeta(src)
+	if err != nil {
+		return nil, err
+	}
+	return NewReader(src, m), nil
+}
+
+// NewReader returns a reader over src using metadata already read from
+// the same file version, without touching src. Pairing a Meta with any
+// other bytes is the caller's error; the per-page CRCs and the codecs'
+// size checks then fail the read.
+func NewReader(src io.ReaderAt, m *Meta) *Reader { return &Reader{src: src, meta: m} }
+
+// ReadMeta reads and validates a file's metadata in three small reads:
+// the preamble, the JSON header and, when present, the checksum table.
+func ReadMeta(src io.ReaderAt) (*Meta, error) {
 	pre := make([]byte, len(Magic)+4)
 	if _, err := readFullAt(src, pre, 0); err != nil {
 		return nil, fmt.Errorf("vtkio: reading preamble: %w", err)
@@ -415,27 +445,27 @@ func OpenReader(src io.ReaderAt) (*Reader, error) {
 	if _, err := readFullAt(src, hbuf, int64(len(pre))); err != nil {
 		return nil, fmt.Errorf("vtkio: reading header: %w", err)
 	}
-	r := &Reader{src: src}
-	if err := json.Unmarshal(hbuf, &r.header); err != nil {
+	m := &Meta{size: int64(hlen)}
+	if err := json.Unmarshal(hbuf, &m.header); err != nil {
 		return nil, fmt.Errorf("vtkio: parsing header: %w", err)
 	}
-	if err := r.header.Grid().Validate(); err != nil {
+	if err := m.header.Grid().Validate(); err != nil {
 		return nil, err
 	}
-	if rect := r.header.RectGrid(); rect != nil {
+	if rect := m.header.RectGrid(); rect != nil {
 		if err := rect.Validate(); err != nil {
 			return nil, err
 		}
-		if rect.GridDims() != r.header.Grid().Dims {
+		if rect.GridDims() != m.header.Grid().Dims {
 			return nil, fmt.Errorf("vtkio: rectilinear dims %v do not match grid dims %v",
-				rect.GridDims(), r.header.Grid().Dims)
+				rect.GridDims(), m.header.Grid().Dims)
 		}
 	}
-	// Validate array extents up front: ReadArrayBytes sizes buffers and
-	// slices from these fields, so a corrupt header with negative values
-	// must be rejected here rather than panic there.
-	for i := range r.header.Arrays {
-		a := &r.header.Arrays[i]
+	// Validate array extents up front: readArray sizes buffers and slices
+	// from these fields, so a corrupt header with negative values must be
+	// rejected here rather than panic there.
+	for i := range m.header.Arrays {
+		a := &m.header.Arrays[i]
 		if a.Offset < 0 {
 			return nil, fmt.Errorf("vtkio: array %q has negative offset %d", a.Name, a.Offset)
 		}
@@ -446,17 +476,17 @@ func OpenReader(src io.ReaderAt) (*Reader, error) {
 			}
 		}
 	}
-	// Same discipline for the checksum section: offsets and page counts
-	// drive reads in ReadArrayBytes, so geometry that falls outside the
-	// file is rejected here rather than faulting there.
-	if r.header.Checksums != nil {
-		starts, err := validateChecksums(src, &r.header)
-		if err != nil {
+	// Same discipline for the checksum section: its geometry is checked
+	// and its table read here, once, so a section that falls outside the
+	// file fails the open rather than the first verified read.
+	if m.header.Checksums != nil {
+		var err error
+		if m.ckStart, m.crcs, err = readChecksums(src, &m.header); err != nil {
 			return nil, err
 		}
-		r.ckStart = starts
+		m.size += 4 * int64(len(m.crcs))
 	}
-	return r, nil
+	return m, nil
 }
 
 // OpenFile opens path for selective reads. Close the returned closer when
@@ -485,92 +515,147 @@ func readFullAt(src io.ReaderAt, buf []byte, off int64) (int, error) {
 	return n, err
 }
 
-// Header returns the parsed file header.
-func (r *Reader) Header() *Header { return &r.header }
+// Header returns the parsed file header. It is shared with every reader
+// built on the same Meta and must not be modified.
+func (r *Reader) Header() *Header { return &r.meta.header }
 
 // Grid returns the stored grid definition.
-func (r *Reader) Grid() *grid.Uniform { return r.header.Grid() }
+func (r *Reader) Grid() *grid.Uniform { return r.meta.header.Grid() }
 
-// ReadArrayBytes fetches and decompresses the named array's raw
-// little-endian bytes, touching only that array's byte range.
-func (r *Reader) ReadArrayBytes(name string) ([]byte, error) {
-	idx := -1
-	for i := range r.header.Arrays {
-		if r.header.Arrays[i].Name == name {
-			idx = i
-			break
+// arrayIndex finds the named array's position in the header.
+func (r *Reader) arrayIndex(name string) (int, error) {
+	for i := range r.meta.header.Arrays {
+		if r.meta.header.Arrays[i].Name == name {
+			return i, nil
 		}
 	}
-	if idx < 0 {
-		return nil, fmt.Errorf("vtkio: no array %q (have %v)", name, r.header.ArrayNames())
+	return -1, fmt.Errorf("vtkio: no array %q (have %v)", name, r.meta.header.ArrayNames())
+}
+
+// extentPool recycles the buffers that hold an array's stored extent for
+// the length of one readArray or VerifyChecksums call. Nothing a caller
+// keeps ever points into one: decoders write to the caller's destination
+// and the buffer goes back before the call returns.
+var extentPool sync.Pool // of *[]byte
+
+// getExtent returns a pooled buffer of n bytes; hand it to putExtent.
+func getExtent(n int64) *[]byte {
+	if p, _ := extentPool.Get().(*[]byte); p != nil && int64(cap(*p)) >= n {
+		*p = (*p)[:n]
+		return p
 	}
-	info := &r.header.Arrays[idx]
+	b := make([]byte, n)
+	return &b
+}
+
+func putExtent(p *[]byte) { extentPool.Put(p) }
+
+// readExtent fills buf with array idx's stored extent — one sequential
+// read — and checks it against the page CRCs when the file carries them.
+// Verification always runs here, on the stored bytes and before any
+// codec sees them: a CRC mismatch is reported as ErrChecksum, never as a
+// codec failure — and never as silently-wrong floats when the corrupt
+// bytes still decompress (the "none" codec decompresses everything).
+func (r *Reader) readExtent(idx int, buf []byte) error {
+	info := &r.meta.header.Arrays[idx]
+	if _, err := readFullAt(r.src, buf, info.Offset); err != nil {
+		return fmt.Errorf("vtkio: reading array %q: %w", info.Name, err)
+	}
+	if r.meta.header.Checksums == nil {
+		return nil
+	}
+	return r.meta.verifyPages(idx, buf)
+}
+
+// readArray is the one array-decode routine: it lands array idx's raw
+// little-endian bytes in dst, which must be RawSize() long, allocating
+// nothing of the array's size. The "raw" codec's stored extent is the
+// array, so it is read straight into dst and verified there; every other
+// codec's extent is read into a pooled buffer and its chunks decompress
+// in parallel, each into its own slot of dst.
+func (r *Reader) readArray(idx int, dst []byte) error {
+	info := &r.meta.header.Arrays[idx]
 	codec, err := info.codec()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// One sequential read of the array's compressed extent, then parallel
-	// chunk decompression.
-	compBuf := make([]byte, info.CompressedSize())
-	if _, err := readFullAt(r.src, compBuf, info.Offset); err != nil {
-		return nil, fmt.Errorf("vtkio: reading array %q: %w", name, err)
-	}
-	// Verify the stored bytes before handing them to the codec: a CRC
-	// mismatch is reported as ErrChecksum, never as a codec failure —
-	// and never as silently-wrong floats when the corrupt bytes still
-	// decompress (the "none" codec decompresses everything).
-	if r.ckStart != nil {
-		if err := r.verifyArrayPages(name, r.ckStart[idx], compBuf); err != nil {
-			return nil, err
+	if codec.Kind() == compress.None {
+		for _, c := range info.Chunks {
+			if c.Comp != c.Raw {
+				return fmt.Errorf("vtkio: array %q: raw chunk stores %d bytes for %d", info.Name, c.Comp, c.Raw)
+			}
 		}
+		return r.readExtent(idx, dst)
 	}
-	raw := make([]byte, info.RawSize())
+	ext := getExtent(info.CompressedSize())
+	defer putExtent(ext)
+	if err := r.readExtent(idx, *ext); err != nil {
+		return err
+	}
 
 	var wg sync.WaitGroup
 	errs := make([]error, len(info.Chunks))
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var coff, roff int
 	for i, c := range info.Chunks {
-		comp := compBuf[coff : coff+c.Comp]
-		out := raw[roff : roff+c.Raw]
+		comp := (*ext)[coff : coff+c.Comp]
+		out := dst[roff : roff+c.Raw]
 		coff += c.Comp
 		roff += c.Raw
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int, comp, out []byte, c ChunkInfo) {
+		go func(i int, comp, out []byte) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			dec, err := codec.Decompress(comp, c.Raw)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			copy(out, dec)
-		}(i, comp, out, c)
+			errs[i] = codec.DecompressInto(out, comp)
+		}(i, comp, out)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("vtkio: array %q: %w", name, err)
+			return fmt.Errorf("vtkio: array %q: %w", info.Name, err)
 		}
+	}
+	return nil
+}
+
+// ReadArrayBytes fetches and decompresses the named array's raw
+// little-endian bytes, touching only that array's byte range.
+func (r *Reader) ReadArrayBytes(name string) ([]byte, error) {
+	idx, err := r.arrayIndex(name)
+	if err != nil {
+		return nil, err
+	}
+	raw := make([]byte, r.meta.header.Arrays[idx].RawSize())
+	if err := r.readArray(idx, raw); err != nil {
+		return nil, err
 	}
 	return raw, nil
 }
 
-// ReadArray fetches the named array as a field.
+// ReadArray fetches the named array as a field. The []float32 it returns
+// is the call's one array-sized allocation: the stored bytes are decoded
+// directly into it. The header's claims are checked against the grid
+// first, so a header that disagrees with itself costs no read.
 func (r *Reader) ReadArray(name string) (*grid.Field, error) {
-	raw, err := r.ReadArrayBytes(name)
+	idx, err := r.arrayIndex(name)
 	if err != nil {
 		return nil, err
 	}
-	vals, err := BytesToFloats(raw)
-	if err != nil {
-		return nil, err
+	size := r.meta.header.Arrays[idx].RawSize()
+	if size%4 != 0 {
+		return nil, fmt.Errorf("vtkio: %d bytes is not a whole number of float32", size)
 	}
-	if want := r.Grid().NumPoints(); len(vals) != want {
+	if want := r.Grid().NumPoints(); size/4 != int64(want) {
 		return nil, fmt.Errorf("vtkio: array %q has %d values, grid has %d points",
-			name, len(vals), want)
+			name, size/4, want)
 	}
+	vals := make([]float32, size/4)
+	dst := floatBytes(vals)
+	if err := r.readArray(idx, dst); err != nil {
+		return nil, err
+	}
+	swapWords(dst, hostBigEndian)
 	return &grid.Field{Name: name, Values: vals}, nil
 }
 
@@ -578,7 +663,7 @@ func (r *Reader) ReadArray(name string) (*grid.Field, error) {
 // empty) into a dataset.
 func (r *Reader) ReadDataset(names ...string) (*grid.Dataset, error) {
 	if len(names) == 0 {
-		names = r.header.ArrayNames()
+		names = r.meta.header.ArrayNames()
 	}
 	ds := grid.NewDataset(r.Grid())
 	for _, n := range names {
