@@ -43,8 +43,7 @@ func main() {
 		store    = flag.String("store", "", "object store address to mount instead of -dir")
 		bucket   = flag.String("bucket", "sim", "object store bucket")
 		cacheB   = flag.Int64("cache-bytes", 0, "decoded-array cache budget in bytes (0 = off)")
-		coalesce = flag.Bool("coalesce", false, "batch concurrent fetches of the same array into shared multi-isovalue scans")
-		payloadB = flag.Int64("payload-cache-bytes", 0, "encoded-payload cache budget in bytes; identical repeat fetches skip read and scan (0 = off)")
+		payloadB = flag.Int64("payload-cache-bytes", 0, "encoded-payload cache budget in bytes; identical fetches share one read and scan, concurrent or repeated (0 = off)")
 		shard    = flag.String("shard", "", "shard name stamped onto this server's request events (sharded deployments)")
 		scrubInt = flag.Duration("scrub-interval", 0, "verify stored brick checksums in the background this often, quarantining corrupt objects (0 = off; requires -scrub-manifest)")
 		scrubMan = flag.String("scrub-manifest", "", "comma-separated brick manifest paths for the background scrubber; status at /scrub")
@@ -94,9 +93,6 @@ func main() {
 		core.WithMaxInFlight(*maxInFl), core.WithQueue(*queue)}
 	if *shard != "" {
 		srvOpts = append(srvOpts, core.WithShardName(*shard))
-	}
-	if *coalesce {
-		srvOpts = append(srvOpts, core.WithCoalesce(core.DefaultCoalesceWindow))
 	}
 	if *payloadB > 0 {
 		srvOpts = append(srvOpts, core.WithPayloadCacheBytes(*payloadB))
@@ -153,9 +149,6 @@ func main() {
 	}
 	if *cacheB > 0 {
 		fmt.Printf(" (array cache %d bytes)", *cacheB)
-	}
-	if *coalesce {
-		fmt.Print(" (scan coalescing)")
 	}
 	if *payloadB > 0 {
 		fmt.Printf(" (payload cache %d bytes)", *payloadB)

@@ -18,7 +18,7 @@ import (
 )
 
 // TestServeFourFetchKindsAndDrain is the binary's smoke test: build it,
-// start it over a directory with both caches and coalescing on, perform
+// start it over a directory with both caches on, perform
 // one fetch of each kind through core.Dial, and check that SIGTERM
 // drains it to a clean exit.
 func TestServeFourFetchKindsAndDrain(t *testing.T) {
@@ -42,7 +42,7 @@ func TestServeFourFetchKindsAndDrain(t *testing.T) {
 		t.Fatalf("building ndpserver: %v\n%s", err, msg)
 	}
 	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-dir", dir,
-		"-cache-bytes", "1048576", "-coalesce", "-payload-cache-bytes", "1048576")
+		"-cache-bytes", "1048576", "-payload-cache-bytes", "1048576")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package arraycache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -29,11 +30,11 @@ func TestCacheHitAfterMiss(t *testing.T) {
 		loads++
 		return entryOf("d", 10), nil
 	}
-	e1, out, err := c.GetOrLoad(keyOf("a", 1), load)
+	e1, out, err := c.GetOrLoad(context.Background(), keyOf("a", 1), load)
 	if err != nil || out != Miss {
 		t.Fatalf("first lookup: outcome %v, err %v", out, err)
 	}
-	e2, out, err := c.GetOrLoad(keyOf("a", 1), load)
+	e2, out, err := c.GetOrLoad(context.Background(), keyOf("a", 1), load)
 	if err != nil || out != Hit {
 		t.Fatalf("second lookup: outcome %v, err %v", out, err)
 	}
@@ -55,9 +56,9 @@ func TestCacheVersionChangeMisses(t *testing.T) {
 		loads++
 		return entryOf("d", 10), nil
 	}
-	c.GetOrLoad(keyOf("a", 1), load)
+	c.GetOrLoad(context.Background(), keyOf("a", 1), load)
 	// Same path+array, new file version: must reload under the new key.
-	_, out, _ := c.GetOrLoad(keyOf("a", 2), load)
+	_, out, _ := c.GetOrLoad(context.Background(), keyOf("a", 2), load)
 	if out != Miss || loads != 2 {
 		t.Errorf("changed version: outcome %v, loads %d", out, loads)
 	}
@@ -67,7 +68,7 @@ func TestCacheEvictsLRU(t *testing.T) {
 	c := New(100) // fits two 40-byte entries, not three
 	for i := 0; i < 3; i++ {
 		path := fmt.Sprintf("p%d", i)
-		c.GetOrLoad(keyOf(path, 1), func() (*Entry, error) {
+		c.GetOrLoad(context.Background(), keyOf(path, 1), func() (*Entry, error) {
 			return entryOf("d", 10), nil
 		})
 		if i == 1 {
@@ -93,7 +94,7 @@ func TestCacheEvictsLRU(t *testing.T) {
 
 func TestCacheOversizeEntryNotRetained(t *testing.T) {
 	c := New(16)
-	e, out, err := c.GetOrLoad(keyOf("big", 1), func() (*Entry, error) {
+	e, out, err := c.GetOrLoad(context.Background(), keyOf("big", 1), func() (*Entry, error) {
 		return entryOf("d", 10), nil // 40 bytes > 16 budget
 	})
 	if err != nil || out != Miss || e == nil {
@@ -124,7 +125,7 @@ func TestCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e, out, err := c.GetOrLoad(keyOf("a", 1), load)
+			e, out, err := c.GetOrLoad(context.Background(), keyOf("a", 1), load)
 			if err != nil {
 				t.Errorf("waiter %d: %v", i, err)
 			}
@@ -159,7 +160,7 @@ func TestCacheSingleFlight(t *testing.T) {
 func TestCacheLoadErrorNotCached(t *testing.T) {
 	c := New(1 << 20)
 	boom := errors.New("boom")
-	_, out, err := c.GetOrLoad(keyOf("a", 1), func() (*Entry, error) {
+	_, out, err := c.GetOrLoad(context.Background(), keyOf("a", 1), func() (*Entry, error) {
 		return nil, boom
 	})
 	if out != Miss || !errors.Is(err, boom) {
@@ -169,7 +170,7 @@ func TestCacheLoadErrorNotCached(t *testing.T) {
 		t.Error("failed load cached")
 	}
 	// A retry must call load again and succeed.
-	e, out, err := c.GetOrLoad(keyOf("a", 1), func() (*Entry, error) {
+	e, out, err := c.GetOrLoad(context.Background(), keyOf("a", 1), func() (*Entry, error) {
 		return entryOf("d", 4), nil
 	})
 	if err != nil || out != Miss || e == nil {
@@ -179,13 +180,13 @@ func TestCacheLoadErrorNotCached(t *testing.T) {
 
 func TestCacheReset(t *testing.T) {
 	c := New(1 << 20)
-	c.GetOrLoad(keyOf("a", 1), func() (*Entry, error) { return entryOf("d", 10), nil })
-	c.GetOrLoad(keyOf("b", 1), func() (*Entry, error) { return entryOf("d", 10), nil })
+	c.GetOrLoad(context.Background(), keyOf("a", 1), func() (*Entry, error) { return entryOf("d", 10), nil })
+	c.GetOrLoad(context.Background(), keyOf("b", 1), func() (*Entry, error) { return entryOf("d", 10), nil })
 	c.Reset()
 	if c.Len() != 0 || c.Resident() != 0 {
 		t.Errorf("after reset: len %d resident %d", c.Len(), c.Resident())
 	}
-	_, out, _ := c.GetOrLoad(keyOf("a", 1), func() (*Entry, error) { return entryOf("d", 10), nil })
+	_, out, _ := c.GetOrLoad(context.Background(), keyOf("a", 1), func() (*Entry, error) { return entryOf("d", 10), nil })
 	if out != Miss {
 		t.Errorf("post-reset lookup: outcome %v, want Miss", out)
 	}
@@ -198,7 +199,7 @@ func TestCacheNilIsOff(t *testing.T) {
 	}
 	loads := 0
 	for i := 0; i < 2; i++ {
-		e, out, err := c.GetOrLoad(keyOf("a", 1), func() (*Entry, error) {
+		e, out, err := c.GetOrLoad(context.Background(), keyOf("a", 1), func() (*Entry, error) {
 			loads++
 			return entryOf("d", 4), nil
 		})

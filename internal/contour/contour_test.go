@@ -3,9 +3,11 @@ package contour
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"vizndp/internal/bitset"
 	"vizndp/internal/grid"
 )
 
@@ -268,6 +270,12 @@ func TestInputValidation(t *testing.T) {
 	if _, err := MarchingTetrahedra(g, vals, []float64{math.NaN()}); err == nil {
 		t.Error("NaN isovalue accepted")
 	}
+	if _, err := SelectCellCorners(g, vals[:10], []float64{1}); err == nil {
+		t.Error("selection accepted short values")
+	}
+	if _, err := SelectCellCorners(g, vals, nil); err == nil {
+		t.Error("selection accepted no isovalues")
+	}
 	g2d := grid.NewUniform(4, 4, 1)
 	vals2d := make([]float32, g2d.NumPoints())
 	if _, err := MarchingTetrahedra(g2d, vals2d, []float64{1}); err == nil {
@@ -411,6 +419,52 @@ func TestSelectCellCornersSuperset(t *testing.T) {
 			t.Fatalf("edge-selected point %d missing from cell selection", i)
 		}
 	})
+}
+
+// TestSelectSplitUnion pins what a multi-isovalue selection means: for
+// any set of isovalues, in any order, SelectCellCorners selects exactly
+// the union of the single-isovalue selections, on the 3D bit-parallel
+// path and on the 2D per-cell path.
+func TestSelectSplitUnion(t *testing.T) {
+	isos := []float64{6, 9, 12.5, 14}
+	subsets := [][]int{{0}, {1, 3}, {0, 2}, {0, 1, 2, 3}, {3, 1}}
+	noisySphere := func(n int) (*grid.Uniform, []float32) {
+		g, vals := sphereField(n)
+		rng := rand.New(rand.NewSource(7))
+		for i := range vals {
+			vals[i] += float32(rng.NormFloat64())
+		}
+		return g, vals
+	}
+	for _, tc := range []struct {
+		name  string
+		field func(int) (*grid.Uniform, []float32)
+		n     int
+	}{{"3d", sphereField, 24}, {"2d", circleField, 32}, {"3d-random", noisySphere, 16}} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, vals := tc.field(tc.n)
+			for _, sub := range subsets {
+				subIsos := make([]float64, len(sub))
+				union := bitset.New(g.NumPoints())
+				for i, idx := range sub {
+					subIsos[i] = isos[idx]
+					one, err := SelectCellCorners(g, vals, isos[idx:idx+1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					union.Or(one)
+				}
+				direct, err := SelectCellCorners(g, vals, subIsos)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(union.Words(), direct.Words()) {
+					t.Errorf("subset %v: union of single-isovalue selections != one selection over the set (%d bits vs %d)",
+						sub, union.Count(), direct.Count())
+				}
+			}
+		})
+	}
 }
 
 func TestSelectBitsMatchesGeneric(t *testing.T) {

@@ -3,12 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
-	"vizndp/internal/bitset"
+	"vizndp/internal/arraycache"
 	"vizndp/internal/contour"
 	"vizndp/internal/grid"
+	"vizndp/internal/lru"
 	"vizndp/internal/telemetry"
 	"vizndp/internal/vtkio"
 )
@@ -26,6 +26,8 @@ type query interface {
 	// the same float in the same order — the condition under which the
 	// selector would produce identical bytes.
 	id() string
+	// passes is how many scans over the whole array serving the query costs.
+	passes() int
 }
 
 // fetchResult is what a selector produced for one query. Results are
@@ -36,6 +38,10 @@ type fetchResult struct {
 	points   int           // full array length
 	selected int           // points shipped
 	grid     *grid.Uniform // slice only: the extracted plane's 2D grid
+	// filterTime is what the select + encode that produced the result
+	// took: what the request that ran it and the requests that waited on
+	// its flight report as filterns. A later cache hit reports zero.
+	filterTime time.Duration
 }
 
 func (r *fetchResult) size() int64 { return int64(len(r.data)) }
@@ -45,15 +51,13 @@ func (r *fetchResult) size() int64 { return int64(len(r.data)) }
 // (grid, field), and its own response keys. Every other stage is
 // serveFetch's.
 type selector struct {
-	method  string // RPC method; also keys the selector's batches and cached results
+	method  string // RPC method; also keys the selector's cached results
 	span    string // span covering select + encode
 	dataKey string // response key carrying fetchResult.data
 	// parse decodes the method's arguments (args[0:2] are path and array).
 	parse func(args []any) (query, error)
-	// run selects and encodes for every member of one batch, filling each
-	// member's res, filterTime and err, and reports how many scan passes
-	// over the array it made. A returned error fails the whole batch.
-	run func(g *grid.Uniform, field *grid.Field, members []*scanMember) (passes int, err error)
+	// run selects and encodes for one query over a loaded array.
+	run func(g *grid.Uniform, field *grid.Field, q query) (*fetchResult, error)
 	// respond adds the method's own keys to the shared response map.
 	respond func(resp map[string]any, r *fetchResult)
 }
@@ -61,9 +65,9 @@ type selector struct {
 // serveFetch is the one storage-side partial pipeline. Stages, in order,
 // each run once per request: parse; stamp shard/path/array on the wide
 // event; cancellation check; quarantine; file-version probe (skipped when
-// nothing is cached or shared); payload-cache lookup; join or lead a
-// batch, whose leader does the timed load and one select + encode pass
-// under one span; record; respond.
+// nothing is cached); payload-cache lookup-or-flight, whose load is the
+// timed array load and one select + encode under one span; record;
+// respond.
 func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (_ any, err error) {
 	path, err := argString(args, 0, "path")
 	if err != nil {
@@ -100,41 +104,77 @@ func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (_ a
 	if err := s.quarantined(path); err != nil {
 		return nil, err
 	}
-	bk := batchKey{method: sel.method, path: path, array: array}
-	if s.cache != nil || s.payloads != nil || s.coalesceWin > 0 {
-		if bk.version, err = s.fileVersion(path); err != nil {
+	key := payloadKey{method: sel.method, path: path, array: array}
+	if s.cache != nil || s.payloads != nil {
+		if key.version, err = s.fileVersion(path); err != nil {
 			return nil, err
 		}
 	}
-
-	// A payload-cache hit reports an honest breakdown: no storage read, no
-	// scan. Formatting the query's id is skipped when nothing is cached.
-	var readTime, filterTime time.Duration
-	var res *fetchResult
-	hit := false
+	// Formatting the query's id is skipped when nothing is cached.
 	if s.payloads != nil {
-		res, hit = s.payloads.Get(payloadKey{bk, q.id()})
-		outcome := "miss"
-		if hit {
-			outcome = "hit"
-		}
-		ev.SetAttr("payloadcache", outcome)
-	}
-	if !hit {
-		if res, readTime, filterTime, err = s.fetchBatched(ctx, bk, sel, q); err != nil {
-			return nil, err
-		}
+		key.id = q.id()
 	}
 
+	// Lookup or flight: a resident result is a hit; an identical request
+	// already being served is waited on, under this caller's own ctx; any
+	// other request loads, selects and encodes for itself and for whoever
+	// joins it meanwhile. With no payload cache that is a direct call.
+	var readTime time.Duration
+	res, outcome, err := s.payloads.GetOrLoad(ctx, key, func() (*fetchResult, error) {
+		entry, rt, err := s.loadArray(ctx, arraycache.Key{Path: path, Array: array, Version: key.version})
+		if err != nil {
+			return nil, err
+		}
+		readTime = rt
+		// With a payload cache the flight finishes whatever became of its
+		// caller — others may be waiting on it, and the result is kept.
+		// With none nobody can be, so a caller that gave up during the load
+		// is not scanned for.
+		if s.payloads == nil {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		_, span := telemetry.StartSpan(ctx, sel.span)
+		defer span.End()
+		start := time.Now()
+		res, err := sel.run(entry.Grid, entry.Field, q)
+		if err != nil {
+			span.SetAttr("error", err.Error())
+			return nil, err
+		}
+		res.filterTime = time.Since(start)
+		mScanPasses.Add(int64(q.passes()))
+		span.SetAttr("array", array)
+		span.SetAttr("passes", q.passes())
+		return res, nil
+	})
+	if s.payloads != nil {
+		if outcome == lru.Coalesced {
+			ev.SetAttr("coalesced-scan", "follower")
+		} else {
+			ev.SetAttr("payloadcache", outcome.String())
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	// An honest breakdown: a hit read and scanned nothing; a follower read
+	// nothing and waited on the flight's select + encode.
+	var filterTime time.Duration
+	if outcome != lru.Hit {
+		filterTime = res.filterTime
+	}
 	ev.SetAttr("selected", res.selected)
 	ev.SetAttr("payloadBytes", len(res.data))
 	mFetchCount.Inc()
 	mFetchRawBytes.Add(int64(4 * res.points))
 	mFetchPayload.Add(res.size())
 	mFetchSelected.Add(int64(res.selected))
-	if !hit {
-		// Only scans that ran feed the filter-time histogram; cache hits
-		// would drag it toward zero.
+	if outcome == lru.Miss {
+		// Only scans that ran feed the filter-time histogram, once each;
+		// cache hits would drag it toward zero.
 		mFetchFiltSecs.Observe(filterTime.Seconds())
 	}
 	if res.points > 0 {
@@ -160,26 +200,14 @@ func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (_ a
 	return resp, nil
 }
 
-// perMember adapts a one-query selection into a selector's run: members
-// are served independently, each costing passes scans of the array.
-func perMember(passes int, one func(g *grid.Uniform, field *grid.Field, q query) (*fetchResult, error)) func(*grid.Uniform, *grid.Field, []*scanMember) (int, error) {
-	return func(g *grid.Uniform, field *grid.Field, members []*scanMember) (int, error) {
-		for _, m := range members {
-			start := time.Now()
-			m.res, m.err = one(g, field, m.query)
-			m.filterTime = time.Since(start)
-		}
-		return passes * len(members), nil
-	}
-}
-
-// encodeResult packs a selection mask into a payload-bearing result.
-func encodeResult(mask *bitset.Bitset, field *grid.Field, enc Encoding) (*fetchResult, error) {
-	p, err := EncodeSelection(mask, field.Values, enc)
+// selectionResult wraps what PreFilter.Run or RangePreFilter.Run
+// returned: the server's selections are those calls, so its payloads are
+// theirs byte for byte.
+func selectionResult(p *Payload, st *PreFilterStats, err error) (*fetchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &fetchResult{data: p.Data, points: field.Len(), selected: p.Count}, nil
+	return &fetchResult{data: p.Data, points: st.NumPoints, selected: p.Count}, nil
 }
 
 func respondSelected(resp map[string]any, r *fetchResult) {
@@ -205,7 +233,8 @@ type contourQuery struct {
 	enc       Encoding
 }
 
-func (q contourQuery) id() string { return fmt.Sprintf("%x,%d", q.isovalues, q.enc) }
+func (q contourQuery) id() string  { return fmt.Sprintf("%x,%d", q.isovalues, q.enc) }
+func (q contourQuery) passes() int { return len(q.isovalues) }
 
 var contourSelector = &selector{
 	method: MethodFetch, span: "prefilter", dataKey: "payload",
@@ -230,47 +259,9 @@ var contourSelector = &selector{
 		q.enc, err = argEncoding(args, 3)
 		return q, err
 	},
-	// One scan pass per unique isovalue across the batch, deduplicated by
-	// exact bit pattern and kept in first-seen order; each member's mask is
-	// the union of its isovalues' masks. Every payload is bit-identical to
-	// what a dedicated PreFilter.Run would produce for the same request,
-	// because the per-isovalue selection masks union exactly (see
-	// contour.SelectCellCornersEach) and EncodeSelection is deterministic
-	// given mask and values.
-	run: func(g *grid.Uniform, field *grid.Field, members []*scanMember) (int, error) {
-		start := time.Now()
-		var uniq []float64
-		slot := make(map[uint64]int)
-		for _, m := range members {
-			for _, v := range m.query.(contourQuery).isovalues {
-				if _, ok := slot[math.Float64bits(v)]; !ok {
-					slot[math.Float64bits(v)] = len(uniq)
-					uniq = append(uniq, v)
-				}
-			}
-		}
-		masks, err := contour.SelectCellCornersEach(g, field.Values, uniq)
-		if err != nil {
-			return 0, fmt.Errorf("core: pre-filter %q: %w", field.Name, err)
-		}
-		scanTime := time.Since(start)
-		for _, m := range members {
-			q := m.query.(contourQuery)
-			start := time.Now()
-			// A single-isovalue member reads its mask in place; encoding
-			// never writes to it.
-			mask := masks[slot[math.Float64bits(q.isovalues[0])]]
-			if len(q.isovalues) > 1 {
-				sub := make([]*bitset.Bitset, len(q.isovalues))
-				for i, v := range q.isovalues {
-					sub[i] = masks[slot[math.Float64bits(v)]]
-				}
-				mask = contour.UnionMasks(g.NumPoints(), sub...)
-			}
-			m.res, m.err = encodeResult(mask, field, q.enc)
-			m.filterTime = scanTime + time.Since(start)
-		}
-		return len(uniq), nil
+	run: func(g *grid.Uniform, field *grid.Field, q query) (*fetchResult, error) {
+		cq := q.(contourQuery)
+		return selectionResult((&PreFilter{Isovalues: cq.isovalues, Encoding: cq.enc}).Run(g, field))
 	},
 	respond: respondSelected,
 }
@@ -283,6 +274,7 @@ type rangeQuery struct {
 }
 
 func (q rangeQuery) id() string { return fmt.Sprintf("%x,%x,%d", q.lo, q.hi, q.enc) }
+func (rangeQuery) passes() int  { return 1 }
 
 var rangeSelector = &selector{
 	method: MethodFetchRange, span: "prefilter.range", dataKey: "payload",
@@ -298,14 +290,10 @@ var rangeSelector = &selector{
 		q.enc, err = argEncoding(args, 4)
 		return q, err
 	},
-	run: perMember(1, func(g *grid.Uniform, field *grid.Field, q query) (*fetchResult, error) {
+	run: func(g *grid.Uniform, field *grid.Field, q query) (*fetchResult, error) {
 		rq := q.(rangeQuery)
-		mask, err := contour.SelectRangeCorners(g, field.Values, rq.lo, rq.hi)
-		if err != nil {
-			return nil, fmt.Errorf("core: range pre-filter %q: %w", field.Name, err)
-		}
-		return encodeResult(mask, field, rq.enc)
-	}),
+		return selectionResult((&RangePreFilter{Lo: rq.lo, Hi: rq.hi, Encoding: rq.enc}).Run(g, field))
+	},
 	respond: respondSelected,
 }
 
@@ -317,6 +305,7 @@ type sliceQuery struct {
 }
 
 func (q sliceQuery) id() string { return fmt.Sprintf("%d,%d", q.axis, q.index) }
+func (sliceQuery) passes() int  { return 0 }
 
 var sliceSelector = &selector{
 	method: MethodFetchSlice, span: "prefilter.slice", dataKey: "values",
@@ -338,14 +327,14 @@ var sliceSelector = &selector{
 		}
 		return sliceQuery{axis: axis, index: int(index)}, nil
 	},
-	run: perMember(0, func(g *grid.Uniform, field *grid.Field, q query) (*fetchResult, error) {
+	run: func(g *grid.Uniform, field *grid.Field, q query) (*fetchResult, error) {
 		sq := q.(sliceQuery)
 		g2, vals, err := contour.ExtractSlice(g, field.Values, sq.axis, sq.index)
 		if err != nil {
 			return nil, err
 		}
 		return &fetchResult{data: vtkio.FloatsToBytes(vals), points: field.Len(), selected: len(vals), grid: g2}, nil
-	}),
+	},
 	respond: func(resp map[string]any, r *fetchResult) {
 		g := r.grid
 		resp["dims"] = []any{int64(g.Dims.X), int64(g.Dims.Y), int64(g.Dims.Z)}
@@ -359,16 +348,17 @@ var sliceSelector = &selector{
 // have cost without the pre-filter.
 type rawQuery struct{}
 
-func (rawQuery) id() string { return "" }
+func (rawQuery) id() string  { return "" }
+func (rawQuery) passes() int { return 0 }
 
 var rawSelector = &selector{
 	method: MethodFetchRaw, span: "prefilter.raw", dataKey: "data",
 	parse: func([]any) (query, error) { return rawQuery{}, nil },
 	// Re-serializing the decoded float32 values is a bit-exact inverse of
 	// decoding, so the bytes are identical to the stored array's.
-	run: perMember(0, func(_ *grid.Uniform, field *grid.Field, _ query) (*fetchResult, error) {
+	run: func(_ *grid.Uniform, field *grid.Field, _ query) (*fetchResult, error) {
 		return &fetchResult{data: vtkio.FloatsToBytes(field.Values), points: field.Len(), selected: field.Len()}, nil
-	}),
+	},
 	// ndp.fetchraw's reply has always been {data, readns, crc}; there is no
 	// filter to report on, so keep its key set exact.
 	respond: func(resp map[string]any, _ *fetchResult) {

@@ -19,7 +19,7 @@ import (
 )
 
 // serveFS serves fsys with no server options — no array cache, no payload
-// cache, no coalescing — and returns a connected client.
+// cache — and returns a connected client.
 func serveFS(t *testing.T, fsys fs.FS) *Client {
 	t.Helper()
 	srv := NewServer(fsys)

@@ -6,43 +6,52 @@ import (
 	"vizndp/internal/telemetry"
 )
 
+// Scan-sharing metrics (default registry):
+//
+//	core.scan.requests  counter — fetches (of any of the four methods) admitted to the pipeline
+//	core.scan.passes    counter — single-value selection scans actually run
+//	core.scan.coalesced counter — requests that waited on an identical request's flight
+//
+// passes is sum(len(isovalues)) over the contour requests that scanned,
+// one per range request, none for slice and raw; sharing pays off exactly
+// when passes/requests drops below one — the crowd experiment's gate.
+var (
+	mScanRequests = telemetry.Default().Counter("core.scan.requests")
+	mScanPasses   = telemetry.Default().Counter("core.scan.passes")
+)
+
 // Server-side payload cache metrics (default registry):
 //
 //	core.payloadcache.hits      counter — requests served an encoded result from memory
-//	core.payloadcache.misses    counter — lookups that fell through to a scan
+//	core.payloadcache.misses    counter — requests that ran the load + select + encode themselves
 //	core.payloadcache.evictions counter — entries dropped to fit the byte bound
 //	core.payloadcache.bytes     gauge   — encoded result bytes currently held
 //	core.payloadcache.entries   gauge   — entries currently held
 //
 // The cache is an internal/lru instance holding fetchResults by served
-// bytes. It never single-flights: concurrent misses are already funneled
-// into one scan by the batch stage behind it.
+// bytes, and its single-flight GetOrLoad is the server's one way of
+// sharing a scan: an identical request that arrives while one is being
+// served waits for that result (core.scan.coalesced, neither a hit nor a
+// miss), one that arrives later is a hit.
 var payloadMetrics = lru.Metrics{
 	Hits:      telemetry.Default().Counter("core.payloadcache.hits"),
 	Misses:    telemetry.Default().Counter("core.payloadcache.misses"),
+	Coalesced: telemetry.Default().Counter("core.scan.coalesced"),
 	Evictions: telemetry.Default().Counter("core.payloadcache.evictions"),
 	Bytes:     telemetry.Default().Gauge("core.payloadcache.bytes"),
 	Entries:   telemetry.Default().Gauge("core.payloadcache.entries"),
 }
 
-// batchKey names the work a batch shares: one method's selection over one
-// array at one file version. Requests with different selection arguments
-// or encodings share a key — splitting per-caller results out of the one
-// load and scan is the whole point. The file version keys rewritten
-// datasets out; it stays zero on a server that neither caches nor
-// coalesces, where nothing outlives the request.
-type batchKey struct {
+// payloadKey names one encoded result, cached or in flight: one method's
+// selection over one array at one file version, for one query (see
+// query.id). The file version keys rewritten datasets out; version and id
+// stay zero on a server with no cache, where nothing outlives the request.
+type payloadKey struct {
 	method  string
 	path    string
 	array   string
 	version arraycache.Version
-}
-
-// payloadKey names one cached encoded result: the batch it came from plus
-// the query's own identity (see query.id).
-type payloadKey struct {
-	batchKey
-	id string
+	id      string
 }
 
 // metaKey names one file version's parsed metadata (see openReader).

@@ -7,7 +7,6 @@ import (
 	"io"
 	"io/fs"
 	"net"
-	"sync"
 	"time"
 
 	"vizndp/internal/arraycache"
@@ -50,18 +49,14 @@ const (
 // on the storage node is an s3fs mount colocated with the object store)
 // and a pre-filter. Clients drive it over msgpack-rpc.
 type Server struct {
-	fsys        fs.FS
-	rpc         *rpc.Server
-	cache       *arraycache.Cache
-	payloads    *lru.Cache[payloadKey, *fetchResult]
-	meta        *lru.Cache[metaKey, *vtkio.Meta]
-	scrub       *Scrubber
-	coalesceWin time.Duration
-	rpcOpts     []rpc.ServerOption
-	shardName   string
-
-	batchMu sync.Mutex
-	batches map[batchKey]*scanBatch // open joinable batches; see fetchBatched
+	fsys      fs.FS
+	rpc       *rpc.Server
+	cache     *arraycache.Cache
+	payloads  *lru.Cache[payloadKey, *fetchResult]
+	meta      *lru.Cache[metaKey, *vtkio.Meta]
+	scrub     *Scrubber
+	rpcOpts   []rpc.ServerOption
+	shardName string
 }
 
 // ServerOption customizes a Server.
@@ -75,26 +70,21 @@ func WithCacheBytes(maxBytes int64) ServerOption {
 	return func(s *Server) { s.cache = arraycache.New(maxBytes) }
 }
 
-// WithCoalesce batches concurrent fetches of the same array by the same
-// method into one shared scan: the first request leads, loads the array,
-// lingers for window while concurrent arrivals pile on, then (for
-// contours) scans once per unique isovalue and splits a bit-identical
-// payload out for each member. Without it every request is a batch of
-// one that nobody can join. window <= 0 uses DefaultCoalesceWindow.
-func WithCoalesce(window time.Duration) ServerOption {
-	return func(s *Server) {
-		if window <= 0 {
-			window = DefaultCoalesceWindow
-		}
-		s.coalesceWin = window
-	}
-}
+// WithCoalesce does nothing. Concurrent identical requests share one load
+// and scan through the payload cache's single flight
+// (WithPayloadCacheBytes), different queries over one array share its
+// read through the array cache's (WithCacheBytes), and there is no window
+// to set. The option exists only because bench/workloads.go still passes
+// it and bench/ is frozen outside benchmark PRs; it goes when that call
+// does (ROADMAP, Benchmark repairs 7).
+func WithCoalesce(time.Duration) ServerOption { return func(*Server) {} }
 
 // WithPayloadCacheBytes bounds a storage-side cache of encoded fetch
 // results to maxBytes: an identical repeat request — same method, array
 // version, selection arguments, and encoding — skips the read AND the
-// scan. Composes with WithCoalesce; alone it enables the cache without
-// batching. maxBytes <= 0 disables the cache (the default).
+// scan, and one that arrives while the first is still being served waits
+// for its result instead of repeating the work. maxBytes <= 0 disables
+// both (the default).
 func WithPayloadCacheBytes(maxBytes int64) ServerOption {
 	return func(s *Server) {
 		s.payloads = lru.New[payloadKey](maxBytes, (*fetchResult).size, payloadMetrics)
@@ -132,9 +122,8 @@ func WithQueue(n int) ServerOption {
 // NewServer builds an NDP server over the given filesystem.
 func NewServer(fsys fs.FS, opts ...ServerOption) *Server {
 	s := &Server{
-		fsys:    fsys,
-		batches: make(map[batchKey]*scanBatch),
-		meta:    lru.New[metaKey](metaCacheBytes, (*vtkio.Meta).Size, metaMetrics),
+		fsys: fsys,
+		meta: lru.New[metaKey](metaCacheBytes, (*vtkio.Meta).Size, metaMetrics),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -336,7 +325,7 @@ func (s *Server) fileVersion(path string) (arraycache.Version, error) {
 	}
 	if info.ModTime().IsZero() {
 		return arraycache.Version{}, fmt.Errorf("core: %T reports no modification time for %s, "+
-			"so caching or coalescing over it could serve a stale array "+
+			"so caching over it could serve a stale array "+
 			"(an s3fs mount of an objstored that predates version stamps?)", s.fsys, path)
 	}
 	return versionOf(info), nil
@@ -402,14 +391,15 @@ func (s *Server) quarantined(path string) error {
 // returned read time is nonzero only when this call performed the
 // storage read (+ decompression), so the readns a client sees stays an
 // honest account of storage work actually done for it, and hits and
-// coalesced waits stay out of the read-time histogram.
+// coalesced waits stay out of the read-time histogram. A request waiting
+// on another's read waits under its own ctx.
 func (s *Server) loadArray(ctx context.Context, key arraycache.Key) (*arraycache.Entry, time.Duration, error) {
 	_, span := telemetry.StartSpan(ctx, "read")
 	defer span.End()
 	span.SetAttr("path", key.Path)
 	span.SetAttr("array", key.Array)
 	start := time.Now()
-	entry, outcome, err := s.cache.GetOrLoad(key, func() (*arraycache.Entry, error) {
+	entry, outcome, err := s.cache.GetOrLoad(ctx, key, func() (*arraycache.Entry, error) {
 		// One actual storage read: open, parse the header, read +
 		// decompress the array. The entry outlives the closed file.
 		r, closer, err := s.openReader(key.Path)

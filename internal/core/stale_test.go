@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 	"testing/fstest"
-	"time"
 
 	"vizndp/internal/compress"
 	"vizndp/internal/grid"
@@ -129,7 +128,7 @@ func TestCacheVersionSameSizeOverwrite(t *testing.T) {
 // objects) gives a cache nothing but the size to key on, under which a
 // same-size overwrite would be served stale forever. The server refuses,
 // naming the filesystem, instead of guessing a key; with nothing cached
-// or shared it needs no version and serves, overwrites included.
+// it needs no version and serves, overwrites included.
 func TestCacheZeroMtimeOverwrite(t *testing.T) {
 	bytesA, bytesB, probe, a, b := overwritePair(t)
 	file := &fstest.MapFile{Data: bytesA} // zero ModTime
@@ -138,7 +137,6 @@ func TestCacheZeroMtimeOverwrite(t *testing.T) {
 	for name, opt := range map[string]ServerOption{
 		"array cache":   WithCacheBytes(16 << 20),
 		"payload cache": WithPayloadCacheBytes(16 << 20),
-		"coalescing":    WithCoalesce(time.Millisecond),
 	} {
 		srv := NewServer(mfs, opt)
 		_, err := rawValue(srv, "run/ts0.vnd", probe)

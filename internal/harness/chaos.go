@@ -22,7 +22,7 @@ var chaosClasses = []struct{ label, counter string }{
 }
 
 // ChaosExperiment composes the fault families the other experiments
-// inject one at a time. Two replicas each run a caching, coalescing,
+// inject one at a time. Two replicas each run a caching,
 // admission-bounded server over a corrupting store, behind their own
 // link with a seeded schedule of dial refusals, mid-frame connection
 // kills and in-flight byte flips; one fault-tolerant client drives the
@@ -34,7 +34,7 @@ var chaosClasses = []struct{ label, counter string }{
 // ledger's: each class in chaosClasses non-zero. The run is for the
 // interactions no single-family experiment reaches: a retry failing
 // over onto a replica that is itself shedding, a corrupt read evicted
-// under a coalesced batch, a breaker opening on a killed connection.
+// under a shared flight, a breaker opening on a killed connection.
 func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 	const workers = 8
 	const minBurst = 48
@@ -60,10 +60,13 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 	maxFrame := int64(truth.cleanRun.maxWire + 512)
 	rawBytes := int64(4 * e.asteroidSet[e.steps[0]].Grid.NumPoints())
 	lifetime := 50*time.Millisecond + 4*e.Link.TransferTime(rawBytes)
+	// The payload cache has room for about one result: identical requests
+	// in flight together share it, but the sweep does not fit, so every
+	// round still reaches the array cache and, behind it, the store.
 	replicas := make([]*node, 2)
 	for i := range replicas {
 		n, err := k.startNode(e.corruptFS(uint64(2+i)), e.newLink(),
-			core.WithCacheBytes(e.Cfg.CacheBytes), core.WithCoalesce(2*time.Millisecond),
+			core.WithCacheBytes(e.Cfg.CacheBytes), core.WithPayloadCacheBytes(maxFrame),
 			core.WithMaxInFlight(2), core.WithQueue(2))
 		if err != nil {
 			return nil, err

@@ -16,22 +16,24 @@ import (
 // bounded NDP server, every request contouring the same array at an
 // isovalue cycled from the configured sweep. Three rounds:
 //
-//  1. ground truth — a sequential sweep over an unbounded, uncoalesced
-//     server pins the expected payload bytes per isovalue;
+//  1. ground truth — a sequential sweep over an unbounded server with no
+//     payload cache pins the expected payload bytes per isovalue;
 //  2. uncoalesced crowd — the full arrival schedule against admission
 //     control alone: every admitted request pays its own scan, so
 //     scans-per-request is exactly one;
-//  3. coalesced crowd — the same schedule with scan coalescing and the
-//     payload cache: concurrent requests share multi-isovalue scans and
-//     repeats are served from cache, driving scans-per-request below one.
+//  3. coalesced crowd — the same schedule with the payload cache: an
+//     identical request waits on the one already being served, a repeat
+//     is served from cache, driving scans-per-request below one.
 //
 // The experiment hard-errors unless the coalesced round's
 // scans-per-request drops below 1 (and below the uncoalesced round's),
-// requests actually coalesced, the payload cache actually hit, every
-// served payload is bit-identical to its ground-truth twin, and the
-// core.scan.coalesced / payload-cache-hit counters reconcile with the
-// wide-event flight ring. Shed requests (rpc.ErrBusy) are reported, not
-// retried — the crowd is open-loop.
+// the payload cache actually hit, every served payload is bit-identical
+// to its ground-truth twin, and the core.scan.coalesced /
+// payload-cache-hit counters reconcile with the wide-event flight ring.
+// How many requests found an identical one still in flight is reported
+// and reconciled but not gated: at small scale a flight lasts about a
+// millisecond and a machine can honestly see none. Shed requests
+// (rpc.ErrBusy) are reported, not retried — the crowd is open-loop.
 func (e *Env) CrowdExperiment(array string) (*stats.Table, error) {
 	const arrivals = 384
 	const numConns = 64
@@ -106,9 +108,8 @@ func (e *Env) CrowdExperiment(array string) (*stats.Table, error) {
 	}
 	plainSPR := float64(plainPasses) / float64(plainReqs)
 
-	// Round 3: the same crowd with scan coalescing and the payload cache.
+	// Round 3: the same crowd with the payload cache and its flights.
 	coalNode, err := k.startNode(nil, e.Link, append(admission,
-		core.WithCoalesce(2*time.Millisecond),
 		core.WithPayloadCacheBytes(64<<20))...)
 	if err != nil {
 		return nil, err
@@ -128,16 +129,13 @@ func (e *Env) CrowdExperiment(array string) (*stats.Table, error) {
 		return nil, fmt.Errorf("harness: coalescing did not reduce scans-per-request: %.3f coalesced vs %.3f uncoalesced",
 			coalSPR, plainSPR)
 	}
-	if coalN == 0 {
-		return nil, fmt.Errorf("harness: no request coalesced onto a shared scan (window too short for this machine?)")
-	}
 	if hitN == 0 {
 		return nil, fmt.Errorf("harness: payload cache never hit across %d requests", coalReqs)
 	}
 
 	// Counter/wide-event reconciliation: every coalesced request and every
 	// payload-cache hit must appear as an attributed server-side fetch
-	// event in the flight ring, and vice versa.
+	// event in the flight ring, and vice versa — zero of either included.
 	serverFetch := func(ev *telemetry.WideEvent) bool {
 		return ev.Kind == telemetry.KindServer && ev.Method == core.MethodFetch
 	}

@@ -7,10 +7,10 @@ import (
 
 // TestCrowdExperimentCoalesces runs the full crowd campaign. The
 // experiment hard-errors unless the coalesced round's scans-per-request
-// drops below one, requests actually shared scans, the payload cache
-// actually hit, every served payload matched the ground truth bit for
-// bit, and the coalescing counters reconciled with the wide-event flight
-// ring — so a nil error here is the whole assertion.
+// drops below one, the payload cache actually hit, every served payload
+// matched the ground truth bit for bit, and the coalesced / cache-hit
+// counters reconciled with the wide-event flight ring — so a nil error
+// here is the whole assertion.
 func TestCrowdExperimentCoalesces(t *testing.T) {
 	tbl, err := env.CrowdExperiment("v03")
 	if err != nil {

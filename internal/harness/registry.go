@@ -53,7 +53,7 @@ var Experiments = []Experiment{
 	}},
 	{"faults", "errors unless every injected link-fault class fired and every retried or degraded payload came back bit-identical", perArray((*Env).FaultsExperiment, "v03")},
 	{"overload", "errors unless requests were shed and retried to success, the killed replica's breaker tripped with a failover, and the mid-burst drain lost nothing", perArray((*Env).OverloadExperiment, "v03")},
-	{"crowd", "errors unless coalescing drove scans-per-request below one with bit-identical payloads and the coalescing/cache counters reconcile with the wide-event ring", perArray((*Env).CrowdExperiment, "v03")},
+	{"crowd", "errors unless the payload cache and its single flight drove scans-per-request below one with bit-identical payloads and the coalesced/cache-hit counters reconcile with the wide-event ring", perArray((*Env).CrowdExperiment, "v03")},
 	{"slo", "errors unless every shed/degraded/breached request is a correctly flagged wide event, burn gauges match the monitor, a bundle holds the breaching span tree, and the recorder costs under 5% (load-sensitive: run it alone)", perArray((*Env).SLOExperiment, "v03")},
 	{"shard", "errors unless the sharded merge is bit-identical to the single-node scan clean, with one shard degraded and with one shard killed mid-sweep, and the failover/degraded counters fired", perArray((*Env).ShardExperiment, "v03")},
 	{"corrupt", "errors unless every storage and wire corruption class fired, every payload came back bit-identical, the cache admitted nothing corrupt, and the scrub quarantined exactly the damaged bricks", perArray((*Env).CorruptExperiment, "v03")},

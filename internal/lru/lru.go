@@ -11,6 +11,7 @@ package lru
 
 import (
 	"container/list"
+	"context"
 	"sync"
 	"time"
 
@@ -44,7 +45,8 @@ func (o Outcome) String() string {
 
 // Metrics are the handles one cache instance reports to. Coalesced and
 // LoadSeconds are touched only by GetOrLoad; a cache that never calls it
-// may leave them nil.
+// may leave them nil, and one that does may leave LoadSeconds nil to have
+// its loads go untimed.
 type Metrics struct {
 	Hits, Misses, Coalesced, Evictions *telemetry.Counter
 	Bytes, Entries                     *telemetry.Gauge
@@ -75,6 +77,10 @@ type flight[V any] struct {
 	done  chan struct{}
 	value V
 	err   error
+	// orphaned marks a load that failed after its own caller's context had
+	// ended: err may be that caller's cancellation, which is no waiter's
+	// business, so waiters that are still live go again.
+	orphaned bool
 }
 
 // New returns a cache bounded to maxBytes as accounted by size, or nil
@@ -120,23 +126,39 @@ func (c *Cache[K, V]) getLocked(key K) (v V, ok bool) {
 // GetOrLoad returns the cached value for key, loading it with load on a
 // miss. Concurrent calls for the same key while a load is in progress
 // wait for that one load instead of issuing their own; a failed load is
-// not cached and its error is returned to every waiter. A nil cache
-// loads every time.
-func (c *Cache[K, V]) GetOrLoad(key K, load func() (V, error)) (V, Outcome, error) {
+// not cached and its error is returned to every waiter. ctx bounds only
+// the caller's own wait: a waiter whose ctx ends returns ctx.Err() at
+// once while the load carries on and caches its result, and the load's
+// caller going away never fails a waiter (see flight.orphaned). A nil
+// cache loads every time.
+func (c *Cache[K, V]) GetOrLoad(ctx context.Context, key K, load func() (V, error)) (V, Outcome, error) {
 	if c == nil {
 		v, err := load()
 		return v, Miss, err
 	}
 	c.mu.Lock()
-	if v, ok := c.getLocked(key); ok {
+	for {
+		if v, ok := c.getLocked(key); ok {
+			c.mu.Unlock()
+			return v, Hit, nil
+		}
+		f, ok := c.flights[key]
+		if !ok {
+			break
+		}
 		c.mu.Unlock()
-		return v, Hit, nil
-	}
-	if f, ok := c.flights[key]; ok {
-		c.mu.Unlock()
-		<-f.done
-		c.m.Coalesced.Inc()
-		return f.value, Coalesced, f.err
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			c.m.Coalesced.Inc()
+			var zero V
+			return zero, Coalesced, ctx.Err()
+		}
+		if !f.orphaned || ctx.Err() != nil {
+			c.m.Coalesced.Inc()
+			return f.value, Coalesced, f.err
+		}
+		c.mu.Lock()
 	}
 	f := &flight[V]{done: make(chan struct{})}
 	c.flights[key] = f
@@ -145,7 +167,10 @@ func (c *Cache[K, V]) GetOrLoad(key K, load func() (V, error)) (V, Outcome, erro
 	c.m.Misses.Inc()
 	start := time.Now()
 	f.value, f.err = load()
-	c.m.LoadSeconds.Observe(time.Since(start).Seconds())
+	if c.m.LoadSeconds != nil {
+		c.m.LoadSeconds.Observe(time.Since(start).Seconds())
+	}
+	f.orphaned = f.err != nil && ctx.Err() != nil
 
 	c.mu.Lock()
 	delete(c.flights, key)

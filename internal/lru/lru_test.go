@@ -1,7 +1,11 @@
 package lru
 
 import (
+	"context"
+	"errors"
+	"sync"
 	"testing"
+	"time"
 
 	"vizndp/internal/telemetry"
 )
@@ -9,7 +13,8 @@ import (
 // newTestCache builds a string-keyed cache of byte slices, accounted by
 // length, reporting to a private registry. GetOrLoad's single-flight,
 // failed-load and nil-cache behaviour is pinned through the array-cache
-// instance, in internal/arraycache.
+// instance, in internal/arraycache; what a waiter's and a leader's
+// context do to a flight is pinned here.
 func newTestCache(maxBytes int64) (*Cache[string, []byte], Metrics) {
 	reg := telemetry.NewRegistry()
 	m := Metrics{
@@ -83,5 +88,138 @@ func TestInvalidateAndReset(t *testing.T) {
 	c.Reset()
 	if c.Len() != 0 || c.Resident() != 0 {
 		t.Errorf("after reset: len=%d resident=%d", c.Len(), c.Resident())
+	}
+}
+
+type loadResult struct {
+	v   []byte
+	out Outcome
+	err error
+}
+
+// heldLoad starts a GetOrLoad of key whose load blocks until release is
+// closed and then returns what finish returns; it comes back once the load
+// is running. The call's results arrive on done.
+func heldLoad(c *Cache[string, []byte], ctx context.Context, key string, finish func() ([]byte, error)) (release chan struct{}, done chan loadResult) {
+	entered := make(chan struct{})
+	release, done = make(chan struct{}), make(chan loadResult, 1)
+	go func() {
+		v, out, err := c.GetOrLoad(ctx, key, func() ([]byte, error) {
+			close(entered)
+			<-release
+			return finish()
+		})
+		done <- loadResult{v, out, err}
+	}()
+	<-entered
+	return release, done
+}
+
+// joinSpy is a context that tells when GetOrLoad begins waiting under
+// it: the wait on a flight is the only place its Done is asked for.
+type joinSpy struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (j *joinSpy) Done() <-chan struct{} {
+	j.once.Do(func() { close(j.waiting) })
+	return j.Context.Done()
+}
+
+// follow starts a GetOrLoad of key under ctx and comes back once it is
+// waiting on the flight in progress.
+func follow(c *Cache[string, []byte], ctx context.Context, key string, load func() ([]byte, error)) chan loadResult {
+	spy := &joinSpy{Context: ctx, waiting: make(chan struct{})}
+	done := make(chan loadResult, 1)
+	go func() {
+		v, out, err := c.GetOrLoad(spy, key, load)
+		done <- loadResult{v, out, err}
+	}()
+	<-spy.waiting
+	return done
+}
+
+func noLoad(t *testing.T) func() ([]byte, error) {
+	return func() ([]byte, error) {
+		t.Error("a waiter ran its own load while a flight was in progress")
+		return nil, nil
+	}
+}
+
+// TestWaiterHonoursItsOwnContext: a waiter whose context has ended comes
+// back with its own error at once instead of waiting out somebody else's
+// load, and the flight it left carries on and caches its result.
+func TestWaiterHonoursItsOwnContext(t *testing.T) {
+	c, m := newTestCache(1000)
+	release, leader := heldLoad(c, context.Background(), "k", func() ([]byte, error) { return []byte("value"), nil })
+
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	select {
+	case r := <-follow(c, expired, "k", noLoad(t)):
+		if !errors.Is(r.err, context.DeadlineExceeded) || r.out != Coalesced || r.v != nil {
+			t.Errorf("expired waiter got %q, %v, %v; want nil, coalesced, its deadline error", r.v, r.out, r.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a waiter past its deadline is still waiting on the held load")
+	}
+
+	// One that is cancelled while it waits leaves at that moment.
+	ctx, cancelWaiter := context.WithCancel(context.Background())
+	waiter := follow(c, ctx, "k", noLoad(t))
+	cancelWaiter()
+	select {
+	case r := <-waiter:
+		if !errors.Is(r.err, context.Canceled) {
+			t.Errorf("cancelled waiter got %v, want its cancellation", r.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a cancelled waiter is still waiting on the held load")
+	}
+
+	close(release)
+	if r := <-leader; r.err != nil || r.out != Miss || string(r.v) != "value" {
+		t.Fatalf("leader got %q, %v, %v", r.v, r.out, r.err)
+	}
+	if v, ok := c.Get("k"); !ok || string(v) != "value" {
+		t.Error("the flight its waiters abandoned did not cache its result")
+	}
+	if m.Misses.Value() != 1 || m.Coalesced.Value() != 2 {
+		t.Errorf("misses/coalesced = %d/%d, want 1/2", m.Misses.Value(), m.Coalesced.Value())
+	}
+}
+
+// TestFlightNeverHandsOnItsLeadersCancellation: when a load fails because
+// the caller that happened to lead it went away, a waiter that is still
+// live does not inherit that error — it goes again and gets the value. A
+// load that failed on its own account is still every waiter's failure.
+func TestFlightNeverHandsOnItsLeadersCancellation(t *testing.T) {
+	c, m := newTestCache(1000)
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	release, leader := heldLoad(c, leaderCtx, "k", func() ([]byte, error) { return nil, leaderCtx.Err() })
+	waiter := follow(c, context.Background(), "k", func() ([]byte, error) { return []byte("second go"), nil })
+	cancelLeader()
+	close(release)
+	if r := <-leader; !errors.Is(r.err, context.Canceled) {
+		t.Errorf("cancelled leader got %v, want its own cancellation", r.err)
+	}
+	if r := <-waiter; r.err != nil || string(r.v) != "second go" || r.out != Miss {
+		t.Errorf("live waiter got %q, %v, %v; want its own load's value, as a miss", r.v, r.out, r.err)
+	}
+
+	broken := errors.New("storage said no")
+	release, leader = heldLoad(c, context.Background(), "bad", func() ([]byte, error) { return nil, broken })
+	waiter = follow(c, context.Background(), "bad", noLoad(t))
+	close(release)
+	if r := <-leader; !errors.Is(r.err, broken) {
+		t.Errorf("leader got %v, want the load's error", r.err)
+	}
+	if r := <-waiter; !errors.Is(r.err, broken) || r.out != Coalesced {
+		t.Errorf("waiter got %v, %v; want the load's error, coalesced", r.err, r.out)
+	}
+	if c.Len() != 1 || m.Misses.Value() != 3 || m.Coalesced.Value() != 1 {
+		t.Errorf("entries/misses/coalesced = %d/%d/%d, want 1/3/1", c.Len(), m.Misses.Value(), m.Coalesced.Value())
 	}
 }
