@@ -651,114 +651,3 @@ func BenchmarkInterestingEdgePoints64(b *testing.B) {
 		}
 	}
 }
-
-func TestParallelMatchesSerial(t *testing.T) {
-	g, vals := sphereField(32)
-	// Include NaN-masked regions like a real post-filter input.
-	mask, err := SelectCellCorners(g, vals, []float64{10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparse := make([]float32, len(vals))
-	nan := float32(math.NaN())
-	for i := range sparse {
-		if mask.Get(i) {
-			sparse[i] = vals[i]
-		} else {
-			sparse[i] = nan
-		}
-	}
-	for _, input := range [][]float32{vals, sparse} {
-		serial, err := MarchingTetrahedra(g, input, []float64{10, 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 3, 7, 31} {
-			par, err := MarchingTetrahedraParallel(g, input, []float64{10, 6}, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !par.Equal(serial) {
-				t.Fatalf("workers=%d: parallel mesh differs (%d vs %d tris, %d vs %d verts)",
-					workers, par.NumTriangles(), serial.NumTriangles(),
-					par.NumVertices(), serial.NumVertices())
-			}
-		}
-	}
-}
-
-func TestParallelRectilinear(t *testing.T) {
-	g, vals := rectSphere(20)
-	serial, err := MarchingTetrahedraGeom(g, vals, []float64{0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := MarchingTetrahedraParallel(g, vals, []float64{0.3}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !par.Equal(serial) {
-		t.Fatal("parallel rectilinear mesh differs from serial")
-	}
-}
-
-func TestParallelValidation(t *testing.T) {
-	g, vals := sphereField(8)
-	if _, err := MarchingTetrahedraParallel(g, vals[:3], []float64{1}, 2); err == nil {
-		t.Error("short values accepted")
-	}
-	if _, err := MarchingTetrahedraParallel(g, vals, nil, 2); err == nil {
-		t.Error("no isovalues accepted")
-	}
-	// workers > layers and workers <= 0 both work.
-	a, err := MarchingTetrahedraParallel(g, vals, []float64{3}, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := MarchingTetrahedraParallel(g, vals, []float64{3}, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Equal(b) {
-		t.Error("worker counts changed the result")
-	}
-}
-
-// TestParallelThinSlabs pins the worker-clamp edge cases: more workers
-// than cell layers must clamp without duplicating slab work, and a
-// single cell layer (Z=2) must fall back to the serial filter. Both
-// must stay bit-identical to serial output.
-func TestParallelThinSlabs(t *testing.T) {
-	cases := []struct {
-		nz      int
-		workers int
-	}{
-		{3, 8},  // cellLayers=2, workers clamp 8 -> 2
-		{2, 8},  // cellLayers=1: serial fallback
-		{2, 1},  // workers <= 1: serial path regardless
-		{4, 64}, // clamp far past layer count
-	}
-	for _, tc := range cases {
-		g := grid.NewUniform(12, 10, tc.nz)
-		vals := make([]float32, g.NumPoints())
-		for i := range vals {
-			x, y, z := i%12, (i/12)%10, i/(12*10)
-			vals[i] = float32(x+y)*0.5 + float32(z)*2
-		}
-		serial, err := MarchingTetrahedra(g, vals, []float64{3.5, 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := MarchingTetrahedraParallel(g, vals, []float64{3.5, 6}, tc.workers)
-		if err != nil {
-			t.Fatalf("nz=%d workers=%d: %v", tc.nz, tc.workers, err)
-		}
-		if !par.Equal(serial) {
-			t.Errorf("nz=%d workers=%d: parallel mesh not bit-identical to serial (%d vs %d tris)",
-				tc.nz, tc.workers, par.NumTriangles(), serial.NumTriangles())
-		}
-		if tc.nz > 2 && par.NumTriangles() == 0 {
-			t.Errorf("nz=%d: degenerate empty mesh", tc.nz)
-		}
-	}
-}

@@ -130,6 +130,8 @@ func (l *LineSet) Length() float64 {
 
 func isNaN32(v float32) bool { return v != v }
 
+// validateInputs performs the checks every contour filter and selection
+// shares.
 func validateInputs(g *grid.Uniform, values []float32, isovalues []float64) error {
 	if err := g.Validate(); err != nil {
 		return err

@@ -32,43 +32,3 @@ func (m *Mesh) WriteOBJ(w io.Writer) error {
 	}
 	return bw.Flush()
 }
-
-// WritePLY writes the mesh in ASCII PLY format.
-func (m *Mesh) WritePLY(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	hasNormals := len(m.Normals) == len(m.Vertices) && len(m.Normals) > 0
-	fmt.Fprintf(bw, "ply\nformat ascii 1.0\ncomment vizndp contour mesh\n")
-	fmt.Fprintf(bw, "element vertex %d\n", m.NumVertices())
-	fmt.Fprintf(bw, "property float x\nproperty float y\nproperty float z\n")
-	if hasNormals {
-		fmt.Fprintf(bw, "property float nx\nproperty float ny\nproperty float nz\n")
-	}
-	fmt.Fprintf(bw, "element face %d\n", m.NumTriangles())
-	fmt.Fprintf(bw, "property list uchar int vertex_indices\nend_header\n")
-	for i, v := range m.Vertices {
-		if hasNormals {
-			n := m.Normals[i]
-			fmt.Fprintf(bw, "%g %g %g %g %g %g\n", v.X, v.Y, v.Z, n.X, n.Y, n.Z)
-		} else {
-			fmt.Fprintf(bw, "%g %g %g\n", v.X, v.Y, v.Z)
-		}
-	}
-	for _, t := range m.Tris {
-		fmt.Fprintf(bw, "3 %d %d %d\n", t[0], t[1], t[2])
-	}
-	return bw.Flush()
-}
-
-// WriteLinesOBJ writes a 2D line set as OBJ line elements.
-func (l *LineSet) WriteOBJ(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# vizndp contour lines: %d vertices, %d segments\n",
-		len(l.Vertices), l.NumSegments())
-	for _, v := range l.Vertices {
-		fmt.Fprintf(bw, "v %g %g %g\n", v.X, v.Y, v.Z)
-	}
-	for _, s := range l.Segments {
-		fmt.Fprintf(bw, "l %d %d\n", s[0]+1, s[1]+1)
-	}
-	return bw.Flush()
-}

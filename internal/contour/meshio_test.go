@@ -60,60 +60,12 @@ func countOBJ(t *testing.T, s string) (verts, faces int) {
 	return
 }
 
-func TestWritePLY(t *testing.T) {
-	g, vals := sphereField(10)
-	m, err := MarchingTetrahedra(g, vals, []float64{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.ComputeNormals()
-	var buf bytes.Buffer
-	if err := m.WritePLY(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s := buf.String()
-	if !strings.HasPrefix(s, "ply\nformat ascii 1.0\n") {
-		t.Error("missing PLY header")
-	}
-	if !strings.Contains(s, fmt.Sprintf("element vertex %d", m.NumVertices())) {
-		t.Error("wrong vertex count in header")
-	}
-	if !strings.Contains(s, fmt.Sprintf("element face %d", m.NumTriangles())) {
-		t.Error("wrong face count in header")
-	}
-	if !strings.Contains(s, "property float nx") {
-		t.Error("missing normal properties")
-	}
-	// Body line count: header lines + verts + faces.
-	lines := strings.Count(strings.TrimSpace(s), "\n") + 1
-	header := strings.Count(s[:strings.Index(s, "end_header")], "\n") + 1
-	if lines != header+m.NumVertices()+m.NumTriangles() {
-		t.Errorf("PLY line count %d, want %d", lines, header+m.NumVertices()+m.NumTriangles())
-	}
-}
-
-func TestWriteLinesOBJ(t *testing.T) {
-	g, vals := circleField(16)
-	ls, err := MarchingSquares(g, vals, []float64{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ls.WriteOBJ(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Count(buf.String(), "\nl ") != ls.NumSegments() {
-		t.Errorf("segment lines = %d, want %d",
-			strings.Count(buf.String(), "\nl "), ls.NumSegments())
-	}
-}
-
 func TestWriteOBJEmpty(t *testing.T) {
 	var buf bytes.Buffer
 	if err := (&Mesh{}).WriteOBJ(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := (&Mesh{}).WritePLY(&buf); err != nil {
-		t.Fatal(err)
+	if nv, nf := countOBJ(t, buf.String()); nv != 0 || nf != 0 {
+		t.Errorf("empty mesh wrote %d verts/%d faces", nv, nf)
 	}
 }

@@ -31,21 +31,6 @@ func wavyField(g *grid.Uniform, rng *rand.Rand) []float32 {
 	return vals
 }
 
-// stretched returns g's topology with uneven, strictly increasing
-// coordinates.
-func stretched(g *grid.Uniform, rng *rand.Rand) *grid.Rectilinear {
-	axis := func(n int) []float64 {
-		out := make([]float64, n)
-		x := rng.Float64()
-		for i := range out {
-			x += 0.1 + rng.Float64()
-			out[i] = x
-		}
-		return out
-	}
-	return grid.NewRectilinear(axis(g.Dims.X), axis(g.Dims.Y), axis(g.Dims.Z))
-}
-
 // shardedMerge stores the field bricked under a temporary directory,
 // serves it from three NDP shards and returns the ShardedClient's merged,
 // NaN-padded array.
@@ -100,13 +85,13 @@ func shardedMerge(t *testing.T, g *grid.Uniform, vals []float32, spec grid.Brick
 
 // TestContourPathsAgree is the kernel's property test. Over random grids
 // — row lengths on both sides of the 64-cell word, non-cubic shapes, the
-// two-point-layer minimum — with smooth and NaN-laced data, uniform and
-// rectilinear geometry, one to five isovalues of which some cut nothing,
-// and every payload encoding, every way of contouring the field must give
-// the mesh the reference walk gives, vertex for vertex: the dense entry
-// points on the full array, the post-filter straight from the payload,
-// the dense entry points on the payload's NaN-padded reconstruction and
-// on a ShardedClient's merge, and the slab-parallel sweep.
+// two-point-layer minimum, uneven spacings — with smooth and NaN-laced
+// data, one to five isovalues of which some cut nothing, and every
+// payload encoding, every way of contouring the field must give the mesh
+// the reference walk gives, vertex for vertex: the dense entry point on
+// the full array, the post-filter straight from the payload, and the
+// dense entry point on the payload's NaN-padded reconstruction and on a
+// ShardedClient's merge.
 func TestContourPathsAgree(t *testing.T) {
 	shapes := [][3]int{
 		{2, 2, 2}, {2, 9, 5}, {63, 4, 3}, {64, 5, 2}, {65, 3, 4},
@@ -114,9 +99,10 @@ func TestContourPathsAgree(t *testing.T) {
 	}
 	encodings := []core.Encoding{core.EncIndexValue, core.EncBlockBitmap, core.EncAuto}
 	rng := rand.New(rand.NewSource(16))
-	triangles, sharded := 0, 0
+	cases, triangles, postFiltered, sharded := 0, 0, 0, 0
 	for round := 0; round < 3; round++ {
 		for si, shape := range shapes {
+			cases++
 			g := grid.NewUniform(shape[0], shape[1], shape[2])
 			g.Spacing = grid.Vec3{X: 0.5 + rng.Float64(), Y: 0.5 + rng.Float64(), Z: 0.5 + rng.Float64()}
 			vals := wavyField(g, rng)
@@ -131,13 +117,9 @@ func TestContourPathsAgree(t *testing.T) {
 				}
 			}
 			enc := encodings[(round+si)%len(encodings)]
-			var geom contour.Geometry = g
-			if (round+si)%3 == 2 {
-				geom = stretched(g, rng)
-			}
-			name := fmt.Sprintf("%v/%T/%v/isos%d/round%d", g.Dims, geom, enc, len(isos), round)
+			name := fmt.Sprintf("%v/%v/isos%d/round%d", g.Dims, enc, len(isos), round)
 
-			want := contour.MarchReference(geom, vals, isos)
+			want := contour.MarchReference(g, vals, isos)
 			triangles += want.NumTriangles()
 			check := func(what string, got *contour.Mesh, err error) {
 				t.Helper()
@@ -150,11 +132,8 @@ func TestContourPathsAgree(t *testing.T) {
 				}
 			}
 
-			got, err := contour.MarchingTetrahedraGeom(geom, vals, isos)
+			got, err := contour.MarchingTetrahedra(g, vals, isos)
 			check("dense kernel on the full array", got, err)
-			workers := 2 + rng.Intn(4)
-			got, err = contour.MarchingTetrahedraParallel(geom, vals, isos, workers)
-			check(fmt.Sprintf("%d slabs on the full array", workers), got, err)
 
 			field := &grid.Field{Name: "d", Values: vals}
 			sent, _, err := (&core.PreFilter{Isovalues: isos, Encoding: enc}).Run(g, field)
@@ -169,28 +148,26 @@ func TestContourPathsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check("reference on the reconstruction", contour.MarchReference(geom, padded, isos), nil)
-			got, err = contour.MarchingTetrahedraGeom(geom, padded, isos)
+			check("reference on the reconstruction", contour.MarchReference(g, padded, isos), nil)
+			got, err = contour.MarchingTetrahedra(g, padded, isos)
 			check("dense kernel on the reconstruction", got, err)
-			got, err = contour.MarchingTetrahedraParallel(geom, padded, isos, workers)
-			check(fmt.Sprintf("%d slabs on the reconstruction", workers), got, err)
-			if geom == contour.Geometry(g) {
-				got, err = (&core.PostFilter{Isovalues: isos}).Contour(g, "d", payload)
-				check("post-filter from the payload", got, err)
-			}
+			got, err = (&core.PostFilter{Isovalues: isos}).Contour(g, "d", payload)
+			check("post-filter from the payload", got, err)
+			postFiltered++
 
 			// One sharded merge per shape, on the axes that can be split.
 			if round == 0 && g.Dims.NumCells() > 1 {
 				spec := grid.BrickSpec{NX: min(2, g.Dims.X-1), NY: min(2, g.Dims.Y-1), NZ: min(2, g.Dims.Z-1), Ghost: si % 2}
 				merged := shardedMerge(t, g, vals, spec, isos, enc)
-				got, err = contour.MarchingTetrahedraGeom(geom, merged, isos)
+				got, err = contour.MarchingTetrahedra(g, merged, isos)
 				check("dense kernel on the sharded merge", got, err)
 				sharded++
 			}
 		}
 	}
-	if triangles == 0 || sharded == 0 {
-		t.Fatalf("vacuous: %d reference triangles, %d sharded merges", triangles, sharded)
+	if triangles == 0 || sharded == 0 || postFiltered != cases {
+		t.Fatalf("vacuous: %d reference triangles, %d sharded merges, %d of %d cases post-filtered",
+			triangles, sharded, postFiltered, cases)
 	}
 }
 

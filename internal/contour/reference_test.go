@@ -16,10 +16,10 @@ import (
 // marchReference contours values over g with the reference walk: visit
 // every cell, gather its eight corners, skip it at the first NaN, and
 // deduplicate vertices through a map keyed by (edge, isovalue).
-func marchReference(g Geometry, values []float32, isovalues []float64) *Mesh {
+func marchReference(g *grid.Uniform, values []float32, isovalues []float64) *Mesh {
 	mesh := &Mesh{}
 	verts := make(map[uint64]int32)
-	dims := g.GridDims()
+	dims := g.Dims
 	nx, ny := dims.X, dims.Y
 	strideY := nx
 	strideZ := nx * ny

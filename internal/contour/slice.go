@@ -3,7 +3,6 @@ package contour
 import (
 	"fmt"
 
-	"vizndp/internal/bitset"
 	"vizndp/internal/grid"
 )
 
@@ -55,7 +54,7 @@ func validateSlice(g *grid.Uniform, values []float32, axis Axis, index int) erro
 	if err := g.Validate(); err != nil {
 		return err
 	}
-	if values != nil && len(values) != g.NumPoints() {
+	if len(values) != g.NumPoints() {
 		return fmt.Errorf("contour: %d values for %d grid points", len(values), g.NumPoints())
 	}
 	var limit int
@@ -117,36 +116,4 @@ func ExtractSlice(g *grid.Uniform, values []float32, axis Axis, index int) (*gri
 		}
 	}
 	return out2d, out, nil
-}
-
-// SelectSlicePoints marks exactly the points of the plane axis=index —
-// the split slice filter's storage-side selection.
-func SelectSlicePoints(g *grid.Uniform, axis Axis, index int) (*bitset.Bitset, error) {
-	if err := validateSlice(g, nil, axis, index); err != nil {
-		return nil, err
-	}
-	nx, ny, nz := g.Dims.X, g.Dims.Y, g.Dims.Z
-	strideY := nx
-	strideZ := nx * ny
-	mask := bitset.New(g.NumPoints())
-	switch axis {
-	case AxisZ:
-		for i := index * strideZ; i < (index+1)*strideZ; i++ {
-			mask.Set(i)
-		}
-	case AxisY:
-		for k := 0; k < nz; k++ {
-			base := k*strideZ + index*strideY
-			for i := 0; i < nx; i++ {
-				mask.Set(base + i)
-			}
-		}
-	case AxisX:
-		for k := 0; k < nz; k++ {
-			for j := 0; j < ny; j++ {
-				mask.Set(k*strideZ + j*strideY + index)
-			}
-		}
-	}
-	return mask, nil
 }

@@ -40,18 +40,11 @@ var squareCases = [16][][2]int{
 // isovalue. NaN cells are skipped, with the same semantics as the 3D
 // filter.
 func MarchingSquares(g *grid.Uniform, values []float32, isovalues []float64) (*LineSet, error) {
-	if err := validateInputs(g, values, isovalues); err != nil {
+	if err := validateMarch(g, values, isovalues); err != nil {
 		return nil, err
 	}
 	if !g.Is2D() {
 		return nil, fmt.Errorf("contour: grid %v is 3D; use MarchingTetrahedra", g.Dims)
-	}
-	if g.NumPoints() > maxPointsForKey {
-		return nil, fmt.Errorf("contour: grid of %d points exceeds the %d-point limit",
-			g.NumPoints(), maxPointsForKey)
-	}
-	if len(isovalues) > 255 {
-		return nil, fmt.Errorf("contour: %d isovalues exceeds the 255 limit", len(isovalues))
 	}
 
 	ls := &LineSet{}

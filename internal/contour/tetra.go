@@ -2,17 +2,16 @@ package contour
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"vizndp/internal/bitset"
 	"vizndp/internal/grid"
 )
 
-// maxPointsForKey bounds grid sizes so a (point, edge direction,
-// isovalue) edge key and a (cell, isovalue, corner mask) work-list entry
-// each pack into a uint64: 28 bits of point index and 8 bits of isovalue
-// index cover grids beyond the paper's 500^3.
+// maxPointsForKey bounds grid sizes so a marching-squares edge key (two
+// point indices, an isovalue index) and a (cell, isovalue, corner mask)
+// work-list entry each pack into a uint64: 28 bits of point index and 8
+// bits of isovalue index cover grids beyond the paper's 500^3.
 const maxPointsForKey = 1 << 28
 
 // kuhnTets lists the Kuhn 6-tetrahedron decomposition of the unit cube.
@@ -47,24 +46,6 @@ var cellTris = func() (t [256]uint8) {
 	return t
 }()
 
-// Geometry abstracts the grid types the contour filters accept: the
-// uniform grids of the paper's prototype and the rectilinear grids it
-// names as future work. Topology (x-fastest point indexing) is fixed;
-// only point placement varies.
-type Geometry interface {
-	// GridDims returns the per-axis point counts.
-	GridDims() grid.Dims
-	// PointPosition returns the world position of point (i,j,k).
-	PointPosition(i, j, k int) grid.Vec3
-	// Validate rejects unusable grids.
-	Validate() error
-}
-
-var (
-	_ Geometry = (*grid.Uniform)(nil)
-	_ Geometry = (*grid.Rectilinear)(nil)
-)
-
 // MarchingTetrahedra extracts the isosurfaces of values over g at each of
 // the given isovalues, returning a single indexed mesh. Points valued NaN
 // mark data withheld by the NDP pre-filter; cells touching them are
@@ -72,74 +53,54 @@ var (
 // below the isovalue, so flat regions exactly at an isovalue produce no
 // surface.
 func MarchingTetrahedra(g *grid.Uniform, values []float32, isovalues []float64) (*Mesh, error) {
-	if err := validateInputs(g, values, isovalues); err != nil {
+	if err := validate3D(g, values, isovalues); err != nil {
 		return nil, err
 	}
-	return MarchingTetrahedraGeom(g, values, isovalues)
+	return march(g, values, nonNaNBits(values), isovalues), nil
 }
 
-// validateMarchInputs performs the shared checks of the 3D filters and
-// returns the grid dims.
-func validateMarchInputs(g Geometry, values []float32, isovalues []float64) (grid.Dims, error) {
-	if err := g.Validate(); err != nil {
-		return grid.Dims{}, err
-	}
-	dims := g.GridDims()
-	if len(values) != dims.NumPoints() {
-		return dims, fmt.Errorf("contour: %d values for %d grid points",
-			len(values), dims.NumPoints())
-	}
-	if len(isovalues) == 0 {
-		return dims, fmt.Errorf("contour: no isovalues")
-	}
-	for _, v := range isovalues {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return dims, fmt.Errorf("contour: invalid isovalue %v", v)
-		}
-	}
-	if dims.NumPoints() > maxPointsForKey {
-		return dims, fmt.Errorf("contour: grid of %d points exceeds the %d-point limit",
-			dims.NumPoints(), maxPointsForKey)
-	}
-	if len(isovalues) > 255 {
-		return dims, fmt.Errorf("contour: %d isovalues exceeds the 255 limit", len(isovalues))
-	}
-	if dims.Z == 1 {
-		return dims, fmt.Errorf("contour: grid %v is 2D; use MarchingSquares", dims)
-	}
-	return dims, nil
-}
-
-// MarchingTetrahedraGeom is MarchingTetrahedra over any Geometry —
-// in particular rectilinear grids, whose NDP payloads are identical to
-// uniform ones (the pre-filter is purely topological) and only contour
-// geometrically differently on the client.
-func MarchingTetrahedraGeom(g Geometry, values []float32, isovalues []float64) (*Mesh, error) {
-	dims, err := validateMarchInputs(g, values, isovalues)
-	if err != nil {
-		return nil, err
-	}
-	mesh, _ := marchLayers(g, values, nonNaNBits(values), isovalues, 0, dims.Z-1, false)
-	return mesh, nil
-}
-
-// MarchingTetrahedraSparse is MarchingTetrahedraGeom for a field that is
+// MarchingTetrahedraSparse is MarchingTetrahedra for a field that is
 // known only at the points marked in present — the NDP payload's own
 // form. It contours the cells whose eight corners are all present and
 // reads values nowhere else, so the rest of values may hold anything; a
 // present point must not be NaN. The mesh equals the one
-// MarchingTetrahedraGeom builds from the same values with NaN at every
+// MarchingTetrahedra builds from the same values with NaN at every
 // absent point.
-func MarchingTetrahedraSparse(g Geometry, values []float32, present *bitset.Bitset, isovalues []float64) (*Mesh, error) {
-	dims, err := validateMarchInputs(g, values, isovalues)
-	if err != nil {
+func MarchingTetrahedraSparse(g *grid.Uniform, values []float32, present *bitset.Bitset, isovalues []float64) (*Mesh, error) {
+	if err := validate3D(g, values, isovalues); err != nil {
 		return nil, err
 	}
 	if present.Len() != len(values) {
 		return nil, fmt.Errorf("contour: presence of %d bits for %d values", present.Len(), len(values))
 	}
-	mesh, _ := marchLayers(g, values, present.Words(), isovalues, 0, dims.Z-1, false)
-	return mesh, nil
+	return march(g, values, present.Words(), isovalues), nil
+}
+
+// validate3D is validateMarch plus the 3D filters' own test.
+func validate3D(g *grid.Uniform, values []float32, isovalues []float64) error {
+	if err := validateMarch(g, values, isovalues); err != nil {
+		return err
+	}
+	if g.Is2D() {
+		return fmt.Errorf("contour: grid %v is 2D; use MarchingSquares", g.Dims)
+	}
+	return nil
+}
+
+// validateMarch is validateInputs plus the limits of the marching
+// filters' packed keys.
+func validateMarch(g *grid.Uniform, values []float32, isovalues []float64) error {
+	if err := validateInputs(g, values, isovalues); err != nil {
+		return err
+	}
+	if g.NumPoints() > maxPointsForKey {
+		return fmt.Errorf("contour: grid of %d points exceeds the %d-point limit",
+			g.NumPoints(), maxPointsForKey)
+	}
+	if len(isovalues) > 255 {
+		return fmt.Errorf("contour: %d isovalues exceeds the 255 limit", len(isovalues))
+	}
+	return nil
 }
 
 // nonNaNBits returns one bit per value, set where the value is not NaN.
@@ -174,19 +135,15 @@ func nonNaNBits(values []float32) []uint64 {
 // same — vertex for vertex — whether the absent points were never looked
 // at or were NaN in a dense array, and whatever the selection withheld.
 
-// marchLayers contours cell layers [k0, k1). With wantKeys it also
-// returns each vertex's edge key, for the slab merge of
-// MarchingTetrahedraParallel.
-func marchLayers(g Geometry, values []float32, present []uint64, isovalues []float64,
-	k0, k1 int, wantKeys bool) (*Mesh, []uint64) {
-
-	dims := g.GridDims()
-	cells, tris := straddlingCells(dims, values, present, isovalues, k0, k1)
+// march contours the cells of g whose corners are all present.
+func march(g *grid.Uniform, values []float32, present []uint64, isovalues []float64) *Mesh {
+	dims := g.Dims
+	cells, tris := straddlingCells(dims, values, present, isovalues)
 	if len(cells) == 0 {
-		return &Mesh{}, nil
+		return &Mesh{}
 	}
 	// A closed surface has half as many vertices as triangles; open
-	// borders (grid faces, withheld cells, slab ends) add a few more.
+	// borders (grid faces, withheld cells) add a few more.
 	verts := tris/2 + tris/8 + 16
 	m := marcher{
 		g: g, nx: dims.X, layer: dims.X * dims.Y,
@@ -194,11 +151,8 @@ func marchLayers(g Geometry, values []float32, present []uint64, isovalues []flo
 		mesh:  &Mesh{Vertices: make([]grid.Vec3, 0, verts), Tris: make([][3]int32, 0, tris)},
 		slots: make([][]int32, len(isovalues)),
 	}
-	if wantKeys {
-		m.keys = make([]uint64, 0, verts)
-	}
 	m.run(cells)
-	return m.mesh, m.keys
+	return m.mesh
 }
 
 // bitsAt returns the 64 bits of words starting at bit offset off.
@@ -211,21 +165,19 @@ func bitsAt(words []uint64, off int) uint64 {
 	return v
 }
 
-// straddlingCells lists, in k/j/i order, the cells of layers [k0, k1)
-// whose corners are all present and straddle an isovalue, one entry per
-// (cell, isovalue): the cell's first point index shifted left 16, the
-// isovalue's index shifted left 8, and the mask of corners inside. It
-// also returns the number of triangles those cells will emit.
-func straddlingCells(dims grid.Dims, values []float32, present []uint64, isovalues []float64,
-	k0, k1 int) (cells []uint64, tris int) {
-
+// straddlingCells lists, in k/j/i order, the cells whose corners are all
+// present and straddle an isovalue, one entry per (cell, isovalue): the
+// cell's first point index shifted left 16, the isovalue's index shifted
+// left 8, and the mask of corners inside. It also returns the number of
+// triangles those cells will emit.
+func straddlingCells(dims grid.Dims, values []float32, present []uint64, isovalues []float64) (cells []uint64, tris int) {
 	nx, ny := dims.X, dims.Y
 	layer := nx * ny
 	all4 := func(p int) uint64 {
 		return bitsAt(present, p) & bitsAt(present, p+nx) &
 			bitsAt(present, p+layer) & bitsAt(present, p+layer+nx)
 	}
-	for k := k0; k < k1; k++ {
+	for k := 0; k < dims.Z-1; k++ {
 		for j := 0; j < ny-1; j++ {
 			for i0 := 0; i0 < nx-1; i0 += 64 {
 				p := k*layer + j*nx + i0
@@ -273,12 +225,11 @@ func straddlingCells(dims grid.Dims, values []float32, present []uint64, isovalu
 
 // marcher emits the triangles of a work list into mesh.
 type marcher struct {
-	g         Geometry
+	g         *grid.Uniform
 	nx, layer int // points per row and per layer
 	values    []float32
 	isovalues []float64
 	mesh      *Mesh
-	keys      []uint64 // per vertex, when the caller wants them
 
 	// slots[q] maps the edges of isovalue q to vertices: one entry per
 	// (point of two rolling point layers, edge direction 1..7) holding
@@ -291,11 +242,10 @@ type marcher struct {
 	floor [2]int32
 
 	// The cell being marched.
-	val   [8]float64
-	pos   [8]grid.Vec3
-	point [8]int // global point index of each corner
-	slot  [8]int // index into slots[q] of each corner's direction-1 entry
-	k     int    // its cell layer
+	val  [8]float64
+	pos  [8]grid.Vec3
+	slot [8]int // index into slots[q] of each corner's direction-1 entry
+	k    int    // its cell layer
 }
 
 // run marches the work list, which must be in ascending cell order.
@@ -332,7 +282,6 @@ func (m *marcher) gather(c, i, j int) {
 	for b := 0; b < 8; b++ {
 		dx, dy, k := b&1, b>>1&1, m.k+b>>2
 		p := c + dx + dy*m.nx + (b>>2)*m.layer
-		m.point[b] = p
 		m.val[b] = float64(m.values[p])
 		m.pos[b] = m.g.PointPosition(i+dx, j+dy, k)
 		m.slot[b] = 7 * ((k&1)*m.layer + p - k*m.layer)
@@ -370,9 +319,6 @@ func (m *marcher) edgeVert(a, b, q int) int32 {
 	}
 	vi := int32(len(m.mesh.Vertices))
 	m.mesh.Vertices = append(m.mesh.Vertices, pa.Add(pb.Sub(pa).Scale(t)))
-	if m.keys != nil {
-		m.keys = append(m.keys, uint64(m.point[a])<<11|uint64(b^a)<<8|uint64(q))
-	}
 	*entry = vi + 1
 	return vi
 }

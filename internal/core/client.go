@@ -160,10 +160,7 @@ type ArrayDesc struct {
 
 // Description is the remote dataset's metadata.
 type Description struct {
-	Grid *grid.Uniform
-	// Rect carries explicit coordinates when the remote file stores a
-	// rectilinear grid; nil for uniform files.
-	Rect   *grid.Rectilinear
+	Grid   *grid.Uniform
 	Arrays []ArrayDesc
 }
 
@@ -197,18 +194,6 @@ func (c *Client) DescribeContext(ctx context.Context, path string) (*Description
 		return nil, fmt.Errorf("core: describe %w", err)
 	}
 	d := &Description{Grid: g}
-	if _, hasRect := m["coordsX"]; hasRect {
-		var c [3][]float64
-		for i, key := range [3]string{"coordsX", "coordsY", "coordsZ"} {
-			if c[i], err = floatSlice(m[key]); err != nil {
-				return nil, fmt.Errorf("core: describe %s: %w", key, err)
-			}
-		}
-		d.Rect = grid.NewRectilinear(c[0], c[1], c[2])
-		if err := d.Rect.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	arrays, _ := m["arrays"].([]any)
 	for _, a := range arrays {
 		am, ok := a.(map[string]any)

@@ -97,6 +97,40 @@ func TestNDPDescribe(t *testing.T) {
 	}
 }
 
+// replyCaller answers every call with one fixed reply.
+type replyCaller struct{ reply any }
+
+func (r replyCaller) CallContext(context.Context, string, ...any) (any, error) { return r.reply, nil }
+func (replyCaller) Close() error                                               { return nil }
+
+// TestNDPDescribeIgnoresCoords pins how a describe reply from a server
+// that still ships rectilinear coordinates (keys "coords" + X/Y/Z) reads
+// now: those keys are ignored, even unsorted ones, and the grid is the
+// uniform one the reply's dims, origin and spacing describe.
+func TestNDPDescribeIgnoresCoords(t *testing.T) {
+	reply := map[string]any{
+		"dims":    []any{int64(2), int64(3), int64(4)},
+		"origin":  []any{0.5, 0.0, -1.0},
+		"spacing": []any{1.0, 2.0, 0.25},
+		"arrays":  []any{map[string]any{"name": "d", "codec": "raw", "comp": int64(96), "raw": int64(96)}},
+	}
+	for _, axis := range []string{"X", "Y", "Z"} {
+		reply["coords"+axis] = []any{2.0, 1.0}
+	}
+	desc, err := (&Client{rpc: replyCaller{reply}}).Describe("run/ts0.vnd")
+	if err != nil {
+		t.Fatalf("a reply carrying coordinates was rejected: %v", err)
+	}
+	want := &grid.Uniform{Dims: grid.Dims{X: 2, Y: 3, Z: 4},
+		Origin: grid.Vec3{X: 0.5, Z: -1}, Spacing: grid.Vec3{X: 1, Y: 2, Z: 0.25}}
+	if !desc.Grid.Equal(want) {
+		t.Errorf("grid = %+v, want %+v", desc.Grid, want)
+	}
+	if d := desc.Array("d"); d == nil || d.RawSize != 96 {
+		t.Errorf("array d = %+v", d)
+	}
+}
+
 func TestNDPDescribeMissing(t *testing.T) {
 	client, _ := startNDP(t, compress.None)
 	if _, err := client.Describe("run/missing.vnd"); err == nil {
@@ -290,81 +324,6 @@ func TestThresholdPipelineOverNDP(t *testing.T) {
 	}
 	if !out.(*contour.CellSet).Equal(want) {
 		t.Error("pipeline threshold over NDP differs from full-array result")
-	}
-}
-
-func TestNDPRectilinearFlow(t *testing.T) {
-	// The rectilinear extension end to end: a warped-grid file on the
-	// storage node; the client fetches the (topological) payload, learns
-	// the coordinates from Describe, and produces the exact contour.
-	n := 20
-	coords := make([]float64, n)
-	for i := range coords {
-		u := float64(i) / float64(n-1)
-		coords[i] = u + 0.5*u*u
-	}
-	rect := grid.NewRectilinear(coords, coords, coords)
-	topo := grid.NewUniform(n, n, n)
-	ds := grid.NewDataset(topo)
-	f := grid.NewField("d", topo.NumPoints())
-	c := rect.PointPosition(n/2, n/2, n/2)
-	for k := 0; k < n; k++ {
-		for j := 0; j < n; j++ {
-			for i := 0; i < n; i++ {
-				f.Values[topo.PointIndex(i, j, k)] =
-					float32(rect.PointPosition(i, j, k).Sub(c).Norm())
-			}
-		}
-	}
-	ds.MustAddField(f)
-
-	dir := t.TempDir()
-	path := filepath.Join(dir, "rect.vnd")
-	if err := vtkio.WriteFile(path, ds, vtkio.WriteOptions{
-		Codec: compress.LZ4, Rect: rect,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(os.DirFS(dir))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer srv.Close()
-	client, err := Dial(ln.Addr().String(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	desc, err := client.Describe("rect.vnd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if desc.Rect == nil {
-		t.Fatal("describe did not carry rectilinear coords")
-	}
-	isos := []float64{0.4}
-	payload, _, err := client.FetchFiltered("rect.vnd", "d", isos, EncAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals, err := payload.Reconstruct()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := contour.MarchingTetrahedraGeom(desc.Rect, vals, isos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := contour.MarchingTetrahedraGeom(rect, f.Values, isos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("remote rect contour differs: %d vs %d tris",
-			got.NumTriangles(), want.NumTriangles())
 	}
 }
 

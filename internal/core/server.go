@@ -286,29 +286,12 @@ func (s *Server) handleDescribe(ctx context.Context, args []any) (any, error) {
 			"raw":   a.RawSize(),
 		})
 	}
-	out := map[string]any{
+	return map[string]any{
 		"dims":    []any{int64(h.Dims[0]), int64(h.Dims[1]), int64(h.Dims[2])},
 		"origin":  []any{h.Origin[0], h.Origin[1], h.Origin[2]},
 		"spacing": []any{h.Spacing[0], h.Spacing[1], h.Spacing[2]},
 		"arrays":  arrays,
-	}
-	// Rectilinear files ship their (small) per-axis coordinate arrays so
-	// the client can contour with the true geometry; payload fetches are
-	// unaffected, being purely topological.
-	if rect := h.RectGrid(); rect != nil {
-		out["coordsX"] = floatsToAny(rect.X)
-		out["coordsY"] = floatsToAny(rect.Y)
-		out["coordsZ"] = floatsToAny(rect.Z)
-	}
-	return out, nil
-}
-
-func floatsToAny(v []float64) []any {
-	out := make([]any, len(v))
-	for i, f := range v {
-		out[i] = f
-	}
-	return out
+	}, nil
 }
 
 // fileVersion is the version probe: one stat of path, whatever the

@@ -84,9 +84,6 @@ func fnvSum(s string) uint64 {
 	return h.Sum64()
 }
 
-// Shards returns the router's shard count.
-func (r *ShardRouter) Shards() int { return r.n }
-
 // Pick returns the shard index for one manifest entry: the entry's own
 // assignment when it names a valid shard, the hash ring otherwise.
 func (r *ShardRouter) Pick(e vtkio.ManifestBrick) int {

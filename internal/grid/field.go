@@ -3,7 +3,6 @@ package grid
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Field is a named scalar array over the points of a grid. Values are
@@ -116,12 +115,4 @@ func (d *Dataset) Select(names ...string) (*Dataset, error) {
 		}
 	}
 	return out, nil
-}
-
-// SortedFieldNames returns field names in lexical order; useful for
-// deterministic serialization tests.
-func (d *Dataset) SortedFieldNames() []string {
-	out := d.FieldNames()
-	sort.Strings(out)
-	return out
 }

@@ -107,14 +107,6 @@ func (g *Uniform) PointIndex(i, j, k int) int {
 	return (k*g.Dims.Y+j)*g.Dims.X + i
 }
 
-// PointCoords is the inverse of PointIndex.
-func (g *Uniform) PointCoords(idx int) (i, j, k int) {
-	i = idx % g.Dims.X
-	j = (idx / g.Dims.X) % g.Dims.Y
-	k = idx / (g.Dims.X * g.Dims.Y)
-	return
-}
-
 // PointPosition returns the world-space position of point (i,j,k).
 func (g *Uniform) PointPosition(i, j, k int) Vec3 {
 	return Vec3{

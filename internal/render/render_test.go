@@ -126,48 +126,6 @@ func TestRenderTwoLayers(t *testing.T) {
 	}
 }
 
-func TestRenderLines(t *testing.T) {
-	g := grid.NewUniform(32, 32, 1)
-	vals := make([]float32, g.NumPoints())
-	for j := 0; j < 32; j++ {
-		for i := 0; i < 32; i++ {
-			dx, dy := float64(i)-15.5, float64(j)-15.5
-			vals[g.PointIndex(i, j, 0)] = float32(math.Sqrt(dx*dx + dy*dy))
-		}
-	}
-	ls, err := contour.MarchingSquares(g, vals, []float64{10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := Lines(ls, color.RGBA{G: 255, A: 255}, Options{Width: 64, Height: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bg := Options{}.withDefaults().Background
-	drawn := 0
-	for y := 0; y < 64; y++ {
-		for x := 0; x < 64; x++ {
-			if img.RGBAAt(x, y) != bg {
-				drawn++
-			}
-		}
-	}
-	if drawn < 50 {
-		t.Errorf("only %d line pixels drawn", drawn)
-	}
-	// The circle's own centre stays background.
-	if img.RGBAAt(32, 32) != bg {
-		t.Error("circle interior filled; want outline only")
-	}
-}
-
-func TestRenderEmptyLines(t *testing.T) {
-	img, err := Lines(&contour.LineSet{}, color.RGBA{G: 255, A: 255}, Options{Width: 16, Height: 16})
-	if err != nil || img == nil {
-		t.Fatalf("empty line set: %v", err)
-	}
-}
-
 func TestSavePNG(t *testing.T) {
 	m := sphereMesh(t, 16, 5)
 	img, err := Mesh(m, color.RGBA{R: 200, G: 100, B: 50, A: 255}, Options{Width: 48, Height: 48})

@@ -102,26 +102,11 @@ type Header struct {
 	Origin  [3]float64  `json:"origin"`
 	Spacing [3]float64  `json:"spacing"`
 	Arrays  []ArrayInfo `json:"arrays"`
-	// CoordsX/Y/Z hold explicit per-axis coordinates for rectilinear
-	// grids (the paper's future-work grid type); empty for uniform grids.
-	CoordsX []float64 `json:"coordsX,omitempty"`
-	CoordsY []float64 `json:"coordsY,omitempty"`
-	CoordsZ []float64 `json:"coordsZ,omitempty"`
 	// Checksums points at the optional trailing page-CRC section (see
 	// checksum.go). Readers that predate it unmarshal the header without
 	// this field and skip verification — the section sits after the last
 	// array block, outside every extent they read.
 	Checksums *ChecksumInfo `json:"checksums,omitempty"`
-}
-
-// RectGrid returns the stored rectilinear geometry, or nil for uniform
-// files. Topology (dims, point order) is identical either way, so NDP
-// payloads do not depend on which one a file carries.
-func (h *Header) RectGrid() *grid.Rectilinear {
-	if len(h.CoordsX) == 0 {
-		return nil
-	}
-	return grid.NewRectilinear(h.CoordsX, h.CoordsY, h.CoordsZ)
 }
 
 // Grid reconstructs the grid described by the header.
@@ -181,9 +166,6 @@ type WriteOptions struct {
 	// quantizing codec instead of Codec: every value is reproduced within
 	// +/- LossyBound. Chunk sizes stay float32-aligned automatically.
 	LossyBound float64
-	// Rect, when non-nil, records explicit rectilinear coordinates for
-	// the dataset's topology (its dims must match the dataset grid's).
-	Rect *grid.Rectilinear
 	// Checksum appends the page-CRC32C section and points the header at
 	// it; readers then verify every array read (see checksum.go).
 	Checksum bool
@@ -222,18 +204,6 @@ func Write(w io.Writer, ds *grid.Dataset, opts WriteOptions) error {
 		Dims:    [3]int{ds.Grid.Dims.X, ds.Grid.Dims.Y, ds.Grid.Dims.Z},
 		Origin:  [3]float64{ds.Grid.Origin.X, ds.Grid.Origin.Y, ds.Grid.Origin.Z},
 		Spacing: [3]float64{ds.Grid.Spacing.X, ds.Grid.Spacing.Y, ds.Grid.Spacing.Z},
-	}
-	if opts.Rect != nil {
-		if err := opts.Rect.Validate(); err != nil {
-			return err
-		}
-		if opts.Rect.GridDims() != ds.Grid.Dims {
-			return fmt.Errorf("vtkio: rectilinear dims %v do not match dataset dims %v",
-				opts.Rect.GridDims(), ds.Grid.Dims)
-		}
-		h.CoordsX = opts.Rect.X
-		h.CoordsY = opts.Rect.Y
-		h.CoordsZ = opts.Rect.Z
 	}
 
 	type block struct {
@@ -451,15 +421,6 @@ func ReadMeta(src io.ReaderAt) (*Meta, error) {
 	}
 	if err := m.header.Grid().Validate(); err != nil {
 		return nil, err
-	}
-	if rect := m.header.RectGrid(); rect != nil {
-		if err := rect.Validate(); err != nil {
-			return nil, err
-		}
-		if rect.GridDims() != m.header.Grid().Dims {
-			return nil, fmt.Errorf("vtkio: rectilinear dims %v do not match grid dims %v",
-				rect.GridDims(), m.header.Grid().Dims)
-		}
 	}
 	// Validate array extents up front: readArray sizes buffers and slices
 	// from these fields, so a corrupt header with negative values must be

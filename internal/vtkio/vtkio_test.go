@@ -2,6 +2,8 @@ package vtkio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"os"
@@ -350,55 +352,46 @@ func TestLossyBoundValidation(t *testing.T) {
 	}
 }
 
-func TestRectilinearRoundTrip(t *testing.T) {
-	ds := makeDataset(6, 5, 4)
-	rect := grid.NewRectilinear(
-		[]float64{0, 1, 2.5, 3, 7, 8},
-		[]float64{0, 0.5, 1, 4, 5},
-		[]float64{-1, 0, 2, 3},
-	)
-	r := roundTripDataset(t, ds, WriteOptions{Codec: compress.LZ4, Rect: rect})
-	got := r.Header().RectGrid()
-	if got == nil {
-		t.Fatal("coords not stored")
+// TestCoordsHeaderReadsAsUniform pins how a file from a writer that
+// stored rectilinear coordinates (header keys "coords" + X/Y/Z) reads
+// now: those keys are ignored, even unsorted ones, and the grid is the
+// uniform one the header's dims, origin and spacing describe.
+func TestCoordsHeaderReadsAsUniform(t *testing.T) {
+	data := FloatsToBytes([]float32{1, 2, 3, 4, 5, 6, 7, 8})
+	h := map[string]any{
+		"dims":    []int{2, 2, 2},
+		"origin":  []float64{0, 0, 0},
+		"spacing": []float64{1, 1, 1},
 	}
-	for i := range rect.X {
-		if got.X[i] != rect.X[i] {
-			t.Fatalf("X[%d] = %v, want %v", i, got.X[i], rect.X[i])
+	for _, axis := range []string{"X", "Y", "Z"} {
+		h["coords"+axis] = []float64{1, 0}
+	}
+	var enc []byte
+	for hlen := -1; len(enc) != hlen; {
+		hlen = len(enc)
+		h["arrays"] = []ArrayInfo{{Name: "v02", Codec: "none", Offset: int64(len(Magic) + 4 + hlen),
+			Chunks: []ChunkInfo{{Comp: len(data), Raw: len(data)}}}}
+		var err error
+		if enc, err = json.Marshal(h); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Values round trip unchanged.
+	file := binary.BigEndian.AppendUint32([]byte(Magic), uint32(len(enc)))
+	file = append(append(file, enc...), data...)
+
+	r, err := OpenReader(bytes.NewReader(file))
+	if err != nil {
+		t.Fatalf("a header carrying coordinates was rejected: %v", err)
+	}
+	if g := r.Header().Grid(); !g.Equal(grid.NewUniform(2, 2, 2)) {
+		t.Errorf("grid = %+v, want the uniform 2x2x2 grid", g)
+	}
 	f, err := r.ReadArray("v02")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ds.Field("v02").Values
-	for i := range want {
-		if f.Values[i] != want[i] {
-			t.Fatalf("value %d mismatch", i)
-		}
-	}
-	// Uniform files report no rect grid.
-	r2 := roundTripDataset(t, ds, WriteOptions{Codec: compress.LZ4})
-	if r2.Header().RectGrid() != nil {
-		t.Error("uniform file reports rect coords")
-	}
-}
-
-func TestRectilinearDimsMismatch(t *testing.T) {
-	ds := makeDataset(6, 5, 4)
-	rect := grid.NewRectilinear([]float64{0, 1}, []float64{0, 1}, []float64{0, 1})
-	var buf bytes.Buffer
-	if err := Write(&buf, ds, WriteOptions{Rect: rect}); err == nil {
-		t.Error("mismatched rect dims accepted")
-	}
-	bad := grid.NewRectilinear(
-		[]float64{0, 1, 2, 3, 4, 4}, // not increasing
-		[]float64{0, 1, 2, 3, 4},
-		[]float64{0, 1, 2, 3},
-	)
-	if err := Write(&buf, ds, WriteOptions{Rect: bad}); err == nil {
-		t.Error("non-monotone coords accepted")
+	if f.Values[7] != 8 {
+		t.Errorf("values = %v", f.Values)
 	}
 }
 
