@@ -122,55 +122,46 @@ func SelectRangeCorners(g *grid.Uniform, values []float32, lo, hi float64) (*bit
 		return nil, err
 	}
 	nx, ny, nz := g.Dims.X, g.Dims.Y, g.Dims.Z
-	strideY := nx
-	strideZ := nx * ny
-	n := g.NumPoints()
 
-	// Classify points once, then sweep cells, like the contour fast path.
-	in := make([]bool, n)
-	parallelRange(n, func(lo2, hi2 int) {
-		for i := lo2; i < hi2; i++ {
-			in[i] = inRange(values[i], lo, hi)
+	// Classify points into bit rows (bit i set when point i of the row is
+	// in range, never for NaN), then sweep cells 64 per word as
+	// selectCellCornersBits does: a cell is kept where the OR of its
+	// corner rows, paired along x with its one-bit shift, is set.
+	in := newBitRows(nx, ny*nz)
+	parallelRange(ny*nz, func(r0, r1 int) {
+		for r := r0; r < r1; r++ {
+			b := in.row(r)
+			for i, v := range values[r*nx : (r+1)*nx] {
+				if f := float64(v); f >= lo && f <= hi {
+					b[i>>6] |= 1 << (i & 63)
+				}
+			}
 		}
 	})
 
+	// A 2-D grid has one cell layer whose corners all lie in point layer
+	// 0, so its far corner rows repeat the near ones.
+	layers, dk := nz-1, 1
 	if g.Is2D() {
-		mask := bitset.New(n)
-		for j := 0; j < ny-1; j++ {
-			for i := 0; i < nx-1; i++ {
-				idx := j*strideY + i
-				if in[idx] || in[idx+1] || in[idx+strideY] || in[idx+strideY+1] {
-					mask.Set(idx)
-					mask.Set(idx + 1)
-					mask.Set(idx + strideY)
-					mask.Set(idx + strideY + 1)
-				}
-			}
-		}
-		return mask, nil
+		layers, dk = 1, 0
 	}
-
-	return parallelSlabs(nz-1, n, func(k0, k1 int, local *bitset.Bitset) {
-		for k := k0; k < k1; k++ {
-			for j := 0; j < ny-1; j++ {
-				base := k*strideZ + j*strideY
-				for i := 0; i < nx-1; i++ {
-					idx := base + i
-					if in[idx] || in[idx+1] ||
-						in[idx+strideY] || in[idx+strideY+1] ||
-						in[idx+strideZ] || in[idx+strideZ+1] ||
-						in[idx+strideZ+strideY] || in[idx+strideZ+strideY+1] {
-						local.Set(idx)
-						local.Set(idx + 1)
-						local.Set(idx + strideY)
-						local.Set(idx + strideY + 1)
-						local.Set(idx + strideZ)
-						local.Set(idx + strideZ + 1)
-						local.Set(idx + strideZ + strideY)
-						local.Set(idx + strideZ + strideY + 1)
-					}
-				}
+	mask := bitset.New(g.NumPoints())
+	cells := make([]uint64, in.wordsPer)
+	shifted := make([]uint64, in.wordsPer)
+	corners := make([]uint64, in.wordsPer)
+	for k := 0; k < layers; k++ {
+		for j := 0; j < ny-1; j++ {
+			rows := [4]int{k*ny + j, k*ny + j + 1, (k+dk)*ny + j, (k+dk)*ny + j + 1}
+			r00, r10, r01, r11 := in.row(rows[0]), in.row(rows[1]), in.row(rows[2]), in.row(rows[3])
+			for w := range cells {
+				cells[w] = r00[w] | r10[w] | r01[w] | r11[w]
 			}
+			shiftRight1(shifted, cells)
+			for w := range cells {
+				cells[w] |= shifted[w]
+			}
+			markCellCorners(mask.Words(), cells, corners, nx, rows)
 		}
-	}), nil
+	}
+	return mask, nil
 }

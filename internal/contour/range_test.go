@@ -3,8 +3,10 @@ package contour
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"vizndp/internal/bitset"
 	"vizndp/internal/grid"
 )
 
@@ -183,6 +185,107 @@ func TestSelectRangeCornersSuperset(t *testing.T) {
 			dx, dy, dz := c&1, (c>>1)&1, (c>>2)&1
 			if !mask.Get(g.PointIndex(i+dx, j+dy, k+dz)) {
 				t.Fatalf("cell %d corner (%d,%d,%d) not selected", id, i+dx, j+dy, k+dz)
+			}
+		}
+	}
+}
+
+// selectRangeReference is the per-cell scan SelectRangeCorners ran before
+// the bit-row sweep replaced it: classify every point into a []bool,
+// then test each cell's corners and set all of them when one is in
+// range. It stays as the oracle the sweep is held to.
+func selectRangeReference(g *grid.Uniform, values []float32, lo, hi float64) *bitset.Bitset {
+	nx, ny, nz := g.Dims.X, g.Dims.Y, g.Dims.Z
+	strideY := nx
+	strideZ := nx * ny
+	n := g.NumPoints()
+
+	in := make([]bool, n)
+	for i := range in {
+		in[i] = inRange(values[i], lo, hi)
+	}
+
+	if g.Is2D() {
+		mask := bitset.New(n)
+		for j := 0; j < ny-1; j++ {
+			for i := 0; i < nx-1; i++ {
+				idx := j*strideY + i
+				if in[idx] || in[idx+1] || in[idx+strideY] || in[idx+strideY+1] {
+					mask.Set(idx)
+					mask.Set(idx + 1)
+					mask.Set(idx + strideY)
+					mask.Set(idx + strideY + 1)
+				}
+			}
+		}
+		return mask
+	}
+
+	return parallelSlabs(nz-1, n, func(k0, k1 int, local *bitset.Bitset) {
+		for k := k0; k < k1; k++ {
+			for j := 0; j < ny-1; j++ {
+				base := k*strideZ + j*strideY
+				for i := 0; i < nx-1; i++ {
+					idx := base + i
+					if in[idx] || in[idx+1] ||
+						in[idx+strideY] || in[idx+strideY+1] ||
+						in[idx+strideZ] || in[idx+strideZ+1] ||
+						in[idx+strideZ+strideY] || in[idx+strideZ+strideY+1] {
+						local.Set(idx)
+						local.Set(idx + 1)
+						local.Set(idx + strideY)
+						local.Set(idx + strideY + 1)
+						local.Set(idx + strideZ)
+						local.Set(idx + strideZ + 1)
+						local.Set(idx + strideZ + strideY)
+						local.Set(idx + strideZ + strideY + 1)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestSelectRangeCornersMatchesReference requires the bit-row sweep's
+// mask to equal the reference scan's word for word, across row widths on
+// both sides of a word boundary (and rows of one point, which have no
+// cells), 2-D and degenerate grids, fields holding NaN, ±Inf and values
+// exactly at either bound, and a range with lo == hi.
+func TestSelectRangeCornersMatchesReference(t *testing.T) {
+	inf := math.Inf(1)
+	ranges := [][2]float64{{0.25, 0.75}, {0.5, 0.5}, {-inf, 0}, {1, inf}, {-inf, inf}}
+	rng := rand.New(rand.NewSource(1))
+	for _, nx := range []int{1, 2, 3, 63, 64, 65, 130} {
+		for _, dims := range [][2]int{{5, 4}, {4, 1}, {1, 3}, {2, 2}} {
+			g := grid.NewUniform(nx, dims[0], dims[1])
+			for _, r := range ranges {
+				lo, hi := r[0], r[1]
+				vals := make([]float32, g.NumPoints())
+				for i := range vals {
+					switch rng.Intn(20) {
+					case 0:
+						vals[i] = float32(math.NaN())
+					case 1:
+						vals[i] = float32(inf)
+					case 2:
+						vals[i] = float32(-inf)
+					case 3:
+						vals[i] = float32(lo)
+					case 4:
+						vals[i] = float32(hi)
+					default:
+						vals[i] = rng.Float32()*3 - 1
+					}
+				}
+				got, err := SelectRangeCorners(g, vals, lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := selectRangeReference(g, vals, lo, hi)
+				if !slices.Equal(got.Words(), want.Words()) {
+					t.Fatalf("%v [%v, %v]: %d points selected, reference %d",
+						g.Dims, lo, hi, got.Count(), want.Count())
+				}
 			}
 		}
 	}

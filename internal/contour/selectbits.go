@@ -118,36 +118,38 @@ func selectCellCornersBits(g *grid.Uniform, values []float32, iso float64, mask 
 				for w := 0; w < wp; w++ {
 					straddle[w] &^= rowNaN[w] | shifted[w] // no NaN corner
 				}
-				// Clear the phantom cell at i = nx-1.
-				last := nx - 1
-				straddle[last>>6] &^= 1 << (last & 63)
-
-				// Any straddling cells in this row?
-				anyBits := uint64(0)
-				for w := 0; w < wp; w++ {
-					anyBits |= straddle[w]
-				}
-				if anyBits == 0 {
-					continue
-				}
-				// Expand straddle bits to corner points: bit i selects
-				// points i and i+1 in each of the four rows.
-				for w := 0; w < wp; w++ {
-					v := straddle[w] | straddle[w]<<1
-					if w > 0 {
-						v |= straddle[w-1] >> 63
-					}
-					corners[w] = v
-				}
-				// OR the corner row into the four point rows of the mask.
-				for _, row := range [4]int{
-					k*ny + j, k*ny + j + 1, (k+1)*ny + j, (k+1)*ny + j + 1,
-				} {
-					orAligned(maskWords, row*nx, corners, nx)
-				}
+				markCellCorners(maskWords, straddle, corners, nx,
+					[4]int{k*ny + j, k*ny + j + 1, (k+1)*ny + j, (k+1)*ny + j + 1})
 			}
 		}
 	})
+}
+
+// markCellCorners selects, in each of the four point rows, both x-corners
+// of every cell whose bit is set in cells (bit i is the cell between
+// points i and i+1), using corners as scratch. Bit nx-1 of cells pairs
+// the last point with nothing, so it is cleared first.
+func markCellCorners(mask, cells, corners []uint64, nx int, rows [4]int) {
+	last := nx - 1
+	cells[last>>6] &^= 1 << (last & 63)
+	anyBits := uint64(0)
+	for _, c := range cells {
+		anyBits |= c
+	}
+	if anyBits == 0 {
+		return
+	}
+	// Bit i selects points i and i+1.
+	for w := range cells {
+		v := cells[w] | cells[w]<<1
+		if w > 0 {
+			v |= cells[w-1] >> 63
+		}
+		corners[w] = v
+	}
+	for _, row := range rows {
+		orAligned(mask, row*nx, corners, nx)
+	}
 }
 
 // orAligned ORs the first nbits of src into dst starting at dst bit
