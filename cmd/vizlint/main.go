@@ -1,36 +1,28 @@
-// Command vizlint runs the repo's static-analysis suite: repo-specific
-// invariants (lock/channel and span discipline, goroutine termination,
-// context threading, Closer lifecycle, panic-free request serving,
-// bit-exact float comparisons, %w error wrapping) machine-checked over
-// every package in the module.
+// Command vizlint runs the repo's static-analysis suite over every
+// package in the module: lock and channel discipline (lockhold), Closer
+// lifecycle (closepath), bit-exact float comparisons (floateq) and %w
+// error wrapping (errwrap).
 //
 // Usage:
 //
 //	go run ./cmd/vizlint ./...
-//	go run ./cmd/vizlint -run lockhold,spanend ./internal/rpc
-//	go run ./cmd/vizlint -strict-ignores ./...
-//	go run ./cmd/vizlint -json ./...
 //	go run ./cmd/vizlint -list
 //
 // Exit status: 0 when clean, 1 when findings were reported, 2 on usage
-// or load errors. Findings print as file:line:col: analyzer: message,
-// or with -json as one NDJSON object per line. Suppress a finding at
-// its line with a mandatory-reason directive:
+// or load errors. Findings print as file:line:col: analyzer: message.
+// Suppress a finding at its line with a mandatory-reason directive:
 //
 //	// vizlint:ignore <analyzer> <reason>
 //
-// -strict-ignores additionally reports directives that no longer
-// suppress anything; it requires the full suite (no -run subset), since
-// a directive for an analyzer that did not run cannot be judged stale.
+// A directive that suppresses nothing, or that names an analyzer the
+// suite does not have, is itself a finding.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"vizndp/internal/analysis"
 )
@@ -39,29 +31,13 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// jsonFinding is the -json wire form: one object per line, fields
-// matching the GitHub Actions problem matcher in
-// .github/vizlint-problem-matcher.json.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("vizlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list analyzers and exit")
-	runNames := fs.String("run", "", "comma-separated analyzers to run (default: all)")
-	jsonOut := fs.Bool("json", false, "emit findings as NDJSON (one object per line)")
-	strictIgnores := fs.Bool("strict-ignores", false,
-		"report ignore directives that no longer suppress anything (requires the full suite)")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: vizlint [-list] [-run analyzers] [-json] [-strict-ignores] [packages]")
+		fmt.Fprintln(stderr, "usage: vizlint [-list] [packages]")
 		fs.PrintDefaults()
-		fmt.Fprintf(stderr, "analyzers: %s\n", strings.Join(analysis.AllNames(), ", "))
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -73,15 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "%-12s %s\n", analysis.TypecheckName,
 			"parse and type-check errors (always on)")
 		return 0
-	}
-	if *strictIgnores && *runNames != "" {
-		fmt.Fprintln(stderr, "vizlint: -strict-ignores requires the full analyzer suite; drop -run")
-		return 2
-	}
-	analyzers, err := analysis.ByName(*runNames)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
 	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
@@ -97,29 +64,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	var findings []analysis.Finding
-	if *strictIgnores {
-		findings = analysis.AnalyzePackagesStrict(pkgs, analyzers)
-	} else {
-		findings = analysis.AnalyzePackages(pkgs, analyzers)
-	}
+	findings := analysis.Analyze(pkgs, analysis.All())
 	for _, f := range findings {
-		if *jsonOut {
-			enc, err := json.Marshal(jsonFinding{
-				File:     f.Pos.Filename,
-				Line:     f.Pos.Line,
-				Col:      f.Pos.Column,
-				Analyzer: f.Analyzer,
-				Message:  f.Message,
-			})
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 2
-			}
-			fmt.Fprintln(stdout, string(enc))
-		} else {
-			fmt.Fprintln(stdout, f)
-		}
+		fmt.Fprintln(stdout, f)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "vizlint: %d finding(s) in %d package(s)\n",

@@ -2,11 +2,8 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
-
-	"vizndp/internal/analysis"
 )
 
 // testdata points at the analysis package's fixture tree; go list
@@ -26,86 +23,40 @@ func TestList(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
-	for _, name := range []string{"lockhold", "blockinglock", "spanend", "closepath",
-		"goroleak", "ctxflow", "nopanic", "floateq", "errwrap", "typecheck"} {
+	for _, name := range []string{"lockhold", "closepath", "floateq", "errwrap", "typecheck"} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing %q:\n%s", name, stdout)
 		}
 	}
-}
-
-func TestUnknownAnalyzer(t *testing.T) {
-	code, _, stderr := runVizlint(t, "-run", "nosuch", ".")
-	if code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "nosuch") {
-		t.Errorf("stderr does not name the unknown analyzer: %s", stderr)
-	}
-	// The error must teach, not just reject: every valid name appears so
-	// the user can correct a typo without opening the source.
-	for _, name := range analysis.AllNames() {
-		if !strings.Contains(stderr, name) {
-			t.Errorf("stderr valid-name list missing %q: %s", name, stderr)
+	for _, name := range []string{"blockinglock", "spanend", "goroleak", "ctxflow", "nopanic"} {
+		if strings.Contains(stdout, name) {
+			t.Errorf("-list output names deleted analyzer %q:\n%s", name, stdout)
 		}
 	}
 }
 
-// TestJSONOutput pins the NDJSON shape the problem matcher and any
-// downstream tooling depend on: one self-contained object per line.
-func TestJSONOutput(t *testing.T) {
-	code, stdout, _ := runVizlint(t, "-json", testdata+"/floateq/bad")
+// TestUnknownAnalyzer proves a directive naming an analyzer the suite
+// does not have, such as a deleted one, is reported rather than left
+// to suppress nothing silently.
+func TestUnknownAnalyzer(t *testing.T) {
+	code, stdout, _ := runVizlint(t, testdata+"/directive/bad")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
-	lines := strings.Split(strings.TrimRight(stdout, "\n"), "\n")
-	if len(lines) == 0 {
-		t.Fatal("no NDJSON lines emitted")
-	}
-	for _, line := range lines {
-		var f struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Col      int    `json:"col"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		}
-		if err := json.Unmarshal([]byte(line), &f); err != nil {
-			t.Fatalf("line is not valid JSON: %q: %v", line, err)
-		}
-		if f.File == "" || f.Line == 0 || f.Col == 0 || f.Analyzer == "" || f.Message == "" {
-			t.Errorf("NDJSON object has empty fields: %q", line)
-		}
-	}
-}
-
-// TestStrictIgnoresRejectsRun: staleness of a directive can only be
-// judged when its analyzer actually ran, so -strict-ignores with a
-// -run subset is a usage error.
-func TestStrictIgnoresRejectsRun(t *testing.T) {
-	code, _, stderr := runVizlint(t, "-strict-ignores", "-run", "floateq", ".")
-	if code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "-strict-ignores") {
-		t.Errorf("stderr does not explain the conflict: %s", stderr)
+	if !strings.Contains(stdout, `ignore directive names unknown analyzer "ctxflow"`) {
+		t.Errorf("directive naming a deleted analyzer not reported:\n%s", stdout)
 	}
 }
 
 // TestStrictIgnoresStale proves a directive that suppresses nothing is
-// itself reported in strict mode.
+// itself reported; stale-directive checking is how vizlint always runs.
 func TestStrictIgnoresStale(t *testing.T) {
-	code, stdout, _ := runVizlint(t, "-strict-ignores", testdata+"/directive/stale")
+	code, stdout, _ := runVizlint(t, testdata+"/directive/stale")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1\n%s", code, stdout)
 	}
 	if !strings.Contains(stdout, "stale ignore directive") {
 		t.Errorf("stale directive not reported:\n%s", stdout)
-	}
-	// Without strict mode the same package is clean.
-	code, stdout, _ = runVizlint(t, testdata+"/directive/stale")
-	if code != 0 {
-		t.Fatalf("non-strict exit %d, want 0\n%s", code, stdout)
 	}
 }
 
@@ -186,9 +137,9 @@ func TestModuleClean(t *testing.T) {
 	}
 	// An import-path pattern keeps the test independent of the working
 	// directory (this test runs from cmd/vizlint, where ./... would only
-	// cover this subtree). -strict-ignores matches the CI invocation, so
-	// a stale suppression anywhere in the tree fails here first.
-	code, stdout, stderr := runVizlint(t, "-strict-ignores", "vizndp/...")
+	// cover this subtree). A stale suppression anywhere in the tree
+	// fails here first.
+	code, stdout, stderr := runVizlint(t, "vizndp/...")
 	if code != 0 {
 		t.Fatalf("vizlint ./... exit %d\n%s%s", code, stdout, stderr)
 	}

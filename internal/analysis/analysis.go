@@ -1,13 +1,11 @@
 // Package analysis is a from-scratch, stdlib-only static-analysis
 // framework (go/parser + go/ast + go/types; no golang.org/x/tools) that
-// enforces the hand-maintained invariants the NDP fast path depends on:
-// span/lock/channel discipline in the concurrent server and cache,
-// goroutine termination and context threading on the request path,
-// Closer lifecycle on connection hand-offs, bit-exact float payload
-// handling, honest error wrapping across layers, and panic-free request
-// serving. Lifecycle checks (spanend, closepath) share one obligation
-// engine (obligation.go): acquire, then discharge on every forward path
-// unless ownership escapes. cmd/vizlint drives the suite over the
+// enforces the hand-maintained invariants the NDP fast path depends on,
+// one analyzer each: lock and channel discipline in the concurrent
+// server and caches (lockhold), Closer lifecycle (closepath, over the
+// obligation engine in obligation.go), bit-exact float payload handling
+// (floateq), and honest error wrapping across layers (errwrap). Each has
+// caught a real bug in this repo. cmd/vizlint drives the suite over the
 // module.
 //
 // Each check is an Analyzer: a named function over one type-checked
@@ -19,7 +17,8 @@
 // placed either on the offending line or on its own line immediately
 // above (a directive covers its own line and the next). The reason is
 // mandatory; a directive without one (or naming an unknown analyzer) is
-// itself reported, so suppressions stay auditable.
+// itself reported, and so is a well-formed directive that suppresses
+// nothing (it is stale), so suppressions stay auditable.
 //
 // Packages that fail to parse or type-check are not fatal: their errors
 // surface as findings from the pseudo-analyzer "typecheck" and every
@@ -71,54 +70,10 @@ const directiveName = "vizlint"
 func All() []*Analyzer {
 	return []*Analyzer{
 		LockHold,
-		BlockingLock,
-		SpanEnd,
 		ClosePath,
-		GoroLeak,
-		CtxFlow,
-		NoPanic,
 		FloatEq,
 		ErrWrap,
 	}
-}
-
-// AllNames returns the names of the full suite, for error messages and
-// usage text.
-func AllNames() []string {
-	all := All()
-	names := make([]string, len(all))
-	for i, a := range all {
-		names[i] = a.Name
-	}
-	return names
-}
-
-// ByName resolves a comma-separated analyzer list against All. The
-// pseudo-analyzer names ("typecheck", "vizlint") are always implied and
-// not listed here.
-func ByName(names string) ([]*Analyzer, error) {
-	all := All()
-	if names == "" {
-		return all, nil
-	}
-	index := make(map[string]*Analyzer, len(all))
-	for _, a := range all {
-		index[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		a, ok := index[name]
-		if !ok {
-			return nil, fmt.Errorf("analysis: unknown analyzer %q (valid: %s)",
-				name, strings.Join(AllNames(), ", "))
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }
 
 // knownAnalyzer reports whether name is a real or pseudo analyzer, for
@@ -138,11 +93,8 @@ func knownAnalyzer(name string) bool {
 // Pass is one analyzer's view of one package.
 type Pass struct {
 	Analyzer *Analyzer
-	// Path is the package's import path. Repo-specific analyzers use it
-	// to scope themselves (for example NoPanic's request-serving set).
-	Path  string
-	Fset  *token.FileSet
-	Files []*ast.File
+	Fset     *token.FileSet
+	Files    []*ast.File
 	// Pkg and Info may be partial when the package has type errors;
 	// analyzers must tolerate nil types for expressions.
 	Pkg  *types.Package
@@ -210,7 +162,7 @@ type directive struct {
 	analyzer string
 	reason   string
 	// used records whether the directive suppressed at least one
-	// finding this run; strict mode reports unused ones as stale.
+	// finding this run; unused ones are reported as stale.
 	used bool
 }
 
@@ -286,80 +238,16 @@ func suppress(findings []Finding, dirs map[string][]*directive) []Finding {
 	return out
 }
 
-// Analyze runs the analyzers over one loaded package, applies ignore
-// directives, and returns surviving findings together with the
-// package's parse/type-check findings.
-func Analyze(pkg *Package, analyzers []*Analyzer) []Finding {
-	return analyze(pkg, analyzers, false)
-}
-
-func analyze(pkg *Package, analyzers []*Analyzer, strict bool) []Finding {
-	findings := append([]Finding(nil), pkg.TypeErrors...)
-	dirs := make(map[string][]*directive)
-	for _, f := range pkg.Files {
-		name := pkg.Fset.Position(f.Pos()).Filename
-		dirs[name] = append(dirs[name], parseDirectives(pkg.Fset, f, &findings)...)
-	}
-	for _, a := range analyzers {
-		if a.Run == nil {
-			continue
-		}
-		pass := &Pass{
-			Analyzer: a,
-			Path:     pkg.Path,
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-			findings: &findings,
-		}
-		a.Run(pass)
-	}
-	out := suppress(findings, dirs)
-	if !strict {
-		return out
-	}
-	ran := map[string]bool{TypecheckName: true, directiveName: true}
-	for _, a := range analyzers {
-		ran[a.Name] = true
-	}
-	for _, ds := range dirs {
-		for _, d := range ds {
-			if d.used || !ran[d.analyzer] {
-				continue
-			}
-			out = append(out, Finding{
-				Pos:      pkg.Fset.Position(d.pos),
-				Analyzer: directiveName,
-				Message: fmt.Sprintf(
-					"stale ignore directive for %q: it suppresses nothing; delete it", d.analyzer),
-			})
-		}
-	}
-	return out
-}
-
-// AnalyzePackages analyzes every package and returns all findings in
-// position order.
-func AnalyzePackages(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	return analyzePackages(pkgs, analyzers, false)
-}
-
-// AnalyzePackagesStrict is AnalyzePackages plus stale-suppression
-// reporting: a well-formed ignore directive that suppressed nothing —
-// while its analyzer actually ran — is itself a finding from the
-// "vizlint" pseudo-analyzer, so dead suppressions cannot linger and
-// silently cover a future regression. Run it with the full suite: under
-// a subset, directives for the analyzers that did not run are skipped,
-// not reported.
-func AnalyzePackagesStrict(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	return analyzePackages(pkgs, analyzers, true)
-}
-
-func analyzePackages(pkgs []*Package, analyzers []*Analyzer, strict bool) []Finding {
+// Analyze runs the analyzers over every package, applies ignore
+// directives, and returns the surviving findings, the packages'
+// parse/type-check findings and one finding per stale directive, in
+// position order. A directive is stale when its analyzer ran and it
+// suppressed nothing; directives for analyzers outside the given set are
+// not judged.
+func Analyze(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	var out []Finding
 	for _, pkg := range pkgs {
-		out = append(out, analyze(pkg, analyzers, strict)...)
+		out = append(out, analyze(pkg, analyzers)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -374,5 +262,41 @@ func analyzePackages(pkgs []*Package, analyzers []*Analyzer, strict bool) []Find
 		}
 		return a.Analyzer < b.Analyzer
 	})
+	return out
+}
+
+func analyze(pkg *Package, analyzers []*Analyzer) []Finding {
+	findings := append([]Finding(nil), pkg.TypeErrors...)
+	dirs := make(map[string][]*directive)
+	for _, f := range pkg.Files {
+		name := pkg.Fset.Position(f.Pos()).Filename
+		dirs[name] = append(dirs[name], parseDirectives(pkg.Fset, f, &findings)...)
+	}
+	ran := map[string]bool{TypecheckName: true, directiveName: true}
+	for _, a := range analyzers {
+		ran[a.Name] = true
+		a.Run(&Pass{
+			Analyzer: a,
+			Fset:     pkg.Fset,
+			Files:    pkg.Files,
+			Pkg:      pkg.Types,
+			Info:     pkg.Info,
+			findings: &findings,
+		})
+	}
+	out := suppress(findings, dirs)
+	for _, ds := range dirs {
+		for _, d := range ds {
+			if d.used || !ran[d.analyzer] {
+				continue
+			}
+			out = append(out, Finding{
+				Pos:      pkg.Fset.Position(d.pos),
+				Analyzer: directiveName,
+				Message: fmt.Sprintf(
+					"stale ignore directive for %q: it suppresses nothing; delete it", d.analyzer),
+			})
+		}
+	}
 	return out
 }

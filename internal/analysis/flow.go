@@ -7,8 +7,8 @@ import (
 
 // flowOps is the analyzer-specific half of a forward control-flow walk
 // over a function body. The engine (walkFlow) handles branching and
-// path merging; the client tracks resources (held locks, unfinished
-// spans) in a mutable state S and reports at exit points.
+// path merging; the client tracks resources (held locks, unclosed
+// values) in a mutable state S and reports at exit points.
 //
 // The walk is deliberately modest: it follows sequences, if/else,
 // switch, select, and loops, merging branch states by union (a resource
@@ -119,8 +119,10 @@ func walkFlowStmt[S any](p *Pass, s ast.Stmt, st S, ops flowOps[S]) bool {
 
 	case *ast.SelectStmt:
 		// The select itself blocks; let the client see it before the
-		// per-case communication ops do.
+		// per-case communication ops do. Exactly one case runs, each from
+		// the state before the select.
 		ops.Leaf(n, st)
+		var outs []S
 		for _, c := range n.Body.List {
 			comm := c.(*ast.CommClause)
 			caseSt := ops.Clone(st)
@@ -128,10 +130,10 @@ func walkFlowStmt[S any](p *Pass, s ast.Stmt, st S, ops flowOps[S]) bool {
 				ops.Leaf(comm.Comm, caseSt)
 			}
 			if !walkFlow(p, comm.Body, caseSt, ops) {
-				ops.MergeInto(st, caseSt)
+				outs = append(outs, caseSt)
 			}
 		}
-		return false
+		return joinPaths(st, outs, false, ops)
 
 	case *ast.ForStmt:
 		if n.Init != nil {
@@ -190,12 +192,12 @@ func walkFlowStmt[S any](p *Pass, s ast.Stmt, st S, ops flowOps[S]) bool {
 }
 
 // walkCases handles switch/type-switch clause bodies: each runs from
-// the pre-switch state; non-terminating clauses merge back. A switch
-// may match no case, so the incoming state always remains a path unless
-// a default clause exists and every clause terminates.
+// the pre-switch state and the ones that fall through are joined. A
+// switch without a default clause may match no case, so the incoming
+// state then remains a path too.
 func walkCases[S any](p *Pass, body *ast.BlockStmt, st S, ops flowOps[S]) bool {
 	hasDefault := false
-	allTerm := true
+	var outs []S
 	for _, c := range body.List {
 		cc := c.(*ast.CaseClause)
 		if cc.List == nil {
@@ -205,13 +207,31 @@ func walkCases[S any](p *Pass, body *ast.BlockStmt, st S, ops flowOps[S]) bool {
 			ops.Leaf(e, st)
 		}
 		caseSt := ops.Clone(st)
-		if walkFlow(p, cc.Body, caseSt, ops) {
-			continue
+		if !walkFlow(p, cc.Body, caseSt, ops) {
+			outs = append(outs, caseSt)
 		}
-		allTerm = false
-		ops.MergeInto(st, caseSt)
 	}
-	return hasDefault && allTerm && len(body.List) > 0
+	return joinPaths(st, outs, !hasDefault, ops)
+}
+
+// joinPaths makes st the union of the paths leaving a multi-way branch,
+// outs plus st itself when keep is set, and reports whether there are
+// none (every path terminated).
+func joinPaths[S any](st S, outs []S, keep bool, ops flowOps[S]) bool {
+	if keep {
+		for _, o := range outs {
+			ops.MergeInto(st, o)
+		}
+		return false
+	}
+	for i, o := range outs {
+		if i == 0 {
+			replaceState(st, o, ops)
+		} else {
+			ops.MergeInto(st, o)
+		}
+	}
+	return len(outs) == 0
 }
 
 // replaceState makes dst equal src by clearing and merging. Clients'
@@ -268,16 +288,16 @@ func inspectSkipFuncLit(n ast.Node, fn func(ast.Node) bool) {
 }
 
 // funcBodies yields every function body in the file: declarations and
-// literals, each exactly once, paired with a short display name.
-func funcBodies(file *ast.File, fn func(name string, body *ast.BlockStmt)) {
+// literals, each exactly once.
+func funcBodies(file *ast.File, fn func(body *ast.BlockStmt)) {
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch d := n.(type) {
 		case *ast.FuncDecl:
 			if d.Body != nil {
-				fn(d.Name.Name, d.Body)
+				fn(d.Body)
 			}
 		case *ast.FuncLit:
-			fn("func literal", d.Body)
+			fn(d.Body)
 		}
 		return true
 	})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -15,49 +16,46 @@ var update = flag.Bool("update", false, "rewrite testdata expect.txt golden file
 type goldenCase struct {
 	// dir names the package under testdata/src.
 	dir string
-	// importPath is the path the package is type-checked under; nopanic
-	// cases borrow a request-serving path to bring themselves in scope.
-	importPath string
-	// analyzers is the -run style comma list ("" = all).
-	analyzers string
-	// strict runs the case with stale-suppression reporting on.
-	strict bool
+	// analyzers lists the analyzers to run by name; nil runs All().
+	analyzers []string
 }
 
 func goldenCases() []goldenCase {
-	const fake = "vizndp/internal/analysis/testdata"
 	return []goldenCase{
-		{dir: "lockhold/bad", importPath: fake + "/lockhold/bad", analyzers: "lockhold"},
-		{dir: "lockhold/clean", importPath: fake + "/lockhold/clean", analyzers: "lockhold"},
-		// blockinglock rule 2 and goroleak scope themselves to request
-		// path packages, so their fixtures borrow the rpc import path;
-		// ctxflow's borrow core.
-		{dir: "blockinglock/bad", importPath: "vizndp/internal/rpc", analyzers: "blockinglock"},
-		{dir: "blockinglock/clean", importPath: "vizndp/internal/rpc", analyzers: "blockinglock"},
-		{dir: "blockinglock/broken", importPath: "vizndp/internal/rpc", analyzers: "blockinglock"},
-		{dir: "spanend/bad", importPath: fake + "/spanend/bad", analyzers: "spanend"},
-		{dir: "spanend/clean", importPath: fake + "/spanend/clean", analyzers: "spanend"},
-		{dir: "closepath/bad", importPath: fake + "/closepath/bad", analyzers: "closepath"},
-		{dir: "closepath/clean", importPath: fake + "/closepath/clean", analyzers: "closepath"},
-		{dir: "closepath/broken", importPath: fake + "/closepath/broken", analyzers: "closepath"},
-		{dir: "goroleak/bad", importPath: "vizndp/internal/rpc", analyzers: "goroleak"},
-		{dir: "goroleak/clean", importPath: "vizndp/internal/rpc", analyzers: "goroleak"},
-		{dir: "goroleak/broken", importPath: "vizndp/internal/rpc", analyzers: "goroleak"},
-		{dir: "ctxflow/bad", importPath: "vizndp/internal/core", analyzers: "ctxflow"},
-		{dir: "ctxflow/clean", importPath: "vizndp/internal/core", analyzers: "ctxflow"},
-		{dir: "ctxflow/broken", importPath: "vizndp/internal/core", analyzers: "ctxflow"},
-		{dir: "nopanic/bad", importPath: "vizndp/internal/core", analyzers: "nopanic"},
-		{dir: "nopanic/clean", importPath: "vizndp/internal/core", analyzers: "nopanic"},
-		{dir: "floateq/bad", importPath: fake + "/floateq/bad", analyzers: "floateq"},
-		{dir: "floateq/clean", importPath: fake + "/floateq/clean", analyzers: "floateq"},
-		{dir: "errwrap/bad", importPath: fake + "/errwrap/bad", analyzers: "errwrap"},
-		{dir: "errwrap/clean", importPath: fake + "/errwrap/clean", analyzers: "errwrap"},
-		{dir: "directive/bad", importPath: fake + "/directive/bad", analyzers: "floateq"},
-		{dir: "directive/clean", importPath: fake + "/directive/clean", analyzers: "floateq"},
-		{dir: "directive/stale", importPath: fake + "/directive/stale", analyzers: "", strict: true},
-		{dir: "typecheck/broken", importPath: fake + "/typecheck/broken", analyzers: ""},
-		{dir: "multifile/bad", importPath: fake + "/multifile/bad", analyzers: "floateq,errwrap"},
+		{"lockhold/bad", []string{"lockhold"}},
+		{"lockhold/clean", []string{"lockhold"}},
+		{"lockhold/broken", []string{"lockhold"}},
+		{"blockinglock/bad", []string{"lockhold"}},
+		{"blockinglock/clean", []string{"lockhold"}},
+		{"closepath/bad", []string{"closepath"}},
+		{"closepath/clean", []string{"closepath"}},
+		{"closepath/broken", []string{"closepath"}},
+		{"floateq/bad", []string{"floateq"}},
+		{"floateq/clean", []string{"floateq"}},
+		{"errwrap/bad", []string{"errwrap"}},
+		{"errwrap/clean", []string{"errwrap"}},
+		{"directive/bad", []string{"floateq"}},
+		{"directive/clean", []string{"floateq"}},
+		{"directive/stale", nil},
+		{"typecheck/broken", nil},
+		{"multifile/bad", []string{"floateq", "errwrap"}},
 	}
+}
+
+// pick resolves analyzer names against All().
+func pick(t *testing.T, names []string) []*Analyzer {
+	if names == nil {
+		return All()
+	}
+	var out []*Analyzer
+	for _, name := range names {
+		i := slices.IndexFunc(All(), func(a *Analyzer) bool { return a.Name == name })
+		if i < 0 {
+			t.Fatalf("no analyzer %q", name)
+		}
+		out = append(out, All()[i])
+	}
+	return out
 }
 
 func TestGolden(t *testing.T) {
@@ -68,20 +66,11 @@ func TestGolden(t *testing.T) {
 	for _, c := range goldenCases() {
 		t.Run(strings.ReplaceAll(c.dir, "/", "_"), func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", filepath.FromSlash(c.dir))
-			pkg, err := loader.LoadDir(dir, c.importPath)
+			pkg, err := loader.LoadDir(dir, "vizndp/internal/analysis/testdata/"+c.dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			analyzers, err := ByName(c.analyzers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var findings []Finding
-			if c.strict {
-				findings = AnalyzePackagesStrict([]*Package{pkg}, analyzers)
-			} else {
-				findings = AnalyzePackages([]*Package{pkg}, analyzers)
-			}
+			findings := Analyze([]*Package{pkg}, pick(t, c.analyzers))
 			var b strings.Builder
 			for _, f := range findings {
 				fmt.Fprintf(&b, "%s:%d:%d: %s: %s\n",
@@ -133,7 +122,7 @@ func TestGoldenTypecheckPartial(t *testing.T) {
 	if len(pkg.TypeErrors) == 0 {
 		t.Fatal("expected type errors")
 	}
-	findings := Analyze(pkg, All())
+	findings := Analyze([]*Package{pkg}, All())
 	seen := false
 	for _, f := range findings {
 		if f.Analyzer == TypecheckName {

@@ -11,27 +11,24 @@ import (
 const rpcPath = "vizndp/internal/rpc"
 
 // LockHold enforces the repo's mutex discipline, which the concurrent
-// server and the array cache depend on:
+// server and the caches depend on:
 //
 //  1. every sync.Mutex/RWMutex Lock or RLock is released on all paths
 //     out of the function (defer or explicit unlock before each return);
-//  2. no blocking call — an RPC client call, a filesystem read, a
-//     WaitGroup.Wait, or time.Sleep — happens while a mutex is held.
-//     The arraycache's single-flight loads and the RPC server's
-//     response path were designed around exactly this rule: do the slow
-//     work outside the critical section.
-//
-// Channel operations under a held mutex are BlockingLock's job, which
-// shares this file's mutex tracking (mutexOp, lockState).
+//  2. nothing that can block — an RPC client call, a filesystem read, a
+//     WaitGroup.Wait, time.Sleep, a channel send or receive, or a select
+//     without a default case — happens while a mutex is held. A full
+//     buffer or an absent peer would stall every goroutine contending
+//     for the lock, so the slow work goes outside the critical section.
 var LockHold = &Analyzer{
 	Name: "lockhold",
-	Doc:  "mutexes must be released on all paths and never held across blocking operations",
+	Doc:  "mutexes must be released on all paths and never held across blocking calls or channel operations",
 	Run:  runLockHold,
 }
 
 func runLockHold(pass *Pass) {
 	for _, file := range pass.Files {
-		funcBodies(file, func(name string, body *ast.BlockStmt) {
+		funcBodies(file, func(body *ast.BlockStmt) {
 			checkLockBody(pass, body)
 		})
 	}
@@ -65,9 +62,13 @@ func (s *lockState) clear() {
 
 type lockFlow struct {
 	pass *Pass
+	// inSelect marks select communication statements: the select they
+	// belong to is judged blocking or not as a whole, so the engine's
+	// per-case visit must not report them again as bare channel ops.
+	inSelect map[ast.Node]bool
 }
 
-func cloneLockState(st *lockState) *lockState {
+func (f *lockFlow) Clone(st *lockState) *lockState {
 	out := newLockState()
 	for k, v := range st.held {
 		out.held[k] = v
@@ -78,10 +79,9 @@ func cloneLockState(st *lockState) *lockState {
 	return out
 }
 
-// mergeLockState unions held locks (held on any path counts) and
-// intersects deferred unlocks, except into a freshly cleared state
-// (plain copy).
-func mergeLockState(dst, src *lockState) {
+// MergeInto unions held locks (held on any path counts) and intersects
+// deferred unlocks, except into a freshly cleared state (plain copy).
+func (f *lockFlow) MergeInto(dst, src *lockState) {
 	fresh := len(dst.held) == 0 && len(dst.deferred) == 0
 	for k, v := range src.held {
 		if _, ok := dst.held[k]; !ok {
@@ -101,39 +101,51 @@ func mergeLockState(dst, src *lockState) {
 	}
 }
 
-func (f *lockFlow) Clone(st *lockState) *lockState { return cloneLockState(st) }
-
-func (f *lockFlow) MergeInto(dst, src *lockState) { mergeLockState(dst, src) }
-
 func (f *lockFlow) Leaf(n ast.Node, st *lockState) {
+	if f.inSelect[n] {
+		return
+	}
 	inspectSkipFuncLit(n, func(n ast.Node) bool {
-		x, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if key, hl, acquire, ok := mutexOp(f.pass, x); ok {
-			if acquire {
+		switch x := n.(type) {
+		case *ast.CallExpr:
+			if key, hl, acquire, ok := mutexOp(f.pass, x); ok {
+				if !acquire {
+					delete(st.held, key)
+					return true
+				}
 				if prev, held := st.held[key]; held {
 					f.pass.Reportf(x.Pos(),
 						"%s locked again while already held (acquired at line %d): deadlock",
 						hl.expr, f.pass.Fset.Position(prev.pos).Line)
 				}
 				st.held[key] = hl
-			} else {
-				delete(st.held, key)
+			} else if what := blockingCall(f.pass, x); what != "" {
+				f.reportHeld(x.Pos(), what, st)
 			}
-			return true
-		}
-		if len(st.held) > 0 {
-			if what := blockingCall(f.pass, x); what != "" {
-				f.reportBlocked(x.Pos(), what, st)
+		case *ast.SelectStmt:
+			if !selectHasDefault(x) {
+				f.reportHeld(x.Select, "blocking select (no default case)", st)
+			}
+			for _, c := range x.Body.List {
+				if comm := c.(*ast.CommClause); comm.Comm != nil {
+					f.inSelect[comm.Comm] = true
+				}
+			}
+			return false // the engine walks each case with its own state
+		case *ast.SendStmt:
+			f.reportHeld(x.Arrow, "channel send", st)
+		case *ast.UnaryExpr:
+			if x.Op == token.ARROW {
+				f.reportHeld(x.OpPos, "channel receive", st)
 			}
 		}
 		return true
 	})
 }
 
-func (f *lockFlow) reportBlocked(pos token.Pos, what string, st *lockState) {
+// reportHeld reports a blocking operation once per mutex held on the
+// current path; it is a no-op when none is.
+func (f *lockFlow) reportHeld(pos token.Pos, what string, st *lockState) {
 	for _, hl := range st.held {
 		f.pass.Reportf(pos, "%s while %s is held (locked at line %d)",
 			what, hl.expr, f.pass.Fset.Position(hl.pos).Line)
@@ -180,7 +192,7 @@ func (f *lockFlow) Return(pos token.Pos, st *lockState) {
 }
 
 // mutexOp recognizes a sync mutex method call. acquire is true for
-// Lock/RLock, false for Unlock/RUnlock. Shared with BlockingLock.
+// Lock/RLock, false for Unlock/RUnlock.
 func mutexOp(pass *Pass, call *ast.CallExpr) (key string, hl heldLock, acquire, ok bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
@@ -247,9 +259,18 @@ func checkLockBody(pass *Pass, body *ast.BlockStmt) {
 	if pass.Info == nil {
 		return
 	}
-	flow := &lockFlow{pass: pass}
+	flow := &lockFlow{pass: pass, inSelect: make(map[ast.Node]bool)}
 	st := newLockState()
 	if !walkFlow(pass, body.List, st, flow) {
 		flow.Return(body.End(), st)
 	}
+}
+
+func selectHasDefault(s *ast.SelectStmt) bool {
+	for _, c := range s.Body.List {
+		if comm, ok := c.(*ast.CommClause); ok && comm.Comm == nil {
+			return true
+		}
+	}
+	return false
 }

@@ -6,10 +6,9 @@ import (
 	"go/types"
 )
 
-// The obligation engine generalizes spanend's reach-End-on-all-paths
-// logic: an *acquired* value (a started span, an opened connection or
-// file) carries an obligation to reach a *discharge* call (End, Close)
-// on every forward path out of the acquiring function — unless
+// The obligation engine checks reach-discharge-on-all-paths: an
+// *acquired* value (an opened connection or file) carries an obligation
+// to reach a *discharge* call (Close) on every forward path out of the acquiring function — unless
 // ownership escapes first. Ownership escapes when the value is
 // returned, stored anywhere but a plain local (a struct field, map,
 // slice, or another package's variable), or passed to a callee, which
@@ -31,12 +30,12 @@ import (
 type obligationSpec struct {
 	// tracks reports whether result i of call — with static type t,
 	// which may be nil in a type-broken package — acquires a tracked
-	// resource. kind names the resource in findings ("span", "conn").
+	// resource. kind names the resource in findings ("net.Conn").
 	tracks func(pass *Pass, call *ast.CallExpr, i int, t types.Type) (kind string, ok bool)
 	// discharges reports whether a method call named name on the
-	// tracked value discharges the obligation (End, Close).
+	// tracked value discharges the obligation (Close).
 	discharges func(name string) bool
-	// reportDiscard, if non-nil, reports a tracked result assigned to
+	// reportDiscard reports a tracked result assigned to
 	// the blank identifier — a resource that can never be discharged.
 	reportDiscard func(pass *Pass, pos token.Pos, kind string)
 	// reportLeak reports a resource still pending at a return: name is
@@ -47,7 +46,7 @@ type obligationSpec struct {
 // runObligation applies spec to every function body in the pass.
 func runObligation(pass *Pass, spec *obligationSpec) {
 	for _, file := range pass.Files {
-		funcBodies(file, func(name string, body *ast.BlockStmt) {
+		funcBodies(file, func(body *ast.BlockStmt) {
 			checkObligationBody(pass, spec, body)
 		})
 	}
@@ -132,9 +131,7 @@ func checkObligationBody(pass *Pass, spec *obligationSpec, body *ast.BlockStmt) 
 		ids, kinds, errObj := acquiredResults(pass, spec, a)
 		for i, id := range ids {
 			if id.Name == "_" {
-				if spec.reportDiscard != nil {
-					spec.reportDiscard(pass, id.Pos(), kinds[i])
-				}
+				spec.reportDiscard(pass, id.Pos(), kinds[i])
 				continue
 			}
 			if obj := pass.Info.ObjectOf(id); obj != nil {
@@ -330,7 +327,7 @@ func (f *obFlow) assign(a *ast.AssignStmt, st *obState) {
 }
 
 // dischargedBy returns the tracked object when call is a discharge
-// method invocation (x.Close(), x.End()) on a tracked identifier.
+// method invocation (x.Close()) on a tracked identifier.
 func (f *obFlow) dischargedBy(call *ast.CallExpr) types.Object {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || !f.spec.discharges(sel.Sel.Name) {

@@ -1,7 +1,5 @@
-// Package bad violates the blockinglock discipline: channel operations
-// while a mutex is held, and admission-path sends with no escape hatch.
-// It is type-checked under the rpc import path so rule 2 (unguarded
-// sends on channels not created in this file) is in scope.
+// Package bad holds channel operations under a held mutex, the blocking
+// cases the lockhold analyzer reports beside blocking calls.
 package bad
 
 import "sync"
@@ -32,15 +30,4 @@ func blockingSelectWhileHeld(q *queue, done chan struct{}) {
 		_ = v
 	case <-done:
 	}
-}
-
-// nakedSendOnField: q.ch is never made in this file, so the sender
-// cannot prove buffer capacity.
-func nakedSendOnField(q *queue, v int) {
-	q.ch <- v
-}
-
-// nakedSendOnParam: same, on a channel parameter.
-func nakedSendOnParam(ch chan int, v int) {
-	ch <- v
 }

@@ -26,3 +26,11 @@ func missingEverything(a, b float64) bool {
 	}
 	return false
 }
+
+func deletedAnalyzer(a, b float64) bool {
+	// vizlint:ignore ctxflow an analyzer the suite no longer has
+	if a == b {
+		return true
+	}
+	return false
+}

@@ -1,5 +1,5 @@
 // Package stale carries a well-formed ignore directive that no longer
-// suppresses anything; -strict-ignores mode reports it.
+// suppresses anything; vizlint reports it as stale.
 package stale
 
 // vizlint:ignore floateq nothing here compares floats any more

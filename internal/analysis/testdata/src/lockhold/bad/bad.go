@@ -1,5 +1,6 @@
 // Package bad violates the lockhold discipline in every way the
-// analyzer detects: leaked locks, blocking while held, double locking.
+// analyzer detects: leaked locks, blocking calls while held, double
+// locking. Channel operations under a lock are in blockinglock/bad.
 package bad
 
 import (

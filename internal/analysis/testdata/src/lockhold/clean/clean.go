@@ -2,6 +2,7 @@
 package clean
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"time"
@@ -113,4 +114,48 @@ func breakerShape(c *counter, now, openUntil time.Time) bool {
 		return false
 	}
 	return true
+}
+
+type flight struct {
+	done     chan struct{}
+	orphaned bool
+}
+
+type cache struct {
+	mu      sync.Mutex
+	values  map[string]int
+	flights map[string]*flight
+}
+
+// waitShape is a single-flight wait loop that unlocks before waiting
+// and re-locks inside the select arm that goes round again. The re-lock
+// happens on a path where the lock is released, so it is not a double
+// lock, and the loop leaves with the lock held only on the path that
+// falls out to the load below.
+func waitShape(ctx context.Context, c *cache, key string) (int, error) {
+	c.mu.Lock()
+	for {
+		if v, ok := c.values[key]; ok {
+			c.mu.Unlock()
+			return v, nil
+		}
+		f, ok := c.flights[key]
+		if !ok {
+			break
+		}
+		c.mu.Unlock()
+		select {
+		case <-f.done:
+			if !f.orphaned {
+				return 0, nil
+			}
+			c.mu.Lock()
+			continue
+		case <-ctx.Done():
+			return 0, ctx.Err()
+		}
+	}
+	c.flights[key] = &flight{done: make(chan struct{})}
+	c.mu.Unlock()
+	return 0, nil
 }

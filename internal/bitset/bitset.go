@@ -17,7 +17,7 @@ type Bitset struct {
 // New returns a bitmap of n bits, all clear.
 func New(n int) *Bitset {
 	if n < 0 {
-		// vizlint:ignore nopanic caller bug, not request data: sizes come from validated grid dims
+		// A caller bug, not request data: sizes come from validated grid dims.
 		panic(fmt.Sprintf("bitset: negative size %d", n))
 	}
 	return &Bitset{n: n, words: make([]uint64, (n+63)/64)}
@@ -28,9 +28,6 @@ func (b *Bitset) Len() int { return b.n }
 
 // Set sets bit i.
 func (b *Bitset) Set(i int) { b.words[i>>6] |= 1 << (i & 63) }
-
-// Clear clears bit i.
-func (b *Bitset) Clear(i int) { b.words[i>>6] &^= 1 << (i & 63) }
 
 // Get reports bit i.
 func (b *Bitset) Get(i int) bool { return b.words[i>>6]&(1<<(i&63)) != 0 }
@@ -47,7 +44,7 @@ func (b *Bitset) Count() int {
 // Or merges o into b. Both must have the same length.
 func (b *Bitset) Or(o *Bitset) {
 	if b.n != o.n {
-		// vizlint:ignore nopanic invariant: both bitmaps derive from the same grid's point count
+		// Both bitmaps derive from the same grid's point count.
 		panic(fmt.Sprintf("bitset: size mismatch %d != %d", b.n, o.n))
 	}
 	for i, w := range o.words {

@@ -20,10 +20,6 @@ func TestSetGetClear(t *testing.T) {
 	if b.Count() != 8 {
 		t.Errorf("Count = %d, want 8", b.Count())
 	}
-	b.Clear(64)
-	if b.Get(64) || b.Count() != 7 {
-		t.Errorf("Clear failed: get=%v count=%d", b.Get(64), b.Count())
-	}
 }
 
 func TestLen(t *testing.T) {

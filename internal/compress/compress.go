@@ -82,7 +82,6 @@ func ByKind(k Kind) (Codec, error) {
 func MustByKind(k Kind) Codec {
 	c, err := ByKind(k)
 	if err != nil {
-		// vizlint:ignore nopanic Must* contract: only called with compile-time-constant kinds
 		panic(err)
 	}
 	return c

@@ -285,7 +285,8 @@ func (sc *Scrubber) Start(interval time.Duration) {
 				return
 			case <-time.After(interval + jitter):
 			}
-			// vizlint:ignore ctxflow scrub pass root: the periodic loop has no upstream caller; Stop cancels via sc.stop below
+			// Each pass is a root: the periodic loop has no caller, and Stop
+			// cancels the pass through sc.stop below.
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() {
 				select {

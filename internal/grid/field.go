@@ -83,7 +83,6 @@ func (d *Dataset) AddField(f *Field) error {
 // inputs are statically correct.
 func (d *Dataset) MustAddField(f *Field) {
 	if err := d.AddField(f); err != nil {
-		// vizlint:ignore nopanic Must* contract: generator inputs are statically correct
 		panic(err)
 	}
 }

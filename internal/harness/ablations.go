@@ -114,7 +114,6 @@ func (e *Env) EndToEnd(array string, iso float64) (*stats.Table, error) {
 	// source stage's (load) time and the whole pipeline's.
 	run := func(src pipeline.Stage) (*contour.Mesh, time.Duration, time.Duration, error) {
 		pipe := pipeline.New(src, &pipeline.ContourFilter{Array: array, Isovalues: isos})
-		// vizlint:ignore ctxflow offline ablation root: no caller deadline exists for either pipeline
 		out, err := pipe.Run(context.Background())
 		if err != nil {
 			return nil, 0, 0, err

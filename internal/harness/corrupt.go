@@ -125,7 +125,6 @@ func (e *Env) CorruptExperiment(array string) (*stats.Table, error) {
 	}
 	damaged := brickKeys[:2]
 	sc := core.NewScrubber(s3fs.New(e.local, Bucket), integrityPrefix+"manifest.json")
-	// vizlint:ignore ctxflow experiment scrub root: the pass runs standalone with no upstream caller deadline
 	rep, err := sc.RunOnce(context.Background())
 	if err != nil {
 		return nil, err

@@ -259,7 +259,6 @@ func (o *oracle) fetch(c *core.Client, id fetchID, span string) (*core.Payload, 
 	if isos == nil {
 		isos = []float64{id.iso}
 	}
-	// vizlint:ignore ctxflow synthetic request root: each experiment fetch is its own trace with no upstream caller
 	ctx := context.Background()
 	if span != "" {
 		var sp *telemetry.Span

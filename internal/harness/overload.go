@@ -87,9 +87,11 @@ func (e *Env) OverloadExperiment(array string) (*stats.Table, error) {
 	led = openLedger()
 	drainRun, err := truth.run(k.dialFT(breakerOptions(), nodeC, nodeA), "graceful drain",
 		burst{ids: ids, workers: concurrency, after: len(ids) / 3, hook: func() {
-			// vizlint:ignore goroleak drainErr is buffered (cap 1) and received exactly once after the burst
+			// drainErr is buffered (cap 1) and received exactly once after
+			// the burst, so this goroutine never blocks on its send.
 			go func() {
-				// vizlint:ignore ctxflow drain root: shutdown must finish even though the burst ctx is gone; bounded by its own 30s timeout
+				// Not the burst's ctx: the shutdown must finish after the
+				// burst is gone, bounded by its own timeout.
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 				defer cancel()
 				drainErr <- nodeC.srv.Shutdown(ctx)

@@ -198,7 +198,6 @@ func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// vizlint:ignore ctxflow breach probe is its own synthetic request root with no upstream caller
 	bctx, bspan := telemetry.StartSpan(context.Background(), "slo.breach")
 	_, _, err = truth.clean.FetchRawContext(bctx, ObjectKey("asteroid", compress.None, degID.step), array)
 	bspan.End()

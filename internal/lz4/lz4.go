@@ -35,12 +35,6 @@ func hash4(v uint32) uint32 {
 	return (v * 2654435761) >> hashShift
 }
 
-// CompressBound returns the maximum compressed size for an input of n
-// bytes, mirroring LZ4_compressBound.
-func CompressBound(n int) int {
-	return n + n/255 + 16
-}
-
 // Compress compresses src as a single LZ4 block and returns the block.
 // An empty src yields an empty block.
 func Compress(src []byte) []byte {

@@ -70,12 +70,6 @@ func NewLink(bitsPerSec float64, latency time.Duration) *Link {
 	return &Link{bytesPerSec: bitsPerSec / 8, latency: latency}
 }
 
-// GigabitEthernet returns the paper's testbed link: 1 Gb/s with a typical
-// LAN latency.
-func GigabitEthernet() *Link {
-	return NewLink(1*Gbps, 100*time.Microsecond)
-}
-
 // Unlimited returns a link that shapes nothing but still counts bytes.
 func Unlimited() *Link { return &Link{} }
 
@@ -93,9 +87,6 @@ func (l *Link) ResetCounters() {
 
 // Latency returns the link's one-way latency.
 func (l *Link) Latency() time.Duration { return l.latency }
-
-// BitsPerSec returns the configured capacity, or 0 for unlimited.
-func (l *Link) BitsPerSec() float64 { return l.bytesPerSec * 8 }
 
 // TransferTime returns the ideal serialized transfer time for n bytes,
 // ignoring contention. Used by the analytic cost model.

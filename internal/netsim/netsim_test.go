@@ -250,16 +250,6 @@ func TestDialLatency(t *testing.T) {
 	}
 }
 
-func TestGigabitEthernetPreset(t *testing.T) {
-	l := GigabitEthernet()
-	if l.BitsPerSec() != 1*Gbps {
-		t.Errorf("BitsPerSec = %v, want 1e9", l.BitsPerSec())
-	}
-	if l.Latency() <= 0 {
-		t.Error("preset should have nonzero latency")
-	}
-}
-
 func TestLargeWriteChunking(t *testing.T) {
 	// A single Write larger than maxBurst must still deliver everything.
 	link := NewLink(0, 0)

@@ -19,7 +19,13 @@ import (
 // startStore spins up a server over httptest and returns a client.
 func startStore(t *testing.T) (*Client, *Server) {
 	t.Helper()
-	s, err := NewServer(t.TempDir())
+	return startStoreAt(t, t.TempDir())
+}
+
+// startStoreAt is startStore over the given root directory.
+func startStoreAt(t *testing.T, root string) (*Client, *Server) {
+	t.Helper()
+	s, err := NewServer(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +95,8 @@ func TestNestedKeys(t *testing.T) {
 }
 
 func TestStat(t *testing.T) {
-	c, s := startStore(t)
+	root := t.TempDir()
+	c, _ := startStoreAt(t, root)
 	data := make([]byte, 12345)
 	if err := c.Put("b", "k", data); err != nil {
 		t.Fatal(err)
@@ -98,7 +105,7 @@ func TestStat(t *testing.T) {
 	if err != nil || size != 12345 {
 		t.Errorf("Stat = %d, %v", size, err)
 	}
-	fi, err := os.Stat(filepath.Join(s.Root(), "b", "k"))
+	fi, err := os.Stat(filepath.Join(root, "b", "k"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +151,8 @@ func TestStatReplies(t *testing.T) {
 // replacement past what it replaced — also when the replaced object's
 // stamp is ahead of the clock, and when PUTs of one key race.
 func TestPutOverwriteStampsStrictlyLater(t *testing.T) {
-	c, s := startStore(t)
+	root := t.TempDir()
+	c, _ := startStoreAt(t, root)
 	stamp := func() time.Time {
 		t.Helper()
 		_, mtime, err := c.Stat("b", "k")
@@ -169,7 +177,7 @@ func TestPutOverwriteStampsStrictlyLater(t *testing.T) {
 	}
 
 	ahead := time.Now().Add(time.Hour)
-	if err := os.Chtimes(filepath.Join(s.Root(), "b", "k"), ahead, ahead); err != nil {
+	if err := os.Chtimes(filepath.Join(root, "b", "k"), ahead, ahead); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Put("b", "k", []byte("vN")); err != nil {
@@ -335,9 +343,10 @@ func TestDelete(t *testing.T) {
 }
 
 func TestPathTraversalRejected(t *testing.T) {
-	c, s := startStore(t)
+	root := t.TempDir()
+	c, s := startStoreAt(t, root)
 	// Plant a file outside the bucket tree.
-	secret := filepath.Join(filepath.Dir(s.Root()), "secret")
+	secret := filepath.Join(filepath.Dir(root), "secret")
 	if err := os.WriteFile(secret, []byte("s3cret"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -446,12 +455,13 @@ func TestMissingBucketOrKey(t *testing.T) {
 }
 
 func TestListSkipsUploadTemp(t *testing.T) {
-	c, s := startStore(t)
+	root := t.TempDir()
+	c, _ := startStoreAt(t, root)
 	if err := c.Put("b", "real", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a leftover temp upload file.
-	if err := os.WriteFile(filepath.Join(s.Root(), "b", ".upload-123"), []byte("t"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(root, "b", ".upload-123"), []byte("t"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	objs, err := c.List("b", "")

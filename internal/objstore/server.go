@@ -106,9 +106,6 @@ func NewServer(root string) (*Server, error) {
 	return &Server{root: root}, nil
 }
 
-// Root returns the backing directory.
-func (s *Server) Root() string { return s.root }
-
 // validName rejects path traversal and empty segments.
 func validName(name string) bool {
 	if name == "" || strings.HasPrefix(name, "/") {

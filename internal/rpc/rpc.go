@@ -507,7 +507,8 @@ func (s *Server) ServeConn(conn net.Conn) {
 
 	var wmu sync.Mutex // serialize response frames
 	var wg sync.WaitGroup
-	// vizlint:ignore ctxflow connection-root ctx: no caller context exists at accept time; per-request deadlines attach downstream
+	// The connection is a root: no caller context exists at accept
+	// time, and per-request deadlines attach downstream.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer func() {
 		cancel()
@@ -904,7 +905,8 @@ func (c *Client) readLoop() {
 		delete(c.pending, msgid)
 		c.mu.Unlock()
 		if ch != nil {
-			// vizlint:ignore blockinglock pending channels are buffered (cap 1) and the map delete above guarantees a single sender per msgid
+			// Pending channels are buffered (cap 1) and the map delete
+			// above guarantees a single sender per msgid.
 			ch <- resp
 		} else {
 			mClientDiscarded.Inc()
@@ -937,7 +939,8 @@ func (c *Client) fail(cause error) error {
 	c.mu.Unlock()
 	c.conn.Close()
 	for _, ch := range pending {
-		// vizlint:ignore blockinglock pending channels are buffered (cap 1); the map swap above removed them from any other sender's reach
+		// Pending channels are buffered (cap 1), and the map swap above
+		// removed them from any other sender's reach.
 		ch <- response{err: err}
 	}
 	return err

@@ -27,14 +27,6 @@ type AsteroidConfig struct {
 	Seed uint32
 }
 
-// DefaultAsteroidConfig returns a sensible standalone configuration: a
-// 96^3 grid, large enough to reproduce every dataset trend at
-// interactive speeds. (The experiment harness picks its own scale; see
-// harness.DefaultConfig.)
-func DefaultAsteroidConfig() AsteroidConfig {
-	return AsteroidConfig{N: 96, Seed: 7}
-}
-
 // Timesteps returns n evenly spaced timesteps from 0 to AsteroidMaxStep;
 // the paper's experiments use n = 9.
 func (c AsteroidConfig) Timesteps(n int) []int {

@@ -30,12 +30,6 @@ type NyxConfig struct {
 	Halos int
 }
 
-// DefaultNyxConfig returns a sensible standalone configuration; the
-// experiment harness picks its own scale.
-func DefaultNyxConfig() NyxConfig {
-	return NyxConfig{N: 96, Seed: 13}
-}
-
 // Generate produces the single-timestep, 6-array Nyx-like dataset.
 // The baryon-density field is log-normal — overwhelmingly below the halo
 // threshold — with a sparse set of compact peaks crossing it, so the halo

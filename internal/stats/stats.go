@@ -11,18 +11,6 @@ import (
 	"time"
 )
 
-// MeanDuration averages a set of durations; zero for an empty set.
-func MeanDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range ds {
-		sum += d
-	}
-	return sum / time.Duration(len(ds))
-}
-
 // MinMax returns the extremes of xs; zeros for an empty slice.
 func MinMax(xs []float64) (lo, hi float64) {
 	if len(xs) == 0 {
@@ -73,21 +61,6 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// StdDev returns the population standard deviation of xs; zero for
-// slices shorter than two elements.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	mean := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - mean
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)))
 }
 
 // Speedup returns base/v, the conventional "x times faster" ratio.

@@ -7,16 +7,6 @@ import (
 	"time"
 )
 
-func TestMeanDuration(t *testing.T) {
-	if MeanDuration(nil) != 0 {
-		t.Error("empty mean != 0")
-	}
-	got := MeanDuration([]time.Duration{time.Second, 3 * time.Second})
-	if got != 2*time.Second {
-		t.Errorf("mean = %v", got)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	lo, hi := MinMax([]float64{3, -1, 7, 2})
 	if lo != -1 || hi != 7 {
@@ -141,26 +131,5 @@ func TestPercentile(t *testing.T) {
 	Percentile(xs, 0.5)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Errorf("input mutated: %v", xs)
-	}
-}
-
-func TestStdDev(t *testing.T) {
-	cases := []struct {
-		name string
-		xs   []float64
-		want float64
-	}{
-		{"empty", nil, 0},
-		{"single", []float64{7}, 0},
-		{"constant", []float64{4, 4, 4, 4}, 0},
-		{"known", []float64{2, 4, 4, 4, 5, 5, 7, 9}, 2},
-		{"pair", []float64{-1, 1}, 1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := StdDev(tc.xs); math.Abs(got-tc.want) > 1e-12 {
-				t.Errorf("StdDev(%v) = %v, want %v", tc.xs, got, tc.want)
-			}
-		})
 	}
 }

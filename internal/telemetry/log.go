@@ -2,16 +2,13 @@ package telemetry
 
 import (
 	"context"
-	"io"
 	"log/slog"
 	"os"
 	"sync"
 )
 
 // Structured logging: every component gets a slog.Logger tagged with its
-// name, filtered by a per-component level that can be changed at
-// runtime (SetLogLevel). Output defaults to text on stderr; tests and
-// quiet binaries can redirect or silence it with SetLogOutput.
+// name, filtered by a per-component level. Output is text on stderr.
 
 type logState struct {
 	mu      sync.RWMutex
@@ -46,11 +43,6 @@ func (s *logState) levelVar(component string) *slog.LevelVar {
 	return lv
 }
 
-// SetLogLevel sets one component's minimum level at runtime.
-func SetLogLevel(component string, level slog.Level) {
-	logs.levelVar(component).Set(level)
-}
-
 // SetDefaultLogLevel sets the level new components start at and updates
 // every existing component.
 func SetDefaultLogLevel(level slog.Level) {
@@ -60,14 +52,6 @@ func SetDefaultLogLevel(level slog.Level) {
 	for _, lv := range logs.levels {
 		lv.Set(level)
 	}
-}
-
-// SetLogOutput redirects all component logs to w (io.Discard silences
-// them).
-func SetLogOutput(w io.Writer) {
-	logs.mu.Lock()
-	defer logs.mu.Unlock()
-	logs.handler = slog.NewTextHandler(w, &slog.HandlerOptions{Level: slog.LevelDebug})
 }
 
 // componentHandler filters by the component's level var and forwards to

@@ -257,10 +257,17 @@ func get(t *testing.T, url string) string {
 
 func TestLoggerLevels(t *testing.T) {
 	var buf strings.Builder
-	SetLogOutput(&buf)
-	defer SetLogOutput(io.Discard)
+	logs.mu.Lock()
+	stderr := logs.handler
+	logs.handler = slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})
+	logs.mu.Unlock()
+	defer func() {
+		logs.mu.Lock()
+		logs.handler = stderr
+		logs.mu.Unlock()
+	}()
 
-	SetLogLevel("rpc", slog.LevelWarn)
+	logs.levelVar("rpc").Set(slog.LevelWarn)
 	log := Logger("rpc")
 	log.Info("hidden", "k", 1)
 	log.Warn("shown", "k", 2)
@@ -273,7 +280,7 @@ func TestLoggerLevels(t *testing.T) {
 	}
 
 	// Runtime level change takes effect on the same logger.
-	SetLogLevel("rpc", slog.LevelDebug)
+	logs.levelVar("rpc").Set(slog.LevelDebug)
 	log.Debug("now-visible")
 	if !strings.Contains(buf.String(), "now-visible") {
 		t.Error("debug line missing after level change")
