@@ -66,10 +66,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rec.SetSLO(telemetry.NewSLOMonitor(telemetry.SLOOptions{}, objs...))
+		rec.SetSLO(telemetry.NewSLOMonitor(telemetry.KindServer, objs...))
 	}
 	if *bundles != "" {
-		bw, err := telemetry.NewBundleWriter(*bundles, telemetry.BundleOptions{})
+		bw, err := telemetry.NewBundleWriter(*bundles)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func main() {
 		ln = link.Listener(ln)
 	}
 	if *telAddr != "" {
-		tbound, tshutdown, err := telemetry.ServeDebug(*telAddr, nil, nil)
+		tbound, tshutdown, err := telemetry.ServeDebug(*telAddr)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -187,5 +187,5 @@ func setLogLevel(s string) {
 	if err := lvl.UnmarshalText([]byte(s)); err != nil {
 		log.Fatalf("bad -log-level %q: %v", s, err)
 	}
-	telemetry.SetDefaultLogLevel(lvl)
+	telemetry.SetLogLevel(lvl)
 }

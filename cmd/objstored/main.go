@@ -39,7 +39,7 @@ func main() {
 	setLogLevel(*logLevel)
 
 	if *bundles != "" {
-		bw, err := telemetry.NewBundleWriter(*bundles, telemetry.BundleOptions{})
+		bw, err := telemetry.NewBundleWriter(*bundles)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *telAddr != "" {
-		tbound, tshutdown, err := telemetry.ServeDebug(*telAddr, nil, nil)
+		tbound, tshutdown, err := telemetry.ServeDebug(*telAddr)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -89,5 +89,5 @@ func setLogLevel(s string) {
 	if err := lvl.UnmarshalText([]byte(s)); err != nil {
 		log.Fatalf("bad -log-level %q: %v", s, err)
 	}
-	telemetry.SetDefaultLogLevel(lvl)
+	telemetry.SetLogLevel(lvl)
 }

@@ -102,7 +102,7 @@ func run(args []string) error {
 		// vizpipe observes from the client side, so the monitor scores the
 		// client's wide events (which include degraded fallbacks and
 		// retries) rather than a server's.
-		mon := telemetry.NewSLOMonitor(telemetry.SLOOptions{Kind: telemetry.KindClient}, objs...)
+		mon := telemetry.NewSLOMonitor(telemetry.KindClient, objs...)
 		rec := telemetry.DefaultFlightRecorder()
 		rec.SetSLO(mon)
 		defer func() {

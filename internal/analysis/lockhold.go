@@ -247,7 +247,7 @@ func blockingCall(pass *Pass, call *ast.CallExpr) string {
 		}
 	case rpcPath:
 		switch name {
-		case "Call", "CallContext", "Notify", "Dial":
+		case "Call", "CallContext", "Dial":
 			return "rpc client " + name
 		}
 	}

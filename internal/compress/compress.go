@@ -78,21 +78,6 @@ func ByKind(k Kind) (Codec, error) {
 	}
 }
 
-// MustByKind is ByKind for statically known kinds.
-func MustByKind(k Kind) Codec {
-	c, err := ByKind(k)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// All returns the three codecs in the order the paper reports them:
-// RAW, GZip, LZ4.
-func All() []Codec {
-	return []Codec{noneCodec{}, gzipCodec{}, lz4Codec{}}
-}
-
 type noneCodec struct{}
 
 func (noneCodec) Kind() Kind { return None }

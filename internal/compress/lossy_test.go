@@ -72,7 +72,7 @@ func TestQLZ4SmoothDataCompressesHard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lossless, err := MustByKind(LZ4).Compress(src)
+	lossless, err := byKind(t, LZ4).Compress(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestQLZ4NyxStyleData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lossless, err := MustByKind(Gzip).Compress(src)
+	lossless, err := byKind(t, Gzip).Compress(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"vizndp/internal/arraycache"
 	"vizndp/internal/contour"
 	"vizndp/internal/grid"
 	"vizndp/internal/lru"
@@ -121,7 +120,7 @@ func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (_ a
 	// joins it meanwhile. With no payload cache that is a direct call.
 	var readTime time.Duration
 	res, outcome, err := s.payloads.GetOrLoad(ctx, key, func() (*fetchResult, error) {
-		entry, rt, err := s.loadArray(ctx, arraycache.Key{Path: path, Array: array, Version: key.version})
+		entry, rt, err := s.loadArray(ctx, arrayKey{path, array, key.version})
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +137,7 @@ func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (_ a
 		_, span := telemetry.StartSpan(ctx, sel.span)
 		defer span.End()
 		start := time.Now()
-		res, err := sel.run(entry.Grid, entry.Field, q)
+		res, err := sel.run(entry.grid, entry.field, q)
 		if err != nil {
 			span.SetAttr("error", err.Error())
 			return nil, err

@@ -96,15 +96,6 @@ type PostFilter struct {
 // own points, so it is neither cleared nor NaN-filled between uses.
 var contourScratch sync.Pool
 
-// Reconstruct expands a payload into a NaN-padded field.
-func (f *PostFilter) Reconstruct(name string, p *Payload) (*grid.Field, error) {
-	vals, err := p.Reconstruct()
-	if err != nil {
-		return nil, err
-	}
-	return &grid.Field{Name: name, Values: vals}, nil
-}
-
 // Contour extracts the contour from the payload's own points, producing
 // exactly the mesh a full-array contour would: the payload holds every
 // corner of every cell an isovalue crosses, only cells with all eight

@@ -1,10 +1,63 @@
 package core
 
 import (
-	"vizndp/internal/arraycache"
+	"vizndp/internal/grid"
 	"vizndp/internal/lru"
 	"vizndp/internal/telemetry"
 )
+
+// The storage node's three caches are instances of internal/lru, all
+// defined here: decoded arrays (WithCacheBytes), encoded fetch results
+// (WithPayloadCacheBytes) and parsed file metadata (always on). Every key
+// carries the file's stamp, so a rewritten file misses under a new key
+// and its stale entries age out.
+
+// stamp identifies one state of a backing file: its modification time in
+// Unix nanoseconds — what tells a same-length overwrite apart, so the
+// server refuses to key on a filesystem that reports none — and its size.
+type stamp struct {
+	mtime, size int64
+}
+
+// Decoded-array cache metrics (default registry):
+//
+//	arraycache.hits            counter — lookups served from memory
+//	arraycache.misses          counter — lookups that paid a storage load
+//	arraycache.coalesced       counter — lookups that joined another load
+//	arraycache.evictions       counter — entries dropped to fit the bound
+//	arraycache.resident.bytes  gauge   — decoded bytes currently held
+//	arraycache.entries         gauge   — entries currently held
+//
+// The paper's viz loop sweeps contour values over one timestep, so every
+// request targets the same array with a different isovalue; keeping the
+// decoded array near the pre-filter turns the steady-state cost into a
+// pure scan. Loads single-flight: N concurrent fetches of one array make
+// one storage read.
+var arrayMetrics = lru.Metrics{
+	Hits:      telemetry.Default().Counter("arraycache.hits"),
+	Misses:    telemetry.Default().Counter("arraycache.misses"),
+	Coalesced: telemetry.Default().Counter("arraycache.coalesced"),
+	Evictions: telemetry.Default().Counter("arraycache.evictions"),
+	Bytes:     telemetry.Default().Gauge("arraycache.resident.bytes"),
+	Entries:   telemetry.Default().Gauge("arraycache.entries"),
+}
+
+// arrayKey names one cached decoded array.
+type arrayKey struct {
+	path, array string
+	version     stamp
+}
+
+// arrayEntry is one resident decoded array and the grid it spans, which
+// is everything the fetch pipeline needs without reopening the file.
+// Entries are shared between concurrent readers; treat them as immutable.
+type arrayEntry struct {
+	grid  *grid.Uniform
+	field *grid.Field
+}
+
+// size is the entry's accounted in-memory size.
+func (e *arrayEntry) size() int64 { return int64(4 * len(e.field.Values)) }
 
 // Scan-sharing metrics (default registry):
 //
@@ -50,14 +103,14 @@ type payloadKey struct {
 	method  string
 	path    string
 	array   string
-	version arraycache.Version
+	version stamp
 	id      string
 }
 
 // metaKey names one file version's parsed metadata (see openReader).
 type metaKey struct {
 	path    string
-	version arraycache.Version
+	version stamp
 }
 
 // metaCacheBytes bounds the metadata cache. A 128-cubed, eleven-array

@@ -55,7 +55,7 @@ func TestPoolFailoverOnReplicaDeath(t *testing.T) {
 
 	// Warm both replicas.
 	for i := 0; i < 4; i++ {
-		if _, err := pool.Call("echo", int64(i)); err != nil {
+		if _, err := pool.CallContext(context.Background(), "echo", int64(i)); err != nil {
 			t.Fatalf("warm call %d: %v", i, err)
 		}
 	}
@@ -64,7 +64,7 @@ func TestPoolFailoverOnReplicaDeath(t *testing.T) {
 	// must fail over, and the dead replica's breaker must trip.
 	srvB.Close()
 	for i := 0; i < 12; i++ {
-		got, err := pool.Call("echo", int64(i))
+		got, err := pool.CallContext(context.Background(), "echo", int64(i))
 		if err != nil {
 			t.Fatalf("call %d after replica death: %v", i, err)
 		}
@@ -130,14 +130,14 @@ func TestPoolRetriesBusyShed(t *testing.T) {
 
 	first := make(chan error, 1)
 	go func() {
-		_, err := pool.Call("block")
+		_, err := pool.CallContext(context.Background(), "block")
 		first <- err
 	}()
 	<-started
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := pool.Call("block")
+		_, err := pool.CallContext(context.Background(), "block")
 		done <- err
 	}()
 	time.AfterFunc(30*time.Millisecond, func() { close(release) })
@@ -274,7 +274,7 @@ func TestPoolPickFairnessUnderStorm(t *testing.T) {
 	defer pool.Close()
 
 	for i := 0; i < 6; i++ {
-		if _, err := pool.Call("echo", int64(i)); err != nil {
+		if _, err := pool.CallContext(context.Background(), "echo", int64(i)); err != nil {
 			t.Fatalf("warm call %d: %v", i, err)
 		}
 	}
@@ -337,7 +337,7 @@ func TestPoolPickFairnessUnderStorm(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("restarted replica never served a probe")
 		}
-		if _, err := pool.Call("echo", int64(1)); err != nil {
+		if _, err := pool.CallContext(context.Background(), "echo", int64(1)); err != nil {
 			t.Fatalf("call during recovery: %v", err)
 		}
 	}

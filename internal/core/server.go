@@ -9,7 +9,6 @@ import (
 	"net"
 	"time"
 
-	"vizndp/internal/arraycache"
 	"vizndp/internal/lru"
 	"vizndp/internal/rpc"
 	"vizndp/internal/telemetry"
@@ -26,8 +25,8 @@ var (
 	mFetchRawBytes  = telemetry.Default().Counter("ndp.fetch.bytes.raw")
 	mFetchPayload   = telemetry.Default().Counter("ndp.fetch.bytes.payload")
 	mFetchSelected  = telemetry.Default().Counter("ndp.fetch.points.selected")
-	mFetchReadSecs  = telemetry.Default().Histogram("ndp.fetch.read.seconds", telemetry.DurationBuckets)
-	mFetchFiltSecs  = telemetry.Default().Histogram("ndp.fetch.filter.seconds", telemetry.DurationBuckets)
+	mFetchReadSecs  = telemetry.Default().Histogram("ndp.fetch.read.seconds")
+	mFetchFiltSecs  = telemetry.Default().Histogram("ndp.fetch.filter.seconds")
 	mFetchSelectPPM = telemetry.Default().Gauge("ndp.fetch.selectivity.ppm")
 )
 
@@ -51,7 +50,7 @@ const (
 type Server struct {
 	fsys      fs.FS
 	rpc       *rpc.Server
-	cache     *arraycache.Cache
+	cache     *lru.Cache[arrayKey, *arrayEntry]
 	payloads  *lru.Cache[payloadKey, *fetchResult]
 	meta      *lru.Cache[metaKey, *vtkio.Meta]
 	scrub     *Scrubber
@@ -67,7 +66,7 @@ type ServerOption func(*Server)
 // sweep workload — skip the storage read and decompression entirely.
 // maxBytes <= 0 disables the cache (the default).
 func WithCacheBytes(maxBytes int64) ServerOption {
-	return func(s *Server) { s.cache = arraycache.New(maxBytes) }
+	return func(s *Server) { s.cache = lru.New[arrayKey](maxBytes, (*arrayEntry).size, arrayMetrics) }
 }
 
 // WithCoalesce does nothing. Concurrent identical requests share one load
@@ -142,7 +141,7 @@ func NewServer(fsys fs.FS, opts ...ServerOption) *Server {
 
 // Cache exposes the array cache (nil when disabled) for tests and
 // benchmarks that need to reset or inspect it.
-func (s *Server) Cache() *arraycache.Cache { return s.cache }
+func (s *Server) Cache() *lru.Cache[arrayKey, *arrayEntry] { return s.cache }
 
 // Serve accepts NDP connections from ln until closed. A deliberate stop
 // (Close or Shutdown) yields rpc.ErrShutdown.
@@ -301,13 +300,13 @@ func (s *Server) handleDescribe(ctx context.Context, args []any) (any, error) {
 // so a same-size overwrite is seen there as on a local disk. A filesystem
 // that reports no mtime cannot be cached over — size alone would serve a
 // same-size overwrite stale — and is refused by name.
-func (s *Server) fileVersion(path string) (arraycache.Version, error) {
+func (s *Server) fileVersion(path string) (stamp, error) {
 	info, err := fs.Stat(s.fsys, path)
 	if err != nil {
-		return arraycache.Version{}, err
+		return stamp{}, err
 	}
 	if info.ModTime().IsZero() {
-		return arraycache.Version{}, fmt.Errorf("core: %T reports no modification time for %s, "+
+		return stamp{}, fmt.Errorf("core: %T reports no modification time for %s, "+
 			"so caching over it could serve a stale array "+
 			"(an s3fs mount of an objstored that predates version stamps?)", s.fsys, path)
 	}
@@ -316,8 +315,8 @@ func (s *Server) fileVersion(path string) (arraycache.Version, error) {
 
 // versionOf is what tells one version of a file from the next: its
 // modification time and size.
-func versionOf(info fs.FileInfo) arraycache.Version {
-	return arraycache.Version{MTime: info.ModTime().UnixNano(), Size: info.Size()}
+func versionOf(info fs.FileInfo) stamp {
+	return stamp{mtime: info.ModTime().UnixNano(), size: info.Size()}
 }
 
 // corruptionError reports whether err means the stored bytes lied:
@@ -348,7 +347,7 @@ func (s *Server) failCorrupt(ctx context.Context, path string, err error) error 
 		return err
 	}
 	mFetchCorrupt.Inc()
-	dropped := s.cache.Invalidate(func(k arraycache.Key) bool { return k.Path == path }) +
+	dropped := s.cache.Invalidate(func(k arrayKey) bool { return k.path == path }) +
 		s.payloads.Invalidate(func(k payloadKey) bool { return k.path == path })
 	ev := telemetry.EventFromContext(ctx)
 	ev.SetAttr("corrupt", path)
@@ -376,37 +375,37 @@ func (s *Server) quarantined(path string) error {
 // honest account of storage work actually done for it, and hits and
 // coalesced waits stay out of the read-time histogram. A request waiting
 // on another's read waits under its own ctx.
-func (s *Server) loadArray(ctx context.Context, key arraycache.Key) (*arraycache.Entry, time.Duration, error) {
+func (s *Server) loadArray(ctx context.Context, key arrayKey) (*arrayEntry, time.Duration, error) {
 	_, span := telemetry.StartSpan(ctx, "read")
 	defer span.End()
-	span.SetAttr("path", key.Path)
-	span.SetAttr("array", key.Array)
+	span.SetAttr("path", key.path)
+	span.SetAttr("array", key.array)
 	start := time.Now()
-	entry, outcome, err := s.cache.GetOrLoad(ctx, key, func() (*arraycache.Entry, error) {
+	entry, outcome, err := s.cache.GetOrLoad(ctx, key, func() (*arrayEntry, error) {
 		// One actual storage read: open, parse the header, read +
 		// decompress the array. The entry outlives the closed file.
-		r, closer, err := s.openReader(key.Path)
+		r, closer, err := s.openReader(key.path)
 		if err != nil {
 			return nil, err
 		}
 		defer closer.Close()
-		field, err := r.ReadArray(key.Array)
+		field, err := r.ReadArray(key.array)
 		if err != nil {
 			return nil, err
 		}
-		return &arraycache.Entry{Grid: r.Grid(), Field: field}, nil
+		return &arrayEntry{grid: r.Grid(), field: field}, nil
 	})
 	telemetry.EventFromContext(ctx).SetCache(outcome.String())
 	if err != nil {
 		// A failed load was never cached (GetOrLoad caches only on success,
 		// and every coalesced waiter receives this same error); failCorrupt's
 		// invalidation covers entries decoded from earlier, clean reads.
-		err = s.failCorrupt(ctx, key.Path, err)
+		err = s.failCorrupt(ctx, key.path, err)
 		span.SetAttr("error", err.Error())
 		return nil, 0, err
 	}
 	span.SetAttr("cache", outcome.String())
-	if outcome != arraycache.Miss {
+	if outcome != lru.Miss {
 		return entry, 0, nil
 	}
 	readTime := time.Since(start)

@@ -20,9 +20,6 @@ type NDPSource struct {
 	Arrays    []string
 	Isovalues []float64
 	Encoding  Encoding
-	// Parallelism bounds concurrent fetches; <= 0 uses
-	// DefaultMultiParallelism.
-	Parallelism int
 
 	// Stats holds per-array fetch statistics from the most recent
 	// Execute.
@@ -59,7 +56,7 @@ func (s *NDPSource) Execute(ctx context.Context, _ any) (any, error) {
 			Isovalues: s.Isovalues, Encoding: s.Encoding,
 		}
 	}
-	results := s.Client.FetchFilteredMultiContext(ctx, reqs, s.Parallelism)
+	results := s.Client.FetchFilteredMultiContext(ctx, reqs, 0)
 
 	ds := grid.NewDataset(desc.Grid)
 	s.Stats = make(map[string]*FetchStats, len(s.Arrays))

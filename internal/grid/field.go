@@ -22,11 +22,6 @@ func NewField(name string, n int) *Field {
 func (f *Field) Len() int { return len(f.Values) }
 
 // Clone returns a deep copy of the field.
-func (f *Field) Clone() *Field {
-	v := make([]float32, len(f.Values))
-	copy(v, f.Values)
-	return &Field{Name: f.Name, Values: v}
-}
 
 // Range returns the minimum and maximum values of the field, ignoring NaN
 // sentinels. It returns (0, 0) for an empty or all-NaN field.
@@ -102,16 +97,3 @@ func (d *Dataset) NumFields() int { return len(d.order) }
 
 // Select returns a new dataset sharing the grid and only the named fields,
 // modelling VTK's data-array selection. Unknown names are an error.
-func (d *Dataset) Select(names ...string) (*Dataset, error) {
-	out := NewDataset(d.Grid)
-	for _, n := range names {
-		f := d.fields[n]
-		if f == nil {
-			return nil, fmt.Errorf("grid: no field %q (have %v)", n, d.order)
-		}
-		if err := out.AddField(f); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}

@@ -126,10 +126,6 @@ func (g *Uniform) NumCells() int { return g.Dims.NumCells() }
 func (g *Uniform) Is2D() bool { return g.Dims.Z == 1 }
 
 // Clone returns a copy of the grid definition.
-func (g *Uniform) Clone() *Uniform {
-	cp := *g
-	return &cp
-}
 
 // Equal reports whether two grids describe the same lattice.
 func (g *Uniform) Equal(o *Uniform) bool {

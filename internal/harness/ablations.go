@@ -45,7 +45,7 @@ func (e *Env) AblationLinkSpeed(array string, iso float64, linkBits []float64) (
 		return nil, err
 	}
 	ds := e.asteroidSet[step]
-	pre := &core.PreFilter{Isovalues: []float64{iso}, Encoding: e.Cfg.Encoding}
+	pre := &core.PreFilter{Isovalues: []float64{iso}, Encoding: core.EncAuto}
 	payload, st, err := pre.Run(ds.Grid, ds.Field(array))
 	if err != nil {
 		return nil, err
@@ -137,7 +137,7 @@ func (e *Env) EndToEnd(array string, iso float64) (*stats.Table, error) {
 		}
 		// NDP: pre-filtered fetch, contour, render.
 		ndpMesh, ndpLoad, ndpTotal, err := run(&core.NDPSource{
-			Client: e.ndpClient, Path: key, Arrays: []string{array}, Isovalues: isos, Encoding: e.Cfg.Encoding,
+			Client: e.ndpClient, Path: key, Arrays: []string{array}, Isovalues: isos, Encoding: core.EncAuto,
 		})
 		if err != nil {
 			return nil, err

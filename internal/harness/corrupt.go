@@ -166,7 +166,7 @@ func (e *Env) CorruptExperiment(array string) (*stats.Table, error) {
 		return nil, err
 	}
 	fetchBrick := func(c *core.Client, key string) error {
-		_, _, err := c.FetchFiltered(key, array, e.Cfg.ContourValues[:1], e.Cfg.Encoding)
+		_, _, err := c.FetchFiltered(key, array, e.Cfg.ContourValues[:1], core.EncAuto)
 		return err
 	}
 	for _, key := range damaged {

@@ -59,7 +59,7 @@ func (e *Env) Fig1() (*stats.Table, error) {
 				}
 			}
 			for _, iso := range e.Cfg.ContourValues {
-				pre := &core.PreFilter{Isovalues: []float64{iso}, Encoding: e.Cfg.Encoding}
+				pre := &core.PreFilter{Isovalues: []float64{iso}, Encoding: core.EncAuto}
 				_, st, err := pre.Run(ds.Grid, ds.Field(array))
 				if err != nil {
 					return nil, err

@@ -54,8 +54,6 @@ type Config struct {
 	Repeats int
 	// DataDir backs the object store; a caller-managed scratch dir.
 	DataDir string
-	// Encoding is the NDP payload encoding.
-	Encoding core.Encoding
 	// CacheBytes is the decoded-array cache budget for the RepeatFetch
 	// experiment's dedicated NDP server. The environment's shared NDP
 	// server never caches, so every other experiment keeps measuring
@@ -342,7 +340,7 @@ func (e *Env) ndpLoadKey(key, array string, isovalues []float64) (Measurement, e
 	// post-filter, which, like contour generation, is excluded from load
 	// time, so the payload is validated once, outside the timed region.
 	return e.measure(func() (err error) {
-		payload, _, err = e.ndpClient.FetchFiltered(key, array, isovalues, e.Cfg.Encoding)
+		payload, _, err = e.ndpClient.FetchFiltered(key, array, isovalues, core.EncAuto)
 		return err
 	}, func() error {
 		_, err := payload.Reconstruct()

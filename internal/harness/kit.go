@@ -265,7 +265,7 @@ func (o *oracle) fetch(c *core.Client, id fetchID, span string) (*core.Payload, 
 		ctx, sp = telemetry.StartSpan(ctx, span)
 		defer sp.End()
 	}
-	p, st, err := c.FetchFilteredContext(ctx, ObjectKey(o.dataset, o.codec, id.step), o.array, isos, o.e.Cfg.Encoding)
+	p, st, err := c.FetchFilteredContext(ctx, ObjectKey(o.dataset, o.codec, id.step), o.array, isos, core.EncAuto)
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: step %d iso %g: %w", id.step, id.iso, err)
 	}

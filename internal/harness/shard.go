@@ -148,7 +148,7 @@ func (e *Env) ShardExperiment(array string) (*stats.Table, error) {
 		var sum core.ShardStats
 		start := time.Now()
 		for i, id := range ids {
-			arr, st, err := sc.FetchArray(shardPrefix(dataset, codec, id.step), array, []float64{id.iso}, e.Cfg.Encoding)
+			arr, st, err := sc.FetchArray(shardPrefix(dataset, codec, id.step), array, []float64{id.iso}, core.EncAuto)
 			if err != nil {
 				return 0, sum, fmt.Errorf("harness: %s step %d iso %g: %w", phase, id.step, id.iso, err)
 			}

@@ -86,10 +86,10 @@ func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
 	}()
 	rec.SetEnabled(true)
 
-	// Fast window of 2 steps x 1min: the whole monitored phase fits well
-	// inside it, so fast burn == slow burn == lifetime burn and the
+	// The fast window is 5 steps x 1min: the whole monitored phase fits
+	// well inside it, so fast burn == slow burn == lifetime burn and the
 	// reconciliation below is exact, not approximate.
-	monitor, bundles, _, err := attachSLO(k, rec, core.MethodFetch, threshold, 50*time.Millisecond, 8)
+	monitor, bundles, _, err := attachSLO(k, rec, core.MethodFetch, threshold)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +194,7 @@ func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
 	// traced FetchRaw guarantees a bundle whose trigger trace has a full
 	// span tree (the burst's shed-triggered bundles can legitimately lack
 	// one — a shed request dies before any server span starts).
-	_, bundles2, breachDir, err := attachSLO(k, rec, core.MethodFetchRaw, time.Nanosecond, time.Millisecond, 4)
+	_, bundles2, breachDir, err := attachSLO(k, rec, core.MethodFetchRaw, time.Nanosecond)
 	if err != nil {
 		return nil, err
 	}
@@ -272,24 +272,19 @@ func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
 // attachSLO points the recorder at a fresh monitor holding method to a
 // latency objective (90% within latency, 99.9% available) and a fresh
 // bundle writer over a scratch directory the kit removes.
-func attachSLO(k *kit, rec *telemetry.FlightRecorder, method string, latency, minInterval time.Duration, maxBundles int) (*telemetry.SLOMonitor, *telemetry.BundleWriter, string, error) {
-	monitor := telemetry.NewSLOMonitor(
-		telemetry.SLOOptions{Step: time.Minute, FastN: 2, SlowN: 30},
-		telemetry.Objective{
-			Method:        method,
-			Latency:       latency,
-			LatencyTarget: 0.9,
-			AvailTarget:   0.999,
-		})
+func attachSLO(k *kit, rec *telemetry.FlightRecorder, method string, latency time.Duration) (*telemetry.SLOMonitor, *telemetry.BundleWriter, string, error) {
+	monitor := telemetry.NewSLOMonitor(telemetry.KindServer, telemetry.Objective{
+		Method:        method,
+		Latency:       latency,
+		LatencyTarget: 0.9,
+		AvailTarget:   0.999,
+	})
 	dir, err := os.MkdirTemp("", "vizndp-slo-bundles-")
 	if err != nil {
 		return nil, nil, "", err
 	}
 	k.onClose(func() { os.RemoveAll(dir) })
-	bundles, err := telemetry.NewBundleWriter(dir, telemetry.BundleOptions{
-		MinInterval: minInterval,
-		MaxBundles:  maxBundles,
-	})
+	bundles, err := telemetry.NewBundleWriter(dir)
 	if err != nil {
 		return nil, nil, "", err
 	}
@@ -310,7 +305,7 @@ func (e *Env) measureRecorderOverhead(client *core.Client, array string, rec *te
 	iso := []float64{e.Cfg.ContourValues[0]}
 	fetch := func() (float64, error) {
 		start := time.Now()
-		_, _, ferr := client.FetchFiltered(key, array, iso, e.Cfg.Encoding)
+		_, _, ferr := client.FetchFiltered(key, array, iso, core.EncAuto)
 		return float64(time.Since(start)) / float64(time.Millisecond), ferr
 	}
 	// Warm the cache so every timed fetch runs the resident-array path.

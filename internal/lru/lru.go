@@ -1,6 +1,6 @@
 // Package lru is the storage node's one byte-bounded LRU. The decoded
-// array cache (internal/arraycache), the encoded payload cache and the
-// file-metadata cache (both internal/core) are instances of it: each
+// array cache, the encoded payload cache and the file-metadata cache (all
+// in internal/core) are instances of it: each
 // supplies a key type, a size function and its own metric handles, and
 // shares the eviction, single-flight and invalidation code.
 //
@@ -13,7 +13,6 @@ import (
 	"container/list"
 	"context"
 	"sync"
-	"time"
 
 	"vizndp/internal/telemetry"
 )
@@ -43,14 +42,11 @@ func (o Outcome) String() string {
 	return "unknown"
 }
 
-// Metrics are the handles one cache instance reports to. Coalesced and
-// LoadSeconds are touched only by GetOrLoad; a cache that never calls it
-// may leave them nil, and one that does may leave LoadSeconds nil to have
-// its loads go untimed.
+// Metrics are the handles one cache instance reports to. Coalesced is
+// touched only by GetOrLoad; a cache that never calls it may leave it nil.
 type Metrics struct {
 	Hits, Misses, Coalesced, Evictions *telemetry.Counter
 	Bytes, Entries                     *telemetry.Gauge
-	LoadSeconds                        *telemetry.Histogram
 }
 
 // Cache is a byte-bounded LRU with optional single-flight loading. All
@@ -165,11 +161,7 @@ func (c *Cache[K, V]) GetOrLoad(ctx context.Context, key K, load func() (V, erro
 	c.mu.Unlock()
 
 	c.m.Misses.Inc()
-	start := time.Now()
 	f.value, f.err = load()
-	if c.m.LoadSeconds != nil {
-		c.m.LoadSeconds.Observe(time.Since(start).Seconds())
-	}
 	f.orphaned = f.err != nil && ctx.Err() != nil
 
 	c.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,17 +12,13 @@ import (
 )
 
 // newTestCache builds a string-keyed cache of byte slices, accounted by
-// length, reporting to a private registry. GetOrLoad's single-flight,
-// failed-load and nil-cache behaviour is pinned through the array-cache
-// instance, in internal/arraycache; what a waiter's and a leader's
-// context do to a flight is pinned here.
+// length, reporting to a private registry.
 func newTestCache(maxBytes int64) (*Cache[string, []byte], Metrics) {
 	reg := telemetry.NewRegistry()
 	m := Metrics{
 		Hits: reg.Counter("hits"), Misses: reg.Counter("misses"),
 		Coalesced: reg.Counter("coalesced"), Evictions: reg.Counter("evictions"),
 		Bytes: reg.Gauge("bytes"), Entries: reg.Gauge("entries"),
-		LoadSeconds: reg.Histogram("load", telemetry.DurationBuckets),
 	}
 	return New[string](maxBytes, func(v []byte) int64 { return int64(len(v)) }, m), m
 }
@@ -88,6 +85,192 @@ func TestInvalidateAndReset(t *testing.T) {
 	c.Reset()
 	if c.Len() != 0 || c.Resident() != 0 {
 		t.Errorf("after reset: len=%d resident=%d", c.Len(), c.Resident())
+	}
+}
+
+func TestCacheHitAfterMiss(t *testing.T) {
+	c, m := newTestCache(1000)
+	loads := 0
+	load := func() ([]byte, error) {
+		loads++
+		return make([]byte, 40), nil
+	}
+	v1, out, err := c.GetOrLoad(context.Background(), "k", load)
+	if err != nil || out != Miss {
+		t.Fatalf("first lookup: outcome %v, err %v", out, err)
+	}
+	v2, out, err := c.GetOrLoad(context.Background(), "k", load)
+	if err != nil || out != Hit {
+		t.Fatalf("second lookup: outcome %v, err %v", out, err)
+	}
+	if &v1[0] != &v2[0] || loads != 1 {
+		t.Errorf("hit returned a different value or loaded again (%d loads)", loads)
+	}
+	if c.Len() != 1 || c.Resident() != 40 || m.Hits.Value() != 1 || m.Misses.Value() != 1 {
+		t.Errorf("len %d resident %d hits/misses %d/%d, want 1/40, 1/1", c.Len(), c.Resident(), m.Hits.Value(), m.Misses.Value())
+	}
+}
+
+func TestCacheSingleFlight(t *testing.T) {
+	c, m := newTestCache(1000)
+	const waiters = 16
+	var loads atomic.Int64
+	started := make(chan struct{})
+	release := make(chan struct{})
+	load := func() ([]byte, error) {
+		loads.Add(1)
+		close(started)
+		<-release
+		return []byte("value"), nil
+	}
+	var wg sync.WaitGroup
+	outcomes := make([]Outcome, waiters)
+	values := make([][]byte, waiters)
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			v, out, err := c.GetOrLoad(context.Background(), "k", load)
+			if err != nil {
+				t.Errorf("waiter %d: %v", i, err)
+			}
+			outcomes[i], values[i] = out, v
+		}(i)
+	}
+	<-started
+	close(release)
+	wg.Wait()
+
+	if n := loads.Load(); n != 1 {
+		t.Fatalf("loads = %d, want exactly 1", n)
+	}
+	misses := 0
+	for i, out := range outcomes {
+		if out == Miss {
+			misses++
+		}
+		if &values[i][0] != &values[0][0] {
+			t.Errorf("waiter %d got a different value", i)
+		}
+	}
+	if misses != 1 || m.Misses.Value() != 1 || m.Coalesced.Value()+m.Hits.Value() != waiters-1 {
+		t.Errorf("outcome misses %d, counted misses/coalesced/hits %d/%d/%d; want 1 miss, the rest coalesced or hits",
+			misses, m.Misses.Value(), m.Coalesced.Value(), m.Hits.Value())
+	}
+}
+
+func TestCacheLoadErrorNotCached(t *testing.T) {
+	c, _ := newTestCache(1000)
+	boom := errors.New("boom")
+	_, out, err := c.GetOrLoad(context.Background(), "k", func() ([]byte, error) { return nil, boom })
+	if out != Miss || !errors.Is(err, boom) {
+		t.Fatalf("failed load: outcome %v, err %v", out, err)
+	}
+	if c.Len() != 0 {
+		t.Error("failed load cached")
+	}
+	// A retry must call load again and succeed.
+	v, out, err := c.GetOrLoad(context.Background(), "k", func() ([]byte, error) { return []byte("ok"), nil })
+	if err != nil || out != Miss || string(v) != "ok" {
+		t.Fatalf("retry: %q, outcome %v, err %v", v, out, err)
+	}
+}
+
+// TestCacheEvictsLRU: entries that arrive through GetOrLoad are evicted
+// least recently used first, as those that arrive through Put are.
+func TestCacheEvictsLRU(t *testing.T) {
+	c, _ := newTestCache(100) // fits two 40-byte entries, not three
+	for _, k := range []string{"p0", "p1", "p2"} {
+		c.GetOrLoad(context.Background(), k, func() ([]byte, error) { return make([]byte, 40), nil })
+		if k == "p1" {
+			// Touch p0 so p1 becomes the LRU victim.
+			if _, ok := c.Get("p0"); !ok {
+				t.Fatal("p0 not resident")
+			}
+		}
+	}
+	if _, ok := c.Get("p0"); !ok {
+		t.Error("recently used p0 evicted")
+	}
+	if _, ok := c.Get("p1"); ok {
+		t.Error("LRU victim p1 still resident")
+	}
+	if _, ok := c.Get("p2"); !ok {
+		t.Error("newest p2 evicted")
+	}
+	if c.Resident() > 100 {
+		t.Errorf("resident %d exceeds budget", c.Resident())
+	}
+}
+
+func TestCacheOversizeEntryNotRetained(t *testing.T) {
+	c, _ := newTestCache(16)
+	v, out, err := c.GetOrLoad(context.Background(), "big", func() ([]byte, error) { return make([]byte, 40), nil })
+	if err != nil || out != Miss || len(v) != 40 {
+		t.Fatalf("oversize load: %d bytes, %v, %v", len(v), out, err)
+	}
+	if c.Len() != 0 || c.Resident() != 0 {
+		t.Errorf("oversize entry retained: len %d resident %d", c.Len(), c.Resident())
+	}
+}
+
+func TestCacheReset(t *testing.T) {
+	c, _ := newTestCache(1 << 20)
+	load := func() ([]byte, error) { return make([]byte, 40), nil }
+	c.GetOrLoad(context.Background(), "a", load)
+	c.GetOrLoad(context.Background(), "b", load)
+	c.Reset()
+	if c.Len() != 0 || c.Resident() != 0 {
+		t.Errorf("after reset: len %d resident %d", c.Len(), c.Resident())
+	}
+	if _, out, _ := c.GetOrLoad(context.Background(), "a", load); out != Miss {
+		t.Errorf("post-reset lookup: outcome %v, want Miss", out)
+	}
+}
+
+func TestCacheNilIsOff(t *testing.T) {
+	c, _ := newTestCache(0)
+	if c != nil {
+		t.Fatal("New(0) should return a nil (disabled) cache")
+	}
+	loads := 0
+	for i := 0; i < 2; i++ {
+		v, out, err := c.GetOrLoad(context.Background(), "k", func() ([]byte, error) {
+			loads++
+			return []byte("v"), nil
+		})
+		if err != nil || out != Miss || string(v) != "v" {
+			t.Fatalf("nil cache lookup %d: %v/%v", i, out, err)
+		}
+	}
+	if loads != 2 {
+		t.Errorf("nil cache coalesced loads: %d", loads)
+	}
+	if c.Len() != 0 || c.Resident() != 0 {
+		t.Error("nil cache reports state")
+	}
+	c.Reset() // must not panic
+	if c.Invalidate(func(string) bool { return true }) != 0 {
+		t.Error("nil cache invalidated entries")
+	}
+}
+
+// TestCacheVersionChangeMisses: the caches key on a file's version, so a
+// rewritten file's key differs from the old one only in it and must load
+// anew while the old entry stays until it ages out.
+func TestCacheVersionChangeMisses(t *testing.T) {
+	c, _ := newTestCache(1000)
+	loads := 0
+	load := func() ([]byte, error) {
+		loads++
+		return []byte("v"), nil
+	}
+	c.GetOrLoad(context.Background(), "a/d@mtime1", load)
+	if _, out, _ := c.GetOrLoad(context.Background(), "a/d@mtime2", load); out != Miss || loads != 2 {
+		t.Errorf("changed version: outcome %v, loads %d", out, loads)
+	}
+	if c.Len() != 2 {
+		t.Errorf("len = %d, want both versions resident", c.Len())
 	}
 }
 

@@ -48,7 +48,6 @@ type Link struct {
 	nextFree time.Time
 
 	sent atomic.Int64
-	recv atomic.Int64
 
 	// faults, when set, injects the attached policy's failures into the
 	// link's dials and connections.
@@ -76,17 +75,8 @@ func Unlimited() *Link { return &Link{} }
 // BytesSent returns the total bytes written through the link.
 func (l *Link) BytesSent() int64 { return l.sent.Load() }
 
-// BytesReceived returns the total bytes read through the link.
-func (l *Link) BytesReceived() int64 { return l.recv.Load() }
-
-// ResetCounters zeroes the byte counters.
-func (l *Link) ResetCounters() {
-	l.sent.Store(0)
-	l.recv.Store(0)
-}
-
-// Latency returns the link's one-way latency.
-func (l *Link) Latency() time.Duration { return l.latency }
+// ResetCounters zeroes the byte counter.
+func (l *Link) ResetCounters() { l.sent.Store(0) }
 
 // TransferTime returns the ideal serialized transfer time for n bytes,
 // ignoring contention. Used by the analytic cost model.
@@ -236,7 +226,6 @@ func (s *shapedConn) Write(b []byte) (int, error) {
 
 func (s *shapedConn) Read(b []byte) (int, error) {
 	n, err := s.Conn.Read(b)
-	s.link.recv.Add(int64(n))
 	mBytesRecv.Add(int64(n))
 	return n, err
 }

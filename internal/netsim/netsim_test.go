@@ -102,11 +102,8 @@ func TestByteCounters(t *testing.T) {
 	if link.BytesSent() != int64(len(payload)) {
 		t.Errorf("BytesSent = %d, want %d", link.BytesSent(), len(payload))
 	}
-	if link.BytesReceived() != int64(len(payload)) {
-		t.Errorf("BytesReceived = %d, want %d", link.BytesReceived(), len(payload))
-	}
 	link.ResetCounters()
-	if link.BytesSent() != 0 || link.BytesReceived() != 0 {
+	if link.BytesSent() != 0 {
 		t.Error("ResetCounters did not zero")
 	}
 }
@@ -190,6 +187,7 @@ func TestTCPListenerDial(t *testing.T) {
 	defer shaped.Close()
 
 	msg := []byte("hello over shaped tcp")
+	recv0 := mBytesRecv.Value()
 	go func() {
 		c, err := shaped.Accept()
 		if err != nil {
@@ -211,14 +209,14 @@ func TestTCPListenerDial(t *testing.T) {
 	// Client write counts on the client-side wrapper; give the listener
 	// side a moment to drain.
 	deadline := time.Now().Add(2 * time.Second)
-	for link.BytesReceived() < int64(len(msg)) && time.Now().Before(deadline) {
+	for mBytesRecv.Value()-recv0 < int64(len(msg)) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if link.BytesSent() < int64(len(msg)) {
 		t.Errorf("BytesSent = %d, want >= %d", link.BytesSent(), len(msg))
 	}
-	if link.BytesReceived() < int64(len(msg)) {
-		t.Errorf("BytesReceived = %d, want >= %d", link.BytesReceived(), len(msg))
+	if got := mBytesRecv.Value() - recv0; got < int64(len(msg)) {
+		t.Errorf("netsim.bytes.recv rose by %d, want >= %d", got, len(msg))
 	}
 }
 
@@ -244,9 +242,6 @@ func TestDialLatency(t *testing.T) {
 	c.Close()
 	if elapsed := time.Since(start); elapsed < lat {
 		t.Errorf("dial took %v, want >= %v latency charge", elapsed, lat)
-	}
-	if link.Latency() != lat {
-		t.Errorf("Latency() = %v", link.Latency())
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"vizndp/internal/netsim"
+	"vizndp/internal/telemetry"
 )
 
 // startStore spins up a server over httptest and returns a client.
@@ -401,7 +402,8 @@ func TestShapedTransferCountsBytes(t *testing.T) {
 	if err := c.Put("b", "big", payload); err != nil {
 		t.Fatal(err)
 	}
-	link.ResetCounters()
+	recv := telemetry.Default().Counter("netsim.bytes.recv")
+	recv0 := recv.Value()
 	start := time.Now()
 	got, err := c.Get("b", "big")
 	if err != nil {
@@ -411,8 +413,8 @@ func TestShapedTransferCountsBytes(t *testing.T) {
 	if len(got) != len(payload) {
 		t.Fatalf("got %d bytes", len(got))
 	}
-	if link.BytesReceived() < int64(len(payload)) {
-		t.Errorf("link counted %d bytes down", link.BytesReceived())
+	if got := recv.Value() - recv0; got < int64(len(payload)) {
+		t.Errorf("link counted %d bytes down", got)
 	}
 	ideal := link.TransferTime(int64(len(payload)))
 	if elapsed < ideal*7/10 {

@@ -49,7 +49,7 @@ func statusCounter(code int) *telemetry.Counter {
 }
 
 func opSeconds(op string) *telemetry.Histogram {
-	return telemetry.Default().Histogram("objstore.seconds."+op, telemetry.DurationBuckets)
+	return telemetry.Default().Histogram("objstore.seconds." + op)
 }
 
 // statusRecorder captures the status code and body bytes of a response

@@ -27,20 +27,6 @@ type Stage interface {
 	Execute(ctx context.Context, in any) (any, error)
 }
 
-// StageFunc adapts a function to the Stage interface.
-type StageFunc struct {
-	StageName string
-	Fn        func(ctx context.Context, in any) (any, error)
-}
-
-// Name implements Stage.
-func (s StageFunc) Name() string { return s.StageName }
-
-// Execute implements Stage.
-func (s StageFunc) Execute(ctx context.Context, in any) (any, error) {
-	return s.Fn(ctx, in)
-}
-
 // Pipeline is an ordered chain of stages.
 type Pipeline struct {
 	stages []Stage

@@ -16,6 +16,16 @@ import (
 )
 
 // sphereDataset builds a dataset with a distance field named "d".
+// funcStage adapts a function to the Stage interface.
+type funcStage struct {
+	name string
+	fn   func(ctx context.Context, in any) (any, error)
+}
+
+func (s funcStage) Name() string { return s.name }
+
+func (s funcStage) Execute(ctx context.Context, in any) (any, error) { return s.fn(ctx, in) }
+
 func sphereDataset(n int) *grid.Dataset {
 	g := grid.NewUniform(n, n, n)
 	ds := grid.NewDataset(g)
@@ -38,7 +48,7 @@ func TestRunSourceFilterSink(t *testing.T) {
 	p := New(
 		&DatasetSource{Dataset: ds},
 		&ContourFilter{Array: "d", Isovalues: []float64{5}},
-		NullSink{},
+		funcStage{"sink", func(_ context.Context, in any) (any, error) { return in, nil }},
 	)
 	out, err := p.Run(context.Background())
 	if err != nil {
@@ -67,12 +77,9 @@ func TestEmptyPipeline(t *testing.T) {
 
 func TestStageErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
-	p := New(StageFunc{
-		StageName: "bad",
-		Fn: func(context.Context, any) (any, error) {
-			return nil, boom
-		},
-	})
+	p := New(funcStage{"bad", func(context.Context, any) (any, error) {
+		return nil, boom
+	}})
 	if _, err := p.Run(context.Background()); !errors.Is(err, boom) {
 		t.Errorf("err = %v", err)
 	}
@@ -233,9 +240,6 @@ func TestThresholdFilterStage(t *testing.T) {
 func TestStageNames(t *testing.T) {
 	if (&MultiContour{}).Name() != "multi-contour" {
 		t.Error("MultiContour name")
-	}
-	if (NullSink{}).Name() != "sink" {
-		t.Error("NullSink name")
 	}
 	if (&FileSource{}).Name() != SourceStageName {
 		t.Error("FileSource name")

@@ -140,13 +140,3 @@ func (f *ThresholdFilter) Execute(_ context.Context, in any) (any, error) {
 	}
 	return contour.ThresholdCells(ds.Grid, fld.Values, f.Lo, f.Hi)
 }
-
-// NullSink discards its input, standing in for a renderer when only load
-// times are being measured.
-type NullSink struct{}
-
-// Name implements Stage.
-func (NullSink) Name() string { return "sink" }
-
-// Execute implements Stage.
-func (NullSink) Execute(_ context.Context, in any) (any, error) { return in, nil }

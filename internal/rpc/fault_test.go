@@ -175,27 +175,6 @@ func TestClientFaultWriteFailurePoisons(t *testing.T) {
 	defer c.Close()
 	_, err := c.Call("ping")
 	wantPeerCrash(t, err)
-	// Notify after the poisoning reports the same sticky error rather
-	// than attempting another write on the desynced stream.
-	if err := c.Notify("ping"); !errors.Is(err, ErrShutdown) {
-		t.Errorf("Notify on poisoned client = %v, want ErrShutdown match", err)
-	}
-}
-
-func TestClientFaultNotifyWriteFailure(t *testing.T) {
-	cli, srv := net.Pipe()
-	srv.Close()
-	c := NewClient(cli)
-	defer c.Close()
-	// Depending on which goroutine observes the dead pipe first this is
-	// either the poisoning write or the sticky error — both must match
-	// ErrShutdown, never surface a raw transport error.
-	if err := c.Notify("ping"); !errors.Is(err, ErrShutdown) {
-		t.Errorf("Notify = %v, want ErrShutdown match", err)
-	}
-	if _, err := c.Call("ping"); !errors.Is(err, ErrShutdown) {
-		t.Errorf("Call after poisoned Notify = %v, want ErrShutdown match", err)
-	}
 }
 
 func TestReconnectClientRecoversAcrossServerDeaths(t *testing.T) {
@@ -213,7 +192,7 @@ func TestReconnectClientRecoversAcrossServerDeaths(t *testing.T) {
 	})
 	defer rc.Close()
 	for i := 0; i < 5; i++ {
-		got, err := rc.Call("echo", i)
+		got, err := rc.CallContext(context.Background(), "echo", i)
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
@@ -254,7 +233,7 @@ func TestReconnectClientRetriesRefusedDials(t *testing.T) {
 		Seed:           2,
 	})
 	defer rc.Close()
-	got, err := rc.Call("ping")
+	got, err := rc.CallContext(context.Background(), "ping")
 	if err != nil || got != "pong" {
 		t.Fatalf("call = %v, %v", got, err)
 	}
@@ -279,7 +258,7 @@ func TestReconnectClientDoesNotRetryNonIdempotent(t *testing.T) {
 		// Retryable deliberately empty: no method may be re-issued.
 	})
 	defer rc.Close()
-	_, err := rc.Call("mutate")
+	_, err := rc.CallContext(context.Background(), "mutate")
 	if !errors.Is(err, ErrShutdown) {
 		t.Fatalf("err = %v, want ErrShutdown match", err)
 	}
@@ -308,7 +287,7 @@ func TestReconnectClientDoesNotRetryServerErrors(t *testing.T) {
 		Seed:           4,
 	})
 	defer rc.Close()
-	_, err = rc.Call("fail")
+	_, err = rc.CallContext(context.Background(), "fail")
 	var se ServerError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want ServerError", err)
@@ -323,7 +302,7 @@ func TestReconnectClientClosed(t *testing.T) {
 	if err := rc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rc.Call("ping"); !errors.Is(err, ErrShutdown) {
+	if _, err := rc.CallContext(context.Background(), "ping"); !errors.Is(err, ErrShutdown) {
 		t.Errorf("call on closed client = %v, want ErrShutdown", err)
 	}
 	if err := rc.Close(); err != nil {

@@ -364,11 +364,6 @@ func (rc *ReconnectClient) pick(last *replica) *replica {
 	return best
 }
 
-// Call invokes method with args, reconnecting and retrying as configured.
-func (rc *ReconnectClient) Call(method string, args ...any) (any, error) {
-	return rc.CallContext(context.Background(), method, args...)
-}
-
 // CallContext invokes method with args under ctx on the healthiest
 // address. Busy sheds and — for methods in the retryable set — transport
 // failures (dead connection, failed dial, per-attempt timeout) are

@@ -4,7 +4,8 @@
 //
 // Messages follow the msgpack-rpc shapes: requests are
 // [0, msgid, method, params], responses are [1, msgid, error, result],
-// and notifications are [2, method, params]. Unlike rpclib, each message
+// and notifications are [2, method, params], which the server decodes and
+// drops without running a handler. Unlike rpclib, each message
 // is carried in a 4-byte big-endian length-prefixed frame, which keeps
 // the stream decoder trivial without changing any measured behaviour
 // (the prefix adds 4 bytes per message).
@@ -58,12 +59,12 @@ import (
 var (
 	mClientCalls     = telemetry.Default().Counter("rpc.client.calls")
 	mClientErrors    = telemetry.Default().Counter("rpc.client.errors")
-	mClientSeconds   = telemetry.Default().Histogram("rpc.client.seconds", telemetry.DurationBuckets)
+	mClientSeconds   = telemetry.Default().Histogram("rpc.client.seconds")
 	mClientBytesOut  = telemetry.Default().Counter("rpc.client.bytes.sent")
 	mClientBytesIn   = telemetry.Default().Counter("rpc.client.bytes.rcvd")
 	mServerRequests  = telemetry.Default().Counter("rpc.server.requests")
 	mServerErrors    = telemetry.Default().Counter("rpc.server.errors")
-	mServerSeconds   = telemetry.Default().Histogram("rpc.server.seconds", telemetry.DurationBuckets)
+	mServerSeconds   = telemetry.Default().Histogram("rpc.server.seconds")
 	mServerBytesOut  = telemetry.Default().Counter("rpc.server.bytes.sent")
 	mServerBytesIn   = telemetry.Default().Counter("rpc.server.bytes.rcvd")
 	mServerInFlight  = telemetry.Default().Gauge("rpc.server.inflight")
@@ -255,7 +256,7 @@ const MethodHealthz = "rpc.healthz"
 // Server dispatches msgpack-rpc requests to registered handlers.
 type Server struct {
 	mu       sync.RWMutex
-	handlers map[string]Handler
+	handlers map[string]registered
 
 	lnMu      sync.Mutex
 	listeners map[net.Listener]struct{}
@@ -299,7 +300,7 @@ func WithQueue(n int) ServerOption {
 // NewServer returns an empty server.
 func NewServer(opts ...ServerOption) *Server {
 	s := &Server{
-		handlers:  make(map[string]Handler),
+		handlers:  make(map[string]registered),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 	}
@@ -309,17 +310,32 @@ func NewServer(opts ...ServerOption) *Server {
 	if s.maxInFlight > 0 {
 		s.slots = make(chan struct{}, s.maxInFlight)
 	}
-	s.handlers[MethodHealthz] = func(context.Context, []any) (any, error) {
+	s.handlers[MethodHealthz] = registered{h: func(context.Context, []any) (any, error) {
 		return s.Health(), nil
-	}
+	}}
 	return s
+}
+
+// registered is one method's handler and its dispatch metrics,
+// rpc.server.call.<method>.seconds and .errors. Register resolves them
+// once, so a method name a peer makes up creates no metric; the health
+// probe has none.
+type registered struct {
+	h       Handler
+	seconds *telemetry.Histogram
+	errors  *telemetry.Counter
 }
 
 // Register binds a handler to a method name, replacing any previous one.
 func (s *Server) Register(method string, h Handler) {
+	r := registered{
+		h:       h,
+		seconds: telemetry.Default().Histogram("rpc.server.call." + method + ".seconds"),
+		errors:  telemetry.Default().Counter("rpc.server.call." + method + ".errors"),
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.handlers[method] = h
+	s.handlers[method] = r
 }
 
 // Health reports the server's current state: HealthDraining once
@@ -534,15 +550,9 @@ func (s *Server) ServeConn(conn net.Conn) {
 			return // protocol error: drop the connection
 		}
 		if in.msgType == typeNotification {
-			h := s.lookup(in.method)
-			if h == nil {
-				continue
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s.runNotification(ctx, h, in)
-			}()
+			// No reply can carry a notification's result, and a handler's
+			// only product is its reply: running one would read and scan
+			// for no one.
 			continue
 		}
 		wg.Add(1)
@@ -553,39 +563,20 @@ func (s *Server) ServeConn(conn net.Conn) {
 	}
 }
 
-// runNotification executes one notification handler under the same
-// accounting and admission gate as calls; a shed notification is simply
-// dropped — the protocol has no reply to refuse it with.
-func (s *Server) runNotification(ctx context.Context, h Handler, in incoming) {
-	mServerRequests.Inc()
-	if !s.beginRequest() {
-		mServerShed.Inc()
-		return
-	}
-	defer s.endRequest()
-	release, err := s.admit(ctx)
-	if err != nil {
-		return // admit counted the shed, or the connection died waiting
-	}
-	defer release()
-	mServerInFlight.Add(1)
-	defer mServerInFlight.Add(-1)
-	_, _ = h(ctx, in.args)
-}
-
 // runRequest executes one call end to end: drain accounting, deadline
 // derivation, admission, dispatch, and the serialized response write.
 // Every non-healthz call also produces one wide event in the flight
 // recorder, assembled as the request moves through each stage.
 func (s *Server) runRequest(ctx context.Context, conn net.Conn, wmu *sync.Mutex, in incoming) {
 	mServerRequests.Inc()
+	m := s.lookup(in.method)
 
 	// Health probes bypass accounting and admission: answering while
 	// the server is saturated or draining is their entire job. They stay
 	// out of the flight recorder too — a probe per second would drown
 	// the ring in noise.
 	if in.method == MethodHealthz {
-		result, herr := s.dispatch(ctx, in.method, in.args)
+		result, herr := m.call(ctx, in.method, in.args)
 		s.respond(conn, wmu, in.msgid, herr, result, nil)
 		return
 	}
@@ -653,13 +644,17 @@ func (s *Server) runRequest(ctx context.Context, conn net.Conn, wmu *sync.Mutex,
 	ev.SetSpanIDs(span.Trace(), span.ID())
 	hctx = telemetry.ContextWithEvent(hctx, ev)
 	start := time.Now()
-	result, herr := s.dispatch(hctx, in.method, in.args)
+	result, herr := m.call(hctx, in.method, in.args)
 	elapsed := time.Since(start).Seconds()
 	mServerSeconds.ObserveExemplar(elapsed, span.Trace())
-	methodSeconds(in.method).ObserveExemplar(elapsed, span.Trace())
+	if m.h != nil {
+		m.seconds.ObserveExemplar(elapsed, span.Trace())
+	}
 	if herr != nil {
 		mServerErrors.Inc()
-		methodErrors(in.method).Inc()
+		if m.h != nil {
+			m.errors.Inc()
+		}
 		span.SetAttr("error", herr.Error())
 		logger.Debug("handler error", "method", in.method, "err", herr)
 	}
@@ -675,18 +670,6 @@ func (s *Server) runRequest(ctx context.Context, conn net.Conn, wmu *sync.Mutex,
 	}
 	ev.SetBytesOut(s.respond(conn, wmu, in.msgid, herr, result, spans))
 	ev.Finish(herr)
-}
-
-// methodSeconds / methodErrors are the per-method dispatch metrics
-// (rpc.server.call.<method>.seconds / .errors); registry lookups are
-// create-on-first-use behind an RLock, so the per-call cost is a map
-// read.
-func methodSeconds(method string) *telemetry.Histogram {
-	return telemetry.Default().Histogram("rpc.server.call."+method+".seconds", telemetry.DurationBuckets)
-}
-
-func methodErrors(method string) *telemetry.Counter {
-	return telemetry.Default().Counter("rpc.server.call." + method + ".errors")
 }
 
 // respond encodes and writes one response frame under the connection's
@@ -707,18 +690,19 @@ func (s *Server) respond(conn net.Conn, wmu *sync.Mutex, msgid int64, herr error
 	return 0
 }
 
-func (s *Server) lookup(method string) Handler {
+func (s *Server) lookup(method string) registered {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.handlers[method]
 }
 
-func (s *Server) dispatch(ctx context.Context, method string, args []any) (any, error) {
-	h := s.lookup(method)
-	if h == nil {
+// call runs the handler, or reports method as unknown when none is
+// registered.
+func (m registered) call(ctx context.Context, method string, args []any) (any, error) {
+	if m.h == nil {
 		return nil, fmt.Errorf("rpc: unknown method %q", method)
 	}
-	return h(ctx, args)
+	return m.h(ctx, args)
 }
 
 // incoming is one decoded request or notification frame.
@@ -1108,42 +1092,6 @@ func (c *Client) send(method string, args []any, meta string) (chan response, in
 	}
 	mClientBytesOut.Add(int64(len(body) + 4))
 	return ch, msgid, nil
-}
-
-// Notify sends a fire-and-forget notification.
-func (c *Client) Notify(method string, args ...any) error {
-	c.mu.Lock()
-	if c.closed {
-		err := c.err
-		c.mu.Unlock()
-		if err == nil {
-			err = ErrShutdown
-		}
-		return err
-	}
-	c.mu.Unlock()
-	e := msgpack.NewEncoder(256)
-	e.PutArrayLen(3)
-	e.PutInt(typeNotification)
-	e.PutString(method)
-	e.PutArrayLen(len(args))
-	for _, a := range args {
-		if err := e.PutAny(a); err != nil {
-			return err
-		}
-	}
-	body := e.Bytes()
-	c.wmu.Lock()
-	err := writeFrame(c.conn, body)
-	c.wmu.Unlock()
-	if err != nil {
-		// Same treatment as send: the stream may hold a partial frame, and
-		// a Close that raced this write should surface the sticky shutdown
-		// error, not the raw "use of closed network connection" error.
-		return c.fail(err)
-	}
-	mClientBytesOut.Add(int64(len(body) + 4))
-	return nil
 }
 
 func (c *Client) abandon(msgid int64) {

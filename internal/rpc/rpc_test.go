@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -64,10 +64,37 @@ func TestCallServerError(t *testing.T) {
 	}
 }
 
+// TestCallUnknownMethod: a method nobody registered is an error, counted
+// in rpc.server.errors alone — the names a peer sends create no
+// rpc.server.call.* metrics.
 func TestCallUnknownMethod(t *testing.T) {
 	c := startServer(t, func(s *Server) {})
-	if _, err := c.Call("missing"); err == nil {
-		t.Error("unknown method should error")
+	callMetrics := func() (n int) {
+		snap := telemetry.Default().Snapshot()
+		for name := range snap.Counters {
+			if strings.HasPrefix(name, "rpc.server.call.") {
+				n++
+			}
+		}
+		for name := range snap.Histograms {
+			if strings.HasPrefix(name, "rpc.server.call.") {
+				n++
+			}
+		}
+		return n
+	}
+	errs := telemetry.Default().Counter("rpc.server.errors")
+	before, errs0 := callMetrics(), errs.Value()
+	for i := 0; i < 100; i++ {
+		if _, err := c.Call(fmt.Sprintf("missing.%d", i)); err == nil {
+			t.Fatal("unknown method should error")
+		}
+	}
+	if got := callMetrics() - before; got != 0 {
+		t.Errorf("100 unknown methods added %d rpc.server.call.* metrics, want 0", got)
+	}
+	if got := errs.Value() - errs0; got != 100 {
+		t.Errorf("rpc.server.errors rose by %d, want 100", got)
 	}
 }
 
@@ -151,26 +178,6 @@ func TestConcurrentCalls(t *testing.T) {
 	}
 }
 
-func TestNotify(t *testing.T) {
-	var hits atomic.Int64
-	c := startServer(t, func(s *Server) {
-		s.Register("ping", func(_ context.Context, _ []any) (any, error) {
-			hits.Add(1)
-			return nil, nil
-		})
-	})
-	if err := c.Notify("ping"); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for hits.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if hits.Load() != 1 {
-		t.Errorf("notification not delivered")
-	}
-}
-
 func TestClientCloseFailsPending(t *testing.T) {
 	block := make(chan struct{})
 	c := startServer(t, func(s *Server) {
@@ -201,7 +208,7 @@ func TestClientCloseFailsPending(t *testing.T) {
 }
 
 // TestClientCloseReturnsErrShutdown pins the documented contract: after
-// an explicit Close, new calls and notifications fail with ErrShutdown —
+// an explicit Close, new calls fail with ErrShutdown —
 // not the readLoop's raw "use of closed network connection" error.
 func TestClientCloseReturnsErrShutdown(t *testing.T) {
 	c := startServer(t, func(s *Server) {
@@ -221,31 +228,8 @@ func TestClientCloseReturnsErrShutdown(t *testing.T) {
 	if _, err := c.Call("ping"); !errors.Is(err, ErrShutdown) {
 		t.Errorf("Call after Close = %v, want ErrShutdown", err)
 	}
-	if err := c.Notify("ping"); !errors.Is(err, ErrShutdown) {
-		t.Errorf("Notify after Close = %v, want ErrShutdown", err)
-	}
 	if err := c.Close(); err != nil {
 		t.Errorf("second Close = %v, want nil", err)
-	}
-}
-
-// TestNotifyCountsBytesSent verifies notifications are accounted in the
-// rpc.client.bytes.sent counter like calls are.
-func TestNotifyCountsBytesSent(t *testing.T) {
-	c := startServer(t, func(s *Server) {
-		s.Register("ping", func(_ context.Context, _ []any) (any, error) {
-			return nil, nil
-		})
-	})
-	ctr := telemetry.Default().Counter("rpc.client.bytes.sent")
-	before := ctr.Value()
-	if err := c.Notify("ping", "payload"); err != nil {
-		t.Fatal(err)
-	}
-	// A notify frame is [2, method, args] plus the 4-byte length prefix;
-	// anything > 4 proves the body was counted too.
-	if got := ctr.Value() - before; got <= 4 {
-		t.Errorf("bytes.sent delta = %d, want > 4", got)
 	}
 }
 

@@ -25,9 +25,6 @@ type NyxConfig struct {
 	N int
 	// Seed varies the realization.
 	Seed uint32
-	// Halos is the number of density peaks; <= 0 picks a default scaled
-	// to the grid volume.
-	Halos int
 }
 
 // Generate produces the single-timestep, 6-array Nyx-like dataset.
@@ -41,11 +38,8 @@ func (c NyxConfig) Generate() (*grid.Dataset, error) {
 		return nil, fmt.Errorf("sim: nyx grid edge %d too small (need >= 8)", c.N)
 	}
 	n := c.N
-	halos := c.Halos
-	if halos <= 0 {
-		// ~10 halos per 96^3 volume, scaled by volume.
-		halos = 1 + 10*n*n*n/(96*96*96)
-	}
+	// ~10 halos per 96^3 volume, scaled by volume.
+	halos := 1 + 10*n*n*n/(96*96*96)
 	g := grid.NewUniform(n, n, n)
 	g.Spacing = grid.Vec3{X: 1.0 / float64(n-1), Y: 1.0 / float64(n-1), Z: 1.0 / float64(n-1)}
 	ds := grid.NewDataset(g)

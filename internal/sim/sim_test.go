@@ -156,7 +156,10 @@ func TestAsteroidErrors(t *testing.T) {
 // compressedSize returns the gzip-compressed byte size of a field.
 func compressedSize(t *testing.T, vals []float32, kind compress.Kind) int {
 	t.Helper()
-	codec := compress.MustByKind(kind)
+	codec, err := compress.ByKind(kind)
+	if err != nil {
+		t.Fatal(err)
+	}
 	enc, err := codec.Compress(vtkio.FloatsToBytes(vals))
 	if err != nil {
 		t.Fatal(err)

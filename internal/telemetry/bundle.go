@@ -38,66 +38,41 @@ type DebugBundle struct {
 	CounterDelta map[string]int64 `json:"counterDelta,omitempty"`
 }
 
-// BundleOptions configure a BundleWriter.
-type BundleOptions struct {
-	// MinInterval is the shortest gap between bundles; triggers inside
-	// the gap are counted as suppressed. Default 10s.
-	MinInterval time.Duration
-	// MaxBundles caps how many bundle files are kept; the oldest are
-	// removed as new ones are written. Default 32.
-	MaxBundles int
-	// RecentLimit bounds how many ring events a bundle embeds. Default
-	// 256.
-	RecentLimit int
-	// Registry / Tracer to snapshot (process defaults when nil).
-	Registry *Registry
-	Tracer   *Tracer
-}
-
 // BundleWriter writes rate-limited debug bundles into a directory.
-// Attach to a FlightRecorder with SetBundles.
+// Attach to a FlightRecorder with SetBundles. At most one bundle is
+// written per 10 s — triggers inside the gap are counted as suppressed —
+// the newest 32 files are kept, and each embeds up to the 256 most recent
+// ring events.
 type BundleWriter struct {
-	dir  string
-	opts BundleOptions
-	reg  *Registry
-	tr   *Tracer
+	dir string
+	// Test seams, set from the defaults by NewBundleWriter.
+	minInterval time.Duration
+	maxBundles  int
+	reg         *Registry
+	tr          *Tracer
 
-	mu        sync.Mutex
-	last      time.Time
-	n         int
-	prevCtr   map[string]int64
-	written   []string // kept bundle paths, oldest first
-	mWritten  *Counter
-	mSuppress *Counter
+	mu      sync.Mutex
+	last    time.Time
+	n       int
+	prevCtr map[string]int64
+	written []string // kept bundle paths, oldest first
 }
 
-// NewBundleWriter creates dir (and parents) and returns a writer.
-func NewBundleWriter(dir string, opts BundleOptions) (*BundleWriter, error) {
-	if opts.MinInterval <= 0 {
-		opts.MinInterval = 10 * time.Second
-	}
-	if opts.MaxBundles <= 0 {
-		opts.MaxBundles = 32
-	}
-	if opts.RecentLimit <= 0 {
-		opts.RecentLimit = 256
-	}
-	if opts.Registry == nil {
-		opts.Registry = Default()
-	}
-	if opts.Tracer == nil {
-		opts.Tracer = DefaultTracer()
-	}
+// bundleRecent bounds how many ring events a bundle embeds.
+const bundleRecent = 256
+
+// NewBundleWriter creates dir (and parents) and returns a writer that
+// snapshots the process-wide registry and tracer.
+func NewBundleWriter(dir string) (*BundleWriter, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("bundle dir: %w", err)
 	}
 	return &BundleWriter{
-		dir:       dir,
-		opts:      opts,
-		reg:       opts.Registry,
-		tr:        opts.Tracer,
-		mWritten:  opts.Registry.Counter("telemetry.bundles.written"),
-		mSuppress: opts.Registry.Counter("telemetry.bundles.suppressed"),
+		dir:         dir,
+		minInterval: 10 * time.Second,
+		maxBundles:  32,
+		reg:         Default(),
+		tr:          DefaultTracer(),
 	}, nil
 }
 
@@ -111,9 +86,9 @@ func (b *BundleWriter) Dir() string { return b.dir }
 func (b *BundleWriter) MaybeWrite(trigger WideEvent, rec *FlightRecorder) {
 	b.mu.Lock()
 	now := time.Now()
-	if !b.last.IsZero() && now.Sub(b.last) < b.opts.MinInterval {
+	if !b.last.IsZero() && now.Sub(b.last) < b.minInterval {
 		b.mu.Unlock()
-		b.mSuppress.Inc()
+		b.reg.Counter("telemetry.bundles.suppressed").Inc()
 		return
 	}
 	b.last = now
@@ -128,7 +103,7 @@ func (b *BundleWriter) MaybeWrite(trigger WideEvent, rec *FlightRecorder) {
 		Metrics: b.reg.Snapshot(),
 	}
 	if rec != nil {
-		bundle.Recent = rec.Events(EventFilter{Limit: b.opts.RecentLimit})
+		bundle.Recent = rec.Events(EventFilter{Limit: bundleRecent})
 	}
 	if trigger.traceID != 0 {
 		bundle.Spans = b.tr.TraceSpans(trigger.traceID)
@@ -156,15 +131,15 @@ func (b *BundleWriter) MaybeWrite(trigger WideEvent, rec *FlightRecorder) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return
 	}
-	b.mWritten.Inc()
+	b.reg.Counter("telemetry.bundles.written").Inc()
 
 	b.mu.Lock()
 	b.prevCtr = bundle.Metrics.Counters
 	b.written = append(b.written, path)
 	var evict []string
-	if len(b.written) > b.opts.MaxBundles {
-		evict = append(evict, b.written[:len(b.written)-b.opts.MaxBundles]...)
-		b.written = b.written[len(b.written)-b.opts.MaxBundles:]
+	if len(b.written) > b.maxBundles {
+		evict = append(evict, b.written[:len(b.written)-b.maxBundles]...)
+		b.written = b.written[len(b.written)-b.maxBundles:]
 	}
 	b.mu.Unlock()
 	for _, p := range evict {

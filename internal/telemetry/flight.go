@@ -3,7 +3,6 @@ package telemetry
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -287,41 +286,26 @@ func EventFromContext(ctx context.Context) *ActiveEvent {
 	return a
 }
 
-// flightSlot is one ring position with its own lock, so concurrent
-// recorders contend only when they land on the same slot.
-type flightSlot struct {
-	mu sync.Mutex
-	ev WideEvent
-	ok bool
-}
-
-// DefaultFlightCapacity is the default recorder ring size.
-const DefaultFlightCapacity = 4096
-
 // FlightRecorder keeps the most recent wide events in a fixed ring.
 // Recording takes one atomic increment plus one per-slot lock — no
 // global lock — so it stays cheap on the hot fetch path; SetEnabled
 // turns the whole recorder into a single atomic load.
 type FlightRecorder struct {
 	enabled atomic.Bool
-	seq     atomic.Uint64
-	slots   []flightSlot
+	ring    *ring[WideEvent]
 
 	slo     atomic.Pointer[SLOMonitor]
 	bundles atomic.Pointer[BundleWriter]
 }
 
-// NewFlightRecorder returns a recorder retaining up to capacity events.
-func NewFlightRecorder(capacity int) *FlightRecorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	r := &FlightRecorder{slots: make([]flightSlot, capacity)}
+// newFlightRecorder returns a recorder retaining up to capacity events.
+func newFlightRecorder(capacity int) *FlightRecorder {
+	r := &FlightRecorder{ring: newRing[WideEvent](capacity)}
 	r.enabled.Store(true)
 	return r
 }
 
-var defaultFlightRecorder = NewFlightRecorder(DefaultFlightCapacity)
+var defaultFlightRecorder = newFlightRecorder(ringCapacity)
 
 // DefaultFlightRecorder returns the process-wide recorder every request
 // path reports to.
@@ -351,11 +335,11 @@ func (r *FlightRecorder) SetBundles(b *BundleWriter) { r.bundles.Store(b) }
 func (r *FlightRecorder) Bundles() *BundleWriter { return r.bundles.Load() }
 
 // Capacity returns the ring size.
-func (r *FlightRecorder) Capacity() int { return len(r.slots) }
+func (r *FlightRecorder) Capacity() int { return len(r.ring.slots) }
 
 // Seq returns the sequence number of the most recently recorded event
 // (0 when none). Events with Seq <= Seq()-Capacity() have been evicted.
-func (r *FlightRecorder) Seq() uint64 { return r.seq.Load() }
+func (r *FlightRecorder) Seq() uint64 { return r.ring.seq.Load() }
 
 // Begin starts building an event. The caller must Finish it exactly
 // once; enrichment rides on the returned builder (usually via
@@ -383,12 +367,8 @@ func (r *FlightRecorder) record(ev WideEvent) {
 	if m := r.slo.Load(); m != nil {
 		ev.Breached = m.Observe(&ev)
 	}
-	ev.Seq = r.seq.Add(1)
-	s := &r.slots[int((ev.Seq-1)%uint64(len(r.slots)))]
-	s.mu.Lock()
-	s.ev = ev
-	s.ok = true
-	s.mu.Unlock()
+	ev.Seq = r.ring.next()
+	r.ring.put(ev.Seq, ev)
 	if b := r.bundles.Load(); b != nil && ev.Anomalous() {
 		b.MaybeWrite(ev, r)
 	}
@@ -432,27 +412,9 @@ func (f *EventFilter) match(ev *WideEvent) bool {
 
 // Events returns the retained events matching f, oldest first.
 func (r *FlightRecorder) Events(f EventFilter) []WideEvent {
-	out := make([]WideEvent, 0, 64)
-	for i := range r.slots {
-		s := &r.slots[i]
-		s.mu.Lock()
-		ev, ok := s.ev, s.ok
-		s.mu.Unlock()
-		if ok && f.match(&ev) {
-			out = append(out, ev)
-		}
-	}
-	sortEventsBySeq(out)
+	out := r.ring.read(f.match)
 	if f.Limit > 0 && len(out) > f.Limit {
 		out = out[len(out)-f.Limit:]
 	}
 	return out
-}
-
-// sortEventsBySeq orders events oldest first. The slots are in order but
-// for the one point where the ring wraps — a rotation, which costs an
-// insertion sort a quadratic number of moves — so this is a general
-// O(n log n) sort.
-func sortEventsBySeq(evs []WideEvent) {
-	sort.Slice(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
 }

@@ -12,7 +12,7 @@ import (
 )
 
 func TestActiveEventOutcomeDerivation(t *testing.T) {
-	rec := NewFlightRecorder(16)
+	rec := newFlightRecorder(16)
 
 	cases := []struct {
 		name    string
@@ -65,7 +65,7 @@ func TestActiveEventOutcomeDerivation(t *testing.T) {
 }
 
 func TestFlightRecorderRingAndFilters(t *testing.T) {
-	rec := NewFlightRecorder(4)
+	rec := newFlightRecorder(4)
 	for i := 0; i < 10; i++ {
 		a := rec.Begin(KindServer, "ndp.fetch")
 		if i%2 == 1 {
@@ -113,16 +113,14 @@ func TestFlightRecorderRingAndFilters(t *testing.T) {
 func TestSLOMonitorBurnAccounting(t *testing.T) {
 	reg := NewRegistry()
 	frozen := time.Date(2026, 8, 8, 12, 0, 30, 0, time.UTC)
-	m := NewSLOMonitor(SLOOptions{
-		Step: time.Minute, FastN: 2, SlowN: 30,
-		Registry: reg,
-		now:      func() time.Time { return frozen },
-	}, Objective{
+	m := NewSLOMonitor(KindServer, Objective{
 		Method:        "ndp.fetch",
 		Latency:       100 * time.Millisecond,
 		LatencyTarget: 0.9,
 		AvailTarget:   0.999,
 	})
+	m.reg = reg
+	m.now = func() time.Time { return frozen }
 
 	obs := func(kind, method, outcome string, durMS float64, shed bool) bool {
 		return m.Observe(&WideEvent{Kind: kind, Method: method, Outcome: outcome, DurMS: durMS, Shed: shed})
@@ -171,7 +169,7 @@ func TestSLOMonitorBurnAccounting(t *testing.T) {
 
 	// A recorder with the monitor attached stamps Breached on the stored
 	// event.
-	rec := NewFlightRecorder(8)
+	rec := newFlightRecorder(8)
 	rec.SetSLO(m)
 	a := rec.Begin(KindServer, "ndp.fetch")
 	a.MarkShed()
@@ -183,9 +181,8 @@ func TestSLOMonitorBurnAccounting(t *testing.T) {
 }
 
 func TestSLOMonitorDefaultObjective(t *testing.T) {
-	reg := NewRegistry()
-	m := NewSLOMonitor(SLOOptions{Registry: reg},
-		Objective{Method: "*", Latency: 50 * time.Millisecond})
+	m := NewSLOMonitor(KindServer, Objective{Method: "*", Latency: 50 * time.Millisecond})
+	m.reg = NewRegistry()
 	if !m.Observe(&WideEvent{Kind: KindServer, Method: "anything", Outcome: OutcomeError, DurMS: 1}) {
 		t.Error("star objective did not cover an arbitrary method")
 	}
@@ -217,15 +214,12 @@ func TestParseSLOSpec(t *testing.T) {
 func TestBundleWriterWritesAndRateLimits(t *testing.T) {
 	dir := t.TempDir()
 	reg := NewRegistry()
-	tr := NewTracer(64)
-	bw, err := NewBundleWriter(dir, BundleOptions{
-		MinInterval: time.Hour, // second trigger inside the gap must be suppressed
-		Registry:    reg,
-		Tracer:      tr,
-	})
+	tr := newTracer(64)
+	bw, err := NewBundleWriter(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	bw.reg, bw.tr = reg, tr
 
 	// A trace with two spans so the bundle's tree is non-trivial.
 	const trace = uint64(0xabcd)
@@ -233,7 +227,7 @@ func TestBundleWriterWritesAndRateLimits(t *testing.T) {
 	tr.Record(SpanData{Trace: trace, ID: 2, Parent: 1, Name: "read", Start: time.Unix(0, 2)})
 	tr.Record(SpanData{Trace: 0x9999, ID: 3, Name: "other trace", Start: time.Unix(0, 3)})
 
-	rec := NewFlightRecorder(8)
+	rec := newFlightRecorder(8)
 	a := rec.Begin(KindServer, "ndp.fetch")
 	a.Finish(nil)
 
@@ -241,7 +235,7 @@ func TestBundleWriterWritesAndRateLimits(t *testing.T) {
 	bw.MaybeWrite(trigger, rec)
 	bw.MaybeWrite(trigger, rec)
 	if got := bw.Written(); got != 1 {
-		t.Fatalf("wrote %d bundles, want 1 (second inside MinInterval)", got)
+		t.Fatalf("wrote %d bundles, want 1 (second inside the minimum interval)", got)
 	}
 	if v := reg.Counter("telemetry.bundles.suppressed").Value(); v != 1 {
 		t.Errorf("suppressed counter %d, want 1", v)
@@ -275,18 +269,14 @@ func TestBundleWriterWritesAndRateLimits(t *testing.T) {
 
 func TestBundleWriterEvictsOldest(t *testing.T) {
 	dir := t.TempDir()
-	bw, err := NewBundleWriter(dir, BundleOptions{
-		MinInterval: time.Nanosecond,
-		MaxBundles:  2,
-		Registry:    NewRegistry(),
-		Tracer:      NewTracer(4),
-	})
+	bw, err := NewBundleWriter(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	bw.minInterval, bw.maxBundles, bw.reg = time.Nanosecond, 2, NewRegistry()
 	for i := 0; i < 5; i++ {
 		bw.MaybeWrite(WideEvent{Method: "m", Outcome: OutcomeError}, nil)
-		time.Sleep(2 * time.Millisecond) // clear MinInterval between triggers
+		time.Sleep(2 * time.Millisecond) // clear minInterval between triggers
 	}
 	if got := bw.Written(); got != 5 {
 		t.Fatalf("wrote %d bundles, want 5", got)
@@ -296,14 +286,16 @@ func TestBundleWriterEvictsOldest(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(files) != 2 {
-		t.Errorf("kept %d bundle files, want MaxBundles=2: %v", len(files), files)
+		t.Errorf("kept %d bundle files, want maxBundles=2: %v", len(files), files)
 	}
 }
 
 func TestWriteTextOmitsEmptyHistogramStats(t *testing.T) {
 	reg := NewRegistry()
-	reg.Histogram("empty.seconds", DurationBuckets)
-	h := reg.Histogram("busy.seconds", DurationBuckets)
+	reg.Counter("c.count").Add(2)
+	reg.Gauge("g.level").Set(-1)
+	reg.Histogram("empty.seconds")
+	h := reg.Histogram("busy.seconds")
 	h.ObserveExemplar(0.5, 0xbeef)
 
 	var sb strings.Builder
@@ -311,19 +303,24 @@ func TestWriteTextOmitsEmptyHistogramStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if !strings.Contains(out, "empty.seconds.count 0") {
-		t.Errorf("empty histogram should still report count 0:\n%s", out)
+	// The full line set: an empty histogram has no min/max/percentile
+	// lines, a traced one adds its tail exemplar.
+	want := []string{
+		"busy.seconds.count 1",
+		"busy.seconds.max 0.5",
+		"busy.seconds.min 0.5",
+		"busy.seconds.p50 0.5",
+		"busy.seconds.p95 0.5",
+		"busy.seconds.p99 0.5",
+		"busy.seconds.sum 0.5",
+		"busy.seconds.tail.exemplar 000000000000beef",
+		"c.count 2",
+		"empty.seconds.count 0",
+		"empty.seconds.sum 0",
+		"g.level -1",
 	}
-	for _, stat := range []string{".min", ".max", ".p50", ".p95", ".p99"} {
-		if strings.Contains(out, "empty.seconds"+stat) {
-			t.Errorf("empty histogram emitted meaningless %s line:\n%s", stat, out)
-		}
-	}
-	if !strings.Contains(out, "busy.seconds.p50") {
-		t.Errorf("populated histogram lost its percentile lines:\n%s", out)
-	}
-	if !strings.Contains(out, "busy.seconds.tail.exemplar 000000000000beef") {
-		t.Errorf("tail exemplar line missing:\n%s", out)
+	if got := strings.Split(strings.TrimSuffix(out, "\n"), "\n"); strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("/metrics lines:\n%s\nwant:\n%s", out, strings.Join(want, "\n"))
 	}
 
 	// The JSON snapshot behaves the same: zero stats, not garbage.
@@ -345,7 +342,7 @@ func TestWriteTextOmitsEmptyHistogramStats(t *testing.T) {
 // does.
 func TestEventsCostDoesNotDependOnWrapPoint(t *testing.T) {
 	read := func(records int) time.Duration {
-		rec := NewFlightRecorder(DefaultFlightCapacity)
+		rec := newFlightRecorder(ringCapacity)
 		for i := 0; i < records; i++ {
 			rec.Begin(KindServer, "ndp.fetch").Finish(nil)
 		}
@@ -364,7 +361,7 @@ func TestEventsCostDoesNotDependOnWrapPoint(t *testing.T) {
 		}
 		return best
 	}
-	aligned, rotated := read(2*DefaultFlightCapacity), read(2*DefaultFlightCapacity+DefaultFlightCapacity/2)
+	aligned, rotated := read(2*ringCapacity), read(2*ringCapacity+ringCapacity/2)
 	if rotated > 10*aligned+5*time.Millisecond {
 		t.Errorf("reading a half-wrapped ring took %v, an aligned one %v", rotated, aligned)
 	}

@@ -40,15 +40,10 @@ func SetScrubStatus(fn func() any) {
 //	                  no scrubber registered via SetScrubStatus)
 //	/debug/pprof/     the standard net/http/pprof handlers
 //
-// Pass nil to use the process-wide default registry and tracer; the
-// flight recorder and SLO monitor are always the process-wide defaults.
-func DebugHandler(reg *Registry, tr *Tracer) http.Handler {
-	if reg == nil {
-		reg = Default()
-	}
-	if tr == nil {
-		tr = DefaultTracer()
-	}
+// Every endpoint serves the process-wide registry, tracer, flight
+// recorder and SLO monitor.
+func DebugHandler() http.Handler {
+	reg, tr := Default(), DefaultTracer()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -139,14 +134,13 @@ func DebugHandler(reg *Registry, tr *Tracer) http.Handler {
 }
 
 // ServeDebug starts the debug endpoints on addr and returns the bound
-// address and a shutdown func. Pass nil registry/tracer for the process
-// defaults.
-func ServeDebug(addr string, reg *Registry, tr *Tracer) (string, func() error, error) {
+// address and a shutdown func.
+func ServeDebug(addr string) (string, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: DebugHandler(reg, tr)}
+	srv := &http.Server{Handler: DebugHandler()}
 	go srv.Serve(ln)
 	return ln.Addr().String(), srv.Close, nil
 }

@@ -1,8 +1,8 @@
 // Package telemetry is the repo's observability substrate: a stdlib-only
-// metrics registry (counters, gauges, fixed-bucket histograms with
-// percentile snapshots), lightweight trace spans with an in-memory
-// ring-buffer exporter, and slog-based structured logging with
-// per-component levels. Every layer of the NDP data path — the RPC
+// metrics registry (counters, gauges, and histograms with percentile
+// snapshots), lightweight trace spans with an in-memory ring-buffer
+// exporter, and slog-based structured logging tagged by component under
+// one process-wide level. Every layer of the NDP data path — the RPC
 // transport, the pre-filter service, the object store, the shaped link,
 // and the client pipeline — reports into it, and the daemons expose it
 // over HTTP (/metrics, /debug/trace, /debug/pprof).
@@ -21,7 +21,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -59,35 +58,16 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // histWindow is how many recent observations a histogram retains for
-// exact percentile snapshots. Bucket counts cover the full lifetime;
-// the window covers "recent behaviour", which is what p50/p95/p99 on a
-// live server should describe. Percentile lines in snapshots and
-// /metrics are therefore exact over (at most) the last histWindow
-// observations, not estimates over the lifetime buckets.
+// exact percentile snapshots. Count, sum, min and max cover the full
+// lifetime; the window covers "recent behaviour", which is what
+// p50/p95/p99 on a live server should describe.
 const histWindow = 1024
 
-// DurationBuckets are the default latency bucket upper bounds in
-// seconds, spanning 100µs to 10s — the range of the repo's storage
-// reads, pre-filter scans, and shaped transfers.
-var DurationBuckets = []float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
-
-// SizeBuckets are the default byte-size bucket upper bounds, spanning
-// 1 KiB to 1 GiB (MaxFrameSize).
-var SizeBuckets = []float64{
-	1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10,
-	1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20, 1 << 30,
-}
-
-// Histogram accumulates observations into fixed buckets and keeps a
-// sliding window of raw values for exact percentiles. All methods are
-// safe for concurrent use.
+// Histogram keeps lifetime count, sum, min and max, a sliding window of
+// raw values for exact percentiles, and the trace of its largest traced
+// observation. All methods are safe for concurrent use.
 type Histogram struct {
 	mu      sync.Mutex
-	bounds  []float64 // sorted upper bounds; implicit +Inf final bucket
-	counts  []int64   // len(bounds)+1
 	count   int64
 	sum     float64
 	min     float64
@@ -95,105 +75,61 @@ type Histogram struct {
 	window  []float64 // ring of recent observations
 	windowN int       // next write position
 
-	// exemplars[i] is the trace ID of the most recent exemplar-bearing
-	// observation that landed in bucket i; tailTrace is the one from the
-	// highest populated bucket so far — the "worst case seen", linking
-	// /metrics tails straight to /debug/trace.
-	exemplars  []uint64
-	tailTrace  uint64
-	tailBucket int
-}
-
-func newHistogram(bounds []float64) *Histogram {
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	sort.Float64s(b)
-	return &Histogram{
-		bounds: b,
-		counts: make([]int64, len(b)+1),
-		min:    math.Inf(1),
-		max:    math.Inf(-1),
-	}
+	// tailTrace is the trace ID of the largest observation that carried
+	// one, and tailValue that observation — the "worst case seen",
+	// linking /metrics tails straight to /debug/trace.
+	tailTrace uint64
+	tailValue float64
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) { h.ObserveExemplar(v, 0) }
 
-// ObserveExemplar records one value and, when trace is nonzero, keeps
-// it as the bucket's exemplar — and as the histogram's tail exemplar if
-// the value landed in the highest exemplar-bearing bucket so far.
+// ObserveExemplar records one value and, when trace is nonzero and v is
+// the largest traced value so far, keeps trace as the tail exemplar.
 func (h *Histogram) ObserveExemplar(v float64, trace uint64) {
-	i := sort.SearchFloat64s(h.bounds, v)
 	h.mu.Lock()
-	h.counts[i]++
-	h.count++
-	h.sum += v
-	if v < h.min {
+	if h.count == 0 || v < h.min {
 		h.min = v
 	}
-	if v > h.max {
+	if h.count == 0 || v > h.max {
 		h.max = v
 	}
+	h.count++
+	h.sum += v
 	if len(h.window) < histWindow {
 		h.window = append(h.window, v)
 	} else {
 		h.window[h.windowN%histWindow] = v
 	}
 	h.windowN++
-	if trace != 0 {
-		if h.exemplars == nil {
-			h.exemplars = make([]uint64, len(h.counts))
-		}
-		h.exemplars[i] = trace
-		if i >= h.tailBucket {
-			h.tailBucket = i
-			h.tailTrace = trace
-		}
+	if trace != 0 && (h.tailTrace == 0 || v > h.tailValue) {
+		h.tailTrace, h.tailValue = trace, v
 	}
 	h.mu.Unlock()
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram's state.
 type HistogramSnapshot struct {
-	Count   int64     `json:"count"`
-	Sum     float64   `json:"sum"`
-	Min     float64   `json:"min"`
-	Max     float64   `json:"max"`
-	P50     float64   `json:"p50"`
-	P95     float64   `json:"p95"`
-	P99     float64   `json:"p99"`
-	Bounds  []float64 `json:"bounds"`
-	Buckets []int64   `json:"buckets"`
-	// Exemplars maps bucket index → hex trace ID of an observation that
-	// landed there; TailExemplar is the trace behind the worst-bucket
-	// observation (the /metrics tail ↔ /debug/trace link).
-	Exemplars    map[int]string `json:"exemplars,omitempty"`
-	TailExemplar string         `json:"tailExemplar,omitempty"`
+	Count int64   `json:"count"`
+	Sum   float64 `json:"sum"`
+	Min   float64 `json:"min"`
+	Max   float64 `json:"max"`
+	P50   float64 `json:"p50"`
+	P95   float64 `json:"p95"`
+	P99   float64 `json:"p99"`
+	// TailExemplar is the hex trace ID of the largest traced observation
+	// (the /metrics tail ↔ /debug/trace link).
+	TailExemplar string `json:"tailExemplar,omitempty"`
 }
 
 // Snapshot copies the histogram's current state, with percentiles
 // computed over the recent-observation window.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	h.mu.Lock()
-	s := HistogramSnapshot{
-		Count:   h.count,
-		Sum:     h.sum,
-		Bounds:  append([]float64(nil), h.bounds...),
-		Buckets: append([]int64(nil), h.counts...),
-	}
-	if h.count > 0 {
-		s.Min, s.Max = h.min, h.max
-	}
+	s := HistogramSnapshot{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
 	if h.tailTrace != 0 {
 		s.TailExemplar = fmt.Sprintf("%016x", h.tailTrace)
-	}
-	for i, t := range h.exemplars {
-		if t != 0 {
-			if s.Exemplars == nil {
-				s.Exemplars = make(map[int]string)
-			}
-			s.Exemplars[i] = fmt.Sprintf("%016x", t)
-		}
 	}
 	windowed := append([]float64(nil), h.window...)
 	h.mu.Unlock()
@@ -261,23 +197,18 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given
-// bucket bounds on first use (later bounds are ignored; nil means
-// DurationBuckets).
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+// Histogram returns the named histogram, creating it on first use.
+func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.RLock()
 	h := r.histograms[name]
 	r.mu.RUnlock()
 	if h != nil {
 		return h
 	}
-	if bounds == nil {
-		bounds = DurationBuckets
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h = r.histograms[name]; h == nil {
-		h = newHistogram(bounds)
+		h = &Histogram{}
 		r.histograms[name] = h
 	}
 	return h
@@ -320,7 +251,7 @@ func (r *Registry) Snapshot() Snapshot {
 // 0 values previously printed read as "observed zeros". Percentiles are
 // exact over the bounded recent-observation window (histWindow), not
 // the full lifetime. Histograms with a tail exemplar also emit a
-// .tail.exemplar line carrying the hex trace ID of the worst-bucket
+// .tail.exemplar line carrying the hex trace ID of the largest traced
 // observation, so a slow /metrics tail links to /debug/trace.
 func (r *Registry) WriteText(w io.Writer) error {
 	s := r.Snapshot()

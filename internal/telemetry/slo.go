@@ -59,54 +59,30 @@ type sloSeries struct {
 	total, bad, execed, latSlow, breaches int64
 }
 
-// SLOOptions configure a monitor's windows.
-type SLOOptions struct {
-	// Step is the bucket width; Fast and Slow windows are FastN and
-	// SlowN steps long. Defaults: 1m step, 5 fast, 60 slow.
-	Step  time.Duration
-	FastN int
-	SlowN int
-	// Kind restricts which events count ("server" by default, so a
-	// process that both serves and calls doesn't double-count its own
-	// client-side events; empty means all kinds).
-	Kind string
-	// Registry receives the burn gauges (Default() when nil).
-	Registry *Registry
-	// now is a test hook.
-	now func() time.Time
-}
+// The monitor's windows: one bucket per sloStep, a fast window of
+// sloFastN steps and a slow one of sloSlowN.
+const (
+	sloStep  = time.Minute
+	sloFastN = 5
+	sloSlowN = 60
+)
 
 // SLOMonitor tracks objectives over wide events. Attach to a
 // FlightRecorder with SetSLO; every recorded event is Observed and
 // stamped with its per-request breach verdict.
 type SLOMonitor struct {
 	mu     sync.Mutex
-	opts   SLOOptions
+	kind   string
 	series map[string]*sloSeries
-	reg    *Registry
+	reg    *Registry        // receives the burn gauges
+	now    func() time.Time // a test seam
 }
 
-// NewSLOMonitor returns a monitor with the given objectives.
-func NewSLOMonitor(opts SLOOptions, objectives ...Objective) *SLOMonitor {
-	if opts.Step <= 0 {
-		opts.Step = time.Minute
-	}
-	if opts.FastN <= 0 {
-		opts.FastN = 5
-	}
-	if opts.SlowN <= 0 {
-		opts.SlowN = 60
-	}
-	if opts.Kind == "" {
-		opts.Kind = KindServer
-	}
-	if opts.Registry == nil {
-		opts.Registry = Default()
-	}
-	if opts.now == nil {
-		opts.now = time.Now
-	}
-	m := &SLOMonitor{opts: opts, series: make(map[string]*sloSeries), reg: opts.Registry}
+// NewSLOMonitor returns a monitor with the given objectives over the
+// events of one kind (KindServer or KindClient), so a process that both
+// serves and calls does not count its requests twice.
+func NewSLOMonitor(kind string, objectives ...Objective) *SLOMonitor {
+	m := &SLOMonitor{kind: kind, series: make(map[string]*sloSeries), reg: Default(), now: time.Now}
 	for _, o := range objectives {
 		m.AddObjective(o)
 	}
@@ -127,7 +103,7 @@ func (m *SLOMonitor) AddObjective(o Objective) {
 	m.mu.Lock()
 	m.series[o.Method] = &sloSeries{
 		obj:     o,
-		buckets: make([]sloBucket, m.opts.FastN+m.opts.SlowN),
+		buckets: make([]sloBucket, sloFastN+sloSlowN),
 	}
 	m.mu.Unlock()
 }
@@ -143,9 +119,8 @@ func (m *SLOMonitor) objectiveFor(method string) *sloSeries {
 
 // bucketNow returns the current bucket for s, rotating the ring
 // forward as wall time crosses step boundaries. Caller holds m.mu.
-func (m *SLOMonitor) bucketNow(s *sloSeries, now time.Time) *sloBucket {
-	step := m.opts.Step
-	start := now.Truncate(step)
+func (s *sloSeries) bucketNow(now time.Time) *sloBucket {
+	start := now.Truncate(sloStep)
 	b := &s.buckets[s.pos]
 	if b.start.IsZero() {
 		b.start = start
@@ -157,7 +132,7 @@ func (m *SLOMonitor) bucketNow(s *sloSeries, now time.Time) *sloBucket {
 		*b = sloBucket{start: b.start}
 		// step forward one bucket at a time so a long idle gap clears
 		// the whole ring instead of reusing stale tallies
-		b.start = s.buckets[(s.pos-1+len(s.buckets))%len(s.buckets)].start.Add(step)
+		b.start = s.buckets[(s.pos-1+len(s.buckets))%len(s.buckets)].start.Add(sloStep)
 		if b.start.After(start) {
 			b.start = start
 		}
@@ -169,7 +144,7 @@ func (m *SLOMonitor) bucketNow(s *sloSeries, now time.Time) *sloBucket {
 // refreshes the gauges, and returns whether this request individually
 // breached its objective. Called by FlightRecorder.record.
 func (m *SLOMonitor) Observe(ev *WideEvent) bool {
-	if m.opts.Kind != "" && ev.Kind != m.opts.Kind {
+	if ev.Kind != m.kind {
 		return false
 	}
 	m.mu.Lock()
@@ -178,8 +153,8 @@ func (m *SLOMonitor) Observe(ev *WideEvent) bool {
 		m.mu.Unlock()
 		return false
 	}
-	now := m.opts.now()
-	b := m.bucketNow(s, now)
+	now := m.now()
+	b := s.bucketNow(now)
 
 	availBad := ev.Outcome != OutcomeOK
 	executed := !ev.Shed
@@ -218,8 +193,8 @@ func (m *SLOMonitor) Observe(ev *WideEvent) bool {
 // burns computes (availFast, availSlow, latFast, latSlow) burn rates
 // over the fast and slow windows ending now. Caller holds m.mu.
 func (m *SLOMonitor) burns(s *sloSeries, now time.Time) (fa, sa, fl, sl float64) {
-	fastCut := now.Add(-m.opts.Step * time.Duration(m.opts.FastN))
-	slowCut := now.Add(-m.opts.Step * time.Duration(m.opts.SlowN))
+	fastCut := now.Add(-sloStep * sloFastN)
+	slowCut := now.Add(-sloStep * sloSlowN)
 	var ft, fb, fe, fs2 int64 // fast window tallies
 	var st, sb, se, ss int64  // slow window tallies
 	for i := range s.buckets {
@@ -293,7 +268,7 @@ type SLOStatus struct {
 // Status returns every objective's current state, sorted by method.
 func (m *SLOMonitor) Status() []SLOStatus {
 	m.mu.Lock()
-	now := m.opts.now()
+	now := m.now()
 	out := make([]SLOStatus, 0, len(m.series))
 	for _, s := range m.series {
 		fa, sa, fl, sl := m.burns(s, now)

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -34,7 +35,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 func TestHistogramSnapshot(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat", []float64{1, 10, 100})
+	h := r.Histogram("lat")
 	for v := 1.0; v <= 100; v++ {
 		h.Observe(v)
 	}
@@ -55,11 +56,24 @@ func TestHistogramSnapshot(t *testing.T) {
 	if s.P99 < 98.5 || s.P99 > 99.5 {
 		t.Errorf("p99 = %g", s.P99)
 	}
-	// Buckets: <=1: 1, <=10: 9, <=100: 90, +Inf: 0.
-	want := []int64{1, 9, 90, 0}
-	for i, w := range want {
-		if s.Buckets[i] != w {
-			t.Errorf("bucket %d = %d, want %d", i, s.Buckets[i], w)
+}
+
+// TestTailExemplarIsLargestTracedObservation: the tail exemplar names the
+// trace of the largest observation that carried one, whatever order the
+// observations arrive in; untraced observations never displace it.
+func TestTailExemplarIsLargestTracedObservation(t *testing.T) {
+	obs := []struct {
+		v     float64
+		trace uint64
+	}{{0.004, 0xa}, {0.0045, 0xb}, {0.0042, 0xc}, {0.0001, 0xd}, {0.9, 0}}
+	for rot := range obs {
+		h := NewRegistry().Histogram("h")
+		for i := range obs {
+			o := obs[(rot+i)%len(obs)]
+			h.ObserveExemplar(o.v, o.trace)
+		}
+		if got := h.Snapshot().TailExemplar; got != "000000000000000b" {
+			t.Errorf("rotation %d: tail exemplar %q, want the trace of 0.0045", rot, got)
 		}
 	}
 }
@@ -78,7 +92,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				r.Counter("c.shared").Inc()
 				r.Gauge("g.shared").Set(int64(i))
-				r.Histogram("h.shared", DurationBuckets).Observe(float64(i) / 1000)
+				r.Histogram("h.shared").Observe(float64(i) / 1000)
 				_ = r.Snapshot()
 			}
 		}()
@@ -87,13 +101,13 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := r.Counter("c.shared").Value(); got != goroutines*perG {
 		t.Errorf("counter = %d, want %d", got, goroutines*perG)
 	}
-	if got := r.Histogram("h.shared", nil).Snapshot().Count; got != goroutines*perG {
+	if got := r.Histogram("h.shared").Snapshot().Count; got != goroutines*perG {
 		t.Errorf("histogram count = %d, want %d", got, goroutines*perG)
 	}
 }
 
 func TestSpanTreeAndContext(t *testing.T) {
-	tr := NewTracer(64)
+	tr := newTracer(64)
 	ctx, root := tr.StartSpan(context.Background(), "root")
 	cctx, child := tr.StartSpan(ctx, "child")
 	if child.Trace() != root.Trace() {
@@ -120,7 +134,7 @@ func TestSpanTreeAndContext(t *testing.T) {
 }
 
 func TestSpanEndIdempotentAndNilSafe(t *testing.T) {
-	tr := NewTracer(8)
+	tr := newTracer(8)
 	_, s := tr.StartSpan(context.Background(), "once")
 	s.End()
 	s.End()
@@ -133,7 +147,7 @@ func TestSpanEndIdempotentAndNilSafe(t *testing.T) {
 }
 
 func TestWireContextRoundTrip(t *testing.T) {
-	tr := NewTracer(8)
+	tr := newTracer(8)
 	_, s := tr.StartSpan(context.Background(), "rpc")
 	wire := s.WireContext()
 	trace, span, ok := ParseWireContext(wire)
@@ -177,7 +191,7 @@ func TestSpanWireRoundTrip(t *testing.T) {
 }
 
 func TestCollector(t *testing.T) {
-	tr := NewTracer(64)
+	tr := newTracer(64)
 	ctx, col := WithCollector(context.Background())
 	ctx, root := tr.StartSpan(ctx, "request")
 	_, child := tr.StartSpan(ctx, "read")
@@ -193,7 +207,7 @@ func TestCollector(t *testing.T) {
 }
 
 func TestTracerRingEviction(t *testing.T) {
-	tr := NewTracer(4)
+	tr := newTracer(4)
 	for i := 0; i < 10; i++ {
 		tr.Record(SpanData{Trace: 1, ID: uint64(i + 1), Name: "s"})
 	}
@@ -207,26 +221,24 @@ func TestTracerRingEviction(t *testing.T) {
 }
 
 func TestDebugHandler(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("ndp.fetch.count").Add(3)
-	reg.Histogram("ndp.fetch.seconds", nil).Observe(0.02)
-	tr := NewTracer(8)
-	_, s := tr.StartSpan(context.Background(), "op")
+	Default().Counter("test.debughandler.count").Add(3)
+	Default().Histogram("test.debughandler.seconds").Observe(0.02)
+	_, s := StartSpan(context.Background(), "op")
 	s.End()
 
-	ts := httptest.NewServer(DebugHandler(reg, tr))
+	ts := httptest.NewServer(DebugHandler())
 	defer ts.Close()
 
 	body := get(t, ts.URL+"/metrics")
-	if !strings.Contains(body, "ndp.fetch.count 3") {
+	if !strings.Contains(body, "test.debughandler.count 3") {
 		t.Errorf("/metrics missing counter:\n%s", body)
 	}
-	if !strings.Contains(body, "ndp.fetch.seconds.p50") {
+	if !strings.Contains(body, "test.debughandler.seconds.p50") {
 		t.Errorf("/metrics missing percentile lines:\n%s", body)
 	}
 
 	var spans []map[string]any
-	if err := json.Unmarshal([]byte(get(t, ts.URL+"/debug/trace")), &spans); err != nil {
+	if err := json.Unmarshal([]byte(get(t, ts.URL+"/debug/trace?trace="+fmt.Sprintf("%x", s.Trace()))), &spans); err != nil {
 		t.Fatalf("/debug/trace not JSON: %v", err)
 	}
 	if len(spans) != 1 || spans[0]["name"] != "op" {
@@ -257,18 +269,15 @@ func get(t *testing.T, url string) string {
 
 func TestLoggerLevels(t *testing.T) {
 	var buf strings.Builder
-	logs.mu.Lock()
-	stderr := logs.handler
-	logs.handler = slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})
-	logs.mu.Unlock()
+	stderr := logHandler
+	logHandler = slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: &logLevel})
 	defer func() {
-		logs.mu.Lock()
-		logs.handler = stderr
-		logs.mu.Unlock()
+		logHandler = stderr
+		SetLogLevel(slog.LevelInfo)
 	}()
 
-	logs.levelVar("rpc").Set(slog.LevelWarn)
 	log := Logger("rpc")
+	SetLogLevel(slog.LevelWarn)
 	log.Info("hidden", "k", 1)
 	log.Warn("shown", "k", 2)
 	out := buf.String()
@@ -279,8 +288,8 @@ func TestLoggerLevels(t *testing.T) {
 		t.Errorf("warn line missing or untagged: %s", out)
 	}
 
-	// Runtime level change takes effect on the same logger.
-	logs.levelVar("rpc").Set(slog.LevelDebug)
+	// A level change reaches a logger handed out before it.
+	SetLogLevel(slog.LevelDebug)
 	log.Debug("now-visible")
 	if !strings.Contains(buf.String(), "now-visible") {
 		t.Error("debug line missing after level change")

@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// SpanData is a finished span, the unit the ring-buffer exporter stores
+// SpanData is a finished span, the unit the tracer's ring stores
 // and the RPC layer ships across process boundaries. IDs are random
 // 64-bit values; all spans of one request share a trace ID.
 type SpanData struct {
@@ -203,70 +203,30 @@ func (c *SpanCollector) Drain() []SpanData {
 
 // Tracer keeps the most recent finished spans in a fixed-size ring.
 type Tracer struct {
-	mu   sync.Mutex
-	ring []SpanData
-	next int
-	full bool
+	ring *ring[SpanData]
 }
 
-// DefaultTraceCapacity is the default tracer ring size.
-const DefaultTraceCapacity = 4096
-
-// NewTracer returns a tracer retaining up to capacity finished spans.
-func NewTracer(capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Tracer{ring: make([]SpanData, capacity)}
+// newTracer returns a tracer retaining up to capacity finished spans.
+func newTracer(capacity int) *Tracer {
+	return &Tracer{ring: newRing[SpanData](capacity)}
 }
 
-var defaultTracer = NewTracer(DefaultTraceCapacity)
+var defaultTracer = newTracer(ringCapacity)
 
 // DefaultTracer returns the process-wide tracer.
 func DefaultTracer() *Tracer { return defaultTracer }
 
 // Record appends a finished span to the ring, evicting the oldest.
-func (t *Tracer) Record(d SpanData) {
-	t.mu.Lock()
-	t.ring[t.next] = d
-	t.next++
-	if t.next == len(t.ring) {
-		t.next = 0
-		t.full = true
-	}
-	t.mu.Unlock()
-}
+func (t *Tracer) Record(d SpanData) { t.ring.put(t.ring.next(), d) }
 
 // Spans returns the retained spans, oldest first.
 func (t *Tracer) Spans() []SpanData {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []SpanData
-	if t.full {
-		out = append(out, t.ring[t.next:]...)
-	}
-	out = append(out, t.ring[:t.next]...)
-	return out
+	return t.ring.read(func(*SpanData) bool { return true })
 }
 
 // TraceSpans returns the retained spans of one trace, oldest first.
 func (t *Tracer) TraceSpans(trace uint64) []SpanData {
-	all := t.Spans()
-	out := all[:0]
-	for _, d := range all {
-		if d.Trace == trace {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// Reset empties the ring.
-func (t *Tracer) Reset() {
-	t.mu.Lock()
-	t.next = 0
-	t.full = false
-	t.mu.Unlock()
+	return t.ring.read(func(d *SpanData) bool { return d.Trace == trace })
 }
 
 // Wire context: "<trace-hex>:<span-hex>", the value the RPC layer

@@ -72,7 +72,7 @@ func TestTracerRecordConcurrent(t *testing.T) {
 		writers  = 8
 		perW     = 200
 	)
-	tr := NewTracer(capacity)
+	tr := newTracer(capacity)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
