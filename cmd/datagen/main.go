@@ -46,7 +46,7 @@ func main() {
 		cksum   = flag.Bool("checksum", true, "embed per-page CRC32C checksums in every written object; readers verify on decode and the ndpserver scrubber audits them")
 		bricks  = flag.String("bricks", "", `also write per-brick objects + manifest, bricked "NxMxK" (e.g. 3x1x1)`)
 		ghost   = flag.Int("ghost", 1, "ghost cell layers per brick (with -bricks)")
-		shards  = flag.Int("shards", 0, "assign bricks to this many shards round-robin in the manifest (0 = hash-routed)")
+		shards  = flag.Int("shards", 0, "assign bricks to this many shards round-robin in the manifest (0 = brick ID mod shard count)")
 	)
 	flag.Parse()
 

@@ -84,7 +84,6 @@ func run(args []string) error {
 		renderOut = flags.String("render", "", "render the contours to this PNG file")
 		objOut    = flags.String("obj", "", "export the first contour mesh to this OBJ file")
 		sweep     = flags.Bool("sweep", false, "ndp: fetch every (array, isovalue) pair as its own concurrent request")
-		parallel  = flags.Int("parallel", 0, "sweep: max in-flight requests (0 = library default)")
 		retries   = flags.Int("retries", 1, "ndp: attempts per call across all addresses; >1 (or any -replicas/-shards list) uses the fault-tolerant client, which re-dials, retries and degrades to a raw transfer")
 		repeats   = flags.Int("repeats", 1, "measurement repetitions")
 		sloSpec   = flags.String("slo", "", `client-side SLO objectives as "method=latency@latPct[/availPct]" entries, e.g. "ndp.fetch=50ms@99/99.9"; prints a burn-rate summary after the run`)
@@ -128,7 +127,7 @@ func run(args []string) error {
 			return fmt.Errorf("-sweep needs -mode ndp and an -ndp or -replicas address")
 		}
 		return runSweep(*ndpAddr, *replicas, *path, arrays, isovalues, enc,
-			*parallel, *retries, *repeats)
+			*retries, *repeats)
 	}
 	if *filter == "threshold" {
 		return runThreshold(*mode, *dir, *store, *bucket, *ndpAddr, *replicas, *retries, *path,
@@ -357,7 +356,7 @@ func printDeltas(w io.Writer, before, after telemetry.Snapshot) {
 // and aggregate costs. Against a server with the array cache enabled,
 // requests sharing an array coalesce into a single storage read.
 func runSweep(ndpAddr, replicas, path string, arrays []string, isovalues []float64,
-	enc core.Encoding, parallel, retries, repeats int) error {
+	enc core.Encoding, retries, repeats int) error {
 
 	client, err := dialNDP(ndpAddr, replicas, retries)
 	if err != nil {
@@ -375,7 +374,7 @@ func runSweep(ndpAddr, replicas, path string, arrays []string, isovalues []float
 	}
 	for r := 0; r < repeats; r++ {
 		start := time.Now()
-		results := client.FetchFilteredMulti(reqs, parallel)
+		results := client.FetchFilteredMulti(reqs)
 		wall := time.Since(start)
 
 		var moved, raw int64

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"io"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -130,5 +132,94 @@ func TestNDPModeSurvivesRefusedConnection(t *testing.T) {
 		if err := run(append(args, "-retries", "1")); err == nil {
 			t.Errorf("%s with -retries 1 survived a refused connection", name)
 		}
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	runErr := fn()
+	os.Stdout = orig
+	w.Close()
+	return <-out, runErr
+}
+
+// TestShardsOverUnpinnedManifest runs the whole -shards command line
+// in-process against two core.Servers over one bricked dataset whose
+// manifest pins no brick to a shard (datagen's default, -shards 0):
+// every brick is placed by ID mod shard count, fetched, and merged.
+func TestShardsOverUnpinnedManifest(t *testing.T) {
+	dir := t.TempDir()
+	g := grid.NewUniform(12, 12, 12)
+	f := grid.NewField("d", g.NumPoints())
+	for i := range f.Values {
+		f.Values[i] = float32(i % 23)
+	}
+	ds := grid.NewDataset(g)
+	ds.MustAddField(f)
+	spec := grid.BrickSpec{NX: 2, NY: 2, NZ: 1, Ghost: 1}
+	man, err := vtkio.BuildManifest(g, spec, ds.FieldNames(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bricks, err := man.GridBricks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepDir := filepath.Join(dir, "run", "ts0")
+	if err := os.MkdirAll(stepDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bricks {
+		sub, err := grid.ExtractBrick(ds, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vtkio.WriteFile(filepath.Join(stepDir, vtkio.BrickKey(b.ID)), sub,
+			vtkio.WriteOptions{Codec: compress.LZ4, Checksum: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := vtkio.EncodeManifest(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "run", "manifest.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	addrs := make([]string, 2)
+	for i := range addrs {
+		srv := core.NewServer(os.DirFS(dir))
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		t.Cleanup(srv.Close)
+		addrs[i] = ln.Addr().String()
+	}
+
+	out, err := captureStdout(t, func() error {
+		return run([]string{"-mode", "ndp", "-shards", addrs[0] + "," + addrs[1],
+			"-manifest", "run/manifest.json", "-path", "run/ts0", "-arrays", "d", "-iso", "5"})
+	})
+	if err != nil {
+		t.Fatalf("vizpipe -shards: %v\n%s", err, out)
+	}
+	if want := "array d: 4 bricks"; !strings.Contains(out, want) {
+		t.Errorf("output lacks %q:\n%s", want, out)
 	}
 }

@@ -79,50 +79,52 @@ func selectCellCornersBits(g *grid.Uniform, values []float32, iso float64, mask 
 		}
 	})
 
-	// Cell sweep: one cell layer (k) at a time, word-parallel in x.
+	// Cell sweep: one cell layer (k) at a time, word-parallel in x. It
+	// runs serially: cell layer k writes corner rows into point layers k
+	// and k+1, so slabs split across workers would share a boundary point
+	// layer of the mask. The scan is memory-bandwidth-bound, so the loss
+	// on multi-core hosts is modest.
 	wp := below.wordsPer
 	maskWords := mask.Words()
 	// Scratch buffers reused across rows.
-	parallelSlabsNoMask(nz-1, func(k0, k1 int) {
-		rowOr := make([]uint64, wp)
-		rowAnd := make([]uint64, wp)
-		rowNaN := make([]uint64, wp)
-		shifted := make([]uint64, wp)
-		straddle := make([]uint64, wp)
-		corners := make([]uint64, wp)
-		for k := k0; k < k1; k++ {
-			for j := 0; j < ny-1; j++ {
-				r00 := below.row(k*ny + j)
-				r10 := below.row(k*ny + j + 1)
-				r01 := below.row((k+1)*ny + j)
-				r11 := below.row((k+1)*ny + j + 1)
-				n00 := nan.row(k*ny + j)
-				n10 := nan.row(k*ny + j + 1)
-				n01 := nan.row((k+1)*ny + j)
-				n11 := nan.row((k+1)*ny + j + 1)
-				for w := 0; w < wp; w++ {
-					rowOr[w] = r00[w] | r10[w] | r01[w] | r11[w]
-					rowAnd[w] = r00[w] & r10[w] & r01[w] & r11[w]
-					rowNaN[w] = n00[w] | n10[w] | n01[w] | n11[w]
-				}
-				// Pair corners along x.
-				shiftRight1(shifted, rowOr)
-				for w := 0; w < wp; w++ {
-					straddle[w] = rowOr[w] | shifted[w]
-				}
-				shiftRight1(shifted, rowAnd)
-				for w := 0; w < wp; w++ {
-					straddle[w] &^= rowAnd[w] & shifted[w] // or != and
-				}
-				shiftRight1(shifted, rowNaN)
-				for w := 0; w < wp; w++ {
-					straddle[w] &^= rowNaN[w] | shifted[w] // no NaN corner
-				}
-				markCellCorners(maskWords, straddle, corners, nx,
-					[4]int{k*ny + j, k*ny + j + 1, (k+1)*ny + j, (k+1)*ny + j + 1})
+	rowOr := make([]uint64, wp)
+	rowAnd := make([]uint64, wp)
+	rowNaN := make([]uint64, wp)
+	shifted := make([]uint64, wp)
+	straddle := make([]uint64, wp)
+	corners := make([]uint64, wp)
+	for k := 0; k < nz-1; k++ {
+		for j := 0; j < ny-1; j++ {
+			r00 := below.row(k*ny + j)
+			r10 := below.row(k*ny + j + 1)
+			r01 := below.row((k+1)*ny + j)
+			r11 := below.row((k+1)*ny + j + 1)
+			n00 := nan.row(k*ny + j)
+			n10 := nan.row(k*ny + j + 1)
+			n01 := nan.row((k+1)*ny + j)
+			n11 := nan.row((k+1)*ny + j + 1)
+			for w := 0; w < wp; w++ {
+				rowOr[w] = r00[w] | r10[w] | r01[w] | r11[w]
+				rowAnd[w] = r00[w] & r10[w] & r01[w] & r11[w]
+				rowNaN[w] = n00[w] | n10[w] | n01[w] | n11[w]
 			}
+			// Pair corners along x.
+			shiftRight1(shifted, rowOr)
+			for w := 0; w < wp; w++ {
+				straddle[w] = rowOr[w] | shifted[w]
+			}
+			shiftRight1(shifted, rowAnd)
+			for w := 0; w < wp; w++ {
+				straddle[w] &^= rowAnd[w] & shifted[w] // or != and
+			}
+			shiftRight1(shifted, rowNaN)
+			for w := 0; w < wp; w++ {
+				straddle[w] &^= rowNaN[w] | shifted[w] // no NaN corner
+			}
+			markCellCorners(maskWords, straddle, corners, nx,
+				[4]int{k*ny + j, k*ny + j + 1, (k+1)*ny + j, (k+1)*ny + j + 1})
 		}
-	})
+	}
 }
 
 // markCellCorners selects, in each of the four point rows, both x-corners
@@ -177,16 +179,4 @@ func orAligned(dst []uint64, offset int, src []uint64, nbits int) {
 			dst[word+w+1] |= bits >> (64 - shift)
 		}
 	}
-}
-
-// parallelSlabsNoMask splits layers [0,n) across workers without the
-// per-worker bitmap merging of parallelSlabs; workers must write to
-// disjoint regions themselves.
-func parallelSlabsNoMask(n int, work func(k0, k1 int)) {
-	// Writing corner rows for cell layer k touches point layers k and
-	// k+1, so adjacent slabs share a boundary layer; to stay safe on the
-	// shared mask we fall back to sequential execution here. The scan is
-	// memory-bandwidth-bound, so the loss on multi-core boxes is modest
-	// and the single-core testbed is unaffected.
-	work(0, n)
 }

@@ -172,7 +172,7 @@ func TestCacheMultiFanOut(t *testing.T) {
 	}
 	reqs = append(reqs, MultiRequest{Path: "ts0.vnd", Array: "missing", Isovalues: []float64{5}})
 
-	results := client.FetchFilteredMulti(reqs, 4)
+	results := client.FetchFilteredMulti(reqs)
 	if len(results) != len(reqs) {
 		t.Fatalf("results = %d, want %d", len(results), len(reqs))
 	}

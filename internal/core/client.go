@@ -74,7 +74,6 @@ type Client struct {
 // are idempotent; a method with side effects must not be added here.
 func RetryableMethods() map[string]bool {
 	return map[string]bool{
-		MethodList:       true,
 		MethodDescribe:   true,
 		MethodFetch:      true,
 		MethodFetchRange: true,
@@ -122,56 +121,9 @@ func NewClient(conn net.Conn) *Client {
 // Close tears the connection down.
 func (c *Client) Close() error { return c.rpc.Close() }
 
-// List returns the entries under dir on the server's store; directories
-// carry a trailing slash.
-func (c *Client) List(dir string) ([]string, error) {
-	return c.ListContext(context.Background(), dir)
-}
-
-// ListContext is List under a caller context; a telemetry span in ctx
-// propagates to the server so its work joins the caller's trace.
-func (c *Client) ListContext(ctx context.Context, dir string) ([]string, error) {
-	res, err := c.rpc.CallContext(ctx, MethodList, dir)
-	if err != nil {
-		return nil, err
-	}
-	items, ok := res.([]any)
-	if !ok {
-		return nil, fmt.Errorf("core: list returned %T", res)
-	}
-	out := make([]string, 0, len(items))
-	for _, it := range items {
-		s, ok := it.(string)
-		if !ok {
-			return nil, fmt.Errorf("core: list entry is %T", it)
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-// ArrayDesc describes one stored array on the server.
-type ArrayDesc struct {
-	Name           string
-	Codec          string
-	CompressedSize int64
-	RawSize        int64
-}
-
 // Description is the remote dataset's metadata.
 type Description struct {
-	Grid   *grid.Uniform
-	Arrays []ArrayDesc
-}
-
-// Array returns the description of the named array, or nil.
-func (d *Description) Array(name string) *ArrayDesc {
-	for i := range d.Arrays {
-		if d.Arrays[i].Name == name {
-			return &d.Arrays[i]
-		}
-	}
-	return nil
+	Grid *grid.Uniform
 }
 
 // Describe fetches a dataset file's metadata.
@@ -193,22 +145,7 @@ func (c *Client) DescribeContext(ctx context.Context, path string) (*Description
 	if err != nil {
 		return nil, fmt.Errorf("core: describe %w", err)
 	}
-	d := &Description{Grid: g}
-	arrays, _ := m["arrays"].([]any)
-	for _, a := range arrays {
-		am, ok := a.(map[string]any)
-		if !ok {
-			return nil, fmt.Errorf("core: describe array entry is %T", a)
-		}
-		name, _ := am["name"].(string)
-		codec, _ := am["codec"].(string)
-		comp, _ := am["comp"].(int64)
-		raw, _ := am["raw"].(int64)
-		d.Arrays = append(d.Arrays, ArrayDesc{
-			Name: name, Codec: codec, CompressedSize: comp, RawSize: raw,
-		})
-	}
-	return d, nil
+	return &Description{Grid: g}, nil
 }
 
 // FetchStats reports the cost breakdown of one pre-filtered fetch.
@@ -371,26 +308,26 @@ type MultiResult struct {
 	Err     error
 }
 
-// DefaultMultiParallelism bounds a FetchFilteredMulti's in-flight
-// requests when the caller passes parallelism <= 0.
-const DefaultMultiParallelism = 8
+// multiParallelism bounds the requests a fan-out — FetchFilteredMulti's
+// or a sharded gather's — has in flight at once.
+const multiParallelism = 8
 
 // FetchFilteredMulti issues many pre-filtered fetches concurrently over
 // the one multiplexed RPC connection and returns the results in request
-// order. At most parallelism requests are in flight at once (<= 0 uses
-// DefaultMultiParallelism). Failures are reported per-request rather
-// than failing the batch, so one bad array name doesn't discard the
-// sibling payloads; with the server's array cache enabled, concurrent
-// requests against the same array coalesce into a single storage read.
-func (c *Client) FetchFilteredMulti(reqs []MultiRequest, parallelism int) []MultiResult {
-	return c.FetchFilteredMultiContext(context.Background(), reqs, parallelism)
+// order, at most multiParallelism in flight at once. Failures are
+// reported per-request rather than failing the batch, so one bad array
+// name doesn't discard the sibling payloads; with the server's array
+// cache enabled, concurrent requests against the same array coalesce
+// into a single storage read.
+func (c *Client) FetchFilteredMulti(reqs []MultiRequest) []MultiResult {
+	return c.FetchFilteredMultiContext(context.Background(), reqs)
 }
 
 // FetchFilteredMultiContext is FetchFilteredMulti under a caller
 // context; cancelling ctx fails the not-yet-issued requests.
-func (c *Client) FetchFilteredMultiContext(ctx context.Context, reqs []MultiRequest, parallelism int) []MultiResult {
+func (c *Client) FetchFilteredMultiContext(ctx context.Context, reqs []MultiRequest) []MultiResult {
 	results := make([]MultiResult, len(reqs))
-	fanOut(ctx, len(reqs), parallelism, func(i int, skipped error) {
+	fanOut(ctx, len(reqs), func(i int, skipped error) {
 		if skipped != nil {
 			results[i].Err = skipped
 			return
@@ -402,21 +339,15 @@ func (c *Client) FetchFilteredMultiContext(ctx context.Context, reqs []MultiRequ
 	return results
 }
 
-// fanOut runs do(i, nil) for every i in [0, n) on at most parallelism
-// goroutines at once (<= 0 means DefaultMultiParallelism) and returns
-// when all have finished. Once ctx is cancelled the not-yet-started
-// indices get do(i, ctx.Err()) on the calling goroutine instead.
-func fanOut(ctx context.Context, n, parallelism int, do func(i int, skipped error)) {
-	if parallelism <= 0 {
-		parallelism = DefaultMultiParallelism
-	}
-	if parallelism > n {
-		parallelism = n
-	}
-	sem := make(chan struct{}, parallelism)
+// fanOut runs do(i, nil) for every i in [0, n) on at most
+// multiParallelism goroutines at once and returns when all have
+// finished. Once ctx is cancelled the not-yet-started indices get
+// do(i, ctx.Err()) on the calling goroutine instead.
+func fanOut(ctx context.Context, n int, do func(i int, skipped error)) {
+	sem := make(chan struct{}, min(multiParallelism, n))
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		// Acquire the slot before spawning so at most parallelism
+		// Acquire the slot before spawning so at most multiParallelism
 		// goroutines ever exist; spawning first and acquiring inside
 		// would briefly stand up one goroutine per request.
 		select {

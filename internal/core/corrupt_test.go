@@ -404,30 +404,39 @@ func corruptShardSetup(t *testing.T) (man *vtkio.Manifest, addrs []string, g *gr
 	return man, addrs, gg, ff
 }
 
+// TestShardedReadRepairFromSibling: a brick whose owner returns corrupt
+// data is re-read from a sibling shard by DialSharded's per-shard retry
+// loop — shard i's address list is rotated to start at i, so its
+// siblings are its failover replicas — with the corruption counted and
+// the breaker left alone.
 func TestShardedReadRepairFromSibling(t *testing.T) {
 	man, addrs, g, f := corruptShardSetup(t)
-	shards := make([]*Client, len(addrs))
-	for i, a := range addrs {
-		c, err := Dial(a, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards[i] = c
-		t.Cleanup(func() { c.Close() })
-	}
-	sc, err := NewShardedClient(man, shards)
+	sc, err := DialSharded(man, addrs, nil, rpc.ReconnectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sc.Close()
 
-	repairs0 := mShardRepairs.Value()
+	reg := telemetry.Default()
+	corrupt, failovers := reg.Counter("core.pool.corruptions"), reg.Counter("core.pool.failovers")
+	trips, fallbacks := reg.Counter("core.pool.breaker.open"), reg.Counter("core.client.fallbacks")
+	corr0, fail0, trips0, fb0 := corrupt.Value(), failovers.Value(), trips.Value(), fallbacks.Value()
 	isos := []float64{5, 9.5}
 	got, _, err := sc.FetchArray("run/ts0/", "d", isos, EncIndexValue)
 	if err != nil {
 		t.Fatalf("gather with corrupt owner: %v", err)
 	}
-	if d := mShardRepairs.Value() - repairs0; d == 0 {
-		t.Error("core.shard.repairs did not advance")
+	if d := corrupt.Value() - corr0; d == 0 {
+		t.Error("core.pool.corruptions did not advance")
+	}
+	if d := failovers.Value() - fail0; d == 0 {
+		t.Error("core.pool.failovers did not advance: the corrupt brick was not re-read from the sibling")
+	}
+	if d := trips.Value() - trips0; d != 0 {
+		t.Errorf("corrupt data tripped %d breakers, want 0", d)
+	}
+	if d := fallbacks.Value() - fb0; d != 0 {
+		t.Errorf("%d bricks fell back to a raw transfer, want 0 (the sibling's copy is clean)", d)
 	}
 	// The repaired gather is still bit-identical to the unsharded truth.
 	pre := &PreFilter{Isovalues: isos, Encoding: EncIndexValue}

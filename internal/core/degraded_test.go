@@ -215,8 +215,8 @@ func (g *gateCaller) peak() int {
 
 func TestFetchFilteredMultiFaultBoundedGoroutines(t *testing.T) {
 	// The submitting loop must acquire the parallelism slot before
-	// spawning, so a large batch never stands up more than `parallelism`
-	// goroutines at once.
+	// spawning, so a large batch never stands up more than
+	// multiParallelism goroutines at once.
 	g := &gateCaller{release: make(chan struct{})}
 	c := &Client{rpc: g}
 	reqs := make([]MultiRequest, 32)
@@ -224,18 +224,18 @@ func TestFetchFilteredMultiFaultBoundedGoroutines(t *testing.T) {
 		reqs[i] = MultiRequest{Path: "p", Array: "a", Isovalues: []float64{1}}
 	}
 	done := make(chan []MultiResult, 1)
-	go func() { done <- c.FetchFilteredMulti(reqs, 4) }()
+	go func() { done <- c.FetchFilteredMulti(reqs) }()
 
 	deadline := time.Now().Add(2 * time.Second)
-	for g.peak() < 4 && time.Now().Before(deadline) {
+	for g.peak() < multiParallelism && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	// Give any over-spawned goroutines a moment to show up in the peak.
 	time.Sleep(20 * time.Millisecond)
 	close(g.release)
 	results := <-done
-	if p := g.peak(); p != 4 {
-		t.Errorf("peak concurrent calls = %d, want exactly 4", p)
+	if p := g.peak(); p != multiParallelism {
+		t.Errorf("peak concurrent calls = %d, want exactly %d", p, multiParallelism)
 	}
 	for i, r := range results {
 		if r.Err == nil {
@@ -250,15 +250,15 @@ func TestFetchFilteredMultiFaultCancelDuringSubmit(t *testing.T) {
 	reqs := make([]MultiRequest, 16)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan []MultiResult, 1)
-	go func() { done <- c.FetchFilteredMultiContext(ctx, reqs, 2) }()
+	go func() { done <- c.FetchFilteredMultiContext(ctx, reqs) }()
 
 	deadline := time.Now().Add(2 * time.Second)
-	for g.peak() < 2 && time.Now().Before(deadline) {
+	for g.peak() < multiParallelism && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
 	// The submit loop drains the remaining requests without blocking on
-	// the full semaphore; only then do the two in-flight calls finish.
+	// the full semaphore; only then do the in-flight calls finish.
 	time.Sleep(20 * time.Millisecond)
 	close(g.release)
 	results := <-done
@@ -268,7 +268,7 @@ func TestFetchFilteredMultiFaultCancelDuringSubmit(t *testing.T) {
 			cancelled++
 		}
 	}
-	if cancelled != len(reqs)-2 {
-		t.Errorf("%d results cancelled, want %d", cancelled, len(reqs)-2)
+	if want := len(reqs) - multiParallelism; cancelled != want {
+		t.Errorf("%d results cancelled, want %d", cancelled, want)
 	}
 }

@@ -52,24 +52,6 @@ func startNDP(t *testing.T, codec compress.Kind) (*Client, *grid.Dataset) {
 	return client, ds
 }
 
-func TestNDPList(t *testing.T) {
-	client, _ := startNDP(t, compress.None)
-	entries, err := client.List(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0] != "run/" {
-		t.Errorf("entries = %v", entries)
-	}
-	files, err := client.List("run")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 1 || files[0] != "ts0.vnd" {
-		t.Errorf("files = %v", files)
-	}
-}
-
 func TestNDPDescribe(t *testing.T) {
 	client, ds := startNDP(t, compress.LZ4)
 	desc, err := client.Describe("run/ts0.vnd")
@@ -79,21 +61,27 @@ func TestNDPDescribe(t *testing.T) {
 	if !desc.Grid.Equal(ds.Grid) {
 		t.Errorf("grid = %+v, want %+v", desc.Grid, ds.Grid)
 	}
-	if len(desc.Arrays) != 2 {
-		t.Fatalf("arrays = %d", len(desc.Arrays))
+	// The reply carries the grid and nothing else: no caller reads a
+	// per-array list, so the server no longer ships one.
+	res, err := client.rpc.CallContext(context.Background(), MethodDescribe, "run/ts0.vnd")
+	if err != nil {
+		t.Fatal(err)
 	}
-	d := desc.Array("d")
-	if d == nil || d.Codec != "lz4" {
-		t.Fatalf("array d = %+v", d)
+	m, _ := res.(map[string]any)
+	if len(m) != 3 || m["dims"] == nil || m["origin"] == nil || m["spacing"] == nil {
+		t.Errorf("describe reply = %v, want dims, origin and spacing only", m)
 	}
-	if d.RawSize != int64(4*ds.Grid.NumPoints()) {
-		t.Errorf("RawSize = %d", d.RawSize)
+	// The described grid sizes every array: a raw fetch of "d" is one
+	// float32 per described point, and an array the file lacks fails.
+	raw, _, err := client.FetchRaw("run/ts0.vnd", "d")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d.CompressedSize <= 0 || d.CompressedSize >= d.RawSize {
-		t.Errorf("CompressedSize = %d", d.CompressedSize)
+	if len(raw) != 4*desc.Grid.NumPoints() {
+		t.Errorf("raw array d = %d bytes, described grid has %d points", len(raw), desc.Grid.NumPoints())
 	}
-	if desc.Array("nope") != nil {
-		t.Error("phantom array")
+	if _, _, err := client.FetchRaw("run/ts0.vnd", "nope"); err == nil {
+		t.Error("phantom array fetched")
 	}
 }
 
@@ -103,10 +91,11 @@ type replyCaller struct{ reply any }
 func (r replyCaller) CallContext(context.Context, string, ...any) (any, error) { return r.reply, nil }
 func (replyCaller) Close() error                                               { return nil }
 
-// TestNDPDescribeIgnoresCoords pins how a describe reply from a server
-// that still ships rectilinear coordinates (keys "coords" + X/Y/Z) reads
-// now: those keys are ignored, even unsorted ones, and the grid is the
-// uniform one the reply's dims, origin and spacing describe.
+// TestNDPDescribeIgnoresCoords pins how a describe reply from an older
+// server that still ships rectilinear coordinates (keys "coords" + X/Y/Z)
+// and a per-array list (key "arrays") reads now: those keys are ignored,
+// even unsorted coordinates, and the grid is the uniform one the reply's
+// dims, origin and spacing describe.
 func TestNDPDescribeIgnoresCoords(t *testing.T) {
 	reply := map[string]any{
 		"dims":    []any{int64(2), int64(3), int64(4)},
@@ -125,9 +114,6 @@ func TestNDPDescribeIgnoresCoords(t *testing.T) {
 		Origin: grid.Vec3{X: 0.5, Z: -1}, Spacing: grid.Vec3{X: 1, Y: 2, Z: 0.25}}
 	if !desc.Grid.Equal(want) {
 		t.Errorf("grid = %+v, want %+v", desc.Grid, want)
-	}
-	if d := desc.Array("d"); d == nil || d.RawSize != 96 {
-		t.Errorf("array d = %+v", d)
 	}
 }
 

@@ -75,20 +75,21 @@ func TestPoolFailoverOnReplicaDeath(t *testing.T) {
 	if failovers.Value() == f0 {
 		t.Error("core.pool.failovers did not count any failover")
 	}
-	if trips.Value() == t0 {
-		t.Error("core.pool.breaker.open: dead replica's breaker never tripped")
+	// Exactly one breaker tripped — the dead replica's; the live one
+	// never failed.
+	if d := trips.Value() - t0; d != 1 {
+		t.Errorf("core.pool.breaker.open advanced by %d, want exactly 1", d)
 	}
-	open := 0
-	for _, st := range pool.Status() {
-		if st.BreakerOpen {
-			open++
-			if st.Addr != addrB {
-				t.Errorf("breaker open on %s, want the dead replica %s", st.Addr, addrB)
-			}
+	// With B's breaker open, round-robin skips it: every further call
+	// lands on A first try, so none fails over.
+	f1 := failovers.Value()
+	for i := 0; i < 6; i++ {
+		if _, err := pool.CallContext(context.Background(), "echo", int64(i)); err != nil {
+			t.Fatalf("call %d with B tripped: %v", i, err)
 		}
 	}
-	if open != 1 {
-		t.Errorf("%d breakers open, want exactly 1", open)
+	if d := failovers.Value() - f1; d != 0 {
+		t.Errorf("%d failovers with the dead replica's breaker open, want 0", d)
 	}
 }
 
@@ -195,7 +196,9 @@ func TestDialPoolFailoverBitIdentical(t *testing.T) {
 		BreakerCooldown:  time.Minute,
 	})
 	defer client.Close()
-	pool := client.rpc.(*rpc.ReconnectClient)
+	failovers := telemetry.Default().Counter("core.pool.failovers")
+	trips := telemetry.Default().Counter("core.pool.breaker.open")
+	t0 := trips.Value()
 
 	fetchAndCompare := func(i int) {
 		t.Helper()
@@ -218,14 +221,16 @@ func TestDialPoolFailoverBitIdentical(t *testing.T) {
 	for i := 3; i < 11; i++ {
 		fetchAndCompare(i)
 	}
-	open := false
-	for _, st := range pool.Status() {
-		if st.Addr == addrB && st.BreakerOpen {
-			open = true
-		}
+	if trips.Value() == t0 {
+		t.Error("dead replica's breaker never tripped during the failover run")
 	}
-	if !open {
-		t.Error("dead replica's breaker is not open after the failover run")
+	// Its breaker is still open: the next fetches land on A first try.
+	f1 := failovers.Value()
+	for i := 11; i < 15; i++ {
+		fetchAndCompare(i)
+	}
+	if d := failovers.Value() - f1; d != 0 {
+		t.Errorf("%d failovers after the dead replica's breaker opened, want 0", d)
 	}
 }
 
@@ -260,6 +265,7 @@ func TestPoolPickFairnessUnderStorm(t *testing.T) {
 	_, addrB, servedB := startCountingEcho(t, "127.0.0.1:0")
 	srvC, addrC, _ := startCountingEcho(t, "127.0.0.1:0")
 
+	trips := telemetry.Default().Counter("core.pool.breaker.open")
 	const cooldown = 100 * time.Millisecond
 	pool := rpc.NewReconnectClient("tcp", []string{addrA, addrB, addrC}, nil, rpc.ReconnectOptions{
 		Retryable:        map[string]bool{"echo": true},
@@ -280,6 +286,7 @@ func TestPoolPickFairnessUnderStorm(t *testing.T) {
 	}
 
 	// Kill C, reset the survivors' counters, and storm.
+	t0 := trips.Value()
 	srvC.Close()
 	servedA.Store(0)
 	servedB.Store(0)
@@ -319,14 +326,9 @@ func TestPoolPickFairnessUnderStorm(t *testing.T) {
 			t.Errorf("replica %s served %d/%d calls — starved", name, n, total)
 		}
 	}
-	openC := false
-	for _, st := range pool.Status() {
-		if st.Addr == addrC && st.BreakerOpen {
-			openC = true
-		}
-	}
-	if !openC {
-		t.Error("dead replica's breaker is not open after the storm")
+	// A and B never failed, so any trip is C's.
+	if trips.Value() == t0 {
+		t.Error("dead replica's breaker never tripped during the storm")
 	}
 
 	// Restart C on its old address; once the cooldown elapses, a call is
@@ -341,10 +343,16 @@ func TestPoolPickFairnessUnderStorm(t *testing.T) {
 			t.Fatalf("call during recovery: %v", err)
 		}
 	}
-	for _, st := range pool.Status() {
-		if st.Addr == addrC && st.BreakerOpen {
-			t.Error("breaker still open after a successful half-open probe")
+	// The probe closed C's breaker: round-robin gives C its share of
+	// the next calls again.
+	c0 := servedC.Load()
+	for i := 0; i < 6; i++ {
+		if _, err := pool.CallContext(context.Background(), "echo", int64(i)); err != nil {
+			t.Fatalf("call after recovery: %v", err)
 		}
+	}
+	if servedC.Load() == c0 {
+		t.Error("restarted replica served none of 6 calls after its probe succeeded")
 	}
 }
 
@@ -354,8 +362,8 @@ func TestPoolPickFairnessUnderStorm(t *testing.T) {
 func TestPoolZeroAddresses(t *testing.T) {
 	client := DialFaultTolerant(nil, nil, rpc.ReconnectOptions{})
 	defer client.Close()
-	if _, err := client.List("."); err == nil {
-		t.Error("List over no addresses succeeded")
+	if _, err := client.Describe("run/ts0.vnd"); err == nil {
+		t.Error("Describe over no addresses succeeded")
 	}
 	if _, _, err := client.FetchFiltered("run/ts0.vnd", "d", []float64{7}, EncAuto); err == nil {
 		t.Error("FetchFiltered over no addresses succeeded")

@@ -23,8 +23,8 @@ import (
 // entry when recorded, per-page CRCs against the object's own trailing
 // table — and quarantines what fails. Quarantined paths are rejected at
 // the fetch boundary with rpc.ErrCorrupt (see Server.quarantined), so
-// a sharded client repairs from a sibling replica immediately rather
-// than re-reading known-bad storage on every request.
+// a fault-tolerant client re-reads from a sibling replica immediately
+// rather than re-reading known-bad storage on every request.
 
 var (
 	mScrubScanned     = telemetry.Default().Counter("core.scrub.scanned")

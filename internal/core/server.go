@@ -34,7 +34,6 @@ var serverLog = telemetry.Logger("ndpserver")
 
 // RPC method names exposed by the NDP server.
 const (
-	MethodList       = "ndp.list"
 	MethodDescribe   = "ndp.describe"
 	MethodFetch      = "ndp.fetch"
 	MethodFetchRange = "ndp.fetchrange"
@@ -128,7 +127,6 @@ func NewServer(fsys fs.FS, opts ...ServerOption) *Server {
 		opt(s)
 	}
 	s.rpc = rpc.NewServer(s.rpcOpts...)
-	s.rpc.Register(MethodList, s.handleList)
 	s.rpc.Register(MethodDescribe, s.handleDescribe)
 	for _, sel := range []*selector{contourSelector, rangeSelector, sliceSelector, rawSelector} {
 		s.rpc.Register(sel.method, func(ctx context.Context, args []any) (any, error) {
@@ -155,10 +153,6 @@ func (s *Server) Close() { s.rpc.Close() }
 // close. When ctx expires first the rest are cut off and ctx's error
 // returned; nil means no accepted request was lost.
 func (s *Server) Shutdown(ctx context.Context) error { return s.rpc.Shutdown(ctx) }
-
-// Health reports the underlying rpc server's ok/draining/overloaded
-// state, as served by the built-in rpc.MethodHealthz probe.
-func (s *Server) Health() string { return s.rpc.Health() }
 
 func argString(args []any, i int, what string) (string, error) {
 	if i >= len(args) {
@@ -200,26 +194,6 @@ func argFloat(args []any, i int, what string) (float64, error) {
 		return 0, fmt.Errorf("core: %s argument is %T, want number", what, args[i])
 	}
 	return f, nil
-}
-
-func (s *Server) handleList(_ context.Context, args []any) (any, error) {
-	dir, err := argString(args, 0, "dir")
-	if err != nil {
-		return nil, err
-	}
-	entries, err := fs.ReadDir(s.fsys, dir)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]any, 0, len(entries))
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() {
-			name += "/"
-		}
-		out = append(out, name)
-	}
-	return out, nil
 }
 
 // openReader opens a dataset file for selective (random-access) reads.
@@ -276,20 +250,10 @@ func (s *Server) handleDescribe(ctx context.Context, args []any) (any, error) {
 	}
 	defer closer.Close()
 	h := r.Header()
-	arrays := make([]any, 0, len(h.Arrays))
-	for _, a := range h.Arrays {
-		arrays = append(arrays, map[string]any{
-			"name":  a.Name,
-			"codec": a.Codec,
-			"comp":  a.CompressedSize(),
-			"raw":   a.RawSize(),
-		})
-	}
 	return map[string]any{
 		"dims":    []any{int64(h.Dims[0]), int64(h.Dims[1]), int64(h.Dims[2])},
 		"origin":  []any{h.Origin[0], h.Origin[1], h.Origin[2]},
 		"spacing": []any{h.Spacing[0], h.Spacing[1], h.Spacing[2]},
-		"arrays":  arrays,
 	}, nil
 }
 

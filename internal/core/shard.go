@@ -2,13 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"net"
-	"sort"
-	"time"
 
 	"vizndp/internal/bitset"
 	"vizndp/internal/grid"
@@ -24,14 +20,11 @@ import (
 //	core.shard.merges     counter — gathered arrays assembled client-side
 //	core.shard.ghost.dups counter — ghost-region points dropped by the merge dedup
 //	core.shard.degraded   counter — brick fetches served by a shard's degraded fallback
-//	core.shard.repairs    counter — brick fetches recovered from a sibling shard
-//	                      after the owner returned corrupt data
 var (
 	mShardFetches  = telemetry.Default().Counter("core.shard.fetches")
 	mShardMerges   = telemetry.Default().Counter("core.shard.merges")
 	mShardGhostDup = telemetry.Default().Counter("core.shard.ghost.dups")
 	mShardDegraded = telemetry.Default().Counter("core.shard.degraded")
-	mShardRepairs  = telemetry.Default().Counter("core.shard.repairs")
 )
 
 // shardFetchEvent names the client-side wide event wrapping one brick's
@@ -39,75 +32,21 @@ var (
 // and failure slicing possible at /debug/requests.
 const shardFetchEvent = "shard.fetch"
 
-// routerVnodes is how many ring points each shard contributes to the
-// consistent-hash ring. 64 keeps the assignment spread within a few
-// percent of even for single-digit shard counts while the ring stays
-// tiny.
-const routerVnodes = 64
-
-// ShardRouter maps bricks to shard indices. A manifest entry that names
-// its owning shard is routed there directly; unassigned entries
-// (Shard < 0) fall back to consistent hashing of the brick key, so a
-// manifest written without placement still spreads load and any two
-// clients agree on the placement without coordination.
-type ShardRouter struct {
-	n    int
-	ring []ringPoint
-}
-
-type ringPoint struct {
-	hash  uint64
-	shard int
-}
-
-// NewShardRouter builds a router over n shards (n >= 1).
-func NewShardRouter(n int) (*ShardRouter, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("core: shard router needs at least one shard, got %d", n)
-	}
-	r := &ShardRouter{n: n, ring: make([]ringPoint, 0, n*routerVnodes)}
-	for s := 0; s < n; s++ {
-		for v := 0; v < routerVnodes; v++ {
-			r.ring = append(r.ring, ringPoint{
-				hash:  fnvSum(fmt.Sprintf("shard-%d#%d", s, v)),
-				shard: s,
-			})
-		}
-	}
-	sort.Slice(r.ring, func(i, j int) bool { return r.ring[i].hash < r.ring[j].hash })
-	return r, nil
-}
-
-func fnvSum(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
-}
-
-// Pick returns the shard index for one manifest entry: the entry's own
-// assignment when it names a valid shard, the hash ring otherwise.
-func (r *ShardRouter) Pick(e vtkio.ManifestBrick) int {
-	if e.Shard >= 0 && e.Shard < r.n {
+// shardOf is the one brick placement rule: an entry pinned to a shard in
+// [0, n) goes to that shard, every other entry to shard ID mod n — the
+// rule BuildManifest pins with, so a manifest written with a shard count
+// and one written without place their bricks alike. Every shard mounts
+// the same store, so placement decides cache locality, never which
+// bytes come back.
+func shardOf(e vtkio.ManifestBrick, n int) int {
+	if e.Shard >= 0 && e.Shard < n {
 		return e.Shard
 	}
-	return r.PickKey(e.Key)
+	return e.ID % n
 }
 
-// PickKey routes an arbitrary key over the consistent-hash ring: the
-// first ring point at or after the key's hash, wrapping past the top.
-func (r *ShardRouter) PickKey(key string) int {
-	h := fnvSum(key)
-	i := sort.Search(len(r.ring), func(i int) bool { return r.ring[i].hash >= h })
-	if i == len(r.ring) {
-		i = 0
-	}
-	return r.ring[i].shard
-}
-
-// ShardStats is the cost breakdown of one scatter-gathered array fetch.
-// The per-brick durations and byte counts are summed across bricks —
-// aggregate work, not wall time — while TotalTime is the wall-clock
-// scatter-gather including the merge.
+// ShardStats is the cost breakdown of one scatter-gathered array fetch;
+// the byte counts are summed across bricks.
 type ShardStats struct {
 	// Bricks is how many per-brick fetches were scattered.
 	Bricks int
@@ -120,10 +59,6 @@ type ShardStats struct {
 	DupPoints    int
 	RawBytes     int64
 	PayloadBytes int64
-	ReadTime     time.Duration
-	FilterTime   time.Duration
-	TransferTime time.Duration
-	TotalTime    time.Duration
 }
 
 // ShardedClient scatters per-brick pre-filtered fetches across shard
@@ -136,7 +71,6 @@ type ShardedClient struct {
 	man    *vtkio.Manifest
 	g      *grid.Uniform
 	bricks []grid.Brick
-	router *ShardRouter
 	shards []*Client
 }
 
@@ -154,15 +88,10 @@ func NewShardedClient(man *vtkio.Manifest, shards []*Client) (*ShardedClient, er
 	if err != nil {
 		return nil, err
 	}
-	router, err := NewShardRouter(len(shards))
-	if err != nil {
-		return nil, err
-	}
 	return &ShardedClient{
 		man:    man,
 		g:      man.Grid(),
 		bricks: bricks,
-		router: router,
 		shards: shards,
 	}, nil
 }
@@ -172,9 +101,10 @@ func NewShardedClient(man *vtkio.Manifest, shards []*Client) (*ShardedClient, er
 // address first, its siblings as failover replicas — because every shard
 // mounts the same object store: placement is about locality (cache
 // warmth, aggregate bandwidth), not reachability, so a dead shard's
-// bricks fail over to a sibling via the circuit breakers and, when every
-// replica refuses, degrade to the raw-fetch fallback. opts.Retryable
-// defaults to RetryableMethods.
+// bricks fail over to a sibling via the circuit breakers, a brick the
+// owner returns corrupt is re-read from a sibling by the same retry loop,
+// and when every replica refuses a fetch degrades to the raw-fetch
+// fallback. opts.Retryable defaults to RetryableMethods.
 func DialSharded(man *vtkio.Manifest, addrs []string, dialFn func(network, addr string) (net.Conn, error), opts rpc.ReconnectOptions) (*ShardedClient, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("core: sharded dial needs at least one address")
@@ -227,15 +157,14 @@ func (sc *ShardedClient) FetchArray(prefix, array string, isovalues []float64, e
 // which would mean the brick objects desynchronized — fails the merge
 // rather than silently stitching mixed versions.
 func (sc *ShardedClient) FetchArrayContext(ctx context.Context, prefix, array string, isovalues []float64, enc Encoding) ([]float32, *ShardStats, error) {
-	start := time.Now()
 	results := make([]MultiResult, len(sc.man.Entries))
-	fanOut(ctx, len(results), 0, func(i int, skipped error) {
+	fanOut(ctx, len(results), func(i int, skipped error) {
 		if skipped != nil {
 			results[i].Err = skipped
 			return
 		}
 		e := &sc.man.Entries[i]
-		shard := sc.router.Pick(*e)
+		shard := shardOf(*e, len(sc.shards))
 		path := prefix + e.Key
 		mShardFetches.Inc()
 		// One wide event per scattered fetch, on top of the shard
@@ -250,26 +179,6 @@ func (sc *ShardedClient) FetchArrayContext(ctx context.Context, prefix, array st
 			ev.SetSpanIDs(span.Trace(), span.ID())
 		}
 		p, st, err := sc.shards[shard].FetchFilteredContext(ctx, path, array, isovalues, enc)
-		// Read repair: corruption is a verdict about the OWNER's copy
-		// (or its path to us), not about the brick — every shard mounts
-		// the same store, so walk the siblings before giving up. Shard
-		// clients over several addresses already rotate replicas
-		// internally; this loop is what saves single-connection shard sets.
-		if err != nil && errors.Is(err, rpc.ErrCorrupt) {
-			for off := 1; off < len(sc.shards) && ctx.Err() == nil; off++ {
-				sibling := (shard + off) % len(sc.shards)
-				p2, st2, err2 := sc.shards[sibling].FetchFilteredContext(ctx, path, array, isovalues, enc)
-				if err2 == nil {
-					mShardRepairs.Inc()
-					ev.SetAttr("repairedFrom", sibling)
-					p, st, err = p2, st2, nil
-					break
-				}
-				if !errors.Is(err2, rpc.ErrCorrupt) {
-					break
-				}
-			}
-		}
 		if st != nil {
 			ev.SetBytesIn(st.PayloadBytes)
 			if st.Degraded {
@@ -314,15 +223,11 @@ func (sc *ShardedClient) FetchArrayContext(ctx context.Context, prefix, array st
 			}
 			agg.RawBytes += st.RawBytes
 			agg.PayloadBytes += st.PayloadBytes
-			agg.ReadTime += st.ReadTime
-			agg.FilterTime += st.FilterTime
-			agg.TransferTime += st.TransferTime
 		}
 	}
 	mShardMerges.Inc()
 	mShardGhostDup.Add(int64(agg.DupPoints))
 	agg.SelectedPoints = seen.Count()
-	agg.TotalTime = time.Since(start)
 	return out, agg, nil
 }
 

@@ -17,7 +17,7 @@ import (
 
 // writeBricks bricks ds with spec, writes one .vnd object per brick plus
 // the manifest under dir/<prefix>, and returns the manifest. shards is
-// the manifest's placement fan-out (0 leaves entries hash-routed).
+// the manifest's placement fan-out (0 leaves entries unpinned).
 func writeBricks(t *testing.T, dir, prefix string, ds *grid.Dataset, spec grid.BrickSpec, shards int) *vtkio.Manifest {
 	t.Helper()
 	if err := os.MkdirAll(filepath.Join(dir, filepath.FromSlash(prefix)), 0o755); err != nil {
@@ -180,66 +180,41 @@ func TestShardedMergeBitIdentity(t *testing.T) {
 	}
 }
 
-// TestShardRouterGolden pins the routing function: manifest-assigned
-// entries go where they say, unassigned ones follow the consistent-hash
-// ring, and the golden assignments below only change if the hash scheme
-// changes (which would strand every deployed placement).
-func TestShardRouterGolden(t *testing.T) {
-	r, err := NewShardRouter(3)
+// TestShardPlacementRule pins the one placement rule: an entry pinned to
+// a shard in [0, n) goes there; an unpinned or out-of-range entry goes to
+// shard ID mod n, which is what BuildManifest pins with, so a manifest
+// built without a shard count places every brick where one built with n
+// shards does.
+func TestShardPlacementRule(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		id, shard int
+		want      int
+	}{
+		{"pinned in range", 4, 2, 2},
+		{"pinned to shard 0", 5, 0, 0},
+		{"pinned out of range", 4, 7, 1},
+		{"unpinned", 4, -1, 1},
+		{"unpinned, ID below n", 2, -1, 2},
+	} {
+		if got := shardOf(vtkio.ManifestBrick{ID: tc.id, Shard: tc.shard}, 3); got != tc.want {
+			t.Errorf("%s: brick %d (shard %d) placed on %d of 3, want %d", tc.name, tc.id, tc.shard, got, tc.want)
+		}
+	}
+	g := grid.NewUniform(13, 11, 9)
+	spec := grid.BrickSpec{NX: 2, NY: 2, NZ: 2, Ghost: 1}
+	pinned, err := vtkio.BuildManifest(g, spec, []string{"d"}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Assigned entries route directly; out-of-range assignments fall back
-	// to the ring.
-	for s := 0; s < 3; s++ {
-		e := vtkio.ManifestBrick{Key: vtkio.BrickKey(0), Shard: s}
-		if got := r.Pick(e); got != s {
-			t.Errorf("assigned shard %d routed to %d", s, got)
+	unpinned, err := vtkio.BuildManifest(g, spec, []string{"d"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range pinned.Entries {
+		if p, u := shardOf(pinned.Entries[i], 3), shardOf(unpinned.Entries[i], 3); p != u {
+			t.Errorf("brick %d: pinned manifest places it on %d, unpinned on %d", i, p, u)
 		}
-	}
-	hashed := r.PickKey(vtkio.BrickKey(0))
-	if got := r.Pick(vtkio.ManifestBrick{Key: vtkio.BrickKey(0), Shard: -1}); got != hashed {
-		t.Errorf("unassigned entry routed to %d, ring says %d", got, hashed)
-	}
-	if got := r.Pick(vtkio.ManifestBrick{Key: vtkio.BrickKey(0), Shard: 99}); got != hashed {
-		t.Errorf("out-of-range assignment routed to %d, ring says %d", got, hashed)
-	}
-	// Golden ring assignments for the first 8 brick keys over 3 shards.
-	want := make([]int, 8)
-	counts := make([]int, 3)
-	for i := range want {
-		want[i] = r.PickKey(vtkio.BrickKey(i))
-		counts[want[i]]++
-	}
-	golden := []int{}
-	for i := 0; i < 8; i++ {
-		golden = append(golden, want[i])
-	}
-	// Determinism across router instances (two clients must agree with no
-	// coordination).
-	r2, _ := NewShardRouter(3)
-	for i := 0; i < 8; i++ {
-		if got := r2.PickKey(vtkio.BrickKey(i)); got != golden[i] {
-			t.Errorf("brick %d: second router picked %d, first picked %d", i, got, golden[i])
-		}
-	}
-	// The ring must actually spread load: no shard may own everything.
-	for s, c := range counts {
-		if c == 8 {
-			t.Errorf("shard %d owns all 8 hash-routed bricks", s)
-		}
-	}
-	// One fewer shard must not reshuffle everything (consistent hashing's
-	// point): at most half the keys may move when going 3 -> 2.
-	r1, _ := NewShardRouter(2)
-	moved := 0
-	for i := 0; i < 8; i++ {
-		if golden[i] < 2 && r1.PickKey(vtkio.BrickKey(i)) != golden[i] {
-			moved++
-		}
-	}
-	if moved > 4 {
-		t.Errorf("%d/8 keys moved after dropping one shard; want consistent-hash stability", moved)
 	}
 }
 

@@ -56,7 +56,7 @@ func (s *NDPSource) Execute(ctx context.Context, _ any) (any, error) {
 			Isovalues: s.Isovalues, Encoding: s.Encoding,
 		}
 	}
-	results := s.Client.FetchFilteredMultiContext(ctx, reqs, 0)
+	results := s.Client.FetchFilteredMultiContext(ctx, reqs)
 
 	ds := grid.NewDataset(desc.Grid)
 	s.Stats = make(map[string]*FetchStats, len(s.Arrays))

@@ -339,9 +339,23 @@ func TestEndToEnd(t *testing.T) {
 }
 
 func TestAblationLossy(t *testing.T) {
-	tab, err := env.AblationLossy([]float64{0.5, 0.05})
+	bounds := []float64{0.5, 0.05}
+	tab, err := env.AblationLossy(bounds)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Every stored object carries page checksums, the lossy ones too, so
+	// the qlz4 rows pay the same read-time verify as the others.
+	for _, bound := range bounds {
+		key := fmt.Sprintf("nyx/qlz4-%g/ts00000.vnd", bound)
+		r, f, err := openReader(env.local, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Header().Checksums == nil {
+			t.Errorf("%s was stored without a checksum section", key)
+		}
+		f.Close()
 	}
 	tableHasRows(t, tab, len(Codecs)+2)
 	s := tab.String()

@@ -28,22 +28,23 @@ var (
 
 // Defaults for ReconnectOptions zero values.
 const (
-	DefaultMaxAttempts      = 4
-	DefaultInitialBackoff   = 10 * time.Millisecond
-	DefaultMaxBackoff       = 1 * time.Second
-	DefaultBreakerThreshold = 3
-	DefaultBreakerCooldown  = 200 * time.Millisecond
+	defaultMaxAttempts      = 4
+	defaultInitialBackoff   = 10 * time.Millisecond
+	defaultMaxBackoff       = 1 * time.Second
+	defaultBreakerThreshold = 3
+	defaultBreakerCooldown  = 200 * time.Millisecond
 )
 
 // ReconnectOptions configures a ReconnectClient.
 type ReconnectOptions struct {
 	// MaxAttempts is the total number of tries per call across all
-	// addresses, first attempt included. <= 0 means DefaultMaxAttempts
-	// per address. Only methods in Retryable get more than one attempt.
+	// addresses, first attempt included. <= 0 means 4 per address. Only
+	// methods in Retryable get more than one attempt.
 	MaxAttempts int
 	// InitialBackoff is the sleep after the first full cycle through the
 	// addresses — with one address, before the first retry; it doubles
-	// per cycle up to MaxBackoff. Zero values take the defaults.
+	// per cycle up to MaxBackoff. Zero values take the defaults, 10ms
+	// and 1s.
 	InitialBackoff time.Duration
 	MaxBackoff     time.Duration
 	// CallTimeout bounds each individual attempt (not the whole call).
@@ -65,31 +66,31 @@ type ReconnectOptions struct {
 	Seed int64
 	// BreakerThreshold is how many consecutive failures — transport
 	// errors or busy sheds — trip an address's circuit breaker open.
-	// <= 0 means DefaultBreakerThreshold.
+	// <= 0 means 3.
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker steers traffic away
 	// before letting the next call through as a half-open probe; the
 	// probe's success closes the breaker, its failure re-arms the
-	// cooldown. <= 0 means DefaultBreakerCooldown.
+	// cooldown. <= 0 means 200ms.
 	BreakerCooldown time.Duration
 }
 
 // withDefaults fills in the zero values for a client over n addresses.
 func (o ReconnectOptions) withDefaults(n int) ReconnectOptions {
 	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = DefaultMaxAttempts * n
+		o.MaxAttempts = defaultMaxAttempts * n
 	}
 	if o.InitialBackoff <= 0 {
-		o.InitialBackoff = DefaultInitialBackoff
+		o.InitialBackoff = defaultInitialBackoff
 	}
 	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = DefaultMaxBackoff
+		o.MaxBackoff = defaultMaxBackoff
 	}
 	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = DefaultBreakerThreshold
+		o.BreakerThreshold = defaultBreakerThreshold
 	}
 	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = DefaultBreakerCooldown
+		o.BreakerCooldown = defaultBreakerCooldown
 	}
 	return o
 }
@@ -109,13 +110,10 @@ type breaker struct {
 
 // allow reports whether a call may use this address now: the breaker is
 // closed, or open with its cooldown elapsed (the half-open probe).
-func (b *breaker) allow(now time.Time) bool { return !b.tripped(now) }
-
-// tripped reports whether the breaker currently rejects traffic.
-func (b *breaker) tripped(now time.Time) bool {
+func (b *breaker) allow(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.open && now.Before(b.openUntil)
+	return !b.open || !now.Before(b.openUntil)
 }
 
 // retryAt is when an open breaker next admits a probe (zero if closed).
@@ -310,24 +308,6 @@ func (rc *ReconnectClient) isClosed() bool {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	return rc.closed
-}
-
-// ReplicaStatus is one address's health snapshot.
-type ReplicaStatus struct {
-	Addr string
-	// BreakerOpen reports whether the breaker currently steers calls
-	// away from this address.
-	BreakerOpen bool
-}
-
-// Status snapshots every address's breaker state, in address order.
-func (rc *ReconnectClient) Status() []ReplicaStatus {
-	now := time.Now()
-	out := make([]ReplicaStatus, len(rc.replicas))
-	for i, r := range rc.replicas {
-		out[i] = ReplicaStatus{Addr: r.addr, BreakerOpen: r.brk.tripped(now)}
-	}
-	return out
 }
 
 // pick chooses the address for the next attempt: round-robin over

@@ -84,9 +84,9 @@ const (
 	typeNotification = 2
 )
 
-// MaxFrameSize bounds a single RPC message. Pre-filter replies carry whole
+// maxFrameSize bounds a single RPC message. Pre-filter replies carry whole
 // filtered arrays, so the bound is generous.
-const MaxFrameSize = 1 << 30
+const maxFrameSize = 1 << 30
 
 // ErrShutdown is returned for calls on a closed client.
 var ErrShutdown = errors.New("rpc: client is shut down")
@@ -211,7 +211,7 @@ type Handler func(ctx context.Context, args []any) (any, error)
 
 // writeFrame sends one length-prefixed message body.
 func writeFrame(w io.Writer, body []byte) error {
-	if len(body) > MaxFrameSize {
+	if len(body) > maxFrameSize {
 		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", len(body))
 	}
 	var hdr [4]byte
@@ -230,7 +230,7 @@ func readFrame(r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameSize {
+	if n > maxFrameSize {
 		return nil, fmt.Errorf("rpc: incoming frame of %d bytes exceeds limit", n)
 	}
 	body := make([]byte, n)
@@ -239,19 +239,6 @@ func readFrame(r io.Reader) ([]byte, error) {
 	}
 	return body, nil
 }
-
-// Server health states reported by the built-in MethodHealthz probe.
-const (
-	HealthOK         = "ok"         // accepting and executing requests
-	HealthDraining   = "draining"   // Shutdown/Close begun: new work is shed
-	HealthOverloaded = "overloaded" // all slots busy and the queue full
-)
-
-// MethodHealthz is the built-in readiness probe, registered on every
-// server. It bypasses admission control and drain accounting — its job
-// is to answer while the server is saturated or draining — and returns
-// one of the Health* states.
-const MethodHealthz = "rpc.healthz"
 
 // Server dispatches msgpack-rpc requests to registered handlers.
 type Server struct {
@@ -310,16 +297,12 @@ func NewServer(opts ...ServerOption) *Server {
 	if s.maxInFlight > 0 {
 		s.slots = make(chan struct{}, s.maxInFlight)
 	}
-	s.handlers[MethodHealthz] = registered{h: func(context.Context, []any) (any, error) {
-		return s.Health(), nil
-	}}
 	return s
 }
 
 // registered is one method's handler and its dispatch metrics,
 // rpc.server.call.<method>.seconds and .errors. Register resolves them
-// once, so a method name a peer makes up creates no metric; the health
-// probe has none.
+// once, so a method name a peer makes up creates no metric.
 type registered struct {
 	h       Handler
 	seconds *telemetry.Histogram
@@ -336,27 +319,6 @@ func (s *Server) Register(method string, h Handler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.handlers[method] = r
-}
-
-// Health reports the server's current state: HealthDraining once
-// Shutdown or Close has begun, HealthOverloaded while every execution
-// slot is busy and the wait queue is full, HealthOK otherwise.
-func (s *Server) Health() string {
-	s.lnMu.Lock()
-	stopping := s.closed || s.draining
-	s.lnMu.Unlock()
-	if stopping {
-		return HealthDraining
-	}
-	if s.slots != nil {
-		s.admMu.Lock()
-		full := len(s.slots) == s.maxInFlight && s.queued >= s.maxQueue
-		s.admMu.Unlock()
-		if full {
-			return HealthOverloaded
-		}
-	}
-	return HealthOK
 }
 
 // Serve accepts connections from ln until the listener or server
@@ -565,22 +527,11 @@ func (s *Server) ServeConn(conn net.Conn) {
 
 // runRequest executes one call end to end: drain accounting, deadline
 // derivation, admission, dispatch, and the serialized response write.
-// Every non-healthz call also produces one wide event in the flight
-// recorder, assembled as the request moves through each stage.
+// Every call also produces one wide event in the flight recorder,
+// assembled as the request moves through each stage.
 func (s *Server) runRequest(ctx context.Context, conn net.Conn, wmu *sync.Mutex, in incoming) {
 	mServerRequests.Inc()
 	m := s.lookup(in.method)
-
-	// Health probes bypass accounting and admission: answering while
-	// the server is saturated or draining is their entire job. They stay
-	// out of the flight recorder too — a probe per second would drown
-	// the ring in noise.
-	if in.method == MethodHealthz {
-		result, herr := m.call(ctx, in.method, in.args)
-		s.respond(conn, wmu, in.msgid, herr, result, nil)
-		return
-	}
-
 	ev := telemetry.DefaultFlightRecorder().Begin(telemetry.KindServer, in.method)
 	ev.SetBytesIn(int64(in.frameBytes))
 	if in.deadline > 0 {

@@ -12,11 +12,11 @@ import (
 // (counts + ghost), and one entry per brick naming its extents, its
 // object key relative to the per-step prefix, and its owning shard.
 // Clients read it once, then scatter per-brick fetches to the shards it
-// names; entries with Shard < 0 are routed by consistent hashing of the
-// brick key instead (see core's shard router).
+// names; an entry with Shard < 0 goes to shard ID mod the shard count,
+// the rule BuildManifest pins with.
 const (
 	// ManifestMagic guards against feeding an arbitrary JSON document to
-	// the router.
+	// a sharded client.
 	ManifestMagic = "vnd-bricks"
 	// ManifestVersion is bumped on incompatible manifest layout changes.
 	ManifestVersion = 1
@@ -36,7 +36,8 @@ type ManifestBrick struct {
 	// Key is the brick object's name relative to the fetch prefix (the
 	// per-timestep directory), e.g. "brick0003.vnd".
 	Key string `json:"key"`
-	// Shard is the owning shard's index, or -1 to route by hash.
+	// Shard is the owning shard's index, or -1 for shard ID mod the
+	// client's shard count.
 	Shard int `json:"shard"`
 	// Checksum is the CRC32C of the whole brick object's bytes, or zero
 	// when the writer did not record one. The scrubber verifies stored
@@ -67,8 +68,9 @@ func BrickKey(id int) string { return fmt.Sprintf("brick%04d.vnd", id) }
 
 // BuildManifest derives the manifest for bricking g with spec. Arrays
 // names the point arrays each brick object will carry. shards > 0
-// assigns bricks to shard indices round-robin by brick ID; shards <= 0
-// leaves every entry unassigned (Shard = -1, hash-routed).
+// assigns brick ID to shard ID mod shards; shards <= 0 leaves every
+// entry unassigned (Shard = -1), which a client over n shards places by
+// the same rule with n.
 func BuildManifest(g *grid.Uniform, spec grid.BrickSpec, arrays []string, shards int) (*Manifest, error) {
 	bricks, err := spec.Bricks(g.Dims)
 	if err != nil {

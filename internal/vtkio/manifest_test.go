@@ -65,7 +65,7 @@ func TestManifestUnassignedShards(t *testing.T) {
 	}
 	for i, e := range m.Entries {
 		if e.Shard != -1 {
-			t.Errorf("entry %d shard %d, want -1 (hash-routed)", i, e.Shard)
+			t.Errorf("entry %d shard %d, want -1 (unpinned)", i, e.Shard)
 		}
 	}
 }
