@@ -110,58 +110,9 @@ func ThresholdCells(g *grid.Uniform, values []float32, lo, hi float64) (*CellSet
 // filter keeps. Shipping exactly these points makes sparse threshold
 // evaluation exact: kept cells arrive with all corners; dropped cells
 // have no in-range corner anywhere, so whatever subset of their corners
-// arrives (via neighbouring kept cells) still fails the predicate.
+// arrives (via neighbouring kept cells) still fails the predicate. It is
+// the bit-row sweep of selectbits.go over every row pair, with a cell kept
+// where the OR of its corner rows, paired along x, is set.
 func SelectRangeCorners(g *grid.Uniform, values []float32, lo, hi float64) (*bitset.Bitset, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if len(values) != g.NumPoints() {
-		return nil, fmt.Errorf("contour: %d values for %d grid points", len(values), g.NumPoints())
-	}
-	if err := validateRange(lo, hi); err != nil {
-		return nil, err
-	}
-	nx, ny, nz := g.Dims.X, g.Dims.Y, g.Dims.Z
-
-	// Classify points into bit rows (bit i set when point i of the row is
-	// in range, never for NaN), then sweep cells 64 per word as
-	// selectCellCornersBits does: a cell is kept where the OR of its
-	// corner rows, paired along x with its one-bit shift, is set.
-	in := newBitRows(nx, ny*nz)
-	parallelRange(ny*nz, func(r0, r1 int) {
-		for r := r0; r < r1; r++ {
-			b := in.row(r)
-			for i, v := range values[r*nx : (r+1)*nx] {
-				if f := float64(v); f >= lo && f <= hi {
-					b[i>>6] |= 1 << (i & 63)
-				}
-			}
-		}
-	})
-
-	// A 2-D grid has one cell layer whose corners all lie in point layer
-	// 0, so its far corner rows repeat the near ones.
-	layers, dk := nz-1, 1
-	if g.Is2D() {
-		layers, dk = 1, 0
-	}
-	mask := bitset.New(g.NumPoints())
-	cells := make([]uint64, in.wordsPer)
-	shifted := make([]uint64, in.wordsPer)
-	corners := make([]uint64, in.wordsPer)
-	for k := 0; k < layers; k++ {
-		for j := 0; j < ny-1; j++ {
-			rows := [4]int{k*ny + j, k*ny + j + 1, (k+dk)*ny + j, (k+dk)*ny + j + 1}
-			r00, r10, r01, r11 := in.row(rows[0]), in.row(rows[1]), in.row(rows[2]), in.row(rows[3])
-			for w := range cells {
-				cells[w] = r00[w] | r10[w] | r01[w] | r11[w]
-			}
-			shiftRight1(shifted, cells)
-			for w := range cells {
-				cells[w] |= shifted[w]
-			}
-			markCellCorners(mask.Words(), cells, corners, nx, rows)
-		}
-	}
-	return mask, nil
+	return (*RowRanges)(nil).SelectRangeCorners(g, values, lo, hi)
 }

@@ -3,8 +3,87 @@ package contour
 import (
 	"math"
 
+	"vizndp/internal/bitset"
 	"vizndp/internal/grid"
 )
+
+// selectCellCornersGeneric is the straightforward per-cell scan the
+// cell-corner select ran before the bit-row sweep replaced it, in 3-D and
+// (since the sweep handles 2-D too) in 2-D. It stays as the oracle the
+// sweep is held to.
+func selectCellCornersGeneric(g *grid.Uniform, values []float32, isovalues []float64) *bitset.Bitset {
+	nx, ny, nz := g.Dims.X, g.Dims.Y, g.Dims.Z
+	strideY := nx
+	strideZ := nx * ny
+
+	if g.Is2D() {
+		mask := bitset.New(g.NumPoints())
+		for j := 0; j < ny-1; j++ {
+			for i := 0; i < nx-1; i++ {
+				idx := j*strideY + i
+				corners := [4]int{idx, idx + 1, idx + strideY, idx + strideY + 1}
+				if cellStraddles(values, corners[:], isovalues) {
+					for _, c := range corners {
+						mask.Set(c)
+					}
+				}
+			}
+		}
+		return mask
+	}
+
+	cellLayers := nz - 1
+	return parallelSlabs(cellLayers, g.NumPoints(), func(k0, k1 int, local *bitset.Bitset) {
+		var corners [8]int
+		for k := k0; k < k1; k++ {
+			for j := 0; j < ny-1; j++ {
+				base := k*strideZ + j*strideY
+				for i := 0; i < nx-1; i++ {
+					idx := base + i
+					corners = [8]int{
+						idx, idx + 1,
+						idx + strideY, idx + strideY + 1,
+						idx + strideZ, idx + strideZ + 1,
+						idx + strideZ + strideY, idx + strideZ + strideY + 1,
+					}
+					if cellStraddles(values, corners[:], isovalues) {
+						for _, c := range corners {
+							local.Set(c)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// cellStraddles reports whether the cell's corner values cross any
+// isovalue. Cells containing NaN never straddle.
+func cellStraddles(values []float32, corners []int, isovalues []float64) bool {
+	lo := values[corners[0]]
+	hi := lo
+	for _, c := range corners[1:] {
+		v := values[c]
+		if isNaN32(v) {
+			return false
+		}
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	if isNaN32(lo) {
+		return false
+	}
+	for _, iso := range isovalues {
+		if float64(lo) < iso && float64(hi) >= iso {
+			return true
+		}
+	}
+	return false
+}
 
 // The reference contour: the per-cell scan and map dedupe that
 // MarchingTetrahedra ran before the bit-parallel cell enumerator and the

@@ -68,68 +68,11 @@ func InterestingEdgePoints(g *grid.Uniform, values []float32, isovalues []float6
 // selection the NDP pre-filter ships: it is a small superset of
 // InterestingEdgePoints and guarantees the marching-tetrahedra
 // post-filter reproduces the full-array contour exactly, because every
-// cell that can emit geometry arrives with all of its corners.
+// cell that can emit geometry arrives with all of its corners. It is the
+// bit-row sweep of selectbits.go over every row pair, 2-D and 3-D alike;
+// (*RowRanges).SelectCellCorners is the same sweep over the live ones.
 func SelectCellCorners(g *grid.Uniform, values []float32, isovalues []float64) (*bitset.Bitset, error) {
-	if err := validateInputs(g, values, isovalues); err != nil {
-		return nil, err
-	}
-	nx, ny := g.Dims.X, g.Dims.Y
-	strideY := nx
-
-	if g.Is2D() {
-		mask := bitset.New(g.NumPoints())
-		for j := 0; j < ny-1; j++ {
-			for i := 0; i < nx-1; i++ {
-				idx := j*strideY + i
-				corners := [4]int{idx, idx + 1, idx + strideY, idx + strideY + 1}
-				if cellStraddles(values, corners[:], isovalues) {
-					for _, c := range corners {
-						mask.Set(c)
-					}
-				}
-			}
-		}
-		return mask, nil
-	}
-
-	mask := bitset.New(g.NumPoints())
-	for _, iso := range isovalues {
-		selectCellCornersBits(g, values, iso, mask)
-	}
-	return mask, nil
-}
-
-// selectCellCornersGeneric is the straightforward per-cell scan. It is
-// kept as the reference implementation that tests compare the
-// bit-parallel fast path against.
-func selectCellCornersGeneric(g *grid.Uniform, values []float32, isovalues []float64) *bitset.Bitset {
-	nx, ny, nz := g.Dims.X, g.Dims.Y, g.Dims.Z
-	strideY := nx
-	strideZ := nx * ny
-
-	cellLayers := nz - 1
-	return parallelSlabs(cellLayers, g.NumPoints(), func(k0, k1 int, local *bitset.Bitset) {
-		var corners [8]int
-		for k := k0; k < k1; k++ {
-			for j := 0; j < ny-1; j++ {
-				base := k*strideZ + j*strideY
-				for i := 0; i < nx-1; i++ {
-					idx := base + i
-					corners = [8]int{
-						idx, idx + 1,
-						idx + strideY, idx + strideY + 1,
-						idx + strideZ, idx + strideZ + 1,
-						idx + strideZ + strideY, idx + strideZ + strideY + 1,
-					}
-					if cellStraddles(values, corners[:], isovalues) {
-						for _, c := range corners {
-							local.Set(c)
-						}
-					}
-				}
-			}
-		}
-	})
+	return (*RowRanges)(nil).SelectCellCorners(g, values, isovalues)
 }
 
 // parallelRange splits [0,n) across workers.
@@ -153,34 +96,6 @@ func parallelRange(n int, work func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// cellStraddles reports whether the cell's corner values cross any
-// isovalue. Cells containing NaN never straddle.
-func cellStraddles(values []float32, corners []int, isovalues []float64) bool {
-	lo := values[corners[0]]
-	hi := lo
-	for _, c := range corners[1:] {
-		v := values[c]
-		if isNaN32(v) {
-			return false
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if isNaN32(lo) {
-		return false
-	}
-	for _, iso := range isovalues {
-		if float64(lo) < iso && float64(hi) >= iso {
-			return true
-		}
-	}
-	return false
 }
 
 // parallelSlabs splits layers [0,n) across workers, each filling a local

@@ -56,7 +56,7 @@ type selector struct {
 	// parse decodes the method's arguments (args[0:2] are path and array).
 	parse func(args []any) (query, error)
 	// run selects and encodes for one query over a loaded array.
-	run func(g *grid.Uniform, field *grid.Field, q query) (*fetchResult, error)
+	run func(e *arrayEntry, q query) (*fetchResult, error)
 	// respond adds the method's own keys to the shared response map.
 	respond func(resp map[string]any, r *fetchResult)
 }
@@ -137,7 +137,7 @@ func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (_ a
 		_, span := telemetry.StartSpan(ctx, sel.span)
 		defer span.End()
 		start := time.Now()
-		res, err := sel.run(entry.grid, entry.field, q)
+		res, err := sel.run(entry, q)
 		if err != nil {
 			span.SetAttr("error", err.Error())
 			return nil, err
@@ -200,8 +200,9 @@ func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (_ a
 }
 
 // selectionResult wraps what PreFilter.Run or RangePreFilter.Run
-// returned: the server's selections are those calls, so its payloads are
-// theirs byte for byte.
+// returned: the server's selections are those calls, handed a cached
+// array's row summary, whose select is word-identical to the full sweep
+// (contour.FuzzSelectRowRanges), so its payloads are theirs byte for byte.
 func selectionResult(p *Payload, st *PreFilterStats, err error) (*fetchResult, error) {
 	if err != nil {
 		return nil, err
@@ -258,9 +259,9 @@ var contourSelector = &selector{
 		q.enc, err = argEncoding(args, 3)
 		return q, err
 	},
-	run: func(g *grid.Uniform, field *grid.Field, q query) (*fetchResult, error) {
+	run: func(e *arrayEntry, q query) (*fetchResult, error) {
 		cq := q.(contourQuery)
-		return selectionResult((&PreFilter{Isovalues: cq.isovalues, Encoding: cq.enc}).Run(g, field))
+		return selectionResult((&PreFilter{Isovalues: cq.isovalues, Encoding: cq.enc, rows: e.rows}).Run(e.grid, e.field))
 	},
 	respond: respondSelected,
 }
@@ -289,9 +290,9 @@ var rangeSelector = &selector{
 		q.enc, err = argEncoding(args, 4)
 		return q, err
 	},
-	run: func(g *grid.Uniform, field *grid.Field, q query) (*fetchResult, error) {
+	run: func(e *arrayEntry, q query) (*fetchResult, error) {
 		rq := q.(rangeQuery)
-		return selectionResult((&RangePreFilter{Lo: rq.lo, Hi: rq.hi, Encoding: rq.enc}).Run(g, field))
+		return selectionResult((&RangePreFilter{Lo: rq.lo, Hi: rq.hi, Encoding: rq.enc, rows: e.rows}).Run(e.grid, e.field))
 	},
 	respond: respondSelected,
 }
@@ -326,13 +327,13 @@ var sliceSelector = &selector{
 		}
 		return sliceQuery{axis: axis, index: int(index)}, nil
 	},
-	run: func(g *grid.Uniform, field *grid.Field, q query) (*fetchResult, error) {
+	run: func(e *arrayEntry, q query) (*fetchResult, error) {
 		sq := q.(sliceQuery)
-		g2, vals, err := contour.ExtractSlice(g, field.Values, sq.axis, sq.index)
+		g2, vals, err := contour.ExtractSlice(e.grid, e.field.Values, sq.axis, sq.index)
 		if err != nil {
 			return nil, err
 		}
-		return &fetchResult{data: vtkio.FloatsToBytes(vals), points: field.Len(), selected: len(vals), grid: g2}, nil
+		return &fetchResult{data: vtkio.FloatsToBytes(vals), points: e.field.Len(), selected: len(vals), grid: g2}, nil
 	},
 	respond: func(resp map[string]any, r *fetchResult) {
 		g := r.grid
@@ -355,8 +356,8 @@ var rawSelector = &selector{
 	parse: func([]any) (query, error) { return rawQuery{}, nil },
 	// Re-serializing the decoded float32 values is a bit-exact inverse of
 	// decoding, so the bytes are identical to the stored array's.
-	run: func(_ *grid.Uniform, field *grid.Field, _ query) (*fetchResult, error) {
-		return &fetchResult{data: vtkio.FloatsToBytes(field.Values), points: field.Len(), selected: field.Len()}, nil
+	run: func(e *arrayEntry, _ query) (*fetchResult, error) {
+		return &fetchResult{data: vtkio.FloatsToBytes(e.field.Values), points: e.field.Len(), selected: e.field.Len()}, nil
 	},
 	// ndp.fetchraw's reply has always been {data, readns, crc}; there is no
 	// filter to report on, so keep its key set exact.

@@ -20,6 +20,10 @@ type PreFilter struct {
 	Isovalues []float64
 	// Encoding selects the payload wire format (EncAuto by default).
 	Encoding Encoding
+	// rows is the array's row summary when the server holds one (a cached
+	// array's): the select then sweeps only the row pairs it leaves live.
+	// The payload is the same either way.
+	rows *contour.RowRanges
 }
 
 // PreFilterStats reports what the pre-filter did, mirroring the
@@ -61,7 +65,7 @@ func (f *PreFilter) Run(g *grid.Uniform, field *grid.Field) (*Payload, *PreFilte
 		return nil, nil, fmt.Errorf("core: pre-filter has no isovalues")
 	}
 	start := time.Now()
-	mask, err := contour.SelectCellCorners(g, field.Values, f.Isovalues)
+	mask, err := f.rows.SelectCellCorners(g, field.Values, f.Isovalues)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: pre-filter %q: %w", field.Name, err)
 	}
@@ -127,12 +131,13 @@ func (f *PostFilter) Contour(g *grid.Uniform, name string, p *Payload) (*contour
 type RangePreFilter struct {
 	Lo, Hi   float64
 	Encoding Encoding
+	rows     *contour.RowRanges // as PreFilter's
 }
 
 // Run selects and encodes the subset of field the threshold needs.
 func (f *RangePreFilter) Run(g *grid.Uniform, field *grid.Field) (*Payload, *PreFilterStats, error) {
 	start := time.Now()
-	mask, err := contour.SelectRangeCorners(g, field.Values, f.Lo, f.Hi)
+	mask, err := f.rows.SelectRangeCorners(g, field.Values, f.Lo, f.Hi)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: range pre-filter %q: %w", field.Name, err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"vizndp/internal/contour"
 	"vizndp/internal/grid"
 	"vizndp/internal/lru"
 	"vizndp/internal/telemetry"
@@ -48,15 +49,21 @@ type arrayKey struct {
 	version     stamp
 }
 
-// arrayEntry is one resident decoded array and the grid it spans, which
-// is everything the fetch pipeline needs without reopening the file.
-// Entries are shared between concurrent readers; treat them as immutable.
+// arrayEntry is one loaded decoded array and the grid it spans, which is
+// everything the fetch pipeline needs without reopening the file. An
+// entry the array cache keeps also carries the array's row summary, so
+// every contour and range select over it sweeps only the row pairs an
+// isovalue can cross; an uncached entry dies with its request and has
+// none. Entries are shared between concurrent readers; treat them as
+// immutable.
 type arrayEntry struct {
 	grid  *grid.Uniform
 	field *grid.Field
+	rows  *contour.RowRanges
 }
 
-// size is the entry's accounted in-memory size.
+// size is the entry's accounted in-memory size: the decoded array's bytes,
+// not the row summary's (see WithCacheBytes).
 func (e *arrayEntry) size() int64 { return int64(4 * len(e.field.Values)) }
 
 // Scan-sharing metrics (default registry):

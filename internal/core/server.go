@@ -9,6 +9,7 @@ import (
 	"net"
 	"time"
 
+	"vizndp/internal/contour"
 	"vizndp/internal/lru"
 	"vizndp/internal/rpc"
 	"vizndp/internal/telemetry"
@@ -64,6 +65,14 @@ type ServerOption func(*Server)
 // maxBytes: repeated fetches of the same (path, array) — the isovalue
 // sweep workload — skip the storage read and decompression entirely.
 // maxBytes <= 0 disables the cache (the default).
+//
+// maxBytes bounds the decoded arrays' bytes. Each resident array also
+// carries its row summary (contour.RowRanges), 8 bytes per point row —
+// 1/64 of the array at nx = 128 — which lets a select skip the rows no
+// isovalue can cross. The summary is not charged to the bound: a bound
+// sized to a whole number of arrays (the benchmark's crowd cache holds
+// exactly five 8 MiB arrays) would otherwise hold one array fewer and
+// trade the faster select for more storage reads.
 func WithCacheBytes(maxBytes int64) ServerOption {
 	return func(s *Server) { s.cache = lru.New[arrayKey](maxBytes, (*arrayEntry).size, arrayMetrics) }
 }
@@ -74,7 +83,7 @@ func WithCacheBytes(maxBytes int64) ServerOption {
 // read through the array cache's (WithCacheBytes), and there is no window
 // to set. The option exists only because bench/workloads.go still passes
 // it and bench/ is frozen outside benchmark PRs; it goes when that call
-// does (ROADMAP, Benchmark repairs 7).
+// does (ROADMAP, "Next: the benchmark PR", item 3).
 func WithCoalesce(time.Duration) ServerOption { return func(*Server) {} }
 
 // WithPayloadCacheBytes bounds a storage-side cache of encoded fetch
@@ -357,7 +366,15 @@ func (s *Server) loadArray(ctx context.Context, key arrayKey) (*arrayEntry, time
 		if err != nil {
 			return nil, err
 		}
-		return &arrayEntry{grid: r.Grid(), field: field}, nil
+		e := &arrayEntry{grid: r.Grid(), field: field}
+		// Only an entry the cache keeps repays its summary; an uncached one
+		// serves this one request.
+		if s.cache != nil {
+			if e.rows, err = contour.SummarizeRows(e.grid, field.Values); err != nil {
+				return nil, err
+			}
+		}
+		return e, nil
 	})
 	telemetry.EventFromContext(ctx).SetCache(outcome.String())
 	if err != nil {
