@@ -283,16 +283,33 @@ func TestScrubberQuarantinesCorruptBricks(t *testing.T) {
 	}
 }
 
+// TestScrubberRecordsFlightEvents holds the scrub.pass wide event to the
+// pass's report: an operator reading the flight ring must see the same
+// corrupt and quarantined counts the scrubber acted on.
 func TestScrubberRecordsFlightEvents(t *testing.T) {
 	dir := t.TempDir()
-	scrubDataset(t, dir)
+	_, brickPaths := scrubDataset(t, dir)
+	for _, p := range brickPaths[:2] {
+		flipByteInArray(t, p, "d")
+	}
 	sc := NewScrubber(os.DirFS(dir), "integrity/manifest.json")
-	if _, err := sc.RunOnce(context.Background()); err != nil {
+	rec := telemetry.DefaultFlightRecorder()
+	seq0 := rec.Seq()
+	rep, err := sc.RunOnce(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
-	evs := telemetry.DefaultFlightRecorder().Events(telemetry.EventFilter{Method: "scrub.pass", Limit: 1})
+	if rep.Corrupt != 2 || rep.Quarantined != 2 {
+		t.Fatalf("pass = %+v, want 2 corrupt, 2 quarantined", rep)
+	}
+	evs := rec.Events(telemetry.EventFilter{Method: "scrub.pass", SinceSeq: seq0})
 	if len(evs) != 1 {
-		t.Fatalf("flight recorder holds %d scrub.pass events, want >= 1", len(evs))
+		t.Fatalf("flight recorder holds %d scrub.pass events for one pass, want 1", len(evs))
+	}
+	for attr, want := range map[string]int{"scanned": rep.Scanned, "corrupt": rep.Corrupt, "quarantined": rep.Quarantined} {
+		if got := evs[0].Attrs[attr]; got != want {
+			t.Errorf("scrub.pass %s = %v, report says %d", attr, got, want)
+		}
 	}
 }
 

@@ -202,7 +202,7 @@ func (e *Env) AblationLossy(bounds []float64) (*stats.Table, error) {
 	}
 	for _, bound := range bounds {
 		key := fmt.Sprintf("nyx/qlz4-%g/ts00000.vnd", bound)
-		if _, err := e.putDataset(key, e.nyxDS, vtkio.WriteOptions{LossyBound: bound, Checksum: true}); err != nil {
+		if err := e.putDataset(key, e.nyxDS, vtkio.WriteOptions{LossyBound: bound, Checksum: true}); err != nil {
 			return nil, err
 		}
 		if err := addRow(fmt.Sprintf("qlz4 (err %g)", bound), key); err != nil {

@@ -1,12 +1,16 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"vizndp/internal/core"
 	"vizndp/internal/netsim"
+	"vizndp/internal/objstore"
+	"vizndp/internal/s3fs"
 	"vizndp/internal/stats"
+	"vizndp/internal/telemetry"
 )
 
 // chaosClasses are the fault classes the composed run must see fire,
@@ -14,27 +18,45 @@ import (
 var chaosClasses = []struct{ label, counter string }{
 	{"dials refused", "netsim.fault.dials.refused"},
 	{"conns killed", "netsim.fault.conns.killed"},
+	{"frames truncated", "netsim.fault.frames.truncated"},
+	{"storage bitflips", "objstore.corrupt.bitflips"},
+	{"storage zeropages", "objstore.corrupt.zeropages"},
+	{"storage truncations", "objstore.corrupt.truncations"},
 	{"storage corruption detected", "ndp.fetch.corrupt"},
 	{"wire corruption detected", "core.client.corrupt.wire"},
 	{"shed", "rpc.server.shed"},
 	{"failovers", "core.pool.failovers"},
+	{"breaker trips", "core.pool.breaker.open"},
 	{"array-cache hits", "arraycache.hits"},
 }
 
-// ChaosExperiment composes the fault families the other experiments
-// inject one at a time. Two replicas each run a caching,
-// admission-bounded server over a corrupting store, behind their own
-// link with a seeded schedule of dial refusals, mid-frame connection
-// kills and in-flight byte flips; one fault-tolerant client drives the
-// stock sweep through the burst runner, and one replica is killed a
-// third of the way in. Rounds repeat until every class has fired.
+// drainedName stamps the drained replica's fetch events (its shard=
+// attribute), so the drain's accounting can pick them out of the ring.
+const drainedName = "drained"
+
+// ChaosExperiment is the one robustness gate: it composes every fault
+// family the system claims to survive and asserts bit-identity once,
+// through one oracle. Three replicas each run a caching,
+// admission-bounded server over a corrupting store. Two sit behind
+// their own link with a seeded schedule of dial refusals, mid-frame
+// connection kills and in-flight byte flips; the third, behind a clean
+// link, is started afresh every round. A fault-tolerant client drives
+// the stock sweep through the burst runner, and a third of the way in
+// one hook kills replica 1 and gracefully drains the third. After each
+// burst every array is read back whole from replica 0, whose cache
+// admitted it under live injection. Rounds repeat until every class has
+// fired and a drain has caught accepted fetches mid-flight.
 //
-// The only gates are the oracle's — every served payload bit-identical
-// to the clean sweep's, no error surfaced to the caller — and the
-// ledger's: each class in chaosClasses non-zero. The run is for the
-// interactions no single-family experiment reaches: a retry failing
+// The gates are the oracle's — every served payload and every
+// read-back array bit-identical to the ground truth, no error surfaced
+// to the caller — the ledger's — each class in chaosClasses non-zero —
+// and the drain's: Shutdown returns nil and every fetch the drained
+// replica had accepted got its response before it returned. The run is
+// for the interactions no single-family run reaches: a retry failing
 // over onto a replica that is itself shedding, a corrupt read evicted
-// under a shared flight, a breaker opening on a killed connection.
+// under a shared flight, a breaker opening on a killed connection. A
+// clean burst of the same depth over the unbounded server is the
+// latency reference for the chaos p50/p99.
 func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 	const workers = 8
 	const minBurst = 48
@@ -48,26 +70,30 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	base, err := truth.run(truth.clean, "clean burst", burst{ids: ids, workers: workers})
+	if err != nil {
+		return nil, err
+	}
 
 	// Every other connection is armed: it flips bytes inside a bulk
-	// payload and then dies mid-frame on a budget sized, as in the faults
-	// experiment, so that any one filtered response fits but few do. A
-	// detected flip degrades that fetch to a raw transfer, which no armed
-	// connection can carry — so the others are left unarmed, and die of
-	// old age instead: long enough to carry a raw array several times
-	// over, short enough that re-dials, refusals and fresh armed
-	// connections keep coming for the whole run.
+	// payload and then dies mid-frame on a budget sized so that any one
+	// filtered response fits but few do. A detected flip degrades that
+	// fetch to a raw transfer, which no armed connection can carry — so
+	// the others are left unarmed, and die of old age instead: long
+	// enough to carry a raw array several times over, short enough that
+	// re-dials, refusals and fresh armed connections keep coming for the
+	// whole run.
 	maxFrame := int64(truth.cleanRun.maxWire + 512)
 	rawBytes := int64(4 * e.asteroidSet[e.steps[0]].Grid.NumPoints())
 	lifetime := 50*time.Millisecond + 4*e.Link.TransferTime(rawBytes)
 	// The payload cache has room for about one result: identical requests
 	// in flight together share it, but the sweep does not fit, so every
 	// round still reaches the array cache and, behind it, the store.
+	opts := []core.ServerOption{core.WithCacheBytes(e.Cfg.CacheBytes), core.WithPayloadCacheBytes(maxFrame),
+		core.WithMaxInFlight(2), core.WithQueue(2)}
 	replicas := make([]*node, 2)
 	for i := range replicas {
-		n, err := k.startNode(e.corruptFS(uint64(2+i)), e.newLink(),
-			core.WithCacheBytes(e.Cfg.CacheBytes), core.WithPayloadCacheBytes(maxFrame),
-			core.WithMaxInFlight(2), core.WithQueue(2))
+		n, err := k.startNode(e.corruptFS(uint64(2+i)), e.newLink(), opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -86,15 +112,27 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 	}
 
 	led := openLedger()
+	caught := 0 // accepted fetches the drains found in flight
+	// A graceful drain sheds whatever reaches it while it waits, and a
+	// killed replica what it had already read: only the sheds before a
+	// round's hook, with every replica up, prove that admission control
+	// fired.
+	var admissionSheds int64
+	count := func(counter string) int64 {
+		if counter == "rpc.server.shed" {
+			return admissionSheds
+		}
+		return led.delta(counter)
+	}
 	fired := func() bool {
 		for _, c := range chaosClasses {
-			if led.delta(c.counter) == 0 {
+			if count(c.counter) == 0 {
 				return false
 			}
 		}
-		return true
+		return caught > 0
 	}
-	client := k.dialFT(breakerOptions(), replicas...)
+	survivor := k.dialFT(breakerOptions(), replicas[0])
 	total := &tally{}
 	rounds := 0
 	for ; rounds < maxRounds && !fired(); rounds++ {
@@ -103,31 +141,114 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 		for _, n := range replicas {
 			n.srv.Cache().Reset()
 		}
-		t, err := truth.run(client, "chaos", burst{ids: ids, workers: workers,
-			after: len(ids) / 3, hook: replicas[1].srv.Close})
+		drained, err := k.startNode(e.corruptFS(4), e.newLink(), append(opts, core.WithShardName(drainedName))...)
 		if err != nil {
 			return nil, err
+		}
+		done := make(chan drainResult, 1)
+		sheds0 := led.delta("rpc.server.shed")
+		t, err := truth.run(k.dialFT(breakerOptions(), replicas[0], replicas[1], drained), "chaos", burst{
+			ids: ids, workers: workers, after: len(ids) / 3, hook: func() {
+				admissionSheds += led.delta("rpc.server.shed") - sheds0
+				replicas[1].srv.Close()
+				go func() { done <- drain(drained) }()
+			}})
+		if err != nil {
+			return nil, err
+		}
+		d := <-done
+		if d.err != nil {
+			return nil, fmt.Errorf("harness: chaos drain: %w", d.err)
+		}
+		in, lost, err := d.audit()
+		if err != nil {
+			return nil, err
+		}
+		if lost > 0 {
+			return nil, fmt.Errorf("harness: chaos drain lost %d of the %d fetches it had accepted", lost, in)
+		}
+		caught += in
+		for _, step := range e.steps {
+			if err := truth.sameRaw(survivor, step); err != nil {
+				return nil, err
+			}
 		}
 		total.elapsed += t.elapsed
 		total.lats = append(total.lats, t.lats...)
 	}
 	if !fired() {
-		var unfired string
+		unfired := fmt.Sprintf(" drained in flight=%d", caught)
 		for _, c := range chaosClasses {
-			unfired += fmt.Sprintf(" %s=%d", c.label, led.delta(c.counter))
+			unfired += fmt.Sprintf(" %s=%d", c.label, count(c.counter))
 		}
 		return nil, fmt.Errorf("harness: chaos left a class unfired after %d rounds:%s", rounds, unfired)
 	}
 
+	basep50, basep99 := base.p50p99()
 	p50, p99 := total.p50p99()
 	t := stats.NewTable(
-		fmt.Sprintf("Chaos: composed faults over 2 replicas, %d-deep burst, %d workers, one replica killed (%s, raw data)",
+		fmt.Sprintf("Chaos: composed faults over 3 replicas, one killed and one drained, %d-deep burst, %d workers (%s, raw data)",
 			len(ids), workers, array),
 		"run", "time", "fetches", "p50", "p99", "identical")
 	row(t, "clean", truth.cleanRun.elapsed, len(uniq), "", "", "ground truth")
+	row(t, "clean burst", base.elapsed, len(ids), basep50, basep99, "yes")
 	row(t, "chaos", total.elapsed/time.Duration(rounds), fmt.Sprintf("%d x%d", len(ids), rounds), p50, p99, "yes")
+	row(t, "whole arrays", "", fmt.Sprintf("%d x%d", len(e.steps), rounds), "", "", "yes")
+	row(t, "drained in flight", caught)
 	for _, c := range chaosClasses {
-		row(t, c.label, led.delta(c.counter))
+		row(t, c.label, count(c.counter))
 	}
 	return t, nil
+}
+
+// drainResult is one graceful drain: Shutdown's error, the ledger
+// opened as it began, and the ring's position when Shutdown returned.
+type drainResult struct {
+	led      *ledger
+	returned uint64
+	err      error
+}
+
+// drain gracefully shuts n down.
+func drain(n *node) drainResult {
+	led := openLedger()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	err := n.srv.Shutdown(ctx)
+	return drainResult{led: led, returned: led.rec.Seq(), err: err}
+}
+
+// audit counts the fetches the drained replica still had in flight when
+// the drain began — every event stamped drainedName that the ring
+// recorded since (a shed request never reaches the handler that stamps
+// it) — and how many of them were lost: answered with no bytes, or
+// finished only after Shutdown had returned, which a drain that waits
+// for accepted work never lets happen. Run it once the burst is over,
+// so a handler a drain cut loose has had time to finish.
+func (d drainResult) audit() (in, lost int, err error) {
+	err = d.led.awaitEvents(func(evs []telemetry.WideEvent) error {
+		in, lost = 0, 0
+		for i := range evs {
+			if evs[i].Attrs["shard"] != drainedName {
+				continue
+			}
+			in++
+			if evs[i].BytesOut == 0 || evs[i].Seq > d.returned {
+				lost++
+			}
+		}
+		return nil
+	})
+	return in, lost, err
+}
+
+// corruptFS mounts the object store through a seeded injector that
+// flips bits, zeroes pages and truncates every 2nd sufficiently large
+// read; variant separates the seeds of the injectors one run uses.
+func (e *Env) corruptFS(variant uint64) *objstore.CorruptFS {
+	return objstore.NewCorruptFS(s3fs.New(e.local, Bucket), objstore.CorruptOptions{
+		Seed:        uint64(e.Cfg.Seed) + variant,
+		Every:       2,
+		MinReadSize: 8192,
+	})
 }

@@ -7,17 +7,23 @@ import (
 
 // TestChaosExperimentSurvives drives the composed-fault campaign. The
 // experiment hard-errors if any served payload differs from the clean
-// sweep, any error surfaces to the caller, or any of its fault classes
-// never fired — so a nil error here is the whole assertion.
+// sweep, any error surfaces to the caller, any of its fault classes
+// never fired, or the drained replica lost a fetch it had accepted —
+// so a nil error here is the whole assertion; the rows are the table
+// benchviz prints.
 func TestChaosExperimentSurvives(t *testing.T) {
 	tbl, err := env.ChaosExperiment("v03")
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := tbl.String()
+	rows := []string{"clean", "clean burst", "chaos", "whole arrays", "drained in flight"}
 	for _, c := range chaosClasses {
-		if !strings.Contains(out, c.label) {
-			t.Errorf("table missing %q row:\n%s", c.label, out)
+		rows = append(rows, c.label)
+	}
+	for _, want := range rows {
+		if !strings.Contains(out, want) {
+			t.Errorf("table missing %q row:\n%s", want, out)
 		}
 	}
 }

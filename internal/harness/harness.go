@@ -216,11 +216,12 @@ func (e *Env) populate() error {
 
 func (e *Env) putAllCodecs(dataset string, step int, ds *grid.Dataset) error {
 	for _, codec := range Codecs {
-		// Checksums on every stored object: the integrity experiment needs
-		// them, and they give every other experiment end-to-end verified
-		// reads at the cost the paper's pipelines would really pay.
+		// Checksums on every stored object: they are what catches the chaos
+		// experiment's injected storage corruption, and they give every
+		// other experiment end-to-end verified reads at the cost the
+		// paper's pipelines would really pay.
 		opts := vtkio.WriteOptions{Codec: codec, Checksum: true}
-		if _, err := e.putDataset(ObjectKey(dataset, codec, step), ds, opts); err != nil {
+		if err := e.putDataset(ObjectKey(dataset, codec, step), ds, opts); err != nil {
 			return err
 		}
 	}
@@ -228,16 +229,16 @@ func (e *Env) putAllCodecs(dataset string, step int, ds *grid.Dataset) error {
 }
 
 // putDataset encodes ds and stores it under key through the storage
-// node's local client, returning the stored bytes.
-func (e *Env) putDataset(key string, ds *grid.Dataset, opts vtkio.WriteOptions) ([]byte, error) {
+// node's local client.
+func (e *Env) putDataset(key string, ds *grid.Dataset, opts vtkio.WriteOptions) error {
 	var buf bytes.Buffer
 	if err := vtkio.Write(&buf, ds, opts); err != nil {
-		return nil, err
+		return err
 	}
 	if err := e.local.Put(Bucket, key, buf.Bytes()); err != nil {
-		return nil, fmt.Errorf("harness: storing %s: %w", key, err)
+		return fmt.Errorf("harness: storing %s: %w", key, err)
 	}
-	return buf.Bytes(), nil
+	return nil
 }
 
 // Close tears the environment down.

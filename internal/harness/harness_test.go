@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -44,8 +45,8 @@ func TestEnvPopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Count only the per-codec dataset objects; experiments that ran
-	// earlier may have added their own keys (shard bricks, integrity
-	// bricks) to the shared store.
+	// earlier may have added their own keys (shard bricks) to the shared
+	// store.
 	var n int
 	for _, o := range objs {
 		if strings.HasPrefix(o.Key, "asteroid/") || strings.HasPrefix(o.Key, "nyx/") {
@@ -209,17 +210,27 @@ func shapeOnly(cfg Config) map[string][]int {
 var ownTest = map[string]string{
 	"fig1": "TestFig1", "fig6": "TestFig6", "tab2": "TestTable2", "slice": "TestExtensionSlice",
 	"lossy": "TestAblationLossy", "repeat": "TestCacheRepeatFetch",
-	"faults": "TestFaultsExperimentSurvives", "overload": "TestOverloadExperimentDrains",
 	"crowd": "TestCrowdExperimentCoalesces", "slo": "TestSLOExperimentReconciles",
-	"shard": "TestShardExperimentBitIdentical", "corrupt": "TestCorruptExperimentSurvives",
-	"chaos": "TestChaosExperimentSurvives",
+	"shard": "TestShardExperimentBitIdentical", "chaos": "TestChaosExperimentSurvives",
 }
 
 // TestRegistryTables walks the registry: names are unique and resolvable,
-// every entry is covered here or by its own test, and the shape-only
-// ones return the tables benchviz prints, each with the expected rows.
+// every entry is covered here or by its own test, no coverage row names
+// an entry the registry lacks, and the shape-only ones return the tables
+// benchviz prints, each with the expected rows.
 func TestRegistryTables(t *testing.T) {
 	shapes := shapeOnly(env.Cfg)
+	stale := func(name string) {
+		if !slices.ContainsFunc(Experiments, func(x Experiment) bool { return x.Name == name }) {
+			t.Errorf("coverage row %q names no registry entry", name)
+		}
+	}
+	for name := range shapes {
+		stale(name)
+	}
+	for name := range ownTest {
+		stale(name)
+	}
 	seen := map[string]bool{}
 	for _, x := range Experiments {
 		if seen[x.Name] || x.Desc == "" || strings.Contains(x.Desc, "\n") {

@@ -19,6 +19,7 @@ import (
 	"vizndp/internal/s3fs"
 	"vizndp/internal/stats"
 	"vizndp/internal/telemetry"
+	"vizndp/internal/vtkio"
 )
 
 // The experiment kit: what every robustness experiment shares, written
@@ -141,20 +142,13 @@ func (n *node) dialDegraded() *core.Client {
 		KillConnEvery:  1 << 30, // only the first connection is armed
 		KillAfterBytes: 128,
 	})
-	opts := retryOptions(4)
-	opts.Retryable = retryable
-	return n.k.dialFT(opts, n)
-}
-
-// retryOptions tunes the retrying client for injected link and storage
-// faults: a few quick attempts against one address.
-func retryOptions(attempts int) rpc.ReconnectOptions {
-	return rpc.ReconnectOptions{
-		MaxAttempts:    attempts,
+	return n.k.dialFT(rpc.ReconnectOptions{
+		MaxAttempts:    4,
 		InitialBackoff: time.Millisecond,
 		MaxBackoff:     20 * time.Millisecond,
 		Seed:           11,
-	}
+		Retryable:      retryable,
+	}, n)
 }
 
 // breakerOptions tunes the retrying client for overload and replica
@@ -306,6 +300,20 @@ func (o *oracle) sameArray(phase string, id fetchID, arr []float32) error {
 	return nil
 }
 
+// sameRaw reads step's whole array through c and holds it, byte for
+// byte, to the field the store was written from: the check for damage in
+// cells no contour selects, which the payload comparison cannot see.
+func (o *oracle) sameRaw(c *core.Client, step int) error {
+	data, _, err := c.FetchRaw(ObjectKey(o.dataset, o.codec, step), o.array)
+	if err != nil {
+		return fmt.Errorf("harness: raw step %d: %w", step, err)
+	}
+	if !bytes.Equal(data, vtkio.FloatsToBytes(o.e.asteroidSet[step].Field(o.array).Values)) {
+		return fmt.Errorf("harness: whole %s array differs from the stored field at step %d", o.array, step)
+	}
+	return nil
+}
+
 // bitsEqual compares float arrays bit for bit: the claim is payload
 // identity, which value equality misstates for NaN and ±0.
 func bitsEqual(a, b []float32) bool {
@@ -338,12 +346,11 @@ func (o *oracle) degradedFetch(n *node, id fetchID) (time.Duration, error) {
 
 // tally is the outcome and latency accounting every driver shares.
 type tally struct {
-	mu       sync.Mutex
-	got      map[fetchID]*core.Payload // last payload served per id
-	lats     []float64                 // per served fetch, ms
-	elapsed  time.Duration
-	maxWire  int // largest payload's wire size
-	degraded int // fetches served by the fallback path
+	mu      sync.Mutex
+	got     map[fetchID]*core.Payload // last payload served per id
+	lats    []float64                 // per served fetch, ms
+	elapsed time.Duration
+	maxWire int // largest payload's wire size
 	// openLoop drivers count a shed request (rpc.ErrBusy) and carry on;
 	// to closed-loop ones it is a failure like any other, because their
 	// clients retry.
@@ -359,7 +366,7 @@ func newTally() *tally { return &tally{got: make(map[fetchID]*core.Payload)} }
 // carry on.
 func (o *oracle) attempt(c *core.Client, phase string, id fetchID, span string, t *tally) bool {
 	start := time.Now()
-	p, st, err := o.fetch(c, id, span)
+	p, _, err := o.fetch(c, id, span)
 	lat := float64(time.Since(start)) / float64(time.Millisecond)
 	if err == nil && o.want != nil {
 		err = o.same(phase, id, p)
@@ -372,9 +379,6 @@ func (o *oracle) attempt(c *core.Client, phase string, id fetchID, span string, 
 		t.lats = append(t.lats, lat)
 		if w := p.WireSize(); w > t.maxWire {
 			t.maxWire = w
-		}
-		if st.Degraded {
-			t.degraded++
 		}
 	case t.openLoop && errors.Is(err, rpc.ErrBusy):
 		t.shed++
@@ -435,27 +439,6 @@ func (o *oracle) run(c *core.Client, phase string, b burst) (*tally, error) {
 // sweep fetches ids once each, in order: a burst of one worker.
 func (o *oracle) sweep(c *core.Client, phase string, ids []fetchID) (*tally, error) {
 	return o.run(c, phase, burst{ids: ids, workers: 1})
-}
-
-// sweepUntil repeats the sweep — injectors keep counting across rounds,
-// and every round is verified — until fired reports that every injected
-// class has, or maxRounds. Small configurations move too few bytes in
-// one sweep to rotate through every class.
-func (o *oracle) sweepUntil(c *core.Client, phase string, ids []fetchID, fired func() bool) (rounds int, elapsed time.Duration, degraded int, err error) {
-	const maxRounds = 20
-	for rounds < maxRounds {
-		t, err := o.sweep(c, phase, ids)
-		if err != nil {
-			return rounds, 0, 0, err
-		}
-		rounds++
-		elapsed += t.elapsed
-		degraded += t.degraded
-		if fired() {
-			break
-		}
-	}
-	return rounds, elapsed, degraded, nil
 }
 
 // ledger reads the process-wide counters relative to the moment it was

@@ -41,7 +41,7 @@ func (e *Env) populateBricks(dataset string, codec compress.Kind) (*vtkio.Manife
 		return nil, err
 	}
 	for _, step := range e.steps {
-		if _, _, err := e.putBricks(shardPrefix(dataset, codec, step), e.asteroidSet[step], man, codec); err != nil {
+		if err := e.putBricks(shardPrefix(dataset, codec, step), e.asteroidSet[step], man, codec); err != nil {
 			return nil, err
 		}
 	}
@@ -58,27 +58,22 @@ func (e *Env) putManifest(key string, man *vtkio.Manifest) error {
 }
 
 // putBricks cuts ds into man's bricks and stores each as a page-
-// checksummed object under prefix, returning the object keys and bytes
-// in manifest order.
-func (e *Env) putBricks(prefix string, ds *grid.Dataset, man *vtkio.Manifest, codec compress.Kind) ([]string, [][]byte, error) {
+// checksummed object under prefix.
+func (e *Env) putBricks(prefix string, ds *grid.Dataset, man *vtkio.Manifest, codec compress.Kind) error {
 	bricks, err := man.GridBricks()
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	keys := make([]string, len(bricks))
-	objects := make([][]byte, len(bricks))
-	for i, b := range bricks {
+	for _, b := range bricks {
 		sub, err := grid.ExtractBrick(ds, b)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		keys[i] = prefix + vtkio.BrickKey(b.ID)
-		objects[i], err = e.putDataset(keys[i], sub, vtkio.WriteOptions{Codec: codec, Checksum: true})
-		if err != nil {
-			return nil, nil, err
+		if err := e.putDataset(prefix+vtkio.BrickKey(b.ID), sub, vtkio.WriteOptions{Codec: codec, Checksum: true}); err != nil {
+			return err
 		}
 	}
-	return keys, objects, nil
+	return nil
 }
 
 // ShardExperiment evaluates brick-sharded scatter-gather pre-filtering

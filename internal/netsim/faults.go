@@ -17,7 +17,6 @@ var (
 	mFaultDialsRefused = telemetry.Default().Counter("netsim.fault.dials.refused")
 	mFaultConnsKilled  = telemetry.Default().Counter("netsim.fault.conns.killed")
 	mFaultTruncations  = telemetry.Default().Counter("netsim.fault.frames.truncated")
-	mFaultSpikes       = telemetry.Default().Counter("netsim.fault.latency.spikes")
 	mFaultCorruptions  = telemetry.Default().Counter("netsim.fault.corruptions")
 )
 
@@ -42,8 +41,6 @@ var ErrConnKilled = errors.New("netsim: injected connection kill")
 //     inside a write, the prefix up to the budget is written before the
 //     connection closes — the peer reads a truncated length-prefixed
 //     frame, the nastiest wire state a crash can leave behind;
-//   - latency spikes: every SpikeEvery-th shaped write pauses for
-//     SpikeLatency before transmitting (a congested or flapping link);
 //   - in-flight payload corruption: accepted connections numbered
 //     1, 1+CorruptConnEvery, ... have CorruptBytes of their outbound
 //     stream XOR-flipped starting a seeded offset past CorruptAfterBytes
@@ -79,10 +76,6 @@ type Faults struct {
 	// KillAfterTime, when positive, kills every accepted connection at
 	// its first write after this age.
 	KillAfterTime time.Duration
-	// SpikeEvery n stalls shaped writes number n, 2n, ... by
-	// SpikeLatency (0 = never).
-	SpikeEvery   int
-	SpikeLatency time.Duration
 	// CorruptConnEvery n arms accepted connections 1, 1+n, 1+2n, ...
 	// for in-flight payload corruption (0 = never).
 	CorruptConnEvery int
@@ -100,14 +93,12 @@ type Faults struct {
 	mu       sync.Mutex // guards rng
 	rng      *rand.Rand
 
-	dials  atomic.Int64
-	conns  atomic.Int64
-	writes atomic.Int64
+	dials atomic.Int64
+	conns atomic.Int64
 
 	refused   atomic.Int64
 	killed    atomic.Int64
 	truncated atomic.Int64
-	spiked    atomic.Int64
 	corrupted atomic.Int64
 }
 
@@ -116,15 +107,14 @@ type FaultStats struct {
 	DialsRefused    int64
 	ConnsKilled     int64
 	FramesTruncated int64
-	LatencySpikes   int64
 	// Corruptions counts write chunks whose bytes were flipped in
 	// flight by the payload-corruption class.
 	Corruptions int64
 }
 
 func (s FaultStats) String() string {
-	return fmt.Sprintf("%d dials refused, %d conns killed, %d frames truncated, %d latency spikes, %d chunks corrupted",
-		s.DialsRefused, s.ConnsKilled, s.FramesTruncated, s.LatencySpikes, s.Corruptions)
+	return fmt.Sprintf("%d dials refused, %d conns killed, %d frames truncated, %d chunks corrupted",
+		s.DialsRefused, s.ConnsKilled, s.FramesTruncated, s.Corruptions)
 }
 
 // Stats returns the counts of injected faults so far.
@@ -133,7 +123,6 @@ func (f *Faults) Stats() FaultStats {
 		DialsRefused:    f.refused.Load(),
 		ConnsKilled:     f.killed.Load(),
 		FramesTruncated: f.truncated.Load(),
-		LatencySpikes:   f.spiked.Load(),
 		Corruptions:     f.corrupted.Load(),
 	}
 }
@@ -182,16 +171,6 @@ func (f *Faults) newConnFaults() *connFaults {
 		}
 	}
 	return cf
-}
-
-// onWrite charges one shaped write against the spike schedule.
-func (f *Faults) onWrite() {
-	n := f.writes.Add(1)
-	if f.SpikeEvery > 0 && n%int64(f.SpikeEvery) == 0 && f.SpikeLatency > 0 {
-		f.spiked.Add(1)
-		mFaultSpikes.Inc()
-		time.Sleep(f.SpikeLatency)
-	}
 }
 
 // connFaults is the per-connection kill and corruption state.

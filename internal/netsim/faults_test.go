@@ -130,27 +130,6 @@ func TestFaultKillAfterTime(t *testing.T) {
 	}
 }
 
-func TestFaultLatencySpikes(t *testing.T) {
-	link := Unlimited()
-	f := &Faults{SpikeEvery: 1, SpikeLatency: 30 * time.Millisecond}
-	link.SetFaults(f)
-	client, server := link.Pipe()
-	defer client.Close()
-	defer server.Close()
-
-	go io.Copy(io.Discard, client)
-	start := time.Now()
-	if _, err := server.Write(make([]byte, 8)); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
-		t.Errorf("spiked write took %v, want >= ~30ms", elapsed)
-	}
-	if got := f.Stats().LatencySpikes; got != 1 {
-		t.Errorf("LatencySpikes = %d, want 1", got)
-	}
-}
-
 func TestFaultBudgetJitterDeterministic(t *testing.T) {
 	budgets := func(seed int64) []int64 {
 		f := &Faults{

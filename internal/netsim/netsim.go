@@ -145,10 +145,10 @@ func sleepUntil(deadline time.Time) {
 // side) so that each direction's traffic is paced exactly once, by its
 // sender.
 //
-// A connection wrapped via Conn counts as dialer-side for the attached
-// fault policy: latency spikes apply, connection kills do not (kills
-// target accepted connections — the payload direction). Listener and
-// Pipe wrap the server side as accepted.
+// A connection wrapped via Conn counts as dialer-side: the attached
+// fault policy's kills and corruption do not apply to it (they target
+// accepted connections — the payload direction). Listener and Pipe wrap
+// the server side as accepted.
 func (l *Link) Conn(c net.Conn) net.Conn {
 	return l.wrap(c, false)
 }
@@ -170,15 +170,11 @@ type shapedConn struct {
 }
 
 func (s *shapedConn) Write(b []byte) (int, error) {
-	faults := s.link.Faults()
 	total := 0
 	for len(b) > 0 {
 		chunk := b
 		if len(chunk) > maxBurst {
 			chunk = chunk[:maxBurst]
-		}
-		if faults != nil {
-			faults.onWrite() // latency spike schedule
 		}
 		kill := false
 		if s.cf != nil {
