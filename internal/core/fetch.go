@@ -37,6 +37,7 @@ type fetchResult struct {
 	points   int           // full array length
 	selected int           // points shipped
 	grid     *grid.Uniform // slice only: the extracted plane's 2D grid
+	crc      uint32        // CRC32C of data, sent so clients can verify the wire
 	// filterTime is what the select + encode that produced the result
 	// took: what the request that ran it and the requests that waited on
 	// its flight report as filterns. A later cache hit reports zero.
@@ -51,7 +52,6 @@ func (r *fetchResult) size() int64 { return int64(len(r.data)) }
 // serveFetch's.
 type selector struct {
 	method  string // RPC method; also keys the selector's cached results
-	span    string // span covering select + encode
 	dataKey string // response key carrying fetchResult.data
 	// parse decodes the method's arguments (args[0:2] are path and array).
 	parse func(args []any) (query, error)
@@ -65,9 +65,11 @@ type selector struct {
 // each run once per request: parse; stamp shard/path/array on the wide
 // event; cancellation check; quarantine; file-version probe (skipped when
 // nothing is cached); payload-cache lookup-or-flight, whose load is the
-// timed array load and one select + encode under one span; record;
-// respond.
-func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (_ any, err error) {
+// array load, one select + encode and the reply checksum; respond. Each
+// timed stage — probe, wait, read, prefilter, crc — is measured once, by
+// the request's stage record (telemetry.ActiveEvent.Stage), and the
+// histograms and the reply's readns / filterns are that measurement.
+func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (any, error) {
 	path, err := argString(args, 0, "path")
 	if err != nil {
 		return nil, err
@@ -87,11 +89,6 @@ func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (_ a
 	ev.SetAttr("path", path)
 	ev.SetAttr("array", array)
 	mScanRequests.Inc()
-	defer func() {
-		if err != nil {
-			mFetchErrors.Inc()
-		}
-	}()
 
 	// An abandoned request — caller deadline expired, connection gone —
 	// stops here instead of paying for the storage read.
@@ -105,7 +102,10 @@ func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (_ a
 	}
 	key := payloadKey{method: sel.method, path: path, array: array}
 	if s.cache != nil || s.payloads != nil {
-		if key.version, err = s.fileVersion(path); err != nil {
+		start := time.Now()
+		key.version, err = s.fileVersion(path)
+		ev.Stage("probe", start)
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -116,9 +116,11 @@ func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (_ a
 
 	// Lookup or flight: a resident result is a hit; an identical request
 	// already being served is waited on, under this caller's own ctx; any
-	// other request loads, selects and encodes for itself and for whoever
-	// joins it meanwhile. With no payload cache that is a direct call.
+	// other request loads, selects, encodes and checksums for itself and
+	// for whoever joins it meanwhile, recording those stages on its own
+	// event. With no payload cache that is a direct call.
 	var readTime time.Duration
+	start := time.Now()
 	res, outcome, err := s.payloads.GetOrLoad(ctx, key, func() (*fetchResult, error) {
 		entry, rt, err := s.loadArray(ctx, arrayKey{path, array, key.version})
 		if err != nil {
@@ -134,26 +136,26 @@ func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (_ a
 				return nil, err
 			}
 		}
-		_, span := telemetry.StartSpan(ctx, sel.span)
-		defer span.End()
 		start := time.Now()
 		res, err := sel.run(entry, q)
 		if err != nil {
-			span.SetAttr("error", err.Error())
 			return nil, err
 		}
-		res.filterTime = time.Since(start)
+		// Only scans that ran feed the filter-time histogram, once each;
+		// cache hits would drag it toward zero.
+		res.filterTime = ev.Stage("prefilter", start)
+		mFetchFiltSecs.Observe(res.filterTime.Seconds())
 		mScanPasses.Add(int64(q.passes()))
-		span.SetAttr("array", array)
-		span.SetAttr("passes", q.passes())
+		start = time.Now()
+		res.crc = vtkio.Checksum(res.data)
+		ev.Stage("crc", start)
 		return res, nil
 	})
-	if s.payloads != nil {
-		if outcome == lru.Coalesced {
-			ev.SetAttr("coalesced-scan", "follower")
-		} else {
-			ev.SetAttr("payloadcache", outcome.String())
-		}
+	if outcome == lru.Coalesced {
+		ev.Stage("wait", start)
+		ev.SetAttr("coalesced-scan", "follower")
+	} else if s.payloads != nil {
+		ev.SetAttr("payloadcache", outcome.String())
 	}
 	if err != nil {
 		return nil, err
@@ -167,24 +169,6 @@ func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (_ a
 	}
 	ev.SetAttr("selected", res.selected)
 	ev.SetAttr("payloadBytes", len(res.data))
-	mFetchCount.Inc()
-	mFetchRawBytes.Add(int64(4 * res.points))
-	mFetchPayload.Add(res.size())
-	mFetchSelected.Add(int64(res.selected))
-	if outcome == lru.Miss {
-		// Only scans that ran feed the filter-time histogram, once each;
-		// cache hits would drag it toward zero.
-		mFetchFiltSecs.Observe(filterTime.Seconds())
-	}
-	if res.points > 0 {
-		mFetchSelectPPM.Set(int64(res.selected) * 1e6 / int64(res.points))
-	}
-	serverLog.Debug("fetch served",
-		"method", sel.method, "path", path, "array", array,
-		"selected", res.selected,
-		"payloadBytes", len(res.data),
-		"rawBytes", 4*res.points,
-		"filterTime", filterTime)
 
 	resp := map[string]any{
 		sel.dataKey: res.data,
@@ -193,7 +177,7 @@ func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (_ a
 		"rawbytes":  int64(4 * res.points),
 		// CRC32C of the served bytes: new clients verify they survived the
 		// wire; old clients ignore the extra key.
-		"crc": int64(vtkio.Checksum(res.data)),
+		"crc": int64(res.crc),
 	}
 	sel.respond(resp, res)
 	return resp, nil
@@ -237,7 +221,7 @@ func (q contourQuery) id() string  { return fmt.Sprintf("%x,%d", q.isovalues, q.
 func (q contourQuery) passes() int { return len(q.isovalues) }
 
 var contourSelector = &selector{
-	method: MethodFetch, span: "prefilter", dataKey: "payload",
+	method: MethodFetch, dataKey: "payload",
 	parse: func(args []any) (query, error) {
 		if len(args) < 3 {
 			return nil, fmt.Errorf("core: missing isovalues argument")
@@ -277,7 +261,7 @@ func (q rangeQuery) id() string { return fmt.Sprintf("%x,%x,%d", q.lo, q.hi, q.e
 func (rangeQuery) passes() int  { return 1 }
 
 var rangeSelector = &selector{
-	method: MethodFetchRange, span: "prefilter.range", dataKey: "payload",
+	method: MethodFetchRange, dataKey: "payload",
 	parse: func(args []any) (query, error) {
 		var q rangeQuery
 		var err error
@@ -308,7 +292,7 @@ func (q sliceQuery) id() string { return fmt.Sprintf("%d,%d", q.axis, q.index) }
 func (sliceQuery) passes() int  { return 0 }
 
 var sliceSelector = &selector{
-	method: MethodFetchSlice, span: "prefilter.slice", dataKey: "values",
+	method: MethodFetchSlice, dataKey: "values",
 	parse: func(args []any) (query, error) {
 		name, err := argString(args, 2, "axis")
 		if err != nil {
@@ -352,7 +336,7 @@ func (rawQuery) id() string  { return "" }
 func (rawQuery) passes() int { return 0 }
 
 var rawSelector = &selector{
-	method: MethodFetchRaw, span: "prefilter.raw", dataKey: "data",
+	method: MethodFetchRaw, dataKey: "data",
 	parse: func([]any) (query, error) { return rawQuery{}, nil },
 	// Re-serializing the decoded float32 values is a bit-exact inverse of
 	// decoding, so the bytes are identical to the stored array's.

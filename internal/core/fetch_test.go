@@ -10,10 +10,12 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"vizndp/internal/compress"
 	"vizndp/internal/contour"
 	"vizndp/internal/grid"
 	"vizndp/internal/rpc"
@@ -192,39 +194,41 @@ func attrNames(ev telemetry.WideEvent) []string {
 // the handlers had drifted: fetchslice never stamped the shard,
 // fetchrange counted no scan requests or passes and set no selected /
 // payloadBytes, fetchraw set no path / array and counted neither
-// errors nor fetches.
+// errors nor fetches. A fetch is counted by its event's outcome and an
+// error by the rpc layer's per-method counter.
 func TestFetchPipelineEventsAndCounters(t *testing.T) {
 	client, _ := startNDPOpts(t, WithShardName("s0"))
-	counters := []*telemetry.Counter{mScanRequests, mScanPasses, mFetchCount, mFetchErrors}
-	deltas := func(run func()) []int64 {
-		before := make([]int64, len(counters))
-		for i, c := range counters {
-			before[i] = c.Value()
-		}
-		run()
-		out := make([]int64, len(counters))
-		for i, c := range counters {
-			out[i] = c.Value() - before[i]
-		}
-		return out
-	}
 	for _, k := range fetchKinds {
 		t.Run(k.name, func(t *testing.T) {
+			counters := []*telemetry.Counter{mScanRequests, mScanPasses,
+				telemetry.Default().Counter("rpc.server.call." + k.method + ".errors")}
+			deltas := func(run func()) []int64 {
+				before := make([]int64, len(counters))
+				for i, c := range counters {
+					before[i] = c.Value()
+				}
+				run()
+				out := make([]int64, len(counters))
+				for i, c := range counters {
+					out[i] = c.Value() - before[i]
+				}
+				return out
+			}
 			seq0 := telemetry.DefaultFlightRecorder().Seq()
 			got := deltas(func() {
 				if _, _, _, err := k.fetch(client, "run/ts0.vnd", "d"); err != nil {
 					t.Fatal(err)
 				}
 			})
-			if want := []int64{1, k.passes, 1, 0}; fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("ok fetch: requests/passes/fetches/errors moved by %v, want %v", got, want)
+			if want := []int64{1, k.passes, 0}; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("ok fetch: requests/passes/errors moved by %v, want %v", got, want)
 			}
 			ev := serverEvent(t, k.method, seq0)
 			if got, want := fmt.Sprint(attrNames(ev)), "[array path payloadBytes selected shard]"; got != want {
 				t.Errorf("ok fetch: event attrs %s, want %s", got, want)
 			}
-			if ev.Cache != "miss" || ev.Attrs["shard"] != "s0" || ev.Attrs["path"] != "run/ts0.vnd" || ev.Attrs["array"] != "d" {
-				t.Errorf("ok fetch: event cache=%q attrs=%v", ev.Cache, ev.Attrs)
+			if ev.Outcome != telemetry.OutcomeOK || ev.Cache != "miss" || ev.Attrs["shard"] != "s0" || ev.Attrs["path"] != "run/ts0.vnd" || ev.Attrs["array"] != "d" {
+				t.Errorf("ok fetch: event outcome=%q cache=%q attrs=%v", ev.Outcome, ev.Cache, ev.Attrs)
 			}
 
 			seq0 = telemetry.DefaultFlightRecorder().Seq()
@@ -233,15 +237,193 @@ func TestFetchPipelineEventsAndCounters(t *testing.T) {
 					t.Fatal("fetch of a missing array succeeded")
 				}
 			})
-			if want := []int64{1, 0, 0, 1}; fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("failed fetch: requests/passes/fetches/errors moved by %v, want %v", got, want)
+			if want := []int64{1, 0, 1}; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("failed fetch: requests/passes/errors moved by %v, want %v", got, want)
 			}
 			ev = serverEvent(t, k.method, seq0)
 			if got, want := fmt.Sprint(attrNames(ev)), "[array path shard]"; got != want {
 				t.Errorf("failed fetch: event attrs %s, want %s", got, want)
 			}
+			if ev.Outcome != telemetry.OutcomeError {
+				t.Errorf("failed fetch: event outcome %q, want %q", ev.Outcome, telemetry.OutcomeError)
+			}
 		})
 	}
+}
+
+// TestFetchPipelineTracedSpans pins what `vizpipe -v` prints: a fetch
+// made under a client span imports the server's `serve <method>` span,
+// parented under the client's call span in the caller's trace, with a
+// child per stage the request ran. A cold fetch read and pre-filtered; a
+// payload-cache hit did neither.
+func TestFetchPipelineTracedSpans(t *testing.T) {
+	client, _ := startNDPOpts(t, WithPayloadCacheBytes(16<<20))
+	for _, tc := range []struct {
+		name     string
+		children bool // serve has read and prefilter children
+	}{{"cold", true}, {"hit", false}} {
+		ctx, root := telemetry.StartSpan(context.Background(), "test")
+		if _, _, err := client.FetchFilteredContext(ctx, "run/ts0.vnd", "d", []float64{7}, EncAuto); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		var call telemetry.SpanData
+		remote := map[string]telemetry.SpanData{}
+		for _, d := range telemetry.DefaultTracer().TraceSpans(root.Trace()) {
+			if d.Remote {
+				remote[d.Name] = d
+			} else if d.Name == "call "+MethodFetch {
+				call = d
+			}
+		}
+		serve, ok := remote["serve "+MethodFetch]
+		if !ok || call.ID == 0 || serve.Parent != call.ID {
+			t.Fatalf("%s: remote serve span %v (parent %x) under call span %x, want one under the call", tc.name, ok, serve.Parent, call.ID)
+		}
+		for _, name := range []string{"read", "prefilter"} {
+			d, ok := remote[name]
+			if ok != tc.children || (ok && d.Parent != serve.ID) {
+				t.Errorf("%s: %s child present %v (parent %x), want %v under serve %x", tc.name, name, ok, d.Parent, tc.children, serve.ID)
+			}
+		}
+	}
+}
+
+// stageNames lists an event's stages in the order they were recorded,
+// failing the test unless each began after the one before it ended.
+func stageNames(t *testing.T, ev telemetry.WideEvent) []string {
+	t.Helper()
+	var names []string
+	for i, st := range ev.Stages {
+		if i > 0 {
+			if prev := ev.Stages[i-1]; st.At < prev.At+prev.Dur {
+				t.Errorf("stage %s begins before %s ends: %v", st.Name, prev.Name, ev.Stages)
+			}
+		}
+		names = append(names, st.Name)
+	}
+	return names
+}
+
+// TestFetchPipelineStageRecord pins the server's stage record, the one
+// measurement of where a fetch's time went. A cold fetch is queued, read,
+// pre-filtered, checksummed and written, and those stages account for
+// nearly all of the request; a payload-cache hit only probes the version
+// and writes; a request that waits on another's flight records the wait
+// and none of the flight's stages; and a flight that outlives the request
+// that started it records nothing on that request's finished event.
+func TestFetchPipelineStageRecord(t *testing.T) {
+	t.Run("cold", func(t *testing.T) {
+		g, f := sphereField(64)
+		ds := grid.NewDataset(g)
+		ds.MustAddField(f)
+		dir := t.TempDir()
+		if err := vtkio.WriteFile(filepath.Join(dir, "ts0.vnd"), ds, vtkio.WriteOptions{Codec: compress.LZ4}); err != nil {
+			t.Fatal(err)
+		}
+		_, addr := startServer(t, dir)
+		client, err := Dial(addr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		seq0 := telemetry.DefaultFlightRecorder().Seq()
+		if _, _, err := client.FetchFiltered("ts0.vnd", f.Name, []float64{7}, EncAuto); err != nil {
+			t.Fatal(err)
+		}
+		ev := serverEvent(t, MethodFetch, seq0)
+		if got := fmt.Sprint(stageNames(t, ev)); got != "[queue read prefilter crc write]" {
+			t.Errorf("cold fetch stages %s, want [queue read prefilter crc write]", got)
+		}
+		var sum time.Duration
+		for _, st := range ev.Stages {
+			sum += st.Dur
+		}
+		if ms := float64(sum) / float64(time.Millisecond); ms < 0.9*ev.DurMS {
+			t.Errorf("stages sum to %.3f ms of the request's %.3f ms, want at least 0.9: %v", ms, ev.DurMS, ev.Stages)
+		}
+	})
+
+	t.Run("hit", func(t *testing.T) {
+		client, _ := startNDPOpts(t, WithPayloadCacheBytes(16<<20))
+		for _, want := range []string{"[queue probe read prefilter crc write]", "[queue probe write]"} {
+			seq0 := telemetry.DefaultFlightRecorder().Seq()
+			if _, _, err := client.FetchFiltered("run/ts0.vnd", "d", []float64{7}, EncAuto); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(stageNames(t, serverEvent(t, MethodFetch, seq0))); got != want {
+				t.Errorf("stages %s, want %s", got, want)
+			}
+		}
+	})
+
+	// The leader and the follower call serveFetch directly, each under an
+	// event of its own, as the rpc layer would give them.
+	rec := telemetry.DefaultFlightRecorder()
+	seq0 := rec.Seq()
+	stagesOf := func(t *testing.T, method string) string {
+		t.Helper()
+		evs := rec.Events(telemetry.EventFilter{Method: method, SinceSeq: seq0})
+		if len(evs) != 1 {
+			t.Fatalf("%d %s events, want 1", len(evs), method)
+		}
+		return fmt.Sprint(stageNames(t, evs[0]))
+	}
+	t.Run("follower", func(t *testing.T) {
+		dir, _ := writeSphereRun(t)
+		hold := newHoldFS(dir)
+		srv := NewServer(hold, WithPayloadCacheBytes(16<<20))
+		t.Cleanup(srv.Close)
+		lev, fev := rec.Begin(telemetry.KindServer, "test.stages.leader"), rec.Begin(telemetry.KindServer, "test.stages.follower")
+		leader := lead(telemetry.ContextWithEvent(context.Background(), lev), srv, hold, iso7)
+		spy := &joinSpy{Context: telemetry.ContextWithEvent(context.Background(), fev), waiting: make(chan struct{})}
+		follower := startFetch(spy, srv, iso7)
+		<-spy.waiting
+		close(hold.release)
+		for _, ch := range []chan fetched{leader, follower} {
+			if r := <-ch; r.err != nil {
+				t.Fatal(r.err)
+			}
+		}
+		lev.Finish(nil)
+		fev.Finish(nil)
+		if got := stagesOf(t, "test.stages.leader"); got != "[probe read prefilter crc]" {
+			t.Errorf("leader stages %s, want [probe read prefilter crc]", got)
+		}
+		if got := stagesOf(t, "test.stages.follower"); got != "[probe wait]" {
+			t.Errorf("follower stages %s, want [probe wait]", got)
+		}
+	})
+
+	t.Run("orphaned flight", func(t *testing.T) {
+		dir, _ := writeSphereRun(t)
+		hold := newHoldFS(dir)
+		srv := NewServer(hold, WithPayloadCacheBytes(16<<20))
+		t.Cleanup(srv.Close)
+		ev := rec.Begin(telemetry.KindServer, "test.stages.orphan")
+		ctx, cancel := context.WithCancel(telemetry.ContextWithEvent(context.Background(), ev))
+		leader := lead(ctx, srv, hold, iso7)
+		// The caller gives up and its event is finished while its flight,
+		// which others could be waiting on, is still reading.
+		cancel()
+		ev.Finish(ctx.Err())
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() { // reads the recorded event while the flight runs on
+			defer wg.Done()
+			for range 100 {
+				rec.Events(telemetry.EventFilter{Method: "test.stages.orphan"})
+			}
+		}()
+		close(hold.release)
+		if r := <-leader; r.err != nil {
+			t.Fatalf("the orphaned flight ended with %v, want it finished", r.err)
+		}
+		wg.Wait()
+		if got := stagesOf(t, "test.stages.orphan"); got != "[probe]" {
+			t.Errorf("orphaned request's stages %s, want only the probe it made before it gave up", got)
+		}
+	})
 }
 
 // statCountFS counts FS-level Stat calls — the file-version probe — and

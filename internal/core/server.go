@@ -17,18 +17,13 @@ import (
 )
 
 // Server-side NDP metrics, reported to the default telemetry registry:
-// how many pre-filtered fetches ran, how much the pre-filter cut the
-// transfer, and where the server-side time went.
+// corrupt reads caught, and the read and filter stages' durations. Fetch
+// and error counts are rpc.server.call.<method>.*; everything else about
+// one fetch is on its wide event.
 var (
-	mFetchCount     = telemetry.Default().Counter("ndp.fetch.count")
-	mFetchErrors    = telemetry.Default().Counter("ndp.fetch.errors")
-	mFetchCorrupt   = telemetry.Default().Counter("ndp.fetch.corrupt")
-	mFetchRawBytes  = telemetry.Default().Counter("ndp.fetch.bytes.raw")
-	mFetchPayload   = telemetry.Default().Counter("ndp.fetch.bytes.payload")
-	mFetchSelected  = telemetry.Default().Counter("ndp.fetch.points.selected")
-	mFetchReadSecs  = telemetry.Default().Histogram("ndp.fetch.read.seconds")
-	mFetchFiltSecs  = telemetry.Default().Histogram("ndp.fetch.filter.seconds")
-	mFetchSelectPPM = telemetry.Default().Gauge("ndp.fetch.selectivity.ppm")
+	mFetchCorrupt  = telemetry.Default().Counter("ndp.fetch.corrupt")
+	mFetchReadSecs = telemetry.Default().Histogram("ndp.fetch.read.seconds")
+	mFetchFiltSecs = telemetry.Default().Histogram("ndp.fetch.filter.seconds")
 )
 
 var serverLog = telemetry.Logger("ndpserver")
@@ -339,20 +334,17 @@ func (s *Server) quarantined(path string) error {
 	return nil
 }
 
-// loadArray is the pipeline's timed load stage: it resolves one array
-// through the cache when configured, under a "read" span. Without a
-// cache every call reads storage; with one, concurrent requests
-// single-flight onto one read and repeats are served resident. The
-// returned read time is nonzero only when this call performed the
-// storage read (+ decompression), so the readns a client sees stays an
-// honest account of storage work actually done for it, and hits and
-// coalesced waits stay out of the read-time histogram. A request waiting
-// on another's read waits under its own ctx.
+// loadArray is the pipeline's load stage: it resolves one array through
+// the cache when configured. Without a cache every call reads storage;
+// with one, concurrent requests single-flight onto one read and repeats
+// are served resident. The call that performed the storage read (+
+// decompression) records it as its request's read stage and returns its
+// duration, so the readns a client sees stays an honest account of
+// storage work actually done for it, and hits and coalesced waits stay
+// out of the read-time histogram. A request waiting on another's read
+// waits under its own ctx and records that as its wait stage.
 func (s *Server) loadArray(ctx context.Context, key arrayKey) (*arrayEntry, time.Duration, error) {
-	_, span := telemetry.StartSpan(ctx, "read")
-	defer span.End()
-	span.SetAttr("path", key.path)
-	span.SetAttr("array", key.array)
+	ev := telemetry.EventFromContext(ctx)
 	start := time.Now()
 	entry, outcome, err := s.cache.GetOrLoad(ctx, key, func() (*arrayEntry, error) {
 		// One actual storage read: open, parse the header, read +
@@ -376,21 +368,22 @@ func (s *Server) loadArray(ctx context.Context, key arrayKey) (*arrayEntry, time
 		}
 		return e, nil
 	})
-	telemetry.EventFromContext(ctx).SetCache(outcome.String())
+	var readTime time.Duration
+	switch outcome {
+	case lru.Miss:
+		if readTime = ev.Stage("read", start); err == nil {
+			mFetchReadSecs.Observe(readTime.Seconds())
+		}
+	case lru.Coalesced:
+		ev.Stage("wait", start)
+	}
+	ev.SetCache(outcome.String())
 	if err != nil {
 		// A failed load was never cached (GetOrLoad caches only on success,
 		// and every coalesced waiter receives this same error); failCorrupt's
 		// invalidation covers entries decoded from earlier, clean reads.
-		err = s.failCorrupt(ctx, key.path, err)
-		span.SetAttr("error", err.Error())
-		return nil, 0, err
+		return nil, 0, s.failCorrupt(ctx, key.path, err)
 	}
-	span.SetAttr("cache", outcome.String())
-	if outcome != lru.Miss {
-		return entry, 0, nil
-	}
-	readTime := time.Since(start)
-	mFetchReadSecs.Observe(readTime.Seconds())
 	return entry, readTime, nil
 }
 

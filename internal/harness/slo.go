@@ -204,8 +204,8 @@ func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("harness: directed-breach fetchraw: %w", err)
 	}
-	// Written() counts admitted bundles before their file lands, so poll
-	// for the file itself, not the counter.
+	// The server writes the bundle after its reply reaches the client, so
+	// poll for the file.
 	var bundle *telemetry.DebugBundle
 	err = poll(func() (err error) {
 		bundle, err = readOneBundle(breachDir)

@@ -27,9 +27,6 @@ func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 // Remaining returns the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.pos }
 
-// Pos returns the current read offset.
-func (d *Decoder) Pos() int { return d.pos }
-
 func (d *Decoder) need(n int) error {
 	// n < 0 guards the 32-bit-int platforms where a str32/bin32/ext32
 	// length near 2^32 wraps negative after the int conversion; without

@@ -37,7 +37,6 @@ import (
 var (
 	mReqBytesIn  = telemetry.Default().Counter("objstore.bytes.in")
 	mReqBytesOut = telemetry.Default().Counter("objstore.bytes.out")
-	serverLog    = telemetry.Logger("objstore")
 )
 
 func opCounter(op string) *telemetry.Counter {
@@ -168,9 +167,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			herr = fmt.Errorf("objstore: %s %s -> %d", r.Method, r.URL.Path, rec.status)
 		}
 		ev.Finish(herr)
-		serverLog.Debug("request",
-			"method", r.Method, "path", r.URL.Path,
-			"op", op, "status", rec.status, "bytes", rec.bytes)
 	}()
 	w = rec
 

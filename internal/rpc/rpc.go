@@ -14,8 +14,8 @@
 // trace covers client -> server -> pre-filter: a traced request is
 // [0, msgid, method, params, tracectx] where tracectx is a
 // telemetry.Span wire context, and its response is
-// [1, msgid, error, result, spans] where spans are the server-side
-// telemetry spans finished while handling the request. Untraced peers
+// [1, msgid, error, result, spans] where spans are the server's span
+// tree for the request, derived from its stage record. Untraced peers
 // simply omit the fifth element, so both directions stay compatible
 // with plain msgpack-rpc endpoints.
 //
@@ -528,7 +528,8 @@ func (s *Server) ServeConn(conn net.Conn) {
 // runRequest executes one call end to end: drain accounting, deadline
 // derivation, admission, dispatch, and the serialized response write.
 // Every call also produces one wide event in the flight recorder,
-// assembled as the request moves through each stage.
+// assembled as the request moves through each stage; its stage record
+// times the admission queue, the handler's stages and the write.
 func (s *Server) runRequest(ctx context.Context, conn net.Conn, wmu *sync.Mutex, in incoming) {
 	mServerRequests.Inc()
 	m := s.lookup(in.method)
@@ -537,17 +538,19 @@ func (s *Server) runRequest(ctx context.Context, conn net.Conn, wmu *sync.Mutex,
 	if in.deadline > 0 {
 		ev.SetBudget(in.deadline)
 	}
+	// The request's "serve <method>" span: a child of the caller's span
+	// when the caller traced the call, else the root of a new trace.
 	wireTrace, wireSpan, traced := telemetry.ParseWireContext(in.wireCtx)
-	if traced {
-		ev.SetSpanIDs(wireTrace, wireSpan)
+	serve := telemetry.SpanData{Trace: wireTrace, Parent: wireSpan, ID: telemetry.NewSpanID(), Name: "serve " + in.method}
+	if !traced {
+		serve.Trace = telemetry.NewSpanID()
 	}
+	ev.SetSpanIDs(serve.Trace, serve.ID)
 
 	if !s.beginRequest() {
 		mServerShed.Inc()
 		ev.MarkShed()
-		herr := fmt.Errorf("%w: draining", ErrBusy)
-		ev.SetBytesOut(s.respond(conn, wmu, in.msgid, herr, nil, nil))
-		ev.Finish(herr)
+		s.finish(ev, conn, wmu, in.msgid, fmt.Errorf("%w: draining", ErrBusy), nil, nil)
 		return
 	}
 	defer s.endRequest()
@@ -564,7 +567,7 @@ func (s *Server) runRequest(ctx context.Context, conn net.Conn, wmu *sync.Mutex,
 
 	queueStart := time.Now()
 	release, err := s.admit(hctx)
-	ev.SetQueueWait(time.Since(queueStart))
+	ev.Stage("queue", queueStart)
 	if err != nil {
 		if errors.Is(err, ErrBusy) {
 			ev.MarkShed()
@@ -574,71 +577,59 @@ func (s *Server) runRequest(ctx context.Context, conn net.Conn, wmu *sync.Mutex,
 			ev.MarkExpired()
 			err = fmt.Errorf("rpc: deadline expired in admission queue: %w", err)
 		}
-		ev.SetBytesOut(s.respond(conn, wmu, in.msgid, err, nil, nil))
-		ev.Finish(err)
+		s.finish(ev, conn, wmu, in.msgid, err, nil, nil)
 		return
 	}
 	defer release()
 	mServerInFlight.Add(1)
 	defer mServerInFlight.Add(-1)
 
-	// Every request runs under a server span; a traced request
-	// additionally parents it under the caller's span and collects all
-	// spans finished while handling it so they can ride back in the
-	// response.
-	var collector *telemetry.SpanCollector
-	if traced {
-		hctx = telemetry.ContextWithRemoteParent(hctx, wireTrace, wireSpan)
-		hctx, collector = telemetry.WithCollector(hctx)
-	}
-	hctx, span := telemetry.StartSpan(hctx, "serve "+in.method)
-	ev.SetSpanIDs(span.Trace(), span.ID())
 	hctx = telemetry.ContextWithEvent(hctx, ev)
-	start := time.Now()
+	serve.Start = time.Now()
 	result, herr := m.call(hctx, in.method, in.args)
-	elapsed := time.Since(start).Seconds()
-	mServerSeconds.ObserveExemplar(elapsed, span.Trace())
+	serve.Dur = time.Since(serve.Start)
+	mServerSeconds.ObserveExemplar(serve.Dur.Seconds(), serve.Trace)
 	if m.h != nil {
-		m.seconds.ObserveExemplar(elapsed, span.Trace())
+		m.seconds.ObserveExemplar(serve.Dur.Seconds(), serve.Trace)
 	}
 	if herr != nil {
 		mServerErrors.Inc()
 		if m.h != nil {
 			m.errors.Inc()
 		}
-		span.SetAttr("error", herr.Error())
+		serve.Attrs = map[string]any{"error": herr.Error()}
 		logger.Debug("handler error", "method", in.method, "err", herr)
 	}
 	if in.deadline > 0 && errors.Is(hctx.Err(), context.DeadlineExceeded) {
 		mServerDeadlines.Inc()
 		ev.MarkExpired()
-		span.SetAttr("deadline", "expired")
 	}
-	span.End()
-	var spans []telemetry.SpanData
-	if collector != nil {
-		spans = collector.Drain()
+	// The tree is in the ring before the event finishes, so a debug
+	// bundle the event triggers holds it; a traced caller gets it back.
+	spans := ev.Spans(serve)
+	telemetry.DefaultTracer().Record(spans...)
+	if !traced {
+		spans = nil
 	}
-	ev.SetBytesOut(s.respond(conn, wmu, in.msgid, herr, result, spans))
-	ev.Finish(herr)
+	s.finish(ev, conn, wmu, in.msgid, herr, result, spans)
 }
 
-// respond encodes and writes one response frame under the connection's
-// write mutex, returning the wire bytes written (0 when the write
-// failed).
-func (s *Server) respond(conn net.Conn, wmu *sync.Mutex, msgid int64, herr error, result any, spans []telemetry.SpanData) int64 {
+// finish encodes and writes one response frame under the connection's
+// write mutex — the request's write stage — and records its event.
+func (s *Server) finish(ev *telemetry.ActiveEvent, conn net.Conn, wmu *sync.Mutex, msgid int64, herr error, result any, spans []telemetry.SpanData) {
+	start := time.Now()
 	resp, err := encodeResponse(msgid, herr, result, spans)
 	if err != nil {
-		resp, _ = encodeResponse(msgid,
-			fmt.Errorf("rpc: unencodable result: %w", err), nil, nil)
+		resp, _ = encodeResponse(msgid, fmt.Errorf("rpc: unencodable result: %w", err), nil, nil)
 	}
 	wmu.Lock()
-	defer wmu.Unlock()
 	if writeFrame(conn, resp) == nil {
 		mServerBytesOut.Add(int64(len(resp) + 4))
-		return int64(len(resp) + 4)
+		ev.SetBytesOut(int64(len(resp) + 4))
 	}
-	return 0
+	wmu.Unlock()
+	ev.Stage("write", start)
+	ev.Finish(herr)
 }
 
 func (s *Server) lookup(method string) registered {
@@ -832,9 +823,7 @@ func (c *Client) readLoop() {
 		// Import server-side spans into the local ring before delivering
 		// the response, so a caller dumping the trace right after the
 		// call completes sees the whole tree.
-		for _, d := range resp.spans {
-			telemetry.DefaultTracer().Record(d)
-		}
+		telemetry.DefaultTracer().Record(resp.spans...)
 		c.mu.Lock()
 		ch := c.pending[msgid]
 		delete(c.pending, msgid)

@@ -53,7 +53,8 @@ type BundleWriter struct {
 
 	mu      sync.Mutex
 	last    time.Time
-	n       int
+	n       int // bundles admitted past the rate limit; names their files
+	wrote   int // bundles that reached the disk
 	prevCtr map[string]int64
 	written []string // kept bundle paths, oldest first
 }
@@ -134,6 +135,7 @@ func (b *BundleWriter) MaybeWrite(trigger WideEvent, rec *FlightRecorder) {
 	b.reg.Counter("telemetry.bundles.written").Inc()
 
 	b.mu.Lock()
+	b.wrote++
 	b.prevCtr = bundle.Metrics.Counters
 	b.written = append(b.written, path)
 	var evict []string
@@ -147,9 +149,10 @@ func (b *BundleWriter) MaybeWrite(trigger WideEvent, rec *FlightRecorder) {
 	}
 }
 
-// Written returns how many bundles this writer has written.
+// Written returns how many bundles this writer has written to disk; one
+// whose marshal or file write failed is not counted.
 func (b *BundleWriter) Written() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.n
+	return b.wrote
 }

@@ -53,8 +53,9 @@ type WideEvent struct {
 	// DurMS is the end-to-end duration in milliseconds — for a server
 	// event, the deadline budget actually spent.
 	DurMS float64 `json:"durMs"`
-	// QueueMS is time spent waiting in the admission queue.
-	QueueMS float64 `json:"queueMs,omitempty"`
+	// Stages is the request's stage record: where its time went, one
+	// entry per stage in the order they ran (see ActiveEvent.Stage).
+	Stages []Stage `json:"stages,omitempty"`
 	// BudgetMS is the caller's remaining deadline at arrival (the "dl="
 	// meta field), 0 when the caller sent none. Compare with DurMS to see
 	// how much of the budget the request consumed.
@@ -97,15 +98,29 @@ func (e *WideEvent) Anomalous() bool {
 	return e.Shed || e.Expired || e.Degraded || e.Breached || e.Outcome == OutcomeError
 }
 
+// Stage is one timed step of a request: it began At after the event's
+// Time and lasted Dur. A server fetch's stages are queue, probe, wait,
+// read, prefilter, crc and write.
+type Stage struct {
+	Name string        `json:"name"`
+	At   time.Duration `json:"atNs"`
+	Dur  time.Duration `json:"ns"`
+}
+
+// maxStages bounds one request's stage record: a fetch runs at most six
+// (queue, probe, read or wait, prefilter, crc, write).
+const maxStages = 6
+
 // ActiveEvent is an in-flight wide event being built along the request
 // path. All methods are safe on a nil receiver, so enrichment sites
 // never check whether recording is active.
 type ActiveEvent struct {
-	mu    sync.Mutex
-	ev    WideEvent
-	rec   *FlightRecorder
-	start time.Time
-	done  bool
+	mu      sync.Mutex
+	ev      WideEvent // ev.Time, with its monotonic reading, starts the clock
+	rec     *FlightRecorder
+	done    bool
+	nstages uint8
+	stages  [maxStages]Stage
 }
 
 // SetSpanIDs attaches the request's trace identity.
@@ -122,14 +137,43 @@ func (a *ActiveEvent) SetSpanIDs(trace, span uint64) {
 	a.mu.Unlock()
 }
 
-// SetQueueWait records time spent in the admission queue.
-func (a *ActiveEvent) SetQueueWait(d time.Duration) {
+// Stage records [start, now) as the request's stage name and returns
+// its duration: the one measurement of that fact, from which the caller
+// derives its histogram and reply fields. It allocates nothing. A stage
+// that arrives after Finish — from a flight that outlived the caller
+// that started it — is dropped, as is one past the record's capacity.
+func (a *ActiveEvent) Stage(name string, start time.Time) time.Duration {
+	d := time.Since(start)
 	if a == nil {
-		return
+		return d
 	}
 	a.mu.Lock()
-	a.ev.QueueMS = float64(d) / float64(time.Millisecond)
+	if !a.done && int(a.nstages) < len(a.stages) {
+		a.stages[a.nstages] = Stage{Name: name, At: start.Sub(a.ev.Time), Dur: d}
+		a.nstages++
+	}
 	a.mu.Unlock()
+	return d
+}
+
+// Spans derives a span tree from the stage record: root, then one child
+// of it per stage that began inside it.
+func (a *ActiveEvent) Spans(root SpanData) []SpanData {
+	if a == nil {
+		return []SpanData{root}
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	spans := make([]SpanData, 1, 1+a.nstages)
+	spans[0] = root
+	end := root.Start.Add(root.Dur)
+	for _, st := range a.stages[:a.nstages] {
+		if start := a.ev.Time.Add(st.At); !start.Before(root.Start) && !start.After(end) {
+			spans = append(spans, SpanData{Trace: root.Trace, ID: NewSpanID(), Parent: root.ID,
+				Name: st.Name, Start: start, Dur: st.Dur})
+		}
+	}
+	return spans
 }
 
 // SetBudget records the caller's remaining deadline at arrival.
@@ -249,7 +293,10 @@ func (a *ActiveEvent) Finish(err error) {
 		return
 	}
 	a.done = true
-	a.ev.DurMS = float64(time.Since(a.start)) / float64(time.Millisecond)
+	a.ev.DurMS = float64(time.Since(a.ev.Time)) / float64(time.Millisecond)
+	if a.nstages > 0 { // an empty record must not keep the builder alive in the ring
+		a.ev.Stages = a.stages[:a.nstages:a.nstages]
+	}
 	switch {
 	case a.ev.Shed:
 		a.ev.Outcome = OutcomeShed
@@ -352,9 +399,8 @@ func (r *FlightRecorder) Begin(kind, method string) *ActiveEvent {
 // around frameworks that already measured the request start.
 func (r *FlightRecorder) BeginAt(kind, method string, start time.Time) *ActiveEvent {
 	return &ActiveEvent{
-		rec:   r,
-		start: start,
-		ev:    WideEvent{Time: start, Kind: kind, Method: method},
+		rec: r,
+		ev:  WideEvent{Time: start, Kind: kind, Method: method},
 	}
 }
 

@@ -50,7 +50,7 @@ func TestActiveEventOutcomeDerivation(t *testing.T) {
 	// sites never check whether recording is active.
 	var nilEv *ActiveEvent
 	nilEv.SetSpanIDs(1, 2)
-	nilEv.SetQueueWait(time.Second)
+	nilEv.Stage("queue", time.Now())
 	nilEv.SetBudget(time.Second)
 	nilEv.SetBytesIn(1)
 	nilEv.SetBytesOut(1)
@@ -62,6 +62,63 @@ func TestActiveEventOutcomeDerivation(t *testing.T) {
 	nilEv.AddFailover()
 	nilEv.SetAttr("k", "v")
 	nilEv.Finish(nil)
+}
+
+// TestActiveEventStages pins the stage record: stages land in the order
+// they were recorded, Stage returns what it recorded and allocates
+// nothing, a stage after Finish — racing it, as an orphaned flight's does
+// — is dropped, and Spans derives one child per stage inside the root.
+func TestActiveEventStages(t *testing.T) {
+	rec := newFlightRecorder(16)
+	a := rec.Begin(KindServer, "m.stages")
+	t0 := time.Now()
+	if d := a.Stage("queue", t0); d <= 0 {
+		t.Errorf("Stage returned %v", d)
+	}
+	root := SpanData{Trace: 7, ID: 8, Name: "serve m", Start: time.Now()}
+	a.Stage("read", root.Start)
+	a.Stage("prefilter", time.Now())
+	root.Dur = time.Since(root.Start)
+	spans := a.Spans(root)
+	if len(spans) != 3 || spans[0].Name != "serve m" || spans[1].Name != "read" || spans[2].Name != "prefilter" {
+		t.Fatalf("Spans = %v, want serve, read and prefilter (the queue began before the root)", spans)
+	}
+	for _, c := range spans[1:] {
+		if c.Trace != 7 || c.Parent != 8 || c.ID == 0 {
+			t.Errorf("child %s: trace %x parent %x id %x", c.Name, c.Trace, c.Parent, c.ID)
+		}
+	}
+	for range maxStages {
+		a.Stage("crc", time.Now()) // past capacity: dropped
+	}
+	b := rec.Begin(KindServer, "m.allocs")
+	if allocs := testing.AllocsPerRun(3, func() { b.Stage("read", time.Now()) }); allocs != 0 {
+		t.Errorf("Stage allocates %v times per call", allocs)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		a.Stage("late", time.Now())
+	}()
+	a.Finish(nil)
+	<-done
+	evs := rec.Events(EventFilter{Method: "m.stages"})
+	if len(evs) != 1 {
+		t.Fatalf("got %d events, want 1", len(evs))
+	}
+	st := evs[0].Stages
+	if len(st) != maxStages || st[0].Name != "queue" || st[0].At != t0.Sub(a.ev.Time) || st[1].Name != "read" {
+		t.Fatalf("stages = %v", st)
+	}
+	for _, s := range st {
+		if s.Name == "late" {
+			t.Error("a stage recorded after Finish was kept")
+		}
+	}
+	a.Stage("late", time.Now())
+	if got := rec.Events(EventFilter{Method: "m.stages"})[0].Stages; len(got) != maxStages {
+		t.Errorf("a stage after Finish changed the recorded event: %v", got)
+	}
 }
 
 func TestFlightRecorderRingAndFilters(t *testing.T) {
@@ -287,6 +344,24 @@ func TestBundleWriterEvictsOldest(t *testing.T) {
 	}
 	if len(files) != 2 {
 		t.Errorf("kept %d bundle files, want maxBundles=2: %v", len(files), files)
+	}
+}
+
+// TestBundleWriterCountsOnlyWrittenFiles: a bundle that fails to land
+// on disk is not counted, so a gate on Written() means files exist.
+func TestBundleWriterCountsOnlyWrittenFiles(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "bundles")
+	bw, err := NewBundleWriter(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw.reg = NewRegistry()
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	bw.MaybeWrite(WideEvent{Method: "m", Outcome: OutcomeError}, nil)
+	if got := bw.Written(); got != 0 {
+		t.Errorf("Written() = %d with no file on disk, want 0", got)
 	}
 }
 

@@ -13,7 +13,7 @@
 // bytes go" instead of only reporting opaque wall-clock totals.
 //
 // Metric names are dot-separated, lowercase, coarse-to-fine:
-// <component>.<thing>[.<detail>], e.g. ndp.fetch.bytes.payload or
+// <component>.<thing>[.<detail>], e.g. ndp.fetch.read.seconds or
 // rpc.server.seconds. Histograms observe seconds (durations) or raw
 // counts (sizes); their text rendering appends .count/.sum/.p50/... .
 package telemetry

@@ -46,11 +46,10 @@ func (d *SpanData) fillHex() {
 // Span is an in-flight operation. Start one with StartSpan, annotate it
 // with SetAttr, and End it exactly once.
 type Span struct {
-	mu        sync.Mutex
-	data      SpanData
-	tracer    *Tracer
-	collector *SpanCollector
-	ended     bool
+	mu     sync.Mutex
+	data   SpanData
+	tracer *Tracer
+	ended  bool
 }
 
 // Trace returns the span's trace ID.
@@ -81,9 +80,8 @@ func (s *Span) Data() SpanData {
 	return s.data
 }
 
-// End finishes the span, recording it in the tracer's ring buffer and
-// in any collector inherited from the context. Safe to call on a nil
-// span; later calls are no-ops.
+// End finishes the span, recording it in the tracer's ring buffer.
+// Safe to call on a nil span; later calls are no-ops.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -100,18 +98,9 @@ func (s *Span) End() {
 	if s.tracer != nil {
 		s.tracer.Record(d)
 	}
-	if s.collector != nil {
-		s.collector.add(d)
-	}
 }
 
 type spanCtxKey struct{}
-type collectorCtxKey struct{}
-type remoteParentCtxKey struct{}
-
-type remoteParent struct {
-	trace, span uint64
-}
 
 // SpanFromContext returns the active span, or nil.
 func SpanFromContext(ctx context.Context) *Span {
@@ -119,15 +108,8 @@ func SpanFromContext(ctx context.Context) *Span {
 	return s
 }
 
-// ContextWithRemoteParent marks ctx as continuing a trace started in
-// another process: the next StartSpan becomes a child of the remote
-// span. Used by the RPC server after extracting wire context.
-func ContextWithRemoteParent(ctx context.Context, trace, span uint64) context.Context {
-	return context.WithValue(ctx, remoteParentCtxKey{}, remoteParent{trace, span})
-}
-
-// newID returns a random nonzero 64-bit ID.
-func newID() uint64 {
+// NewSpanID returns a random nonzero 64-bit span or trace ID.
+func NewSpanID() uint64 {
 	for {
 		if id := rand.Uint64(); id != 0 {
 			return id
@@ -136,15 +118,14 @@ func newID() uint64 {
 }
 
 // StartSpan begins a span named name under tracer tr (nil means the
-// default tracer). The parent is the span already in ctx, or a remote
-// parent installed by ContextWithRemoteParent, or nothing — in which
-// case the span roots a new trace. The returned context carries the new
-// span for children.
+// default tracer). The parent is the span already in ctx; with none the
+// span roots a new trace. The returned context carries the new span for
+// children.
 func (tr *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	s := &Span{
 		tracer: tr,
 		data: SpanData{
-			ID:    newID(),
+			ID:    NewSpanID(),
 			Name:  name,
 			Start: time.Now(),
 		},
@@ -152,15 +133,8 @@ func (tr *Tracer) StartSpan(ctx context.Context, name string) (context.Context, 
 	if parent := SpanFromContext(ctx); parent != nil {
 		s.data.Trace = parent.data.Trace
 		s.data.Parent = parent.data.ID
-		s.collector = parent.collector
-	} else if rp, ok := ctx.Value(remoteParentCtxKey{}).(remoteParent); ok {
-		s.data.Trace = rp.trace
-		s.data.Parent = rp.span
 	} else {
-		s.data.Trace = newID()
-	}
-	if c, ok := ctx.Value(collectorCtxKey{}).(*SpanCollector); ok && s.collector == nil {
-		s.collector = c
+		s.data.Trace = NewSpanID()
 	}
 	return context.WithValue(ctx, spanCtxKey{}, s), s
 }
@@ -168,37 +142,6 @@ func (tr *Tracer) StartSpan(ctx context.Context, name string) (context.Context, 
 // StartSpan begins a span on the default tracer; see Tracer.StartSpan.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return defaultTracer.StartSpan(ctx, name)
-}
-
-// SpanCollector gathers every span finished under one context subtree —
-// the RPC server hangs one on each traced request so the spans can ride
-// back to the client in the response.
-type SpanCollector struct {
-	mu    sync.Mutex
-	spans []SpanData
-}
-
-// WithCollector installs a fresh collector on ctx. Spans started under
-// the returned context (and their descendants) are appended to it as
-// they end.
-func WithCollector(ctx context.Context) (context.Context, *SpanCollector) {
-	c := &SpanCollector{}
-	return context.WithValue(ctx, collectorCtxKey{}, c), c
-}
-
-func (c *SpanCollector) add(d SpanData) {
-	c.mu.Lock()
-	c.spans = append(c.spans, d)
-	c.mu.Unlock()
-}
-
-// Drain returns the collected spans and empties the collector.
-func (c *SpanCollector) Drain() []SpanData {
-	c.mu.Lock()
-	out := c.spans
-	c.spans = nil
-	c.mu.Unlock()
-	return out
 }
 
 // Tracer keeps the most recent finished spans in a fixed-size ring.
@@ -216,8 +159,12 @@ var defaultTracer = newTracer(ringCapacity)
 // DefaultTracer returns the process-wide tracer.
 func DefaultTracer() *Tracer { return defaultTracer }
 
-// Record appends a finished span to the ring, evicting the oldest.
-func (t *Tracer) Record(d SpanData) { t.ring.put(t.ring.next(), d) }
+// Record appends finished spans to the ring, evicting the oldest.
+func (t *Tracer) Record(spans ...SpanData) {
+	for _, d := range spans {
+		t.ring.put(t.ring.next(), d)
+	}
+}
 
 // Spans returns the retained spans, oldest first.
 func (t *Tracer) Spans() []SpanData {
