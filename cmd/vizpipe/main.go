@@ -34,13 +34,14 @@ import (
 
 	"vizndp/internal/contour"
 	"vizndp/internal/core"
+	"vizndp/internal/grid"
 	"vizndp/internal/objstore"
-	"vizndp/internal/pipeline"
 	"vizndp/internal/render"
 	"vizndp/internal/rpc"
 	"vizndp/internal/s3fs"
 	"vizndp/internal/stats"
 	"vizndp/internal/telemetry"
+	"vizndp/internal/vtkio"
 )
 
 // layerColors cycles through display colors for multi-array renders
@@ -92,6 +93,9 @@ func run(args []string) error {
 	if err := flags.Parse(args); err != nil {
 		return err
 	}
+	if *repeats < 1 {
+		return fmt.Errorf("-repeats %d: want at least 1", *repeats)
+	}
 
 	if *sloSpec != "" {
 		objs, err := telemetry.ParseSLOSpec(*sloSpec)
@@ -137,21 +141,24 @@ func run(args []string) error {
 		return fmt.Errorf("unknown filter %q (want contour or threshold)", *filter)
 	}
 
-	var source pipeline.Stage
-	var ndpSrc *core.NDPSource
-	var shardSrc *core.ShardedSource
+	var load loadFunc
 	switch *mode {
 	case "baseline":
-		var fsys fs.FS
-		switch {
-		case *dir != "":
-			fsys = os.DirFS(*dir)
-		case *store != "":
-			fsys = s3fs.New(objstore.NewClient(*store, nil), *bucket)
-		default:
-			return fmt.Errorf("baseline mode needs -dir or -store")
+		fsys, err := baselineFS(*dir, *store, *bucket)
+		if err != nil {
+			return err
 		}
-		source = &pipeline.FileSource{FS: fsys, Path: *path, Arrays: arrays}
+		load = func(context.Context) (*grid.Uniform, []loaded, error) {
+			ds, err := readArrays(fsys, *path, arrays)
+			if err != nil {
+				return nil, nil, err
+			}
+			out := make([]loaded, len(arrays))
+			for i, a := range arrays {
+				out[i].values = ds.Field(a).Values
+			}
+			return ds.Grid, out, nil
+		}
 	case "ndp":
 		if *shardsCSV != "" {
 			sc, err := dialSharded(*shardsCSV, *manifest, *retries)
@@ -165,14 +172,17 @@ func run(args []string) error {
 			if !strings.HasSuffix(prefix, "/") {
 				prefix += "/"
 			}
-			shardSrc = &core.ShardedSource{
-				Client:    sc,
-				Prefix:    prefix,
-				Arrays:    arrays,
-				Isovalues: isovalues,
-				Encoding:  enc,
+			load = func(ctx context.Context) (*grid.Uniform, []loaded, error) {
+				out := make([]loaded, len(arrays))
+				for i, a := range arrays {
+					vals, st, err := sc.FetchArrayContext(ctx, prefix, a, isovalues, enc)
+					if err != nil {
+						return nil, nil, fmt.Errorf("sharded fetch %s%s: %w", prefix, a, err)
+					}
+					out[i] = loaded{values: vals, shard: st}
+				}
+				return sc.Grid(), out, nil
 			}
-			source = shardSrc
 			break
 		}
 		if *ndpAddr == "" && *replicas == "" {
@@ -183,59 +193,62 @@ func run(args []string) error {
 			return err
 		}
 		defer client.Close()
-		ndpSrc = &core.NDPSource{
-			Client:    client,
-			Path:      *path,
-			Arrays:    arrays,
-			Isovalues: isovalues,
-			Encoding:  enc,
+		desc, err := client.Describe(*path)
+		if err != nil {
+			return fmt.Errorf("describe %s: %w", *path, err)
 		}
-		source = ndpSrc
+		// One request per array over the multiplexed connection: the
+		// storage node overlaps its reads and pre-filters across arrays.
+		reqs := make([]core.MultiRequest, len(arrays))
+		for i, a := range arrays {
+			reqs[i] = core.MultiRequest{Path: *path, Array: a, Isovalues: isovalues, Encoding: enc}
+		}
+		load = func(ctx context.Context) (*grid.Uniform, []loaded, error) {
+			out := make([]loaded, len(reqs))
+			for i, r := range client.FetchFilteredMultiContext(ctx, reqs) {
+				if r.Err != nil {
+					return nil, nil, fmt.Errorf("fetch %s/%s: %w", *path, arrays[i], r.Err)
+				}
+				out[i] = loaded{payload: r.Payload, fetch: r.Stats}
+			}
+			return desc.Grid, out, nil
+		}
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
 
-	filters := make([]*pipeline.ContourFilter, len(arrays))
-	for i, a := range arrays {
-		filters[i] = &pipeline.ContourFilter{Array: a, Isovalues: isovalues}
-	}
-	p := pipeline.New(source, &pipeline.MultiContour{Filters: filters})
-
-	var out any
+	var got []loaded
+	var meshes []*contour.Mesh
 	var obs *observer
 	if *verbose {
 		obs = newObserver()
 	}
 	for r := 0; r < *repeats; r++ {
 		ctx, end := obs.beginRun()
-		out, err = p.Run(ctx)
+		start := time.Now()
+		var g *grid.Uniform
+		g, got, err = load(ctx)
+		loadTime := time.Since(start)
+		if err == nil {
+			meshes, err = contourAll(g, arrays, got, isovalues)
+		}
+		total := time.Since(start)
 		end()
 		if err != nil {
 			return err
 		}
 		fmt.Printf("run %d: data load time %s (total %s)\n",
-			r+1,
-			stats.FormatDuration(p.StageTime(pipeline.SourceStageName)),
-			stats.FormatDuration(p.Total()))
+			r+1, stats.FormatDuration(loadTime), stats.FormatDuration(total))
 	}
 	obs.report(os.Stdout)
 
-	results := out.(map[string]any)
-	var layers []render.Layer
+	layers := make([]render.Layer, len(arrays))
 	for i, a := range arrays {
-		switch m := results[a].(type) {
-		case *contour.Mesh:
-			fmt.Printf("array %s: %d triangles, %d vertices\n",
-				a, m.NumTriangles(), m.NumVertices())
-			layers = append(layers, render.Layer{
-				Mesh:  m,
-				Color: layerColors[i%len(layerColors)],
-			})
-		case *contour.LineSet:
-			fmt.Printf("array %s: %d segments\n", a, m.NumSegments())
-		}
-		if ndpSrc != nil && ndpSrc.Stats[a] != nil {
-			st := ndpSrc.Stats[a]
+		m := meshes[i]
+		fmt.Printf("array %s: %d triangles, %d vertices\n",
+			a, m.NumTriangles(), m.NumVertices())
+		layers[i] = render.Layer{Mesh: m, Color: layerColors[i%len(layerColors)]}
+		if st := got[i].fetch; st != nil {
 			mark := ""
 			if st.Degraded {
 				mark = " [degraded: raw transfer + local pre-filter]"
@@ -244,8 +257,7 @@ func run(args []string) error {
 				a, stats.FormatBytes(st.PayloadBytes), stats.FormatBytes(st.RawBytes),
 				st.SelectedPoints, mark)
 		}
-		if shardSrc != nil && shardSrc.Stats[a] != nil {
-			st := shardSrc.Stats[a]
+		if st := got[i].shard; st != nil {
 			mark := ""
 			if st.Degraded > 0 {
 				mark = fmt.Sprintf(" [%d bricks degraded]", st.Degraded)
@@ -256,7 +268,7 @@ func run(args []string) error {
 		}
 	}
 
-	if *objOut != "" && len(layers) > 0 {
+	if *objOut != "" {
 		f, err := os.Create(*objOut)
 		if err != nil {
 			return err
@@ -273,7 +285,7 @@ func run(args []string) error {
 		fmt.Println("exported", *objOut)
 	}
 
-	if *renderOut != "" && len(layers) > 0 {
+	if *renderOut != "" {
 		img, err := render.Meshes(layers, render.Options{
 			Width: 800, Height: 800, AzimuthDeg: 35, ElevationDeg: 25,
 		})
@@ -286,6 +298,71 @@ func run(args []string) error {
 		fmt.Println("rendered", *renderOut)
 	}
 	return nil
+}
+
+// loadFunc is one run's data load: the grid plus each requested array,
+// in request order. Its elapsed time is the paper's data load time.
+type loadFunc func(ctx context.Context) (*grid.Uniform, []loaded, error)
+
+// loaded is one array as a data load delivered it: the full field
+// (baseline, -shards) or the pre-filtered payload (ndp), plus the
+// transfer stats of the NDP paths.
+type loaded struct {
+	values  []float32
+	payload *core.Payload
+	fetch   *core.FetchStats
+	shard   *core.ShardStats
+}
+
+// contourAll contours every loaded array. A payload goes through the
+// post-filter, which contours its own points; a full field through the
+// kernel. Both give the mesh a full-array contour gives.
+func contourAll(g *grid.Uniform, arrays []string, got []loaded, isovalues []float64) ([]*contour.Mesh, error) {
+	post := &core.PostFilter{Isovalues: isovalues}
+	meshes := make([]*contour.Mesh, len(got))
+	for i, l := range got {
+		var err error
+		if l.payload != nil {
+			meshes[i], err = post.Contour(g, arrays[i], l.payload)
+		} else {
+			meshes[i], err = contour.MarchingTetrahedra(g, l.values, isovalues)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("contour %s: %w", arrays[i], err)
+		}
+	}
+	return meshes, nil
+}
+
+// baselineFS is the filesystem baseline mode reads from: a local
+// directory (-dir) or the object store through s3fs (-store).
+func baselineFS(dir, store, bucket string) (fs.FS, error) {
+	switch {
+	case dir != "":
+		return os.DirFS(dir), nil
+	case store != "":
+		return s3fs.New(objstore.NewClient(store, nil), bucket), nil
+	}
+	return nil, fmt.Errorf("baseline mode needs -dir or -store")
+}
+
+// readArrays is the baseline's data load: open the dataset file and read
+// each named array in full, decompressing as needed.
+func readArrays(fsys fs.FS, path string, arrays []string) (*grid.Dataset, error) {
+	f, err := fsys.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	ra, ok := f.(io.ReaderAt)
+	if !ok {
+		return nil, fmt.Errorf("%s does not support random access", path)
+	}
+	r, err := vtkio.OpenReader(ra)
+	if err != nil {
+		return nil, err
+	}
+	return r.ReadDataset(arrays...)
 }
 
 // observer captures the trace and metric state around measured runs for
@@ -409,31 +486,28 @@ func runThreshold(mode, dir, store, bucket, ndpAddr, replicas string, retries in
 	}
 	switch mode {
 	case "baseline":
-		var fsys fs.FS
-		switch {
-		case dir != "":
-			fsys = os.DirFS(dir)
-		case store != "":
-			fsys = s3fs.New(objstore.NewClient(store, nil), bucket)
-		default:
-			return fmt.Errorf("baseline mode needs -dir or -store")
+		fsys, err := baselineFS(dir, store, bucket)
+		if err != nil {
+			return err
 		}
 		for _, array := range arrays {
-			p := pipeline.New(
-				&pipeline.FileSource{FS: fsys, Path: path, Arrays: []string{array}},
-				&pipeline.ThresholdFilter{Array: array, Lo: lo, Hi: hi},
-			)
 			for r := 0; r < repeats; r++ {
-				ctx, end := obs.beginRun()
-				out, err := p.Run(ctx)
+				// The file is read without a context: the run's trace is its
+				// root span alone.
+				_, end := obs.beginRun()
+				start := time.Now()
+				ds, err := readArrays(fsys, path, []string{array})
+				load := time.Since(start)
 				end()
 				if err != nil {
 					return err
 				}
-				cs := out.(*contour.CellSet)
+				cs, err := contour.ThresholdCells(ds.Grid, ds.Field(array).Values, lo, hi)
+				if err != nil {
+					return err
+				}
 				fmt.Printf("array %s run %d: %d cells in [%g, %g], load %s\n",
-					array, r+1, cs.Count(), lo, hi,
-					stats.FormatDuration(p.StageTime(pipeline.SourceStageName)))
+					array, r+1, cs.Count(), lo, hi, stats.FormatDuration(load))
 			}
 		}
 		obs.report(os.Stdout)

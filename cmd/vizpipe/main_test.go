@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"net"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"vizndp/internal/compress"
 	"vizndp/internal/core"
 	"vizndp/internal/grid"
+	"vizndp/internal/sim"
 	"vizndp/internal/telemetry"
 	"vizndp/internal/vtkio"
 )
@@ -31,6 +33,8 @@ func deadAddr(t *testing.T) string {
 // TestClientSelection pins which client the flags select. The plain
 // client connects eagerly, so it fails at once against a dead address;
 // the fault-tolerant one dials lazily and is handed back regardless.
+// Rows with args run the whole command line instead: flags it rejects
+// before any dial or read.
 func TestClientSelection(t *testing.T) {
 	a, b := deadAddr(t), deadAddr(t)
 	for _, tc := range []struct {
@@ -38,6 +42,7 @@ func TestClientSelection(t *testing.T) {
 		ndp, replicas    string
 		shards, manifest string
 		retries          int
+		args             []string
 		wantErr          bool
 	}{
 		{name: "-retries 1 dials eagerly", ndp: a, retries: 1, wantErr: true},
@@ -47,9 +52,16 @@ func TestClientSelection(t *testing.T) {
 		{name: "-replicas of nothing but commas", replicas: " , ", retries: 3, wantErr: true},
 		{name: "-shards without -manifest", shards: a + "," + b, retries: 1, wantErr: true},
 		{name: "-shards of nothing but commas", shards: ",", manifest: "m.json", retries: 1, wantErr: true},
+		{name: "-repeats 0 contour", args: []string{"-dir", t.TempDir(), "-path", "ts0.vnd", "-repeats", "0"}, wantErr: true},
+		{name: "-repeats 0 threshold", args: []string{"-dir", t.TempDir(), "-path", "ts0.vnd", "-filter", "threshold", "-repeats", "0"}, wantErr: true},
+		{name: "-repeats -1 sweep", args: []string{"-mode", "ndp", "-ndp", a, "-retries", "3", "-path", "ts0.vnd", "-sweep", "-repeats", "-1"}, wantErr: true},
 	} {
 		var err error
-		if tc.shards != "" {
+		if tc.args != nil {
+			if err = run(tc.args); err != nil && !strings.Contains(err.Error(), "-repeats") {
+				t.Errorf("%s: err = %v, want the -repeats error", tc.name, err)
+			}
+		} else if tc.shards != "" {
 			var sc *core.ShardedClient
 			if sc, err = dialSharded(tc.shards, tc.manifest, tc.retries); err == nil {
 				sc.Close()
@@ -169,48 +181,8 @@ func TestShardsOverUnpinnedManifest(t *testing.T) {
 	}
 	ds := grid.NewDataset(g)
 	ds.MustAddField(f)
-	spec := grid.BrickSpec{NX: 2, NY: 2, NZ: 1, Ghost: 1}
-	man, err := vtkio.BuildManifest(g, spec, ds.FieldNames(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bricks, err := man.GridBricks()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stepDir := filepath.Join(dir, "run", "ts0")
-	if err := os.MkdirAll(stepDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range bricks {
-		sub, err := grid.ExtractBrick(ds, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := vtkio.WriteFile(filepath.Join(stepDir, vtkio.BrickKey(b.ID)), sub,
-			vtkio.WriteOptions{Codec: compress.LZ4, Checksum: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := vtkio.EncodeManifest(man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "run", "manifest.json"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	addrs := make([]string, 2)
-	for i := range addrs {
-		srv := core.NewServer(os.DirFS(dir))
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go srv.Serve(ln)
-		t.Cleanup(srv.Close)
-		addrs[i] = ln.Addr().String()
-	}
+	writeBricked(t, dir, "run", "ts0", ds, compress.LZ4)
+	addrs := []string{serve(t, dir), serve(t, dir)}
 
 	out, err := captureStdout(t, func() error {
 		return run([]string{"-mode", "ndp", "-shards", addrs[0] + "," + addrs[1],
@@ -221,5 +193,113 @@ func TestShardsOverUnpinnedManifest(t *testing.T) {
 	}
 	if want := "array d: 4 bricks"; !strings.Contains(out, want) {
 		t.Errorf("output lacks %q:\n%s", want, out)
+	}
+}
+
+// writeBricked writes ds as datagen -bricks 2x2x1 -ghost 1 does: one
+// object per brick under <prefix>/<step>/ and a manifest at
+// <prefix>/manifest.json that pins no brick to a shard.
+func writeBricked(t *testing.T, dir, prefix, step string, ds *grid.Dataset, codec compress.Kind) {
+	t.Helper()
+	spec := grid.BrickSpec{NX: 2, NY: 2, NZ: 1, Ghost: 1}
+	man, err := vtkio.BuildManifest(ds.Grid, spec, ds.FieldNames(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bricks, err := man.GridBricks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepDir := filepath.Join(dir, prefix, step)
+	if err := os.MkdirAll(stepDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bricks {
+		sub, err := grid.ExtractBrick(ds, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vtkio.WriteFile(filepath.Join(stepDir, vtkio.BrickKey(b.ID)), sub,
+			vtkio.WriteOptions{Codec: codec, Checksum: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := vtkio.EncodeManifest(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, prefix, "manifest.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// serve starts an in-process NDP server over dir and returns its address.
+func serve(t *testing.T, dir string) string {
+	t.Helper()
+	srv := core.NewServer(os.DirFS(dir))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(srv.Close)
+	return ln.Addr().String()
+}
+
+// TestModesWriteIdenticalOBJ runs the command line's three contour
+// paths on one asteroid step stored raw and as lz4 — baseline over a
+// directory, ndp against a server, -shards over a bricked copy — and
+// holds every OBJ export to the first one, byte for byte.
+func TestModesWriteIdenticalOBJ(t *testing.T) {
+	ds, err := sim.AsteroidConfig{N: 20, Seed: 1}.Generate(sim.AsteroidMaxStep / 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, codec := range []compress.Kind{compress.None, compress.LZ4} {
+		prefix := filepath.Join("asteroid", codec.String())
+		if err := os.MkdirAll(filepath.Join(dir, prefix), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := vtkio.WriteFile(filepath.Join(dir, prefix, "ts.vnd"), ds,
+			vtkio.WriteOptions{Codec: codec, Checksum: true}); err != nil {
+			t.Fatal(err)
+		}
+		writeBricked(t, dir, prefix, "ts", ds, codec)
+	}
+	ndp := serve(t, dir)
+	shards := serve(t, dir) + "," + serve(t, dir)
+
+	var want []byte
+	for _, codec := range []compress.Kind{compress.None, compress.LZ4} {
+		prefix := "asteroid/" + codec.String() + "/"
+		for _, mode := range []struct {
+			name string
+			args []string
+		}{
+			{"baseline", []string{"-mode", "baseline", "-dir", dir, "-path", prefix + "ts.vnd"}},
+			{"ndp", []string{"-mode", "ndp", "-ndp", ndp, "-path", prefix + "ts.vnd"}},
+			{"shards", []string{"-mode", "ndp", "-shards", shards, "-manifest", prefix + "manifest.json", "-path", prefix + "ts"}},
+		} {
+			obj := filepath.Join(t.TempDir(), "out.obj")
+			args := append(mode.args, "-arrays", "v02,v03", "-iso", "0.5", "-obj", obj)
+			out, err := captureStdout(t, func() error { return run(args) })
+			if err != nil {
+				t.Fatalf("%v %s: %v\n%s", codec, mode.name, err, out)
+			}
+			got, err := os.ReadFile(obj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case want == nil && !bytes.Contains(got, []byte("\nf ")):
+				t.Fatalf("%v %s: OBJ has no faces:\n%.200s", codec, mode.name, got)
+			case want == nil:
+				want = got
+			case !bytes.Equal(got, want):
+				t.Errorf("%v %s: OBJ differs from %v baseline's (%d vs %d bytes)",
+					codec, mode.name, compress.None, len(got), len(want))
+			}
+		}
 	}
 }

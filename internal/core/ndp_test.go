@@ -12,7 +12,6 @@ import (
 	"vizndp/internal/contour"
 	"vizndp/internal/grid"
 	"vizndp/internal/netsim"
-	"vizndp/internal/pipeline"
 	"vizndp/internal/vtkio"
 )
 
@@ -191,57 +190,32 @@ func TestNDPFetchRaw(t *testing.T) {
 	}
 }
 
-func TestNDPSourcePipelineMatchesBaseline(t *testing.T) {
-	// The headline correctness claim: an NDP pipeline (remote pre-filter,
-	// local post-filter) renders the same contour as the baseline
-	// pipeline that reads full arrays.
+// TestNDPPostFilterMatchesBaseline is the headline correctness claim
+// over the real RPC path: the remote pre-filter's payload, contoured by
+// the local post-filter, is the mesh the full array contours to.
+func TestNDPPostFilterMatchesBaseline(t *testing.T) {
 	client, ds := startNDP(t, compress.LZ4)
 	isos := []float64{7}
-
-	baseline := pipeline.New(
-		&pipeline.DatasetSource{Dataset: ds},
-		&pipeline.ContourFilter{Array: "d", Isovalues: isos},
-	)
-	wantAny, err := baseline.Run(context.Background())
+	want, err := contour.MarchingTetrahedra(ds.Grid, ds.Field("d").Values, isos)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := wantAny.(*contour.Mesh)
-
-	src := &NDPSource{
-		Client:    client,
-		Path:      "run/ts0.vnd",
-		Arrays:    []string{"d"},
-		Isovalues: isos,
-	}
-	ndp := pipeline.New(src, &pipeline.ContourFilter{Array: "d", Isovalues: isos})
-	gotAny, err := ndp.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := gotAny.(*contour.Mesh)
-
-	if !got.Equal(want) {
-		t.Fatalf("NDP mesh (%d tris) != baseline mesh (%d tris)",
-			got.NumTriangles(), want.NumTriangles())
-	}
-	if src.Stats["d"] == nil || src.Stats["d"].PayloadBytes == 0 {
-		t.Error("NDPSource recorded no stats")
-	}
-	if ndp.StageTime(pipeline.SourceStageName) <= 0 {
-		t.Error("no source stage time")
-	}
-}
-
-func TestNDPSourceValidation(t *testing.T) {
-	src := &NDPSource{}
-	if _, err := src.Execute(context.Background(), nil); err == nil {
-		t.Error("nil client accepted")
-	}
-	client, _ := startNDP(t, compress.None)
-	src = &NDPSource{Client: client, Path: "run/ts0.vnd"}
-	if _, err := src.Execute(context.Background(), nil); err == nil {
-		t.Error("no arrays accepted")
+	for _, enc := range []Encoding{EncIndexValue, EncBlockBitmap} {
+		payload, st, err := client.FetchFiltered("run/ts0.vnd", "d", isos, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := (&PostFilter{Isovalues: isos}).Contour(ds.Grid, "d", payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.NumTriangles() == 0 || !got.Equal(want) {
+			t.Fatalf("%v: NDP mesh (%d tris) != baseline mesh (%d tris)",
+				enc, got.NumTriangles(), want.NumTriangles())
+		}
+		if st.PayloadBytes == 0 || st.PayloadBytes >= st.RawBytes {
+			t.Errorf("%v: moved %d of %d bytes", enc, st.PayloadBytes, st.RawBytes)
+		}
 	}
 }
 
@@ -279,37 +253,28 @@ func TestNDPFetchRangeErrors(t *testing.T) {
 	}
 }
 
+// TestThresholdPipelineOverNDP is the second filter type split the same
+// way, in both explicit encodings over uncompressed storage: the range
+// payload's threshold is the full array's.
 func TestThresholdPipelineOverNDP(t *testing.T) {
-	// Full pipeline composition with the second filter type: NDP range
-	// source feeding the ordinary threshold stage.
 	client, ds := startNDP(t, compress.None)
 	lo, hi := 6.0, 8.0
-
-	payload, _, err := client.FetchRange("run/ts0.vnd", "d", lo, hi, EncAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals, err := payload.Reconstruct()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparseDS := grid.NewDataset(ds.Grid)
-	sparseDS.MustAddField(&grid.Field{Name: "d", Values: vals})
-
-	p := pipeline.New(
-		&pipeline.DatasetSource{Dataset: sparseDS},
-		&pipeline.ThresholdFilter{Array: "d", Lo: lo, Hi: hi},
-	)
-	out, err := p.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := contour.ThresholdCells(ds.Grid, ds.Field("d").Values, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.(*contour.CellSet).Equal(want) {
-		t.Error("pipeline threshold over NDP differs from full-array result")
+	for _, enc := range []Encoding{EncIndexValue, EncBlockBitmap} {
+		payload, _, err := client.FetchRange("run/ts0.vnd", "d", lo, hi, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ThresholdFromPayload(ds.Grid, payload, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Count() == 0 || !got.Equal(want) {
+			t.Errorf("%v: threshold over NDP kept %d cells, full array %d", enc, got.Count(), want.Count())
+		}
 	}
 }
 
@@ -401,36 +366,47 @@ func TestNDPFetchSliceErrors(t *testing.T) {
 	}
 }
 
-func TestNDPSourceConcurrentArrays(t *testing.T) {
-	// Both arrays fetched concurrently must land intact and in order.
+// TestNDPFetchMultiConcurrentArrays fetches two arrays as one
+// concurrent request set: the results come back in request order, each
+// carrying its own array's selected values.
+func TestNDPFetchMultiConcurrentArrays(t *testing.T) {
 	client, ds := startNDP(t, compress.None)
-	src := &NDPSource{
-		Client:    client,
-		Path:      "run/ts0.vnd",
-		Arrays:    []string{"d", "extra"},
-		Isovalues: []float64{7},
+	isos := []float64{7}
+	reqs := []MultiRequest{
+		{Path: "run/ts0.vnd", Array: "d", Isovalues: isos},
+		{Path: "run/ts0.vnd", Array: "extra", Isovalues: isos},
 	}
-	out, err := src.Execute(context.Background(), nil)
+	results := client.FetchFilteredMultiContext(t.Context(), reqs)
+	if len(results) != 2 {
+		t.Fatalf("%d results for 2 requests", len(results))
+	}
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", reqs[i].Array, r.Err)
+		}
+		if r.Stats == nil || r.Stats.RawBytes != int64(4*ds.Grid.NumPoints()) {
+			t.Errorf("%s: stats %+v", reqs[i].Array, r.Stats)
+		}
+	}
+	// "extra" is all zeros, so isovalue 7 crosses none of its cells.
+	if n := results[1].Payload.Count; n != 0 {
+		t.Errorf("extra: %d points selected, want 0 (results out of order?)", n)
+	}
+	mask, err := contour.SelectCellCorners(ds.Grid, ds.Field("d").Values, isos)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := out.(*grid.Dataset)
-	names := got.FieldNames()
-	if len(names) != 2 || names[0] != "d" || names[1] != "extra" {
-		t.Fatalf("field order = %v", names)
+	if results[0].Payload.Count != mask.Count() {
+		t.Fatalf("d: %d points selected, want %d", results[0].Payload.Count, mask.Count())
 	}
-	if src.Stats["d"] == nil || src.Stats["extra"] == nil {
-		t.Error("missing per-array stats")
-	}
-	// Selected values of "d" match the source data.
-	mask, err := contour.SelectCellCorners(ds.Grid, ds.Field("d").Values, []float64{7})
+	vals, err := results[0].Payload.Reconstruct()
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals := got.Field("d").Values
+	want := ds.Field("d").Values
 	mask.ForEach(func(i int) {
-		if vals[i] != ds.Field("d").Values[i] {
-			t.Fatalf("selected value %d mismatch", i)
+		if vals[i] != want[i] {
+			t.Fatalf("selected value %d: got %v, want %v", i, vals[i], want[i])
 		}
 	})
 }

@@ -18,9 +18,9 @@
 // Payload.Reconstruct, which expands a payload into a full-size array
 // with NaN at unselected points, is not on the contour path. It
 // serves the consumers that want an array: the range/threshold
-// post-filter, NDPSource (which hands pipeline stages a dataset), raw
-// and slice reads, and the sharded client's merge of brick payloads. The
-// same kernel contours such an array too, taking "not NaN" as presence.
+// post-filter, raw and slice reads, and the sharded client's merge of
+// brick payloads. The same kernel contours such an array too, taking
+// "not NaN" as presence.
 //
 // Two payload encodings are provided (an ablation in DESIGN.md):
 //

@@ -8,7 +8,6 @@ import (
 
 	"vizndp/internal/bitset"
 	"vizndp/internal/grid"
-	"vizndp/internal/pipeline"
 	"vizndp/internal/rpc"
 	"vizndp/internal/telemetry"
 	"vizndp/internal/vtkio"
@@ -269,54 +268,3 @@ func scatterBrick(dst []float32, seen *bitset.Bitset, d grid.Dims, b grid.Brick,
 	}
 	return dups, nil
 }
-
-// ShardedSource is a pipeline source that loads data through a bricked,
-// sharded deployment: for each requested array it scatters per-brick
-// pre-filtered fetches across the shards and gathers one seamless
-// NaN-padded field. Downstream stages are exactly the ones the
-// unsharded NDPSource feeds — the merged field is bit-identical.
-type ShardedSource struct {
-	Client *ShardedClient
-	// Prefix is the per-timestep brick directory, e.g.
-	// "asteroid/none/ts00003/".
-	Prefix    string
-	Arrays    []string
-	Isovalues []float64
-	Encoding  Encoding
-
-	// Stats holds per-array scatter-gather statistics from the most
-	// recent Execute.
-	Stats map[string]*ShardStats
-}
-
-// Name implements pipeline.Stage; like NDPSource it reports as the
-// source stage so its elapsed time is the pipeline's data load time.
-func (s *ShardedSource) Name() string { return pipeline.SourceStageName }
-
-// Execute scatter-gathers every selected array.
-func (s *ShardedSource) Execute(ctx context.Context, _ any) (any, error) {
-	if s.Client == nil {
-		return nil, fmt.Errorf("core: ShardedSource has no client")
-	}
-	if len(s.Arrays) == 0 {
-		return nil, fmt.Errorf("core: ShardedSource has no arrays selected")
-	}
-	ds := grid.NewDataset(s.Client.Grid())
-	s.Stats = make(map[string]*ShardStats, len(s.Arrays))
-	for _, array := range s.Arrays {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		vals, st, err := s.Client.FetchArrayContext(ctx, s.Prefix, array, s.Isovalues, s.Encoding)
-		if err != nil {
-			return nil, fmt.Errorf("core: sharded fetch %s%s: %w", s.Prefix, array, err)
-		}
-		if err := ds.AddField(&grid.Field{Name: array, Values: vals}); err != nil {
-			return nil, err
-		}
-		s.Stats[array] = st
-	}
-	return ds, nil
-}
-
-var _ pipeline.Stage = (*ShardedSource)(nil)

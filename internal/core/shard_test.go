@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"vizndp/internal/compress"
+	"vizndp/internal/contour"
 	"vizndp/internal/grid"
 	"vizndp/internal/rpc"
 	"vizndp/internal/vtkio"
@@ -296,9 +297,10 @@ func TestShardMergeGhostDisagreement(t *testing.T) {
 	}
 }
 
-// TestShardedSourcePipeline drives the pipeline-facing source and checks
-// the dataset it yields carries the merged fields plus per-array stats.
-func TestShardedSourcePipeline(t *testing.T) {
+// TestShardedContourMatchesBaseline is vizpipe's -shards contour path:
+// one scatter-gather per array yields the merged field, its stats and
+// one merge, and that field contours to the full array's mesh.
+func TestShardedContourMatchesBaseline(t *testing.T) {
 	g, f := sphereField(16)
 	ds := grid.NewDataset(g)
 	ds.MustAddField(f)
@@ -312,29 +314,30 @@ func TestShardedSourcePipeline(t *testing.T) {
 	}
 	defer sc.Close()
 
+	isos := []float64{6}
 	merges0 := mShardMerges.Value()
-	src := &ShardedSource{
-		Client:    sc,
-		Prefix:    "run/ts0/",
-		Arrays:    []string{"d"},
-		Isovalues: []float64{6},
-		Encoding:  EncAuto,
-	}
-	out, err := src.Execute(t.Context(), nil)
+	vals, st, err := sc.FetchArrayContext(t.Context(), "run/ts0/", "d", isos, EncAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := out.(*grid.Dataset)
-	if !ok {
-		t.Fatalf("source yielded %T", out)
+	if len(vals) != g.NumPoints() {
+		t.Fatalf("merged field has %d points, grid %d", len(vals), g.NumPoints())
 	}
-	if got.Field("d") == nil || len(got.Field("d").Values) != g.NumPoints() {
-		t.Fatal("merged field missing or wrong length")
-	}
-	if src.Stats["d"] == nil || src.Stats["d"].Bricks != 4 {
-		t.Errorf("per-array stats not recorded: %+v", src.Stats["d"])
+	if st.Bricks != 4 {
+		t.Errorf("stats report %d bricks, want 4: %+v", st.Bricks, st)
 	}
 	if mShardMerges.Value() != merges0+1 {
 		t.Errorf("core.shard.merges rose by %d, want 1", mShardMerges.Value()-merges0)
+	}
+	got, err := contour.MarchingTetrahedra(sc.Grid(), vals, isos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := contour.MarchingTetrahedra(g, f.Values, isos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.NumTriangles() == 0 || !got.Equal(want) {
+		t.Errorf("sharded mesh (%d tris) != baseline mesh (%d tris)", got.NumTriangles(), want.NumTriangles())
 	}
 }

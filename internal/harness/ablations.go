@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"image/color"
 	"math"
@@ -12,9 +11,7 @@ import (
 	"vizndp/internal/core"
 	"vizndp/internal/grid"
 	"vizndp/internal/netsim"
-	"vizndp/internal/pipeline"
 	"vizndp/internal/render"
-	"vizndp/internal/s3fs"
 	"vizndp/internal/sim"
 	"vizndp/internal/stats"
 	"vizndp/internal/vtkio"
@@ -108,40 +105,53 @@ func (e *Env) EndToEnd(array string, iso float64) (*stats.Table, error) {
 		"codec", "base load", "base total", "ndp load", "ndp total", "total speedup")
 	step := e.steps[len(e.steps)/2]
 	isos := []float64{iso}
+	post := &core.PostFilter{Isovalues: isos}
 	renderOpts := render.Options{Width: 256, Height: 256, AzimuthDeg: 35, ElevationDeg: 25}
 
-	// run executes source -> contour -> render, returning the mesh, the
-	// source stage's (load) time and the whole pipeline's.
-	run := func(src pipeline.Stage) (*contour.Mesh, time.Duration, time.Duration, error) {
-		pipe := pipeline.New(src, &pipeline.ContourFilter{Array: array, Isovalues: isos})
-		out, err := pipe.Run(context.Background())
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		mesh := out.(*contour.Mesh)
-		renderStart := time.Now()
-		if _, err := render.Mesh(mesh, color.RGBA{R: 200, A: 255}, renderOpts); err != nil {
-			return nil, 0, 0, err
-		}
-		return mesh, pipe.StageTime(pipeline.SourceStageName), pipe.Total() + time.Since(renderStart), nil
+	draw := func(mesh *contour.Mesh) error {
+		_, err := render.Mesh(mesh, color.RGBA{R: 200, A: 255}, renderOpts)
+		return err
 	}
 
+	// Each side's load time is its load call alone, as BaselineLoad and
+	// NDPLoad time it; its total runs on through contour and render.
 	for _, codec := range Codecs {
 		key := ObjectKey("asteroid", codec, step)
+		desc, err := e.ndpClient.Describe(key)
+		if err != nil {
+			return nil, err
+		}
 		// Baseline: full-array read over the link, contour, render.
-		baseMesh, baseLoad, baseTotal, err := run(&pipeline.FileSource{
-			FS: s3fs.New(e.remote, Bucket), Path: key, Arrays: []string{array},
-		})
+		start := time.Now()
+		field, err := loadArray(e.remote, key, array)
 		if err != nil {
 			return nil, err
 		}
-		// NDP: pre-filtered fetch, contour, render.
-		ndpMesh, ndpLoad, ndpTotal, err := run(&core.NDPSource{
-			Client: e.ndpClient, Path: key, Arrays: []string{array}, Isovalues: isos, Encoding: core.EncAuto,
-		})
+		baseLoad := time.Since(start)
+		baseMesh, err := contour.MarchingTetrahedra(desc.Grid, field.Values, isos)
+		if err == nil {
+			err = draw(baseMesh)
+		}
 		if err != nil {
 			return nil, err
 		}
+		baseTotal := time.Since(start)
+
+		// NDP: pre-filtered fetch, post-filter contour, render.
+		start = time.Now()
+		payload, _, err := e.ndpClient.FetchFiltered(key, array, isos, core.EncAuto)
+		if err != nil {
+			return nil, err
+		}
+		ndpLoad := time.Since(start)
+		ndpMesh, err := post.Contour(desc.Grid, array, payload)
+		if err == nil {
+			err = draw(ndpMesh)
+		}
+		if err != nil {
+			return nil, err
+		}
+		ndpTotal := time.Since(start)
 
 		// The two pipelines must agree exactly.
 		if !baseMesh.Equal(ndpMesh) {
