@@ -73,8 +73,8 @@ func run(args []string) error {
 		bucket    = flags.String("bucket", "sim", "object store bucket")
 		ndpAddr   = flags.String("ndp", "", "ndp: address of the ndpserver")
 		replicas  = flags.String("replicas", "", "ndp: comma-separated replica ndpserver addresses (contour, threshold and sweep); calls route to the healthiest and fail over on busy/dead replicas")
-		shardsCSV = flags.String("shards", "", "ndp: comma-separated shard ndpserver addresses for brick-sharded scatter-gather (needs -manifest; -path names the per-timestep brick directory)")
-		manifest  = flags.String("manifest", "", "ndp: brick manifest key, fetched through the first -shards address")
+		shardsCSV = flags.String("shards", "", "ndp contour: comma-separated shard ndpserver addresses for brick-sharded scatter-gather (needs -manifest; -path names the per-timestep brick directory)")
+		manifest  = flags.String("manifest", "", "ndp contour: brick manifest key, fetched through the first -shards address")
 		path      = flags.String("path", "", "dataset file path/key")
 		arraysCSV = flags.String("arrays", "v02", "comma-separated data arrays to contour")
 		isoCSV    = flags.String("iso", "0.1", "comma-separated contour values")
@@ -95,6 +95,11 @@ func run(args []string) error {
 	}
 	if *repeats < 1 {
 		return fmt.Errorf("-repeats %d: want at least 1", *repeats)
+	}
+	// Only the ndp contour has a sharded path; anywhere else -shards
+	// would be ignored.
+	if (*shardsCSV != "" || *manifest != "") && (*mode != "ndp" || *filter != "contour" || *sweep) {
+		return fmt.Errorf("-shards and -manifest need -mode ndp, -filter contour and no -sweep")
 	}
 
 	if *sloSpec != "" {
@@ -175,11 +180,11 @@ func run(args []string) error {
 			load = func(ctx context.Context) (*grid.Uniform, []loaded, error) {
 				out := make([]loaded, len(arrays))
 				for i, a := range arrays {
-					vals, st, err := sc.FetchArrayContext(ctx, prefix, a, isovalues, enc)
+					p, st, err := sc.FetchArrayContext(ctx, prefix, a, isovalues, enc)
 					if err != nil {
 						return nil, nil, fmt.Errorf("sharded fetch %s%s: %w", prefix, a, err)
 					}
-					out[i] = loaded{values: vals, shard: st}
+					out[i] = loaded{payload: p, shard: st}
 				}
 				return sc.Grid(), out, nil
 			}
@@ -305,7 +310,7 @@ func run(args []string) error {
 type loadFunc func(ctx context.Context) (*grid.Uniform, []loaded, error)
 
 // loaded is one array as a data load delivered it: the full field
-// (baseline, -shards) or the pre-filtered payload (ndp), plus the
+// (baseline) or the pre-filtered payload (ndp, -shards), plus the
 // transfer stats of the NDP paths.
 type loaded struct {
 	values  []float32
@@ -315,8 +320,8 @@ type loaded struct {
 }
 
 // contourAll contours every loaded array. A payload goes through the
-// post-filter, which contours its own points; a full field through the
-// kernel. Both give the mesh a full-array contour gives.
+// post-filter, which contours its own points; the baseline's full field
+// through the kernel. Both give the mesh a full-array contour gives.
 func contourAll(g *grid.Uniform, arrays []string, got []loaded, isovalues []float64) ([]*contour.Mesh, error) {
 	post := &core.PostFilter{Isovalues: isovalues}
 	meshes := make([]*contour.Mesh, len(got))

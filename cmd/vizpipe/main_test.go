@@ -34,7 +34,7 @@ func deadAddr(t *testing.T) string {
 // client connects eagerly, so it fails at once against a dead address;
 // the fault-tolerant one dials lazily and is handed back regardless.
 // Rows with args run the whole command line instead: flags it rejects
-// before any dial or read.
+// before any dial or read, with an error naming wantIn.
 func TestClientSelection(t *testing.T) {
 	a, b := deadAddr(t), deadAddr(t)
 	for _, tc := range []struct {
@@ -43,6 +43,7 @@ func TestClientSelection(t *testing.T) {
 		shards, manifest string
 		retries          int
 		args             []string
+		wantIn           string // for rows with args: the flag the error names
 		wantErr          bool
 	}{
 		{name: "-retries 1 dials eagerly", ndp: a, retries: 1, wantErr: true},
@@ -52,14 +53,18 @@ func TestClientSelection(t *testing.T) {
 		{name: "-replicas of nothing but commas", replicas: " , ", retries: 3, wantErr: true},
 		{name: "-shards without -manifest", shards: a + "," + b, retries: 1, wantErr: true},
 		{name: "-shards of nothing but commas", shards: ",", manifest: "m.json", retries: 1, wantErr: true},
-		{name: "-repeats 0 contour", args: []string{"-dir", t.TempDir(), "-path", "ts0.vnd", "-repeats", "0"}, wantErr: true},
-		{name: "-repeats 0 threshold", args: []string{"-dir", t.TempDir(), "-path", "ts0.vnd", "-filter", "threshold", "-repeats", "0"}, wantErr: true},
-		{name: "-repeats -1 sweep", args: []string{"-mode", "ndp", "-ndp", a, "-retries", "3", "-path", "ts0.vnd", "-sweep", "-repeats", "-1"}, wantErr: true},
+		{name: "-repeats 0 contour", args: []string{"-dir", t.TempDir(), "-path", "ts0.vnd", "-repeats", "0"}, wantIn: "-repeats", wantErr: true},
+		{name: "-repeats 0 threshold", args: []string{"-dir", t.TempDir(), "-path", "ts0.vnd", "-filter", "threshold", "-repeats", "0"}, wantIn: "-repeats", wantErr: true},
+		{name: "-repeats -1 sweep", args: []string{"-mode", "ndp", "-ndp", a, "-retries", "3", "-path", "ts0.vnd", "-sweep", "-repeats", "-1"}, wantIn: "-repeats", wantErr: true},
+		{name: "-shards in baseline mode", args: []string{"-dir", t.TempDir(), "-path", "ts0.vnd", "-shards", a}, wantIn: "-shards", wantErr: true},
+		{name: "-manifest in baseline mode", args: []string{"-dir", t.TempDir(), "-path", "ts0.vnd", "-manifest", "m.json"}, wantIn: "-manifest", wantErr: true},
+		{name: "-shards with the threshold", args: []string{"-mode", "ndp", "-ndp", a, "-path", "ts0.vnd", "-filter", "threshold", "-shards", b}, wantIn: "-shards", wantErr: true},
+		{name: "-shards with -sweep", args: []string{"-mode", "ndp", "-ndp", a, "-path", "ts0.vnd", "-sweep", "-shards", b}, wantIn: "-shards", wantErr: true},
 	} {
 		var err error
 		if tc.args != nil {
-			if err = run(tc.args); err != nil && !strings.Contains(err.Error(), "-repeats") {
-				t.Errorf("%s: err = %v, want the -repeats error", tc.name, err)
+			if err = run(tc.args); err != nil && !strings.Contains(err.Error(), tc.wantIn) {
+				t.Errorf("%s: err = %v, want the %s error", tc.name, err, tc.wantIn)
 			}
 		} else if tc.shards != "" {
 			var sc *core.ShardedClient

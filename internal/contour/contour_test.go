@@ -276,94 +276,20 @@ func TestInputValidation(t *testing.T) {
 	if _, err := SelectCellCorners(g, vals, nil); err == nil {
 		t.Error("selection accepted no isovalues")
 	}
+	// A 2-D grid has no cell layer: every filter and selection refuses it.
 	g2d := grid.NewUniform(4, 4, 1)
 	vals2d := make([]float32, g2d.NumPoints())
 	if _, err := MarchingTetrahedra(g2d, vals2d, []float64{1}); err == nil {
-		t.Error("2D grid accepted by 3D filter")
+		t.Error("2-D grid accepted by the contour")
 	}
-	if _, err := MarchingSquares(g, vals, []float64{1}); err == nil {
-		t.Error("3D grid accepted by 2D filter")
+	if _, err := SelectCellCorners(g2d, vals2d, []float64{1}); err == nil {
+		t.Error("2-D grid accepted by the contour selection")
 	}
-}
-
-// circleField returns distance-from-centre on an n x n 2D grid.
-func circleField(n int) (*grid.Uniform, []float32) {
-	g := grid.NewUniform(n, n, 1)
-	c := float64(n-1) / 2
-	vals := make([]float32, g.NumPoints())
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			dx, dy := float64(i)-c, float64(j)-c
-			vals[g.PointIndex(i, j, 0)] = float32(math.Sqrt(dx*dx + dy*dy))
-		}
+	if _, err := SelectRangeCorners(g2d, vals2d, 0, 1); err == nil {
+		t.Error("2-D grid accepted by the range selection")
 	}
-	return g, vals
-}
-
-func TestMarchingSquaresCircle(t *testing.T) {
-	g, vals := circleField(64)
-	r := 20.0
-	ls, err := MarchingSquares(g, vals, []float64{r})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ls.NumSegments() == 0 {
-		t.Fatal("no segments")
-	}
-	// Length close to the circumference.
-	want := 2 * math.Pi * r
-	if got := ls.Length(); math.Abs(got-want)/want > 0.05 {
-		t.Errorf("length = %.2f, want ~%.2f", got, want)
-	}
-	// A closed isoline has every vertex with degree exactly 2.
-	deg := make(map[int32]int)
-	for _, s := range ls.Segments {
-		deg[s[0]]++
-		deg[s[1]]++
-	}
-	for v, d := range deg {
-		if d != 2 {
-			t.Fatalf("vertex %d has degree %d, want 2", v, d)
-		}
-	}
-}
-
-func TestMarchingSquaresPaperExample(t *testing.T) {
-	// The paper's Fig. 3: an 8x6 mesh with values 0..9 and a contour at 5.
-	// Any field straddling 5 must produce a non-empty polyline whose
-	// vertices all interpolate edges that straddle the value.
-	g := grid.NewUniform(8, 6, 1)
-	rng := rand.New(rand.NewSource(9))
-	vals := make([]float32, g.NumPoints())
-	for i := range vals {
-		vals[i] = float32(rng.Intn(10))
-	}
-	ls, err := MarchingSquares(g, vals, []float64{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ls.NumSegments() == 0 {
-		t.Fatal("paper example produced no contour")
-	}
-}
-
-func TestMarchingSquaresSaddle(t *testing.T) {
-	// A 2x2 checkerboard: both saddle configurations must produce exactly
-	// two segments and no panic.
-	g := grid.NewUniform(2, 2, 1)
-	ls, err := MarchingSquares(g, []float32{0, 1, 1, 0}, []float64{0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ls.NumSegments() != 2 {
-		t.Errorf("saddle produced %d segments, want 2", ls.NumSegments())
-	}
-	ls, err = MarchingSquares(g, []float32{1, 0, 0, 1}, []float64{0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ls.NumSegments() != 2 {
-		t.Errorf("mirror saddle produced %d segments, want 2", ls.NumSegments())
+	if _, err := ThresholdCells(g2d, vals2d, 0, 1); err == nil {
+		t.Error("2-D grid accepted by the threshold")
 	}
 }
 
@@ -440,7 +366,7 @@ func TestSelectSplitUnion(t *testing.T) {
 		name  string
 		field func(int) (*grid.Uniform, []float32)
 		n     int
-	}{{"3d", sphereField, 24}, {"2d", circleField, 32}, {"3d-random", noisySphere, 16}} {
+	}{{"3d", sphereField, 24}, {"3d-random", noisySphere, 16}} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, vals := tc.field(tc.n)
 			for _, sub := range subsets {
@@ -551,36 +477,18 @@ func TestSelectivityLowForSphere(t *testing.T) {
 	}
 }
 
+// TestSelectCellCorners2D: a slice plane is a 2-D grid with no cell
+// layer, so the contour selection refuses every plane ExtractSlice cuts.
 func TestSelectCellCorners2D(t *testing.T) {
-	g, vals := circleField(32)
-	mask, err := SelectCellCorners(g, vals, []float64{10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mask.Count() == 0 || mask.Count() == g.NumPoints() {
-		t.Errorf("2D selection count = %d", mask.Count())
-	}
-	// Sparse 2D contour must reproduce the full one.
-	sparse := make([]float32, len(vals))
-	nan := float32(math.NaN())
-	for i := range sparse {
-		if mask.Get(i) {
-			sparse[i] = vals[i]
-		} else {
-			sparse[i] = nan
+	g, vals := sphereField(12)
+	for _, axis := range []Axis{AxisX, AxisY, AxisZ} {
+		g2, plane, err := ExtractSlice(g, vals, axis, 6)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	full, err := MarchingSquares(g, vals, []float64{10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := MarchingSquares(g, sparse, []float64{10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumSegments() != full.NumSegments() || got.Length() != full.Length() {
-		t.Errorf("sparse 2D contour differs: %d/%f vs %d/%f",
-			got.NumSegments(), got.Length(), full.NumSegments(), full.Length())
+		if _, err := SelectCellCorners(g2, plane, []float64{4}); err == nil {
+			t.Errorf("%v slice (%v): 2-D plane accepted by the contour selection", axis, g2.Dims)
+		}
 	}
 }
 

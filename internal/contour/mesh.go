@@ -1,8 +1,8 @@
 // Package contour implements the contour filters at the heart of the
-// paper's pipeline: isosurface extraction over 3D uniform grids and
-// isoline extraction over 2D grids, plus the "interesting edge" analysis
-// that the NDP pre-filter uses to decide which mesh points must be
-// transferred.
+// paper's pipeline: isosurface extraction over 3-D uniform grids, plus
+// the "interesting edge" analysis that the NDP pre-filter uses to decide
+// which mesh points must be transferred. Every filter and selection here
+// needs two point layers; a 2-D grid (a slice plane) is refused.
 //
 // VTK's contour filter uses marching cubes / flying edges; this
 // reproduction uses marching tetrahedra over the Kuhn 6-tetrahedron cube
@@ -110,34 +110,27 @@ func (m *Mesh) Equal(o *Mesh) bool {
 	return true
 }
 
-// LineSet is an indexed 2D polyline set produced by marching squares.
-type LineSet struct {
-	Vertices []grid.Vec3
-	Segments [][2]int32
-}
-
-// NumSegments returns the segment count.
-func (l *LineSet) NumSegments() int { return len(l.Segments) }
-
-// Length returns the total polyline length.
-func (l *LineSet) Length() float64 {
-	var sum float64
-	for _, s := range l.Segments {
-		sum += l.Vertices[s[1]].Sub(l.Vertices[s[0]]).Norm()
-	}
-	return sum
-}
-
 func isNaN32(v float32) bool { return v != v }
 
-// validateInputs performs the checks every contour filter and selection
-// shares.
-func validateInputs(g *grid.Uniform, values []float32, isovalues []float64) error {
+// validateField performs the checks every filter and selection shares:
+// a valid 3-D grid and one value per point.
+func validateField(g *grid.Uniform, values []float32) error {
 	if err := g.Validate(); err != nil {
 		return err
 	}
+	if g.Is2D() {
+		return fmt.Errorf("contour: grid %v is 2-D; the filters need two point layers", g.Dims)
+	}
 	if len(values) != g.NumPoints() {
 		return fmt.Errorf("contour: %d values for %d grid points", len(values), g.NumPoints())
+	}
+	return nil
+}
+
+// validateInputs is validateField plus the isovalues' own checks.
+func validateInputs(g *grid.Uniform, values []float32, isovalues []float64) error {
+	if err := validateField(g, values); err != nil {
+		return err
 	}
 	if len(isovalues) == 0 {
 		return fmt.Errorf("contour: no isovalues")

@@ -8,13 +8,13 @@ import (
 	"vizndp/internal/grid"
 )
 
-// NaN is load-bearing in this package: it is the sentinel the NDP
-// reconstruction uses for "value withheld by the pre-filter", so every
-// selection and filter path must agree that a NaN point is never
-// selected, never straddles, and never satisfies a range. If any path
-// selected NaN points, the sparse reconstruction could not tell withheld
-// data from real data and bit-identity with the full-array run would
-// break. These tests pin that invariant across all paths.
+// NaN is load-bearing in this package. The contour selection never
+// selects a NaN point — a NaN corner disqualifies its cells — so a
+// contour payload never ships one, and the kernel skips NaN-laced cells
+// whether a point is NaN or absent. The range selection does ship the
+// NaN corners of kept cells, but a NaN never satisfies a range, so a
+// shipped NaN and an absent point evaluate alike. Either way the sparse
+// result equals the full-array one. These tests pin those rules.
 
 func nan32() float32 { return float32(math.NaN()) }
 
@@ -81,14 +81,13 @@ func nanLaced(g *grid.Uniform, seed int64) []float32 {
 	return vals
 }
 
-// TestSelectNaNConsistency checks that on NaN-laced fields all three
-// selection implementations (2D path, 3D bit-parallel path, generic
-// reference) agree, per-isovalue splitting still unions exactly, and no
-// NaN-valued point is ever selected.
+// TestSelectNaNConsistency checks that on NaN-laced fields the bit-row
+// sweep agrees with the generic reference and no NaN-valued point is
+// ever selected.
 func TestSelectNaNConsistency(t *testing.T) {
 	grids := []*grid.Uniform{
-		grid.NewUniform(23, 17, 1), // 2D path
-		grid.NewUniform(19, 13, 7), // 3D bit-parallel path
+		grid.NewUniform(19, 13, 7),
+		grid.NewUniform(70, 5, 3),
 	}
 	isos := []float64{2.5, 7}
 	for gi, g := range grids {
@@ -100,14 +99,10 @@ func TestSelectNaNConsistency(t *testing.T) {
 		if mask.Count() == 0 {
 			t.Fatalf("grid %d: empty selection, test is vacuous", gi)
 		}
-		if !g.Is2D() {
-			// The generic per-cell reference only walks 3D cell layers;
-			// the 2D path IS the straightforward loop already.
-			ref := selectCellCornersGeneric(g, vals, isos)
-			for i := 0; i < g.NumPoints(); i++ {
-				if mask.Get(i) != ref.Get(i) {
-					t.Fatalf("grid %d: fast path and generic disagree at point %d", gi, i)
-				}
+		ref := selectCellCornersGeneric(g, vals, isos)
+		for i := 0; i < g.NumPoints(); i++ {
+			if mask.Get(i) != ref.Get(i) {
+				t.Fatalf("grid %d: fast path and generic disagree at point %d", gi, i)
 			}
 		}
 		for i := 0; i < g.NumPoints(); i++ {
@@ -152,36 +147,7 @@ func TestNaNMaskedContourEquivalence(t *testing.T) {
 		t.Fatal("empty full contour, test is vacuous")
 	}
 	if !full.Equal(sparse) {
-		t.Error("3D: masked reconstruction contours differently than full array")
-	}
-
-	g2 := grid.NewUniform(25, 19, 1)
-	vals2 := nanLaced(g2, 4)
-	mask2, err := SelectCellCorners(g2, vals2, isos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	masked2 := make([]float32, len(vals2))
-	for i := range masked2 {
-		if mask2.Get(i) {
-			masked2[i] = vals2[i]
-		} else {
-			masked2[i] = nan32()
-		}
-	}
-	fullLines, err := MarchingSquares(g2, vals2, isos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparseLines, err := MarchingSquares(g2, masked2, isos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fullLines.NumSegments() == 0 {
-		t.Fatal("empty full line set, test is vacuous")
-	}
-	if fullLines.NumSegments() != sparseLines.NumSegments() {
-		t.Errorf("2D: %d segments full vs %d sparse", fullLines.NumSegments(), sparseLines.NumSegments())
+		t.Error("masked reconstruction contours differently than full array")
 	}
 }
 
@@ -198,18 +164,31 @@ func TestRangeNaNBehavior(t *testing.T) {
 		t.Fatal("inRange broken on ordinary values")
 	}
 
-	// One 2D cell: NaN corner beside an in-range corner keeps the cell.
-	g1 := grid.NewUniform(2, 2, 1)
-	if cells, err := ThresholdCells(g1, []float32{nan32(), 5, 20, 20}, 0, 10); err != nil {
+	// One cell: a NaN corner beside an in-range corner keeps the cell,
+	// and the selection ships all eight corners, the NaN among them.
+	g1 := grid.NewUniform(2, 2, 2)
+	one := []float32{nan32(), 5, 20, 20, 20, 20, 20, 20}
+	if cells, err := ThresholdCells(g1, one, 0, 10); err != nil {
 		t.Fatal(err)
 	} else if cells.Count() != 1 {
 		t.Errorf("NaN corner suppressed an any-corner threshold cell: %d kept", cells.Count())
 	}
-	// All corners NaN or out of range: dropped.
-	if cells, err := ThresholdCells(g1, []float32{nan32(), 20, nan32(), 20}, 0, 10); err != nil {
+	if sel, err := SelectRangeCorners(g1, one, 0, 10); err != nil {
+		t.Fatal(err)
+	} else if sel.Count() != 8 || !sel.Get(0) {
+		t.Errorf("kept cell shipped %d of 8 corners (NaN corner shipped: %v)", sel.Count(), sel.Get(0))
+	}
+	// All corners NaN or out of range: dropped, and nothing ships.
+	none := []float32{nan32(), 20, nan32(), 20, 20, nan32(), 20, 20}
+	if cells, err := ThresholdCells(g1, none, 0, 10); err != nil {
 		t.Fatal(err)
 	} else if cells.Count() != 0 {
 		t.Errorf("cell with no in-range corner kept: %d", cells.Count())
+	}
+	if sel, err := SelectRangeCorners(g1, none, 0, 10); err != nil {
+		t.Fatal(err)
+	} else if sel.Count() != 0 {
+		t.Errorf("dropped cell shipped %d corners", sel.Count())
 	}
 
 	// Sparse evaluation equivalence on a NaN-laced field.

@@ -1,6 +1,7 @@
 package contour_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -32,9 +33,9 @@ func wavyField(g *grid.Uniform, rng *rand.Rand) []float32 {
 }
 
 // shardedMerge stores the field bricked under a temporary directory,
-// serves it from three NDP shards and returns the ShardedClient's merged,
-// NaN-padded array.
-func shardedMerge(t *testing.T, g *grid.Uniform, vals []float32, spec grid.BrickSpec, isos []float64, enc core.Encoding) []float32 {
+// serves it from three NDP shards and returns the ShardedClient's
+// gathered payload.
+func shardedMerge(t *testing.T, g *grid.Uniform, vals []float32, spec grid.BrickSpec, isos []float64, enc core.Encoding) *core.Payload {
 	t.Helper()
 	ds := grid.NewDataset(g)
 	ds.MustAddField(&grid.Field{Name: "d", Values: vals})
@@ -89,9 +90,10 @@ func shardedMerge(t *testing.T, g *grid.Uniform, vals []float32, spec grid.Brick
 // data, one to five isovalues of which some cut nothing, and every
 // payload encoding, every way of contouring the field must give the mesh
 // the reference walk gives, vertex for vertex: the dense entry point on
-// the full array, the post-filter straight from the payload, and the
-// dense entry point on the payload's NaN-padded reconstruction and on a
-// ShardedClient's merge.
+// the full array, the post-filter straight from the payload and from a
+// ShardedClient's gathered payload (which must be the unsharded payload,
+// byte for byte), and the dense entry point on the payload's NaN-padded
+// reconstruction.
 func TestContourPathsAgree(t *testing.T) {
 	shapes := [][3]int{
 		{2, 2, 2}, {2, 9, 5}, {63, 4, 3}, {64, 5, 2}, {65, 3, 4},
@@ -159,8 +161,12 @@ func TestContourPathsAgree(t *testing.T) {
 			if round == 0 && g.Dims.NumCells() > 1 {
 				spec := grid.BrickSpec{NX: min(2, g.Dims.X-1), NY: min(2, g.Dims.Y-1), NZ: min(2, g.Dims.Z-1), Ghost: si % 2}
 				merged := shardedMerge(t, g, vals, spec, isos, enc)
-				got, err = contour.MarchingTetrahedra(g, merged, isos)
-				check("dense kernel on the sharded merge", got, err)
+				if !bytes.Equal(merged.Data, sent.Data) {
+					t.Errorf("%s: gathered payload (%d points) differs from the unsharded one (%d points)",
+						name, merged.Count, sent.Count)
+				}
+				got, err = (&core.PostFilter{Isovalues: isos}).Contour(g, "d", merged)
+				check("post-filter from the sharded gather", got, err)
 				sharded++
 			}
 		}
@@ -172,7 +178,8 @@ func TestContourPathsAgree(t *testing.T) {
 }
 
 // TestContourPlantedNaNStaysAbsent pins the decode rule the sparse walk
-// depends on. No selection ships a NaN, but a corrupt payload can; the
+// depends on. Contour selections never ship a NaN; range selections can,
+// and so can a corrupt payload. A shipped NaN is absent on decode: the
 // dense kernel skipped such a point's cells because the reconstruction
 // held a NaN there, and the presence-bit walk must skip them too.
 func TestContourPlantedNaNStaysAbsent(t *testing.T) {

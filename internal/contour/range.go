@@ -3,6 +3,7 @@ package contour
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"vizndp/internal/bitset"
 	"vizndp/internal/grid"
@@ -56,54 +57,75 @@ func inRange(v float32, lo, hi float64) bool {
 }
 
 // ThresholdCells returns the cells with at least one corner value inside
-// [lo, hi] (VTK's "any point" threshold mode). Points valued NaN — data
-// withheld by the NDP pre-filter — never satisfy the range, which keeps
-// sparse evaluation exact: see SelectRangeCorners.
+// [lo, hi] (VTK's "any point" threshold mode). A NaN value never
+// satisfies the range.
 func ThresholdCells(g *grid.Uniform, values []float32, lo, hi float64) (*CellSet, error) {
-	if err := g.Validate(); err != nil {
+	if err := validateField(g, values); err != nil {
 		return nil, err
-	}
-	if len(values) != g.NumPoints() {
-		return nil, fmt.Errorf("contour: %d values for %d grid points", len(values), g.NumPoints())
 	}
 	if err := validateRange(lo, hi); err != nil {
 		return nil, err
 	}
-	nx, ny, nz := g.Dims.X, g.Dims.Y, g.Dims.Z
-	strideY := nx
-	strideZ := nx * ny
+	return threshold(g.Dims, values, nonNaNBits(values), lo, hi), nil
+}
+
+// ThresholdCellsSparse is ThresholdCells for a field that is known only
+// at the points marked in present — the NDP payload's own form. It reads
+// values nowhere else, so the rest of values may hold anything. The cell
+// set equals the one ThresholdCells returns for the same values with NaN
+// at every absent point: an absent corner, like a NaN one, is never in
+// range, which keeps sparse evaluation exact (see SelectRangeCorners).
+func ThresholdCellsSparse(g *grid.Uniform, values []float32, present *bitset.Bitset, lo, hi float64) (*CellSet, error) {
+	if err := validateField(g, values); err != nil {
+		return nil, err
+	}
+	if present.Len() != len(values) {
+		return nil, fmt.Errorf("contour: presence of %d bits for %d values", present.Len(), len(values))
+	}
+	if err := validateRange(lo, hi); err != nil {
+		return nil, err
+	}
+	return threshold(g.Dims, values, present.Words(), lo, hi), nil
+}
+
+// threshold keeps the cells with a present corner in [lo, hi]. It marks
+// those corners first, reading values only where present is set, then
+// ORs the marks of each cell's eight corners 64 cells to a word, in the
+// k/j/i order of the cell index.
+func threshold(d grid.Dims, values []float32, present []uint64, lo, hi float64) *CellSet {
+	in := make([]uint64, len(present))
+	for w, word := range present {
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			if i := w<<6 | b; i < len(values) && inRange(values[i], lo, hi) {
+				in[w] |= 1 << uint(b)
+			}
+		}
+	}
+	nx, ny := d.X, d.Y
+	layer := nx * ny
+	any4 := func(p int) uint64 {
+		return bitsAt(in, p) | bitsAt(in, p+nx) | bitsAt(in, p+layer) | bitsAt(in, p+layer+nx)
+	}
 	out := &CellSet{}
-
-	if g.Is2D() {
-		cellsX := nx - 1
+	for k := 0; k < d.Z-1; k++ {
 		for j := 0; j < ny-1; j++ {
-			for i := 0; i < cellsX; i++ {
-				idx := j*strideY + i
-				if inRange(values[idx], lo, hi) || inRange(values[idx+1], lo, hi) ||
-					inRange(values[idx+strideY], lo, hi) || inRange(values[idx+strideY+1], lo, hi) {
-					out.Cells = append(out.Cells, int32(j*cellsX+i))
+			for i0 := 0; i0 < nx-1; i0 += 64 {
+				// Bit b: one of the four rows' points i0+b or i0+b+1 is
+				// in range, which is cell i0+b.
+				p := k*layer + j*nx + i0
+				m := any4(p) | any4(p+1)
+				if n := nx - 1 - i0; n < 64 {
+					m &= 1<<uint(n) - 1
 				}
-			}
-		}
-		return out, nil
-	}
-
-	cellsX, cellsY := nx-1, ny-1
-	for k := 0; k < nz-1; k++ {
-		for j := 0; j < cellsY; j++ {
-			base := k*strideZ + j*strideY
-			for i := 0; i < cellsX; i++ {
-				idx := base + i
-				if inRange(values[idx], lo, hi) || inRange(values[idx+1], lo, hi) ||
-					inRange(values[idx+strideY], lo, hi) || inRange(values[idx+strideY+1], lo, hi) ||
-					inRange(values[idx+strideZ], lo, hi) || inRange(values[idx+strideZ+1], lo, hi) ||
-					inRange(values[idx+strideZ+strideY], lo, hi) || inRange(values[idx+strideZ+strideY+1], lo, hi) {
-					out.Cells = append(out.Cells, int32((k*cellsY+j)*cellsX+i))
+				cell := (k*(ny-1)+j)*(nx-1) + i0
+				for ; m != 0; m &= m - 1 {
+					out.Cells = append(out.Cells, int32(cell+bits.TrailingZeros64(m)))
 				}
 			}
 		}
 	}
-	return out, nil
+	return out
 }
 
 // SelectRangeCorners marks every corner of every cell the threshold

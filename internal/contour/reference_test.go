@@ -8,29 +8,12 @@ import (
 )
 
 // selectCellCornersGeneric is the straightforward per-cell scan the
-// cell-corner select ran before the bit-row sweep replaced it, in 3-D and
-// (since the sweep handles 2-D too) in 2-D. It stays as the oracle the
-// sweep is held to.
+// cell-corner select ran before the bit-row sweep replaced it. It stays
+// as the oracle the sweep is held to.
 func selectCellCornersGeneric(g *grid.Uniform, values []float32, isovalues []float64) *bitset.Bitset {
 	nx, ny, nz := g.Dims.X, g.Dims.Y, g.Dims.Z
 	strideY := nx
 	strideZ := nx * ny
-
-	if g.Is2D() {
-		mask := bitset.New(g.NumPoints())
-		for j := 0; j < ny-1; j++ {
-			for i := 0; i < nx-1; i++ {
-				idx := j*strideY + i
-				corners := [4]int{idx, idx + 1, idx + strideY, idx + strideY + 1}
-				if cellStraddles(values, corners[:], isovalues) {
-					for _, c := range corners {
-						mask.Set(c)
-					}
-				}
-			}
-		}
-		return mask
-	}
 
 	cellLayers := nz - 1
 	return parallelSlabs(cellLayers, g.NumPoints(), func(k0, k1 int, local *bitset.Bitset) {

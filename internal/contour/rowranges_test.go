@@ -50,9 +50,10 @@ func fuzzField(nx, ny, nz int, rowMode uint64, data []byte) (*grid.Uniform, []fl
 // FuzzSelectRowRanges holds the summarized select to the unsummarized
 // one, word for word, for contours and ranges, and both to the per-cell
 // references; and the summary itself to a per-row min/max over non-NaN
-// values. Inputs: rows of 1..130 points (across word boundaries), 2-D and
-// 3-D grids, NaN, ±Inf, constant and all-NaN rows, isovalues equal to a
-// row's min or max, and ranges with lo == hi at a row bound.
+// values. Inputs: rows of 1..130 points (across word boundaries), 3-D
+// grids (and the 2-D ones both selects refuse), NaN, ±Inf, constant and
+// all-NaN rows, isovalues equal to a row's min or max, and ranges with
+// lo == hi at a row bound.
 func FuzzSelectRowRanges(f *testing.F) {
 	const (
 		allConst = 0x5555555555555555
@@ -94,6 +95,20 @@ func FuzzSelectRowRanges(f *testing.F) {
 		if isoB&8 != 0 {
 			isos = append(isos, fuzzIsos[isoB%8])
 		}
+		lo, hi := fuzzBounds[loB%8], fuzzBounds[hiB%8]
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		if nz == 1 {
+			// A 2-D grid has no cell layer: both selects refuse it.
+			if _, err := s.SelectCellCorners(g, vals, isos); err == nil {
+				t.Fatalf("%v: contour select accepted a 2-D grid", g.Dims)
+			}
+			if _, err := s.SelectRangeCorners(g, vals, lo, hi); err == nil {
+				t.Fatalf("%v: range select accepted a 2-D grid", g.Dims)
+			}
+			return
+		}
 		full, err := SelectCellCorners(g, vals, isos)
 		if err != nil {
 			t.Fatal(err)
@@ -109,10 +124,6 @@ func FuzzSelectRowRanges(f *testing.F) {
 			t.Fatalf("%v isos %v: contour select %d points, reference %d", g.Dims, isos, full.Count(), ref.Count())
 		}
 
-		lo, hi := fuzzBounds[loB%8], fuzzBounds[hiB%8]
-		if lo > hi {
-			lo, hi = hi, lo
-		}
 		full, err = SelectRangeCorners(g, vals, lo, hi)
 		if err != nil {
 			t.Fatal(err)
@@ -163,7 +174,7 @@ func TestSelectConcurrentPooled(t *testing.T) {
 		want [2][]uint64 // contour, range
 	}
 	var ins []input
-	for i, dims := range [][3]int{{70, 9, 6}, {130, 5, 1}} {
+	for i, dims := range [][3]int{{70, 9, 6}, {130, 5, 2}} {
 		g, vals := fuzzField(dims[0], dims[1], dims[2], 0x9C6C9C6C2D1E2D1E, []byte{byte(i), 4, 5, 6, 7, 3, 0, 4, 7, 1, 5, 2, 6})
 		s, err := SummarizeRows(g, vals)
 		if err != nil {

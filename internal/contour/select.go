@@ -69,7 +69,7 @@ func InterestingEdgePoints(g *grid.Uniform, values []float32, isovalues []float6
 // InterestingEdgePoints and guarantees the marching-tetrahedra
 // post-filter reproduces the full-array contour exactly, because every
 // cell that can emit geometry arrives with all of its corners. It is the
-// bit-row sweep of selectbits.go over every row pair, 2-D and 3-D alike;
+// bit-row sweep of selectbits.go over every row pair;
 // (*RowRanges).SelectCellCorners is the same sweep over the live ones.
 func SelectCellCorners(g *grid.Uniform, values []float32, isovalues []float64) (*bitset.Bitset, error) {
 	return (*RowRanges)(nil).SelectCellCorners(g, values, isovalues)

@@ -101,11 +101,8 @@ func (s *RowRanges) SelectCellCorners(g *grid.Uniform, values []float32, isovalu
 // SelectRangeCorners is the package function SelectRangeCorners with the
 // row pairs judged by s: the mask is the same, word for word.
 func (s *RowRanges) SelectRangeCorners(g *grid.Uniform, values []float32, lo, hi float64) (*bitset.Bitset, error) {
-	if err := g.Validate(); err != nil {
+	if err := validateField(g, values); err != nil {
 		return nil, err
-	}
-	if len(values) != g.NumPoints() {
-		return nil, fmt.Errorf("contour: %d values for %d grid points", len(values), g.NumPoints())
 	}
 	if err := validateRange(lo, hi); err != nil {
 		return nil, err
@@ -215,18 +212,13 @@ func (rangeTest) cells(dst []uint64, in, _ *bitRows, rows [4]int, s *pairScratch
 // judges live, OR-ing the corners of every selected cell into mask.
 func (s *RowRanges) selectCorners(g *grid.Uniform, values []float32, t cellTest, mask *bitset.Bitset) {
 	nx, ny, nz := g.Dims.X, g.Dims.Y, g.Dims.Z
-	// far is the row offset from a pair's near layer to its far one. A 2-D
-	// grid has one cell layer whose corners all lie in point layer 0, so
-	// its far corner rows repeat the near ones.
-	layers, far := nz-1, ny
-	if g.Is2D() {
-		layers, far = 1, 0
-	}
+	// far is the row offset from a pair's near layer to its far one.
+	far := ny
 	buf := getSweepBuf(nx, ny*nz)
 	defer sweepPool.Put(buf)
 
 	// The live pairs, each named by its first row, and the rows they read.
-	for k := 0; k < layers; k++ {
+	for k := 0; k < nz-1; k++ {
 		for j := 0; j < ny-1; j++ {
 			p := k*ny + j
 			if s != nil {

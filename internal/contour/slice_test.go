@@ -116,30 +116,6 @@ func TestSliceSparseInvariant(t *testing.T) {
 	}
 }
 
-func TestSliceThenMarchingSquares(t *testing.T) {
-	// The intended composition: slice a 3D sphere field, contour the 2D
-	// slice — the circle where the plane cuts the sphere.
-	g, vals := sphereField(32)
-	g2, s, err := ExtractSlice(g, vals, AxisZ, 15) // near the centre
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls, err := MarchingSquares(g2, s, []float64{10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ls.NumSegments() == 0 {
-		t.Fatal("no contour on the slice")
-	}
-	// Length close to the circle circumference at that plane:
-	// r^2 = 10^2 - dz^2 with dz = 15.5 - 15 = 0.5.
-	r := math.Sqrt(100 - 0.25)
-	want := 2 * math.Pi * r
-	if got := ls.Length(); math.Abs(got-want)/want > 0.05 {
-		t.Errorf("slice contour length = %.2f, want ~%.2f", got, want)
-	}
-}
-
 func TestAxisStringParse(t *testing.T) {
 	for _, a := range []Axis{AxisX, AxisY, AxisZ} {
 		got, err := ParseAxis(a.String())

@@ -8,10 +8,9 @@ import (
 	"vizndp/internal/grid"
 )
 
-// maxPointsForKey bounds grid sizes so a marching-squares edge key (two
-// point indices, an isovalue index) and a (cell, isovalue, corner mask)
-// work-list entry each pack into a uint64: 28 bits of point index and 8
-// bits of isovalue index cover grids beyond the paper's 500^3.
+// maxPointsForKey bounds grid sizes so a (cell, isovalue, corner mask)
+// work-list entry packs into a uint64: 28 bits of point index and 8 bits
+// of isovalue index cover grids beyond the paper's 500^3.
 const maxPointsForKey = 1 << 28
 
 // kuhnTets lists the Kuhn 6-tetrahedron decomposition of the unit cube.
@@ -53,7 +52,7 @@ var cellTris = func() (t [256]uint8) {
 // below the isovalue, so flat regions exactly at an isovalue produce no
 // surface.
 func MarchingTetrahedra(g *grid.Uniform, values []float32, isovalues []float64) (*Mesh, error) {
-	if err := validate3D(g, values, isovalues); err != nil {
+	if err := validateMarch(g, values, isovalues); err != nil {
 		return nil, err
 	}
 	return march(g, values, nonNaNBits(values), isovalues), nil
@@ -67,24 +66,13 @@ func MarchingTetrahedra(g *grid.Uniform, values []float32, isovalues []float64) 
 // MarchingTetrahedra builds from the same values with NaN at every
 // absent point.
 func MarchingTetrahedraSparse(g *grid.Uniform, values []float32, present *bitset.Bitset, isovalues []float64) (*Mesh, error) {
-	if err := validate3D(g, values, isovalues); err != nil {
+	if err := validateMarch(g, values, isovalues); err != nil {
 		return nil, err
 	}
 	if present.Len() != len(values) {
 		return nil, fmt.Errorf("contour: presence of %d bits for %d values", present.Len(), len(values))
 	}
 	return march(g, values, present.Words(), isovalues), nil
-}
-
-// validate3D is validateMarch plus the 3D filters' own test.
-func validate3D(g *grid.Uniform, values []float32, isovalues []float64) error {
-	if err := validateMarch(g, values, isovalues); err != nil {
-		return err
-	}
-	if g.Is2D() {
-		return fmt.Errorf("contour: grid %v is 2D; use MarchingSquares", g.Dims)
-	}
-	return nil
 }
 
 // validateMarch is validateInputs plus the limits of the marching

@@ -95,10 +95,32 @@ type PostFilter struct {
 	Isovalues []float64
 }
 
-// contourScratch recycles the arrays Contour decodes payload values
-// into. One is NumPoints long but only written and read at the payload's
-// own points, so it is neither cleared nor NaN-filled between uses.
-var contourScratch sync.Pool
+// decodeScratch recycles the arrays payload values are decoded into. One
+// is NumPoints long but only written and read at the payload's own
+// points, so it is neither cleared nor NaN-filled between uses.
+var decodeScratch sync.Pool
+
+// decodeSparse decodes p, a payload over g, into the form the sparse
+// kernels read — values known only at the present points — and hands
+// both to use. The values are pooled and valid only during use.
+func decodeSparse(g *grid.Uniform, p *Payload, use func(values []float32, present *bitset.Bitset) error) error {
+	if g.NumPoints() != p.NumPoints {
+		return fmt.Errorf("core: payload has %d points, grid %q has %d",
+			p.NumPoints, g.Dims, g.NumPoints())
+	}
+	scratch, _ := decodeScratch.Get().(*[]float32)
+	if scratch == nil || cap(*scratch) < p.NumPoints {
+		s := make([]float32, p.NumPoints)
+		scratch = &s
+	}
+	defer decodeScratch.Put(scratch)
+	values := (*scratch)[:p.NumPoints]
+	present := bitset.New(p.NumPoints)
+	if err := p.decodeInto(values, present.Words()); err != nil {
+		return err
+	}
+	return use(values, present)
+}
 
 // Contour extracts the contour from the payload's own points, producing
 // exactly the mesh a full-array contour would: the payload holds every
@@ -106,23 +128,12 @@ var contourScratch sync.Pool
 // corners shipped can emit triangles, and the kernel reaches those cells
 // in the order a sweep of the full array would (see contour's kernel
 // comment). The NaN-padded array of Reconstruct is never built.
-func (f *PostFilter) Contour(g *grid.Uniform, name string, p *Payload) (*contour.Mesh, error) {
-	if g.NumPoints() != p.NumPoints {
-		return nil, fmt.Errorf("core: payload has %d points, grid %q has %d",
-			p.NumPoints, g.Dims, g.NumPoints())
-	}
-	scratch, _ := contourScratch.Get().(*[]float32)
-	if scratch == nil || cap(*scratch) < p.NumPoints {
-		s := make([]float32, p.NumPoints)
-		scratch = &s
-	}
-	defer contourScratch.Put(scratch)
-	values := (*scratch)[:p.NumPoints]
-	present := bitset.New(p.NumPoints)
-	if err := p.decodeInto(values, present.Words()); err != nil {
-		return nil, err
-	}
-	return contour.MarchingTetrahedraSparse(g, values, present, f.Isovalues)
+func (f *PostFilter) Contour(g *grid.Uniform, name string, p *Payload) (mesh *contour.Mesh, err error) {
+	err = decodeSparse(g, p, func(values []float32, present *bitset.Bitset) error {
+		mesh, err = contour.MarchingTetrahedraSparse(g, values, present, f.Isovalues)
+		return err
+	})
+	return mesh, err
 }
 
 // RangePreFilter is the storage-side half of a split threshold filter —
@@ -148,18 +159,17 @@ func (f *RangePreFilter) Run(g *grid.Uniform, field *grid.Field) (*Payload, *Pre
 	return payload, statsOf(field, payload, start), nil
 }
 
-// ThresholdFromPayload reconstructs a payload and evaluates the threshold
-// filter, producing exactly the cell set a full-array evaluation would.
-func ThresholdFromPayload(g *grid.Uniform, p *Payload, lo, hi float64) (*contour.CellSet, error) {
-	if g.NumPoints() != p.NumPoints {
-		return nil, fmt.Errorf("core: payload has %d points, grid has %d",
-			p.NumPoints, g.NumPoints())
-	}
-	vals, err := p.Reconstruct()
-	if err != nil {
-		return nil, err
-	}
-	return contour.ThresholdCells(g, vals, lo, hi)
+// ThresholdFromPayload evaluates the threshold filter over the payload's
+// own points, producing exactly the cell set a full-array evaluation
+// would: the payload holds every corner of every kept cell, and a
+// dropped cell has no in-range corner to ship. A shipped NaN decodes as
+// absent, and neither is ever in range.
+func ThresholdFromPayload(g *grid.Uniform, p *Payload, lo, hi float64) (cells *contour.CellSet, err error) {
+	err = decodeSparse(g, p, func(values []float32, present *bitset.Bitset) error {
+		cells, err = contour.ThresholdCellsSparse(g, values, present, lo, hi)
+		return err
+	})
+	return cells, err
 }
 
 // SplitContour is a convenience that runs the whole split filter locally

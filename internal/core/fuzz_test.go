@@ -141,12 +141,13 @@ func fuzzGrid(n int) *grid.Uniform {
 }
 
 // FuzzPostFilterContour drives hostile bytes through the sparse
-// post-filter: whatever DecodePayload accepts, PostFilter.Contour must
-// fail exactly when Reconstruct fails and otherwise build the very mesh
-// the dense kernel builds from the reconstruction — never panic, never
-// march a point the NaN-padded array holds as NaN, and never size
-// anything from a header the body cannot back (DecodePayload bounds
-// Count by the body; the grid the caller passes bounds the rest).
+// post-filters: whatever DecodePayload accepts, PostFilter.Contour and
+// ThresholdFromPayload must each fail exactly when Reconstruct fails and
+// otherwise build the very mesh and cell set the dense kernels build
+// from the reconstruction — never panic, never read a point the
+// NaN-padded array holds as NaN, and never size anything from a header
+// the body cannot back (DecodePayload bounds Count by the body; the grid
+// the caller passes bounds the rest).
 func FuzzPostFilterContour(f *testing.F) {
 	seeds := fuzzSeeds(f)
 	// Real contour payloads on the fuzz grid, clean and with a NaN planted
@@ -158,6 +159,17 @@ func FuzzPostFilterContour(f *testing.F) {
 	}
 	isos := []float64{3, 200.5}
 	mask, err := contour.SelectCellCorners(g, values, isos)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Range payloads of the field laced with NaNs: the range selection
+	// ships the NaN corners of kept cells.
+	const lo, hi = 20, 60
+	laced := append([]float32(nil), values...)
+	for i := 0; i < len(laced); i += 7 {
+		laced[i] = float32(math.NaN())
+	}
+	rmask, err := contour.SelectRangeCorners(g, laced, lo, hi)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -173,6 +185,11 @@ func FuzzPostFilterContour(f *testing.F) {
 			}
 			seeds = append(seeds, p.Data)
 		}
+		p, err := EncodeSelection(rmask, laced, enc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, p.Data)
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -187,19 +204,24 @@ func FuzzPostFilterContour(f *testing.F) {
 		if g == nil {
 			// No grid of that size: the point-count check must refuse
 			// it before anything is sized from the header.
-			if _, err := post.Contour(grid.NewUniform(2, 2, 2), "d", p); err == nil {
+			g8 := grid.NewUniform(2, 2, 2)
+			if _, err := post.Contour(g8, "d", p); err == nil {
 				t.Fatalf("payload of %d points contoured on an 8-point grid", p.NumPoints)
+			}
+			if _, err := ThresholdFromPayload(g8, p, lo, hi); err == nil {
+				t.Fatalf("payload of %d points thresholded on an 8-point grid", p.NumPoints)
 			}
 			return
 		}
 		sparse, serr := post.Contour(g, "d", p)
+		cells, terr := ThresholdFromPayload(g, p, lo, hi)
 		padded, rerr := p.Reconstruct()
-		if (serr == nil) != (rerr == nil) {
-			t.Fatalf("Contour error %v, Reconstruct error %v", serr, rerr)
+		if (serr == nil) != (rerr == nil) || (terr == nil) != (rerr == nil) {
+			t.Fatalf("Contour error %v, Threshold error %v, Reconstruct error %v", serr, terr, rerr)
 		}
 		if rerr != nil {
-			if !errors.Is(serr, ErrBadPayload) {
-				t.Fatalf("non-payload error: %v", serr)
+			if !errors.Is(serr, ErrBadPayload) || !errors.Is(terr, ErrBadPayload) {
+				t.Fatalf("non-payload error: %v, %v", serr, terr)
 			}
 			return
 		}
@@ -210,6 +232,13 @@ func FuzzPostFilterContour(f *testing.F) {
 		if !sparse.Equal(dense) {
 			t.Fatalf("sparse mesh has %d vertices, %d triangles; dense has %d, %d",
 				sparse.NumVertices(), sparse.NumTriangles(), dense.NumVertices(), dense.NumTriangles())
+		}
+		want, err := contour.ThresholdCells(g, padded, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cells.Equal(want) {
+			t.Fatalf("sparse threshold kept %d cells; dense kept %d", cells.Count(), want.Count())
 		}
 	})
 }

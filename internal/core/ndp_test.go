@@ -346,14 +346,6 @@ func TestNDPFetchSlice(t *testing.T) {
 	if stats.PayloadBytes*8 > stats.RawBytes {
 		t.Errorf("slice moved %d of %d bytes", stats.PayloadBytes, stats.RawBytes)
 	}
-	// A slice near the sphere centre contours to a circle.
-	ls, err := contour.MarchingSquares(g2, vals, []float64{7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ls.NumSegments() == 0 {
-		t.Error("no contour on fetched slice")
-	}
 }
 
 func TestNDPFetchSliceErrors(t *testing.T) {

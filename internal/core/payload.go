@@ -16,11 +16,11 @@
 // order, same triangles.
 //
 // Payload.Reconstruct, which expands a payload into a full-size array
-// with NaN at unselected points, is not on the contour path. It
-// serves the consumers that want an array: the range/threshold
-// post-filter, raw and slice reads, and the sharded client's merge of
-// brick payloads. The same kernel contours such an array too, taking
-// "not NaN" as presence.
+// with NaN at unselected points, is on no client path: the threshold
+// post-filter reads the decoded points the same way, and the sharded
+// client gathers brick payloads into the unsharded payload. It is the
+// tests' reference, and the same kernel contours such an array too,
+// taking "not NaN" as presence.
 //
 // Two payload encodings are provided (an ablation in DESIGN.md):
 //
@@ -341,7 +341,7 @@ func DecodePayload(data []byte) (*Payload, error) {
 	// Every selected point carries four packed value bytes (plus at least
 	// one delta byte under index/value), so a header whose count cannot
 	// fit in the remaining body is corrupt. Rejecting it here keeps a
-	// hostile count from driving large allocations in ReconstructInto.
+	// hostile count from driving large allocations in Reconstruct.
 	body := rest[k:]
 	minPer := uint64(4)
 	if enc == EncIndexValue {
@@ -361,19 +361,18 @@ func DecodePayload(data []byte) (*Payload, error) {
 
 // Reconstruct expands the payload into a full-length array with NaN at
 // every unselected point. Contouring that array gives the mesh
-// PostFilter.Contour builds from the payload directly.
+// PostFilter.Contour builds from the payload directly. It is the
+// reference the sparse paths are tested against; no client path builds
+// it.
 //
-// NaN is safe as the "withheld" sentinel because no selection path ever
-// selects a NaN-valued point: a NaN corner disqualifies its cells from
-// straddling, never satisfies a threshold range, and the contour kernel
-// skips NaN-laced cells. So a NaN in the reconstruction always means
-// "not shipped", never "shipped a NaN" — the invariant contour's NaN
-// table tests pin (see contour/nan_test.go), and what lets the sharded
-// merge treat NaN as absence when gathering brick payloads.
+// Contour selections never ship a NaN: a NaN corner disqualifies its
+// cells. Range selections can, since they ship the NaN corners of kept
+// cells; a NaN never satisfies a range, so a shipped NaN and an absent
+// point evaluate alike, and decodeInto counts a shipped NaN as absent.
 func (p *Payload) Reconstruct() ([]float32, error) {
 	out := make([]float32, p.NumPoints)
 	fillNaN(out)
-	if err := p.ReconstructInto(out); err != nil {
+	if err := p.decodeInto(out, nil); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -392,18 +391,13 @@ func fillNaN(out []float32) {
 	}
 }
 
-// ReconstructInto writes selected values into dst, which must already be
-// NaN-filled (or otherwise pre-initialized) and of length NumPoints.
-func (p *Payload) ReconstructInto(dst []float32) error {
-	return p.decodeInto(dst, nil)
-}
-
 // decodeInto writes selected values into dst and, when present is not
 // nil, sets the bit of every selected point whose value is not NaN.
-// That is the sparse form the post-filter contours: dst is read only
-// where present is set, so it needs no NaN fill. No selection ever ships
-// a NaN (see Reconstruct), but a corrupt or hostile payload can, and its
-// points must stay as absent as they are in the NaN-padded array.
+// That is the sparse form the post-filters read: dst is read only where
+// present is set, so it needs no NaN fill. A shipped NaN — a range
+// selection ships the NaN corners of kept cells, and a corrupt payload
+// can ship one anywhere — leaves its bit clear, so it is as absent as it
+// is in the NaN-padded array.
 func (p *Payload) decodeInto(dst []float32, present []uint64) error {
 	if len(dst) != p.NumPoints {
 		return fmt.Errorf("core: dst of %d values, payload has %d points",

@@ -16,7 +16,7 @@ import (
 // Scatter-gather sharding metrics (default registry):
 //
 //	core.shard.fetches    counter — per-brick pre-filtered fetches scattered
-//	core.shard.merges     counter — gathered arrays assembled client-side
+//	core.shard.merges     counter — gathered payloads assembled client-side
 //	core.shard.ghost.dups counter — ghost-region points dropped by the merge dedup
 //	core.shard.degraded   counter — brick fetches served by a shard's degraded fallback
 var (
@@ -61,9 +61,9 @@ type ShardStats struct {
 }
 
 // ShardedClient scatters per-brick pre-filtered fetches across shard
-// clients and gathers the sparse payloads into one seamless NaN-padded
-// field, bit-identical to what a single unsharded scan of the parent
-// grid would reconstruct. Build one with DialSharded (per-shard
+// clients and gathers the sparse brick payloads into one payload over
+// the parent grid, byte-identical to what a single unsharded fetch of
+// the parent grid returns. Build one with DialSharded (per-shard
 // fault-tolerant clients with sibling failover) or NewShardedClient
 // (caller-supplied clients, e.g. for tests that want one shard degraded).
 type ShardedClient struct {
@@ -140,22 +140,22 @@ func (sc *ShardedClient) Close() error {
 }
 
 // FetchArray scatters one array's per-brick pre-filtered fetches and
-// gathers the merged NaN-padded field.
-func (sc *ShardedClient) FetchArray(prefix, array string, isovalues []float64, enc Encoding) ([]float32, *ShardStats, error) {
+// gathers them into the unsharded payload.
+func (sc *ShardedClient) FetchArray(prefix, array string, isovalues []float64, enc Encoding) (*Payload, *ShardStats, error) {
 	return sc.FetchArrayContext(context.Background(), prefix, array, isovalues, enc)
 }
 
 // FetchArrayContext is FetchArray under a caller context. prefix is the
 // per-timestep brick directory (ending in "/"); each brick's object
-// path is prefix + its manifest key. The returned field has the parent
-// grid's point count, NaN everywhere the pre-filter withheld data, and
-// is bit-identical to reconstructing a single unsharded fetch of the
-// same array: every cell is scanned by its owning brick with its own
-// corner values, selections in ghost overlap are deduplicated by global
-// point index, and a value disagreement between overlapping bricks —
-// which would mean the brick objects desynchronized — fails the merge
-// rather than silently stitching mixed versions.
-func (sc *ShardedClient) FetchArrayContext(ctx context.Context, prefix, array string, isovalues []float64, enc Encoding) ([]float32, *ShardStats, error) {
+// path is prefix + its manifest key. The returned payload covers the
+// parent grid and is byte-identical to a single unsharded fetch of the
+// same array in encoding enc: every cell is scanned by its owning brick
+// with its own corner values, so the union of the bricks' selections is
+// the parent's selection. Selections in ghost overlap are deduplicated
+// by global point index, and a value disagreement between overlapping
+// bricks — which would mean the brick objects desynchronized — fails the
+// merge rather than silently stitching mixed versions.
+func (sc *ShardedClient) FetchArrayContext(ctx context.Context, prefix, array string, isovalues []float64, enc Encoding) (*Payload, *ShardStats, error) {
 	results := make([]MultiResult, len(sc.man.Entries))
 	fanOut(ctx, len(results), func(i int, skipped error) {
 		if skipped != nil {
@@ -189,12 +189,14 @@ func (sc *ShardedClient) FetchArrayContext(ctx context.Context, prefix, array st
 		results[i] = MultiResult{Payload: p, Stats: st, Err: err}
 	})
 
-	// Gather: merge the sparse brick payloads into one parent-grid field.
-	// Sequential and in brick order, so dedup accounting and any
-	// disagreement error are deterministic.
-	out := make([]float32, sc.g.NumPoints())
-	fillNaN(out)
-	seen := bitset.New(len(out))
+	// Gather: decode each brick payload to its present points and scatter
+	// them into the parent's values and presence. Sequential and in brick
+	// order, so dedup accounting and any disagreement error are
+	// deterministic.
+	n := sc.g.NumPoints()
+	values := make([]float32, n)
+	seen := bitset.New(n)
+	var local []float32 // a brick's decoded values, read only where present
 	agg := &ShardStats{Bricks: len(sc.man.Entries)}
 	for i := range sc.man.Entries {
 		e := &sc.man.Entries[i]
@@ -207,11 +209,15 @@ func (sc *ShardedClient) FetchArrayContext(ctx context.Context, prefix, array st
 			return nil, nil, fmt.Errorf("core: brick %d payload has %d points, extent has %d",
 				e.ID, r.Payload.NumPoints, b.NumPoints())
 		}
-		local, err := r.Payload.Reconstruct()
-		if err != nil {
+		if cap(local) < b.NumPoints() {
+			local = make([]float32, b.NumPoints())
+		}
+		local = local[:b.NumPoints()]
+		present := bitset.New(len(local))
+		if err := r.Payload.decodeInto(local, present.Words()); err != nil {
 			return nil, nil, fmt.Errorf("core: brick %d: %w", e.ID, err)
 		}
-		dups, err := scatterBrick(out, seen, sc.g.Dims, b, local)
+		dups, err := scatterBrick(values, seen, sc.g.Dims, b, local, present)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -224,20 +230,21 @@ func (sc *ShardedClient) FetchArrayContext(ctx context.Context, prefix, array st
 			agg.PayloadBytes += st.PayloadBytes
 		}
 	}
+	p, err := EncodeSelection(seen, values, enc)
+	if err != nil {
+		return nil, nil, err
+	}
 	mShardMerges.Inc()
 	mShardGhostDup.Add(int64(agg.DupPoints))
-	agg.SelectedPoints = seen.Count()
-	return out, agg, nil
+	agg.SelectedPoints = p.Count
+	return p, agg, nil
 }
 
-// scatterBrick writes one brick's reconstructed extent into the parent
-// field. A NaN local value means the pre-filter withheld that point
-// (genuinely-NaN data is never selected — a NaN corner disqualifies its
-// cells — so NaN reliably encodes absence; see contour's selection
-// invariant). Points already placed by an earlier brick are ghost
-// overlap: they are counted, and their value must agree bit-for-bit
-// with what is already there.
-func scatterBrick(dst []float32, seen *bitset.Bitset, d grid.Dims, b grid.Brick, local []float32) (int, error) {
+// scatterBrick writes one brick's present points into the parent's
+// values and presence. Points already placed by an earlier brick are
+// ghost overlap: they are counted, and their value must agree bit for
+// bit with what is already there.
+func scatterBrick(dst []float32, seen *bitset.Bitset, d grid.Dims, b grid.Brick, local []float32, present *bitset.Bitset) (int, error) {
 	ed := b.ExtentDims()
 	dups := 0
 	li := 0
@@ -246,13 +253,11 @@ func scatterBrick(dst []float32, seen *bitset.Bitset, d grid.Dims, b grid.Brick,
 		for lj := 0; lj < ed.Y; lj++ {
 			gj := lj + b.PointLo[1]
 			gbase := (gk*d.Y+gj)*d.X + b.PointLo[0]
-			for lx := 0; lx < ed.X; lx++ {
-				v := local[li]
-				li++
-				if math.IsNaN(float64(v)) {
+			for lx := 0; lx < ed.X; lx, li = lx+1, li+1 {
+				if !present.Get(li) {
 					continue
 				}
-				gi := gbase + lx
+				gi, v := gbase+lx, local[li]
 				if seen.Get(gi) {
 					if math.Float32bits(dst[gi]) != math.Float32bits(v) {
 						return dups, fmt.Errorf("core: ghost disagreement at point %d between bricks: %08x vs %08x",

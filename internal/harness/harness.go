@@ -326,8 +326,9 @@ func (e *Env) baselineLoadKey(key, array string) (Measurement, error) {
 }
 
 // NDPLoad measures the NDP pipeline's data load: the remote pre-filter
-// reads, decompresses, and filters the array, then ships the payload;
-// the client reconstructs the NaN-padded field. Averaged over repeats.
+// reads, decompresses, and filters the array, then ships the payload.
+// The load ends with the payload in client memory; an untimed decode
+// checks it. Averaged over repeats.
 func (e *Env) NDPLoad(dataset string, codec compress.Kind, step int, array string, isovalues []float64) (Measurement, error) {
 	return e.ndpLoadKey(ObjectKey(dataset, codec, step), array, isovalues)
 }

@@ -203,12 +203,10 @@ type oracle struct {
 	// isos, when set, is the isovalue set of every fetch (the slo
 	// experiment's wide sweep); otherwise a fetch contours at its id's iso.
 	isos []float64
-	// Set by learn: the clean client, its sweep's tally and payloads;
-	// dense is want reconstructed, once densify has run.
+	// Set by learn: the clean client, its sweep's tally and payloads.
 	clean    *core.Client
 	cleanRun *tally
 	want     map[fetchID]*core.Payload
-	dense    map[fetchID][]float32
 }
 
 // newOracle returns an oracle over the raw asteroid objects, the stock
@@ -271,31 +269,6 @@ func (o *oracle) fetch(c *core.Client, id fetchID, span string) (*core.Payload, 
 func (o *oracle) same(phase string, id fetchID, p *core.Payload) error {
 	if want := o.want[id]; want == nil || !bytes.Equal(p.Data, want.Data) {
 		return fmt.Errorf("harness: %s payload differs from ground truth at step %d iso %g", phase, id.step, id.iso)
-	}
-	return nil
-}
-
-// densify reconstructs every ground-truth payload into the NaN-padded
-// field a sharded merge hands back, and reports how long that took: the
-// share of a sharded fetch's work the 1-node sweep has not yet done.
-func (o *oracle) densify() (time.Duration, error) {
-	start := time.Now()
-	o.dense = make(map[fetchID][]float32, len(o.want))
-	for id, p := range o.want {
-		arr, err := p.Reconstruct()
-		if err != nil {
-			return 0, err
-		}
-		o.dense[id] = arr
-	}
-	return time.Since(start), nil
-}
-
-// sameArray holds a dense array (a sharded merge) to the reconstruction
-// of id's ground-truth payload.
-func (o *oracle) sameArray(phase string, id fetchID, arr []float32) error {
-	if !bitsEqual(arr, o.dense[id]) {
-		return fmt.Errorf("harness: %s array differs from ground truth at step %d iso %g", phase, id.step, id.iso)
 	}
 	return nil
 }

@@ -80,16 +80,16 @@ func (e *Env) putBricks(prefix string, ds *grid.Dataset, man *vtkio.Manifest, co
 // against the single-node NDP path:
 //
 //  1. baseline — the stock per-isovalue contour sweep against ONE NDP
-//     server over one shaped link; its reconstructed arrays are the
-//     ground truth and its time the 1-node reference;
+//     server over one shaped link; its payloads are the ground truth and
+//     its time the 1-node reference;
 //  2. sharded — the same sweep scatter-gathered across three shard
 //     servers, each behind its own shaped link (3x aggregate bandwidth,
-//     as a real multi-node deployment would have); every merged array
-//     must be bit-identical to the baseline reconstruction;
+//     as a real multi-node deployment would have); every gathered
+//     payload must be byte-identical to the baseline's;
 //  3. degraded — one shard's fetches are forced onto the raw-fetch
 //     fallback (its link kills the first connection and the client may
-//     not retry Fetch); the merge must still be bit-identical while the
-//     degraded counters fire;
+//     not retry Fetch); the gather must still be byte-identical while
+//     the degraded counters fire;
 //  4. shard killed — a fresh sharded client repeats the sweep and one
 //     shard dies after the first fetch; every remaining fetch must fail
 //     over to the sibling shards (same store) with zero errors and
@@ -119,11 +119,7 @@ func (e *Env) ShardExperiment(array string) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	denseTime, err := truth.densify()
-	if err != nil {
-		return nil, err
-	}
-	baseTime := truth.cleanRun.elapsed + denseTime
+	baseTime := truth.cleanRun.elapsed
 
 	// Three shard nodes over the shared store, each behind its own link.
 	nodes := make([]*node, shardCount)
@@ -136,18 +132,18 @@ func (e *Env) ShardExperiment(array string) (*stats.Table, error) {
 		nodes[i], addrs[i] = n, n.addr
 	}
 
-	// gather scatter-gathers ids through sc, holding every merged array
-	// to the baseline's reconstruction; afterFirst (if set) runs once the
-	// first fetch has completed.
+	// gather scatter-gathers ids through sc, holding every gathered
+	// payload to the baseline's; afterFirst (if set) runs once the first
+	// fetch has completed.
 	gather := func(sc *core.ShardedClient, phase string, ids []fetchID, afterFirst func()) (time.Duration, core.ShardStats, error) {
 		var sum core.ShardStats
 		start := time.Now()
 		for i, id := range ids {
-			arr, st, err := sc.FetchArray(shardPrefix(dataset, codec, id.step), array, []float64{id.iso}, core.EncAuto)
+			p, st, err := sc.FetchArray(shardPrefix(dataset, codec, id.step), array, []float64{id.iso}, core.EncAuto)
 			if err != nil {
 				return 0, sum, fmt.Errorf("harness: %s step %d iso %g: %w", phase, id.step, id.iso, err)
 			}
-			if err := truth.sameArray(phase, id, arr); err != nil {
+			if err := truth.same(phase, id, p); err != nil {
 				return 0, sum, err
 			}
 			sum.DupPoints += st.DupPoints

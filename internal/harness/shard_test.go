@@ -6,9 +6,9 @@ import (
 )
 
 // TestShardExperimentBitIdentical drives the full four-phase sharded
-// campaign: the experiment itself errors unless every merged array —
+// campaign: the experiment itself errors unless every gathered payload —
 // clean, degraded, and after a shard died mid-sweep — matched the
-// single-node baseline bit for bit and the failover/degraded counters
+// single-node baseline byte for byte and the failover/degraded counters
 // fired, so a nil error here is most of the assertion.
 func TestShardExperimentBitIdentical(t *testing.T) {
 	tbl, err := env.ShardExperiment("v03")
