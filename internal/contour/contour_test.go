@@ -174,8 +174,8 @@ func TestDeterminism(t *testing.T) {
 
 func TestSparseReconstructionInvariant(t *testing.T) {
 	// THE core invariant of the paper's split filter: contouring the
-	// pre-filtered (NaN-masked) array must reproduce the full contour
-	// exactly.
+	// pre-filtered points — whatever the unselected slots hold — must
+	// reproduce the full contour exactly, under either selection rule.
 	for _, seed := range []int64{1, 2, 3, 4} {
 		g := grid.NewUniform(24, 24, 24)
 		rng := rand.New(rand.NewSource(seed))
@@ -191,27 +191,29 @@ func TestSparseReconstructionInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		mask, err := SelectCellCorners(g, vals, isos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sparse := make([]float32, len(vals))
-		nan := float32(math.NaN())
-		for i := range sparse {
-			if mask.Get(i) {
-				sparse[i] = vals[i]
-			} else {
-				sparse[i] = nan
+		for _, rule := range []Rule{RuleEdges, RuleCells} {
+			mask, err := (*RowRanges)(nil).SelectContour(g, vals, isos, rule)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		got, err := MarchingTetrahedra(g, sparse, isos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(full) {
-			t.Fatalf("seed %d: sparse contour differs from full (%d vs %d tris)",
-				seed, got.NumTriangles(), full.NumTriangles())
+			for _, fill := range []float32{float32(math.NaN()), 0.5, -1} {
+				sparse := make([]float32, len(vals))
+				for i := range sparse {
+					if mask.Get(i) {
+						sparse[i] = vals[i]
+					} else {
+						sparse[i] = fill
+					}
+				}
+				got, err := MarchingCubesSparse(g, sparse, mask, isos)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(full) {
+					t.Fatalf("seed %d rule %d fill %v: sparse contour differs from full (%d vs %d tris)",
+						seed, rule, fill, got.NumTriangles(), full.NumTriangles())
+				}
+			}
 		}
 	}
 }
@@ -393,10 +395,31 @@ func TestSelectSplitUnion(t *testing.T) {
 	}
 }
 
+// selectMatchesGeneric reports whether both rules' sweeps select, bit
+// for bit, what their scalar references select.
+func selectMatchesGeneric(t *testing.T, g *grid.Uniform, vals []float32, isos []float64) bool {
+	t.Helper()
+	for _, rc := range []struct {
+		rule Rule
+		ref  func(*grid.Uniform, []float32, []float64) *bitset.Bitset
+	}{{RuleEdges, selectEdgesGeneric}, {RuleCells, selectCellCornersGeneric}} {
+		fast, err := (*RowRanges)(nil).SelectContour(g, vals, isos, rc.rule)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		if generic := rc.ref(g, vals, isos); !slices.Equal(fast.Words(), generic.Words()) {
+			t.Logf("%v rule %d: sweep selected %d points, reference %d", g.Dims, rc.rule, fast.Count(), generic.Count())
+			return false
+		}
+	}
+	return true
+}
+
 func TestSelectBitsMatchesGeneric(t *testing.T) {
 	// The bit-parallel production path must agree bit for bit with the
-	// straightforward per-cell reference scan, including NaN poisoning
-	// and word-boundary cells.
+	// straightforward scalar reference scans, under both rules, including
+	// NaN handling and word-boundary cells.
 	for _, dims := range [][3]int{{24, 24, 24}, {64, 5, 4}, {65, 3, 3}, {127, 2, 2}, {9, 65, 2}} {
 		g := grid.NewUniform(dims[0], dims[1], dims[2])
 		rng := rand.New(rand.NewSource(int64(dims[0])))
@@ -407,20 +430,9 @@ func TestSelectBitsMatchesGeneric(t *testing.T) {
 				vals[i] = float32(math.NaN())
 			}
 		}
-		isos := []float64{0.2, 0.5, 0.9}
-		fast, err := SelectCellCorners(g, vals, isos)
-		if err != nil {
-			t.Fatal(err)
+		if !selectMatchesGeneric(t, g, vals, []float64{0.2, 0.5, 0.9}) {
+			t.Fatalf("%v: bit and generic paths differ", dims)
 		}
-		generic := selectCellCornersGeneric(g, vals, isos)
-		if fast.Count() != generic.Count() {
-			t.Fatalf("%v: bits selected %d, generic %d", dims, fast.Count(), generic.Count())
-		}
-		fast.ForEach(func(i int) {
-			if !generic.Get(i) {
-				t.Fatalf("%v: bit %d differs between bit and generic paths", dims, i)
-			}
-		})
 	}
 }
 
@@ -441,22 +453,7 @@ func TestQuickSelectBitsMatchesGeneric(t *testing.T) {
 				vals[i] = float32(math.NaN())
 			}
 		}
-		isos := []float64{0.3, 0.7}
-		fast, err := SelectCellCorners(g, vals, isos)
-		if err != nil {
-			return false
-		}
-		generic := selectCellCornersGeneric(g, vals, isos)
-		if fast.Count() != generic.Count() {
-			return false
-		}
-		ok := true
-		fast.ForEach(func(i int) {
-			if !generic.Get(i) {
-				ok = false
-			}
-		})
-		return ok
+		return selectMatchesGeneric(t, g, vals, []float64{0.3, 0.7})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -545,17 +542,5 @@ func TestMeshEqual(t *testing.T) {
 	}
 	if a.Equal(&Mesh{}) {
 		t.Error("different sizes equal")
-	}
-}
-
-// Kept: the edge-point metric is the paper's Fig. 6 selectivity measure, off every fetch path, so no benchmark workload or traced layer runs it.
-func BenchmarkInterestingEdgePoints64(b *testing.B) {
-	g, vals := sphereField(64)
-	b.SetBytes(int64(4 * len(vals)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := InterestingEdgePoints(g, vals, []float64{20}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

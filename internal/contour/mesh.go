@@ -1,23 +1,17 @@
 // Package contour implements the contour filters at the heart of the
 // paper's pipeline: isosurface extraction over 3-D uniform grids, plus
-// the "interesting edge" analysis that the NDP pre-filter uses to decide
+// the "interesting edge" selection that the NDP pre-filter uses to decide
 // which mesh points must be transferred. Every filter and selection here
 // needs two point layers; a 2-D grid (a slice plane) is refused.
 //
-// VTK's contour filter uses marching cubes / flying edges; this
-// reproduction uses marching tetrahedra over the Kuhn 6-tetrahedron cube
-// decomposition, which produces the same class of output (a triangle
-// mesh whose vertices are linear interpolations along cell edges) from a
-// case table that is correct by construction. The Kuhn decomposition is
-// translation-consistent, so faces shared by neighbouring cells carry the
-// same diagonal and the resulting surface is watertight.
-//
-// Fields may be partial: the NDP pre-filter withholds the points no
-// contour cell needs. A partial field arrives either as values plus one
-// presence bit per point (MarchingTetrahedraSparse, the post-filter's
-// path) or as a dense array with NaN at withheld points; any cell with a
-// corner absent or NaN is skipped, which — by the selection guarantee in
-// internal/core — never removes geometry.
+// As VTK's contour filter does, the kernel marches cubes, over a 256-case
+// table generated from one face rule (cubes.go). Fields may be partial:
+// the NDP pre-filter ships only the ends of the edges an isovalue
+// crosses, plus the NaN corners of the cells the contour must skip, as
+// values plus one presence bit per point (MarchingCubesSparse). An absent
+// corner is on the same side of every isovalue as its neighbours, so the
+// kernel infers its side and never needs its value; a NaN corner skips
+// its cell.
 package contour
 
 import (

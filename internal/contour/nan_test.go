@@ -8,13 +8,16 @@ import (
 	"vizndp/internal/grid"
 )
 
-// NaN is load-bearing in this package. The contour selection never
-// selects a NaN point — a NaN corner disqualifies its cells — so a
-// contour payload never ships one, and the kernel skips NaN-laced cells
-// whether a point is NaN or absent. The range selection does ship the
-// NaN corners of kept cells, but a NaN never satisfies a range, so a
-// shipped NaN and an absent point evaluate alike. Either way the sparse
-// result equals the full-array one. These tests pin those rules.
+// NaN is load-bearing in this package. NaN is a value; absence is a
+// bit. The contour kernel skips a cell with a NaN corner, and reads an
+// absent corner's side from its neighbours. So the edge selection ships
+// the NaN corners of every cell whose non-NaN corners straddle an
+// isovalue: those are the cells the sparse march could otherwise mark
+// and the full-array march skips. The cell-corner selection never ships
+// a NaN. The range selection ships the NaN corners of kept cells, and a
+// NaN never satisfies a range, so a shipped NaN and an absent point
+// evaluate alike. Either way the sparse result equals the full-array
+// one. These tests pin those rules.
 
 func nan32() float32 { return float32(math.NaN()) }
 
@@ -82,8 +85,9 @@ func nanLaced(g *grid.Uniform, seed int64) []float32 {
 }
 
 // TestSelectNaNConsistency checks that on NaN-laced fields the bit-row
-// sweep agrees with the generic reference and no NaN-valued point is
-// ever selected.
+// sweep agrees with the scalar references under both rules, that the
+// cell-corner rule never selects a NaN, and that every NaN the edge rule
+// selects is a corner of a cell whose non-NaN corners straddle.
 func TestSelectNaNConsistency(t *testing.T) {
 	grids := []*grid.Uniform{
 		grid.NewUniform(19, 13, 7),
@@ -92,32 +96,70 @@ func TestSelectNaNConsistency(t *testing.T) {
 	isos := []float64{2.5, 7}
 	for gi, g := range grids {
 		vals := nanLaced(g, int64(gi+1))
-		mask, err := SelectCellCorners(g, vals, isos)
+		if !selectMatchesGeneric(t, g, vals, isos) {
+			t.Fatalf("grid %d: fast path and generic disagree", gi)
+		}
+		cells, err := (*RowRanges)(nil).SelectContour(g, vals, isos, RuleCells)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mask.Count() == 0 {
+		edges, err := SelectCellCorners(g, vals, isos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cells.Count() == 0 || edges.Count() == 0 {
 			t.Fatalf("grid %d: empty selection, test is vacuous", gi)
 		}
-		ref := selectCellCornersGeneric(g, vals, isos)
+		nans := 0
 		for i := 0; i < g.NumPoints(); i++ {
-			if mask.Get(i) != ref.Get(i) {
-				t.Fatalf("grid %d: fast path and generic disagree at point %d", gi, i)
+			if !isNaN32(vals[i]) {
+				continue
+			}
+			if cells.Get(i) {
+				t.Fatalf("grid %d: NaN point %d selected by the cell rule", gi, i)
+			}
+			if edges.Get(i) {
+				nans++
+				if !nanCornerOfLiveCell(g, vals, isos, i) {
+					t.Fatalf("grid %d: NaN point %d selected, but no cell of it straddles", gi, i)
+				}
 			}
 		}
-		for i := 0; i < g.NumPoints(); i++ {
-			if mask.Get(i) && isNaN32(vals[i]) {
-				t.Fatalf("grid %d: NaN point %d selected", gi, i)
-			}
+		if nans == 0 {
+			t.Fatalf("grid %d: the edge rule shipped no NaN, test is vacuous", gi)
 		}
 	}
 }
 
+// nanCornerOfLiveCell reports whether point p is a corner of a cell whose
+// non-NaN corners straddle one of isos.
+func nanCornerOfLiveCell(g *grid.Uniform, vals []float32, isos []float64, p int) bool {
+	nx, ny := g.Dims.X, g.Dims.Y
+	pi, pj, pk := p%nx, p/nx%ny, p/(nx*ny)
+	for c := 0; c < 8; c++ {
+		i, j, k := pi-c&1, pj-c>>1&1, pk-c>>2&1
+		if i < 0 || j < 0 || k < 0 || i >= nx-1 || j >= ny-1 || k >= g.Dims.Z-1 {
+			continue
+		}
+		for _, iso := range isos {
+			below, above := false, false
+			for d := 0; d < 8; d++ {
+				v := vals[g.PointIndex(i+d&1, j+d>>1&1, k+d>>2&1)]
+				below = below || float64(v) < iso
+				above = above || float64(v) >= iso
+			}
+			if below && above {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestNaNMaskedContourEquivalence is the decode-boundary invariant the
-// NDP reconstruction relies on: replacing every UNSELECTED point with
-// NaN changes nothing about the contour, because the selection already
-// carries every cell able to emit geometry and NaN-laced cells emit
-// nothing either way.
+// post-filter relies on: on a NaN-laced field, the sparse march over the
+// edge selection — with every unselected slot holding NaN, or anything
+// else — builds the mesh the dense march builds from the whole field.
 func TestNaNMaskedContourEquivalence(t *testing.T) {
 	isos := []float64{3, 6.5}
 
@@ -127,27 +169,29 @@ func TestNaNMaskedContourEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	masked := make([]float32, len(vals))
-	for i := range masked {
-		if mask.Get(i) {
-			masked[i] = vals[i]
-		} else {
-			masked[i] = nan32()
-		}
-	}
 	full, err := MarchingTetrahedra(g3, vals, isos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparse, err := MarchingTetrahedra(g3, masked, isos)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.NumTriangles() == 0 {
 		t.Fatal("empty full contour, test is vacuous")
 	}
-	if !full.Equal(sparse) {
-		t.Error("masked reconstruction contours differently than full array")
+	for _, fill := range []float32{nan32(), 0, 5} {
+		masked := make([]float32, len(vals))
+		for i := range masked {
+			if mask.Get(i) {
+				masked[i] = vals[i]
+			} else {
+				masked[i] = fill
+			}
+		}
+		sparse, err := MarchingCubesSparse(g3, masked, mask, isos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !full.Equal(sparse) {
+			t.Errorf("fill %v: masked selection contours differently than the full array", fill)
+		}
 	}
 }
 

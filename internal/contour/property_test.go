@@ -89,11 +89,11 @@ func shardedMerge(t *testing.T, g *grid.Uniform, vals []float32, spec grid.Brick
 // two-point-layer minimum, uneven spacings — with smooth and NaN-laced
 // data, one to five isovalues of which some cut nothing, and every
 // payload encoding, every way of contouring the field must give the mesh
-// the reference walk gives, vertex for vertex: the dense entry point on
-// the full array, the post-filter straight from the payload and from a
-// ShardedClient's gathered payload (which must be the unsharded payload,
-// byte for byte), and the dense entry point on the payload's NaN-padded
-// reconstruction.
+// the reference walk gives over the full array, vertex for vertex: the
+// dense entry point on the full array, and the post-filter straight from
+// the edge payload, from a ShardedClient's gathered payload (which must
+// be the unsharded payload, byte for byte), and — on fields without NaN,
+// the payload an older server sends — from the cell-corner payload.
 func TestContourPathsAgree(t *testing.T) {
 	shapes := [][3]int{
 		{2, 2, 2}, {2, 9, 5}, {63, 4, 3}, {64, 5, 2}, {65, 3, 4},
@@ -146,16 +146,21 @@ func TestContourPathsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			padded, err := payload.Reconstruct()
-			if err != nil {
-				t.Fatal(err)
-			}
-			check("reference on the reconstruction", contour.MarchReference(g, padded, isos), nil)
-			got, err = contour.MarchingTetrahedra(g, padded, isos)
-			check("dense kernel on the reconstruction", got, err)
 			got, err = (&core.PostFilter{Isovalues: isos}).Contour(g, "d", payload)
 			check("post-filter from the payload", got, err)
 			postFiltered++
+			if (round+si)%2 == 0 {
+				mask, err := (*contour.RowRanges)(nil).SelectContour(g, vals, isos, contour.RuleCells)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cells, err := core.EncodeSelection(mask, vals, enc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err = (&core.PostFilter{Isovalues: isos}).Contour(g, "d", cells)
+				check("post-filter from the cell-corner payload", got, err)
+			}
 
 			// One sharded merge per shape, on the axes that can be split.
 			if round == 0 && g.Dims.NumCells() > 1 {
@@ -178,10 +183,11 @@ func TestContourPathsAgree(t *testing.T) {
 }
 
 // TestContourPlantedNaNStaysAbsent pins the decode rule the sparse walk
-// depends on. Contour selections never ship a NaN; range selections can,
-// and so can a corrupt payload. A shipped NaN is absent on decode: the
-// dense kernel skipped such a point's cells because the reconstruction
-// held a NaN there, and the presence-bit walk must skip them too.
+// depends on: NaN is a value, absence a bit. A NaN shipped where the
+// selection had a number — as a corrupt payload or a changed array
+// could — decodes as present, and the post-filter skips every cell it is
+// a corner of, as the dense kernel does over the field holding it: no
+// geometry passes through it.
 func TestContourPlantedNaNStaysAbsent(t *testing.T) {
 	g := grid.NewUniform(21, 14, 9)
 	rng := rand.New(rand.NewSource(7))
@@ -202,6 +208,18 @@ func TestContourPlantedNaNStaysAbsent(t *testing.T) {
 			planted++
 		}
 	})
+	want := contour.MarchReference(g, vals, isos)
+	if planted == 0 || want.NumTriangles() == 0 || want.NumTriangles() >= clean.NumTriangles() {
+		t.Fatalf("vacuous: %d NaNs planted, %d of %d triangles left", planted,
+			want.NumTriangles(), clean.NumTriangles())
+	}
+	dense, err := contour.MarchingTetrahedra(g, vals, isos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dense.Equal(want) {
+		t.Errorf("dense kernel over the planted field differs from the reference")
+	}
 	for _, enc := range []core.Encoding{core.EncIndexValue, core.EncBlockBitmap} {
 		sent, err := core.EncodeSelection(mask, vals, enc)
 		if err != nil {
@@ -210,22 +228,6 @@ func TestContourPlantedNaNStaysAbsent(t *testing.T) {
 		payload, err := core.DecodePayload(sent.Data)
 		if err != nil {
 			t.Fatal(err)
-		}
-		padded, err := payload.Reconstruct()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := contour.MarchReference(g, padded, isos)
-		if planted == 0 || want.NumTriangles() == 0 || want.NumTriangles() >= clean.NumTriangles() {
-			t.Fatalf("%v: vacuous: %d NaNs planted, %d of %d triangles left", enc, planted,
-				want.NumTriangles(), clean.NumTriangles())
-		}
-		dense, err := contour.MarchingTetrahedra(g, padded, isos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !dense.Equal(want) {
-			t.Errorf("%v: dense kernel on the reconstruction differs from the reference", enc)
 		}
 		sparse, err := (&core.PostFilter{Isovalues: isos}).Contour(g, "d", payload)
 		if err != nil {

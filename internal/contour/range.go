@@ -66,7 +66,7 @@ func ThresholdCells(g *grid.Uniform, values []float32, lo, hi float64) (*CellSet
 	if err := validateRange(lo, hi); err != nil {
 		return nil, err
 	}
-	return threshold(g.Dims, values, nonNaNBits(values), lo, hi), nil
+	return threshold(g.Dims, values, nil, lo, hi), nil
 }
 
 // ThresholdCellsSparse is ThresholdCells for a field that is known only
@@ -88,13 +88,17 @@ func ThresholdCellsSparse(g *grid.Uniform, values []float32, present *bitset.Bit
 	return threshold(g.Dims, values, present.Words(), lo, hi), nil
 }
 
-// threshold keeps the cells with a present corner in [lo, hi]. It marks
-// those corners first, reading values only where present is set, then
-// ORs the marks of each cell's eight corners 64 cells to a word, in the
-// k/j/i order of the cell index.
+// threshold keeps the cells with a present corner in [lo, hi]; a nil
+// present means every point is. It marks those corners first, reading
+// values only where present is set, then ORs the marks of each cell's
+// eight corners 64 cells to a word, in the k/j/i order of the cell index.
 func threshold(d grid.Dims, values []float32, present []uint64, lo, hi float64) *CellSet {
-	in := make([]uint64, len(present))
-	for w, word := range present {
+	in := make([]uint64, (len(values)+63)/64)
+	for w := range in {
+		word := ^uint64(0) // every point is present
+		if present != nil {
+			word = present[w]
+		}
 		for ; word != 0; word &= word - 1 {
 			b := bits.TrailingZeros64(word)
 			if i := w<<6 | b; i < len(values) && inRange(values[i], lo, hi) {

@@ -1,15 +1,16 @@
 package contour
 
 import (
-	"math"
+	"runtime"
+	"sync"
 
 	"vizndp/internal/bitset"
 	"vizndp/internal/grid"
 )
 
-// selectCellCornersGeneric is the straightforward per-cell scan the
-// cell-corner select ran before the bit-row sweep replaced it. It stays
-// as the oracle the sweep is held to.
+// selectCellCornersGeneric is RuleCells as a per-cell scan, the select
+// the bit-row sweep replaced. It stays as the oracle RuleCells is held
+// to.
 func selectCellCornersGeneric(g *grid.Uniform, values []float32, isovalues []float64) *bitset.Bitset {
 	nx, ny, nz := g.Dims.X, g.Dims.Y, g.Dims.Z
 	strideY := nx
@@ -68,12 +69,12 @@ func cellStraddles(values []float32, corners []int, isovalues []float64) bool {
 	return false
 }
 
-// The reference contour: the per-cell scan and map dedupe that
-// MarchingTetrahedra ran before the bit-parallel cell enumerator and the
-// rolling edge table replaced them. It stays as the oracle the kernel is
-// tested against (as selectCellCornersGeneric is for the select scan):
+// The reference contour: a scalar walk over every cell with a map
+// dedupe, driven by the generated case table. It stays as the oracle the
+// kernel's sweep, work list and rolling edge slots are tested against:
 // every mesh the kernel produces must Equal the one this walk produces,
-// vertex for vertex and in the same order.
+// vertex for vertex and in the same order. The table itself is held to
+// the face rule by the table tests in cubes_test.go.
 
 // marchReference contours values over g with the reference walk: visit
 // every cell, gather its eight corners, skip it at the first NaN, and
@@ -94,44 +95,52 @@ func marchReference(g *grid.Uniform, values []float32, isovalues []float64) *Mes
 		for j := 0; j < ny-1; j++ {
 			base := k*strideZ + j*strideY
 			for i := 0; i < nx-1; i++ {
-				// Gather the cell's corners; reject NaN cells early.
-				lo := math.Inf(1)
-				hi := math.Inf(-1)
 				hasNaN := false
 				for c := 0; c < 8; c++ {
 					dx, dy, dz := c&1, (c>>1)&1, (c>>2)&1
 					idx := base + i + dx + dy*strideY + dz*strideZ
-					v := values[idx]
-					if isNaN32(v) {
+					if isNaN32(values[idx]) {
 						hasNaN = true
 						break
 					}
 					cornerIdx[c] = idx
-					fv := float64(v)
-					cornerVal[c] = fv
-					if fv < lo {
-						lo = fv
-					}
-					if fv > hi {
-						hi = fv
-					}
+					cornerVal[c] = float64(values[idx])
+					cornerPos[c] = g.PointPosition(i+dx, j+dy, k+dz)
 				}
 				if hasNaN {
 					continue
 				}
 				for isoIdx, iso := range isovalues {
-					// The cell contributes only if some corner is inside
-					// (v < iso) and some outside (v >= iso).
-					if lo >= iso || hi < iso {
-						continue
+					inside := 0
+					for c, v := range cornerVal {
+						if v < iso {
+							inside |= 1 << c
+						}
 					}
-					for c := 0; c < 8; c++ {
-						dx, dy, dz := c&1, (c>>1)&1, (c>>2)&1
-						cornerPos[c] = g.PointPosition(i+dx, j+dy, k+dz)
-					}
-					for _, tet := range kuhnTets {
-						marchTetReference(mesh, verts, &cornerIdx, &cornerVal, &cornerPos,
-							tet, iso, uint64(isoIdx))
+					edges := cubeTris[inside]
+					for t := 0; t < len(edges); t += 3 {
+						var tri [3]int32
+						for n, e := range edges[t : t+3] {
+							a := int(cubeEdgeLo[e])
+							b := a | 1<<(e/4)
+							key := uint64(cornerIdx[a])<<36 | uint64(cornerIdx[b])<<8 | uint64(isoIdx)
+							vi, ok := verts[key]
+							if !ok {
+								va, vb := cornerVal[a], cornerVal[b]
+								pa, pb := cornerPos[a], cornerPos[b]
+								tt := (iso - va) / (vb - va)
+								if tt < 0 {
+									tt = 0
+								} else if tt > 1 {
+									tt = 1
+								}
+								vi = int32(len(mesh.Vertices))
+								mesh.Vertices = append(mesh.Vertices, pa.Add(pb.Sub(pa).Scale(tt)))
+								verts[key] = vi
+							}
+							tri[n] = vi
+						}
+						mesh.Tris = append(mesh.Tris, tri)
 					}
 				}
 			}
@@ -140,95 +149,137 @@ func marchReference(g *grid.Uniform, values []float32, isovalues []float64) *Mes
 	return mesh
 }
 
-// marchTetReference emits the triangles for one tetrahedron of the
-// reference walk.
-func marchTetReference(mesh *Mesh, verts map[uint64]int32,
-	idx *[8]int, val *[8]float64, pos *[8]grid.Vec3,
-	tet [4]int, iso float64, isoIdx uint64) {
+// The reference selections. InterestingEdgePoints is the paper's Fig. 6
+// metric as a scalar loop; selectEdgesGeneric adds RuleEdges' NaN
+// corners to it. The sweep is held to both.
 
-	var inside, outside [4]int
-	ni, no := 0, 0
-	for _, c := range tet {
-		if val[c] < iso {
-			inside[ni] = c
-			ni++
-		} else {
-			outside[no] = c
-			no++
+// straddles reports whether the edge (va, vb) crosses iso under the same
+// classification the contour filters use (inside = value < iso). NaN
+// endpoints never straddle.
+func straddles(va, vb float32, iso float64) bool {
+	if isNaN32(va) || isNaN32(vb) {
+		return false
+	}
+	a := float64(va) < iso
+	b := float64(vb) < iso
+	return a != b
+}
+
+// InterestingEdgePoints marks every mesh point incident to at least one
+// axis-aligned "interesting edge" — an edge whose endpoint values
+// straddle one of the isovalues. This is exactly the point set the paper
+// measures in Fig. 6 and the values marching cubes interpolates.
+func InterestingEdgePoints(g *grid.Uniform, values []float32, isovalues []float64) (*bitset.Bitset, error) {
+	if err := validateInputs(g, values, isovalues); err != nil {
+		return nil, err
+	}
+	nx, ny, nz := g.Dims.X, g.Dims.Y, g.Dims.Z
+	strideY := nx
+	strideZ := nx * ny
+
+	mask := parallelSlabs(nz, g.NumPoints(), func(k0, k1 int, local *bitset.Bitset) {
+		for k := k0; k < k1; k++ {
+			for j := 0; j < ny; j++ {
+				base := k*strideZ + j*strideY
+				for i := 0; i < nx; i++ {
+					idx := base + i
+					v := values[idx]
+					for _, iso := range isovalues {
+						// +x, +y, +z neighbours; edges in the negative
+						// directions are covered from their other endpoint.
+						if i+1 < nx && straddles(v, values[idx+1], iso) {
+							local.Set(idx)
+							local.Set(idx + 1)
+						}
+						if j+1 < ny && straddles(v, values[idx+strideY], iso) {
+							local.Set(idx)
+							local.Set(idx + strideY)
+						}
+						if k+1 < nz && straddles(v, values[idx+strideZ], iso) {
+							local.Set(idx)
+							local.Set(idx + strideZ)
+						}
+					}
+				}
+			}
+		}
+	})
+	return mask, nil
+}
+
+// selectEdgesGeneric is RuleEdges cell by cell: InterestingEdgePoints
+// plus the NaN corners of every cell whose non-NaN corners straddle an
+// isovalue. A grid whose rows or columns are one point long has edges
+// but no cell, so no contour, and nothing is selected.
+func selectEdgesGeneric(g *grid.Uniform, values []float32, isovalues []float64) *bitset.Bitset {
+	nx, ny, nz := g.Dims.X, g.Dims.Y, g.Dims.Z
+	if nx < 2 || ny < 2 {
+		return bitset.New(g.NumPoints())
+	}
+	mask, err := InterestingEdgePoints(g, values, isovalues)
+	if err != nil {
+		panic(err)
+	}
+	for k := 0; k < nz-1; k++ {
+		for j := 0; j < ny-1; j++ {
+			for i := 0; i < nx-1; i++ {
+				c := g.PointIndex(i, j, k)
+				corners := [8]int{c, c + 1, c + nx, c + nx + 1, c + nx*ny, c + nx*ny + 1, c + nx*ny + nx, c + nx*ny + nx + 1}
+				for _, iso := range isovalues {
+					below, above, nan := false, false, false
+					for _, p := range corners {
+						switch v := values[p]; {
+						case isNaN32(v):
+							nan = true
+						case float64(v) < iso:
+							below = true
+						default:
+							above = true
+						}
+					}
+					if nan && below && above {
+						for _, p := range corners {
+							if isNaN32(values[p]) {
+								mask.Set(p)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
-	if ni == 0 || ni == 4 {
-		return
-	}
+	return mask
+}
 
-	// edgeVert returns the deduplicated interpolated vertex on edge (a,b).
-	edgeVert := func(a, b int) int32 {
-		ga, gb := idx[a], idx[b]
-		pa, pb := pos[a], pos[b]
-		va, vb := val[a], val[b]
-		if ga > gb {
-			ga, gb = gb, ga
-			pa, pb = pb, pa
-			va, vb = vb, va
-		}
-		key := uint64(ga)<<36 | uint64(gb)<<8 | isoIdx
-		if vi, ok := verts[key]; ok {
-			return vi
-		}
-		t := (iso - va) / (vb - va)
-		if t < 0 {
-			t = 0
-		} else if t > 1 {
-			t = 1
-		}
-		p := pa.Add(pb.Sub(pa).Scale(t))
-		vi := int32(len(mesh.Vertices))
-		mesh.Vertices = append(mesh.Vertices, p)
-		verts[key] = vi
-		return vi
+// parallelSlabs splits layers [0,n) across workers, each filling a local
+// bitmap of nbits, and ORs the results together. Local bitmaps avoid
+// write contention on the shared layer between adjacent slabs.
+func parallelSlabs(n, nbits int, work func(k0, k1 int, local *bitset.Bitset)) *bitset.Bitset {
+	workers := runtime.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
 	}
-
-	// addTri appends a triangle wound so its normal points from the
-	// inside region (v < iso) toward the outside region.
-	addTri := func(a, b, c int32, outward grid.Vec3) {
-		pa, pb, pc := mesh.Vertices[a], mesh.Vertices[b], mesh.Vertices[c]
-		n := pb.Sub(pa).Cross(pc.Sub(pa))
-		if n.Dot(outward) < 0 {
-			b, c = c, b
-		}
-		mesh.Tris = append(mesh.Tris, [3]int32{a, b, c})
+	if workers <= 1 {
+		mask := bitset.New(nbits)
+		work(0, n, mask)
+		return mask
 	}
-
-	// outward direction: from the inside corners' centroid toward the
-	// outside corners' centroid.
-	var cin, cout grid.Vec3
-	for i := 0; i < ni; i++ {
-		cin = cin.Add(pos[inside[i]])
+	locals := make([]*bitset.Bitset, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		k0 := n * w / workers
+		k1 := n * (w + 1) / workers
+		locals[w] = bitset.New(nbits)
+		wg.Add(1)
+		go func(w, k0, k1 int) {
+			defer wg.Done()
+			work(k0, k1, locals[w])
+		}(w, k0, k1)
 	}
-	for i := 0; i < no; i++ {
-		cout = cout.Add(pos[outside[i]])
+	wg.Wait()
+	mask := locals[0]
+	for _, l := range locals[1:] {
+		mask.Or(l)
 	}
-	outward := cout.Scale(1 / float64(no)).Sub(cin.Scale(1 / float64(ni)))
-
-	switch ni {
-	case 1:
-		a := edgeVert(inside[0], outside[0])
-		b := edgeVert(inside[0], outside[1])
-		c := edgeVert(inside[0], outside[2])
-		addTri(a, b, c, outward)
-	case 3:
-		a := edgeVert(inside[0], outside[0])
-		b := edgeVert(inside[1], outside[0])
-		c := edgeVert(inside[2], outside[0])
-		addTri(a, b, c, outward)
-	case 2:
-		// Quad across the tet: edges (i0,o0), (i0,o1), (i1,o1), (i1,o0)
-		// in cyclic order, split into two triangles.
-		q0 := edgeVert(inside[0], outside[0])
-		q1 := edgeVert(inside[0], outside[1])
-		q2 := edgeVert(inside[1], outside[1])
-		q3 := edgeVert(inside[1], outside[0])
-		addTri(q0, q1, q2, outward)
-		addTri(q0, q2, q3, outward)
-	}
+	return mask
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"vizndp/internal/bitset"
 	"vizndp/internal/grid"
 	"vizndp/internal/sim"
 )
@@ -48,9 +49,9 @@ func fuzzField(nx, ny, nz int, rowMode uint64, data []byte) (*grid.Uniform, []fl
 }
 
 // FuzzSelectRowRanges holds the summarized select to the unsummarized
-// one, word for word, for contours and ranges, and both to the per-cell
-// references; and the summary itself to a per-row min/max over non-NaN
-// values. Inputs: rows of 1..130 points (across word boundaries), 3-D
+// one, word for word, for contours under both rules and for ranges, and
+// both to the scalar references; and the summary itself to a per-row
+// min/max over non-NaN values. Inputs: rows of 1..130 points (across word boundaries), 3-D
 // grids (and the 2-D ones both selects refuse), NaN, ±Inf, constant and
 // all-NaN rows, isovalues equal to a row's min or max, and ranges with
 // lo == hi at a row bound.
@@ -101,7 +102,7 @@ func FuzzSelectRowRanges(f *testing.F) {
 		}
 		if nz == 1 {
 			// A 2-D grid has no cell layer: both selects refuse it.
-			if _, err := s.SelectCellCorners(g, vals, isos); err == nil {
+			if _, err := s.SelectContour(g, vals, isos, RuleEdges); err == nil {
 				t.Fatalf("%v: contour select accepted a 2-D grid", g.Dims)
 			}
 			if _, err := s.SelectRangeCorners(g, vals, lo, hi); err == nil {
@@ -109,26 +110,34 @@ func FuzzSelectRowRanges(f *testing.F) {
 			}
 			return
 		}
-		full, err := SelectCellCorners(g, vals, isos)
-		if err != nil {
-			t.Fatal(err)
+		for _, rc := range []struct {
+			rule Rule
+			ref  func(*grid.Uniform, []float32, []float64) *bitset.Bitset
+		}{{RuleEdges, selectEdgesGeneric}, {RuleCells, selectCellCornersGeneric}} {
+			full, err := (*RowRanges)(nil).SelectContour(g, vals, isos, rc.rule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum, err := s.SelectContour(g, vals, isos, rc.rule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(sum.Words(), full.Words()) {
+				t.Fatalf("%v isos %v rule %d: summarized contour select %d points, full %d", g.Dims, isos, rc.rule, sum.Count(), full.Count())
+			}
+			if ref := rc.ref(g, vals, isos); !slices.Equal(full.Words(), ref.Words()) {
+				t.Fatalf("%v isos %v rule %d: contour select %d points, reference %d", g.Dims, isos, rc.rule, full.Count(), ref.Count())
+			}
 		}
-		sum, err := s.SelectCellCorners(g, vals, isos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(sum.Words(), full.Words()) {
-			t.Fatalf("%v isos %v: summarized contour select %d points, full %d", g.Dims, isos, sum.Count(), full.Count())
-		}
-		if ref := selectCellCornersGeneric(g, vals, isos); !slices.Equal(full.Words(), ref.Words()) {
-			t.Fatalf("%v isos %v: contour select %d points, reference %d", g.Dims, isos, full.Count(), ref.Count())
+		if edges, err := SelectCellCorners(g, vals, isos); err != nil || !slices.Equal(edges.Words(), selectEdgesGeneric(g, vals, isos).Words()) {
+			t.Fatalf("%v isos %v: SelectCellCorners is not the RuleEdges select (%v)", g.Dims, isos, err)
 		}
 
-		full, err = SelectRangeCorners(g, vals, lo, hi)
+		full, err := SelectRangeCorners(g, vals, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err = s.SelectRangeCorners(g, vals, lo, hi)
+		sum, err := s.SelectRangeCorners(g, vals, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +159,7 @@ func TestRowRangesWrongGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := grid.NewUniform(16, 4, 8)
-	if _, err := s.SelectCellCorners(other, vals, []float64{3}); err == nil {
+	if _, err := s.SelectContour(other, vals, []float64{3}, RuleEdges); err == nil {
 		t.Error("contour select accepted a summary of another grid")
 	}
 	if _, err := s.SelectRangeCorners(other, vals, 2, 3); err == nil {
@@ -201,7 +210,7 @@ func TestSelectConcurrentPooled(t *testing.T) {
 				if i%2 == 1 {
 					s = nil
 				}
-				c, err := s.SelectCellCorners(in.g, in.vals, []float64{0.5})
+				c, err := s.SelectContour(in.g, in.vals, []float64{0.5}, RuleEdges)
 				if err != nil {
 					t.Error(err)
 					return
@@ -258,8 +267,9 @@ func loadSelectBench() error {
 
 // BenchmarkSelectCellCorners measures one single-isovalue select over a
 // cached array, cycling through the bench's six asteroid arrays and the
-// isovalues 0.1..0.9: full is the unsummarized sweep, summarized the
-// sweep over the pairs the row summary leaves live, and summarize the
+// isovalues 0.1..0.9: full is the unsummarized RuleEdges sweep,
+// summarized the sweep over the pairs the row summary leaves live (the
+// server's path), cells/ the same two under RuleCells, and summarize the
 // summary's one-off cost per array.
 func BenchmarkSelectCellCorners(b *testing.B) {
 	if err := loadSelectBench(); err != nil {
@@ -270,17 +280,20 @@ func BenchmarkSelectCellCorners(b *testing.B) {
 	iso := func(i int) []float64 { return []float64{float64(i%9+1) / 10} }
 	for _, bc := range []struct {
 		name string
+		rule Rule
 		s    func(i int) *RowRanges
 	}{
-		{"full", func(int) *RowRanges { return nil }},
-		{"summarized", func(i int) *RowRanges { return sums[i/9] }},
+		{"full", RuleEdges, func(int) *RowRanges { return nil }},
+		{"summarized", RuleEdges, func(i int) *RowRanges { return sums[i/9] }},
+		{"cells/full", RuleCells, func(int) *RowRanges { return nil }},
+		{"cells/summarized", RuleCells, func(i int) *RowRanges { return sums[i/9] }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.SetBytes(int64(4 * g.NumPoints()))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				c := i % cases
-				if _, err := bc.s(c).SelectCellCorners(g, arrays[c/9], iso(c)); err != nil {
+				if _, err := bc.s(c).SelectContour(g, arrays[c/9], iso(c), bc.rule); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -26,7 +26,9 @@ var mClientWireCorrupt = telemetry.Default().Counter("core.client.corrupt.wire")
 // verifyWireCRC checks received bytes against the "crc" field a new
 // server records in its response maps. Responses from older servers
 // carry no field and pass unverified (nil). A mismatch wraps
-// rpc.ErrCorrupt so callers route it to data-level recovery.
+// rpc.ErrCorrupt so callers route it to data-level recovery, and so does
+// a field that is not an integer: a server writes only integers there,
+// so the reply was damaged in flight.
 func verifyWireCRC(m map[string]any, what string, data []byte) error {
 	var want uint32
 	switch v := m["crc"].(type) {
@@ -37,7 +39,8 @@ func verifyWireCRC(m map[string]any, what string, data []byte) error {
 	case uint64:
 		want = uint32(v)
 	default:
-		return fmt.Errorf("core: %s crc is %T", what, v)
+		mClientWireCorrupt.Inc()
+		return fmt.Errorf("%w: %s crc is %T", rpc.ErrCorrupt, what, v)
 	}
 	if got := vtkio.Checksum(data); got != want {
 		mClientWireCorrupt.Inc()
@@ -187,7 +190,7 @@ func (c *Client) FetchFilteredContext(ctx context.Context, path, array string, i
 		isos[i] = v
 	}
 	pre := &PreFilter{Isovalues: isovalues, Encoding: enc}
-	return c.fetchPayload(ctx, MethodFetch, path, array, pre.Run, isos, enc.String())
+	return c.fetchPayload(ctx, MethodFetch, path, array, pre.Run, isos, enc.String(), edgesKey)
 }
 
 // localFilter is the client-side twin of a storage-side selection: the

@@ -114,7 +114,9 @@ type fetched struct {
 
 func (f fetched) ns(key string) int64 { return f.resp[key].(int64) }
 
-var iso7 = []any{"run/ts0.vnd", "d", []any{7.0}, "indexvalue"}
+// iso7 is the contour fetch a current client sends, edges key included,
+// so its payload is a dedicated PreFilter.Run's.
+var iso7 = []any{"run/ts0.vnd", "d", []any{7.0}, "indexvalue", edgesKey}
 
 // startFetch runs one contour fetch in the background.
 func startFetch(ctx context.Context, srv *Server, args []any) chan fetched {

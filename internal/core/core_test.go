@@ -348,34 +348,58 @@ func TestEncodingStringParse(t *testing.T) {
 	}
 }
 
-// BenchmarkPostFilterContour128 measures the client's share of a frame
-// the way the frame runs it: PostFilter.Contour straight from a payload,
-// on the benchmark's 128^3 asteroid (water fraction v02, middle time
-// step, isovalue 0.5). The benchmark's traced contour.mtet_ms cannot show
-// this path — its replay contours a reconstructed dense array — so this
-// is where the sparse walk's ns/op, B/op, allocs/op and triangles/s are
-// read.
-func BenchmarkPostFilterContour128(b *testing.B) {
+// bench128 is the layer benchmarks' input: the benchmark's 128^3
+// asteroid at seed 1, water fraction v02 at the middle time step.
+func bench128(b *testing.B) *grid.Dataset {
+	b.Helper()
 	cfg := sim.AsteroidConfig{N: 128, Seed: 1}
 	ds, err := cfg.Generate(cfg.Timesteps(3)[1])
 	if err != nil {
 		b.Fatal(err)
 	}
+	return ds
+}
+
+// BenchmarkPostFilterContour128 measures the client's share of a frame
+// the way the frame runs it: PostFilter.Contour straight from a payload,
+// on bench128's field at isovalue 0.5. The benchmark's traced
+// contour.mtet_ms cannot show this path — its replay contours a
+// reconstructed dense array — so this is where the sparse walk's ns/op,
+// B/op, allocs/op and the mesh it hands the renderer are read.
+func BenchmarkPostFilterContour128(b *testing.B) {
+	ds := bench128(b)
 	isos := []float64{0.5}
 	payload, _, err := (&PreFilter{Isovalues: isos}).Run(ds.Grid, ds.Field("v02"))
 	if err != nil {
 		b.Fatal(err)
 	}
 	post := &PostFilter{Isovalues: isos}
-	tris := 0
+	var mesh *contour.Mesh
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mesh, err := post.Contour(ds.Grid, "v02", payload)
-		if err != nil {
+		if mesh, err = post.Contour(ds.Grid, "v02", payload); err != nil {
 			b.Fatal(err)
 		}
-		tris += mesh.NumTriangles()
 	}
-	b.ReportMetric(float64(tris)/b.Elapsed().Seconds(), "triangles/s")
+	b.ReportMetric(float64(b.N*mesh.NumTriangles())/b.Elapsed().Seconds(), "triangles/s")
+	b.ReportMetric(float64(mesh.NumTriangles()), "triangles/op")
+	b.ReportMetric(float64(mesh.NumVertices()), "vertices/op")
+}
+
+// BenchmarkMarchDense128 is the baseline frame's kernel on the same
+// field: the dense contour of the whole array.
+func BenchmarkMarchDense128(b *testing.B) {
+	ds := bench128(b)
+	isos := []float64{0.5}
+	var mesh *contour.Mesh
+	var err error
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if mesh, err = contour.MarchingTetrahedra(ds.Grid, ds.Field("v02").Values, isos); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(mesh.NumTriangles()), "triangles/op")
 }

@@ -525,6 +525,12 @@ func TestClientVerifiesResponseCRC(t *testing.T) {
 	if _, _, err := decodeFetchResult(m, 0); !errors.Is(err, rpc.ErrCorrupt) {
 		t.Fatalf("mismatched crc err = %v, want ErrCorrupt", err)
 	}
+	// A crc field a flipped type byte turned into another type is damage
+	// in flight too.
+	m["crc"] = []any{int64(1)}
+	if _, _, err := decodeFetchResult(m, 0); !errors.Is(err, rpc.ErrCorrupt) {
+		t.Fatalf("non-integer crc err = %v, want ErrCorrupt", err)
+	}
 	// Matching CRC and absent CRC (old server) both pass.
 	m["crc"] = int64(vtkio.Checksum(payload.Data))
 	if _, _, err := decodeFetchResult(m, 0); err != nil {

@@ -210,15 +210,25 @@ func argEncoding(args []any, i int) (Encoding, error) {
 	return ParseEncoding(name)
 }
 
-// contourQuery selects every corner of every cell straddling one of the
-// isovalues: the split contour filter's storage half.
+// contourQuery selects the points contouring at the isovalues needs:
+// the split contour filter's storage half. A request whose fifth
+// argument is edgesKey gets the interesting-edge selection; one without
+// it, from a client that predates that rule, gets every corner of every
+// straddling cell, as servers sent before it. Both contour alike on the
+// client, but their bytes differ, so the rule is part of the id.
 type contourQuery struct {
 	isovalues []float64
 	enc       Encoding
+	rule      contour.Rule
 }
 
-func (q contourQuery) id() string  { return fmt.Sprintf("%x,%d", q.isovalues, q.enc) }
+func (q contourQuery) id() string  { return fmt.Sprintf("%x,%d,%d", q.isovalues, q.enc, q.rule) }
 func (q contourQuery) passes() int { return len(q.isovalues) }
+
+// edgesKey is the fifth ndp.fetch argument that asks for the
+// interesting-edge selection. Servers that predate it ignore it and
+// answer with cell corners.
+const edgesKey = "edges"
 
 var contourSelector = &selector{
 	method: MethodFetch, dataKey: "payload",
@@ -233,19 +243,31 @@ var contourSelector = &selector{
 		if len(raw) == 0 {
 			return nil, fmt.Errorf("core: pre-filter has no isovalues")
 		}
-		q := contourQuery{isovalues: make([]float64, len(raw))}
+		q := contourQuery{isovalues: make([]float64, len(raw)), rule: contour.RuleCells}
 		for i, v := range raw {
 			if q.isovalues[i], ok = asFloat(v); !ok {
 				return nil, fmt.Errorf("core: isovalue %d is %T, want number", i, v)
 			}
 		}
 		var err error
-		q.enc, err = argEncoding(args, 3)
-		return q, err
+		if q.enc, err = argEncoding(args, 3); err != nil {
+			return nil, err
+		}
+		if len(args) > 4 {
+			key, err := argString(args, 4, "selection rule")
+			if err != nil {
+				return nil, err
+			}
+			if key != edgesKey {
+				return nil, fmt.Errorf("core: selection rule %q, want %q", key, edgesKey)
+			}
+			q.rule = contour.RuleEdges
+		}
+		return q, nil
 	},
 	run: func(e *arrayEntry, q query) (*fetchResult, error) {
 		cq := q.(contourQuery)
-		return selectionResult((&PreFilter{Isovalues: cq.isovalues, Encoding: cq.enc, rows: e.rows}).Run(e.grid, e.field))
+		return selectionResult((&PreFilter{Isovalues: cq.isovalues, Encoding: cq.enc, rows: e.rows, rule: cq.rule}).Run(e.grid, e.field))
 	},
 	respond: respondSelected,
 }

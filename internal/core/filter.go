@@ -24,6 +24,9 @@ type PreFilter struct {
 	// array's): the select then sweeps only the row pairs it leaves live.
 	// The payload is the same either way.
 	rows *contour.RowRanges
+	// rule is what the selection ships: interesting edges unless the
+	// server answers a request that did not ask for them.
+	rule contour.Rule
 }
 
 // PreFilterStats reports what the pre-filter did, mirroring the
@@ -65,7 +68,7 @@ func (f *PreFilter) Run(g *grid.Uniform, field *grid.Field) (*Payload, *PreFilte
 		return nil, nil, fmt.Errorf("core: pre-filter has no isovalues")
 	}
 	start := time.Now()
-	mask, err := f.rows.SelectCellCorners(g, field.Values, f.Isovalues)
+	mask, err := f.rows.SelectContour(g, field.Values, f.Isovalues, f.rule)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: pre-filter %q: %w", field.Name, err)
 	}
@@ -123,14 +126,17 @@ func decodeSparse(g *grid.Uniform, p *Payload, use func(values []float32, presen
 }
 
 // Contour extracts the contour from the payload's own points, producing
-// exactly the mesh a full-array contour would: the payload holds every
-// corner of every cell an isovalue crosses, only cells with all eight
-// corners shipped can emit triangles, and the kernel reaches those cells
-// in the order a sweep of the full array would (see contour's kernel
-// comment). The NaN-padded array of Reconstruct is never built.
+// exactly the mesh a full-array contour would: the payload holds both
+// ends of every edge an isovalue crosses and the NaN corners of the
+// cells the full-array contour skips for them, an absent corner lies on
+// the same side as its neighbours, and the kernel reaches the cells that
+// emit triangles in the order a sweep of the full array would (see
+// contour's kernel comment). A payload of a server that ships every
+// corner of every straddling cell contours the same way on a field
+// without NaN. The NaN-padded array of Reconstruct is never built.
 func (f *PostFilter) Contour(g *grid.Uniform, name string, p *Payload) (mesh *contour.Mesh, err error) {
 	err = decodeSparse(g, p, func(values []float32, present *bitset.Bitset) error {
-		mesh, err = contour.MarchingTetrahedraSparse(g, values, present, f.Isovalues)
+		mesh, err = contour.MarchingCubesSparse(g, values, present, f.Isovalues)
 		return err
 	})
 	return mesh, err
@@ -162,8 +168,8 @@ func (f *RangePreFilter) Run(g *grid.Uniform, field *grid.Field) (*Payload, *Pre
 // ThresholdFromPayload evaluates the threshold filter over the payload's
 // own points, producing exactly the cell set a full-array evaluation
 // would: the payload holds every corner of every kept cell, and a
-// dropped cell has no in-range corner to ship. A shipped NaN decodes as
-// absent, and neither is ever in range.
+// dropped cell has no in-range corner to ship. A shipped NaN is present
+// but, like an absent point, never in range.
 func ThresholdFromPayload(g *grid.Uniform, p *Payload, lo, hi float64) (cells *contour.CellSet, err error) {
 	err = decodeSparse(g, p, func(values []float32, present *bitset.Bitset) error {
 		cells, err = contour.ThresholdCellsSparse(g, values, present, lo, hi)

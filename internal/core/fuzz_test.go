@@ -140,25 +140,33 @@ func fuzzGrid(n int) *grid.Uniform {
 	return grid.NewUniform(n/4, 2, 2)
 }
 
+// fuzzPalette is what FuzzPostFilterContour builds fields from: small
+// integers, so values tie with each other and with the isovalue 3, and
+// NaN.
+var fuzzPalette = [8]float32{float32(math.NaN()), 0, 1, 2, 3, 4, 5, 250}
+
 // FuzzPostFilterContour drives hostile bytes through the sparse
-// post-filters: whatever DecodePayload accepts, PostFilter.Contour and
-// ThresholdFromPayload must each fail exactly when Reconstruct fails and
-// otherwise build the very mesh and cell set the dense kernels build
-// from the reconstruction — never panic, never read a point the
-// NaN-padded array holds as NaN, and never size anything from a header
-// the body cannot back (DecodePayload bounds Count by the body; the grid
-// the caller passes bounds the rest).
+// post-filters. Whatever DecodePayload accepts, PostFilter.Contour and
+// ThresholdFromPayload must each fail exactly when Reconstruct fails,
+// never panic, and never size anything from a header the body cannot
+// back (DecodePayload bounds Count by the body; the grid the caller
+// passes bounds the rest). The mesh must be a function of the payload's
+// points alone — the same whatever the unselected slots of the decode
+// array hold — and the cell set the one the dense threshold keeps over
+// the reconstruction. The same bytes also make a NaN-laced field, whose
+// edge payload — and, without NaN, its cell-corner payload — must
+// contour to the dense kernel's mesh of the whole field.
 func FuzzPostFilterContour(f *testing.F) {
 	seeds := fuzzSeeds(f)
-	// Real contour payloads on the fuzz grid, clean and with a NaN planted
-	// among the shipped values.
+	// Real cell-corner payloads on the fuzz grid, clean and with a NaN
+	// planted among the shipped values.
 	g := fuzzGrid(blockBits + 300)
 	values := make([]float32, g.NumPoints())
 	for i := range values {
 		values[i] = float32(i%g.Dims.X) + 40*float32(i/g.Dims.X%2)
 	}
 	isos := []float64{3, 200.5}
-	mask, err := contour.SelectCellCorners(g, values, isos)
+	mask, err := (*contour.RowRanges)(nil).SelectContour(g, values, isos, contour.RuleCells)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -170,6 +178,12 @@ func FuzzPostFilterContour(f *testing.F) {
 		laced[i] = float32(math.NaN())
 	}
 	rmask, err := contour.SelectRangeCorners(g, laced, lo, hi)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Edge payloads of the laced field: they ship the NaN corners of the
+	// cells the post-filter must skip.
+	emask, err := contour.SelectCellCorners(g, laced, isos)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -191,11 +205,19 @@ func FuzzPostFilterContour(f *testing.F) {
 		}
 		seeds = append(seeds, p.Data)
 	}
+	for _, enc := range []Encoding{EncIndexValue, EncBlockBitmap} {
+		p, err := EncodeSelection(emask, laced, enc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, p.Data)
+	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	post := &PostFilter{Isovalues: isos}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		prefilteredContoursAsDense(t, data, post)
 		p, err := DecodePayload(data)
 		if err != nil {
 			return
@@ -225,13 +247,23 @@ func FuzzPostFilterContour(f *testing.F) {
 			}
 			return
 		}
-		dense, err := contour.MarchingTetrahedra(g, padded, isos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sparse.Equal(dense) {
-			t.Fatalf("sparse mesh has %d vertices, %d triangles; dense has %d, %d",
-				sparse.NumVertices(), sparse.NumTriangles(), dense.NumVertices(), dense.NumTriangles())
+		for _, fill := range []float32{float32(math.NaN()), 0, 3} {
+			scratch := make([]float32, p.NumPoints)
+			for i := range scratch {
+				scratch[i] = fill
+			}
+			present := bitset.New(p.NumPoints)
+			if err := p.decodeInto(scratch, present.Words()); err != nil {
+				t.Fatal(err)
+			}
+			again, err := contour.MarchingCubesSparse(g, scratch, present, isos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sparse.Equal(again) {
+				t.Fatalf("unselected slots holding %v change the mesh: %d vertices, %d triangles; post-filter has %d, %d",
+					fill, again.NumVertices(), again.NumTriangles(), sparse.NumVertices(), sparse.NumTriangles())
+			}
 		}
 		want, err := contour.ThresholdCells(g, padded, lo, hi)
 		if err != nil {
@@ -241,6 +273,47 @@ func FuzzPostFilterContour(f *testing.F) {
 			t.Fatalf("sparse threshold kept %d cells; dense kept %d", cells.Count(), want.Count())
 		}
 	})
+}
+
+// prefilteredContoursAsDense builds a NaN-laced 11x5x4 field from data,
+// pre-filters it, and holds the post-filter's mesh of the payload to the
+// dense kernel's mesh of the whole field: for the edge payload always,
+// for the cell-corner payload when the field holds no NaN.
+func prefilteredContoursAsDense(t *testing.T, data []byte, post *PostFilter) {
+	t.Helper()
+	if len(data) == 0 {
+		return
+	}
+	g := grid.NewUniform(11, 5, 4)
+	field := &grid.Field{Name: "d", Values: make([]float32, g.NumPoints())}
+	nan := false
+	for i := range field.Values {
+		v := fuzzPalette[data[i%len(data)]%8]
+		field.Values[i] = v
+		nan = nan || math.IsNaN(float64(v))
+	}
+	want, err := contour.MarchingTetrahedra(g, field.Values, post.Isovalues)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules := []contour.Rule{contour.RuleEdges}
+	if !nan {
+		rules = append(rules, contour.RuleCells)
+	}
+	for _, rule := range rules {
+		sent, _, err := (&PreFilter{Isovalues: post.Isovalues, rule: rule}).Run(g, field)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := post.Contour(g, "d", sent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("rule %d: post-filter mesh has %d vertices, %d triangles; dense has %d, %d",
+				rule, got.NumVertices(), got.NumTriangles(), want.NumVertices(), want.NumTriangles())
+		}
+	}
 }
 
 // FuzzDecodeReply drives arbitrary msgpack through the client's one

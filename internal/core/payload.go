@@ -4,23 +4,23 @@
 // the client.
 //
 // The pre-filter scans a data array, selects the mesh points the
-// downstream contour needs (every corner of every cell whose values
-// straddle an isovalue — see internal/contour), and encodes that sparse
-// subset as a compact payload. The post-filter contours that subset
-// directly: it decodes the payload into presence bits and values, and the
-// contour kernel (internal/contour) visits only the cells whose eight
-// corners were all shipped. Those are the only cells that can emit
-// triangles, and the kernel reaches them in the k/j/i order a sweep of
-// the full array would, so vertices are first created in the same order
-// and the mesh is bit-identical to a full-array run — same vertices, same
-// order, same triangles.
+// downstream contour needs (both ends of every axis edge whose values
+// straddle an isovalue, and the NaN corners of the cells the contour
+// skips — see internal/contour), and encodes that sparse subset as a
+// compact payload. The post-filter contours that subset directly: it
+// decodes the payload into presence bits and values, and the
+// marching-cubes kernel (internal/contour) visits only the cells with an
+// edge whose ends were both shipped, taking an absent corner's side from
+// its neighbours. It reaches the cells that emit triangles in the k/j/i
+// order a sweep of the full array would, so vertices are first created
+// in the same order and the mesh is bit-identical to a full-array run —
+// same vertices, same order, same triangles.
 //
 // Payload.Reconstruct, which expands a payload into a full-size array
 // with NaN at unselected points, is on no client path: the threshold
 // post-filter reads the decoded points the same way, and the sharded
 // client gathers brick payloads into the unsharded payload. It is the
-// tests' reference, and the same kernel contours such an array too,
-// taking "not NaN" as presence.
+// tests' reference for the decoders.
 //
 // Two payload encodings are provided (an ablation in DESIGN.md):
 //
@@ -360,15 +360,11 @@ func DecodePayload(data []byte) (*Payload, error) {
 }
 
 // Reconstruct expands the payload into a full-length array with NaN at
-// every unselected point. Contouring that array gives the mesh
-// PostFilter.Contour builds from the payload directly. It is the
-// reference the sparse paths are tested against; no client path builds
-// it.
-//
-// Contour selections never ship a NaN: a NaN corner disqualifies its
-// cells. Range selections can, since they ship the NaN corners of kept
-// cells; a NaN never satisfies a range, so a shipped NaN and an absent
-// point evaluate alike, and decodeInto counts a shipped NaN as absent.
+// every unselected point. It is the reference the decode paths are
+// tested against; no client path builds it. A shipped NaN and an absent
+// point look alike in it, so the dense contour of it skips every cell
+// with an unselected corner and is not the post-filter's mesh, while the
+// threshold of it is the post-filter's cell set: NaN is never in range.
 func (p *Payload) Reconstruct() ([]float32, error) {
 	out := make([]float32, p.NumPoints)
 	fillNaN(out)
@@ -392,12 +388,11 @@ func fillNaN(out []float32) {
 }
 
 // decodeInto writes selected values into dst and, when present is not
-// nil, sets the bit of every selected point whose value is not NaN.
-// That is the sparse form the post-filters read: dst is read only where
-// present is set, so it needs no NaN fill. A shipped NaN — a range
-// selection ships the NaN corners of kept cells, and a corrupt payload
-// can ship one anywhere — leaves its bit clear, so it is as absent as it
-// is in the NaN-padded array.
+// nil, sets the bit of every selected point. That is the sparse form the
+// post-filters read: dst is read only where present is set, so it needs
+// no NaN fill. A shipped NaN is present: a contour selection ships the
+// NaN corners of the cells the post-filter must skip, and a range
+// selection those of kept cells.
 func (p *Payload) decodeInto(dst []float32, present []uint64) error {
 	if len(dst) != p.NumPoints {
 		return fmt.Errorf("core: dst of %d values, payload has %d points",
@@ -423,7 +418,7 @@ func (p *Payload) decodeInto(dst []float32, present []uint64) error {
 // store delivers one decoded value.
 func store(dst []float32, present []uint64, idx int, v float32) {
 	dst[idx] = v
-	if present != nil && !math.IsNaN(float64(v)) {
+	if present != nil {
 		present[idx>>6] |= 1 << uint(idx&63)
 	}
 }

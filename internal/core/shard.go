@@ -149,9 +149,9 @@ func (sc *ShardedClient) FetchArray(prefix, array string, isovalues []float64, e
 // per-timestep brick directory (ending in "/"); each brick's object
 // path is prefix + its manifest key. The returned payload covers the
 // parent grid and is byte-identical to a single unsharded fetch of the
-// same array in encoding enc: every cell is scanned by its owning brick
-// with its own corner values, so the union of the bricks' selections is
-// the parent's selection. Selections in ghost overlap are deduplicated
+// same array in encoding enc: every cell, and so every edge, is scanned
+// whole by its owning brick with its own values, so the union of the
+// bricks' selections is the parent's selection. Selections in ghost overlap are deduplicated
 // by global point index, and a value disagreement between overlapping
 // bricks — which would mean the brick objects desynchronized — fails the
 // merge rather than silently stitching mixed versions.

@@ -119,7 +119,7 @@ func (e *Env) Fig5(array string) (*stats.Table, error) {
 
 // Fig6 reproduces Fig. 6: contour data selection rates in permillage for
 // one asteroid array, per timestep and contour value, using the paper's
-// interesting-edge-point metric.
+// interesting-edge-point metric — the points the pre-filter ships.
 func (e *Env) Fig6(array string) (*stats.Table, error) {
 	headers := []string{"step"}
 	for _, v := range e.Cfg.ContourValues {
@@ -132,8 +132,7 @@ func (e *Env) Fig6(array string) (*stats.Table, error) {
 		ds := e.asteroidSet[step]
 		row := []string{fmt.Sprintf("%d", step)}
 		for _, iso := range e.Cfg.ContourValues {
-			mask, err := contour.InterestingEdgePoints(ds.Grid, ds.Field(array).Values,
-				[]float64{iso})
+			mask, err := contour.SelectCellCorners(ds.Grid, ds.Field(array).Values, []float64{iso})
 			if err != nil {
 				return nil, err
 			}

@@ -201,7 +201,7 @@ func TestAsteroidSelectivityTrends(t *testing.T) {
 	}
 
 	selAt := func(name string, iso float64) float64 {
-		mask, err := contour.InterestingEdgePoints(ds.Grid, ds.Field(name).Values, []float64{iso})
+		mask, err := contour.SelectCellCorners(ds.Grid, ds.Field(name).Values, []float64{iso})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,11 +237,11 @@ func TestAsteroidImpactDisturbsSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	me, err := contour.InterestingEdgePoints(early.Grid, early.Field("v02").Values, []float64{0.1})
+	me, err := contour.SelectCellCorners(early.Grid, early.Field("v02").Values, []float64{0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ml, err := contour.InterestingEdgePoints(late.Grid, late.Field("v02").Values, []float64{0.1})
+	ml, err := contour.SelectCellCorners(late.Grid, late.Field("v02").Values, []float64{0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestNyxHaloSelectivity(t *testing.T) {
 	if hi < NyxHaloThreshold {
 		t.Fatalf("max density %v below halo threshold; no halos formed", hi)
 	}
-	mask, err := contour.InterestingEdgePoints(ds.Grid, bd.Values, []float64{NyxHaloThreshold})
+	mask, err := contour.SelectCellCorners(ds.Grid, bd.Values, []float64{NyxHaloThreshold})
 	if err != nil {
 		t.Fatal(err)
 	}
