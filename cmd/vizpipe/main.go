@@ -2,12 +2,18 @@
 // stored datasets, in either of the paper's two configurations:
 //
 //   - baseline: read the full selected arrays from an object store
-//     (through the s3fs layer) or a local directory, then contour;
+//     (through the s3fs layer) or a local directory, then filter;
 //   - ndp: ask a remote ndpserver to pre-filter near the data, then
-//     complete the contour locally from the sparse payload.
+//     complete the filter locally from the sparse payload.
 //
-// It prints the measured data load time (the paper's metric), the bytes
-// each array needed, and optionally renders the contours to a PNG.
+// The filter is a contour (the default), a threshold (-filter threshold
+// -lo L -hi H), or in ndp mode an isovalue sweep (-sweep), which fetches
+// every (array, isovalue) pair as its own request and reports the
+// points each selected. All three share one run loop: each run prints
+// its measured data load time (the paper's metric), then the report
+// gives each request's triangles, cells or points and the bytes it
+// needed, and -v the trace trees and metric deltas. A contour can be
+// rendered to a PNG (-render) or exported to OBJ (-obj).
 //
 // Examples:
 //
@@ -15,6 +21,10 @@
 //	    -path asteroid/lz4/ts24006.vnd -arrays v02,v03 -iso 0.1 -render out.png
 //	vizpipe -mode ndp -ndp 127.0.0.1:9100 \
 //	    -path asteroid/lz4/ts24006.vnd -arrays v02,v03 -iso 0.1
+//	vizpipe -mode ndp -ndp 127.0.0.1:9100 -filter threshold \
+//	    -path asteroid/lz4/ts24006.vnd -arrays v02,v03 -lo 0.1 -hi 0.5
+//	vizpipe -mode ndp -ndp 127.0.0.1:9100 -sweep \
+//	    -path asteroid/lz4/ts24006.vnd -arrays v02 -iso 0.1,0.5,0.9
 package main
 
 import (
@@ -93,13 +103,27 @@ func run(args []string) error {
 	if err := flags.Parse(args); err != nil {
 		return err
 	}
-	if *repeats < 1 {
+	// The flag matrix, decided once before any dial or read: a flag the
+	// chosen run has no use for is an error, not silently dropped.
+	switch {
+	case *repeats < 1:
 		return fmt.Errorf("-repeats %d: want at least 1", *repeats)
-	}
-	// Only the ndp contour has a sharded path; anywhere else -shards
-	// would be ignored.
-	if (*shardsCSV != "" || *manifest != "") && (*mode != "ndp" || *filter != "contour" || *sweep) {
+	case *mode != "baseline" && *mode != "ndp":
+		return fmt.Errorf("unknown mode %q", *mode)
+	case *filter != "contour" && *filter != "threshold":
+		return fmt.Errorf("unknown filter %q (want contour or threshold)", *filter)
+	case (*shardsCSV != "" || *manifest != "") && (*mode != "ndp" || *filter != "contour" || *sweep):
 		return fmt.Errorf("-shards and -manifest need -mode ndp, -filter contour and no -sweep")
+	case *manifest != "" && *shardsCSV == "":
+		return fmt.Errorf("-manifest needs -shards")
+	case *sweep && (*mode != "ndp" || *filter != "contour"):
+		return fmt.Errorf("-sweep needs -mode ndp and -filter contour")
+	case (*renderOut != "" || *objOut != "") && (*filter != "contour" || *sweep):
+		return fmt.Errorf("-render and -obj need -filter contour and no -sweep")
+	case *mode == "ndp" && *ndpAddr == "" && *replicas == "" && *shardsCSV == "":
+		return fmt.Errorf("ndp mode needs an -ndp, -replicas, or -shards address")
+	case *path == "":
+		return fmt.Errorf("-path is required")
 	}
 
 	if *sloSpec != "" {
@@ -118,9 +142,6 @@ func run(args []string) error {
 		}()
 	}
 
-	if *path == "" {
-		return fmt.Errorf("-path is required")
-	}
 	arrays := strings.Split(*arraysCSV, ",")
 	isovalues, err := parseFloats(*isoCSV)
 	if err != nil {
@@ -130,20 +151,20 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-
-	if *sweep {
-		if *mode != "ndp" || (*ndpAddr == "" && *replicas == "") {
-			return fmt.Errorf("-sweep needs -mode ndp and an -ndp or -replicas address")
+	// One request per array, or with -sweep one per (array, isovalue)
+	// pair; names label each in errors and the report.
+	var reqs []core.MultiRequest
+	var names []string
+	for _, a := range arrays {
+		if !*sweep {
+			reqs = append(reqs, core.MultiRequest{Path: *path, Array: a, Isovalues: isovalues, Encoding: enc})
+			names = append(names, a)
+			continue
 		}
-		return runSweep(*ndpAddr, *replicas, *path, arrays, isovalues, enc,
-			*retries, *repeats)
-	}
-	if *filter == "threshold" {
-		return runThreshold(*mode, *dir, *store, *bucket, *ndpAddr, *replicas, *retries, *path,
-			arrays, *loFlag, *hiFlag, enc, *repeats, *verbose)
-	}
-	if *filter != "contour" {
-		return fmt.Errorf("unknown filter %q (want contour or threshold)", *filter)
+		for _, iso := range isovalues {
+			reqs = append(reqs, core.MultiRequest{Path: *path, Array: a, Isovalues: []float64{iso}, Encoding: enc})
+			names = append(names, fmt.Sprintf("%s iso %g", a, iso))
+		}
 	}
 
 	var load loadFunc
@@ -178,20 +199,17 @@ func run(args []string) error {
 				prefix += "/"
 			}
 			load = func(ctx context.Context) (*grid.Uniform, []loaded, error) {
-				out := make([]loaded, len(arrays))
-				for i, a := range arrays {
-					p, st, err := sc.FetchArrayContext(ctx, prefix, a, isovalues, enc)
+				out := make([]loaded, len(reqs))
+				for i, r := range reqs {
+					p, st, err := sc.FetchArrayContext(ctx, prefix, r.Array, r.Isovalues, enc)
 					if err != nil {
-						return nil, nil, fmt.Errorf("sharded fetch %s%s: %w", prefix, a, err)
+						return nil, nil, fmt.Errorf("sharded fetch %s%s: %w", prefix, r.Array, err)
 					}
 					out[i] = loaded{payload: p, shard: st}
 				}
 				return sc.Grid(), out, nil
 			}
 			break
-		}
-		if *ndpAddr == "" && *replicas == "" {
-			return fmt.Errorf("ndp mode needs an -ndp, -replicas, or -shards address")
 		}
 		client, err := dialNDP(*ndpAddr, *replicas, *retries)
 		if err != nil {
@@ -202,29 +220,40 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("describe %s: %w", *path, err)
 		}
-		// One request per array over the multiplexed connection: the
-		// storage node overlaps its reads and pre-filters across arrays.
-		reqs := make([]core.MultiRequest, len(arrays))
-		for i, a := range arrays {
-			reqs[i] = core.MultiRequest{Path: *path, Array: a, Isovalues: isovalues, Encoding: enc}
+		if *filter == "threshold" {
+			load = func(ctx context.Context) (*grid.Uniform, []loaded, error) {
+				out := make([]loaded, len(reqs))
+				for i, r := range reqs {
+					p, st, err := client.FetchRangeContext(ctx, *path, r.Array, *loFlag, *hiFlag, enc)
+					if err != nil {
+						return nil, nil, fmt.Errorf("fetch %s/%s: %w", *path, names[i], err)
+					}
+					out[i] = loaded{payload: p, fetch: st}
+				}
+				return desc.Grid, out, nil
+			}
+			break
 		}
+		// One request each over the multiplexed connection: the storage
+		// node overlaps its reads and pre-filters.
 		load = func(ctx context.Context) (*grid.Uniform, []loaded, error) {
 			out := make([]loaded, len(reqs))
 			for i, r := range client.FetchFilteredMultiContext(ctx, reqs) {
 				if r.Err != nil {
-					return nil, nil, fmt.Errorf("fetch %s/%s: %w", *path, arrays[i], r.Err)
+					return nil, nil, fmt.Errorf("fetch %s/%s: %w", *path, names[i], r.Err)
 				}
 				out[i] = loaded{payload: r.Payload, fetch: r.Stats}
 			}
 			return desc.Grid, out, nil
 		}
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
 	}
 
-	var got []loaded
-	var meshes []*contour.Mesh
-	var obs *observer
+	var (
+		got    []loaded
+		meshes []*contour.Mesh
+		cells  []*contour.CellSet
+		obs    *observer
+	)
 	if *verbose {
 		obs = newObserver()
 	}
@@ -234,7 +263,13 @@ func run(args []string) error {
 		var g *grid.Uniform
 		g, got, err = load(ctx)
 		loadTime := time.Since(start)
-		if err == nil {
+		// A sweep's filter step is its fetches: it reports the points each
+		// request selected.
+		switch {
+		case err != nil, *sweep:
+		case *filter == "threshold":
+			cells, err = thresholdAll(g, arrays, got, *loFlag, *hiFlag)
+		default:
 			meshes, err = contourAll(g, arrays, got, isovalues)
 		}
 		total := time.Since(start)
@@ -247,19 +282,26 @@ func run(args []string) error {
 	}
 	obs.report(os.Stdout)
 
-	layers := make([]render.Layer, len(arrays))
-	for i, a := range arrays {
-		m := meshes[i]
-		fmt.Printf("array %s: %d triangles, %d vertices\n",
-			a, m.NumTriangles(), m.NumVertices())
-		layers[i] = render.Layer{Mesh: m, Color: layerColors[i%len(layerColors)]}
+	var layers []render.Layer
+	for i, name := range names {
+		switch {
+		case meshes != nil:
+			m := meshes[i]
+			fmt.Printf("array %s: %d triangles, %d vertices\n",
+				name, m.NumTriangles(), m.NumVertices())
+			layers = append(layers, render.Layer{Mesh: m, Color: layerColors[i%len(layerColors)]})
+		case cells != nil:
+			fmt.Printf("array %s: %d cells in [%g, %g]\n", name, cells[i].Count(), *loFlag, *hiFlag)
+		default:
+			fmt.Printf("array %s: %d points\n", name, got[i].payload.Count)
+		}
 		if st := got[i].fetch; st != nil {
 			mark := ""
 			if st.Degraded {
 				mark = " [degraded: raw transfer + local pre-filter]"
 			}
 			fmt.Printf("array %s: transferred %s of %s (%d points selected)%s\n",
-				a, stats.FormatBytes(st.PayloadBytes), stats.FormatBytes(st.RawBytes),
+				name, stats.FormatBytes(st.PayloadBytes), stats.FormatBytes(st.RawBytes),
 				st.SelectedPoints, mark)
 		}
 		if st := got[i].shard; st != nil {
@@ -268,7 +310,7 @@ func run(args []string) error {
 				mark = fmt.Sprintf(" [%d bricks degraded]", st.Degraded)
 			}
 			fmt.Printf("array %s: %d bricks, transferred %s of %s (%d points selected, %d ghost dups)%s\n",
-				a, st.Bricks, stats.FormatBytes(st.PayloadBytes), stats.FormatBytes(st.RawBytes),
+				name, st.Bricks, stats.FormatBytes(st.PayloadBytes), stats.FormatBytes(st.RawBytes),
 				st.SelectedPoints, st.DupPoints, mark)
 		}
 	}
@@ -337,6 +379,25 @@ func contourAll(g *grid.Uniform, arrays []string, got []loaded, isovalues []floa
 		}
 	}
 	return meshes, nil
+}
+
+// thresholdAll is contourAll's twin for the threshold: a payload goes
+// through ThresholdFromPayload, which reads only its shipped points, the
+// baseline's full field through the kernel. Both keep the same cells.
+func thresholdAll(g *grid.Uniform, arrays []string, got []loaded, lo, hi float64) ([]*contour.CellSet, error) {
+	cells := make([]*contour.CellSet, len(got))
+	for i, l := range got {
+		var err error
+		if l.payload != nil {
+			cells[i], err = core.ThresholdFromPayload(g, l.payload, lo, hi)
+		} else {
+			cells[i], err = contour.ThresholdCells(g, l.values, lo, hi)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("threshold %s: %w", arrays[i], err)
+		}
+	}
+	return cells, nil
 }
 
 // baselineFS is the filesystem baseline mode reads from: a local
@@ -430,128 +491,6 @@ func printDeltas(w io.Writer, before, after telemetry.Snapshot) {
 	sort.Strings(lines)
 	for _, l := range lines {
 		fmt.Fprintln(w, l)
-	}
-}
-
-// runSweep fans one request per (array, isovalue) pair out over the
-// multiplexed connection with FetchFilteredMulti and reports per-request
-// and aggregate costs. Against a server with the array cache enabled,
-// requests sharing an array coalesce into a single storage read.
-func runSweep(ndpAddr, replicas, path string, arrays []string, isovalues []float64,
-	enc core.Encoding, retries, repeats int) error {
-
-	client, err := dialNDP(ndpAddr, replicas, retries)
-	if err != nil {
-		return err
-	}
-	defer client.Close()
-
-	reqs := make([]core.MultiRequest, 0, len(arrays)*len(isovalues))
-	for _, a := range arrays {
-		for _, iso := range isovalues {
-			reqs = append(reqs, core.MultiRequest{
-				Path: path, Array: a, Isovalues: []float64{iso}, Encoding: enc,
-			})
-		}
-	}
-	for r := 0; r < repeats; r++ {
-		start := time.Now()
-		results := client.FetchFilteredMulti(reqs)
-		wall := time.Since(start)
-
-		var moved, raw int64
-		for i, res := range results {
-			req := reqs[i]
-			if res.Err != nil {
-				return fmt.Errorf("fetch %s/%s iso %g: %w",
-					req.Path, req.Array, req.Isovalues[0], res.Err)
-			}
-			moved += res.Stats.PayloadBytes
-			raw = res.Stats.RawBytes
-			fmt.Printf("array %s iso %g: %d points, %s moved, read %s, total %s\n",
-				req.Array, req.Isovalues[0], res.Stats.SelectedPoints,
-				stats.FormatBytes(res.Stats.PayloadBytes),
-				stats.FormatDuration(res.Stats.ReadTime),
-				stats.FormatDuration(res.Stats.TotalTime))
-		}
-		fmt.Printf("sweep %d: %d fetches in %s, moved %s (one raw array is %s)\n",
-			r+1, len(reqs), stats.FormatDuration(wall),
-			stats.FormatBytes(moved), stats.FormatBytes(raw))
-	}
-	return nil
-}
-
-// runThreshold drives the split threshold filter in either mode.
-func runThreshold(mode, dir, store, bucket, ndpAddr, replicas string, retries int, path string,
-	arrays []string, lo, hi float64, enc core.Encoding, repeats int, verbose bool) error {
-
-	var obs *observer
-	if verbose {
-		obs = newObserver()
-	}
-	switch mode {
-	case "baseline":
-		fsys, err := baselineFS(dir, store, bucket)
-		if err != nil {
-			return err
-		}
-		for _, array := range arrays {
-			for r := 0; r < repeats; r++ {
-				// The file is read without a context: the run's trace is its
-				// root span alone.
-				_, end := obs.beginRun()
-				start := time.Now()
-				ds, err := readArrays(fsys, path, []string{array})
-				load := time.Since(start)
-				end()
-				if err != nil {
-					return err
-				}
-				cs, err := contour.ThresholdCells(ds.Grid, ds.Field(array).Values, lo, hi)
-				if err != nil {
-					return err
-				}
-				fmt.Printf("array %s run %d: %d cells in [%g, %g], load %s\n",
-					array, r+1, cs.Count(), lo, hi, stats.FormatDuration(load))
-			}
-		}
-		obs.report(os.Stdout)
-		return nil
-	case "ndp":
-		if ndpAddr == "" && replicas == "" {
-			return fmt.Errorf("ndp mode needs an -ndp or -replicas address")
-		}
-		client, err := dialNDP(ndpAddr, replicas, retries)
-		if err != nil {
-			return err
-		}
-		defer client.Close()
-		desc, err := client.Describe(path)
-		if err != nil {
-			return err
-		}
-		for _, array := range arrays {
-			for r := 0; r < repeats; r++ {
-				ctx, end := obs.beginRun()
-				payload, st, err := client.FetchRangeContext(ctx, path, array, lo, hi, enc)
-				end()
-				if err != nil {
-					return err
-				}
-				cs, err := core.ThresholdFromPayload(desc.Grid, payload, lo, hi)
-				if err != nil {
-					return err
-				}
-				fmt.Printf("array %s run %d: %d cells in [%g, %g], load %s, moved %s of %s\n",
-					array, r+1, cs.Count(), lo, hi,
-					stats.FormatDuration(st.TotalTime),
-					stats.FormatBytes(st.PayloadBytes), stats.FormatBytes(st.RawBytes))
-			}
-		}
-		obs.report(os.Stdout)
-		return nil
-	default:
-		return fmt.Errorf("unknown mode %q", mode)
 	}
 }
 

@@ -6,6 +6,9 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -60,6 +63,12 @@ func TestClientSelection(t *testing.T) {
 		{name: "-manifest in baseline mode", args: []string{"-dir", t.TempDir(), "-path", "ts0.vnd", "-manifest", "m.json"}, wantIn: "-manifest", wantErr: true},
 		{name: "-shards with the threshold", args: []string{"-mode", "ndp", "-ndp", a, "-path", "ts0.vnd", "-filter", "threshold", "-shards", b}, wantIn: "-shards", wantErr: true},
 		{name: "-shards with -sweep", args: []string{"-mode", "ndp", "-ndp", a, "-path", "ts0.vnd", "-sweep", "-shards", b}, wantIn: "-shards", wantErr: true},
+		{name: "-manifest without -shards", args: []string{"-mode", "ndp", "-ndp", a, "-retries", "3", "-path", "ts0.vnd", "-manifest", "m.json"}, wantIn: "-manifest", wantErr: true},
+		{name: "-sweep with the threshold", args: []string{"-mode", "ndp", "-ndp", a, "-retries", "3", "-path", "ts0.vnd", "-sweep", "-filter", "threshold"}, wantIn: "-sweep", wantErr: true},
+		{name: "-render with the threshold", args: []string{"-dir", t.TempDir(), "-path", "ts0.vnd", "-filter", "threshold", "-render", "f.png"}, wantIn: "-render", wantErr: true},
+		{name: "-obj with the threshold", args: []string{"-dir", t.TempDir(), "-path", "ts0.vnd", "-filter", "threshold", "-obj", "f.obj"}, wantIn: "-obj", wantErr: true},
+		{name: "-render with -sweep", args: []string{"-mode", "ndp", "-ndp", a, "-retries", "3", "-path", "ts0.vnd", "-sweep", "-render", "f.png"}, wantIn: "-render", wantErr: true},
+		{name: "-obj with -sweep", args: []string{"-mode", "ndp", "-ndp", a, "-retries", "3", "-path", "ts0.vnd", "-sweep", "-obj", "f.obj"}, wantIn: "-obj", wantErr: true},
 	} {
 		var err error
 		if tc.args != nil {
@@ -306,5 +315,113 @@ func TestModesWriteIdenticalOBJ(t *testing.T) {
 					codec, mode.name, compress.None, len(got), len(want))
 			}
 		}
+	}
+}
+
+// writeAsteroidStep writes the middle step of a 20³ asteroid run to
+// dir/name and returns it.
+func writeAsteroidStep(t *testing.T, dir, name string, codec compress.Kind) *grid.Dataset {
+	t.Helper()
+	ds, err := sim.AsteroidConfig{N: 20, Seed: 1}.Generate(sim.AsteroidMaxStep / 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := vtkio.WriteFile(filepath.Join(dir, name), ds,
+		vtkio.WriteOptions{Codec: codec, Checksum: true}); err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// TestModesKeepIdenticalThresholdCells is TestModesWriteIdenticalOBJ
+// for the threshold: baseline over a directory, ndp against a server,
+// and ndp through the fault-tolerant client must each print one
+// non-zero "N cells in [lo, hi]" line per array, the same lines in
+// every mode and codec.
+func TestModesKeepIdenticalThresholdCells(t *testing.T) {
+	dir := t.TempDir()
+	for _, codec := range []compress.Kind{compress.None, compress.LZ4} {
+		writeAsteroidStep(t, dir, "asteroid/"+codec.String()+"/ts.vnd", codec)
+	}
+	ndp := serve(t, dir)
+	lo, hi := "0.1", "0.5"
+	cellLine := regexp.MustCompile(`(?m)^array (\S+): ([0-9]+) cells in \[` +
+		regexp.QuoteMeta(lo+", "+hi) + `\]$`)
+
+	var want []string
+	for _, codec := range []compress.Kind{compress.None, compress.LZ4} {
+		key := "asteroid/" + codec.String() + "/ts.vnd"
+		for _, mode := range []struct {
+			name string
+			args []string
+		}{
+			{"baseline", []string{"-mode", "baseline", "-dir", dir}},
+			{"ndp", []string{"-mode", "ndp", "-ndp", ndp}},
+			{"ndp -retries 3", []string{"-mode", "ndp", "-ndp", ndp, "-retries", "3"}},
+		} {
+			args := append(mode.args, "-path", key, "-filter", "threshold",
+				"-arrays", "v02,v03", "-lo", lo, "-hi", hi)
+			out, err := captureStdout(t, func() error { return run(args) })
+			if err != nil {
+				t.Fatalf("%v %s: %v\n%s", codec, mode.name, err, out)
+			}
+			var got []string
+			for _, m := range cellLine.FindAllStringSubmatch(out, -1) {
+				if m[2] == "0" {
+					t.Errorf("%v %s: array %s kept no cells", codec, mode.name, m[1])
+				}
+				got = append(got, m[0])
+			}
+			switch {
+			case len(got) != 2:
+				t.Fatalf("%v %s: %d cell lines, want one per array:\n%s", codec, mode.name, len(got), out)
+			case want == nil:
+				want = got
+			case !slices.Equal(got, want):
+				t.Errorf("%v %s: cell lines %q, want %v baseline's %q", codec, mode.name, got, compress.None, want)
+			}
+		}
+	}
+}
+
+// TestSweepReportsEachPair runs -sweep twice against a server: the
+// report must give one line per (array, isovalue) pair, each with the
+// points a local pre-filter at that isovalue alone selects.
+func TestSweepReportsEachPair(t *testing.T) {
+	dir := t.TempDir()
+	ds := writeAsteroidStep(t, dir, "ts.vnd", compress.LZ4)
+	out, err := captureStdout(t, func() error {
+		return run([]string{"-mode", "ndp", "-ndp", serve(t, dir), "-path", "ts.vnd",
+			"-sweep", "-repeats", "2", "-arrays", "v02,v03", "-iso", "0.1,0.5"})
+	})
+	if err != nil {
+		t.Fatalf("vizpipe -sweep: %v\n%s", err, out)
+	}
+	if n := strings.Count(out, ": data load time "); n != 2 {
+		t.Errorf("%d run lines, want 2:\n%s", n, out)
+	}
+	pointLine := regexp.MustCompile(`(?m)^array (\S+) iso (\S+): ([0-9]+) points$`)
+	lines := pointLine.FindAllStringSubmatch(out, -1)
+	var pairs []string
+	for _, m := range lines {
+		pairs = append(pairs, m[1]+" "+m[2])
+		iso, err := strconv.ParseFloat(m[2], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pre := core.PreFilter{Isovalues: []float64{iso}}
+		p, _, err := pre.Run(ds.Grid, ds.Field(m[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := strconv.Atoi(m[3]); got != p.Count || got == 0 {
+			t.Errorf("array %s iso %s: %d points, want %d (non-zero)", m[1], m[2], got, p.Count)
+		}
+	}
+	if want := []string{"v02 0.1", "v02 0.5", "v03 0.1", "v03 0.5"}; !slices.Equal(pairs, want) {
+		t.Errorf("point lines for %q, want one each for %q:\n%s", pairs, want, out)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"net"
 	"os"
 	"path/filepath"
@@ -155,7 +156,7 @@ func TestCacheSingleFlightOverRPC(t *testing.T) {
 	}
 }
 
-// TestCacheMultiFanOut drives FetchFilteredMulti against a cached
+// TestCacheMultiFanOut drives FetchFilteredMultiContext against a cached
 // server: results come back in request order, per-request errors don't
 // poison the batch, and the shared array still loads from storage once.
 func TestCacheMultiFanOut(t *testing.T) {
@@ -172,7 +173,7 @@ func TestCacheMultiFanOut(t *testing.T) {
 	}
 	reqs = append(reqs, MultiRequest{Path: "ts0.vnd", Array: "missing", Isovalues: []float64{5}})
 
-	results := client.FetchFilteredMulti(reqs)
+	results := client.FetchFilteredMultiContext(context.Background(), reqs)
 	if len(results) != len(reqs) {
 		t.Fatalf("results = %d, want %d", len(results), len(reqs))
 	}

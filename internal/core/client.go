@@ -294,8 +294,9 @@ func (c *Client) fetchDegraded(ctx context.Context, path, array string, local lo
 	return payload, stats, nil
 }
 
-// MultiRequest names one pre-filtered fetch in a FetchFilteredMulti
-// fan-out: one array of one file, filtered at the given isovalues.
+// MultiRequest names one pre-filtered fetch in a
+// FetchFilteredMultiContext fan-out: one array of one file, filtered at
+// the given isovalues.
 type MultiRequest struct {
 	Path      string
 	Array     string
@@ -311,23 +312,18 @@ type MultiResult struct {
 	Err     error
 }
 
-// multiParallelism bounds the requests a fan-out — FetchFilteredMulti's
-// or a sharded gather's — has in flight at once.
+// multiParallelism bounds the requests a fan-out — a
+// FetchFilteredMultiContext or a sharded gather — has in flight at once.
 const multiParallelism = 8
 
-// FetchFilteredMulti issues many pre-filtered fetches concurrently over
-// the one multiplexed RPC connection and returns the results in request
-// order, at most multiParallelism in flight at once. Failures are
-// reported per-request rather than failing the batch, so one bad array
-// name doesn't discard the sibling payloads; with the server's array
-// cache enabled, concurrent requests against the same array coalesce
-// into a single storage read.
-func (c *Client) FetchFilteredMulti(reqs []MultiRequest) []MultiResult {
-	return c.FetchFilteredMultiContext(context.Background(), reqs)
-}
-
-// FetchFilteredMultiContext is FetchFilteredMulti under a caller
-// context; cancelling ctx fails the not-yet-issued requests.
+// FetchFilteredMultiContext issues many pre-filtered fetches
+// concurrently over the one multiplexed RPC connection and returns the
+// results in request order, at most multiParallelism in flight at once.
+// Failures are reported per-request rather than failing the batch, so
+// one bad array name doesn't discard the sibling payloads; with the
+// server's array cache enabled, concurrent requests against the same
+// array coalesce into a single storage read. Cancelling ctx fails the
+// not-yet-issued requests.
 func (c *Client) FetchFilteredMultiContext(ctx context.Context, reqs []MultiRequest) []MultiResult {
 	results := make([]MultiResult, len(reqs))
 	fanOut(ctx, len(reqs), func(i int, skipped error) {

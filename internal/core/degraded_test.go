@@ -224,7 +224,7 @@ func TestFetchFilteredMultiFaultBoundedGoroutines(t *testing.T) {
 		reqs[i] = MultiRequest{Path: "p", Array: "a", Isovalues: []float64{1}}
 	}
 	done := make(chan []MultiResult, 1)
-	go func() { done <- c.FetchFilteredMulti(reqs) }()
+	go func() { done <- c.FetchFilteredMultiContext(context.Background(), reqs) }()
 
 	deadline := time.Now().Add(2 * time.Second)
 	for g.peak() < multiParallelism && time.Now().Before(deadline) {
