@@ -47,16 +47,33 @@ const (
 )
 
 // RowRanges summarizes an array one point row at a time: for each (j, k)
-// row of nx points, the least and greatest of its non-NaN values. A row
-// with no non-NaN value has lo = +Inf and hi = -Inf, so no isovalue can
-// find it straddled. It costs 8 bytes per row (2/nx of the array's
-// bytes, 1/64 at nx = 128) and is valid only for the values it was built
-// from.
+// row of nx points, bounds lo and hi on its non-NaN values. SummarizeRows
+// takes them exact — the least and greatest — and a row with no non-NaN
+// value gets lo = +Inf and hi = -Inf, so no isovalue can find it
+// straddled. BoundRows takes wider ones from what a reader knew before
+// reading the values. A select's mask is the same under any bounds that
+// hold, exact or not; only how many row pairs it skips differs. It costs
+// 8 bytes per row (2/nx of the array's bytes, 1/64 at nx = 128) and is
+// valid only for the values it bounds.
 //
 // A nil *RowRanges is a valid summary that judges every row pair live.
 type RowRanges struct {
 	dims   grid.Dims
 	lo, hi []float32
+}
+
+// BoundRows returns the summary of g's point rows whose row r is bounded
+// by lo[r] and hi[r], which it keeps. The caller vouches that every
+// non-NaN value of row r lies in [lo[r], hi[r]]; selects with the summary
+// then read only the rows their live pairs hold (ContourRows, RangeRows).
+func BoundRows(g *grid.Uniform, lo, hi []float32) (*RowRanges, error) {
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	if rows := g.Dims.Y * g.Dims.Z; len(lo) != rows || len(hi) != rows {
+		return nil, fmt.Errorf("contour: bounds for %d and %d rows, grid has %d", len(lo), len(hi), rows)
+	}
+	return &RowRanges{dims: g.Dims, lo: lo, hi: hi}, nil
 }
 
 // SummarizeRows builds the row summary of values over g.
@@ -111,6 +128,23 @@ func (s *RowRanges) SelectContour(g *grid.Uniform, values []float32, isovalues [
 		s.selectCorners(g, values, isoTest{iso, rule}, mask)
 	}
 	return mask, nil
+}
+
+// ContourRows marks in need, one bit per (j, k) point row, the rows
+// SelectContour reads at isovalues with the row pairs judged by s: every
+// row of a pair s leaves live for one of the isovalues. The select's mask
+// depends on those rows' values alone, so they are all of the array a
+// reader must fetch before it selects with s. need must hold a bit per
+// row of s; bits already set stay set.
+func (s *RowRanges) ContourRows(isovalues []float64, need []uint64) {
+	for _, iso := range isovalues {
+		s.livePairs(isoTest{iso: iso}, need, nil)
+	}
+}
+
+// RangeRows is ContourRows for SelectRangeCorners over [lo, hi].
+func (s *RowRanges) RangeRows(lo, hi float64, need []uint64) {
+	s.livePairs(rangeTest{lo, hi}, need, nil)
 }
 
 // SelectRangeCorners is the package function SelectRangeCorners with the
@@ -323,6 +357,46 @@ func (rangeTest) mark(mask []uint64, p *rowPair, s *pairScratch) {
 	markCellCorners(mask, c, s.corners, p.nx, p.rows)
 }
 
+// livePairs is the pair-liveness test of a pass for t, shared by the
+// sweep and the read planner (ContourRows, RangeRows): over the row
+// pairs of a grid of s's dims — every pair when s is nil — it sets in
+// need, one bit per point row, the four rows of each pair s leaves live,
+// and appends the pair, as its first row << 2 | last-pair bits, to
+// *pairs when pairs is not nil.
+func (s *RowRanges) livePairs(t cellTest, need []uint64, pairs *[]int32) {
+	ny, nz := s.dims.Y, s.dims.Z
+	if s.dims.X < 2 {
+		return // rows of one point hold no cell
+	}
+	// far is the row offset from a pair's near layer to its far one.
+	far := ny
+	for k := 0; k < nz-1; k++ {
+		for j := 0; j < ny-1; j++ {
+			p := k*ny + j
+			if s.lo != nil {
+				lo := min(s.lo[p], s.lo[p+1], s.lo[p+far], s.lo[p+far+1])
+				hi := max(s.hi[p], s.hi[p+1], s.hi[p+far], s.hi[p+far+1])
+				if t.skip(lo, hi) {
+					continue
+				}
+			}
+			if pairs != nil {
+				last := 0 // bit 0: no pair follows along j; bit 1: none along k
+				if j == ny-2 {
+					last = 1
+				}
+				if k == nz-2 {
+					last |= 2
+				}
+				*pairs = append(*pairs, int32(p<<2|last))
+			}
+			for _, r := range [4]int{p, p + 1, p + far, p + far + 1} {
+				need[r>>6] |= 1 << (r & 63)
+			}
+		}
+	}
+}
+
 // selectCorners runs one pass of the sweep for t over the row pairs s
 // judges live, OR-ing the points t selects into mask.
 func (s *RowRanges) selectCorners(g *grid.Uniform, values []float32, t cellTest, mask *bitset.Bitset) {
@@ -330,35 +404,15 @@ func (s *RowRanges) selectCorners(g *grid.Uniform, values []float32, t cellTest,
 	if nx < 2 {
 		return // rows of one point hold no cell
 	}
-	// far is the row offset from a pair's near layer to its far one.
 	far := ny
 	buf := getSweepBuf(nx, ny*nz)
 	defer sweepPool.Put(buf)
 
 	// The live pairs, each named by its first row, and the rows they read.
-	for k := 0; k < nz-1; k++ {
-		for j := 0; j < ny-1; j++ {
-			p := k*ny + j
-			if s != nil {
-				lo := min(s.lo[p], s.lo[p+1], s.lo[p+far], s.lo[p+far+1])
-				hi := max(s.hi[p], s.hi[p+1], s.hi[p+far], s.hi[p+far+1])
-				if t.skip(lo, hi) {
-					continue
-				}
-			}
-			last := 0 // bit 0: no pair follows along j; bit 1: none along k
-			if j == ny-2 {
-				last = 1
-			}
-			if k == nz-2 {
-				last |= 2
-			}
-			buf.pairs = append(buf.pairs, int32(p<<2|last))
-			for _, r := range [4]int{p, p + 1, p + far, p + far + 1} {
-				buf.need[r>>6] |= 1 << (r & 63)
-			}
-		}
+	if s == nil {
+		s = &RowRanges{dims: g.Dims} // no bounds: every pair is live
 	}
+	s.livePairs(t, buf.need, &buf.pairs)
 	for w, word := range buf.need {
 		for ; word != 0; word &= word - 1 {
 			buf.rows = append(buf.rows, int32(w<<6+bits.TrailingZeros64(word)))

@@ -57,6 +57,10 @@ type selector struct {
 	parse func(args []any) (query, error)
 	// run selects and encodes for one query over a loaded array.
 	run func(e *arrayEntry, q query) (*fetchResult, error)
+	// rows, when set, marks in need the point rows run reads given
+	// bounds s on the array's rows: an uncached load reads only the
+	// chunks that hold them (see readPlanned). nil reads the whole array.
+	rows func(q query, s *contour.RowRanges, need []uint64)
 	// respond adds the method's own keys to the shared response map.
 	respond func(resp map[string]any, r *fetchResult)
 }
@@ -122,7 +126,7 @@ func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (any
 	var readTime time.Duration
 	start := time.Now()
 	res, outcome, err := s.payloads.GetOrLoad(ctx, key, func() (*fetchResult, error) {
-		entry, rt, err := s.loadArray(ctx, arrayKey{path, array, key.version})
+		entry, rt, err := s.loadArray(ctx, arrayKey{path, array, key.version}, sel, q)
 		if err != nil {
 			return nil, err
 		}
@@ -269,6 +273,9 @@ var contourSelector = &selector{
 		cq := q.(contourQuery)
 		return selectionResult((&PreFilter{Isovalues: cq.isovalues, Encoding: cq.enc, rows: e.rows, rule: cq.rule}).Run(e.grid, e.field))
 	},
+	rows: func(q query, s *contour.RowRanges, need []uint64) {
+		s.ContourRows(q.(contourQuery).isovalues, need)
+	},
 	respond: respondSelected,
 }
 
@@ -299,6 +306,10 @@ var rangeSelector = &selector{
 	run: func(e *arrayEntry, q query) (*fetchResult, error) {
 		rq := q.(rangeQuery)
 		return selectionResult((&RangePreFilter{Lo: rq.lo, Hi: rq.hi, Encoding: rq.enc, rows: e.rows}).Run(e.grid, e.field))
+	},
+	rows: func(q query, s *contour.RowRanges, need []uint64) {
+		rq := q.(rangeQuery)
+		s.RangeRows(rq.lo, rq.hi, need)
 	},
 	respond: respondSelected,
 }

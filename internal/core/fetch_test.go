@@ -224,7 +224,8 @@ func TestFetchPipelineEventsAndCounters(t *testing.T) {
 				t.Errorf("ok fetch: requests/passes/errors moved by %v, want %v", got, want)
 			}
 			ev := serverEvent(t, k.method, seq0)
-			if got, want := fmt.Sprint(attrNames(ev)), "[array path payloadBytes selected shard]"; got != want {
+			// An uncached load also says how many of the array's chunks it read.
+			if got, want := fmt.Sprint(attrNames(ev)), "[array chunks chunksRead path payloadBytes selected shard]"; got != want {
 				t.Errorf("ok fetch: event attrs %s, want %s", got, want)
 			}
 			if ev.Outcome != telemetry.OutcomeOK || ev.Cache != "miss" || ev.Attrs["shard"] != "s0" || ev.Attrs["path"] != "run/ts0.vnd" || ev.Attrs["array"] != "d" {

@@ -164,7 +164,7 @@ func TestCacheEntryCarriesRowSummary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, _, err := srv.loadArray(context.Background(), arrayKey{"ts0.vnd", "d", version})
+		e, _, err := srv.loadArray(context.Background(), arrayKey{"ts0.vnd", "d", version}, rawSelector, rawQuery{})
 		if err != nil {
 			t.Fatal(err)
 		}

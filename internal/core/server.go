@@ -6,10 +6,14 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"net"
+	"slices"
+	"sync"
 	"time"
 
 	"vizndp/internal/contour"
+	"vizndp/internal/grid"
 	"vizndp/internal/lru"
 	"vizndp/internal/rpc"
 	"vizndp/internal/telemetry"
@@ -335,15 +339,17 @@ func (s *Server) quarantined(path string) error {
 }
 
 // loadArray is the pipeline's load stage: it resolves one array through
-// the cache when configured. Without a cache every call reads storage;
-// with one, concurrent requests single-flight onto one read and repeats
-// are served resident. The call that performed the storage read (+
-// decompression) records it as its request's read stage and returns its
-// duration, so the readns a client sees stays an honest account of
-// storage work actually done for it, and hits and coalesced waits stay
-// out of the read-time histogram. A request waiting on another's read
-// waits under its own ctx and records that as its wait stage.
-func (s *Server) loadArray(ctx context.Context, key arrayKey) (*arrayEntry, time.Duration, error) {
+// the cache when configured. Without a cache every call reads storage,
+// and reads only what the selector needs to serve q (readPlanned); with
+// one, concurrent requests single-flight onto one read of the whole
+// array — an entry must serve any later query — and repeats are served
+// resident. The call that performed the storage read (+ decompression)
+// records it as its request's read stage and returns its duration, so
+// the readns a client sees stays an honest account of storage work
+// actually done for it, and hits and coalesced waits stay out of the
+// read-time histogram. A request waiting on another's read waits under
+// its own ctx and records that as its wait stage.
+func (s *Server) loadArray(ctx context.Context, key arrayKey, sel *selector, q query) (*arrayEntry, time.Duration, error) {
 	ev := telemetry.EventFromContext(ctx)
 	start := time.Now()
 	entry, outcome, err := s.cache.GetOrLoad(ctx, key, func() (*arrayEntry, error) {
@@ -354,17 +360,18 @@ func (s *Server) loadArray(ctx context.Context, key arrayKey) (*arrayEntry, time
 			return nil, err
 		}
 		defer closer.Close()
+		if s.cache == nil {
+			return readPlanned(ev, r, key.array, sel, q)
+		}
 		field, err := r.ReadArray(key.array)
 		if err != nil {
 			return nil, err
 		}
-		e := &arrayEntry{grid: r.Grid(), field: field}
 		// Only an entry the cache keeps repays its summary; an uncached one
 		// serves this one request.
-		if s.cache != nil {
-			if e.rows, err = contour.SummarizeRows(e.grid, field.Values); err != nil {
-				return nil, err
-			}
+		e := &arrayEntry{grid: r.Grid(), field: field}
+		if e.rows, err = contour.SummarizeRows(e.grid, field.Values); err != nil {
+			return nil, err
 		}
 		return e, nil
 	})
@@ -385,6 +392,97 @@ func (s *Server) loadArray(ctx context.Context, key arrayKey) (*arrayEntry, time
 		return nil, 0, s.failCorrupt(ctx, key.path, err)
 	}
 	return entry, readTime, nil
+}
+
+// readPlanned is an uncached load: it reads the chunks of the array that
+// serving q can touch and no others. When the file records its chunks'
+// value ranges and the selector plans its reads, readPlan.plan turns
+// the ranges into bounds on every point row, and the entry carries those
+// bounds as its row summary: the select then sweeps only the row pairs
+// they leave live, whose rows are all among the ones read, and its mask —
+// so the payload — is the full sweep's (TestUncachedPlannedReadBitIdentity,
+// FuzzPlannedReadContour). Otherwise the whole array is read. The
+// request's wide event records how many of the array's chunks were read.
+func readPlanned(ev *telemetry.ActiveEvent, r *vtkio.Reader, array string, sel *selector, q query) (*arrayEntry, error) {
+	p, _ := planPool.Get().(*readPlan)
+	if p == nil {
+		p = new(readPlan)
+	}
+	defer planPool.Put(p)
+	e := &arrayEntry{grid: r.Grid()}
+	chunks, err := r.ChunkRanges(array, p.chunks)
+	if err != nil {
+		return nil, err
+	}
+	var want []bool
+	if chunks != nil && sel.rows != nil {
+		p.chunks = chunks
+		if e.rows, err = p.plan(e.grid, sel, q); err != nil {
+			return nil, err
+		}
+		want = p.want
+	}
+	if e.field, err = r.ReadArrayChunks(array, want); err != nil {
+		return nil, err
+	}
+	total := len(r.Header().Array(array).Chunks)
+	read := total
+	for _, w := range want {
+		if !w {
+			read--
+		}
+	}
+	ev.SetAttr("chunks", total)
+	ev.SetAttr("chunksRead", read)
+	return e, nil
+}
+
+// readPlan is one uncached load's working memory, recycled through
+// planPool: the array's chunk ranges, the rows its select reads, and the
+// chunks that hold them. Nothing in it outlives the load.
+type readPlan struct {
+	chunks []vtkio.ChunkRange
+	need   []uint64
+	want   []bool
+}
+
+var planPool sync.Pool
+
+// plan bounds each point row of g by the union of the ranges of the
+// chunks its values lie in, has sel mark the point rows its select for q
+// reads under those bounds, and sets p.want to exactly the chunks that
+// hold one of them. It returns the bounds.
+func (p *readPlan) plan(g *grid.Uniform, sel *selector, q query) (*contour.RowRanges, error) {
+	nx, n := g.Dims.X, g.Dims.Y*g.Dims.Z
+	bounds := make([]float32, 2*n)
+	lo, hi := bounds[:n], bounds[n:]
+	for r := range lo {
+		lo[r], hi[r] = float32(math.Inf(1)), float32(math.Inf(-1))
+	}
+	// The point rows chunk c's values [Start, End) fall in.
+	span := func(c vtkio.ChunkRange) (int, int) { return min(c.Start/nx, n), min((c.End+nx-1)/nx, n) }
+	for _, c := range p.chunks {
+		r0, r1 := span(c)
+		for r := r0; r < r1; r++ {
+			lo[r], hi[r] = min(lo[r], c.Lo), max(hi[r], c.Hi)
+		}
+	}
+	sum, err := contour.BoundRows(g, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	p.need = slices.Grow(p.need[:0], (n+63)/64)[:(n+63)/64]
+	clear(p.need)
+	sel.rows(q, sum, p.need)
+	p.want = slices.Grow(p.want[:0], len(p.chunks))[:len(p.chunks)]
+	for i, c := range p.chunks {
+		r0, r1 := span(c)
+		p.want[i] = false
+		for r := r0; r < r1 && !p.want[i]; r++ {
+			p.want[i] = p.need[r>>6]&(1<<(r&63)) != 0
+		}
+	}
+	return sum, nil
 }
 
 // handleManifest serves a brick manifest document from the store. The

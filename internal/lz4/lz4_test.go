@@ -2,6 +2,8 @@ package lz4
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -244,9 +246,9 @@ func TestAppendCompressedAppends(t *testing.T) {
 	}
 }
 
-// Kept: the benchmark trace times LZ4 decode only (lz4.decode_*); compression shows there just as part of vtkio.write_s.
-func BenchmarkCompressField(b *testing.B) {
-	// 1 MiB of field-like float32 data, moderately compressible.
+// benchField is 1 MiB of field-like float32 data, moderately
+// compressible: one word in ten has a random low byte.
+func benchField() []byte {
 	src := make([]byte, 1<<20)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < len(src); i += 4 {
@@ -254,9 +256,62 @@ func BenchmarkCompressField(b *testing.B) {
 			src[i] = byte(rng.Intn(256))
 		}
 	}
+	return src
+}
+
+// zeroRunField is 1 MiB of float32 volume fractions shaped like the
+// asteroid arrays: long runs of 0.0 between short ramps of distinct
+// values, so most of its matches are offset-4 overlapping copies.
+func zeroRunField() []byte {
+	vals := make([]float32, 1<<18)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < len(vals); {
+		i += 200 + rng.Intn(2000) // a run of zeros
+		for ramp := 8 + rng.Intn(24); ramp > 0 && i < len(vals); ramp-- {
+			vals[i] = rng.Float32()
+			i++
+		}
+	}
+	src := make([]byte, 4*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint32(src[4*i:], math.Float32bits(v))
+	}
+	return src
+}
+
+// Kept: the benchmark trace times LZ4 decode only (lz4.decode_*); compression shows there just as part of vtkio.write_s.
+func BenchmarkCompressField(b *testing.B) {
+	src := benchField()
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Compress(src)
+	}
+}
+
+// BenchmarkDecompressField is the decode layer alone, into a reused
+// destination as vtkio decodes a chunk: on BenchmarkCompressField's field
+// and on one whose long zero runs make offset-4 overlapping matches.
+func BenchmarkDecompressField(b *testing.B) {
+	for _, in := range []struct {
+		name string
+		src  []byte
+	}{{"field", benchField()}, {"zero-runs", zeroRunField()}} {
+		b.Run(in.name, func(b *testing.B) {
+			comp := Compress(in.src)
+			dst := make([]byte, len(in.src))
+			b.SetBytes(int64(len(in.src)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := DecompressInto(dst, comp); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if !bytes.Equal(dst, in.src) {
+				b.Fatal("decoded bytes differ from the input")
+			}
+		})
 	}
 }

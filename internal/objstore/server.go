@@ -75,6 +75,25 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 	return n, err
 }
 
+// ReadFrom hands a body copy to the wrapped writer's own ReadFrom, which
+// is how http.ServeContent reaches sendfile on a plain TCP connection;
+// without it the copy would go through Write 32 KiB at a time. A writer
+// with no ReadFrom gets the plain copy. Either way the bytes are counted.
+func (sr *statusRecorder) ReadFrom(src io.Reader) (int64, error) {
+	if sr.status == 0 {
+		sr.status = http.StatusOK
+	}
+	var n int64
+	var err error
+	if rf, ok := sr.ResponseWriter.(io.ReaderFrom); ok {
+		n, err = rf.ReadFrom(src)
+	} else {
+		n, err = io.Copy(struct{ io.Writer }{sr.ResponseWriter}, src)
+	}
+	sr.bytes += n
+	return n, err
+}
+
 // mtimeHeader carries an object's version stamp on GET and HEAD replies:
 // the stored file's mtime in Unix nanoseconds (Last-Modified has seconds).
 // A PUT stamps strictly later than what it replaces (see install), so

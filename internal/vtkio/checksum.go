@@ -175,19 +175,20 @@ func (r *Reader) VerifyChecksums() error {
 func (r *Reader) verifyArray(idx int) error {
 	ext := getExtent(r.meta.header.Arrays[idx].CompressedSize())
 	defer putExtent(ext)
-	return r.readExtent(idx, *ext)
+	return r.readSpan(idx, 0, *ext)
 }
 
-// verifyPages checks data (array idx's full stored extent) against its
-// slice of the CRC table.
-func (m *Meta) verifyPages(idx int, data []byte) error {
+// verifyPages checks data, array idx's stored bytes from the page-aligned
+// offset lo of its extent, against its slice of the CRC table.
+func (m *Meta) verifyPages(idx int, lo int64, data []byte) error {
 	pageSize := int64(m.header.Checksums.PageSize)
-	crcs := m.crcs[m.ckStart[idx]:]
-	for p, lo := 0, int64(0); lo < int64(len(data)); p, lo = p+1, lo+pageSize {
-		hi := min(lo+pageSize, int64(len(data)))
-		if got, want := Checksum(data[lo:hi]), crcs[p]; got != want {
+	first := lo / pageSize
+	crcs := m.crcs[m.ckStart[idx]+first:]
+	for p, off := int64(0), int64(0); off < int64(len(data)); p, off = p+1, off+pageSize {
+		end := min(off+pageSize, int64(len(data)))
+		if got, want := Checksum(data[off:end]), crcs[p]; got != want {
 			return fmt.Errorf("%w: array %q page %d (stored bytes [%d,%d)): crc %08x, recorded %08x",
-				ErrChecksum, m.header.Arrays[idx].Name, p, lo, hi, got, want)
+				ErrChecksum, m.header.Arrays[idx].Name, first+p, lo+off, lo+end, got, want)
 		}
 	}
 	return nil

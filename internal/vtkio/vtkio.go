@@ -107,6 +107,10 @@ type Header struct {
 	// this field and skip verification — the section sits after the last
 	// array block, outside every extent they read.
 	Checksums *ChecksumInfo `json:"checksums,omitempty"`
+	// Ranges is the chunk range table (see ranges.go): every chunk's
+	// value range and the table's CRC32C, base64 in the JSON. Readers
+	// that predate it skip the field.
+	Ranges []byte `json:"ranges,omitempty"`
 }
 
 // Grid reconstructs the grid described by the header.
@@ -167,7 +171,9 @@ type WriteOptions struct {
 	// +/- LossyBound. Chunk sizes stay float32-aligned automatically.
 	LossyBound float64
 	// Checksum appends the page-CRC32C section and points the header at
-	// it; readers then verify every array read (see checksum.go).
+	// it; readers then verify every array read (see checksum.go). It also
+	// records the chunk range table (see ranges.go) unless LossyBound is
+	// set.
 	Checksum bool
 	// ChecksumPageSize overrides DefaultChecksumPageSize when positive.
 	ChecksumPageSize int
@@ -212,7 +218,11 @@ func Write(w io.Writer, ds *grid.Dataset, opts WriteOptions) error {
 	}
 	blocks := make([]block, 0, ds.NumFields())
 	for _, name := range ds.FieldNames() {
-		raw := FloatsToBytes(ds.Field(name).Values)
+		vals := ds.Field(name).Values
+		if opts.Checksum && opts.LossyBound <= 0 {
+			h.Ranges = appendRanges(h.Ranges, vals, chunkSize/4)
+		}
+		raw := FloatsToBytes(vals)
 		chunks, infos, err := compressChunks(raw, chunkSize, codec)
 		if err != nil {
 			return fmt.Errorf("vtkio: array %q: %w", name, err)
@@ -222,6 +232,10 @@ func Write(w io.Writer, ds *grid.Dataset, opts WriteOptions) error {
 			info.LossyBound = opts.LossyBound
 		}
 		blocks = append(blocks, block{info: info, chunks: chunks})
+	}
+
+	if h.Ranges != nil {
+		h.Ranges = binary.LittleEndian.AppendUint32(h.Ranges, Checksum(h.Ranges))
 	}
 
 	// Page checksums over each array's stored bytes, in array order; the
@@ -437,6 +451,9 @@ func ReadMeta(src io.ReaderAt) (*Meta, error) {
 			}
 		}
 	}
+	if err := checkRanges(&m.header); err != nil {
+		return nil, err
+	}
 	// Same discipline for the checksum section: its geometry is checked
 	// and its table read here, once, so a section that falls outside the
 	// file fails the open rather than the first verified read.
@@ -511,65 +528,98 @@ func getExtent(n int64) *[]byte {
 
 func putExtent(p *[]byte) { extentPool.Put(p) }
 
-// readExtent fills buf with array idx's stored extent — one sequential
-// read — and checks it against the page CRCs when the file carries them.
-// Verification always runs here, on the stored bytes and before any
-// codec sees them: a CRC mismatch is reported as ErrChecksum, never as a
-// codec failure — and never as silently-wrong floats when the corrupt
-// bytes still decompress (the "none" codec decompresses everything).
-func (r *Reader) readExtent(idx int, buf []byte) error {
+// readSpan fills buf with the stored bytes of array idx from offset lo
+// of its extent — one sequential read — and checks them against the
+// page CRCs when the file carries them, in which case lo must be
+// page-aligned and buf run to a page boundary or the extent's end.
+// Verification always runs here,
+// on the stored bytes and before any codec sees them: a CRC mismatch is
+// reported as ErrChecksum, never as a codec failure — and never as
+// silently-wrong floats when the corrupt bytes still decompress (the
+// "none" codec decompresses everything).
+func (r *Reader) readSpan(idx int, lo int64, buf []byte) error {
 	info := &r.meta.header.Arrays[idx]
-	if _, err := readFullAt(r.src, buf, info.Offset); err != nil {
+	if len(buf) == 0 {
+		return nil
+	}
+	if _, err := readFullAt(r.src, buf, info.Offset+lo); err != nil {
 		return fmt.Errorf("vtkio: reading array %q: %w", info.Name, err)
 	}
 	if r.meta.header.Checksums == nil {
 		return nil
 	}
-	return r.meta.verifyPages(idx, buf)
+	return r.meta.verifyPages(idx, lo, buf)
 }
 
-// readArray is the one array-decode routine: it lands array idx's raw
-// little-endian bytes in dst, which must be RawSize() long, allocating
-// nothing of the array's size. The "raw" codec's stored extent is the
-// array, so it is read straight into dst and verified there; every other
-// codec's extent is read into a pooled buffer and its chunks decompress
-// in parallel, each into its own slot of dst.
-func (r *Reader) readArray(idx int, dst []byte) error {
+// readArray is the one array-decode routine: it lands the raw
+// little-endian bytes of array idx's wanted chunks in dst, which must be
+// RawSize() long, allocating nothing of the array's size. want marks the
+// chunks to decode, nil meaning all. It reads one span of the stored
+// extent, from the first wanted chunk to the last, widened to whole
+// checksum pages and verified page by page (readSpan). The "raw" codec's
+// stored bytes are the array, so its span is read straight into dst,
+// unwanted chunks inside it included; every other codec's span is read
+// into a pooled buffer and the wanted chunks decompress in parallel, each
+// into its own slot of dst. The rest of dst is left as it was.
+func (r *Reader) readArray(idx int, dst []byte, want []bool) error {
 	info := &r.meta.header.Arrays[idx]
 	codec, err := info.codec()
 	if err != nil {
 		return err
 	}
-	if codec.Kind() == compress.None {
-		for _, c := range info.Chunks {
-			if c.Comp != c.Raw {
-				return fmt.Errorf("vtkio: array %q: raw chunk stores %d bytes for %d", info.Name, c.Comp, c.Raw)
-			}
+	raw := codec.Kind() == compress.None
+	// The span: stored bytes [lo, hi) of the extent, from the first
+	// wanted chunk to the end of the last.
+	lo, hi := int64(-1), int64(0)
+	var coff int64
+	for i, c := range info.Chunks {
+		if raw && c.Comp != c.Raw {
+			return fmt.Errorf("vtkio: array %q: raw chunk stores %d bytes for %d", info.Name, c.Comp, c.Raw)
 		}
-		return r.readExtent(idx, dst)
+		if want == nil || want[i] {
+			if lo < 0 {
+				lo = coff
+			}
+			hi = coff + int64(c.Comp)
+		}
+		coff += int64(c.Comp)
 	}
-	ext := getExtent(info.CompressedSize())
+	if lo < 0 {
+		return nil // no chunk wanted
+	}
+	if ck := r.meta.header.Checksums; ck != nil {
+		page := int64(ck.PageSize)
+		lo -= lo % page
+		hi = min(pageCount(hi, ck.PageSize)*page, coff)
+	}
+	if raw {
+		return r.readSpan(idx, lo, dst[lo:hi])
+	}
+	ext := getExtent(hi - lo)
 	defer putExtent(ext)
-	if err := r.readExtent(idx, *ext); err != nil {
+	if err := r.readSpan(idx, lo, *ext); err != nil {
 		return err
 	}
 
 	var wg sync.WaitGroup
 	errs := make([]error, len(info.Chunks))
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var coff, roff int
+	var roff int
+	coff = -lo // the chunk's offset in ext
 	for i, c := range info.Chunks {
-		comp := (*ext)[coff : coff+c.Comp]
-		out := dst[roff : roff+c.Raw]
-		coff += c.Comp
+		comp, out := coff, roff
+		coff += int64(c.Comp)
 		roff += c.Raw
+		if want != nil && !want[i] {
+			continue
+		}
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(i int, comp, out []byte) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			errs[i] = codec.DecompressInto(out, comp)
-		}(i, comp, out)
+		}(i, (*ext)[comp:coff], dst[out:roff])
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -580,30 +630,29 @@ func (r *Reader) readArray(idx int, dst []byte) error {
 	return nil
 }
 
-// ReadArrayBytes fetches and decompresses the named array's raw
-// little-endian bytes, touching only that array's byte range.
-func (r *Reader) ReadArrayBytes(name string) ([]byte, error) {
-	idx, err := r.arrayIndex(name)
-	if err != nil {
-		return nil, err
-	}
-	raw := make([]byte, r.meta.header.Arrays[idx].RawSize())
-	if err := r.readArray(idx, raw); err != nil {
-		return nil, err
-	}
-	return raw, nil
-}
-
 // ReadArray fetches the named array as a field. The []float32 it returns
 // is the call's one array-sized allocation: the stored bytes are decoded
 // directly into it. The header's claims are checked against the grid
 // first, so a header that disagrees with itself costs no read.
 func (r *Reader) ReadArray(name string) (*grid.Field, error) {
+	return r.ReadArrayChunks(name, nil)
+}
+
+// ReadArrayChunks is ReadArray for the chunks want marks (one flag per
+// chunk of the array's header entry; nil means all): it reads and
+// decodes only those, and the values of the others are zero — unless,
+// in a raw array, they lie between two wanted chunks and come with the
+// span.
+func (r *Reader) ReadArrayChunks(name string, want []bool) (*grid.Field, error) {
 	idx, err := r.arrayIndex(name)
 	if err != nil {
 		return nil, err
 	}
-	size := r.meta.header.Arrays[idx].RawSize()
+	info := &r.meta.header.Arrays[idx]
+	if want != nil && len(want) != len(info.Chunks) {
+		return nil, fmt.Errorf("vtkio: array %q: chunk mask of %d for %d chunks", name, len(want), len(info.Chunks))
+	}
+	size := info.RawSize()
 	if size%4 != 0 {
 		return nil, fmt.Errorf("vtkio: %d bytes is not a whole number of float32", size)
 	}
@@ -613,7 +662,7 @@ func (r *Reader) ReadArray(name string) (*grid.Field, error) {
 	}
 	vals := make([]float32, size/4)
 	dst := floatBytes(vals)
-	if err := r.readArray(idx, dst); err != nil {
+	if err := r.readArray(idx, dst, want); err != nil {
 		return nil, err
 	}
 	swapWords(dst, hostBigEndian)
