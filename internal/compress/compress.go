@@ -9,6 +9,7 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+	"sync"
 
 	"vizndp/internal/lz4"
 )
@@ -114,12 +115,23 @@ func (gzipCodec) Compress(src []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// gzipReaders recycles gzip readers, whose inflate state (~45 KB) would
+// otherwise be allocated again for every chunk decoded.
+var gzipReaders sync.Pool // of *gzip.Reader
+
 func (gzipCodec) DecompressInto(dst, src []byte) error {
-	r, err := gzip.NewReader(bytes.NewReader(src))
+	br := bytes.NewReader(src)
+	r, _ := gzipReaders.Get().(*gzip.Reader)
+	var err error
+	if r == nil {
+		r, err = gzip.NewReader(br)
+	} else {
+		err = r.Reset(br)
+	}
 	if err != nil {
 		return fmt.Errorf("compress: gzip open: %w", err)
 	}
-	defer r.Close()
+	defer gzipReaders.Put(r)
 	if _, err := io.ReadFull(r, dst); err != nil {
 		return fmt.Errorf("compress: gzip read: %w", err)
 	}

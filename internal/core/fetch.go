@@ -137,11 +137,13 @@ func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (any
 		// is not scanned for.
 		if s.payloads == nil {
 			if err := ctx.Err(); err != nil {
+				entry.release()
 				return nil, err
 			}
 		}
 		start := time.Now()
 		res, err := sel.run(entry, q)
+		entry.release()
 		if err != nil {
 			return nil, err
 		}

@@ -60,6 +60,19 @@ type arrayEntry struct {
 	grid  *grid.Uniform
 	field *grid.Field
 	rows  *contour.RowRanges
+	// plan is an uncached entry's pooled memory, its field and row bounds
+	// among it (see readPlanned); nil in an entry the cache keeps.
+	plan *readPlan
+}
+
+// release returns an uncached entry's pooled memory for the next load
+// to reuse; the entry must not be read after. It does nothing to an
+// entry the cache keeps.
+func (e *arrayEntry) release() {
+	if e.plan != nil {
+		planPool.Put(e.plan)
+		e.plan = nil
+	}
 }
 
 // size is the entry's accounted in-memory size: the decoded array's bytes,

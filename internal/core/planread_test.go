@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"vizndp/internal/compress"
@@ -35,11 +38,17 @@ func writeChunked(t *testing.T, dir string, ds *grid.Dataset, kind compress.Kind
 // request read and how many it has, from its wide event.
 func fetchPlanned(t *testing.T, srv *Server, sel *selector, args ...any) (data []byte, read, chunks int, err error) {
 	t.Helper()
+	return fetchPlannedAt(t, srv, sel, "ts0.vnd", "d", args...)
+}
+
+// fetchPlannedAt is fetchPlanned of array in the file at path.
+func fetchPlannedAt(t *testing.T, srv *Server, sel *selector, path, array string, args ...any) (data []byte, read, chunks int, err error) {
+	t.Helper()
 	const method = "test.planned"
 	flight := telemetry.DefaultFlightRecorder()
 	seq0 := flight.Seq()
 	ev := flight.Begin(telemetry.KindServer, method)
-	res, err := srv.serveFetch(telemetry.ContextWithEvent(context.Background(), ev), append([]any{"ts0.vnd", "d"}, args...), sel)
+	res, err := srv.serveFetch(telemetry.ContextWithEvent(context.Background(), ev), append([]any{path, array}, args...), sel)
 	ev.Finish(err)
 	if err != nil {
 		return nil, 0, 0, err
@@ -50,7 +59,7 @@ func fetchPlanned(t *testing.T, srv *Server, sel *selector, args ...any) (data [
 	}
 	read, _ = evs[0].Attrs["chunksRead"].(int)
 	chunks, _ = evs[0].Attrs["chunks"].(int)
-	return res.(map[string]any)["payload"].([]byte), read, chunks, nil
+	return res.(map[string]any)[sel.dataKey].([]byte), read, chunks, nil
 }
 
 // isoArgs are ndp.fetch's arguments after path and array: the isovalues,
@@ -141,6 +150,179 @@ func TestUncachedPlannedReadBitIdentity(t *testing.T) {
 			t.Errorf("%v: every request read every chunk", kind)
 		}
 	}
+}
+
+// twoRamps is a 64×32×512 grid — 4 MiB an array, so 4 chunks at 1 MiB
+// and 16 at the default — with two arrays that disagree everywhere: "up"
+// climbs from 0 to 1 along z with NaN speckle, "down" falls from 1 to 0
+// with ±Inf speckle in its top eighth. A load of one leaves the other's
+// values in a recycled destination.
+func twoRamps() *grid.Dataset {
+	g := grid.NewUniform(64, 32, 512)
+	up, down := grid.NewField("up", g.NumPoints()), grid.NewField("down", g.NumPoints())
+	rng := rand.New(rand.NewSource(40))
+	layer := g.Dims.X * g.Dims.Y
+	for i := range up.Values {
+		k := i / layer
+		z := float32(k) / float32(g.Dims.Z-1)
+		up.Values[i], down.Values[i] = z+rng.Float32()/1024, 1-z-rng.Float32()/1024
+		switch rng.Intn(64) {
+		case 0:
+			up.Values[i] = float32(math.NaN())
+		case 1:
+			if k >= 7*g.Dims.Z/8 {
+				down.Values[i] = float32(math.Inf(1 - 2*rng.Intn(2)))
+			}
+		}
+	}
+	ds := grid.NewDataset(g)
+	ds.MustAddField(up)
+	ds.MustAddField(down)
+	return ds
+}
+
+// plannedCase is one request of the reuse tests and its reference bytes.
+type plannedCase struct {
+	path, array string
+	sel         *selector
+	args        []any
+	want        []byte
+}
+
+// plannedCases writes twoRamps raw and LZ4, at 1 MiB chunks and at the
+// default, under dir, and returns contour, range and raw requests over
+// every file and array, interleaved so consecutive requests read another
+// file or array, each with PreFilter.Run's or RangePreFilter.Run's bytes
+// (the array's own, for raw).
+func plannedCases(t *testing.T, dir string) []plannedCase {
+	t.Helper()
+	ds := twoRamps()
+	var paths []string
+	for _, kind := range []compress.Kind{compress.None, compress.LZ4} {
+		for _, size := range []int{1 << 20, 0} {
+			path := fmt.Sprintf("%v-%d.vnd", kind, size)
+			if err := vtkio.WriteFile(filepath.Join(dir, path), ds, vtkio.WriteOptions{Codec: kind, ChunkSize: size, Checksum: true}); err != nil {
+				t.Fatal(err)
+			}
+			paths = append(paths, path)
+		}
+	}
+	type request struct {
+		sel  *selector
+		args []any
+		want func(*grid.Field) (*Payload, *PreFilterStats, error)
+	}
+	var requests []request
+	for _, isos := range [][]float64{{0.1}, {0.5}, {0.93}, {0.3, 0.7}} {
+		requests = append(requests, request{contourSelector, isoArgs(isos, false), func(f *grid.Field) (*Payload, *PreFilterStats, error) {
+			return (&PreFilter{Isovalues: isos, Encoding: EncAuto, rule: contour.RuleEdges}).Run(ds.Grid, f)
+		}})
+	}
+	for _, r := range [][2]float64{{0.2, 0.25}, {0.95, math.Inf(1)}} {
+		requests = append(requests, request{rangeSelector, []any{r[0], r[1], EncAuto.String()}, func(f *grid.Field) (*Payload, *PreFilterStats, error) {
+			return (&RangePreFilter{Lo: r[0], Hi: r[1], Encoding: EncAuto}).Run(ds.Grid, f)
+		}})
+	}
+	requests = append(requests, request{sel: rawSelector})
+
+	var cases []plannedCase
+	for qi, q := range requests {
+		for i := range 2 * len(paths) {
+			// Alternate the arrays and walk the files, so no two
+			// consecutive requests load the same array of the same file.
+			c := plannedCase{path: paths[(i+qi)%len(paths)], array: ds.FieldNames()[i%2], sel: q.sel, args: q.args}
+			field := ds.Field(c.array)
+			if q.want == nil {
+				c.want = vtkio.FloatsToBytes(field.Values)
+			} else {
+				p, _, err := q.want(field)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.want = p.Data
+			}
+			cases = append(cases, c)
+		}
+	}
+	return cases
+}
+
+// TestUncachedPlannedReadReusesDestinations: one uncached server serves
+// requests over files chunked at 1 MiB and at the default, raw and LZ4,
+// alternating between two arrays, so each planned read lands in a
+// destination the previous load filled from another array or file — or,
+// every third request, one poisoned with NaN, ±Inf and values at the
+// queries' isovalues. Every payload is the reference's byte for byte, and
+// both chunkings must skip chunks.
+func TestUncachedPlannedReadReusesDestinations(t *testing.T) {
+	dir := t.TempDir()
+	cases := plannedCases(t, dir)
+	srv := NewServer(os.DirFS(dir))
+	skipped := map[string]int{}
+	reused := 0
+	for i, c := range cases {
+		if p, _ := planPool.Get().(*readPlan); p != nil {
+			if len(p.values) > 0 {
+				reused++
+				if i%3 == 0 {
+					for j := range p.values {
+						p.values[j] = plannedPalette[j%len(plannedPalette)]
+					}
+				}
+			}
+			planPool.Put(p)
+		}
+		data, read, total, err := fetchPlannedAt(t, srv, c.sel, c.path, c.array, c.args...)
+		if err != nil {
+			t.Fatalf("%s %s %s %v: %v", c.sel.method, c.path, c.array, c.args, err)
+		}
+		if !bytes.Equal(data, c.want) {
+			t.Fatalf("%s %s %s %v: served %d bytes, reference %d", c.sel.method, c.path, c.array, c.args, len(data), len(c.want))
+		}
+		if read < total {
+			skipped[c.path]++
+		}
+	}
+	if len(skipped) != 4 {
+		t.Errorf("files whose requests skipped chunks: %v, want all 4", skipped)
+	}
+	if reused == 0 {
+		t.Error("no load found a used destination in the pool")
+	}
+}
+
+// TestConcurrentUncachedFetchesOwnTheirDestinations: requests served at
+// once by one uncached server each load into a destination of their own.
+// Four callers walk the reuse cases from different starting points, each
+// checking every payload against the reference; a destination shared by
+// two loads would be written by one while the other selects over it,
+// which -race reports and the bytes show.
+func TestConcurrentUncachedFetchesOwnTheirDestinations(t *testing.T) {
+	dir := t.TempDir()
+	cases := plannedCases(t, dir)
+	srv := NewServer(os.DirFS(dir))
+	const callers, rounds = 4, 12
+	var wg sync.WaitGroup
+	for w := 0; w < callers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				c := cases[(w*len(cases)/callers+5*i)%len(cases)]
+				args := append([]any{c.path, c.array}, c.args...)
+				res, err := srv.serveFetch(context.Background(), args, c.sel)
+				if err != nil {
+					t.Errorf("caller %d: %s %s %s: %v", w, c.sel.method, c.path, c.array, err)
+					return
+				}
+				if got := res.(map[string]any)[c.sel.dataKey].([]byte); !bytes.Equal(got, c.want) {
+					t.Errorf("caller %d: %s %s %s %v: served %d bytes, reference %d", w, c.sel.method, c.path, c.array, c.args, len(got), len(c.want))
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // rampDataset is a 32³ field that rises one step per z layer, 0 to 1:

@@ -401,15 +401,23 @@ func (s *Server) loadArray(ctx context.Context, key arrayKey, sel *selector, q q
 // bounds as its row summary: the select then sweeps only the row pairs
 // they leave live, whose rows are all among the ones read, and its mask —
 // so the payload — is the full sweep's (TestUncachedPlannedReadBitIdentity,
-// FuzzPlannedReadContour). Otherwise the whole array is read. The
-// request's wide event records how many of the array's chunks were read.
-func readPlanned(ev *telemetry.ActiveEvent, r *vtkio.Reader, array string, sel *selector, q query) (*arrayEntry, error) {
+// FuzzPlannedReadContour). Otherwise the whole array is read. The values
+// land in the plan's recycled destination, so those outside the wanted
+// chunks are whatever an earlier load left there; no select reads them,
+// for the same reason. The entry holds the plan until the pipeline
+// releases it, right after its one select. The request's wide event
+// records how many of the array's chunks were read.
+func readPlanned(ev *telemetry.ActiveEvent, r *vtkio.Reader, array string, sel *selector, q query) (_ *arrayEntry, err error) {
 	p, _ := planPool.Get().(*readPlan)
 	if p == nil {
 		p = new(readPlan)
 	}
-	defer planPool.Put(p)
-	e := &arrayEntry{grid: r.Grid()}
+	e := &arrayEntry{grid: r.Grid(), plan: p}
+	defer func() {
+		if err != nil {
+			e.release()
+		}
+	}()
 	chunks, err := r.ChunkRanges(array, p.chunks)
 	if err != nil {
 		return nil, err
@@ -422,9 +430,12 @@ func readPlanned(ev *telemetry.ActiveEvent, r *vtkio.Reader, array string, sel *
 		}
 		want = p.want
 	}
-	if e.field, err = r.ReadArrayChunks(array, want); err != nil {
+	n := e.grid.NumPoints()
+	p.values = slices.Grow(p.values[:0], n)[:n]
+	if err = r.ReadArrayChunksInto(array, want, p.values); err != nil {
 		return nil, err
 	}
+	e.field = &grid.Field{Name: array, Values: p.values}
 	total := len(r.Header().Array(array).Chunks)
 	read := total
 	for _, w := range want {
@@ -438,12 +449,15 @@ func readPlanned(ev *telemetry.ActiveEvent, r *vtkio.Reader, array string, sel *
 }
 
 // readPlan is one uncached load's working memory, recycled through
-// planPool: the array's chunk ranges, the rows its select reads, and the
-// chunks that hold them. Nothing in it outlives the load.
+// planPool: the array's chunk ranges, the bounds on its rows, the rows
+// its select reads, the chunks that hold them, and the array's values.
+// Nothing in it outlives the request that loaded it.
 type readPlan struct {
 	chunks []vtkio.ChunkRange
+	bounds []float32
 	need   []uint64
 	want   []bool
+	values []float32
 }
 
 var planPool sync.Pool
@@ -454,8 +468,8 @@ var planPool sync.Pool
 // hold one of them. It returns the bounds.
 func (p *readPlan) plan(g *grid.Uniform, sel *selector, q query) (*contour.RowRanges, error) {
 	nx, n := g.Dims.X, g.Dims.Y*g.Dims.Z
-	bounds := make([]float32, 2*n)
-	lo, hi := bounds[:n], bounds[n:]
+	p.bounds = slices.Grow(p.bounds[:0], 2*n)[:2*n]
+	lo, hi := p.bounds[:n], p.bounds[n:]
 	for r := range lo {
 		lo[r], hi[r] = float32(math.Inf(1)), float32(math.Inf(-1))
 	}

@@ -3,6 +3,7 @@ package vtkio
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"runtime"
 	"runtime/debug"
@@ -11,7 +12,9 @@ import (
 	"testing"
 
 	"vizndp/internal/compress"
+	"vizndp/internal/contour"
 	"vizndp/internal/grid"
+	"vizndp/internal/sim"
 )
 
 // awkwardFloats are the values a conversion that goes through float
@@ -149,24 +152,144 @@ var readArrayCodecs = []compress.Kind{compress.None, compress.LZ4, compress.Gzip
 
 // The trace has vtkio.read_array_ms for the benchmark's objects; this
 // says, per codec and with nothing else running, what one decode costs
-// in time and in bytes allocated per array byte.
+// in time and in bytes allocated per array byte. The masked cases are
+// the uncached server's read of the benchmark's v02 for a contour at
+// 0.5: ReadArrayChunks with the chunk mask the server plans, at the old
+// and the new default chunk size. Their MB/s is of the whole array.
 func BenchmarkReadArray(b *testing.B) {
 	for _, kind := range readArrayCodecs {
 		b.Run(kind.String(), func(b *testing.B) {
 			file, raw := arrayFile(b, 128, WriteOptions{Codec: kind, Checksum: true})
-			r, err := OpenReader(bytes.NewReader(file))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(raw)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.ReadArray("v02"); err != nil {
+			benchmarkRead(b, file, raw, nil)
+		})
+	}
+	ds := bench128(b)
+	for _, kind := range []compress.Kind{compress.None, compress.LZ4} {
+		for _, size := range []int{1 << 20, 256 << 10} {
+			b.Run(fmt.Sprintf("masked/%v/%dKiB", kind, size>>10), func(b *testing.B) {
+				var buf bytes.Buffer
+				if err := Write(&buf, ds, WriteOptions{Codec: kind, ChunkSize: size, Checksum: true}); err != nil {
 					b.Fatal(err)
 				}
+				want := contourChunks(b, buf.Bytes(), "v02", 0.5)
+				benchmarkRead(b, buf.Bytes(), int64(4*ds.Grid.NumPoints()), want)
+				read := 0
+				for _, w := range want {
+					if w {
+						read++
+					}
+				}
+				b.ReportMetric(float64(read)/float64(len(want)), "chunks-read/chunks")
+			})
+		}
+	}
+}
+
+// benchmarkRead times ReadArrayChunks of v02 with mask want, raw bytes
+// of array a read.
+func benchmarkRead(b *testing.B, file []byte, raw int64, want []bool) {
+	r, err := OpenReader(bytes.NewReader(file))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(raw)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.ReadArrayChunks("v02", want); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// bench128 is the benchmark's 128^3 asteroid at seed 1, middle time step.
+func bench128(b *testing.B) *grid.Dataset {
+	b.Helper()
+	cfg := sim.AsteroidConfig{N: 128, Seed: 1}
+	ds, err := cfg.Generate(cfg.Timesteps(3)[1])
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ds
+}
+
+// contourChunks is the chunk mask the NDP server's uncached load plans
+// for a contour of array name at iso (core's readPlan.plan): every point
+// row is bounded by the ranges of the chunks it lies in, and a chunk is
+// wanted when it holds a row of a row pair those bounds leave live.
+func contourChunks(tb testing.TB, file []byte, name string, iso float64) []bool {
+	tb.Helper()
+	r, err := OpenReader(bytes.NewReader(file))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	chunks, err := r.ChunkRanges(name, nil)
+	if err != nil || chunks == nil {
+		tb.Fatalf("no chunk ranges: %v", err)
+	}
+	g := r.Grid()
+	nx, n := g.Dims.X, g.Dims.Y*g.Dims.Z
+	lo, hi := make([]float32, n), make([]float32, n)
+	for i := range lo {
+		lo[i], hi[i] = float32(math.Inf(1)), float32(math.Inf(-1))
+	}
+	rows := func(c ChunkRange) (int, int) { return min(c.Start/nx, n), min((c.End+nx-1)/nx, n) }
+	for _, c := range chunks {
+		r0, r1 := rows(c)
+		for i := r0; i < r1; i++ {
+			lo[i], hi[i] = min(lo[i], c.Lo), max(hi[i], c.Hi)
+		}
+	}
+	sum, err := contour.BoundRows(g, lo, hi)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	need := make([]uint64, (n+63)/64)
+	sum.ContourRows([]float64{iso}, need)
+	want := make([]bool, len(chunks))
+	for c := range chunks {
+		r0, r1 := rows(chunks[c])
+		for i := r0; i < r1 && !want[c]; i++ {
+			want[c] = need[i>>6]&(1<<(i&63)) != 0
+		}
+	}
+	return want
+}
+
+// TestReadAllocsDoNotGrowWithChunks: decoding one array costs the same
+// allocations in 8, 32 or 128 chunks, whole or masked, raw or LZ4 — the
+// decode workers are a fixed set, not one goroutine per chunk.
+func TestReadAllocsDoNotGrowWithChunks(t *testing.T) {
+	const slack = 2 // the pooled extent, which -race may drop, and rounding
+	for _, kind := range []compress.Kind{compress.None, compress.LZ4} {
+		for _, masked := range []bool{false, true} {
+			var first float64
+			for i, size := range []int{1 << 20, 256 << 10, 64 << 10} {
+				file, _ := arrayFile(t, 128, WriteOptions{Codec: kind, ChunkSize: size, Checksum: true})
+				r, err := OpenReader(bytes.NewReader(file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []bool
+				if masked {
+					// The middle half of the chunks, every other one.
+					want = make([]bool, len(r.Header().Array("v02").Chunks))
+					for c := len(want) / 4; c < 3*len(want)/4; c += 2 {
+						want[c] = true
+					}
+				}
+				allocs := testing.AllocsPerRun(20, func() {
+					if _, err := r.ReadArrayChunks("v02", want); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if i == 0 {
+					first = allocs
+				} else if math.Abs(allocs-first) > slack {
+					t.Errorf("%v masked=%v: %.1f allocs/op in %d KiB chunks, %.1f in 1 MiB chunks", kind, masked, allocs, size>>10, first)
+				}
 			}
-		})
+		}
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"vizndp/internal/compress"
 	"vizndp/internal/grid"
@@ -34,8 +35,11 @@ import (
 // Magic identifies the file format.
 const Magic = "VND1"
 
-// DefaultChunkSize is the raw byte size of each compression chunk.
-const DefaultChunkSize = 1 << 20
+// DefaultChunkSize is the raw byte size of each compression chunk: four
+// z-slices of a 128³ float32 array, the granularity at which the chunk
+// range table lets a reader skip (see ranges.go). A file records its own
+// chunking, so files written at another size read as they always did.
+const DefaultChunkSize = 256 << 10
 
 // maxHeaderSize bounds the JSON header to keep corrupt inputs from
 // triggering huge allocations.
@@ -551,18 +555,22 @@ func (r *Reader) readSpan(idx int, lo int64, buf []byte) error {
 	return r.meta.verifyPages(idx, lo, buf)
 }
 
-// readArray is the one array-decode routine: it lands the raw
-// little-endian bytes of array idx's wanted chunks in dst, which must be
-// RawSize() long, allocating nothing of the array's size. want marks the
-// chunks to decode, nil meaning all. It reads one span of the stored
+// readArray is the one array-decode routine: it lands the values of
+// array idx's wanted chunks in dst, in host byte order, which must be
+// RawSize() long, allocating nothing of the array's size. want marks
+// the chunks to decode, nil meaning all. It reads one span of the stored
 // extent, from the first wanted chunk to the last, widened to whole
 // checksum pages and verified page by page (readSpan). The "raw" codec's
 // stored bytes are the array, so its span is read straight into dst,
 // unwanted chunks inside it included; every other codec's span is read
-// into a pooled buffer and the wanted chunks decompress in parallel, each
-// into its own slot of dst. The rest of dst is left as it was.
+// into a pooled buffer and the wanted chunks decompress on a fixed set
+// of at most GOMAXPROCS workers, each chunk into its own slot of dst.
+// The rest of dst is left as it was.
 func (r *Reader) readArray(idx int, dst []byte, want []bool) error {
 	info := &r.meta.header.Arrays[idx]
+	if want != nil && len(want) != len(info.Chunks) {
+		return fmt.Errorf("vtkio: array %q: chunk mask of %d for %d chunks", info.Name, len(want), len(info.Chunks))
+	}
 	codec, err := info.codec()
 	if err != nil {
 		return err
@@ -572,6 +580,7 @@ func (r *Reader) readArray(idx int, dst []byte, want []bool) error {
 	// wanted chunk to the end of the last.
 	lo, hi := int64(-1), int64(0)
 	var coff int64
+	wanted := 0
 	for i, c := range info.Chunks {
 		if raw && c.Comp != c.Raw {
 			return fmt.Errorf("vtkio: array %q: raw chunk stores %d bytes for %d", info.Name, c.Comp, c.Raw)
@@ -581,6 +590,7 @@ func (r *Reader) readArray(idx int, dst []byte, want []bool) error {
 				lo = coff
 			}
 			hi = coff + int64(c.Comp)
+			wanted++
 		}
 		coff += int64(c.Comp)
 	}
@@ -593,7 +603,11 @@ func (r *Reader) readArray(idx int, dst []byte, want []bool) error {
 		hi = min(pageCount(hi, ck.PageSize)*page, coff)
 	}
 	if raw {
-		return r.readSpan(idx, lo, dst[lo:hi])
+		if err := r.readSpan(idx, lo, dst[lo:hi]); err != nil {
+			return err
+		}
+		swapWords(dst[lo:hi], hostBigEndian)
+		return nil
 	}
 	ext := getExtent(hi - lo)
 	defer putExtent(ext)
@@ -601,33 +615,58 @@ func (r *Reader) readArray(idx int, dst []byte, want []bool) error {
 		return err
 	}
 
-	var wg sync.WaitGroup
-	errs := make([]error, len(info.Chunks))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	// One job per wanted chunk, in chunk order, so the error reported is
+	// the first wanted chunk's that failed whichever worker met it.
+	jobs := make([]decodeJob, 0, wanted)
 	var roff int
 	coff = -lo // the chunk's offset in ext
 	for i, c := range info.Chunks {
 		comp, out := coff, roff
 		coff += int64(c.Comp)
 		roff += c.Raw
-		if want != nil && !want[i] {
-			continue
+		if want == nil || want[i] {
+			jobs = append(jobs, decodeJob{comp: (*ext)[comp:coff], out: dst[out:roff]})
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, comp, out []byte) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[i] = codec.DecompressInto(out, comp)
-		}(i, (*ext)[comp:coff], dst[out:roff])
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	decodeAll(codec, jobs)
+	for i := range jobs {
+		if err := jobs[i].err; err != nil {
 			return fmt.Errorf("vtkio: array %q: %w", info.Name, err)
 		}
 	}
 	return nil
+}
+
+// decodeJob is one chunk for decodeAll: its stored bytes, its slot of the
+// destination, and what decompressing one into the other returned.
+type decodeJob struct {
+	comp, out []byte
+	err       error
+}
+
+// decodeAll decodes every job, into host byte order, on at most
+// GOMAXPROCS goroutines, the calling one among them, each pulling the
+// next job until none is left, and returns once all have run. How many
+// goroutines it starts depends on the CPU count, never on the job count.
+func decodeAll(codec compress.Codec, jobs []decodeJob) {
+	var next atomic.Int64
+	work := func() {
+		for j := next.Add(1) - 1; j < int64(len(jobs)); j = next.Add(1) - 1 {
+			if jobs[j].err = codec.DecompressInto(jobs[j].out, jobs[j].comp); jobs[j].err == nil {
+				swapWords(jobs[j].out, hostBigEndian)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(jobs)) - 1; w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // ReadArray fetches the named array as a field. The []float32 it returns
@@ -640,33 +679,58 @@ func (r *Reader) ReadArray(name string) (*grid.Field, error) {
 
 // ReadArrayChunks is ReadArray for the chunks want marks (one flag per
 // chunk of the array's header entry; nil means all): it reads and
-// decodes only those, and the values of the others are zero — unless,
-// in a raw array, they lie between two wanted chunks and come with the
-// span.
+// decodes only those into a new array, where the values of the others
+// are zero — unless, in a raw array, they lie between two wanted chunks
+// and come with the span.
 func (r *Reader) ReadArrayChunks(name string, want []bool) (*grid.Field, error) {
 	idx, err := r.arrayIndex(name)
 	if err != nil {
 		return nil, err
 	}
-	info := &r.meta.header.Arrays[idx]
-	if want != nil && len(want) != len(info.Chunks) {
-		return nil, fmt.Errorf("vtkio: array %q: chunk mask of %d for %d chunks", name, len(want), len(info.Chunks))
-	}
-	size := info.RawSize()
-	if size%4 != 0 {
-		return nil, fmt.Errorf("vtkio: %d bytes is not a whole number of float32", size)
-	}
-	if want := r.Grid().NumPoints(); size/4 != int64(want) {
-		return nil, fmt.Errorf("vtkio: array %q has %d values, grid has %d points",
-			name, size/4, want)
-	}
-	vals := make([]float32, size/4)
-	dst := floatBytes(vals)
-	if err := r.readArray(idx, dst, want); err != nil {
+	n, err := r.arrayLen(idx)
+	if err != nil {
 		return nil, err
 	}
-	swapWords(dst, hostBigEndian)
+	vals := make([]float32, n)
+	if err := r.readArray(idx, floatBytes(vals), want); err != nil {
+		return nil, err
+	}
 	return &grid.Field{Name: name, Values: vals}, nil
+}
+
+// arrayLen is array idx's value count, once its header entry is checked
+// against the grid, whose point count it must equal.
+func (r *Reader) arrayLen(idx int) (int, error) {
+	info := &r.meta.header.Arrays[idx]
+	size := info.RawSize()
+	if size%4 != 0 {
+		return 0, fmt.Errorf("vtkio: %d bytes is not a whole number of float32", size)
+	}
+	if want := r.Grid().NumPoints(); size/4 != int64(want) {
+		return 0, fmt.Errorf("vtkio: array %q has %d values, grid has %d points",
+			info.Name, size/4, want)
+	}
+	return int(size / 4), nil
+}
+
+// ReadArrayChunksInto is ReadArrayChunks into dst, which must hold
+// exactly the array's values, one per grid point. Only the wanted
+// chunks' values are written (in a raw array, also those between two
+// wanted chunks); the rest of dst keeps whatever it held, so a caller
+// that recycles dst must read nothing outside the chunks it asked for.
+func (r *Reader) ReadArrayChunksInto(name string, want []bool, dst []float32) error {
+	idx, err := r.arrayIndex(name)
+	if err != nil {
+		return err
+	}
+	n, err := r.arrayLen(idx)
+	if err != nil {
+		return err
+	}
+	if len(dst) != n {
+		return fmt.Errorf("vtkio: array %q: destination of %d values for %d", name, len(dst), n)
+	}
+	return r.readArray(idx, floatBytes(dst), want)
 }
 
 // ReadDataset fetches the named arrays (or all arrays when names is
