@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -215,5 +216,36 @@ func TestCacheDisabledByDefault(t *testing.T) {
 	srv2 := NewServer(os.DirFS(t.TempDir()), WithCacheBytes(0))
 	if srv2.Cache() != nil {
 		t.Error("WithCacheBytes(0) enabled a cache")
+	}
+}
+
+// TestRecorderAddsNoAllocations is the deterministic stand-in for the
+// harness's BenchmarkRecorderOverhead, whose 5% timing gate runs alone:
+// a warm cached fetch allocates no more with the flight recorder on
+// than with it off.
+func TestRecorderAddsNoAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool discards items at random under the race detector")
+	}
+	// A collection empties sync.Pool, and when one happens is up to
+	// whatever else the test binary is doing.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	client, _, _ := startCachedNDP(t, compress.None, 64<<20)
+	rec := telemetry.DefaultFlightRecorder()
+	defer rec.SetEnabled(rec.Enabled())
+	fetch := func() {
+		if _, _, err := client.FetchFiltered("ts0.vnd", "d", []float64{7}, EncAuto); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fetch() // warm the array cache
+	allocs := func(on bool) float64 {
+		rec.SetEnabled(on)
+		return testing.AllocsPerRun(100, fetch)
+	}
+	off, on := allocs(false), allocs(true)
+	t.Logf("allocations per warm fetch: %.1f recorder on, %.1f off", on, off)
+	if on > off {
+		t.Errorf("a warm fetch allocates %.1f times with the recorder on, %.1f with it off", on, off)
 	}
 }

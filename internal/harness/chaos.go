@@ -2,7 +2,11 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"time"
 
 	"vizndp/internal/core"
@@ -28,6 +32,22 @@ var chaosClasses = []struct{ label, counter string }{
 	{"failovers", "core.pool.failovers"},
 	{"breaker trips", "core.pool.breaker.open"},
 	{"array-cache hits", "arraycache.hits"},
+	{"degraded fallbacks", "core.client.fallbacks"},
+	{"slo breaches", breachCounter},
+	{"bundles written", "telemetry.bundles.written"},
+}
+
+// breachCounter counts the fetches the run's SLO monitor scored as
+// breaching its objective.
+const breachCounter = "telemetry.slo." + core.MethodFetch + ".breaches"
+
+// chaosBooks are the counters each round reconciles with the wide
+// events recorded since it began: every shed (of any method), every
+// degraded fallback and every breach must be an event with its flag.
+var chaosBooks = []eventCount{
+	{"rpc.server.shed", func(ev *telemetry.WideEvent) bool { return ev.Kind == telemetry.KindServer && ev.Shed }},
+	{"core.client.fallbacks", func(ev *telemetry.WideEvent) bool { return ev.Kind == telemetry.KindClient && ev.Degraded }},
+	{breachCounter, func(ev *telemetry.WideEvent) bool { return ev.Method == core.MethodFetch && ev.Breached }},
 }
 
 // drainedName stamps the drained replica's fetch events (its shard=
@@ -35,28 +55,31 @@ var chaosClasses = []struct{ label, counter string }{
 const drainedName = "drained"
 
 // ChaosExperiment is the one robustness gate: it composes every fault
-// family the system claims to survive and asserts bit-identity once,
-// through one oracle. Three replicas each run a caching,
-// admission-bounded server over a corrupting store. Two sit behind
-// their own link with a seeded schedule of dial refusals, mid-frame
-// connection kills and in-flight byte flips; the third, behind a clean
-// link, is started afresh every round. A fault-tolerant client drives
-// the stock sweep through the burst runner, and a third of the way in
-// one hook kills replica 1 and gracefully drains the third. After each
-// burst every array is read back whole from replica 0, whose cache
-// admitted it under live injection. Rounds repeat until every class has
-// fired and a drain has caught accepted fetches mid-flight.
+// family the system claims to survive and checks bit-identity once,
+// through one oracle, and the books once, through one event log. Three
+// replicas each run a caching, admission-bounded server over a
+// corrupting store. Two sit behind their own link with a seeded
+// schedule of dial refusals, mid-frame connection kills and in-flight
+// byte flips; the third, behind a clean link, is started afresh every
+// round. A fault-tolerant client drives the stock sweep through the
+// burst runner, and a third of the way in one hook kills replica 1 and
+// gracefully drains the third. After each burst every array is read
+// back whole from replica 0, whose cache admitted it under live
+// injection. An SLO monitor and a bundle writer watch the whole run.
+// Rounds repeat until every class has fired and a drain has caught
+// accepted fetches mid-flight.
 //
-// The gates are the oracle's — every served payload and every
-// read-back array bit-identical to the ground truth, no error surfaced
-// to the caller — the ledger's — each class in chaosClasses non-zero —
-// and the drain's: Shutdown returns nil and every fetch the drained
-// replica had accepted got its response before it returned. The run is
-// for the interactions no single-family run reaches: a retry failing
-// over onto a replica that is itself shedding, a corrupt read evicted
-// under a shared flight, a breaker opening on a killed connection. A
-// clean burst of the same depth over the unbounded server is the
-// latency reference for the chaos p50/p99.
+// The gates: every served payload and read-back array bit-identical to
+// the ground truth, no error surfaced to the caller; each class in
+// chaosClasses non-zero and each round's chaosBooks balanced; the
+// drained replica's Shutdown returns nil after answering every fetch it
+// had accepted; the burn gauges agree with the monitor and with first
+// principles; and a directed breach's bundle holds its span tree. The
+// run is for the interactions no single-family run reaches: a retry
+// failing over onto a replica that is itself shedding, a corrupt read
+// evicted under a shared flight, a breaker opening on a killed
+// connection. A clean burst of the same depth over the unbounded server
+// is the latency reference for the chaos p50/p99.
 func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 	const workers = 8
 	const minBurst = 48
@@ -70,6 +93,14 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Twice the clean median (floored at 1ms): queueing under overload
+	// breaches it while a healthy server stays inside it.
+	objective := max(time.Duration(2*stats.Percentile(truth.cleanRun.lats, 0.50)*float64(time.Millisecond)), time.Millisecond)
+	monitor, err := attachSLO(k, core.MethodFetch, objective)
+	if err != nil {
+		return nil, err
+	}
+	led := openLedger()
 	base, err := truth.run(truth.clean, "clean burst", burst{ids: ids, workers: workers})
 	if err != nil {
 		return nil, err
@@ -111,7 +142,6 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 		replicas[i] = n
 	}
 
-	led := openLedger()
 	caught := 0 // accepted fetches the drains found in flight
 	// A graceful drain sheds whatever reaches it while it waits, and a
 	// killed replica what it had already read: only the sheds before a
@@ -136,6 +166,7 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 	total := &tally{}
 	rounds := 0
 	for ; rounds < maxRounds && !fired(); rounds++ {
+		round := openLedger()
 		// An empty array cache makes every round read storage again, so the
 		// corrupting stores keep injecting however small the sweep.
 		for _, n := range replicas {
@@ -173,6 +204,9 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 				return nil, err
 			}
 		}
+		if err := round.reconcile(chaosBooks...); err != nil {
+			return nil, err
+		}
 		total.elapsed += t.elapsed
 		total.lats = append(total.lats, t.lats...)
 	}
@@ -182,6 +216,10 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 			unfired += fmt.Sprintf(" %s=%d", c.label, count(c.counter))
 		}
 		return nil, fmt.Errorf("harness: chaos left a class unfired after %d rounds:%s", rounds, unfired)
+	}
+	burn, err := checkBurn(monitor, led.delta(breachCounter))
+	if err != nil {
+		return nil, err
 	}
 
 	basep50, basep99 := base.p50p99()
@@ -198,7 +236,110 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 	for _, c := range chaosClasses {
 		row(t, c.label, count(c.counter))
 	}
+	row(t, "burn gauges", objective.Round(time.Microsecond), burn.Total,
+		fmt.Sprintf("avail %.2f", burn.AvailBurnFast), fmt.Sprintf("latency %.2f", burn.LatencyBurnFast), "reconciled")
+	// Last, so the counts above are the run's alone.
+	if err := directedBreach(k, truth, e.steps[0]); err != nil {
+		return nil, err
+	}
+	row(t, "directed breach", "", 1, "", "", "span tree in bundle")
 	return t, nil
+}
+
+// attachSLO points the process recorder at a fresh monitor holding
+// method to a latency objective (90% within latency, 99.9% available)
+// and a fresh bundle writer over a scratch directory, until the kit
+// unwinds past it.
+func attachSLO(k *kit, method string, latency time.Duration) (*telemetry.SLOMonitor, error) {
+	rec := telemetry.DefaultFlightRecorder()
+	dir, err := os.MkdirTemp("", "vizndp-slo-bundles-")
+	if err != nil {
+		return nil, err
+	}
+	k.onClose(func() { os.RemoveAll(dir) })
+	bundles, err := telemetry.NewBundleWriter(dir)
+	if err != nil {
+		return nil, err
+	}
+	monitor := telemetry.NewSLOMonitor(telemetry.KindServer, telemetry.Objective{
+		Method: method, Latency: latency, LatencyTarget: 0.9, AvailTarget: 0.999})
+	prevSLO, prevBundles := rec.SLO(), rec.Bundles()
+	k.onClose(func() { rec.SetSLO(prevSLO); rec.SetBundles(prevBundles) })
+	rec.SetSLO(monitor)
+	rec.SetBundles(bundles)
+	return monitor, nil
+}
+
+// checkBurn holds the monitor's one objective to the books: its
+// breaches to the breach counter's advance, and its four burn gauges to
+// both its status and the burn derived from first principles,
+// (bad fraction) / (error budget). The run fits inside the 5-minute
+// fast window, so fast, slow and lifetime burn are one number.
+func checkBurn(monitor *telemetry.SLOMonitor, breaches int64) (telemetry.SLOStatus, error) {
+	st := monitor.Status()[0]
+	if st.Total == 0 || st.Breaches != breaches {
+		return st, fmt.Errorf("harness: SLO monitor saw %d %s events and %d breaches, breach counter advanced %d",
+			st.Total, st.Method, st.Breaches, breaches)
+	}
+	avail, lat := float64(st.Bad)/float64(st.Total)/(1-0.999), 0.0
+	if st.Executed > 0 {
+		lat = float64(st.LatSlow) / float64(st.Executed) / (1 - 0.9)
+	}
+	for name, g := range map[string]struct{ status, expect float64 }{
+		"avail.burn.fast": {st.AvailBurnFast, avail}, "avail.burn.slow": {st.AvailBurnSlow, avail},
+		"latency.burn.fast": {st.LatencyBurnFast, lat}, "latency.burn.slow": {st.LatencyBurnSlow, lat},
+	} {
+		v := telemetry.Default().Gauge("telemetry.slo." + st.Method + "." + name).Value()
+		if v != int64(1000*g.expect+0.5) || int64(1000*g.status+0.5) != v {
+			return st, fmt.Errorf("harness: %s gauge %d != expected %.3f (status %.3f)", name, v, g.expect, g.status)
+		}
+	}
+	return st, nil
+}
+
+// directedBreach holds a traced FetchRaw of step to an impossible
+// objective under a fresh bundle writer (the run's is rate-limited),
+// and requires the bundle it triggers to hold that trace's span tree: a
+// shed-triggered bundle can legitimately lack one, for a shed request
+// dies before any server span starts.
+func directedBreach(k *kit, o *oracle, step int) error {
+	if _, err := attachSLO(k, core.MethodFetchRaw, time.Nanosecond); err != nil {
+		return err
+	}
+	dir := telemetry.DefaultFlightRecorder().Bundles().Dir()
+	ctx, span := telemetry.StartSpan(context.Background(), "chaos.breach")
+	_, _, err := o.clean.FetchRawContext(ctx, ObjectKey(o.dataset, o.codec, step), o.array)
+	span.End()
+	if err != nil {
+		return fmt.Errorf("harness: directed-breach fetchraw: %w", err)
+	}
+	// The server writes the bundle after its reply reaches the client.
+	var b telemetry.DebugBundle
+	err = poll(func() error {
+		matches, err := filepath.Glob(filepath.Join(dir, "bundle-*.json"))
+		if err != nil || len(matches) == 0 {
+			return fmt.Errorf("harness: directed breach wrote no bundle in %s", dir)
+		}
+		data, err := os.ReadFile(matches[0])
+		if err != nil {
+			return err
+		}
+		return json.Unmarshal(data, &b)
+	})
+	if err != nil {
+		return err
+	}
+	if b.Trigger.Method != core.MethodFetchRaw || !b.Trigger.Breached || b.Trigger.Trace == "" ||
+		len(b.Spans) == 0 || !strings.Contains(b.TraceTree, "serve "+core.MethodFetchRaw) {
+		return fmt.Errorf("harness: breach bundle lacks the breaching %s trace's span tree (trigger %s, breached %v, trace %q, %d spans)",
+			core.MethodFetchRaw, b.Trigger.Method, b.Trigger.Breached, b.Trigger.Trace, len(b.Spans))
+	}
+	for _, s := range b.Spans {
+		if s.TraceHex != b.Trigger.Trace {
+			return fmt.Errorf("harness: bundle span %s belongs to trace %s, trigger is %s", s.Name, s.TraceHex, b.Trigger.Trace)
+		}
+	}
+	return nil
 }
 
 // drainResult is one graceful drain: Shutdown's error, the ledger

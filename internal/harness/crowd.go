@@ -77,7 +77,7 @@ func (e *Env) CrowdExperiment(array string) (*stats.Table, error) {
 			go func(i int) {
 				defer wg.Done()
 				time.Sleep(time.Until(start.Add(time.Duration(i) * ramp / arrivals)))
-				truth.attempt(conns[i%numConns], "crowd", ids[i%len(ids)], "", t)
+				truth.attempt(conns[i%numConns], "crowd", ids[i%len(ids)], t)
 			}(i)
 		}
 		wg.Wait()

@@ -210,8 +210,8 @@ func shapeOnly(cfg Config) map[string][]int {
 var ownTest = map[string]string{
 	"fig1": "TestFig1", "fig6": "TestFig6", "tab2": "TestTable2", "slice": "TestExtensionSlice",
 	"lossy": "TestAblationLossy", "repeat": "TestCacheRepeatFetch",
-	"crowd": "TestCrowdExperimentCoalesces", "slo": "TestSLOExperimentReconciles",
-	"shard": "TestShardExperimentBitIdentical", "chaos": "TestChaosExperimentSurvives",
+	"crowd": "TestCrowdExperimentCoalesces", "shard": "TestShardExperimentBitIdentical",
+	"chaos": "TestChaosExperimentSurvives",
 }
 
 // TestRegistryTables walks the registry: names are unique and resolvable,

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -200,9 +199,6 @@ type oracle struct {
 	dataset string
 	codec   compress.Kind
 	array   string
-	// isos, when set, is the isovalue set of every fetch (the slo
-	// experiment's wide sweep); otherwise a fetch contours at its id's iso.
-	isos []float64
 	// Set by learn: the clean client, its sweep's tally and payloads.
 	clean    *core.Client
 	cleanRun *tally
@@ -228,8 +224,8 @@ func (o *oracle) learn(clean *core.Client, ids []fetchID) error {
 
 // groundTruth is every experiment's opening move: an unbounded,
 // uncached server behind link, a plain client onto it, and the oracle
-// (at each fetch's own iso, or the given wide set) learned through it.
-func (k *kit) groundTruth(array string, link *netsim.Link, ids []fetchID, isos ...float64) (*oracle, *node, error) {
+// learned through it.
+func (k *kit) groundTruth(array string, link *netsim.Link, ids []fetchID) (*oracle, *node, error) {
 	n, err := k.startNode(nil, link)
 	if err != nil {
 		return nil, nil, err
@@ -239,25 +235,12 @@ func (k *kit) groundTruth(array string, link *netsim.Link, ids []fetchID, isos .
 		return nil, nil, err
 	}
 	o := k.e.newOracle(array)
-	o.isos = isos
 	return o, n, o.learn(clean, ids)
 }
 
-// fetch issues one fetch of the sweep; a non-empty span runs it under
-// its own root span so the wire context propagates and server events
-// carry real trace IDs.
-func (o *oracle) fetch(c *core.Client, id fetchID, span string) (*core.Payload, *core.FetchStats, error) {
-	isos := o.isos
-	if isos == nil {
-		isos = []float64{id.iso}
-	}
-	ctx := context.Background()
-	if span != "" {
-		var sp *telemetry.Span
-		ctx, sp = telemetry.StartSpan(ctx, span)
-		defer sp.End()
-	}
-	p, st, err := c.FetchFilteredContext(ctx, ObjectKey(o.dataset, o.codec, id.step), o.array, isos, core.EncAuto)
+// fetch issues one fetch of the sweep.
+func (o *oracle) fetch(c *core.Client, id fetchID) (*core.Payload, *core.FetchStats, error) {
+	p, st, err := c.FetchFiltered(ObjectKey(o.dataset, o.codec, id.step), o.array, []float64{id.iso}, core.EncAuto)
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: step %d iso %g: %w", id.step, id.iso, err)
 	}
@@ -301,22 +284,6 @@ func bitsEqual(a, b []float32) bool {
 	return true
 }
 
-// degradedFetch forces one fetch of id through n's forced-degradation
-// client and gates on it having been served degraded and bit-identical.
-func (o *oracle) degradedFetch(n *node, id fetchID) (time.Duration, error) {
-	deg := n.dialDegraded()
-	start := time.Now()
-	p, st, err := o.fetch(deg, id, "")
-	if err != nil {
-		return 0, err
-	}
-	elapsed := time.Since(start)
-	if !st.Degraded {
-		return 0, fmt.Errorf("harness: no-retry fetch was not served degraded")
-	}
-	return elapsed, o.same("degraded", id, p)
-}
-
 // tally is the outcome and latency accounting every driver shares.
 type tally struct {
 	mu      sync.Mutex
@@ -337,9 +304,9 @@ func newTally() *tally { return &tally{got: make(map[fetchID]*core.Payload)} }
 // attempt issues one fetch, holds it to the ground truth once there is
 // one, and records the outcome in t. It reports whether the driver may
 // carry on.
-func (o *oracle) attempt(c *core.Client, phase string, id fetchID, span string, t *tally) bool {
+func (o *oracle) attempt(c *core.Client, phase string, id fetchID, t *tally) bool {
 	start := time.Now()
-	p, _, err := o.fetch(c, id, span)
+	p, _, err := o.fetch(c, id)
 	lat := float64(time.Since(start)) / float64(time.Millisecond)
 	if err == nil && o.want != nil {
 		err = o.same(phase, id, p)
@@ -374,8 +341,6 @@ type burst struct {
 	// hook, when set, fires once after `after` fetches have completed.
 	after int
 	hook  func()
-	// span, when set, runs every fetch under its own root span.
-	span string
 }
 
 // run drives the burst: the workers are released together by a barrier,
@@ -393,7 +358,7 @@ func (o *oracle) run(c *core.Client, phase string, b burst) (*tally, error) {
 			<-release
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(b.ids) || !o.attempt(c, phase, b.ids[i], b.span, t) {
+				if i >= len(b.ids) || !o.attempt(c, phase, b.ids[i], t) {
 					return
 				}
 				if b.hook != nil && int(done.Add(1)) >= b.after {

@@ -52,7 +52,7 @@ func (e *Env) RepeatFetch(dataset string, codec compress.Kind, step int, array s
 			// Cold: an empty cache forces the full read+decompress path.
 			n.srv.Cache().Reset()
 			start := time.Now()
-			cp, cst, err := truth.fetch(client, id, "")
+			cp, cst, err := truth.fetch(client, id)
 			if err != nil {
 				return nil, err
 			}
@@ -61,7 +61,7 @@ func (e *Env) RepeatFetch(dataset string, codec compress.Kind, step int, array s
 			// Warm: the decoded array is resident; only filter + transfer
 			// remain.
 			start = time.Now()
-			wp, wst, err := truth.fetch(client, id, "")
+			wp, wst, err := truth.fetch(client, id)
 			if err != nil {
 				return nil, err
 			}

@@ -178,10 +178,14 @@ func TestConcurrentCalls(t *testing.T) {
 	}
 }
 
+// TestClientCloseFailsPending closes the client while the server is
+// running its call: the pending call must fail rather than hang.
 func TestClientCloseFailsPending(t *testing.T) {
 	block := make(chan struct{})
+	entered := make(chan struct{}, 1)
 	c := startServer(t, func(s *Server) {
 		s.Register("hang", func(_ context.Context, _ []any) (any, error) {
+			entered <- struct{}{}
 			<-block
 			return nil, nil
 		})
@@ -191,7 +195,7 @@ func TestClientCloseFailsPending(t *testing.T) {
 		_, err := c.Call("hang")
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	<-entered // the call is in flight: the server is running it
 	c.Close()
 	select {
 	case err := <-done:

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -234,6 +235,44 @@ func TestSLOMonitorBurnAccounting(t *testing.T) {
 	evs := rec.Events(EventFilter{})
 	if len(evs) != 1 || !evs[0].Breached {
 		t.Errorf("recorded shed event not stamped Breached: %+v", evs)
+	}
+}
+
+// TestSLOMonitorGaugesMatchStatus races Observes on one monitor: once
+// they are done, the burn gauges must equal its status. A publish made
+// outside the monitor's lock could land after a later Observe's and
+// leave a gauge at the older burn.
+func TestSLOMonitorGaugesMatchStatus(t *testing.T) {
+	frozen := time.Date(2026, 8, 8, 12, 0, 30, 0, time.UTC)
+	for trial := 0; trial < 1000; trial++ {
+		reg := NewRegistry()
+		m := NewSLOMonitor(KindServer, Objective{Method: "ndp.fetch", Latency: 100 * time.Millisecond})
+		m.reg = reg
+		m.now = func() time.Time { return frozen }
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					ev := &WideEvent{Kind: KindServer, Method: "ndp.fetch", Outcome: OutcomeOK, DurMS: float64(10 + 100*((g+i)%3))}
+					if (g*50+i)%7 == 0 {
+						ev.Outcome = OutcomeError
+					}
+					m.Observe(ev)
+				}
+			}()
+		}
+		wg.Wait()
+		st := m.Status()[0]
+		for name, burn := range map[string]float64{
+			"avail.burn.fast": st.AvailBurnFast, "avail.burn.slow": st.AvailBurnSlow,
+			"latency.burn.fast": st.LatencyBurnFast, "latency.burn.slow": st.LatencyBurnSlow,
+		} {
+			if v, want := reg.Gauge("telemetry.slo.ndp.fetch."+name).Value(), int64(math.Round(burn*1000)); v != want {
+				t.Fatalf("trial %d: %s gauge %d, status says %d", trial, name, v, want)
+			}
+		}
 	}
 }
 

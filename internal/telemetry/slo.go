@@ -181,9 +181,11 @@ func (m *SLOMonitor) Observe(ev *WideEvent) bool {
 	}
 	method := s.obj.Method
 	fa, sa, fl, sl := m.burns(s, now)
+	// Published under the lock: an Observe that published after a later
+	// one would leave the gauges at its older burn.
+	m.publish(method, fa, sa, fl, sl)
 	m.mu.Unlock()
 
-	m.publish(method, fa, sa, fl, sl)
 	if breached {
 		m.reg.Counter("telemetry.slo." + method + ".breaches").Inc()
 	}
