@@ -9,7 +9,8 @@
 // paper's two-node testbed as separate processes, cmd/benchviz runs the
 // experiment registry (internal/harness) that regenerates the paper's
 // figures and tables, and ./bench is the repository's benchmark. This
-// package holds only the tests that drive them end to end:
-// TestCommandLineDeployment and BenchmarkExperiment.
+// package holds only the tests that drive them end to end,
+// TestCommandLineDeployment and BenchmarkExperiment, and
+// TestDocReferencesResolve, which holds the docs to the tree.
 // examples/quickstart shows the split filter in one process.
 package vizndp

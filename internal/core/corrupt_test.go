@@ -109,6 +109,39 @@ func TestFetchCorruptBrickReturnsErrCorrupt(t *testing.T) {
 	}
 }
 
+// TestFetchCorruptHeaderReturnsErrCorrupt: a header the store damaged is
+// as corrupt as a damaged array. Its JSON no longer parses, and the
+// fetch and the describe say ErrCorrupt, so a fault-tolerant client
+// re-reads from a sibling instead of surfacing a parse error.
+func TestFetchCorruptHeaderReturnsErrCorrupt(t *testing.T) {
+	g, f := sphereField(16)
+	ds := grid.NewDataset(g)
+	ds.MustAddField(f)
+	dir := t.TempDir()
+	abs, rel := writeChecksummedFile(t, dir, ds)
+	data, err := os.ReadFile(abs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(vtkio.Magic)+4] ^= 0x01 // the header's opening brace
+	if err := os.WriteFile(abs, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, addr := startServer(t, dir)
+	c, err := Dial(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, _, err := c.FetchFiltered(rel, f.Name, []float64{5}, EncIndexValue); !errors.Is(err, rpc.ErrCorrupt) {
+		t.Fatalf("fetch of a file with a damaged header err = %v, want ErrCorrupt", err)
+	}
+	if _, err := c.Describe(rel); !errors.Is(err, rpc.ErrCorrupt) {
+		t.Fatalf("describe of a file with a damaged header err = %v, want ErrCorrupt", err)
+	}
+}
+
 func TestCorruptLoadNeverCached(t *testing.T) {
 	g, f := sphereField(16)
 	ds := grid.NewDataset(g)

@@ -82,7 +82,7 @@ func WithCacheBytes(maxBytes int64) ServerOption {
 // read through the array cache's (WithCacheBytes), and there is no window
 // to set. The option exists only because bench/workloads.go still passes
 // it and bench/ is frozen outside benchmark PRs; it goes when that call
-// does (ROADMAP, "Next: the benchmark PR", item 3).
+// does (ROADMAP, "Next: benchmark PR A", item 3).
 func WithCoalesce(time.Duration) ServerOption { return func(*Server) {} }
 
 // WithPayloadCacheBytes bounds a storage-side cache of encoded fetch
@@ -291,16 +291,11 @@ func versionOf(info fs.FileInfo) stamp {
 	return stamp{mtime: info.ModTime().UnixNano(), size: info.Size()}
 }
 
-// corruptionError reports whether err means the stored bytes lied:
-// a page failed its recorded CRC, or a read came up short against the
-// sizes the header promised (a truncated object). Codec errors are NOT
-// classified — checksum verification runs before decompression, so on
-// checksummed data a codec failure indicates a bug, not bad storage.
-func corruptionError(err error) bool {
-	return errors.Is(err, vtkio.ErrChecksum) ||
-		errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, io.EOF)
-}
+// corruptionError reports whether err means the stored bytes lied,
+// which vtkio decides: a page failed its recorded CRC, a read came up
+// short against the sizes the header promised, the header itself did
+// not parse or disagreed with itself, or a chunk did not decode.
+func corruptionError(err error) bool { return errors.Is(err, vtkio.ErrCorrupt) }
 
 // failCorrupt classifies a failed read of path. Whatever the failure,
 // the path's cached metadata goes: it was read through the same store,

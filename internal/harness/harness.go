@@ -327,8 +327,8 @@ func (e *Env) baselineLoadKey(key, array string) (Measurement, error) {
 
 // NDPLoad measures the NDP pipeline's data load: the remote pre-filter
 // reads, decompresses, and filters the array, then ships the payload.
-// The load ends with the payload in client memory; an untimed decode
-// checks it. Averaged over repeats.
+// The load ends with the payload in client memory; an untimed check
+// holds it to the local pre-filter's. Averaged over repeats.
 func (e *Env) NDPLoad(dataset string, codec compress.Kind, step int, array string, isovalues []float64) (Measurement, error) {
 	return e.ndpLoadKey(ObjectKey(dataset, codec, step), array, isovalues)
 }
@@ -340,14 +340,37 @@ func (e *Env) ndpLoadKey(key, array string, isovalues []float64) (Measurement, e
 	// send the filtered data to the client" — it ends when the payload is
 	// in client memory. Expanding it back to a full array belongs to the
 	// post-filter, which, like contour generation, is excluded from load
-	// time, so the payload is validated once, outside the timed region.
+	// time, so the payload is checked once, outside the timed region.
 	return e.measure(func() (err error) {
 		payload, _, err = e.ndpClient.FetchFiltered(key, array, isovalues, core.EncAuto)
 		return err
 	}, func() error {
-		_, err := payload.Reconstruct()
-		return err
+		return e.checkPayload(key, array, isovalues, payload)
 	})
+}
+
+// checkPayload holds an NDP payload to the degraded path's twin: the
+// array as the baseline reads it, pre-filtered on the client. The bytes
+// must be equal, lossy arrays included.
+func (e *Env) checkPayload(key, array string, isovalues []float64, got *core.Payload) error {
+	reader, f, err := openReader(e.local, key)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	field, err := reader.ReadArray(array)
+	if err != nil {
+		return err
+	}
+	want, _, err := (&core.PreFilter{Isovalues: isovalues, Encoding: core.EncAuto}).Run(reader.Grid(), field)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(got.Data, want.Data) {
+		return fmt.Errorf("harness: NDP payload of %s %s at %v is not the local pre-filter's (%d bytes, want %d)",
+			key, array, isovalues, len(got.Data), len(want.Data))
+	}
+	return nil
 }
 
 // LocalLoad measures reading one array from the node-local store without

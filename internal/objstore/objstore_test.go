@@ -255,8 +255,8 @@ func TestGetRange(t *testing.T) {
 }
 
 // TestReadRangeBadReplies: a body that ends early — however the store
-// framed it, even with nothing sent — is io.ErrUnexpectedEOF, which is
-// what core.corruptionError classifies as a truncated object; a store
+// framed it, even with nothing sent — is io.ErrUnexpectedEOF, which
+// vtkio reports as a truncated object, vtkio.ErrCorrupt; a store
 // that ignores the Range header is an error, not a silent whole-object
 // read.
 func TestReadRangeBadReplies(t *testing.T) {

@@ -27,11 +27,11 @@
 // A server shedding load marks the response's error string with a
 // reserved control-byte prefix that new clients decode into the
 // retryable ErrBusy; old clients see an ordinary server error string.
-// A server that caught its stored bytes lying — a checksum mismatch or
-// a truncated extent — marks the response the same way for ErrCorrupt,
-// so new clients can route the failure to data-level recovery (retry,
-// sibling shard, raw fallback) while old clients again degrade to a
-// plain server error.
+// A server that caught its stored bytes lying — a checksum mismatch, a
+// truncated extent or a damaged header — marks the response the same
+// way for ErrCorrupt, so new clients can route the failure to data-level
+// recovery (retry, sibling shard, raw fallback) while old clients again
+// degrade to a plain server error.
 //
 // Clients multiplex concurrent calls over one connection; servers handle
 // each request in its own goroutine, optionally bounded by admission

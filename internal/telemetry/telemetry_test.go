@@ -197,7 +197,11 @@ func TestTracerRingEviction(t *testing.T) {
 }
 
 func TestDebugHandler(t *testing.T) {
-	Default().Counter("test.debughandler.count").Add(3)
+	// The handler serves the process-wide registry, which outlives one
+	// run of the test (-count=N): expect the counter's delta.
+	count := Default().Counter("test.debughandler.count")
+	want := count.Value() + 3
+	count.Add(3)
 	Default().Histogram("test.debughandler.seconds").Observe(0.02)
 	_, s := StartSpan(context.Background(), "op")
 	s.End()
@@ -206,7 +210,7 @@ func TestDebugHandler(t *testing.T) {
 	defer ts.Close()
 
 	body := get(t, ts.URL+"/metrics")
-	if !strings.Contains(body, "test.debughandler.count 3") {
+	if !strings.Contains(body, fmt.Sprintf("test.debughandler.count %d\n", want)) {
 		t.Errorf("/metrics missing counter:\n%s", body)
 	}
 	if !strings.Contains(body, "test.debughandler.seconds.p50") {

@@ -31,10 +31,18 @@ const ChecksumAlgo = "crc32c"
 // large enough that the table adds well under 0.01% to the file.
 const DefaultChecksumPageSize = 64 << 10
 
-// ErrChecksum reports stored bytes that fail their recorded CRC32C.
-// Callers match with errors.Is to tell corruption apart from missing
-// arrays, codec failures, and transport errors.
-var ErrChecksum = errors.New("vtkio: checksum mismatch")
+// ErrCorrupt reports a file whose stored bytes lie: a page that fails
+// its recorded CRC32C (ErrChecksum), an object shorter than its header
+// says, metadata that does not parse or disagrees with itself, or a
+// chunk that does not decode. It is the one verdict that storage lied:
+// callers match it with errors.Is to tell bad bytes apart from a missing
+// array or a transport error, and the NDP server turns it into
+// rpc.ErrCorrupt.
+var ErrCorrupt = errors.New("vtkio: corrupt file")
+
+// ErrChecksum reports stored bytes that fail their recorded CRC32C; it
+// wraps ErrCorrupt.
+var ErrChecksum = fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 
 // castagnoli is the CRC32C polynomial table; package-level so every
 // checksum in the process shares the one kernel (crc32 uses SSE4.2/ARM
@@ -109,28 +117,28 @@ func checksumStarts(arrays []ArrayInfo, pageSize int) ([]int64, int64) {
 // readChecksums validates the header's checksum section and reads its
 // table. It rejects geometry that cannot be trusted: unknown algorithm,
 // non-positive page size, a page count that disagrees with what the array
-// extents derive, or a table that falls outside the file. Returns the
-// per-array table start indices and the table.
+// extents derive, or a table that falls outside the file, each as
+// ErrCorrupt. Returns the per-array table start indices and the table.
 func readChecksums(src io.ReaderAt, h *Header) ([]int64, []uint32, error) {
 	ck := h.Checksums
 	if ck.Algo != ChecksumAlgo {
-		return nil, nil, fmt.Errorf("vtkio: unsupported checksum algo %q", ck.Algo)
+		return nil, nil, fmt.Errorf("%w: unsupported checksum algo %q", ErrCorrupt, ck.Algo)
 	}
 	if ck.PageSize <= 0 {
-		return nil, nil, fmt.Errorf("vtkio: checksum page size %d", ck.PageSize)
+		return nil, nil, fmt.Errorf("%w: checksum page size %d", ErrCorrupt, ck.PageSize)
 	}
 	if ck.Offset < 0 {
-		return nil, nil, fmt.Errorf("vtkio: checksum section at negative offset %d", ck.Offset)
+		return nil, nil, fmt.Errorf("%w: checksum section at negative offset %d", ErrCorrupt, ck.Offset)
 	}
 	starts, total := checksumStarts(h.Arrays, ck.PageSize)
 	if int64(ck.Pages) != total {
-		return nil, nil, fmt.Errorf("vtkio: checksum section has %d pages, arrays derive %d", ck.Pages, total)
+		return nil, nil, fmt.Errorf("%w: checksum section has %d pages, arrays derive %d", ErrCorrupt, ck.Pages, total)
 	}
 	// The table is 4 bytes per entry; guard the multiplication and the
 	// end offset against int64 wraparound before reading the file.
 	tableLen := total * 4
 	if tableLen < 0 || ck.Offset > (1<<62)-tableLen {
-		return nil, nil, fmt.Errorf("vtkio: checksum section at %d overflows (%d pages)", ck.Offset, ck.Pages)
+		return nil, nil, fmt.Errorf("%w: checksum section at %d overflows (%d pages)", ErrCorrupt, ck.Offset, ck.Pages)
 	}
 	// Read in bounded pieces (one, for any real file: a piece covers
 	// 16 GiB of stored data at the default page size) so a header lying

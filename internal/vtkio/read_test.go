@@ -3,6 +3,7 @@ package vtkio
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -123,6 +124,83 @@ func TestReadArrayChecksHeaderBeforeReading(t *testing.T) {
 				t.Errorf("ReadArray issued %d reads before rejecting the header: %v", len(tracked.ranges), tracked.ranges)
 			}
 		})
+	}
+}
+
+// TestHeaderDamageIsErrCorrupt: the header carries no checksum, so a
+// store can damage it as it damages an array. Every single-bit flip in
+// it or in the preamble, and a header cut short or with bytes zeroed,
+// either reads every array the header names or fails with ErrCorrupt —
+// never with a JSON, grid, codec or size error a caller would not know
+// to retry elsewhere.
+func TestHeaderDamageIsErrCorrupt(t *testing.T) {
+	readAll := func(file []byte) error {
+		r, err := OpenReader(bytes.NewReader(file))
+		if err != nil {
+			return err
+		}
+		for _, a := range r.Header().Arrays {
+			if _, err := r.ReadArray(a.Name); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, kind := range []compress.Kind{compress.None, compress.LZ4} {
+		t.Run(kind.String(), func(t *testing.T) {
+			file := writeChecksummed(t, makeDataset(8, 8, 8), WriteOptions{Codec: kind, ChunkSize: 1024})
+			if err := readAll(file); err != nil {
+				t.Fatalf("undamaged file: %v", err)
+			}
+			hlo := len(Magic) + 4
+			hhi := hlo + int(binary.BigEndian.Uint32(file[len(Magic):]))
+			damaged := make([]byte, len(file))
+			failed := 0
+			for pos := 0; pos < hhi; pos++ {
+				for bit := 0; bit < 8; bit++ {
+					copy(damaged, file)
+					damaged[pos] ^= 1 << bit
+					if err := readAll(damaged); err != nil {
+						failed++
+						if !errors.Is(err, ErrCorrupt) {
+							t.Errorf("bit %d of byte %d (%q): %v, want ErrCorrupt", bit, pos, file[pos], err)
+						}
+					}
+				}
+			}
+			if failed == 0 {
+				t.Fatal("no header flip failed the read")
+			}
+			zeroed := append([]byte(nil), file...)
+			clear(zeroed[hlo+20 : hlo+36])
+			for name, f := range map[string][]byte{
+				"header cut short":    file[:hhi-10],
+				"header bytes zeroed": zeroed,
+			} {
+				if err := readAll(f); !errors.Is(err, ErrCorrupt) {
+					t.Errorf("%s: %v, want ErrCorrupt", name, err)
+				}
+			}
+		})
+	}
+
+	// A chunk size that lies before a partial span shifts the wanted
+	// chunks onto bytes whose pages all verify; only their decode fails.
+	file, _ := arrayFile(t, 64, WriteOptions{Codec: compress.LZ4, ChunkSize: 16 << 10, Checksum: true})
+	r, err := OpenReader(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := r.Header().Arrays[0].Chunks
+	comp := chunks[0].Comp
+	lied := bytes.Replace(file, []byte(fmt.Sprintf(`"comp":%d,`, comp)), []byte(fmt.Sprintf(`"comp":%d,`, comp-1)), 1)
+	if r, err = OpenReader(bytes.NewReader(lied)); err != nil {
+		t.Fatalf("a one-byte chunk-size lie failed the open (%v); the case needs it to reach the read", err)
+	}
+	want := make([]bool, len(chunks))
+	want[len(want)/2] = true
+	if _, err := r.ReadArrayChunks("v02", want); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("masked read under a lying chunk size: %v, want ErrCorrupt", err)
 	}
 }
 

@@ -21,6 +21,7 @@ package vtkio
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -417,17 +418,20 @@ func NewReader(src io.ReaderAt, m *Meta) *Reader { return &Reader{src: src, meta
 
 // ReadMeta reads and validates a file's metadata in three small reads:
 // the preamble, the JSON header and, when present, the checksum table.
+// The header carries no checksum of its own, so every way its bytes can
+// fail — short, unparseable, or disagreeing with themselves — is
+// ErrCorrupt, like a page that fails its CRC.
 func ReadMeta(src io.ReaderAt) (*Meta, error) {
 	pre := make([]byte, len(Magic)+4)
 	if _, err := readFullAt(src, pre, 0); err != nil {
 		return nil, fmt.Errorf("vtkio: reading preamble: %w", err)
 	}
 	if string(pre[:len(Magic)]) != Magic {
-		return nil, fmt.Errorf("vtkio: bad magic %q", pre[:len(Magic)])
+		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, pre[:len(Magic)])
 	}
 	hlen := binary.BigEndian.Uint32(pre[len(Magic):])
 	if hlen > maxHeaderSize {
-		return nil, fmt.Errorf("vtkio: header of %d bytes exceeds limit", hlen)
+		return nil, fmt.Errorf("%w: header of %d bytes exceeds limit", ErrCorrupt, hlen)
 	}
 	hbuf := make([]byte, hlen)
 	if _, err := readFullAt(src, hbuf, int64(len(pre))); err != nil {
@@ -435,10 +439,10 @@ func ReadMeta(src io.ReaderAt) (*Meta, error) {
 	}
 	m := &Meta{size: int64(hlen)}
 	if err := json.Unmarshal(hbuf, &m.header); err != nil {
-		return nil, fmt.Errorf("vtkio: parsing header: %w", err)
+		return nil, fmt.Errorf("%w: parsing header: %w", ErrCorrupt, err)
 	}
 	if err := m.header.Grid().Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: header grid: %w", ErrCorrupt, err)
 	}
 	// Validate array extents up front: readArray sizes buffers and slices
 	// from these fields, so a corrupt header with negative values must be
@@ -446,12 +450,12 @@ func ReadMeta(src io.ReaderAt) (*Meta, error) {
 	for i := range m.header.Arrays {
 		a := &m.header.Arrays[i]
 		if a.Offset < 0 {
-			return nil, fmt.Errorf("vtkio: array %q has negative offset %d", a.Name, a.Offset)
+			return nil, fmt.Errorf("%w: array %q has negative offset %d", ErrCorrupt, a.Name, a.Offset)
 		}
 		for _, c := range a.Chunks {
 			if c.Comp < 0 || c.Raw < 0 {
-				return nil, fmt.Errorf("vtkio: array %q has negative chunk size (comp=%d raw=%d)",
-					a.Name, c.Comp, c.Raw)
+				return nil, fmt.Errorf("%w: array %q has negative chunk size (comp=%d raw=%d)",
+					ErrCorrupt, a.Name, c.Comp, c.Raw)
 			}
 		}
 	}
@@ -486,13 +490,19 @@ func OpenFile(path string) (*Reader, io.Closer, error) {
 	return r, f, nil
 }
 
+// readFullAt fills buf from src at off. A read that ends early at the
+// end of the object is ErrCorrupt: the header promised bytes the store
+// does not have. Any other failure (a transport error) passes through.
 func readFullAt(src io.ReaderAt, buf []byte, off int64) (int, error) {
 	n, err := src.ReadAt(buf, off)
 	if n == len(buf) {
 		return n, nil
 	}
-	if err == nil {
+	if err == nil || err == io.EOF {
 		err = io.ErrUnexpectedEOF
+	}
+	if errors.Is(err, io.ErrUnexpectedEOF) {
+		err = fmt.Errorf("%w: %d of %d bytes at offset %d: %w", ErrCorrupt, n, len(buf), off, err)
 	}
 	return n, err
 }
@@ -573,7 +583,7 @@ func (r *Reader) readArray(idx int, dst []byte, want []bool) error {
 	}
 	codec, err := info.codec()
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	raw := codec.Kind() == compress.None
 	// The span: stored bytes [lo, hi) of the extent, from the first
@@ -583,7 +593,7 @@ func (r *Reader) readArray(idx int, dst []byte, want []bool) error {
 	wanted := 0
 	for i, c := range info.Chunks {
 		if raw && c.Comp != c.Raw {
-			return fmt.Errorf("vtkio: array %q: raw chunk stores %d bytes for %d", info.Name, c.Comp, c.Raw)
+			return fmt.Errorf("%w: array %q: raw chunk stores %d bytes for %d", ErrCorrupt, info.Name, c.Comp, c.Raw)
 		}
 		if want == nil || want[i] {
 			if lo < 0 {
@@ -630,8 +640,11 @@ func (r *Reader) readArray(idx int, dst []byte, want []bool) error {
 	}
 	decodeAll(codec, jobs)
 	for i := range jobs {
+		// The header that frames the chunks carries no checksum: a chunk
+		// size that lies before a partial span shifts every chunk in it
+		// onto bytes whose pages verify, and only the decode can tell.
 		if err := jobs[i].err; err != nil {
-			return fmt.Errorf("vtkio: array %q: %w", info.Name, err)
+			return fmt.Errorf("%w: array %q: %w", ErrCorrupt, info.Name, err)
 		}
 	}
 	return nil
@@ -699,16 +712,17 @@ func (r *Reader) ReadArrayChunks(name string, want []bool) (*grid.Field, error) 
 }
 
 // arrayLen is array idx's value count, once its header entry is checked
-// against the grid, whose point count it must equal.
+// against the grid, whose point count it must equal; a header that
+// disagrees with itself is ErrCorrupt.
 func (r *Reader) arrayLen(idx int) (int, error) {
 	info := &r.meta.header.Arrays[idx]
 	size := info.RawSize()
 	if size%4 != 0 {
-		return 0, fmt.Errorf("vtkio: %d bytes is not a whole number of float32", size)
+		return 0, fmt.Errorf("%w: %d bytes is not a whole number of float32", ErrCorrupt, size)
 	}
 	if want := r.Grid().NumPoints(); size/4 != int64(want) {
-		return 0, fmt.Errorf("vtkio: array %q has %d values, grid has %d points",
-			info.Name, size/4, want)
+		return 0, fmt.Errorf("%w: array %q has %d values, grid has %d points",
+			ErrCorrupt, info.Name, size/4, want)
 	}
 	return int(size / 4), nil
 }
