@@ -30,6 +30,10 @@ var (
 	// goRef is a whole code span naming pkg.Name, pkg.Type.Member or
 	// pkg.Name(…), Name exported.
 	goRef = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)(?:\.([A-Za-z_][A-Za-z0-9_]*))?(?:\(.*\))?$`)
+	// testRef is a whole code span naming a test, fuzz target or
+	// benchmark: a trailing * makes it a prefix, and a /subtest suffix
+	// is dropped.
+	testRef = regexp.MustCompile(`^((?:Test|Fuzz|Benchmark)[A-Z_0-9][A-Za-z0-9_]*)(\*?)(?:/\S*)?$`)
 	// lineRef is a pointer to a line of a Go file.
 	lineRef = regexp.MustCompile(`[A-Za-z0-9_./-]+\.go:[0-9]+`)
 	// sectionRef is a cross-reference to a DESIGN.md section by name,
@@ -40,13 +44,15 @@ var (
 )
 
 // moduleDecls maps each package of the module, by name (a command by its
-// directory's), to its declared names and to the members — methods and
-// struct or interface fields — of each of its types. Test files count.
+// directory's), to its declared names, to the members — methods and
+// struct or interface fields — of each of its types, and to the funcs
+// of its test files. Test files count.
 type moduleDecls map[string]*pkgDecls
 
 type pkgDecls struct {
 	names   map[string]bool
 	members map[string]map[string]bool
+	tests   map[string]bool
 }
 
 func parseModule(t *testing.T) moduleDecls {
@@ -77,10 +83,10 @@ func parseModule(t *testing.T) moduleDecls {
 		}
 		p := mod[name]
 		if p == nil {
-			p = &pkgDecls{names: map[string]bool{}, members: map[string]map[string]bool{}}
+			p = &pkgDecls{names: map[string]bool{}, members: map[string]map[string]bool{}, tests: map[string]bool{}}
 			mod[name] = p
 		}
-		p.add(f)
+		p.add(f, strings.HasSuffix(path, "_test.go"))
 		return nil
 	})
 	if err != nil {
@@ -96,12 +102,15 @@ func (p *pkgDecls) member(typ, name string) {
 	p.members[typ][name] = true
 }
 
-func (p *pkgDecls) add(f *ast.File) {
+func (p *pkgDecls) add(f *ast.File, testFile bool) {
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
 			if d.Recv == nil {
 				p.names[d.Name.Name] = true
+				if testFile {
+					p.tests[d.Name.Name] = true
+				}
 			} else if typ := recvType(d.Recv.List[0].Type); typ != "" {
 				p.member(typ, d.Name.Name)
 			}
@@ -162,9 +171,19 @@ func recvType(e ast.Expr) string {
 }
 
 // resolve says what is wrong with a code span that names pkg.Name or
-// pkg.Type.Member of a module package, or "" when it names something
-// declared or is not such a reference.
+// pkg.Type.Member of a module package, or a test function of the module,
+// or "" when it names something declared or is not such a reference.
 func (m moduleDecls) resolve(span string) string {
+	if g := testRef.FindStringSubmatch(span); g != nil {
+		for _, p := range m {
+			for name := range p.tests {
+				if name == g[1] || g[2] == "*" && strings.HasPrefix(name, g[1]) {
+					return ""
+				}
+			}
+		}
+		return "no test file of the module declares " + g[1] + g[2]
+	}
 	g := goRef.FindStringSubmatch(span)
 	if g == nil {
 		return ""
@@ -210,8 +229,10 @@ func namesHeading(ref string, headings []string) bool {
 // TestDocReferencesResolve holds the documents that describe the tree to
 // it: every backticked pkg.Name, pkg.Type.Member or pkg.Name() of a
 // module package names a declared func, type, var, const, method or
-// struct field; no document points at a line of a Go file, which the
-// next edit moves; and every DESIGN.md section cited by name exists.
+// struct field; every backticked bare Test*, Fuzz* or Benchmark* name
+// (Name* a prefix, /subtest dropped) names a func of a test file; no
+// document points at a line of a Go file, which the next edit moves; and
+// every DESIGN.md section cited by name exists.
 func TestDocReferencesResolve(t *testing.T) {
 	mod := parseModule(t)
 	for _, p := range []string{"core", "vtkio", "harness", "bench", "vizpipe"} {

@@ -255,8 +255,8 @@ func TestFetchPipelineEventsAndCounters(t *testing.T) {
 // TestFetchPipelineTracedSpans pins what `vizpipe -v` prints: a fetch
 // made under a client span imports the server's `serve <method>` span,
 // parented under the client's call span in the caller's trace, with a
-// child per stage the request ran. A cold fetch read and pre-filtered; a
-// payload-cache hit did neither.
+// child per stage the request ran, and the trace holds it once. A cold
+// fetch read and pre-filtered; a payload-cache hit did neither.
 func TestFetchPipelineTracedSpans(t *testing.T) {
 	client, _ := startNDPOpts(t, WithPayloadCacheBytes(16<<20))
 	for _, tc := range []struct {
@@ -270,12 +270,21 @@ func TestFetchPipelineTracedSpans(t *testing.T) {
 		root.End()
 		var call telemetry.SpanData
 		remote := map[string]telemetry.SpanData{}
+		serves := 0
 		for _, d := range telemetry.DefaultTracer().TraceSpans(root.Trace()) {
 			if d.Remote {
 				remote[d.Name] = d
 			} else if d.Name == "call "+MethodFetch {
 				call = d
 			}
+			if d.Name == "serve "+MethodFetch {
+				serves++
+			}
+		}
+		// The server runs in this process, so its spans sit in the ring
+		// both where they ran and as the client's imported copies.
+		if serves != 1 {
+			t.Errorf("%s: trace holds %d serve spans, want one", tc.name, serves)
 		}
 		serve, ok := remote["serve "+MethodFetch]
 		if !ok || call.ID == 0 || serve.Parent != call.ID {

@@ -87,7 +87,8 @@ func (e *arrayEntry) size() int64 { return int64(4 * len(e.field.Values)) }
 //
 // passes is sum(len(isovalues)) over the contour requests that scanned,
 // one per range request, none for slice and raw; sharing pays off exactly
-// when passes/requests drops below one — the crowd experiment's gate.
+// when passes/requests drops below one, which the chaos experiment's
+// caching replicas must show.
 var (
 	mScanRequests = telemetry.Default().Counter("core.scan.requests")
 	mScanPasses   = telemetry.Default().Counter("core.scan.passes")

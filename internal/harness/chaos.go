@@ -32,6 +32,7 @@ var chaosClasses = []struct{ label, counter string }{
 	{"failovers", "core.pool.failovers"},
 	{"breaker trips", "core.pool.breaker.open"},
 	{"array-cache hits", "arraycache.hits"},
+	{"payload-cache hits", "core.payloadcache.hits"},
 	{"degraded fallbacks", "core.client.fallbacks"},
 	{"slo breaches", breachCounter},
 	{"bundles written", "telemetry.bundles.written"},
@@ -43,11 +44,25 @@ const breachCounter = "telemetry.slo." + core.MethodFetch + ".breaches"
 
 // chaosBooks are the counters each round reconciles with the wide
 // events recorded since it began: every shed (of any method), every
-// degraded fallback and every breach must be an event with its flag.
+// degraded fallback, every breach, every request that joined another's
+// flight and every payload-cache hit must be an event with its flag.
 var chaosBooks = []eventCount{
 	{"rpc.server.shed", func(ev *telemetry.WideEvent) bool { return ev.Kind == telemetry.KindServer && ev.Shed }},
 	{"core.client.fallbacks", func(ev *telemetry.WideEvent) bool { return ev.Kind == telemetry.KindClient && ev.Degraded }},
 	{breachCounter, func(ev *telemetry.WideEvent) bool { return ev.Method == core.MethodFetch && ev.Breached }},
+	{"core.scan.coalesced", func(ev *telemetry.WideEvent) bool {
+		return ev.Kind == telemetry.KindServer && ev.Attrs["coalesced-scan"] == "follower"
+	}},
+	{"core.payloadcache.hits", func(ev *telemetry.WideEvent) bool {
+		return ev.Kind == telemetry.KindServer && ev.Attrs["payloadcache"] == "hit"
+	}},
+}
+
+// answeredFetch is a contour fetch a server answered. A flight's scan
+// succeeds exactly when its leader's request does, so with no payload
+// cache each is one scan pass, and with one a hit or a follower is none.
+func answeredFetch(ev *telemetry.WideEvent) bool {
+	return ev.Kind == telemetry.KindServer && ev.Method == core.MethodFetch && ev.Outcome == telemetry.OutcomeOK
 }
 
 // drainedName stamps the drained replica's fetch events (its shard=
@@ -72,9 +87,12 @@ const drainedName = "drained"
 // The gates: every served payload and read-back array bit-identical to
 // the ground truth, no error surfaced to the caller; each class in
 // chaosClasses non-zero and each round's chaosBooks balanced; the
-// drained replica's Shutdown returns nil after answering every fetch it
-// had accepted; the burn gauges agree with the monitor and with first
-// principles; and a directed breach's bundle holds its span tree. The
+// uncached ground-truth server scanning exactly once per request, and
+// the caching replicas fewer times than they answered, which is what
+// the payload cache and its single flight save; the drained replica's
+// Shutdown returns nil after answering every fetch it had accepted; the
+// burn gauges agree with the monitor and with first principles; and a
+// directed breach's bundle holds its span tree. The
 // run is for the interactions no single-family run reaches: a retry
 // failing over onto a replica that is itself shedding, a corrupt read
 // evicted under a shared flight, a breaker opening on a killed
@@ -89,6 +107,7 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 	uniq := e.sweepIDs(e.steps)
 	ids := repeatTo(uniq, minBurst)
 
+	scans := openLedger()
 	truth, _, err := k.groundTruth(array, e.newLink(), uniq)
 	if err != nil {
 		return nil, err
@@ -104,6 +123,11 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 	base, err := truth.run(truth.clean, "clean burst", burst{ids: ids, workers: workers})
 	if err != nil {
 		return nil, err
+	}
+	asked := int64(len(uniq) + len(ids))
+	if reqs, passes := scans.delta("core.scan.requests"), scans.delta("core.scan.passes"); reqs != asked || passes != asked {
+		return nil, fmt.Errorf("harness: the uncached server ran %d scan passes for %d requests, want %d of each",
+			passes, reqs, asked)
 	}
 
 	// Every other connection is armed: it flips bytes inside a bulk
@@ -164,6 +188,7 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 	}
 	survivor := k.dialFT(breakerOptions(), replicas[0])
 	total := &tally{}
+	var passes, answered int64 // the caching replicas', over the rounds
 	rounds := 0
 	for ; rounds < maxRounds && !fired(); rounds++ {
 		round := openLedger()
@@ -207,6 +232,8 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 		if err := round.reconcile(chaosBooks...); err != nil {
 			return nil, err
 		}
+		passes += round.delta("core.scan.passes")
+		answered += round.count(answeredFetch)
 		total.elapsed += t.elapsed
 		total.lats = append(total.lats, t.lats...)
 	}
@@ -216,6 +243,10 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 			unfired += fmt.Sprintf(" %s=%d", c.label, count(c.counter))
 		}
 		return nil, fmt.Errorf("harness: chaos left a class unfired after %d rounds:%s", rounds, unfired)
+	}
+	if passes >= answered {
+		return nil, fmt.Errorf("harness: the caching replicas ran %d scan passes for %d answered fetches, want fewer",
+			passes, answered)
 	}
 	burn, err := checkBurn(monitor, led.delta(breachCounter))
 	if err != nil {
@@ -233,6 +264,7 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 	row(t, "chaos", total.elapsed/time.Duration(rounds), fmt.Sprintf("%d x%d", len(ids), rounds), p50, p99, "yes")
 	row(t, "whole arrays", "", fmt.Sprintf("%d x%d", len(e.steps), rounds), "", "", "yes")
 	row(t, "drained in flight", caught)
+	row(t, "scans per answered fetch", fmt.Sprintf("%.3f (%d/%d)", float64(passes)/float64(answered), passes, answered))
 	for _, c := range chaosClasses {
 		row(t, c.label, count(c.counter))
 	}

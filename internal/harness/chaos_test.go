@@ -19,7 +19,7 @@ func TestChaosExperimentSurvives(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := tbl.String()
-	rows := []string{"clean", "clean burst", "chaos", "whole arrays", "drained in flight", "burn gauges", "directed breach"}
+	rows := []string{"clean", "clean burst", "chaos", "whole arrays", "drained in flight", "scans per answered fetch", "burn gauges", "directed breach"}
 	for _, c := range chaosClasses {
 		rows = append(rows, c.label)
 	}

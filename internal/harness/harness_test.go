@@ -210,8 +210,7 @@ func shapeOnly(cfg Config) map[string][]int {
 var ownTest = map[string]string{
 	"fig1": "TestFig1", "fig6": "TestFig6", "tab2": "TestTable2", "slice": "TestExtensionSlice",
 	"lossy": "TestAblationLossy", "repeat": "TestCacheRepeatFetch",
-	"crowd": "TestCrowdExperimentCoalesces", "shard": "TestShardExperimentBitIdentical",
-	"chaos": "TestChaosExperimentSurvives",
+	"shard": "TestShardExperimentBitIdentical", "chaos": "TestChaosExperimentSurvives",
 }
 
 // TestRegistryTables walks the registry: names are unique and resolvable,

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io/fs"
 	"math"
@@ -284,19 +283,14 @@ func bitsEqual(a, b []float32) bool {
 	return true
 }
 
-// tally is the outcome and latency accounting every driver shares.
+// tally is the outcome and latency accounting of one burst.
 type tally struct {
 	mu      sync.Mutex
 	got     map[fetchID]*core.Payload // last payload served per id
 	lats    []float64                 // per served fetch, ms
 	elapsed time.Duration
 	maxWire int // largest payload's wire size
-	// openLoop drivers count a shed request (rpc.ErrBusy) and carry on;
-	// to closed-loop ones it is a failure like any other, because their
-	// clients retry.
-	openLoop bool
-	shed     int
-	err      error
+	err     error
 }
 
 func newTally() *tally { return &tally{got: make(map[fetchID]*core.Payload)} }
@@ -320,8 +314,6 @@ func (o *oracle) attempt(c *core.Client, phase string, id fetchID, t *tally) boo
 		if w := p.WireSize(); w > t.maxWire {
 			t.maxWire = w
 		}
-	case t.openLoop && errors.Is(err, rpc.ErrBusy):
-		t.shed++
 	case t.err == nil:
 		t.err = err
 	}
@@ -423,19 +415,29 @@ type eventCount struct {
 func (l *ledger) reconcile(pairs ...eventCount) error {
 	return l.awaitEvents(func(evs []telemetry.WideEvent) error {
 		for _, p := range pairs {
-			var n int64
-			for i := range evs {
-				if p.match(&evs[i]) {
-					n++
-				}
-			}
-			if d := l.delta(p.counter); n != d {
+			if n, d := countEvents(evs, p.match), l.delta(p.counter); n != d {
 				return fmt.Errorf("harness: wide events do not reconcile with counters: %s advanced %d but the flight ring has %d matching events",
 					p.counter, d, n)
 			}
 		}
 		return nil
 	})
+}
+
+// count is how many of the wide events recorded since the ledger opened
+// match: after reconcile, the books' settled count.
+func (l *ledger) count(match func(ev *telemetry.WideEvent) bool) int64 {
+	return countEvents(l.rec.Events(telemetry.EventFilter{SinceSeq: l.seq0}), match)
+}
+
+func countEvents(evs []telemetry.WideEvent, match func(ev *telemetry.WideEvent) bool) int64 {
+	var n int64
+	for i := range evs {
+		if match(&evs[i]) {
+			n++
+		}
+	}
+	return n
 }
 
 // poll retries cond every 10ms until it returns nil, giving up with its

@@ -51,9 +51,8 @@ var Experiments = []Experiment{
 	{"lossy", "extension: error-bounded lossy storage of the Nyx baryon density at three bounds", func(e *Env) ([]*stats.Table, error) {
 		return inOrder(func() (*stats.Table, error) { return e.AblationLossy([]float64{1.0, 0.1, 0.01}) })
 	}},
-	{"crowd", "errors unless the payload cache and its single flight drove scans-per-request below one with bit-identical payloads and the coalesced/cache-hit counters reconcile with the wide-event ring", perArray((*Env).CrowdExperiment, "v03")},
 	{"shard", "errors unless every sharded gather is byte-identical to the single-node payload clean, with one shard degraded and with one shard killed mid-sweep, and the failover/degraded counters fired", perArray((*Env).ShardExperiment, "v03")},
-	{"chaos", "errors unless a three-replica burst under composed dial refusals, conn kills, mid-frame truncations, wire flips, storage corruption, shedding, a replica kill and a graceful drain returns zero wrong bytes and zero errors with every class fired and nothing the drain accepted lost, every round's shed/degraded/breached counters are correctly flagged wide events, the burn gauges match the monitor and first principles, and a directed breach's bundle holds its span tree", perArray((*Env).ChaosExperiment, "v03")},
+	{"chaos", "errors unless a three-replica burst under composed dial refusals, conn kills, mid-frame truncations, wire flips, storage corruption, shedding, a replica kill and a graceful drain returns zero wrong bytes and zero errors with every class fired (payload-cache hits among them) and nothing the drain accepted lost, the caching replicas scan fewer times than they answered while the uncached reference scans once per request, every round's shed/degraded/breached/coalesced/cache-hit counters are correctly flagged wide events, the burn gauges match the monitor and first principles, and a directed breach's bundle holds its span tree", perArray((*Env).ChaosExperiment, "v03")},
 	{"repeat", "repeat fetch: cold vs warm load times through the storage-side array cache, per codec; errors unless cold, warm and uncached payloads agree", func(e *Env) ([]*stats.Table, error) {
 		var run []func() (*stats.Table, error)
 		for _, codec := range Codecs {

@@ -87,25 +87,36 @@ func (l *Link) TransferTime(n int64) time.Duration {
 	return time.Duration(float64(n) / l.bytesPerSec * float64(time.Second))
 }
 
-// reserve books n bytes of capacity and returns the deadline at which
-// the bytes have "arrived" (the zero time when no wait is needed).
+// reserve books n bytes of capacity at the current time and returns
+// the deadline at which the bytes have "arrived" and how long the writer
+// must sleep for it (zero when no wait is worth paying; see pace).
 // Shared across all connections on the link, so concurrent flows divide
 // the capacity.
-func (l *Link) reserve(n int) time.Time {
+func (l *Link) reserve(n int) (deadline time.Time, wait time.Duration) {
 	if l.bytesPerSec <= 0 {
-		return time.Time{}
+		return time.Time{}, 0
 	}
-	tx := time.Duration(float64(n) / l.bytesPerSec * float64(time.Second))
 	l.mu.Lock()
-	now := time.Now()
-	start := l.nextFree
+	defer l.mu.Unlock()
+	l.nextFree, wait = l.pace(l.nextFree, time.Now(), n)
+	return l.nextFree, wait
+}
+
+// pace is the link's schedule, a function of its arguments alone: n
+// bytes queued at now behind a wire busy until nextFree (an idle wire
+// banks no credit) have arrived at end, and the writer sleeps until then
+// only when the debt is at least minSleep. A smaller debt stays in the
+// horizon end, which the link carries to the next chunk.
+func (l *Link) pace(nextFree, now time.Time, n int) (end time.Time, wait time.Duration) {
+	start := nextFree
 	if start.Before(now) {
 		start = now
 	}
-	end := start.Add(tx)
-	l.nextFree = end
-	l.mu.Unlock()
-	return end
+	end = start.Add(l.TransferTime(int64(n)))
+	if wait = end.Sub(now); wait < minSleep {
+		wait = 0
+	}
+	return end, wait
 }
 
 // maxBurst keeps individual reservations small so concurrent flows
@@ -189,11 +200,9 @@ func (s *shapedConn) Write(b []byte) (int, error) {
 			// Only pay the OS timer when the accumulated pacing debt is
 			// large enough to be worth it; the link's horizon carries small
 			// debts forward, so long-run throughput stays exact.
-			if deadline := s.link.reserve(len(chunk)); !deadline.IsZero() {
-				if wait := time.Until(deadline); wait >= minSleep {
-					sleepUntil(deadline)
-					mDelayNanos.Add(int64(wait))
-				}
+			if deadline, wait := s.link.reserve(len(chunk)); wait > 0 {
+				sleepUntil(deadline)
+				mDelayNanos.Add(int64(wait))
 			}
 			// Counted before it goes out: the peer can act on a chunk the
 			// moment Write delivers it, and whoever then reads BytesSent

@@ -10,9 +10,11 @@ import (
 	"time"
 )
 
-// pipePair returns a shaped in-memory connection pair with a reader
-// goroutine draining the server side into a buffer.
-func transfer(t *testing.T, link *Link, payload []byte) time.Duration {
+// transfer writes payload through a shaped in-memory connection pair,
+// with a reader goroutine draining the server side, and returns how long
+// the write and the drain took on the wall clock. It reports a failure
+// with t.Error, so it may run on any goroutine.
+func transfer(t testing.TB, link *Link, payload []byte) time.Duration {
 	t.Helper()
 	client, server := link.Pipe()
 	defer client.Close()
@@ -27,14 +29,16 @@ func transfer(t *testing.T, link *Link, payload []byte) time.Duration {
 
 	start := time.Now()
 	if _, err := client.Write(payload); err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return 0
 	}
 	if err := <-done; err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return 0
 	}
 	elapsed := time.Since(start)
 	if !bytes.Equal(got.Bytes(), payload) {
-		t.Fatal("payload corrupted in transit")
+		t.Error("payload corrupted in transit")
 	}
 	return elapsed
 }
@@ -61,27 +65,99 @@ func TestBandwidthPacing(t *testing.T) {
 	}
 }
 
-func TestBandwidthAccuracy(t *testing.T) {
-	// The pacing must track the modelled link closely even though small
-	// debts skip the OS timer: a 4 MiB transfer at 1 Gb/s is ~33.6 ms and
-	// should land within about 25% of it. Wall-clock tests can be blown
-	// off course by scheduler load (this box has one core), so allow a
-	// few attempts before declaring the pacing broken.
-	if raceEnabled {
-		t.Skip("race-detector instrumentation slows transfers ~3x, outside the pacing tolerance")
+// booking is one chunk's reservation on a virtual clock: when the
+// writer made it, the deadline it got and the sleep it paid, each as an
+// offset from the clock's epoch.
+type booking struct{ at, end, wait time.Duration }
+
+// chunks splits an n-byte Write into the chunks shapedConn.Write books.
+func chunks(n int) []int {
+	var out []int
+	for ; n > maxBurst; n -= maxBurst {
+		out = append(out, maxBurst)
 	}
-	payload := make([]byte, 4<<20)
-	var last string
-	for attempt := 0; attempt < 4; attempt++ {
-		link := NewLink(1*Gbps, 0)
-		elapsed := transfer(t, link, payload)
-		ideal := link.TransferTime(int64(len(payload)))
-		if elapsed >= ideal*3/4 && elapsed <= ideal*5/4 {
-			return
+	return append(out, n)
+}
+
+// schedule replays writers of the given chunk sizes over one idle link
+// on a virtual clock, as shapedConn.Write paces them: the writer whose
+// clock is earliest (the first on a tie) books its next chunk through
+// pace, and when told to sleep wakes exactly at the deadline.
+func schedule(l *Link, writers ...[]int) [][]booking {
+	epoch := time.Unix(0, 0)
+	var nextFree time.Time
+	now := make([]time.Duration, len(writers))
+	out := make([][]booking, len(writers))
+	for {
+		w := -1
+		for i := range writers {
+			if len(out[i]) < len(writers[i]) && (w < 0 || now[i] < now[w]) {
+				w = i
+			}
 		}
-		last = fmt.Sprintf("transfer took %v, ideal %v", elapsed, ideal)
+		if w < 0 {
+			return out
+		}
+		end, wait := l.pace(nextFree, epoch.Add(now[w]), writers[w][len(out[w])])
+		nextFree = end
+		out[w] = append(out[w], booking{now[w], end.Sub(epoch), wait})
+		now[w] += wait
 	}
-	t.Errorf("pacing error too large on every attempt: %s", last)
+}
+
+func TestBandwidthAccuracy(t *testing.T) {
+	// One 4 MiB write at 1 Gb/s: 64 chunks of 0.524288 ms each. A debt
+	// reaches minSleep every fourth chunk, which then sleeps exactly to
+	// its deadline, and the last byte arrives at the ideal 33.554432 ms.
+	// BenchmarkBandwidthAccuracy checks the wall clock keeps to it.
+	link := NewLink(1*Gbps, 0)
+	got := schedule(link, chunks(4<<20))[0]
+	const tx = 524288 * time.Nanosecond
+	if len(got) != 64 {
+		t.Fatalf("%d chunks, want 64", len(got))
+	}
+	for k, b := range got {
+		want := booking{at: time.Duration(k/4*4) * tx, end: time.Duration(k+1) * tx}
+		if (k+1)%4 == 0 {
+			want.wait = 4 * tx
+		}
+		if b != want {
+			t.Errorf("chunk %d booked %+v, want %+v", k, b, want)
+		}
+	}
+	if end := got[63].end; end != link.TransferTime(4<<20) || end != 33554432*time.Nanosecond {
+		t.Errorf("last byte arrives at %v, ideal %v", end, link.TransferTime(4<<20))
+	}
+}
+
+func TestPaceCarriesSmallDebts(t *testing.T) {
+	// 1000-byte writes at 1 Gb/s owe 8 µs each. Sleeping for that would
+	// pay the OS timer's overshoot 500 times over, so the first 249 debts
+	// are carried in the horizon and the 250th, at 2 ms, is slept off in
+	// one go; none of it is forgiven.
+	link := NewLink(1*Gbps, 0)
+	sizes := make([]int, 500)
+	for i := range sizes {
+		sizes[i] = 1000
+	}
+	const tx = 8 * time.Microsecond
+	for k, b := range schedule(link, sizes)[0] {
+		want := booking{at: time.Duration(k/250*250) * tx, end: time.Duration(k+1) * tx}
+		if (k+1)%250 == 0 {
+			want.wait = minSleep
+		}
+		if b != want {
+			t.Errorf("write %d booked %+v, want %+v", k, b, want)
+		}
+	}
+	// A debt just under minSleep is carried; an idle wire banks no credit.
+	epoch := time.Unix(0, 0)
+	if end, wait := link.pace(epoch.Add(minSleep-tx), epoch, 999); wait != 0 || end != epoch.Add(minSleep-tx+7992) {
+		t.Errorf("pace under minSleep = %v, %v; want the debt carried, no sleep", end.Sub(epoch), wait)
+	}
+	if end, wait := link.pace(epoch, epoch.Add(time.Second), 1000); wait != 0 || end != epoch.Add(time.Second+tx) {
+		t.Errorf("pace on an idle wire = %v, %v; want now + 8µs, no sleep", end.Sub(epoch), wait)
+	}
 }
 
 func TestTransferTime(t *testing.T) {
@@ -153,27 +229,92 @@ func TestBytesSentNeverTrailsDelivery(t *testing.T) {
 }
 
 func TestSharedLinkContention(t *testing.T) {
-	// Two concurrent flows on one link should take about twice as long as
-	// one flow, because they share capacity.
+	// Two 1 MiB writes at once on one 200 Mb/s link: every 64 KiB chunk
+	// (2.62144 ms) owes more than minSleep, so each sleeps, and the two
+	// flows take the wire in turns. The first finishes one chunk before
+	// the second, which ends at twice one flow's time: they divide the
+	// capacity. BenchmarkSharedLinkContention checks the wall clock.
 	link := NewLink(200*Mbps, 0)
-	payload := make([]byte, 1<<20)
-
-	oneFlow := transfer(t, link, payload)
-
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			transfer(t, link, payload)
-		}()
+	const tx = 2621440 * time.Nanosecond
+	alone := schedule(link, chunks(1<<20))[0]
+	if end := alone[len(alone)-1].end; end != 16*tx || end != link.TransferTime(1<<20) {
+		t.Errorf("one flow ends at %v, want %v", end, 16*tx)
 	}
-	wg.Wait()
-	twoFlows := time.Since(start)
+	both := schedule(link, chunks(1<<20), chunks(1<<20))
+	for w, flow := range both {
+		if len(flow) != 16 {
+			t.Fatalf("flow %d booked %d chunks, want 16", w, len(flow))
+		}
+		for k, b := range flow {
+			// Flow 0's chunk k ends at (2k+1)·tx and flow 1's at (2k+2)·tx;
+			// each was booked as the writer woke from its previous one.
+			end := time.Duration(2*k+1+w) * tx
+			want := booking{at: end - 2*tx, end: end, wait: 2 * tx}
+			if k == 0 {
+				want.at, want.wait = 0, end
+			}
+			if b != want {
+				t.Errorf("flow %d chunk %d booked %+v, want %+v", w, k, b, want)
+			}
+		}
+	}
+	if end := both[1][15].end; end != link.TransferTime(2<<20) {
+		t.Errorf("two flows end at %v, want %v", end, link.TransferTime(2<<20))
+	}
+}
 
-	if twoFlows < oneFlow*3/2 {
-		t.Errorf("two flows took %v, one flow %v; expected ~2x", twoFlows, oneFlow)
+// BenchmarkBandwidthAccuracy is the wall-clock check of the pacing: a
+// 4 MiB transfer at 1 Gb/s is ~33.6 ms and must land within 25% of it
+// even though small debts skip the OS timer. Scheduler load on a small
+// machine can blow one transfer off course, so it allows four attempts,
+// and it is a benchmark that `go test ./...` never runs; run it alone:
+//
+//	go test -run '^$' -bench '^Benchmark(BandwidthAccuracy|SharedLinkContention)$' -benchtime 1x ./internal/netsim/
+//
+// TestBandwidthAccuracy pins the schedule it follows.
+func BenchmarkBandwidthAccuracy(b *testing.B) {
+	if raceEnabled {
+		b.Skip("race-detector instrumentation slows transfers ~3x, outside the pacing tolerance")
+	}
+	payload := make([]byte, 4<<20)
+	for i := 0; i < b.N; i++ {
+		var last string
+		ok := false
+		for attempt := 0; attempt < 4 && !ok; attempt++ {
+			link := NewLink(1*Gbps, 0)
+			elapsed := transfer(b, link, payload)
+			ideal := link.TransferTime(int64(len(payload)))
+			ok = elapsed >= ideal*3/4 && elapsed <= ideal*5/4
+			last = fmt.Sprintf("transfer took %v, ideal %v", elapsed, ideal)
+		}
+		if !ok {
+			b.Fatalf("pacing error too large on every attempt: %s", last)
+		}
+	}
+}
+
+// BenchmarkSharedLinkContention is the wall-clock check that two
+// concurrent flows on one link take about twice as long as one (at
+// least 1.5x), because they share its capacity. Run it alone, as
+// BenchmarkBandwidthAccuracy; TestSharedLinkContention pins the schedule.
+func BenchmarkSharedLinkContention(b *testing.B) {
+	payload := make([]byte, 1<<20)
+	for i := 0; i < b.N; i++ {
+		link := NewLink(200*Mbps, 0)
+		oneFlow := transfer(b, link, payload)
+		var wg sync.WaitGroup
+		start := time.Now()
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				transfer(b, link, payload)
+			}()
+		}
+		wg.Wait()
+		if twoFlows := time.Since(start); twoFlows < oneFlow*3/2 {
+			b.Fatalf("two flows took %v, one flow %v; expected ~2x", twoFlows, oneFlow)
+		}
 	}
 }
 

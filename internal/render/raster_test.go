@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"image/color"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -48,12 +49,14 @@ func asteroidMeshes(t testing.TB, cfg sim.AsteroidConfig, step int, isos []float
 	return v02, v03
 }
 
-// sameRender fails t unless Meshes draws layers exactly as the reference.
+// sameRender fails t unless Meshes draws layers exactly as the
+// reference. It may run on any goroutine.
 func sameRender(t *testing.T, what string, layers []Layer, opts Options) {
 	t.Helper()
 	got, err := Meshes(layers, opts)
 	if err != nil {
-		t.Fatal(err)
+		t.Errorf("%s: %v", what, err)
+		return
 	}
 	want, _ := referenceMeshes(layers, opts)
 	if !bytes.Equal(got.Pix, want.Pix) {
@@ -65,9 +68,9 @@ func sameRender(t *testing.T, what string, layers []Layer, opts Options) {
 // asteroid, every step, v02 and v03, isovalues 0.1..0.9 — through three
 // cameras, one of them near the pole where the camera swaps its up
 // vector, plus vizpipe's two-layer composition, and holds every image to
-// the reference rasteriser byte for byte. It runs on one core, so the
-// wall-clock tests of packages running beside it keep the other; -short
-// keeps seed 1's first and last step.
+// the reference rasteriser byte for byte. Each frame renders serially,
+// and the frames are spread over GOMAXPROCS goroutines while the next
+// step's meshes are built; -short keeps seed 1's first and last step.
 func TestMeshesMatchReference(t *testing.T) {
 	cameras := []Options{
 		{},
@@ -79,6 +82,24 @@ func TestMeshesMatchReference(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
+	type frame struct {
+		what   string
+		layers []Layer
+		opts   Options
+	}
+	frames := make(chan frame)
+	var wg sync.WaitGroup
+	for range runtime.GOMAXPROCS(0) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for f := range frames {
+				sameRender(t, f.what, f.layers, f.opts)
+			}
+		}()
+	}
+	defer wg.Wait()
+	defer close(frames)
 	for _, seed := range seeds {
 		cfg := sim.AsteroidConfig{N: 128, Seed: seed}
 		steps := cfg.Timesteps(3)
@@ -89,15 +110,15 @@ func TestMeshesMatchReference(t *testing.T) {
 			v02, v03 := asteroidMeshes(t, cfg, step, isos)
 			for i, iso := range isos {
 				for ci, cam := range cameras {
-					sameRender(t, fmt.Sprintf("seed %d step %d v02 iso %v camera %d", seed, step, iso, ci),
-						[]Layer{{Mesh: v02[i], Color: water}}, cam)
-					sameRender(t, fmt.Sprintf("seed %d step %d v03 iso %v camera %d", seed, step, iso, ci),
-						[]Layer{{Mesh: v03[i], Color: asteroid}}, cam)
+					frames <- frame{fmt.Sprintf("seed %d step %d v02 iso %v camera %d", seed, step, iso, ci),
+						[]Layer{{Mesh: v02[i], Color: water}}, cam}
+					frames <- frame{fmt.Sprintf("seed %d step %d v03 iso %v camera %d", seed, step, iso, ci),
+						[]Layer{{Mesh: v03[i], Color: asteroid}}, cam}
 				}
 			}
-			sameRender(t, fmt.Sprintf("seed %d step %d v02+v03 iso 0.1", seed, step),
+			frames <- frame{fmt.Sprintf("seed %d step %d v02+v03 iso 0.1", seed, step),
 				[]Layer{{Mesh: v02[0], Color: water}, {Mesh: v03[0], Color: asteroid}},
-				Options{Width: 800, Height: 800, AzimuthDeg: 35, ElevationDeg: 25})
+				Options{Width: 800, Height: 800, AzimuthDeg: 35, ElevationDeg: 25}}
 		}
 	}
 }

@@ -166,14 +166,38 @@ func (t *Tracer) Record(spans ...SpanData) {
 	}
 }
 
-// Spans returns the retained spans, oldest first.
+// Spans returns the retained spans, oldest first, one copy of each.
 func (t *Tracer) Spans() []SpanData {
-	return t.ring.read(func(*SpanData) bool { return true })
+	return onePerID(t.ring.read(func(*SpanData) bool { return true }))
 }
 
-// TraceSpans returns the retained spans of one trace, oldest first.
+// TraceSpans returns the retained spans of one trace, oldest first, one
+// copy of each.
 func (t *Tracer) TraceSpans(trace uint64) []SpanData {
-	return t.ring.read(func(d *SpanData) bool { return d.Trace == trace })
+	return onePerID(t.ring.read(func(d *SpanData) bool { return d.Trace == trace }))
+}
+
+// onePerID keeps one copy of each span (trace and span ID), in the place
+// of the first. A call served in the same process records the server's
+// spans twice: where they ran, and as the copies the client imported
+// from the reply. The imported copy wins, so the tree shows them once,
+// marked remote.
+func onePerID(spans []SpanData) []SpanData {
+	type key struct{ trace, id uint64 }
+	at := make(map[key]int, len(spans))
+	out := spans[:0]
+	for _, d := range spans {
+		k := key{d.Trace, d.ID}
+		if i, ok := at[k]; ok {
+			if d.Remote {
+				out[i] = d
+			}
+			continue
+		}
+		at[k] = len(out)
+		out = append(out, d)
+	}
+	return out
 }
 
 // Wire context: "<trace-hex>:<span-hex>", the value the RPC layer

@@ -60,6 +60,29 @@ func TestFormatTreeDeterministicAttrs(t *testing.T) {
 	}
 }
 
+func TestTracerKeepsOneCopyPerSpan(t *testing.T) {
+	// A server in the client's process records its spans where they ran;
+	// the client then imports the same spans from the reply.
+	tr := newTracer(16)
+	call := SpanData{Trace: 1, ID: 1, Name: "call ndp.fetch", Start: time.Unix(0, 1)}
+	serve := SpanData{Trace: 1, ID: 2, Parent: 1, Name: "serve ndp.fetch", Start: time.Unix(0, 2)}
+	read := SpanData{Trace: 1, ID: 3, Parent: 2, Name: "read", Start: time.Unix(0, 3)}
+	tr.Record(serve, read, call)
+	serve.Remote, read.Remote = true, true
+	tr.Record(serve, read)
+	tr.Record(SpanData{Trace: 2, ID: 2, Name: "other trace, same ID", Start: time.Unix(0, 4)})
+	spans := tr.TraceSpans(1)
+	if len(spans) != 3 || !spans[0].Remote || !spans[1].Remote || spans[2].Remote {
+		t.Fatalf("TraceSpans = %+v, want serve and read once each, imported, then call", spans)
+	}
+	if out := FormatTree(spans); strings.Count(out, "serve ndp.fetch") != 1 || strings.Count(out, "read") != 1 {
+		t.Errorf("tree shows a span twice:\n%s", out)
+	}
+	if n := len(tr.Spans()); n != 4 {
+		t.Errorf("Spans holds %d, want 4", n)
+	}
+}
+
 func TestFormatTreeEmpty(t *testing.T) {
 	if out := FormatTree(nil); out != "" {
 		t.Errorf("FormatTree(nil) = %q, want empty", out)
