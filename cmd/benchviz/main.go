@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		steps   = fs.Int("steps", 0, "asteroid timesteps (0 = config default)")
 		gbps    = fs.Float64("gbps", 0, "inter-node link capacity in Gb/s (0 = config default)")
 		repeats = fs.Int("repeats", 0, "measurement repetitions (0 = config default)")
-		cacheB  = fs.Int64("cache-bytes", 0, "repeat experiment: array cache budget in bytes (0 = config default)")
+		cacheB  = fs.Int64("cache-bytes", 0, "array cache budget in bytes of the repeat experiment's server and the chaos replicas (0 = config default)")
 		quick   = fs.Bool("quick", false, "use the small quick configuration")
 		csv     = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		jsonOut = fs.Bool("json", false, "emit one machine-readable JSON document instead of text tables")

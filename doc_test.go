@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -28,12 +29,14 @@ var (
 	// line but not past a blank one; fenced blocks are dropped first.
 	codeSpan = regexp.MustCompile("`((?:[^`\n]|\n[^`\n])+)`")
 	// goRef is a whole code span naming pkg.Name, pkg.Type.Member or
-	// pkg.Name(…), Name exported.
-	goRef = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)(?:\.([A-Za-z_][A-Za-z0-9_]*))?(?:\(.*\))?$`)
+	// pkg.Name(…), Name exported or not; a metric name has the same shape.
+	goRef = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Za-z_][A-Za-z0-9_]*)(?:\.([A-Za-z_][A-Za-z0-9_]*))?(?:\(.*\))?$`)
 	// testRef is a whole code span naming a test, fuzz target or
 	// benchmark: a trailing * makes it a prefix, and a /subtest suffix
 	// is dropped.
 	testRef = regexp.MustCompile(`^((?:Test|Fuzz|Benchmark)[A-Z_0-9][A-Za-z0-9_]*)(\*?)(?:/\S*)?$`)
+	// fileName is a span naming a file, which is no Go reference.
+	fileName = regexp.MustCompile(`\.(go|md|json|png|obj|yml)$`)
 	// lineRef is a pointer to a line of a Go file.
 	lineRef = regexp.MustCompile(`[A-Za-z0-9_./-]+\.go:[0-9]+`)
 	// sectionRef is a cross-reference to a DESIGN.md section by name,
@@ -46,8 +49,19 @@ var (
 // moduleDecls maps each package of the module, by name (a command by its
 // directory's), to its declared names, to the members — methods and
 // struct or interface fields — of each of its types, and to the funcs
-// of its test files. Test files count.
-type moduleDecls map[string]*pkgDecls
+// of its test files. Test files count. reported holds the dotted names
+// the code reports under, which look like pkg.name: the string literals
+// registered as metrics (Counter, Gauge, Histogram) and the benchmark's
+// string literals, which name its metrics and layers.
+type moduleDecls struct {
+	pkgs     map[string]*pkgDecls
+	reported map[string]bool
+}
+
+// composedNames are the metric families whose names the code builds at
+// run time, so no literal spells them: per method, per object-store
+// operation or status.
+var composedNames = regexp.MustCompile(`^(telemetry\.slo|rpc\.server\.call|objstore\.(requests|status|seconds))\.`)
 
 type pkgDecls struct {
 	names   map[string]bool
@@ -58,7 +72,7 @@ type pkgDecls struct {
 func parseModule(t *testing.T) moduleDecls {
 	t.Helper()
 	fset := token.NewFileSet()
-	mod := moduleDecls{}
+	mod := moduleDecls{pkgs: map[string]*pkgDecls{}, reported: map[string]bool{}}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -81,12 +95,14 @@ func parseModule(t *testing.T) moduleDecls {
 		if name == "main" {
 			name = filepath.Base(filepath.Dir(path))
 		}
-		p := mod[name]
+		p := mod.pkgs[name]
 		if p == nil {
 			p = &pkgDecls{names: map[string]bool{}, members: map[string]map[string]bool{}, tests: map[string]bool{}}
-			mod[name] = p
+			mod.pkgs[name] = p
 		}
-		p.add(f, strings.HasSuffix(path, "_test.go"))
+		testFile := strings.HasSuffix(path, "_test.go")
+		p.add(f, testFile)
+		mod.addReported(f, name == "bench" && !testFile)
 		return nil
 	})
 	if err != nil {
@@ -149,6 +165,31 @@ func (p *pkgDecls) add(f *ast.File, testFile bool) {
 	}
 }
 
+// addReported records f's metric registrations and, when all is set,
+// every string literal of f.
+func (m moduleDecls) addReported(f *ast.File, all bool) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		var lit *ast.BasicLit
+		switch x := n.(type) {
+		case *ast.BasicLit:
+			if all {
+				lit = x
+			}
+		case *ast.CallExpr:
+			sel, ok := x.Fun.(*ast.SelectorExpr)
+			if ok && len(x.Args) > 0 && (sel.Sel.Name == "Counter" || sel.Sel.Name == "Gauge" || sel.Sel.Name == "Histogram") {
+				lit, _ = x.Args[0].(*ast.BasicLit)
+			}
+		}
+		if lit != nil && lit.Kind == token.STRING {
+			if s, err := strconv.Unquote(lit.Value); err == nil {
+				m.reported[s] = true
+			}
+		}
+		return true
+	})
+}
+
 // recvType is the bare type name of a receiver or embedded field:
 // T, *T, T[K] and pkg.T all give T.
 func recvType(e ast.Expr) string {
@@ -175,7 +216,7 @@ func recvType(e ast.Expr) string {
 // or "" when it names something declared or is not such a reference.
 func (m moduleDecls) resolve(span string) string {
 	if g := testRef.FindStringSubmatch(span); g != nil {
-		for _, p := range m {
+		for _, p := range m.pkgs {
 			for name := range p.tests {
 				if name == g[1] || g[2] == "*" && strings.HasPrefix(name, g[1]) {
 					return ""
@@ -185,12 +226,12 @@ func (m moduleDecls) resolve(span string) string {
 		return "no test file of the module declares " + g[1] + g[2]
 	}
 	g := goRef.FindStringSubmatch(span)
-	if g == nil {
+	if g == nil || fileName.MatchString(span) {
 		return ""
 	}
-	p := m[g[1]]
-	if p == nil {
-		return "" // a stdlib package, a variable or a metric name
+	p := m.pkgs[g[1]]
+	if p == nil || m.reported[span] || composedNames.MatchString(span) {
+		return "" // a stdlib package, a variable, a metric or a layer
 	}
 	if !p.names[g[2]] {
 		return g[1] + " declares no " + g[2]
@@ -228,15 +269,17 @@ func namesHeading(ref string, headings []string) bool {
 
 // TestDocReferencesResolve holds the documents that describe the tree to
 // it: every backticked pkg.Name, pkg.Type.Member or pkg.Name() of a
-// module package names a declared func, type, var, const, method or
-// struct field; every backticked bare Test*, Fuzz* or Benchmark* name
-// (Name* a prefix, /subtest dropped) names a func of a test file; no
-// document points at a line of a Go file, which the next edit moves; and
-// every DESIGN.md section cited by name exists.
+// module package, Name exported or not, names a declared func, type,
+// var, const, method or struct field, unless it is a name the code
+// reports under (a metric or a benchmark layer); every backticked bare
+// Test*, Fuzz* or Benchmark* name (Name* a prefix, /subtest dropped)
+// names a func of a test file; no document points at a line of a Go
+// file, which the next edit moves; and every DESIGN.md section cited by
+// name exists.
 func TestDocReferencesResolve(t *testing.T) {
 	mod := parseModule(t)
 	for _, p := range []string{"core", "vtkio", "harness", "bench", "vizpipe"} {
-		if mod[p] == nil || len(mod[p].names) == 0 {
+		if mod.pkgs[p] == nil || len(mod.pkgs[p].names) == 0 {
 			t.Fatalf("parsed no declarations of package %s", p)
 		}
 	}

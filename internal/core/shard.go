@@ -63,9 +63,8 @@ type ShardStats struct {
 // ShardedClient scatters per-brick pre-filtered fetches across shard
 // clients and gathers the sparse brick payloads into one payload over
 // the parent grid, byte-identical to what a single unsharded fetch of
-// the parent grid returns. Build one with DialSharded (per-shard
-// fault-tolerant clients with sibling failover) or NewShardedClient
-// (caller-supplied clients, e.g. for tests that want one shard degraded).
+// the parent grid returns. DialSharded builds one over per-shard
+// fault-tolerant clients with sibling failover.
 type ShardedClient struct {
 	man    *vtkio.Manifest
 	g      *grid.Uniform
@@ -73,10 +72,10 @@ type ShardedClient struct {
 	shards []*Client
 }
 
-// NewShardedClient wraps caller-supplied shard clients. The manifest is
-// validated and its brick geometry re-derived so the merge's index math
-// is pinned to it; closing the sharded client closes every shard client.
-func NewShardedClient(man *vtkio.Manifest, shards []*Client) (*ShardedClient, error) {
+// newShardedClient wraps shard clients. The manifest is validated and
+// its brick geometry re-derived so the merge's index math is pinned to
+// it; closing the sharded client closes every shard client.
+func newShardedClient(man *vtkio.Manifest, shards []*Client) (*ShardedClient, error) {
 	if err := man.Validate(); err != nil {
 		return nil, err
 	}
@@ -115,7 +114,7 @@ func DialSharded(man *vtkio.Manifest, addrs []string, dialFn func(network, addr 
 		rotated = append(rotated, addrs[:i]...)
 		shards = append(shards, DialFaultTolerant(rotated, dialFn, opts))
 	}
-	sc, err := NewShardedClient(man, shards)
+	sc, err := newShardedClient(man, shards)
 	if err != nil {
 		for _, c := range shards {
 			c.Close()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -159,6 +160,68 @@ func TestShardedMergeBitIdentity(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestShardedDegradedBrickBitIdentical serves one shard's bricks through
+// the degraded fallback alone: its transport refuses every ndp.fetch, so
+// each brick placed on it is read raw and pre-filtered on the client.
+// The gather must still be the unsharded payload byte for byte, and
+// ShardStats.Degraded and core.shard.degraded must each count exactly
+// that shard's bricks.
+func TestShardedDegradedBrickBitIdentical(t *testing.T) {
+	g, f := sphereField(20)
+	ds := grid.NewDataset(g)
+	ds.MustAddField(f)
+	dir := t.TempDir()
+	man := writeBricks(t, dir, "run/ts0", ds, grid.BrickSpec{NX: 4, NY: 2, NZ: 1, Ghost: 1}, 3)
+	addrs := startShards(t, dir, 3)
+	shards := make([]*Client, len(addrs))
+	for i, addr := range addrs {
+		c, err := Dial(addr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[i] = c
+	}
+	const broken = 1
+	shards[broken] = &Client{
+		rpc:      &flakyCaller{inner: shards[broken].rpc, fail: map[string]error{MethodFetch: errors.New("injected fetch failure")}},
+		fallback: true,
+	}
+	sc, err := newShardedClient(man, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	want := 0
+	for _, e := range man.Entries {
+		if shardOf(e, len(shards)) == broken {
+			want++
+		}
+	}
+	if want < 2 {
+		t.Fatalf("%d bricks placed on the broken shard, want several", want)
+	}
+
+	isos := []float64{5, 9.5}
+	degraded0 := mShardDegraded.Value()
+	got, st, err := sc.FetchArray("run/ts0/", "d", isos, EncAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := (&PreFilter{Isovalues: isos, Encoding: EncAuto}).Run(g, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Data, p.Data) {
+		t.Errorf("gather with a degraded shard (%d points) differs from the unsharded payload (%d points)", got.Count, p.Count)
+	}
+	if st.Degraded != want {
+		t.Errorf("ShardStats.Degraded = %d, want the broken shard's %d bricks", st.Degraded, want)
+	}
+	if d := mShardDegraded.Value() - degraded0; d != int64(want) {
+		t.Errorf("core.shard.degraded rose by %d, want %d", d, want)
 	}
 }
 

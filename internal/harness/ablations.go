@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"image/color"
 	"math"
@@ -251,7 +252,8 @@ func (e *Env) ExtensionSlice(array string) (*stats.Table, error) {
 			if err != nil {
 				return err
 			}
-			if !g2.Equal(wantGrid) || !bitsEqual(vals, want) {
+			// Bytes, not values: value equality misstates NaN and ±0.
+			if !g2.Equal(wantGrid) || !bytes.Equal(vtkio.FloatsToBytes(vals), vtkio.FloatsToBytes(want)) {
 				return fmt.Errorf("harness: slice mismatch at step %d", step)
 			}
 			return nil

@@ -6,15 +6,18 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
 	"vizndp/internal/core"
+	"vizndp/internal/grid"
 	"vizndp/internal/netsim"
 	"vizndp/internal/objstore"
 	"vizndp/internal/s3fs"
 	"vizndp/internal/stats"
 	"vizndp/internal/telemetry"
+	"vizndp/internal/vtkio"
 )
 
 // chaosClasses are the fault classes the composed run must see fire,
@@ -34,6 +37,7 @@ var chaosClasses = []struct{ label, counter string }{
 	{"array-cache hits", "arraycache.hits"},
 	{"payload-cache hits", "core.payloadcache.hits"},
 	{"degraded fallbacks", "core.client.fallbacks"},
+	{"shard degraded", "core.shard.degraded"},
 	{"slo breaches", breachCounter},
 	{"bundles written", "telemetry.bundles.written"},
 }
@@ -44,11 +48,18 @@ const breachCounter = "telemetry.slo." + core.MethodFetch + ".breaches"
 
 // chaosBooks are the counters each round reconciles with the wide
 // events recorded since it began: every shed (of any method), every
-// degraded fallback, every breach, every request that joined another's
-// flight and every payload-cache hit must be an event with its flag.
+// degraded fallback, every degraded brick of a gather (its shard's
+// event, which names the brick), every breach, every request that
+// joined another's flight and every payload-cache hit must be an event
+// with its flag.
 var chaosBooks = []eventCount{
 	{"rpc.server.shed", func(ev *telemetry.WideEvent) bool { return ev.Kind == telemetry.KindServer && ev.Shed }},
-	{"core.client.fallbacks", func(ev *telemetry.WideEvent) bool { return ev.Kind == telemetry.KindClient && ev.Degraded }},
+	{"core.client.fallbacks", func(ev *telemetry.WideEvent) bool {
+		return ev.Kind == telemetry.KindClient && ev.Degraded && ev.Attrs["brick"] == nil
+	}},
+	{"core.shard.degraded", func(ev *telemetry.WideEvent) bool {
+		return ev.Kind == telemetry.KindClient && ev.Degraded && ev.Attrs["brick"] != nil
+	}},
 	{breachCounter, func(ev *telemetry.WideEvent) bool { return ev.Method == core.MethodFetch && ev.Breached }},
 	{"core.scan.coalesced", func(ev *telemetry.WideEvent) bool {
 		return ev.Kind == telemetry.KindServer && ev.Attrs["coalesced-scan"] == "follower"
@@ -65,6 +76,62 @@ func answeredFetch(ev *telemetry.WideEvent) bool {
 	return ev.Kind == telemetry.KindServer && ev.Method == core.MethodFetch && ev.Outcome == telemetry.OutcomeOK
 }
 
+// chaosBricks is the sharded gather's bricking: three bricks along X
+// with a one-cell ghost layer, one per replica.
+var chaosBricks = grid.BrickSpec{NX: 3, NY: 1, NZ: 1, Ghost: 1}
+
+// brickRoot is the directory of the oracle's bricks: their manifest and
+// a directory per step.
+func (o *oracle) brickRoot() string {
+	return fmt.Sprintf("bricks/%s/%s/%s/", o.dataset, o.codec, o.array)
+}
+
+// gathered is the sharded fetch through sc: the step's bricks scattered,
+// their payloads gathered into the unsharded one.
+func (o *oracle) gathered(sc *core.ShardedClient) fetchFunc {
+	return func(id fetchID) (*core.Payload, error) {
+		p, _, err := sc.FetchArray(fmt.Sprintf("%sts%05d/", o.brickRoot(), id.step), o.array, []float64{id.iso}, core.EncAuto)
+		if err != nil {
+			err = fmt.Errorf("harness: gather step %d iso %g: %w", id.step, id.iso, err)
+		}
+		return p, err
+	}
+}
+
+// putBricks cuts the oracle's array of every step into chaosBricks and
+// stores them page-checksummed under o.brickRoot(), next to the manifest
+// it returns.
+func (e *Env) putBricks(o *oracle) (*vtkio.Manifest, error) {
+	g := e.asteroidSet[e.steps[0]].Grid
+	man, err := vtkio.BuildManifest(g, chaosBricks, []string{o.array}, chaosBricks.Count())
+	if err != nil {
+		return nil, err
+	}
+	bricks, err := man.GridBricks()
+	if err != nil {
+		return nil, err
+	}
+	for _, step := range e.steps {
+		ds := grid.NewDataset(g)
+		ds.MustAddField(e.asteroidSet[step].Field(o.array))
+		for _, b := range bricks {
+			sub, err := grid.ExtractBrick(ds, b)
+			if err == nil {
+				key := fmt.Sprintf("%sts%05d/%s", o.brickRoot(), step, vtkio.BrickKey(b.ID))
+				err = e.putDataset(key, sub, vtkio.WriteOptions{Codec: o.codec, Checksum: true})
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
+	data, err := vtkio.EncodeManifest(man)
+	if err != nil {
+		return nil, err
+	}
+	return man, e.local.Put(Bucket, o.brickRoot()+"manifest.json", data)
+}
+
 // drainedName stamps the drained replica's fetch events (its shard=
 // attribute), so the drain's accounting can pick them out of the ring.
 const drainedName = "drained"
@@ -76,28 +143,33 @@ const drainedName = "drained"
 // corrupting store. Two sit behind their own link with a seeded
 // schedule of dial refusals, mid-frame connection kills and in-flight
 // byte flips; the third, behind a clean link, is started afresh every
-// round. A fault-tolerant client drives the stock sweep through the
-// burst runner, and a third of the way in one hook kills replica 1 and
-// gracefully drains the third. After each burst every array is read
-// back whole from replica 0, whose cache admitted it under live
-// injection. An SLO monitor and a bundle writer watch the whole run.
-// Rounds repeat until every class has fired and a drain has caught
-// accepted fetches mid-flight.
+// round. The burst runner drives the stock sweep, every other fetch
+// plain through a fault-tolerant client and the rest gathered from 3
+// bricks through a sharded one, and a third of the way in one hook
+// kills replica 1 and gracefully drains the third, mid-gather. After
+// each burst every array is read back whole from replica 0, whose cache
+// admitted it under live injection. An SLO monitor and a bundle writer
+// watch the whole run. Rounds repeat until every class has fired, a
+// drain has caught accepted fetches mid-flight and gathers have failed
+// over. Before any fault is armed, a clean sweep gathered over three
+// nodes is timed against the same sweep through one.
 //
-// The gates: every served payload and read-back array bit-identical to
-// the ground truth, no error surfaced to the caller; each class in
-// chaosClasses non-zero and each round's chaosBooks balanced; the
-// uncached ground-truth server scanning exactly once per request, and
+// The gates: every payload, gathered or not, and every read-back array
+// bit-identical to the ground truth, no error surfaced to the caller;
+// the manifest RPC returning every brick, the clean gather dropping
+// ghost duplicates and, at full scale with spare cores, beating one
+// node; each class in chaosClasses non-zero and each round's chaosBooks
+// balanced; the uncached servers scanning exactly once per request, and
 // the caching replicas fewer times than they answered, which is what
 // the payload cache and its single flight save; the drained replica's
-// Shutdown returns nil after answering every fetch it had accepted; the
-// burn gauges agree with the monitor and with first principles; and a
-// directed breach's bundle holds its span tree. The
+// Shutdown returning nil after answering every fetch it had accepted;
+// the burn gauges agreeing with the monitor and with first principles;
+// and a directed breach's bundle holding its span tree. The
 // run is for the interactions no single-family run reaches: a retry
 // failing over onto a replica that is itself shedding, a corrupt read
 // evicted under a shared flight, a breaker opening on a killed
-// connection. A clean burst of the same depth over the unbounded server
-// is the latency reference for the chaos p50/p99.
+// connection mid-gather. A clean burst of the same depth over the
+// unbounded server is the latency reference for the chaos p50/p99.
 func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 	const workers = 8
 	const minBurst = 48
@@ -108,9 +180,54 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 	ids := repeatTo(uniq, minBurst)
 
 	scans := openLedger()
-	truth, _, err := k.groundTruth(array, e.newLink(), uniq)
+	truth, gt, err := k.groundTruth(array, e.newLink(), uniq)
 	if err != nil {
 		return nil, err
+	}
+	wrote, err := e.putBricks(truth)
+	if err != nil {
+		return nil, err
+	}
+	// The manifest travels the data's wire, over the manifest RPC.
+	man, err := truth.clean.FetchManifest(truth.brickRoot() + "manifest.json")
+	if err != nil {
+		return nil, err
+	}
+	if len(man.Entries) != len(wrote.Entries) {
+		return nil, fmt.Errorf("harness: manifest RPC returned %d entries, wrote %d", len(man.Entries), len(wrote.Entries))
+	}
+	// Before any fault is armed, a like-for-like pair: the sweep through
+	// the ground truth's node alone, and gathered over it and two more
+	// clean uncached nodes, each behind its own link.
+	pair := []*node{gt, nil, nil}
+	for i := 1; i < len(pair); i++ {
+		if pair[i], err = k.startNode(nil, e.newLink()); err != nil {
+			return nil, err
+		}
+	}
+	oneRun, err := truth.sweep(truth.plain(truth.clean), "1 node", uniq)
+	if err != nil {
+		return nil, err
+	}
+	sc, err := k.dialSharded(man, pair...)
+	if err != nil {
+		return nil, err
+	}
+	ghosts := openLedger()
+	shardRun, err := truth.sweep(truth.gathered(sc), "3 shards", uniq)
+	if err != nil {
+		return nil, err
+	}
+	dups := ghosts.delta("core.shard.ghost.dups")
+	if dups == 0 {
+		return nil, fmt.Errorf("harness: the ghost layer produced no duplicate points; dedup untested")
+	}
+	// At full scale three nodes must beat one, when the host has the
+	// spare cores to run their scans in parallel; quick configurations
+	// move too few bytes to clear the per-brick RPC overhead.
+	if e.Cfg.AsteroidN >= 64 && runtime.NumCPU() > len(pair) && shardRun.elapsed >= oneRun.elapsed {
+		return nil, fmt.Errorf("harness: sharded sweep (%v) not faster than 1 node (%v) at N=%d",
+			shardRun.elapsed, oneRun.elapsed, e.Cfg.AsteroidN)
 	}
 	// Twice the clean median (floored at 1ms): queueing under overload
 	// breaches it while a healthy server stays inside it.
@@ -120,13 +237,14 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 		return nil, err
 	}
 	led := openLedger()
-	base, err := truth.run(truth.clean, "clean burst", burst{ids: ids, workers: workers})
+	base, err := truth.run("clean burst", burst{ids: ids, via: []fetchFunc{truth.plain(truth.clean)}, workers: workers})
 	if err != nil {
 		return nil, err
 	}
-	asked := int64(len(uniq) + len(ids))
+	// The learning sweep, the pair's (a fetch per brick) and the burst.
+	asked := int64(len(uniq)*(2+len(man.Entries)) + len(ids))
 	if reqs, passes := scans.delta("core.scan.requests"), scans.delta("core.scan.passes"); reqs != asked || passes != asked {
-		return nil, fmt.Errorf("harness: the uncached server ran %d scan passes for %d requests, want %d of each",
+		return nil, fmt.Errorf("harness: the uncached servers ran %d scan passes for %d requests, want %d of each",
 			passes, reqs, asked)
 	}
 
@@ -152,7 +270,7 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		n.setFaults(&netsim.Faults{
+		n.link.SetFaults(&netsim.Faults{
 			Seed:              int64(11 + i),
 			RefuseDialEvery:   3,
 			KillConnEvery:     2,
@@ -167,6 +285,12 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 	}
 
 	caught := 0 // accepted fetches the drains found in flight
+	// Brick fetches that failed over: the gathers' own, apart from the plain client's.
+	var gatherFailovers int64
+	brickFailover := func(ev *telemetry.WideEvent) bool {
+		path, _ := ev.Attrs["path"].(string)
+		return ev.Kind == telemetry.KindClient && ev.Failovers > 0 && strings.HasPrefix(path, truth.brickRoot())
+	}
 	// A graceful drain sheds whatever reaches it while it waits, and a
 	// killed replica what it had already read: only the sheds before a
 	// round's hook, with every replica up, prove that admission control
@@ -184,7 +308,7 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 				return false
 			}
 		}
-		return caught > 0
+		return caught > 0 && gatherFailovers > 0
 	}
 	survivor := k.dialFT(breakerOptions(), replicas[0])
 	total := &tally{}
@@ -201,10 +325,15 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		sc, err := k.dialSharded(man, replicas[0], replicas[1], drained)
+		if err != nil {
+			return nil, err
+		}
 		done := make(chan drainResult, 1)
 		sheds0 := led.delta("rpc.server.shed")
-		t, err := truth.run(k.dialFT(breakerOptions(), replicas[0], replicas[1], drained), "chaos", burst{
-			ids: ids, workers: workers, after: len(ids) / 3, hook: func() {
+		plain := truth.plain(k.dialFT(breakerOptions(), replicas[0], replicas[1], drained))
+		t, err := truth.run("chaos", burst{
+			ids: ids, via: []fetchFunc{plain, truth.gathered(sc)}, workers: workers, after: len(ids) / 3, hook: func() {
 				admissionSheds += led.delta("rpc.server.shed") - sheds0
 				replicas[1].srv.Close()
 				go func() { done <- drain(drained) }()
@@ -233,12 +362,13 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 			return nil, err
 		}
 		passes += round.delta("core.scan.passes")
+		gatherFailovers += round.count(brickFailover)
 		answered += round.count(answeredFetch)
 		total.elapsed += t.elapsed
 		total.lats = append(total.lats, t.lats...)
 	}
 	if !fired() {
-		unfired := fmt.Sprintf(" drained in flight=%d", caught)
+		unfired := fmt.Sprintf(" drained in flight=%d shard failovers=%d", caught, gatherFailovers)
 		for _, c := range chaosClasses {
 			unfired += fmt.Sprintf(" %s=%d", c.label, count(c.counter))
 		}
@@ -256,14 +386,19 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 	basep50, basep99 := base.p50p99()
 	p50, p99 := total.p50p99()
 	t := stats.NewTable(
-		fmt.Sprintf("Chaos: composed faults over 3 replicas, one killed and one drained, %d-deep burst, %d workers (%s, raw data)",
-			len(ids), workers, array),
+		fmt.Sprintf("Chaos: composed faults over 3 replicas, one killed and one drained, %d-deep burst, every other fetch gathered from %d bricks (ghost %d), %d workers (%s, raw data)",
+			len(ids), len(man.Entries), chaosBricks.Ghost, workers, array),
 		"run", "time", "fetches", "p50", "p99", "identical")
 	row(t, "clean", truth.cleanRun.elapsed, len(uniq), "", "", "ground truth")
+	row(t, "1 node", oneRun.elapsed, len(uniq), "", "", "yes")
+	row(t, "3 shards", shardRun.elapsed, fmt.Sprintf("%d x%d bricks", len(uniq), len(man.Entries)), "", "", "yes")
+	row(t, "3 shards vs 1 node", speedupX(oneRun.elapsed, shardRun.elapsed))
+	row(t, "ghost dedup", fmt.Sprintf("%d dup points over the sweep", dups))
 	row(t, "clean burst", base.elapsed, len(ids), basep50, basep99, "yes")
 	row(t, "chaos", total.elapsed/time.Duration(rounds), fmt.Sprintf("%d x%d", len(ids), rounds), p50, p99, "yes")
 	row(t, "whole arrays", "", fmt.Sprintf("%d x%d", len(e.steps), rounds), "", "", "yes")
 	row(t, "drained in flight", caught)
+	row(t, "shard failovers", gatherFailovers)
 	row(t, "scans per answered fetch", fmt.Sprintf("%.3f (%d/%d)", float64(passes)/float64(answered), passes, answered))
 	for _, c := range chaosClasses {
 		row(t, c.label, count(c.counter))

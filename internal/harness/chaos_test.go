@@ -7,8 +7,9 @@ import (
 
 // TestChaosExperimentSurvives drives the composed-fault campaign. The
 // experiment hard-errors if any served payload differs from the clean
-// sweep, any error surfaces to the caller, any of its fault classes
-// never fired, the drained replica lost a fetch it had accepted, a
+// sweep (gathered or not), any error surfaces to the caller, the clean
+// gather drops no ghost duplicates, any of its fault classes never
+// fired, the drained replica lost a fetch it had accepted, a
 // round's counters and wide events disagree, the burn gauges disagree
 // with the monitor or first principles, or the directed breach's
 // bundle lacks its span tree — so a nil error here is the whole
@@ -19,7 +20,8 @@ func TestChaosExperimentSurvives(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := tbl.String()
-	rows := []string{"clean", "clean burst", "chaos", "whole arrays", "drained in flight", "scans per answered fetch", "burn gauges", "directed breach"}
+	rows := []string{"clean", "1 node", "3 shards", "3 shards vs 1 node", "ghost dedup", "clean burst", "chaos",
+		"whole arrays", "drained in flight", "shard failovers", "scans per answered fetch", "burn gauges", "directed breach"}
 	for _, c := range chaosClasses {
 		rows = append(rows, c.label)
 	}

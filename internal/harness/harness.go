@@ -54,10 +54,10 @@ type Config struct {
 	Repeats int
 	// DataDir backs the object store; a caller-managed scratch dir.
 	DataDir string
-	// CacheBytes is the decoded-array cache budget for the RepeatFetch
-	// experiment's dedicated NDP server. The environment's shared NDP
-	// server never caches, so every other experiment keeps measuring
-	// cold reads.
+	// CacheBytes is the decoded-array cache budget of the servers that
+	// cache: the RepeatFetch experiment's dedicated one and the chaos
+	// replicas. The environment's shared NDP server never caches, so
+	// every other experiment keeps measuring cold reads.
 	CacheBytes int64
 	// Seed varies the synthetic datasets.
 	Seed uint32

@@ -45,8 +45,8 @@ func TestEnvPopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Count only the per-codec dataset objects; experiments that ran
-	// earlier may have added their own keys (shard bricks) to the shared
-	// store.
+	// earlier may have added their own keys (chaos's bricks) to the
+	// shared store.
 	var n int
 	for _, o := range objs {
 		if strings.HasPrefix(o.Key, "asteroid/") || strings.HasPrefix(o.Key, "nyx/") {
@@ -210,7 +210,7 @@ func shapeOnly(cfg Config) map[string][]int {
 var ownTest = map[string]string{
 	"fig1": "TestFig1", "fig6": "TestFig6", "tab2": "TestTable2", "slice": "TestExtensionSlice",
 	"lossy": "TestAblationLossy", "repeat": "TestCacheRepeatFetch",
-	"shard": "TestShardExperimentBitIdentical", "chaos": "TestChaosExperimentSurvives",
+	"chaos": "TestChaosExperimentSurvives",
 }
 
 // TestRegistryTables walks the registry: names are unique and resolvable,

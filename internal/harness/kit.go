@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io/fs"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -20,11 +19,11 @@ import (
 	"vizndp/internal/vtkio"
 )
 
-// The experiment kit: what every robustness experiment shares, written
-// once. kit/node bring servers and clients up and tear them down; oracle
-// is the ground truth and the only place payload bytes are compared;
-// burst drives fetches and tallies outcomes; ledger reads counter deltas
-// and reconciles them with the flight ring. DESIGN.md has the rationale.
+// The experiment kit, for experiments that start their own servers.
+// kit/node bring servers and clients up and tear them down; oracle is
+// the ground truth and the only place payload bytes are compared; burst
+// drives plain and sharded fetches and tallies outcomes; ledger reads
+// counter deltas and reconciles them with the flight ring (DESIGN.md).
 
 // kit owns what one experiment started: the cleanup stack releases it
 // whichever way the experiment returns.
@@ -41,22 +40,15 @@ func (e *Env) newKit() *kit { return &kit{e: e, nodes: make(map[string]*node)} }
 // node's injected faults cannot leak into the environment's shared path.
 func (e *Env) newLink() *netsim.Link { return netsim.NewLink(e.Cfg.LinkBits, e.Cfg.LinkLatency) }
 
-// onClose pushes a release; unwind runs, newest first, everything pushed
-// since mark (a phase's bracket); close runs them all.
+// onClose pushes a release; close runs them all, newest first.
 func (k *kit) onClose(f func()) { k.cleanup = append(k.cleanup, f) }
 
-func (k *kit) mark() int { return len(k.cleanup) }
-
-func (k *kit) unwind(to int) {
-	for len(k.cleanup) > to {
-		last := len(k.cleanup) - 1
-		f := k.cleanup[last]
-		k.cleanup = k.cleanup[:last]
-		f()
+func (k *kit) close() {
+	for i := len(k.cleanup) - 1; i >= 0; i-- {
+		k.cleanup[i]()
 	}
+	k.cleanup = nil
 }
-
-func (k *kit) close() { k.unwind(0) }
 
 // node is one NDP server on the storage node. link is the shaped link
 // its clients cross; nil means unshaped loopback.
@@ -111,42 +103,31 @@ func (n *node) dial() (*core.Client, error) {
 	return c, nil
 }
 
-// dialFT opens the retrying client over a replica set.
-func (k *kit) dialFT(opts rpc.ReconnectOptions, replicas ...*node) *core.Client {
-	addrs := make([]string, len(replicas))
-	for i, n := range replicas {
+// addrsOf lists the nodes' addresses.
+func addrsOf(nodes []*node) []string {
+	addrs := make([]string, len(nodes))
+	for i, n := range nodes {
 		addrs[i] = n.addr
 	}
-	c := core.DialFaultTolerant(addrs, k.dialConn, opts)
+	return addrs
+}
+
+// dialFT opens the retrying client over a replica set.
+func (k *kit) dialFT(opts rpc.ReconnectOptions, replicas ...*node) *core.Client {
+	c := core.DialFaultTolerant(addrsOf(replicas), k.dialConn, opts)
 	k.onClose(func() { c.Close() })
 	return c
 }
 
-// setFaults arms n's link with a fault schedule until the kit unwinds.
-func (n *node) setFaults(f *netsim.Faults) {
-	n.link.SetFaults(f)
-	n.k.onClose(func() { n.link.SetFaults(nil) })
-}
-
-// dialDegraded is the forced-degradation recipe: n's link kills its
-// first connection mid-frame and the returned client may not retry
-// Fetch, so its first fetch must fall back to Describe + FetchRaw + a
-// local pre-filter on the replacement connection.
-func (n *node) dialDegraded() *core.Client {
-	retryable := core.RetryableMethods()
-	retryable[core.MethodFetch] = false
-	n.setFaults(&netsim.Faults{
-		Seed:           11,
-		KillConnEvery:  1 << 30, // only the first connection is armed
-		KillAfterBytes: 128,
-	})
-	return n.k.dialFT(rpc.ReconnectOptions{
-		MaxAttempts:    4,
-		InitialBackoff: time.Millisecond,
-		MaxBackoff:     20 * time.Millisecond,
-		Seed:           11,
-		Retryable:      retryable,
-	}, n)
+// dialSharded opens the sharded client over man's bricks: shard i is
+// shards[i], with the others as its failover replicas.
+func (k *kit) dialSharded(man *vtkio.Manifest, shards ...*node) (*core.ShardedClient, error) {
+	sc, err := core.DialSharded(man, addrsOf(shards), k.dialConn, breakerOptions())
+	if err != nil {
+		return nil, err
+	}
+	k.onClose(func() { sc.Close() })
+	return sc, nil
 }
 
 // breakerOptions tunes the retrying client for overload and replica
@@ -213,7 +194,7 @@ func (e *Env) newOracle(array string) *oracle {
 // learn runs the clean sequential sweep whose payloads every later
 // phase is held to.
 func (o *oracle) learn(clean *core.Client, ids []fetchID) error {
-	t, err := o.sweep(clean, "clean", ids)
+	t, err := o.sweep(o.plain(clean), "clean", ids)
 	if err != nil {
 		return err
 	}
@@ -269,20 +250,6 @@ func (o *oracle) sameRaw(c *core.Client, step int) error {
 	return nil
 }
 
-// bitsEqual compares float arrays bit for bit: the claim is payload
-// identity, which value equality misstates for NaN and ±0.
-func bitsEqual(a, b []float32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // tally is the outcome and latency accounting of one burst.
 type tally struct {
 	mu      sync.Mutex
@@ -295,12 +262,23 @@ type tally struct {
 
 func newTally() *tally { return &tally{got: make(map[fetchID]*core.Payload)} }
 
+// fetchFunc issues one fetch of the sweep, by whichever path it wraps.
+type fetchFunc func(id fetchID) (*core.Payload, error)
+
+// plain is the unsharded fetch through c.
+func (o *oracle) plain(c *core.Client) fetchFunc {
+	return func(id fetchID) (*core.Payload, error) {
+		p, _, err := o.fetch(c, id)
+		return p, err
+	}
+}
+
 // attempt issues one fetch, holds it to the ground truth once there is
 // one, and records the outcome in t. It reports whether the driver may
 // carry on.
-func (o *oracle) attempt(c *core.Client, phase string, id fetchID, t *tally) bool {
+func (o *oracle) attempt(fetch fetchFunc, phase string, id fetchID, t *tally) bool {
 	start := time.Now()
-	p, _, err := o.fetch(c, id)
+	p, err := fetch(id)
 	lat := float64(time.Since(start)) / float64(time.Millisecond)
 	if err == nil && o.want != nil {
 		err = o.same(phase, id, p)
@@ -326,9 +304,10 @@ func (t *tally) p50p99() (string, string) {
 		fmt.Sprintf("%.1fms", stats.Percentile(t.lats, 0.99))
 }
 
-// burst is a closed-loop drive of ids through one client.
+// burst is a closed-loop drive of ids: the i-th goes by via[i % len(via)].
 type burst struct {
 	ids     []fetchID
+	via     []fetchFunc
 	workers int
 	// hook, when set, fires once after `after` fetches have completed.
 	after int
@@ -337,7 +316,7 @@ type burst struct {
 
 // run drives the burst: the workers are released together by a barrier,
 // pull ids in order, and stop at the first failure.
-func (o *oracle) run(c *core.Client, phase string, b burst) (*tally, error) {
+func (o *oracle) run(phase string, b burst) (*tally, error) {
 	t := newTally()
 	var next, done atomic.Int64
 	var hookOnce sync.Once
@@ -350,7 +329,7 @@ func (o *oracle) run(c *core.Client, phase string, b burst) (*tally, error) {
 			<-release
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(b.ids) || !o.attempt(c, phase, b.ids[i], t) {
+				if i >= len(b.ids) || !o.attempt(b.via[i%len(b.via)], phase, b.ids[i], t) {
 					return
 				}
 				if b.hook != nil && int(done.Add(1)) >= b.after {
@@ -367,8 +346,8 @@ func (o *oracle) run(c *core.Client, phase string, b burst) (*tally, error) {
 }
 
 // sweep fetches ids once each, in order: a burst of one worker.
-func (o *oracle) sweep(c *core.Client, phase string, ids []fetchID) (*tally, error) {
-	return o.run(c, phase, burst{ids: ids, workers: 1})
+func (o *oracle) sweep(fetch fetchFunc, phase string, ids []fetchID) (*tally, error) {
+	return o.run(phase, burst{ids: ids, via: []fetchFunc{fetch}, workers: 1})
 }
 
 // ledger reads the process-wide counters relative to the moment it was

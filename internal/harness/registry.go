@@ -51,8 +51,7 @@ var Experiments = []Experiment{
 	{"lossy", "extension: error-bounded lossy storage of the Nyx baryon density at three bounds", func(e *Env) ([]*stats.Table, error) {
 		return inOrder(func() (*stats.Table, error) { return e.AblationLossy([]float64{1.0, 0.1, 0.01}) })
 	}},
-	{"shard", "errors unless every sharded gather is byte-identical to the single-node payload clean, with one shard degraded and with one shard killed mid-sweep, and the failover/degraded counters fired", perArray((*Env).ShardExperiment, "v03")},
-	{"chaos", "errors unless a three-replica burst under composed dial refusals, conn kills, mid-frame truncations, wire flips, storage corruption, shedding, a replica kill and a graceful drain returns zero wrong bytes and zero errors with every class fired (payload-cache hits among them) and nothing the drain accepted lost, the caching replicas scan fewer times than they answered while the uncached reference scans once per request, every round's shed/degraded/breached/coalesced/cache-hit counters are correctly flagged wide events, the burn gauges match the monitor and first principles, and a directed breach's bundle holds its span tree", perArray((*Env).ChaosExperiment, "v03")},
+	{"chaos", "errors unless a three-replica burst of plain fetches and sharded gathers under composed dial refusals, conn kills, mid-frame truncations, wire flips, storage corruption, shedding, a replica kill and a graceful drain returns zero wrong bytes and zero errors with every class fired (payload-cache hits and degraded bricks among them) and gathers failing over to sibling replicas and nothing the drain accepted lost, the caching replicas scan fewer times than they answered while the uncached reference scans once per request, a clean gather over 3 nodes is byte-identical with ghost duplicates dropped (and, at N >= 64 with spare cores, faster than 1 node), the manifest RPC returns every entry, every round's shed/degraded/degraded-brick/breached/coalesced/cache-hit counters are correctly flagged wide events, the burn gauges match the monitor and first principles, and a directed breach's bundle holds its span tree", perArray((*Env).ChaosExperiment, "v03")},
 	{"repeat", "repeat fetch: cold vs warm load times through the storage-side array cache, per codec; errors unless cold, warm and uncached payloads agree", func(e *Env) ([]*stats.Table, error) {
 		var run []func() (*stats.Table, error)
 		for _, codec := range Codecs {
