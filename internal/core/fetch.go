@@ -352,7 +352,9 @@ var sliceSelector = &selector{
 		if err != nil {
 			return nil, err
 		}
-		return &fetchResult{data: vtkio.FloatsToBytes(vals), points: e.field.Len(), selected: len(vals), grid: g2}, nil
+		// The plane is freshly extracted and the reply's alone: it is
+		// served from its own memory.
+		return &fetchResult{data: vtkio.FloatsAsBytes(vals), points: e.field.Len(), selected: len(vals), grid: g2}, nil
 	},
 	respond: func(resp map[string]any, r *fetchResult) {
 		g := r.grid
@@ -374,9 +376,16 @@ var rawSelector = &selector{
 	method: MethodFetchRaw, dataKey: "data",
 	parse: func([]any) (query, error) { return rawQuery{}, nil },
 	// Re-serializing the decoded float32 values is a bit-exact inverse of
-	// decoding, so the bytes are identical to the stored array's.
+	// decoding, so the bytes are identical to the stored array's. A cached
+	// entry is immutable, so its own memory is the reply; an uncached
+	// one's values live in the recycled plan buffer, which the pipeline
+	// releases right after this select, so they are copied out.
 	run: func(e *arrayEntry, _ query) (*fetchResult, error) {
-		return &fetchResult{data: vtkio.FloatsToBytes(e.field.Values), points: e.field.Len(), selected: e.field.Len()}, nil
+		serialize := vtkio.FloatsAsBytes
+		if e.plan != nil {
+			serialize = vtkio.FloatsToBytes
+		}
+		return &fetchResult{data: serialize(e.field.Values), points: e.field.Len(), selected: e.field.Len()}, nil
 	},
 	// ndp.fetchraw's reply has always been {data, readns, crc}; there is no
 	// filter to report on, so keep its key set exact.

@@ -21,7 +21,7 @@ import (
 // writeBricks bricks ds with spec, writes one .vnd object per brick plus
 // the manifest under dir/<prefix>, and returns the manifest. shards is
 // the manifest's placement fan-out (0 leaves entries unpinned).
-func writeBricks(t *testing.T, dir, prefix string, ds *grid.Dataset, spec grid.BrickSpec, shards int) *vtkio.Manifest {
+func writeBricks(t testing.TB, dir, prefix string, ds *grid.Dataset, spec grid.BrickSpec, shards int) *vtkio.Manifest {
 	t.Helper()
 	if err := os.MkdirAll(filepath.Join(dir, filepath.FromSlash(prefix)), 0o755); err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func writeBricks(t *testing.T, dir, prefix string, ds *grid.Dataset, spec grid.B
 
 // startShards launches n NDP servers over the same directory (every
 // shard mounts the same store) and returns their addresses.
-func startShards(t *testing.T, dir string, n int) []string {
+func startShards(t testing.TB, dir string, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -385,4 +385,52 @@ func TestShardedContourMatchesBaseline(t *testing.T) {
 	if want.NumTriangles() == 0 || !got.Equal(want) {
 		t.Errorf("sharded mesh (%d tris) != baseline mesh (%d tris)", got.NumTriangles(), want.NumTriangles())
 	}
+}
+
+// BenchmarkShardedGather128 profiles the sharded gather against the
+// unsharded fetch it must equal: bench128's v02 at isovalue 0.5, as 3x1x1
+// bricks with a ghost layer over three uncached in-process servers, and as
+// one object through one, every link unshaped. What the gather costs on
+// top — the scatter, the full-grid values and presence, the re-encode of
+// the union — is the gap between the two.
+func BenchmarkShardedGather128(b *testing.B) {
+	ds := bench128(b)
+	v02 := grid.NewDataset(ds.Grid)
+	v02.MustAddField(ds.Field("v02"))
+	dir := b.TempDir()
+	man := writeBricks(b, dir, "run/ts0", v02, grid.BrickSpec{NX: 3, NY: 1, NZ: 1, Ghost: 1}, 3)
+	if err := vtkio.WriteFile(filepath.Join(dir, "whole.vnd"), v02, vtkio.WriteOptions{Codec: compress.None}); err != nil {
+		b.Fatal(err)
+	}
+	addrs := startShards(b, dir, 3)
+	isos := []float64{0.5}
+
+	b.Run("sharded", func(b *testing.B) {
+		sc, err := DialSharded(man, addrs, nil, rpc.ReconnectOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer sc.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := sc.FetchArray("run/ts0/", "v02", isos, EncAuto); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("unsharded", func(b *testing.B) {
+		c, err := Dial(addrs[0], nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer c.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := c.FetchFiltered("whole.vnd", "v02", isos, EncAuto); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

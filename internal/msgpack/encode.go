@@ -54,10 +54,28 @@ type Ext struct {
 	Data []byte
 }
 
+// refMin is the body size from which PutBytes keeps a bin by reference
+// instead of appending it: a reply's bulk bytes then reach the socket
+// from where they already live (AppendPieces), and below it the copy
+// costs less than a piece of its own.
+const refMin = 64 << 10
+
 // Encoder appends MessagePack-encoded values to an internal buffer.
-// The zero value is ready to use.
+// Bin bodies of at least 64 KiB are kept by reference, not copied: the
+// caller must leave such a slice unmodified until the encoded bytes have
+// been read (Bytes) or written (AppendPieces). The zero value is ready
+// to use.
 type Encoder struct {
-	buf []byte
+	buf      []byte
+	refs     []binRef // bodies kept by reference, in encoding order
+	refBytes int      // their total length
+}
+
+// binRef is a bin body PutBytes kept by reference: on the wire it
+// follows buf[:at], the body's own header included.
+type binRef struct {
+	at   int
+	body []byte
 }
 
 // NewEncoder returns an encoder whose buffer has the given initial
@@ -66,15 +84,59 @@ func NewEncoder(capacity int) *Encoder {
 	return &Encoder{buf: make([]byte, 0, capacity)}
 }
 
-// Bytes returns the encoded buffer. The slice aliases the encoder's
-// internal storage and is valid until the next Put call.
-func (e *Encoder) Bytes() []byte { return e.buf }
+// Bytes returns the encoded message as one contiguous slice, joining any
+// referenced bodies into the encoder's buffer first. The slice aliases
+// the encoder's internal storage and is valid until the next Put call.
+func (e *Encoder) Bytes() []byte {
+	if len(e.refs) == 0 {
+		return e.buf
+	}
+	out := make([]byte, 0, e.Len())
+	at := 0
+	for _, r := range e.refs {
+		out = append(append(out, e.buf[at:r.at]...), r.body...)
+		at = r.at
+	}
+	e.buf = append(out, e.buf[at:]...)
+	e.dropRefs()
+	return e.buf
+}
 
-// Len returns the number of encoded bytes so far.
-func (e *Encoder) Len() int { return len(e.buf) }
+// AppendPieces appends the encoded message to dst as consecutive pieces
+// without joining them: each referenced body is a piece of its own, and
+// the inline bytes around them are the rest. Concatenated, the pieces are
+// Bytes(); written in order (net.Buffers), they put the message on a
+// connection with no copy of its bulk. They are valid until the next Put
+// or Reset.
+func (e *Encoder) AppendPieces(dst [][]byte) [][]byte {
+	at := 0
+	for _, r := range e.refs {
+		dst = append(dst, e.buf[at:r.at], r.body)
+		at = r.at
+	}
+	if at < len(e.buf) || len(e.refs) == 0 {
+		dst = append(dst, e.buf[at:])
+	}
+	return dst
+}
 
-// Reset discards the buffer contents, retaining capacity.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+// Len returns the number of encoded bytes so far, referenced bodies
+// included.
+func (e *Encoder) Len() int { return len(e.buf) + e.refBytes }
+
+// Reset discards the buffer contents and the references, retaining
+// capacity.
+func (e *Encoder) Reset() {
+	e.buf = e.buf[:0]
+	e.dropRefs()
+}
+
+// dropRefs forgets the referenced bodies, so the encoder holds none of
+// the caller's memory.
+func (e *Encoder) dropRefs() {
+	clear(e.refs)
+	e.refs, e.refBytes = e.refs[:0], 0
+}
 
 // PutNil encodes nil.
 func (e *Encoder) PutNil() { e.buf = append(e.buf, fmtNil) }
@@ -158,7 +220,8 @@ func (e *Encoder) PutString(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// PutBytes encodes a binary blob.
+// PutBytes encodes a binary blob. A blob of at least 64 KiB is kept by
+// reference (see Encoder).
 func (e *Encoder) PutBytes(b []byte) {
 	n := len(b)
 	switch {
@@ -170,6 +233,11 @@ func (e *Encoder) PutBytes(b []byte) {
 	default:
 		e.buf = append(e.buf, fmtBin32)
 		e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(n))
+	}
+	if n >= refMin {
+		e.refs = append(e.refs, binRef{at: len(e.buf), body: b})
+		e.refBytes += n
+		return
 	}
 	e.buf = append(e.buf, b...)
 }

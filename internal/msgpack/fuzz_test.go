@@ -1,6 +1,10 @@
 package msgpack
 
 import (
+	"bytes"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -46,4 +50,101 @@ func FuzzUnmarshal(f *testing.F) {
 			t.Fatalf("decoded value %#v does not re-encode: %v", v, err)
 		}
 	})
+}
+
+// FuzzEncoderSegments builds a value tree from the input, with []byte
+// leaves drawn around refMin, and holds the segmented encoding to the
+// flat one: the pieces AppendPieces returns, joined, are Bytes(), their
+// total is Len(), and Unmarshal gives the tree back.
+func FuzzEncoderSegments(f *testing.F) {
+	f.Add([]byte{0x04, 0x02, 0x00, 0x02, 0x01, 0x01, 0x07})
+	f.Add([]byte{0x05, 0x02, 0x02, 0x03, 0x00, 0x02, 0x03, 0x01, 0x02, 0x04})
+	f.Add([]byte{0x02, 0x03, 0xff, 0x02, 0x01})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := &treeGen{data: data}
+		v := g.value(0)
+		e := NewEncoder(16)
+		if err := e.PutAny(v); err != nil {
+			t.Fatal(err)
+		}
+		pieces := e.AppendPieces(nil)
+		joined := make([]byte, 0, e.Len())
+		for _, p := range pieces {
+			joined = append(joined, p...)
+		}
+		if len(joined) != e.Len() {
+			t.Fatalf("pieces hold %d bytes, Len says %d", len(joined), e.Len())
+		}
+		if !bytes.Equal(joined, e.Bytes()) {
+			t.Fatal("joined pieces differ from Bytes")
+		}
+		got, err := Unmarshal(joined)
+		if err != nil {
+			t.Fatalf("unmarshal: %v", err)
+		}
+		if !reflect.DeepEqual(got, v) {
+			t.Fatal("round trip changed the value")
+		}
+	})
+}
+
+// treeGen turns fuzz input into a msgpack value tree. Byte leaves are
+// sized around refMin, so an encoding mixes referenced and inline bins;
+// at most four are that large, to keep an input's memory bounded.
+type treeGen struct {
+	data []byte
+	big  int
+}
+
+func (g *treeGen) next() byte {
+	if len(g.data) == 0 {
+		return 0
+	}
+	b := g.data[0]
+	g.data = g.data[1:]
+	return b
+}
+
+func (g *treeGen) value(depth int) any {
+	op := g.next()
+	if depth >= 4 {
+		op %= 4
+	}
+	switch op % 6 {
+	case 0:
+		return int64(int8(g.next()))
+	case 1:
+		return strings.Repeat("s", int(g.next()))
+	case 2:
+		return g.bytes()
+	case 3:
+		return nil
+	case 4:
+		a := make([]any, g.next()%5)
+		for i := range a {
+			a[i] = g.value(depth + 1)
+		}
+		return a
+	default:
+		m := map[string]any{}
+		for i := range int(g.next() % 4) {
+			m[strconv.Itoa(i)] = g.value(depth + 1)
+		}
+		return m
+	}
+}
+
+// bytes returns a leaf of refMin-2 .. refMin+1 bytes, or a short one.
+func (g *treeGen) bytes() []byte {
+	sel := g.next()
+	n := int(sel >> 2)
+	if sel&1 == 1 && g.big < 4 {
+		g.big++
+		n = refMin - 2 + int(sel>>1)%4
+	}
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i) ^ sel
+	}
+	return b
 }

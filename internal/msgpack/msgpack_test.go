@@ -407,3 +407,46 @@ func TestEncoderReset(t *testing.T) {
 		t.Errorf("after reset: %v, %v", v, err)
 	}
 }
+
+// A bin of at least refMin bytes is written from the caller's memory:
+// it is a piece of its own that aliases the caller's slice, the pieces
+// join to the flat encoding, and Len and Reset count and drop the
+// reference.
+func TestEncoderKeepsLargeBinsByReference(t *testing.T) {
+	big := make([]byte, refMin)
+	rand.New(rand.NewSource(1)).Read(big)
+	small := make([]byte, refMin-1)
+	e := NewEncoder(64)
+	e.PutArrayLen(3)
+	e.PutBytes(big)
+	e.PutBytes(small)
+	e.PutString("tail")
+	flat := 1 + (5 + len(big)) + (3 + len(small)) + 5
+	if e.Len() != flat {
+		t.Fatalf("Len = %d, want %d", e.Len(), flat)
+	}
+	pieces := e.AppendPieces(nil)
+	if len(pieces) != 3 {
+		t.Fatalf("%d pieces, want 3 (head, big body, rest)", len(pieces))
+	}
+	if &pieces[1][0] != &big[0] || len(pieces[1]) != len(big) {
+		t.Fatal("the large body was copied, not referenced")
+	}
+	joined := bytes.Join(pieces, nil)
+	if got := e.Bytes(); !bytes.Equal(got, joined) {
+		t.Fatal("Bytes differs from the joined pieces")
+	}
+	if v, err := Unmarshal(joined); err != nil || !reflect.DeepEqual(v, []any{big, small, "tail"}) {
+		t.Fatalf("round trip: %v", err)
+	}
+	// Bytes joined the body in: the encoder no longer references it.
+	if p := e.AppendPieces(nil); len(p) != 1 || e.Len() != flat {
+		t.Fatalf("after Bytes: %d pieces, Len %d", len(p), e.Len())
+	}
+	e.Reset()
+	e.PutBytes(big)
+	e.Reset()
+	if e.Len() != 0 || len(e.refs) != 0 || cap(e.refs) == 0 || e.refs[:1][0].body != nil {
+		t.Fatal("Reset kept a reference")
+	}
+}

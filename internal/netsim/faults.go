@@ -227,9 +227,10 @@ func (cf *connFaults) admit(n int) (allowed int, kill bool) {
 // mangle applies the corruption window to one admitted write chunk
 // whose first byte sits at stream offset startOff (the connection's
 // written total before this chunk was charged). The caller's buffer is
-// the rpc encoder's frame — it must never be modified — so an
-// overlapping chunk is copied before its bytes are XOR-flipped. Like
-// admit, not safe for concurrent use.
+// a piece of an rpc frame, and a reply's bulk piece is the memory its
+// bytes live in — a server's cached array, shared by every reply of it —
+// so it must never be modified: an overlapping chunk is copied before
+// its bytes are XOR-flipped. Like admit, not safe for concurrent use.
 func (cf *connFaults) mangle(chunk []byte, startOff int64) []byte {
 	if cf.corruptLeft <= 0 || len(chunk) == 0 {
 		return chunk

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -209,6 +210,50 @@ func TestFaultCorruptionFlipsInFlightBytes(t *testing.T) {
 	}
 	if st := f.Stats(); st.Corruptions == 0 {
 		t.Error("Corruptions counter did not advance")
+	}
+}
+
+// A reply goes out from where its bulk bytes live — a server's cached
+// array among them — as pieces (net.Buffers). A corruption window that
+// spans two pieces and a burst boundary flips the peer's bytes and leaves
+// every piece the writer handed over as it was.
+func TestFaultCorruptionLeavesWrittenPiecesIntact(t *testing.T) {
+	link := Unlimited()
+	const at, flips = maxBurst - 10, maxBurst
+	f := &Faults{CorruptConnEvery: 1, CorruptAfterBytes: at, CorruptBytes: flips}
+	link.SetFaults(f)
+	client, server := link.Pipe()
+	defer client.Close()
+
+	head := make([]byte, maxBurst-4)
+	bulk := make([]byte, 3*maxBurst)
+	for i := range bulk {
+		bulk[i] = byte(i * 7)
+	}
+	want := append(append([]byte(nil), head...), bulk...)
+	got := make(chan []byte, 1)
+	go func() {
+		b, _ := io.ReadAll(client)
+		got <- b
+	}()
+	bufs := net.Buffers{head, bulk}
+	if _, err := bufs.WriteTo(server); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	server.Close()
+	b := <-got
+
+	if len(b) != len(want) {
+		t.Fatalf("peer read %d bytes, want %d", len(b), len(want))
+	}
+	for i := range b {
+		flipped := b[i] != want[i]
+		if inWindow := i >= at && i < at+flips; flipped != inWindow {
+			t.Fatalf("peer byte %d: flipped=%v, want corruption only in [%d,%d)", i, flipped, at, at+flips)
+		}
+	}
+	if !bytes.Equal(head, want[:len(head)]) || !bytes.Equal(bulk, want[len(head):]) {
+		t.Fatal("a written piece was modified: the flips must land on a copy")
 	}
 }
 

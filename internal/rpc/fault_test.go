@@ -246,13 +246,17 @@ func TestReconnectClientRetriesRefusedDials(t *testing.T) {
 }
 
 func TestReconnectClientDoesNotRetryNonIdempotent(t *testing.T) {
-	var served atomic.Int64
+	var served, dials atomic.Int64
 	addr := rawServer(t, func(c net.Conn) {
 		_, _ = readFrame(c)
 		served.Add(1)
 		c.Close() // crash before replying: did the handler run? unknowable
 	})
-	rc := NewReconnectClient("tcp", []string{addr}, nil, ReconnectOptions{
+	dialFn := func(network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return net.Dial(network, addr)
+	}
+	rc := NewReconnectClient("tcp", []string{addr}, dialFn, ReconnectOptions{
 		InitialBackoff: time.Millisecond,
 		Seed:           3,
 		// Retryable deliberately empty: no method may be re-issued.
@@ -262,7 +266,11 @@ func TestReconnectClientDoesNotRetryNonIdempotent(t *testing.T) {
 	if !errors.Is(err, ErrShutdown) {
 		t.Fatalf("err = %v, want ErrShutdown match", err)
 	}
-	time.Sleep(20 * time.Millisecond)
+	// Every attempt dials and is served before CallContext returns: the
+	// server counts a request before it closes the connection under it.
+	if n := dials.Load(); n != 1 {
+		t.Errorf("%d dials, want exactly 1: the call was re-issued", n)
+	}
 	if n := served.Load(); n != 1 {
 		t.Errorf("request issued %d times, want exactly 1", n)
 	}
@@ -314,8 +322,11 @@ func TestReconnectClientHonorsCallerCancellation(t *testing.T) {
 	// A dead target plus a cancelled context must return promptly with
 	// the context's error, not spin through backoff.
 	var dials atomic.Int64
+	dialed := make(chan struct{})
 	dialFn := func(network, addr string) (net.Conn, error) {
-		dials.Add(1)
+		if dials.Add(1) == 1 {
+			close(dialed)
+		}
 		return nil, errors.New("injected: connection refused")
 	}
 	rc := NewReconnectClient("tcp", []string{"127.0.0.1:1"}, dialFn, ReconnectOptions{
@@ -332,7 +343,7 @@ func TestReconnectClientHonorsCallerCancellation(t *testing.T) {
 		_, err := rc.CallContext(ctx, "ping")
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	<-dialed // the first attempt failed; the call is in its retry loop
 	cancel()
 	select {
 	case err := <-done:

@@ -98,10 +98,17 @@ func TestServerShedsWhenQueueFull(t *testing.T) {
 			t.Fatalf("blocked call %d failed: %v", i, err)
 		}
 	}
-	go func() { release <- struct{}{} }()
+	// The sender is joined before the deferred close: the race detector
+	// cannot see that the reply, which came over TCP, follows the send.
+	sent := make(chan struct{})
+	go func() {
+		release <- struct{}{}
+		close(sent)
+	}()
 	if got, err := c.Call("block"); err != nil || got != "done" {
 		t.Fatalf("call after shed = %v, %v; want done, nil", got, err)
 	}
+	<-sent
 }
 
 // waitQueued polls the rpc.server.queue.depth gauge until the queue has
@@ -374,7 +381,7 @@ func TestShutdownStopsServeAndDialsDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() { done <- srv.Serve(ln2) }()
-	time.Sleep(10 * time.Millisecond)
+	waitServing(t, ln2.Addr().String())
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
@@ -411,7 +418,7 @@ func TestServeWrapsAcceptError(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- s.Serve(ln) }()
-	time.Sleep(10 * time.Millisecond)
+	waitServing(t, ln.Addr().String())
 	// Closing the listener underneath Serve — without stopping the
 	// server — is a transport failure, reported wrapped with context.
 	ln.Close()

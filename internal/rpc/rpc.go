@@ -223,6 +223,51 @@ func writeFrame(w io.Writer, body []byte) error {
 	return err
 }
 
+// replyFrame is one response's encoding and the pieces it is written
+// from, recycled through framePool so that a reply allocates nothing of
+// its own once the pool is warm. A recycled frame holds none of the
+// bytes its last reply referenced.
+type replyFrame struct {
+	enc    *msgpack.Encoder
+	pieces [][]byte    // enc's pieces, the first behind the length prefix
+	head   []byte      // the length prefix and the first inline piece
+	bufs   net.Buffers // pieces as the write consumes them
+}
+
+// framePool's frames start sized for a reply's inline bytes: a collection
+// empties the pool, and growing from zero would cost more than this.
+var framePool = sync.Pool{New: func() any {
+	return &replyFrame{enc: msgpack.NewEncoder(256), head: make([]byte, 0, 256)}
+}}
+
+// write sends the encoded message as one length-prefixed frame, byte for
+// byte writeFrame(w, f.enc.Bytes()), without joining it: every bin body
+// the encoder kept by reference goes out from the memory it lives in.
+// The pieces are one writev on a TCP connection and one Write each on any
+// other; the length prefix rides with the first inline piece, so a frame
+// costs one Write, plus two for each referenced body.
+func (f *replyFrame) write(w io.Writer) error {
+	n := f.enc.Len()
+	if n > maxFrameSize {
+		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
+	}
+	f.pieces = f.enc.AppendPieces(f.pieces[:0])
+	f.head = binary.BigEndian.AppendUint32(f.head[:0], uint32(n))
+	f.head = append(f.head, f.pieces[0]...)
+	f.pieces[0] = f.head
+	f.bufs = f.pieces
+	_, err := f.bufs.WriteTo(w)
+	return err
+}
+
+// release returns the frame to the pool, dropping its references.
+func (f *replyFrame) release() {
+	f.enc.Reset()
+	clear(f.pieces)
+	f.pieces = f.pieces[:0]
+	framePool.Put(f)
+}
+
 // readFrame reads one length-prefixed message body.
 func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
@@ -615,17 +660,21 @@ func (s *Server) runRequest(ctx context.Context, conn net.Conn, wmu *sync.Mutex,
 }
 
 // finish encodes and writes one response frame under the connection's
-// write mutex — the request's write stage — and records its event.
+// write mutex — the request's write stage — and records its event. The
+// result's bulk bins are written from where they live (replyFrame.write),
+// so they must stay unmodified until finish returns.
 func (s *Server) finish(ev *telemetry.ActiveEvent, conn net.Conn, wmu *sync.Mutex, msgid int64, herr error, result any, spans []telemetry.SpanData) {
 	start := time.Now()
-	resp, err := encodeResponse(msgid, herr, result, spans)
-	if err != nil {
-		resp, _ = encodeResponse(msgid, fmt.Errorf("rpc: unencodable result: %w", err), nil, nil)
+	f := framePool.Get().(*replyFrame)
+	defer f.release()
+	if err := putResponse(f.enc, msgid, herr, result, spans); err != nil {
+		f.enc.Reset()
+		_ = putResponse(f.enc, msgid, fmt.Errorf("rpc: unencodable result: %w", err), nil, nil)
 	}
 	wmu.Lock()
-	if writeFrame(conn, resp) == nil {
-		mServerBytesOut.Add(int64(len(resp) + 4))
-		ev.SetBytesOut(int64(len(resp) + 4))
+	if f.write(conn) == nil {
+		mServerBytesOut.Add(int64(f.enc.Len() + 4))
+		ev.SetBytesOut(int64(f.enc.Len() + 4))
 	}
 	wmu.Unlock()
 	ev.Stage("write", start)
@@ -709,8 +758,8 @@ func decodeIncoming(body []byte) (incoming, error) {
 	return in, nil
 }
 
-func encodeResponse(msgid int64, herr error, result any, spans []telemetry.SpanData) ([]byte, error) {
-	e := msgpack.NewEncoder(256)
+// putResponse encodes one response message into e.
+func putResponse(e *msgpack.Encoder, msgid int64, herr error, result any, spans []telemetry.SpanData) error {
 	if len(spans) > 0 {
 		e.PutArrayLen(5)
 	} else {
@@ -734,18 +783,16 @@ func encodeResponse(msgid int64, herr error, result any, spans []telemetry.SpanD
 		e.PutNil()
 	}
 	if err := e.PutAny(result); err != nil {
-		return nil, err
+		return err
 	}
 	if len(spans) > 0 {
 		wire := make([]any, len(spans))
 		for i, d := range spans {
 			wire[i] = d.ToWire()
 		}
-		if err := e.PutAny(wire); err != nil {
-			return nil, err
-		}
+		return e.PutAny(wire)
 	}
-	return e.Bytes(), nil
+	return nil
 }
 
 // Client is a msgpack-rpc client multiplexing calls over one connection.

@@ -1,18 +1,33 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"math/rand"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"vizndp/internal/msgpack"
 	"vizndp/internal/netsim"
 	"vizndp/internal/telemetry"
 )
+
+// encodeResponse is one response message as a flat body: the bytes a
+// server's segmented frame joins to.
+func encodeResponse(msgid int64, herr error, result any, spans []telemetry.SpanData) ([]byte, error) {
+	e := msgpack.NewEncoder(256)
+	if err := putResponse(e, msgid, herr, result, spans); err != nil {
+		return nil, err
+	}
+	return e.Bytes(), nil
+}
 
 // startServer runs a Server over a loopback TCP listener and returns a
 // connected client plus a cleanup func.
@@ -215,25 +230,70 @@ func TestClientCloseFailsPending(t *testing.T) {
 // an explicit Close, new calls fail with ErrShutdown —
 // not the readLoop's raw "use of closed network connection" error.
 func TestClientCloseReturnsErrShutdown(t *testing.T) {
-	c := startServer(t, func(s *Server) {
-		s.Register("ping", func(_ context.Context, _ []any) (any, error) {
-			return nil, nil
-		})
+	s := NewServer()
+	s.Register("ping", func(_ context.Context, _ []any) (any, error) {
+		return nil, nil
 	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(ln)
+	defer s.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	watched := &closeWatch{Conn: conn, second: make(chan struct{})}
+	c := NewClient(watched)
 	if _, err := c.Call("ping"); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Give the readLoop time to observe the closed connection; its raw
-	// network error must not overwrite the recorded shutdown.
-	time.Sleep(20 * time.Millisecond)
+	// The readLoop has observed the closed connection once it fails the
+	// client, which closes the connection a second time; its raw network
+	// error must not have overwritten the recorded shutdown.
+	select {
+	case <-watched.second:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the readLoop never failed the client")
+	}
 	if _, err := c.Call("ping"); !errors.Is(err, ErrShutdown) {
 		t.Errorf("Call after Close = %v, want ErrShutdown", err)
 	}
 	if err := c.Close(); err != nil {
 		t.Errorf("second Close = %v, want nil", err)
+	}
+}
+
+// closeWatch closes second when its connection is closed a second time.
+type closeWatch struct {
+	net.Conn
+	closes atomic.Int32
+	second chan struct{}
+}
+
+func (w *closeWatch) Close() error {
+	if w.closes.Add(1) == 2 {
+		close(w.second)
+	}
+	return w.Conn.Close()
+}
+
+// waitServing returns once a call over a fresh connection to addr has been
+// answered: whatever Serve call owns addr's listener is accepting.
+func waitServing(t *testing.T, addr string) {
+	t.Helper()
+	c, err := Dial("tcp", addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var se ServerError
+	if _, err := c.Call("rpc.no-such-method"); !errors.As(err, &se) {
+		t.Fatalf("probe call = %v, want the server's unknown-method error", err)
 	}
 }
 
@@ -245,7 +305,7 @@ func TestServerCloseStopsServe(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- s.Serve(ln) }()
-	time.Sleep(10 * time.Millisecond)
+	waitServing(t, ln.Addr().String())
 	s.Close()
 	select {
 	case err := <-done:
@@ -377,8 +437,10 @@ func TestCallContextTimeout(t *testing.T) {
 }
 
 func TestCallContextCancelled(t *testing.T) {
+	entered := make(chan struct{})
 	c := startServer(t, func(s *Server) {
 		s.Register("hang", func(ctx context.Context, _ []any) (any, error) {
+			close(entered)
 			<-ctx.Done()
 			return nil, ctx.Err()
 		})
@@ -389,7 +451,7 @@ func TestCallContextCancelled(t *testing.T) {
 		_, err := c.CallContext(ctx, "hang")
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	<-entered // the call is in flight at the server
 	cancel()
 	select {
 	case err := <-done:
@@ -398,5 +460,91 @@ func TestCallContextCancelled(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Error("cancelled call did not return")
+	}
+}
+
+// writeCounter counts the Writes a connection is given.
+type writeCounter struct {
+	net.Conn
+	writes int
+}
+
+func (w *writeCounter) Write(b []byte) (int, error) {
+	w.writes++
+	return w.Conn.Write(b)
+}
+
+// A reply whose bulk bins go to the socket by reference is, read off the
+// connection, the flat frame byte for byte. On a connection without
+// writev it costs 1 + 2 Writes per referenced body — the prefix with the
+// first inline run, then each body and the run after it — so a reply
+// with one bulk bin costs one Write more than the flat frame's two.
+func TestSegmentedReplyIsTheFlatFrame(t *testing.T) {
+	big := make([]byte, 1<<20)
+	rand.New(rand.NewSource(3)).Read(big)
+	// One key per map, so the flat encoding meets the same map order.
+	result := []any{map[string]any{"data": big}, int64(7), big[:70000], "tail"}
+	var want bytes.Buffer
+	flat, err := encodeResponse(5, nil, result, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(&want, flat); err != nil {
+		t.Fatal(err)
+	}
+
+	s := NewServer()
+	s.Register("big", func(context.Context, []any) (any, error) { return result, nil })
+	for _, tc := range []struct {
+		name string
+		pair func() (client, server net.Conn)
+	}{
+		{"pipe", net.Pipe},
+		{"tcp", func() (net.Conn, net.Conn) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			c, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := ln.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c, sc
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client, server := tc.pair()
+			defer client.Close()
+			counted := &writeCounter{Conn: server}
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				s.ServeConn(counted)
+			}()
+			req, err := encodeRequest(5, "big", nil, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := writeFrame(client, req); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, want.Len())
+			if _, err := io.ReadFull(client, got); err != nil {
+				t.Fatal(err)
+			}
+			client.Close()
+			<-served
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatal("segmented reply differs from the flat frame")
+			}
+			if tc.name == "pipe" && counted.writes != 5 {
+				t.Errorf("%d Writes on a connection without writev, want 5", counted.writes)
+			}
+		})
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"net"
 	"sync"
 	"testing"
-	"time"
 
 	"vizndp/internal/msgpack"
 	"vizndp/internal/telemetry"
@@ -145,8 +144,11 @@ func TestMismatchedMsgidDiscarded(t *testing.T) {
 // immediately.
 func TestServerCloseMidCall(t *testing.T) {
 	release := make(chan struct{})
+	const inflight = 8
+	entered := make(chan struct{}, inflight)
 	s := NewServer()
 	s.Register("hang", func(ctx context.Context, _ []any) (any, error) {
+		entered <- struct{}{}
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -165,7 +167,6 @@ func TestServerCloseMidCall(t *testing.T) {
 	defer c.Close()
 	defer close(release)
 
-	const inflight = 8
 	errs := make(chan error, inflight)
 	var wg sync.WaitGroup
 	for i := 0; i < inflight; i++ {
@@ -176,8 +177,10 @@ func TestServerCloseMidCall(t *testing.T) {
 			errs <- err
 		}()
 	}
-	// Let the calls reach the server, then yank it away.
-	time.Sleep(50 * time.Millisecond)
+	// Once every call is in its handler, yank the server away.
+	for i := 0; i < inflight; i++ {
+		<-entered
+	}
 	s.Close()
 	wg.Wait()
 	close(errs)

@@ -155,6 +155,16 @@ func FloatsToBytes(v []float32) []byte {
 	return out
 }
 
+// FloatsAsBytes is v serialized as little-endian float32 without a copy:
+// on a little-endian host it is v's own memory, so it aliases v and is
+// only as immutable as v is. A big-endian host gets FloatsToBytes's copy.
+func FloatsAsBytes(v []float32) []byte {
+	if hostBigEndian {
+		return FloatsToBytes(v)
+	}
+	return floatBytes(v)
+}
+
 // BytesToFloats deserializes little-endian float32 values, bit for bit.
 func BytesToFloats(b []byte) ([]float32, error) {
 	if len(b)%4 != 0 {
