@@ -12,7 +12,7 @@
 // bricks with a ghost layer and written as per-brick objects plus a
 // manifest, ready for a sharded scatter-gather deployment:
 //
-//	datagen -dataset asteroid -n 96 -codec raw -bricks 3x1x1 -shards 3 -out ./data
+//	datagen -dataset asteroid -n 96 -codec raw -bricks 3x1x1 -out ./data
 package main
 
 import (
@@ -46,7 +46,6 @@ func main() {
 		cksum   = flag.Bool("checksum", true, "embed per-page CRC32C checksums in every written object; readers verify on decode and the ndpserver scrubber audits them")
 		bricks  = flag.String("bricks", "", `also write per-brick objects + manifest, bricked "NxMxK" (e.g. 3x1x1)`)
 		ghost   = flag.Int("ghost", 1, "ghost cell layers per brick (with -bricks)")
-		shards  = flag.Int("shards", 0, "assign bricks to this many shards round-robin in the manifest (0 = brick ID mod shard count)")
 	)
 	flag.Parse()
 
@@ -100,7 +99,7 @@ func main() {
 	// one manifest per dataset/codec suffices).
 	wroteManifest := map[compress.Kind]bool{}
 	writeBricked := func(name string, step int, ds *grid.Dataset, kind compress.Kind) error {
-		man, err := vtkio.BuildManifest(ds.Grid, spec, ds.FieldNames(), *shards)
+		man, err := vtkio.BuildManifest(ds.Grid, spec, ds.FieldNames())
 		if err != nil {
 			return err
 		}

@@ -538,9 +538,9 @@ func splitAddrs(csv string) ([]string, error) {
 }
 
 // dialSharded fetches the brick manifest through the first shard address
-// and opens the scatter-gather client: per-shard fault-tolerant clients
-// whose replica lists are the sibling shards, so a dead shard's bricks
-// fail over (every shard mounts the same store).
+// and opens the scatter-gather client: one fault-tolerant client over
+// every shard, each brick fetched from its home shard first and failing
+// over to the others (every shard mounts the same store).
 func dialSharded(shardsCSV, manifestKey string, retries int) (*core.ShardedClient, error) {
 	if manifestKey == "" {
 		return nil, fmt.Errorf("-shards needs -manifest <key>")

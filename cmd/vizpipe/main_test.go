@@ -183,9 +183,9 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 }
 
 // TestShardsOverUnpinnedManifest runs the whole -shards command line
-// in-process against two core.Servers over one bricked dataset whose
-// manifest pins no brick to a shard (datagen's default, -shards 0):
-// every brick is placed by ID mod shard count, fetched, and merged.
+// in-process against two core.Servers over one bricked dataset as
+// datagen writes it: every brick is fetched from its home shard, ID mod
+// the shard count, and merged.
 func TestShardsOverUnpinnedManifest(t *testing.T) {
 	dir := t.TempDir()
 	g := grid.NewUniform(12, 12, 12)
@@ -212,11 +212,11 @@ func TestShardsOverUnpinnedManifest(t *testing.T) {
 
 // writeBricked writes ds as datagen -bricks 2x2x1 -ghost 1 does: one
 // object per brick under <prefix>/<step>/ and a manifest at
-// <prefix>/manifest.json that pins no brick to a shard.
+// <prefix>/manifest.json.
 func writeBricked(t *testing.T, dir, prefix, step string, ds *grid.Dataset, codec compress.Kind) {
 	t.Helper()
 	spec := grid.BrickSpec{NX: 2, NY: 2, NZ: 1, Ghost: 1}
-	man, err := vtkio.BuildManifest(ds.Grid, spec, ds.FieldNames(), 0)
+	man, err := vtkio.BuildManifest(ds.Grid, spec, ds.FieldNames())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func shardedMerge(t *testing.T, g *grid.Uniform, vals []float32, spec grid.Brick
 			t.Fatal(err)
 		}
 	}
-	man, err := vtkio.BuildManifest(g, spec, ds.FieldNames(), 3)
+	man, err := vtkio.BuildManifest(g, spec, ds.FieldNames())
 	if err != nil {
 		t.Fatal(err)
 	}

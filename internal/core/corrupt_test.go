@@ -231,7 +231,7 @@ func scrubDataset(t *testing.T, dir string) (manifestPath string, brickPaths []s
 	if err != nil {
 		t.Fatal(err)
 	}
-	man, err := vtkio.BuildManifest(g, spec, ds.FieldNames(), 0)
+	man, err := vtkio.BuildManifest(g, spec, ds.FieldNames())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,12 +441,11 @@ func corruptShardSetup(t *testing.T) (man *vtkio.Manifest, addrs []string, g *gr
 	// Damage brick 0 only in shard 0's copy.
 	flipByteInArray(t, filepath.Join(dirs[0], "run", "ts0", vtkio.BrickKey(0)), "d")
 
-	man, err := vtkio.BuildManifest(gg, spec, ds.FieldNames(), 2)
+	// Brick 0 homes on shard 0, the damaged copy.
+	man, err := vtkio.BuildManifest(gg, spec, ds.FieldNames())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pin brick 0 to shard 0 (the damaged copy) regardless of round-robin.
-	man.Entries[0].Shard = 0
 	addrs = make([]string, 2)
 	for i, dir := range dirs {
 		_, addrs[i] = startServer(t, dir, WithShardName(fmt.Sprintf("shard%d", i)))
@@ -454,11 +453,10 @@ func corruptShardSetup(t *testing.T) (man *vtkio.Manifest, addrs []string, g *gr
 	return man, addrs, gg, ff
 }
 
-// TestShardedReadRepairFromSibling: a brick whose owner returns corrupt
-// data is re-read from a sibling shard by DialSharded's per-shard retry
-// loop — shard i's address list is rotated to start at i, so its
-// siblings are its failover replicas — with the corruption counted and
-// the breaker left alone.
+// TestShardedReadRepairFromSibling: a brick whose home returns corrupt
+// data is re-read from a sibling shard by the one client's retry loop,
+// which walks on from the home, with the corruption counted and the
+// breaker left alone.
 func TestShardedReadRepairFromSibling(t *testing.T) {
 	man, addrs, g, f := corruptShardSetup(t)
 	sc, err := DialSharded(man, addrs, nil, rpc.ReconnectOptions{})
@@ -508,7 +506,7 @@ func TestShardedGatherRejectsWrongPointCount(t *testing.T) {
 	ds.MustAddField(f)
 	spec := grid.BrickSpec{NX: 2, NY: 1, NZ: 1, Ghost: 1}
 	dir := t.TempDir()
-	man := writeBricks(t, dir, "run/ts0", ds, spec, 2)
+	man := writeBricks(t, dir, "run/ts0", ds, spec)
 
 	// Overwrite brick 1 with a brick extracted under a FINER bricking:
 	// same key, valid file, fewer points than the manifest extent.

@@ -13,9 +13,11 @@ import (
 
 // flakyCaller fails the configured methods and delegates the rest —
 // a transport that can reach the server for everything but those calls.
+// With paths set, only calls whose path argument is in it fail.
 type flakyCaller struct {
 	inner Caller
 	fail  map[string]error
+	paths map[string]bool
 	calls map[string]int
 	mu    sync.Mutex
 }
@@ -27,6 +29,9 @@ func (f *flakyCaller) CallContext(ctx context.Context, method string, args ...an
 	}
 	f.calls[method]++
 	err := f.fail[method]
+	if f.paths != nil && !f.paths[args[0].(string)] {
+		err = nil
+	}
 	f.mu.Unlock()
 	if err != nil {
 		return nil, err

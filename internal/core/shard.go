@@ -31,19 +31,6 @@ var (
 // and failure slicing possible at /debug/requests.
 const shardFetchEvent = "shard.fetch"
 
-// shardOf is the one brick placement rule: an entry pinned to a shard in
-// [0, n) goes to that shard, every other entry to shard ID mod n — the
-// rule BuildManifest pins with, so a manifest written with a shard count
-// and one written without place their bricks alike. Every shard mounts
-// the same store, so placement decides cache locality, never which
-// bytes come back.
-func shardOf(e vtkio.ManifestBrick, n int) int {
-	if e.Shard >= 0 && e.Shard < n {
-		return e.Shard
-	}
-	return e.ID % n
-}
-
 // ShardStats is the cost breakdown of one scatter-gathered array fetch;
 // the byte counts are summed across bricks.
 type ShardStats struct {
@@ -60,83 +47,55 @@ type ShardStats struct {
 	PayloadBytes int64
 }
 
-// ShardedClient scatters per-brick pre-filtered fetches across shard
-// clients and gathers the sparse brick payloads into one payload over
-// the parent grid, byte-identical to what a single unsharded fetch of
-// the parent grid returns. DialSharded builds one over per-shard
-// fault-tolerant clients with sibling failover.
+// ShardedClient scatters per-brick pre-filtered fetches across replica
+// servers of one store and gathers the sparse brick payloads into one
+// payload over the parent grid, byte-identical to what a single
+// unsharded fetch of the parent grid returns. Every fetch goes through
+// one fault-tolerant client over all the replicas; brick ID mod n names
+// the brick's home, the replica its fetches go to first, so each brick
+// is cached on one replica.
 type ShardedClient struct {
-	man    *vtkio.Manifest
-	g      *grid.Uniform
-	bricks []grid.Brick
-	shards []*Client
+	man      *vtkio.Manifest
+	g        *grid.Uniform
+	bricks   []grid.Brick
+	client   *Client
+	replicas int
 }
 
-// newShardedClient wraps shard clients. The manifest is validated and
-// its brick geometry re-derived so the merge's index math is pinned to
-// it; closing the sharded client closes every shard client.
-func newShardedClient(man *vtkio.Manifest, shards []*Client) (*ShardedClient, error) {
+// DialSharded builds a sharded client over one fault-tolerant client for
+// addrs. Every replica mounts the same object store, so a brick's home
+// decides cache locality, never reachability: a dead home's bricks fail
+// over to a sibling via the circuit breakers, a brick the home returns
+// corrupt is re-read from a sibling by the same retry loop, and when
+// every replica refuses, a fetch degrades to the raw-fetch fallback. The
+// manifest is validated and its brick geometry re-derived so the merge's
+// index math is pinned to it. opts.Retryable defaults to
+// RetryableMethods.
+func DialSharded(man *vtkio.Manifest, addrs []string, dialFn func(network, addr string) (net.Conn, error), opts rpc.ReconnectOptions) (*ShardedClient, error) {
+	if len(addrs) == 0 {
+		return nil, fmt.Errorf("core: sharded dial needs at least one address")
+	}
 	if err := man.Validate(); err != nil {
 		return nil, err
-	}
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("core: sharded client needs at least one shard")
 	}
 	bricks, err := man.GridBricks()
 	if err != nil {
 		return nil, err
 	}
 	return &ShardedClient{
-		man:    man,
-		g:      man.Grid(),
-		bricks: bricks,
-		shards: shards,
+		man:      man,
+		g:        man.Grid(),
+		bricks:   bricks,
+		client:   DialFaultTolerant(addrs, dialFn, opts),
+		replicas: len(addrs),
 	}, nil
-}
-
-// DialSharded builds a sharded client over one fault-tolerant client per
-// shard. Shard i's client lists addrs rotated to start at i — its own
-// address first, its siblings as failover replicas — because every shard
-// mounts the same object store: placement is about locality (cache
-// warmth, aggregate bandwidth), not reachability, so a dead shard's
-// bricks fail over to a sibling via the circuit breakers, a brick the
-// owner returns corrupt is re-read from a sibling by the same retry loop,
-// and when every replica refuses a fetch degrades to the raw-fetch
-// fallback. opts.Retryable defaults to RetryableMethods.
-func DialSharded(man *vtkio.Manifest, addrs []string, dialFn func(network, addr string) (net.Conn, error), opts rpc.ReconnectOptions) (*ShardedClient, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("core: sharded dial needs at least one address")
-	}
-	shards := make([]*Client, 0, len(addrs))
-	for i := range addrs {
-		rotated := make([]string, 0, len(addrs))
-		rotated = append(rotated, addrs[i:]...)
-		rotated = append(rotated, addrs[:i]...)
-		shards = append(shards, DialFaultTolerant(rotated, dialFn, opts))
-	}
-	sc, err := newShardedClient(man, shards)
-	if err != nil {
-		for _, c := range shards {
-			c.Close()
-		}
-		return nil, err
-	}
-	return sc, nil
 }
 
 // Grid returns the parent grid the manifest describes.
 func (sc *ShardedClient) Grid() *grid.Uniform { return sc.g }
 
-// Close closes every shard client.
-func (sc *ShardedClient) Close() error {
-	var first error
-	for _, c := range sc.shards {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+// Close closes the replicas' connections.
+func (sc *ShardedClient) Close() error { return sc.client.Close() }
 
 // FetchArray scatters one array's per-brick pre-filtered fetches and
 // gathers them into the unsharded payload.
@@ -162,21 +121,21 @@ func (sc *ShardedClient) FetchArrayContext(ctx context.Context, prefix, array st
 			return
 		}
 		e := &sc.man.Entries[i]
-		shard := shardOf(*e, len(sc.shards))
+		home := e.ID % sc.replicas
 		path := prefix + e.Key
 		mShardFetches.Inc()
-		// One wide event per scattered fetch, on top of the shard
-		// client's own ndp.fetch event: this one carries the routing
-		// decision (shard=, brick=) the inner event cannot know.
+		// One wide event per scattered fetch, on top of the client's
+		// own ndp.fetch event: this one carries the routing decision
+		// (shard= the brick's home, brick=) the inner event cannot know.
 		ev := telemetry.DefaultFlightRecorder().Begin(telemetry.KindClient, shardFetchEvent)
-		ev.SetAttr("shard", shard)
+		ev.SetAttr("shard", home)
 		ev.SetAttr("brick", e.ID)
 		ev.SetAttr("path", path)
 		ev.SetAttr("array", array)
 		if span := telemetry.SpanFromContext(ctx); span != nil {
 			ev.SetSpanIDs(span.Trace(), span.ID())
 		}
-		p, st, err := sc.shards[shard].FetchFilteredContext(ctx, path, array, isovalues, enc)
+		p, st, err := sc.client.FetchFilteredContext(rpc.WithHome(ctx, home), path, array, isovalues, enc)
 		if st != nil {
 			ev.SetBytesIn(st.PayloadBytes)
 			if st.Degraded {
@@ -195,7 +154,11 @@ func (sc *ShardedClient) FetchArrayContext(ctx context.Context, prefix, array st
 	n := sc.g.NumPoints()
 	values := make([]float32, n)
 	seen := bitset.New(n)
-	var local []float32 // a brick's decoded values, read only where present
+	largest := 0
+	for _, b := range sc.bricks {
+		largest = max(largest, b.NumPoints())
+	}
+	buf := make([]float32, largest) // a brick's decoded values, read only where present
 	agg := &ShardStats{Bricks: len(sc.man.Entries)}
 	for i := range sc.man.Entries {
 		e := &sc.man.Entries[i]
@@ -208,10 +171,7 @@ func (sc *ShardedClient) FetchArrayContext(ctx context.Context, prefix, array st
 			return nil, nil, fmt.Errorf("core: brick %d payload has %d points, extent has %d",
 				e.ID, r.Payload.NumPoints, b.NumPoints())
 		}
-		if cap(local) < b.NumPoints() {
-			local = make([]float32, b.NumPoints())
-		}
-		local = local[:b.NumPoints()]
+		local := buf[:b.NumPoints()]
 		present := bitset.New(len(local))
 		if err := r.Payload.decodeInto(local, present.Words()); err != nil {
 			return nil, nil, fmt.Errorf("core: brick %d: %w", e.ID, err)

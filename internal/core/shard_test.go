@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"vizndp/internal/compress"
@@ -19,9 +21,8 @@ import (
 )
 
 // writeBricks bricks ds with spec, writes one .vnd object per brick plus
-// the manifest under dir/<prefix>, and returns the manifest. shards is
-// the manifest's placement fan-out (0 leaves entries unpinned).
-func writeBricks(t testing.TB, dir, prefix string, ds *grid.Dataset, spec grid.BrickSpec, shards int) *vtkio.Manifest {
+// the manifest under dir/<prefix>, and returns the manifest.
+func writeBricks(t testing.TB, dir, prefix string, ds *grid.Dataset, spec grid.BrickSpec) *vtkio.Manifest {
 	t.Helper()
 	if err := os.MkdirAll(filepath.Join(dir, filepath.FromSlash(prefix)), 0o755); err != nil {
 		t.Fatal(err)
@@ -40,7 +41,7 @@ func writeBricks(t testing.TB, dir, prefix string, ds *grid.Dataset, spec grid.B
 			t.Fatal(err)
 		}
 	}
-	man, err := vtkio.BuildManifest(ds.Grid, spec, ds.FieldNames(), shards)
+	man, err := vtkio.BuildManifest(ds.Grid, spec, ds.FieldNames())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestShardedMergeBitIdentity(t *testing.T) {
 				ds := grid.NewDataset(tc.g)
 				ds.MustAddField(tc.f)
 				dir := t.TempDir()
-				man := writeBricks(t, dir, "run/ts0", ds, spec, 3)
+				man := writeBricks(t, dir, "run/ts0", ds, spec)
 				addrs := startShards(t, dir, 3)
 
 				sc, err := DialSharded(man, addrs, nil, rpc.ReconnectOptions{})
@@ -163,45 +164,38 @@ func TestShardedMergeBitIdentity(t *testing.T) {
 	}
 }
 
-// TestShardedDegradedBrickBitIdentical serves one shard's bricks through
-// the degraded fallback alone: its transport refuses every ndp.fetch, so
-// each brick placed on it is read raw and pre-filtered on the client.
-// The gather must still be the unsharded payload byte for byte, and
-// ShardStats.Degraded and core.shard.degraded must each count exactly
-// that shard's bricks.
+// TestShardedDegradedBrickBitIdentical serves the bricks homed on one
+// replica through the degraded fallback alone: the transport refuses
+// every ndp.fetch of their paths, so each is read raw and pre-filtered on
+// the client. The gather must still be the unsharded payload byte for
+// byte, and ShardStats.Degraded and core.shard.degraded must each count
+// exactly that replica's bricks.
 func TestShardedDegradedBrickBitIdentical(t *testing.T) {
 	g, f := sphereField(20)
 	ds := grid.NewDataset(g)
 	ds.MustAddField(f)
 	dir := t.TempDir()
-	man := writeBricks(t, dir, "run/ts0", ds, grid.BrickSpec{NX: 4, NY: 2, NZ: 1, Ghost: 1}, 3)
+	man := writeBricks(t, dir, "run/ts0", ds, grid.BrickSpec{NX: 4, NY: 2, NZ: 1, Ghost: 1})
 	addrs := startShards(t, dir, 3)
-	shards := make([]*Client, len(addrs))
-	for i, addr := range addrs {
-		c, err := Dial(addr, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards[i] = c
-	}
-	const broken = 1
-	shards[broken] = &Client{
-		rpc:      &flakyCaller{inner: shards[broken].rpc, fail: map[string]error{MethodFetch: errors.New("injected fetch failure")}},
-		fallback: true,
-	}
-	sc, err := newShardedClient(man, shards)
+	sc, err := DialSharded(man, addrs, nil, rpc.ReconnectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sc.Close()
-	want := 0
+	const broken = 1
+	paths := map[string]bool{}
 	for _, e := range man.Entries {
-		if shardOf(e, len(shards)) == broken {
-			want++
+		if e.ID%len(addrs) == broken {
+			paths["run/ts0/"+e.Key] = true
 		}
 	}
-	if want < 2 {
-		t.Fatalf("%d bricks placed on the broken shard, want several", want)
+	if len(paths) < 2 {
+		t.Fatalf("%d bricks homed on the broken replica, want several", len(paths))
+	}
+	sc.client.rpc = &flakyCaller{
+		inner: sc.client.rpc,
+		fail:  map[string]error{MethodFetch: errors.New("injected fetch failure")},
+		paths: paths,
 	}
 
 	isos := []float64{5, 9.5}
@@ -215,51 +209,115 @@ func TestShardedDegradedBrickBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Data, p.Data) {
-		t.Errorf("gather with a degraded shard (%d points) differs from the unsharded payload (%d points)", got.Count, p.Count)
+		t.Errorf("gather with degraded bricks (%d points) differs from the unsharded payload (%d points)", got.Count, p.Count)
 	}
-	if st.Degraded != want {
-		t.Errorf("ShardStats.Degraded = %d, want the broken shard's %d bricks", st.Degraded, want)
+	if st.Degraded != len(paths) {
+		t.Errorf("ShardStats.Degraded = %d, want the broken replica's %d bricks", st.Degraded, len(paths))
 	}
-	if d := mShardDegraded.Value() - degraded0; d != int64(want) {
-		t.Errorf("core.shard.degraded rose by %d, want %d", d, want)
+	if d := mShardDegraded.Value() - degraded0; d != int64(len(paths)) {
+		t.Errorf("core.shard.degraded rose by %d, want %d", d, len(paths))
 	}
 }
 
-// TestShardPlacementRule pins the one placement rule: an entry pinned to
-// a shard in [0, n) goes there; an unpinned or out-of-range entry goes to
-// shard ID mod n, which is what BuildManifest pins with, so a manifest
-// built without a shard count places every brick where one built with n
-// shards does.
-func TestShardPlacementRule(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		id, shard int
-		want      int
-	}{
-		{"pinned in range", 4, 2, 2},
-		{"pinned to shard 0", 5, 0, 0},
-		{"pinned out of range", 4, 7, 1},
-		{"unpinned", 4, -1, 1},
-		{"unpinned, ID below n", 2, -1, 2},
+// TestShardedGatherHomesEachBrick pins placement: every fetch of a brick
+// goes to its home replica, brick ID mod n, first, so three caching
+// replicas over one store each hold exactly the bricks homed on them,
+// however often and at however many isovalue sets the bricks are
+// gathered.
+func TestShardedGatherHomesEachBrick(t *testing.T) {
+	g, f := sphereField(20)
+	ds := grid.NewDataset(g)
+	ds.MustAddField(f)
+	for _, spec := range []grid.BrickSpec{
+		{NX: 3, NY: 1, NZ: 1, Ghost: 1},
+		{NX: 2, NY: 2, NZ: 1, Ghost: 1},
 	} {
-		if got := shardOf(vtkio.ManifestBrick{ID: tc.id, Shard: tc.shard}, 3); got != tc.want {
-			t.Errorf("%s: brick %d (shard %d) placed on %d of 3, want %d", tc.name, tc.id, tc.shard, got, tc.want)
-		}
+		t.Run(fmt.Sprintf("%dx%dx%d", spec.NX, spec.NY, spec.NZ), func(t *testing.T) {
+			dir := t.TempDir()
+			man := writeBricks(t, dir, "run/ts0", ds, spec)
+			srvs := make([]*Server, 3)
+			addrs := make([]string, len(srvs))
+			for i := range srvs {
+				srvs[i], addrs[i] = startServer(t, dir, WithCacheBytes(16<<20))
+			}
+			sc, err := DialSharded(man, addrs, nil, rpc.ReconnectOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sc.Close()
+			for range 3 {
+				for _, isos := range [][]float64{{5}, {9.5}, {3, 12}} {
+					if _, _, err := sc.FetchArray("run/ts0/", "d", isos, EncAuto); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for i, srv := range srvs {
+				var want, got []string
+				for _, e := range man.Entries {
+					if e.ID%len(srvs) == i {
+						want = append(want, "run/ts0/"+e.Key)
+					}
+				}
+				srv.Cache().Invalidate(func(k arrayKey) bool {
+					got = append(got, k.path)
+					return false
+				})
+				slices.Sort(got)
+				if n := srv.Cache().Len(); n != len(want) || !slices.Equal(got, want) {
+					t.Errorf("replica %d caches %d arrays %v, want its home bricks %v", i, n, got, want)
+				}
+			}
+		})
 	}
-	g := grid.NewUniform(13, 11, 9)
-	spec := grid.BrickSpec{NX: 2, NY: 2, NZ: 2, Ghost: 1}
-	pinned, err := vtkio.BuildManifest(g, spec, []string{"d"}, 3)
+}
+
+// TestShardedGatherOverOldManifest: a manifest as writers before the
+// per-entry "shard" key went wrote it — here pins that disagree with
+// the home rule, and one unpinned (-1) entry — decodes, validates and
+// gathers the unsharded payload byte for byte.
+func TestShardedGatherOverOldManifest(t *testing.T) {
+	g, f := sphereField(16)
+	ds := grid.NewDataset(g)
+	ds.MustAddField(f)
+	dir := t.TempDir()
+	man := writeBricks(t, dir, "run/ts0", ds, grid.BrickSpec{NX: 2, NY: 2, NZ: 1, Ghost: 1})
+	data, err := vtkio.EncodeManifest(man)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unpinned, err := vtkio.BuildManifest(g, spec, []string{"d"}, 0)
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	entries := doc["entries"].([]any)
+	for i, e := range entries {
+		e.(map[string]any)["shard"] = (i + 1) % 3
+	}
+	entries[len(entries)-1].(map[string]any)["shard"] = -1
+	if data, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	old, err := vtkio.DecodeManifest(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range pinned.Entries {
-		if p, u := shardOf(pinned.Entries[i], 3), shardOf(unpinned.Entries[i], 3); p != u {
-			t.Errorf("brick %d: pinned manifest places it on %d, unpinned on %d", i, p, u)
-		}
+	sc, err := DialSharded(old, startShards(t, dir, 3), nil, rpc.ReconnectOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	isos := []float64{6}
+	got, _, err := sc.FetchArray("run/ts0/", "d", isos, EncAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := (&PreFilter{Isovalues: isos, Encoding: EncAuto}).Run(g, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Data, p.Data) {
+		t.Errorf("gather over the old manifest (%d points) differs from the unsharded payload (%d points)", got.Count, p.Count)
 	}
 }
 
@@ -270,7 +328,7 @@ func TestShardManifestRPC(t *testing.T) {
 	ds := grid.NewDataset(g)
 	ds.MustAddField(f)
 	dir := t.TempDir()
-	man := writeBricks(t, dir, "run/ts0", ds, grid.BrickSpec{NX: 2, NY: 1, NZ: 1, Ghost: 1}, 2)
+	man := writeBricks(t, dir, "run/ts0", ds, grid.BrickSpec{NX: 2, NY: 1, NZ: 1, Ghost: 1})
 	if err := os.WriteFile(filepath.Join(dir, "bogus.json"), []byte("not a manifest"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +367,7 @@ func TestShardMergeGhostDisagreement(t *testing.T) {
 	ds.MustAddField(f)
 	dir := t.TempDir()
 	spec := grid.BrickSpec{NX: 2, NY: 1, NZ: 1, Ghost: 1}
-	man := writeBricks(t, dir, "run/ts0", ds, spec, 2)
+	man := writeBricks(t, dir, "run/ts0", ds, spec)
 
 	// Rewrite brick 1 from a perturbed field: its ghost overlap with
 	// brick 0 now carries different values for the same global points.
@@ -350,7 +408,7 @@ func TestShardedContourMatchesBaseline(t *testing.T) {
 	ds := grid.NewDataset(g)
 	ds.MustAddField(f)
 	dir := t.TempDir()
-	man := writeBricks(t, dir, "run/ts0", ds, grid.BrickSpec{NX: 2, NY: 2, NZ: 1, Ghost: 1}, 3)
+	man := writeBricks(t, dir, "run/ts0", ds, grid.BrickSpec{NX: 2, NY: 2, NZ: 1, Ghost: 1})
 	addrs := startShards(t, dir, 3)
 
 	sc, err := DialSharded(man, addrs, nil, rpc.ReconnectOptions{})
@@ -398,7 +456,7 @@ func BenchmarkShardedGather128(b *testing.B) {
 	v02 := grid.NewDataset(ds.Grid)
 	v02.MustAddField(ds.Field("v02"))
 	dir := b.TempDir()
-	man := writeBricks(b, dir, "run/ts0", v02, grid.BrickSpec{NX: 3, NY: 1, NZ: 1, Ghost: 1}, 3)
+	man := writeBricks(b, dir, "run/ts0", v02, grid.BrickSpec{NX: 3, NY: 1, NZ: 1, Ghost: 1})
 	if err := vtkio.WriteFile(filepath.Join(dir, "whole.vnd"), v02, vtkio.WriteOptions{Codec: compress.None}); err != nil {
 		b.Fatal(err)
 	}

@@ -103,7 +103,7 @@ func (o *oracle) gathered(sc *core.ShardedClient) fetchFunc {
 // it returns.
 func (e *Env) putBricks(o *oracle) (*vtkio.Manifest, error) {
 	g := e.asteroidSet[e.steps[0]].Grid
-	man, err := vtkio.BuildManifest(g, chaosBricks, []string{o.array}, chaosBricks.Count())
+	man, err := vtkio.BuildManifest(g, chaosBricks, []string{o.array})
 	if err != nil {
 		return nil, err
 	}

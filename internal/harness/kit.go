@@ -119,8 +119,8 @@ func (k *kit) dialFT(opts rpc.ReconnectOptions, replicas ...*node) *core.Client 
 	return c
 }
 
-// dialSharded opens the sharded client over man's bricks: shard i is
-// shards[i], with the others as its failover replicas.
+// dialSharded opens the sharded client over man's bricks: one retrying
+// client over shards, brick i homed on shards[i mod len(shards)].
 func (k *kit) dialSharded(man *vtkio.Manifest, shards ...*node) (*core.ShardedClient, error) {
 	sc, err := core.DialSharded(man, addrsOf(shards), k.dialConn, breakerOptions())
 	if err != nil {

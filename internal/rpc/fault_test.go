@@ -357,3 +357,87 @@ func TestReconnectClientHonorsCallerCancellation(t *testing.T) {
 		t.Errorf("dials = %d, cancellation did not stop the retry loop", n)
 	}
 }
+
+// TestReconnectClientHomeRoute pins WithHome: a homed call's first
+// attempt lands on its home mod n, an open breaker on the home sends it
+// to the next sibling, and a retry after a failure on the home goes
+// elsewhere; a call with no home still goes round-robin.
+func TestReconnectClientHomeRoute(t *testing.T) {
+	addrs := make([]string, 3)
+	for i := range addrs {
+		s := NewServer()
+		s.Register("who", func(context.Context, []any) (any, error) { return int64(i), nil })
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go s.Serve(ln)
+		t.Cleanup(s.Close)
+		addrs[i] = ln.Addr().String()
+	}
+	who := func(t *testing.T, rc *ReconnectClient, ctx context.Context) int64 {
+		t.Helper()
+		got, err := rc.CallContext(ctx, "who")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got.(int64)
+	}
+	opts := ReconnectOptions{
+		Retryable:        map[string]bool{"who": true},
+		InitialBackoff:   time.Millisecond,
+		BreakerThreshold: 2,
+		BreakerCooldown:  time.Minute,
+		Seed:             6,
+	}
+	rc := NewReconnectClient("tcp", addrs, nil, opts)
+	defer rc.Close()
+
+	// Out of order and repeated, so a round-robin cursor cannot match.
+	for _, home := range []int{2, 2, 0, 4, 4, 3} {
+		if got := who(t, rc, WithHome(context.Background(), home)); got != int64(home%len(addrs)) {
+			t.Errorf("home %d: call landed on %d, want %d", home, got, home%len(addrs))
+		}
+	}
+	seen := map[int64]bool{}
+	for range addrs {
+		seen[who(t, rc, context.Background())] = true
+	}
+	if len(seen) != len(addrs) {
+		t.Errorf("%d calls with no home reached %d addresses, want round-robin over all", len(addrs), len(seen))
+	}
+
+	for range opts.BreakerThreshold {
+		rc.replicas[1].brk.failure(time.Now())
+	}
+	for _, home := range []int{1, 4} {
+		if got := who(t, rc, WithHome(context.Background(), home)); got != 2 {
+			t.Errorf("home %d with its breaker open: call landed on %d, want the next sibling 2", home, got)
+		}
+	}
+
+	// Every dial to address 0 is refused: a call homed there fails once,
+	// then moves on.
+	var refused atomic.Int64
+	dialFn := func(network, addr string) (net.Conn, error) {
+		if addr == addrs[0] {
+			refused.Add(1)
+			return nil, errors.New("injected: connection refused")
+		}
+		return net.Dial(network, addr)
+	}
+	opts.BreakerThreshold = 100
+	failovers := telemetry.Default().Counter("core.pool.failovers")
+	before := failovers.Value()
+	rc2 := NewReconnectClient("tcp", addrs, dialFn, opts)
+	defer rc2.Close()
+	if got := who(t, rc2, WithHome(context.Background(), 0)); got == 0 {
+		t.Error("the retry after a failure on the home went back to the home")
+	}
+	if n := refused.Load(); n != 1 {
+		t.Errorf("%d attempts on the failing home, want exactly the first", n)
+	}
+	if d := failovers.Value() - before; d != 1 {
+		t.Errorf("core.pool.failovers rose by %d, want 1", d)
+	}
+}

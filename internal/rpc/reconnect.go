@@ -166,15 +166,15 @@ type replica struct {
 // serving the same data: it dials lazily, re-dials when a connection
 // dies, bounds each attempt with a per-call deadline, sends each call to
 // the healthiest address (round-robin over those whose breakers admit
-// traffic), and re-issues a failed call — to another address when there
-// is one — backing off exponentially with jitter once per full cycle
-// through the addresses, so failover to a healthy sibling is immediate
-// but a saturated set is not hammered. Application-level errors
-// (ServerError) and caller cancellations are never retried; transport
-// failures — the cause-carrying shutdown errors a poisoned Client
-// reports — are, for methods declared retryable, and busy rejections
-// (ErrBusy) are retried for every method because the server shed them
-// before any handler ran.
+// traffic, or starting at the call's home if it has one), and re-issues
+// a failed call — to another address when there is one — backing off
+// exponentially with jitter once per full cycle through the addresses,
+// so failover to a healthy sibling is immediate but a saturated set is
+// not hammered. Application-level errors (ServerError) and caller
+// cancellations are never retried; transport failures — the
+// cause-carrying shutdown errors a poisoned Client reports — are, for
+// methods declared retryable, and busy rejections (ErrBusy) are retried
+// for every method because the server shed them before any handler ran.
 //
 // It is safe for concurrent use; concurrent calls to one address share
 // one underlying connection, and a reconnect replaces it for all of them.
@@ -310,15 +310,29 @@ func (rc *ReconnectClient) isClosed() bool {
 	return rc.closed
 }
 
-// pick chooses the address for the next attempt: round-robin over
-// addresses whose breakers admit traffic, preferring not to re-pick the
-// one that just failed (last) while an alternative exists. With every
-// breaker open it falls back to the one whose cooldown expires soonest,
-// so a fully-tripped set still probes its way back to health.
-func (rc *ReconnectClient) pick(last *replica) *replica {
+// homeKey is the context key WithHome stores a call's home under.
+type homeKey struct{}
+
+// WithHome routes the ReconnectClient calls made under the returned
+// context to address i mod n first, n being the client's address count,
+// instead of the round-robin cursor: the first attempt goes there while
+// its breaker admits traffic, and each retry walks on to the next
+// address. A caller that gives a key the same home on every call keeps
+// that key in one replica's cache.
+func WithHome(ctx context.Context, i int) context.Context {
+	return context.WithValue(ctx, homeKey{}, i)
+}
+
+// pick chooses the address for the next attempt: the first, scanning
+// from address start mod n, whose breaker admits traffic, preferring not
+// to re-pick the one that just failed (last) while an alternative
+// exists. With every breaker open it falls back to the one whose
+// cooldown expires soonest, so a fully-tripped set still probes its way
+// back to health.
+func (rc *ReconnectClient) pick(start int, last *replica) *replica {
 	now := time.Now()
 	n := len(rc.replicas)
-	start := int(rc.next.Add(1)-1) % n
+	start = (start%n + n) % n
 	var allowedLast *replica
 	for i := 0; i < n; i++ {
 		r := rc.replicas[(start+i)%n]
@@ -345,10 +359,11 @@ func (rc *ReconnectClient) pick(last *replica) *replica {
 }
 
 // CallContext invokes method with args under ctx on the healthiest
-// address. Busy sheds and — for methods in the retryable set — transport
-// failures (dead connection, failed dial, per-attempt timeout) are
-// re-issued, on another address when one exists; server-side handler
-// errors and a cancelled ctx return immediately.
+// address, or on ctx's home (WithHome) while it is healthy. Busy sheds
+// and — for methods in the retryable set — transport failures (dead
+// connection, failed dial, per-attempt timeout) are re-issued, on
+// another address when one exists; server-side handler errors and a
+// cancelled ctx return immediately.
 func (rc *ReconnectClient) CallContext(ctx context.Context, method string, args ...any) (any, error) {
 	if len(rc.replicas) == 0 {
 		return nil, errors.New("rpc: reconnect client has no addresses")
@@ -356,9 +371,14 @@ func (rc *ReconnectClient) CallContext(ctx context.Context, method string, args 
 	if rc.isClosed() {
 		return nil, ErrShutdown
 	}
+	home, homed := ctx.Value(homeKey{}).(int)
 	var last *replica
 	for attempt := 1; ; attempt++ {
-		r := rc.pick(last)
+		start := home + attempt - 1
+		if !homed {
+			start = int(rc.next.Add(1) - 1)
+		}
+		r := rc.pick(start, last)
 		if r == last {
 			mClientRetries.Inc()
 			telemetry.EventFromContext(ctx).AddRetry()

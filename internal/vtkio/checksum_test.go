@@ -328,7 +328,7 @@ func TestVerifyChecksums(t *testing.T) {
 
 func TestManifestBrickChecksumRoundTrips(t *testing.T) {
 	g := grid.NewUniform(9, 9, 9)
-	m, err := BuildManifest(g, grid.BrickSpec{NX: 2, NY: 1, NZ: 1, Ghost: 1}, []string{"v02"}, 2)
+	m, err := BuildManifest(g, grid.BrickSpec{NX: 2, NY: 1, NZ: 1, Ghost: 1}, []string{"v02"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,11 +9,11 @@ import (
 
 // A brick manifest is the small JSON sidecar a bricked dataset carries
 // next to its per-brick .vnd objects: the parent grid, the bricking
-// (counts + ghost), and one entry per brick naming its extents, its
-// object key relative to the per-step prefix, and its owning shard.
-// Clients read it once, then scatter per-brick fetches to the shards it
-// names; an entry with Shard < 0 goes to shard ID mod the shard count,
-// the rule BuildManifest pins with.
+// (counts + ghost), and one entry per brick naming its extents and its
+// object key relative to the per-step prefix. Clients read it once, then
+// scatter per-brick fetches over their replicas; which replica a brick
+// goes to is the client's rule, not the manifest's. Manifests written
+// with a per-entry "shard" key still decode: JSON decoding ignores it.
 const (
 	// ManifestMagic guards against feeding an arbitrary JSON document to
 	// a sharded client.
@@ -36,9 +36,6 @@ type ManifestBrick struct {
 	// Key is the brick object's name relative to the fetch prefix (the
 	// per-timestep directory), e.g. "brick0003.vnd".
 	Key string `json:"key"`
-	// Shard is the owning shard's index, or -1 for shard ID mod the
-	// client's shard count.
-	Shard int `json:"shard"`
 	// Checksum is the CRC32C of the whole brick object's bytes, or zero
 	// when the writer did not record one. The scrubber verifies stored
 	// objects against it; Validate does not pin it (it varies with the
@@ -67,11 +64,8 @@ type Manifest struct {
 func BrickKey(id int) string { return fmt.Sprintf("brick%04d.vnd", id) }
 
 // BuildManifest derives the manifest for bricking g with spec. Arrays
-// names the point arrays each brick object will carry. shards > 0
-// assigns brick ID to shard ID mod shards; shards <= 0 leaves every
-// entry unassigned (Shard = -1), which a client over n shards places by
-// the same rule with n.
-func BuildManifest(g *grid.Uniform, spec grid.BrickSpec, arrays []string, shards int) (*Manifest, error) {
+// names the point arrays each brick object will carry.
+func BuildManifest(g *grid.Uniform, spec grid.BrickSpec, arrays []string) (*Manifest, error) {
 	bricks, err := spec.Bricks(g.Dims)
 	if err != nil {
 		return nil, err
@@ -87,15 +81,11 @@ func BuildManifest(g *grid.Uniform, spec grid.BrickSpec, arrays []string, shards
 		Arrays:  append([]string(nil), arrays...),
 	}
 	for _, b := range bricks {
-		shard := -1
-		if shards > 0 {
-			shard = b.ID % shards
-		}
 		m.Entries = append(m.Entries, ManifestBrick{
 			ID: b.ID, Index: b.Index,
 			CellLo: b.CellLo, CellHi: b.CellHi,
 			PointLo: b.PointLo, PointHi: b.PointHi,
-			Key: BrickKey(b.ID), Shard: shard,
+			Key: BrickKey(b.ID),
 		})
 	}
 	return m, nil
@@ -126,7 +116,7 @@ func (m *Manifest) GridBricks() ([]grid.Brick, error) {
 // a valid parent grid, and entries whose geometry matches exactly what
 // the (dims, bricks, ghost) triple derives — so the merge's index math
 // and the stored extents can never disagree. Keys must be non-empty and
-// unique; shard indices must be -1 or non-negative.
+// unique.
 func (m *Manifest) Validate() error {
 	if m.Magic != ManifestMagic {
 		return fmt.Errorf("vtkio: manifest magic %q, want %q", m.Magic, ManifestMagic)
@@ -160,9 +150,6 @@ func (m *Manifest) Validate() error {
 			return fmt.Errorf("vtkio: manifest entry %d duplicates key %q", i, e.Key)
 		}
 		keys[e.Key] = true
-		if e.Shard < -1 {
-			return fmt.Errorf("vtkio: manifest entry %d has shard %d", i, e.Shard)
-		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package vtkio
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ func manifestGrid() *grid.Uniform {
 func TestManifestRoundTrip(t *testing.T) {
 	g := manifestGrid()
 	spec := grid.BrickSpec{NX: 3, NY: 2, NZ: 1, Ghost: 1}
-	m, err := BuildManifest(g, spec, []string{"v02", "v03"}, 3)
+	m, err := BuildManifest(g, spec, []string{"v02", "v03"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +41,6 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Fatalf("%d entries, want %d", len(got.Entries), spec.Count())
 	}
 	for i, e := range got.Entries {
-		if e.Shard != i%3 {
-			t.Errorf("entry %d shard %d, want %d", i, e.Shard, i%3)
-		}
 		if e.Key != BrickKey(i) {
 			t.Errorf("entry %d key %q, want %q", i, e.Key, BrickKey(i))
 		}
@@ -58,22 +56,40 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestManifestUnassignedShards(t *testing.T) {
-	m, err := BuildManifest(manifestGrid(), grid.BrickSpec{NX: 2, NY: 1, NZ: 1, Ghost: 1}, nil, 0)
+// oldShardManifest is a manifest as writers before the per-entry
+// "shard" key went wrote it: pinned bricks (0, 1) and an unpinned one
+// (-1).
+const oldShardManifest = `{"magic":"vnd-bricks","version":1,"dims":[7,4,3],"origin":[0,1,2],"spacing":[1,0.5,0.25],"bricks":[3,1,1],"ghost":1,"arrays":["d"],"entries":[` +
+	`{"id":0,"index":[0,0,0],"cellLo":[0,0,0],"cellHi":[2,3,2],"pointLo":[0,0,0],"pointHi":[4,4,3],"key":"brick0000.vnd","shard":0},` +
+	`{"id":1,"index":[1,0,0],"cellLo":[2,0,0],"cellHi":[4,3,2],"pointLo":[1,0,0],"pointHi":[6,4,3],"key":"brick0001.vnd","shard":1},` +
+	`{"id":2,"index":[2,0,0],"cellLo":[4,0,0],"cellHi":[6,3,2],"pointLo":[3,0,0],"pointHi":[7,4,3],"key":"brick0002.vnd","shard":-1}]}`
+
+// TestManifestDecodesShardKeys: an old manifest's "shard" keys are
+// ignored, so it decodes, validates and equals the manifest built today
+// for the same grid and bricking.
+func TestManifestDecodesShardKeys(t *testing.T) {
+	got, err := DecodeManifest([]byte(oldShardManifest))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, e := range m.Entries {
-		if e.Shard != -1 {
-			t.Errorf("entry %d shard %d, want -1 (unpinned)", i, e.Shard)
-		}
+	g := &grid.Uniform{
+		Dims:    grid.Dims{X: 7, Y: 4, Z: 3},
+		Origin:  grid.Vec3{X: 0, Y: 1, Z: 2},
+		Spacing: grid.Vec3{X: 1, Y: 0.5, Z: 0.25},
+	}
+	want, err := BuildManifest(g, grid.BrickSpec{NX: 3, NY: 1, NZ: 1, Ghost: 1}, []string{"d"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("old manifest decoded to %+v, want %+v", got, want)
 	}
 }
 
 func TestManifestValidateRejects(t *testing.T) {
 	fresh := func(t *testing.T) *Manifest {
 		t.Helper()
-		m, err := BuildManifest(manifestGrid(), grid.BrickSpec{NX: 2, NY: 2, NZ: 1, Ghost: 1}, nil, 2)
+		m, err := BuildManifest(manifestGrid(), grid.BrickSpec{NX: 2, NY: 2, NZ: 1, Ghost: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +106,6 @@ func TestManifestValidateRejects(t *testing.T) {
 		{"missing entry", func(m *Manifest) { m.Entries = m.Entries[:3] }, "entries"},
 		{"empty key", func(m *Manifest) { m.Entries[0].Key = "" }, "no key"},
 		{"duplicate key", func(m *Manifest) { m.Entries[1].Key = m.Entries[0].Key }, "duplicates"},
-		{"bad shard", func(m *Manifest) { m.Entries[0].Shard = -2 }, "shard"},
 		{"bad grid", func(m *Manifest) { m.Dims = [3]int{0, 0, 0} }, "grid"},
 	}
 	for _, tc := range cases {
