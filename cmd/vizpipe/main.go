@@ -83,8 +83,7 @@ func run(args []string) error {
 		bucket    = flags.String("bucket", "sim", "object store bucket")
 		ndpAddr   = flags.String("ndp", "", "ndp: address of the ndpserver")
 		replicas  = flags.String("replicas", "", "ndp: comma-separated replica ndpserver addresses (contour, threshold and sweep); calls route to the healthiest and fail over on busy/dead replicas")
-		shardsCSV = flags.String("shards", "", "ndp contour: comma-separated shard ndpserver addresses for brick-sharded scatter-gather (needs -manifest; -path names the per-timestep brick directory)")
-		manifest  = flags.String("manifest", "", "ndp contour: brick manifest key, fetched through the first -shards address")
+		manifest  = flags.String("manifest", "", "ndp contour over -replicas: gather each array from the bricks this manifest key lists, brick i from replica i mod n first (-path names the per-timestep brick directory)")
 		path      = flags.String("path", "", "dataset file path/key")
 		arraysCSV = flags.String("arrays", "v02", "comma-separated data arrays to contour")
 		isoCSV    = flags.String("iso", "0.1", "comma-separated contour values")
@@ -95,7 +94,7 @@ func run(args []string) error {
 		renderOut = flags.String("render", "", "render the contours to this PNG file")
 		objOut    = flags.String("obj", "", "export the first contour mesh to this OBJ file")
 		sweep     = flags.Bool("sweep", false, "ndp: fetch every (array, isovalue) pair as its own concurrent request")
-		retries   = flags.Int("retries", 1, "ndp: attempts per call across all addresses; >1 (or any -replicas/-shards list) uses the fault-tolerant client, which re-dials, retries and degrades to a raw transfer")
+		retries   = flags.Int("retries", 1, "ndp: attempts per call across all addresses; >1 (or any -replicas list) uses the fault-tolerant client, which re-dials, retries and degrades to a raw transfer")
 		repeats   = flags.Int("repeats", 1, "measurement repetitions")
 		sloSpec   = flags.String("slo", "", `client-side SLO objectives as "method=latency@latPct[/availPct]" entries, e.g. "ndp.fetch=50ms@99/99.9"; prints a burn-rate summary after the run`)
 		verbose   = flags.Bool("v", false, "print the run's trace tree and metric deltas")
@@ -112,16 +111,16 @@ func run(args []string) error {
 		return fmt.Errorf("unknown mode %q", *mode)
 	case *filter != "contour" && *filter != "threshold":
 		return fmt.Errorf("unknown filter %q (want contour or threshold)", *filter)
-	case (*shardsCSV != "" || *manifest != "") && (*mode != "ndp" || *filter != "contour" || *sweep):
-		return fmt.Errorf("-shards and -manifest need -mode ndp, -filter contour and no -sweep")
-	case *manifest != "" && *shardsCSV == "":
-		return fmt.Errorf("-manifest needs -shards")
+	case *manifest != "" && (*mode != "ndp" || *filter != "contour" || *sweep):
+		return fmt.Errorf("-manifest needs -mode ndp, -filter contour and no -sweep")
+	case *manifest != "" && *replicas == "":
+		return fmt.Errorf("-manifest needs -replicas")
 	case *sweep && (*mode != "ndp" || *filter != "contour"):
 		return fmt.Errorf("-sweep needs -mode ndp and -filter contour")
 	case (*renderOut != "" || *objOut != "") && (*filter != "contour" || *sweep):
 		return fmt.Errorf("-render and -obj need -filter contour and no -sweep")
-	case *mode == "ndp" && *ndpAddr == "" && *replicas == "" && *shardsCSV == "":
-		return fmt.Errorf("ndp mode needs an -ndp, -replicas, or -shards address")
+	case *mode == "ndp" && *ndpAddr == "" && *replicas == "":
+		return fmt.Errorf("ndp mode needs an -ndp or -replicas address")
 	case *path == "":
 		return fmt.Errorf("-path is required")
 	}
@@ -186,12 +185,16 @@ func run(args []string) error {
 			return ds.Grid, out, nil
 		}
 	case "ndp":
-		if *shardsCSV != "" {
-			sc, err := dialSharded(*shardsCSV, *manifest, *retries)
+		client, err := dialNDP(*ndpAddr, *replicas, *retries)
+		if err != nil {
+			return err
+		}
+		defer client.Close()
+		if *manifest != "" {
+			man, err := client.FetchManifest(*manifest)
 			if err != nil {
-				return err
+				return fmt.Errorf("fetching manifest %s: %w", *manifest, err)
 			}
-			defer sc.Close()
 			// -path names the per-timestep brick directory the manifest's
 			// keys are relative to, e.g. asteroid/raw/ts00000/.
 			prefix := *path
@@ -201,21 +204,16 @@ func run(args []string) error {
 			load = func(ctx context.Context) (*grid.Uniform, []loaded, error) {
 				out := make([]loaded, len(reqs))
 				for i, r := range reqs {
-					p, st, err := sc.FetchArrayContext(ctx, prefix, r.Array, r.Isovalues, enc)
+					p, st, err := client.FetchBricksContext(ctx, man, prefix, r.Array, r.Isovalues, enc)
 					if err != nil {
 						return nil, nil, fmt.Errorf("sharded fetch %s%s: %w", prefix, r.Array, err)
 					}
 					out[i] = loaded{payload: p, shard: st}
 				}
-				return sc.Grid(), out, nil
+				return man.Grid(), out, nil
 			}
 			break
 		}
-		client, err := dialNDP(*ndpAddr, *replicas, *retries)
-		if err != nil {
-			return err
-		}
-		defer client.Close()
 		desc, err := client.Describe(*path)
 		if err != nil {
 			return fmt.Errorf("describe %s: %w", *path, err)
@@ -352,8 +350,8 @@ func run(args []string) error {
 type loadFunc func(ctx context.Context) (*grid.Uniform, []loaded, error)
 
 // loaded is one array as a data load delivered it: the full field
-// (baseline) or the pre-filtered payload (ndp, -shards), plus the
-// transfer stats of the NDP paths.
+// (baseline) or the pre-filtered payload (ndp, gathered from bricks with
+// -manifest), plus the transfer stats of the NDP paths.
 type loaded struct {
 	values  []float32
 	payload *core.Payload
@@ -535,30 +533,6 @@ func splitAddrs(csv string) ([]string, error) {
 		return nil, fmt.Errorf("no address in %q", csv)
 	}
 	return addrs, nil
-}
-
-// dialSharded fetches the brick manifest through the first shard address
-// and opens the scatter-gather client: one fault-tolerant client over
-// every shard, each brick fetched from its home shard first and failing
-// over to the others (every shard mounts the same store).
-func dialSharded(shardsCSV, manifestKey string, retries int) (*core.ShardedClient, error) {
-	if manifestKey == "" {
-		return nil, fmt.Errorf("-shards needs -manifest <key>")
-	}
-	addrs, err := splitAddrs(shardsCSV)
-	if err != nil {
-		return nil, fmt.Errorf("-shards: %w", err)
-	}
-	first, err := core.Dial(addrs[0], nil)
-	if err != nil {
-		return nil, err
-	}
-	man, err := first.FetchManifest(manifestKey)
-	first.Close()
-	if err != nil {
-		return nil, fmt.Errorf("fetching manifest %s: %w", manifestKey, err)
-	}
-	return core.DialSharded(man, addrs, nil, retryOptions(retries))
 }
 
 func parseFloats(csv string) ([]float64, error) {

@@ -41,29 +41,29 @@ func deadAddr(t *testing.T) string {
 func TestClientSelection(t *testing.T) {
 	a, b := deadAddr(t), deadAddr(t)
 	for _, tc := range []struct {
-		name             string
-		ndp, replicas    string
-		shards, manifest string
-		retries          int
-		args             []string
-		wantIn           string // for rows with args: the flag the error names
-		wantErr          bool
+		name          string
+		ndp, replicas string
+		retries       int
+		args          []string
+		wantIn        string // for rows with args: the flag the error names
+		wantErr       bool
 	}{
 		{name: "-retries 1 dials eagerly", ndp: a, retries: 1, wantErr: true},
 		{name: "-retries 3 dials lazily", ndp: a, retries: 3},
 		{name: "-replicas a,b dials lazily even at -retries 1", replicas: a + "," + b, retries: 1},
 		{name: "-replicas a,,b drops the empty entry", replicas: a + ",, " + b, retries: 1},
 		{name: "-replicas of nothing but commas", replicas: " , ", retries: 3, wantErr: true},
-		{name: "-shards without -manifest", shards: a + "," + b, retries: 1, wantErr: true},
-		{name: "-shards of nothing but commas", shards: ",", manifest: "m.json", retries: 1, wantErr: true},
 		{name: "-repeats 0 contour", args: []string{"-dir", t.TempDir(), "-path", "ts0.vnd", "-repeats", "0"}, wantIn: "-repeats", wantErr: true},
 		{name: "-repeats 0 threshold", args: []string{"-dir", t.TempDir(), "-path", "ts0.vnd", "-filter", "threshold", "-repeats", "0"}, wantIn: "-repeats", wantErr: true},
 		{name: "-repeats -1 sweep", args: []string{"-mode", "ndp", "-ndp", a, "-retries", "3", "-path", "ts0.vnd", "-sweep", "-repeats", "-1"}, wantIn: "-repeats", wantErr: true},
-		{name: "-shards in baseline mode", args: []string{"-dir", t.TempDir(), "-path", "ts0.vnd", "-shards", a}, wantIn: "-shards", wantErr: true},
+		{name: "-shards is not a flag", args: []string{"-mode", "ndp", "-replicas", a, "-path", "run/ts0", "-shards", b}, wantIn: "flag provided but not defined: -shards", wantErr: true},
+		{name: "-replicas -manifest in baseline mode", args: []string{"-dir", t.TempDir(), "-path", "ts0.vnd", "-replicas", a, "-manifest", "m.json"}, wantIn: "-manifest", wantErr: true},
 		{name: "-manifest in baseline mode", args: []string{"-dir", t.TempDir(), "-path", "ts0.vnd", "-manifest", "m.json"}, wantIn: "-manifest", wantErr: true},
-		{name: "-shards with the threshold", args: []string{"-mode", "ndp", "-ndp", a, "-path", "ts0.vnd", "-filter", "threshold", "-shards", b}, wantIn: "-shards", wantErr: true},
-		{name: "-shards with -sweep", args: []string{"-mode", "ndp", "-ndp", a, "-path", "ts0.vnd", "-sweep", "-shards", b}, wantIn: "-shards", wantErr: true},
-		{name: "-manifest without -shards", args: []string{"-mode", "ndp", "-ndp", a, "-retries", "3", "-path", "ts0.vnd", "-manifest", "m.json"}, wantIn: "-manifest", wantErr: true},
+		{name: "-manifest with the threshold", args: []string{"-mode", "ndp", "-replicas", b, "-path", "ts0.vnd", "-filter", "threshold", "-manifest", "m.json"}, wantIn: "-manifest", wantErr: true},
+		{name: "-manifest with -sweep", args: []string{"-mode", "ndp", "-replicas", b, "-path", "ts0.vnd", "-sweep", "-manifest", "m.json"}, wantIn: "-manifest", wantErr: true},
+		{name: "-manifest without -replicas", args: []string{"-mode", "ndp", "-ndp", a, "-retries", "3", "-path", "ts0.vnd", "-manifest", "m.json"}, wantIn: "-manifest", wantErr: true},
+		{name: "-manifest over -replicas of nothing but commas", args: []string{"-mode", "ndp", "-replicas", ",", "-path", "run/ts0", "-manifest", "m.json"}, wantIn: "-replicas", wantErr: true},
+		{name: "-manifest over dead -replicas", args: []string{"-mode", "ndp", "-replicas", a + "," + b, "-path", "run/ts0", "-manifest", "m.json"}, wantIn: "fetching manifest m.json", wantErr: true},
 		{name: "-sweep with the threshold", args: []string{"-mode", "ndp", "-ndp", a, "-retries", "3", "-path", "ts0.vnd", "-sweep", "-filter", "threshold"}, wantIn: "-sweep", wantErr: true},
 		{name: "-render with the threshold", args: []string{"-dir", t.TempDir(), "-path", "ts0.vnd", "-filter", "threshold", "-render", "f.png"}, wantIn: "-render", wantErr: true},
 		{name: "-obj with the threshold", args: []string{"-dir", t.TempDir(), "-path", "ts0.vnd", "-filter", "threshold", "-obj", "f.obj"}, wantIn: "-obj", wantErr: true},
@@ -74,11 +74,6 @@ func TestClientSelection(t *testing.T) {
 		if tc.args != nil {
 			if err = run(tc.args); err != nil && !strings.Contains(err.Error(), tc.wantIn) {
 				t.Errorf("%s: err = %v, want the %s error", tc.name, err, tc.wantIn)
-			}
-		} else if tc.shards != "" {
-			var sc *core.ShardedClient
-			if sc, err = dialSharded(tc.shards, tc.manifest, tc.retries); err == nil {
-				sc.Close()
 			}
 		} else {
 			var c *core.Client
@@ -182,10 +177,10 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 	return <-out, runErr
 }
 
-// TestShardsOverUnpinnedManifest runs the whole -shards command line
-// in-process against two core.Servers over one bricked dataset as
-// datagen writes it: every brick is fetched from its home shard, ID mod
-// the shard count, and merged.
+// TestShardsOverUnpinnedManifest runs the whole -replicas -manifest
+// command line in-process against two core.Servers over one bricked
+// dataset as datagen writes it: every brick is fetched from its home
+// replica, ID mod the replica count, and merged.
 func TestShardsOverUnpinnedManifest(t *testing.T) {
 	dir := t.TempDir()
 	g := grid.NewUniform(12, 12, 12)
@@ -199,11 +194,11 @@ func TestShardsOverUnpinnedManifest(t *testing.T) {
 	addrs := []string{serve(t, dir), serve(t, dir)}
 
 	out, err := captureStdout(t, func() error {
-		return run([]string{"-mode", "ndp", "-shards", addrs[0] + "," + addrs[1],
+		return run([]string{"-mode", "ndp", "-replicas", addrs[0] + "," + addrs[1],
 			"-manifest", "run/manifest.json", "-path", "run/ts0", "-arrays", "d", "-iso", "5"})
 	})
 	if err != nil {
-		t.Fatalf("vizpipe -shards: %v\n%s", err, out)
+		t.Fatalf("vizpipe -replicas -manifest: %v\n%s", err, out)
 	}
 	if want := "array d: 4 bricks"; !strings.Contains(out, want) {
 		t.Errorf("output lacks %q:\n%s", want, out)
@@ -262,8 +257,9 @@ func serve(t *testing.T, dir string) string {
 
 // TestModesWriteIdenticalOBJ runs the command line's three contour
 // paths on one asteroid step stored raw and as lz4 — baseline over a
-// directory, ndp against a server, -shards over a bricked copy — and
-// holds every OBJ export to the first one, byte for byte.
+// directory, ndp against a server, and gathered with -replicas -manifest
+// over two servers of a bricked copy — and holds every OBJ export to the
+// first one, byte for byte.
 func TestModesWriteIdenticalOBJ(t *testing.T) {
 	ds, err := sim.AsteroidConfig{N: 20, Seed: 1}.Generate(sim.AsteroidMaxStep / 2)
 	if err != nil {
@@ -282,7 +278,7 @@ func TestModesWriteIdenticalOBJ(t *testing.T) {
 		writeBricked(t, dir, prefix, "ts", ds, codec)
 	}
 	ndp := serve(t, dir)
-	shards := serve(t, dir) + "," + serve(t, dir)
+	replicas := serve(t, dir) + "," + serve(t, dir)
 
 	var want []byte
 	for _, codec := range []compress.Kind{compress.None, compress.LZ4} {
@@ -293,7 +289,7 @@ func TestModesWriteIdenticalOBJ(t *testing.T) {
 		}{
 			{"baseline", []string{"-mode", "baseline", "-dir", dir, "-path", prefix + "ts.vnd"}},
 			{"ndp", []string{"-mode", "ndp", "-ndp", ndp, "-path", prefix + "ts.vnd"}},
-			{"shards", []string{"-mode", "ndp", "-shards", shards, "-manifest", prefix + "manifest.json", "-path", prefix + "ts"}},
+			{"gather", []string{"-mode", "ndp", "-replicas", replicas, "-manifest", prefix + "manifest.json", "-path", prefix + "ts"}},
 		} {
 			obj := filepath.Join(t.TempDir(), "out.obj")
 			args := append(mode.args, "-arrays", "v02,v03", "-iso", "0.5", "-obj", obj)

@@ -33,8 +33,8 @@ func wavyField(g *grid.Uniform, rng *rand.Rand) []float32 {
 }
 
 // shardedMerge stores the field bricked under a temporary directory,
-// serves it from three NDP shards and returns the ShardedClient's
-// gathered payload.
+// serves it from three NDP servers and returns the payload one client
+// over all three gathers from the bricks.
 func shardedMerge(t *testing.T, g *grid.Uniform, vals []float32, spec grid.BrickSpec, isos []float64, enc core.Encoding) *core.Payload {
 	t.Helper()
 	ds := grid.NewDataset(g)
@@ -72,12 +72,9 @@ func shardedMerge(t *testing.T, g *grid.Uniform, vals []float32, spec grid.Brick
 		t.Cleanup(func() { srv.Close() })
 		addrs[i] = ln.Addr().String()
 	}
-	sc, err := core.DialSharded(man, addrs, nil, rpc.ReconnectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	merged, _, err := sc.FetchArray("ts0/", "d", isos, enc)
+	client := core.DialFaultTolerant(addrs, nil, rpc.ReconnectOptions{})
+	defer client.Close()
+	merged, _, err := client.FetchBricksContext(t.Context(), man, "ts0/", "d", isos, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +88,7 @@ func shardedMerge(t *testing.T, g *grid.Uniform, vals []float32, spec grid.Brick
 // payload encoding, every way of contouring the field must give the mesh
 // the reference walk gives over the full array, vertex for vertex: the
 // dense entry point on the full array, and the post-filter straight from
-// the edge payload, from a ShardedClient's gathered payload (which must
+// the edge payload, from a payload gathered from bricks (which must
 // be the unsharded payload, byte for byte), and — on fields without NaN,
 // the payload an older server sends — from the cell-corner payload.
 func TestContourPathsAgree(t *testing.T) {

@@ -476,8 +476,8 @@ func decodeFetchResult(res any, total time.Duration) (*Payload, *FetchStats, err
 }
 
 // FetchManifest pulls and validates a brick manifest from the server's
-// store — the first call of a sharded client session, typically against
-// any one shard (every shard mounts the same store).
+// store — what FetchBricksContext gathers by; any replica serves it,
+// since every replica mounts the same store.
 func (c *Client) FetchManifest(path string) (*vtkio.Manifest, error) {
 	return c.FetchManifestContext(context.Background(), path)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"io/fs"
 	"net"
 	"os"
@@ -69,12 +70,13 @@ func localPayload(t *testing.T, ds *grid.Dataset, isos []float64, enc Encoding) 
 	return p.Data
 }
 
-// holdFS holds the first Open until release is closed, so a test can line
-// requests up behind a storage read that is in progress. Stat passes
-// through: the version probe is not the read.
+// holdFS holds the first read through a file it opened until release is
+// closed, so a test can line requests up behind a storage read that is in
+// progress. Opens pass through: the version probe opens the file, but
+// only a load reads from it.
 type holdFS struct {
 	fs.FS
-	opens            atomic.Int64
+	loads            atomic.Int64 // opened files read through
 	entered, release chan struct{}
 }
 
@@ -82,14 +84,30 @@ func newHoldFS(dir string) *holdFS {
 	return &holdFS{FS: os.DirFS(dir), entered: make(chan struct{}), release: make(chan struct{})}
 }
 
-func (h *holdFS) Stat(name string) (fs.FileInfo, error) { return fs.Stat(h.FS, name) }
-
 func (h *holdFS) Open(name string) (fs.File, error) {
-	if h.opens.Add(1) == 1 {
-		close(h.entered)
-		<-h.release
+	f, err := h.FS.Open(name)
+	if err != nil {
+		return nil, err
 	}
-	return h.FS.Open(name)
+	return &holdFile{File: f, ra: f.(io.ReaderAt), h: h}, nil
+}
+
+// holdFile is one file holdFS opened; its first ReadAt counts a load.
+type holdFile struct {
+	fs.File
+	ra   io.ReaderAt
+	h    *holdFS
+	once sync.Once
+}
+
+func (f *holdFile) ReadAt(p []byte, off int64) (int, error) {
+	f.once.Do(func() {
+		if f.h.loads.Add(1) == 1 {
+			close(f.h.entered)
+			<-f.h.release
+		}
+	})
+	return f.ra.ReadAt(p, off)
 }
 
 // joinSpy is a request context that tells when its request begins to wait
@@ -204,7 +222,7 @@ func TestCoalesceFlightSharesScan(t *testing.T) {
 				i, f.ns("readns"), f.ns("filterns"), l.ns("filterns"))
 		}
 	}
-	if got := hold.opens.Load(); got != 1 {
+	if got := hold.loads.Load(); got != 1 {
 		t.Errorf("%d storage reads for %d identical requests, want 1", got, n)
 	}
 	for i, c := range counters {
@@ -349,7 +367,7 @@ func TestCoalesceLeaderCancelledMidLoad(t *testing.T) {
 			if got := mScanPasses.Value() - passes0; got != 1 {
 				t.Errorf("core.scan.passes rose by %d, want 1", got)
 			}
-			if got := hold.opens.Load(); got != 1 {
+			if got := hold.loads.Load(); got != 1 {
 				t.Errorf("%d storage reads, want 1", got)
 			}
 		})

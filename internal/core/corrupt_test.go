@@ -459,18 +459,15 @@ func corruptShardSetup(t *testing.T) (man *vtkio.Manifest, addrs []string, g *gr
 // breaker left alone.
 func TestShardedReadRepairFromSibling(t *testing.T) {
 	man, addrs, g, f := corruptShardSetup(t)
-	sc, err := DialSharded(man, addrs, nil, rpc.ReconnectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
+	client := DialFaultTolerant(addrs, nil, rpc.ReconnectOptions{})
+	defer client.Close()
 
 	reg := telemetry.Default()
 	corrupt, failovers := reg.Counter("core.pool.corruptions"), reg.Counter("core.pool.failovers")
 	trips, fallbacks := reg.Counter("core.pool.breaker.open"), reg.Counter("core.client.fallbacks")
 	corr0, fail0, trips0, fb0 := corrupt.Value(), failovers.Value(), trips.Value(), fallbacks.Value()
 	isos := []float64{5, 9.5}
-	got, _, err := sc.FetchArray("run/ts0/", "d", isos, EncIndexValue)
+	got, _, err := client.FetchBricksContext(t.Context(), man, "run/ts0/", "d", isos, EncIndexValue)
 	if err != nil {
 		t.Fatalf("gather with corrupt owner: %v", err)
 	}
@@ -525,12 +522,9 @@ func TestShardedGatherRejectsWrongPointCount(t *testing.T) {
 	}
 
 	addrs := startShards(t, dir, 2)
-	sc, err := DialSharded(man, addrs, nil, rpc.ReconnectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	_, _, err = sc.FetchArray("run/ts0/", "d", []float64{5}, EncIndexValue)
+	client := DialFaultTolerant(addrs, nil, rpc.ReconnectOptions{})
+	defer client.Close()
+	_, _, err = client.FetchBricksContext(t.Context(), man, "run/ts0/", "d", []float64{5}, EncIndexValue)
 	if err == nil {
 		t.Fatal("wrong-point-count brick merged silently")
 	}

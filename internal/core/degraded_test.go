@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"vizndp/internal/compress"
 	"vizndp/internal/telemetry"
@@ -186,22 +186,30 @@ func TestDegradedFallbackSkippedWhenCancelled(t *testing.T) {
 	}
 }
 
-// gateCaller blocks every call until released, recording the peak number
-// of concurrent calls.
+// gateCaller blocks every call until released — one call per value
+// sent on release, or every call once it is closed — recording the calls
+// that entered, the peak number in flight, and the calls that entered
+// under an already-cancelled context.
 type gateCaller struct {
 	release chan struct{}
 
 	mu        sync.Mutex
+	entered   int
 	active    int
 	maxActive int
+	refused   int
 }
 
-func (g *gateCaller) CallContext(_ context.Context, _ string, _ ...any) (any, error) {
+func (g *gateCaller) CallContext(ctx context.Context, _ string, _ ...any) (any, error) {
 	g.mu.Lock()
-	g.active++
-	if g.active > g.maxActive {
-		g.maxActive = g.active
+	if ctx.Err() != nil {
+		g.refused++
+		g.mu.Unlock()
+		return nil, ctx.Err()
 	}
+	g.entered++
+	g.active++
+	g.maxActive = max(g.maxActive, g.active)
 	g.mu.Unlock()
 	<-g.release
 	g.mu.Lock()
@@ -212,16 +220,21 @@ func (g *gateCaller) CallContext(_ context.Context, _ string, _ ...any) (any, er
 
 func (g *gateCaller) Close() error { return nil }
 
-func (g *gateCaller) peak() int {
+// counts returns the calls that entered, the peak in flight, and the
+// calls refused for a cancelled context.
+func (g *gateCaller) counts() (entered, peak, refused int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.maxActive
+	return g.entered, g.maxActive, g.refused
 }
 
 func TestFetchFilteredMultiFaultBoundedGoroutines(t *testing.T) {
 	// The submitting loop must acquire the parallelism slot before
 	// spawning, so a large batch never stands up more than
-	// multiParallelism goroutines at once.
+	// multiParallelism goroutines at once, and a freed slot goes to the
+	// next request. Slots are freed one at a time, each only once the
+	// one before it has been refilled: every call enters while the
+	// others are held, so any call over the bound would be in the peak.
 	g := &gateCaller{release: make(chan struct{})}
 	c := &Client{rpc: g}
 	reqs := make([]MultiRequest, 32)
@@ -231,16 +244,14 @@ func TestFetchFilteredMultiFaultBoundedGoroutines(t *testing.T) {
 	done := make(chan []MultiResult, 1)
 	go func() { done <- c.FetchFilteredMultiContext(context.Background(), reqs) }()
 
-	deadline := time.Now().Add(2 * time.Second)
-	for g.peak() < multiParallelism && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	for freed := range len(reqs) {
+		want := min(multiParallelism+freed, len(reqs))
+		waitFor(t, func() bool { entered, _, _ := g.counts(); return entered >= want })
+		g.release <- struct{}{}
 	}
-	// Give any over-spawned goroutines a moment to show up in the peak.
-	time.Sleep(20 * time.Millisecond)
-	close(g.release)
 	results := <-done
-	if p := g.peak(); p != multiParallelism {
-		t.Errorf("peak concurrent calls = %d, want exactly %d", p, multiParallelism)
+	if entered, peak, _ := g.counts(); entered != len(reqs) || peak != multiParallelism {
+		t.Errorf("%d calls entered at a peak of %d in flight, want %d at exactly %d", entered, peak, len(reqs), multiParallelism)
 	}
 	for i, r := range results {
 		if r.Err == nil {
@@ -249,22 +260,37 @@ func TestFetchFilteredMultiFaultBoundedGoroutines(t *testing.T) {
 	}
 }
 
+// errCountCtx counts Err calls. fanOut reads ctx.Err() once for each
+// request it skips, after its select has chosen the cancellation.
+type errCountCtx struct {
+	context.Context
+	errs atomic.Int64
+}
+
+func (c *errCountCtx) Err() error {
+	c.errs.Add(1)
+	return c.Context.Err()
+}
+
 func TestFetchFilteredMultiFaultCancelDuringSubmit(t *testing.T) {
 	g := &gateCaller{release: make(chan struct{})}
 	c := &Client{rpc: g}
 	reqs := make([]MultiRequest, 16)
-	ctx, cancel := context.WithCancel(context.Background())
+	base, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := &errCountCtx{Context: base}
 	done := make(chan []MultiResult, 1)
 	go func() { done <- c.FetchFilteredMultiContext(ctx, reqs) }()
 
-	deadline := time.Now().Add(2 * time.Second)
-	for g.peak() < multiParallelism && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, func() bool { entered, _, _ := g.counts(); return entered >= multiParallelism })
+	// The in-flight calls hold every slot and return only when released,
+	// so after the cancel the submit loop's only way on is the
+	// cancellation: it drains each remaining request without blocking on
+	// the full semaphore. Only once it has skipped all of them do the
+	// in-flight calls finish, so no slot frees while one is left.
+	skipped := ctx.errs.Load()
 	cancel()
-	// The submit loop drains the remaining requests without blocking on
-	// the full semaphore; only then do the in-flight calls finish.
-	time.Sleep(20 * time.Millisecond)
+	waitFor(t, func() bool { return ctx.errs.Load()-skipped >= int64(len(reqs)-multiParallelism) })
 	close(g.release)
 	results := <-done
 	cancelled := 0
@@ -275,5 +301,8 @@ func TestFetchFilteredMultiFaultCancelDuringSubmit(t *testing.T) {
 	}
 	if want := len(reqs) - multiParallelism; cancelled != want {
 		t.Errorf("%d results cancelled, want %d", cancelled, want)
+	}
+	if entered, _, refused := g.counts(); entered != multiParallelism || refused != 0 {
+		t.Errorf("%d calls entered and %d were issued after the cancel, want %d and 0", entered, refused, multiParallelism)
 	}
 }

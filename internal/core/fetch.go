@@ -104,14 +104,19 @@ func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (any
 	if err := s.quarantined(path); err != nil {
 		return nil, err
 	}
+	// The version probe is the load's open: a miss reads through the file
+	// it opened, so the fetch stats its file once.
 	key := payloadKey{method: sel.method, path: path, array: array}
+	var f dataFile
 	if s.cache != nil || s.payloads != nil {
 		start := time.Now()
-		key.version, err = s.fileVersion(path)
+		f, err = s.open(path, true)
 		ev.Stage("probe", start)
 		if err != nil {
 			return nil, err
 		}
+		defer f.Close()
+		key.version = f.version
 	}
 	// Formatting the query's id is skipped when nothing is cached.
 	if s.payloads != nil {
@@ -126,7 +131,7 @@ func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (any
 	var readTime time.Duration
 	start := time.Now()
 	res, outcome, err := s.payloads.GetOrLoad(ctx, key, func() (*fetchResult, error) {
-		entry, rt, err := s.loadArray(ctx, arrayKey{path, array, key.version}, sel, q)
+		entry, rt, err := s.loadArray(ctx, arrayKey{path, array, key.version}, f, sel, q)
 		if err != nil {
 			return nil, err
 		}

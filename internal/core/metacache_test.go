@@ -18,11 +18,11 @@ import (
 	"vizndp/internal/vtkio"
 )
 
-// serveFS serves fsys with no server options — no array cache, no payload
-// cache — and returns a connected client.
-func serveFS(t *testing.T, fsys fs.FS) *Client {
+// serveFS serves fsys with opts — by default no array cache and no
+// payload cache — and returns a connected client.
+func serveFS(t *testing.T, fsys fs.FS, opts ...ServerOption) *Client {
 	t.Helper()
-	srv := NewServer(fsys)
+	srv := NewServer(fsys, opts...)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -188,5 +188,52 @@ func TestMetadataCacheNotPoisoned(t *testing.T) {
 	}
 	if metaMetrics.Hits.Value() != before+1 {
 		t.Error("third fetch did not find the re-read metadata resident")
+	}
+}
+
+// TestCachedFirstLoadOneHead: a caching server's version probe is the
+// open its load reads through, so the first fetch of an object costs the
+// store one HEAD (plus the preamble, header, checksum table and array
+// GETs), and a fetch served from the cache one HEAD and no GET.
+func TestCachedFirstLoadOneHead(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []ServerOption
+	}{
+		{"array cache", []ServerOption{WithCacheBytes(16 << 20)}},
+		{"payload cache", []ServerOption{WithPayloadCacheBytes(16 << 20)}},
+		{"both caches", []ServerOption{WithCacheBytes(16 << 20), WithPayloadCacheBytes(16 << 20)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mount, store, heads, gets := countingStore(t)
+			const key = "run/ts0.vnd"
+			g, f := sphereField(16)
+			ds := grid.NewDataset(g)
+			ds.MustAddField(f)
+			abs, _ := writeChecksummedFile(t, t.TempDir(), ds)
+			if data, err := os.ReadFile(abs); err != nil {
+				t.Fatal(err)
+			} else if err := store.Put("sim", key, data); err != nil {
+				t.Fatal(err)
+			}
+			client := serveFS(t, mount, tc.opts...)
+			want := vtkio.FloatsToBytes(f.Values)
+			for _, pass := range []struct {
+				name        string
+				heads, gets int64
+			}{{"first", 1, 4}, {"cached", 1, 0}} {
+				h0, g0 := heads.Load(), gets.Load()
+				raw, _, err := client.FetchRaw(key, "d")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(raw, want) {
+					t.Fatalf("%s fetch served an array that differs from the stored one", pass.name)
+				}
+				if h, g := heads.Load()-h0, gets.Load()-g0; h != pass.heads || g != pass.gets {
+					t.Errorf("%s fetch: %d HEADs and %d GETs, want %d and %d", pass.name, h, g, pass.heads, pass.gets)
+				}
+			}
+		})
 	}
 }

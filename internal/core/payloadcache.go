@@ -128,7 +128,7 @@ type payloadKey struct {
 	id      string
 }
 
-// metaKey names one file version's parsed metadata (see openReader).
+// metaKey names one file version's parsed metadata (see Server.reader).
 type metaKey struct {
 	path    string
 	version stamp

@@ -358,7 +358,8 @@ func TestPoolPickFairnessUnderStorm(t *testing.T) {
 
 // TestPoolZeroAddresses pins the fix for DialPool(nil, …) dividing by
 // zero in pick on its first call: an empty replica set is an error on
-// every call, degraded path included, never a panic.
+// every call — a brick gather and the degraded path included — never
+// a panic.
 func TestPoolZeroAddresses(t *testing.T) {
 	client := DialFaultTolerant(nil, nil, rpc.ReconnectOptions{})
 	defer client.Close()
@@ -368,7 +369,12 @@ func TestPoolZeroAddresses(t *testing.T) {
 	if _, _, err := client.FetchFiltered("run/ts0.vnd", "d", []float64{7}, EncAuto); err == nil {
 		t.Error("FetchFiltered over no addresses succeeded")
 	}
-	if _, err := DialSharded(nil, nil, nil, rpc.ReconnectOptions{}); err == nil {
-		t.Error("DialSharded over no addresses succeeded")
+	g, _ := sphereField(8)
+	man, err := vtkio.BuildManifest(g, grid.BrickSpec{NX: 2, NY: 1, NZ: 1, Ghost: 1}, []string{"d"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := client.FetchBricksContext(t.Context(), man, "run/ts0/", "d", []float64{7}, EncAuto); err == nil {
+		t.Error("a gather over no addresses succeeded")
 	}
 }

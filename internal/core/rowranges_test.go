@@ -160,11 +160,12 @@ func TestCacheEntryCarriesRowSummary(t *testing.T) {
 		{"uncached", nil, false},
 	} {
 		_, srv := serveDataset(t, ds, tc.opts...)
-		version, err := srv.fileVersion("ts0.vnd")
+		f, err := srv.open("ts0.vnd", true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, _, err := srv.loadArray(context.Background(), arrayKey{"ts0.vnd", "d", version}, rawSelector, rawQuery{})
+		defer f.Close()
+		e, _, err := srv.loadArray(context.Background(), arrayKey{"ts0.vnd", "d", f.version}, f, rawSelector, rawQuery{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -204,44 +204,75 @@ func argFloat(args []any, i int, what string) (float64, error) {
 	return f, nil
 }
 
-// openReader opens a dataset file for selective (random-access) reads.
-// The file's parsed metadata — header, chunk index, checksum table — is
-// kept per (path, version), the version being the stat of the file just
-// opened (on s3fs that is the HEAD the open already made, so it costs no
-// request): a repeat open of an unchanged file reads nothing but the
-// array it is after. A filesystem that reports no mtime is not cached
-// over, for fileVersion's reason.
-func (s *Server) openReader(path string) (*vtkio.Reader, io.Closer, error) {
+// dataFile is one open of a dataset file: random access into it and the
+// version the open read.
+type dataFile struct {
+	fs.File
+	io.ReaderAt
+	// version is the file's mtime and size; zero when the filesystem
+	// reports no modification time, and then nothing is cached over it.
+	version stamp
+}
+
+// open opens path for random access and reads its version off the open
+// file, so a fetch that probes the version and then loads pays for one
+// stat: on an s3fs mount, one HEAD. A rewritten file (new mtime or size)
+// misses under a fresh cache key and the stale entry ages out of the
+// LRU; on s3fs the mtime is the object store's own stamp, which a PUT
+// always moves forward, so a same-size overwrite is seen there too. A
+// filesystem that reports no mtime cannot be cached over — size alone
+// would serve a same-size overwrite stale — so open refuses such a file
+// by name when cached says the caller caches what it reads, and
+// otherwise leaves its version zero.
+func (s *Server) open(path string, cached bool) (dataFile, error) {
 	f, err := s.fsys.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return dataFile{}, err
 	}
 	ra, ok := f.(io.ReaderAt)
 	if !ok {
 		f.Close()
-		return nil, nil, fmt.Errorf("core: %s does not support random access", path)
+		return dataFile{}, fmt.Errorf("core: %s does not support random access", path)
 	}
 	info, err := f.Stat()
 	if err != nil {
 		f.Close()
-		return nil, nil, err
+		return dataFile{}, err
 	}
-	versioned := !info.ModTime().IsZero()
-	key := metaKey{path, versionOf(info)}
+	df := dataFile{File: f, ReaderAt: ra}
+	switch {
+	case !info.ModTime().IsZero():
+		df.version = stamp{mtime: info.ModTime().UnixNano(), size: info.Size()}
+	case cached:
+		f.Close()
+		return dataFile{}, fmt.Errorf("core: %T reports no modification time for %s, "+
+			"so caching over it could serve a stale array "+
+			"(an s3fs mount of an objstored that predates version stamps?)", s.fsys, path)
+	}
+	return df, nil
+}
+
+// reader parses f for selective reads. The file's parsed metadata —
+// header, chunk index, checksum table — is kept per (path, version): a
+// repeat open of an unchanged file reads nothing but the array it is
+// after. A file with no version is not cached over.
+func (s *Server) reader(path string, f *dataFile) (*vtkio.Reader, error) {
+	versioned := f.version != stamp{}
+	key := metaKey{path, f.version}
 	var m *vtkio.Meta
 	if versioned {
 		m, _ = s.meta.Get(key)
 	}
 	if m == nil {
-		if m, err = vtkio.ReadMeta(ra); err != nil {
-			f.Close()
-			return nil, nil, err
+		var err error
+		if m, err = vtkio.ReadMeta(f.ReaderAt); err != nil {
+			return nil, err
 		}
 		if versioned {
 			s.meta.Put(key, m)
 		}
 	}
-	return vtkio.NewReader(ra, m), f, nil
+	return vtkio.NewReader(f.ReaderAt, m), nil
 }
 
 func (s *Server) handleDescribe(ctx context.Context, args []any) (any, error) {
@@ -252,43 +283,21 @@ func (s *Server) handleDescribe(ctx context.Context, args []any) (any, error) {
 	if err := s.quarantined(path); err != nil {
 		return nil, err
 	}
-	r, closer, err := s.openReader(path)
+	f, err := s.open(path, false)
 	if err != nil {
 		return nil, s.failCorrupt(ctx, path, err)
 	}
-	defer closer.Close()
+	defer f.Close()
+	r, err := s.reader(path, &f)
+	if err != nil {
+		return nil, s.failCorrupt(ctx, path, err)
+	}
 	h := r.Header()
 	return map[string]any{
 		"dims":    []any{int64(h.Dims[0]), int64(h.Dims[1]), int64(h.Dims[2])},
 		"origin":  []any{h.Origin[0], h.Origin[1], h.Origin[2]},
 		"spacing": []any{h.Spacing[0], h.Spacing[1], h.Spacing[2]},
 	}, nil
-}
-
-// fileVersion is the version probe: one stat of path, whatever the
-// filesystem. A rewritten file (new mtime or size) misses under a fresh
-// cache key and the stale entry ages out of the LRU. On an s3fs mount the
-// mtime is the object store's own stamp, which a PUT always moves forward,
-// so a same-size overwrite is seen there as on a local disk. A filesystem
-// that reports no mtime cannot be cached over — size alone would serve a
-// same-size overwrite stale — and is refused by name.
-func (s *Server) fileVersion(path string) (stamp, error) {
-	info, err := fs.Stat(s.fsys, path)
-	if err != nil {
-		return stamp{}, err
-	}
-	if info.ModTime().IsZero() {
-		return stamp{}, fmt.Errorf("core: %T reports no modification time for %s, "+
-			"so caching over it could serve a stale array "+
-			"(an s3fs mount of an objstored that predates version stamps?)", s.fsys, path)
-	}
-	return versionOf(info), nil
-}
-
-// versionOf is what tells one version of a file from the next: its
-// modification time and size.
-func versionOf(info fs.FileInfo) stamp {
-	return stamp{mtime: info.ModTime().UnixNano(), size: info.Size()}
 }
 
 // corruptionError reports whether err means the stored bytes lied,
@@ -343,18 +352,27 @@ func (s *Server) quarantined(path string) error {
 // the readns a client sees stays an honest account of storage work
 // actually done for it, and hits and coalesced waits stay out of the
 // read-time histogram. A request waiting on another's read waits under
-// its own ctx and records that as its wait stage.
-func (s *Server) loadArray(ctx context.Context, key arrayKey, sel *selector, q query) (*arrayEntry, time.Duration, error) {
+// its own ctx and records that as its wait stage. f is the file the
+// version probe opened, which a miss reads through; with nothing cached
+// there is no probe, f is zero, and the load opens the file itself.
+func (s *Server) loadArray(ctx context.Context, key arrayKey, f dataFile, sel *selector, q query) (*arrayEntry, time.Duration, error) {
 	ev := telemetry.EventFromContext(ctx)
 	start := time.Now()
 	entry, outcome, err := s.cache.GetOrLoad(ctx, key, func() (*arrayEntry, error) {
-		// One actual storage read: open, parse the header, read +
-		// decompress the array. The entry outlives the closed file.
-		r, closer, err := s.openReader(key.path)
+		// One actual storage read: open (unless the version probe
+		// already did), parse the header, read + decompress the array.
+		// The entry outlives the closed file.
+		if f.File == nil {
+			var err error
+			if f, err = s.open(key.path, false); err != nil {
+				return nil, err
+			}
+			defer f.Close()
+		}
+		r, err := s.reader(key.path, &f)
 		if err != nil {
 			return nil, err
 		}
-		defer closer.Close()
 		if s.cache == nil {
 			return readPlanned(ev, r, key.array, sel, q)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"net"
 
 	"vizndp/internal/bitset"
 	"vizndp/internal/grid"
@@ -27,8 +26,8 @@ var (
 )
 
 // shardFetchEvent names the client-side wide event wrapping one brick's
-// scattered fetch; its shard=/brick= attributes make per-shard latency
-// and failure slicing possible at /debug/requests.
+// scattered fetch; its brick= and path= attributes make per-brick
+// latency and failure slicing possible at /debug/requests.
 const shardFetchEvent = "shard.fetch"
 
 // ShardStats is the cost breakdown of one scatter-gathered array fetch;
@@ -47,95 +46,55 @@ type ShardStats struct {
 	PayloadBytes int64
 }
 
-// ShardedClient scatters per-brick pre-filtered fetches across replica
-// servers of one store and gathers the sparse brick payloads into one
-// payload over the parent grid, byte-identical to what a single
-// unsharded fetch of the parent grid returns. Every fetch goes through
-// one fault-tolerant client over all the replicas; brick ID mod n names
-// the brick's home, the replica its fetches go to first, so each brick
-// is cached on one replica.
-type ShardedClient struct {
-	man      *vtkio.Manifest
-	g        *grid.Uniform
-	bricks   []grid.Brick
-	client   *Client
-	replicas int
-}
-
-// DialSharded builds a sharded client over one fault-tolerant client for
-// addrs. Every replica mounts the same object store, so a brick's home
-// decides cache locality, never reachability: a dead home's bricks fail
-// over to a sibling via the circuit breakers, a brick the home returns
-// corrupt is re-read from a sibling by the same retry loop, and when
-// every replica refuses, a fetch degrades to the raw-fetch fallback. The
-// manifest is validated and its brick geometry re-derived so the merge's
-// index math is pinned to it. opts.Retryable defaults to
-// RetryableMethods.
-func DialSharded(man *vtkio.Manifest, addrs []string, dialFn func(network, addr string) (net.Conn, error), opts rpc.ReconnectOptions) (*ShardedClient, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("core: sharded dial needs at least one address")
-	}
+// FetchBricksContext scatters one array's per-brick pre-filtered
+// fetches over c and gathers them into the unsharded payload. man
+// describes the bricks; it is validated and its brick geometry
+// re-derived on each call, so the merge's index math is pinned to it.
+// prefix is the per-timestep brick directory (ending in "/"); each
+// brick's object path is prefix + its manifest key. Each brick fetch
+// names its home, brick ID, with rpc.WithHome: a client over n replica
+// addresses sends it to address ID mod n first, so each brick is cached
+// on one replica, and fails over to a sibling when the home is dead or
+// returns it corrupt (every replica mounts the same store); a client
+// over one connection ignores the home.
+//
+// The returned payload covers the parent grid and is byte-identical to
+// a single unsharded fetch of the same array in encoding enc: every
+// cell, and so every edge, is scanned whole by its owning brick with
+// its own values, so the union of the bricks' selections is the
+// parent's selection. Selections in ghost overlap are deduplicated by
+// global point index, and a value disagreement between overlapping
+// bricks — which would mean the brick objects desynchronized — fails
+// the merge rather than silently stitching mixed versions.
+func (c *Client) FetchBricksContext(ctx context.Context, man *vtkio.Manifest, prefix, array string, isovalues []float64, enc Encoding) (*Payload, *ShardStats, error) {
 	if err := man.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	bricks, err := man.GridBricks()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &ShardedClient{
-		man:      man,
-		g:        man.Grid(),
-		bricks:   bricks,
-		client:   DialFaultTolerant(addrs, dialFn, opts),
-		replicas: len(addrs),
-	}, nil
-}
-
-// Grid returns the parent grid the manifest describes.
-func (sc *ShardedClient) Grid() *grid.Uniform { return sc.g }
-
-// Close closes the replicas' connections.
-func (sc *ShardedClient) Close() error { return sc.client.Close() }
-
-// FetchArray scatters one array's per-brick pre-filtered fetches and
-// gathers them into the unsharded payload.
-func (sc *ShardedClient) FetchArray(prefix, array string, isovalues []float64, enc Encoding) (*Payload, *ShardStats, error) {
-	return sc.FetchArrayContext(context.Background(), prefix, array, isovalues, enc)
-}
-
-// FetchArrayContext is FetchArray under a caller context. prefix is the
-// per-timestep brick directory (ending in "/"); each brick's object
-// path is prefix + its manifest key. The returned payload covers the
-// parent grid and is byte-identical to a single unsharded fetch of the
-// same array in encoding enc: every cell, and so every edge, is scanned
-// whole by its owning brick with its own values, so the union of the
-// bricks' selections is the parent's selection. Selections in ghost overlap are deduplicated
-// by global point index, and a value disagreement between overlapping
-// bricks — which would mean the brick objects desynchronized — fails the
-// merge rather than silently stitching mixed versions.
-func (sc *ShardedClient) FetchArrayContext(ctx context.Context, prefix, array string, isovalues []float64, enc Encoding) (*Payload, *ShardStats, error) {
-	results := make([]MultiResult, len(sc.man.Entries))
+	g := man.Grid()
+	results := make([]MultiResult, len(man.Entries))
 	fanOut(ctx, len(results), func(i int, skipped error) {
 		if skipped != nil {
 			results[i].Err = skipped
 			return
 		}
-		e := &sc.man.Entries[i]
-		home := e.ID % sc.replicas
+		e := &man.Entries[i]
 		path := prefix + e.Key
 		mShardFetches.Inc()
 		// One wide event per scattered fetch, on top of the client's
-		// own ndp.fetch event: this one carries the routing decision
-		// (shard= the brick's home, brick=) the inner event cannot know.
+		// own ndp.fetch event: this one names the brick, which the inner
+		// event cannot know.
 		ev := telemetry.DefaultFlightRecorder().Begin(telemetry.KindClient, shardFetchEvent)
-		ev.SetAttr("shard", home)
 		ev.SetAttr("brick", e.ID)
 		ev.SetAttr("path", path)
 		ev.SetAttr("array", array)
 		if span := telemetry.SpanFromContext(ctx); span != nil {
 			ev.SetSpanIDs(span.Trace(), span.ID())
 		}
-		p, st, err := sc.client.FetchFilteredContext(rpc.WithHome(ctx, home), path, array, isovalues, enc)
+		p, st, err := c.FetchFilteredContext(rpc.WithHome(ctx, e.ID), path, array, isovalues, enc)
 		if st != nil {
 			ev.SetBytesIn(st.PayloadBytes)
 			if st.Degraded {
@@ -151,22 +110,22 @@ func (sc *ShardedClient) FetchArrayContext(ctx context.Context, prefix, array st
 	// them into the parent's values and presence. Sequential and in brick
 	// order, so dedup accounting and any disagreement error are
 	// deterministic.
-	n := sc.g.NumPoints()
+	n := g.NumPoints()
 	values := make([]float32, n)
 	seen := bitset.New(n)
 	largest := 0
-	for _, b := range sc.bricks {
+	for _, b := range bricks {
 		largest = max(largest, b.NumPoints())
 	}
 	buf := make([]float32, largest) // a brick's decoded values, read only where present
-	agg := &ShardStats{Bricks: len(sc.man.Entries)}
-	for i := range sc.man.Entries {
-		e := &sc.man.Entries[i]
+	agg := &ShardStats{Bricks: len(man.Entries)}
+	for i := range man.Entries {
+		e := &man.Entries[i]
 		r := results[i]
 		if r.Err != nil {
 			return nil, nil, fmt.Errorf("core: brick %d (%s%s): %w", e.ID, prefix, e.Key, r.Err)
 		}
-		b := sc.bricks[i]
+		b := bricks[i]
 		if r.Payload.NumPoints != b.NumPoints() {
 			return nil, nil, fmt.Errorf("core: brick %d payload has %d points, extent has %d",
 				e.ID, r.Payload.NumPoints, b.NumPoints())
@@ -176,7 +135,7 @@ func (sc *ShardedClient) FetchArrayContext(ctx context.Context, prefix, array st
 		if err := r.Payload.decodeInto(local, present.Words()); err != nil {
 			return nil, nil, fmt.Errorf("core: brick %d: %w", e.ID, err)
 		}
-		dups, err := scatterBrick(values, seen, sc.g.Dims, b, local, present)
+		dups, err := scatterBrick(values, seen, g.Dims, b, local, present)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -125,14 +125,11 @@ func TestShardedMergeBitIdentity(t *testing.T) {
 				man := writeBricks(t, dir, "run/ts0", ds, spec)
 				addrs := startShards(t, dir, 3)
 
-				sc, err := DialSharded(man, addrs, nil, rpc.ReconnectOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer sc.Close()
+				client := DialFaultTolerant(addrs, nil, rpc.ReconnectOptions{})
+				defer client.Close()
 
 				for _, enc := range []Encoding{EncIndexValue, EncBlockBitmap, EncAuto} {
-					got, st, err := sc.FetchArray("run/ts0/", "d", isos, enc)
+					got, st, err := client.FetchBricksContext(t.Context(), man, "run/ts0/", "d", isos, enc)
 					if err != nil {
 						t.Fatalf("%v: %v", enc, err)
 					}
@@ -177,11 +174,8 @@ func TestShardedDegradedBrickBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	man := writeBricks(t, dir, "run/ts0", ds, grid.BrickSpec{NX: 4, NY: 2, NZ: 1, Ghost: 1})
 	addrs := startShards(t, dir, 3)
-	sc, err := DialSharded(man, addrs, nil, rpc.ReconnectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
+	client := DialFaultTolerant(addrs, nil, rpc.ReconnectOptions{})
+	defer client.Close()
 	const broken = 1
 	paths := map[string]bool{}
 	for _, e := range man.Entries {
@@ -192,15 +186,15 @@ func TestShardedDegradedBrickBitIdentical(t *testing.T) {
 	if len(paths) < 2 {
 		t.Fatalf("%d bricks homed on the broken replica, want several", len(paths))
 	}
-	sc.client.rpc = &flakyCaller{
-		inner: sc.client.rpc,
+	client.rpc = &flakyCaller{
+		inner: client.rpc,
 		fail:  map[string]error{MethodFetch: errors.New("injected fetch failure")},
 		paths: paths,
 	}
 
 	isos := []float64{5, 9.5}
 	degraded0 := mShardDegraded.Value()
-	got, st, err := sc.FetchArray("run/ts0/", "d", isos, EncAuto)
+	got, st, err := client.FetchBricksContext(t.Context(), man, "run/ts0/", "d", isos, EncAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,14 +234,11 @@ func TestShardedGatherHomesEachBrick(t *testing.T) {
 			for i := range srvs {
 				srvs[i], addrs[i] = startServer(t, dir, WithCacheBytes(16<<20))
 			}
-			sc, err := DialSharded(man, addrs, nil, rpc.ReconnectOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sc.Close()
+			client := DialFaultTolerant(addrs, nil, rpc.ReconnectOptions{})
+			defer client.Close()
 			for range 3 {
 				for _, isos := range [][]float64{{5}, {9.5}, {3, 12}} {
-					if _, _, err := sc.FetchArray("run/ts0/", "d", isos, EncAuto); err != nil {
+					if _, _, err := client.FetchBricksContext(t.Context(), man, "run/ts0/", "d", isos, EncAuto); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -302,13 +293,10 @@ func TestShardedGatherOverOldManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := DialSharded(old, startShards(t, dir, 3), nil, rpc.ReconnectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
+	client := DialFaultTolerant(startShards(t, dir, 3), nil, rpc.ReconnectOptions{})
+	defer client.Close()
 	isos := []float64{6}
-	got, _, err := sc.FetchArray("run/ts0/", "d", isos, EncAuto)
+	got, _, err := client.FetchBricksContext(t.Context(), old, "run/ts0/", "d", isos, EncAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,18 +376,15 @@ func TestShardMergeGhostDisagreement(t *testing.T) {
 	}
 
 	addrs := startShards(t, dir, 2)
-	sc, err := DialSharded(man, addrs, nil, rpc.ReconnectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	_, _, err = sc.FetchArray("run/ts0/", "d", []float64{5, 105}, EncIndexValue)
+	client := DialFaultTolerant(addrs, nil, rpc.ReconnectOptions{})
+	defer client.Close()
+	_, _, err = client.FetchBricksContext(t.Context(), man, "run/ts0/", "d", []float64{5, 105}, EncIndexValue)
 	if err == nil {
 		t.Fatal("desynchronized brick objects merged silently")
 	}
 }
 
-// TestShardedContourMatchesBaseline is vizpipe's -shards contour path:
+// TestShardedContourMatchesBaseline is vizpipe's -manifest contour path:
 // one scatter-gather per array yields the parent grid's payload, its
 // stats and one merge, and the post-filter contours that payload to the
 // full array's mesh.
@@ -411,15 +396,12 @@ func TestShardedContourMatchesBaseline(t *testing.T) {
 	man := writeBricks(t, dir, "run/ts0", ds, grid.BrickSpec{NX: 2, NY: 2, NZ: 1, Ghost: 1})
 	addrs := startShards(t, dir, 3)
 
-	sc, err := DialSharded(man, addrs, nil, rpc.ReconnectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
+	client := DialFaultTolerant(addrs, nil, rpc.ReconnectOptions{})
+	defer client.Close()
 
 	isos := []float64{6}
 	merges0 := mShardMerges.Value()
-	p, st, err := sc.FetchArrayContext(t.Context(), "run/ts0/", "d", isos, EncAuto)
+	p, st, err := client.FetchBricksContext(t.Context(), man, "run/ts0/", "d", isos, EncAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +414,7 @@ func TestShardedContourMatchesBaseline(t *testing.T) {
 	if mShardMerges.Value() != merges0+1 {
 		t.Errorf("core.shard.merges rose by %d, want 1", mShardMerges.Value()-merges0)
 	}
-	got, err := (&PostFilter{Isovalues: isos}).Contour(sc.Grid(), "d", p)
+	got, err := (&PostFilter{Isovalues: isos}).Contour(man.Grid(), "d", p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,15 +446,12 @@ func BenchmarkShardedGather128(b *testing.B) {
 	isos := []float64{0.5}
 
 	b.Run("sharded", func(b *testing.B) {
-		sc, err := DialSharded(man, addrs, nil, rpc.ReconnectOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer sc.Close()
+		client := DialFaultTolerant(addrs, nil, rpc.ReconnectOptions{})
+		defer client.Close()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := sc.FetchArray("run/ts0/", "v02", isos, EncAuto); err != nil {
+			if _, _, err := client.FetchBricksContext(b.Context(), man, "run/ts0/", "v02", isos, EncAuto); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -86,11 +86,11 @@ func (o *oracle) brickRoot() string {
 	return fmt.Sprintf("bricks/%s/%s/%s/", o.dataset, o.codec, o.array)
 }
 
-// gathered is the sharded fetch through sc: the step's bricks scattered,
-// their payloads gathered into the unsharded one.
-func (o *oracle) gathered(sc *core.ShardedClient) fetchFunc {
+// gathered is the sharded fetch through c: the step's bricks, which man
+// describes, scattered, their payloads gathered into the unsharded one.
+func (o *oracle) gathered(c *core.Client, man *vtkio.Manifest) fetchFunc {
 	return func(id fetchID) (*core.Payload, error) {
-		p, _, err := sc.FetchArray(fmt.Sprintf("%sts%05d/", o.brickRoot(), id.step), o.array, []float64{id.iso}, core.EncAuto)
+		p, _, err := c.FetchBricksContext(context.Background(), man, fmt.Sprintf("%sts%05d/", o.brickRoot(), id.step), o.array, []float64{id.iso}, core.EncAuto)
 		if err != nil {
 			err = fmt.Errorf("harness: gather step %d iso %g: %w", id.step, id.iso, err)
 		}
@@ -209,12 +209,8 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc, err := k.dialSharded(man, pair...)
-	if err != nil {
-		return nil, err
-	}
 	ghosts := openLedger()
-	shardRun, err := truth.sweep(truth.gathered(sc), "3 shards", uniq)
+	shardRun, err := truth.sweep(truth.gathered(k.dialFT(breakerOptions(), pair...), man), "3 shards", uniq)
 	if err != nil {
 		return nil, err
 	}
@@ -325,15 +321,12 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sc, err := k.dialSharded(man, replicas[0], replicas[1], drained)
-		if err != nil {
-			return nil, err
-		}
+		gather := truth.gathered(k.dialFT(breakerOptions(), replicas[0], replicas[1], drained), man)
 		done := make(chan drainResult, 1)
 		sheds0 := led.delta("rpc.server.shed")
 		plain := truth.plain(k.dialFT(breakerOptions(), replicas[0], replicas[1], drained))
 		t, err := truth.run("chaos", burst{
-			ids: ids, via: []fetchFunc{plain, truth.gathered(sc)}, workers: workers, after: len(ids) / 3, hook: func() {
+			ids: ids, via: []fetchFunc{plain, gather}, workers: workers, after: len(ids) / 3, hook: func() {
 				admissionSheds += led.delta("rpc.server.shed") - sheds0
 				replicas[1].srv.Close()
 				go func() { done <- drain(drained) }()

@@ -119,17 +119,6 @@ func (k *kit) dialFT(opts rpc.ReconnectOptions, replicas ...*node) *core.Client 
 	return c
 }
 
-// dialSharded opens the sharded client over man's bricks: one retrying
-// client over shards, brick i homed on shards[i mod len(shards)].
-func (k *kit) dialSharded(man *vtkio.Manifest, shards ...*node) (*core.ShardedClient, error) {
-	sc, err := core.DialSharded(man, addrsOf(shards), k.dialConn, breakerOptions())
-	if err != nil {
-		return nil, err
-	}
-	k.onClose(func() { sc.Close() })
-	return sc, nil
-}
-
 // breakerOptions tunes the retrying client for overload and replica
 // death: aggressive retries with tight backoff so shed requests recover
 // quickly, and a fast breaker so a dead replica is benched immediately.

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -109,4 +110,51 @@ func TestCorruptErrorEndToEnd(t *testing.T) {
 	if got, err := c.Call("good"); err != nil || got != "ok" {
 		t.Fatalf("call after corrupt rejection = %v, %v; want ok, nil", got, err)
 	}
+}
+
+// TestMarkerBitFlipsStayRetryable: a wire flip inside a busy or corrupt
+// marker must not turn the reply into a ServerError, which ends a call's
+// retries. Every single-bit flip of either prefix, and a marker garbled
+// past its leading byte as netsim's corrupting links leave it, decodes
+// as ErrBusy or ErrCorrupt.
+func TestMarkerBitFlipsStayRetryable(t *testing.T) {
+	check := func(name string, body []byte) {
+		t.Helper()
+		_, resp, err := decodeResponse(body)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var se ServerError
+		if errors.As(resp.err, &se) || !(errors.Is(resp.err, ErrBusy) || errors.Is(resp.err, ErrCorrupt)) {
+			t.Errorf("%s: decoded %T %q, want ErrBusy or ErrCorrupt", name, resp.err, resp.err)
+		}
+	}
+	for _, tc := range []struct {
+		prefix string
+		herr   error
+	}{
+		{busyWirePrefix, fmt.Errorf("%w: 2 in flight, 2 queued", ErrBusy)},
+		{corruptWirePrefix, fmt.Errorf("%w: ts0/brick0001.vnd page 3", ErrCorrupt)},
+	} {
+		body, err := encodeResponse(11, tc.herr, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := bytes.Index(body, []byte(tc.prefix))
+		if at < 0 {
+			t.Fatalf("%q not on the wire", tc.prefix)
+		}
+		for i := range len(tc.prefix) {
+			for bit := range 8 {
+				flipped := bytes.Clone(body)
+				flipped[at+i] ^= 1 << bit
+				check(fmt.Sprintf("%q byte %d bit %d", tc.prefix, i, bit), flipped)
+			}
+		}
+	}
+	body, err := encodeResponse(12, ServerError("\x01b/)#[(*9`z)?(,?(zbusy: 2 in flight, 2 queued"), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("garbled busy marker", body)
 }

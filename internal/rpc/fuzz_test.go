@@ -63,6 +63,14 @@ func FuzzDecodeResponse(f *testing.F) {
 	if resp, err := encodeResponse(5, ServerError("mid\x01busy\x01dle"), nil, nil); err == nil {
 		f.Add(resp)
 	}
+	// Markers damaged in flight: garbled past the leading byte, and with
+	// the leading byte alone hit.
+	if resp, err := encodeResponse(6, ServerError("\x01b/)#[(*9`z)?(,?(zbusy: 2 in flight, 2 queued"), nil, nil); err == nil {
+		f.Add(resp)
+	}
+	if resp, err := encodeResponse(8, ServerError("\x41corrupt\x01page 3"), nil, nil); err == nil {
+		f.Add(resp)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0x94, 0x01, 0xc0, 0xc0})
 

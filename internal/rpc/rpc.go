@@ -166,6 +166,24 @@ func (e corruptError) Error() string { return string(e) }
 // Is makes decoded corruption rejections match the ErrCorrupt sentinel.
 func (e corruptError) Is(target error) bool { return target == ErrCorrupt }
 
+// markerDamaged reports whether an error string that is neither marker
+// intact began as one: it opens with the markers' control byte, which
+// handler text never does, or with the rest of a marker whose leading
+// byte alone was hit. Such a string is in-flight damage, so it decodes
+// as ErrCorrupt — retryable for idempotent methods — rather than as a
+// ServerError verdict that would end a busy shed's retries.
+func markerDamaged(msg string) bool {
+	if strings.HasPrefix(msg, "\x01") {
+		return true
+	}
+	for _, p := range []string{busyWirePrefix, corruptWirePrefix} {
+		if len(msg) >= len(p) && msg[1:len(p)] == p[1:] {
+			return true
+		}
+	}
+	return false
+}
+
 // ServerError is an error string returned by the remote side.
 type ServerError string
 
@@ -949,6 +967,8 @@ func decodeResponse(body []byte) (int64, response, error) {
 			resp.err = busyError(rest)
 		} else if rest, ok := strings.CutPrefix(msg, corruptWirePrefix); ok {
 			resp.err = corruptError(rest)
+		} else if markerDamaged(msg) {
+			resp.err = corruptError(fmt.Sprintf("rpc: error marker damaged in flight: %q", msg))
 		} else {
 			resp.err = ServerError(msg)
 		}
