@@ -43,7 +43,6 @@ func main() {
 		out     = flag.String("out", "", "output directory (local files)")
 		store   = flag.String("store", "", "object store address (host:port) instead of -out")
 		bucket  = flag.String("bucket", "sim", "object store bucket")
-		cksum   = flag.Bool("checksum", true, "embed per-page CRC32C checksums in every written object; readers verify on decode and the ndpserver scrubber audits them")
 		bricks  = flag.String("bricks", "", `also write per-brick objects + manifest, bricked "NxMxK" (e.g. 3x1x1)`)
 		ghost   = flag.Int("ghost", 1, "ghost cell layers per brick (with -bricks)")
 	)
@@ -77,7 +76,7 @@ func main() {
 	}
 
 	write := func(key string, ds *grid.Dataset, kind compress.Kind) error {
-		opts := vtkio.WriteOptions{Codec: kind, Checksum: *cksum}
+		opts := vtkio.WriteOptions{Codec: kind, Checksum: true}
 		if *store != "" {
 			var buf bytes.Buffer
 			if err := vtkio.Write(&buf, ds, opts); err != nil {

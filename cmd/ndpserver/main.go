@@ -44,7 +44,6 @@ func main() {
 		bucket   = flag.String("bucket", "sim", "object store bucket")
 		cacheB   = flag.Int64("cache-bytes", 0, "decoded-array cache budget in bytes (0 = off)")
 		payloadB = flag.Int64("payload-cache-bytes", 0, "encoded-payload cache budget in bytes; identical fetches share one read and scan, concurrent or repeated (0 = off)")
-		shard    = flag.String("shard", "", "shard name stamped onto this server's request events (sharded deployments)")
 		scrubInt = flag.Duration("scrub-interval", 0, "verify stored brick checksums in the background this often, quarantining corrupt objects (0 = off; requires -scrub-manifest)")
 		scrubMan = flag.String("scrub-manifest", "", "comma-separated brick manifest paths for the background scrubber; status at /scrub")
 		maxInFl  = flag.Int("max-inflight", 0, "max concurrently executing requests (0 = unbounded)")
@@ -91,9 +90,6 @@ func main() {
 
 	srvOpts := []core.ServerOption{core.WithCacheBytes(*cacheB),
 		core.WithMaxInFlight(*maxInFl), core.WithQueue(*queue)}
-	if *shard != "" {
-		srvOpts = append(srvOpts, core.WithShardName(*shard))
-	}
 	if *payloadB > 0 {
 		srvOpts = append(srvOpts, core.WithPayloadCacheBytes(*payloadB))
 	}
@@ -141,9 +137,6 @@ func main() {
 		fmt.Printf("telemetry on http://%s/metrics\n", tbound)
 	}
 	fmt.Printf("NDP pre-filter service on %s", bound)
-	if *shard != "" {
-		fmt.Printf(" (shard %s)", *shard)
-	}
 	if *gbps > 0 {
 		fmt.Printf(" (shaped to %g Gb/s)", *gbps)
 	}

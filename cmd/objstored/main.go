@@ -15,7 +15,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"time"
+	"syscall"
 
 	"vizndp/internal/netsim"
 	"vizndp/internal/objstore"
@@ -70,7 +70,7 @@ func main() {
 	}
 	// Before the banner: whoever reads it may interrupt us straight away.
 	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	fmt.Printf("serving %s on %s", *root, bound)
 	if *gbps > 0 {
 		fmt.Printf(" (shaped to %g Gb/s)", *gbps)
@@ -80,7 +80,6 @@ func main() {
 	<-sig
 	fmt.Println("shutting down")
 	shutdown()
-	time.Sleep(50 * time.Millisecond)
 }
 
 // setLogLevel applies a -log-level flag value to the telemetry loggers.

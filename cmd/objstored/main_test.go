@@ -6,7 +6,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -30,6 +32,19 @@ func build(t *testing.T) string {
 // an empty directory on an ephemeral port, round-trip one object through
 // the client, and check that an interrupt shuts it down cleanly.
 func TestServePutGetAndInterrupt(t *testing.T) {
+	serveAndStop(t, os.Interrupt)
+}
+
+// TestServePutGetAndTerminate is the smoke test stopped the way kill and
+// a container stop do it: SIGTERM must run the same clean shutdown.
+func TestServePutGetAndTerminate(t *testing.T) {
+	serveAndStop(t, syscall.SIGTERM)
+}
+
+// serveAndStop starts the binary, round-trips one object, sends sig and
+// expects the "shutting down" line and a zero exit status.
+func serveAndStop(t *testing.T, sig os.Signal) {
+	t.Helper()
 	cmd := exec.Command(build(t), "-addr", "127.0.0.1:0", "-root", t.TempDir())
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -52,9 +67,11 @@ func TestServePutGetAndInterrupt(t *testing.T) {
 	// status.
 	addrs := make(chan string, 1)
 	exited := make(chan error, 1)
+	var said []string
 	go func() {
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
+			said = append(said, sc.Text())
 			if f := strings.Fields(sc.Text()); len(f) > 2 && f[0] == "serving" {
 				addrs <- f[len(f)-1]
 			}
@@ -79,16 +96,19 @@ func TestServePutGetAndInterrupt(t *testing.T) {
 		t.Errorf("Get = %q, %v; want %q", got, err, want)
 	}
 
-	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+	if err := cmd.Process.Signal(sig); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case err := <-exited:
 		if err != nil {
-			t.Errorf("objstored did not exit cleanly on interrupt: %v", err)
+			t.Errorf("objstored did not exit cleanly on %v: %v", sig, err)
+		}
+		if !slices.Contains(said, "shutting down") {
+			t.Errorf("objstored exited on %v without shutting down; stdout:\n%s", sig, strings.Join(said, "\n"))
 		}
 	case <-time.After(10 * time.Second):
-		t.Error("objstored still running 10s after interrupt")
+		t.Errorf("objstored still running 10s after %v", sig)
 	}
 }
 

@@ -421,3 +421,64 @@ func TestSweepReportsEachPair(t *testing.T) {
 		t.Errorf("point lines for %q, want one each for %q:\n%s", pairs, want, out)
 	}
 }
+
+// TestVerboseReportsTraceAndDeltas runs one ndp contour with -v against
+// an in-process server: the report must show the run's trace, the
+// client's fetch over the server's remote span and its read and
+// prefilter stages, and the metric deltas the run caused.
+func TestVerboseReportsTraceAndDeltas(t *testing.T) {
+	dir := t.TempDir()
+	writeAsteroidStep(t, dir, "ts.vnd", compress.LZ4)
+	out, err := captureStdout(t, func() error {
+		return run([]string{"-mode", "ndp", "-ndp", serve(t, dir), "-path", "ts.vnd",
+			"-arrays", "v02", "-iso", "0.5", "-v"})
+	})
+	if err != nil {
+		t.Fatalf("vizpipe -v: %v\n%s", err, out)
+	}
+	_, trace, ok := strings.Cut(out, "\ntrace for run 1:\n")
+	if !ok {
+		t.Fatalf("no \"trace for run 1:\" in:\n%s", out)
+	}
+	trace, deltas, ok := strings.Cut(trace, "\nmetric deltas:\n")
+	if !ok {
+		t.Fatalf("no \"metric deltas:\" block after the trace in:\n%s", out)
+	}
+
+	// The tree: each span a line, children indented below their parent.
+	type span struct {
+		depth int
+		text  string
+	}
+	var spans []span
+	for _, l := range strings.Split(strings.TrimSpace(trace), "\n") {
+		body := strings.TrimLeft(l, " ")
+		spans = append(spans, span{len(l) - len(body), body})
+	}
+	call := slices.IndexFunc(spans, func(s span) bool { return strings.HasPrefix(s.text, "call ndp.fetch ") })
+	if call < 0 || call+1 == len(spans) {
+		t.Fatalf("no call ndp.fetch span with a child in the trace:\n%s", trace)
+	}
+	serve := spans[call+1]
+	if !strings.HasPrefix(serve.text, "serve ndp.fetch ") || !strings.HasSuffix(serve.text, "[remote]") ||
+		serve.depth <= spans[call].depth {
+		t.Fatalf("call ndp.fetch's child is %q, want serve ndp.fetch ... [remote] below it:\n%s", serve.text, trace)
+	}
+	children := map[string]bool{}
+	for _, s := range spans[call+2:] {
+		if s.depth <= serve.depth {
+			break
+		}
+		children[strings.Fields(s.text)[0]] = true
+	}
+	for _, stage := range []string{"read", "prefilter"} {
+		if !children[stage] {
+			t.Errorf("serve ndp.fetch has no %s child:\n%s", stage, trace)
+		}
+	}
+
+	calls := regexp.MustCompile(`(?m)^  rpc\.client\.calls \+([0-9]+)$`).FindStringSubmatch(deltas)
+	if calls == nil || calls[1] == "0" {
+		t.Errorf("metric deltas lack rpc.client.calls +N:\n%s", deltas)
+	}
+}

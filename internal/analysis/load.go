@@ -84,9 +84,6 @@ func NewLoader(dir string) (*Loader, error) {
 	return l, nil
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // findModule walks up from dir to the enclosing go.mod and reads its
 // module path.
 func findModule(dir string) (root, modPath string, err error) {

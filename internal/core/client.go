@@ -116,11 +116,6 @@ func DialFaultTolerant(addrs []string, dialFn func(network, addr string) (net.Co
 	}
 }
 
-// NewClient wraps an established connection.
-func NewClient(conn net.Conn) *Client {
-	return &Client{rpc: rpc.NewClient(conn)}
-}
-
 // Close tears the connection down.
 func (c *Client) Close() error { return c.rpc.Close() }
 

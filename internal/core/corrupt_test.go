@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"vizndp/internal/compress"
 	"vizndp/internal/grid"
@@ -373,6 +374,75 @@ func TestQuarantinedPathRejectedAtFetch(t *testing.T) {
 	good := "integrity/" + filepath.Base(brickPaths[1])
 	if _, _, err := c.FetchFiltered(good, "d", []float64{5}, EncIndexValue); err != nil {
 		t.Fatalf("clean sibling fetch: %v", err)
+	}
+}
+
+// TestScrubberBackgroundLoop drives the loop ndpserver -scrub-interval
+// starts: a brick damaged after the server came up is quarantined by a
+// later pass, with no RunOnce call, and from then on its fetches fail
+// rpc.ErrCorrupt while a clean sibling still serves. Stop returns, and
+// Start(0) starts nothing.
+func TestScrubberBackgroundLoop(t *testing.T) {
+	dir := t.TempDir()
+	_, brickPaths := scrubDataset(t, dir)
+	flipByteInArray(t, brickPaths[0], "d")
+	sc := NewScrubber(os.DirFS(dir), "integrity/manifest.json")
+	_, addr := startServer(t, dir, WithScrubber(sc))
+
+	bad := "integrity/" + filepath.Base(brickPaths[0])
+	quarantined0 := mScrubQuarantined.Value()
+	sc.Start(5 * time.Millisecond)
+	deadline := time.After(30 * time.Second)
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for mScrubQuarantined.Value() == quarantined0 {
+		select {
+		case <-deadline:
+			sc.Stop()
+			t.Fatalf("core.scrub.quarantined still %d after 30s of a 5ms loop", quarantined0)
+		case <-tick.C:
+		}
+	}
+	if sc.Quarantined(bad) == "" {
+		t.Errorf("the loop quarantined something, but not %s: %v", bad, sc.Status().Quarantined)
+	}
+
+	c, err := Dial(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, _, err := c.FetchFiltered(bad, "d", []float64{5}, EncIndexValue); !errors.Is(err, rpc.ErrCorrupt) {
+		t.Errorf("fetch of the brick the loop quarantined: err = %v, want ErrCorrupt", err)
+	}
+	good := "integrity/" + filepath.Base(brickPaths[1])
+	if _, _, err := c.FetchFiltered(good, "d", []float64{5}, EncIndexValue); err != nil {
+		t.Errorf("clean sibling fetch: %v", err)
+	}
+
+	stopped := make(chan struct{})
+	go func() {
+		sc.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Stop did not return")
+	}
+	passes := sc.Status().Passes
+	if passes == 0 {
+		t.Error("the loop ran no pass")
+	}
+
+	idle := NewScrubber(os.DirFS(dir), "integrity/manifest.json")
+	idle.Start(0)
+	if idle.stop != nil {
+		t.Error("Start(0) started a loop")
+	}
+	idle.Stop() // no loop: returns at once
+	if got := sc.Status().Passes; got != passes {
+		t.Errorf("%d passes after Stop returned, want the %d before", got, passes)
 	}
 }
 

@@ -273,24 +273,27 @@ func (sc *Scrubber) Start(interval time.Duration) {
 	if interval <= 0 || sc.stop != nil {
 		return
 	}
-	sc.stop = make(chan struct{})
-	sc.done = make(chan struct{})
+	// The loop and each pass's canceller hold the channels themselves:
+	// Stop clears the fields once the loop is done, while a canceller
+	// may still be starting.
+	stop, done := make(chan struct{}), make(chan struct{})
+	sc.stop, sc.done = stop, done
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	go func() {
-		defer close(sc.done)
+		defer close(done)
 		for {
 			jitter := time.Duration(float64(interval) * 0.1 * (2*rng.Float64() - 1))
 			select {
-			case <-sc.stop:
+			case <-stop:
 				return
 			case <-time.After(interval + jitter):
 			}
 			// Each pass is a root: the periodic loop has no caller, and Stop
-			// cancels the pass through sc.stop below.
+			// cancels the pass through stop below.
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() {
 				select {
-				case <-sc.stop:
+				case <-stop:
 					cancel()
 				case <-ctx.Done():
 				}

@@ -98,8 +98,9 @@ func WithPayloadCacheBytes(maxBytes int64) ServerOption {
 }
 
 // WithShardName stamps every fetch's server-side wide event with a
-// shard= attribute, so a sharded deployment's per-node events can be
-// sliced apart at /debug/requests. Empty (the default) stamps nothing.
+// shard= attribute, so servers sharing one process's flight recorder can
+// be told apart (harness chaos finds its drained replica's fetches by
+// it). Empty (the default) stamps nothing.
 func WithShardName(name string) ServerOption {
 	return func(s *Server) { s.shardName = name }
 }

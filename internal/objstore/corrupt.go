@@ -58,8 +58,8 @@ type CorruptStats struct {
 }
 
 // CorruptFS wraps an fs.FS, injecting deterministic data corruption
-// into every Nth sufficiently large ReadAt. It passes ReadDir and Stat
-// through so directory-walking callers behave as on the inner FS.
+// into every Nth sufficiently large ReadAt. It passes ReadDir through so
+// the scrubber lists step directories as on the inner FS.
 type CorruptFS struct {
 	inner fs.FS
 	opts  CorruptOptions
@@ -104,11 +104,6 @@ func (c *CorruptFS) Open(name string) (fs.File, error) {
 // ReadDir lists a directory on the inner FS.
 func (c *CorruptFS) ReadDir(name string) ([]fs.DirEntry, error) {
 	return fs.ReadDir(c.inner, name)
-}
-
-// Stat describes a file on the inner FS.
-func (c *CorruptFS) Stat(name string) (fs.FileInfo, error) {
-	return fs.Stat(c.inner, name)
 }
 
 // corruptFile passes the fs.File interface through and intercepts only

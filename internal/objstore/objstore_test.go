@@ -422,18 +422,6 @@ func TestShapedTransferCountsBytes(t *testing.T) {
 	}
 }
 
-func TestParseRange(t *testing.T) {
-	off, n, err := parseRange("bytes=10-19", 100)
-	if err != nil || off != 10 || n != 10 {
-		t.Errorf("parseRange = %d,%d,%v", off, n, err)
-	}
-	for _, bad := range []string{"10-19", "bytes=a-b", "bytes=20-10", "bytes=0-100"} {
-		if _, _, err := parseRange(bad, 100); err == nil {
-			t.Errorf("parseRange(%q) accepted", bad)
-		}
-	}
-}
-
 func TestMethodNotAllowed(t *testing.T) {
 	_, s := startStore(t)
 	req := httptest.NewRequest(http.MethodPost, "/b/k", nil)

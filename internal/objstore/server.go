@@ -2,8 +2,8 @@
 // MinIO server in the paper's testbed. The server exposes buckets and
 // objects over HTTP — PUT/GET/HEAD/DELETE plus ranged GETs and bucket
 // listings — backed by a local directory (the storage node's "local
-// SSD"). The client provides typed access and an io.ReaderAt adapter
-// that the s3fs layer builds on.
+// SSD"). The client provides typed access, and its one ranged read
+// (Client.ReadRange) is what the s3fs layer's ReaderAt builds on.
 //
 // Only the behaviours the experiments rely on are implemented: whole- and
 // range-reads served from disk, content lengths, a per-object version
@@ -380,28 +380,4 @@ func (s *Server) ListenAndServe(addr string, wrap func(net.Listener) net.Listene
 	srv := &http.Server{Handler: s}
 	go srv.Serve(ln)
 	return bound, srv.Close, nil
-}
-
-// parseRange parses a single "bytes=a-b" header (helper for tests).
-func parseRange(h string, size int64) (off, n int64, err error) {
-	const pre = "bytes="
-	if !strings.HasPrefix(h, pre) {
-		return 0, 0, fmt.Errorf("objstore: bad range %q", h)
-	}
-	lo, hi, ok := strings.Cut(h[len(pre):], "-")
-	if !ok {
-		return 0, 0, fmt.Errorf("objstore: bad range %q", h)
-	}
-	off, err = strconv.ParseInt(lo, 10, 64)
-	if err != nil {
-		return 0, 0, err
-	}
-	end, err := strconv.ParseInt(hi, 10, 64)
-	if err != nil {
-		return 0, 0, err
-	}
-	if off < 0 || end < off || end >= size {
-		return 0, 0, fmt.Errorf("objstore: range %q outside object of %d bytes", h, size)
-	}
-	return off, end - off + 1, nil
 }

@@ -5,9 +5,11 @@ import (
 	"io"
 	"io/fs"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"vizndp/internal/compress"
@@ -30,7 +32,7 @@ func startFS(t *testing.T) (*FS, *objstore.Client) {
 
 func TestReadWholeFile(t *testing.T) {
 	fsys, c := startFS(t)
-	data := make([]byte, 3_000_000) // > 2 read-ahead windows
+	data := make([]byte, 3_000_000)
 	rand.New(rand.NewSource(1)).Read(data)
 	if err := c.Put("sim", "big.bin", data); err != nil {
 		t.Fatal(err)
@@ -46,27 +48,6 @@ func TestReadWholeFile(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Error("sequential read mismatch")
-	}
-}
-
-func TestSmallChunkReads(t *testing.T) {
-	fsys, c := startFS(t)
-	fsys.ChunkSize = 64
-	data := make([]byte, 1000)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	if err := c.Put("sim", "f", data); err != nil {
-		t.Fatal(err)
-	}
-	f, err := fsys.Open("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	got, err := io.ReadAll(f)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Errorf("chunked read failed: %v", err)
 	}
 }
 
@@ -118,7 +99,7 @@ func TestOpenInvalidPath(t *testing.T) {
 	}
 }
 
-func TestSeekAndReadAt(t *testing.T) {
+func TestReadAt(t *testing.T) {
 	fsys, c := startFS(t)
 	data := make([]byte, 10_000)
 	rand.New(rand.NewSource(3)).Read(data)
@@ -132,30 +113,7 @@ func TestSeekAndReadAt(t *testing.T) {
 	defer file.Close()
 	f := file.(*File)
 
-	if pos, err := f.Seek(5000, io.SeekStart); err != nil || pos != 5000 {
-		t.Fatalf("Seek = %d, %v", pos, err)
-	}
 	buf := make([]byte, 100)
-	if _, err := io.ReadFull(f, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, data[5000:5100]) {
-		t.Error("read after seek mismatch")
-	}
-
-	if pos, err := f.Seek(-100, io.SeekEnd); err != nil || pos != 9900 {
-		t.Fatalf("SeekEnd = %d, %v", pos, err)
-	}
-	if pos, err := f.Seek(10, io.SeekCurrent); err != nil || pos != 9910 {
-		t.Fatalf("SeekCurrent = %d, %v", pos, err)
-	}
-	if _, err := f.Seek(-1, io.SeekStart); err == nil {
-		t.Error("negative seek accepted")
-	}
-	if _, err := f.Seek(0, 99); err == nil {
-		t.Error("bad whence accepted")
-	}
-
 	if _, err := f.ReadAt(buf, 2000); err != nil {
 		t.Fatal(err)
 	}
@@ -273,9 +231,6 @@ func TestFileInfoAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if f.(*File).Size() != 3 {
-		t.Error("Size wrong")
-	}
 	fi, err := f.Stat()
 	if err != nil {
 		t.Fatal(err)
@@ -303,28 +258,8 @@ func TestFileInfoAccessors(t *testing.T) {
 	}
 }
 
-func TestStatFS(t *testing.T) {
-	fsys, c := startFS(t)
-	if err := c.Put("sim", "dir/obj.bin", make([]byte, 1234)); err != nil {
-		t.Fatal(err)
-	}
-	info, err := fs.Stat(fsys, "dir/obj.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Size() != 1234 || info.Name() != "obj.bin" || info.IsDir() {
-		t.Errorf("stat = %v/%d/%v", info.Name(), info.Size(), info.IsDir())
-	}
-	if _, err := fs.Stat(fsys, "missing"); err == nil {
-		t.Error("stat of missing object succeeded")
-	}
-	if _, err := fsys.Stat("../bad"); err == nil {
-		t.Error("stat of invalid path succeeded")
-	}
-}
-
 // TestVersionModTime: the store's stamp for an object is its ModTime
-// whichever way s3fs is asked — FS.Stat, File.Stat, a directory entry —
+// whichever way s3fs is asked — fs.Stat, File.Stat, a directory entry —
 // and two back-to-back same-size PUTs move it strictly forward, which is
 // what lets the NDP server's caches key on (ModTime, Size) alone.
 func TestVersionModTime(t *testing.T) {
@@ -361,7 +296,7 @@ func TestVersionModTime(t *testing.T) {
 		}
 		viaStat, viaFile, viaDir := modTimes()
 		if viaStat == 0 || viaFile != viaStat || viaDir != viaStat {
-			t.Fatalf("PUT %d: ModTime is %d by FS.Stat, %d by File.Stat, %d by ReadDir", i, viaStat, viaFile, viaDir)
+			t.Fatalf("PUT %d: ModTime is %d by fs.Stat, %d by File.Stat, %d by ReadDir", i, viaStat, viaFile, viaDir)
 		}
 		if viaStat <= last {
 			t.Fatalf("PUT %d: ModTime %d is not after the %d it replaced", i, viaStat, last)
@@ -404,5 +339,49 @@ func TestReadAtAllocatesNoCopy(t *testing.T) {
 	}
 	if least >= 64<<10 {
 		t.Errorf("an 8 MiB ReadAt allocated %d bytes beyond the caller's buffer, want < 64 KiB", least)
+	}
+}
+
+// TestReadFileOneGet pins what a whole-file read costs the store: one
+// HEAD for the open and one ranged GET for the bytes, however large the
+// object. A sequential Read is a ReadAt at the cursor, and fs.ReadFile
+// asks for the whole size at once. Requests are counted as they arrive:
+// the store's own objstore.requests.* counters tick after the response
+// has gone out, so they can lag a read that has just returned.
+func TestReadFileOneGet(t *testing.T) {
+	backing, err := objstore.NewServer(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var heads, gets atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.Method {
+		case http.MethodHead:
+			heads.Add(1)
+		case http.MethodGet:
+			gets.Add(1)
+		}
+		backing.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	c := objstore.NewClient(ts.Listener.Addr().String(), nil)
+	fsys := New(c, "sim")
+	for _, size := range []int{3 << 10, 3 << 20} {
+		data := make([]byte, size)
+		rand.New(rand.NewSource(int64(size))).Read(data)
+		if err := c.Put("sim", "obj", data); err != nil {
+			t.Fatal(err)
+		}
+		head0, get0 := heads.Load(), gets.Load()
+		got, err := fs.ReadFile(fsys, "obj")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("%d-byte ReadFile returned other bytes", size)
+		}
+		if h, g := heads.Load()-head0, gets.Load()-get0; h != 1 || g != 1 {
+			t.Errorf("fs.ReadFile of %d bytes cost %d HEAD + %d GET, want 1 + 1", size, h, g)
+		}
 	}
 }

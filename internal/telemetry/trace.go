@@ -72,14 +72,6 @@ func (s *Span) SetAttr(key string, value any) {
 	s.mu.Unlock()
 }
 
-// Data returns a copy of the span's state; after End it carries the
-// final duration.
-func (s *Span) Data() SpanData {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.data
-}
-
 // End finishes the span, recording it in the tracer's ring buffer.
 // Safe to call on a nil span; later calls are no-ops.
 func (s *Span) End() {
