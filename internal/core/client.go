@@ -2,14 +2,17 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
 
 	"vizndp/internal/contour"
 	"vizndp/internal/grid"
+	"vizndp/internal/lz4"
 	"vizndp/internal/rpc"
 	"vizndp/internal/telemetry"
 	"vizndp/internal/vtkio"
@@ -23,13 +26,14 @@ var mClientFallbacks = telemetry.Default().Counter("core.client.fallbacks")
 // server's recorded payload CRC and the received bytes disagree.
 var mClientWireCorrupt = telemetry.Default().Counter("core.client.corrupt.wire")
 
-// verifyWireCRC checks received bytes against the "crc" field a new
-// server records in its response maps. Responses from older servers
+// verifyWireCRC checks received bytes — data, then the table of a stored
+// raw reply (nil in any other) — against the "crc" field a new server
+// records in its response maps (replyCRC). Responses from older servers
 // carry no field and pass unverified (nil). A mismatch wraps
 // rpc.ErrCorrupt so callers route it to data-level recovery, and so does
 // a field that is not an integer: a server writes only integers there,
 // so the reply was damaged in flight.
-func verifyWireCRC(m map[string]any, what string, data []byte) error {
+func verifyWireCRC(m map[string]any, what string, data, table []byte) error {
 	var want uint32
 	switch v := m["crc"].(type) {
 	case nil:
@@ -42,7 +46,7 @@ func verifyWireCRC(m map[string]any, what string, data []byte) error {
 		mClientWireCorrupt.Inc()
 		return fmt.Errorf("%w: %s crc is %T", rpc.ErrCorrupt, what, v)
 	}
-	if got := vtkio.Checksum(data); got != want {
+	if got := replyCRC(data, table); got != want {
 		mClientWireCorrupt.Inc()
 		return fmt.Errorf("%w: %s bytes arrived with crc %08x, server recorded %08x",
 			rpc.ErrCorrupt, what, got, want)
@@ -164,9 +168,10 @@ type FetchStats struct {
 	// SelectedPoints is the number of transferred mesh points.
 	SelectedPoints int
 	// Degraded marks a fetch served by the fallback path: the remote
-	// pre-filter was unreachable, so the whole raw array crossed the
-	// network and the pre-filter ran locally. PayloadBytes then reports
-	// the raw transfer, keeping the cost accounting honest.
+	// pre-filter was unreachable, so the whole array crossed the network
+	// (as its stored LZ4 chunks when the server forwards them, see
+	// fetchRaw) and the pre-filter ran locally. PayloadBytes then reports
+	// that transfer, keeping the cost accounting honest.
 	Degraded bool
 }
 
@@ -246,8 +251,8 @@ func (c *Client) fetchPayload(ctx context.Context, method, path, array string, l
 	return payload, st, err
 }
 
-// fetchDegraded is the graceful-degradation path: pull the whole raw
-// array and run the pre-filter locally. The produced payload is
+// fetchDegraded is the graceful-degradation path: pull the whole array
+// (fetchRaw) and run the pre-filter locally. The produced payload is
 // bit-identical to what the storage-side pre-filter would have sent —
 // both sides run the same filter over the same decoded float32 values —
 // so downstream stages cannot tell the difference; only the transfer
@@ -425,7 +430,14 @@ func decodeReply(res any, dataKey string, total time.Duration) ([]byte, map[stri
 	if !ok {
 		return nil, nil, nil, fmt.Errorf("core: fetch %s is %T", dataKey, m[dataKey])
 	}
-	if err := verifyWireCRC(m, dataKey, data); err != nil {
+	// Only a stored raw reply's crc covers a chunk table.
+	var table []byte
+	if dataKey == storedKey {
+		if table, ok = m[chunksKey].([]byte); !ok {
+			return nil, nil, nil, fmt.Errorf("%w: fetch %s is %T", rpc.ErrCorrupt, chunksKey, m[chunksKey])
+		}
+	}
+	if err := verifyWireCRC(m, dataKey, data, table); err != nil {
 		return nil, nil, nil, err
 	}
 	// A count or duration below zero can only come from a damaged or
@@ -490,8 +502,10 @@ func (c *Client) FetchManifestContext(ctx context.Context, path string) (*vtkio.
 	return vtkio.DecodeManifest(data)
 }
 
-// FetchRaw pulls a whole array, bypassing the pre-filter. It is what the
-// baseline would transfer and exists for measurement and debugging.
+// FetchRaw pulls a whole array, bypassing the pre-filter, and returns
+// its bytes as stored uncompressed. It exists for measurement and
+// debugging and is the degraded fallback's transfer; it moves the
+// array's stored LZ4 chunks when the server offers them (fetchRaw).
 func (c *Client) FetchRaw(path, array string) ([]byte, time.Duration, error) {
 	return c.FetchRawContext(context.Background(), path, array)
 }
@@ -505,14 +519,77 @@ func (c *Client) FetchRawContext(ctx context.Context, path, array string) ([]byt
 	return data, stats.ReadTime, nil
 }
 
+// fetchRaw asks for the array's stored chunks (storedKey), which a
+// server answers with when they are fewer bytes than the array, and
+// returns the array's bytes either way: decodeRaw decodes what came.
 func (c *Client) fetchRaw(ctx context.Context, path, array string) ([]byte, *FetchStats, error) {
 	start := time.Now()
-	res, err := c.rpc.CallContext(ctx, MethodFetchRaw, path, array)
+	res, err := c.rpc.CallContext(ctx, MethodFetchRaw, path, array, storedKey)
 	if err != nil {
 		return nil, nil, err
 	}
-	data, _, stats, err := decodeReply(res, "data", time.Since(start))
-	return data, stats, err
+	return decodeRaw(res, time.Since(start))
+}
+
+// decodeRaw decodes a raw fetch's reply into the array's bytes. A plain
+// reply carries them under "data". A stored reply carries the array's
+// LZ4 extent and its chunk table, verified together against the crc,
+// and decodes here on vtkio's decode workers (vtkio.DecodeLZ4); a table
+// or a chunk that does not decode is rpc.ErrCorrupt, as a damaged plain
+// reply is. PayloadBytes is what crossed the wire either way.
+func decodeRaw(res any, total time.Duration) ([]byte, *FetchStats, error) {
+	if m, _ := res.(map[string]any); m == nil || m[storedKey] == nil {
+		data, _, stats, err := decodeReply(res, "data", total)
+		return data, stats, err
+	}
+	extent, m, stats, err := decodeReply(res, storedKey, total)
+	if err != nil {
+		return nil, nil, err
+	}
+	table := m[chunksKey].([]byte) // decodeReply checked it
+	chunks, raw, err := unpackChunks(table, len(extent))
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %w", rpc.ErrCorrupt, err)
+	}
+	vals := make([]float32, raw/4)
+	if err := vtkio.DecodeLZ4(vals, extent, chunks); err != nil {
+		return nil, nil, fmt.Errorf("%w: stored reply: %w", rpc.ErrCorrupt, err)
+	}
+	stats.PayloadBytes += int64(len(table))
+	return vtkio.FloatsAsBytes(vals), stats, nil
+}
+
+// unpackChunks reads a stored reply's chunk table (packChunks) for an
+// extent of the given length and returns it with the array's raw byte
+// size. A table that does not parse, does not cover the extent exactly,
+// promises a chunk more than lz4.MaxExpansion times its stored size, or
+// adds up to no whole number of float32 is refused before anything the
+// size of the array is allocated.
+func unpackChunks(table []byte, extent int) ([]vtkio.ChunkInfo, int, error) {
+	var chunks []vtkio.ChunkInfo
+	comp, raw := 0, 0
+	next := func() (int, bool) {
+		v, n := binary.Uvarint(table)
+		if n <= 0 || v > math.MaxInt32 {
+			return 0, false
+		}
+		table = table[n:]
+		return int(v), true
+	}
+	for len(table) > 0 {
+		c, ok1 := next()
+		r, ok2 := next()
+		if !ok1 || !ok2 || c > extent-comp || r > lz4.MaxExpansion*c {
+			return nil, 0, fmt.Errorf("core: stored reply's chunk table is malformed at chunk %d", len(chunks))
+		}
+		chunks = append(chunks, vtkio.ChunkInfo{Comp: c, Raw: r})
+		comp += c
+		raw += r
+	}
+	if comp != extent || raw%4 != 0 {
+		return nil, 0, fmt.Errorf("core: stored reply's chunk table covers %d of %d bytes and %d raw bytes", comp, extent, raw)
+	}
+	return chunks, raw, nil
 }
 
 // gridFromMap reads the dims/origin/spacing keys a describe and a slice

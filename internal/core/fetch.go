@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"hash/crc32"
 	"time"
 
 	"vizndp/internal/contour"
@@ -37,14 +38,17 @@ type fetchResult struct {
 	points   int           // full array length
 	selected int           // points shipped
 	grid     *grid.Uniform // slice only: the extracted plane's 2D grid
-	crc      uint32        // CRC32C of data, sent so clients can verify the wire
+	// table is a stored raw reply's packed chunk table (packChunks); nil
+	// in every other result.
+	table []byte
+	crc   uint32 // CRC32C of data then table, sent so clients can verify the wire
 	// filterTime is what the select + encode that produced the result
 	// took: what the request that ran it and the requests that waited on
 	// its flight report as filterns. A later cache hit reports zero.
 	filterTime time.Duration
 }
 
-func (r *fetchResult) size() int64 { return int64(len(r.data)) }
+func (r *fetchResult) size() int64 { return int64(len(r.data) + len(r.table)) }
 
 // selector is everything that distinguishes one fetch method from
 // another: its argument parsing, its scan or extraction over a loaded
@@ -68,11 +72,13 @@ type selector struct {
 // serveFetch is the one storage-side partial pipeline. Stages, in order,
 // each run once per request: parse; stamp shard/path/array on the wide
 // event; cancellation check; quarantine; file-version probe (skipped when
-// nothing is cached); payload-cache lookup-or-flight, whose load is the
-// array load, one select + encode and the reply checksum; respond. Each
-// timed stage — probe, wait, read, prefilter, crc — is measured once, by
-// the request's stage record (telemetry.ActiveEvent.Stage), and the
-// histograms and the reply's readns / filterns are that measurement.
+// nothing is cached and the query does not ask for stored bytes);
+// payload-cache lookup-or-flight, whose load is the stored-extent read
+// (loadStored) or the array load and one select + encode
+// (loadAndSelect), then the reply checksum; respond. Each timed stage —
+// probe, wait, read, prefilter, crc — is measured once, by the request's
+// stage record (telemetry.ActiveEvent.Stage), and the histograms and the
+// reply's readns / filterns are that measurement.
 func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (any, error) {
 	path, err := argString(args, 0, "path")
 	if err != nil {
@@ -107,10 +113,15 @@ func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (any
 	// The version probe is the load's open: a miss reads through the file
 	// it opened, so the fetch stats its file once.
 	key := payloadKey{method: sel.method, path: path, array: array}
+	cached := s.cache != nil || s.payloads != nil
+	// A query for stored bytes reads the header before it knows which
+	// load serves it, so its file is opened here too, and whichever load
+	// it takes reads through it.
+	stored := q == query(rawQuery{stored: true})
 	var f dataFile
-	if s.cache != nil || s.payloads != nil {
+	if cached || stored {
 		start := time.Now()
-		f, err = s.open(path, true)
+		f, err = s.open(path, cached)
 		ev.Stage("probe", start)
 		if err != nil {
 			return nil, err
@@ -131,34 +142,20 @@ func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (any
 	var readTime time.Duration
 	start := time.Now()
 	res, outcome, err := s.payloads.GetOrLoad(ctx, key, func() (*fetchResult, error) {
-		entry, rt, err := s.loadArray(ctx, arrayKey{path, array, key.version}, f, sel, q)
+		akey := arrayKey{path, array, key.version}
+		var res *fetchResult
+		var err error
+		if stored {
+			res, readTime, err = s.loadStored(ctx, akey, &f)
+		}
+		if res == nil && err == nil {
+			res, readTime, err = s.loadAndSelect(ctx, akey, f, sel, q)
+		}
 		if err != nil {
 			return nil, err
-		}
-		readTime = rt
-		// With a payload cache the flight finishes whatever became of its
-		// caller — others may be waiting on it, and the result is kept.
-		// With none nobody can be, so a caller that gave up during the load
-		// is not scanned for.
-		if s.payloads == nil {
-			if err := ctx.Err(); err != nil {
-				entry.release()
-				return nil, err
-			}
 		}
 		start := time.Now()
-		res, err := sel.run(entry, q)
-		entry.release()
-		if err != nil {
-			return nil, err
-		}
-		// Only scans that ran feed the filter-time histogram, once each;
-		// cache hits would drag it toward zero.
-		res.filterTime = ev.Stage("prefilter", start)
-		mFetchFiltSecs.Observe(res.filterTime.Seconds())
-		mScanPasses.Add(int64(q.passes()))
-		start = time.Now()
-		res.crc = vtkio.Checksum(res.data)
+		res.crc = replyCRC(res.data, res.table)
 		ev.Stage("crc", start)
 		return res, nil
 	})
@@ -179,7 +176,7 @@ func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (any
 		filterTime = res.filterTime
 	}
 	ev.SetAttr("selected", res.selected)
-	ev.SetAttr("payloadBytes", len(res.data))
+	ev.SetAttr("payloadBytes", len(res.data)+len(res.table))
 
 	resp := map[string]any{
 		sel.dataKey: res.data,
@@ -193,6 +190,46 @@ func (s *Server) serveFetch(ctx context.Context, args []any, sel *selector) (any
 	sel.respond(resp, res)
 	return resp, nil
 }
+
+// loadAndSelect loads the array q is over and runs sel's select and
+// encode on it, once: the load and prefilter stages of a flight.
+func (s *Server) loadAndSelect(ctx context.Context, key arrayKey, f dataFile, sel *selector, q query) (*fetchResult, time.Duration, error) {
+	ev := telemetry.EventFromContext(ctx)
+	entry, readTime, err := s.loadArray(ctx, key, f, sel, q)
+	if err != nil {
+		return nil, 0, err
+	}
+	// With a payload cache the flight finishes whatever became of its
+	// caller — others may be waiting on it, and the result is kept.
+	// With none nobody can be, so a caller that gave up during the load
+	// is not scanned for.
+	if s.payloads == nil {
+		if err := ctx.Err(); err != nil {
+			entry.release()
+			return nil, 0, err
+		}
+	}
+	start := time.Now()
+	res, err := sel.run(entry, q)
+	entry.release()
+	if err != nil {
+		return nil, 0, err
+	}
+	// Only scans that ran feed the filter-time histogram, once each;
+	// cache hits would drag it toward zero.
+	res.filterTime = ev.Stage("prefilter", start)
+	mFetchFiltSecs.Observe(res.filterTime.Seconds())
+	mScanPasses.Add(int64(q.passes()))
+	return res, readTime, nil
+}
+
+// replyCRC is the CRC32C a reply's crc key carries: over its data and
+// then, in a stored raw reply, its chunk table.
+func replyCRC(data, table []byte) uint32 {
+	return crc32.Update(vtkio.Checksum(data), castagnoli, table)
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // selectionResult wraps what PreFilter.Run or RangePreFilter.Run
 // returned: the server's selections are those calls, handed a cached
@@ -371,15 +408,44 @@ var sliceSelector = &selector{
 
 // rawQuery ships a whole array uncut — used for debugging, for the
 // client's degraded fallback, and for measuring what the transfer would
-// have cost without the pre-filter.
-type rawQuery struct{}
+// have cost without the pre-filter. A query with stored set (the third
+// ndp.fetchraw argument storedKey) takes the array's stored LZ4 chunks
+// when loadStored can forward them, and the decoded array otherwise.
+// The two replies differ, so stored is part of the id.
+type rawQuery struct{ stored bool }
 
-func (rawQuery) id() string  { return "" }
+func (q rawQuery) id() string {
+	if q.stored {
+		return storedKey
+	}
+	return ""
+}
 func (rawQuery) passes() int { return 0 }
+
+// storedKey is the third ndp.fetchraw argument that asks for the stored
+// chunks, and the key of the reply that carries them; chunksKey is that
+// reply's packed chunk table. Servers that predate it ignore the
+// argument and answer with the decoded array under "data".
+const (
+	storedKey = "stored"
+	chunksKey = "chunks"
+)
 
 var rawSelector = &selector{
 	method: MethodFetchRaw, dataKey: "data",
-	parse: func([]any) (query, error) { return rawQuery{}, nil },
+	parse: func(args []any) (query, error) {
+		if len(args) <= 2 {
+			return rawQuery{}, nil
+		}
+		key, err := argString(args, 2, "raw form")
+		if err != nil {
+			return nil, err
+		}
+		if key != storedKey {
+			return nil, fmt.Errorf("core: raw form %q, want %q", key, storedKey)
+		}
+		return rawQuery{stored: true}, nil
+	},
 	// Re-serializing the decoded float32 values is a bit-exact inverse of
 	// decoding, so the bytes are identical to the stored array's. A cached
 	// entry is immutable, so its own memory is the reply; an uncached
@@ -393,9 +459,16 @@ var rawSelector = &selector{
 		return &fetchResult{data: serialize(e.field.Values), points: e.field.Len(), selected: e.field.Len()}, nil
 	},
 	// ndp.fetchraw's reply has always been {data, readns, crc}; there is no
-	// filter to report on, so keep its key set exact.
-	respond: func(resp map[string]any, _ *fetchResult) {
+	// filter to report on, so keep its key set exact. A stored reply is
+	// {stored, chunks, readns, crc}: the extent moves to its own key, so
+	// no client reads compressed bytes as the array.
+	respond: func(resp map[string]any, r *fetchResult) {
 		delete(resp, "filterns")
 		delete(resp, "rawbytes")
+		if r.table != nil {
+			resp[storedKey] = resp["data"]
+			resp[chunksKey] = r.table
+			delete(resp, "data")
+		}
 	},
 }

@@ -319,7 +319,10 @@ func prefilteredContoursAsDense(t *testing.T, data []byte, post *PostFilter) {
 // FuzzDecodeReply drives arbitrary msgpack through the client's one
 // reply decoder under every data key: it must never panic, never report
 // a negative cost, and hand back exactly the bytes the reply carried.
-// Seeded with the real replies of all four fetch kinds.
+// The raw fetch's decoder (decodeRaw) must never panic either, and hand
+// back a plain reply's data as it came and a stored reply's array at the
+// length its chunk table adds up to. Seeded with the real replies of all
+// four fetch kinds, the raw fetch's stored reply among them.
 func FuzzDecodeReply(f *testing.F) {
 	g, field := sphereField(8)
 	ds := grid.NewDataset(g)
@@ -349,10 +352,37 @@ func FuzzDecodeReply(f *testing.F) {
 		}
 		f.Add(seed)
 	}
+	lz4Dir, _ := writeLZ4Run(f, 12, compress.LZ4)
+	lz4Srv := NewServer(os.DirFS(lz4Dir))
+	defer lz4Srv.Close()
+	reply, err := lz4Srv.serveFetch(context.Background(), []any{"run/ts0.vnd", "d", storedKey}, rawSelector)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, ok := reply.(map[string]any)[storedKey]; !ok {
+		f.Fatal("the LZ4 run got no stored reply")
+	}
+	seed, err := msgpack.Marshal(reply)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		res, err := msgpack.Unmarshal(wire)
 		if err != nil {
 			return
+		}
+		if data, st, err := decodeRaw(res, time.Millisecond); err == nil {
+			m := res.(map[string]any)
+			var want int
+			if ext, stored := m[storedKey].([]byte); stored {
+				_, want, _ = unpackChunks(m[chunksKey].([]byte), len(ext))
+			} else {
+				want = len(m["data"].([]byte))
+			}
+			if len(data) != want || st.PayloadBytes < 0 {
+				t.Fatalf("raw reply decoded to %d bytes, want %d (payload %d)", len(data), want, st.PayloadBytes)
+			}
 		}
 		for _, key := range replyDataKeys {
 			data, m, st, err := decodeReply(res, key, time.Millisecond)

@@ -15,6 +15,7 @@ import (
 	"vizndp/internal/grid"
 	"vizndp/internal/objstore"
 	"vizndp/internal/s3fs"
+	"vizndp/internal/telemetry"
 	"vizndp/internal/vtkio"
 )
 
@@ -168,10 +169,12 @@ func TestMetadataCacheNotPoisoned(t *testing.T) {
 
 	cfs := corrupting(seed)
 	client := serveFS(t, cfs)
+	injected := telemetry.Default().Counter("objstore.corrupt.injected")
+	injected0 := injected.Value()
 	if _, _, err := client.FetchRaw(rel, f.Name); err == nil {
 		t.Fatal("fetch through a lying header succeeded")
 	}
-	if got := cfs.Stats().Injected; got != 1 {
+	if got := injected.Value() - injected0; got != 1 {
 		t.Fatalf("%d faults injected, want exactly the one in the header", got)
 	}
 	raw, _, err := client.FetchRaw(rel, f.Name)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"vizndp/internal/compress"
 	"vizndp/internal/contour"
 	"vizndp/internal/grid"
 	"vizndp/internal/lru"
@@ -213,6 +215,9 @@ type dataFile struct {
 	// version is the file's mtime and size; zero when the filesystem
 	// reports no modification time, and then nothing is cached over it.
 	version stamp
+	// r is the file parsed for selective reads, once a load has asked
+	// for it (Server.reader); a later load of the same fetch reuses it.
+	r *vtkio.Reader
 }
 
 // open opens path for random access and reads its version off the open
@@ -253,11 +258,14 @@ func (s *Server) open(path string, cached bool) (dataFile, error) {
 	return df, nil
 }
 
-// reader parses f for selective reads. The file's parsed metadata —
-// header, chunk index, checksum table — is kept per (path, version): a
-// repeat open of an unchanged file reads nothing but the array it is
-// after. A file with no version is not cached over.
+// reader parses f for selective reads, once per open. The file's parsed
+// metadata — header, chunk index, checksum table — is kept per (path,
+// version): a repeat open of an unchanged file reads nothing but the
+// array it is after. A file with no version is not cached over.
 func (s *Server) reader(path string, f *dataFile) (*vtkio.Reader, error) {
+	if f.r != nil {
+		return f.r, nil
+	}
 	versioned := f.version != stamp{}
 	key := metaKey{path, f.version}
 	var m *vtkio.Meta
@@ -273,7 +281,8 @@ func (s *Server) reader(path string, f *dataFile) (*vtkio.Reader, error) {
 			s.meta.Put(key, m)
 		}
 	}
-	return vtkio.NewReader(f.ReaderAt, m), nil
+	f.r = vtkio.NewReader(f.ReaderAt, m)
+	return f.r, nil
 }
 
 func (s *Server) handleDescribe(ctx context.Context, args []any) (any, error) {
@@ -406,6 +415,51 @@ func (s *Server) loadArray(ctx context.Context, key arrayKey, f dataFile, sel *s
 		return nil, 0, s.failCorrupt(ctx, key.path, err)
 	}
 	return entry, readTime, nil
+}
+
+// loadStored is the load of a raw query that asked for stored bytes: it
+// answers with the array's stored LZ4 extent and its chunk table, for
+// the client to decode, when the header says that moves fewer bytes than
+// the array and can be trusted as far as the decoded array can — the
+// array is LZ4-coded, its file carries page checksums, and it stores
+// fewer bytes than it holds. It decides from the header alone, before
+// any read of the array, and returns a nil result when the array does
+// not qualify (or is missing), so the plain load answers as it always
+// has, from the reader left in f. What it forwards is what vtkio.Reader.ReadStored returns: bytes a
+// decode would have accepted; any failure there is corruption, handled
+// as loadArray handles a failed decode. The server decodes nothing, so
+// the array cache is neither read nor filled.
+func (s *Server) loadStored(ctx context.Context, key arrayKey, f *dataFile) (*fetchResult, time.Duration, error) {
+	ev := telemetry.EventFromContext(ctx)
+	start := time.Now()
+	r, err := s.reader(key.path, f)
+	if err != nil {
+		return nil, 0, s.failCorrupt(ctx, key.path, err)
+	}
+	info := r.Header().Array(key.array)
+	if info == nil || info.Codec != compress.LZ4.String() || r.Header().Checksums == nil ||
+		info.CompressedSize() >= info.RawSize() {
+		return nil, 0, nil
+	}
+	extent, err := r.ReadStored(key.array)
+	if err != nil {
+		return nil, 0, s.failCorrupt(ctx, key.path, err)
+	}
+	readTime := ev.Stage("read", start)
+	mFetchReadSecs.Observe(readTime.Seconds())
+	points := int(info.RawSize() / 4)
+	return &fetchResult{data: extent, table: packChunks(info.Chunks), points: points, selected: points}, readTime, nil
+}
+
+// packChunks packs a chunk table for a stored raw reply: each chunk's
+// stored and raw sizes as two uvarints, in order.
+func packChunks(chunks []vtkio.ChunkInfo) []byte {
+	b := make([]byte, 0, 2*binary.MaxVarintLen32*len(chunks))
+	for _, c := range chunks {
+		b = binary.AppendUvarint(b, uint64(c.Comp))
+		b = binary.AppendUvarint(b, uint64(c.Raw))
+	}
+	return b
 }
 
 // readPlanned is an uncached load: it reads the chunks of the array that

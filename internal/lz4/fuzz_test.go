@@ -190,3 +190,33 @@ func FuzzDecompress(f *testing.F) {
 		}
 	})
 }
+
+// FuzzValidate holds Validate to DecompressInto: for any block and any
+// destination size, Validate accepts exactly when DecompressInto into
+// that many bytes does, and an accepted block never expands past
+// MaxExpansion times its length.
+func FuzzValidate(f *testing.F) {
+	for _, in := range fuzzSeedInputs() {
+		f.Add(Compress(in), uint16(len(in)))
+	}
+	f.Add([]byte{0x00}, uint16(0))
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{0x10, 'a', 0x05, 0x00}, uint16(8))
+	f.Add([]byte{0x1F, 'a', 0x01, 0x00, 0xFF, 0xFF, 0x00, 0x00}, uint16(9))
+	f.Add([]byte{0x1F, 'a', 0x01, 0x00, 0xFF, 0xFF, 0x00, 0x00, 0x00}, uint16(530))
+
+	f.Fuzz(func(t *testing.T, block []byte, size uint16) {
+		n := int(size)
+		verr := Validate(block, n)
+		derr := DecompressInto(make([]byte, n), block)
+		if (verr == nil) != (derr == nil) {
+			t.Fatalf("%d-byte block into %d bytes: Validate says %v, DecompressInto %v", len(block), n, verr, derr)
+		}
+		if verr != nil && verr.Error() != derr.Error() {
+			t.Fatalf("Validate reports %q, DecompressInto %q", verr, derr)
+		}
+		if verr == nil && n > MaxExpansion*len(block) {
+			t.Fatalf("%d-byte block decoded to %d bytes, past MaxExpansion", len(block), n)
+		}
+	})
+}

@@ -217,6 +217,83 @@ func DecompressInto(dst, src []byte) error {
 	}
 }
 
+// MaxExpansion bounds how far a valid block expands: no block decodes to
+// more than MaxExpansion times its own length, since an input byte adds
+// at most 255 output bytes (a length-extension byte of 255). A reader can
+// size a destination from an untrusted raw size once it holds within
+// this bound.
+const MaxExpansion = 255
+
+// Validate reports whether DecompressInto would accept src for a
+// destination of n bytes, without writing anything: it walks the block's
+// sequences and applies exactly DecompressInto's length and offset
+// checks, returning the same ErrCorrupt-wrapping error for the first one
+// that fails.
+func Validate(src []byte, n int) error {
+	if n < 0 {
+		return fmt.Errorf("%w: negative size", ErrCorrupt)
+	}
+	if n == 0 {
+		if len(src) != 0 {
+			return fmt.Errorf("%w: trailing data in empty block", ErrCorrupt)
+		}
+		return nil
+	}
+	i, o := 0, 0 // read position in src, output position
+	for {
+		if i >= len(src) {
+			return fmt.Errorf("%w: truncated at token", ErrCorrupt)
+		}
+		token := src[i]
+		i++
+		litLen := int(token >> 4)
+		if litLen == 15 {
+			ext, ni, err := readLenExt(src, i)
+			if err != nil {
+				return err
+			}
+			litLen += ext
+			i = ni
+		}
+		if litLen > len(src)-i {
+			return fmt.Errorf("%w: literal run overruns input", ErrCorrupt)
+		}
+		if litLen > n-o {
+			return fmt.Errorf("%w: output overflow in literals", ErrCorrupt)
+		}
+		o += litLen
+		i += litLen
+		if i == len(src) {
+			if o != n {
+				return fmt.Errorf("%w: decoded %d bytes, want %d", ErrCorrupt, o, n)
+			}
+			return nil
+		}
+		if i+2 > len(src) {
+			return fmt.Errorf("%w: truncated offset", ErrCorrupt)
+		}
+		offset := int(src[i]) | int(src[i+1])<<8
+		i += 2
+		if offset == 0 || offset > o {
+			return fmt.Errorf("%w: bad offset %d at output %d", ErrCorrupt, offset, o)
+		}
+		matchLen := int(token & 0x0F)
+		if matchLen == 15 {
+			ext, ni, err := readLenExt(src, i)
+			if err != nil {
+				return err
+			}
+			matchLen += ext
+			i = ni
+		}
+		matchLen += minMatch
+		if matchLen > n-o {
+			return fmt.Errorf("%w: output overflow in match", ErrCorrupt)
+		}
+		o += matchLen
+	}
+}
+
 func readLenExt(src []byte, i int) (n, next int, err error) {
 	for {
 		if i >= len(src) {

@@ -20,6 +20,9 @@ import (
 	"vizndp/internal/telemetry"
 )
 
+// The injector's counts, process-wide over every CorruptFS: eligible
+// reads, injections, and injections by class. A test that wants one
+// wrapper's counts reads their change across its reads.
 var (
 	mCorruptReads       = telemetry.Default().Counter("objstore.corrupt.reads")
 	mCorruptInjected    = telemetry.Default().Counter("objstore.corrupt.injected")
@@ -48,15 +51,6 @@ type CorruptOptions struct {
 	MinReadSize int
 }
 
-// CorruptStats is a point-in-time snapshot of injection activity.
-type CorruptStats struct {
-	Reads       int64 // eligible ReadAt calls observed
-	Injected    int64 // calls that had a fault injected
-	Bitflips    int64
-	ZeroPages   int64
-	Truncations int64
-}
-
 // CorruptFS wraps an fs.FS, injecting deterministic data corruption
 // into every Nth sufficiently large ReadAt. It passes ReadDir through so
 // the scrubber lists step directories as on the inner FS.
@@ -64,8 +58,6 @@ type CorruptFS struct {
 	inner fs.FS
 	opts  CorruptOptions
 	ord   atomic.Uint64 // eligible-read ordinal, shared across files
-
-	reads, injected, bitflips, zeroPages, truncations atomic.Int64
 }
 
 // NewCorruptFS wraps inner with the given injection policy.
@@ -74,17 +66,6 @@ func NewCorruptFS(inner fs.FS, opts CorruptOptions) *CorruptFS {
 		opts.MinReadSize = 4096
 	}
 	return &CorruptFS{inner: inner, opts: opts}
-}
-
-// Stats snapshots the injection counters.
-func (c *CorruptFS) Stats() CorruptStats {
-	return CorruptStats{
-		Reads:       c.reads.Load(),
-		Injected:    c.injected.Load(),
-		Bitflips:    c.bitflips.Load(),
-		ZeroPages:   c.zeroPages.Load(),
-		Truncations: c.truncations.Load(),
-	}
 }
 
 // Open opens the named file on the inner FS, wrapping it so ReadAt
@@ -138,20 +119,17 @@ func (f *corruptFile) ReadAt(p []byte, off int64) (int, error) {
 		return n, err
 	}
 	ord := f.fs.ord.Add(1) // 1-based eligible-read ordinal
-	f.fs.reads.Add(1)
 	mCorruptReads.Inc()
 	if (ord-1)%uint64(every) != 0 {
 		return n, err
 	}
 	inj := (ord - 1) / uint64(every) // 0-based injection ordinal
 	r := splitmix64(f.fs.opts.Seed ^ splitmix64(ord))
-	f.fs.injected.Add(1)
 	mCorruptInjected.Inc()
 	switch inj % 3 {
 	case 0: // flip one bit somewhere in the returned bytes
 		pos := int(r % uint64(n))
 		p[pos] ^= 1 << ((r >> 32) % 8)
-		f.fs.bitflips.Add(1)
 		mCorruptBitflips.Inc()
 	case 1: // clear a page-aligned span, as a lost write would
 		start := 0
@@ -164,7 +142,6 @@ func (f *corruptFile) ReadAt(p []byte, off int64) (int, error) {
 			end = n
 		}
 		clear(p[start:end])
-		f.fs.zeroPages.Add(1)
 		mCorruptZeroPages.Inc()
 	default: // cut the read short, as a truncated object would
 		// Keep at least one byte so callers that treat n==0 specially
@@ -178,7 +155,6 @@ func (f *corruptFile) ReadAt(p []byte, off int64) (int, error) {
 		}
 		n = short
 		err = io.ErrUnexpectedEOF
-		f.fs.truncations.Add(1)
 		mCorruptTruncations.Inc()
 	}
 	return n, err

@@ -82,13 +82,32 @@ func TestCorruptFSSeedChangesInjection(t *testing.T) {
 	}
 }
 
+// corruptCounts is a snapshot of the process-wide objstore.corrupt.*
+// counters. The injector's tests run one at a time, so what one wrapper
+// did is the change between two snapshots taken around its reads.
+type corruptCounts struct {
+	Reads, Injected, Bitflips, ZeroPages, Truncations int64
+}
+
+func snapCorrupt() corruptCounts {
+	return corruptCounts{mCorruptReads.Value(), mCorruptInjected.Value(),
+		mCorruptBitflips.Value(), mCorruptZeroPages.Value(), mCorruptTruncations.Value()}
+}
+
+// since is what the counters did after b was taken.
+func (a corruptCounts) since(b corruptCounts) corruptCounts {
+	return corruptCounts{a.Reads - b.Reads, a.Injected - b.Injected,
+		a.Bitflips - b.Bitflips, a.ZeroPages - b.ZeroPages, a.Truncations - b.Truncations}
+}
+
 func TestCorruptFSEveryNth(t *testing.T) {
 	cfs := NewCorruptFS(corruptTestFS(64<<10), CorruptOptions{Seed: 7, Every: 3})
+	before := snapCorrupt()
 	for i := 0; i < 12; i++ {
 		p := make([]byte, 8192)
 		readAt(t, cfs, "bucket/ts0/brick0000.vnd", p, 0)
 	}
-	st := cfs.Stats()
+	st := snapCorrupt().since(before)
 	if st.Reads != 12 {
 		t.Fatalf("eligible reads = %d, want 12", st.Reads)
 	}
@@ -102,11 +121,12 @@ func TestCorruptFSEveryNth(t *testing.T) {
 
 func TestCorruptFSAllClassesFire(t *testing.T) {
 	cfs := NewCorruptFS(corruptTestFS(64<<10), CorruptOptions{Seed: 9, Every: 1})
+	before := snapCorrupt()
 	for i := 0; i < 9; i++ {
 		p := make([]byte, 8192)
 		readAt(t, cfs, "bucket/ts0/brick0000.vnd", p, 0)
 	}
-	st := cfs.Stats()
+	st := snapCorrupt().since(before)
 	if st.Bitflips == 0 || st.ZeroPages == 0 || st.Truncations == 0 {
 		t.Fatalf("class rotation incomplete: %+v", st)
 	}
@@ -136,6 +156,7 @@ func TestCorruptFSMinReadSizeExemptsFramingReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := snapCorrupt()
 	for i := 0; i < 20; i++ {
 		p := make([]byte, 512)
 		off := int64(i) * 512
@@ -147,7 +168,7 @@ func TestCorruptFSMinReadSizeExemptsFramingReads(t *testing.T) {
 			t.Fatalf("small read %d was corrupted", i)
 		}
 	}
-	if st := cfs.Stats(); st.Reads != 0 || st.Injected != 0 {
+	if st := snapCorrupt().since(before); st.Reads != 0 || st.Injected != 0 {
 		t.Fatalf("small reads counted as eligible: %+v", st)
 	}
 }

@@ -515,3 +515,70 @@ func sameFloatBits(a, b []float32) bool {
 	}
 	return true
 }
+
+// TestReadStoredDecodesToTheArray: an LZ4 array's stored extent, cut by
+// its header's chunk table and decoded by DecodeLZ4, is the array
+// ReadArray returns, bit for bit. ReadStored refuses a non-LZ4 array and
+// a page that fails its CRC; DecodeLZ4 refuses a table that does not
+// cover the extent or the destination exactly, and a chunk that does
+// not decode, each as ErrCorrupt.
+func TestReadStoredDecodesToTheArray(t *testing.T) {
+	ds := makeDataset(16, 16, 16)
+	var buf bytes.Buffer
+	if err := Write(&buf, ds, WriteOptions{Codec: compress.LZ4, ChunkSize: 1 << 10, Checksum: true, ChecksumPageSize: 512}); err != nil {
+		t.Fatal(err)
+	}
+	file := buf.Bytes()
+	r, err := OpenReader(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := r.Header().Array("v02")
+	ext, err := r.ReadStored("v02")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ext, file[info.Offset:info.Offset+info.CompressedSize()]) {
+		t.Fatal("ReadStored is not the array's stored extent")
+	}
+	want, err := r.ReadArray("v02")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float32, len(want.Values))
+	if err := DecodeLZ4(got, ext, info.Chunks); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(FloatsToBytes(got), FloatsToBytes(want.Values)) {
+		t.Fatal("DecodeLZ4 of the stored extent differs from ReadArray")
+	}
+
+	short := append([]ChunkInfo{}, info.Chunks...)
+	short[0].Comp--
+	bad := append([]byte{}, ext...)
+	clear(bad[:3]) // no literals, then a zero match offset
+	for name, err := range map[string]error{
+		"table short of the extent": DecodeLZ4(got, ext, short),
+		"destination too long":      DecodeLZ4(make([]float32, len(got)+1), ext, info.Chunks),
+		"destination too short":     DecodeLZ4(got[:len(got)-1], ext, info.Chunks),
+		"damaged chunk":             DecodeLZ4(got, bad, info.Chunks),
+	} {
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+
+	damaged := append([]byte{}, file...)
+	damaged[info.Offset+info.CompressedSize()/2] ^= 0x01
+	rd, err := OpenReader(bytes.NewReader(damaged))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rd.ReadStored("v02"); !errors.Is(err, ErrChecksum) {
+		t.Errorf("damaged page: err = %v, want ErrChecksum", err)
+	}
+	raw := roundTripDataset(t, ds, WriteOptions{Codec: compress.None, Checksum: true})
+	if _, err := raw.ReadStored("v02"); err == nil {
+		t.Error("ReadStored of a raw array succeeded")
+	}
+}

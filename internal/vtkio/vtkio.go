@@ -31,6 +31,7 @@ import (
 
 	"vizndp/internal/compress"
 	"vizndp/internal/grid"
+	"vizndp/internal/lz4"
 )
 
 // Magic identifies the file format.
@@ -655,6 +656,75 @@ func (r *Reader) readArray(idx int, dst []byte, want []bool) error {
 		// onto bytes whose pages verify, and only the decode can tell.
 		if err := jobs[i].err; err != nil {
 			return fmt.Errorf("%w: array %q: %w", ErrCorrupt, info.Name, err)
+		}
+	}
+	return nil
+}
+
+// ReadStored returns the named LZ4 array's stored extent, its chunks as
+// they lie in the file, in a new buffer the caller owns: what a reader
+// that decodes elsewhere needs besides the header's chunk table. It
+// hands out only bytes readArray would have decoded: the header's raw
+// sizes must add up to the grid's points, every page of the extent must
+// pass its CRC (when the file carries them; readSpan), and every chunk's
+// LZ4 sequences must fit its raw size (lz4.Validate). Any of those
+// failing is ErrCorrupt.
+func (r *Reader) ReadStored(name string) ([]byte, error) {
+	idx, err := r.arrayIndex(name)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := r.arrayLen(idx); err != nil {
+		return nil, err
+	}
+	info := &r.meta.header.Arrays[idx]
+	if info.Codec != compress.LZ4.String() {
+		return nil, fmt.Errorf("vtkio: array %q is stored %s, not lz4", name, info.Codec)
+	}
+	ext := make([]byte, info.CompressedSize())
+	if err := r.readSpan(idx, 0, ext); err != nil {
+		return nil, err
+	}
+	off := 0
+	for i, c := range info.Chunks {
+		if err := lz4.Validate(ext[off:off+c.Comp], c.Raw); err != nil {
+			return nil, fmt.Errorf("%w: array %q chunk %d: %w", ErrCorrupt, name, i, err)
+		}
+		off += c.Comp
+	}
+	return ext, nil
+}
+
+// DecodeLZ4 decodes an LZ4 array's stored extent, cut into chunks as
+// the chunk table says, into dst, on readArray's decode workers
+// (decodeAll). The table must cover the extent exactly and dst hold
+// exactly the chunks' raw bytes; a table that does not, or a chunk that
+// does not decode, is ErrCorrupt, and dst's contents are then
+// unspecified.
+func DecodeLZ4(dst []float32, extent []byte, chunks []ChunkInfo) error {
+	out := floatBytes(dst)
+	jobs := make([]decodeJob, 0, len(chunks))
+	var coff, roff int
+	for _, c := range chunks {
+		if c.Comp < 0 || c.Raw < 0 || c.Comp > len(extent)-coff || c.Raw > len(out)-roff {
+			return fmt.Errorf("%w: chunk table overruns %d stored or %d raw bytes", ErrCorrupt, len(extent), len(out))
+		}
+		jobs = append(jobs, decodeJob{comp: extent[coff : coff+c.Comp], out: out[roff : roff+c.Raw]})
+		coff += c.Comp
+		roff += c.Raw
+	}
+	if coff != len(extent) || roff != len(out) {
+		return fmt.Errorf("%w: chunk table covers %d of %d stored and %d of %d raw bytes",
+			ErrCorrupt, coff, len(extent), roff, len(out))
+	}
+	codec, err := compress.ByKind(compress.LZ4)
+	if err != nil {
+		return err
+	}
+	decodeAll(codec, jobs)
+	for i := range jobs {
+		if err := jobs[i].err; err != nil {
+			return fmt.Errorf("%w: chunk %d: %w", ErrCorrupt, i, err)
 		}
 	}
 	return nil
