@@ -2,6 +2,7 @@ package lz4
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"strings"
 	"testing"
@@ -84,6 +85,52 @@ func referenceDecode(src []byte) (out []byte, ok, big bool) {
 			out = append(out, out[len(out)-offset])
 		}
 	}
+}
+
+// referenceCompress is the compressor as it was before its forward match
+// extension went a word at a time, kept verbatim: AppendCompressed must
+// emit exactly its blocks, since every stored LZ4 object in the testbed
+// is one of them.
+func referenceCompress(dst, src []byte) []byte {
+	if len(src) == 0 {
+		return dst
+	}
+	var table [1 << hashLog]int32 // position+1 of most recent 4-byte hash
+
+	anchor := 0
+	pos := 0
+	// Matches may only start while at least mfLimit bytes remain.
+	matchableEnd := len(src) - mfLimit
+	// Matches may extend up to the last-literals boundary.
+	extendEnd := len(src) - lastLiterals
+
+	for pos < matchableEnd {
+		cur := binary.LittleEndian.Uint32(src[pos:])
+		h := hash4(cur)
+		cand := int(table[h]) - 1
+		table[h] = int32(pos + 1)
+		if cand < 0 || pos-cand > maxOffset ||
+			binary.LittleEndian.Uint32(src[cand:]) != cur {
+			pos++
+			continue
+		}
+		// Extend the match forward.
+		matchLen := minMatch
+		for pos+matchLen < extendEnd && src[cand+matchLen] == src[pos+matchLen] {
+			matchLen++
+		}
+		// Extend backward into pending literals.
+		for pos > anchor && cand > 0 && src[pos-1] == src[cand-1] {
+			pos--
+			cand--
+			matchLen++
+		}
+		dst = appendSequence(dst, src[anchor:pos], pos-cand, matchLen)
+		pos += matchLen
+		anchor = pos
+	}
+	// Final literal-only sequence.
+	return appendSequence(dst, src[anchor:], 0, 0)
 }
 
 // decodeGuarded runs DecompressInto on a destination of n bytes that sits
@@ -219,4 +266,58 @@ func FuzzValidate(f *testing.F) {
 			t.Fatalf("%d-byte block decoded to %d bytes, past MaxExpansion", len(block), n)
 		}
 	})
+}
+
+// FuzzCompressMatchesReference holds AppendCompressed to
+// referenceCompress byte for byte, so a faster compressor never changes
+// a stored object. Among the seeds are inputs whose last match stops
+// 0-8 bytes short of the last-literals boundary, where the word-wide
+// extension hands over to its byte-wise tail.
+func FuzzCompressMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	for n := 1; n < mfLimit+2; n++ {
+		f.Add(bytes.Repeat([]byte{'z'}, n))
+	}
+	f.Add(make([]byte, 1<<12))
+	f.Add(zeroRunField()[:1<<16])
+	f.Add(benchField())
+	for _, in := range fuzzSeedInputs() {
+		f.Add(in)
+	}
+	rng := rand.New(rand.NewSource(7))
+	unit := make([]byte, 40)
+	rng.Read(unit)
+	for _, n := range []int{25, 64, 301} { // the second copy's length
+		for short := 0; short <= 8; short++ {
+			// The second copy of unit matches the first up to its
+			// last byte, which differs and sits short bytes before
+			// extendEnd.
+			in := append([]byte{}, unit...)
+			for len(in) < len(unit)+n {
+				in = append(in, in[len(in)-len(unit)])
+			}
+			in[len(in)-1] ^= 0xFF
+			in = append(in, bytes.Repeat([]byte{0xEE}, lastLiterals-1+short)...)
+			f.Add(in)
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, src []byte) {
+		prefix := []byte("prefix")
+		got := AppendCompressed(append([]byte{}, prefix...), src)
+		want := referenceCompress(append([]byte{}, prefix...), src)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte input: block of %d bytes, reference %d; first difference at %d",
+				len(src), len(got), len(want), firstDiff(got, want))
+		}
+	})
+}
+
+func firstDiff(a, b []byte) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }

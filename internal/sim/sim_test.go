@@ -377,3 +377,30 @@ func TestNoiseContinuity(t *testing.T) {
 		prev = v
 	}
 }
+
+// BenchmarkGenerate128 is the testbed's generate step alone at the
+// benchmark's scale: the asteroid's last step and the nyx snapshot.
+func BenchmarkGenerate128(b *testing.B) {
+	for _, gen := range []struct {
+		name string
+		run  func() error
+	}{
+		{"asteroid", func() error {
+			_, err := AsteroidConfig{N: 128, Seed: 1}.Generate(AsteroidMaxStep)
+			return err
+		}},
+		{"nyx", func() error {
+			_, err := NyxConfig{N: 128, Seed: 7}.Generate()
+			return err
+		}},
+	} {
+		b.Run(gen.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := gen.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -13,6 +13,7 @@ import (
 
 	"vizndp/internal/compress"
 	"vizndp/internal/grid"
+	"vizndp/internal/sim"
 )
 
 // makeDataset builds a deterministic multi-array dataset.
@@ -501,5 +502,34 @@ func TestCorruptChunkData(t *testing.T) {
 	}
 	if _, err := r2.ReadArray("v02"); err == nil {
 		t.Error("corrupt chunk decoded silently")
+	}
+}
+
+// BenchmarkWrite128 is the testbed's store step alone: one checksummed
+// 128³ asteroid step, as the benchmark writes it, into a buffer already
+// large enough to hold it.
+func BenchmarkWrite128(b *testing.B) {
+	cfg := sim.AsteroidConfig{N: 128, Seed: 1}
+	ds, err := cfg.Generate(sim.AsteroidMaxStep)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, kind := range []compress.Kind{compress.None, compress.LZ4} {
+		b.Run(kind.String(), func(b *testing.B) {
+			opts := WriteOptions{Codec: kind, Checksum: true}
+			var buf bytes.Buffer
+			if err := Write(&buf, ds, opts); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(4 * ds.Grid.NumPoints() * ds.NumFields()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := Write(&buf, ds, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
