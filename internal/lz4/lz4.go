@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 const (
@@ -66,8 +67,20 @@ func AppendCompressed(dst, src []byte) []byte {
 			pos++
 			continue
 		}
-		// Extend the match forward.
+		// Extend the match forward, a word at a time while a whole word
+		// fits before extendEnd: the first differing byte is the lowest
+		// set byte of the XOR. The byte loop finishes the tail, and stops
+		// at once on the byte a differing word found.
 		matchLen := minMatch
+		for pos+matchLen+8 <= extendEnd {
+			diff := binary.LittleEndian.Uint64(src[pos+matchLen:]) ^
+				binary.LittleEndian.Uint64(src[cand+matchLen:])
+			if diff != 0 {
+				matchLen += bits.TrailingZeros64(diff) / 8
+				break
+			}
+			matchLen += 8
+		}
 		for pos+matchLen < extendEnd && src[cand+matchLen] == src[pos+matchLen] {
 			matchLen++
 		}

@@ -166,12 +166,12 @@ func bounds(layers []Layer) (lo, hi grid.Vec3, any bool) {
 		}
 		for _, v := range l.Mesh.Vertices {
 			any = true
-			lo.X = math.Min(lo.X, v.X)
-			lo.Y = math.Min(lo.Y, v.Y)
-			lo.Z = math.Min(lo.Z, v.Z)
-			hi.X = math.Max(hi.X, v.X)
-			hi.Y = math.Max(hi.Y, v.Y)
-			hi.Z = math.Max(hi.Z, v.Z)
+			lo.X = min(lo.X, v.X)
+			lo.Y = min(lo.Y, v.Y)
+			lo.Z = min(lo.Z, v.Z)
+			hi.X = max(hi.X, v.X)
+			hi.Y = max(hi.Y, v.Y)
+			hi.Z = max(hi.Z, v.Z)
 		}
 	}
 	return lo, hi, any

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"vizndp/internal/grid"
 )
@@ -66,22 +67,11 @@ func (c AsteroidConfig) Generate(step int) (*grid.Dataset, error) {
 	t := float64(step) / AsteroidMaxStep
 	st := asteroidState(t, c.Seed)
 
-	// Fill all arrays in one sweep, parallel over z-slabs.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		k0 := n * w / workers
-		k1 := n * (w + 1) / workers
-		wg.Add(1)
-		go func(k0, k1 int) {
-			defer wg.Done()
-			c.fillSlab(g, fields, st, k0, k1)
-		}(k0, k1)
-	}
-	wg.Wait()
+	// Fill the per-column table, then all arrays in one sweep: the table
+	// in parallel over y-rows, the sweep over z-slices.
+	cols := make([]column, n*n)
+	parallel(n, func(j int) { c.fillColumns(cols, st, j) })
+	parallel(n, func(k int) { c.fillSlice(g, fields, st, cols, k) })
 
 	for _, name := range AsteroidArrayNames {
 		ds.MustAddField(fields[name])
@@ -105,7 +95,12 @@ type asteroidSim struct {
 	bandNoise float64 // in-interface noise amplitude
 	mistAmp   float64 // spray cloud amplitude
 	mistR     float64 // spray cloud radius
+	// fragment blobs thrown out after impact; unset before it
+	blobs [5]blob
 }
+
+// blob is one fragment: its centre and radius in normalized coords.
+type blob struct{ x, y, z, r float64 }
 
 func asteroidState(t float64, seed uint32) asteroidSim {
 	s := asteroidSim{t: t, seed: seed, seaLevel: 0.40}
@@ -127,6 +122,16 @@ func asteroidState(t float64, seed uint32) asteroidSim {
 		s.craterAmp = 0.07 * (1 - tau)
 		s.mistAmp = 0.38 * math.Sqrt(tau)
 		s.mistR = 0.18 + 0.22*tau
+		for f := int32(0); f < int32(len(s.blobs)); f++ {
+			ang := 2 * math.Pi * latticeValue(f, 0, 0, seed+21)
+			rad := (0.08 + 0.18*s.tau) * (0.5 + latticeValue(f, 1, 0, seed+21))
+			s.blobs[f] = blob{
+				x: 0.5 + rad*math.Cos(ang),
+				y: 0.5 + rad*math.Sin(ang),
+				z: s.seaLevel + 0.05*s.tau,
+				r: 0.016 + 0.012*latticeValue(f, 2, 0, seed+21),
+			}
+		}
 	}
 	// Interface roughness grows through the whole run (entropy increase).
 	s.bandNoise = 0.04 + 0.5*t
@@ -142,8 +147,71 @@ func interfaceProfile(sdf, width float64) float64 {
 	return 1 - (1-u)*(1-u)
 }
 
-func (c AsteroidConfig) fillSlab(g *grid.Uniform, fields map[string]*grid.Field,
-	s asteroidSim, k0, k1 int) {
+// parallel runs fn(i) for every i in [0, n) on up to GOMAXPROCS
+// goroutines, handing out indices one at a time so that slices of
+// unequal cost spread evenly, and returns when all are done.
+func parallel(n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// column holds the terms of a point that depend only on its (i, j)
+// column, computed once rather than at every k.
+type column struct {
+	rimp float64 // distance from the impact axis
+	surf float64 // ocean surface height
+	foam float64 // sub-surface foam patch weight
+	// sp is the radial splash speed and vx, vy its horizontal
+	// components; all zero before impact.
+	sp, vx, vy float64
+}
+
+// fillColumns fills the y-row j of the column table.
+func (c AsteroidConfig) fillColumns(cols []column, s asteroidSim, j int) {
+	n := c.N
+	inv := 1.0 / float64(n-1)
+	y := float64(j) * inv
+	for i := 0; i < n; i++ {
+		x := float64(i) * inv
+		fx, fy := float64(i), float64(j)
+		col := &cols[j*n+i]
+
+		rimp := math.Hypot(x-0.5, y-0.5)
+		surf := s.seaLevel
+		// Pre-impact ripples, growing rougher over time.
+		surf += 0.004 * (1 + 3*s.t) * (fbm(fx, fy, 0, 12, 3, s.seed+41) - 0.5)
+		if s.tau > 0 {
+			// Expanding tsunami ring.
+			dr := rimp - s.ringR
+			surf += s.ringAmp * math.Cos(dr/0.018) * math.Exp(-dr*dr/(2*0.05*0.05))
+			// Transient crater at the impact site.
+			surf -= s.craterAmp * math.Exp(-rimp*rimp/(2*0.06*0.06))
+
+			col.sp = 1.6e5 * (1 - s.tau) * math.Exp(-rimp/(0.1+0.3*s.tau))
+			if rimp > 1e-9 {
+				col.vx = col.sp * (x - 0.5) / rimp
+				col.vy = col.sp * (y - 0.5) / rimp
+			}
+		}
+		col.rimp = rimp
+		col.surf = surf
+		col.foam = smoothstep(0.5, 0.8, fbm(fx, fy, 0, 10, 2, s.seed+81))
+	}
+}
+
+// fillSlice fills every array's z-slice k.
+func (c AsteroidConfig) fillSlice(g *grid.Uniform, fields map[string]*grid.Field,
+	s asteroidSim, cols []column, k int) {
 
 	n := c.N
 	inv := 1.0 / float64(n-1)
@@ -161,179 +229,168 @@ func (c AsteroidConfig) fillSlab(g *grid.Uniform, fields map[string]*grid.Field,
 	v02 := fields["v02"].Values
 	v03 := fields["v03"].Values
 
-	for k := k0; k < k1; k++ {
-		w := float64(k) * inv
-		for j := 0; j < n; j++ {
-			y := float64(j) * inv
-			for i := 0; i < n; i++ {
-				x := float64(i) * inv
-				idx := g.PointIndex(i, j, k)
+	w := float64(k) * inv
+	// Terms of the slice's height alone.
+	airPrs := math.Exp(-(w - s.seaLevel) * 8)
+	splashZ := math.Exp(-math.Abs(w-s.seaLevel) * 10)
+	blastZ := (w - s.seaLevel) * (w - s.seaLevel)
+	blastDen := 2 * (0.05 + 0.3*s.tau) * (0.05 + 0.3*s.tau)
+	for j := 0; j < n; j++ {
+		y := float64(j) * inv
+		for i := 0; i < n; i++ {
+			x := float64(i) * inv
+			idx := g.PointIndex(i, j, k)
+			col := &cols[j*n+i]
 
-				fx, fy, fz := float64(i), float64(j), float64(k)
+			fx, fy, fz := float64(i), float64(j), float64(k)
 
-				// ---- asteroid volume fraction (v03) ----
-				dax := x - s.astC.X
-				day := y - s.astC.Y
-				daz := w - s.astC.Z
-				dAst := math.Sqrt(dax*dax + day*day + daz*daz)
-				a := interfaceProfile(s.astR-dAst, width)
-				if s.tau > 0 && a > 0 {
-					// Break the deforming asteroid up with noise, strongest
-					// near its boundary so the core stays intact material.
-					edge := smoothstep(0.45, 1, dAst/s.astR)
-					a *= 1 - 0.75*s.tau*edge*fbm(fx, fy, fz, 6, 2, s.seed+11)
-				}
-				// Fragment blobs thrown out after impact.
-				if s.tau > 0 {
-					for f := int32(0); f < 5; f++ {
-						ang := 2 * math.Pi * latticeValue(f, 0, 0, s.seed+21)
-						rad := (0.08 + 0.18*s.tau) * (0.5 + latticeValue(f, 1, 0, s.seed+21))
-						bx := 0.5 + rad*math.Cos(ang)
-						by := 0.5 + rad*math.Sin(ang)
-						bz := s.seaLevel + 0.05*s.tau
-						br := 0.016 + 0.012*latticeValue(f, 2, 0, s.seed+21)
-						d := math.Sqrt((x-bx)*(x-bx) + (y-by)*(y-by) + (w-bz)*(w-bz))
-						fb := interfaceProfile(br-d, width)
-						if fb > a {
-							a = fb
-						}
-					}
-				}
-				// In-band noise (keeps the 0 and 1 plateaus exact).
-				if a > 0 && a < 1 {
-					a += 4 * a * (1 - a) * s.bandNoise * 0.25 *
-						(fbm(fx, fy, fz, 3, 2, s.seed+31) - 0.5)
-					a = clamp01(a)
-				}
-				// Porous interior: patches of sub-unity fraction inside
-				// the asteroid (cracks, regolith). High contour values
-				// (0.7, 0.9) cross these noisy patches while low values
-				// only see the outer shell, so selectivity grows with
-				// the contour value (the paper's Fig. 6 trend), and the
-				// texture deepens over the run.
-				// vizlint:ignore floateq sentinel test: a is assigned exactly 1 in the interior branch
-				if a == 1 {
-					patch := smoothstep(0.4, 0.7, fbm(fx, fy, fz, 9, 2, s.seed+35))
-					if patch > 0 {
-						crack := 1.3 * patch * (0.55 + 0.45*s.t) *
-							fbm(fx, fy, fz, 2, 2, s.seed+36)
-						a = clamp01(1 - crack)
-					}
-				}
-
-				// ---- ocean surface and water fraction (v02) ----
-				rimp := math.Hypot(x-0.5, y-0.5)
-				surf := s.seaLevel
-				// Pre-impact ripples, growing rougher over time.
-				surf += 0.004 * (1 + 3*s.t) * (fbm(fx, fy, 0, 12, 3, s.seed+41) - 0.5)
-				if s.tau > 0 {
-					// Expanding tsunami ring.
-					dr := rimp - s.ringR
-					surf += s.ringAmp * math.Cos(dr/0.018) * math.Exp(-dr*dr/(2*0.05*0.05))
-					// Transient crater at the impact site.
-					surf -= s.craterAmp * math.Exp(-rimp*rimp/(2*0.06*0.06))
-				}
-				wv := interfaceProfile(surf-w, width)
-				if wv > 0 && wv < 1 {
-					wv += 4 * wv * (1 - wv) * s.bandNoise * 0.25 *
-						(fbm(fx, fy, fz, 3, 2, s.seed+51) - 0.5)
-					wv = clamp01(wv)
-				}
-				// Patchy sub-surface foam: mixing just below the surface
-				// pulls the fraction slightly under 1 in growing patches.
-				// High contour values (0.7, 0.9) cross these noisy patches
-				// while low values see only the sharp interface — the
-				// higher-selectivity-at-higher-values trend of Fig. 6.
-				// vizlint:ignore floateq sentinel test: wv is assigned exactly 1 below the surface
-				if wv == 1 {
-					depth := surf - w
-					if depth < 0.12 {
-						patch := smoothstep(0.5, 0.8, fbm(fx, fy, 0, 10, 2, s.seed+81))
-						if patch > 0 {
-							foam := 0.45 * patch * (0.45 + 0.55*s.t) * (1 - depth/0.12) *
-								fbm(fx, fy, fz, 2, 2, s.seed+82)
-							wv = clamp01(1 - foam)
-						}
-					}
-				}
-				// Spray/mist cloud above the impact: broad, noisy,
-				// mid-range fractions that raise entropy late in the run.
-				if s.mistAmp > 0 && w > surf && w < s.seaLevel+0.3 && rimp < s.mistR {
-					env := (1 - rimp/s.mistR) * (1 - (w-surf)/0.3)
-					m := s.mistAmp * env * fbm(fx, fy, fz, 5, 3, s.seed+61)
-					if m > wv {
-						wv = clamp01(m)
-					}
-				}
-				// Water cannot occupy the same volume as the asteroid.
-				if wv > 1-a {
-					wv = 1 - a
-				}
-				av := 1 - wv - a // air fraction
-
-				v02[idx] = float32(wv)
-				v03[idx] = float32(a)
-
-				// ---- derived physical fields ----
-				depth := surf - w
-				hydro := 0.0
-				if depth > 0 {
-					hydro = depth
-				}
-				rhoV := a*3.3 + wv*(1.0+0.04*hydro) + av*0.0012
-				prsV := 1.0 + 98*hydro*wv + 0.3*av*math.Exp(-(w-s.seaLevel)*8)
-				tevV := 0.025
-				if s.tau > 0 {
-					blast := math.Exp(-((rimp * rimp) + (w-s.seaLevel)*(w-s.seaLevel)) /
-						(2 * (0.05 + 0.3*s.tau) * (0.05 + 0.3*s.tau)))
-					prsV += 180 * (1 - s.tau) * blast
-					tevV += 2.2 * (1 - 0.8*s.tau) * blast
-				}
-				// Velocity: falling asteroid, radial splash, wave motion.
-				var vx, vy, vz float64
-				// vizlint:ignore floateq sentinel test: tau stays exactly 0 until impact
-				if a > 0.01 && s.tau == 0 {
-					vz = -2.0e5 * a
-				}
-				if s.tau > 0 {
-					sp := 1.6e5 * (1 - s.tau) * math.Exp(-rimp/(0.1+0.3*s.tau))
-					if rimp > 1e-9 {
-						vx = sp * (x - 0.5) / rimp
-						vy = sp * (y - 0.5) / rimp
-					}
-					vz = sp * 0.4 * math.Exp(-math.Abs(w-s.seaLevel)*10)
-				}
-				// Turbulent component grows with time everywhere fluid is.
-				turb := 2.5e4 * s.t * (wv + a)
-				vx += turb * (fbm(fx, fy, fz, 4, 2, s.seed+71) - 0.5)
-				vy += turb * (fbm(fx, fy, fz, 4, 2, s.seed+72) - 0.5)
-				vz += turb * (fbm(fx, fy, fz, 4, 2, s.seed+73) - 0.5)
-
-				sndV := a*3.0e5 + wv*1.5e5 + av*3.4e4
-
-				// AMR refinement level: deepest near material interfaces.
-				band := 4 * (wv*(1-wv) + a*(1-a))
-				grdV := math.Round(1 + 3*smoothstep(0, 0.8, band))
-
-				// Dominant material id.
-				matV := 1.0 // air
-				if wv >= 0.5 {
-					matV = 2
-				}
-				if a >= 0.5 {
-					matV = 3
-				}
-
-				rho[idx] = float32(rhoV)
-				prs[idx] = float32(prsV)
-				tev[idx] = float32(tevV)
-				xdt[idx] = float32(vx)
-				ydt[idx] = float32(vy)
-				zdt[idx] = float32(vz)
-				snd[idx] = float32(sndV)
-				grd[idx] = float32(grdV)
-				mat[idx] = float32(matV)
+			// ---- asteroid volume fraction (v03) ----
+			dax := x - s.astC.X
+			day := y - s.astC.Y
+			daz := w - s.astC.Z
+			dAst := math.Sqrt(dax*dax + day*day + daz*daz)
+			a := interfaceProfile(s.astR-dAst, width)
+			if s.tau > 0 && a > 0 {
+				// Break the deforming asteroid up with noise, strongest
+				// near its boundary so the core stays intact material.
+				edge := smoothstep(0.45, 1, dAst/s.astR)
+				a *= 1 - 0.75*s.tau*edge*fbm(fx, fy, fz, 6, 2, s.seed+11)
 			}
+			// Fragment blobs thrown out after impact.
+			if s.tau > 0 {
+				for _, b := range s.blobs {
+					d := math.Sqrt((x-b.x)*(x-b.x) + (y-b.y)*(y-b.y) + (w-b.z)*(w-b.z))
+					fb := interfaceProfile(b.r-d, width)
+					if fb > a {
+						a = fb
+					}
+				}
+			}
+			// In-band noise (keeps the 0 and 1 plateaus exact).
+			if a > 0 && a < 1 {
+				a += 4 * a * (1 - a) * s.bandNoise * 0.25 *
+					(fbm(fx, fy, fz, 3, 2, s.seed+31) - 0.5)
+				a = clamp01(a)
+			}
+			// Porous interior: patches of sub-unity fraction inside
+			// the asteroid (cracks, regolith). High contour values
+			// (0.7, 0.9) cross these noisy patches while low values
+			// only see the outer shell, so selectivity grows with
+			// the contour value (the paper's Fig. 6 trend), and the
+			// texture deepens over the run.
+			// vizlint:ignore floateq sentinel test: a is assigned exactly 1 in the interior branch
+			if a == 1 {
+				patch := smoothstep(0.4, 0.7, fbm(fx, fy, fz, 9, 2, s.seed+35))
+				if patch > 0 {
+					crack := 1.3 * patch * (0.55 + 0.45*s.t) *
+						fbm(fx, fy, fz, 2, 2, s.seed+36)
+					a = clamp01(1 - crack)
+				}
+			}
+
+			// ---- ocean surface and water fraction (v02) ----
+			rimp, surf := col.rimp, col.surf
+			wv := interfaceProfile(surf-w, width)
+			if wv > 0 && wv < 1 {
+				wv += 4 * wv * (1 - wv) * s.bandNoise * 0.25 *
+					(fbm(fx, fy, fz, 3, 2, s.seed+51) - 0.5)
+				wv = clamp01(wv)
+			}
+			// Patchy sub-surface foam: mixing just below the surface
+			// pulls the fraction slightly under 1 in growing patches.
+			// High contour values (0.7, 0.9) cross these noisy patches
+			// while low values see only the sharp interface — the
+			// higher-selectivity-at-higher-values trend of Fig. 6.
+			// vizlint:ignore floateq sentinel test: wv is assigned exactly 1 below the surface
+			if wv == 1 {
+				depth := surf - w
+				if depth < 0.12 {
+					if patch := col.foam; patch > 0 {
+						foam := 0.45 * patch * (0.45 + 0.55*s.t) * (1 - depth/0.12) *
+							fbm(fx, fy, fz, 2, 2, s.seed+82)
+						wv = clamp01(1 - foam)
+					}
+				}
+			}
+			// Spray/mist cloud above the impact: broad, noisy,
+			// mid-range fractions that raise entropy late in the run.
+			if s.mistAmp > 0 && w > surf && w < s.seaLevel+0.3 && rimp < s.mistR {
+				env := (1 - rimp/s.mistR) * (1 - (w-surf)/0.3)
+				m := s.mistAmp * env * fbm(fx, fy, fz, 5, 3, s.seed+61)
+				if m > wv {
+					wv = clamp01(m)
+				}
+			}
+			// Water cannot occupy the same volume as the asteroid.
+			if wv > 1-a {
+				wv = 1 - a
+			}
+			av := 1 - wv - a // air fraction
+
+			v02[idx] = float32(wv)
+			v03[idx] = float32(a)
+
+			// ---- derived physical fields ----
+			depth := surf - w
+			hydro := 0.0
+			if depth > 0 {
+				hydro = depth
+			}
+			rhoV := a*3.3 + wv*(1.0+0.04*hydro) + av*0.0012
+			prsV := 1.0 + 98*hydro*wv + 0.3*av*airPrs
+			tevV := 0.025
+			if s.tau > 0 {
+				blast := math.Exp(-((rimp * rimp) + blastZ) / blastDen)
+				prsV += 180 * (1 - s.tau) * blast
+				tevV += 2.2 * (1 - 0.8*s.tau) * blast
+			}
+			// Velocity: falling asteroid, radial splash, wave motion.
+			var vx, vy, vz float64
+			// vizlint:ignore floateq sentinel test: tau stays exactly 0 until impact
+			if a > 0.01 && s.tau == 0 {
+				vz = -2.0e5 * a
+			}
+			if s.tau > 0 {
+				vx, vy = col.vx, col.vy
+				vz = col.sp * 0.4 * splashZ
+			}
+			// Turbulent component grows with time everywhere fluid is.
+			// Where turb is zero (no fluid, or t = 0) each term is a
+			// zero, and adding a zero leaves a component with its sign
+			// bit clear as it is, bit for bit, so the noise is skipped.
+			turb := 2.5e4 * s.t * (wv + a)
+			// vizlint:ignore floateq exact zero: only a zero turb adds nothing
+			if turb != 0 || math.Signbit(vx) || math.Signbit(vy) || math.Signbit(vz) {
+				tv := fbm3(fx, fy, fz, 4, 2, s.seed+71)
+				vx += turb * (tv[0] - 0.5)
+				vy += turb * (tv[1] - 0.5)
+				vz += turb * (tv[2] - 0.5)
+			}
+
+			sndV := a*3.0e5 + wv*1.5e5 + av*3.4e4
+
+			// AMR refinement level: deepest near material interfaces.
+			band := 4 * (wv*(1-wv) + a*(1-a))
+			grdV := math.Round(1 + 3*smoothstep(0, 0.8, band))
+
+			// Dominant material id.
+			matV := 1.0 // air
+			if wv >= 0.5 {
+				matV = 2
+			}
+			if a >= 0.5 {
+				matV = 3
+			}
+
+			rho[idx] = float32(rhoV)
+			prs[idx] = float32(prsV)
+			tev[idx] = float32(tevV)
+			xdt[idx] = float32(vx)
+			ydt[idx] = float32(vy)
+			zdt[idx] = float32(vz)
+			snd[idx] = float32(sndV)
+			grd[idx] = float32(grdV)
+			mat[idx] = float32(matV)
 		}
 	}
 }

@@ -36,15 +36,27 @@ func latticeValue(x, y, z int32, seed uint32) float64 {
 // valueNoise is trilinear-interpolated lattice noise at the given feature
 // scale (in grid cells), returning values in [0,1).
 func valueNoise(x, y, z float64, scale float64, seed uint32) float64 {
+	ix, iy, iz, fx, fy, fz := noiseCell(x, y, z, scale)
+	return cellValue(ix, iy, iz, fx, fy, fz, seed)
+}
+
+// noiseCell returns a point's lattice cell and smoothstep fade weights at
+// one scale: everything valueNoise computes before it hashes, so noise
+// terms that differ only in seed share it.
+func noiseCell(x, y, z float64, scale float64) (ix, iy, iz int32, fx, fy, fz float64) {
 	x, y, z = x/scale, y/scale, z/scale
 	x0, y0, z0 := math.Floor(x), math.Floor(y), math.Floor(z)
-	fx, fy, fz := x-x0, y-y0, z-z0
+	fx, fy, fz = x-x0, y-y0, z-z0
 	// Smoothstep fade for C1 continuity.
 	fx = fx * fx * (3 - 2*fx)
 	fy = fy * fy * (3 - 2*fy)
 	fz = fz * fz * (3 - 2*fz)
-	ix, iy, iz := int32(x0), int32(y0), int32(z0)
+	return int32(x0), int32(y0), int32(z0), fx, fy, fz
+}
 
+// cellValue interpolates the eight lattice values of cell (ix, iy, iz)
+// for seed at fade weights (fx, fy, fz).
+func cellValue(ix, iy, iz int32, fx, fy, fz float64, seed uint32) float64 {
 	lerp := func(a, b, t float64) float64 { return a + (b-a)*t }
 	v000 := latticeValue(ix, iy, iz, seed)
 	v100 := latticeValue(ix+1, iy, iz, seed)
@@ -73,6 +85,30 @@ func fbm(x, y, z float64, scale float64, octaves int, seed uint32) float64 {
 		}
 	}
 	return sum / norm
+}
+
+// fbm3 is fbm at one point for seeds seed, seed+1 and seed+2, each with
+// fbm's bits: the three share each octave's lattice cell and fade
+// weights.
+func fbm3(x, y, z float64, scale float64, octaves int, seed uint32) [3]float64 {
+	var sum [3]float64
+	amp, norm := 1.0, 0.0
+	for o := 0; o < octaves; o++ {
+		ix, iy, iz, fx, fy, fz := noiseCell(x, y, z, scale)
+		for s := range sum {
+			sum[s] += amp * cellValue(ix, iy, iz, fx, fy, fz, seed+uint32(s)+uint32(o)*101)
+		}
+		norm += amp
+		amp /= 2
+		scale /= 2
+		if scale < 1 {
+			break
+		}
+	}
+	for s := range sum {
+		sum[s] /= norm
+	}
+	return sum
 }
 
 // clamp01 clamps v to [0,1].

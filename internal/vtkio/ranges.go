@@ -32,26 +32,22 @@ import (
 // rangeEntrySize is one chunk's share of the table.
 const rangeEntrySize = 8
 
-// appendRanges appends the range entries of vals split into chunks of
-// chunkVals values, as compressChunks splits their bytes.
-func appendRanges(dst []byte, vals []float32, chunkVals int) []byte {
-	n := max(1, (len(vals)+chunkVals-1)/chunkVals) // an empty array has one empty chunk
-	for c := 0; c < n; c++ {
-		lo := min(c*chunkVals, len(vals))
-		min32, max32 := float32(math.Inf(1)), float32(math.Inf(-1))
-		for _, v := range vals[lo:min(lo+chunkVals, len(vals))] {
-			// NaN fails both comparisons, so it never widens the range.
-			if v < min32 {
-				min32 = v
-			}
-			if v > max32 {
-				max32 = v
-			}
+// putRange writes the range entry of one chunk's values into
+// dst[:rangeEntrySize]; Write's chunk workers call it for the chunk they
+// compress.
+func putRange(dst []byte, vals []float32) {
+	min32, max32 := float32(math.Inf(1)), float32(math.Inf(-1))
+	for _, v := range vals {
+		// NaN fails both comparisons, so it never widens the range.
+		if v < min32 {
+			min32 = v
 		}
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(min32))
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(max32))
+		if v > max32 {
+			max32 = v
+		}
 	}
-	return dst
+	binary.LittleEndian.PutUint32(dst, math.Float32bits(min32))
+	binary.LittleEndian.PutUint32(dst[4:], math.Float32bits(max32))
 }
 
 // checkRanges holds the header's range table to the chunk count its

@@ -228,26 +228,48 @@ func Write(w io.Writer, ds *grid.Dataset, opts WriteOptions) error {
 		Spacing: [3]float64{ds.Grid.Spacing.X, ds.Grid.Spacing.Y, ds.Grid.Spacing.Z},
 	}
 
-	type block struct {
-		info   ArrayInfo
-		chunks [][]byte
-	}
-	blocks := make([]block, 0, ds.NumFields())
-	for _, name := range ds.FieldNames() {
+	names := ds.FieldNames()
+	blocks := make([]block, len(names))
+	chunkVals := chunkSize / 4
+	nchunks := 0
+	for i, name := range names {
 		vals := ds.Field(name).Values
-		if opts.Checksum && opts.LossyBound <= 0 {
-			h.Ranges = appendRanges(h.Ranges, vals, chunkSize/4)
+		n := max(1, (len(vals)+chunkVals-1)/chunkVals) // an empty array still gets one (empty) chunk
+		blocks[i] = block{
+			info:   ArrayInfo{Name: name, Codec: codecName, Chunks: make([]ChunkInfo, n)},
+			vals:   vals,
+			chunks: make([][]byte, n),
+			errs:   make([]error, n),
 		}
-		raw := FloatsToBytes(vals)
-		chunks, infos, err := compressChunks(raw, chunkSize, codec)
-		if err != nil {
-			return fmt.Errorf("vtkio: array %q: %w", name, err)
-		}
-		info := ArrayInfo{Name: name, Codec: codecName, Chunks: infos}
+		blocks[i].pending.Store(int64(n))
 		if opts.LossyBound > 0 {
-			info.LossyBound = opts.LossyBound
+			blocks[i].info.LossyBound = opts.LossyBound
 		}
-		blocks = append(blocks, block{info: info, chunks: chunks})
+		nchunks += n
+	}
+	if opts.Checksum && opts.LossyBound <= 0 {
+		h.Ranges = make([]byte, rangeEntrySize*nchunks, rangeEntrySize*nchunks+4)
+		off := 0
+		for i := range blocks {
+			n := len(blocks[i].chunks)
+			blocks[i].ranges = h.Ranges[off : off+rangeEntrySize*n]
+			off += rangeEntrySize * n
+		}
+	}
+	pageSize := 0
+	if opts.Checksum {
+		pageSize = opts.ChecksumPageSize
+		if pageSize <= 0 {
+			pageSize = DefaultChecksumPageSize
+		}
+	}
+	encodeBlocks(blocks, nchunks, chunkVals, codec, pageSize)
+	for i := range blocks {
+		for _, err := range blocks[i].errs {
+			if err != nil {
+				return fmt.Errorf("vtkio: array %q: %w", names[i], err)
+			}
+		}
 	}
 
 	if h.Ranges != nil {
@@ -258,12 +280,8 @@ func Write(w io.Writer, ds *grid.Dataset, opts WriteOptions) error {
 	// table's file offset joins the layout iteration below.
 	var crcs []uint32
 	if opts.Checksum {
-		pageSize := opts.ChecksumPageSize
-		if pageSize <= 0 {
-			pageSize = DefaultChecksumPageSize
-		}
 		for i := range blocks {
-			crcs = append(crcs, pageCRCs(blocks[i].chunks, pageSize)...)
+			crcs = append(crcs, blocks[i].crcs...)
 		}
 		h.Checksums = &ChecksumInfo{Algo: ChecksumAlgo, PageSize: pageSize, Pages: len(crcs)}
 	}
@@ -345,46 +363,61 @@ func WriteFile(path string, ds *grid.Dataset, opts WriteOptions) error {
 	return f.Close()
 }
 
-// compressChunks splits raw into chunkSize pieces and compresses them in
-// parallel.
-func compressChunks(raw []byte, chunkSize int, codec compress.Codec) ([][]byte, []ChunkInfo, error) {
-	n := (len(raw) + chunkSize - 1) / chunkSize
-	if n == 0 {
-		n = 1 // an empty array still gets one (empty) chunk
-	}
-	chunks := make([][]byte, n)
-	infos := make([]ChunkInfo, n)
-	errs := make([]error, n)
+// block is one array on its way into a file.
+type block struct {
+	info   ArrayInfo
+	vals   []float32
+	chunks [][]byte // stored bytes, one per chunk
+	errs   []error  // per chunk
+	// ranges is the array's share of the header's chunk range table
+	// (see ranges.go), nil when the file records none; crcs are its page
+	// checksums, nil when the file carries none.
+	ranges  []byte
+	crcs    []uint32
+	pending atomic.Int64 // chunks not yet compressed
+}
 
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := 0; i < n; i++ {
-		lo := i * chunkSize
-		hi := lo + chunkSize
-		if hi > len(raw) {
-			hi = len(raw)
+// encodeBlocks compresses the chunks of every block, nchunks in all, on
+// up to GOMAXPROCS workers. The worker that compresses a chunk also
+// writes its range entry when the block records ranges, and the worker
+// that finishes a block's last chunk takes the block's page checksums
+// when pageSize is positive, so nothing walks the data on Write's serial
+// path. Chunks read the values in place: on a little-endian host their
+// memory is already the file's bytes.
+func encodeBlocks(blocks []block, nchunks, chunkVals int, codec compress.Codec, pageSize int) {
+	type job struct{ block, chunk int }
+	jobs := make([]job, 0, nchunks)
+	for b := range blocks {
+		for c := range blocks[b].chunks {
+			jobs = append(jobs, job{b, c})
 		}
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(jobs)) {
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, piece []byte) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			comp, err := codec.Compress(piece)
-			if err != nil {
-				errs[i] = err
-				return
+			for n := int(next.Add(1)) - 1; n < len(jobs); n = int(next.Add(1)) - 1 {
+				b, c := &blocks[jobs[n].block], jobs[n].chunk
+				lo := min(c*chunkVals, len(b.vals))
+				piece := b.vals[lo:min(lo+chunkVals, len(b.vals))]
+				if comp, err := codec.Compress(FloatsAsBytes(piece)); err != nil {
+					b.errs[c] = err
+				} else {
+					b.chunks[c] = comp
+					b.info.Chunks[c] = ChunkInfo{Comp: len(comp), Raw: 4 * len(piece)}
+				}
+				if b.ranges != nil {
+					putRange(b.ranges[c*rangeEntrySize:], piece)
+				}
+				if b.pending.Add(-1) == 0 && pageSize > 0 {
+					b.crcs = pageCRCs(b.chunks, pageSize)
+				}
 			}
-			chunks[i] = comp
-			infos[i] = ChunkInfo{Comp: len(comp), Raw: len(piece)}
-		}(i, raw[lo:hi])
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return chunks, infos, nil
 }
 
 // Meta is everything OpenReader learns from a file before it reads an
