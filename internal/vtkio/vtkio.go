@@ -263,7 +263,7 @@ func Write(w io.Writer, ds *grid.Dataset, opts WriteOptions) error {
 			pageSize = DefaultChecksumPageSize
 		}
 	}
-	encodeBlocks(blocks, nchunks, chunkVals, codec, pageSize)
+	encodeBlocks(blocks, chunkVals, codec, pageSize)
 	for i := range blocks {
 		for _, err := range blocks[i].errs {
 			if err != nil {
@@ -377,16 +377,16 @@ type block struct {
 	pending atomic.Int64 // chunks not yet compressed
 }
 
-// encodeBlocks compresses the chunks of every block, nchunks in all, on
-// up to GOMAXPROCS workers. The worker that compresses a chunk also
+// encodeBlocks compresses the chunks of every block on up to GOMAXPROCS
+// workers. The worker that compresses a chunk also
 // writes its range entry when the block records ranges, and the worker
 // that finishes a block's last chunk takes the block's page checksums
 // when pageSize is positive, so nothing walks the data on Write's serial
 // path. Chunks read the values in place: on a little-endian host their
 // memory is already the file's bytes.
-func encodeBlocks(blocks []block, nchunks, chunkVals int, codec compress.Codec, pageSize int) {
+func encodeBlocks(blocks []block, chunkVals int, codec compress.Codec, pageSize int) {
 	type job struct{ block, chunk int }
-	jobs := make([]job, 0, nchunks)
+	var jobs []job
 	for b := range blocks {
 		for c := range blocks[b].chunks {
 			jobs = append(jobs, job{b, c})
