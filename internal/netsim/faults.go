@@ -12,7 +12,8 @@ import (
 )
 
 // Fault-injection metrics, reported per class so a /metrics scrape (or
-// the harness) can prove which faults a run actually survived.
+// the harness) can prove which faults a run actually survived. They are
+// the one count of injected faults; a policy keeps none of its own.
 var (
 	mFaultDialsRefused = telemetry.Default().Counter("netsim.fault.dials.refused")
 	mFaultConnsKilled  = telemetry.Default().Counter("netsim.fault.conns.killed")
@@ -95,36 +96,6 @@ type Faults struct {
 
 	dials atomic.Int64
 	conns atomic.Int64
-
-	refused   atomic.Int64
-	killed    atomic.Int64
-	truncated atomic.Int64
-	corrupted atomic.Int64
-}
-
-// FaultStats is a snapshot of the faults a policy has injected.
-type FaultStats struct {
-	DialsRefused    int64
-	ConnsKilled     int64
-	FramesTruncated int64
-	// Corruptions counts write chunks whose bytes were flipped in
-	// flight by the payload-corruption class.
-	Corruptions int64
-}
-
-func (s FaultStats) String() string {
-	return fmt.Sprintf("%d dials refused, %d conns killed, %d frames truncated, %d chunks corrupted",
-		s.DialsRefused, s.ConnsKilled, s.FramesTruncated, s.Corruptions)
-}
-
-// Stats returns the counts of injected faults so far.
-func (f *Faults) Stats() FaultStats {
-	return FaultStats{
-		DialsRefused:    f.refused.Load(),
-		ConnsKilled:     f.killed.Load(),
-		FramesTruncated: f.truncated.Load(),
-		Corruptions:     f.corrupted.Load(),
-	}
 }
 
 func (f *Faults) init() {
@@ -137,7 +108,6 @@ func (f *Faults) init() {
 func (f *Faults) onDial() error {
 	n := f.dials.Add(1)
 	if f.RefuseDialEvery > 0 && n%int64(f.RefuseDialEvery) == 0 {
-		f.refused.Add(1)
 		mFaultDialsRefused.Inc()
 		return fmt.Errorf("%w (dial %d)", ErrDialRefused, n)
 	}
@@ -201,7 +171,6 @@ func (cf *connFaults) admit(n int) (allowed int, kill bool) {
 	f := cf.faults
 	if f.KillAfterTime > 0 && time.Since(cf.born) >= f.KillAfterTime {
 		cf.dead = true
-		f.killed.Add(1)
 		mFaultConnsKilled.Inc()
 		return 0, true
 	}
@@ -209,11 +178,9 @@ func (cf *connFaults) admit(n int) (allowed int, kill bool) {
 		remaining := cf.budget - cf.written
 		if remaining <= int64(n) {
 			cf.dead = true
-			f.killed.Add(1)
 			mFaultConnsKilled.Inc()
-			allowed = int(max64(remaining, 0))
+			allowed = int(max(remaining, 0))
 			if allowed > 0 && allowed < n {
-				f.truncated.Add(1)
 				mFaultTruncations.Inc()
 			}
 			cf.written += int64(allowed)
@@ -247,14 +214,6 @@ func (cf *connFaults) mangle(chunk []byte, startOff int64) []byte {
 		out[i] ^= 0x5A
 		cf.corruptLeft--
 	}
-	cf.faults.corrupted.Add(1)
 	mFaultCorruptions.Inc()
 	return out
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -25,8 +25,8 @@ func TestFaultDialRefusalSchedule(t *testing.T) {
 		}
 	}()
 	link := Unlimited()
-	f := &Faults{RefuseDialEvery: 2}
-	link.SetFaults(f)
+	link.SetFaults(&Faults{RefuseDialEvery: 2})
+	refused0 := mFaultDialsRefused.Value()
 	for i := 1; i <= 4; i++ {
 		c, err := link.Dial("tcp", ln.Addr().String())
 		if i%2 == 0 {
@@ -40,15 +40,15 @@ func TestFaultDialRefusalSchedule(t *testing.T) {
 		}
 		c.Close()
 	}
-	if got := f.Stats().DialsRefused; got != 2 {
-		t.Errorf("DialsRefused = %d, want 2", got)
+	if got := mFaultDialsRefused.Value() - refused0; got != 2 {
+		t.Errorf("netsim.fault.dials.refused rose by %d, want 2", got)
 	}
 }
 
 func TestFaultConnKillTruncatesMidFrame(t *testing.T) {
 	link := Unlimited()
-	f := &Faults{KillConnEvery: 1, KillAfterBytes: 1000}
-	link.SetFaults(f)
+	link.SetFaults(&Faults{KillConnEvery: 1, KillAfterBytes: 1000})
+	killed0, truncated0 := mFaultConnsKilled.Value(), mFaultTruncations.Value()
 	client, server := link.Pipe()
 	defer client.Close()
 
@@ -78,12 +78,11 @@ func TestFaultConnKillTruncatesMidFrame(t *testing.T) {
 	if _, err := server.Write([]byte{1}); !errors.Is(err, ErrConnKilled) {
 		t.Errorf("write on dead conn = %v, want ErrConnKilled", err)
 	}
-	st := f.Stats()
-	if st.ConnsKilled != 1 {
-		t.Errorf("ConnsKilled = %d, want 1", st.ConnsKilled)
+	if got := mFaultConnsKilled.Value() - killed0; got != 1 {
+		t.Errorf("netsim.fault.conns.killed rose by %d, want 1", got)
 	}
-	if st.FramesTruncated != 1 {
-		t.Errorf("FramesTruncated = %d, want 1", st.FramesTruncated)
+	if got := mFaultTruncations.Value() - truncated0; got != 1 {
+		t.Errorf("netsim.fault.frames.truncated rose by %d, want 1", got)
 	}
 }
 
@@ -116,8 +115,8 @@ func TestFaultKillTargetsAcceptedSideOnly(t *testing.T) {
 
 func TestFaultKillAfterTime(t *testing.T) {
 	link := Unlimited()
-	f := &Faults{KillAfterTime: 20 * time.Millisecond}
-	link.SetFaults(f)
+	link.SetFaults(&Faults{KillAfterTime: 20 * time.Millisecond})
+	killed0 := mFaultConnsKilled.Value()
 	client, server := link.Pipe()
 	defer client.Close()
 
@@ -126,8 +125,8 @@ func TestFaultKillAfterTime(t *testing.T) {
 	if _, err := server.Write([]byte("late")); !errors.Is(err, ErrConnKilled) {
 		t.Fatalf("write after lifetime = %v, want ErrConnKilled", err)
 	}
-	if got := f.Stats().ConnsKilled; got != 1 {
-		t.Errorf("ConnsKilled = %d, want 1", got)
+	if got := mFaultConnsKilled.Value() - killed0; got != 1 {
+		t.Errorf("netsim.fault.conns.killed rose by %d, want 1", got)
 	}
 }
 
@@ -162,8 +161,8 @@ func TestFaultBudgetJitterDeterministic(t *testing.T) {
 
 func TestFaultCorruptionFlipsInFlightBytes(t *testing.T) {
 	link := Unlimited()
-	f := &Faults{CorruptConnEvery: 1, CorruptAfterBytes: 100, CorruptBytes: 4}
-	link.SetFaults(f)
+	link.SetFaults(&Faults{CorruptConnEvery: 1, CorruptAfterBytes: 100, CorruptBytes: 4})
+	corrupted0 := mFaultCorruptions.Value()
 	client, server := link.Pipe()
 	defer client.Close()
 
@@ -208,8 +207,8 @@ func TestFaultCorruptionFlipsInFlightBytes(t *testing.T) {
 			t.Fatalf("byte %d: flipped=%v, want corruption only in [100,104)", i, flipped)
 		}
 	}
-	if st := f.Stats(); st.Corruptions == 0 {
-		t.Error("Corruptions counter did not advance")
+	if mFaultCorruptions.Value() == corrupted0 {
+		t.Error("netsim.fault.corruptions did not advance")
 	}
 }
 

@@ -13,7 +13,6 @@ package netsim
 
 import (
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,19 +86,35 @@ func (l *Link) TransferTime(n int64) time.Duration {
 	return time.Duration(float64(n) / l.bytesPerSec * float64(time.Second))
 }
 
-// reserve books n bytes of capacity at the current time and returns
-// the deadline at which the bytes have "arrived" and how long the writer
-// must sleep for it (zero when no wait is worth paying; see pace).
-// Shared across all connections on the link, so concurrent flows divide
-// the capacity.
-func (l *Link) reserve(n int) (deadline time.Time, wait time.Duration) {
+// reserve books n bytes of capacity at now for a writer that last woke
+// at *wake (see book) and returns the deadline at which the bytes have
+// "arrived" and whether the writer must sleep until then. When it must,
+// the deadline becomes its next wake. Shared across all connections on
+// the link, so concurrent flows divide the capacity.
+func (l *Link) reserve(n int, wake *time.Time, now time.Time) (deadline time.Time, sleep bool) {
 	if l.bytesPerSec <= 0 {
-		return time.Time{}, 0
+		return time.Time{}, false
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.nextFree, wait = l.pace(l.nextFree, time.Now(), n)
-	return l.nextFree, wait
+	var wait time.Duration
+	l.nextFree, wait = l.book(l.nextFree, *wake, now, n)
+	if wait > 0 {
+		*wake = l.nextFree
+	}
+	return l.nextFree, wait > 0
+}
+
+// book is pace on the writer's clock: a chunk booked less than minSleep
+// after the writer's last wake is booked at that wake, so the OS timer's
+// overshoot of the sleep is not idle wire time. A writer idle or
+// back-pressured for minSleep or longer books at now and, as in pace,
+// banks no credit.
+func (l *Link) book(nextFree, wake, now time.Time, n int) (end time.Time, wait time.Duration) {
+	if now.Sub(wake) < minSleep {
+		now = wake
+	}
+	return l.pace(nextFree, now, n)
 }
 
 // pace is the link's schedule, a function of its arguments alone: n
@@ -130,25 +145,6 @@ const maxBurst = 64 * 1024
 // on a later chunk.
 const minSleep = 2 * time.Millisecond
 
-// sleepUntil sleeps to a deadline with reduced overshoot: a coarse sleep
-// to within a millisecond, then yield-spinning for the remainder.
-func sleepUntil(deadline time.Time) {
-	for {
-		d := time.Until(deadline)
-		if d <= 0 {
-			return
-		}
-		if d > 2*time.Millisecond {
-			time.Sleep(d - 2*time.Millisecond)
-			continue
-		}
-		// Yield-spin the final stretch: the OS timer overshoots by up to
-		// a millisecond, which would accumulate across a transfer's many
-		// pacing points.
-		runtime.Gosched()
-	}
-}
-
 // Conn wraps c so that all writes are paced by the link. Reads are left
 // unshaped: the peer's writes already paid for the bytes, and shaping
 // both sides would double-charge every transfer. Consequently both
@@ -178,6 +174,7 @@ type shapedConn struct {
 	net.Conn
 	link *Link
 	cf   *connFaults // kill state; nil when no faults or dialer-side
+	wake time.Time   // the deadline the writer last slept to; guarded by link.mu
 }
 
 func (s *shapedConn) Write(b []byte) (int, error) {
@@ -200,9 +197,10 @@ func (s *shapedConn) Write(b []byte) (int, error) {
 			// Only pay the OS timer when the accumulated pacing debt is
 			// large enough to be worth it; the link's horizon carries small
 			// debts forward, so long-run throughput stays exact.
-			if deadline, wait := s.link.reserve(len(chunk)); wait > 0 {
-				sleepUntil(deadline)
-				mDelayNanos.Add(int64(wait))
+			if deadline, sleep := s.link.reserve(len(chunk), &s.wake, time.Now()); sleep {
+				d := max(time.Until(deadline), 0)
+				time.Sleep(d)
+				mDelayNanos.Add(int64(d))
 			}
 			// Counted before it goes out: the peer can act on a chunk the
 			// moment Write delivers it, and whoever then reads BytesSent

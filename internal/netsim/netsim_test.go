@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -157,6 +158,69 @@ func TestPaceCarriesSmallDebts(t *testing.T) {
 	}
 	if end, wait := link.pace(epoch, epoch.Add(time.Second), 1000); wait != 0 || end != epoch.Add(time.Second+tx) {
 		t.Errorf("pace on an idle wire = %v, %v; want now + 8µs, no sleep", end.Sub(epoch), wait)
+	}
+}
+
+// wakeSchedule replays one writer of the given chunk sizes over an idle
+// link on a virtual clock, as shapedConn.Write paces it through reserve,
+// except that it wakes late after every deadline it sleeps to, as the OS
+// timer does. Each booking's wait is the sleep the writer paid.
+func wakeSchedule(l *Link, late time.Duration, sizes []int) []booking {
+	epoch := time.Unix(0, 0)
+	now, wake := epoch, time.Time{}
+	var out []booking
+	for _, n := range sizes {
+		deadline, sleep := l.reserve(n, &wake, now)
+		b := booking{at: now.Sub(epoch), end: deadline.Sub(epoch)}
+		if sleep {
+			b.wait = max(deadline.Sub(now), 0)
+			now = now.Add(b.wait + late)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+func TestWakeRuleBooksFromTheWake(t *testing.T) {
+	// The 4 MiB write of TestBandwidthAccuracy, by a writer whose every
+	// sleep overshoots. Woken 0.9 ms late, it books each next chunk at its
+	// wake: the wire loses no time, the last byte still arrives at the
+	// ideal 33.554432 ms, and each later sleep is 0.9 ms shorter. Woken
+	// 3 ms late it has been away longer than minSleep and books at now, so
+	// each of its 15 late wakes is idle wire time, as an idle writer's is.
+	const tx = 524288 * time.Nanosecond
+	for _, tc := range []struct {
+		late, lost time.Duration // the overshoot, the wire time it costs
+	}{{900 * time.Microsecond, 0}, {3 * time.Millisecond, 3 * time.Millisecond}} {
+		got := wakeSchedule(NewLink(1*Gbps, 0), tc.late, chunks(4<<20))
+		for k, b := range got {
+			// Chunk k is in group g between two sleeps; the writer made
+			// group g's bookings on waking late from group g-1's last end.
+			g := time.Duration(k / 4)
+			want := booking{end: time.Duration(k+1)*tx + g*tc.lost}
+			slept := 4 * tx
+			if g > 0 {
+				want.at = g*4*tx + (g-1)*tc.lost + tc.late
+				slept -= tc.late - tc.lost
+			}
+			if (k+1)%4 == 0 {
+				want.wait = slept
+			}
+			if b != want {
+				t.Errorf("%v late: chunk %d booked %+v, want %+v", tc.late, k, b, want)
+			}
+		}
+		if end, want := got[63].end, 64*tx+15*tc.lost; end != want {
+			t.Errorf("%v late: last byte arrives at %v, want %v", tc.late, end, want)
+		}
+	}
+	// The rule's edge: minSleep after the wake the writer books at now.
+	link, epoch := NewLink(1*Gbps, 0), time.Unix(0, 0)
+	if end, _ := link.book(epoch, epoch, epoch.Add(minSleep-1), 1000); end != epoch.Add(8*time.Microsecond) {
+		t.Errorf("booked just under minSleep after the wake ends at %v, want 8µs", end.Sub(epoch))
+	}
+	if end, _ := link.book(epoch, epoch, epoch.Add(minSleep), 1000); end != epoch.Add(minSleep+8*time.Microsecond) {
+		t.Errorf("booked minSleep after the wake ends at %v, want minSleep + 8µs", end.Sub(epoch))
 	}
 }
 
@@ -314,6 +378,36 @@ func BenchmarkSharedLinkContention(b *testing.B) {
 		wg.Wait()
 		if twoFlows := time.Since(start); twoFlows < oneFlow*3/2 {
 			b.Fatalf("two flows took %v, one flow %v; expected ~2x", twoFlows, oneFlow)
+		}
+	}
+}
+
+// BenchmarkPacingCPU is the check that the shaped link, like the wire
+// it stands in for, costs its hosts little CPU: over a 4 MiB transfer at
+// 1 Gb/s the process's CPU time, user and system, must stay under half
+// the wall time. A writer that spins through its sleeps instead of
+// leaving them to the OS timer reads about 0.7. Run it alone, as
+// BenchmarkBandwidthAccuracy.
+func BenchmarkPacingCPU(b *testing.B) {
+	if raceEnabled {
+		b.Skip("race-detector instrumentation inflates the CPU time of the copies")
+	}
+	payload := make([]byte, 4<<20)
+	cpu := func() time.Duration {
+		var ru syscall.Rusage
+		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+			b.Fatal(err)
+		}
+		return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	}
+	for i := 0; i < b.N; i++ {
+		cpu0, start := cpu(), time.Now()
+		transfer(b, NewLink(1*Gbps, 0), payload)
+		wall := time.Since(start)
+		ratio := (cpu() - cpu0).Seconds() / wall.Seconds()
+		b.ReportMetric(ratio, "cpu/wall")
+		if ratio > 0.5 {
+			b.Fatalf("a paced transfer of %v spent %.2f of its wall time on a CPU, want at most 0.5", wall, ratio)
 		}
 	}
 }
