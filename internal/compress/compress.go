@@ -57,7 +57,9 @@ func ParseKind(s string) (Kind, error) {
 // stateless and safe for concurrent use.
 type Codec interface {
 	Kind() Kind
-	// Compress returns the encoded form of src.
+	// Compress returns the encoded form of src. The result may alias
+	// src (the raw codec returns src itself), so src must stay unchanged
+	// for as long as the result is in use.
 	Compress(src []byte) ([]byte, error)
 	// DecompressInto decodes src into dst. src must expand to exactly
 	// len(dst) bytes; anything else is an error, and nothing past
@@ -83,11 +85,7 @@ type noneCodec struct{}
 
 func (noneCodec) Kind() Kind { return None }
 
-func (noneCodec) Compress(src []byte) ([]byte, error) {
-	out := make([]byte, len(src))
-	copy(out, src)
-	return out, nil
-}
+func (noneCodec) Compress(src []byte) ([]byte, error) { return src, nil }
 
 func (noneCodec) DecompressInto(dst, src []byte) error {
 	if len(src) != len(dst) {

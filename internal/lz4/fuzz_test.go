@@ -147,6 +147,43 @@ func decodeGuarded(t *testing.T, block []byte, n int) ([]byte, error) {
 	return buf[:n], err
 }
 
+// overlapTail is the literals that end every overlapBlock.
+const overlapTail = "end!!"
+
+// overlapBlock builds by hand a block of three sequences: lits distinct
+// literals, one match of matchLen bytes at offset, and overlapTail as
+// the final literals. It decodes to lits+matchLen+len(overlapTail) bytes.
+func overlapBlock(lits, offset, matchLen int) []byte {
+	literals := make([]byte, lits)
+	for i := range literals {
+		literals[i] = byte(i*37 + 11)
+	}
+	block := appendSequence(nil, literals, offset, matchLen)
+	return appendSequence(block, []byte(overlapTail), 0, 0)
+}
+
+// TestOverlappingMatchesMatchReference decodes a match at every offset
+// from 1 to 20 and every length from 4 to 300, so the doubling copy
+// crosses each of its boundaries (offset times a power of two) at each
+// offset, and holds the output to referenceDecode.
+func TestOverlappingMatchesMatchReference(t *testing.T) {
+	for offset := 1; offset <= 20; offset++ {
+		for matchLen := minMatch; matchLen <= 300; matchLen++ {
+			block := overlapBlock(offset+3, offset, matchLen)
+			want, ok, _ := referenceDecode(block)
+			if !ok || len(want) != offset+3+matchLen+len(overlapTail) {
+				t.Fatalf("offset %d, match %d: reference decoded %d bytes, ok = %v",
+					offset, matchLen, len(want), ok)
+			}
+			got, err := decodeGuarded(t, block, len(want))
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("offset %d, match %d: err = %v, first difference at %d",
+					offset, matchLen, err, firstDiff(got, want))
+			}
+		}
+	}
+}
+
 // fuzzSeedInputs are the round-trip tests' cases, at sizes a fuzz worker
 // can mutate quickly.
 func fuzzSeedInputs() [][]byte {
@@ -197,6 +234,11 @@ func FuzzDecompress(f *testing.F) {
 	f.Add([]byte{0x10, 'a', 0x05, 0x00}, uint16(8))                         // offset past the output
 	f.Add([]byte{0x10, 'a', 0x00, 0x00}, uint16(8))                         // zero offset
 	f.Add([]byte{0x1F, 'a', 0x01, 0x00, 0xFF, 0xFF, 0x00, 0x00}, uint16(9)) // long overlapping match, no tail
+	// Long overlapping matches, each of many periods.
+	for _, offset := range []int{1, 2, 3, 5, 7, 8, 9} {
+		lits, matchLen := offset+2, 300+offset
+		f.Add(overlapBlock(lits, offset, matchLen), uint16(lits+matchLen+len(overlapTail)))
+	}
 
 	f.Fuzz(func(t *testing.T, block []byte, size uint16) {
 		want, ok, big := referenceDecode(block)

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 const (
@@ -42,13 +43,24 @@ func Compress(src []byte) []byte {
 	return AppendCompressed(nil, src)
 }
 
+// hashTable maps a 4-byte hash to the position+1 of its most recent
+// occurrence; 0 means none.
+type hashTable [1 << hashLog]int32
+
+// hashTables recycles the compressor's 256 KiB tables, which would
+// otherwise be allocated again for every block compressed.
+var hashTables = sync.Pool{New: func() any { return new(hashTable) }}
+
 // AppendCompressed appends the LZ4 block encoding of src to dst and returns
-// the extended slice.
+// the extended slice. Its hash table comes from a pool, so once the pool
+// holds one it allocates only when dst must grow.
 func AppendCompressed(dst, src []byte) []byte {
 	if len(src) == 0 {
 		return dst
 	}
-	var table [1 << hashLog]int32 // position+1 of most recent 4-byte hash
+	table := hashTables.Get().(*hashTable)
+	defer hashTables.Put(table)
+	clear(table[:])
 
 	anchor := 0
 	pos := 0
@@ -221,12 +233,14 @@ func DecompressInto(dst, src []byte) error {
 		if matchLen > len(dst)-o {
 			return fmt.Errorf("%w: output overflow in match", ErrCorrupt)
 		}
-		// Overlapping copy must proceed byte-wise.
-		start := o - offset
-		for j := 0; j < matchLen; j++ {
-			dst[o+j] = dst[start+j]
+		// A match with offset >= matchLen is one copy. One that overlaps
+		// itself repeats its offset-byte period: each copy appends all of
+		// dst[start:o], so the copied span doubles and always holds a
+		// whole number of periods, which is what a byte-wise copy writes.
+		start, end := o-offset, o+matchLen
+		for o < end {
+			o += copy(dst[o:end], dst[start:o])
 		}
-		o += matchLen
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -243,6 +244,22 @@ func TestAppendCompressedAppends(t *testing.T) {
 	got, err := Decompress(out[len(prefix):], len(src))
 	if err != nil || !bytes.Equal(got, src) {
 		t.Fatalf("append round trip failed: %v", err)
+	}
+}
+
+// TestAppendCompressedDoesNotAllocate holds the compressor to reusing
+// its hash table: into a dst with room for the block, it allocates
+// nothing. The collector is held off while counting, because a
+// collection empties sync.Pool.
+func TestAppendCompressedDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool discards items at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	src := zeroRunField()[:1<<16]
+	dst := make([]byte, 0, compressBound(len(src)))
+	if n := testing.AllocsPerRun(20, func() { AppendCompressed(dst, src) }); n != 0 {
+		t.Errorf("AppendCompressed allocated %v times per call, want 0", n)
 	}
 }
 
