@@ -2,17 +2,14 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"time"
 
 	"vizndp/internal/contour"
 	"vizndp/internal/grid"
-	"vizndp/internal/lz4"
 	"vizndp/internal/rpc"
 	"vizndp/internal/telemetry"
 	"vizndp/internal/vtkio"
@@ -534,9 +531,9 @@ func (c *Client) fetchRaw(ctx context.Context, path, array string) ([]byte, *Fet
 // decodeRaw decodes a raw fetch's reply into the array's bytes. A plain
 // reply carries them under "data". A stored reply carries the array's
 // LZ4 extent and its chunk table, verified together against the crc,
-// and decodes here on vtkio's decode workers (vtkio.DecodeLZ4); a table
-// or a chunk that does not decode is rpc.ErrCorrupt, as a damaged plain
-// reply is. PayloadBytes is what crossed the wire either way.
+// and decodes here on vtkio's decode workers (vtkio.DecodeStored); a
+// table or a chunk that does not decode is rpc.ErrCorrupt, as a damaged
+// plain reply is. PayloadBytes is what crossed the wire either way.
 func decodeRaw(res any, total time.Duration) ([]byte, *FetchStats, error) {
 	if m, _ := res.(map[string]any); m == nil || m[storedKey] == nil {
 		data, _, stats, err := decodeReply(res, "data", total)
@@ -547,49 +544,12 @@ func decodeRaw(res any, total time.Duration) ([]byte, *FetchStats, error) {
 		return nil, nil, err
 	}
 	table := m[chunksKey].([]byte) // decodeReply checked it
-	chunks, raw, err := unpackChunks(table, len(extent))
+	vals, err := vtkio.DecodeStored(extent, table)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %w", rpc.ErrCorrupt, err)
-	}
-	vals := make([]float32, raw/4)
-	if err := vtkio.DecodeLZ4(vals, extent, chunks); err != nil {
 		return nil, nil, fmt.Errorf("%w: stored reply: %w", rpc.ErrCorrupt, err)
 	}
 	stats.PayloadBytes += int64(len(table))
 	return vtkio.FloatsAsBytes(vals), stats, nil
-}
-
-// unpackChunks reads a stored reply's chunk table (packChunks) for an
-// extent of the given length and returns it with the array's raw byte
-// size. A table that does not parse, does not cover the extent exactly,
-// promises a chunk more than lz4.MaxExpansion times its stored size, or
-// adds up to no whole number of float32 is refused before anything the
-// size of the array is allocated.
-func unpackChunks(table []byte, extent int) ([]vtkio.ChunkInfo, int, error) {
-	var chunks []vtkio.ChunkInfo
-	comp, raw := 0, 0
-	next := func() (int, bool) {
-		v, n := binary.Uvarint(table)
-		if n <= 0 || v > math.MaxInt32 {
-			return 0, false
-		}
-		table = table[n:]
-		return int(v), true
-	}
-	for len(table) > 0 {
-		c, ok1 := next()
-		r, ok2 := next()
-		if !ok1 || !ok2 || c > extent-comp || r > lz4.MaxExpansion*c {
-			return nil, 0, fmt.Errorf("core: stored reply's chunk table is malformed at chunk %d", len(chunks))
-		}
-		chunks = append(chunks, vtkio.ChunkInfo{Comp: c, Raw: r})
-		comp += c
-		raw += r
-	}
-	if comp != extent || raw%4 != 0 {
-		return nil, 0, fmt.Errorf("core: stored reply's chunk table covers %d of %d bytes and %d raw bytes", comp, extent, raw)
-	}
-	return chunks, raw, nil
 }
 
 // gridFromMap reads the dims/origin/spacing keys a describe and a slice

@@ -38,7 +38,7 @@ type fetchResult struct {
 	points   int           // full array length
 	selected int           // points shipped
 	grid     *grid.Uniform // slice only: the extracted plane's 2D grid
-	// table is a stored raw reply's packed chunk table (packChunks); nil
+	// table is a stored raw reply's packed chunk table (vtkio.PackChunks); nil
 	// in every other result.
 	table []byte
 	crc   uint32 // CRC32C of data then table, sent so clients can verify the wire

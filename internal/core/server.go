@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -84,7 +83,7 @@ func WithCacheBytes(maxBytes int64) ServerOption {
 // read through the array cache's (WithCacheBytes), and there is no window
 // to set. The option exists only because bench/workloads.go still passes
 // it and bench/ is frozen outside benchmark PRs; it goes when that call
-// does (ROADMAP, "Next: benchmark PR A", item 3).
+// does (ROADMAP, "Benchmark PR A", item 3).
 func WithCoalesce(time.Duration) ServerOption { return func(*Server) {} }
 
 // WithPayloadCacheBytes bounds a storage-side cache of encoded fetch
@@ -448,18 +447,7 @@ func (s *Server) loadStored(ctx context.Context, key arrayKey, f *dataFile) (*fe
 	readTime := ev.Stage("read", start)
 	mFetchReadSecs.Observe(readTime.Seconds())
 	points := int(info.RawSize() / 4)
-	return &fetchResult{data: extent, table: packChunks(info.Chunks), points: points, selected: points}, readTime, nil
-}
-
-// packChunks packs a chunk table for a stored raw reply: each chunk's
-// stored and raw sizes as two uvarints, in order.
-func packChunks(chunks []vtkio.ChunkInfo) []byte {
-	b := make([]byte, 0, 2*binary.MaxVarintLen32*len(chunks))
-	for _, c := range chunks {
-		b = binary.AppendUvarint(b, uint64(c.Comp))
-		b = binary.AppendUvarint(b, uint64(c.Raw))
-	}
-	return b
+	return &fetchResult{data: extent, table: vtkio.PackChunks(info.Chunks), points: points, selected: points}, readTime, nil
 }
 
 // readPlanned is an uncached load: it reads the chunks of the array that

@@ -58,6 +58,10 @@ func storedInfo(t testing.TB, dir string) *vtkio.ArrayInfo {
 	return r.Header().Array("d")
 }
 
+// unpackChunks is vtkio's parse of a stored reply's chunk table, under
+// the name FuzzDecodeReply holds a decoded stored reply's length to.
+var unpackChunks = vtkio.UnpackChunks
+
 func replyKeys(t *testing.T, reply any) []string {
 	t.Helper()
 	m, ok := reply.(map[string]any)

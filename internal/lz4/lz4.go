@@ -37,11 +37,34 @@ func hash4(v uint32) uint32 {
 	return (v * 2654435761) >> hashShift
 }
 
-// Compress compresses src as a single LZ4 block and returns the block.
-// An empty src yields an empty block.
+// Compress compresses src as a single LZ4 block and returns the block,
+// exactly its length. An empty src yields an empty block. It compresses
+// into pooled scratch of the compress bound and copies the block out, so
+// once the pool holds a large enough buffer the block is its one
+// allocation.
 func Compress(src []byte) []byte {
-	return AppendCompressed(nil, src)
+	if len(src) == 0 {
+		return nil
+	}
+	bound := compressBound(len(src))
+	p, _ := scratch.Get().(*[]byte)
+	if p == nil || cap(*p) < bound {
+		b := make([]byte, 0, bound)
+		p = &b
+	}
+	defer scratch.Put(p)
+	block := AppendCompressed((*p)[:0], src)
+	return append(make([]byte, 0, len(block)), block...)
 }
+
+// compressBound is the most bytes AppendCompressed appends for an input
+// of n bytes, mirroring LZ4_compressBound.
+func compressBound(n int) int {
+	return n + n/255 + 16
+}
+
+// scratch recycles Compress's work buffers.
+var scratch sync.Pool // of *[]byte
 
 // hashTable maps a 4-byte hash to the position+1 of its most recent
 // occurrence; 0 means none.

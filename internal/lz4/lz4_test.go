@@ -217,12 +217,6 @@ func TestDecompressFuzzRandomInput(t *testing.T) {
 	}
 }
 
-// compressBound is the maximum compressed size for an input of n bytes,
-// mirroring LZ4_compressBound.
-func compressBound(n int) int {
-	return n + n/255 + 16
-}
-
 func TestCompressBoundHolds(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{0, 1, 100, 1000, 65536} {
@@ -260,6 +254,23 @@ func TestAppendCompressedDoesNotAllocate(t *testing.T) {
 	dst := make([]byte, 0, compressBound(len(src)))
 	if n := testing.AllocsPerRun(20, func() { AppendCompressed(dst, src) }); n != 0 {
 		t.Errorf("AppendCompressed allocated %v times per call, want 0", n)
+	}
+}
+
+// TestCompressAllocatesOnlyTheBlock: once the scratch pool holds a
+// buffer of the compress bound, Compress allocates only the block it
+// returns, at exactly its length.
+func TestCompressAllocatesOnlyTheBlock(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool discards items at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	src := benchField()[:256<<10]
+	if n := testing.AllocsPerRun(20, func() { Compress(src) }); n != 1 {
+		t.Errorf("Compress allocated %v times per call, want 1", n)
+	}
+	if block := Compress(src); cap(block) != len(block) {
+		t.Errorf("block of %d bytes has capacity %d", len(block), cap(block))
 	}
 }
 

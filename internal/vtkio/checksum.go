@@ -165,25 +165,21 @@ func readChecksums(src io.ReaderAt, h *Header) ([]int64, []uint32, error) {
 // immediately for files with no checksum section (there is nothing to
 // verify against), an ErrChecksum-wrapping error naming the first bad
 // page otherwise. This is the scrubber's workhorse: it touches every
-// stored byte once, at I/O cost only, through one pooled buffer.
+// stored byte once, at I/O cost only, through readSpan and one pooled
+// buffer per array.
 func (r *Reader) VerifyChecksums() error {
 	if r.meta.header.Checksums == nil {
 		return nil
 	}
 	for i := range r.meta.header.Arrays {
-		if err := r.verifyArray(i); err != nil {
+		var ext pooled
+		_, _, err := r.readSpan(i, nil, ext.alloc)
+		ext.release()
+		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// verifyArray is one array's share of VerifyChecksums; its own function
-// so the pooled extent goes back after each array.
-func (r *Reader) verifyArray(idx int) error {
-	ext := getExtent(r.meta.header.Arrays[idx].CompressedSize())
-	defer putExtent(ext)
-	return r.readSpan(idx, 0, *ext)
 }
 
 // verifyPages checks data, array idx's stored bytes from the page-aligned

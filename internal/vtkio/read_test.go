@@ -582,3 +582,103 @@ func TestReadStoredDecodesToTheArray(t *testing.T) {
 		t.Error("ReadStored of a raw array succeeded")
 	}
 }
+
+// TestHeaderSizeLiesAreCorrupt: an unchecksummed file's header can claim
+// any chunk size, and nothing but the object's size and the codec can
+// contradict it. A stored size that runs past the object fails the
+// array's read as ErrCorrupt before anything that size is allocated; a
+// raw size more than the codec can decode from the stored one fails the
+// open. Unchecked, the 2^40-byte stored size ends the process in the
+// read's extent allocation. The bounds refuse no real file: an
+// all-zero array, every codec's most compressible input, reads back.
+func TestHeaderSizeLiesAreCorrupt(t *testing.T) {
+	zeros := grid.NewDataset(grid.NewUniform(64, 64, 64))
+	zeros.MustAddField(grid.NewField("v02", 64*64*64))
+	for _, opts := range []WriteOptions{
+		{Codec: compress.None}, {Codec: compress.Gzip}, {Codec: compress.LZ4}, {LossyBound: 0.01},
+	} {
+		opts.ChunkSize = 1 << 20
+		if _, err := roundTripDataset(t, zeros, opts).ReadArray("v02"); err != nil {
+			t.Errorf("all-zero array, %+v: %v", opts, err)
+		}
+	}
+	const lie = 1 << 40
+	for _, kind := range readArrayCodecs {
+		t.Run(kind.String(), func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := Write(&buf, makeDataset(16, 16, 16), WriteOptions{Codec: kind, ChunkSize: 4096}); err != nil {
+				t.Fatal(err)
+			}
+			file := buf.Bytes()
+			past := rewriteHeader(t, file, func(h *Header) {
+				c := &h.Arrays[0].Chunks[0]
+				c.Comp = lie
+				if kind == compress.None {
+					c.Raw = lie // a raw chunk stores its raw bytes
+				}
+			})
+			r, err := OpenReader(bytes.NewReader(past))
+			if err != nil {
+				t.Fatalf("a stored size past the object failed the open: %v", err)
+			}
+			_, err = r.ReadArray(r.Header().Arrays[0].Name)
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "past the object") {
+				t.Errorf("read of a chunk stored past the object: %v, want ErrCorrupt for the object's size", err)
+			}
+			grown := rewriteHeader(t, file, func(h *Header) { h.Arrays[0].Chunks[0].Raw = lie })
+			if _, err := OpenReader(bytes.NewReader(grown)); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("open of a chunk claiming %d raw bytes: %v, want ErrCorrupt", lie, err)
+			}
+		})
+	}
+}
+
+// TestReadArrayChunksInto: a masked read into the caller's buffer writes
+// the values of the wanted chunks, each equal to ReadArray's — and, in a
+// raw array, those of the chunks between two wanted ones, which come with
+// the span — and leaves every other value of dst as it was. A dst of the
+// wrong length is refused.
+func TestReadArrayChunksInto(t *testing.T) {
+	sentinel := math.Float32frombits(0x7fc0dead)
+	for _, kind := range readArrayCodecs {
+		t.Run(kind.String(), func(t *testing.T) {
+			// Pages the size of a raw chunk: a raw span ends on a chunk.
+			file, _ := arrayFile(t, 16, WriteOptions{Codec: kind, ChunkSize: 1024, Checksum: true, ChecksumPageSize: 1024})
+			r, err := OpenReader(bytes.NewReader(file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := r.ReadArray("v02")
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks := r.Header().Array("v02").Chunks
+			want := make([]bool, len(chunks))
+			want[1], want[4] = true, true
+			dst := make([]float32, len(full.Values))
+			for i := range dst {
+				dst[i] = sentinel
+			}
+			if err := r.ReadArrayChunksInto("v02", want, dst); err != nil {
+				t.Fatal(err)
+			}
+			var roff int
+			for c, ch := range chunks {
+				written := want[c] || kind == compress.None && c > 1 && c < 4
+				for i := roff / 4; i < (roff+ch.Raw)/4; i++ {
+					got, exp := math.Float32bits(dst[i]), math.Float32bits(sentinel)
+					if written {
+						exp = math.Float32bits(full.Values[i])
+					}
+					if got != exp {
+						t.Fatalf("chunk %d (written %v): value %d is %08x, want %08x", c, written, i, got, exp)
+					}
+				}
+				roff += ch.Raw
+			}
+			if err := r.ReadArrayChunksInto("v02", want, dst[1:]); err == nil {
+				t.Error("a destination one value short was accepted")
+			}
+		})
+	}
+}

@@ -24,6 +24,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"math"
 	"os"
 	"runtime"
 	"sync"
@@ -82,6 +84,24 @@ func (a *ArrayInfo) codec() (compress.Codec, error) {
 		return nil, err
 	}
 	return compress.ByKind(kind)
+}
+
+// maxExpansion is the most raw bytes one stored byte of the array can
+// decode to — exactly one for raw, deflate's 1032 for gzip — or 0 for a
+// codec the read will refuse.
+func (a *ArrayInfo) maxExpansion() int {
+	kind, err := compress.ParseKind(a.Codec)
+	switch {
+	case a.Codec == LossyCodecName:
+		return 4 * lz4.MaxExpansion // an LZ4 body of at least a byte per value
+	case err != nil:
+		return 0
+	case kind == compress.None:
+		return 1
+	case kind == compress.LZ4:
+		return lz4.MaxExpansion
+	}
+	return 1032
 }
 
 // CompressedSize returns the total stored byte size of the array.
@@ -432,6 +452,9 @@ type Meta struct {
 	ckStart []int64
 	crcs    []uint32
 	size    int64
+	// objSize is the object's byte length, -1 when its source reports
+	// none.
+	objSize int64
 }
 
 // Size is the metadata's approximate resident byte size: the header as
@@ -489,18 +512,35 @@ func ReadMeta(src io.ReaderAt) (*Meta, error) {
 		return nil, fmt.Errorf("%w: header grid: %w", ErrCorrupt, err)
 	}
 	// Validate array extents up front: readArray sizes buffers and slices
-	// from these fields, so a corrupt header with negative values must be
-	// rejected here rather than panic there.
+	// from these fields, so a header whose sizes are negative, claim more
+	// raw bytes than the codec can decode from the stored ones, or add up
+	// past any object must be rejected here rather than panic or exhaust
+	// memory there. An extent that ends past this object fails the reads
+	// of its array (arrayLen), so a cut-off object still serves the
+	// arrays it holds whole.
+	m.objSize = -1
+	if size, ok := objectSize(src); ok {
+		m.objSize = size
+	}
 	for i := range m.header.Arrays {
 		a := &m.header.Arrays[i]
 		if a.Offset < 0 {
 			return nil, fmt.Errorf("%w: array %q has negative offset %d", ErrCorrupt, a.Name, a.Offset)
 		}
+		grow := a.maxExpansion()
+		end := a.Offset
 		for _, c := range a.Chunks {
-			if c.Comp < 0 || c.Raw < 0 {
+			switch {
+			case c.Comp < 0 || c.Raw < 0:
 				return nil, fmt.Errorf("%w: array %q has negative chunk size (comp=%d raw=%d)",
 					ErrCorrupt, a.Name, c.Comp, c.Raw)
+			case grow > 0 && c.Comp <= math.MaxInt/grow && c.Raw > grow*c.Comp:
+				return nil, fmt.Errorf("%w: array %q: %s chunk of %d bytes claims %d raw bytes",
+					ErrCorrupt, a.Name, a.Codec, c.Comp, c.Raw)
+			case int64(c.Comp) > math.MaxInt64-end:
+				return nil, fmt.Errorf("%w: array %q ends past any object", ErrCorrupt, a.Name)
 			}
+			end += int64(c.Comp)
 		}
 	}
 	if err := checkRanges(&m.header); err != nil {
@@ -551,6 +591,21 @@ func readFullAt(src io.ReaderAt, buf []byte, off int64) (int, error) {
 	return n, err
 }
 
+// objectSize is src's length when src reports one: a bytes.Reader's
+// Size, or a file's Stat (free on s3fs, whose open already asked the
+// store).
+func objectSize(src io.ReaderAt) (int64, bool) {
+	switch s := src.(type) {
+	case interface{ Size() int64 }:
+		return s.Size(), true
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := s.Stat(); err == nil {
+			return fi.Size(), true
+		}
+	}
+	return 0, false
+}
+
 // Header returns the parsed file header. It is shared with every reader
 // built on the same Meta and must not be modified.
 func (r *Reader) Header() *Header { return &r.meta.header }
@@ -568,58 +623,77 @@ func (r *Reader) arrayIndex(name string) (int, error) {
 	return -1, fmt.Errorf("vtkio: no array %q (have %v)", name, r.meta.header.ArrayNames())
 }
 
-// extentPool recycles the buffers that hold an array's stored extent for
-// the length of one readArray or VerifyChecksums call. Nothing a caller
-// keeps ever points into one: decoders write to the caller's destination
-// and the buffer goes back before the call returns.
+// extentPool recycles the buffers that hold a stored span for one
+// readArray or VerifyChecksums call; nothing a caller keeps points into
+// one, since decoders write to the caller's destination.
 var extentPool sync.Pool // of *[]byte
 
-// getExtent returns a pooled buffer of n bytes; hand it to putExtent.
-func getExtent(n int64) *[]byte {
-	if p, _ := extentPool.Get().(*[]byte); p != nil && int64(cap(*p)) >= n {
-		*p = (*p)[:n]
-		return p
+// pooled is a readSpan buffer from extentPool; release hands it back.
+type pooled struct{ p *[]byte }
+
+func (e *pooled) alloc(lo, hi int64) []byte {
+	if e.p, _ = extentPool.Get().(*[]byte); e.p == nil || int64(cap(*e.p)) < hi-lo {
+		b := make([]byte, hi-lo)
+		e.p = &b
 	}
-	b := make([]byte, n)
-	return &b
+	*e.p = (*e.p)[:hi-lo]
+	return *e.p
 }
 
-func putExtent(p *[]byte) { extentPool.Put(p) }
+func (e *pooled) release() {
+	if e.p != nil {
+		extentPool.Put(e.p)
+	}
+}
 
-// readSpan fills buf with the stored bytes of array idx from offset lo
-// of its extent — one sequential read — and checks them against the
-// page CRCs when the file carries them, in which case lo must be
-// page-aligned and buf run to a page boundary or the extent's end.
-// Verification always runs here,
-// on the stored bytes and before any codec sees them: a CRC mismatch is
-// reported as ErrChecksum, never as a codec failure — and never as
-// silently-wrong floats when the corrupt bytes still decompress (the
-// "none" codec decompresses everything).
-func (r *Reader) readSpan(idx int, lo int64, buf []byte) error {
+// readSpan is the one read of an array's stored bytes. It turns want, a
+// mask over array idx's chunks (nil meaning all), into the span [lo, hi)
+// of the extent from the first wanted chunk to the end of the last,
+// widened to whole checksum pages when the file carries them, reads it
+// with one ReadAt into alloc's buffer and verifies every page before any
+// codec sees a byte, so a CRC mismatch is ErrChecksum, never a codec
+// failure or wrong floats. It returns lo and the span.
+func (r *Reader) readSpan(idx int, want []bool, alloc func(lo, hi int64) []byte) (int64, []byte, error) {
 	info := &r.meta.header.Arrays[idx]
+	lo, hi := int64(-1), int64(0)
+	var coff int64
+	for i, c := range info.Chunks {
+		if want == nil || want[i] {
+			if lo < 0 {
+				lo = coff
+			}
+			hi = coff + int64(c.Comp)
+		}
+		coff += int64(c.Comp)
+	}
+	if lo < 0 {
+		return 0, nil, nil
+	}
+	ck := r.meta.header.Checksums
+	if ck != nil {
+		page := int64(ck.PageSize)
+		lo -= lo % page
+		hi = min(pageCount(hi, ck.PageSize)*page, coff)
+	}
+	buf := alloc(lo, hi)
 	if len(buf) == 0 {
-		return nil
+		return lo, buf, nil
 	}
 	if _, err := readFullAt(r.src, buf, info.Offset+lo); err != nil {
-		return fmt.Errorf("vtkio: reading array %q: %w", info.Name, err)
+		return 0, nil, fmt.Errorf("vtkio: reading array %q: %w", info.Name, err)
 	}
-	if r.meta.header.Checksums == nil {
-		return nil
+	if ck == nil {
+		return lo, buf, nil
 	}
-	return r.meta.verifyPages(idx, lo, buf)
+	return lo, buf, r.meta.verifyPages(idx, lo, buf)
 }
 
 // readArray is the one array-decode routine: it lands the values of
-// array idx's wanted chunks in dst, in host byte order, which must be
-// RawSize() long, allocating nothing of the array's size. want marks
-// the chunks to decode, nil meaning all. It reads one span of the stored
-// extent, from the first wanted chunk to the last, widened to whole
-// checksum pages and verified page by page (readSpan). The "raw" codec's
-// stored bytes are the array, so its span is read straight into dst,
-// unwanted chunks inside it included; every other codec's span is read
-// into a pooled buffer and the wanted chunks decompress on a fixed set
-// of at most GOMAXPROCS workers, each chunk into its own slot of dst.
-// The rest of dst is left as it was.
+// array idx's wanted chunks (want; nil means all) in dst, RawSize() long,
+// in host byte order, and leaves the rest of dst as it was. A raw span is
+// the array's bytes (arrayLen holds each chunk to Comp == Raw), so it
+// lands in dst directly, unwanted chunks inside it included; any other
+// span goes to a pooled buffer and its wanted chunks decode into dst.
 func (r *Reader) readArray(idx int, dst []byte, want []bool) error {
 	info := &r.meta.header.Arrays[idx]
 	if want != nil && len(want) != len(info.Chunks) {
@@ -629,157 +703,82 @@ func (r *Reader) readArray(idx int, dst []byte, want []bool) error {
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	raw := codec.Kind() == compress.None
-	// The span: stored bytes [lo, hi) of the extent, from the first
-	// wanted chunk to the end of the last.
-	lo, hi := int64(-1), int64(0)
-	var coff int64
-	wanted := 0
-	for i, c := range info.Chunks {
-		if raw && c.Comp != c.Raw {
-			return fmt.Errorf("%w: array %q: raw chunk stores %d bytes for %d", ErrCorrupt, info.Name, c.Comp, c.Raw)
-		}
-		if want == nil || want[i] {
-			if lo < 0 {
-				lo = coff
-			}
-			hi = coff + int64(c.Comp)
-			wanted++
-		}
-		coff += int64(c.Comp)
-	}
-	if lo < 0 {
-		return nil // no chunk wanted
-	}
-	if ck := r.meta.header.Checksums; ck != nil {
-		page := int64(ck.PageSize)
-		lo -= lo % page
-		hi = min(pageCount(hi, ck.PageSize)*page, coff)
-	}
-	if raw {
-		if err := r.readSpan(idx, lo, dst[lo:hi]); err != nil {
-			return err
-		}
-		swapWords(dst[lo:hi], hostBigEndian)
-		return nil
-	}
-	ext := getExtent(hi - lo)
-	defer putExtent(ext)
-	if err := r.readSpan(idx, lo, *ext); err != nil {
+	if codec.Kind() == compress.None {
+		_, span, err := r.readSpan(idx, want, func(lo, hi int64) []byte { return dst[lo:hi] })
+		swapWords(span, hostBigEndian)
 		return err
 	}
-
-	// One job per wanted chunk, in chunk order, so the error reported is
-	// the first wanted chunk's that failed whichever worker met it.
-	jobs := make([]decodeJob, 0, wanted)
-	var roff int
-	coff = -lo // the chunk's offset in ext
-	for i, c := range info.Chunks {
-		comp, out := coff, roff
-		coff += int64(c.Comp)
-		roff += c.Raw
-		if want == nil || want[i] {
-			jobs = append(jobs, decodeJob{comp: (*ext)[comp:coff], out: dst[out:roff]})
-		}
+	var ext pooled
+	defer ext.release()
+	lo, span, err := r.readSpan(idx, want, ext.alloc)
+	if err != nil {
+		return err
 	}
-	decodeAll(codec, jobs)
-	for i := range jobs {
-		// The header that frames the chunks carries no checksum: a chunk
-		// size that lies before a partial span shifts every chunk in it
-		// onto bytes whose pages verify, and only the decode can tell.
-		if err := jobs[i].err; err != nil {
-			return fmt.Errorf("%w: array %q: %w", ErrCorrupt, info.Name, err)
-		}
+	// The header that frames the chunks carries no checksum: a chunk
+	// size that lies before a partial span shifts every chunk in it onto
+	// bytes whose pages verify, and only the decode can tell.
+	if err := decodeChunks(codec, info.Chunks, want, span, lo, dst); err != nil {
+		return fmt.Errorf("%w: array %q %w", ErrCorrupt, info.Name, err)
 	}
 	return nil
 }
 
-// ReadStored returns the named LZ4 array's stored extent, its chunks as
-// they lie in the file, in a new buffer the caller owns: what a reader
-// that decodes elsewhere needs besides the header's chunk table. It
-// hands out only bytes readArray would have decoded: the header's raw
-// sizes must add up to the grid's points, every page of the extent must
-// pass its CRC (when the file carries them; readSpan), and every chunk's
-// LZ4 sequences must fit its raw size (lz4.Validate). Any of those
-// failing is ErrCorrupt.
-func (r *Reader) ReadStored(name string) ([]byte, error) {
-	idx, err := r.arrayIndex(name)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := r.arrayLen(idx); err != nil {
-		return nil, err
-	}
-	info := &r.meta.header.Arrays[idx]
-	if info.Codec != compress.LZ4.String() {
-		return nil, fmt.Errorf("vtkio: array %q is stored %s, not lz4", name, info.Codec)
-	}
-	ext := make([]byte, info.CompressedSize())
-	if err := r.readSpan(idx, 0, ext); err != nil {
-		return nil, err
-	}
-	off := 0
-	for i, c := range info.Chunks {
-		if err := lz4.Validate(ext[off:off+c.Comp], c.Raw); err != nil {
-			return nil, fmt.Errorf("%w: array %q chunk %d: %w", ErrCorrupt, name, i, err)
-		}
-		off += c.Comp
-	}
-	return ext, nil
-}
-
-// DecodeLZ4 decodes an LZ4 array's stored extent, cut into chunks as
-// the chunk table says, into dst, on readArray's decode workers
-// (decodeAll). The table must cover the extent exactly and dst hold
-// exactly the chunks' raw bytes; a table that does not, or a chunk that
-// does not decode, is ErrCorrupt, and dst's contents are then
-// unspecified.
-func DecodeLZ4(dst []float32, extent []byte, chunks []ChunkInfo) error {
-	out := floatBytes(dst)
-	jobs := make([]decodeJob, 0, len(chunks))
-	var coff, roff int
-	for _, c := range chunks {
-		if c.Comp < 0 || c.Raw < 0 || c.Comp > len(extent)-coff || c.Raw > len(out)-roff {
-			return fmt.Errorf("%w: chunk table overruns %d stored or %d raw bytes", ErrCorrupt, len(extent), len(out))
-		}
-		jobs = append(jobs, decodeJob{comp: extent[coff : coff+c.Comp], out: out[roff : roff+c.Raw]})
-		coff += c.Comp
-		roff += c.Raw
-	}
-	if coff != len(extent) || roff != len(out) {
-		return fmt.Errorf("%w: chunk table covers %d of %d stored and %d of %d raw bytes",
-			ErrCorrupt, coff, len(extent), roff, len(out))
-	}
-	codec, err := compress.ByKind(compress.LZ4)
-	if err != nil {
-		return err
-	}
-	decodeAll(codec, jobs)
-	for i := range jobs {
-		if err := jobs[i].err; err != nil {
-			return fmt.Errorf("%w: chunk %d: %w", ErrCorrupt, i, err)
-		}
-	}
-	return nil
-}
-
-// decodeJob is one chunk for decodeAll: its stored bytes, its slot of the
-// destination, and what decompressing one into the other returned.
+// decodeJob is one chunk for decodeAll: its index and raw size, its
+// stored bytes, its slot of the destination, and what the pass returned.
 type decodeJob struct {
-	comp, out []byte
-	err       error
+	chunk, raw int
+	comp, out  []byte
+	err        error
+}
+
+// decodeChunks is the one walk from stored chunks to decode jobs: each
+// chunk that want marks (nil meaning all), its stored bytes in span (the
+// extent from offset lo), decodes with codec into its slot of dst — or,
+// with a nil codec and dst, is only checked to decode as LZ4 — and the
+// error returned is the first wanted chunk's that failed, in order.
+func decodeChunks(codec compress.Codec, chunks []ChunkInfo, want []bool, span []byte, lo int64, dst []byte) error {
+	wanted := len(chunks)
+	for _, w := range want {
+		if !w {
+			wanted--
+		}
+	}
+	jobs := make([]decodeJob, 0, wanted)
+	var coff, roff int64
+	for i, c := range chunks {
+		if want == nil || want[i] {
+			j := decodeJob{chunk: i, raw: c.Raw, comp: span[coff-lo : coff-lo+int64(c.Comp)]}
+			if dst != nil {
+				j.out = dst[roff : roff+int64(c.Raw)]
+			}
+			jobs = append(jobs, j)
+		}
+		coff += int64(c.Comp)
+		roff += int64(c.Raw)
+	}
+	decodeAll(codec, jobs)
+	for _, j := range jobs {
+		if j.err != nil {
+			return fmt.Errorf("chunk %d: %w", j.chunk, j.err)
+		}
+	}
+	return nil
 }
 
 // decodeAll decodes every job, into host byte order, on at most
 // GOMAXPROCS goroutines, the calling one among them, each pulling the
-// next job until none is left, and returns once all have run. How many
-// goroutines it starts depends on the CPU count, never on the job count.
+// next job until none is left, and returns once all have run; a nil
+// codec only checks each job with lz4.Validate. How many goroutines it
+// starts depends on the CPU count, never on the job count.
 func decodeAll(codec compress.Codec, jobs []decodeJob) {
 	var next atomic.Int64
 	work := func() {
 		for j := next.Add(1) - 1; j < int64(len(jobs)); j = next.Add(1) - 1 {
-			if jobs[j].err = codec.DecompressInto(jobs[j].out, jobs[j].comp); jobs[j].err == nil {
-				swapWords(jobs[j].out, hostBigEndian)
+			job := &jobs[j]
+			if codec == nil {
+				job.err = lz4.Validate(job.comp, job.raw)
+			} else if job.err = codec.DecompressInto(job.out, job.comp); job.err == nil {
+				swapWords(job.out, hostBigEndian)
 			}
 		}
 	}
@@ -793,6 +792,111 @@ func decodeAll(codec compress.Codec, jobs []decodeJob) {
 	}
 	work()
 	wg.Wait()
+}
+
+// ReadStored returns the named LZ4 array's stored extent in a new buffer
+// the caller owns: what a reader that decodes elsewhere needs besides the
+// chunk table (PackChunks). It hands out only bytes readArray would have
+// decoded: the header must agree with itself (arrayLen), every page pass
+// its CRC (readSpan) and every chunk fit its raw size (lz4.Validate), or
+// it is ErrCorrupt.
+func (r *Reader) ReadStored(name string) ([]byte, error) {
+	idx, _, err := r.arrayLen(name)
+	if err != nil {
+		return nil, err
+	}
+	info := &r.meta.header.Arrays[idx]
+	if info.Codec != compress.LZ4.String() {
+		return nil, fmt.Errorf("vtkio: array %q is stored %s, not lz4", name, info.Codec)
+	}
+	_, ext, err := r.readSpan(idx, nil, func(lo, hi int64) []byte { return make([]byte, hi-lo) })
+	if err != nil {
+		return nil, err
+	}
+	if err := decodeChunks(nil, info.Chunks, nil, ext, 0, nil); err != nil {
+		return nil, fmt.Errorf("%w: array %q %w", ErrCorrupt, name, err)
+	}
+	return ext, nil
+}
+
+// PackChunks packs a chunk table for a stored reply: each chunk's stored
+// and raw sizes as two uvarints, in order. UnpackChunks is its parser.
+func PackChunks(chunks []ChunkInfo) []byte {
+	b := make([]byte, 0, 2*binary.MaxVarintLen32*len(chunks))
+	for _, c := range chunks {
+		b = binary.AppendUvarint(b, uint64(c.Comp))
+		b = binary.AppendUvarint(b, uint64(c.Raw))
+	}
+	return b
+}
+
+// UnpackChunks parses a received chunk table for an extent of the given
+// length and returns it with the array's raw byte size. A table that does
+// not parse or cover the extent exactly, promises a chunk more than
+// lz4.MaxExpansion times its stored size, or adds up to no whole number
+// of float32 is ErrCorrupt, before anything the array's size is allocated.
+func UnpackChunks(table []byte, extent int) ([]ChunkInfo, int, error) {
+	var chunks []ChunkInfo
+	comp, raw := 0, 0
+	for len(table) > 0 {
+		c, n := binary.Uvarint(table)
+		r, m := binary.Uvarint(table[max(n, 0):])
+		if n <= 0 || m <= 0 || c > math.MaxInt32 || r > math.MaxInt32 ||
+			int(c) > extent-comp || int(r) > lz4.MaxExpansion*int(c) {
+			return nil, 0, fmt.Errorf("%w: stored chunk table is malformed at chunk %d", ErrCorrupt, len(chunks))
+		}
+		chunks = append(chunks, ChunkInfo{Comp: int(c), Raw: int(r)})
+		comp += int(c)
+		raw += int(r)
+		table = table[n+m:]
+	}
+	if comp != extent || raw%4 != 0 {
+		return nil, 0, fmt.Errorf("%w: stored chunk table covers %d of %d bytes and %d raw bytes", ErrCorrupt, comp, extent, raw)
+	}
+	return chunks, raw, nil
+}
+
+// DecodeStored decodes a received stored extent and its packed chunk
+// table into a new array: UnpackChunks, then DecodeLZ4. Every failure
+// is ErrCorrupt.
+func DecodeStored(extent, table []byte) ([]float32, error) {
+	chunks, raw, err := UnpackChunks(table, len(extent))
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]float32, raw/4)
+	if err := DecodeLZ4(vals, extent, chunks); err != nil {
+		return nil, err
+	}
+	return vals, nil
+}
+
+// lz4Codec decodes a stored reply's chunks; ByKind fails only for an
+// unknown kind.
+var lz4Codec, _ = compress.ByKind(compress.LZ4)
+
+// DecodeLZ4 decodes an LZ4 array's stored extent, cut into chunks as the
+// table says, into dst. A table that does not cover the extent and dst
+// exactly, or a chunk that does not decode, is ErrCorrupt, and dst's
+// contents are then unspecified.
+func DecodeLZ4(dst []float32, extent []byte, chunks []ChunkInfo) error {
+	out := floatBytes(dst)
+	var coff, roff int
+	for _, c := range chunks {
+		if c.Comp < 0 || c.Raw < 0 || c.Comp > len(extent)-coff || c.Raw > len(out)-roff {
+			return fmt.Errorf("%w: chunk table overruns %d stored or %d raw bytes", ErrCorrupt, len(extent), len(out))
+		}
+		coff += c.Comp
+		roff += c.Raw
+	}
+	if coff != len(extent) || roff != len(out) {
+		return fmt.Errorf("%w: chunk table covers %d of %d stored and %d of %d raw bytes",
+			ErrCorrupt, coff, len(extent), roff, len(out))
+	}
+	if err := decodeChunks(lz4Codec, chunks, nil, extent, 0, out); err != nil {
+		return fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	return nil
 }
 
 // ReadArray fetches the named array as a field. The []float32 it returns
@@ -809,11 +913,7 @@ func (r *Reader) ReadArray(name string) (*grid.Field, error) {
 // are zero — unless, in a raw array, they lie between two wanted chunks
 // and come with the span.
 func (r *Reader) ReadArrayChunks(name string, want []bool) (*grid.Field, error) {
-	idx, err := r.arrayIndex(name)
-	if err != nil {
-		return nil, err
-	}
-	n, err := r.arrayLen(idx)
+	idx, n, err := r.arrayLen(name)
 	if err != nil {
 		return nil, err
 	}
@@ -824,20 +924,37 @@ func (r *Reader) ReadArrayChunks(name string, want []bool) (*grid.Field, error) 
 	return &grid.Field{Name: name, Values: vals}, nil
 }
 
-// arrayLen is array idx's value count, once its header entry is checked
-// against the grid, whose point count it must equal; a header that
-// disagrees with itself is ErrCorrupt.
-func (r *Reader) arrayLen(idx int) (int, error) {
+// arrayLen finds the named array and its value count, once its header
+// entry is checked against the grid, whose point count its raw sizes must
+// add up to, and against the object, inside which its extent must end
+// when the source reports its size; a raw array's chunks must also store
+// exactly their raw bytes. A header that disagrees with itself or with
+// the object is ErrCorrupt, found before anything the array's size is
+// allocated.
+func (r *Reader) arrayLen(name string) (idx, n int, err error) {
+	if idx, err = r.arrayIndex(name); err != nil {
+		return 0, 0, err
+	}
 	info := &r.meta.header.Arrays[idx]
-	size := info.RawSize()
+	raw := info.maxExpansion() == 1
+	var comp, size int64
+	for _, c := range info.Chunks {
+		if raw && c.Comp != c.Raw {
+			return 0, 0, fmt.Errorf("%w: array %q: raw chunk stores %d bytes for %d", ErrCorrupt, name, c.Comp, c.Raw)
+		}
+		comp += int64(c.Comp)
+		size += int64(c.Raw)
+	}
+	if r.meta.objSize >= 0 && comp > r.meta.objSize-info.Offset {
+		return 0, 0, fmt.Errorf("%w: array %q runs past the object's %d bytes", ErrCorrupt, name, r.meta.objSize)
+	}
 	if size%4 != 0 {
-		return 0, fmt.Errorf("%w: %d bytes is not a whole number of float32", ErrCorrupt, size)
+		return 0, 0, fmt.Errorf("%w: %d bytes is not a whole number of float32", ErrCorrupt, size)
 	}
 	if want := r.Grid().NumPoints(); size/4 != int64(want) {
-		return 0, fmt.Errorf("%w: array %q has %d values, grid has %d points",
-			ErrCorrupt, info.Name, size/4, want)
+		return 0, 0, fmt.Errorf("%w: array %q has %d values, grid has %d points", ErrCorrupt, name, size/4, want)
 	}
-	return int(size / 4), nil
+	return idx, int(size / 4), nil
 }
 
 // ReadArrayChunksInto is ReadArrayChunks into dst, which must hold
@@ -846,11 +963,7 @@ func (r *Reader) arrayLen(idx int) (int, error) {
 // wanted chunks); the rest of dst keeps whatever it held, so a caller
 // that recycles dst must read nothing outside the chunks it asked for.
 func (r *Reader) ReadArrayChunksInto(name string, want []bool, dst []float32) error {
-	idx, err := r.arrayIndex(name)
-	if err != nil {
-		return err
-	}
-	n, err := r.arrayLen(idx)
+	idx, n, err := r.arrayLen(name)
 	if err != nil {
 		return err
 	}
