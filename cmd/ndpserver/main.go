@@ -54,10 +54,11 @@ func main() {
 		telAddr  = flag.String("telemetry-addr", "", "serve /metrics, /debug/trace, /debug/requests, /slo, and pprof on this address")
 		sloSpec  = flag.String("slo", "", `SLO objectives as "method=latency@latPct[/availPct]" entries, e.g. "ndp.fetch=50ms@99/99.9,*=250ms@99"; publishes telemetry.slo.* burn gauges and /slo`)
 		bundles  = flag.String("debug-bundles", "", "write anomaly-triggered debug bundles (recent wide events, trace tree, metrics) into this directory")
-		logLevel = flag.String("log-level", "info", "log level: debug, info, warn, error")
 	)
+	var logLevel slog.Level
+	flag.TextVar(&logLevel, "log-level", slog.LevelInfo, "log level: debug, info, warn, error")
 	flag.Parse()
-	setLogLevel(*logLevel)
+	telemetry.SetLogLevel(logLevel)
 
 	rec := telemetry.DefaultFlightRecorder()
 	if *sloSpec != "" {
@@ -172,13 +173,4 @@ func main() {
 	if err := srv.Serve(ln); err != nil && !errors.Is(err, rpc.ErrShutdown) {
 		log.Fatal(err)
 	}
-}
-
-// setLogLevel applies a -log-level flag value to the telemetry loggers.
-func setLogLevel(s string) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(s)); err != nil {
-		log.Fatalf("bad -log-level %q: %v", s, err)
-	}
-	telemetry.SetLogLevel(lvl)
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -91,16 +92,16 @@ func TestServeFourFetchKindsAndDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, _, err := client.FetchFiltered("ts0.vnd", "d", []float64{7}, core.EncAuto); err != nil || !bytes.Equal(p.Data, want.Data) {
+	if p, _, err := client.FetchFilteredContext(context.Background(), "ts0.vnd", "d", []float64{7}, core.EncAuto); err != nil || !bytes.Equal(p.Data, want.Data) {
 		t.Errorf("contour fetch: err %v, bytes match %v", err, err == nil && bytes.Equal(p.Data, want.Data))
 	}
-	if p, _, err := client.FetchRange("ts0.vnd", "d", 3, 9, core.EncAuto); err != nil || p.Count == 0 {
+	if p, _, err := client.FetchRangeContext(context.Background(), "ts0.vnd", "d", 3, 9, core.EncAuto); err != nil || p.Count == 0 {
 		t.Errorf("range fetch: %v, %+v", err, p)
 	}
-	if _, vals, _, err := client.FetchSlice("ts0.vnd", "d", contour.AxisZ, 4); err != nil || len(vals) != 144 {
+	if _, vals, _, err := client.FetchSliceContext(context.Background(), "ts0.vnd", "d", contour.AxisZ, 4); err != nil || len(vals) != 144 {
 		t.Errorf("slice fetch: %v, %d values", err, len(vals))
 	}
-	if raw, _, err := client.FetchRaw("ts0.vnd", "d"); err != nil || !bytes.Equal(raw, vtkio.FloatsToBytes(f.Values)) {
+	if raw, _, err := client.FetchRawContext(context.Background(), "ts0.vnd", "d"); err != nil || !bytes.Equal(raw, vtkio.FloatsToBytes(f.Values)) {
 		t.Errorf("raw fetch: err %v, %d bytes", err, len(raw))
 	}
 

@@ -27,16 +27,17 @@ func main() {
 	log.SetPrefix("objstored: ")
 
 	var (
-		root     = flag.String("root", "./objstore-data", "backing directory")
-		addr     = flag.String("addr", "127.0.0.1:9000", "listen address")
-		gbps     = flag.Float64("gbps", 0, "shape served traffic to this many Gb/s (0 = unshaped)")
-		latency  = flag.Duration("latency", 0, "one-way link latency to charge")
-		telAddr  = flag.String("telemetry-addr", "", "serve /metrics, /debug/trace, /debug/requests, /slo, and pprof on this address")
-		bundles  = flag.String("debug-bundles", "", "write anomaly-triggered debug bundles (recent wide events, trace tree, metrics) into this directory")
-		logLevel = flag.String("log-level", "info", "log level: debug, info, warn, error")
+		root    = flag.String("root", "./objstore-data", "backing directory")
+		addr    = flag.String("addr", "127.0.0.1:9000", "listen address")
+		gbps    = flag.Float64("gbps", 0, "shape served traffic to this many Gb/s (0 = unshaped)")
+		latency = flag.Duration("latency", 0, "one-way link latency to charge")
+		telAddr = flag.String("telemetry-addr", "", "serve /metrics, /debug/trace, /debug/requests, /slo, and pprof on this address")
+		bundles = flag.String("debug-bundles", "", "write anomaly-triggered debug bundles (recent wide events, trace tree, metrics) into this directory")
 	)
+	var logLevel slog.Level
+	flag.TextVar(&logLevel, "log-level", slog.LevelInfo, "log level: debug, info, warn, error")
 	flag.Parse()
-	setLogLevel(*logLevel)
+	telemetry.SetLogLevel(logLevel)
 
 	if *bundles != "" {
 		bw, err := telemetry.NewBundleWriter(*bundles)
@@ -80,13 +81,4 @@ func main() {
 	<-sig
 	fmt.Println("shutting down")
 	shutdown()
-}
-
-// setLogLevel applies a -log-level flag value to the telemetry loggers.
-func setLogLevel(s string) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(s)); err != nil {
-		log.Fatalf("bad -log-level %q: %v", s, err)
-	}
-	telemetry.SetLogLevel(lvl)
 }

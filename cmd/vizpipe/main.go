@@ -191,7 +191,7 @@ func run(args []string) error {
 		}
 		defer client.Close()
 		if *manifest != "" {
-			man, err := client.FetchManifest(*manifest)
+			man, err := client.FetchManifestContext(context.Background(), *manifest)
 			if err != nil {
 				return fmt.Errorf("fetching manifest %s: %w", *manifest, err)
 			}

@@ -482,3 +482,30 @@ func TestVerboseReportsTraceAndDeltas(t *testing.T) {
 		t.Errorf("metric deltas lack rpc.client.calls +N:\n%s", deltas)
 	}
 }
+
+// TestSLOPrintsBurnRates runs one ndp contour under -slo and reads the
+// summary it prints last: the header, then an ndp.fetch row that counts
+// the run's fetch and gives its four burn rates.
+func TestSLOPrintsBurnRates(t *testing.T) {
+	dir := t.TempDir()
+	writeAsteroidStep(t, dir, "ts.vnd", compress.LZ4)
+	rec := telemetry.DefaultFlightRecorder()
+	t.Cleanup(func() { rec.SetSLO(nil) })
+	out, err := captureStdout(t, func() error {
+		return run([]string{"-mode", "ndp", "-ndp", serve(t, dir), "-path", "ts.vnd",
+			"-arrays", "v02", "-iso", "0.5", "-slo", "ndp.fetch=50ms@99/99.9"})
+	})
+	if err != nil {
+		t.Fatalf("vizpipe -slo: %v\n%s", err, out)
+	}
+	if !regexp.MustCompile(`(?m)^method +total +breach +availFast +availSlow +latFast +latSlow$`).MatchString(out) {
+		t.Fatalf("no burn-rate header in:\n%s", out)
+	}
+	row := regexp.MustCompile(`(?m)^ndp\.fetch +([0-9]+) +[0-9]+(?: +[0-9]+\.[0-9]{2}){4}$`).FindStringSubmatch(out)
+	if row == nil {
+		t.Fatalf("no ndp.fetch row with four burn rates in:\n%s", out)
+	}
+	if row[1] == "0" {
+		t.Errorf("the ndp.fetch row counts no fetch:\n%s", out)
+	}
+}

@@ -38,10 +38,20 @@ func run(w io.Writer, n int, pngPath string) error {
 	fmt.Fprintf(w, "dataset: %v grid, %d arrays\n", ds.Grid.Dims, ds.NumFields())
 
 	// Contour the water surface (v02) at 0.1 with the split filter: the
-	// pre-filter selects only the mesh points the contour needs, the
-	// post-filter rebuilds the contour from that sparse payload.
+	// pre-filter selects only the mesh points the contour needs and
+	// encodes them, the payload crosses the wire format as it would over
+	// the RPC, and the post-filter rebuilds the contour from it.
 	field := ds.Field("v02")
-	mesh, st, err := core.SplitContour(ds.Grid, field, []float64{0.1}, core.EncAuto)
+	isos := []float64{0.1}
+	payload, st, err := (&core.PreFilter{Isovalues: isos, Encoding: core.EncAuto}).Run(ds.Grid, field)
+	if err != nil {
+		return err
+	}
+	received, err := core.DecodePayload(payload.Data)
+	if err != nil {
+		return err
+	}
+	mesh, err := (&core.PostFilter{Isovalues: isos}).Contour(ds.Grid, field.Name, received)
 	if err != nil {
 		return err
 	}
@@ -51,7 +61,7 @@ func run(w io.Writer, n int, pngPath string) error {
 		stats.FormatBytes(st.PayloadBytes), stats.FormatBytes(st.RawBytes), st.Reduction())
 
 	// The invariant the system rests on: identical output.
-	full, err := contour.MarchingTetrahedra(ds.Grid, field.Values, []float64{0.1})
+	full, err := contour.MarchingTetrahedra(ds.Grid, field.Values, isos)
 	if err != nil {
 		return err
 	}

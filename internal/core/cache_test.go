@@ -55,14 +55,14 @@ func TestCacheHitReportsZeroRead(t *testing.T) {
 	misses := telemetry.Default().Counter("arraycache.misses")
 	hits0, misses0 := hits.Value(), misses.Value()
 
-	_, cold, err := client.FetchFiltered("ts0.vnd", "d", []float64{7}, EncAuto)
+	_, cold, err := client.FetchFilteredContext(context.Background(), "ts0.vnd", "d", []float64{7}, EncAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.ReadTime <= 0 {
 		t.Errorf("cold fetch read time = %v, want > 0", cold.ReadTime)
 	}
-	_, warm, err := client.FetchFiltered("ts0.vnd", "d", []float64{5}, EncAuto)
+	_, warm, err := client.FetchFilteredContext(context.Background(), "ts0.vnd", "d", []float64{5}, EncAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestCacheHitReportsZeroRead(t *testing.T) {
 // the new contents instead of serving the stale entry.
 func TestCacheInvalidatesOnRewrite(t *testing.T) {
 	client, _, path := startCachedNDP(t, compress.None, 64<<20)
-	raw1, _, err := client.FetchRaw("ts0.vnd", "d")
+	raw1, _, err := client.FetchRawContext(context.Background(), "ts0.vnd", "d")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestCacheInvalidatesOnRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	raw2, _, err := client.FetchRaw("ts0.vnd", "d")
+	raw2, _, err := client.FetchRawContext(context.Background(), "ts0.vnd", "d")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestCacheSingleFlightOverRPC(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = client.FetchFiltered("ts0.vnd", "d",
+			_, _, errs[i] = client.FetchFilteredContext(context.Background(), "ts0.vnd", "d",
 				[]float64{float64(i%3) + 5}, EncAuto)
 		}(i)
 	}
@@ -184,7 +184,7 @@ func TestCacheMultiFanOut(t *testing.T) {
 		}
 		// Order check: each result matches a sequential fetch of the same
 		// isovalue.
-		want, _, err := client.FetchFiltered("ts0.vnd", "d", reqs[i].Isovalues, EncAuto)
+		want, _, err := client.FetchFilteredContext(context.Background(), "ts0.vnd", "d", reqs[i].Isovalues, EncAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestRecorderAddsNoAllocations(t *testing.T) {
 	rec := telemetry.DefaultFlightRecorder()
 	defer rec.SetEnabled(rec.Enabled())
 	fetch := func() {
-		if _, _, err := client.FetchFiltered("ts0.vnd", "d", []float64{7}, EncAuto); err != nil {
+		if _, _, err := client.FetchFilteredContext(context.Background(), "ts0.vnd", "d", []float64{7}, EncAuto); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -16,7 +16,7 @@ import (
 )
 
 // mClientFallbacks counts degraded fetches: pre-filtered fetches that
-// failed remotely and were served by FetchRaw plus a local pre-filter.
+// failed remotely and were served by a raw fetch plus a local pre-filter.
 var mClientFallbacks = telemetry.Default().Counter("core.client.fallbacks")
 
 // mClientWireCorrupt counts responses whose bytes arrived damaged: the
@@ -68,15 +68,15 @@ type Client struct {
 	rpc Caller
 	// fallback enables graceful degradation: a pre-filtered fetch whose
 	// RPC fails (after whatever retries the Caller performs) falls back
-	// to FetchRaw plus a local pre-filter pass, so the contour still
+	// to a raw fetch plus a local pre-filter pass, so the contour still
 	// renders — just without the transfer reduction.
 	fallback bool
 }
 
-// RetryableMethods returns the NDP methods safe to retry after a
+// retryableMethods returns the NDP methods safe to retry after a
 // transport failure. Every current method is a read-only fetch, so all
 // are idempotent; a method with side effects must not be added here.
-func RetryableMethods() map[string]bool {
+func retryableMethods() map[string]bool {
 	return map[string]bool{
 		MethodDescribe:   true,
 		MethodFetch:      true,
@@ -104,12 +104,12 @@ func Dial(addr string, dialFn func(network, addr string) (net.Conn, error)) (*Cl
 // transport failures — on another replica when there is one (all NDP
 // methods are idempotent reads unless opts.Retryable narrows the set) —
 // dead connections are re-dialed lazily, and a pre-filtered fetch that
-// still fails degrades to FetchRaw plus a local pre-filter pass, so the
+// still fails degrades to a raw fetch plus a local pre-filter pass, so the
 // payload stays bit-identical either way. No connection is made until
 // the first call, so the servers may come up later.
 func DialFaultTolerant(addrs []string, dialFn func(network, addr string) (net.Conn, error), opts rpc.ReconnectOptions) *Client {
 	if opts.Retryable == nil {
-		opts.Retryable = RetryableMethods()
+		opts.Retryable = retryableMethods()
 	}
 	return &Client{
 		rpc:      rpc.NewReconnectClient("tcp", addrs, dialFn, opts),
@@ -172,15 +172,10 @@ type FetchStats struct {
 	Degraded bool
 }
 
-// FetchFiltered asks the server to pre-filter one array for the given
-// isovalues and returns the decoded payload.
-func (c *Client) FetchFiltered(path, array string, isovalues []float64, enc Encoding) (*Payload, *FetchStats, error) {
-	return c.FetchFilteredContext(context.Background(), path, array, isovalues, enc)
-}
-
-// FetchFilteredContext is FetchFiltered under a caller context; a
-// telemetry span in ctx makes the server's read and pre-filter spans
-// come back as part of the caller's trace.
+// FetchFilteredContext asks the server to pre-filter one array for the
+// given isovalues and returns the decoded payload. A telemetry span in
+// ctx makes the server's read and pre-filter spans come back as part of
+// the caller's trace.
 func (c *Client) FetchFilteredContext(ctx context.Context, path, array string, isovalues []float64, enc Encoding) (*Payload, *FetchStats, error) {
 	isos := make([]any, len(isovalues))
 	for i, v := range isovalues {
@@ -362,28 +357,19 @@ func fanOut(ctx context.Context, n int, do func(i int, skipped error)) {
 	wg.Wait()
 }
 
-// FetchRange asks the server to pre-filter one array for a threshold
-// range [lo, hi] — the split threshold filter's remote half.
-func (c *Client) FetchRange(path, array string, lo, hi float64, enc Encoding) (*Payload, *FetchStats, error) {
-	return c.FetchRangeContext(context.Background(), path, array, lo, hi, enc)
-}
-
-// FetchRangeContext is FetchRange under a caller context. It is the
-// same fetch as FetchFilteredContext with a different selection, so it
-// records the same client wide event and degrades the same way.
+// FetchRangeContext asks the server to pre-filter one array for a
+// threshold range [lo, hi] — the split threshold filter's remote half.
+// It is the same fetch as FetchFilteredContext with a different
+// selection, so it records the same client wide event and degrades the
+// same way.
 func (c *Client) FetchRangeContext(ctx context.Context, path, array string, lo, hi float64, enc Encoding) (*Payload, *FetchStats, error) {
 	pre := &RangePreFilter{Lo: lo, Hi: hi, Encoding: enc}
 	return c.fetchPayload(ctx, MethodFetchRange, path, array, pre.Run, lo, hi, enc.String())
 }
 
-// FetchSlice asks the server to extract the plane axis=index from one
-// array and ship only that plane. It returns the slice's 2D grid, its
-// values, and the fetch statistics.
-func (c *Client) FetchSlice(path, array string, axis contour.Axis, index int) (*grid.Uniform, []float32, *FetchStats, error) {
-	return c.FetchSliceContext(context.Background(), path, array, axis, index)
-}
-
-// FetchSliceContext is FetchSlice under a caller context.
+// FetchSliceContext asks the server to extract the plane axis=index
+// from one array and ship only that plane. It returns the slice's 2D
+// grid, its values, and the fetch statistics.
 func (c *Client) FetchSliceContext(ctx context.Context, path, array string, axis contour.Axis, index int) (*grid.Uniform, []float32, *FetchStats, error) {
 	start := time.Now()
 	res, err := c.rpc.CallContext(ctx, MethodFetchSlice, path, array, axis.String(), index)
@@ -479,14 +465,9 @@ func decodeFetchResult(res any, total time.Duration) (*Payload, *FetchStats, err
 	return payload, stats, nil
 }
 
-// FetchManifest pulls and validates a brick manifest from the server's
-// store — what FetchBricksContext gathers by; any replica serves it,
-// since every replica mounts the same store.
-func (c *Client) FetchManifest(path string) (*vtkio.Manifest, error) {
-	return c.FetchManifestContext(context.Background(), path)
-}
-
-// FetchManifestContext is FetchManifest under a caller context.
+// FetchManifestContext pulls and validates a brick manifest from the
+// server's store — what FetchBricksContext gathers by; any replica
+// serves it, since every replica mounts the same store.
 func (c *Client) FetchManifestContext(ctx context.Context, path string) (*vtkio.Manifest, error) {
 	res, err := c.rpc.CallContext(ctx, MethodManifest, path)
 	if err != nil {
@@ -499,15 +480,11 @@ func (c *Client) FetchManifestContext(ctx context.Context, path string) (*vtkio.
 	return vtkio.DecodeManifest(data)
 }
 
-// FetchRaw pulls a whole array, bypassing the pre-filter, and returns
-// its bytes as stored uncompressed. It exists for measurement and
-// debugging and is the degraded fallback's transfer; it moves the
-// array's stored LZ4 chunks when the server offers them (fetchRaw).
-func (c *Client) FetchRaw(path, array string) ([]byte, time.Duration, error) {
-	return c.FetchRawContext(context.Background(), path, array)
-}
-
-// FetchRawContext is FetchRaw under a caller context.
+// FetchRawContext pulls a whole array, bypassing the pre-filter, and
+// returns its bytes as stored uncompressed and the server's read time.
+// It exists for measurement and debugging; the degraded fallback's
+// transfer is the same fetch (fetchRaw), which moves the array's stored
+// LZ4 chunks when the server offers them.
 func (c *Client) FetchRawContext(ctx context.Context, path, array string) ([]byte, time.Duration, error) {
 	data, stats, err := c.fetchRaw(ctx, path, array)
 	if err != nil {
@@ -553,7 +530,7 @@ func decodeRaw(res any, total time.Duration) ([]byte, *FetchStats, error) {
 }
 
 // gridFromMap reads the dims/origin/spacing keys a describe and a slice
-// reply share.
+// reply share; putGrid writes them.
 func gridFromMap(m map[string]any) (*grid.Uniform, error) {
 	dims, err := int3(m["dims"])
 	if err != nil {
@@ -574,25 +551,6 @@ func gridFromMap(m map[string]any) (*grid.Uniform, error) {
 	}, nil
 }
 
-func floatSlice(v any) ([]float64, error) {
-	arr, ok := v.([]any)
-	if !ok {
-		return nil, fmt.Errorf("want array, got %T", v)
-	}
-	out := make([]float64, len(arr))
-	for i, e := range arr {
-		switch n := e.(type) {
-		case float64:
-			out[i] = n
-		case int64:
-			out[i] = float64(n)
-		default:
-			return nil, fmt.Errorf("element %d is %T", i, e)
-		}
-	}
-	return out, nil
-}
-
 func int3(v any) ([3]int, error) {
 	arr, ok := v.([]any)
 	if !ok || len(arr) != 3 {
@@ -611,10 +569,14 @@ func int3(v any) ([3]int, error) {
 
 func float3(v any) ([3]float64, error) {
 	var out [3]float64
-	s, err := floatSlice(v)
-	if err == nil && len(s) != 3 {
-		err = fmt.Errorf("want 3-array, got %d elements", len(s))
+	arr, ok := v.([]any)
+	if !ok || len(arr) != 3 {
+		return out, fmt.Errorf("want 3-array, got %T", v)
 	}
-	copy(out[:], s)
-	return out, err
+	for i, e := range arr {
+		if out[i], ok = asFloat(e); !ok {
+			return out, fmt.Errorf("element %d is %T", i, e)
+		}
+	}
+	return out, nil
 }

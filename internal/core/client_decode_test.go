@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"math"
 	"net"
 	"testing"
 	"time"
 
 	"vizndp/internal/contour"
+	"vizndp/internal/grid"
+	"vizndp/internal/msgpack"
 	"vizndp/internal/rpc"
 	"vizndp/internal/vtkio"
 )
@@ -121,6 +124,44 @@ func TestDecodeFetchResultBadShapes(t *testing.T) {
 	}
 }
 
+// TestGridFromMapTakesEveryNumberShape: a describe or slice reply whose
+// origin and spacing a msgpack peer encoded as float32, int or uint64
+// decodes to the grid it names — the client reads them by the rule the
+// server reads its arguments by (asFloat).
+func TestGridFromMapTakesEveryNumberShape(t *testing.T) {
+	wire, err := msgpack.Marshal(map[string]any{
+		"dims":    []any{int64(4), int64(3), int64(2)},
+		"origin":  []any{float32(0.5), int64(-1), uint64(math.MaxInt64) + 1},
+		"spacing": []any{int64(2), float32(0.25), uint64(3)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := msgpack.Unmarshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin := m.(map[string]any)["origin"].([]any)
+	if _, ok := origin[0].(float32); !ok {
+		t.Fatalf("origin[0] decoded as %T; the case needs a float32", origin[0])
+	}
+	if _, ok := origin[2].(uint64); !ok {
+		t.Fatalf("origin[2] decoded as %T; the case needs a uint64", origin[2])
+	}
+	g, err := gridFromMap(m.(map[string]any))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := grid.Uniform{
+		Dims:    grid.Dims{X: 4, Y: 3, Z: 2},
+		Origin:  grid.Vec3{X: 0.5, Y: -1, Z: 1 << 63},
+		Spacing: grid.Vec3{X: 2, Y: 0.25, Z: 3},
+	}
+	if *g != want {
+		t.Errorf("grid = %+v, want %+v", *g, want)
+	}
+}
+
 // TestFetchSliceStatsClamp drives FetchSliceContext against a handler
 // returning a crafted reply whose server-side timings exceed the
 // client total, so the slice path's clamp is exercised over a real RPC
@@ -156,7 +197,7 @@ func TestFetchSliceStatsClamp(t *testing.T) {
 	}
 	defer client.Close()
 
-	g2, got, st, err := client.FetchSlice("any.vnd", "d", contour.AxisZ, 2)
+	g2, got, st, err := client.FetchSliceContext(context.Background(), "any.vnd", "d", contour.AxisZ, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -268,7 +268,7 @@ func TestCoalesceConcurrentBitIdentical(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				i := (w + r) % len(isos)
-				p, _, err := client.FetchFiltered("run/ts0.vnd", "d", isos[i], EncAuto)
+				p, _, err := client.FetchFilteredContext(context.Background(), "run/ts0.vnd", "d", isos[i], EncAuto)
 				if err != nil {
 					errs <- err
 					return
@@ -288,7 +288,7 @@ func TestCoalesceConcurrentBitIdentical(t *testing.T) {
 
 func TestCoalesceEmptyIsovaluesRejected(t *testing.T) {
 	client, _ := startNDPOpts(t, WithPayloadCacheBytes(1<<20))
-	if _, _, err := client.FetchFiltered("run/ts0.vnd", "d", nil, EncAuto); err == nil {
+	if _, _, err := client.FetchFilteredContext(context.Background(), "run/ts0.vnd", "d", nil, EncAuto); err == nil {
 		t.Error("empty isovalues accepted on the shared path")
 	}
 }

@@ -263,7 +263,10 @@ func sphereField(n int) (*grid.Uniform, *grid.Field) {
 	return g, f
 }
 
-func TestSplitContourMatchesFull(t *testing.T) {
+// TestSplitFilterMatchesFull runs the split filter in one process —
+// pre-filter, the payload's wire round trip, post-filter — and holds
+// its mesh to the full-array contour's.
+func TestSplitFilterMatchesFull(t *testing.T) {
 	g, f := sphereField(28)
 	isos := []float64{6, 9.5}
 	full, err := contour.MarchingTetrahedra(g, f.Values, isos)
@@ -271,7 +274,15 @@ func TestSplitContourMatchesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, enc := range []Encoding{EncIndexValue, EncBlockBitmap, EncAuto} {
-		mesh, stats, err := SplitContour(g, f, isos, enc)
+		payload, stats, err := (&PreFilter{Isovalues: isos, Encoding: enc}).Run(g, f)
+		if err != nil {
+			t.Fatalf("%v: %v", enc, err)
+		}
+		decoded, err := DecodePayload(payload.Data)
+		if err != nil {
+			t.Fatalf("%v: %v", enc, err)
+		}
+		mesh, err := (&PostFilter{Isovalues: isos}).Contour(g, f.Name, decoded)
 		if err != nil {
 			t.Fatalf("%v: %v", enc, err)
 		}

@@ -98,11 +98,11 @@ func TestFetchCorruptBrickReturnsErrCorrupt(t *testing.T) {
 	defer c.Close()
 
 	corrupt0 := mFetchCorrupt.Value()
-	_, _, err = c.FetchFiltered(rel, f.Name, []float64{5}, EncIndexValue)
+	_, _, err = c.FetchFilteredContext(context.Background(), rel, f.Name, []float64{5}, EncIndexValue)
 	if !errors.Is(err, rpc.ErrCorrupt) {
 		t.Fatalf("fetch of corrupt file err = %v, want ErrCorrupt", err)
 	}
-	if _, _, err := c.FetchRaw(rel, f.Name); !errors.Is(err, rpc.ErrCorrupt) {
+	if _, _, err := c.FetchRawContext(context.Background(), rel, f.Name); !errors.Is(err, rpc.ErrCorrupt) {
 		t.Fatalf("raw fetch of corrupt file err = %v, want ErrCorrupt", err)
 	}
 	if mFetchCorrupt.Value() == corrupt0 {
@@ -135,7 +135,7 @@ func TestFetchCorruptHeaderReturnsErrCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.FetchFiltered(rel, f.Name, []float64{5}, EncIndexValue); !errors.Is(err, rpc.ErrCorrupt) {
+	if _, _, err := c.FetchFilteredContext(context.Background(), rel, f.Name, []float64{5}, EncIndexValue); !errors.Is(err, rpc.ErrCorrupt) {
 		t.Fatalf("fetch of a file with a damaged header err = %v, want ErrCorrupt", err)
 	}
 	if _, err := c.Describe(rel); !errors.Is(err, rpc.ErrCorrupt) {
@@ -163,7 +163,7 @@ func TestCorruptLoadNeverCached(t *testing.T) {
 	defer c.Close()
 
 	for i := 0; i < 3; i++ {
-		if _, _, err := c.FetchFiltered(rel, f.Name, []float64{5}, EncIndexValue); !errors.Is(err, rpc.ErrCorrupt) {
+		if _, _, err := c.FetchFilteredContext(context.Background(), rel, f.Name, []float64{5}, EncIndexValue); !errors.Is(err, rpc.ErrCorrupt) {
 			t.Fatalf("fetch %d err = %v, want ErrCorrupt", i, err)
 		}
 	}
@@ -175,7 +175,7 @@ func TestCorruptLoadNeverCached(t *testing.T) {
 	if err := os.WriteFile(abs, clean, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.FetchFiltered(rel, f.Name, []float64{5}, EncIndexValue); err != nil {
+	if _, _, err := c.FetchFilteredContext(context.Background(), rel, f.Name, []float64{5}, EncIndexValue); err != nil {
 		t.Fatalf("fetch after restore: %v", err)
 	}
 	if n := srv.Cache().Len(); n != 1 {
@@ -200,14 +200,14 @@ func TestInvalidatePathEvictsResidentEntries(t *testing.T) {
 	// Warm the cache from the clean file, then corrupt the file on disk:
 	// the next MISS (forced by the changed version) detects corruption
 	// and must also evict the stale resident entry for the path.
-	if _, _, err := c.FetchFiltered(rel, f.Name, []float64{5}, EncIndexValue); err != nil {
+	if _, _, err := c.FetchFilteredContext(context.Background(), rel, f.Name, []float64{5}, EncIndexValue); err != nil {
 		t.Fatal(err)
 	}
 	if n := srv.Cache().Len(); n != 1 {
 		t.Fatalf("cache holds %d entries, want 1", n)
 	}
 	flipByteInArray(t, abs, f.Name)
-	if _, _, err := c.FetchFiltered(rel, f.Name, []float64{5}, EncIndexValue); !errors.Is(err, rpc.ErrCorrupt) {
+	if _, _, err := c.FetchFilteredContext(context.Background(), rel, f.Name, []float64{5}, EncIndexValue); !errors.Is(err, rpc.ErrCorrupt) {
 		t.Fatalf("fetch after corruption err = %v, want ErrCorrupt", err)
 	}
 	if n := srv.Cache().Len(); n != 0 {
@@ -216,8 +216,8 @@ func TestInvalidatePathEvictsResidentEntries(t *testing.T) {
 }
 
 // scrubDataset writes a single-step bricked layout (bricks beside the
-// manifest) with page checksums and manifest whole-object CRCs, and
-// returns the manifest path and the brick object paths.
+// manifest) with page checksums, and returns the manifest path and the
+// brick object paths.
 func scrubDataset(t *testing.T, dir string) (manifestPath string, brickPaths []string) {
 	t.Helper()
 	g, f := sphereField(12)
@@ -236,7 +236,7 @@ func scrubDataset(t *testing.T, dir string) (manifestPath string, brickPaths []s
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, b := range bricks {
+	for _, b := range bricks {
 		bds, err := grid.ExtractBrick(ds, b)
 		if err != nil {
 			t.Fatal(err)
@@ -245,11 +245,6 @@ func scrubDataset(t *testing.T, dir string) (manifestPath string, brickPaths []s
 		if err := vtkio.WriteFile(p, bds, vtkio.WriteOptions{Codec: compress.LZ4, Checksum: true}); err != nil {
 			t.Fatal(err)
 		}
-		obj, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		man.Entries[i].Checksum = vtkio.Checksum(obj)
 		brickPaths = append(brickPaths, p)
 	}
 	data, err := vtkio.EncodeManifest(man)
@@ -364,7 +359,7 @@ func TestQuarantinedPathRejectedAtFetch(t *testing.T) {
 	defer c.Close()
 
 	bad := "integrity/" + filepath.Base(brickPaths[0])
-	if _, _, err := c.FetchFiltered(bad, "d", []float64{5}, EncIndexValue); !errors.Is(err, rpc.ErrCorrupt) {
+	if _, _, err := c.FetchFilteredContext(context.Background(), bad, "d", []float64{5}, EncIndexValue); !errors.Is(err, rpc.ErrCorrupt) {
 		t.Fatalf("quarantined fetch err = %v, want ErrCorrupt", err)
 	}
 	if _, err := c.Describe(bad); !errors.Is(err, rpc.ErrCorrupt) {
@@ -372,7 +367,7 @@ func TestQuarantinedPathRejectedAtFetch(t *testing.T) {
 	}
 	// Clean siblings stay servable.
 	good := "integrity/" + filepath.Base(brickPaths[1])
-	if _, _, err := c.FetchFiltered(good, "d", []float64{5}, EncIndexValue); err != nil {
+	if _, _, err := c.FetchFilteredContext(context.Background(), good, "d", []float64{5}, EncIndexValue); err != nil {
 		t.Fatalf("clean sibling fetch: %v", err)
 	}
 }
@@ -412,11 +407,11 @@ func TestScrubberBackgroundLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.FetchFiltered(bad, "d", []float64{5}, EncIndexValue); !errors.Is(err, rpc.ErrCorrupt) {
+	if _, _, err := c.FetchFilteredContext(context.Background(), bad, "d", []float64{5}, EncIndexValue); !errors.Is(err, rpc.ErrCorrupt) {
 		t.Errorf("fetch of the brick the loop quarantined: err = %v, want ErrCorrupt", err)
 	}
 	good := "integrity/" + filepath.Base(brickPaths[1])
-	if _, _, err := c.FetchFiltered(good, "d", []float64{5}, EncIndexValue); err != nil {
+	if _, _, err := c.FetchFilteredContext(context.Background(), good, "d", []float64{5}, EncIndexValue); err != nil {
 		t.Errorf("clean sibling fetch: %v", err)
 	}
 
@@ -467,7 +462,7 @@ func TestPoolCountsCorruptionWithoutTrippingBreaker(t *testing.T) {
 	mPoolCorruptions := telemetry.Default().Counter("core.pool.corruptions")
 	open0 := mPoolBreakerOpen.Value()
 	corr0 := mPoolCorruptions.Value()
-	if _, _, err := pc.FetchFiltered(rel, f.Name, []float64{5}, EncIndexValue); !errors.Is(err, rpc.ErrCorrupt) {
+	if _, _, err := pc.FetchFilteredContext(context.Background(), rel, f.Name, []float64{5}, EncIndexValue); !errors.Is(err, rpc.ErrCorrupt) {
 		t.Fatalf("pool fetch err = %v, want ErrCorrupt", err)
 	}
 	if d := mPoolCorruptions.Value() - corr0; d < 3 {

@@ -57,10 +57,10 @@ func TestDegradedFallbackBitIdentical(t *testing.T) {
 		fetch  func(c *Client) (*Payload, *FetchStats, error)
 	}{
 		{MethodFetch, func(c *Client) (*Payload, *FetchStats, error) {
-			return c.FetchFiltered("run/ts0.vnd", "d", isos, EncAuto)
+			return c.FetchFilteredContext(context.Background(), "run/ts0.vnd", "d", isos, EncAuto)
 		}},
 		{MethodFetchRange, func(c *Client) (*Payload, *FetchStats, error) {
-			return c.FetchRange("run/ts0.vnd", "d", 5, 8, EncAuto)
+			return c.FetchRangeContext(context.Background(), "run/ts0.vnd", "d", 5, 8, EncAuto)
 		}},
 	}
 	for _, codec := range []compress.Kind{compress.None, compress.LZ4} {
@@ -142,7 +142,7 @@ func TestDegradedFallbackReportsBothErrors(t *testing.T) {
 		},
 		fallback: true,
 	}
-	_, _, err := broken.FetchFiltered("run/ts0.vnd", "d", []float64{7}, EncAuto)
+	_, _, err := broken.FetchFilteredContext(context.Background(), "run/ts0.vnd", "d", []float64{7}, EncAuto)
 	if err == nil {
 		t.Fatal("fetch with a dead fallback path should fail")
 	}
@@ -159,7 +159,7 @@ func TestDegradedFallbackDisabledOnPlainClient(t *testing.T) {
 	fetchErr := errors.New("injected fetch failure")
 	fc := &flakyCaller{inner: client.rpc, fail: map[string]error{MethodFetch: fetchErr}}
 	plain := &Client{rpc: fc} // fallback disabled, like core.Dial
-	_, _, err := plain.FetchFiltered("run/ts0.vnd", "d", []float64{7}, EncAuto)
+	_, _, err := plain.FetchFilteredContext(context.Background(), "run/ts0.vnd", "d", []float64{7}, EncAuto)
 	if !errors.Is(err, fetchErr) {
 		t.Fatalf("err = %v, want the fetch failure passed through", err)
 	}

@@ -398,12 +398,7 @@ var sliceSelector = &selector{
 		// served from its own memory.
 		return &fetchResult{data: vtkio.FloatsAsBytes(vals), points: e.field.Len(), selected: len(vals), grid: g2}, nil
 	},
-	respond: func(resp map[string]any, r *fetchResult) {
-		g := r.grid
-		resp["dims"] = []any{int64(g.Dims.X), int64(g.Dims.Y), int64(g.Dims.Z)}
-		resp["origin"] = []any{g.Origin.X, g.Origin.Y, g.Origin.Z}
-		resp["spacing"] = []any{g.Spacing.X, g.Spacing.Y, g.Spacing.Z}
-	},
+	respond: func(resp map[string]any, r *fetchResult) { putGrid(resp, r.grid) },
 }
 
 // rawQuery ships a whole array uncut — used for debugging, for the

@@ -44,7 +44,7 @@ func contourKind(isos ...float64) fetchKind {
 	return fetchKind{
 		name: fmt.Sprintf("contour%d", len(isos)), method: MethodFetch, passes: int64(len(isos)),
 		fetch: func(c *Client, path, array string) ([]byte, time.Duration, time.Duration, error) {
-			p, st, err := c.FetchFiltered(path, array, isos, EncAuto)
+			p, st, err := c.FetchFilteredContext(context.Background(), path, array, isos, EncAuto)
 			if err != nil {
 				return nil, 0, 0, err
 			}
@@ -66,7 +66,7 @@ var fetchKinds = []fetchKind{
 	{
 		name: "range", method: MethodFetchRange, passes: 1,
 		fetch: func(c *Client, path, array string) ([]byte, time.Duration, time.Duration, error) {
-			p, st, err := c.FetchRange(path, array, 4, 8, EncAuto)
+			p, st, err := c.FetchRangeContext(context.Background(), path, array, 4, 8, EncAuto)
 			if err != nil {
 				return nil, 0, 0, err
 			}
@@ -83,7 +83,7 @@ var fetchKinds = []fetchKind{
 	{
 		name: "slice", method: MethodFetchSlice,
 		fetch: func(c *Client, path, array string) ([]byte, time.Duration, time.Duration, error) {
-			_, vals, st, err := c.FetchSlice(path, array, contour.AxisZ, 5)
+			_, vals, st, err := c.FetchSliceContext(context.Background(), path, array, contour.AxisZ, 5)
 			if err != nil {
 				return nil, 0, 0, err
 			}
@@ -100,7 +100,7 @@ var fetchKinds = []fetchKind{
 	{
 		name: "raw", method: MethodFetchRaw,
 		fetch: func(c *Client, path, array string) ([]byte, time.Duration, time.Duration, error) {
-			data, read, err := c.FetchRaw(path, array)
+			data, read, err := c.FetchRawContext(context.Background(), path, array)
 			return data, read, -1, err
 		},
 		want: func(_ *testing.T, _ *grid.Uniform, f *grid.Field) []byte {
@@ -339,7 +339,7 @@ func TestFetchPipelineStageRecord(t *testing.T) {
 		}
 		defer client.Close()
 		seq0 := telemetry.DefaultFlightRecorder().Seq()
-		if _, _, err := client.FetchFiltered("ts0.vnd", f.Name, []float64{7}, EncAuto); err != nil {
+		if _, _, err := client.FetchFilteredContext(context.Background(), "ts0.vnd", f.Name, []float64{7}, EncAuto); err != nil {
 			t.Fatal(err)
 		}
 		ev := serverEvent(t, MethodFetch, seq0)
@@ -359,7 +359,7 @@ func TestFetchPipelineStageRecord(t *testing.T) {
 		client, _ := startNDPOpts(t, WithPayloadCacheBytes(16<<20))
 		for _, want := range []string{"[queue probe read prefilter crc write]", "[queue probe write]"} {
 			seq0 := telemetry.DefaultFlightRecorder().Seq()
-			if _, _, err := client.FetchFiltered("run/ts0.vnd", "d", []float64{7}, EncAuto); err != nil {
+			if _, _, err := client.FetchFilteredContext(context.Background(), "run/ts0.vnd", "d", []float64{7}, EncAuto); err != nil {
 				t.Fatal(err)
 			}
 			if got := fmt.Sprint(stageNames(t, serverEvent(t, MethodFetch, seq0))); got != want {

@@ -177,26 +177,3 @@ func ThresholdFromPayload(g *grid.Uniform, p *Payload, lo, hi float64) (cells *c
 	})
 	return cells, err
 }
-
-// SplitContour is a convenience that runs the whole split filter locally
-// (pre-filter, payload round trip, post-filter) and returns the mesh and
-// the pre-filter stats. It exists for tests and for single-node
-// pipelines; the distributed path lives in Server/Client.
-func SplitContour(g *grid.Uniform, field *grid.Field, isovalues []float64, enc Encoding) (*contour.Mesh, *PreFilterStats, error) {
-	pre := &PreFilter{Isovalues: isovalues, Encoding: enc}
-	payload, stats, err := pre.Run(g, field)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Round-trip through the wire format, as the RPC path would.
-	decoded, err := DecodePayload(payload.Data)
-	if err != nil {
-		return nil, nil, err
-	}
-	post := &PostFilter{Isovalues: isovalues}
-	mesh, err := post.Contour(g, field.Name, decoded)
-	if err != nil {
-		return nil, nil, err
-	}
-	return mesh, stats, nil
-}

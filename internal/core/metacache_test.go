@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"io/fs"
 	"net"
@@ -94,7 +95,7 @@ func TestMetadataCacheStoreRequests(t *testing.T) {
 	fetch := func(want []byte) (h, g int64) {
 		t.Helper()
 		h0, g0 := heads.Load(), gets.Load()
-		raw, _, err := client.FetchRaw(key, "d")
+		raw, _, err := client.FetchRawContext(context.Background(), key, "d")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,13 +172,13 @@ func TestMetadataCacheNotPoisoned(t *testing.T) {
 	client := serveFS(t, cfs)
 	injected := telemetry.Default().Counter("objstore.corrupt.injected")
 	injected0 := injected.Value()
-	if _, _, err := client.FetchRaw(rel, f.Name); err == nil {
+	if _, _, err := client.FetchRawContext(context.Background(), rel, f.Name); err == nil {
 		t.Fatal("fetch through a lying header succeeded")
 	}
 	if got := injected.Value() - injected0; got != 1 {
 		t.Fatalf("%d faults injected, want exactly the one in the header", got)
 	}
-	raw, _, err := client.FetchRaw(rel, f.Name)
+	raw, _, err := client.FetchRawContext(context.Background(), rel, f.Name)
 	if err != nil {
 		t.Fatalf("fetch after the failed one: %v (the lying header was kept)", err)
 	}
@@ -186,7 +187,7 @@ func TestMetadataCacheNotPoisoned(t *testing.T) {
 	}
 	// And from here on the file's metadata is resident again.
 	before := metaMetrics.Hits.Value()
-	if _, _, err := client.FetchRaw(rel, f.Name); err != nil {
+	if _, _, err := client.FetchRawContext(context.Background(), rel, f.Name); err != nil {
 		t.Fatal(err)
 	}
 	if metaMetrics.Hits.Value() != before+1 {
@@ -226,7 +227,7 @@ func TestCachedFirstLoadOneHead(t *testing.T) {
 				heads, gets int64
 			}{{"first", 1, 4}, {"cached", 1, 0}} {
 				h0, g0 := heads.Load(), gets.Load()
-				raw, _, err := client.FetchRaw(key, "d")
+				raw, _, err := client.FetchRawContext(context.Background(), key, "d")
 				if err != nil {
 					t.Fatal(err)
 				}

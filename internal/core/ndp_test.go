@@ -72,14 +72,14 @@ func TestNDPDescribe(t *testing.T) {
 	}
 	// The described grid sizes every array: a raw fetch of "d" is one
 	// float32 per described point, and an array the file lacks fails.
-	raw, _, err := client.FetchRaw("run/ts0.vnd", "d")
+	raw, _, err := client.FetchRawContext(context.Background(), "run/ts0.vnd", "d")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(raw) != 4*desc.Grid.NumPoints() {
 		t.Errorf("raw array d = %d bytes, described grid has %d points", len(raw), desc.Grid.NumPoints())
 	}
-	if _, _, err := client.FetchRaw("run/ts0.vnd", "nope"); err == nil {
+	if _, _, err := client.FetchRawContext(context.Background(), "run/ts0.vnd", "nope"); err == nil {
 		t.Error("phantom array fetched")
 	}
 }
@@ -127,7 +127,7 @@ func TestNDPFetchFilteredMatchesLocal(t *testing.T) {
 	for _, codec := range []compress.Kind{compress.None, compress.Gzip, compress.LZ4} {
 		client, ds := startNDP(t, codec)
 		isos := []float64{7}
-		payload, stats, err := client.FetchFiltered("run/ts0.vnd", "d", isos, EncAuto)
+		payload, stats, err := client.FetchFilteredContext(context.Background(), "run/ts0.vnd", "d", isos, EncAuto)
 		if err != nil {
 			t.Fatalf("%v: %v", codec, err)
 		}
@@ -155,20 +155,20 @@ func TestNDPFetchFilteredMatchesLocal(t *testing.T) {
 
 func TestNDPFetchErrors(t *testing.T) {
 	client, _ := startNDP(t, compress.None)
-	if _, _, err := client.FetchFiltered("run/ts0.vnd", "ghost", []float64{1}, EncAuto); err == nil {
+	if _, _, err := client.FetchFilteredContext(context.Background(), "run/ts0.vnd", "ghost", []float64{1}, EncAuto); err == nil {
 		t.Error("unknown array accepted")
 	}
-	if _, _, err := client.FetchFiltered("nope", "d", []float64{1}, EncAuto); err == nil {
+	if _, _, err := client.FetchFilteredContext(context.Background(), "nope", "d", []float64{1}, EncAuto); err == nil {
 		t.Error("unknown path accepted")
 	}
-	if _, _, err := client.FetchFiltered("run/ts0.vnd", "d", nil, EncAuto); err == nil {
+	if _, _, err := client.FetchFilteredContext(context.Background(), "run/ts0.vnd", "d", nil, EncAuto); err == nil {
 		t.Error("empty isovalues accepted")
 	}
 }
 
 func TestNDPFetchRaw(t *testing.T) {
 	client, ds := startNDP(t, compress.Gzip)
-	raw, readTime, err := client.FetchRaw("run/ts0.vnd", "d")
+	raw, readTime, err := client.FetchRawContext(context.Background(), "run/ts0.vnd", "d")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestNDPPostFilterMatchesBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, enc := range []Encoding{EncIndexValue, EncBlockBitmap} {
-		payload, st, err := client.FetchFiltered("run/ts0.vnd", "d", isos, enc)
+		payload, st, err := client.FetchFilteredContext(context.Background(), "run/ts0.vnd", "d", isos, enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func TestNDPFetchRangeMatchesLocal(t *testing.T) {
 	client, ds := startNDP(t, compress.LZ4)
 	lo, hi := 6.0, 8.0
 
-	payload, stats, err := client.FetchRange("run/ts0.vnd", "d", lo, hi, EncAuto)
+	payload, stats, err := client.FetchRangeContext(context.Background(), "run/ts0.vnd", "d", lo, hi, EncAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,10 +245,10 @@ func TestNDPFetchRangeMatchesLocal(t *testing.T) {
 
 func TestNDPFetchRangeErrors(t *testing.T) {
 	client, _ := startNDP(t, compress.None)
-	if _, _, err := client.FetchRange("run/ts0.vnd", "d", 5, 2, EncAuto); err == nil {
+	if _, _, err := client.FetchRangeContext(context.Background(), "run/ts0.vnd", "d", 5, 2, EncAuto); err == nil {
 		t.Error("inverted range accepted")
 	}
-	if _, _, err := client.FetchRange("run/ts0.vnd", "ghost", 1, 2, EncAuto); err == nil {
+	if _, _, err := client.FetchRangeContext(context.Background(), "run/ts0.vnd", "ghost", 1, 2, EncAuto); err == nil {
 		t.Error("unknown array accepted")
 	}
 }
@@ -264,7 +264,7 @@ func TestThresholdPipelineOverNDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, enc := range []Encoding{EncIndexValue, EncBlockBitmap} {
-		payload, _, err := client.FetchRange("run/ts0.vnd", "d", lo, hi, enc)
+		payload, _, err := client.FetchRangeContext(context.Background(), "run/ts0.vnd", "d", lo, hi, enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +305,7 @@ func TestNDPOverShapedLinkMovesFewBytes(t *testing.T) {
 	defer client.Close()
 
 	link.ResetCounters()
-	payload, _, err := client.FetchFiltered("ts0.vnd", "d", []float64{10}, EncAuto)
+	payload, _, err := client.FetchFilteredContext(context.Background(), "ts0.vnd", "d", []float64{10}, EncAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestNDPOverShapedLinkMovesFewBytes(t *testing.T) {
 
 func TestNDPFetchSlice(t *testing.T) {
 	client, ds := startNDP(t, compress.LZ4)
-	g2, vals, stats, err := client.FetchSlice("run/ts0.vnd", "d", contour.AxisZ, 5)
+	g2, vals, stats, err := client.FetchSliceContext(context.Background(), "run/ts0.vnd", "d", contour.AxisZ, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,10 +350,10 @@ func TestNDPFetchSlice(t *testing.T) {
 
 func TestNDPFetchSliceErrors(t *testing.T) {
 	client, _ := startNDP(t, compress.None)
-	if _, _, _, err := client.FetchSlice("run/ts0.vnd", "d", contour.AxisZ, 99); err == nil {
+	if _, _, _, err := client.FetchSliceContext(context.Background(), "run/ts0.vnd", "d", contour.AxisZ, 99); err == nil {
 		t.Error("out-of-range slice accepted")
 	}
-	if _, _, _, err := client.FetchSlice("run/ts0.vnd", "ghost", contour.AxisX, 0); err == nil {
+	if _, _, _, err := client.FetchSliceContext(context.Background(), "run/ts0.vnd", "ghost", contour.AxisX, 0); err == nil {
 		t.Error("unknown array accepted")
 	}
 }

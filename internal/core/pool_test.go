@@ -180,7 +180,7 @@ func TestDialPoolFailoverBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPayload, _, err := truth.FetchFiltered("run/ts0.vnd", "d", []float64{7}, EncAuto)
+	wantPayload, _, err := truth.FetchFilteredContext(context.Background(), "run/ts0.vnd", "d", []float64{7}, EncAuto)
 	truth.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestDialPoolFailoverBitIdentical(t *testing.T) {
 
 	fetchAndCompare := func(i int) {
 		t.Helper()
-		p, st, err := client.FetchFiltered("run/ts0.vnd", "d", []float64{7}, EncAuto)
+		p, st, err := client.FetchFilteredContext(context.Background(), "run/ts0.vnd", "d", []float64{7}, EncAuto)
 		if err != nil {
 			t.Fatalf("fetch %d: %v", i, err)
 		}
@@ -366,7 +366,7 @@ func TestPoolZeroAddresses(t *testing.T) {
 	if _, err := client.Describe("run/ts0.vnd"); err == nil {
 		t.Error("Describe over no addresses succeeded")
 	}
-	if _, _, err := client.FetchFiltered("run/ts0.vnd", "d", []float64{7}, EncAuto); err == nil {
+	if _, _, err := client.FetchFilteredContext(context.Background(), "run/ts0.vnd", "d", []float64{7}, EncAuto); err == nil {
 		t.Error("FetchFiltered over no addresses succeeded")
 	}
 	g, _ := sphereField(8)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"io"
 	"net"
@@ -71,7 +72,7 @@ func TestUncachedRawRepliesNeverAliasThePlan(t *testing.T) {
 			defer client.Close()
 			for i := 0; i < rounds; i++ {
 				array := []string{"a", "b"}[(w+i)%2]
-				got, _, err := client.FetchRaw("ts0.vnd", array)
+				got, _, err := client.FetchRawContext(context.Background(), "ts0.vnd", array)
 				if err != nil {
 					t.Errorf("caller %d: fetch %s: %v", w, array, err)
 					return

@@ -113,7 +113,7 @@ func TestCacheServesReferenceBytesOnHostileData(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, _, err := client.FetchFiltered("ts0.vnd", "d", isos, EncAuto)
+				got, _, err := client.FetchFilteredContext(context.Background(), "ts0.vnd", "d", isos, EncAuto)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -131,7 +131,7 @@ func TestCacheServesReferenceBytesOnHostileData(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, _, err := client.FetchRange("ts0.vnd", "d", lo, hi, EncAuto)
+				got, _, err := client.FetchRangeContext(context.Background(), "ts0.vnd", "d", lo, hi, EncAuto)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -191,7 +191,7 @@ func TestCacheHoldsFiveArraysInFiveArraysBytes(t *testing.T) {
 	arrayBytes := int64(4 * g.NumPoints())
 	client, srv := serveDataset(t, ds, WithCacheBytes(5*arrayBytes))
 	for a := 0; a < 5; a++ {
-		if _, _, err := client.FetchFiltered("ts0.vnd", fmt.Sprintf("a%d", a), []float64{0.5}, EncAuto); err != nil {
+		if _, _, err := client.FetchFilteredContext(context.Background(), "ts0.vnd", fmt.Sprintf("a%d", a), []float64{0.5}, EncAuto); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -19,12 +19,12 @@ import (
 // Near-data scrubbing: the storage node audits its own bricks instead
 // of waiting for a client to trip over bad bytes at fetch time. The
 // scrubber walks each registered manifest's per-timestep brick objects,
-// verifies every stored byte — whole-object CRC against the manifest
-// entry when recorded, per-page CRCs against the object's own trailing
-// table — and quarantines what fails. Quarantined paths are rejected at
-// the fetch boundary with rpc.ErrCorrupt (see Server.quarantined), so
-// a fault-tolerant client re-reads from a sibling replica immediately
-// rather than re-reading known-bad storage on every request.
+// verifies every stored byte against the per-page CRCs of the object's
+// own trailing table, and quarantines what fails. Quarantined paths are
+// rejected at the fetch boundary with rpc.ErrCorrupt (see
+// Server.quarantined), so a fault-tolerant client re-reads from a
+// sibling replica immediately rather than re-reading known-bad storage
+// on every request.
 
 var (
 	mScrubScanned     = telemetry.Default().Counter("core.scrub.scanned")
@@ -61,7 +61,7 @@ type ScrubReport struct {
 	// quarantined objects are skipped, not re-verified).
 	Quarantined int
 	// Skipped counts objects left unverified: already quarantined, or
-	// carrying neither a manifest CRC nor a checksum section.
+	// carrying no checksum section.
 	Skipped int
 	// Errors lists per-object verification failures, path-prefixed.
 	Errors []string
@@ -169,7 +169,7 @@ func (sc *Scrubber) runOnce(ctx context.Context) (ScrubReport, error) {
 				if err := ctx.Err(); err != nil {
 					return rep, err
 				}
-				sc.scrubObject(path.Join(dir, m.Entries[i].Key), m.Entries[i].Checksum, &rep)
+				sc.scrubObject(path.Join(dir, m.Entries[i].Key), &rep)
 			}
 		}
 	}
@@ -202,10 +202,9 @@ func (sc *Scrubber) stepDirs(manifestPath string) ([]string, error) {
 	return dirs, nil
 }
 
-// scrubObject verifies one brick object end to end: whole-object CRC
-// against the manifest entry when one was recorded, then the object's
-// own page-checksum section. A failure quarantines the path.
-func (sc *Scrubber) scrubObject(objPath string, wantCRC uint32, rep *ScrubReport) {
+// scrubObject verifies one brick object end to end against its own
+// page-checksum section. A failure quarantines the path.
+func (sc *Scrubber) scrubObject(objPath string, rep *ScrubReport) {
 	sc.mu.Lock()
 	_, isQuarantined := sc.quarantine[objPath]
 	sc.mu.Unlock()
@@ -213,7 +212,7 @@ func (sc *Scrubber) scrubObject(objPath string, wantCRC uint32, rep *ScrubReport
 		rep.Skipped++
 		return
 	}
-	verified, err := sc.verifyObject(objPath, wantCRC)
+	verified, err := sc.verifyObject(objPath)
 	if err == nil {
 		if verified {
 			rep.Scanned++
@@ -237,34 +236,23 @@ func (sc *Scrubber) scrubObject(objPath string, wantCRC uint32, rep *ScrubReport
 }
 
 // verifyObject checks one object's bytes. Returns (false, nil) when the
-// object carries nothing to verify against (no manifest CRC recorded
-// and no checksum section in the file).
-func (sc *Scrubber) verifyObject(objPath string, wantCRC uint32) (bool, error) {
+// object carries nothing to verify against (no checksum section in the
+// file).
+func (sc *Scrubber) verifyObject(objPath string) (bool, error) {
 	data, err := fs.ReadFile(sc.fsys, objPath)
 	if err != nil {
 		// A brick the manifest promises but the store cannot produce is
 		// as lost as a corrupt one.
 		return false, fmt.Errorf("unreadable: %w", err)
 	}
-	verified := false
-	if wantCRC != 0 {
-		if got := vtkio.Checksum(data); got != wantCRC {
-			return false, fmt.Errorf("%w: whole object crc %08x, manifest records %08x",
-				vtkio.ErrChecksum, got, wantCRC)
-		}
-		verified = true
-	}
 	r, err := vtkio.OpenReader(bytes.NewReader(data))
 	if err != nil {
 		return false, fmt.Errorf("unparseable: %w", err)
 	}
-	if r.Header().Checksums != nil {
-		if err := r.VerifyChecksums(); err != nil {
-			return false, err
-		}
-		verified = true
+	if r.Header().Checksums == nil {
+		return false, nil
 	}
-	return verified, nil
+	return true, r.VerifyChecksums()
 }
 
 // Start runs scrub passes every interval (with ±10% jitter so a shard

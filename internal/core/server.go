@@ -178,8 +178,8 @@ func argString(args []any, i int, what string) (string, error) {
 // asFloat accepts a msgpack-decoded number in any numeric wire shape: a
 // conforming msgpack-rpc peer encodes 1.0 as an int, and our decoder
 // yields float32 for float32-format values and uint64 above MaxInt64.
-// The client-side decoders (float3, floatSlice) are equally liberal;
-// this keeps the server from rejecting what the protocol allows.
+// The client reads a reply's origin and spacing through it too (float3),
+// so neither end rejects what the protocol allows.
 func asFloat(v any) (float64, bool) {
 	switch n := v.(type) {
 	case float64:
@@ -301,12 +301,17 @@ func (s *Server) handleDescribe(ctx context.Context, args []any) (any, error) {
 	if err != nil {
 		return nil, s.failCorrupt(ctx, path, err)
 	}
-	h := r.Header()
-	return map[string]any{
-		"dims":    []any{int64(h.Dims[0]), int64(h.Dims[1]), int64(h.Dims[2])},
-		"origin":  []any{h.Origin[0], h.Origin[1], h.Origin[2]},
-		"spacing": []any{h.Spacing[0], h.Spacing[1], h.Spacing[2]},
-	}, nil
+	resp := map[string]any{}
+	putGrid(resp, r.Grid())
+	return resp, nil
+}
+
+// putGrid writes g as the dims/origin/spacing keys a describe and a
+// slice reply share; gridFromMap reads them.
+func putGrid(m map[string]any, g *grid.Uniform) {
+	m["dims"] = []any{int64(g.Dims.X), int64(g.Dims.Y), int64(g.Dims.Z)}
+	m["origin"] = []any{g.Origin.X, g.Origin.Y, g.Origin.Z}
+	m["spacing"] = []any{g.Spacing.X, g.Spacing.Y, g.Spacing.Z}
 }
 
 // corruptionError reports whether err means the stored bytes lied,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -328,7 +329,7 @@ func TestShardManifestRPC(t *testing.T) {
 	}
 	defer c.Close()
 
-	got, err := c.FetchManifest("run/ts0/manifest.json")
+	got, err := c.FetchManifestContext(context.Background(), "run/ts0/manifest.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,10 +339,10 @@ func TestShardManifestRPC(t *testing.T) {
 	if !got.Grid().Equal(g) {
 		t.Errorf("manifest grid round-trip mismatch")
 	}
-	if _, err := c.FetchManifest("bogus.json"); err == nil {
+	if _, err := c.FetchManifestContext(context.Background(), "bogus.json"); err == nil {
 		t.Error("server shipped an invalid manifest")
 	}
-	if _, err := c.FetchManifest("run/ts0/missing.json"); err == nil {
+	if _, err := c.FetchManifestContext(context.Background(), "run/ts0/missing.json"); err == nil {
 		t.Error("missing manifest fetched")
 	}
 }
@@ -465,7 +466,7 @@ func BenchmarkShardedGather128(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := c.FetchFiltered("whole.vnd", "v02", isos, EncAuto); err != nil {
+			if _, _, err := c.FetchFilteredContext(context.Background(), "whole.vnd", "v02", isos, EncAuto); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -133,7 +133,7 @@ func TestRawStoredOverOldServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	got, read, err := client.FetchRaw("run/ts0.vnd", "d")
+	got, read, err := client.FetchRawContext(context.Background(), "run/ts0.vnd", "d")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestStoredChunkSizeLieIsCorrupt(t *testing.T) {
 		}
 	}
 	client := serveFS(t, os.DirFS(dir))
-	if _, _, err := client.FetchRaw("run/ts0.vnd", "d"); !errors.Is(err, rpc.ErrCorrupt) {
+	if _, _, err := client.FetchRawContext(context.Background(), "run/ts0.vnd", "d"); !errors.Is(err, rpc.ErrCorrupt) {
 		t.Fatalf("client raw fetch through the lying header: err = %v, want rpc.ErrCorrupt", err)
 	}
 }
@@ -396,7 +396,7 @@ func TestDegradedFetchMovesStoredBytes(t *testing.T) {
 	}
 	defer client.Close()
 	isos := []float64{7.5}
-	want, _, err := client.FetchFiltered("run/ts0.vnd", "d", isos, EncAuto)
+	want, _, err := client.FetchFilteredContext(context.Background(), "run/ts0.vnd", "d", isos, EncAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestDegradedFetchMovesStoredBytes(t *testing.T) {
 		fallback: true,
 	}
 	link.ResetCounters()
-	got, st, err := broken.FetchFiltered("run/ts0.vnd", "d", isos, EncAuto)
+	got, st, err := broken.FetchFilteredContext(context.Background(), "run/ts0.vnd", "d", isos, EncAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,14 +455,14 @@ func BenchmarkFetchRaw128(b *testing.B) {
 	}
 	defer client.Close()
 	want := vtkio.FloatsToBytes(ds.Field("v02").Values)
-	if got, _, err := client.FetchRaw("ts.vnd", "v02"); err != nil || !bytes.Equal(got, want) {
+	if got, _, err := client.FetchRawContext(context.Background(), "ts.vnd", "v02"); err != nil || !bytes.Equal(got, want) {
 		b.Fatalf("first fetch: err = %v, equal = %v", err, bytes.Equal(got, want))
 	}
 	b.SetBytes(int64(len(want)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := client.FetchRaw("ts.vnd", "v02"); err != nil {
+		if _, _, err := client.FetchRawContext(context.Background(), "ts.vnd", "v02"); err != nil {
 			b.Fatal(err)
 		}
 	}

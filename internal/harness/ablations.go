@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"image/color"
 	"math"
@@ -140,7 +141,7 @@ func (e *Env) EndToEnd(array string, iso float64) (*stats.Table, error) {
 
 		// NDP: pre-filtered fetch, post-filter contour, render.
 		start = time.Now()
-		payload, _, err := e.ndpClient.FetchFiltered(key, array, isos, core.EncAuto)
+		payload, _, err := e.ndpClient.FetchFilteredContext(context.Background(), key, array, isos, core.EncAuto)
 		if err != nil {
 			return nil, err
 		}
@@ -244,7 +245,7 @@ func (e *Env) ExtensionSlice(array string) (*stats.Table, error) {
 		var g2 *grid.Uniform
 		var vals []float32
 		slice, err := e.measure(func() (err error) {
-			g2, vals, _, err = e.ndpClient.FetchSlice(key, array, contour.AxisZ, index)
+			g2, vals, _, err = e.ndpClient.FetchSliceContext(context.Background(), key, array, contour.AxisZ, index)
 			return err
 		}, func() error {
 			// Verify against the in-memory dataset once.

@@ -189,7 +189,7 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 		return nil, err
 	}
 	// The manifest travels the data's wire, over the manifest RPC.
-	man, err := truth.clean.FetchManifest(truth.brickRoot() + "manifest.json")
+	man, err := truth.clean.FetchManifestContext(context.Background(), truth.brickRoot()+"manifest.json")
 	if err != nil {
 		return nil, err
 	}

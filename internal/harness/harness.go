@@ -20,6 +20,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io/fs"
 	"time"
@@ -342,7 +343,7 @@ func (e *Env) ndpLoadKey(key, array string, isovalues []float64) (Measurement, e
 	// post-filter, which, like contour generation, is excluded from load
 	// time, so the payload is checked once, outside the timed region.
 	return e.measure(func() (err error) {
-		payload, _, err = e.ndpClient.FetchFiltered(key, array, isovalues, core.EncAuto)
+		payload, _, err = e.ndpClient.FetchFilteredContext(context.Background(), key, array, isovalues, core.EncAuto)
 		return err
 	}, func() error {
 		return e.checkPayload(key, array, isovalues, payload)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"slices"
@@ -131,7 +132,7 @@ func TestNDPPayloadMatchesLocalContour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, _, err := env.ndpClient.FetchFiltered(
+	payload, _, err := env.ndpClient.FetchFilteredContext(context.Background(),
 		ObjectKey("asteroid", compress.LZ4, step), "v02", isos, core.EncAuto)
 	if err != nil {
 		t.Fatal(err)

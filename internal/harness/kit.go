@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io/fs"
 	"net"
@@ -209,7 +210,7 @@ func (k *kit) groundTruth(array string, link *netsim.Link, ids []fetchID) (*orac
 
 // fetch issues one fetch of the sweep.
 func (o *oracle) fetch(c *core.Client, id fetchID) (*core.Payload, *core.FetchStats, error) {
-	p, st, err := c.FetchFiltered(ObjectKey(o.dataset, o.codec, id.step), o.array, []float64{id.iso}, core.EncAuto)
+	p, st, err := c.FetchFilteredContext(context.Background(), ObjectKey(o.dataset, o.codec, id.step), o.array, []float64{id.iso}, core.EncAuto)
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: step %d iso %g: %w", id.step, id.iso, err)
 	}
@@ -229,7 +230,7 @@ func (o *oracle) same(phase string, id fetchID, p *core.Payload) error {
 // byte, to the field the store was written from: the check for damage in
 // cells no contour selects, which the payload comparison cannot see.
 func (o *oracle) sameRaw(c *core.Client, step int) error {
-	data, _, err := c.FetchRaw(ObjectKey(o.dataset, o.codec, step), o.array)
+	data, _, err := c.FetchRawContext(context.Background(), ObjectKey(o.dataset, o.codec, step), o.array)
 	if err != nil {
 		return fmt.Errorf("harness: raw step %d: %w", step, err)
 	}

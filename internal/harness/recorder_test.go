@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -56,7 +57,7 @@ func (e *Env) measureRecorderOverhead(client *core.Client, array string, rec *te
 	iso := []float64{e.Cfg.ContourValues[0]}
 	fetch := func() (float64, error) {
 		start := time.Now()
-		_, _, ferr := client.FetchFiltered(key, array, iso, core.EncAuto)
+		_, _, ferr := client.FetchFilteredContext(context.Background(), key, array, iso, core.EncAuto)
 		return float64(time.Since(start)) / float64(time.Millisecond), ferr
 	}
 	// Warm the cache so every timed fetch runs the resident-array path.

@@ -49,8 +49,8 @@ var ErrChecksum = fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 // instructions through it).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Checksum returns the CRC32C of data — the whole-object checksum the
-// brick manifests carry and the page checksum the .vnd trailer stores.
+// Checksum returns the CRC32C of data — the page checksum the .vnd
+// trailer stores, and the reply CRC the NDP wire carries.
 func Checksum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
 
 // ChecksumInfo is the header's pointer to the trailing checksum section.

@@ -325,27 +325,3 @@ func TestVerifyChecksums(t *testing.T) {
 		t.Fatalf("checksum-less file verification = %v, want nil", err)
 	}
 }
-
-func TestManifestBrickChecksumRoundTrips(t *testing.T) {
-	g := grid.NewUniform(9, 9, 9)
-	m, err := BuildManifest(g, grid.BrickSpec{NX: 2, NY: 1, NZ: 1, Ghost: 1}, []string{"v02"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range m.Entries {
-		m.Entries[i].Checksum = Checksum([]byte(m.Entries[i].Key))
-	}
-	enc, err := EncodeManifest(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := DecodeManifest(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range m.Entries {
-		if dec.Entries[i].Checksum != m.Entries[i].Checksum {
-			t.Fatalf("entry %d checksum %08x, want %08x", i, dec.Entries[i].Checksum, m.Entries[i].Checksum)
-		}
-	}
-}

@@ -13,7 +13,8 @@ import (
 // object key relative to the per-step prefix. Clients read it once, then
 // scatter per-brick fetches over their replicas; which replica a brick
 // goes to is the client's rule, not the manifest's. Manifests written
-// with a per-entry "shard" key still decode: JSON decoding ignores it.
+// with a per-entry "shard" or "crc" key still decode: JSON decoding
+// ignores both.
 const (
 	// ManifestMagic guards against feeding an arbitrary JSON document to
 	// a sharded client.
@@ -36,11 +37,6 @@ type ManifestBrick struct {
 	// Key is the brick object's name relative to the fetch prefix (the
 	// per-timestep directory), e.g. "brick0003.vnd".
 	Key string `json:"key"`
-	// Checksum is the CRC32C of the whole brick object's bytes, or zero
-	// when the writer did not record one. The scrubber verifies stored
-	// objects against it; Validate does not pin it (it varies with the
-	// codec the objects were written with).
-	Checksum uint32 `json:"crc,omitempty"`
 }
 
 // Manifest describes one bricked dataset.

@@ -58,14 +58,15 @@ func TestManifestRoundTrip(t *testing.T) {
 
 // oldShardManifest is a manifest as writers before the per-entry
 // "shard" key went wrote it: pinned bricks (0, 1) and an unpinned one
-// (-1).
+// (-1), the first also with the whole-object "crc" key that entries
+// no longer carry.
 const oldShardManifest = `{"magic":"vnd-bricks","version":1,"dims":[7,4,3],"origin":[0,1,2],"spacing":[1,0.5,0.25],"bricks":[3,1,1],"ghost":1,"arrays":["d"],"entries":[` +
-	`{"id":0,"index":[0,0,0],"cellLo":[0,0,0],"cellHi":[2,3,2],"pointLo":[0,0,0],"pointHi":[4,4,3],"key":"brick0000.vnd","shard":0},` +
+	`{"id":0,"index":[0,0,0],"cellLo":[0,0,0],"cellHi":[2,3,2],"pointLo":[0,0,0],"pointHi":[4,4,3],"key":"brick0000.vnd","shard":0,"crc":305419896},` +
 	`{"id":1,"index":[1,0,0],"cellLo":[2,0,0],"cellHi":[4,3,2],"pointLo":[1,0,0],"pointHi":[6,4,3],"key":"brick0001.vnd","shard":1},` +
 	`{"id":2,"index":[2,0,0],"cellLo":[4,0,0],"cellHi":[6,3,2],"pointLo":[3,0,0],"pointHi":[7,4,3],"key":"brick0002.vnd","shard":-1}]}`
 
-// TestManifestDecodesShardKeys: an old manifest's "shard" keys are
-// ignored, so it decodes, validates and equals the manifest built today
+// TestManifestDecodesShardKeys: an old manifest's "shard" and "crc"
+// keys are ignored, so it decodes, validates and equals the manifest built today
 // for the same grid and bricking.
 func TestManifestDecodesShardKeys(t *testing.T) {
 	got, err := DecodeManifest([]byte(oldShardManifest))

@@ -195,7 +195,7 @@ func TestReadArrayChunksReadsOneSpan(t *testing.T) {
 		want := make([]bool, len(info.Chunks))
 		want[3], want[9] = true, true
 		tracked.reset()
-		f, err := r.ReadArrayChunks("v02", want)
+		read, err := readMasked(r, "v02", want)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestReadArrayChunksReadsOneSpan(t *testing.T) {
 			t.Errorf("%v: reads %v, want one of [%d, +%d)", kind, tracked.ranges, info.Offset+lo, hi-lo)
 		}
 		for c := range info.Chunks {
-			got, ref := f.Values[256*c:256*c+256], vals[256*c:256*c+256]
+			got, ref := read[256*c:256*c+256], vals[256*c:256*c+256]
 			switch {
 			case want[c] || (kind == compress.None && c > 3 && c < 9):
 				if !sameFloatBits(got, ref) {
@@ -226,10 +226,10 @@ func TestReadArrayChunksReadsOneSpan(t *testing.T) {
 
 		// No chunk wanted: nothing is read.
 		tracked.reset()
-		if _, err := r.ReadArrayChunks("v02", make([]bool, len(info.Chunks))); err != nil || len(tracked.ranges) != 0 {
+		if _, err := readMasked(r, "v02", make([]bool, len(info.Chunks))); err != nil || len(tracked.ranges) != 0 {
 			t.Errorf("%v: empty mask read %v, %v", kind, tracked.ranges, err)
 		}
-		if _, err := r.ReadArrayChunks("v02", want[1:]); err == nil {
+		if _, err := readMasked(r, "v02", want[1:]); err == nil {
 			t.Errorf("%v: a mask of the wrong length was accepted", kind)
 		}
 	}
@@ -265,12 +265,12 @@ func TestReadArrayChunksCorruptPages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := r2.ReadArrayChunks("v02", want)
+		got, err := readMasked(r2, "v02", want)
 		if tc.corrupt {
 			if !errors.Is(err, ErrChecksum) {
 				t.Errorf("flip in the wanted chunk: %v, want ErrChecksum", err)
 			}
-		} else if err != nil || !sameFloatBits(f.Values[256*8:256*9], vals[256*8:256*9]) {
+		} else if err != nil || !sameFloatBits(got[256*8:256*9], vals[256*8:256*9]) {
 			t.Errorf("flip in a skipped chunk failed the masked read: %v", err)
 		}
 		if err := r2.VerifyChecksums(); !errors.Is(err, ErrChecksum) {

@@ -199,7 +199,7 @@ func TestHeaderDamageIsErrCorrupt(t *testing.T) {
 	}
 	want := make([]bool, len(chunks))
 	want[len(want)/2] = true
-	if _, err := r.ReadArrayChunks("v02", want); !errors.Is(err, ErrCorrupt) {
+	if _, err := readMasked(r, "v02", want); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("masked read under a lying chunk size: %v, want ErrCorrupt", err)
 	}
 }
@@ -263,8 +263,8 @@ func BenchmarkReadArray(b *testing.B) {
 	}
 }
 
-// benchmarkRead times ReadArrayChunks of v02 with mask want, raw bytes
-// of array a read.
+// benchmarkRead times a masked read of v02 into a new array
+// (readMasked) with mask want, raw bytes of array a read.
 func benchmarkRead(b *testing.B, file []byte, raw int64, want []bool) {
 	r, err := OpenReader(bytes.NewReader(file))
 	if err != nil {
@@ -274,7 +274,7 @@ func benchmarkRead(b *testing.B, file []byte, raw int64, want []bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.ReadArrayChunks("v02", want); err != nil {
+		if _, err := readMasked(r, "v02", want); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -357,7 +357,7 @@ func TestReadAllocsDoNotGrowWithChunks(t *testing.T) {
 					}
 				}
 				allocs := testing.AllocsPerRun(20, func() {
-					if _, err := r.ReadArrayChunks("v02", want); err != nil {
+					if _, err := readMasked(r, "v02", want); err != nil {
 						t.Fatal(err)
 					}
 				})
@@ -446,12 +446,12 @@ func TestConcurrentReadsNeverAliasPooledExtents(t *testing.T) {
 			for c := range even {
 				even[c] = c%2 == 0
 			}
-			f, err := r.ReadArrayChunks(names[w%2], even)
+			vals, err := readMasked(r, names[w%2], even)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			raws[w] = FloatsToBytes(f.Values)
+			raws[w] = FloatsToBytes(vals)
 			if err := r.VerifyChecksums(); err != nil {
 				t.Error(err)
 			}
@@ -504,6 +504,13 @@ func unpooledDecode(t *testing.T, file []byte, info *ArrayInfo) []float32 {
 	return vals
 }
 
+// readMasked reads the chunks want marks into a new, zeroed array, as
+// a caller of ReadArrayChunksInto with a fresh destination does.
+func readMasked(r *Reader, name string, want []bool) ([]float32, error) {
+	vals := make([]float32, r.Grid().NumPoints())
+	return vals, r.ReadArrayChunksInto(name, want, vals)
+}
+
 func sameFloatBits(a, b []float32) bool {
 	if len(a) != len(b) {
 		return false
@@ -516,12 +523,13 @@ func sameFloatBits(a, b []float32) bool {
 	return true
 }
 
-// TestReadStoredDecodesToTheArray: an LZ4 array's stored extent, cut by
-// its header's chunk table and decoded by DecodeLZ4, is the array
-// ReadArray returns, bit for bit. ReadStored refuses a non-LZ4 array and
-// a page that fails its CRC; DecodeLZ4 refuses a table that does not
-// cover the extent or the destination exactly, and a chunk that does
-// not decode, each as ErrCorrupt.
+// TestReadStoredDecodesToTheArray: an LZ4 array's stored extent, sent
+// with its header's chunk table (PackChunks) and decoded by
+// DecodeStored, is the array ReadArray returns, bit for bit. ReadStored
+// refuses a non-LZ4 array and a page that fails its CRC; DecodeStored
+// refuses a table that does not cover the extent, raw sizes that claim
+// one float more or fewer than the chunks decode to, and a chunk that
+// does not decode, each as ErrCorrupt.
 func TestReadStoredDecodesToTheArray(t *testing.T) {
 	ds := makeDataset(16, 16, 16)
 	var buf bytes.Buffer
@@ -545,27 +553,33 @@ func TestReadStoredDecodesToTheArray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([]float32, len(want.Values))
-	if err := DecodeLZ4(got, ext, info.Chunks); err != nil {
+	got, err := DecodeStored(ext, PackChunks(info.Chunks))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(FloatsToBytes(got), FloatsToBytes(want.Values)) {
-		t.Fatal("DecodeLZ4 of the stored extent differs from ReadArray")
+		t.Fatal("DecodeStored of the stored extent differs from ReadArray")
 	}
 
-	short := append([]ChunkInfo{}, info.Chunks...)
-	short[0].Comp--
+	// tableWith is the array's table with one chunk's entry changed.
+	tableWith := func(change func(c *ChunkInfo)) []byte {
+		chunks := append([]ChunkInfo{}, info.Chunks...)
+		change(&chunks[len(chunks)/2])
+		return PackChunks(chunks)
+	}
 	bad := append([]byte{}, ext...)
 	clear(bad[:3]) // no literals, then a zero match offset
-	for name, err := range map[string]error{
-		"table short of the extent": DecodeLZ4(got, ext, short),
-		"destination too long":      DecodeLZ4(make([]float32, len(got)+1), ext, info.Chunks),
-		"destination too short":     DecodeLZ4(got[:len(got)-1], ext, info.Chunks),
-		"damaged chunk":             DecodeLZ4(got, bad, info.Chunks),
+	for name, table := range map[string][]byte{
+		"table short of the extent": tableWith(func(c *ChunkInfo) { c.Comp-- }),
+		"one float too many":        tableWith(func(c *ChunkInfo) { c.Raw += 4 }),
+		"one float too few":         tableWith(func(c *ChunkInfo) { c.Raw -= 4 }),
 	} {
-		if !errors.Is(err, ErrCorrupt) {
+		if _, err := DecodeStored(ext, table); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
+	}
+	if _, err := DecodeStored(bad, PackChunks(info.Chunks)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("damaged chunk: err = %v, want ErrCorrupt", err)
 	}
 
 	damaged := append([]byte{}, file...)

@@ -856,47 +856,24 @@ func UnpackChunks(table []byte, extent int) ([]ChunkInfo, int, error) {
 	return chunks, raw, nil
 }
 
+// lz4Codec decodes a stored reply's chunks; ByKind fails only for an
+// unknown kind.
+var lz4Codec, _ = compress.ByKind(compress.LZ4)
+
 // DecodeStored decodes a received stored extent and its packed chunk
-// table into a new array: UnpackChunks, then DecodeLZ4. Every failure
-// is ErrCorrupt.
+// table into a new array. UnpackChunks proves that the table covers the
+// extent and sizes the array, so what is left is the decode. Every
+// failure is ErrCorrupt.
 func DecodeStored(extent, table []byte) ([]float32, error) {
 	chunks, raw, err := UnpackChunks(table, len(extent))
 	if err != nil {
 		return nil, err
 	}
 	vals := make([]float32, raw/4)
-	if err := DecodeLZ4(vals, extent, chunks); err != nil {
-		return nil, err
+	if err := decodeChunks(lz4Codec, chunks, nil, extent, 0, floatBytes(vals)); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	return vals, nil
-}
-
-// lz4Codec decodes a stored reply's chunks; ByKind fails only for an
-// unknown kind.
-var lz4Codec, _ = compress.ByKind(compress.LZ4)
-
-// DecodeLZ4 decodes an LZ4 array's stored extent, cut into chunks as the
-// table says, into dst. A table that does not cover the extent and dst
-// exactly, or a chunk that does not decode, is ErrCorrupt, and dst's
-// contents are then unspecified.
-func DecodeLZ4(dst []float32, extent []byte, chunks []ChunkInfo) error {
-	out := floatBytes(dst)
-	var coff, roff int
-	for _, c := range chunks {
-		if c.Comp < 0 || c.Raw < 0 || c.Comp > len(extent)-coff || c.Raw > len(out)-roff {
-			return fmt.Errorf("%w: chunk table overruns %d stored or %d raw bytes", ErrCorrupt, len(extent), len(out))
-		}
-		coff += c.Comp
-		roff += c.Raw
-	}
-	if coff != len(extent) || roff != len(out) {
-		return fmt.Errorf("%w: chunk table covers %d of %d stored and %d of %d raw bytes",
-			ErrCorrupt, coff, len(extent), roff, len(out))
-	}
-	if err := decodeChunks(lz4Codec, chunks, nil, extent, 0, out); err != nil {
-		return fmt.Errorf("%w: %w", ErrCorrupt, err)
-	}
-	return nil
 }
 
 // ReadArray fetches the named array as a field. The []float32 it returns
@@ -904,21 +881,12 @@ func DecodeLZ4(dst []float32, extent []byte, chunks []ChunkInfo) error {
 // directly into it. The header's claims are checked against the grid
 // first, so a header that disagrees with itself costs no read.
 func (r *Reader) ReadArray(name string) (*grid.Field, error) {
-	return r.ReadArrayChunks(name, nil)
-}
-
-// ReadArrayChunks is ReadArray for the chunks want marks (one flag per
-// chunk of the array's header entry; nil means all): it reads and
-// decodes only those into a new array, where the values of the others
-// are zero — unless, in a raw array, they lie between two wanted chunks
-// and come with the span.
-func (r *Reader) ReadArrayChunks(name string, want []bool) (*grid.Field, error) {
 	idx, n, err := r.arrayLen(name)
 	if err != nil {
 		return nil, err
 	}
 	vals := make([]float32, n)
-	if err := r.readArray(idx, floatBytes(vals), want); err != nil {
+	if err := r.readArray(idx, floatBytes(vals), nil); err != nil {
 		return nil, err
 	}
 	return &grid.Field{Name: name, Values: vals}, nil
@@ -957,9 +925,10 @@ func (r *Reader) arrayLen(name string) (idx, n int, err error) {
 	return idx, int(size / 4), nil
 }
 
-// ReadArrayChunksInto is ReadArrayChunks into dst, which must hold
-// exactly the array's values, one per grid point. Only the wanted
-// chunks' values are written (in a raw array, also those between two
+// ReadArrayChunksInto reads and decodes the chunks want marks (one flag
+// per chunk of the array's header entry; nil means all) into dst, which
+// must hold exactly the array's values, one per grid point. Only the
+// wanted chunks' values are written (in a raw array, also those between two
 // wanted chunks); the rest of dst keeps whatever it held, so a caller
 // that recycles dst must read nothing outside the chunks it asked for.
 func (r *Reader) ReadArrayChunksInto(name string, want []bool, dst []float32) error {
