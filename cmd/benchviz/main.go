@@ -48,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		repeats = fs.Int("repeats", 0, "measurement repetitions (0 = config default)")
 		cacheB  = fs.Int64("cache-bytes", 0, "array cache budget in bytes of the repeat experiment's server and the chaos replicas (0 = config default)")
 		quick   = fs.Bool("quick", false, "use the small quick configuration")
-		csv     = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		jsonOut = fs.Bool("json", false, "emit one machine-readable JSON document instead of text tables")
 		outFile = fs.String("o", "", "write results to this file instead of stdout")
 		dataDir = fs.String("data", "", "scratch directory for the object store (temp dir if empty)")
@@ -133,13 +132,10 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 		headline = headline || x.Name == "tab2"
 		for _, t := range tables {
-			switch {
-			case *jsonOut:
+			if *jsonOut {
 				collected = append(collected, t)
 				fmt.Fprintf(progress, "done: %s\n", t.Title)
-			case *csv:
-				fmt.Fprintf(out, "# %s\n%s\n", t.Title, t.CSV())
-			default:
+			} else {
 				fmt.Fprintln(out, t.String())
 			}
 		}

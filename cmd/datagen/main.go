@@ -8,6 +8,7 @@
 //	datagen -dataset asteroid -n 96 -steps 9 -codec all -out ./data
 //	datagen -dataset nyx -n 96 -codec lz4 -store 127.0.0.1:9000 -bucket sim
 //
+// Every object goes where the store layout in internal/vtkio puts it.
 // With -bricks NxMxK each timestep is additionally partitioned into
 // bricks with a ghost layer and written as per-brick objects plus a
 // manifest, ready for a sharded scatter-gather deployment:
@@ -63,107 +64,89 @@ func main() {
 		}
 	}
 
-	writeRaw := func(key string, data []byte) error {
-		if *store != "" {
-			client := objstore.NewClient(*store, nil)
-			return client.Put(*bucket, key, data)
-		}
-		path := filepath.Join(*out, filepath.FromSlash(key))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return err
-		}
-		return os.WriteFile(path, data, 0o644)
+	var client *objstore.Client // one for the whole run
+	if *store != "" {
+		client = objstore.NewClient(*store, nil)
 	}
-
+	// put stores one object in the store or as a file under -out, and
+	// reports it.
+	put := func(key string, data []byte) error {
+		var err error
+		if client != nil {
+			err = client.Put(*bucket, key, data)
+		} else {
+			path := filepath.Join(*out, filepath.FromSlash(key))
+			if err = os.MkdirAll(filepath.Dir(path), 0o755); err == nil {
+				err = os.WriteFile(path, data, 0o644)
+			}
+		}
+		if err == nil {
+			fmt.Println("wrote", key)
+		}
+		return err
+	}
 	write := func(key string, ds *grid.Dataset, kind compress.Kind) error {
-		opts := vtkio.WriteOptions{Codec: kind, Checksum: true}
-		if *store != "" {
-			var buf bytes.Buffer
-			if err := vtkio.Write(&buf, ds, opts); err != nil {
-				return err
-			}
-			client := objstore.NewClient(*store, nil)
-			return client.Put(*bucket, key, buf.Bytes())
-		}
-		path := filepath.Join(*out, filepath.FromSlash(key))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		var buf bytes.Buffer
+		if err := vtkio.Write(&buf, ds, vtkio.WriteOptions{Codec: kind, Checksum: true}); err != nil {
 			return err
 		}
-		return vtkio.WriteFile(path, ds, opts)
+		return put(key, buf.Bytes())
 	}
 
-	// writeBricked partitions one timestep into per-brick objects under
-	// <dataset>/<codec>/ts%05d/ and writes the manifest next to the
-	// timestep directories (the geometry is identical across steps, so
-	// one manifest per dataset/codec suffices).
-	wroteManifest := map[compress.Kind]bool{}
-	writeBricked := func(name string, step int, ds *grid.Dataset, kind compress.Kind) error {
-		man, err := vtkio.BuildManifest(ds.Grid, spec, ds.FieldNames())
-		if err != nil {
-			return err
-		}
-		if !wroteManifest[kind] {
-			data, err := vtkio.EncodeManifest(man)
+	// emit writes one timestep in every codec and, with -bricks, its
+	// bricks under the codec's root. The geometry is the same at every
+	// step, so the first step also writes each root's manifest.
+	emit := func(name string, step int, ds *grid.Dataset, first bool) error {
+		var man *vtkio.Manifest
+		var manifest []byte
+		if *bricks != "" {
+			var err error
+			if man, err = vtkio.BuildManifest(ds.Grid, spec, ds.FieldNames()); err == nil && first {
+				manifest, err = vtkio.EncodeManifest(man)
+			}
 			if err != nil {
 				return err
 			}
-			key := fmt.Sprintf("%s/%s/manifest.json", name, kind)
-			if err := writeRaw(key, data); err != nil {
-				return err
+		}
+		for _, kind := range codecs {
+			root := vtkio.Root(name, kind.String())
+			err := write(vtkio.ObjectKey(name, kind.String(), step), ds, kind)
+			if err == nil && man != nil && first {
+				err = put(root+vtkio.ManifestName, manifest)
 			}
-			fmt.Println("wrote", key)
-			wroteManifest[kind] = true
-		}
-		gridBricks, err := man.GridBricks()
-		if err != nil {
-			return err
-		}
-		for _, b := range gridBricks {
-			sub, err := grid.ExtractBrick(ds, b)
+			if err == nil && man != nil {
+				err = vtkio.WriteBricks(man, ds, root, step, func(key string, brick *grid.Dataset) error {
+					return write(key, brick, kind)
+				})
+			}
 			if err != nil {
 				return err
 			}
-			key := fmt.Sprintf("%s/%s/ts%05d/%s", name, kind, step, vtkio.BrickKey(b.ID))
-			if err := write(key, sub, kind); err != nil {
-				return err
-			}
-			fmt.Println("wrote", key)
 		}
 		return nil
-	}
-
-	emit := func(name string, step int, ds *grid.Dataset) {
-		for _, kind := range codecs {
-			key := fmt.Sprintf("%s/%s/ts%05d.vnd", name, kind, step)
-			if err := write(key, ds, kind); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println("wrote", key)
-			if *bricks != "" {
-				if err := writeBricked(name, step, ds, kind); err != nil {
-					log.Fatal(err)
-				}
-			}
-		}
 	}
 
 	switch *dataset {
 	case "asteroid":
 		cfg := sim.AsteroidConfig{N: *n, Seed: uint32(*seed)}
-		for _, step := range cfg.Timesteps(*steps) {
+		for i, step := range cfg.Timesteps(*steps) {
 			ds, err := cfg.Generate(step)
+			if err == nil {
+				err = emit("asteroid", step, ds, i == 0)
+			}
 			if err != nil {
 				log.Fatal(err)
 			}
-			emit("asteroid", step, ds)
 		}
 	case "nyx":
 		cfg := sim.NyxConfig{N: *n, Seed: uint32(*seed)}
 		ds, err := cfg.Generate()
+		if err == nil {
+			err = emit("nyx", 0, ds, true)
+		}
 		if err != nil {
 			log.Fatal(err)
 		}
-		emit("nyx", 0, ds)
 	default:
 		log.Fatalf("unknown dataset %q (want asteroid or nyx)", *dataset)
 	}

@@ -132,12 +132,15 @@ func run(args []string) error {
 		}
 		// vizpipe observes from the client side, so the monitor scores the
 		// client's wide events (which include degraded fallbacks and
-		// retries) rather than a server's.
+		// retries) rather than a server's. The recorder is process-wide, so
+		// the run gives it back the monitor it had.
 		mon := telemetry.NewSLOMonitor(telemetry.KindClient, objs...)
 		rec := telemetry.DefaultFlightRecorder()
+		prev := rec.SLO()
 		rec.SetSLO(mon)
 		defer func() {
 			fmt.Print("\n" + mon.Summary())
+			rec.SetSLO(prev)
 		}()
 	}
 

@@ -509,3 +509,26 @@ func TestSLOPrintsBurnRates(t *testing.T) {
 		t.Errorf("the ndp.fetch row counts no fetch:\n%s", out)
 	}
 }
+
+// TestSLORestoresPreviousMonitor holds run to the process-wide
+// recorder it borrows: after a -slo run, the monitor attached before it
+// is attached again, so a later run in the process scores nothing into
+// this one's.
+func TestSLORestoresPreviousMonitor(t *testing.T) {
+	dir := t.TempDir()
+	writeAsteroidStep(t, dir, "ts.vnd", compress.None)
+	rec := telemetry.DefaultFlightRecorder()
+	before := telemetry.NewSLOMonitor(telemetry.KindClient)
+	rec.SetSLO(before)
+	t.Cleanup(func() { rec.SetSLO(nil) })
+	out, err := captureStdout(t, func() error {
+		return run([]string{"-dir", dir, "-path", "ts.vnd", "-arrays", "v02", "-iso", "0.5",
+			"-slo", "ndp.fetch=50ms@99"})
+	})
+	if err != nil {
+		t.Fatalf("vizpipe -slo: %v\n%s", err, out)
+	}
+	if got := rec.SLO(); got != before {
+		t.Errorf("after run the recorder's monitor is %p, want the one attached before it, %p", got, before)
+	}
+}

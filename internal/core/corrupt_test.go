@@ -258,6 +258,50 @@ func scrubDataset(t *testing.T, dir string) (manifestPath string, brickPaths []s
 	return manifestPath, brickPaths
 }
 
+// TestScrubberFindsWrittenBricks holds the scrubber to the layout the
+// writers use: every brick vtkio.WriteBricks lays out for two steps
+// under one root, next to the root's manifest, is verified.
+func TestScrubberFindsWrittenBricks(t *testing.T) {
+	dir := t.TempDir()
+	g, f := sphereField(12)
+	ds := grid.NewDataset(g)
+	ds.MustAddField(f)
+	man, err := vtkio.BuildManifest(g, grid.BrickSpec{NX: 2, NY: 2, NZ: 1, Ghost: 1}, ds.FieldNames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(key string, brick *grid.Dataset) error {
+		p := filepath.Join(dir, filepath.FromSlash(key))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			return err
+		}
+		return vtkio.WriteFile(p, brick, vtkio.WriteOptions{Codec: compress.LZ4, Checksum: true})
+	}
+	const root = "run/"
+	steps := []int{0, 7}
+	for _, step := range steps {
+		if err := vtkio.WriteBricks(man, ds, root, step, put); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := vtkio.EncodeManifest(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, filepath.FromSlash(root+vtkio.ManifestName)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := NewScrubber(os.DirFS(dir), root+vtkio.ManifestName).RunOnce(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(steps) * len(man.Entries); rep.Scanned != want || rep.Corrupt != 0 || rep.Skipped != 0 {
+		t.Fatalf("pass = %+v, want %d scanned (%d steps x %d bricks), none corrupt or skipped",
+			rep, want, len(steps), len(man.Entries))
+	}
+}
+
 func TestScrubberQuarantinesCorruptBricks(t *testing.T) {
 	dir := t.TempDir()
 	_, brickPaths := scrubDataset(t, dir)

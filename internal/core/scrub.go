@@ -180,9 +180,9 @@ func (sc *Scrubber) runOnce(ctx context.Context) (ScrubReport, error) {
 	return rep, nil
 }
 
-// stepDirs lists the per-timestep brick directories (ts*/ subdirs) next
-// to a manifest; a manifest whose directory has no ts* subdirectories
-// holds its bricks directly (single-step layout).
+// stepDirs lists the per-timestep brick directories (vtkio.StepDir) next
+// to a manifest; a manifest whose directory has none holds its bricks
+// directly (single-step layout).
 func (sc *Scrubber) stepDirs(manifestPath string) ([]string, error) {
 	base := path.Dir(manifestPath)
 	entries, err := fs.ReadDir(sc.fsys, base)
@@ -191,7 +191,7 @@ func (sc *Scrubber) stepDirs(manifestPath string) ([]string, error) {
 	}
 	var dirs []string
 	for _, e := range entries {
-		if e.IsDir() && strings.HasPrefix(e.Name(), "ts") {
+		if e.IsDir() && strings.HasPrefix(e.Name(), vtkio.StepDirPrefix) {
 			dirs = append(dirs, path.Join(base, e.Name()))
 		}
 	}

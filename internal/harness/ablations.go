@@ -213,7 +213,7 @@ func (e *Env) AblationLossy(bounds []float64) (*stats.Table, error) {
 		}
 	}
 	for _, bound := range bounds {
-		key := fmt.Sprintf("nyx/qlz4-%g/ts00000.vnd", bound)
+		key := vtkio.ObjectKey("nyx", fmt.Sprintf("qlz4-%g", bound), 0)
 		if err := e.putDataset(key, e.nyxDS, vtkio.WriteOptions{LossyBound: bound, Checksum: true}); err != nil {
 			return nil, err
 		}

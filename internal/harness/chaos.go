@@ -90,7 +90,7 @@ func (o *oracle) brickRoot() string {
 // describes, scattered, their payloads gathered into the unsharded one.
 func (o *oracle) gathered(c *core.Client, man *vtkio.Manifest) fetchFunc {
 	return func(id fetchID) (*core.Payload, error) {
-		p, _, err := c.FetchBricksContext(context.Background(), man, fmt.Sprintf("%sts%05d/", o.brickRoot(), id.step), o.array, []float64{id.iso}, core.EncAuto)
+		p, _, err := c.FetchBricksContext(context.Background(), man, vtkio.StepDir(o.brickRoot(), id.step), o.array, []float64{id.iso}, core.EncAuto)
 		if err != nil {
 			err = fmt.Errorf("harness: gather step %d iso %g: %w", id.step, id.iso, err)
 		}
@@ -107,29 +107,21 @@ func (e *Env) putBricks(o *oracle) (*vtkio.Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	bricks, err := man.GridBricks()
-	if err != nil {
-		return nil, err
+	put := func(key string, brick *grid.Dataset) error {
+		return e.putDataset(key, brick, vtkio.WriteOptions{Codec: o.codec, Checksum: true})
 	}
 	for _, step := range e.steps {
 		ds := grid.NewDataset(g)
 		ds.MustAddField(e.asteroidSet[step].Field(o.array))
-		for _, b := range bricks {
-			sub, err := grid.ExtractBrick(ds, b)
-			if err == nil {
-				key := fmt.Sprintf("%sts%05d/%s", o.brickRoot(), step, vtkio.BrickKey(b.ID))
-				err = e.putDataset(key, sub, vtkio.WriteOptions{Codec: o.codec, Checksum: true})
-			}
-			if err != nil {
-				return nil, err
-			}
+		if err := vtkio.WriteBricks(man, ds, o.brickRoot(), step, put); err != nil {
+			return nil, err
 		}
 	}
 	data, err := vtkio.EncodeManifest(man)
 	if err != nil {
 		return nil, err
 	}
-	return man, e.local.Put(Bucket, o.brickRoot()+"manifest.json", data)
+	return man, e.local.Put(Bucket, o.brickRoot()+vtkio.ManifestName, data)
 }
 
 // drainedName stamps the drained replica's fetch events (its shard=
@@ -189,7 +181,7 @@ func (e *Env) ChaosExperiment(array string) (*stats.Table, error) {
 		return nil, err
 	}
 	// The manifest travels the data's wire, over the manifest RPC.
-	man, err := truth.clean.FetchManifestContext(context.Background(), truth.brickRoot()+"manifest.json")
+	man, err := truth.clean.FetchManifestContext(context.Background(), truth.brickRoot()+vtkio.ManifestName)
 	if err != nil {
 		return nil, err
 	}

@@ -109,21 +109,19 @@ type Env struct {
 	// traffic volumes.
 	Link *netsim.Link
 
-	store       *objstore.Server
-	storeClose  func() error
-	storeAddr   string
 	local       *objstore.Client // storage-node-local (unshaped)
 	remote      *objstore.Client // client-node view (shaped)
 	base        *kit             // owns the shared NDP server and client
 	ndpClient   *core.Client
 	steps       []int
-	nyxDS       *grid.Dataset // kept for in-memory analyses (Fig. 12)
+	nyxDS       *grid.Dataset // AblationLossy's reference values
 	asteroidSet map[int]*grid.Dataset
 }
 
-// ObjectKey names the stored object for a dataset/codec/timestep.
+// ObjectKey is vtkio.ObjectKey under the codec's name. It stays exported
+// because bench/ calls it, and bench/ changes only in a benchmark PR.
 func ObjectKey(dataset string, codec compress.Kind, step int) string {
-	return fmt.Sprintf("%s/%s/ts%05d.vnd", dataset, codec, step)
+	return vtkio.ObjectKey(dataset, codec.String(), step)
 }
 
 // NewEnv builds the full environment: generates both datasets, populates

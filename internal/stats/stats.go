@@ -112,30 +112,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// CSV renders the table as RFC-4180-ish CSV (header row first, fields
-// quoted only when needed), for piping experiment results into plotting
-// tools.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			b.WriteString(c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Headers)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	return b.String()
-}
-
 // String renders the table as aligned monospace text.
 func (t *Table) String() string {
 	widths := make([]int, len(t.Headers))

@@ -82,17 +82,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tab := NewTable("t", "a", "b")
-	tab.AddRow("plain", "with,comma")
-	tab.AddRow("quote\"inside", "multi\nline")
-	got := tab.CSV()
-	want := "a,b\nplain,\"with,comma\"\n\"quote\"\"inside\",\"multi\nline\"\n"
-	if got != want {
-		t.Errorf("CSV = %q, want %q", got, want)
-	}
-}
-
 func TestTableNoTitle(t *testing.T) {
 	tab := NewTable("", "a")
 	tab.AddRow("x")

@@ -55,9 +55,55 @@ type Manifest struct {
 	Entries []ManifestBrick `json:"entries"`
 }
 
+// The store layout, which every writer, the scrubber and every gather
+// share. Timestep t of a dataset stored in one codec is ObjectKey; a
+// bricked dataset keeps under a root its manifest, ManifestName, and one
+// directory per timestep, StepDir, holding the bricks by BrickKey.
+const (
+	// ManifestName is a brick manifest's object name under its root.
+	ManifestName = "manifest.json"
+	// StepDirPrefix begins every timestep's object and directory name.
+	StepDirPrefix = "ts"
+)
+
+// Root is the key prefix of a dataset stored in one codec, or in a
+// variant's own directory, e.g. "nyx/qlz4-0.01/".
+func Root(dataset, codecDir string) string { return dataset + "/" + codecDir + "/" }
+
+// ObjectKey names timestep step of a dataset, e.g. "asteroid/lz4/ts00042.vnd".
+func ObjectKey(dataset, codecDir string, step int) string {
+	return Root(dataset, codecDir) + stepName(step) + ".vnd"
+}
+
+// StepDir is timestep step's brick directory under root, "<root>ts00042/":
+// the prefix a gather fetches the manifest's keys under.
+func StepDir(root string, step int) string { return root + stepName(step) + "/" }
+
+func stepName(step int) string { return StepDirPrefix + fmt.Sprintf("%05d", step) }
+
 // BrickKey is the default object name for brick id within its per-step
 // prefix.
 func BrickKey(id int) string { return fmt.Sprintf("brick%04d.vnd", id) }
+
+// WriteBricks cuts ds, timestep step of the dataset man describes, into
+// its bricks and hands each to put under StepDir(root, step) and the
+// BrickKey BuildManifest gives its entry, stopping at the first error.
+func WriteBricks(man *Manifest, ds *grid.Dataset, root string, step int, put func(key string, brick *grid.Dataset) error) error {
+	bricks, err := man.GridBricks()
+	if err != nil {
+		return err
+	}
+	for _, b := range bricks {
+		sub, err := grid.ExtractBrick(ds, b)
+		if err != nil {
+			return err
+		}
+		if err := put(StepDir(root, step)+BrickKey(b.ID), sub); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // BuildManifest derives the manifest for bricking g with spec. Arrays
 // names the point arrays each brick object will carry.

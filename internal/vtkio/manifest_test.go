@@ -1,6 +1,7 @@
 package vtkio
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -130,5 +131,72 @@ func TestDecodeManifestGarbage(t *testing.T) {
 	}
 	if _, err := DecodeManifest([]byte("{}")); err == nil {
 		t.Error("empty document validated")
+	}
+}
+
+// TestStoreLayoutPinned pins the names of the store layout: the stored
+// datasets, the scrubber and every gather agree on them.
+func TestStoreLayoutPinned(t *testing.T) {
+	root := Root("bricks", "raw")
+	for _, c := range []struct{ got, want string }{
+		{ObjectKey("asteroid", "lz4", 42), "asteroid/lz4/ts00042.vnd"},
+		{ObjectKey("nyx", "qlz4-0.01", 0), "nyx/qlz4-0.01/ts00000.vnd"},
+		{StepDir(root, 42) + BrickKey(3), "bricks/raw/ts00042/brick0003.vnd"},
+		{root + ManifestName, "bricks/raw/manifest.json"},
+	} {
+		if c.got != c.want {
+			t.Errorf("got %q, want %q", c.got, c.want)
+		}
+	}
+}
+
+// TestWriteBricksPutsEveryBrick checks the brick writer hands put each
+// brick the manifest lists, in order, under the step's directory and
+// the entry's key, cut exactly as grid.ExtractBrick cuts it; and that a
+// failing put stops it.
+func TestWriteBricksPutsEveryBrick(t *testing.T) {
+	g := manifestGrid()
+	ds := grid.NewDataset(g)
+	vals := make([]float32, g.NumPoints())
+	for i := range vals {
+		vals[i] = float32(i)
+	}
+	ds.MustAddField(&grid.Field{Name: "v02", Values: vals})
+	m, err := BuildManifest(g, grid.BrickSpec{NX: 3, NY: 2, NZ: 1, Ghost: 1}, ds.FieldNames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bricks, err := m.GridBricks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	err = WriteBricks(m, ds, "root/", 5, func(key string, brick *grid.Dataset) error {
+		i := len(keys)
+		keys = append(keys, key)
+		if want := "root/ts00005/" + m.Entries[i].Key; key != want {
+			t.Errorf("brick %d key %q, want %q", i, key, want)
+		}
+		want, err := grid.ExtractBrick(ds, bricks[i])
+		if err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(brick, want) {
+			t.Errorf("brick %d is not ExtractBrick's cut", i)
+		}
+		return nil
+	})
+	if err != nil || len(keys) != len(m.Entries) {
+		t.Fatalf("WriteBricks put %d of %d bricks: %v", len(keys), len(m.Entries), err)
+	}
+
+	stop := errors.New("store full")
+	calls := 0
+	err = WriteBricks(m, ds, "root/", 5, func(string, *grid.Dataset) error {
+		calls++
+		return stop
+	})
+	if !errors.Is(err, stop) || calls != 1 {
+		t.Errorf("a failing put: %d calls, error %v; want 1 call and its error", calls, err)
 	}
 }
